@@ -325,27 +325,17 @@ func buildExtBenchDir(b *testing.B, versions int) string {
 	return dir
 }
 
-// extQueryOpts returns the store options of one query-path variant.
-func extQueryOpts(matview bool) []Option {
-	opts := []Option{WithValidation(false)}
-	if matview {
-		opts = append(opts, WithMaterializedView(true))
-	}
-	return opts
-}
-
 // benchExtQuery measures the cost of one query issued right after the
-// store's query state was invalidated (the post-Add regime): each
-// iteration reopens the store, so the materialized-view baseline pays its
-// view rebuild and the streaming path pays one scan.
-func benchExtQuery(b *testing.B, versions int, matview bool, query func(s *ExtStore) error) {
+// store was opened (the post-Add regime: nothing cached): each iteration
+// reopens the store and pays one streaming scan.
+func benchExtQuery(b *testing.B, versions int, query func(s *ExtStore) error) {
 	dir := buildExtBenchDir(b, versions)
-	cold := queryAllocBytes(b, dir, matview, query)
+	cold := queryAllocBytes(b, dir, query)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s, err := OpenStore(dir, datagen.XMarkSpec(), extQueryOpts(matview)...)
+		s, err := OpenStore(dir, datagen.XMarkSpec(), WithValidation(false))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -363,12 +353,11 @@ func benchExtQuery(b *testing.B, versions int, matview bool, query func(s *ExtSt
 	b.ReportMetric(cold, "cold_query_bytes")
 }
 
-// queryAllocBytes measures the bytes allocated by one cold query — the
-// "peak view bytes" number: the materialized-view baseline allocates the
-// whole archive here, the streaming path only the projected answer.
-func queryAllocBytes(b *testing.B, dir string, matview bool, query func(s *ExtStore) error) float64 {
+// queryAllocBytes measures the bytes allocated by one cold query: the
+// streaming path allocates only the projected answer, never the archive.
+func queryAllocBytes(b *testing.B, dir string, query func(s *ExtStore) error) float64 {
 	b.Helper()
-	s, err := OpenStore(dir, datagen.XMarkSpec(), extQueryOpts(matview)...)
+	s, err := OpenStore(dir, datagen.XMarkSpec(), WithValidation(false))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -383,22 +372,19 @@ func queryAllocBytes(b *testing.B, dir string, matview bool, query func(s *ExtSt
 	return float64(m1.TotalAlloc - m0.TotalAlloc)
 }
 
-// BenchmarkExtStoreQueryVersion: ExtStore.WriteVersion after an Add —
-// streaming scan versus materialized-view rebuild.
+// The query benchmarks keep their "streaming" sub-benchmark name so the
+// committed baselines (BENCH_PR3.json, BENCH_PR9.json) still match.
+
+// BenchmarkExtStoreQueryVersion: ExtStore.WriteVersion after an Add.
 func BenchmarkExtStoreQueryVersion(b *testing.B) {
-	for _, v := range []struct {
-		name    string
-		matview bool
-	}{{"streaming", false}, {"matview", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			benchExtQuery(b, 8, v.matview, func(s *ExtStore) error {
-				return s.WriteVersion(3, io.Discard)
-			})
+	b.Run("streaming", func(b *testing.B) {
+		benchExtQuery(b, 8, func(s *ExtStore) error {
+			return s.WriteVersion(3, io.Discard)
 		})
-	}
+	})
 }
 
-// BenchmarkExtStoreQueryHistory: selector resolution on the two paths.
+// BenchmarkExtStoreQueryHistory: selector resolution.
 func BenchmarkExtStoreQueryHistory(b *testing.B) {
 	g := datagen.NewXMark(datagen.XMarkConfig{Seed: 71, Items: 60, People: 30, Categories: 10, OpenAucts: 20, ClosedAucts: 12})
 	id, ok := g.Document().Child("categories").Child("category").Attr("id")
@@ -406,41 +392,31 @@ func BenchmarkExtStoreQueryHistory(b *testing.B) {
 		b.Fatal("xmark document has no category id")
 	}
 	sel := "/site/categories/category[id=" + id + "]"
-	for _, v := range []struct {
-		name    string
-		matview bool
-	}{{"streaming", false}, {"matview", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			benchExtQuery(b, 8, v.matview, func(s *ExtStore) error {
-				_, err := s.History(sel)
-				return err
-			})
+	b.Run("streaming", func(b *testing.B) {
+		benchExtQuery(b, 8, func(s *ExtStore) error {
+			_, err := s.History(sel)
+			return err
 		})
-	}
+	})
 }
 
-// BenchmarkExtStoreQueryStats: structural statistics on the two paths.
+// BenchmarkExtStoreQueryStats: structural statistics.
 func BenchmarkExtStoreQueryStats(b *testing.B) {
-	for _, v := range []struct {
-		name    string
-		matview bool
-	}{{"streaming", false}, {"matview", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			benchExtQuery(b, 8, v.matview, func(s *ExtStore) error {
-				_, err := s.Stats()
-				return err
-			})
+	b.Run("streaming", func(b *testing.B) {
+		benchExtQuery(b, 8, func(s *ExtStore) error {
+			_, err := s.Stats()
+			return err
 		})
-	}
+	})
 }
 
 // BenchmarkExtStoreQueryVersionScaling pins the bounded-memory claim: the
 // bytes allocated by one streaming query must not grow with the number of
-// archived versions (the materialized view's would).
+// archived versions.
 func BenchmarkExtStoreQueryVersionScaling(b *testing.B) {
 	for _, versions := range []int{4, 8} {
 		b.Run(fmt.Sprintf("versions=%d", versions), func(b *testing.B) {
-			benchExtQuery(b, versions, false, func(s *ExtStore) error {
+			benchExtQuery(b, versions, func(s *ExtStore) error {
 				return s.WriteVersion(2, io.Discard)
 			})
 		})

@@ -486,8 +486,8 @@ func cmdInspect(args []string) error {
 		}
 		// stored/uncompressed bytes plus dictionary overhead; the ratio is
 		// on-disk bytes per decoded payload byte.
-		size := fmt.Sprintf("%d bytes (v%d: %d stored + %d dict, ratio %.2f)",
-			s.Bytes, s.Format, s.Stored, s.DictBytes,
+		size := fmt.Sprintf("%d bytes (%d stored + %d dict, ratio %.2f)",
+			s.Bytes, s.Stored, s.DictBytes,
 			float64(s.Stored+s.DictBytes)/float64(max(s.Bytes, 1)))
 		mark := ""
 		if s.Compactable {

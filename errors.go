@@ -35,6 +35,12 @@ var (
 	// fsync or rename): reads keep serving the last committed
 	// generation, writes fail fast until the store is reopened.
 	ErrDegraded = extmem.ErrDegraded
+	// ErrLegacyFormat reports an external archive directory in an
+	// on-disk layout this build no longer reads (the monolithic
+	// archive.tok, a format-1 key directory or format-1 segments).
+	// OpenStore, CheckStore and a replication pull return it without
+	// touching the directory; the message names the upgrade path.
+	ErrLegacyFormat = extmem.ErrLegacyFormat
 )
 
 // KeyViolationError aggregates every violation of a key specification

@@ -23,25 +23,25 @@ import (
 // archive and version count. Selective keyed selectors resolve through
 // the key directory and seek straight to the matching subtrees (History
 // on a fully keyed selector reads no archive bytes at all); full scans
-// read the segments in key order, a stream byte-identical to the former
-// monolithic token file. Each query takes a consistent snapshot (the
+// read the segments in key order as one token stream. Each query takes a consistent snapshot (the
 // directory generation plus the dictionary's point-in-time name table)
 // under a read lock and then reads without holding any lock, so any
 // number of readers run alongside an Add: the Add commits a fresh
 // directory by rename while open snapshots pin their generation's
-// segment files. WithMaterializedView(true) restores the previous
-// behavior of querying a cached in-memory view.
+// segment files. Anyone who wants an in-RAM copy loads a Snapshot into a
+// MemStore with LoadStore.
 type ExtStore struct {
 	mu     sync.RWMutex
 	cfg    config
 	ar     *extmem.Archiver
-	view   *core.Archive // materialized query view (opt-in); nil when stale
 	closed bool
 }
 
 var _ Store = (*ExtStore)(nil)
 
-// OpenStore creates or reopens an external-memory store in dir.
+// OpenStore creates or reopens an external-memory store in dir. A
+// directory still in a legacy on-disk layout fails with ErrLegacyFormat
+// and is left untouched.
 func OpenStore(dir string, spec *KeySpec, opts ...Option) (*ExtStore, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -50,12 +50,8 @@ func OpenStore(dir string, spec *KeySpec, opts ...Option) (*ExtStore, error) {
 	ar, err := extmem.Open(dir, spec, extmem.Config{
 		Budget:           cfg.budget,
 		SegmentTarget:    cfg.segTarget,
-		Shards:           cfg.shards,
 		NoDirectorySeek:  cfg.noSeek,
-		CompactTarget:    cfg.compTarget,
 		CompactionBudget: cfg.compBudget,
-		SegmentFormat:    cfg.segFormat,
-		NoMigrate:        cfg.noMigrate,
 		Compression:      cfg.segCompress,
 		NoAttrIndex:      cfg.noQueryIdx,
 		FS:               cfg.fs,
@@ -129,7 +125,6 @@ func (s *ExtStore) AddBatch(docs []*Document) ([]AddResult, error) {
 	if len(readers) == 0 {
 		return out, nil
 	}
-	s.view = nil
 	items, err := s.ar.AddVersionBatch(readers)
 	for _, pr := range pipes {
 		pr.Close() // unblock any writer whose document stopped early
@@ -175,7 +170,6 @@ func (s *ExtStore) addStream(r io.Reader) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.view = nil
 	return s.ar.AddVersion(r)
 }
 
@@ -191,43 +185,6 @@ func (s *ExtStore) query() (*extmem.QueryView, error) {
 	return s.ar.OpenQuery()
 }
 
-// acquireView returns the opt-in materialized read view, building it under
-// the write lock if the last Add invalidated it. The returned archive is
-// immutable: a later Add replaces the pointer rather than mutating it, so
-// callers may keep reading it without holding any lock.
-func (s *ExtStore) acquireView() (*core.Archive, error) {
-	s.mu.RLock()
-	v, closed := s.view, s.closed
-	s.mu.RUnlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if v != nil {
-		return v, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if s.view == nil {
-		// Stream the archive XML straight into the loader through a pipe:
-		// the XML form is never held as a full in-memory buffer alongside
-		// the parsed archive.
-		pr, pw := io.Pipe()
-		go func() {
-			pw.CloseWithError(s.ar.WriteArchiveXML(pw))
-		}()
-		view, err := core.LoadReader(pr, s.ar.Spec(), s.cfg.coreOptions())
-		pr.Close()
-		if err != nil {
-			return nil, err
-		}
-		s.view = view
-	}
-	return s.view, nil
-}
-
 // Versions returns the number of archived versions.
 func (s *ExtStore) Versions() int {
 	s.mu.RLock()
@@ -235,16 +192,9 @@ func (s *ExtStore) Versions() int {
 	return s.ar.Versions()
 }
 
-// Version reconstructs version n with one streaming scan of the token
-// file (only version n's content is ever materialized).
+// Version reconstructs version n with one streaming scan of the segment
+// files (only version n's content is ever materialized).
 func (s *ExtStore) Version(n int) (*Document, error) {
-	if s.cfg.matview {
-		v, err := s.acquireView()
-		if err != nil {
-			return nil, err
-		}
-		return v.Version(n)
-	}
 	q, err := s.query()
 	if err != nil {
 		return nil, err
@@ -254,12 +204,9 @@ func (s *ExtStore) Version(n int) (*Document, error) {
 }
 
 // WriteVersion streams the indented XML of version n directly from the
-// token file to w — the version is never built in memory, and the bytes
+// segment files to w — the version is never built in memory, and the bytes
 // are identical to the in-memory engine's output.
 func (s *ExtStore) WriteVersion(n int, w io.Writer) error {
-	if s.cfg.matview {
-		return writeVersion(s, n, w)
-	}
 	q, err := s.query()
 	if err != nil {
 		return err
@@ -271,13 +218,6 @@ func (s *ExtStore) WriteVersion(n int, w io.Writer) error {
 // History returns the versions in which the selected element exists,
 // resolving the selector against per-node timestamps during one scan.
 func (s *ExtStore) History(selector string) (*VersionSet, error) {
-	if s.cfg.matview {
-		v, err := s.acquireView()
-		if err != nil {
-			return nil, err
-		}
-		return v.History(selector)
-	}
 	q, err := s.query()
 	if err != nil {
 		return nil, err
@@ -289,13 +229,6 @@ func (s *ExtStore) History(selector string) (*VersionSet, error) {
 // ContentHistory returns the versions at which the selected frontier
 // element's content changed.
 func (s *ExtStore) ContentHistory(selector string) ([]int, error) {
-	if s.cfg.matview {
-		v, err := s.acquireView()
-		if err != nil {
-			return nil, err
-		}
-		return v.ContentHistory(selector)
-	}
 	q, err := s.query()
 	if err != nil {
 		return nil, err
@@ -307,20 +240,13 @@ func (s *ExtStore) ContentHistory(selector string) ([]int, error) {
 // Select evaluates a boolean query expression against the archive's
 // records; see Store.Select. With the attribute-index sidecar present
 // (the default) selective predicates answer from the index and read only
-// the matched subtrees' bytes; without it (WithQueryIndex(false), a
-// stale sidecar, or a v1 archive that never rebuilt one) the same
-// expression streams the records and answers identically.
+// the matched subtrees' bytes; without it (WithQueryIndex(false) or a
+// stale sidecar) the same expression streams the records and answers
+// identically.
 func (s *ExtStore) Select(expr string) ([]SelectResult, error) {
 	e, err := qlang.Parse(expr)
 	if err != nil {
 		return nil, err
-	}
-	if s.cfg.matview {
-		v, err := s.acquireView()
-		if err != nil {
-			return nil, err
-		}
-		return evalRecords(e, memRecords(v.Root(), v.Versions()))
 	}
 	q, err := s.query()
 	if err != nil {
@@ -332,13 +258,6 @@ func (s *ExtStore) Select(expr string) ([]SelectResult, error) {
 
 // Stats summarizes the archive's structure with streaming scans.
 func (s *ExtStore) Stats() (Stats, error) {
-	if s.cfg.matview {
-		v, err := s.acquireView()
-		if err != nil {
-			return Stats{}, err
-		}
-		return v.Stats(), nil
-	}
 	q, err := s.query()
 	if err != nil {
 		return Stats{}, err
@@ -347,8 +266,8 @@ func (s *ExtStore) Stats() (Stats, error) {
 	return q.Stats()
 }
 
-// Snapshot streams the archive's XML form to w, straight from the token
-// file, byte-identical to the in-memory engine's snapshot of the same
+// Snapshot streams the archive's XML form to w, straight from the
+// segment files, byte-identical to the in-memory engine's snapshot of the same
 // archive; LoadStore reads it back into an in-memory store.
 func (s *ExtStore) Snapshot(w io.Writer) error {
 	q, err := s.query()
@@ -369,7 +288,6 @@ func (s *ExtStore) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.view = nil
 	return s.ar.Close()
 }
 
@@ -434,8 +352,8 @@ func (s *ExtStore) Segments() ([]extmem.SegmentInfo, error) {
 	return s.ar.Segments(), nil
 }
 
-// Compact coalesces every run of adjacent undersized segments (see
-// WithCompactTargetSize) into right-sized segment files. The archive
+// Compact coalesces every run of adjacent undersized segments (payload
+// below half the segment target size) into right-sized segment files. The archive
 // stream — and every query answer — is byte-identical before and after;
 // only the file layout changes. Compact serializes with Add; open query
 // views keep answering from the layout they captured, and superseded

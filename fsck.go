@@ -15,7 +15,9 @@ type CheckItem = extmem.CheckItem
 // for writing and without mutating any file: metadata decode and
 // checksums, per-segment payload CRCs, and crash leftovers (orphan
 // segments, transient files, a degraded-writer marker). The report's
-// Clean field is the headline answer; `xarch fsck` prints the items.
+// Clean field is the headline answer; `xarch fsck` prints the items. A
+// directory in a legacy on-disk layout is not inspected: the error is
+// ErrLegacyFormat.
 func CheckStore(dir string, opts ...Option) (*CheckReport, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -38,7 +40,5 @@ func RepairStore(dir string, spec *KeySpec, opts ...Option) (*CheckReport, error
 	return extmem.RepairArchive(cfg.fs, dir, spec, extmem.Config{
 		Budget:        cfg.budget,
 		SegmentTarget: cfg.segTarget,
-		Shards:        cfg.shards,
-		CompactTarget: cfg.compTarget,
 	})
 }

@@ -37,13 +37,9 @@ type Archiver struct {
 	curDir  *keyDirectory
 	nextSeg int
 
-	// segDicts caches decoded v2 segment dictionaries per segment file;
+	// segDicts caches decoded segment dictionaries per segment file;
 	// entries are evicted when the file is swept.
 	segDicts *dictCache
-
-	// fastco is the byte-level coalescer's scratch state, allocated on
-	// the first compaction that can use it (see compactfast.go).
-	fastco *fastCoalescer
 
 	// degraded is the poisoned-writer flag: set by the first commit
 	// fault (failed fsync/rename), checked by every write entry point.
@@ -121,28 +117,12 @@ type Config struct {
 	// compaction pass may rewrite. 0 (the default) disables the
 	// opportunistic pass; explicit Compact calls are never budgeted.
 	CompactionBudget int
-	// SegmentFormat selects the on-disk encoding of newly written
-	// segment files: 2 (the default) writes dictionary-interned v2
-	// segments (see segdict.go), 1 the legacy inline-string format.
-	// Existing v1 segments are rewritten to the v2 format at Open unless
-	// NoMigrate is set.
-	SegmentFormat int
-	// NoMigrate suppresses the open-time rewrite of legacy format-1
-	// segments. The archive then runs mixed-format: queries and merges
-	// read both encodings, new writes use SegmentFormat. Mostly a
-	// testing knob.
-	NoMigrate bool
-	// Compression block-compresses v2 segment payloads (64 KiB deflate
+	// Compression block-compresses segment payloads (64 KiB deflate
 	// blocks with a per-block index, so directory seeks still land
 	// mid-segment). Off by default: interning alone shrinks segments and
 	// raw payloads keep scans cheapest; enable it where disk bytes
 	// dominate.
 	Compression bool
-	// NoDictPreload leaves segment dictionaries to load lazily on first
-	// query reference instead of being warmed at Open. Open becomes
-	// O(1) in the segment count again, at the price of the first query
-	// into each segment paying its dictionary decode.
-	NoDictPreload bool
 	// NoAttrIndex disables the attr.idx secondary-index sidecar: segment
 	// writes skip fact capture, commits skip the sidecar rebuild, and
 	// Select queries always run the exact streaming scan (diagnostic
@@ -183,31 +163,48 @@ func (c *Config) setDefaults() {
 	if c.CompactTarget > c.SegmentTarget {
 		c.CompactTarget = c.SegmentTarget
 	}
-	if c.SegmentFormat == 0 {
-		c.SegmentFormat = segFormatV2
-	}
 	if c.FS == nil {
 		c.FS = fsio.OS
 	}
 }
 
 const (
-	metaFile    = "meta.txt"
-	dictFile    = "dict.txt"
-	archiveFile = "archive.tok" // legacy monolithic layout (migrated on open)
+	metaFile = "meta.txt"
+	dictFile = "dict.txt"
+	// legacyArchiveFile is the monolithic token file of the pre-segment
+	// layout; its presence marks a directory this build no longer reads.
+	legacyArchiveFile = "archive.tok"
 )
 
-// Open creates or reopens an archiver rooted at dir. Single-file archives
-// from the monolithic layout are migrated to the segmented layout
-// transparently; a corrupt or truncated key directory is detected by
-// checksum and rebuilt by scanning the segment files.
+// ErrLegacyFormat reports an archive directory in an on-disk layout
+// this build no longer reads: the monolithic archive.tok, a format-1
+// key directory, or format-1 (pre-dictionary) segment files. Open,
+// CheckArchive and a replication sync return it before touching the
+// directory.
+var ErrLegacyFormat = errors.New("extmem: legacy archive layout is no longer supported; " +
+	"upgrade by opening the archive once with the PR 11 build (commit 2a11f15)")
+
+// CheckLegacyLayout returns ErrLegacyFormat when dir still holds the
+// monolithic archive.tok. (Format-1 key directories and segment headers
+// are rejected where they are decoded.)
+func CheckLegacyLayout(fs fsio.FS, dir string) error {
+	if _, err := fs.Stat(filepath.Join(dir, legacyArchiveFile)); err == nil {
+		return fmt.Errorf("%w (%s holds a monolithic %s)", ErrLegacyFormat, dir, legacyArchiveFile)
+	}
+	return nil
+}
+
+// Open creates or reopens an archiver rooted at dir. A corrupt or
+// truncated key directory is detected by checksum and rebuilt by scanning
+// the segment files; a directory in a legacy layout fails with
+// ErrLegacyFormat before any file in it is created, renamed or removed.
 func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 	cfg.setDefaults()
+	if err := CheckLegacyLayout(cfg.FS, dir); err != nil {
+		return nil, err
+	}
 	if err := cfg.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("extmem: %w", err)
-	}
-	if cfg.SegmentFormat != segFormat && cfg.SegmentFormat != segFormatV2 {
-		return nil, fmt.Errorf("extmem: unsupported segment format %d", cfg.SegmentFormat)
 	}
 	ar := &Archiver{
 		dir: dir, spec: spec, cfg: cfg, fs: cfg.FS,
@@ -231,8 +228,21 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 		return nil, fmt.Errorf("extmem: corrupt archive directory: %v", metaErr)
 	}
 
-	// The dictionary precedes everything: segment payloads and the
-	// legacy token file reference names by id.
+	// The key directory is authoritative: whenever it decodes, a damaged
+	// meta backup must never reroute a healthy archive into a rebuild.
+	var d *keyDirectory
+	if kdErr == nil {
+		dd, err := decodeKeyDirectory(kdData)
+		if errors.Is(err, ErrLegacyFormat) {
+			return nil, err
+		}
+		if err == nil {
+			d = dd
+		}
+	}
+
+	// The dictionary precedes the segments: payloads reference names by
+	// id.
 	df, err := ar.fs.Open(filepath.Join(dir, dictFile))
 	if err != nil {
 		return nil, fmt.Errorf("extmem: missing dictionary: %w", err)
@@ -243,26 +253,6 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 		return nil, err
 	}
 
-	// The key directory is authoritative: whenever it decodes, the
-	// archive is in the segmented layout regardless of what meta.txt
-	// looks like (a damaged meta backup must never reroute a healthy
-	// archive into migration or rebuild).
-	var d *keyDirectory
-	if kdErr == nil {
-		if dd, err := decodeKeyDirectory(kdData); err == nil {
-			d = dd
-		}
-	}
-	if d == nil && metaErr == nil && !strings.HasPrefix(string(metaData), "xarch-ext ") {
-		if _, err := ar.fs.Stat(filepath.Join(dir, archiveFile)); err == nil {
-			// Legacy v1 meta plus a monolithic token file: migrate.
-			if err := ar.migrateV1(metaData); err != nil {
-				return nil, err
-			}
-			ar.finishOpen()
-			return ar, nil
-		}
-	}
 	if d == nil {
 		// Corrupt, truncated or missing key directory: fall back to
 		// scanning the segment files meta.txt lists, using its root
@@ -286,14 +276,6 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 	}
 	d.resolveTags(ar.dict)
 	ar.curDir = d
-	// Transparent format upgrade: rewrite any legacy format-1 segments
-	// before the orphan sweep, so a crash mid-migration strands only
-	// files finishOpen removes on the next open.
-	if ar.cfg.SegmentFormat == segFormatV2 && !ar.cfg.NoMigrate {
-		if err := ar.migrateSegmentsV2(); err != nil {
-			return nil, err
-		}
-	}
 	ar.finishOpen()
 	return ar, nil
 }
@@ -307,44 +289,9 @@ func metaMatches(metaData []byte, d *keyDirectory) bool {
 	return meta.versions == d.versions && meta.rootTime.Equal(d.rootTime) && len(meta.roots) == len(d.roots)
 }
 
-// migrateV1 upgrades a monolithic archive.tok layout in place.
-func (ar *Archiver) migrateV1(metaData []byte) error {
-	var versions int
-	var timeStr string
-	if _, err := fmt.Fscanf(bytes.NewReader(metaData), "versions %d\nroottime %q\n", &versions, &timeStr); err != nil {
-		return fmt.Errorf("extmem: corrupt meta: %w", err)
-	}
-	ts, err := intervals.Parse(timeStr)
-	if err != nil {
-		return fmt.Errorf("extmem: corrupt meta timestamp: %w", err)
-	}
-	// Any seg-*.tok files predating a v1 layout are leftovers of an
-	// interrupted migration; the token file is still authoritative.
-	for _, p := range ar.globSegments() {
-		ar.fs.Remove(p)
-	}
-	d, newFiles, err := ar.migrateMonolithic(filepath.Join(ar.dir, archiveFile), versions, ts)
-	if err != nil {
-		for _, f := range newFiles {
-			ar.fs.Remove(filepath.Join(ar.dir, f))
-		}
-		return err
-	}
-	if err := ar.commitState(d); err != nil {
-		for _, f := range newFiles {
-			ar.fs.Remove(filepath.Join(ar.dir, f))
-		}
-		return err
-	}
-	ar.fs.Remove(filepath.Join(ar.dir, archiveFile))
-	d.resolveTags(ar.dict)
-	ar.curDir = d
-	return nil
-}
-
 // finishOpen installs generation 0 and garbage-collects files no
 // committed state references (crash leftovers: orphan segments, temp
-// files, a migrated token file).
+// files).
 func (ar *Archiver) finishOpen() {
 	ar.gens[0] = &genState{files: ar.curDir.files()}
 	live := ar.curDir.files()
@@ -353,9 +300,6 @@ func (ar *Archiver) finishOpen() {
 			ar.fs.Remove(p)
 		}
 	}
-	// A leftover monolithic token file (crash between a migration's
-	// commit and its cleanup) is superseded by the committed segments.
-	ar.fs.Remove(filepath.Join(ar.dir, archiveFile))
 	ar.sweepTmp()
 	ar.preloadDicts()
 	ar.loadAttrIndex()
@@ -364,21 +308,16 @@ func (ar *Archiver) finishOpen() {
 	}
 }
 
-// preloadDicts warms the dictionary cache for every committed v2
+// preloadDicts warms the dictionary cache for every committed
 // segment. The dictionaries are immutable per-segment metadata — the
 // same class of state as the key directory loaded above — so paying
 // their decode once at open keeps it off every query's first token.
 // Best-effort: a segment that fails to load here surfaces its error on
 // the query that actually touches it, exactly as without preloading.
 func (ar *Archiver) preloadDicts() {
-	if ar.cfg.NoDictPreload {
-		return
-	}
 	for _, r := range ar.curDir.roots {
 		for _, s := range r.segs {
-			if s.format == segFormatV2 {
-				ar.segDicts.get(s)
-			}
+			ar.segDicts.get(s)
 		}
 	}
 }
@@ -603,8 +542,7 @@ type SegmentInfo struct {
 	File       string
 	Bytes      int64   // decoded payload bytes
 	Stored     int64   // on-disk payload bytes (compressed when the flag is set)
-	DictBytes  int64   // encoded dictionary section size (v2)
-	Format     int     // segment format version (1 or 2)
+	DictBytes  int64   // encoded dictionary section size
 	Fill       float64 // payload bytes / segment target size
 	Entries    int
 	FirstLabel string
@@ -634,7 +572,7 @@ func (ar *Archiver) Segments() []SegmentInfo {
 			info := SegmentInfo{
 				Root: keyLabel(r.name, r.key), File: s.file,
 				Bytes: s.payload, Stored: s.stored, DictBytes: s.dictLen,
-				Format: s.format, Entries: len(s.entries), Raw: r.raw,
+				Entries: len(s.entries), Raw: r.raw,
 				Fill:        float64(s.payload) / float64(ar.cfg.SegmentTarget),
 				Compactable: candidates[s.file],
 			}

@@ -58,7 +58,7 @@ type idxAttr struct {
 
 // idxKid is one direct child of a non-frontier record: its identity and
 // the byte span of its subtree relative to the record's entry span (in
-// uncompressed payload space), so it survives byte-level coalescing.
+// uncompressed payload space).
 type idxKid struct {
 	name    string
 	key     *tkey
@@ -267,7 +267,7 @@ func decodeAttrIndex(data []byte) (*attrIndex, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Write-time capture (v2 segments)
+// Write-time capture
 
 // capAttr/capKid/capEntry are the pending, dictionary-id form of an
 // entry's facts, derived from the captured token run at segment close
@@ -428,7 +428,7 @@ func normalizeIdxChanges(cs []idxChange) []idxChange {
 	return out
 }
 
-// captureIdx derives the per-entry facts of a freshly written v2
+// captureIdx derives the per-entry facts of a freshly written
 // segment and parks them on the archiver, keyed by file name, for the
 // post-commit sidecar rebuild. Raw segments carry no entry marks and
 // are always scan-indexed.
@@ -438,7 +438,7 @@ func (sw *segmentSetWriter) captureIdx(rec *segmentRecord, res *encodedSegment) 
 	}
 	cf := &capFile{crc: rec.crc}
 	for _, m := range sw.marks {
-		cf.entries = append(cf.entries, captureEntryFacts(sw.cap.toks, m, res.tokOffs))
+		cf.entries = append(cf.entries, captureEntryFacts(sw.out.toks, m, res.tokOffs))
 	}
 	if sw.ar.pendingIdx == nil {
 		sw.ar.pendingIdx = map[string]*capFile{}
@@ -629,8 +629,9 @@ func (ar *Archiver) buildAttrIndex(d *keyDirectory, old *attrIndex) (*attrIndex,
 					continue
 				}
 			}
-			// Scan fallback: v1 segments, migrated files, byte-coalesced
-			// compaction outputs. Exact facts, no kid spans.
+			// Scan fallback: files whose capture is gone (a sidecar
+			// rebuilt from scratch at open or by fsck -repair). Exact
+			// facts, no kid spans.
 			qv, err := scanView()
 			if err != nil {
 				return nil, err

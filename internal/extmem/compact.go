@@ -9,8 +9,8 @@ import (
 // neighbor segments (each Add's rewrite window ends in a partial file),
 // and without maintenance the file count grows without bound. The
 // compactor coalesces runs of adjacent undersized segments of one root
-// into right-sized segments, copying the payload bytes verbatim — the
-// concatenated archive stream is unchanged down to the byte — and
+// into right-sized segments, copying the child subtrees token for token
+// — the concatenated archive stream is unchanged down to the byte — and
 // commits the new layout exactly like a merge: fresh segment files
 // first, then the key directory rename as the commit point. Superseded
 // segments are deleted only when no pinned query-view generation
@@ -228,15 +228,10 @@ func (ar *Archiver) compact(budget int64) (CompactStats, error) {
 // token for token into fresh right-sized segment files, re-deriving the
 // entry table with rebased offsets. The token stream is unchanged — the
 // concatenated archive stream, and every query answer, is identical
-// before and after — though the encoded bytes may differ: the output is
-// written in the configured segment format, so compaction also carries
-// mixed-format runs across the version boundary.
+// before and after. Going through the segment writer re-interns the run
+// into fresh per-file dictionaries and captures the attr.idx facts and
+// kid spans of every output segment, exactly like a merge.
 func (ar *Archiver) coalesceRun(newRoot, old *rootRecord, lo, hi int, onCreate func(string)) ([]*segmentRecord, int64, error) {
-	// All-format-2 uncompressed runs coalesce at the byte level — id
-	// remapping instead of token decoding; see compactfast.go.
-	if segs, copied, ok, err := ar.coalesceFast(newRoot, old, lo, hi, onCreate); ok {
-		return segs, copied, err
-	}
 	var out []*segmentRecord
 	sw := newSegmentSetWriter(ar, newRoot, false,
 		func(sr *segmentRecord) { out = append(out, sr) }, onCreate)

@@ -61,6 +61,20 @@ func (g *interleavedGrowth) grow() {
 
 const fragTarget = 4096
 
+// bothEncodings runs a compaction test on an uncompressed and on a
+// block-compressed store: the one token-level compactor serves both.
+func bothEncodings(t *testing.T, body func(t *testing.T, cfg Config)) {
+	for _, compress := range []bool{false, true} {
+		name := "raw"
+		if compress {
+			name = "compressed"
+		}
+		t.Run(name, func(t *testing.T) {
+			body(t, Config{Budget: 1 << 16, SegmentTarget: fragTarget, Compression: compress})
+		})
+	}
+}
+
 // fragmentedArchive builds an archive under the interleaved-growth
 // workload: adds small sequential versions until the layout holds
 // stranded undersized tails.
@@ -117,54 +131,59 @@ func segmentFiles(t *testing.T, ar *Archiver) []string {
 // the concatenated archive stream — and every query answer — untouched
 // down to the byte.
 func TestCompactionCoalesces(t *testing.T) {
-	dir := t.TempDir()
-	ar := fragmentedArchive(t, dir, Config{Budget: 1 << 16, SegmentTarget: fragTarget}, 30)
-	wantStream := archiveStreamBytes(t, ar)
-	wantXML := snapshotXML(t, ar)
-	before := ar.StorageStats()
-	plan := ar.CompactionPlan()
-	if len(plan) == 0 {
-		t.Fatalf("no coalesce runs planned over %d segments", before.Segments)
-	}
+	bothEncodings(t, func(t *testing.T, cfg Config) {
+		dir := t.TempDir()
+		ar := fragmentedArchive(t, dir, cfg, 30)
+		wantStream := archiveStreamBytes(t, ar)
+		wantXML := snapshotXML(t, ar)
+		before := ar.StorageStats()
+		plan := ar.CompactionPlan()
+		if len(plan) == 0 {
+			t.Fatalf("no coalesce runs planned over %d segments", before.Segments)
+		}
 
-	st, err := ar.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Executed != st.Planned || st.Executed != len(plan) {
-		t.Errorf("executed %d of %d planned runs (dry-run saw %d)", st.Executed, st.Planned, len(plan))
-	}
-	if st.Coalesced <= st.Created {
-		t.Errorf("compaction did not shrink the layout: %+v", st)
-	}
-	after := ar.StorageStats()
-	if after.Segments >= before.Segments {
-		t.Errorf("segments %d -> %d, expected fewer", before.Segments, after.Segments)
-	}
-	if after.SegmentBytes != before.SegmentBytes {
-		t.Errorf("payload bytes changed: %d -> %d", before.SegmentBytes, after.SegmentBytes)
-	}
-	if got := archiveStreamBytes(t, ar); string(got) != string(wantStream) {
-		t.Errorf("archive stream changed under compaction")
-	}
-	if got := snapshotXML(t, ar); got != wantXML {
-		t.Errorf("archive XML changed under compaction")
-	}
-	if rest := ar.CompactionPlan(); len(rest) != 0 {
-		t.Errorf("runs still planned after an unbudgeted pass: %v", rest)
-	}
-	// The compacted layout survives a reopen.
-	if err := ar.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ar2, err := Open(dir, datagen.OMIMSpec(), Config{Budget: 1 << 16, SegmentTarget: fragTarget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ar2.Close()
-	if got := archiveStreamBytes(t, ar2); string(got) != string(wantStream) {
-		t.Errorf("archive stream changed after reopen")
-	}
+		st, err := ar.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Executed != st.Planned || st.Executed != len(plan) {
+			t.Errorf("executed %d of %d planned runs (dry-run saw %d)", st.Executed, st.Planned, len(plan))
+		}
+		if st.Coalesced <= st.Created {
+			t.Errorf("compaction did not shrink the layout: %+v", st)
+		}
+		after := ar.StorageStats()
+		if after.Segments >= before.Segments {
+			t.Errorf("segments %d -> %d, expected fewer", before.Segments, after.Segments)
+		}
+		if after.SegmentBytes != before.SegmentBytes {
+			t.Errorf("payload bytes changed: %d -> %d", before.SegmentBytes, after.SegmentBytes)
+		}
+		if cfg.Compression && after.StoredBytes >= after.SegmentBytes {
+			t.Errorf("compacted segments are not compressed: %d stored vs %d payload", after.StoredBytes, after.SegmentBytes)
+		}
+		if got := archiveStreamBytes(t, ar); string(got) != string(wantStream) {
+			t.Errorf("archive stream changed under compaction")
+		}
+		if got := snapshotXML(t, ar); got != wantXML {
+			t.Errorf("archive XML changed under compaction")
+		}
+		if rest := ar.CompactionPlan(); len(rest) != 0 {
+			t.Errorf("runs still planned after an unbudgeted pass: %v", rest)
+		}
+		// The compacted layout survives a reopen.
+		if err := ar.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ar2, err := Open(dir, datagen.OMIMSpec(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ar2.Close()
+		if got := archiveStreamBytes(t, ar2); string(got) != string(wantStream) {
+			t.Errorf("archive stream changed after reopen")
+		}
+	})
 }
 
 // TestOpportunisticCompactionBoundsSegments is the acceptance claim:
@@ -174,69 +193,73 @@ func TestCompactionCoalesces(t *testing.T) {
 // would produce), where the unmaintained archive fragments past the
 // maintained one — and the archives stay byte-identical.
 func TestOpportunisticCompactionBoundsSegments(t *testing.T) {
-	const adds = 50
-	plain := t.TempDir()
-	arPlain := fragmentedArchive(t, plain, Config{Budget: 1 << 16, SegmentTarget: fragTarget}, adds)
-	defer arPlain.Close()
-	maintained := t.TempDir()
-	arComp := fragmentedArchive(t, maintained,
-		Config{Budget: 1 << 16, SegmentTarget: fragTarget, CompactionBudget: 32 * 1024}, adds)
-	defer arComp.Close()
+	bothEncodings(t, func(t *testing.T, cfg Config) {
+		const adds = 50
+		plain := t.TempDir()
+		arPlain := fragmentedArchive(t, plain, cfg, adds)
+		defer arPlain.Close()
+		maintained := t.TempDir()
+		cfg.CompactionBudget = 32 * 1024
+		arComp := fragmentedArchive(t, maintained, cfg, adds)
+		defer arComp.Close()
 
-	if got, want := archiveStreamBytes(t, arComp), archiveStreamBytes(t, arPlain); string(got) != string(want) {
-		t.Fatalf("maintained archive stream differs from unmaintained")
-	}
-	// The right-sized layout for this content: every root's payload cut
-	// at the target — the count a single bulk Add of the same stream
-	// would produce.
-	ideal := 0
-	for _, r := range arComp.curDir.roots {
-		var bytes int64
-		for _, s := range r.segs {
-			bytes += s.payload
+		if got, want := archiveStreamBytes(t, arComp), archiveStreamBytes(t, arPlain); string(got) != string(want) {
+			t.Fatalf("maintained archive stream differs from unmaintained")
 		}
-		ideal += int(bytes/fragTarget) + 1
-	}
-	stComp := arComp.StorageStats()
-	stPlain := arPlain.StorageStats()
-	t.Logf("segments after %d adds: maintained=%d, unmaintained=%d, right-sized=%d",
-		adds, stComp.Segments, stPlain.Segments, ideal)
-	if stComp.Segments > 2*ideal {
-		t.Errorf("maintained archive has %d segments, more than 2x the right-sized %d", stComp.Segments, ideal)
-	}
-	if stPlain.Segments <= stComp.Segments {
-		t.Errorf("unmaintained archive (%d) did not fragment past the maintained one (%d)",
-			stPlain.Segments, stComp.Segments)
-	}
-	if len(arPlain.CompactionPlan()) == 0 {
-		t.Errorf("unmaintained archive has no coalesce runs to plan")
-	}
-	if arComp.CompactErr != nil {
-		t.Errorf("opportunistic pass failed: %v", arComp.CompactErr)
-	}
+		// The right-sized layout for this content: every root's payload cut
+		// at the target — the count a single bulk Add of the same stream
+		// would produce.
+		ideal := 0
+		for _, r := range arComp.curDir.roots {
+			var bytes int64
+			for _, s := range r.segs {
+				bytes += s.payload
+			}
+			ideal += int(bytes/fragTarget) + 1
+		}
+		stComp := arComp.StorageStats()
+		stPlain := arPlain.StorageStats()
+		t.Logf("segments after %d adds: maintained=%d, unmaintained=%d, right-sized=%d",
+			adds, stComp.Segments, stPlain.Segments, ideal)
+		if stComp.Segments > 2*ideal {
+			t.Errorf("maintained archive has %d segments, more than 2x the right-sized %d", stComp.Segments, ideal)
+		}
+		if stPlain.Segments <= stComp.Segments {
+			t.Errorf("unmaintained archive (%d) did not fragment past the maintained one (%d)",
+				stPlain.Segments, stComp.Segments)
+		}
+		if len(arPlain.CompactionPlan()) == 0 {
+			t.Errorf("unmaintained archive has no coalesce runs to plan")
+		}
+		if arComp.CompactErr != nil {
+			t.Errorf("opportunistic pass failed: %v", arComp.CompactErr)
+		}
+	})
 }
 
 // TestCompactionBudget: a budgeted pass rewrites no more than the budget
 // (beyond the guaranteed first run) and leaves the rest for later
 // passes.
 func TestCompactionBudget(t *testing.T) {
-	dir := t.TempDir()
-	ar := fragmentedArchive(t, dir, Config{Budget: 1 << 16, SegmentTarget: fragTarget}, 30)
-	defer ar.Close()
-	runs := ar.CompactionPlan()
-	if len(runs) < 2 {
-		t.Fatalf("layout produced only %d coalesce runs", len(runs))
-	}
-	st, err := ar.compact(1) // smaller than any run: exactly one executes
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Executed != 1 {
-		t.Errorf("budgeted pass executed %d runs, want exactly 1", st.Executed)
-	}
-	if rest := ar.CompactionPlan(); len(rest) != len(runs)-1 {
-		t.Errorf("%d runs remain after a one-run pass over %d", len(rest), len(runs))
-	}
+	bothEncodings(t, func(t *testing.T, cfg Config) {
+		dir := t.TempDir()
+		ar := fragmentedArchive(t, dir, cfg, 30)
+		defer ar.Close()
+		runs := ar.CompactionPlan()
+		if len(runs) < 2 {
+			t.Fatalf("layout produced only %d coalesce runs", len(runs))
+		}
+		st, err := ar.compact(1) // smaller than any run: exactly one executes
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Executed != 1 {
+			t.Errorf("budgeted pass executed %d runs, want exactly 1", st.Executed)
+		}
+		if rest := ar.CompactionPlan(); len(rest) != len(runs)-1 {
+			t.Errorf("%d runs remain after a one-run pass over %d", len(rest), len(runs))
+		}
+	})
 }
 
 // TestCompactionConvergesWithOversizedThreshold: a threshold configured
@@ -244,19 +267,21 @@ func TestCompactionBudget(t *testing.T) {
 // unclamped threshold would mark the coalescer's own right-sized output
 // undersized again and replan it forever).
 func TestCompactionConvergesWithOversizedThreshold(t *testing.T) {
-	dir := t.TempDir()
-	ar := fragmentedArchive(t, dir,
-		Config{Budget: 1 << 16, SegmentTarget: fragTarget, CompactTarget: 4 * fragTarget}, 20)
-	defer ar.Close()
-	if got := ar.cfg.CompactTarget; got != fragTarget {
-		t.Fatalf("CompactTarget not clamped: %d (target %d)", got, fragTarget)
-	}
-	if _, err := ar.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if rest := ar.CompactionPlan(); len(rest) != 0 {
-		t.Errorf("compaction did not converge: %d runs still planned", len(rest))
-	}
+	bothEncodings(t, func(t *testing.T, cfg Config) {
+		dir := t.TempDir()
+		cfg.CompactTarget = 4 * fragTarget
+		ar := fragmentedArchive(t, dir, cfg, 20)
+		defer ar.Close()
+		if got := ar.cfg.CompactTarget; got != fragTarget {
+			t.Fatalf("CompactTarget not clamped: %d (target %d)", got, fragTarget)
+		}
+		if _, err := ar.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if rest := ar.CompactionPlan(); len(rest) != 0 {
+			t.Errorf("compaction did not converge: %d runs still planned", len(rest))
+		}
+	})
 }
 
 // TestCompactionCrashInjection simulates a kill between the compaction's
@@ -264,71 +289,75 @@ func TestCompactionConvergesWithOversizedThreshold(t *testing.T) {
 // byte-identical with the pre-compaction segment set and the orphan
 // files are collected.
 func TestCompactionCrashInjection(t *testing.T) {
-	dir := t.TempDir()
-	ffs := fsio.NewFaultFS(nil)
-	ar := fragmentedArchive(t, dir, Config{Budget: 1 << 16, SegmentTarget: fragTarget, FS: ffs}, 30)
-	wantStream := archiveStreamBytes(t, ar)
-	wantXML := snapshotXML(t, ar)
-	wantFiles := segmentFiles(t, ar)
-	if len(ar.CompactionPlan()) == 0 {
-		t.Fatal("nothing planned; fixture too small")
-	}
-
-	// Crash at the first rename of the directory commit: the coalesced
-	// segment files are on disk but no committed state points at them —
-	// and, because a crashed FaultFS fails the cleanup removes too, they
-	// stay there exactly as a real kill would leave them.
-	ffs.SetFault("dict.rename", fsio.Fault{Crash: true})
-	_, err := ar.Compact()
-	if !errors.Is(err, fsio.ErrCrashed) {
-		t.Fatalf("Compact under crash fault: %v", err)
-	}
-	if !errors.Is(err, ErrDegraded) {
-		t.Fatalf("crashed commit did not degrade the writer: %v", err)
-	}
-
-	// The "kill" left freshly written segment files on disk but no
-	// directory pointing at them.
-	orphans := 0
-	live := map[string]bool{}
-	for _, f := range wantFiles {
-		live[f] = true
-	}
-	for _, name := range diskSegments(t, dir) {
-		if !live[name] {
-			orphans++
+	bothEncodings(t, func(t *testing.T, cfg Config) {
+		dir := t.TempDir()
+		ffs := fsio.NewFaultFS(nil)
+		fcfg := cfg
+		fcfg.FS = ffs
+		ar := fragmentedArchive(t, dir, fcfg, 30)
+		wantStream := archiveStreamBytes(t, ar)
+		wantXML := snapshotXML(t, ar)
+		wantFiles := segmentFiles(t, ar)
+		if len(ar.CompactionPlan()) == 0 {
+			t.Fatal("nothing planned; fixture too small")
 		}
-	}
-	if orphans == 0 {
-		t.Fatal("crash simulation left no orphan segments; injection point moved?")
-	}
 
-	ar2, err := Open(dir, datagen.OMIMSpec(), Config{Budget: 1 << 16, SegmentTarget: fragTarget})
-	if err != nil {
-		t.Fatalf("reopen after crash: %v", err)
-	}
-	defer ar2.Close()
-	if got := segmentFiles(t, ar2); fmt.Sprint(got) != fmt.Sprint(wantFiles) {
-		t.Errorf("segment set changed across the crash:\n  before: %v\n  after:  %v", wantFiles, got)
-	}
-	if got := archiveStreamBytes(t, ar2); string(got) != string(wantStream) {
-		t.Errorf("archive stream changed across the crash")
-	}
-	if got := snapshotXML(t, ar2); got != wantXML {
-		t.Errorf("archive XML changed across the crash")
-	}
-	for _, p := range ar2.globSegments() {
-		if !live[filepath.Base(p)] {
-			t.Errorf("orphan segment %s survived reopen", filepath.Base(p))
+		// Crash at the first rename of the directory commit: the coalesced
+		// segment files are on disk but no committed state points at them —
+		// and, because a crashed FaultFS fails the cleanup removes too, they
+		// stay there exactly as a real kill would leave them.
+		ffs.SetFault("dict.rename", fsio.Fault{Crash: true})
+		_, err := ar.Compact()
+		if !errors.Is(err, fsio.ErrCrashed) {
+			t.Fatalf("Compact under crash fault: %v", err)
 		}
-	}
-	// The recovered archive compacts cleanly.
-	if _, err := ar2.Compact(); err != nil {
-		t.Fatalf("compact after recovery: %v", err)
-	}
-	if got := archiveStreamBytes(t, ar2); string(got) != string(wantStream) {
-		t.Errorf("archive stream changed in post-recovery compaction")
-	}
+		if !errors.Is(err, ErrDegraded) {
+			t.Fatalf("crashed commit did not degrade the writer: %v", err)
+		}
+
+		// The "kill" left freshly written segment files on disk but no
+		// directory pointing at them.
+		orphans := 0
+		live := map[string]bool{}
+		for _, f := range wantFiles {
+			live[f] = true
+		}
+		for _, name := range diskSegments(t, dir) {
+			if !live[name] {
+				orphans++
+			}
+		}
+		if orphans == 0 {
+			t.Fatal("crash simulation left no orphan segments; injection point moved?")
+		}
+
+		ar2, err := Open(dir, datagen.OMIMSpec(), cfg)
+		if err != nil {
+			t.Fatalf("reopen after crash: %v", err)
+		}
+		defer ar2.Close()
+		if got := segmentFiles(t, ar2); fmt.Sprint(got) != fmt.Sprint(wantFiles) {
+			t.Errorf("segment set changed across the crash:\n  before: %v\n  after:  %v", wantFiles, got)
+		}
+		if got := archiveStreamBytes(t, ar2); string(got) != string(wantStream) {
+			t.Errorf("archive stream changed across the crash")
+		}
+		if got := snapshotXML(t, ar2); got != wantXML {
+			t.Errorf("archive XML changed across the crash")
+		}
+		for _, p := range ar2.globSegments() {
+			if !live[filepath.Base(p)] {
+				t.Errorf("orphan segment %s survived reopen", filepath.Base(p))
+			}
+		}
+		// The recovered archive compacts cleanly.
+		if _, err := ar2.Compact(); err != nil {
+			t.Fatalf("compact after recovery: %v", err)
+		}
+		if got := archiveStreamBytes(t, ar2); string(got) != string(wantStream) {
+			t.Errorf("archive stream changed in post-recovery compaction")
+		}
+	})
 }
 
 // TestCompactionPinnedViews: query views opened before compaction (and
@@ -336,69 +365,71 @@ func TestCompactionCrashInjection(t *testing.T) {
 // answering from the generation they pinned, and their segment files
 // are swept only once the last view closes.
 func TestCompactionPinnedViews(t *testing.T) {
-	dir := t.TempDir()
-	g := newInterleavedGrowth(100)
-	ar, err := Open(dir, datagen.OMIMSpec(), Config{Budget: 1 << 16, SegmentTarget: fragTarget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ar.Close()
-	if err := ar.AddVersion(strings.NewReader(g.doc())); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		g.grow()
+	bothEncodings(t, func(t *testing.T, cfg Config) {
+		dir := t.TempDir()
+		g := newInterleavedGrowth(100)
+		ar, err := Open(dir, datagen.OMIMSpec(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ar.Close()
 		if err := ar.AddVersion(strings.NewReader(g.doc())); err != nil {
 			t.Fatal(err)
 		}
-	}
-	q, err := ar.OpenQuery()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned := map[string]bool{}
-	for f := range ar.curDir.files() {
-		pinned[f] = true
-	}
-	var before strings.Builder
-	if err := q.WriteVersion(3, &before, xmltree.WriteOptions{Indent: true}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Churn: compaction passes interleaved with Adds that fragment anew.
-	for i := 0; i < 3; i++ {
-		if _, err := ar.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < 5; j++ {
+		for i := 0; i < 20; i++ {
 			g.grow()
-		}
-		if err := ar.AddVersion(strings.NewReader(g.doc())); err != nil {
-			t.Fatal(err)
-		}
-		// Every file of the pinned generation must still exist.
-		for f := range pinned {
-			if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-				t.Fatalf("pinned segment %s vanished during churn round %d: %v", f, i, err)
+			if err := ar.AddVersion(strings.NewReader(g.doc())); err != nil {
+				t.Fatal(err)
 			}
 		}
-		var now strings.Builder
-		if err := q.WriteVersion(3, &now, xmltree.WriteOptions{Indent: true}); err != nil {
-			t.Fatalf("pinned view failed during churn round %d: %v", i, err)
+		q, err := ar.OpenQuery()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if now.String() != before.String() {
-			t.Fatalf("pinned view's answer changed during churn round %d", i)
+		pinned := map[string]bool{}
+		for f := range ar.curDir.files() {
+			pinned[f] = true
 		}
-	}
+		var before strings.Builder
+		if err := q.WriteVersion(3, &before, xmltree.WriteOptions{Indent: true}); err != nil {
+			t.Fatal(err)
+		}
 
-	q.Close()
-	// With the view closed, only the current generation's files remain.
-	live := ar.curDir.files()
-	for _, p := range ar.globSegments() {
-		if !live[filepath.Base(p)] {
-			t.Errorf("superseded segment %s not swept after view close", filepath.Base(p))
+		// Churn: compaction passes interleaved with Adds that fragment anew.
+		for i := 0; i < 3; i++ {
+			if _, err := ar.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < 5; j++ {
+				g.grow()
+			}
+			if err := ar.AddVersion(strings.NewReader(g.doc())); err != nil {
+				t.Fatal(err)
+			}
+			// Every file of the pinned generation must still exist.
+			for f := range pinned {
+				if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+					t.Fatalf("pinned segment %s vanished during churn round %d: %v", f, i, err)
+				}
+			}
+			var now strings.Builder
+			if err := q.WriteVersion(3, &now, xmltree.WriteOptions{Indent: true}); err != nil {
+				t.Fatalf("pinned view failed during churn round %d: %v", i, err)
+			}
+			if now.String() != before.String() {
+				t.Fatalf("pinned view's answer changed during churn round %d", i)
+			}
 		}
-	}
+
+		q.Close()
+		// With the view closed, only the current generation's files remain.
+		live := ar.curDir.files()
+		for _, p := range ar.globSegments() {
+			if !live[filepath.Base(p)] {
+				t.Errorf("superseded segment %s not swept after view close", filepath.Base(p))
+			}
+		}
+	})
 }
 
 // TestOpportunisticCompactionPreservesQueries: the budgeted post-Add
@@ -406,53 +437,55 @@ func TestCompactionPinnedViews(t *testing.T) {
 // built without compaction, including History resolved through the
 // (rebuilt) key directory of the compacted layout.
 func TestOpportunisticCompactionPreservesQueries(t *testing.T) {
-	plain := t.TempDir()
-	arPlain := fragmentedArchive(t, plain, Config{Budget: 1 << 16, SegmentTarget: fragTarget}, 20)
-	defer arPlain.Close()
-	comp := t.TempDir()
-	arComp := fragmentedArchive(t, comp,
-		Config{Budget: 1 << 16, SegmentTarget: fragTarget, CompactionBudget: 32 * 1024}, 20)
-	defer arComp.Close()
-	if arComp.CompactErr != nil {
-		t.Fatalf("opportunistic pass failed: %v", arComp.CompactErr)
-	}
-	if got, want := snapshotXML(t, arComp), snapshotXML(t, arPlain); got != want {
-		t.Errorf("snapshots diverge under opportunistic compaction")
-	}
-	qc, err := arComp.OpenQuery()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer qc.Close()
-	qp, err := arPlain.OpenQuery()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer qp.Close()
-	for v := 1; v <= arPlain.Versions(); v += 7 {
-		var a, b strings.Builder
-		if err := qc.WriteVersion(v, &a, xmltree.WriteOptions{Indent: true}); err != nil {
+	bothEncodings(t, func(t *testing.T, cfg Config) {
+		plain := t.TempDir()
+		arPlain := fragmentedArchive(t, plain, cfg, 20)
+		defer arPlain.Close()
+		comp := t.TempDir()
+		cfg.CompactionBudget = 32 * 1024
+		arComp := fragmentedArchive(t, comp, cfg, 20)
+		defer arComp.Close()
+		if arComp.CompactErr != nil {
+			t.Fatalf("opportunistic pass failed: %v", arComp.CompactErr)
+		}
+		if got, want := snapshotXML(t, arComp), snapshotXML(t, arPlain); got != want {
+			t.Errorf("snapshots diverge under opportunistic compaction")
+		}
+		qc, err := arComp.OpenQuery()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := qp.WriteVersion(v, &b, xmltree.WriteOptions{Indent: true}); err != nil {
+		defer qc.Close()
+		qp, err := arPlain.OpenQuery()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if a.String() != b.String() {
-			t.Errorf("version %d diverges under opportunistic compaction", v)
+		defer qp.Close()
+		for v := 1; v <= arPlain.Versions(); v += 7 {
+			var a, b strings.Builder
+			if err := qc.WriteVersion(v, &a, xmltree.WriteOptions{Indent: true}); err != nil {
+				t.Fatal(err)
+			}
+			if err := qp.WriteVersion(v, &b, xmltree.WriteOptions{Indent: true}); err != nil {
+				t.Fatal(err)
+			}
+			if a.String() != b.String() {
+				t.Errorf("version %d diverges under opportunistic compaction", v)
+			}
 		}
-	}
-	for _, sel := range []string{
-		"/ROOT/Record[Num=10000000]",
-		"/ROOT/Record[Num=10007800]", // a record inserted mid-growth
-		"/ROOT/Record[Num=10099000]",
-	} {
-		hc, errc := qc.History(sel)
-		hp, errp := qp.History(sel)
-		if (errc == nil) != (errp == nil) {
-			t.Fatalf("History(%s): compacted err %v, plain err %v", sel, errc, errp)
+		for _, sel := range []string{
+			"/ROOT/Record[Num=10000000]",
+			"/ROOT/Record[Num=10007800]", // a record inserted mid-growth
+			"/ROOT/Record[Num=10099000]",
+		} {
+			hc, errc := qc.History(sel)
+			hp, errp := qp.History(sel)
+			if (errc == nil) != (errp == nil) {
+				t.Fatalf("History(%s): compacted err %v, plain err %v", sel, errc, errp)
+			}
+			if errc == nil && !hc.Equal(hp) {
+				t.Errorf("History(%s): compacted %q, plain %q", sel, hc, hp)
+			}
 		}
-		if errc == nil && !hc.Equal(hp) {
-			t.Errorf("History(%s): compacted %q, plain %q", sel, hc, hp)
-		}
-	}
+	})
 }

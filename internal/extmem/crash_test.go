@@ -204,200 +204,63 @@ func TestCrashMatrixAdd(t *testing.T) {
 // compaction preserves the archive stream byte for byte, so recovery
 // must always read back the same stream, whichever layout committed.
 func TestCrashMatrixCompact(t *testing.T) {
-	cfg := Config{Budget: 1 << 16, SegmentTarget: fragTarget}
-	base := t.TempDir()
-	ar := fragmentedArchive(t, base, cfg, 12)
-	want := archiveStreamBytes(t, ar)
-	versions := ar.Versions()
-	if len(ar.CompactionPlan()) == 0 {
-		t.Fatal("nothing planned; fixture too small")
-	}
-	if err := ar.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	traceDir := t.TempDir()
-	copyDir(t, base, traceDir)
-	ffs := fsio.NewFaultFS(nil)
-	tcfg := cfg
-	tcfg.FS = ffs
-	tar, err := Open(traceDir, datagen.OMIMSpec(), tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ffs.ResetTrace()
-	if _, err := tar.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	n := ffs.OpCount()
-	if got := archiveStreamBytes(t, tar); !bytes.Equal(got, want) {
-		t.Fatal("compaction changed the archive stream; fixture broken")
-	}
-	tar.Close()
-	if n < 5 {
-		t.Fatalf("suspiciously short Compact trace (%d ops)", n)
-	}
-	t.Logf("Compact trace: %d mutating ops", n)
-
-	for _, torn := range []bool{false, true} {
-		for k := 0; k < n; k++ {
-			label := fmt.Sprintf("k=%d torn=%v", k, torn)
-			dir := t.TempDir()
-			copyDir(t, base, dir)
-			cfs := fsio.NewFaultFS(nil)
-			ccfg := cfg
-			ccfg.FS = cfs
-			car, err := Open(dir, datagen.OMIMSpec(), ccfg)
-			if err != nil {
-				t.Fatalf("%s: open: %v", label, err)
-			}
-			// As in the Add matrix: offset k past Open's own ops, and
-			// accept a nil return when the crash lands in the ignored
-			// post-commit removal of superseded segments.
-			cfs.CrashAfter(cfs.OpCount()+k, torn)
-			car.Compact()
-			if !cfs.Crashed() {
-				t.Fatalf("%s: crash point never hit; matrix does not cover the operation", label)
-			}
-			assertRecovered(t, dir, cfg, label, versions, versions, want, want)
+	bothEncodings(t, func(t *testing.T, cfg Config) {
+		base := t.TempDir()
+		ar := fragmentedArchive(t, base, cfg, 12)
+		want := archiveStreamBytes(t, ar)
+		versions := ar.Versions()
+		if len(ar.CompactionPlan()) == 0 {
+			t.Fatal("nothing planned; fixture too small")
 		}
-	}
-}
-
-// TestCrashMatrixMigration crashes the one-time monolithic-to-segmented
-// migration after every op k. The migration runs inside Open, so the
-// crashed call is Open itself; the archive.tok file stays authoritative
-// until the key directory commits, and the stream is preserved exactly
-// in either generation.
-func TestCrashMatrixMigration(t *testing.T) {
-	cfg := Config{Budget: 1 << 16, SegmentTarget: 2048}
-	base := t.TempDir()
-	ar := buildOMIMArchive(t, base, cfg, 2)
-	want := archiveStreamBytes(t, ar)
-	versions := ar.Versions()
-	rootTime := ar.curDir.rootTime.String()
-	if err := ar.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Devolve the directory to the v1 layout: monolithic token file and
-	// v1 meta, no key directory, no segment files.
-	if err := os.WriteFile(filepath.Join(base, archiveFile), want, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(base, metaFile),
-		[]byte(fmt.Sprintf("versions %d\nroottime %q\n", versions, rootTime)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	os.Remove(filepath.Join(base, keydirFile))
-	for _, p := range ar.globSegments() {
-		os.Remove(p)
-	}
-
-	traceDir := t.TempDir()
-	copyDir(t, base, traceDir)
-	ffs := fsio.NewFaultFS(nil)
-	tcfg := cfg
-	tcfg.FS = ffs
-	tar, err := Open(traceDir, datagen.OMIMSpec(), tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := ffs.OpCount()
-	tar.Close()
-	if n < 5 {
-		t.Fatalf("suspiciously short migration trace (%d ops)", n)
-	}
-	t.Logf("migration trace: %d mutating ops", n)
-
-	for _, torn := range []bool{false, true} {
-		for k := 0; k < n; k++ {
-			label := fmt.Sprintf("k=%d torn=%v", k, torn)
-			dir := t.TempDir()
-			copyDir(t, base, dir)
-			cfs := fsio.NewFaultFS(nil)
-			ccfg := cfg
-			ccfg.FS = cfs
-			// The migration may or may not reach its commit before op k;
-			// Open errors in the former case and succeeds (with a dead
-			// filesystem) in the latter. Either way the on-disk state is
-			// a crash prefix to recover from.
-			cfs.CrashAfter(k, torn)
-			if car, err := Open(dir, datagen.OMIMSpec(), ccfg); err == nil {
-				_ = car // dropped without Close: the "process" died
-			}
-			if !cfs.Crashed() {
-				t.Fatalf("%s: crash point never hit; matrix does not cover the migration", label)
-			}
-			assertRecovered(t, dir, cfg, label, versions, versions, want, want)
+		if err := ar.Close(); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
 
-// TestCrashMatrixFormatMigration crashes the transparent format-1 →
-// format-2 segment upgrade after every op k. Like the monolithic
-// migration, the upgrade runs inside Open, so the crashed call is Open
-// itself. A crash prefix must leave either the committed v1 layout or
-// the committed v2 layout (never a hybrid the directory references),
-// strand no transient files, and preserve the archive stream exactly;
-// the recovery reopen finishes the upgrade.
-func TestCrashMatrixFormatMigration(t *testing.T) {
-	cfgV1 := Config{Budget: 1 << 16, SegmentTarget: 2048, SegmentFormat: segFormat}
-	cfg := Config{Budget: 1 << 16, SegmentTarget: 2048}
-	base := t.TempDir()
-	ar := buildOMIMArchive(t, base, cfgV1, 2)
-	want := archiveStreamBytes(t, ar)
-	versions := ar.Versions()
-	if f := segFormats(ar); f[segFormat] == 0 || f[segFormatV2] != 0 {
-		t.Fatalf("fixture not pure v1: %v", f)
-	}
-	if err := ar.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Clean traced run: the whole upgrade — segment rewrites through the
-	// key-directory commit and the removal of the superseded v1 files —
-	// happens inside this one Open.
-	traceDir := t.TempDir()
-	copyDir(t, base, traceDir)
-	ffs := fsio.NewFaultFS(nil)
-	tcfg := cfg
-	tcfg.FS = ffs
-	tar, err := Open(traceDir, datagen.OMIMSpec(), tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := ffs.OpCount()
-	if f := segFormats(tar); f[segFormat] != 0 {
-		t.Fatalf("traced open left v1 segments: %v", f)
-	}
-	if got := archiveStreamBytes(t, tar); !bytes.Equal(got, want) {
-		t.Fatal("format migration changed the archive stream; fixture broken")
-	}
-	tar.Close()
-	if n < 5 {
-		t.Fatalf("suspiciously short format-migration trace (%d ops)", n)
-	}
-	t.Logf("format-migration trace: %d mutating ops", n)
-
-	for _, torn := range []bool{false, true} {
-		for k := 0; k < n; k++ {
-			label := fmt.Sprintf("k=%d torn=%v", k, torn)
-			dir := t.TempDir()
-			copyDir(t, base, dir)
-			cfs := fsio.NewFaultFS(nil)
-			ccfg := cfg
-			ccfg.FS = cfs
-			cfs.CrashAfter(k, torn)
-			if car, err := Open(dir, datagen.OMIMSpec(), ccfg); err == nil {
-				_ = car // dropped without Close: the "process" died
-			}
-			if !cfs.Crashed() {
-				t.Fatalf("%s: crash point never hit; matrix does not cover the migration", label)
-			}
-			// assertRecovered reopens with the default (v2) config, which
-			// finishes the interrupted upgrade and must still sweep every
-			// transient and orphan file the crash stranded.
-			assertRecovered(t, dir, cfg, label, versions, versions, want, want)
+		traceDir := t.TempDir()
+		copyDir(t, base, traceDir)
+		ffs := fsio.NewFaultFS(nil)
+		tcfg := cfg
+		tcfg.FS = ffs
+		tar, err := Open(traceDir, datagen.OMIMSpec(), tcfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		ffs.ResetTrace()
+		if _, err := tar.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		n := ffs.OpCount()
+		if got := archiveStreamBytes(t, tar); !bytes.Equal(got, want) {
+			t.Fatal("compaction changed the archive stream; fixture broken")
+		}
+		tar.Close()
+		if n < 5 {
+			t.Fatalf("suspiciously short Compact trace (%d ops)", n)
+		}
+		t.Logf("Compact trace: %d mutating ops", n)
+
+		for _, torn := range []bool{false, true} {
+			for k := 0; k < n; k++ {
+				label := fmt.Sprintf("k=%d torn=%v", k, torn)
+				dir := t.TempDir()
+				copyDir(t, base, dir)
+				cfs := fsio.NewFaultFS(nil)
+				ccfg := cfg
+				ccfg.FS = cfs
+				car, err := Open(dir, datagen.OMIMSpec(), ccfg)
+				if err != nil {
+					t.Fatalf("%s: open: %v", label, err)
+				}
+				// As in the Add matrix: offset k past Open's own ops, and
+				// accept a nil return when the crash lands in the ignored
+				// post-commit removal of superseded segments.
+				cfs.CrashAfter(cfs.OpCount()+k, torn)
+				car.Compact()
+				if !cfs.Crashed() {
+					t.Fatalf("%s: crash point never hit; matrix does not cover the operation", label)
+				}
+				assertRecovered(t, dir, cfg, label, versions, versions, want, want)
+			}
+		}
+	})
 }

@@ -27,7 +27,7 @@ import (
 // relation between files).
 type CheckItem struct {
 	File   string // base name within the archive directory
-	Kind   string // keydir | meta | dict | segment | orphan | transient | legacy | marker
+	Kind   string // keydir | meta | dict | segment | attridx | orphan | transient | marker
 	OK     bool   // the item verifies; false items carry a Detail
 	Detail string // what is wrong, or a short status for OK items
 }
@@ -64,7 +64,8 @@ func (r *CheckReport) add(file, kind string, ok bool, detail string) {
 // CheckArchive verifies the archive directory without opening it for
 // writing and without mutating any file. It reports per-file status
 // rather than failing on the first problem; the returned error is
-// reserved for not being able to inspect the directory at all.
+// reserved for not being able to inspect the directory at all — which
+// includes a directory in a legacy layout (ErrLegacyFormat).
 func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 	if fs == nil {
 		fs = fsio.OS
@@ -72,6 +73,9 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 	r := &CheckReport{Clean: true}
 	if _, err := fs.Stat(dir); err != nil {
 		return nil, fmt.Errorf("extmem: fsck: %w", err)
+	}
+	if err := CheckLegacyLayout(fs, dir); err != nil {
+		return nil, err
 	}
 
 	// Dictionary: segment payloads reference names by id, so a dead
@@ -100,7 +104,9 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 		r.add(keydirFile, "keydir", false, fmt.Sprintf("unreadable: %v", kdErr))
 	default:
 		var err error
-		if d, err = decodeKeyDirectory(kdData); err != nil {
+		if d, err = decodeKeyDirectory(kdData); errors.Is(err, ErrLegacyFormat) {
+			return nil, err
+		} else if err != nil {
 			r.add(keydirFile, "keydir", false, fmt.Sprintf("%v (rebuilt from meta.txt on open)", err))
 		} else {
 			r.add(keydirFile, "keydir", true, "checksum valid")
@@ -116,8 +122,6 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 		r.add(metaFile, "meta", false, "missing (rewritten from keydir.idx on open)")
 	case metaErr != nil:
 		r.add(metaFile, "meta", false, fmt.Sprintf("unreadable: %v", metaErr))
-	case !strings.HasPrefix(string(metaData), "xarch-ext "):
-		r.add(metaFile, "meta", d == nil, "legacy v1 meta (migrated on open)")
 	default:
 		var err error
 		if meta, err = parseMetaV2(bytes.NewReader(metaData)); err != nil {
@@ -141,17 +145,13 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 		for _, root := range d.roots {
 			for _, seg := range root.segs {
 				live[seg.file] = true
-				// For format-2 segments verifySegment also decodes the
-				// dictionary and walks every token, so a dangling
-				// dictionary id fails here like a bad checksum.
-				detail := "payload checksum valid"
-				if seg.format == segFormatV2 {
-					detail = "payload checksum and dictionary ids valid"
-				}
+				// verifySegment also decodes the dictionary and walks
+				// every token, so a dangling dictionary id fails here
+				// like a bad checksum.
 				if err := verifySegment(fs, filepath.Join(dir, seg.file), seg); err != nil {
 					r.add(seg.file, "segment", false, err.Error())
 				} else {
-					r.add(seg.file, "segment", true, detail)
+					r.add(seg.file, "segment", true, "payload checksum and dictionary ids valid")
 				}
 			}
 		}
@@ -164,7 +164,9 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 					r.add(seg.file, "segment", false, "unverifiable: dictionary unavailable")
 					continue
 				}
-				if _, _, _, err := scanSegment(fs, filepath.Join(dir, seg.file), dict); err != nil {
+				if _, _, _, err := scanSegment(fs, filepath.Join(dir, seg.file), dict); errors.Is(err, ErrLegacyFormat) {
+					return nil, err
+				} else if err != nil {
 					r.add(seg.file, "segment", false, err.Error())
 				} else {
 					r.add(seg.file, "segment", true, "self-checksum valid")
@@ -181,8 +183,8 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 	checkAttrIndex(fs, dir, d, r)
 
 	// Crash leftovers on disk: orphan segments no committed state
-	// references, transient scratch/rename files, a superseded legacy
-	// token file, and the degraded marker. All are removed by repair.
+	// references, transient scratch/rename files, and the degraded
+	// marker. All are removed by repair.
 	ents, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("extmem: fsck: %w", err)
@@ -195,12 +197,6 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 		case strings.HasPrefix(n, "seg-") && strings.HasSuffix(n, ".tok"):
 			if (d != nil || meta != nil) && !live[n] {
 				r.add(n, "orphan", false, "segment not referenced by any committed state (swept on open)")
-			}
-		case n == archiveFile:
-			if d != nil {
-				r.add(n, "legacy", false, "monolithic token file superseded by committed segments (removed on open)")
-			} else {
-				r.add(n, "legacy", true, "monolithic layout, migrated on open")
 			}
 		case n == degradedMarker:
 			data, _ := fs.ReadFile(filepath.Join(dir, n))

@@ -33,7 +33,7 @@ import (
 const (
 	keydirFile   = "keydir.idx"
 	keydirMagic  = "XKD1"
-	keydirFormat = 2 // written; format 1 (pre-v2-segments) still decodes
+	keydirFormat = 2 // format 1 (pre-dictionary segments) is rejected with ErrLegacyFormat
 )
 
 // attrRec is one attribute of a top-level subtree, held in the directory
@@ -66,18 +66,17 @@ type childEntry struct {
 // segmentRecord describes one segment file: a contiguous key range of
 // second-level subtrees (or, for a raw root, a verbatim slice of the
 // root's whole subtree). payload/crc always describe the uncompressed
-// token bytes; stored/storedCRC the on-disk payload (equal for v1 and
-// uncompressed v2 segments), so replication can verify a transferred
-// blob without decoding it.
+// token bytes; stored/storedCRC the on-disk payload (equal for
+// uncompressed segments), so replication can verify a transferred blob
+// without decoding it.
 type segmentRecord struct {
 	file      string // base name within the archive directory
-	format    int    // segment header format (segFormat or segFormatV2)
-	dataOff   int64  // payload start (after header incl. any dictionary)
+	dataOff   int64  // payload start (after header incl. the dictionary)
 	payload   int64  // uncompressed payload bytes
 	crc       uint32 // CRC32 (IEEE) of the uncompressed payload
 	stored    int64  // on-disk payload bytes
 	storedCRC uint32 // CRC32 (IEEE) of the on-disk payload bytes
-	dictLen   int64  // dictionary section bytes (0 for format 1)
+	dictLen   int64  // dictionary section bytes
 	entries   []childEntry
 }
 
@@ -221,7 +220,7 @@ func (d *keyDirectory) encode() []byte {
 		w.varint(uint64(len(r.segs)))
 		for _, s := range r.segs {
 			w.str(s.file)
-			w.varint(uint64(s.format))
+			w.varint(segFormatV2)
 			w.varint(uint64(s.dataOff))
 			w.varint(uint64(s.payload))
 			w.varint(uint64(s.crc))
@@ -315,8 +314,12 @@ func decodeKeyDirectory(data []byte) (*keyDirectory, error) {
 		return nil, fmt.Errorf("extmem: key directory bad magic")
 	}
 	r := &kdReader{r: bytes.NewReader(body[len(keydirMagic):])}
-	format := r.varint()
-	if format != 1 && format != keydirFormat {
+	switch format := r.varint(); {
+	case r.err != nil:
+		return nil, fmt.Errorf("extmem: key directory: %w", r.err)
+	case format == 1:
+		return nil, fmt.Errorf("%w (format-1 key directory)", ErrLegacyFormat)
+	case format != keydirFormat:
 		return nil, fmt.Errorf("extmem: key directory format %d not supported", format)
 	}
 	d := &keyDirectory{}
@@ -341,21 +344,18 @@ func decodeKeyDirectory(data []byte) (*keyDirectory, error) {
 		for j := uint64(0); j < nSegs && r.err == nil; j++ {
 			s := &segmentRecord{}
 			s.file = r.str()
-			if format >= 2 {
-				s.format = int(r.varint())
-			} else {
-				s.format = segFormat
+			if segFmt := r.varint(); r.err == nil && segFmt != segFormatV2 {
+				if segFmt == 1 {
+					return nil, fmt.Errorf("%w (key directory lists format-1 segment %s)", ErrLegacyFormat, s.file)
+				}
+				return nil, fmt.Errorf("extmem: key directory: segment %s format %d not supported", s.file, segFmt)
 			}
 			s.dataOff = int64(r.varint())
 			s.payload = int64(r.varint())
 			s.crc = uint32(r.varint())
-			if format >= 2 {
-				s.stored = int64(r.varint())
-				s.storedCRC = uint32(r.varint())
-				s.dictLen = int64(r.varint())
-			} else {
-				s.stored, s.storedCRC = s.payload, s.crc
-			}
+			s.stored = int64(r.varint())
+			s.storedCRC = uint32(r.varint())
+			s.dictLen = int64(r.varint())
 			nEnt := r.varint()
 			for k := uint64(0); k < nEnt && r.err == nil; k++ {
 				e := childEntry{}

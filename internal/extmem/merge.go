@@ -17,7 +17,7 @@ import (
 type streamMerger struct {
 	dict *dictionary
 	spec *keys.Spec
-	out  tokenSink
+	out  *captureWriter
 	i    int // the new version number
 }
 

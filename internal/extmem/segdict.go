@@ -16,19 +16,18 @@ import (
 	"xarch/internal/intervals"
 )
 
-// Segment format v2: the payload token stream no longer carries key
-// annotations, timestamps, or attribute values as inline strings. A
-// per-segment dictionary section between the header and the payload
-// interns them — key-path names, spilled string values (canonical key
+// The segment format (format byte 2): the payload token stream does not
+// carry key annotations, timestamps, or attribute values as inline
+// strings. A per-segment dictionary section between the header and the
+// payload interns them — key-path names, spilled string values (canonical key
 // values and attribute values), a timestamp table, and whole key
 // tuples — and the stream references them by varint id. Ids are
 // assigned in sorted order, so within one segment comparing ids is
 // comparing strings: the merge planner and query scans compare
-// integers (and share one decoded string/interval/key object per
-// distinct value) where v1 re-read and re-allocated strings for every
-// token.
+// integers, and share one decoded string/interval/key object per
+// distinct value.
 //
-// Behind the same format byte, a v2 payload may be block-compressed
+// Behind the same format byte, a payload may be block-compressed
 // (segFlagCompressed): the uncompressed payload is cut into fixed
 // segBlockLen blocks, each deflated independently, and the header
 // records the stored size of every block. Directory seeks land
@@ -37,10 +36,10 @@ import (
 // stored-byte CRC, so corruption checks are format-independent and
 // replication can verify transferred blobs without decompressing them.
 
-// segBlockLen is the uncompressed block size of compressed v2 payloads.
+// segBlockLen is the uncompressed block size of compressed payloads.
 const segBlockLen = 64 * 1024
 
-// segDict is the decoded dictionary section of one v2 segment, plus the
+// segDict is the decoded dictionary section of one segment, plus the
 // block geometry from its header. It is immutable once decoded and
 // shared by every reader of the segment. The string tables are
 // substrings of one backing string, so decoding allocates O(1) objects
@@ -263,7 +262,7 @@ type dictCache struct {
 	m       sync.Map // segment file name -> *segDict
 }
 
-// get returns the decoded dictionary of a v2 segment, loading and
+// get returns the decoded dictionary of a segment, loading and
 // caching it on first use. The header+dictionary bytes read on a miss
 // are counted into the bytes-read telemetry.
 //
@@ -298,9 +297,6 @@ func (c *dictCache) get(seg *segmentRecord) (*segDict, error) {
 		h, err := readSegmentHeader(f)
 		if err != nil {
 			return nil, err
-		}
-		if h.dict == nil {
-			return nil, fmt.Errorf("extmem: segment %s has no dictionary (format %d)", seg.file, h.format)
 		}
 		d = h.dict
 		if c.counter != nil {
@@ -424,13 +420,13 @@ func (cr *countReader) Read(p []byte) (int, error) {
 }
 
 // ---------------------------------------------------------------------------
-// v2 segment encoding (write side)
+// Segment encoding (write side)
 
-// captureWriter is the tokenSink of the v2 segment writer: tokens are
+// captureWriter is the token sink of the segment writer: tokens are
 // buffered in decoded form (dictionary tables need the whole segment's
 // token population before ids can be assigned in sorted order), and est
-// tracks an approximate encoded size so the roll decision at child
-// boundaries behaves like v1's byte count did.
+// tracks an approximate encoded size for the roll decision at child
+// boundaries.
 type captureWriter struct {
 	toks []token
 	est  int64
@@ -450,16 +446,6 @@ func (c *captureWriter) open(tagID int, key *tkey, time string) {
 	if time != "" {
 		c.est += 2
 	}
-}
-
-func (c *captureWriter) text(s string) {
-	c.toks = append(c.toks, token{op: tokText, data: s})
-	c.est += int64(len(s)) + 3
-}
-
-func (c *captureWriter) attr(nameID int, value string) {
-	c.toks = append(c.toks, token{op: tokAttr, tag: nameID, data: value})
-	c.est += 4
 }
 
 func (c *captureWriter) close() {
@@ -506,7 +492,7 @@ type entryMark struct{ start, end int }
 // entrySpan is the byte range of one entry in the encoded payload.
 type entrySpan struct{ off, size int64 }
 
-// encodedSegment is the rendered form of one v2 segment. The byte
+// encodedSegment is the rendered form of one segment. The byte
 // slices alias the encoder's internal buffers and are valid until the
 // next encode.
 type encodedSegment struct {
@@ -521,7 +507,7 @@ type encodedSegment struct {
 	tokOffs    []int64     // optional: byte offset of every token plus a final total
 }
 
-// segEncoder turns a captured token run into a v2 segment: it builds
+// segEncoder turns a captured token run into a segment: it builds
 // the sorted dictionary tables, encodes the payload with ids, optionally
 // block-compresses it, and renders the full header. All scratch state is
 // reused across segments of one write pass.
@@ -698,9 +684,9 @@ func (enc *segEncoder) encode(raw, compress bool, rootName string, rootKey *tkey
 	return res, nil
 }
 
-// renderSegHead renders a complete v2 segment header into w: the v1
-// prefix (magic, format, flags, fixed payload/CRC, root label) followed
-// by the v2 extras and the dictionary section.
+// renderSegHead renders a complete segment header into w: magic, format,
+// flags, fixed payload/CRC and root label, then the stored geometry,
+// block index and the dictionary section.
 func renderSegHead(w *kdWriter, raw, compressed bool, payload int64, crc uint32, rootName string, rootKey *tkey, storedLen int, storedCRC uint32, blockSizes []int64, dict []byte) {
 	w.b.WriteString(segMagic)
 	w.b.WriteByte(segFormatV2)

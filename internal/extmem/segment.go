@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"path/filepath"
@@ -28,23 +27,24 @@ import (
 // orphan files, which Open garbage-collects.
 
 const (
-	segMagic    = "XSG1"
-	segFormat   = 1 // legacy inline-string encoding
-	segFormatV2 = 2 // interned dictionary + optional block compression
+	segMagic = "XSG1"
+	// segFormatV2 is the one segment format: interned per-segment
+	// dictionary plus optional block compression (see segdict.go). The
+	// pre-dictionary format 1 is rejected with ErrLegacyFormat.
+	segFormatV2 = 2
 )
 
 const (
 	segFlagRaw        = 0x01
-	segFlagCompressed = 0x02 // v2 only: payload stored as deflated blocks
+	segFlagCompressed = 0x02 // payload stored as deflated blocks
 )
 
 // segmentHeader is the decoded fixed+variable header of one segment
-// file. For format 2 the header continues past the root label with the
-// stored-payload geometry (stored bytes, stored CRC, block index) and
-// the dictionary section; payload/crc always describe the uncompressed
-// token bytes, so verification is format-independent.
+// file: past the root label it carries the stored-payload geometry
+// (stored bytes, stored CRC, block index) and the dictionary section.
+// payload/crc always describe the uncompressed token bytes, so
+// verification is independent of compression.
 type segmentHeader struct {
-	format     int
 	raw        bool
 	compressed bool
 	payload    int64
@@ -53,44 +53,34 @@ type segmentHeader struct {
 	rootKey    *tkey
 	dataOff    int64
 
-	// Format 2 extras. dict carries the decoded dictionary plus the
-	// block geometry; stored/storedCRC describe the on-disk payload
-	// bytes (equal to payload/crc when not compressed).
+	// dict carries the decoded dictionary plus the block geometry;
+	// stored/storedCRC describe the on-disk payload bytes (equal to
+	// payload/crc when not compressed).
 	stored    int64
 	storedCRC uint32
 	dictLen   int64
 	dict      *segDict
 }
 
-// encodeSegmentHeader renders a format-1 header; the payload length and
-// CRC may be placeholders to be patched by closeCurrent. (Format-2
-// headers are rendered whole by segEncoder.encode — a v2 file is
-// written in one pass, never patched.)
-func encodeSegmentHeader(h *segmentHeader) []byte {
-	var w kdWriter
-	w.b.WriteString(segMagic)
-	w.b.WriteByte(segFormat)
-	var flags byte
-	if h.raw {
-		flags |= segFlagRaw
-	}
-	w.b.WriteByte(flags)
-	var fixed [12]byte
-	binary.LittleEndian.PutUint64(fixed[:8], uint64(h.payload))
-	binary.LittleEndian.PutUint32(fixed[8:], h.crc)
-	w.b.Write(fixed[:])
-	w.str(h.rootName)
-	w.key(h.rootKey)
-	return w.b.Bytes()
-}
-
 // fixedOff is the offset of the payload-length/CRC fields in the header.
 const segFixedOff = len(segMagic) + 2
 
+// maxSegBlockLen bounds the block size a compressed segment header may
+// declare; the writer always uses segBlockLen.
+const maxSegBlockLen = 1 << 30
+
 // readSegmentHeader parses the header at the start of f. The variable
 // tail (the root label) is read through a position-tracking reader, so
-// arbitrarily large root keys parse back exactly as written.
+// arbitrarily large root keys parse back exactly as written. Segment
+// files arrive from replication peers, so every length prefix that
+// sizes an allocation is checked against the file's size first: a
+// hostile header fails with ErrCorruptArchive instead of panicking or
+// allocating beyond the bytes actually supplied.
 func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, fmt.Errorf("extmem: %w", err)
+	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("extmem: %w", err)
 	}
@@ -101,25 +91,48 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 	if string(fixed[:len(segMagic)]) != segMagic {
 		return nil, fmt.Errorf("extmem: not a segment file")
 	}
-	format := int(fixed[len(segMagic)])
-	if format != segFormat && format != segFormatV2 {
+	switch format := fixed[len(segMagic)]; format {
+	case segFormatV2:
+	case 1:
+		return nil, fmt.Errorf("%w (format-1 segment header)", ErrLegacyFormat)
+	default:
 		return nil, fmt.Errorf("extmem: segment format %d not supported", format)
 	}
 	flags := fixed[len(segMagic)+1]
 	h := &segmentHeader{
-		format:     format,
 		raw:        flags&segFlagRaw != 0,
 		compressed: flags&segFlagCompressed != 0,
 	}
-	if h.compressed && format == segFormat {
-		return nil, fmt.Errorf("extmem: format 1 segment with compression flag")
-	}
 	h.payload = int64(binary.LittleEndian.Uint64(fixed[segFixedOff : segFixedOff+8]))
 	h.crc = binary.LittleEndian.Uint32(fixed[segFixedOff+8 : segFixedOff+12])
+	if h.payload < 0 {
+		return nil, corruptf("segment header: payload length out of range")
+	}
 	pr := &posReader{br: bufio.NewReaderSize(f, 4096)}
-	var err error
-	if h.rootName, err = pr.str(); err != nil {
-		return nil, fmt.Errorf("extmem: segment header: %w", err)
+	// sized reads a length prefix that is about to size an allocation.
+	sized := func(what string) (uint64, error) {
+		n, err := pr.varint()
+		if err != nil {
+			return 0, fmt.Errorf("extmem: segment header: %w", err)
+		}
+		if n > uint64(size) {
+			return 0, corruptf("segment header: %s %d exceeds the %d-byte file", what, n, size)
+		}
+		return n, nil
+	}
+	str := func() (string, error) {
+		n, err := sized("string length")
+		if err != nil {
+			return "", err
+		}
+		buf := make([]byte, n)
+		if err := pr.readFull(buf); err != nil {
+			return "", fmt.Errorf("extmem: segment header: %w", err)
+		}
+		return string(buf), nil
+	}
+	if h.rootName, err = str(); err != nil {
+		return nil, err
 	}
 	hasKey, err := pr.byte()
 	if err != nil {
@@ -132,28 +145,23 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 			return nil, fmt.Errorf("extmem: segment header: %w", err)
 		}
 		for i := uint64(0); i < n; i++ {
-			kp, err := pr.str()
+			kp, err := str()
 			if err != nil {
-				return nil, fmt.Errorf("extmem: segment header: %w", err)
+				return nil, err
 			}
-			kc, err := pr.str()
+			kc, err := str()
 			if err != nil {
-				return nil, fmt.Errorf("extmem: segment header: %w", err)
+				return nil, err
 			}
 			k.paths = append(k.paths, kp)
 			k.canon = append(k.canon, kc)
 		}
 		h.rootKey = k
 	}
-	if format == segFormat {
-		h.stored, h.storedCRC = h.payload, h.crc
-		h.dataOff = int64(len(fixed)) + pr.pos
-		return h, nil
-	}
-	// Format 2 extras: stored geometry, block index, dictionary.
-	stored, err := pr.varint()
+	// Stored geometry, block index, dictionary.
+	stored, err := sized("stored length")
 	if err != nil {
-		return nil, fmt.Errorf("extmem: segment header: %w", err)
+		return nil, err
 	}
 	h.stored = int64(stored)
 	var sc [4]byte
@@ -168,11 +176,16 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 	if (blockLen > 0) != h.compressed {
 		return nil, fmt.Errorf("extmem: segment header: block size disagrees with compression flag")
 	}
+	if blockLen > maxSegBlockLen {
+		return nil, corruptf("segment header: block size %d out of range", blockLen)
+	}
 	var blockSizes []int64
 	if blockLen > 0 {
-		nBlocks, err := pr.varint()
+		// Every block costs at least one header byte, so the count is
+		// bounded by the file size whatever payload the header claims.
+		nBlocks, err := sized("block count")
 		if err != nil {
-			return nil, fmt.Errorf("extmem: segment header: %w", err)
+			return nil, err
 		}
 		want := (uint64(h.payload) + blockLen - 1) / blockLen
 		if nBlocks != want {
@@ -181,9 +194,9 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 		blockSizes = make([]int64, 0, nBlocks)
 		var sum int64
 		for i := uint64(0); i < nBlocks; i++ {
-			n, err := pr.varint()
+			n, err := sized("block size")
 			if err != nil {
-				return nil, fmt.Errorf("extmem: segment header: %w", err)
+				return nil, err
 			}
 			blockSizes = append(blockSizes, int64(n))
 			sum += int64(n)
@@ -192,9 +205,9 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 			return nil, fmt.Errorf("extmem: segment header: block sizes sum to %d, stored is %d", sum, h.stored)
 		}
 	}
-	dictLen, err := pr.varint()
+	dictLen, err := sized("dictionary length")
 	if err != nil {
-		return nil, fmt.Errorf("extmem: segment header: %w", err)
+		return nil, err
 	}
 	h.dictLen = int64(dictLen)
 	dictBytes := make([]byte, dictLen)
@@ -221,13 +234,11 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 	return h, nil
 }
 
-// verifySegment recomputes the payload CRC of a segment file against
-// its header and the directory record. For format-2 segments it goes
-// further: the stored (possibly compressed) bytes are checked against
-// the stored CRC, the decompressed payload against the payload CRC, and
-// the whole token stream is walked against the dictionary, so a
-// dangling interned id is reported as corruption just like a bad
-// checksum.
+// verifySegment checks a segment file against its header and the
+// directory record: the stored (possibly compressed) bytes against the
+// stored CRC, the decompressed payload against the payload CRC, and the
+// whole token stream against the dictionary, so a dangling interned id
+// is reported as corruption just like a bad checksum.
 func verifySegment(fs fsio.FS, path string, sr *segmentRecord) error {
 	f, err := fs.Open(path)
 	if err != nil {
@@ -238,23 +249,8 @@ func verifySegment(fs fsio.FS, path string, sr *segmentRecord) error {
 	if err != nil {
 		return err
 	}
-	if h.format != sr.format || h.payload != sr.payload || h.crc != sr.crc || h.dataOff != sr.dataOff {
-		return fmt.Errorf("extmem: segment %s header disagrees with directory", sr.file)
-	}
-	if h.format == segFormat {
-		crc := crc32.NewIEEE()
-		if _, err := f.Seek(h.dataOff, io.SeekStart); err != nil {
-			return fmt.Errorf("extmem: %w", err)
-		}
-		if _, err := io.CopyN(crc, f, h.payload); err != nil {
-			return fmt.Errorf("extmem: segment %s truncated: %w", sr.file, err)
-		}
-		if crc.Sum32() != sr.crc {
-			return fmt.Errorf("extmem: segment %s payload checksum mismatch", sr.file)
-		}
-		return nil
-	}
-	if h.stored != sr.stored || h.storedCRC != sr.storedCRC || h.dictLen != sr.dictLen {
+	if h.payload != sr.payload || h.crc != sr.crc || h.dataOff != sr.dataOff ||
+		h.stored != sr.stored || h.storedCRC != sr.storedCRC || h.dictLen != sr.dictLen {
 		return fmt.Errorf("extmem: segment %s header disagrees with directory", sr.file)
 	}
 	crc := crc32.NewIEEE()
@@ -305,60 +301,30 @@ func verifySegment(fs fsio.FS, path string, sr *segmentRecord) error {
 // ---------------------------------------------------------------------------
 // Segment writing
 
-// segPayloadWriter counts and checksums the payload bytes of one segment
-// file as they pass through to disk.
-type segPayloadWriter struct {
-	f   fsio.File
-	crc hash.Hash32
-	n   int64
-}
-
-func (w *segPayloadWriter) Write(p []byte) (int, error) {
-	n, err := w.f.Write(p)
-	if n > 0 {
-		w.crc.Write(p[:n])
-		w.n += int64(n)
-	}
-	return n, err
-}
-
-// segmentSetWriter streams merged subtrees into a sequence of segment
+// segmentSetWriter collects merged subtrees into a sequence of segment
 // files, rolling to a fresh file whenever the current payload passes the
 // target size at a child boundary, and recording one directory entry per
-// child. The embedded tokenWriter is stable across rolls, so a merge can
-// keep one output handle for the whole pass.
+// child. The current file's tokens are buffered in out (the dictionary
+// needs the whole population before ids exist), then encoded and written
+// in one pass at closeCurrent; no file exists until then. out is stable
+// across rolls, so a merge can keep one output handle for the whole pass.
 //
 // When the caller knows the total payload it will write (the compactor
 // does), planned/minTail arm tail absorption: a roll is suppressed when
 // the bytes still to come would leave a final file smaller than minTail,
 // so repacking can never end in a fresh undersized tail.
 type segmentSetWriter struct {
-	ar       *Archiver
-	root     *rootRecord
-	raw      bool
-	format   int  // segFormat or segFormatV2
-	compress bool // v2 only: block-compress payloads
-	target   int64
+	ar     *Archiver
+	root   *rootRecord
+	raw    bool
+	target int64
 
 	planned int64 // total payload the caller will write; 0 = unknown
 	minTail int64 // smallest acceptable final file under planned
 	written int64 // payload completed in already-closed files
 
-	// out is where the merge pipeline emits tokens: the streaming
-	// inline writer (v1) or the capture buffer (v2).
-	out tokenSink
-
-	// v1 streaming state.
-	tw   *tokenWriter
-	pw   *segPayloadWriter
-	f    fsio.File
-	head int64 // header length of the current file
-
-	// v2 capture state: the current file's tokens are buffered (the
-	// dictionary needs the whole population before ids exist), encoded
-	// and written in one pass at closeCurrent. No file exists until
-	// then.
-	cap       *captureWriter
+	// out is where the merge pipeline emits tokens.
+	out       *captureWriter
 	enc       *segEncoder
 	marks     []entryMark
 	markStart int
@@ -378,17 +344,10 @@ type segmentSetWriter struct {
 func newSegmentSetWriter(ar *Archiver, root *rootRecord, raw bool, emit func(*segmentRecord), onCreate func(name string)) *segmentSetWriter {
 	sw := &segmentSetWriter{
 		ar: ar, root: root, raw: raw, target: int64(ar.cfg.SegmentTarget),
-		format: ar.cfg.SegmentFormat, compress: ar.cfg.Compression,
-		tw: newTokenWriter(io.Discard), emit: emit, onCreate: onCreate,
+		out: &captureWriter{}, enc: newSegEncoder(),
+		emit: emit, onCreate: onCreate,
 	}
-	if sw.format == segFormatV2 {
-		sw.cap = &captureWriter{}
-		sw.enc = newSegEncoder()
-		sw.enc.wantOffs = !raw && !ar.cfg.NoAttrIndex
-		sw.out = sw.cap
-	} else {
-		sw.out = sw.tw
-	}
+	sw.enc.wantOffs = !raw && !ar.cfg.NoAttrIndex
 	return sw
 }
 
@@ -398,105 +357,36 @@ func (sw *segmentSetWriter) fail(err error) {
 	}
 }
 
-// open starts a fresh segment. For v1 the file is created up front and
-// streamed; for v2 only the capture buffer starts — the file (and its
-// name) appears at closeCurrent, written complete in one pass.
+// open starts a fresh segment: only the capture buffer restarts — the
+// file (and its name) appears at closeCurrent, written complete in one
+// pass.
 func (sw *segmentSetWriter) open() {
 	if sw.err != nil {
 		return
 	}
-	if sw.format == segFormatV2 {
-		sw.cap.reset()
-		sw.marks = sw.marks[:0]
-		sw.cur = &segmentRecord{format: segFormatV2}
-		return
-	}
-	name := fmt.Sprintf("seg-%08d.tok", sw.ar.nextSeg)
-	sw.ar.nextSeg++
-	f, err := sw.ar.fs.Create(filepath.Join(sw.ar.dir, name))
-	if err != nil {
-		sw.fail(fmt.Errorf("extmem: create segment: %w", err))
-		return
-	}
-	if sw.onCreate != nil {
-		sw.onCreate(name)
-	}
-	head := encodeSegmentHeader(&segmentHeader{raw: sw.raw, rootName: sw.root.name, rootKey: sw.root.key})
-	if _, err := f.Write(head); err != nil {
-		f.Close()
-		sw.fail(fmt.Errorf("extmem: %w", err))
-		return
-	}
-	sw.f = f
-	sw.head = int64(len(head))
-	sw.pw = &segPayloadWriter{f: f, crc: crc32.NewIEEE()}
-	sw.cur = &segmentRecord{file: name, format: segFormat, dataOff: sw.head}
-	sw.tw.w.Reset(sw.pw)
+	sw.out.reset()
+	sw.marks = sw.marks[:0]
+	sw.cur = &segmentRecord{}
 }
 
-// closeCurrent finishes the open segment: for v1 the streamed file is
-// patched with the payload length and CRC, fsynced, and emitted; for v2
-// the captured tokens are encoded (dictionary, payload, optional block
-// compression) and written as a complete file in one pass.
+// closeCurrent encodes the captured tokens (dictionary, payload, optional
+// block compression) and writes them as a complete file. Until here
+// nothing of this segment exists on disk, so an encode or create failure
+// leaves no file to clean up. A failed segment fsync or close is
+// durability-critical: the file may be referenced by the directory about
+// to be committed while its pages were silently dropped (fsyncgate), so
+// it must poison the writer rather than be retried.
 func (sw *segmentSetWriter) closeCurrent() {
-	if sw.format == segFormatV2 {
-		sw.closeV2()
+	rec := sw.cur
+	sw.cur = nil
+	if rec == nil || sw.err != nil {
 		return
 	}
-	if sw.cur == nil || sw.err != nil {
-		if sw.cur != nil && sw.err != nil && sw.f != nil {
-			sw.f.Close()
-			sw.f = nil
-			sw.cur = nil
-		}
-		return
-	}
-	if err := sw.tw.flush(); err != nil {
-		sw.fail(err)
-		sw.f.Close()
-		sw.cur = nil
-		return
-	}
-	sw.cur.payload = sw.pw.n
-	sw.cur.crc = sw.pw.crc.Sum32()
-	var fixed [12]byte
-	binary.LittleEndian.PutUint64(fixed[:8], uint64(sw.cur.payload))
-	binary.LittleEndian.PutUint32(fixed[8:], sw.cur.crc)
-	if _, err := sw.f.WriteAt(fixed[:], int64(segFixedOff)); err != nil {
-		sw.fail(fmt.Errorf("extmem: %w", err))
-	} else if err := sw.f.Sync(); err != nil {
-		// A failed segment fsync is durability-critical: the file may be
-		// referenced by the directory about to be committed while its
-		// pages were silently dropped (fsyncgate), so it must poison the
-		// writer rather than be retried.
-		sw.fail(commitFaultf("fsync segment "+sw.cur.file, err))
-	}
-	if err := sw.f.Close(); err != nil {
-		sw.fail(commitFaultf("close segment "+sw.cur.file, err))
-	}
-	if sw.err == nil {
-		sw.written += sw.cur.payload
-		sw.emit(sw.cur)
-	}
-	sw.f, sw.cur, sw.pw = nil, nil, nil
-}
-
-// closeV2 encodes and writes the captured segment. Until here nothing
-// of this segment exists on disk, so an encode or create failure leaves
-// no file to clean up; fsync/close failures are commit faults exactly
-// as in the v1 path.
-func (sw *segmentSetWriter) closeV2() {
-	if sw.cur == nil || sw.err != nil {
-		sw.cur = nil
-		return
-	}
-	res, err := sw.enc.encode(sw.raw, sw.compress, sw.root.name, sw.root.key, sw.cap.toks, sw.marks)
+	res, err := sw.enc.encode(sw.raw, sw.ar.cfg.Compression, sw.root.name, sw.root.key, sw.out.toks, sw.marks)
 	if err != nil {
 		sw.fail(err)
-		sw.cur = nil
 		return
 	}
-	rec := sw.cur
 	for i := range rec.entries {
 		rec.entries[i].offset = res.offs[i].off
 		rec.entries[i].size = res.offs[i].size
@@ -513,7 +403,6 @@ func (sw *segmentSetWriter) closeV2() {
 	f, err := sw.ar.fs.Create(filepath.Join(sw.ar.dir, name))
 	if err != nil {
 		sw.fail(fmt.Errorf("extmem: create segment: %w", err))
-		sw.cur = nil
 		return
 	}
 	if sw.onCreate != nil {
@@ -522,39 +411,25 @@ func (sw *segmentSetWriter) closeV2() {
 	if _, err := f.Write(res.head); err != nil {
 		f.Close()
 		sw.fail(fmt.Errorf("extmem: %w", err))
-		sw.cur = nil
 		return
 	}
 	if _, err := f.Write(res.stored); err != nil {
 		f.Close()
 		sw.fail(fmt.Errorf("extmem: %w", err))
-		sw.cur = nil
 		return
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		sw.fail(commitFaultf("fsync segment "+name, err))
-		sw.cur = nil
 		return
 	}
 	if err := f.Close(); err != nil {
 		sw.fail(commitFaultf("close segment "+name, err))
-		sw.cur = nil
 		return
 	}
 	sw.written += rec.payload
 	sw.captureIdx(rec, res)
 	sw.emit(rec)
-	sw.cur = nil
-}
-
-// payloadLen returns the (for v2: estimated) payload bytes of the open
-// segment, the quantity roll decisions are made on.
-func (sw *segmentSetWriter) payloadLen() int64 {
-	if sw.format == segFormatV2 {
-		return sw.cap.est
-	}
-	return sw.pw.n
 }
 
 // beginChild notes the subtree about to be written; its entry is
@@ -565,41 +440,22 @@ func (sw *segmentSetWriter) beginChild(name string, tag int, key *tkey, timeStr 
 	}
 	if sw.cur == nil {
 		sw.open()
-		if sw.err != nil {
-			return
-		}
 	}
-	if sw.format == segFormatV2 {
-		sw.markStart = len(sw.cap.toks)
-		sw.pending = childEntry{name: name, tag: tag, key: key, timeStr: timeStr}
-		return
-	}
-	if err := sw.tw.flush(); err != nil {
-		sw.fail(err)
-		return
-	}
-	sw.pending = childEntry{name: name, tag: tag, key: key, timeStr: timeStr, offset: sw.pw.n}
+	sw.markStart = len(sw.out.toks)
+	sw.pending = childEntry{name: name, tag: tag, key: key, timeStr: timeStr}
 }
 
 // endChild completes the pending entry and rolls the file when the
-// payload passed the target size — unless the caller declared its total
-// payload and the remainder would land in a file smaller than minTail.
+// estimated payload passed the target size — unless the caller declared
+// its total payload and the remainder would land in a file smaller than
+// minTail.
 func (sw *segmentSetWriter) endChild() {
 	if sw.err != nil || sw.cur == nil {
 		return
 	}
-	if sw.format == segFormatV2 {
-		sw.marks = append(sw.marks, entryMark{start: sw.markStart, end: len(sw.cap.toks)})
-		sw.cur.entries = append(sw.cur.entries, sw.pending)
-	} else {
-		if err := sw.tw.flush(); err != nil {
-			sw.fail(err)
-			return
-		}
-		sw.pending.size = sw.pw.n - sw.pending.offset
-		sw.cur.entries = append(sw.cur.entries, sw.pending)
-	}
-	if n := sw.payloadLen(); n >= sw.target {
+	sw.marks = append(sw.marks, entryMark{start: sw.markStart, end: len(sw.out.toks)})
+	sw.cur.entries = append(sw.cur.entries, sw.pending)
+	if n := sw.out.est; n >= sw.target {
 		if sw.planned > 0 && sw.planned-(sw.written+n) < sw.minTail {
 			return // absorb the tail instead of rolling a tiny file
 		}
@@ -607,10 +463,9 @@ func (sw *segmentSetWriter) endChild() {
 	}
 }
 
-// finish closes any open file and releases the token writer buffer.
+// finish closes any open file.
 func (sw *segmentSetWriter) finish() error {
 	sw.closeCurrent()
-	sw.tw.release()
 	return sw.err
 }
 
@@ -628,17 +483,16 @@ type streamPart struct {
 }
 
 // dirStream serves the segmented archive as a sequence of token-aligned
-// parts — logically the same contiguous stream the monolithic
-// archive.tok held, but handed out part by part so the token reader can
-// switch each part's segment dictionary (and decoding grammar) in. At
-// most one segment file is open at a time; the bytes actually read from
-// disk (compressed bytes for compressed segments) are counted into the
-// archiver's telemetry.
+// parts — logically one contiguous token stream, but handed out part by
+// part so the token reader can switch each part's segment dictionary in
+// (literal parts use the inline grammar). At most one segment file is
+// open at a time; the bytes actually read from disk (compressed bytes
+// for compressed segments) are counted into the archiver's telemetry.
 type dirStream struct {
 	fs      fsio.FS
 	dir     string
 	parts   []streamPart
-	dicts   *dictCache // resolves v2 segment dictionaries; may be nil for pure-v1 streams
+	dicts   *dictCache // resolves segment dictionaries
 	i       int
 	f       fsio.File
 	counter *atomic.Int64
@@ -676,8 +530,9 @@ func (pr *partReader) Read(p []byte) (int, error) {
 }
 
 // nextPart closes the current part and opens the next, returning its
-// reader and segment dictionary (nil for literal and v1 parts). A nil
-// reader with nil error means the stream is exhausted.
+// reader and segment dictionary (nil for literal parts, which use the
+// inline grammar). A nil reader with nil error means the stream is
+// exhausted.
 func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 	if s.f != nil {
 		s.f.Close()
@@ -699,23 +554,15 @@ func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 		return nil, nil, fmt.Errorf("extmem: %w", err)
 	}
 	s.f = f
-	var dict *segDict
-	if seg.format == segFormatV2 {
-		if s.dicts == nil {
-			f.Close()
-			s.f = nil
-			return nil, nil, fmt.Errorf("extmem: no dictionary cache for v2 segment %s", seg.file)
-		}
-		dict, err = s.dicts.get(seg)
-		if err != nil {
-			f.Close()
-			s.f = nil
-			return nil, nil, err
-		}
-		if dict.blockLen > 0 {
-			s.blk.reset(f, dict, part.off, part.n, s.counter)
-			return &s.blk, dict, nil
-		}
+	dict, err := s.dicts.get(seg)
+	if err != nil {
+		f.Close()
+		s.f = nil
+		return nil, nil, err
+	}
+	if dict.blockLen > 0 {
+		s.blk.reset(f, dict, part.off, part.n, s.counter)
+		return &s.blk, dict, nil
 	}
 	if _, err := f.Seek(seg.dataOff+part.off, io.SeekStart); err != nil {
 		f.Close()
@@ -747,8 +594,7 @@ func (s *dirStream) Close() error {
 }
 
 // synthRootPrefix renders the open token (with key and timestamp) and
-// attribute tokens of a non-raw root, exactly as the monolithic merge
-// used to write them.
+// attribute tokens of a non-raw root in the inline grammar.
 func synthRootPrefix(r *rootRecord) []byte {
 	var b bytes.Buffer
 	tw := newTokenWriter(&b)
@@ -771,8 +617,8 @@ func archiveParts(d *keyDirectory) []streamPart {
 }
 
 // rootParts lays out one root subtree as stream parts. Offsets are in
-// payload space; the stream resolves them to file offsets (or block
-// coordinates) per segment format.
+// payload space; the stream resolves them to file offsets, or block
+// coordinates for compressed segments.
 func rootParts(r *rootRecord) []streamPart {
 	var parts []streamPart
 	if r.raw {

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -18,10 +20,9 @@ import (
 	"xarch/internal/xmltree"
 )
 
-// archiveStreamBytes reads the whole concatenated archive token stream in
-// the canonical inline (v1) encoding — the byte-identical replacement of
-// the old monolithic archive.tok, regardless of the on-disk segment
-// format the tokens come from.
+// archiveStreamBytes reads the whole concatenated archive token stream,
+// re-rendered in the inline grammar so streams compare byte for byte
+// whatever each segment's dictionary, compression or file layout.
 func archiveStreamBytes(t *testing.T, ar *Archiver) []byte {
 	t.Helper()
 	ds := &dirStream{fs: ar.fs, dir: ar.dir, parts: archiveParts(ar.curDir), dicts: ar.segDicts, counter: &ar.bytesRead}
@@ -47,7 +48,7 @@ func archiveStreamBytes(t *testing.T, ar *Archiver) []byte {
 	return buf.Bytes()
 }
 
-func buildOMIMArchive(t *testing.T, dir string, cfg Config, versions int) *Archiver {
+func buildOMIMArchive(t testing.TB, dir string, cfg Config, versions int) *Archiver {
 	t.Helper()
 	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 91, Records: 30, DeleteFrac: 0.05, InsertFrac: 0.1, ModifyFrac: 0.1})
 	ar, err := Open(dir, datagen.OMIMSpec(), cfg)
@@ -275,60 +276,6 @@ func readFileString(t *testing.T, path string) string {
 		t.Fatal(err)
 	}
 	return string(data)
-}
-
-// TestMigrationFromMonolithic: a v1 archive (meta v1 + archive.tok) is
-// upgraded transparently on open, answering every query identically.
-func TestMigrationFromMonolithic(t *testing.T) {
-	dir := t.TempDir()
-	ar := buildOMIMArchive(t, dir, Config{Budget: 1 << 16, SegmentTarget: 2048}, 3)
-	want := snapshotXML(t, ar)
-	stream := archiveStreamBytes(t, ar)
-	versions := ar.Versions()
-	rootTime := ar.curDir.rootTime.String()
-	ar.Close()
-
-	// Reconstruct the v1 layout: monolithic token file + v1 meta, no
-	// key directory, no segments.
-	if err := os.WriteFile(filepath.Join(dir, archiveFile), stream, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, metaFile),
-		[]byte(fmt.Sprintf("versions %d\nroottime %q\n", versions, rootTime)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	os.Remove(filepath.Join(dir, keydirFile))
-	for _, p := range ar.globSegments() {
-		os.Remove(p)
-	}
-
-	ar2, err := Open(dir, datagen.OMIMSpec(), Config{Budget: 1 << 16, SegmentTarget: 2048})
-	if err != nil {
-		t.Fatalf("migration open: %v", err)
-	}
-	if ar2.Versions() != versions {
-		t.Fatalf("migrated versions = %d, want %d", ar2.Versions(), versions)
-	}
-	if got := archiveStreamBytes(t, ar2); string(got) != string(stream) {
-		t.Fatalf("migrated token stream differs from monolithic file")
-	}
-	if got := snapshotXML(t, ar2); got != want {
-		t.Errorf("migrated archive XML differs")
-	}
-	if _, err := os.Stat(filepath.Join(dir, archiveFile)); !os.IsNotExist(err) {
-		t.Errorf("archive.tok not removed after migration")
-	}
-	if ar2.StorageStats().Segments < 2 {
-		t.Errorf("migration produced %d segments, expected several", ar2.StorageStats().Segments)
-	}
-	// The migrated archive keeps working: extend it and query.
-	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 91, Records: 30})
-	if err := ar2.AddVersion(strings.NewReader(g.Next().IndentedXML())); err != nil {
-		t.Fatalf("add after migration: %v", err)
-	}
-	if err := ar2.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestDirectorySeekParityRandomized is the randomized property test:
@@ -684,4 +631,93 @@ func TestSegmentsVerify(t *testing.T) {
 			t.Errorf("corrupted segment %s passed verification", victim)
 		}
 	}
+}
+
+// legacySegHeader is a hand-built format-1 segment header: magic, format
+// byte 1, no flags, zero payload length and CRC, root label ROOT with no
+// key. No format-1 writer exists any more; these bytes are all a reader
+// needs to recognise the generation.
+var legacySegHeader = []byte("XSG1\x01\x00" +
+	"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" + "\x04ROOT\x00")
+
+// dirContents snapshots every file of dir by name.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range ents {
+		out[e.Name()] = readFileString(t, filepath.Join(dir, e.Name()))
+	}
+	return out
+}
+
+// TestLegacySegmentHeaderRejected covers the one legacy shape only the
+// segment header reveals: the key directory is gone, so Open and fsck
+// fall back to the files meta.txt lists — and meet a format-1 header.
+// Both must report ErrLegacyFormat and leave the directory untouched.
+func TestLegacySegmentHeaderRejected(t *testing.T) {
+	if _, err := readSegmentHeader(bytes.NewReader(legacySegHeader)); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("readSegmentHeader(format-1 header) = %v, want ErrLegacyFormat", err)
+	}
+	dir := t.TempDir()
+	cfg := Config{Budget: 1 << 16, SegmentTarget: 2048}
+	ar := buildOMIMArchive(t, dir, cfg, 1)
+	files := segmentFiles(t, ar)
+	if err := ar.Close(); err != nil {
+		t.Fatal(err)
+	}
+	os.Remove(filepath.Join(dir, keydirFile))
+	os.Remove(filepath.Join(dir, attrIdxFile))
+	if err := os.WriteFile(filepath.Join(dir, files[0]), legacySegHeader, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirContents(t, dir)
+	if _, err := Open(dir, datagen.OMIMSpec(), cfg); !errors.Is(err, ErrLegacyFormat) {
+		t.Errorf("Open = %v, want ErrLegacyFormat", err)
+	}
+	if _, err := CheckArchive(nil, dir); !errors.Is(err, ErrLegacyFormat) {
+		t.Errorf("CheckArchive = %v, want ErrLegacyFormat", err)
+	}
+	if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
+		t.Errorf("rejected legacy directory was modified")
+	}
+}
+
+// FuzzSegmentHeader feeds readSegmentHeader hostile bytes — what a
+// replication peer can hand us. It must never panic and never allocate
+// beyond a small multiple of the bytes actually supplied: every length
+// prefix is capped by the input size before it sizes a make.
+func FuzzSegmentHeader(f *testing.F) {
+	for _, compress := range []bool{false, true} {
+		dir := f.TempDir()
+		ar := buildOMIMArchive(f, dir, Config{Budget: 1 << 16, SegmentTarget: 2048, Compression: compress}, 1)
+		seg := ar.curDir.roots[0].segs[0]
+		if compress != (seg.stored < seg.payload) {
+			f.Fatalf("seed segment: compression=%v but stored %d of %d payload bytes", compress, seg.stored, seg.payload)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, seg.file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		ar.Close()
+		f.Add(data)
+	}
+	f.Add(legacySegHeader)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h, err := readSegmentHeader(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		// Slack: string headers of dictionary tables cost 16 bytes per
+		// input byte at worst; the constant covers the fixed buffers.
+		if grown, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(data))+1<<20; grown > limit {
+			t.Fatalf("header of %d bytes allocated %d bytes (limit %d)", len(data), grown, limit)
+		}
+		if err == nil && (h.dataOff > int64(len(data)) || h.dictLen > int64(len(data))) {
+			t.Fatalf("accepted header claims dataOff %d, dictLen %d in %d bytes", h.dataOff, h.dictLen, len(data))
+		}
+	})
 }

@@ -13,9 +13,8 @@ import (
 	"xarch/internal/keys"
 )
 
-// Segment-local merge (phase 4 of AddVersion): instead of rewriting one
-// monolithic archive file end-to-end, the sorted version is merged into
-// the segmented layout root by root. Segments whose key range does not
+// Segment-local merge (phase 4 of AddVersion): the sorted version is
+// merged into the segmented layout root by root. Segments whose key range does not
 // overlap the incoming children — and which carry no inherited
 // timestamps that the new version would terminate — are left untouched
 // on disk and re-linked into the fresh key directory; only overlapping
@@ -95,7 +94,7 @@ func mergedTime(atData string, parentEff *intervals.Set, i int) (*intervals.Set,
 }
 
 // mergedTimeTok is mergedTime over a decoded archive token: a token from
-// a v2 segment carries its timestamp pre-parsed in the shared segment
+// a segment carries its timestamp pre-parsed in the shared segment
 // dictionary, which must be cloned — never mutated — before version i is
 // added.
 func mergedTimeTok(at token, parentEff *intervals.Set, i int) (*intervals.Set, string, error) {
@@ -243,8 +242,7 @@ func (m *segMerge) terminateRoot(r *rootRecord) (*rootRecord, error) {
 }
 
 // newRootFromVersion copies a version-only root: the root's timestamp is
-// {i}, its children are copied verbatim (inheriting it), exactly like
-// the monolithic merge's copyVersionChild at the top level.
+// {i}, its children are copied verbatim (inheriting it).
 func (m *segMerge) newRootFromVersion(d *tokenReader, dn string, dt token) (*rootRecord, error) {
 	out := &rootRecord{
 		name: dn, tag: dt.tag, key: dt.key,
@@ -518,7 +516,7 @@ func attrRecsEqual(a []attrRec, b []token) bool {
 
 // copyBalancedTo copies tokens verbatim until the close balancing the
 // already-consumed open; the close is emitted when emitClose is set.
-func copyBalancedTo(r *tokenReader, tw tokenSink, emitClose bool) error {
+func copyBalancedTo(r *tokenReader, tw *captureWriter, emitClose bool) error {
 	depth := 1
 	for {
 		t, ok := r.take()
@@ -636,21 +634,14 @@ func (m *segMerge) planRoot(pr *posReader, r *rootRecord) error {
 	}
 	segs := r.segs
 	si, ei := 0, 0
-	var segF fsio.File
-	defer func() {
-		if segF != nil {
-			segF.Close()
-		}
-	}()
-	cmp := &sectionComparer{scratch: make([]byte, 32*1024)}
-	// The scanner hands the comparer many one-byte writes (opcodes);
-	// buffering batches them into chunked ReadAt compares.
-	cmpBuf := bufio.NewWriterSize(cmp, 32*1024)
-	// v2 segments store interned tokens, so their bytes cannot be compared
+	// Segments store interned tokens, so their bytes cannot be compared
 	// with the inline version stream directly: the stored entry is
-	// transcoded to the canonical inline encoding once, then the incoming
-	// child's bytes are checked against that buffer.
+	// rendered in the inline grammar once, then the incoming child's
+	// bytes are checked against that buffer as the scanner consumes them.
+	// The scanner hands the comparer many one-byte writes (opcodes);
+	// buffering batches them into chunked compares.
 	mem := &memComparer{}
+	cmpBuf := bufio.NewWriterSize(mem, 32*1024)
 	var entryBuf bytes.Buffer
 	var openBuf bytes.Buffer
 	for {
@@ -696,10 +687,6 @@ func (m *segMerge) planRoot(pr *posReader, r *rootRecord) error {
 			if compareLabels(name, key, fn, fk) >= 0 {
 				si++
 				ei = 0
-				if segF != nil {
-					segF.Close()
-					segF = nil
-				}
 			} else {
 				break
 			}
@@ -724,39 +711,10 @@ func (m *segMerge) planRoot(pr *posReader, r *rootRecord) error {
 			}
 			continue
 		}
-		if seg.format == segFormatV2 {
-			if err := m.inlineEntry(seg, e, &entryBuf); err != nil {
-				return err
-			}
-			mem.reset(entryBuf.Bytes())
-			cmpBuf.Reset(mem)
-			if _, err := cmpBuf.Write(openBuf.Bytes()); err != nil {
-				return err
-			}
-			pr.sink = cmpBuf
-			err = pr.skipBalanced(1)
-			pr.sink = nil
-			if err != nil {
-				return err
-			}
-			if err := cmpBuf.Flush(); err != nil {
-				return err
-			}
-			if mem.equal() {
-				plan(seg).cleanMatched++
-			} else {
-				plan(seg).dirty = true
-			}
-			continue
+		if err := m.inlineEntry(seg, e, &entryBuf); err != nil {
+			return err
 		}
-		if segF == nil {
-			segF, err = m.ar.fs.Open(filepath.Join(m.ar.dir, seg.file))
-			if err != nil {
-				return fmt.Errorf("extmem: %w", err)
-			}
-		}
-		cmp.reset(segF, seg.dataOff+e.offset, e.size)
-		cmpBuf.Reset(cmp)
+		mem.reset(entryBuf.Bytes())
 		if _, err := cmpBuf.Write(openBuf.Bytes()); err != nil {
 			return err
 		}
@@ -769,8 +727,7 @@ func (m *segMerge) planRoot(pr *posReader, r *rootRecord) error {
 		if err := cmpBuf.Flush(); err != nil {
 			return err
 		}
-		m.ar.bytesRead.Add(e.size - cmp.rem)
-		if cmp.equal() {
+		if mem.equal() {
 			plan(seg).cleanMatched++
 		} else {
 			plan(seg).dirty = true
@@ -778,9 +735,9 @@ func (m *segMerge) planRoot(pr *posReader, r *rootRecord) error {
 	}
 }
 
-// inlineEntry renders one stored v2 entry subtree in the canonical
-// inline (v1) token encoding — the encoding the sorted version stream
-// uses — so the planning pass can byte-compare across segment formats.
+// inlineEntry renders one stored entry subtree in the inline token
+// grammar — the encoding the sorted version stream uses — so the
+// planning pass can byte-compare it with an incoming child.
 func (m *segMerge) inlineEntry(seg *segmentRecord, e *childEntry, buf *bytes.Buffer) error {
 	buf.Reset()
 	ds := &dirStream{fs: m.ar.fs, dir: m.ar.dir, parts: entryParts(seg, e), dicts: m.ar.segDicts, counter: &m.ar.bytesRead}
@@ -802,8 +759,11 @@ func (m *segMerge) inlineEntry(seg *segmentRecord, e *childEntry, buf *bytes.Buf
 	return tw.flush()
 }
 
-// memComparer checks a written byte stream against a fixed in-memory
-// section, the v2 counterpart of sectionComparer.
+// memComparer is the planning pass's armed compare-tee: the bytes of one
+// incoming child subtree are checked, as the scanner consumes them,
+// against a fixed in-memory section. Any length or content difference
+// flips mismatch; equality holds only when the section was consumed
+// exactly.
 type memComparer struct {
 	want     []byte
 	mismatch bool
@@ -824,235 +784,6 @@ func (c *memComparer) Write(p []byte) (int, error) {
 	}
 	c.want = c.want[len(p):]
 	return n, nil
-}
-
-// sectionComparer is the planning pass's armed compare-tee: the bytes of
-// one incoming child subtree are checked, as the scanner consumes them,
-// against a stored section of a segment file. Any length or content
-// difference flips mismatch; equality holds only when the section was
-// consumed exactly.
-type sectionComparer struct {
-	f        fsio.File
-	off      int64
-	rem      int64
-	mismatch bool
-	scratch  []byte
-}
-
-func (c *sectionComparer) reset(f fsio.File, off, n int64) {
-	c.f, c.off, c.rem, c.mismatch = f, off, n, false
-}
-
-func (c *sectionComparer) equal() bool { return !c.mismatch && c.rem == 0 }
-
-func (c *sectionComparer) Write(p []byte) (int, error) {
-	n := len(p)
-	if c.mismatch {
-		return n, nil
-	}
-	if int64(n) > c.rem {
-		c.mismatch = true // incoming subtree outgrew the stored section
-		return n, nil
-	}
-	for len(p) > 0 {
-		chunk := len(p)
-		if chunk > len(c.scratch) {
-			chunk = len(c.scratch)
-		}
-		if _, err := c.f.ReadAt(c.scratch[:chunk], c.off); err != nil {
-			return n, fmt.Errorf("extmem: %w", err)
-		}
-		if !bytes.Equal(c.scratch[:chunk], p[:chunk]) {
-			c.mismatch = true
-			return n, nil
-		}
-		c.off += int64(chunk)
-		c.rem -= int64(chunk)
-		p = p[chunk:]
-	}
-	return n, nil
-}
-
-// ---------------------------------------------------------------------------
-// One-time migration from the monolithic archive.tok layout
-
-// migrateMonolithic splits a v1 archive token file into the segmented
-// layout, preserving the token bytes exactly: the concatenated segment
-// stream reproduces the old file byte for byte.
-func (ar *Archiver) migrateMonolithic(tokPath string, versions int, rootTime *intervals.Set) (*keyDirectory, []string, error) {
-	m := &segMerge{ar: ar, i: versions, newRoot: rootTime}
-	f, err := ar.fs.Open(tokPath)
-	if err != nil {
-		return nil, nil, fmt.Errorf("extmem: %w", err)
-	}
-	defer f.Close()
-	tr := newTokenReader(f)
-	defer tr.release()
-
-	out := &keyDirectory{versions: versions, rootTime: rootTime}
-	for {
-		t, ok := tr.take()
-		if !ok {
-			break
-		}
-		if t.op != tokOpen {
-			return nil, m.newFiles, corruptf("unexpected token %#x at archive root", t.op)
-		}
-		name, err := ar.dict.name(t.tag)
-		if err != nil {
-			return nil, m.newFiles, err
-		}
-		rec := &rootRecord{
-			name: name, tag: t.tag, key: t.key, timeStr: t.data,
-			raw: ar.spec.IsFrontier(keys.Path([]string{name})),
-		}
-		if rec.raw {
-			sw := m.newWriter(rec, true)
-			sw.open()
-			sw.out.open(t.tag, t.key, t.data)
-			if err := copyBalancedTo(tr, sw.out, true); err != nil {
-				sw.finish()
-				return nil, m.newFiles, err
-			}
-			if err := sw.finish(); err != nil {
-				return nil, m.newFiles, err
-			}
-		} else {
-			for _, a := range drainAttrs(tr) {
-				an, err := ar.dict.name(a.tag)
-				if err != nil {
-					return nil, m.newFiles, err
-				}
-				rec.attrs = append(rec.attrs, attrRec{name: an, tag: a.tag, value: a.data})
-			}
-			sw := m.newWriter(rec, false)
-			if err := m.copyChildrenVerbatim(sw, tr); err != nil {
-				sw.finish()
-				return nil, m.newFiles, err
-			}
-			if err := sw.finish(); err != nil {
-				return nil, m.newFiles, err
-			}
-			if t, ok := tr.take(); !ok || t.op != tokClose {
-				return nil, m.newFiles, corruptf("missing close at /%s", name)
-			}
-		}
-		out.roots = append(out.roots, rec)
-	}
-	if tr.err != nil {
-		return nil, m.newFiles, tr.err
-	}
-	return out, m.newFiles, nil
-}
-
-// ---------------------------------------------------------------------------
-// One-time migration from format-1 segment files
-
-// migrateSegmentsV2 rewrites every format-1 segment of the committed
-// directory as a format-2 segment (one output file per source segment,
-// token content and entry metadata preserved) and commits the new
-// directory, exactly like the monolithic migration: the key-directory
-// rename is the commit point, and a crash on either side of it leaves a
-// valid all-v1 or all-v2 layout plus orphan files the next Open sweeps.
-func (ar *Archiver) migrateSegmentsV2() error {
-	d := ar.curDir
-	needs := false
-	for _, r := range d.roots {
-		for _, s := range r.segs {
-			if s.format != segFormatV2 {
-				needs = true
-			}
-		}
-	}
-	if !needs {
-		return nil
-	}
-	out := &keyDirectory{versions: d.versions, rootTime: d.rootTime}
-	var newFiles []string
-	onCreate := func(name string) { newFiles = append(newFiles, name) }
-	fail := func(err error) error {
-		for _, f := range newFiles {
-			ar.fs.Remove(filepath.Join(ar.dir, f))
-		}
-		return err
-	}
-	for _, r := range d.roots {
-		nr := &rootRecord{
-			name: r.name, tag: r.tag, key: r.key, timeStr: r.timeStr,
-			attrs: r.attrs, raw: r.raw, time: r.time,
-		}
-		for _, seg := range r.segs {
-			if seg.format == segFormatV2 {
-				nr.segs = append(nr.segs, seg)
-				continue
-			}
-			ns, err := ar.transcodeSegment(nr, r, seg, onCreate)
-			if err != nil {
-				return fail(err)
-			}
-			nr.segs = append(nr.segs, ns)
-		}
-		out.roots = append(out.roots, nr)
-	}
-	if err := ar.commitState(out); err != nil {
-		return fail(err)
-	}
-	ar.curDir = out
-	return nil
-}
-
-// transcodeSegment rewrites one v1 segment as a single v2 segment with
-// identical token content: entries keep their labels, keys, and
-// timestamps; only offsets (and the encoding) change.
-func (ar *Archiver) transcodeSegment(newRoot, r *rootRecord, seg *segmentRecord, onCreate func(string)) (*segmentRecord, error) {
-	var out *segmentRecord
-	sw := newSegmentSetWriter(ar, newRoot, r.raw,
-		func(sr *segmentRecord) { out = sr }, onCreate)
-	sw.target = 1 << 62 // 1:1 segment mapping: never roll mid-source
-	ds := &dirStream{fs: ar.fs, dir: ar.dir, parts: []streamPart{{seg: seg, off: 0, n: seg.payload}}, dicts: ar.segDicts, counter: &ar.bytesRead}
-	defer ds.Close()
-	tr := newDirTokenReader(ds)
-	defer tr.release()
-	if r.raw {
-		sw.open()
-		for {
-			t, ok := tr.take()
-			if !ok {
-				break
-			}
-			sw.out.writeToken(t)
-		}
-		if tr.err != nil {
-			sw.finish()
-			return nil, tr.err
-		}
-	} else {
-		for ei := range seg.entries {
-			e := &seg.entries[ei]
-			t, ok := tr.take()
-			if !ok || t.op != tokOpen {
-				sw.finish()
-				return nil, corruptf("segment %s: entry %d has no open token", seg.file, ei)
-			}
-			sw.beginChild(e.name, e.tag, e.key, e.timeStr)
-			sw.out.open(t.tag, t.key, t.data)
-			if err := copyBalancedTo(tr, sw.out, true); err != nil {
-				sw.finish()
-				return nil, err
-			}
-			sw.endChild()
-			if sw.err != nil {
-				break
-			}
-		}
-	}
-	if err := sw.finish(); err != nil {
-		return nil, err
-	}
-	if out == nil {
-		return nil, corruptf("segment %s: transcode produced no output", seg.file)
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1086,9 +817,9 @@ func (ar *Archiver) rebuildDirectory(meta *keyDirectory) (*keyDirectory, error) 
 
 // scanSegment reads one segment file end to end: header, payload CRC,
 // and the entry table re-derived from the payload tokens. It returns the
-// record plus the root label from the header. Format-2 payloads are
-// decompressed (when compressed) and scanned against the segment
-// dictionary; entry offsets are always in uncompressed payload space.
+// record plus the root label from the header. Payloads are decompressed
+// (when compressed) and scanned against the segment dictionary; entry
+// offsets are always in uncompressed payload space.
 func scanSegment(fs fsio.FS, path string, dict *dictionary) (*segInfoResult, string, *tkey, error) {
 	f, err := fs.Open(path)
 	if err != nil {
@@ -1100,7 +831,7 @@ func scanSegment(fs fsio.FS, path string, dict *dictionary) (*segInfoResult, str
 		return nil, "", nil, err
 	}
 	rec := &segmentRecord{
-		file: filepath.Base(path), format: h.format, dataOff: h.dataOff,
+		file: filepath.Base(path), dataOff: h.dataOff,
 		payload: h.payload, crc: h.crc,
 		stored: h.stored, storedCRC: h.storedCRC, dictLen: h.dictLen,
 	}
@@ -1152,8 +883,8 @@ type segInfoResult = struct {
 
 // scanEntries walks a non-raw segment payload, recording each top-level
 // subtree's label, timestamp, offset and size (names resolved by the
-// caller through the dictionary). A non-nil segment dictionary switches
-// the scanner to the v2 interned grammar.
+// caller through the dictionary). dict is the segment's dictionary: the
+// payload uses the interned grammar.
 func scanEntries(r io.Reader, dict *segDict) ([]childEntry, error) {
 	pr := &posReader{br: bufio.NewReaderSize(r, tokenBufSize), dict: dict}
 	var entries []childEntry
@@ -1215,9 +946,10 @@ func scanEntries(r io.Reader, dict *segDict) ([]childEntry, error) {
 // directory rebuild and the merge planning pass, where exact payload
 // offsets matter and the pooled lookahead reader cannot provide them.
 // When sink is set, every consumed byte is forwarded to it — the
-// planning pass arms it with a sectionComparer so scanning a subtree
-// and comparing its bytes is one pass. A non-nil dict switches the
-// scanner to the v2 interned grammar (keys, timestamps, and attribute
+// planning pass arms it with a memComparer so scanning a subtree and
+// comparing its bytes is one pass. With a nil dict the scanner reads the
+// inline grammar of sorted version files; a segment's dictionary
+// switches it to the interned grammar (keys, timestamps, and attribute
 // values are varint ids), validating every id against the dictionary.
 type posReader struct {
 	br   *bufio.Reader
@@ -1291,7 +1023,7 @@ func (p *posReader) skipBalanced(depth int) error {
 }
 
 // tsPayload consumes a tokTSOpen payload: an interned timestamp id under
-// the v2 grammar, an inline string otherwise.
+// the interned grammar, an inline string otherwise.
 func (p *posReader) tsPayload() error {
 	if p.dict == nil {
 		return p.skipStr()
@@ -1307,7 +1039,7 @@ func (p *posReader) tsPayload() error {
 }
 
 // attrPayload consumes a tokAttr payload: name id plus interned value id
-// (v2) or inline value string (v1).
+// or inline value string.
 func (p *posReader) attrPayload() error {
 	if _, err := p.varint(); err != nil {
 		return err
@@ -1391,9 +1123,9 @@ func (p *posReader) readFull(buf []byte) error {
 }
 
 // openPayload consumes the payload of an open token (after its opcode).
-// With capture, the key and timestamp are materialized — for the v2
-// grammar they resolve to the dictionary's shared key tuple and interned
-// timestamp string.
+// With capture, the key and timestamp are materialized — for the
+// interned grammar they resolve to the dictionary's shared key tuple and
+// interned timestamp string.
 func (p *posReader) openPayload(capture bool) (tag int, key *tkey, timeStr string, err error) {
 	t, err := p.varint()
 	if err != nil {

@@ -54,7 +54,7 @@ const (
 	flagHasTime = 0x02
 )
 
-// token is one decoded token. Tokens decoded from a v2 segment carry
+// token is one decoded token. Tokens decoded from a segment carry
 // interned data: key points into the segment dictionary's shared key
 // table and time is the dictionary's pre-parsed interval set of the
 // timestamp in data. Shared objects are read-only — a consumer that
@@ -64,7 +64,7 @@ type token struct {
 	tag  int            // tokOpen: dictionary id; tokAttr: name id
 	data string         // tokText: text; tokAttr: value; tokTSOpen/tokOpen: time
 	key  *tkey          // tokOpen with flagHasKey
-	time *intervals.Set // pre-parsed data for tokOpen/tokTSOpen (v2 only)
+	time *intervals.Set // pre-parsed data for tokOpen/tokTSOpen (segment tokens only)
 }
 
 // tokenEff returns the parsed interval set of an open/tsOpen token's
@@ -117,20 +117,9 @@ func compareKeys(a, b *tkey) int {
 	return 0
 }
 
-// tokenSink is the write side shared by the inline v1 encoder
-// (tokenWriter) and the v2 segment capture (captureWriter), so the
-// merge pipeline emits tokens without knowing the output format.
-type tokenSink interface {
-	open(tagID int, key *tkey, time string)
-	text(s string)
-	attr(nameID int, value string)
-	close()
-	tsOpen(time string)
-	tsClose()
-	writeToken(t token)
-}
-
-// tokenWriter writes a token stream.
+// tokenWriter writes a token stream in the inline grammar (strings
+// carried in the tokens): sorted runs, version scratch files and the
+// synthesized root prefixes of query streams.
 type tokenWriter struct {
 	w *bufio.Writer
 }
@@ -233,14 +222,15 @@ func (tw *tokenWriter) writeToken(t token) {
 
 // tokenReader reads a token stream with one token of lookahead.
 //
-// A reader over a v2 segment carries the segment's dictionary: open and
+// A reader over a segment carries the segment's dictionary: open and
 // attr tokens reference interned strings, key tuples, and pre-parsed
 // interval sets instead of allocating them per token. A reader fed by a
 // dirStream advances across stream parts at token boundaries, switching
-// dictionaries (or back to inline v1 decoding, dict == nil) per part.
+// dictionaries per part (literal parts, like scratch files, use the
+// inline grammar and carry none).
 type tokenReader struct {
 	r    *bufio.Reader
-	dict *segDict   // current part's dictionary; nil = inline v1 grammar
+	dict *segDict   // current part's dictionary; nil = inline grammar
 	src  *dirStream // nil = single fixed reader
 	cur  token
 	err  error
@@ -255,7 +245,7 @@ func newTokenReader(r io.Reader) *tokenReader {
 	return tr
 }
 
-// newTokenReaderDict reads a single stream encoded against a fixed v2
+// newTokenReaderDict reads a single stream encoded against a fixed
 // segment dictionary.
 func newTokenReaderDict(r io.Reader, dict *segDict) *tokenReader {
 	br := tokenReaderPool.Get().(*bufio.Reader)
@@ -508,8 +498,8 @@ func (tr *tokenReader) discardSubtree() error {
 			break
 		}
 		if tr.dict != nil {
-			// v2 grammar: key, timestamp, and attribute-value payloads
-			// are single varint ids.
+			// Interned grammar: key, timestamp, and attribute-value
+			// payloads are single varint ids.
 			switch op {
 			case tokOpen:
 				depth++

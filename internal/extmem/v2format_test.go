@@ -2,219 +2,12 @@ package extmem
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"xarch/internal/datagen"
-	"xarch/internal/xmltree"
 )
 
-// Tests of the format-2 segment encoding: transparent v1→v2 migration on
-// open, mixed-format archives under NoMigrate, compaction across the
-// format boundary, and block compression (including its seek behavior).
-
-// segFormats returns the set of segment format versions present in the
-// current directory.
-func segFormats(ar *Archiver) map[int]int {
-	out := map[int]int{}
-	for _, r := range ar.curDir.roots {
-		for _, s := range r.segs {
-			out[s.format]++
-		}
-	}
-	return out
-}
-
-// TestFormatMigrationOnOpen: an archive written entirely in the legacy
-// format-1 encoding is rewritten to format 2 the first time it is opened
-// with the default configuration — with the token stream, every query
-// answer, and the committed version count preserved exactly.
-func TestFormatMigrationOnOpen(t *testing.T) {
-	dir := t.TempDir()
-	cfgV1 := Config{Budget: 1 << 16, SegmentTarget: 2048, SegmentFormat: segFormat}
-	ar := buildOMIMArchive(t, dir, cfgV1, 3)
-	if f := segFormats(ar); f[segFormat] == 0 || f[segFormatV2] != 0 {
-		t.Fatalf("fixture not pure v1: %v", f)
-	}
-	want := snapshotXML(t, ar)
-	wantStream := archiveStreamBytes(t, ar)
-	versions := ar.Versions()
-	if err := ar.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// NoMigrate keeps the legacy layout byte-compatible readable.
-	cfgKeep := Config{Budget: 1 << 16, SegmentTarget: 2048, NoMigrate: true}
-	arKeep, err := Open(dir, datagen.OMIMSpec(), cfgKeep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := segFormats(arKeep); f[segFormatV2] != 0 {
-		t.Fatalf("NoMigrate open rewrote segments: %v", f)
-	}
-	if got := snapshotXML(t, arKeep); got != want {
-		t.Error("NoMigrate archive XML differs")
-	}
-	if err := arKeep.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The default open migrates in place.
-	ar2, err := Open(dir, datagen.OMIMSpec(), Config{Budget: 1 << 16, SegmentTarget: 2048})
-	if err != nil {
-		t.Fatalf("migration open: %v", err)
-	}
-	if f := segFormats(ar2); f[segFormat] != 0 || f[segFormatV2] == 0 {
-		t.Fatalf("migration left formats %v", f)
-	}
-	if ar2.Versions() != versions {
-		t.Fatalf("migrated versions = %d, want %d", ar2.Versions(), versions)
-	}
-	if got := archiveStreamBytes(t, ar2); !bytes.Equal(got, wantStream) {
-		t.Error("migrated token stream differs")
-	}
-	if got := snapshotXML(t, ar2); got != want {
-		t.Error("migrated archive XML differs")
-	}
-	if err := ar2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	report, err := CheckArchive(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.Clean {
-		t.Errorf("fsck not clean after migration: %+v", report.Problems())
-	}
-	// A second open finds nothing to migrate and is a pure read.
-	ar3, err := Open(dir, datagen.OMIMSpec(), Config{Budget: 1 << 16, SegmentTarget: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := snapshotXML(t, ar3); got != want {
-		t.Error("second open changed the archive")
-	}
-	ar3.Close()
-}
-
-// TestMixedFormatArchive: under NoMigrate an archive may hold format-1
-// and format-2 segments at once — a small Add reuses untouched v1
-// segments and writes its rewrites in v2 — and answers every query
-// byte-identically to a pure-v2 archive of the same versions.
-func TestMixedFormatArchive(t *testing.T) {
-	mk := func() *datagen.OMIM {
-		return datagen.NewOMIM(datagen.OMIMConfig{Seed: 91, Records: 30, DeleteFrac: 0, InsertFrac: 0.03, ModifyFrac: 0.03})
-	}
-	docs := func(g *datagen.OMIM) []string {
-		return []string{g.Next().IndentedXML(), g.Next().IndentedXML()}
-	}
-
-	// Mixed: version 1 in the legacy format, version 2 added under
-	// NoMigrate so reused segments stay v1 while rewrites land in v2.
-	dirMixed := t.TempDir()
-	arV1, err := Open(dirMixed, datagen.OMIMSpec(), Config{Budget: 1 << 16, SegmentTarget: 2048, SegmentFormat: segFormat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := docs(mk())
-	if err := arV1.AddVersion(strings.NewReader(d[0])); err != nil {
-		t.Fatal(err)
-	}
-	if err := arV1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := Open(dirMixed, datagen.OMIMSpec(), Config{Budget: 1 << 16, SegmentTarget: 2048, NoMigrate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mixed.AddVersion(strings.NewReader(d[1])); err != nil {
-		t.Fatal(err)
-	}
-	f := segFormats(mixed)
-	if f[segFormat] == 0 || f[segFormatV2] == 0 {
-		t.Fatalf("expected a mixed-format layout, got %v", f)
-	}
-
-	// Reference: the same two versions written pure-v2.
-	dirRef := t.TempDir()
-	ref, err := Open(dirRef, datagen.OMIMSpec(), Config{Budget: 1 << 16, SegmentTarget: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2 := docs(mk())
-	for _, doc := range d2 {
-		if err := ref.AddVersion(strings.NewReader(doc)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if got, want := archiveStreamBytes(t, mixed), archiveStreamBytes(t, ref); !bytes.Equal(got, want) {
-		t.Error("mixed-format token stream differs from pure-v2 stream")
-	}
-	if got, want := snapshotXML(t, mixed), snapshotXML(t, ref); got != want {
-		t.Error("mixed-format archive XML differs from pure-v2")
-	}
-	for v := 1; v <= 2; v++ {
-		var a, b strings.Builder
-		qm, err := mixed.OpenQuery()
-		if err != nil {
-			t.Fatal(err)
-		}
-		qr, err := ref.OpenQuery()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := qm.WriteVersion(v, &a, xmltree.WriteOptions{Indent: true}); err != nil {
-			t.Fatal(err)
-		}
-		if err := qr.WriteVersion(v, &b, xmltree.WriteOptions{Indent: true}); err != nil {
-			t.Fatal(err)
-		}
-		qm.Close()
-		qr.Close()
-		if a.String() != b.String() {
-			t.Errorf("WriteVersion(%d) differs between mixed and pure-v2 archives", v)
-		}
-	}
-	mixed.Close()
-	ref.Close()
-}
-
-// TestCompactAcrossFormatBoundary: compaction carries runs that span
-// format-1 and format-2 segments into the configured output format while
-// preserving the archive stream byte for byte.
-func TestCompactAcrossFormatBoundary(t *testing.T) {
-	dir := t.TempDir()
-	cfgV1 := Config{Budget: 1 << 16, SegmentTarget: fragTarget, SegmentFormat: segFormat}
-	ar := fragmentedArchive(t, dir, cfgV1, 12)
-	want := archiveStreamBytes(t, ar)
-	if err := ar.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ar2, err := Open(dir, datagen.OMIMSpec(), Config{Budget: 1 << 16, SegmentTarget: fragTarget, NoMigrate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ar2.Close()
-	if f := segFormats(ar2); f[segFormat] == 0 {
-		t.Fatalf("fixture lost its v1 segments: %v", f)
-	}
-	st, err := ar2.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Executed == 0 {
-		t.Fatal("compaction planned nothing; fixture too small")
-	}
-	f := segFormats(ar2)
-	if f[segFormatV2] == 0 {
-		t.Errorf("compaction wrote no v2 segments: %v", f)
-	}
-	if got := archiveStreamBytes(t, ar2); !bytes.Equal(got, want) {
-		t.Error("compaction across the format boundary changed the archive stream")
-	}
-}
+// Tests of segment block compression, including its seek behavior.
 
 // TestCompressedSegments: with block compression on, the archive answers
 // every query byte-identically to an uncompressed archive of the same

@@ -98,8 +98,8 @@ func NewFaultFS(inner FS) *FaultFS {
 
 // ClassifyArchivePath is the default failpoint classifier, aware of the
 // external archive's file names: keydir.idx → "keydir", meta.txt →
-// "meta", dict.txt → "dict", archive.tok → "legacy", seg-*.tok →
-// "segment", tmp-* scratch files → "scratch". A trailing ".tmp" (the
+// "meta", dict.txt → "dict", seg-*.tok → "segment", tmp-* scratch
+// files → "scratch". A trailing ".tmp" (the
 // atomic-replace sibling) or ".part" (a replication staging file) is
 // stripped first, so keydir.idx.tmp and seg-00000001.tok.part share
 // the class of their target.
@@ -113,8 +113,6 @@ func ClassifyArchivePath(path string) string {
 		return "meta"
 	case base == "dict.txt":
 		return "dict"
-	case base == "archive.tok":
-		return "legacy"
 	case strings.HasPrefix(base, "seg-"):
 		return "segment"
 	case strings.HasPrefix(base, "tmp-"):

@@ -15,7 +15,6 @@ func TestClassifyArchivePath(t *testing.T) {
 		"meta.txt":              "meta",
 		"meta.txt.tmp":          "meta",
 		"dict.txt":              "dict",
-		"archive.tok":           "legacy",
 		"/x/seg-000042.tok":     "segment",
 		"/x/seg-000042.tok.tmp": "segment",
 		"/x/tmp-sort-run-3":     "scratch",

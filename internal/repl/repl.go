@@ -14,7 +14,9 @@
 // hiccups are retried under the caller's segstore.RetryPolicy; a blob
 // the source no longer serves (it moved on to a newer generation and
 // swept the file) surfaces as ErrSourceChanged so the caller can
-// restart against the fresh manifest.
+// restart against the fresh manifest. A source or replica still in a
+// legacy on-disk layout fails the sync with extmem.ErrLegacyFormat before
+// the replica is touched.
 package repl
 
 import (
@@ -120,12 +122,17 @@ func Sync(ctx context.Context, src, dst segstore.Store, opts Options) (*Stats, e
 	case err != nil:
 		return st, err
 	default:
-		if dman, derr := extmem.DecodeManifest(dstBundle.Keydir); derr == nil {
+		dman, derr := extmem.DecodeManifest(dstBundle.Keydir)
+		if errors.Is(derr, extmem.ErrLegacyFormat) {
+			// Not corruption to resync over: an archive to upgrade first.
+			return st, fmt.Errorf("repl: replica keydir: %w", derr)
+		}
+		if derr != nil {
+			logf("replica keydir undecodable (%v); resyncing everything", derr)
+		} else {
 			for _, s := range dman.Segments {
 				committed[s.Name] = s
 			}
-		} else {
-			logf("replica keydir undecodable (%v); resyncing everything", derr)
 		}
 	}
 	same := dstBundle != nil && bytes.Equal(dstBundle.Keydir, srcBundle.Keydir)

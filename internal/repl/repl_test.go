@@ -350,6 +350,10 @@ func TestPushFaultMatrix(t *testing.T) {
 			if !ft.Crashed() {
 				t.Fatalf("%s: kill point never hit; matrix does not cover the push", label)
 			}
+			// Quiesce the replica before looking at its directory: the
+			// handler of the killed PUT may still be aborting, removing
+			// its staged .part. Close returns once every handler has.
+			ts.Close()
 			if v := assertRecovered(t, label, dir, 2, 3, wantPre, wantPost); v == 3 {
 				recoveredPost++
 			}

@@ -225,9 +225,14 @@ func (l *Local) Delete(ctx context.Context, name string) error {
 
 // Keydir returns the committed state bundle. A missing keydir.idx means
 // ErrNoKeydir (a fresh replica); a keydir without its dict or meta is a
-// corrupted store and errors outright.
+// corrupted store and errors outright, and a directory holding a legacy
+// monolithic archive is extmem.ErrLegacyFormat — never a fresh replica
+// to sync over.
 func (l *Local) Keydir(ctx context.Context) (*Bundle, error) {
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := extmem.CheckLegacyLayout(l.fs, l.dir); err != nil {
 		return nil, err
 	}
 	kd, err := l.fs.ReadFile(filepath.Join(l.dir, extmem.KeydirFileName))

@@ -212,12 +212,23 @@ func mustSelect(t *testing.T, s Store, expr string) string {
 	return renderResults(rs)
 }
 
+// selectDepth3 are selectors that descend below the level-2 records: on
+// an indexed store they seek through the sidecar's kid spans instead of
+// streaming the records.
+var selectDepth3 = []string{
+	"/db/dept/emp[fn=F2,ln=L2]",
+	"/db/dept[name=d1]/emp/sal",
+}
+
 // TestSelectDifferential archives identical random version sequences into
 // the in-memory engine and five external-engine configurations (indexed,
-// forced streaming scan, legacy v1 segments, compressed segments,
-// materialized view) and requires every random boolean query to answer
-// byte-identically everywhere — before compaction, after compaction, and
-// after a close/reopen that reloads the persistent sidecar.
+// forced streaming scan, compressed segments, and a fragmented layout —
+// raw and compressed — that is then compacted) and requires every random
+// boolean query to answer byte-identically everywhere — before
+// compaction, after compaction, and after a close/reopen that reloads
+// the persistent sidecar. Compaction must also keep the index path:
+// depth-≥3 selects read no more bytes from the compacted store than they
+// did from the fragmented one.
 func TestSelectDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 3; trial++ {
@@ -227,7 +238,6 @@ func TestSelectDifferential(t *testing.T) {
 			trng := rand.New(rand.NewSource(seed))
 			mem := NewStore(mustSelectSpec(t))
 			defer mem.Close()
-			idxDir := t.TempDir()
 			open := func(dir string, opts ...Option) *ExtStore {
 				t.Helper()
 				s, err := OpenStore(dir, mustSelectSpec(t), append([]Option{WithMemoryBudget(64)}, opts...)...)
@@ -236,18 +246,34 @@ func TestSelectDifferential(t *testing.T) {
 				}
 				return s
 			}
+			// The compacted variants ingest under a segment target smaller
+			// than any department, so every level-2 record lands in its
+			// own file; reopened under the default target the whole layout
+			// is one coalesce run.
+			fragment := WithSegmentTargetSize(64)
+			dirs := map[string]string{}
+			for _, name := range []string{"indexed", "scan", "compressed", "compacted", "compressed+compacted"} {
+				dirs[name] = t.TempDir()
+			}
 			exts := map[string]*ExtStore{
-				"indexed":    open(idxDir),
-				"scan":       open(t.TempDir(), WithQueryIndex(false), WithDirectorySeek(false)),
-				"v1":         open(t.TempDir(), withSegmentFormat(1), withNoMigrate(true)),
-				"compressed": open(t.TempDir(), WithSegmentCompression(true)),
-				"matview":    open(t.TempDir(), WithMaterializedView(true)),
+				"indexed":              open(dirs["indexed"]),
+				"scan":                 open(dirs["scan"], WithQueryIndex(false), WithDirectorySeek(false)),
+				"compressed":           open(dirs["compressed"], WithSegmentCompression(true)),
+				"compacted":            open(dirs["compacted"], fragment),
+				"compressed+compacted": open(dirs["compressed+compacted"], fragment, WithSegmentCompression(true)),
 			}
 			defer func() {
 				for _, s := range exts {
 					s.Close()
 				}
 			}()
+			reopen := func(name string, opts ...Option) {
+				t.Helper()
+				if err := exts[name].Close(); err != nil {
+					t.Fatal(err)
+				}
+				exts[name] = open(dirs[name], opts...)
+			}
 
 			nv := 3 + trng.Intn(3)
 			for v := 0; v < nv; v++ {
@@ -277,20 +303,39 @@ func TestSelectDifferential(t *testing.T) {
 					}
 				}
 			}
+			depth3Bytes := func(s *ExtStore) int64 {
+				t.Helper()
+				start := s.BytesRead()
+				for _, expr := range selectDepth3 {
+					mustSelect(t, s, expr)
+				}
+				return s.BytesRead() - start
+			}
 			check("fresh")
+			fragmentedBytes := depth3Bytes(exts["compacted"])
 
-			for _, name := range []string{"indexed", "compressed"} {
-				if _, err := exts[name].Compact(); err != nil {
+			reopen("compacted")
+			reopen("compressed+compacted", WithSegmentCompression(true))
+			for _, name := range []string{"indexed", "compressed", "compacted", "compressed+compacted"} {
+				st, err := exts[name].Compact()
+				if err != nil {
 					t.Fatalf("%s compact: %v", name, err)
+				}
+				if strings.HasSuffix(name, "compacted") && (st.Executed == 0 || st.Created >= st.Coalesced) {
+					t.Fatalf("%s: compaction coalesced nothing: %+v", name, st)
 				}
 			}
 			check("compacted")
 
-			if err := exts["indexed"].Close(); err != nil {
-				t.Fatal(err)
-			}
-			exts["indexed"] = open(idxDir)
+			// Reopen so segment dictionaries are warm again, as they were
+			// for the fragmented measurement.
+			reopen("indexed")
+			reopen("compacted")
+			reopen("compressed+compacted", WithSegmentCompression(true))
 			check("reopened")
+			if got := depth3Bytes(exts["compacted"]); got > fragmentedBytes {
+				t.Errorf("depth-3 selects read %d bytes after compaction, %d before: compacted segments lost the index path", got, fragmentedBytes)
+			}
 		})
 	}
 }

@@ -119,14 +119,9 @@ type config struct {
 	indexes     bool
 	validation  bool
 	budget      int     // external-sort memory budget, in tokens
-	matview     bool    // external engine answers queries from a materialized view
 	segTarget   int     // external engine segment payload target, in bytes
-	shards      int     // external engine run-forming shards (0 = auto)
 	noSeek      bool    // external engine: disable key-directory seeks
-	compTarget  int     // external engine: undersized-segment threshold, in bytes
 	compBudget  int     // external engine: opportunistic compaction budget per Add, in bytes
-	segFormat   int     // external engine segment format (0 = current default)
-	noMigrate   bool    // external engine: keep legacy-format segments as they are
 	segCompress bool    // external engine: block-compress segment payloads
 	noQueryIdx  bool    // external engine: disable the attr.idx query sidecar
 	fs          fsio.FS // external engine filesystem (nil = the real one)
@@ -163,8 +158,9 @@ func WithCompaction(on bool) Option {
 // (§7.2). On by default; Add invalidates them and the next query
 // rebuilds them, so they are never stale and cost nothing during bulk
 // ingest. Turn them off to make every query a direct archive scan.
-// In-memory engine only; the external engine always queries its
-// materialized view directly.
+// In-memory engine only; the external engine streams every query from
+// its segment files through the key directory and the attr.idx sidecar
+// (see WithDirectorySeek and WithQueryIndex).
 func WithIndexes(on bool) Option {
 	return func(c *config) { c.indexes = on }
 }
@@ -193,34 +189,16 @@ func WithSegmentTargetSize(bytes int) Option {
 	return func(c *config) { c.segTarget = bytes }
 }
 
-// WithCompactTargetSize sets the payload size, in bytes, below which the
-// external engine's compaction planner counts a segment as undersized:
-// runs of two or more adjacent undersized segments are coalesced into
-// right-sized segments by ExtStore.Compact and by the opportunistic
-// post-Add pass (see WithCompactionBudget). External engine only; the
-// default is half the segment target size.
-func WithCompactTargetSize(bytes int) Option {
-	return func(c *config) { c.compTarget = bytes }
-}
-
 // WithCompactionBudget makes the external engine run a background-style
 // compaction pass after every Add, coalescing runs of undersized
-// neighbor segments while rewriting at most the given payload bytes per
-// pass. The pass is crash-safe (fresh segments first, key directory
+// neighbor segments (payload below half the segment target size) while
+// rewriting at most the given payload bytes per pass. The pass is crash-safe (fresh segments first, key directory
 // rename as the commit point) and never disturbs open query views:
 // superseded segments are deleted only when the last pinned view
 // closes. 0 (the default) disables the opportunistic pass; explicit
 // ExtStore.Compact calls are never budgeted. External engine only.
 func WithCompactionBudget(bytes int) Option {
 	return func(c *config) { c.compBudget = bytes }
-}
-
-// WithIngestShards sets how many run-former workers the external
-// engine's ingest fans out to, splitting top-level subtrees across
-// cores. 1 disables sharding; the default (0) uses min(4, GOMAXPROCS).
-// External engine only.
-func WithIngestShards(n int) Option {
-	return func(c *config) { c.shards = n }
 }
 
 // WithDirectorySeek toggles the external engine's key-directory seeks:
@@ -262,31 +240,6 @@ func WithFS(fs fsio.FS) Option {
 // cheapest; turn it on where disk bytes dominate. External engine only.
 func WithSegmentCompression(on bool) Option {
 	return func(c *config) { c.segCompress = on }
-}
-
-// withSegmentFormat pins the external engine's segment format (1 =
-// legacy inline strings, 2 = interned). Test-only: mixed-version and
-// migration tests build legacy archives with it.
-func withSegmentFormat(v int) Option {
-	return func(c *config) { c.segFormat = v }
-}
-
-// withNoMigrate suppresses the external engine's open-time rewrite of
-// legacy-format segments. Test-only: mixed-version tests read archives
-// holding both formats at once.
-func withNoMigrate(on bool) Option {
-	return func(c *config) { c.noMigrate = on }
-}
-
-// WithMaterializedView makes the external engine answer queries from an
-// in-memory materialized view of the whole archive, rebuilt after every
-// Add, instead of the default streaming scans of the token file. The view
-// costs O(archive) memory and an O(archive) rebuild on the first query
-// after each Add, but then amortizes across a heavy read-mostly query
-// stream on an archive that fits in RAM. External engine only; off by
-// default.
-func WithMaterializedView(on bool) Option {
-	return func(c *config) { c.matview = on }
 }
 
 // writeVersion implements Store.WriteVersion on top of Version; both

@@ -149,24 +149,16 @@ func TestEngineParity(t *testing.T) {
 	}
 }
 
-// TestEngineParityFormats pins byte-identical query output across three
-// stores of the same versions: the in-memory engine, a legacy format-1
-// external archive opened as a pre-migration fixture, and that same
-// archive after the transparent upgrade to format-2 segments.
-func TestEngineParityFormats(t *testing.T) {
+// TestEngineParityReopened pins byte-identical query output between the
+// in-memory engine and external archives of the same versions that went
+// through a close and reopen, with raw and with block-compressed
+// segments: what is on disk, not what the writing session had in memory,
+// answers every query.
+func TestEngineParityReopened(t *testing.T) {
 	mem := NewStore(mustSpec(t))
 	defer mem.Close()
-	dir := t.TempDir()
-	ext, err := OpenStore(dir, mustSpec(t), WithMemoryBudget(64), withSegmentFormat(1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for n := 1; n <= 4; n++ {
 		addString(t, mem, deptVersion(n))
-		addString(t, ext, deptVersion(n))
-	}
-	if err := ext.Close(); err != nil {
-		t.Fatal(err)
 	}
 
 	sameAsMem := func(t *testing.T, s Store) {
@@ -233,51 +225,34 @@ func TestEngineParityFormats(t *testing.T) {
 		}
 	}
 
-	// Pre-migration fixture: migration disabled, so the archive still
-	// holds exactly the format-1 segments the first open wrote.
-	v1, err := OpenStore(dir, mustSpec(t), WithMemoryBudget(64), withNoMigrate(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs, err := v1.Segments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sg := range segs {
-		if sg.Format != 1 {
-			t.Fatalf("fixture segment %s has format %d, want 1", sg.File, sg.Format)
+	for _, compress := range []bool{false, true} {
+		dir := t.TempDir()
+		opts := []Option{WithMemoryBudget(64), WithSegmentCompression(compress)}
+		ext, err := OpenStore(dir, mustSpec(t), opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	sameAsMem(t, v1)
-	if err := v1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Default open upgrades in place; answers must not move a byte.
-	v2, err := OpenStore(dir, mustSpec(t), WithMemoryBudget(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	segs, err = v2.Segments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sg := range segs {
-		if sg.Format != 2 {
-			t.Fatalf("post-migration segment %s has format %d, want 2", sg.File, sg.Format)
+		for n := 1; n <= 4; n++ {
+			addString(t, ext, deptVersion(n))
 		}
-	}
-	sameAsMem(t, v2)
-	if n, err := v2.CompressedSize(); err != nil || n <= 0 {
-		t.Errorf("CompressedSize on migrated store: %d, %v", n, err)
+		if err := ext.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ext, err = OpenStore(dir, mustSpec(t), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAsMem(t, ext)
+		if n, err := ext.CompressedSize(); err != nil || n <= 0 {
+			t.Errorf("CompressedSize on reopened store (compression=%v): %d, %v", compress, n, err)
+		}
+		ext.Close()
 	}
 }
 
 // TestStreamingQueryAfterAdd pins the ingest/query interleaving contract
 // on the streaming path: a query issued immediately after every Add sees
-// the new version, byte-identical to the in-memory engine, with no view
-// rebuild in between.
+// the new version, byte-identical to the in-memory engine.
 func TestStreamingQueryAfterAdd(t *testing.T) {
 	mem := NewStore(mustSpec(t))
 	defer mem.Close()
@@ -307,58 +282,6 @@ func TestStreamingQueryAfterAdd(t *testing.T) {
 		if h.String() != fmt.Sprint(n) {
 			t.Fatalf("History(%s) = %q right after Add, want %d", sel, h, n)
 		}
-	}
-}
-
-// TestWithMaterializedView checks the opt-in view path answers exactly
-// like the default streaming path.
-func TestWithMaterializedView(t *testing.T) {
-	stream, err := OpenStore(t.TempDir(), mustSpec(t), WithMemoryBudget(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Close()
-	mat, err := OpenStore(t.TempDir(), mustSpec(t), WithMemoryBudget(64), WithMaterializedView(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mat.Close()
-	for n := 1; n <= 3; n++ {
-		addString(t, stream, deptVersion(n))
-		addString(t, mat, deptVersion(n))
-		// Query right after Add on both paths.
-		var sw, mw strings.Builder
-		if err := stream.WriteVersion(n, &sw); err != nil {
-			t.Fatal(err)
-		}
-		if err := mat.WriteVersion(n, &mw); err != nil {
-			t.Fatal(err)
-		}
-		if sw.String() != mw.String() {
-			t.Errorf("version %d differs between streaming and materialized view", n)
-		}
-	}
-	ss, err := stream.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, err := mat.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss != vs {
-		t.Errorf("stats differ:\nstreaming %+v\nmatview   %+v", ss, vs)
-	}
-	sh, err := stream.History("/db/dept[name=d2]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vh, err := mat.History("/db/dept[name=d2]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sh.Equal(vh) {
-		t.Errorf("history differs: streaming %q, matview %q", sh, vh)
 	}
 }
 
