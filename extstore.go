@@ -72,10 +72,11 @@ func (s *ExtStore) Add(doc *Document) error {
 }
 
 // AddBatch archives docs as consecutive versions with ONE durable commit
-// for the whole group: every document runs the full decompose/sort/merge
-// pipeline, each merging against the uncommitted result of its
-// predecessor, and only the final key directory goes through the
-// tmp+fsync+rename protocol. Group commit amortizes that protocol — and
+// for the whole group: every document is validated (with validation on),
+// then decomposed straight from its tree — one walk, no serialization or
+// re-parse, no key files — sorted and merged against the uncommitted
+// result of its predecessor, and only the final key directory goes
+// through the tmp+fsync+rename protocol. Group commit amortizes that protocol — and
 // the segment rewrites of overlapping key ranges — across submitters,
 // which is what the archive server's committer goroutine batches for.
 // Readers never observe a partially applied batch: until the single
@@ -95,40 +96,23 @@ func (s *ExtStore) AddBatch(docs []*Document) ([]AddResult, error) {
 	}
 	out := make([]AddResult, len(docs))
 	// Validate up front so invalid documents never enter the pipeline;
-	// idx maps the surviving readers back to their document slots.
-	readers := make([]io.Reader, 0, len(docs))
+	// idx maps the surviving sources back to their document slots.
+	srcs := make([]extmem.Source, 0, len(docs))
 	idx := make([]int, 0, len(docs))
-	var pipes []*io.PipeReader
 	for k, doc := range docs {
-		if doc == nil {
-			readers = append(readers, nil) // empty version
-			idx = append(idx, k)
-			continue
-		}
-		if s.cfg.validation {
+		if doc != nil && s.cfg.validation {
 			if err := s.ar.Spec().CheckDocumentErr(doc); err != nil {
 				out[k].Err = err
 				continue
 			}
 		}
-		// Serialize through a pipe so the pipeline never holds a second
-		// full copy of the document as one contiguous string.
-		pr, pw := io.Pipe()
-		doc := doc
-		go func() {
-			pw.CloseWithError(doc.Write(pw, xmltree.WriteOptions{}))
-		}()
-		readers = append(readers, pr)
+		srcs = append(srcs, extmem.Source{Doc: doc}) // a nil doc is an empty version
 		idx = append(idx, k)
-		pipes = append(pipes, pr)
 	}
-	if len(readers) == 0 {
+	if len(srcs) == 0 {
 		return out, nil
 	}
-	items, err := s.ar.AddVersionBatch(readers)
-	for _, pr := range pipes {
-		pr.Close() // unblock any writer whose document stopped early
-	}
+	items, err := s.ar.AddVersionBatch(srcs)
 	if err != nil {
 		return out, err
 	}
@@ -147,12 +131,13 @@ func (s *ExtStore) CommitCount() int64 {
 }
 
 // AddReader archives the XML document read from r as the next version.
-// With validation on (the default) the document is parsed and checked
-// against the key specification first, exactly like the in-memory
-// engine. Construct the store with WithValidation(false) to stream the
-// document through decompose, external sort and merge without ever
-// holding it in memory as a tree; key violations then surface as
-// decompose or merge errors rather than a full validation report.
+// With validation on (the default) the document is parsed once, checked
+// against the key specification exactly like the in-memory engine, and
+// added as a tree (see AddBatch). Construct the store with
+// WithValidation(false) to stream a document larger than memory through
+// the streaming decomposer, external sort and merge without ever holding
+// it as a tree; key violations then surface as decompose or merge errors
+// rather than a full validation report.
 func (s *ExtStore) AddReader(r io.Reader) error {
 	if s.cfg.validation {
 		doc, err := xmltree.Parse(r)

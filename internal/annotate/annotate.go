@@ -8,7 +8,6 @@ package annotate
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"xarch/internal/anode"
@@ -28,14 +27,13 @@ const TimestampTag = "T"
 // child element).
 const AttrItemTag = "_attr"
 
-// Annotator annotates documents against one key specification. It caches
-// path lookups in a trie keyed by path segment, so annotating many
-// versions of the same dataset never rebuilds path strings.
+// Annotator annotates documents against one key specification, walking
+// the specification's compiled trie in lockstep with the document, so
+// annotating never rebuilds or re-matches path strings.
 type Annotator struct {
 	spec *keys.Spec
 	fp   fingerprint.Func
 
-	cache pathEntry
 	canon xmltree.AppendBuffer // scratch for canonical forms of key-path values
 	stats Stats
 }
@@ -45,39 +43,6 @@ type Stats struct {
 	NodesVisited int
 	KeyedNodes   int
 	ValuesHashed int
-}
-
-// pathEntry is one trie node of the path-lookup cache.
-type pathEntry struct {
-	info     *pathInfo
-	resolved bool
-	children map[string]*pathEntry
-}
-
-type pathInfo struct {
-	key      *keys.Key
-	frontier bool
-	// kpNames[i] is key.KeyPaths[i].String(); kpOrder lists key-path
-	// indices sorted by name. Both are computed once per key so the hot
-	// annotation loop builds no path strings and never sorts (§4.2's
-	// lexicographic key-path order comes from iterating kpOrder).
-	kpNames []string
-	kpOrder []int
-}
-
-// newPathInfo precomputes the key-path name order for one key.
-func newPathInfo(k *keys.Key, frontier bool) *pathInfo {
-	info := &pathInfo{key: k, frontier: frontier}
-	info.kpNames = make([]string, len(k.KeyPaths))
-	info.kpOrder = make([]int, len(k.KeyPaths))
-	for i, kp := range k.KeyPaths {
-		info.kpNames[i] = kp.String()
-		info.kpOrder[i] = i
-	}
-	sort.Slice(info.kpOrder, func(a, b int) bool {
-		return info.kpNames[info.kpOrder[a]] < info.kpNames[info.kpOrder[b]]
-	})
-	return info
 }
 
 // New returns an Annotator for the given specification. If fp is nil, the
@@ -95,57 +60,35 @@ func (a *Annotator) Spec() *keys.Spec { return a.spec }
 // Stats returns cumulative annotation statistics.
 func (a *Annotator) Stats() Stats { return a.stats }
 
-// lookup walks the cache trie along path; misses consult the spec once.
-// The path is only read, never retained.
-func (a *Annotator) lookup(path keys.Path) *pathInfo {
-	e := &a.cache
-	for _, seg := range path {
-		c, ok := e.children[seg]
-		if !ok {
-			if e.children == nil {
-				e.children = make(map[string]*pathEntry, 4)
-			}
-			c = &pathEntry{}
-			e.children[seg] = c
-		}
-		e = c
-	}
-	if !e.resolved {
-		if k := a.spec.KeyFor(path); k != nil {
-			e.info = newPathInfo(k, a.spec.IsFrontier(path))
-		}
-		e.resolved = true
-	}
-	return e.info
-}
-
 // Version annotates one incoming version. The document must satisfy the
 // specification; violations surface as errors here even without a prior
 // CheckDocument call.
 func (a *Annotator) Version(doc *xmltree.Node) (*anode.Node, error) {
 	path := make(keys.Path, 1, 16)
 	path[0] = doc.Name
-	return a.annotateElem(doc, path)
+	return a.annotateElem(doc, path, a.spec.Cursor().Child(doc.Name))
 }
 
-func (a *Annotator) annotateElem(x *xmltree.Node, path keys.Path) (*anode.Node, error) {
+// annotateElem annotates the element x at path, which the specification
+// matches as cur; path only names errors.
+func (a *Annotator) annotateElem(x *xmltree.Node, path keys.Path, cur keys.Cursor) (*anode.Node, error) {
 	a.stats.NodesVisited++
 	if x.Name == TimestampTag || x.Name == AttrItemTag {
 		return nil, fmt.Errorf("annotate: reserved element name %q at %s", x.Name, path.Absolute())
 	}
-	info := a.lookup(path)
-	if info == nil {
+	k := cur.Key()
+	if k == nil {
 		return nil, fmt.Errorf("annotate: unkeyed element above the frontier at %s", path.Absolute())
 	}
-	n := &anode.Node{Kind: xmltree.Element, Name: x.Name, Frontier: info.frontier}
-	kv, err := a.keyValue(x, info)
+	n := &anode.Node{Kind: xmltree.Element, Name: x.Name, Frontier: cur.Frontier()}
+	kv, err := a.keyValue(x, k)
 	if err != nil {
 		return nil, fmt.Errorf("annotate: %s: %w", path.Absolute(), err)
 	}
 	n.Key = kv
 	a.stats.KeyedNodes++
 
-	if info.frontier {
+	if n.Frontier {
 		// Content below the frontier is copied verbatim; reserved names in
 		// content would corrupt the archive's XML form, so reject them.
 		if len(x.Attrs) > 0 {
@@ -167,12 +110,9 @@ func (a *Annotator) annotateElem(x *xmltree.Node, path keys.Path) (*anode.Node, 
 	}
 
 	for _, attr := range x.Attrs {
-		path = append(path, attr.Name)
-		info := a.lookup(path)
-		if info == nil {
-			return nil, fmt.Errorf("annotate: unkeyed attribute %s above the frontier", path.Absolute())
+		if cur.Child(attr.Name).Key() == nil {
+			return nil, fmt.Errorf("annotate: unkeyed attribute %s above the frontier", append(path, attr.Name).Absolute())
 		}
-		path = path[:len(path)-1]
 		n.Attrs = append(n.Attrs, anode.FromXML(attr))
 	}
 	elems := 0
@@ -193,7 +133,7 @@ func (a *Annotator) annotateElem(x *xmltree.Node, path keys.Path) (*anode.Node, 
 			return nil, fmt.Errorf("annotate: text content above the frontier at %s", path.Absolute())
 		case xmltree.Element:
 			path = append(path, c.Name)
-			cn, err := a.annotateElem(c, path)
+			cn, err := a.annotateElem(c, path, cur.Child(c.Name))
 			path = path[:len(path)-1]
 			if err != nil {
 				return nil, err
@@ -226,13 +166,13 @@ func checkReserved(x *xmltree.Node) error {
 	return err
 }
 
-// keyValue computes the node's key value under info's key: one entry per
-// key path, sorted lexicographically by key-path name (§4.2). The sorted
-// order is precomputed on info, value resolution allocates nothing, and
-// canonical forms are built in the annotator's scratch buffer, so the
-// only per-value allocations are the strings the annotation keeps.
-func (a *Annotator) keyValue(x *xmltree.Node, info *pathInfo) (*anode.KeyValue, error) {
-	k := info.key
+// keyValue computes the node's key value under key k: one entry per key
+// path, sorted lexicographically by key-path name (§4.2). The sorted
+// order is precomputed on the compiled key, value resolution allocates
+// nothing, and canonical forms are built in the annotator's scratch
+// buffer, so the only per-value allocations are the strings the
+// annotation keeps.
+func (a *Annotator) keyValue(x *xmltree.Node, k *keys.Key) (*anode.KeyValue, error) {
 	np := len(k.KeyPaths)
 	strs := make([]string, 3*np) // one backing array for Paths/Canon/Disp
 	kv := &anode.KeyValue{
@@ -241,7 +181,7 @@ func (a *Annotator) keyValue(x *xmltree.Node, info *pathInfo) (*anode.KeyValue, 
 		Disp:  strs[2*np:],
 		FP:    make([]uint64, np),
 	}
-	for out, idx := range info.kpOrder {
+	for out, idx := range k.KeyPathOrder() {
 		kp := k.KeyPaths[idx]
 		node, found := kp.ResolveUnique(x)
 		if found != 1 {
@@ -249,7 +189,7 @@ func (a *Annotator) keyValue(x *xmltree.Node, info *pathInfo) (*anode.KeyValue, 
 		}
 		a.canon.Reset()
 		xmltree.WriteCanonicalTo(&a.canon, node)
-		kv.Paths[out] = info.kpNames[idx]
+		kv.Paths[out] = k.SortedKeyPathNames()[out]
 		kv.Canon[out] = a.canon.String()
 		kv.Disp[out] = xmltree.DisplayFromCanonical(kv.Canon[out])
 		kv.FP[out] = a.fp(kv.Canon[out])
@@ -291,7 +231,7 @@ func (a *Annotator) Archive(doc *xmltree.Node) (*anode.Node, error) {
 		if c.Kind != xmltree.Element {
 			continue
 		}
-		children, err := a.archiveChild(c, nil, ts)
+		children, err := a.archiveChild(c, nil, a.spec.Cursor(), ts)
 		if err != nil {
 			return nil, err
 		}
@@ -303,8 +243,9 @@ func (a *Annotator) Archive(doc *xmltree.Node) (*anode.Node, error) {
 
 // archiveChild converts one XML child at keyed level: either a keyed
 // element, or a <T> wrapper around keyed elements that assigns an explicit
-// timestamp. inherited is the parent's effective timestamp.
-func (a *Annotator) archiveChild(x *xmltree.Node, parentPath keys.Path, inherited *intervals.Set) ([]*anode.Node, error) {
+// timestamp. parent is the parent's position in the specification's trie
+// and inherited its effective timestamp.
+func (a *Annotator) archiveChild(x *xmltree.Node, parentPath keys.Path, parent keys.Cursor, inherited *intervals.Set) ([]*anode.Node, error) {
 	if x.Name == TimestampTag {
 		ts, err := timeOf(x)
 		if err != nil {
@@ -315,7 +256,7 @@ func (a *Annotator) archiveChild(x *xmltree.Node, parentPath keys.Path, inherite
 			if c.Kind != xmltree.Element {
 				continue
 			}
-			n, err := a.archiveElem(c, append(append(keys.Path{}, parentPath...), c.Name), ts)
+			n, err := a.archiveElem(c, append(append(keys.Path{}, parentPath...), c.Name), parent.Child(c.Name), ts)
 			if err != nil {
 				return nil, err
 			}
@@ -324,7 +265,7 @@ func (a *Annotator) archiveChild(x *xmltree.Node, parentPath keys.Path, inherite
 		}
 		return out, nil
 	}
-	n, err := a.archiveElem(x, append(append(keys.Path{}, parentPath...), x.Name), inherited)
+	n, err := a.archiveElem(x, append(append(keys.Path{}, parentPath...), x.Name), parent.Child(x.Name), inherited)
 	if err != nil {
 		return nil, err
 	}
@@ -333,14 +274,14 @@ func (a *Annotator) archiveChild(x *xmltree.Node, parentPath keys.Path, inherite
 
 // archiveElem converts a keyed archive element; eff is the node's
 // effective timestamp (explicit or inherited).
-func (a *Annotator) archiveElem(x *xmltree.Node, path keys.Path, eff *intervals.Set) (*anode.Node, error) {
-	info := a.lookup(path)
-	if info == nil {
+func (a *Annotator) archiveElem(x *xmltree.Node, path keys.Path, cur keys.Cursor, eff *intervals.Set) (*anode.Node, error) {
+	k := cur.Key()
+	if k == nil {
 		return nil, fmt.Errorf("annotate: unkeyed element above the frontier at %s in archive", path.Absolute())
 	}
-	n := &anode.Node{Kind: xmltree.Element, Name: x.Name, Frontier: info.frontier}
+	n := &anode.Node{Kind: xmltree.Element, Name: x.Name, Frontier: cur.Frontier()}
 
-	if info.frontier {
+	if n.Frontier {
 		if err := a.archiveFrontierContent(x, n); err != nil {
 			return nil, fmt.Errorf("%w at %s", err, path.Absolute())
 		}
@@ -352,7 +293,7 @@ func (a *Annotator) archiveElem(x *xmltree.Node, path keys.Path, eff *intervals.
 			if c.Kind != xmltree.Element {
 				continue
 			}
-			children, err := a.archiveChild(c, path, eff)
+			children, err := a.archiveChild(c, path, cur, eff)
 			if err != nil {
 				return nil, err
 			}
@@ -368,7 +309,7 @@ func (a *Annotator) archiveElem(x *xmltree.Node, path keys.Path, eff *intervals.
 	if eff.Empty() {
 		return nil, fmt.Errorf("annotate: node at %s has empty timestamp", path.Absolute())
 	}
-	kv, err := a.keyValueAt(n, info, eff.Min())
+	kv, err := a.keyValueAt(n, k, eff.Min())
 	if err != nil {
 		return nil, fmt.Errorf("annotate: %s: %w", path.Absolute(), err)
 	}
@@ -446,8 +387,7 @@ func (a *Annotator) archiveFrontierContent(x *xmltree.Node, n *anode.Node) error
 // keyValueAt computes the key value of an archive node from its content at
 // version v (the node's earliest version), resolving key paths through the
 // timestamped structure.
-func (a *Annotator) keyValueAt(n *anode.Node, info *pathInfo, v int) (*anode.KeyValue, error) {
-	k := info.key
+func (a *Annotator) keyValueAt(n *anode.Node, k *keys.Key, v int) (*anode.KeyValue, error) {
 	np := len(k.KeyPaths)
 	kv := &anode.KeyValue{
 		Paths: make([]string, np),
@@ -455,14 +395,14 @@ func (a *Annotator) keyValueAt(n *anode.Node, info *pathInfo, v int) (*anode.Key
 		Disp:  make([]string, np),
 		FP:    make([]uint64, np),
 	}
-	for out, idx := range info.kpOrder {
+	for out, idx := range k.KeyPathOrder() {
 		kp := k.KeyPaths[idx]
 		nodes := resolveAt(n, kp, v)
 		if len(nodes) != 1 {
 			return nil, fmt.Errorf("key path %s of %s resolves to %d nodes at version %d, want 1", kp, k, len(nodes), v)
 		}
 		x := ProjectAt(nodes[0], v)
-		kv.Paths[out] = info.kpNames[idx]
+		kv.Paths[out] = k.SortedKeyPathNames()[out]
 		kv.Canon[out] = xmltree.Canonical(x)
 		kv.Disp[out] = xmltree.DisplayFromCanonical(kv.Canon[out])
 		kv.FP[out] = a.fp(kv.Canon[out])

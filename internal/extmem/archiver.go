@@ -15,6 +15,7 @@ import (
 	"xarch/internal/fsio"
 	"xarch/internal/intervals"
 	"xarch/internal/keys"
+	"xarch/internal/xmltree"
 )
 
 // Archiver is the external-memory archiver of §6: it maintains an archive
@@ -609,11 +610,21 @@ func (ar *Archiver) AddEmptyVersion() error { return ar.AddVersion(nil) }
 // every later write fails fast, and readers keep serving the last
 // committed generation (see degrade.go).
 func (ar *Archiver) AddVersion(r io.Reader) error {
-	items, err := ar.AddVersionBatch([]io.Reader{r})
+	items, err := ar.AddVersionBatch([]Source{{Reader: r}})
 	if err != nil {
 		return err
 	}
 	return items[0].Err
+}
+
+// Source is one version handed to AddVersionBatch: a parsed document, or
+// XML to stream, or — the zero Source — an empty version. A Doc is
+// decomposed straight from the tree (decomposeTree); a Reader goes
+// through the streaming decomposer and its key files, which never holds
+// the version in memory.
+type Source struct {
+	Doc    *xmltree.Node
+	Reader io.Reader
 }
 
 // BatchItem reports the outcome of one document of an AddVersionBatch
@@ -628,15 +639,14 @@ type BatchItem struct {
 	Err error
 }
 
-// AddVersionBatch archives each reader as the next consecutive version
+// AddVersionBatch archives each source as the next consecutive version
 // with ONE durability commit for the whole group: every document runs
 // the full decompose/sort/merge pipeline, each merging against the
 // uncommitted directory of its predecessor, and only the final directory
 // goes through the tmp+fsync+rename commit protocol — the group-commit
-// amortization behind the archive server's ingest path. A nil reader
-// archives an empty version.
+// amortization behind the archive server's ingest path.
 //
-// The returned slice has one BatchItem per reader: a document whose own
+// The returned slice has one BatchItem per source: a document whose own
 // pipeline fails gets its error there, consumes no version number, and
 // does not disturb the rest of the batch. A non-nil error return means
 // the batch as a whole failed — NOTHING was committed (the archive is
@@ -644,14 +654,14 @@ type BatchItem struct {
 // durability-critical commit step, the writer is now poisoned
 // (errors.Is(err, ErrDegraded)). Until the final commit succeeds no
 // reader observes any of the batch's versions.
-func (ar *Archiver) AddVersionBatch(readers []io.Reader) ([]BatchItem, error) {
+func (ar *Archiver) AddVersionBatch(srcs []Source) ([]BatchItem, error) {
 	if err := ar.writable(); err != nil {
 		return nil, err
 	}
-	if len(readers) == 0 {
+	if len(srcs) == 0 {
 		return nil, nil
 	}
-	return ar.addBatch(readers)
+	return ar.addBatch(srcs)
 }
 
 // CommitCount returns the number of durable key-directory commits
@@ -660,8 +670,8 @@ func (ar *Archiver) AddVersionBatch(readers []io.Reader) ([]BatchItem, error) {
 // compare it against submitter counts.
 func (ar *Archiver) CommitCount() int64 { return ar.commits.Load() }
 
-func (ar *Archiver) addBatch(readers []io.Reader) ([]BatchItem, error) {
-	items := make([]BatchItem, len(readers))
+func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
+	items := make([]BatchItem, len(srcs))
 	base := ar.curDir
 	staged := base
 	var stagedFiles []string // segments written by the batch, uncommitted
@@ -682,8 +692,8 @@ func (ar *Archiver) addBatch(readers []io.Reader) ([]BatchItem, error) {
 		var cf *commitFault
 		return errors.As(err, &cf)
 	}
-	for k, r := range readers {
-		sortedPath, scratch, err := ar.prepareSorted(r)
+	for k, src := range srcs {
+		sortedPath, scratch, err := ar.prepareSorted(src)
 		if err != nil {
 			removePaths(ar.fs, scratch)
 			items[k].Err = err
@@ -755,154 +765,174 @@ func removePaths(fs fsio.FS, paths []string) {
 // decompose, sharded run forming, run merge — and returns the path of
 // the sorted version file plus every scratch file created (sortedPath
 // included). The caller removes the scratch files when done with them;
-// a nil reader produces an empty sorted file (an empty version).
-func (ar *Archiver) prepareSorted(r io.Reader) (sortedPath string, scratch []string, err error) {
-	tmp := func(name string) string { return filepath.Join(ar.dir, fmt.Sprintf("tmp-%s", name)) }
-
-	sortedPath = tmp("sorted.tok")
-	if r != nil {
-		// Phases 1+2, pipelined: decompose streams the version into the
-		// token file and the per-pattern key files while workers follow
-		// those files and form the bounded-memory sorted runs, so run
-		// forming's in-memory tree building overlaps decompose's parse and
-		// I/O. Key files are pre-created for every pattern of the spec
-		// (normalizing the spec here, before the workers share it).
-		tokPath := tmp("version.tok")
-		scratch = append(scratch, tokPath)
-		tokF, err := ar.fs.Create(tokPath)
-		if err != nil {
-			return "", scratch, fmt.Errorf("extmem: %w", err)
-		}
-		progTok := newProgress()
-		tw := newTokenWriter(&progressWriter{f: tokF, p: progTok})
-
-		type keyFile struct {
-			path string
-			f    fsio.File
-			w    *tokenWriter
-			prog *progress
-		}
-		keyFiles := map[string]*keyFile{}
-		for _, k := range ar.spec.AllKeys() {
-			pattern := k.NodePath().Absolute()
-			if _, ok := keyFiles[pattern]; ok {
-				continue
-			}
-			p := tmp("keys-" + sanitize(pattern) + ".key")
-			scratch = append(scratch, p)
-			f, err := ar.fs.Create(p)
-			if err != nil {
-				tw.release()
-				tokF.Close()
-				for _, kf := range keyFiles {
-					kf.w.release()
-					kf.f.Close()
-				}
-				return "", scratch, fmt.Errorf("extmem: %w", err)
-			}
-			prog := newProgress()
-			keyFiles[pattern] = &keyFile{path: p, f: f, w: newTokenWriter(&progressWriter{f: f, p: prog}), prog: prog}
-		}
-		finishAll := func(err error) {
-			progTok.finish(err)
-			for _, kf := range keyFiles {
-				kf.prog.finish(err)
-			}
-		}
-
-		type runResult struct {
-			runs  []string
-			stats SortStats
-			err   error
-		}
-		resCh := make(chan runResult, 1)
-		go func() {
-			tokIn, err := ar.fs.Open(tokPath)
-			if err != nil {
-				resCh <- runResult{err: fmt.Errorf("extmem: %w", err)}
-				return
-			}
-			defer tokIn.Close()
-			var keyReaders []fsio.File
-			defer func() {
-				for _, f := range keyReaders {
-					f.Close()
-				}
-			}()
-			openKeyReader := func(pattern string) (*rawReader, error) {
-				kf, ok := keyFiles[pattern]
-				if !ok {
-					return nil, fmt.Errorf("extmem: no key file for pattern %s", pattern)
-				}
-				f, err := ar.fs.Open(kf.path)
-				if err != nil {
-					return nil, fmt.Errorf("extmem: %w", err)
-				}
-				keyReaders = append(keyReaders, f)
-				return newRawReader(&followReader{f: f, p: kf.prog}), nil
-			}
-			tr := newTokenReader(&followReader{f: tokIn, p: progTok})
-			runs, stats, err := formRunsSharded(ar.fs, tr, ar.dict, ar.spec, ar.cfg.Budget, ar.dir, "tmp", openKeyReader, ar.cfg.Shards)
-			tr.release()
-			resCh <- runResult{runs: runs, stats: stats, err: err}
-		}()
-
-		keyWriter := func(pattern string) (*tokenWriter, error) {
-			kf, ok := keyFiles[pattern]
-			if !ok {
-				return nil, fmt.Errorf("extmem: key pattern %s not in specification", pattern)
-			}
-			return kf.w, nil
-		}
-		// Periodically flushing the writers publishes their bytes to the
-		// following run formers, keeping the pipeline overlapped instead
-		// of draining everything at end of document.
-		syncWriters := func() error {
-			if err := tw.flush(); err != nil {
-				return err
-			}
-			for _, kf := range keyFiles {
-				if err := kf.w.flush(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		_, derr := decompose(r, ar.spec, ar.dict, tw, keyWriter, syncWriters)
-		if derr == nil {
-			derr = syncWriters()
-		}
-		finishAll(derr)
-		res := <-resCh
-		scratch = append(scratch, res.runs...)
-		tw.release()
-		for _, kf := range keyFiles {
-			kf.w.release()
-			kf.f.Close()
-		}
-		if cerr := tokF.Close(); derr == nil && cerr != nil {
-			derr = cerr
-		}
-		if derr != nil {
-			return "", scratch, derr
-		}
-		if res.err != nil {
-			return "", scratch, res.err
-		}
-		ar.LastSort = res.stats
-
-		// Phase 3: merge the runs into one sorted version.
-		scratch = append(scratch, sortedPath)
-		if err := mergeRunFiles(ar.fs, res.runs, ar.dict, sortedPath); err != nil {
-			return "", scratch, err
-		}
-	} else {
+// an empty source produces an empty sorted file (an empty version).
+func (ar *Archiver) prepareSorted(src Source) (sortedPath string, scratch []string, err error) {
+	sortedPath = ar.tmpPath("sorted.tok")
+	var runs []string
+	var stats SortStats
+	switch {
+	case src.Doc != nil:
+		// Phases 1+2 in one pass: the tree walk feeds the run formers
+		// directly, keys inline — no token file, no key files.
+		b := newRunBuilder(ar.fs, ar.dict, ar.spec, ar.cfg.Budget, ar.dir, "tmp", nil, ar.cfg.Shards)
+		runs, stats, err = b.finish(decomposeTree(src.Doc, ar.spec, ar.dict, b.feed))
+		scratch = runs
+	case src.Reader != nil:
+		runs, stats, scratch, err = ar.streamRuns(src.Reader)
+	default:
 		scratch = append(scratch, sortedPath)
 		if err := ar.fs.WriteFile(sortedPath, nil, 0o644); err != nil {
 			return "", scratch, fmt.Errorf("extmem: %w", err)
 		}
+		return sortedPath, scratch, nil
+	}
+	if err != nil {
+		return "", scratch, err
+	}
+	ar.LastSort = stats
+
+	// Phase 3: merge the runs into one sorted version.
+	scratch = append(scratch, sortedPath)
+	if err := mergeRunFiles(ar.fs, runs, ar.dict, sortedPath); err != nil {
+		return "", scratch, err
 	}
 	return sortedPath, scratch, nil
+}
+
+func (ar *Archiver) tmpPath(name string) string {
+	return filepath.Join(ar.dir, "tmp-"+name)
+}
+
+// streamRuns is phases 1+2 for a streamed version, pipelined: decompose
+// streams the version into the token file and the per-pattern key files
+// while the run formers follow those files and form the bounded-memory
+// sorted runs, so run forming's in-memory tree building overlaps
+// decompose's parse and I/O. Key files are pre-created for every pattern
+// of the spec, because a follower may ask for one before decompose first
+// writes to it. It returns the runs and every scratch file created (the
+// runs included).
+func (ar *Archiver) streamRuns(r io.Reader) (runs []string, stats SortStats, scratch []string, err error) {
+	tokPath := ar.tmpPath("version.tok")
+	scratch = append(scratch, tokPath)
+	tokF, err := ar.fs.Create(tokPath)
+	if err != nil {
+		return nil, stats, scratch, fmt.Errorf("extmem: %w", err)
+	}
+	progTok := newProgress()
+	tw := newTokenWriter(&progressWriter{f: tokF, p: progTok})
+
+	type keyFile struct {
+		path string
+		f    fsio.File
+		w    *tokenWriter
+		prog *progress
+	}
+	keyFiles := map[string]*keyFile{}
+	for _, k := range ar.spec.AllKeys() {
+		pattern := k.Pattern()
+		if _, ok := keyFiles[pattern]; ok {
+			continue
+		}
+		p := ar.tmpPath("keys-" + sanitize(pattern) + ".key")
+		scratch = append(scratch, p)
+		f, err := ar.fs.Create(p)
+		if err != nil {
+			tw.release()
+			tokF.Close()
+			for _, kf := range keyFiles {
+				kf.w.release()
+				kf.f.Close()
+			}
+			return nil, stats, scratch, fmt.Errorf("extmem: %w", err)
+		}
+		prog := newProgress()
+		keyFiles[pattern] = &keyFile{path: p, f: f, w: newTokenWriter(&progressWriter{f: f, p: prog}), prog: prog}
+	}
+	finishAll := func(err error) {
+		progTok.finish(err)
+		for _, kf := range keyFiles {
+			kf.prog.finish(err)
+		}
+	}
+
+	type runResult struct {
+		runs  []string
+		stats SortStats
+		err   error
+	}
+	resCh := make(chan runResult, 1)
+	go func() {
+		tokIn, err := ar.fs.Open(tokPath)
+		if err != nil {
+			resCh <- runResult{err: fmt.Errorf("extmem: %w", err)}
+			return
+		}
+		defer tokIn.Close()
+		var keyReaders []fsio.File
+		defer func() {
+			for _, f := range keyReaders {
+				f.Close()
+			}
+		}()
+		openKeyReader := func(pattern string) (*rawReader, error) {
+			kf, ok := keyFiles[pattern]
+			if !ok {
+				return nil, fmt.Errorf("extmem: no key file for pattern %s", pattern)
+			}
+			f, err := ar.fs.Open(kf.path)
+			if err != nil {
+				return nil, fmt.Errorf("extmem: %w", err)
+			}
+			keyReaders = append(keyReaders, f)
+			return newRawReader(&followReader{f: f, p: kf.prog}), nil
+		}
+		tr := newTokenReader(&followReader{f: tokIn, p: progTok})
+		b := newRunBuilder(ar.fs, ar.dict, ar.spec, ar.cfg.Budget, ar.dir, "tmp", openKeyReader, ar.cfg.Shards)
+		runs, stats, err := formRuns(tr, b)
+		tr.release()
+		resCh <- runResult{runs: runs, stats: stats, err: err}
+	}()
+
+	keyWriter := func(pattern string) (*tokenWriter, error) {
+		kf, ok := keyFiles[pattern]
+		if !ok {
+			return nil, fmt.Errorf("extmem: key pattern %s not in specification", pattern)
+		}
+		return kf.w, nil
+	}
+	// Periodically flushing the writers publishes their bytes to the
+	// following run formers, keeping the pipeline overlapped instead
+	// of draining everything at end of document.
+	syncWriters := func() error {
+		if err := tw.flush(); err != nil {
+			return err
+		}
+		for _, kf := range keyFiles {
+			if err := kf.w.flush(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	_, derr := decompose(r, ar.spec, ar.dict, tw, keyWriter, syncWriters)
+	if derr == nil {
+		derr = syncWriters()
+	}
+	finishAll(derr)
+	res := <-resCh
+	scratch = append(scratch, res.runs...)
+	tw.release()
+	for _, kf := range keyFiles {
+		kf.w.release()
+		kf.f.Close()
+	}
+	if cerr := tokF.Close(); derr == nil && cerr != nil {
+		derr = cerr
+	}
+	if derr != nil {
+		return nil, stats, scratch, derr
+	}
+	return res.runs, res.stats, scratch, res.err
 }
 
 func sanitize(s string) string {

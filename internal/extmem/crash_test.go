@@ -10,6 +10,7 @@ import (
 
 	"xarch/internal/datagen"
 	"xarch/internal/fsio"
+	"xarch/internal/xmltree"
 )
 
 // The crash matrix: record the I/O trace of one archive operation on a
@@ -113,15 +114,34 @@ func assertRecovered(t *testing.T, dir string, cfg Config, label string,
 	}
 }
 
-// TestCrashMatrixAdd crashes an AddVersion after every op k of its I/O
-// trace: recovery must land on exactly the 2-version or the 3-version
-// archive.
+// TestCrashMatrixAdd crashes an add after every op k of its I/O trace:
+// recovery must land on exactly the 2-version or the 3-version archive.
+// It runs once per source kind: a parsed tree (whose only scratch files
+// are the sorted runs) and streamed XML (which also leaves the token file
+// and the tmp-keys-* key files for the sweep).
 func TestCrashMatrixAdd(t *testing.T) {
+	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 91, Records: 12, DeleteFrac: 0.05, InsertFrac: 0.1, ModifyFrac: 0.1})
+	docs := []*xmltree.Node{g.Next(), g.Next(), g.Next()}
+	t.Run("tree", func(t *testing.T) {
+		crashMatrixAdd(t, docs, false, func(ar *Archiver, doc *xmltree.Node) error {
+			items, err := ar.AddVersionBatch([]Source{{Doc: doc}})
+			if err != nil {
+				return err
+			}
+			return items[0].Err
+		})
+	})
+	t.Run("stream", func(t *testing.T) {
+		crashMatrixAdd(t, docs, true, func(ar *Archiver, doc *xmltree.Node) error {
+			return ar.AddVersion(strings.NewReader(doc.IndentedXML()))
+		})
+	})
+}
+
+func crashMatrixAdd(t *testing.T, docs []*xmltree.Node, wantKeyFiles bool, add func(*Archiver, *xmltree.Node) error) {
 	// Shards:1 keeps the ingest single-follower; a small budget forces
 	// several run files so the matrix covers the scratch-file phase.
 	cfg := Config{Budget: 512, SegmentTarget: 1024, Shards: 1}
-	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 91, Records: 12, DeleteFrac: 0.05, InsertFrac: 0.1, ModifyFrac: 0.1})
-	docs := []string{g.Next().IndentedXML(), g.Next().IndentedXML(), g.Next().IndentedXML()}
 
 	base := t.TempDir()
 	ar, err := Open(base, datagen.OMIMSpec(), cfg)
@@ -129,7 +149,7 @@ func TestCrashMatrixAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, doc := range docs[:2] {
-		if err := ar.AddVersion(strings.NewReader(doc)); err != nil {
+		if err := add(ar, doc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +170,7 @@ func TestCrashMatrixAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs.ResetTrace()
-	if err := tar.AddVersion(strings.NewReader(docs[2])); err != nil {
+	if err := add(tar, docs[2]); err != nil {
 		t.Fatal(err)
 	}
 	n := ffs.OpCount()
@@ -161,7 +181,7 @@ func TestCrashMatrixAdd(t *testing.T) {
 	}
 	t.Logf("Add trace: %d mutating ops", n)
 
-	sawTransient := false
+	sawTransient, sawKeyFile := false, false
 	committedLate := 0
 	for _, torn := range []bool{false, true} {
 		for k := 0; k < n; k++ {
@@ -180,20 +200,26 @@ func TestCrashMatrixAdd(t *testing.T) {
 			// landed in post-commit cleanup, whose errors are ignored by
 			// design — the version is already durable.
 			cfs.CrashAfter(cfs.OpCount()+k, torn)
-			if err := car.AddVersion(strings.NewReader(docs[2])); err == nil {
+			if err := add(car, docs[2]); err == nil {
 				committedLate++
 			}
 			if !cfs.Crashed() {
 				t.Fatalf("%s: crash point never hit; matrix does not cover the operation", label)
 			}
-			if len(listTransient(fsio.OS, dir)) > 0 {
+			for _, name := range listTransient(fsio.OS, dir) {
 				sawTransient = true
+				if strings.HasPrefix(name, "tmp-keys-") {
+					sawKeyFile = true
+				}
 			}
 			assertRecovered(t, dir, cfg, label, 2, 3, wantPre, wantPost)
 		}
 	}
 	if !sawTransient {
 		t.Error("no crash point left transient files behind; the sweep path was never exercised")
+	}
+	if sawKeyFile != wantKeyFiles {
+		t.Errorf("crash points left key files behind: %v, want %v", sawKeyFile, wantKeyFiles)
 	}
 	if committedLate == 0 {
 		t.Error("no crash point landed after the commit; matrix does not reach the cleanup tail")

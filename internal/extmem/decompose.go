@@ -6,7 +6,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -147,9 +147,12 @@ type pendingKey struct {
 const decomposeBatch = 4096
 
 // decomposer streams one XML document into the internal representation
-// plus key files (§6.1), running the stack algorithm of §4.1.
+// plus key files (§6.1), running the stack algorithm of §4.1. It is the
+// only way in for a version larger than memory: a keyed node's key value
+// is complete only at its close tag, after its open token has been
+// written, so the values go to per-pattern key files that the run former
+// pops in step. A version already held as a tree takes decomposeTree.
 type decomposer struct {
-	spec *keys.Spec
 	dict *dictionary
 
 	tokens  *tokenWriter
@@ -158,6 +161,8 @@ type decomposer struct {
 	sync    func() error // periodic flush hook; may be nil
 
 	path     []string
+	cursors  []keys.Cursor // cursors[i] matches path[:i]; descends the spec with the document
+	attrs    [][2]string   // scratch: the open element's attributes
 	pendings []*pendingKey
 	memos    []*memo
 	textBuf  strings.Builder
@@ -175,7 +180,7 @@ func decompose(r io.Reader, spec *keys.Spec, dict *dictionary, tokens *tokenWrit
 	keyFile func(pattern string) (*tokenWriter, error), sync func() error) (int, error) {
 
 	d := &decomposer{
-		spec:    spec,
+		cursors: []keys.Cursor{spec.Cursor()},
 		dict:    dict,
 		tokens:  tokens,
 		keyOut:  map[string]*tokenWriter{},
@@ -237,6 +242,8 @@ func (d *decomposer) start(t xml.StartElement) error {
 	d.flushText()
 	name := localName(t.Name)
 	d.path = append(d.path, name)
+	cur := d.cursors[len(d.cursors)-1].Child(name)
+	d.cursors = append(d.cursors, cur)
 	d.depth++
 	d.nodesSeen++
 	if d.sync != nil {
@@ -249,20 +256,23 @@ func (d *decomposer) start(t xml.StartElement) error {
 	}
 
 	// Sorted attributes (canonical order).
-	attrs := make([][2]string, 0, len(t.Attr))
+	attrs := d.attrs[:0]
 	for _, a := range t.Attr {
 		an := localName(a.Name)
-		if an == "xmlns" || strings.HasPrefix(an, "xmlns:") {
+		if isNamespaceDecl(an) {
 			continue
 		}
 		attrs = append(attrs, [2]string{an, a.Value})
 	}
-	sort.Slice(attrs, func(i, j int) bool {
-		if attrs[i][0] != attrs[j][0] {
-			return attrs[i][0] < attrs[j][0]
-		}
-		return attrs[i][1] < attrs[j][1]
-	})
+	d.attrs = attrs
+	if len(attrs) > 1 {
+		slices.SortFunc(attrs, func(a, b [2]string) int {
+			if c := strings.Compare(a[0], b[0]); c != 0 {
+				return c
+			}
+			return strings.Compare(a[1], b[1])
+		})
+	}
 
 	// Key-path values of enclosing keyed nodes that begin at this element
 	// start memorizing here ((**) of §4.1); key paths ending at one of
@@ -287,7 +297,7 @@ func (d *decomposer) start(t xml.StartElement) error {
 	// A keyed element opens its own pending record; an empty key path
 	// ({\e}) memorizes the node's whole value, and single-segment key
 	// paths may fill from the node's own attributes.
-	if k := d.spec.KeyFor(keys.Path(d.path)); k != nil {
+	if k := cur.Key(); k != nil {
 		p := &pendingKey{
 			key:    k,
 			depth:  d.depth,
@@ -358,7 +368,7 @@ func (d *decomposer) end() error {
 					pathString(d.path), kp, p.key)
 			}
 		}
-		pattern := p.key.NodePath().Absolute()
+		pattern := p.key.Pattern()
 		kw, ok := d.keyOut[pattern]
 		if !ok {
 			var err error
@@ -373,6 +383,7 @@ func (d *decomposer) end() error {
 
 	d.tokens.close()
 	d.path = d.path[:len(d.path)-1]
+	d.cursors = d.cursors[:len(d.cursors)-1]
 	d.depth--
 	return nil
 }
@@ -391,17 +402,184 @@ func (p *pendingKey) fill(pi int, canon string) error {
 // writeKeyRecord appends a composite key value: path names and canonical
 // values sorted by path name (§4.2's lexicographic key-path order).
 func writeKeyRecord(kw *tokenWriter, p *pendingKey) {
-	type ent struct{ path, canon string }
-	ents := make([]ent, len(p.key.KeyPaths))
-	for i, kp := range p.key.KeyPaths {
-		ents[i] = ent{kp.String(), p.values[i]}
+	names := p.key.SortedKeyPathNames()
+	kw.varint(uint64(len(names)))
+	for out, i := range p.key.KeyPathOrder() {
+		kw.str(names[out])
+		kw.str(p.values[i])
 	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].path < ents[j].path })
-	kw.varint(uint64(len(ents)))
-	for _, e := range ents {
-		kw.str(e.path)
-		kw.str(e.canon)
+}
+
+// decomposeTree is decompose for a version already parsed into a tree: one
+// walk of doc, in lockstep with the specification's compiled trie, hands
+// the token stream straight to emit. A tree knows a keyed node's key value
+// at its open tag, so the open token carries the composite key inline and
+// no key files exist. The stream is token for token what decompose makes
+// of the tree's serialization — adjacent text coalesced, whitespace-only
+// text and namespace declarations dropped, attributes in canonical order,
+// dictionary ids assigned in document order — except that names and
+// values are taken from the tree as they are, not through an escape and
+// re-parse.
+func decomposeTree(doc *xmltree.Node, spec *keys.Spec, dict *dictionary, emit func(token) error) error {
+	d := &treeDecomposer{dict: dict, emit: emit}
+	return d.keyed(doc, spec.Cursor().Child(doc.Name))
+}
+
+type treeDecomposer struct {
+	dict *dictionary
+	emit func(token) error
+
+	path  []string             // of the open keyed elements, to name errors
+	canon xmltree.AppendBuffer // scratch for one key-path value
+	attrs []*xmltree.Node      // scratch for attributes that need sorting
+}
+
+// keyed emits the subtree of x, an element at or above the frontier that
+// the specification matches as cur.
+func (d *treeDecomposer) keyed(x *xmltree.Node, cur keys.Cursor) error {
+	d.path = append(d.path, x.Name)
+	k := cur.Key()
+	if k == nil {
+		return fmt.Errorf("extmem: unkeyed element %s above the frontier", pathString(d.path))
 	}
+	key, err := d.keyValue(x, k)
+	if err != nil {
+		return err
+	}
+	if err := d.element(x, key, cur, !cur.Frontier()); err != nil {
+		return err
+	}
+	d.path = d.path[:len(d.path)-1]
+	return nil
+}
+
+// element emits x's open token (with key, if x is keyed), attributes,
+// children and close token. Element children are keyed nodes matched
+// through cur when keyedChildren is set, plain content otherwise.
+func (d *treeDecomposer) element(x *xmltree.Node, key *tkey, cur keys.Cursor, keyedChildren bool) error {
+	if err := d.emit(token{op: tokOpen, tag: d.dict.id(x.Name), key: key}); err != nil {
+		return err
+	}
+	for _, a := range d.sortedAttrs(x) {
+		if err := d.emit(token{op: tokAttr, tag: d.dict.id(a.Name), data: a.Data}); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < len(x.Children); i++ {
+		c := x.Children[i]
+		var err error
+		switch c.Kind {
+		case xmltree.Text:
+			var text string
+			if text, i = textRun(x.Children, i); strings.TrimSpace(text) != "" {
+				err = d.emit(token{op: tokText, data: text})
+			}
+		case xmltree.Element:
+			if keyedChildren {
+				err = d.keyed(c, cur.Child(c.Name))
+			} else {
+				err = d.element(c, nil, keys.Cursor{}, false)
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return d.emit(token{op: tokClose})
+}
+
+// textRun returns the concatenation of the run of text children that
+// starts at children[i], and the index of the run's last node.
+func textRun(children []*xmltree.Node, i int) (string, int) {
+	text := children[i].Data
+	for i+1 < len(children) && children[i+1].Kind == xmltree.Text {
+		i++
+		text += children[i].Data
+	}
+	return text, i
+}
+
+// sortedAttrs returns x's attributes in canonical (name, value) order
+// without namespace declarations. The result is x.Attrs itself when that
+// already qualifies, otherwise scratch valid until the next call.
+func (d *treeDecomposer) sortedAttrs(x *xmltree.Node) []*xmltree.Node {
+	ok := true
+	for i, a := range x.Attrs {
+		if isNamespaceDecl(a.Name) || (i > 0 && xmltree.Compare(x.Attrs[i-1], a) > 0) {
+			ok = false
+			break
+		}
+	}
+	if ok {
+		return x.Attrs
+	}
+	d.attrs = d.attrs[:0]
+	for _, a := range x.Attrs {
+		if !isNamespaceDecl(a.Name) {
+			d.attrs = append(d.attrs, a)
+		}
+	}
+	slices.SortFunc(d.attrs, xmltree.Compare) // attributes order by (name, value)
+	return d.attrs
+}
+
+// keyValue computes the composite key of x under k: canonical key-path
+// values in the key's precomputed §4.2 order.
+func (d *treeDecomposer) keyValue(x *xmltree.Node, k *keys.Key) (*tkey, error) {
+	key := &tkey{paths: k.SortedKeyPathNames()}
+	if len(k.KeyPaths) > 0 {
+		key.canon = make([]string, len(k.KeyPaths))
+	}
+	for out, i := range k.KeyPathOrder() {
+		kp := k.KeyPaths[i]
+		v, found := kp.ResolveUnique(x)
+		if found != 1 {
+			n := "more than one node"
+			if found == 0 {
+				n = "0 nodes"
+			}
+			return nil, fmt.Errorf("extmem: %s: key path %s of %s resolves to %s", pathString(d.path), kp, k, n)
+		}
+		d.canon.Reset()
+		d.writeCanon(v)
+		key.canon[out] = d.canon.String()
+	}
+	return key, nil
+}
+
+// writeCanon appends the canonical form of a key-path value (an element
+// or attribute) to d.canon, as the streaming decomposer memorizes it:
+// over the same normalized view of the tree that element emits.
+func (d *treeDecomposer) writeCanon(n *xmltree.Node) {
+	w := &d.canon
+	if n.Kind == xmltree.Attr {
+		w.WriteString("a(")
+		xmltree.EscapeCanonical(w, n.Name)
+		w.WriteByte('=')
+		xmltree.EscapeCanonical(w, n.Data)
+		w.WriteByte(')')
+		return
+	}
+	w.WriteString("e(")
+	xmltree.EscapeCanonical(w, n.Name)
+	for _, a := range d.sortedAttrs(n) {
+		d.writeCanon(a)
+	}
+	for i := 0; i < len(n.Children); i++ {
+		c := n.Children[i]
+		switch c.Kind {
+		case xmltree.Text:
+			var text string
+			if text, i = textRun(n.Children, i); strings.TrimSpace(text) != "" {
+				w.WriteString("t(")
+				xmltree.EscapeCanonical(w, text)
+				w.WriteByte(')')
+			}
+		case xmltree.Element:
+			d.writeCanon(c)
+		}
+	}
+	w.WriteByte(')')
 }
 
 // rawReader reads the varint/string records of key files.
@@ -476,6 +654,13 @@ func fillFromAttrs(p *pendingKey, pi int, seg string, attrs [][2]string) error {
 		}
 	}
 	return nil
+}
+
+// isNamespaceDecl reports whether an attribute name declares a namespace;
+// such attributes are not part of the data model (xmltree.Parse drops
+// them too).
+func isNamespaceDecl(name string) bool {
+	return name == "xmlns" || strings.HasPrefix(name, "xmlns:")
 }
 
 func localName(n xml.Name) string {

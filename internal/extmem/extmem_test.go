@@ -323,6 +323,10 @@ func TestDecomposeErrors(t *testing.T) {
 		if err := ar.AddVersion(strings.NewReader(src)); err == nil {
 			t.Errorf("AddVersion(%q): expected error", src)
 		}
+		items, err := ar.AddVersionBatch([]Source{{Doc: xmltree.MustParseString(src)}})
+		if err != nil || items[0].Err == nil {
+			t.Errorf("AddVersionBatch(tree of %q): expected a per-document error, got %v %v", src, err, items)
+		}
 		if ar.Versions() != 0 {
 			t.Fatalf("failed add advanced version counter")
 		}

@@ -56,31 +56,6 @@ type runFormer struct {
 	stats      SortStats
 }
 
-// formRuns streams tokens into sorted run files, reading key values from
-// the per-pattern key files via openKeys.
-func formRuns(fs fsio.FS, tr *tokenReader, dict *dictionary, spec *keys.Spec, budget int,
-	dir, prefix string, openKeys func(pattern string) (*rawReader, error)) ([]string, SortStats, error) {
-
-	if budget < 16 {
-		budget = 16
-	}
-	rf := &runFormer{fs: fs, dict: dict, spec: spec, budget: budget, dir: dir, prefix: prefix,
-		keyReaders: map[string]*rawReader{}, openKeys: openKeys}
-	for {
-		t, ok := tr.take()
-		if !ok {
-			break
-		}
-		if err := rf.feed(t); err != nil {
-			return rf.runs, rf.stats, err
-		}
-	}
-	if tr.err != nil {
-		return rf.runs, rf.stats, tr.err
-	}
-	return rf.finish()
-}
-
 // finish flushes the final partial tree and reports the runs formed.
 func (rf *runFormer) finish() ([]string, SortStats, error) {
 	if len(rf.stack) != 0 {
@@ -143,9 +118,9 @@ func (rf *runFormer) feed(t token) error {
 			if k == nil {
 				return fmt.Errorf("extmem: unkeyed element %s above the frontier", pathString(rf.path))
 			}
-			rec, err := rf.nextKey(k.NodePath().Absolute())
+			rec, err := rf.nextKey(k.Pattern())
 			if err != nil {
-				return fmt.Errorf("extmem: key file for %s: %w", k.NodePath().Absolute(), err)
+				return fmt.Errorf("extmem: key file for %s: %w", k.Pattern(), err)
 			}
 			n.key = rec
 		}

@@ -4,7 +4,9 @@
 //  1. Decompose (§6.1): a streaming pass splits the XML into an internal
 //     token representation (tag names replaced by dictionary numbers),
 //     a tag dictionary, and per-key-path files of key values — the
-//     streaming realization of Annotate Keys (§4.1).
+//     streaming realization of Annotate Keys (§4.1). A version already
+//     parsed into a tree is decomposed by one walk instead, key values
+//     inline in the tokens and no key files.
 //  2. Sort (§6.2): bounded-memory sorted runs over the token stream (keyed
 //     levels sorted by key value; stems duplicated across runs), then a
 //     multi-way merge of the runs into one sorted document.

@@ -196,27 +196,36 @@ func resolveUniqueRec(p Path, n *xmltree.Node, i int, match **xmltree.Node, foun
 // returns all reachable nodes (n[[P]] in the paper). The empty path
 // resolves to n itself.
 func (p Path) Resolve(n *xmltree.Node) []*xmltree.Node {
-	cur := []*xmltree.Node{n}
-	for i, seg := range p {
-		var next []*xmltree.Node
-		for _, c := range cur {
-			if c.Kind != xmltree.Element {
-				continue
-			}
-			for _, ch := range c.Children {
-				if ch.Kind == xmltree.Element && segMatch(seg, ch.Name) {
-					next = append(next, ch)
-				}
-			}
-			if i == len(p)-1 {
-				for _, a := range c.Attrs {
-					if segMatch(seg, a.Name) {
-						next = append(next, a)
-					}
-				}
+	var out []*xmltree.Node
+	p.each(n, func(m *xmltree.Node) { out = append(out, m) })
+	return out
+}
+
+// each calls fn for every node Resolve would return, in the same order,
+// without building the result.
+func (p Path) each(n *xmltree.Node, fn func(*xmltree.Node)) {
+	if len(p) == 0 {
+		fn(n)
+		return
+	}
+	if n.Kind != xmltree.Element {
+		return
+	}
+	last := len(p) == 1
+	for _, ch := range n.Children {
+		if ch.Kind == xmltree.Element && segMatch(p[0], ch.Name) {
+			if last {
+				fn(ch)
+			} else {
+				p[1:].each(ch, fn)
 			}
 		}
-		cur = next
 	}
-	return cur
+	if last {
+		for _, a := range n.Attrs {
+			if segMatch(p[0], a.Name) {
+				fn(a)
+			}
+		}
+	}
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Key is a relative key (Context, (Target, {KeyPaths...})) — §3 and
@@ -23,10 +25,55 @@ type Key struct {
 	// (Q, (Q', {P1..Pk})) with non-empty Pi, the key (Q/Q', (Pi, {})) is
 	// implied (§3) and always assumed part of the specification.
 	Implied bool
+
+	// Compiled by Spec.Normalize, so no per-node walk rebuilds them.
+	nodePath Path     // Context/Target
+	pattern  string   // nodePath.Absolute()
+	kpOrder  []int    // indices of KeyPaths sorted by name (§4.2)
+	kpSorted []string // KeyPaths[i].String() in kpOrder
 }
 
-// NodePath returns Context/Target, the keyed path this key defines.
-func (k *Key) NodePath() Path { return k.Context.Concat(k.Target) }
+// NodePath returns Context/Target, the keyed path this key defines. For a
+// key of a normalized Spec it is precomputed; callers must not modify it.
+func (k *Key) NodePath() Path {
+	if k.nodePath != nil {
+		return k.nodePath
+	}
+	return k.Context.Concat(k.Target)
+}
+
+// Pattern returns NodePath().Absolute(): the name of the keyed path
+// pattern. The accessors from here down are valid on the keys a normalized
+// Spec hands out (AllKeys, KeyFor, Cursor.Key).
+func (k *Key) Pattern() string { return k.pattern }
+
+// KeyPathOrder lists the indices of KeyPaths in the lexicographic order of
+// their names — the order key values are compared in (§4.2).
+func (k *Key) KeyPathOrder() []int { return k.kpOrder }
+
+// SortedKeyPathNames returns the key-path names (KeyPaths[i].String()) in
+// KeyPathOrder. The slice is shared by every caller and must not be
+// modified.
+func (k *Key) SortedKeyPathNames() []string { return k.kpSorted }
+
+// compile fills the precomputed fields.
+func (k *Key) compile() {
+	k.nodePath = k.Context.Concat(k.Target)
+	k.pattern = k.nodePath.Absolute()
+	names := make([]string, len(k.KeyPaths))
+	k.kpOrder = make([]int, len(k.KeyPaths))
+	for i, kp := range k.KeyPaths {
+		names[i] = kp.String()
+		k.kpOrder[i] = i
+	}
+	sort.SliceStable(k.kpOrder, func(a, b int) bool {
+		return names[k.kpOrder[a]] < names[k.kpOrder[b]]
+	})
+	k.kpSorted = make([]string, len(k.kpOrder))
+	for out, i := range k.kpOrder {
+		k.kpSorted[out] = names[i]
+	}
+}
 
 // String renders the key in the Appendix B syntax.
 func (k *Key) String() string {
@@ -38,13 +85,14 @@ func (k *Key) String() string {
 }
 
 // Spec is a key specification: the list of keys a document must satisfy.
-// Construct via ParseSpec or assemble Keys and call Normalize.
+// Construct via ParseSpec or assemble Keys and call Normalize; after
+// appending to Keys, call Normalize again. A normalized Spec is safe for
+// concurrent use.
 type Spec struct {
 	Keys []*Key
 
-	normalized bool
-	keyed      []*Key // all keys incl. implied, NodePath patterns
-	frontier   []Path
+	mu sync.Mutex              // serializes Normalize
+	m  atomic.Pointer[matcher] // the compiled form of the last Normalize
 }
 
 // ParseSpec reads a specification in the Appendix B textual format: one
@@ -147,14 +195,27 @@ func parseKeyLine(line string) (*Key, error) {
 }
 
 // Normalize adds the implied keys (§3), deduplicates, checks the spec
-// against the structural assumptions of the paper, and computes frontier
-// paths. It is idempotent.
+// against the structural assumptions of the paper, computes frontier
+// paths and compiles the matcher behind KeyFor, IsFrontier and Cursor. It
+// is idempotent; calling it again recompiles from the current Keys (it
+// rewrites the keys' compiled fields, so not while others use the Spec).
 func (s *Spec) Normalize() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m, err := s.compile()
+	if err != nil {
+		return err
+	}
+	s.m.Store(m)
+	return nil
+}
+
+// compile builds the matcher for the current Keys. Callers hold s.mu.
+func (s *Spec) compile() (*matcher, error) {
 	all := make([]*Key, 0, len(s.Keys)*2)
 	seen := map[string]*Key{}
 	add := func(k *Key) {
-		id := k.NodePath().Absolute()
-		if prev, ok := seen[id]; ok {
+		if prev, ok := seen[k.pattern]; ok {
 			// Duplicate keyed path: identical key-path sets are a benign
 			// repetition; keep the explicit (non-implied) one.
 			if prev.Implied && !k.Implied {
@@ -162,13 +223,14 @@ func (s *Spec) Normalize() error {
 			}
 			return
 		}
-		seen[id] = k
+		seen[k.pattern] = k
 		all = append(all, k)
 	}
 	for _, k := range s.Keys {
 		if len(k.Target) == 0 {
-			return fmt.Errorf("keys: key %s has empty target", k)
+			return nil, fmt.Errorf("keys: key %s has empty target", k)
 		}
+		k.compile()
 		add(k)
 	}
 	for _, k := range s.Keys {
@@ -176,50 +238,52 @@ func (s *Spec) Normalize() error {
 			if len(p) == 0 {
 				continue
 			}
-			add(&Key{Context: k.NodePath(), Target: p, Implied: true})
+			implied := &Key{Context: k.nodePath, Target: p, Implied: true}
+			implied.compile()
+			add(implied)
 		}
 	}
 	// Deterministic order: shallower paths first, then lexicographic.
 	sort.SliceStable(all, func(i, j int) bool {
-		a, b := all[i].NodePath(), all[j].NodePath()
-		if len(a) != len(b) {
-			return len(a) < len(b)
+		a, b := all[i], all[j]
+		if len(a.nodePath) != len(b.nodePath) {
+			return len(a.nodePath) < len(b.nodePath)
 		}
-		return a.Absolute() < b.Absolute()
+		return a.pattern < b.pattern
 	})
-	s.keyed = all
-
-	if err := s.checkAssumptions(); err != nil {
-		return err
+	if err := checkAssumptions(all); err != nil {
+		return nil, err
 	}
 
 	// Frontier paths: keyed paths that are not compatible proper prefixes
 	// of other keyed paths (§3).
-	s.frontier = nil
-	for _, k := range all {
-		np := k.NodePath()
-		isPrefix := false
+	m := &matcher{keyed: all}
+	isFrontier := make([]bool, len(all))
+	for i, k := range all {
+		isFrontier[i] = true
 		for _, other := range all {
-			if np.CompatiblePrefixOf(other.NodePath()) {
-				isPrefix = true
+			if k.nodePath.CompatiblePrefixOf(other.nodePath) {
+				isFrontier[i] = false
 				break
 			}
 		}
-		if !isPrefix {
-			s.frontier = append(s.frontier, np)
+		if isFrontier[i] {
+			m.frontier = append(m.frontier, k.nodePath)
 		}
 	}
-	s.normalized = true
-	return nil
+	if err := m.build(isFrontier); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // checkAssumptions enforces the §3 restrictions on the key structure.
-func (s *Spec) checkAssumptions() error {
-	paths := make([]Path, len(s.keyed))
-	for i, k := range s.keyed {
-		paths[i] = k.NodePath()
+func checkAssumptions(keyed []*Key) error {
+	paths := make([]Path, len(keyed))
+	for i, k := range keyed {
+		paths[i] = k.nodePath
 	}
-	for _, k := range s.keyed {
+	for _, k := range keyed {
 		// Contexts must themselves be keyed (or the root): keys are
 		// "insertion-friendly", defined top-down relative to ancestors.
 		if len(k.Context) > 0 {
@@ -240,7 +304,7 @@ func (s *Spec) checkAssumptions() error {
 		// keys the node by its whole value, so nothing below the node
 		// itself may be keyed.
 		for _, p := range k.KeyPaths {
-			kp := k.NodePath().Concat(p)
+			kp := k.nodePath.Concat(p)
 			for _, other := range paths {
 				if kp.CompatiblePrefixOf(other) {
 					return fmt.Errorf("keys: keyed path %s lies beneath key path %s of %s",
@@ -252,31 +316,32 @@ func (s *Spec) checkAssumptions() error {
 	return nil
 }
 
-func (s *Spec) ensureNormalized() {
-	if !s.normalized {
-		if err := s.Normalize(); err != nil {
-			panic(err)
-		}
+// matcher returns the compiled form, normalizing a hand-assembled Spec
+// on first use (and panicking if it is invalid, as a lazy path must).
+func (s *Spec) matcher() *matcher {
+	if m := s.m.Load(); m != nil {
+		return m
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if m := s.m.Load(); m != nil {
+		return m
+	}
+	m, err := s.compile()
+	if err != nil {
+		panic(err)
+	}
+	s.m.Store(m)
+	return m
 }
 
 // AllKeys returns all keys including implied ones, in deterministic order.
-func (s *Spec) AllKeys() []*Key {
-	s.ensureNormalized()
-	return s.keyed
-}
+func (s *Spec) AllKeys() []*Key { return s.matcher().keyed }
 
 // KeyFor returns the key whose Context/Target pattern matches the concrete
-// path, or nil if the path is not keyed.
-func (s *Spec) KeyFor(concrete Path) *Key {
-	s.ensureNormalized()
-	for _, k := range s.keyed {
-		if k.NodePath().Matches(concrete) {
-			return k
-		}
-	}
-	return nil
-}
+// path, or nil if the path is not keyed. Where several patterns match, the
+// first in AllKeys order wins.
+func (s *Spec) KeyFor(concrete Path) *Key { return s.matcher().at(concrete).Key() }
 
 // IsKeyed reports whether the concrete path is a keyed path.
 func (s *Spec) IsKeyed(concrete Path) bool { return s.KeyFor(concrete) != nil }
@@ -284,27 +349,15 @@ func (s *Spec) IsKeyed(concrete Path) bool { return s.KeyFor(concrete) != nil }
 // FrontierPaths returns the frontier path patterns: keyed paths that are
 // not proper prefixes of other keyed paths. Frontier nodes are the deepest
 // keyed nodes; below them, conventional diff/weave techniques apply (§3).
-func (s *Spec) FrontierPaths() []Path {
-	s.ensureNormalized()
-	return s.frontier
-}
+func (s *Spec) FrontierPaths() []Path { return s.matcher().frontier }
 
 // IsFrontier reports whether the concrete path is a frontier path.
-func (s *Spec) IsFrontier(concrete Path) bool {
-	s.ensureNormalized()
-	for _, p := range s.frontier {
-		if p.Matches(concrete) {
-			return true
-		}
-	}
-	return false
-}
+func (s *Spec) IsFrontier(concrete Path) bool { return s.matcher().at(concrete).Frontier() }
 
 // String renders the full normalized specification, implied keys last.
 func (s *Spec) String() string {
-	s.ensureNormalized()
 	var b strings.Builder
-	for _, k := range s.keyed {
+	for _, k := range s.AllKeys() {
 		if k.Implied {
 			continue
 		}

@@ -61,10 +61,10 @@ func (e *ViolationsError) Unwrap() []error {
 //
 // It returns all violations found (nil if the document satisfies the spec).
 func (s *Spec) CheckDocument(doc *xmltree.Node) []*ValidationError {
-	s.ensureNormalized()
-	var errs []*ValidationError
-	s.checkNode(doc, Path{doc.Name}, &errs)
-	return errs
+	c := checker{path: make(Path, 0, 16)}
+	c.path = append(c.path, doc.Name)
+	c.node(doc, s.Cursor().Child(doc.Name))
+	return c.errs
 }
 
 // CheckDocumentErr is CheckDocument returning the violations as a single
@@ -76,99 +76,106 @@ func (s *Spec) CheckDocumentErr(doc *xmltree.Node) error {
 	return nil
 }
 
-func (s *Spec) checkNode(n *xmltree.Node, p Path, errs *[]*ValidationError) {
+// checker is one CheckDocument walk: it descends the compiled trie in
+// lockstep with the document, keeping the concrete path only to name
+// violations.
+type checker struct {
+	path Path
+	errs []*ValidationError
+
+	tuple xmltree.AppendBuffer // scratch for one target's key value
+	seen  map[string]struct{}  // key values among one context's targets
+}
+
+func (c *checker) report(path, key, msg string) {
+	c.errs = append(c.errs, &ValidationError{Path: path, Key: key, Msg: msg})
+}
+
+// node checks the element n at c.path, matched so far as cur.
+func (c *checker) node(n *xmltree.Node, cur Cursor) {
 	// Coverage of this node.
-	if !s.IsKeyed(p) {
-		*errs = append(*errs, &ValidationError{
-			Path: p.Absolute(),
-			Msg:  "unkeyed element above the frontier",
-		})
+	if cur.Key() == nil {
+		c.report(c.path.Absolute(), "", "unkeyed element above the frontier")
 		return // no key structure to check below
 	}
 
-	// Uniqueness and existence for every key whose context is this node.
-	for _, k := range s.keyed {
-		if !k.NodePath().Matches(p) {
-			continue
-		}
-		// This node is a target of key k; check its key paths resolve
-		// uniquely.
+	// This node is a target of every key ending here; check their key
+	// paths resolve uniquely.
+	for _, k := range cur.st.keys {
 		for _, kp := range k.KeyPaths {
 			if len(kp) == 0 {
 				continue
 			}
-			vals := kp.Resolve(n)
-			if len(vals) != 1 {
-				*errs = append(*errs, &ValidationError{
-					Path: p.Absolute(), Key: k.String(),
-					Msg: fmt.Sprintf("key path %s resolves to %d nodes, want 1", kp, len(vals)),
-				})
+			if _, found := kp.ResolveUnique(n); found != 1 {
+				c.report(c.path.Absolute(), k.String(),
+					fmt.Sprintf("key path %s resolves to %d nodes, want 1", kp, len(kp.Resolve(n))))
 			}
 		}
 	}
-	for _, k := range s.keyed {
-		if !k.Context.Matches(p) {
-			continue
-		}
-		targets := k.Target.Resolve(n)
-		seen := map[string]bool{}
-		for _, t := range targets {
-			tuple, ok := keyTuple(t, k)
-			if !ok {
-				continue // missing key path already reported at the target
-			}
-			if seen[tuple] {
-				*errs = append(*errs, &ValidationError{
-					Path: p.Absolute(), Key: k.String(),
-					Msg: "duplicate key value among targets",
-				})
-			}
-			seen[tuple] = true
-		}
+	// Uniqueness among the targets of every key whose context is this node.
+	for _, k := range cur.st.contexts {
+		c.checkTargets(n, k)
 	}
 
-	if s.IsFrontier(p) {
+	if cur.Frontier() {
 		return // content below the frontier is unconstrained
 	}
 
 	// Above the frontier: attributes must be keyed paths, text must not
 	// appear, element children must be keyed (checked recursively).
 	for _, a := range n.Attrs {
-		ap := append(append(Path{}, p...), a.Name)
-		if !s.IsKeyed(ap) {
-			*errs = append(*errs, &ValidationError{
-				Path: ap.Absolute(),
-				Msg:  "unkeyed attribute above the frontier",
-			})
+		if cur.Child(a.Name).Key() == nil {
+			c.report(append(c.path, a.Name).Absolute(), "", "unkeyed attribute above the frontier")
 		}
 	}
-	for _, c := range n.Children {
-		switch c.Kind {
+	for _, ch := range n.Children {
+		switch ch.Kind {
 		case xmltree.Text:
-			*errs = append(*errs, &ValidationError{
-				Path: p.Absolute(),
-				Msg:  "text content above the frontier",
-			})
+			c.report(c.path.Absolute(), "", "text content above the frontier")
 		case xmltree.Element:
-			cp := append(append(Path{}, p...), c.Name)
-			s.checkNode(c, cp, errs)
+			c.path = append(c.path, ch.Name)
+			c.node(ch, cur.Child(ch.Name))
+			c.path = c.path[:len(c.path)-1]
 		}
 	}
 }
 
-// keyTuple renders the key value of target node t under key k as a single
-// canonical string, or ok=false if some key path does not resolve uniquely.
-func keyTuple(t *xmltree.Node, k *Key) (string, bool) {
-	if len(k.KeyPaths) == 0 {
-		return "", true
+// checkTargets reports every target of key k under context node n whose
+// key value repeats an earlier target's.
+func (c *checker) checkTargets(n *xmltree.Node, k *Key) {
+	targets := 0
+	k.Target.each(n, func(*xmltree.Node) { targets++ })
+	if targets <= 1 {
+		return
 	}
-	out := ""
-	for _, kp := range k.KeyPaths {
-		vals := kp.Resolve(t)
-		if len(vals) != 1 {
-			return "", false
+	if c.seen == nil {
+		c.seen = map[string]struct{}{}
+	}
+	clear(c.seen)
+	k.Target.each(n, func(t *xmltree.Node) {
+		if !c.keyTuple(t, k) {
+			return // missing key path already reported at the target
 		}
-		out += "|" + xmltree.Canonical(vals[0])
+		if _, dup := c.seen[string(c.tuple.Buf)]; dup {
+			c.report(c.path.Absolute(), k.String(), "duplicate key value among targets")
+			return
+		}
+		c.seen[string(c.tuple.Buf)] = struct{}{}
+	})
+}
+
+// keyTuple renders the key value of target node t under key k into
+// c.tuple as a single canonical string, or reports false if some key path
+// does not resolve uniquely.
+func (c *checker) keyTuple(t *xmltree.Node, k *Key) bool {
+	c.tuple.Reset()
+	for _, kp := range k.KeyPaths {
+		v, found := kp.ResolveUnique(t)
+		if found != 1 {
+			return false
+		}
+		c.tuple.WriteByte('|')
+		xmltree.WriteCanonicalTo(&c.tuple, v)
 	}
-	return out, true
+	return true
 }

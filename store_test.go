@@ -250,6 +250,63 @@ func TestEngineParityReopened(t *testing.T) {
 	}
 }
 
+// TestTreeAddKeepsWhatReparsingLost adds hand-built documents whose
+// values do not survive a serialize-and-parse round trip (an XML parser
+// turns a carriage return into a line feed). The external engine ingests
+// the tree as it is, so it must answer exactly like the in-memory engine,
+// in a key value as much as in frontier content.
+func TestTreeAddKeepsWhatReparsingLost(t *testing.T) {
+	build := func(n int) *Document {
+		doc, err := ParseXMLString(deptVersion(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dept := doc.Child("dept")
+		dept.Child("name").Children[0].Data = "d\r1"
+		dept.Child("emp").Child("sal").Children[0].Data = fmt.Sprintf("%dK\r\n.", 50+n)
+		return doc
+	}
+	mem := NewStore(mustSpec(t))
+	defer mem.Close()
+	ext, err := OpenStore(t.TempDir(), mustSpec(t), WithMemoryBudget(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ext.Close()
+	for n := 1; n <= 3; n++ {
+		for _, s := range []Store{mem, ext} {
+			if err := s.Add(build(n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for n := 1; n <= 3; n++ {
+		var mw, ew strings.Builder
+		if err := mem.WriteVersion(n, &mw); err != nil {
+			t.Fatal(err)
+		}
+		if err := ext.WriteVersion(n, &ew); err != nil {
+			t.Fatal(err)
+		}
+		if mw.String() != ew.String() {
+			t.Errorf("WriteVersion(%d) bytes differ across engines:\n%q\nvs\n%q", n, mw.String(), ew.String())
+		}
+		if strings.Count(ew.String(), "\r") != 2 {
+			t.Errorf("version %d lost its carriage returns: %q", n, ew.String())
+		}
+	}
+	var msnap, esnap strings.Builder
+	if err := mem.Snapshot(&msnap); err != nil {
+		t.Fatal(err)
+	}
+	if err := ext.Snapshot(&esnap); err != nil {
+		t.Fatal(err)
+	}
+	if msnap.String() != esnap.String() {
+		t.Errorf("snapshots differ across engines (%d vs %d bytes)", msnap.Len(), esnap.Len())
+	}
+}
+
 // TestStreamingQueryAfterAdd pins the ingest/query interleaving contract
 // on the streaming path: a query issued immediately after every Add sees
 // the new version, byte-identical to the in-memory engine.
