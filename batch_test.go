@@ -81,9 +81,11 @@ func TestAddBatchGroupCommit(t *testing.T) {
 // TestAddBatchPerDocError pins failure isolation: a document that
 // violates the key spec consumes no version and fails only its own
 // AddResult; the rest of the batch commits contiguously. A nil document
-// archives an empty version, like Add of an empty database.
+// archives an empty version, like Add of an empty database. With
+// validation off the external engine's own sort must still refuse the
+// two same-key siblings, where it used to archive them fused into one.
 func TestAddBatchPerDocError(t *testing.T) {
-	bothEngines(t, func(t *testing.T, s Store) {
+	check := func(t *testing.T, s Store, validated bool) {
 		docs := []*Document{
 			mustParse(t, deptVersion(1)),
 			// Two depts with the same key violate (/db, (dept, {name})).
@@ -96,8 +98,8 @@ func TestAddBatchPerDocError(t *testing.T) {
 			t.Fatal(err)
 		}
 		var kv *KeyViolationError
-		if results[1].Err == nil || !errors.As(results[1].Err, &kv) {
-			t.Errorf("violating doc: err = %v, want a KeyViolationError", results[1].Err)
+		if results[1].Err == nil || errors.As(results[1].Err, &kv) != validated {
+			t.Errorf("violating doc: err = %v, want an error, a KeyViolationError if validated", results[1].Err)
 		}
 		want := []int{1, 0, 2, 3} // versions stay contiguous around the failure
 		for k, r := range results {
@@ -120,6 +122,15 @@ func TestAddBatchPerDocError(t *testing.T) {
 		} else if got := fmt.Sprint(h.Versions()); got != "[1 3]" {
 			t.Errorf("d1 history = %s, want [1 3] (absent from the empty version 2)", got)
 		}
+	}
+	bothEngines(t, func(t *testing.T, s Store) { check(t, s, true) })
+	t.Run("ext-unvalidated", func(t *testing.T) {
+		s, err := OpenStore(t.TempDir(), mustSpec(t), WithValidation(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		check(t, s, false)
 	})
 }
 

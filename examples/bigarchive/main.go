@@ -2,9 +2,10 @@
 //
 // Swiss-Prot versions reach hundreds of megabytes — far beyond the
 // archiver's in-memory reach on the paper's 256 MB machine. This example
-// archives Swiss-Prot-like releases through the external-memory pipeline
-// (decompose → bounded-memory sorted runs → streaming merge) with an
-// artificially tiny memory budget, so the multi-run machinery is visible.
+// archives Swiss-Prot-like releases through the external sort (decompose
+// → bounded-memory sorted runs → run merge) and the streaming segment
+// merge, with an artificially tiny memory budget, so the multi-run
+// machinery is visible.
 //
 // Both engines implement the same xarch.Store interface, so retrieval and
 // history queries run directly against the external store — no manual
@@ -38,9 +39,10 @@ func main() {
 	// A 500-token budget forces the run former to spill constantly — a
 	// stand-in for a document 1000x larger than memory.
 	const budget = 500
-	// WithValidation(false) keeps ingest truly streaming: the releases
-	// come from a trusted generator, so AddReader feeds the §6 pipeline
-	// directly instead of parsing each release into a tree first.
+	// WithValidation(false) is what selects the external sort: the
+	// releases come from a trusted generator, so AddReader streams each
+	// one through it instead of parsing the release into a tree first
+	// (a tree is sorted in memory, and the budget would not apply).
 	ar, err := xarch.OpenStore(dir, spec,
 		xarch.WithMemoryBudget(budget), xarch.WithValidation(false))
 	if err != nil {
@@ -54,7 +56,7 @@ func main() {
 		doc := g.Next()
 		text := doc.IndentedXML()
 		releases = append(releases, text)
-		// AddReader streams the release through the §6 pipeline; the
+		// AddReader streams the release through the external sort; the
 		// document is never held in memory as a tree.
 		if err := ar.AddReader(strings.NewReader(text)); err != nil {
 			log.Fatal(err)

@@ -13,9 +13,9 @@ import (
 // ExtStore is the external-memory engine of the Store interface: the
 // archiver of §6, maintaining the archive on disk as key-range-
 // partitioned segment files plus a persistent key directory, and adding
-// versions with bounded memory (decompose, sharded external sort, and a
-// segment-local streaming merge that rewrites only the segments whose
-// key ranges the version touches).
+// versions with bounded memory (a parsed document is sorted in memory, a
+// streamed one by the external sort; then a segment-local streaming merge
+// rewrites only the segments whose key ranges the version touches).
 //
 // Queries stream too: Version, WriteVersion, History, ContentHistory and
 // Stats never materialize an in-memory archive, so peak query memory is
@@ -73,8 +73,8 @@ func (s *ExtStore) Add(doc *Document) error {
 
 // AddBatch archives docs as consecutive versions with ONE durable commit
 // for the whole group: every document is validated (with validation on),
-// then decomposed straight from its tree — one walk, no serialization or
-// re-parse, no key files — sorted and merged against the uncommitted
+// then sorted straight from its tree — one walk, no serialization or
+// re-parse, no key files, no runs — and merged against the uncommitted
 // result of its predecessor, and only the final key directory goes
 // through the tmp+fsync+rename protocol. Group commit amortizes that protocol — and
 // the segment rewrites of overlapping key ranges — across submitters,
@@ -305,8 +305,8 @@ func (s *ExtStore) SameVersion(doc, other *Document) (bool, error) {
 }
 
 // SortRuns reports how many sorted runs the external sort of the most
-// recent Add produced (§6): one run per ingest shard means the version
-// fit the memory budget.
+// recent add formed (§6): one means the version fit the memory budget,
+// zero that it was added as a tree and sorted in memory.
 func (s *ExtStore) SortRuns() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -7,7 +7,6 @@ import (
 	"io"
 	iofs "io/fs"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -95,18 +94,15 @@ type genState struct {
 
 // Config collects the archiver's tuning knobs.
 type Config struct {
-	// Budget caps the run former's in-memory partial trees, in tokens;
-	// small budgets force many sorted runs (useful to exercise the
-	// external path). Default 1<<20.
+	// Budget caps the in-memory partial trees of the external sort, in
+	// tokens; small budgets force many sorted runs. It bounds streamed
+	// versions (Source.Reader) only: a tree is sorted in memory. Default
+	// 1<<20.
 	Budget int
 	// SegmentTarget is the segment file payload size the merge aims for,
 	// in bytes. Smaller targets mean more segments: finer-grained merge
 	// reuse and more selective seeks, at more files. Default 256 KiB.
 	SegmentTarget int
-	// Shards is the number of run-former workers ingest fans out to,
-	// splitting top-level subtrees across cores. Default
-	// min(4, GOMAXPROCS); 1 disables sharding.
-	Shards int
 	// NoDirectorySeek makes every query scan the full archive stream
 	// instead of seeking through the key directory (diagnostic knob; the
 	// two paths answer byte-identically).
@@ -147,12 +143,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.SegmentTarget <= 0 {
 		c.SegmentTarget = defaultSegmentTarget
-	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-		if c.Shards > 4 {
-			c.Shards = 4
-		}
 	}
 	if c.CompactTarget <= 0 {
 		c.CompactTarget = c.SegmentTarget / 2
@@ -589,16 +579,6 @@ func (ar *Archiver) Segments() []SegmentInfo {
 	return out
 }
 
-// AddVersionFile archives the XML document in path as the next version.
-func (ar *Archiver) AddVersionFile(path string) error {
-	f, err := ar.fs.Open(path)
-	if err != nil {
-		return fmt.Errorf("extmem: %w", err)
-	}
-	defer f.Close()
-	return ar.AddVersion(f)
-}
-
 // AddEmptyVersion archives an empty database as the next version.
 func (ar *Archiver) AddEmptyVersion() error { return ar.AddVersion(nil) }
 
@@ -619,9 +599,9 @@ func (ar *Archiver) AddVersion(r io.Reader) error {
 
 // Source is one version handed to AddVersionBatch: a parsed document, or
 // XML to stream, or — the zero Source — an empty version. A Doc is
-// decomposed straight from the tree (decomposeTree); a Reader goes
-// through the streaming decomposer and its key files, which never holds
-// the version in memory.
+// sorted in memory, straight from the tree (sortTree); a Reader goes
+// through the external sort (decompose, key files, runs, run merge),
+// which never holds the version in memory.
 type Source struct {
 	Doc    *xmltree.Node
 	Reader io.Reader
@@ -641,7 +621,7 @@ type BatchItem struct {
 
 // AddVersionBatch archives each source as the next consecutive version
 // with ONE durability commit for the whole group: every document runs
-// the full decompose/sort/merge pipeline, each merging against the
+// the full sort and segment merge, each merging against the
 // uncommitted directory of its predecessor, and only the final directory
 // goes through the tmp+fsync+rename commit protocol — the group-commit
 // amortization behind the archive server's ingest path.
@@ -761,178 +741,41 @@ func removePaths(fs fsio.FS, paths []string) {
 	}
 }
 
-// prepareSorted runs phases 1–3 of the §6 pipeline for one version —
-// decompose, sharded run forming, run merge — and returns the path of
+// prepareSorted brings one version into §6.2's sorted form — a tree by an
+// in-memory sort (sortTree), streamed XML by the external sort, an empty
+// source as an empty file (an empty version) — and returns the path of
 // the sorted version file plus every scratch file created (sortedPath
-// included). The caller removes the scratch files when done with them;
-// an empty source produces an empty sorted file (an empty version).
+// included). The caller removes the scratch files when done with them.
 func (ar *Archiver) prepareSorted(src Source) (sortedPath string, scratch []string, err error) {
 	sortedPath = ar.tmpPath("sorted.tok")
-	var runs []string
 	var stats SortStats
 	switch {
 	case src.Doc != nil:
-		// Phases 1+2 in one pass: the tree walk feeds the run formers
-		// directly, keys inline — no token file, no key files.
-		b := newRunBuilder(ar.fs, ar.dict, ar.spec, ar.cfg.Budget, ar.dir, "tmp", nil, ar.cfg.Shards)
-		runs, stats, err = b.finish(decomposeTree(src.Doc, ar.spec, ar.dict, b.feed))
-		scratch = runs
-	case src.Reader != nil:
-		runs, stats, scratch, err = ar.streamRuns(src.Reader)
-	default:
-		scratch = append(scratch, sortedPath)
-		if err := ar.fs.WriteFile(sortedPath, nil, 0o644); err != nil {
-			return "", scratch, fmt.Errorf("extmem: %w", err)
+		scratch = []string{sortedPath}
+		var w *scratchWriter
+		if w, err = createScratch(ar.fs, sortedPath); err == nil {
+			err = sortTree(src.Doc, ar.spec, ar.dict, w.tokenWriter)
+			if ferr := w.finish(); err == nil {
+				err = ferr
+			}
 		}
-		return sortedPath, scratch, nil
+	case src.Reader != nil:
+		stats, scratch, err = ar.externalSort(src.Reader, sortedPath)
+	default:
+		scratch = []string{sortedPath}
+		if err = ar.fs.WriteFile(sortedPath, nil, 0o644); err != nil {
+			err = fmt.Errorf("extmem: %w", err)
+		}
 	}
 	if err != nil {
 		return "", scratch, err
 	}
 	ar.LastSort = stats
-
-	// Phase 3: merge the runs into one sorted version.
-	scratch = append(scratch, sortedPath)
-	if err := mergeRunFiles(ar.fs, runs, ar.dict, sortedPath); err != nil {
-		return "", scratch, err
-	}
 	return sortedPath, scratch, nil
 }
 
 func (ar *Archiver) tmpPath(name string) string {
 	return filepath.Join(ar.dir, "tmp-"+name)
-}
-
-// streamRuns is phases 1+2 for a streamed version, pipelined: decompose
-// streams the version into the token file and the per-pattern key files
-// while the run formers follow those files and form the bounded-memory
-// sorted runs, so run forming's in-memory tree building overlaps
-// decompose's parse and I/O. Key files are pre-created for every pattern
-// of the spec, because a follower may ask for one before decompose first
-// writes to it. It returns the runs and every scratch file created (the
-// runs included).
-func (ar *Archiver) streamRuns(r io.Reader) (runs []string, stats SortStats, scratch []string, err error) {
-	tokPath := ar.tmpPath("version.tok")
-	scratch = append(scratch, tokPath)
-	tokF, err := ar.fs.Create(tokPath)
-	if err != nil {
-		return nil, stats, scratch, fmt.Errorf("extmem: %w", err)
-	}
-	progTok := newProgress()
-	tw := newTokenWriter(&progressWriter{f: tokF, p: progTok})
-
-	type keyFile struct {
-		path string
-		f    fsio.File
-		w    *tokenWriter
-		prog *progress
-	}
-	keyFiles := map[string]*keyFile{}
-	for _, k := range ar.spec.AllKeys() {
-		pattern := k.Pattern()
-		if _, ok := keyFiles[pattern]; ok {
-			continue
-		}
-		p := ar.tmpPath("keys-" + sanitize(pattern) + ".key")
-		scratch = append(scratch, p)
-		f, err := ar.fs.Create(p)
-		if err != nil {
-			tw.release()
-			tokF.Close()
-			for _, kf := range keyFiles {
-				kf.w.release()
-				kf.f.Close()
-			}
-			return nil, stats, scratch, fmt.Errorf("extmem: %w", err)
-		}
-		prog := newProgress()
-		keyFiles[pattern] = &keyFile{path: p, f: f, w: newTokenWriter(&progressWriter{f: f, p: prog}), prog: prog}
-	}
-	finishAll := func(err error) {
-		progTok.finish(err)
-		for _, kf := range keyFiles {
-			kf.prog.finish(err)
-		}
-	}
-
-	type runResult struct {
-		runs  []string
-		stats SortStats
-		err   error
-	}
-	resCh := make(chan runResult, 1)
-	go func() {
-		tokIn, err := ar.fs.Open(tokPath)
-		if err != nil {
-			resCh <- runResult{err: fmt.Errorf("extmem: %w", err)}
-			return
-		}
-		defer tokIn.Close()
-		var keyReaders []fsio.File
-		defer func() {
-			for _, f := range keyReaders {
-				f.Close()
-			}
-		}()
-		openKeyReader := func(pattern string) (*rawReader, error) {
-			kf, ok := keyFiles[pattern]
-			if !ok {
-				return nil, fmt.Errorf("extmem: no key file for pattern %s", pattern)
-			}
-			f, err := ar.fs.Open(kf.path)
-			if err != nil {
-				return nil, fmt.Errorf("extmem: %w", err)
-			}
-			keyReaders = append(keyReaders, f)
-			return newRawReader(&followReader{f: f, p: kf.prog}), nil
-		}
-		tr := newTokenReader(&followReader{f: tokIn, p: progTok})
-		b := newRunBuilder(ar.fs, ar.dict, ar.spec, ar.cfg.Budget, ar.dir, "tmp", openKeyReader, ar.cfg.Shards)
-		runs, stats, err := formRuns(tr, b)
-		tr.release()
-		resCh <- runResult{runs: runs, stats: stats, err: err}
-	}()
-
-	keyWriter := func(pattern string) (*tokenWriter, error) {
-		kf, ok := keyFiles[pattern]
-		if !ok {
-			return nil, fmt.Errorf("extmem: key pattern %s not in specification", pattern)
-		}
-		return kf.w, nil
-	}
-	// Periodically flushing the writers publishes their bytes to the
-	// following run formers, keeping the pipeline overlapped instead
-	// of draining everything at end of document.
-	syncWriters := func() error {
-		if err := tw.flush(); err != nil {
-			return err
-		}
-		for _, kf := range keyFiles {
-			if err := kf.w.flush(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	_, derr := decompose(r, ar.spec, ar.dict, tw, keyWriter, syncWriters)
-	if derr == nil {
-		derr = syncWriters()
-	}
-	finishAll(derr)
-	res := <-resCh
-	scratch = append(scratch, res.runs...)
-	tw.release()
-	for _, kf := range keyFiles {
-		kf.w.release()
-		kf.f.Close()
-	}
-	if cerr := tokF.Close(); derr == nil && cerr != nil {
-		derr = cerr
-	}
-	if derr != nil {
-		return nil, stats, scratch, derr
-	}
-	return res.runs, res.stats, scratch, res.err
 }
 
 func sanitize(s string) string {

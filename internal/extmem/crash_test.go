@@ -28,11 +28,10 @@ import (
 // Each matrix runs twice, with the crashing write applied in full and
 // torn (half its bytes), covering partial final writes.
 //
-// The replay interleaving need not match the traced run op for op (the
-// ingest pipeline overlaps two goroutines), and the crash invariants
-// must hold after ANY prefix of ANY schedule; the traced run's length
-// just sizes the matrix so the whole operation — through the commit
-// renames and the post-commit cleanup — is covered.
+// An add runs on one goroutine, so the replay repeats the traced run op
+// for op up to the crash; the traced run's length sizes the matrix so the
+// whole operation — through the commit renames and the post-commit
+// cleanup — is covered.
 
 // copyDir snapshots the regular files of src into dst.
 func copyDir(t *testing.T, src, dst string) {
@@ -116,9 +115,9 @@ func assertRecovered(t *testing.T, dir string, cfg Config, label string,
 
 // TestCrashMatrixAdd crashes an add after every op k of its I/O trace:
 // recovery must land on exactly the 2-version or the 3-version archive.
-// It runs once per source kind: a parsed tree (whose only scratch files
-// are the sorted runs) and streamed XML (which also leaves the token file
-// and the tmp-keys-* key files for the sweep).
+// It runs once per source kind: a parsed tree (whose only scratch file is
+// the sorted version) and streamed XML (which also leaves the token file,
+// the tmp-keys-* key files and the runs for the sweep).
 func TestCrashMatrixAdd(t *testing.T) {
 	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 91, Records: 12, DeleteFrac: 0.05, InsertFrac: 0.1, ModifyFrac: 0.1})
 	docs := []*xmltree.Node{g.Next(), g.Next(), g.Next()}
@@ -139,9 +138,9 @@ func TestCrashMatrixAdd(t *testing.T) {
 }
 
 func crashMatrixAdd(t *testing.T, docs []*xmltree.Node, wantKeyFiles bool, add func(*Archiver, *xmltree.Node) error) {
-	// Shards:1 keeps the ingest single-follower; a small budget forces
-	// several run files so the matrix covers the scratch-file phase.
-	cfg := Config{Budget: 512, SegmentTarget: 1024, Shards: 1}
+	// A small budget makes the streamed add form several run files, so the
+	// matrix covers the scratch-file phase.
+	cfg := Config{Budget: 512, SegmentTarget: 1024}
 
 	base := t.TempDir()
 	ar, err := Open(base, datagen.OMIMSpec(), cfg)
@@ -210,6 +209,9 @@ func crashMatrixAdd(t *testing.T, docs []*xmltree.Node, wantKeyFiles bool, add f
 				sawTransient = true
 				if strings.HasPrefix(name, "tmp-keys-") {
 					sawKeyFile = true
+				}
+				if strings.HasPrefix(name, "tmp-w") {
+					t.Errorf("%s: per-worker run file %s; run forming is sequential", label, name)
 				}
 			}
 			assertRecovered(t, dir, cfg, label, 2, 3, wantPre, wantPost)

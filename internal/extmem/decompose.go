@@ -1,5 +1,14 @@
 package extmem
 
+// The external sort of §6, first half. This file and sort.go serve one
+// input only: XML streamed into a store opened WithValidation(false),
+// which is how a version larger than memory gets in. Nothing here holds
+// more than O(height) of the document: decompose splits the stream into a
+// token file and key files (§6.1), sort.go reads them back into
+// bounded-memory sorted runs and merges the runs (§6.2). A version that
+// arrives as a tree is sorted in memory instead (treesort.go) and touches
+// none of this.
+
 import (
 	"bufio"
 	"encoding/binary"
@@ -8,122 +17,11 @@ import (
 	"io"
 	"slices"
 	"strings"
-	"sync"
 
+	"xarch/internal/fsio"
 	"xarch/internal/keys"
 	"xarch/internal/xmltree"
 )
-
-// dictionary maps tag/attribute names to integers (§6.1: "a document with
-// tag names replaced by integers"). One dictionary serves the archive and
-// every version. It is safe for one writer (the decompose pass) and any
-// number of readers (the run-former worker, query snapshots) to use it
-// concurrently: entries are immutable once assigned, and a mutex guards
-// the growing structures.
-type dictionary struct {
-	mu    sync.RWMutex
-	ids   map[string]int
-	names []string
-}
-
-func newDictionary() *dictionary {
-	return &dictionary{ids: map[string]int{}}
-}
-
-func (d *dictionary) id(name string) int {
-	d.mu.RLock()
-	id, ok := d.ids[name]
-	d.mu.RUnlock()
-	if ok {
-		return id
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if id, ok := d.ids[name]; ok {
-		return id
-	}
-	id = len(d.names)
-	d.ids[name] = id
-	d.names = append(d.names, name)
-	return id
-}
-
-func (d *dictionary) name(id int) (string, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if id < 0 || id >= len(d.names) {
-		return "", fmt.Errorf("extmem: tag id %d outside dictionary", id)
-	}
-	return d.names[id], nil
-}
-
-// snapshot returns the current name table. Entries are immutable and the
-// table is append-only, so the returned slice is a consistent point-in-time
-// view that later id() calls never mutate.
-func (d *dictionary) snapshot() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.names[:len(d.names):len(d.names)]
-}
-
-// save writes the dictionary as "id<TAB>name" lines.
-func (d *dictionary) save(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 32*1024)
-	for i, n := range d.snapshot() {
-		if _, err := fmt.Fprintf(bw, "%d\t%s\n", i, escapeNL(n)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-func loadDictionary(r io.Reader) (*dictionary, error) {
-	d := newDictionary()
-	br := bufio.NewReaderSize(r, 32*1024)
-	var id int
-	var name string
-	for {
-		n, err := fmt.Fscanf(br, "%d\t%s\n", &id, &name)
-		if err == io.EOF || n == 0 {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("extmem: dictionary: %w", err)
-		}
-		got := d.id(unescapeNL(name))
-		if got != id {
-			return nil, fmt.Errorf("extmem: dictionary ids out of order: %d != %d", got, id)
-		}
-	}
-	return d, nil
-}
-
-func escapeNL(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, "\n", `\n`)
-	s = strings.ReplaceAll(s, "\t", `\t`)
-	return s
-}
-
-func unescapeNL(s string) string {
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' && i+1 < len(s) {
-			i++
-			switch s[i] {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			default:
-				b.WriteByte(s[i])
-			}
-			continue
-		}
-		b.WriteByte(s[i])
-	}
-	return b.String()
-}
 
 // memo is an in-flight memorization of a key-path value (the (**) steps of
 // Annotate Keys, §4.1).
@@ -142,23 +40,17 @@ type pendingKey struct {
 	values []string
 }
 
-// decomposeBatch is the element interval at which the decomposer invokes
-// its sync hook, publishing buffered bytes to the concurrent run former.
-const decomposeBatch = 4096
-
 // decomposer streams one XML document into the internal representation
-// plus key files (§6.1), running the stack algorithm of §4.1. It is the
-// only way in for a version larger than memory: a keyed node's key value
-// is complete only at its close tag, after its open token has been
-// written, so the values go to per-pattern key files that the run former
-// pops in step. A version already held as a tree takes decomposeTree.
+// plus key files (§6.1), running the stack algorithm of §4.1. A keyed
+// node's key value is complete only at its close tag, after its open
+// token has been written, so the values go to per-pattern key files that
+// the run former pops in step.
 type decomposer struct {
 	dict *dictionary
 
 	tokens  *tokenWriter
-	keyOut  map[string]*tokenWriter // key file per keyed-path pattern
+	keyOut  map[string]*tokenWriter // key file per keyed-path pattern met so far
 	keyFile func(pattern string) (*tokenWriter, error)
-	sync    func() error // periodic flush hook; may be nil
 
 	path     []string
 	cursors  []keys.Cursor // cursors[i] matches path[:i]; descends the spec with the document
@@ -167,17 +59,14 @@ type decomposer struct {
 	memos    []*memo
 	textBuf  strings.Builder
 	depth    int
-
-	nodesSeen int
-	sinceSync int
 }
 
 // decompose streams the XML document from r, writing the token stream to
-// tokens and composite key values to per-pattern key files obtained from
-// keyFile. Every decomposeBatch elements it calls sync (if non-nil) so a
-// concurrent consumer sees the buffered bytes. It returns the node count.
+// tokens and composite key values to per-pattern key files, each obtained
+// from keyFile when its pattern first closes a node. The caller flushes
+// and closes the writers.
 func decompose(r io.Reader, spec *keys.Spec, dict *dictionary, tokens *tokenWriter,
-	keyFile func(pattern string) (*tokenWriter, error), sync func() error) (int, error) {
+	keyFile func(pattern string) (*tokenWriter, error)) error {
 
 	d := &decomposer{
 		cursors: []keys.Cursor{spec.Cursor()},
@@ -185,7 +74,6 @@ func decompose(r io.Reader, spec *keys.Spec, dict *dictionary, tokens *tokenWrit
 		tokens:  tokens,
 		keyOut:  map[string]*tokenWriter{},
 		keyFile: keyFile,
-		sync:    sync,
 	}
 	dec := xml.NewDecoder(r)
 	for {
@@ -194,30 +82,25 @@ func decompose(r io.Reader, spec *keys.Spec, dict *dictionary, tokens *tokenWrit
 			break
 		}
 		if err != nil {
-			return 0, fmt.Errorf("extmem: parse: %w", err)
+			return fmt.Errorf("extmem: parse: %w", err)
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
 			if err := d.start(t); err != nil {
-				return 0, err
+				return err
 			}
 		case xml.EndElement:
 			if err := d.end(); err != nil {
-				return 0, err
+				return err
 			}
 		case xml.CharData:
 			d.textBuf.Write(t)
 		}
 	}
 	if d.depth != 0 {
-		return 0, fmt.Errorf("extmem: unbalanced document")
+		return fmt.Errorf("extmem: unbalanced document")
 	}
-	for pattern, kw := range d.keyOut {
-		if err := kw.flush(); err != nil {
-			return 0, fmt.Errorf("extmem: flush key file %s: %w", pattern, err)
-		}
-	}
-	return d.nodesSeen, nil
+	return nil
 }
 
 func (d *decomposer) flushText() {
@@ -230,7 +113,6 @@ func (d *decomposer) flushText() {
 		return
 	}
 	d.tokens.text(s)
-	d.nodesSeen++
 	for _, m := range d.memos {
 		m.b.WriteString("t(")
 		xmltree.EscapeCanonical(&m.b, s)
@@ -245,15 +127,6 @@ func (d *decomposer) start(t xml.StartElement) error {
 	cur := d.cursors[len(d.cursors)-1].Child(name)
 	d.cursors = append(d.cursors, cur)
 	d.depth++
-	d.nodesSeen++
-	if d.sync != nil {
-		if d.sinceSync++; d.sinceSync >= decomposeBatch {
-			d.sinceSync = 0
-			if err := d.sync(); err != nil {
-				return err
-			}
-		}
-	}
 
 	// Sorted attributes (canonical order).
 	attrs := d.attrs[:0]
@@ -335,7 +208,6 @@ func (d *decomposer) start(t xml.StartElement) error {
 	d.tokens.open(d.dict.id(name), nil, "")
 	for _, a := range attrs {
 		d.tokens.attr(d.dict.id(a[0]), a[1])
-		d.nodesSeen++
 	}
 	return nil
 }
@@ -410,176 +282,10 @@ func writeKeyRecord(kw *tokenWriter, p *pendingKey) {
 	}
 }
 
-// decomposeTree is decompose for a version already parsed into a tree: one
-// walk of doc, in lockstep with the specification's compiled trie, hands
-// the token stream straight to emit. A tree knows a keyed node's key value
-// at its open tag, so the open token carries the composite key inline and
-// no key files exist. The stream is token for token what decompose makes
-// of the tree's serialization — adjacent text coalesced, whitespace-only
-// text and namespace declarations dropped, attributes in canonical order,
-// dictionary ids assigned in document order — except that names and
-// values are taken from the tree as they are, not through an escape and
-// re-parse.
-func decomposeTree(doc *xmltree.Node, spec *keys.Spec, dict *dictionary, emit func(token) error) error {
-	d := &treeDecomposer{dict: dict, emit: emit}
-	return d.keyed(doc, spec.Cursor().Child(doc.Name))
-}
-
-type treeDecomposer struct {
-	dict *dictionary
-	emit func(token) error
-
-	path  []string             // of the open keyed elements, to name errors
-	canon xmltree.AppendBuffer // scratch for one key-path value
-	attrs []*xmltree.Node      // scratch for attributes that need sorting
-}
-
-// keyed emits the subtree of x, an element at or above the frontier that
-// the specification matches as cur.
-func (d *treeDecomposer) keyed(x *xmltree.Node, cur keys.Cursor) error {
-	d.path = append(d.path, x.Name)
-	k := cur.Key()
-	if k == nil {
-		return fmt.Errorf("extmem: unkeyed element %s above the frontier", pathString(d.path))
-	}
-	key, err := d.keyValue(x, k)
-	if err != nil {
-		return err
-	}
-	if err := d.element(x, key, cur, !cur.Frontier()); err != nil {
-		return err
-	}
-	d.path = d.path[:len(d.path)-1]
-	return nil
-}
-
-// element emits x's open token (with key, if x is keyed), attributes,
-// children and close token. Element children are keyed nodes matched
-// through cur when keyedChildren is set, plain content otherwise.
-func (d *treeDecomposer) element(x *xmltree.Node, key *tkey, cur keys.Cursor, keyedChildren bool) error {
-	if err := d.emit(token{op: tokOpen, tag: d.dict.id(x.Name), key: key}); err != nil {
-		return err
-	}
-	for _, a := range d.sortedAttrs(x) {
-		if err := d.emit(token{op: tokAttr, tag: d.dict.id(a.Name), data: a.Data}); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < len(x.Children); i++ {
-		c := x.Children[i]
-		var err error
-		switch c.Kind {
-		case xmltree.Text:
-			var text string
-			if text, i = textRun(x.Children, i); strings.TrimSpace(text) != "" {
-				err = d.emit(token{op: tokText, data: text})
-			}
-		case xmltree.Element:
-			if keyedChildren {
-				err = d.keyed(c, cur.Child(c.Name))
-			} else {
-				err = d.element(c, nil, keys.Cursor{}, false)
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return d.emit(token{op: tokClose})
-}
-
-// textRun returns the concatenation of the run of text children that
-// starts at children[i], and the index of the run's last node.
-func textRun(children []*xmltree.Node, i int) (string, int) {
-	text := children[i].Data
-	for i+1 < len(children) && children[i+1].Kind == xmltree.Text {
-		i++
-		text += children[i].Data
-	}
-	return text, i
-}
-
-// sortedAttrs returns x's attributes in canonical (name, value) order
-// without namespace declarations. The result is x.Attrs itself when that
-// already qualifies, otherwise scratch valid until the next call.
-func (d *treeDecomposer) sortedAttrs(x *xmltree.Node) []*xmltree.Node {
-	ok := true
-	for i, a := range x.Attrs {
-		if isNamespaceDecl(a.Name) || (i > 0 && xmltree.Compare(x.Attrs[i-1], a) > 0) {
-			ok = false
-			break
-		}
-	}
-	if ok {
-		return x.Attrs
-	}
-	d.attrs = d.attrs[:0]
-	for _, a := range x.Attrs {
-		if !isNamespaceDecl(a.Name) {
-			d.attrs = append(d.attrs, a)
-		}
-	}
-	slices.SortFunc(d.attrs, xmltree.Compare) // attributes order by (name, value)
-	return d.attrs
-}
-
-// keyValue computes the composite key of x under k: canonical key-path
-// values in the key's precomputed §4.2 order.
-func (d *treeDecomposer) keyValue(x *xmltree.Node, k *keys.Key) (*tkey, error) {
-	key := &tkey{paths: k.SortedKeyPathNames()}
-	if len(k.KeyPaths) > 0 {
-		key.canon = make([]string, len(k.KeyPaths))
-	}
-	for out, i := range k.KeyPathOrder() {
-		kp := k.KeyPaths[i]
-		v, found := kp.ResolveUnique(x)
-		if found != 1 {
-			n := "more than one node"
-			if found == 0 {
-				n = "0 nodes"
-			}
-			return nil, fmt.Errorf("extmem: %s: key path %s of %s resolves to %s", pathString(d.path), kp, k, n)
-		}
-		d.canon.Reset()
-		d.writeCanon(v)
-		key.canon[out] = d.canon.String()
-	}
-	return key, nil
-}
-
-// writeCanon appends the canonical form of a key-path value (an element
-// or attribute) to d.canon, as the streaming decomposer memorizes it:
-// over the same normalized view of the tree that element emits.
-func (d *treeDecomposer) writeCanon(n *xmltree.Node) {
-	w := &d.canon
-	if n.Kind == xmltree.Attr {
-		w.WriteString("a(")
-		xmltree.EscapeCanonical(w, n.Name)
-		w.WriteByte('=')
-		xmltree.EscapeCanonical(w, n.Data)
-		w.WriteByte(')')
-		return
-	}
-	w.WriteString("e(")
-	xmltree.EscapeCanonical(w, n.Name)
-	for _, a := range d.sortedAttrs(n) {
-		d.writeCanon(a)
-	}
-	for i := 0; i < len(n.Children); i++ {
-		c := n.Children[i]
-		switch c.Kind {
-		case xmltree.Text:
-			var text string
-			if text, i = textRun(n.Children, i); strings.TrimSpace(text) != "" {
-				w.WriteString("t(")
-				xmltree.EscapeCanonical(w, text)
-				w.WriteByte(')')
-			}
-		case xmltree.Element:
-			d.writeCanon(c)
-		}
-	}
-	w.WriteByte(')')
+// keyReader is a key file being read back.
+type keyReader struct {
+	*rawReader
+	f fsio.File
 }
 
 // rawReader reads the varint/string records of key files.
@@ -656,18 +362,9 @@ func fillFromAttrs(p *pendingKey, pi int, seg string, attrs [][2]string) error {
 	return nil
 }
 
-// isNamespaceDecl reports whether an attribute name declares a namespace;
-// such attributes are not part of the data model (xmltree.Parse drops
-// them too).
-func isNamespaceDecl(name string) bool {
-	return name == "xmlns" || strings.HasPrefix(name, "xmlns:")
-}
-
 func localName(n xml.Name) string {
 	if n.Space == "" || strings.ContainsAny(n.Space, ":/") {
 		return n.Local
 	}
 	return n.Space + ":" + n.Local
 }
-
-func pathString(p []string) string { return "/" + strings.Join(p, "/") }

@@ -1,0 +1,128 @@
+package extmem
+
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"strings"
+	"sync"
+)
+
+// dictionary maps tag/attribute names to integers (§6.1: "a document with
+// tag names replaced by integers"). One dictionary serves the archive and
+// every version. It is safe for one writer (an add) and any number of
+// readers (query snapshots) to use it concurrently: entries are immutable
+// once assigned, and a mutex guards the growing structures.
+type dictionary struct {
+	mu    sync.RWMutex
+	ids   map[string]int
+	names []string
+}
+
+func newDictionary() *dictionary {
+	return &dictionary{ids: map[string]int{}}
+}
+
+func (d *dictionary) id(name string) int {
+	d.mu.RLock()
+	id, ok := d.ids[name]
+	d.mu.RUnlock()
+	if ok {
+		return id
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if id, ok := d.ids[name]; ok {
+		return id
+	}
+	id = len(d.names)
+	d.ids[name] = id
+	d.names = append(d.names, name)
+	return id
+}
+
+func (d *dictionary) name(id int) (string, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if id < 0 || id >= len(d.names) {
+		return "", fmt.Errorf("extmem: tag id %d outside dictionary", id)
+	}
+	return d.names[id], nil
+}
+
+// snapshot returns the current name table. Entries are immutable and the
+// table is append-only, so the returned slice is a consistent point-in-time
+// view that later id() calls never mutate.
+func (d *dictionary) snapshot() []string {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.names[:len(d.names):len(d.names)]
+}
+
+// save writes the dictionary as "id<TAB>name" lines.
+func (d *dictionary) save(w io.Writer) error {
+	bw := bufio.NewWriterSize(w, 32*1024)
+	for i, n := range d.snapshot() {
+		if _, err := fmt.Fprintf(bw, "%d\t%s\n", i, escapeNL(n)); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+func loadDictionary(r io.Reader) (*dictionary, error) {
+	d := newDictionary()
+	br := bufio.NewReaderSize(r, 32*1024)
+	var id int
+	var name string
+	for {
+		n, err := fmt.Fscanf(br, "%d\t%s\n", &id, &name)
+		if err == io.EOF || n == 0 {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("extmem: dictionary: %w", err)
+		}
+		got := d.id(unescapeNL(name))
+		if got != id {
+			return nil, fmt.Errorf("extmem: dictionary ids out of order: %d != %d", got, id)
+		}
+	}
+	return d, nil
+}
+
+func escapeNL(s string) string {
+	s = strings.ReplaceAll(s, `\`, `\\`)
+	s = strings.ReplaceAll(s, "\n", `\n`)
+	s = strings.ReplaceAll(s, "\t", `\t`)
+	return s
+}
+
+func unescapeNL(s string) string {
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' && i+1 < len(s) {
+			i++
+			switch s[i] {
+			case 'n':
+				b.WriteByte('\n')
+			case 't':
+				b.WriteByte('\t')
+			default:
+				b.WriteByte(s[i])
+			}
+			continue
+		}
+		b.WriteByte(s[i])
+	}
+	return b.String()
+}
+
+// isNamespaceDecl reports whether an attribute name declares a namespace;
+// such attributes are not part of the data model (xmltree.Parse drops
+// them too).
+func isNamespaceDecl(name string) bool {
+	return name == "xmlns" || strings.HasPrefix(name, "xmlns:")
+}
+
+func pathString(p []string) string { return "/" + strings.Join(p, "/") }

@@ -186,7 +186,7 @@ func TestRunsFormedUnderBudget(t *testing.T) {
 	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 43, Records: 40})
 	doc := g.Next()
 	dir := t.TempDir()
-	ar, err := Open(dir, datagen.OMIMSpec(), Config{Budget: 64, Shards: 1})
+	ar, err := Open(dir, datagen.OMIMSpec(), Config{Budget: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestRunsFormedUnderBudget(t *testing.T) {
 	t.Logf("budget=64: runs=%d tokens=%d", ar.LastSort.Runs, ar.LastSort.RunTokens)
 
 	dir2 := t.TempDir()
-	ar2, err := Open(dir2, datagen.OMIMSpec(), Config{Budget: 1 << 20, Shards: 1})
+	ar2, err := Open(dir2, datagen.OMIMSpec(), Config{Budget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

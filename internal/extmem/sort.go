@@ -1,7 +1,14 @@
 package extmem
 
+// The external sort of §6, second half (see decompose.go): bounded-memory
+// sorted runs over the token file and key files of a streamed version,
+// then one multi-way merge of the runs. Like decompose.go this serves
+// WithValidation(false) readers only, and runs sequentially: decompose,
+// then one run former, then the run merge.
+
 import (
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 
@@ -9,11 +16,81 @@ import (
 	"xarch/internal/keys"
 )
 
-// SortStats reports the work of one external sort (§6.2).
+// SortStats reports the work of one external sort (§6.2). A version added
+// as a tree is sorted in memory and reports none.
 type SortStats struct {
-	Runs        int // sorted runs formed
-	RunTokens   int // total tokens across runs (stem duplication included)
-	MergePasses int
+	Runs      int // sorted runs formed
+	RunTokens int // total tokens across runs (stem duplication included)
+}
+
+// scratchWriter is a scratch file being written as a token stream.
+type scratchWriter struct {
+	*tokenWriter
+	f fsio.File
+}
+
+func createScratch(fs fsio.FS, path string) (*scratchWriter, error) {
+	f, err := fs.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("extmem: %w", err)
+	}
+	return &scratchWriter{newTokenWriter(f), f}, nil
+}
+
+// finish flushes the stream and closes the file.
+func (w *scratchWriter) finish() error {
+	err := w.flush()
+	w.release()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// externalSort sorts the XML version streamed from r into sortedPath
+// without ever holding it in memory: decompose into the token file and
+// one key file per keyed-path pattern that occurs (§6.1), form sorted
+// runs from those under the token budget, merge the runs (§6.2). It
+// returns every scratch file it created, sortedPath included, also on
+// failure.
+func (ar *Archiver) externalSort(r io.Reader, sortedPath string) (stats SortStats, scratch []string, err error) {
+	tokPath := ar.tmpPath("version.tok")
+	scratch = append(scratch, tokPath)
+	tokens, err := createScratch(ar.fs, tokPath)
+	if err != nil {
+		return stats, scratch, err
+	}
+	writers := []*scratchWriter{tokens}
+	keyPaths := map[string]string{}
+	err = decompose(r, ar.spec, ar.dict, tokens.tokenWriter, func(pattern string) (*tokenWriter, error) {
+		p := ar.tmpPath("keys-" + sanitize(pattern) + ".key")
+		scratch = append(scratch, p)
+		w, err := createScratch(ar.fs, p)
+		if err != nil {
+			return nil, err
+		}
+		writers = append(writers, w)
+		keyPaths[pattern] = p
+		return w.tokenWriter, nil
+	})
+	for _, w := range writers {
+		if ferr := w.finish(); err == nil {
+			err = ferr
+		}
+	}
+	if err != nil {
+		return stats, scratch, err
+	}
+
+	rf := &runFormer{fs: ar.fs, dict: ar.dict, spec: ar.spec, budget: max(ar.cfg.Budget, 16),
+		dir: ar.dir, keyPaths: keyPaths, keyReaders: map[string]*keyReader{}}
+	err = rf.formRuns(tokPath)
+	scratch = append(scratch, rf.runs...)
+	if err != nil {
+		return stats, scratch, err
+	}
+	scratch = append(scratch, sortedPath)
+	return rf.stats, scratch, mergeRunFiles(ar.fs, rf.runs, ar.dict, sortedPath)
 }
 
 // pnode is one node of a partial tree held by the run former.
@@ -27,47 +104,64 @@ type pnode struct {
 	content  []token // raw content of a frontier node
 }
 
-// stemInfo remembers an open node so the stem can be duplicated into the
-// next run (§6.2's a1/.../am example).
-type stemInfo struct {
-	node  *pnode
-	fresh *pnode // the re-created node in the current partial tree
-}
-
-// runFormer builds bounded-memory sorted runs from the internal token
-// stream, attaching composite key values read from the §6.1 key files.
+// runFormer builds bounded-memory sorted runs from the token file of a
+// streamed version, attaching to every keyed node the composite key value
+// it pops from the §6.1 key file of the node's path pattern.
 type runFormer struct {
 	fs     fsio.FS
 	dict   *dictionary
 	spec   *keys.Spec
 	budget int // max tokens held in a partial tree
 	dir    string
-	prefix string
 
-	keyReaders map[string]*rawReader
-	openKeys   func(pattern string) (*rawReader, error)
+	keyPaths   map[string]string // key file per keyed-path pattern
+	keyReaders map[string]*keyReader
 
 	runs       []string
 	used       int
 	root       *pnode
 	stack      []*pnode
 	path       []string
-	inFrontier int // depth inside frontier content (0 = at keyed levels)
+	inFrontier int      // depth inside frontier content (0 = at keyed levels)
+	sorting    []string // path of the node writeSorted is at, to name errors
 	stats      SortStats
 }
 
-// finish flushes the final partial tree and reports the runs formed.
-func (rf *runFormer) finish() ([]string, SortStats, error) {
-	if len(rf.stack) != 0 {
-		return rf.runs, rf.stats, fmt.Errorf("extmem: token stream ends inside an element")
+// formRuns reads the token file at tokPath to its end, leaving the runs
+// written — also on failure — in rf.runs.
+func (rf *runFormer) formRuns(tokPath string) error {
+	f, err := rf.fs.Open(tokPath)
+	if err != nil {
+		return fmt.Errorf("extmem: %w", err)
 	}
-	if rf.root != nil {
-		if err := rf.flushRun(nil); err != nil {
-			return rf.runs, rf.stats, err
+	tr := newTokenReader(f)
+	defer func() {
+		tr.release()
+		f.Close()
+		for _, kr := range rf.keyReaders {
+			kr.f.Close()
+		}
+	}()
+	for {
+		t, ok := tr.take()
+		if !ok {
+			break
+		}
+		if err := rf.feed(t); err != nil {
+			return err
 		}
 	}
+	if tr.err != nil {
+		return tr.err
+	}
+	if len(rf.stack) != 0 {
+		return fmt.Errorf("extmem: token stream ends inside an element")
+	}
+	if err := rf.flushRun(nil); err != nil {
+		return err
+	}
 	rf.stats.Runs = len(rf.runs)
-	return rf.runs, rf.stats, nil
+	return nil
 }
 
 func (rf *runFormer) top() *pnode {
@@ -111,19 +205,16 @@ func (rf *runFormer) feed(t token) error {
 			return err
 		}
 		rf.path = append(rf.path, name)
-		n := &pnode{tag: t.tag, name: name, key: t.key,
-			frontier: rf.spec.IsFrontier(keys.Path(rf.path))}
-		if n.key == nil {
-			k := rf.spec.KeyFor(keys.Path(rf.path))
-			if k == nil {
-				return fmt.Errorf("extmem: unkeyed element %s above the frontier", pathString(rf.path))
-			}
-			rec, err := rf.nextKey(k.Pattern())
-			if err != nil {
-				return fmt.Errorf("extmem: key file for %s: %w", k.Pattern(), err)
-			}
-			n.key = rec
+		k := rf.spec.KeyFor(keys.Path(rf.path))
+		if k == nil {
+			return fmt.Errorf("extmem: unkeyed element %s above the frontier", pathString(rf.path))
 		}
+		key, err := rf.nextKey(k.Pattern())
+		if err != nil {
+			return fmt.Errorf("extmem: key file for %s: %w", k.Pattern(), err)
+		}
+		n := &pnode{tag: t.tag, name: name, key: key,
+			frontier: rf.spec.IsFrontier(keys.Path(rf.path))}
 		if top == nil {
 			if rf.root != nil {
 				return fmt.Errorf("extmem: multiple roots in token stream")
@@ -154,16 +245,20 @@ func (rf *runFormer) feed(t token) error {
 
 // nextKey pops the next composite key value for the given path pattern.
 func (rf *runFormer) nextKey(pattern string) (*tkey, error) {
-	rr, ok := rf.keyReaders[pattern]
+	kr, ok := rf.keyReaders[pattern]
 	if !ok {
-		var err error
-		rr, err = rf.openKeys(pattern)
+		path, ok := rf.keyPaths[pattern]
+		if !ok {
+			return nil, fmt.Errorf("no key was written for the pattern")
+		}
+		f, err := rf.fs.Open(path)
 		if err != nil {
 			return nil, err
 		}
-		rf.keyReaders[pattern] = rr
+		kr = &keyReader{newRawReader(f), f}
+		rf.keyReaders[pattern] = kr
 	}
-	return readKeyRecord(rr)
+	return readKeyRecord(kr.rawReader)
 }
 
 func (rf *runFormer) closeNode() error {
@@ -184,23 +279,19 @@ func (rf *runFormer) flushRun(openStack []*pnode) error {
 	if rf.root == nil {
 		return nil
 	}
-	path := filepath.Join(rf.dir, fmt.Sprintf("%s-run%04d.tok", rf.prefix, len(rf.runs)))
-	f, err := rf.fs.Create(path)
+	path := filepath.Join(rf.dir, fmt.Sprintf("tmp-run%04d.tok", len(rf.runs)))
+	w, err := createScratch(rf.fs, path)
 	if err != nil {
-		return fmt.Errorf("extmem: create run: %w", err)
-	}
-	tw := newTokenWriter(f)
-	rf.writeSorted(tw, rf.root)
-	err = tw.flush()
-	tw.release()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	rf.runs = append(rf.runs, path)
+	err = rf.writeSorted(w.tokenWriter, rf.root)
+	if ferr := w.finish(); err == nil {
+		err = ferr
+	}
+	if err != nil {
+		return err
+	}
 
 	// Duplicate the stem: re-create each still-open node, emptied.
 	rf.root = nil
@@ -229,7 +320,10 @@ func (rf *runFormer) flushRun(openStack []*pnode) error {
 }
 
 // writeSorted emits a pnode tree with keyed children sorted by label.
-func (rf *runFormer) writeSorted(tw *tokenWriter, n *pnode) {
+// Sorted, two siblings with one label are adjacent: a key violation,
+// which the run merge would otherwise fuse into one node.
+func (rf *runFormer) writeSorted(tw *tokenWriter, n *pnode) error {
+	rf.sorting = append(rf.sorting, n.name)
 	tw.open(n.tag, n.key, "")
 	rf.stats.RunTokens++
 	for _, a := range n.attrs {
@@ -245,12 +339,19 @@ func (rf *runFormer) writeSorted(tw *tokenWriter, n *pnode) {
 		sort.SliceStable(n.children, func(i, j int) bool {
 			return lessPNode(n.children[i], n.children[j])
 		})
-		for _, c := range n.children {
-			rf.writeSorted(tw, c)
+		for i, c := range n.children {
+			if i > 0 && !lessPNode(n.children[i-1], c) {
+				return fmt.Errorf("extmem: %s: more than one child %s", pathString(rf.sorting), keyLabel(c.name, c.key))
+			}
+			if err := rf.writeSorted(tw, c); err != nil {
+				return err
+			}
 		}
 	}
 	tw.close()
 	rf.stats.RunTokens++
+	rf.sorting = rf.sorting[:len(rf.sorting)-1]
+	return nil
 }
 
 func lessPNode(a, b *pnode) bool {
@@ -283,13 +384,11 @@ func mergeRunFiles(fs fsio.FS, runPaths []string, dict *dictionary, outPath stri
 		}
 	}()
 
-	out, err := fs.Create(outPath)
+	out, err := createScratch(fs, outPath)
 	if err != nil {
-		return fmt.Errorf("extmem: create sorted file: %w", err)
+		return err
 	}
-	tw := newTokenWriter(out)
-	defer tw.release()
-	m := &runMerger{dict: dict, out: tw}
+	m := &runMerger{dict: dict, out: out.tokenWriter}
 	// Every run repeats the root stem; merge from the top.
 	live := cursors[:0:0]
 	for _, c := range cursors {
@@ -298,22 +397,17 @@ func mergeRunFiles(fs fsio.FS, runPaths []string, dict *dictionary, outPath stri
 		}
 	}
 	if len(live) > 0 {
-		if err := m.mergeNodes(live); err != nil {
-			out.Close()
-			return err
-		}
+		err = m.mergeNodes(live)
 	}
 	for _, c := range cursors {
-		if c.err != nil {
-			out.Close()
-			return c.err
+		if err == nil {
+			err = c.err
 		}
 	}
-	if err := tw.flush(); err != nil {
-		out.Close()
-		return err
+	if ferr := out.finish(); err == nil {
+		err = ferr
 	}
-	return out.Close()
+	return err
 }
 
 type runMerger struct {
@@ -334,12 +428,6 @@ func (m *runMerger) mergeNodes(cursors []*tokenReader) error {
 		opens[i] = t
 	}
 	m.out.writeToken(opens[0])
-
-	name, err := m.dict.name(opens[0].tag)
-	if err != nil {
-		return err
-	}
-	_ = name
 
 	// Attributes: emit the first cursor's, drain the others'.
 	first := true

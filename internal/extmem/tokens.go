@@ -4,14 +4,16 @@
 //  1. Decompose (§6.1): a streaming pass splits the XML into an internal
 //     token representation (tag names replaced by dictionary numbers),
 //     a tag dictionary, and per-key-path files of key values — the
-//     streaming realization of Annotate Keys (§4.1). A version already
-//     parsed into a tree is decomposed by one walk instead, key values
-//     inline in the tokens and no key files.
+//     streaming realization of Annotate Keys (§4.1).
 //  2. Sort (§6.2): bounded-memory sorted runs over the token stream (keyed
 //     levels sorted by key value; stems duplicated across runs), then a
 //     multi-way merge of the runs into one sorted document.
 //  3. Merge (§6.3): a single streaming pass merges the sorted archive and
 //     the sorted version by the Nested Merge rules.
+//
+// Steps 1 and 2 are for a version that is streamed in (decompose.go,
+// sort.go); one already parsed into a tree is walked and sorted in memory
+// into the same sorted document (treesort.go).
 //
 // Only O(height + frontier-subtree) state is held in memory at any point
 // outside the run former, whose memory use is capped by an explicit node

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,10 +14,11 @@ import (
 	"xarch/internal/xmltree"
 )
 
-// The two ways a version enters the pipeline — decomposeTree over a parsed
-// document, and the streaming decomposer over XML text — must be one
-// decomposer in effect: the same sorted token stream, and after the merge
-// the same bytes in every file of the archive directory.
+// The two ways a version is sorted — sortTree over a parsed document, in
+// memory, and the external sort (decompose, run forming, run merge) over
+// XML text — share no code and must be one sort in effect: the same sorted
+// token stream, and after the merge the same bytes in every file of the
+// archive directory.
 
 // edgeSpec exercises what the generators' specifications do not: a
 // wildcard context, a key path that ends at an attribute, a whole-value
@@ -85,8 +87,8 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// sortedStream runs decompose, run forming and run merge for one source
-// and returns the sorted version file's bytes.
+// sortedStream sorts one source and returns the sorted version file's
+// bytes.
 func sortedStream(t *testing.T, ar *Archiver, src Source) []byte {
 	t.Helper()
 	path, scratch, err := ar.prepareSorted(src)
@@ -118,10 +120,10 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// A small budget and segment target force several runs per
-			// worker and several segments, so stems, run merge and
-			// segment splits are all compared too.
-			cfg := Config{Budget: 300, SegmentTarget: 2048, Shards: 2}
+			// A small budget and segment target force several runs and
+			// several segments on the streamed side, so stems, run merge
+			// and segment splits are all held against the in-memory sort.
+			cfg := Config{Budget: 300, SegmentTarget: 2048}
 			treeDir, streamDir := t.TempDir(), t.TempDir()
 			tree, err := Open(treeDir, tc.spec, cfg)
 			if err != nil {
@@ -160,16 +162,18 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 	}
 }
 
-// TestTreeSourceNeedsNoScratchFiles pins what the tree source is for: an
-// add from a parsed document creates no token file and no key files (its
-// only scratch files are the sorted runs and their merge), while a
-// streamed add still creates both.
+// TestTreeSourceNeedsNoScratchFiles pins what each sort leaves in the
+// directory: an add from a parsed document creates the sorted version file
+// and nothing else before the merge — no token file, no key files, no
+// runs — while a streamed add creates the token file, runs, and a key file
+// for each keyed-path pattern that occurs in the document, not for every
+// pattern of the specification.
 func TestTreeSourceNeedsNoScratchFiles(t *testing.T) {
-	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 64, Records: 10})
-	doc := g.Next()
-	created := func(src Source) (version, keyFiles, all int) {
+	spec := keys.MustParseSpec(edgeSpec)
+	doc := xmltree.MustParseString(`<db><north><item id="1"><body>x</body></item><item id="2"/></north></db>`)
+	created := func(src Source) (scratch []string) {
 		ffs := fsio.NewFaultFS(nil)
-		ar, err := Open(t.TempDir(), datagen.OMIMSpec(), Config{FS: ffs})
+		ar, err := Open(t.TempDir(), spec, Config{FS: ffs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,23 +182,64 @@ func TestTreeSourceNeedsNoScratchFiles(t *testing.T) {
 			t.Fatalf("add: %v %v", err, items)
 		}
 		for _, op := range ffs.Ops() {
-			if !strings.HasSuffix(op.Point, ".create") {
-				continue
-			}
-			all++
-			switch base := filepath.Base(op.Path); {
-			case base == "tmp-version.tok":
-				version++
-			case strings.HasPrefix(base, "tmp-keys-"):
-				keyFiles++
+			if base := filepath.Base(op.Path); strings.HasSuffix(op.Point, ".create") && strings.HasPrefix(base, "tmp-") {
+				scratch = append(scratch, base)
 			}
 		}
-		return version, keyFiles, all
+		slices.Sort(scratch)
+		return scratch
 	}
-	if v, k, all := created(Source{Doc: doc}); v != 0 || k != 0 || all > 16 {
-		t.Errorf("tree-sourced add created %d token files, %d key files, %d files in all; want 0, 0, at most 16", v, k, all)
+	if got, want := created(Source{Doc: doc}), []string{"tmp-sorted.tok"}; !slices.Equal(got, want) {
+		t.Errorf("tree-sourced add created scratch files %v, want %v", got, want)
 	}
-	if v, k, _ := created(Source{Reader: strings.NewReader(doc.XML())}); v != 1 || k == 0 {
-		t.Errorf("streamed add created %d token files and %d key files; want 1 and some", v, k)
+	want := []string{"tmp-run0000.tok", "tmp-sorted.tok", "tmp-version.tok"}
+	for _, pattern := range []string{"/db", "/db/north", "/db/_/item", "/db/_/item/body"} {
+		want = append(want, "tmp-keys-"+sanitize(pattern)+".key")
+	}
+	slices.Sort(want)
+	if got := created(Source{Reader: strings.NewReader(doc.XML())}); !slices.Equal(got, want) {
+		t.Errorf("streamed add created scratch files\n%v, want\n%v", got, want)
+	}
+}
+
+// TestDuplicateSiblingKeysRejected: two siblings with one key are a key
+// violation that nothing upstream has caught when validation is off. Sorted,
+// they are adjacent, and both sorts must refuse the version — failing that
+// document alone — where the run merge used to fuse the two into one node.
+func TestDuplicateSiblingKeysRejected(t *testing.T) {
+	spec := keys.MustParseSpec(`
+(/, (db, {}))
+(/db, (item, {id}))
+(/db/item, (id, {}))
+(/db/item, (body, {}))
+`)
+	const good = `<db><item><id>2</id><body>ok</body></item></db>`
+	const dup = `<db><item><id>1</id><body>first</body></item><item><id>1</id><body>second</body></item></db>`
+	sources := map[string]func(string) Source{
+		"tree":   func(s string) Source { return Source{Doc: xmltree.MustParseString(s)} },
+		"stream": func(s string) Source { return Source{Reader: strings.NewReader(s)} },
+	}
+	for name, src := range sources {
+		t.Run(name, func(t *testing.T) {
+			ar, err := Open(t.TempDir(), spec, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			items, err := ar.AddVersionBatch([]Source{src(good), src(dup), src(good)})
+			if err != nil {
+				t.Fatalf("batch failed as a whole: %v", err)
+			}
+			if items[0].Err != nil || items[0].Version != 1 || items[2].Err != nil || items[2].Version != 2 {
+				t.Errorf("valid documents of the batch: %+v", items)
+			}
+			if err := items[1].Err; err == nil {
+				t.Error("duplicate sibling keys were archived")
+			} else if msg := err.Error(); !strings.Contains(msg, "/db") || !strings.Contains(msg, "item{id=1}") {
+				t.Errorf("error does not name path and key: %v", err)
+			}
+			if tr := listTransient(fsio.OS, ar.dir); len(tr) != 0 {
+				t.Errorf("scratch files left behind: %v", tr)
+			}
+		})
 	}
 }

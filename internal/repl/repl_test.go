@@ -37,7 +37,7 @@ import (
 
 var ctx = context.Background()
 
-var srcCfg = extmem.Config{Budget: 4096, SegmentTarget: 2048, Shards: 1}
+var srcCfg = extmem.Config{Budget: 4096, SegmentTarget: 2048}
 
 func gen(seed int64) *datagen.OMIM {
 	return datagen.NewOMIM(datagen.OMIMConfig{Seed: seed, Records: 10, DeleteFrac: 0.05, InsertFrac: 0.1, ModifyFrac: 0.2})

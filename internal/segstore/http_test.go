@@ -24,7 +24,7 @@ var ctx = context.Background()
 // and returns its segment store view.
 func buildArchive(t *testing.T, dir string, versions int) *segstore.Local {
 	t.Helper()
-	ar, err := extmem.Open(dir, datagen.OMIMSpec(), extmem.Config{Budget: 4096, SegmentTarget: 2048, Shards: 1})
+	ar, err := extmem.Open(dir, datagen.OMIMSpec(), extmem.Config{Budget: 4096, SegmentTarget: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}

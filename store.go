@@ -174,8 +174,10 @@ func WithValidation(on bool) Option {
 }
 
 // WithMemoryBudget caps the memory of the external sort's partial trees,
-// in tokens (§6). External engine only; small budgets force many sorted
-// runs. The default is 1<<20.
+// in tokens (§6): small budgets force many sorted runs. Only a streamed
+// add — AddReader on an external store opened WithValidation(false) — is
+// sorted externally; a parsed document is already in memory and is sorted
+// there, whatever the budget. The default is 1<<20.
 func WithMemoryBudget(tokens int) Option {
 	return func(c *config) { c.budget = tokens }
 }

@@ -153,7 +153,9 @@ func TestEngineParity(t *testing.T) {
 // in-memory engine and external archives of the same versions that went
 // through a close and reopen, with raw and with block-compressed
 // segments: what is on disk, not what the writing session had in memory,
-// answers every query.
+// answers every query. The versions go in parsed (sorted in memory) and,
+// with validation off, streamed through the external sort, whose 64-token
+// budget makes every version several runs.
 func TestEngineParityReopened(t *testing.T) {
 	mem := NewStore(mustSpec(t))
 	defer mem.Close()
@@ -225,15 +227,19 @@ func TestEngineParityReopened(t *testing.T) {
 		}
 	}
 
-	for _, compress := range []bool{false, true} {
+	for _, mode := range []struct{ compress, stream bool }{{false, false}, {true, false}, {false, true}} {
+		compress := mode.compress
 		dir := t.TempDir()
-		opts := []Option{WithMemoryBudget(64), WithSegmentCompression(compress)}
+		opts := []Option{WithMemoryBudget(64), WithSegmentCompression(compress), WithValidation(!mode.stream)}
 		ext, err := OpenStore(dir, mustSpec(t), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for n := 1; n <= 4; n++ {
 			addString(t, ext, deptVersion(n))
+		}
+		if runs := ext.SortRuns(); (runs > 1) != mode.stream {
+			t.Errorf("stream=%v: last add formed %d sorted runs", mode.stream, runs)
 		}
 		if err := ext.Close(); err != nil {
 			t.Fatal(err)
