@@ -76,8 +76,9 @@ func (s *ExtStore) Add(doc *Document) error {
 // then sorted straight from its tree — one walk, no serialization or
 // re-parse, no key files, no runs — and merged against the uncommitted
 // result of its predecessor, and only the final key directory goes
-// through the tmp+fsync+rename protocol. Group commit amortizes that protocol — and
-// the segment rewrites of overlapping key ranges — across submitters,
+// through the staged commit (stage and fsync the state files, two
+// renames around a directory fsync, one more to acknowledge). Group
+// commit amortizes that protocol — and the segment rewrites of overlapping key ranges — across submitters,
 // which is what the archive server's committer goroutine batches for.
 // Readers never observe a partially applied batch: until the single
 // commit lands, every query still answers from the previous generation.
@@ -123,8 +124,8 @@ func (s *ExtStore) AddBatch(docs []*Document) ([]AddResult, error) {
 }
 
 // CommitCount returns the number of durable key-directory commits
-// (tmp+fsync+rename protocol runs) since the store was opened, including
-// the open itself. With group commit a batch of N Adds moves it by one;
+// (staged-commit runs) since the store was opened, including the open
+// itself when it created or rebuilt the directory. With group commit a batch of N Adds moves it by one;
 // the server tests compare it against submitter counts.
 func (s *ExtStore) CommitCount() int64 {
 	return s.ar.CommitCount()

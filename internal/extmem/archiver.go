@@ -36,6 +36,13 @@ type Archiver struct {
 	dict    *dictionary
 	curDir  *keyDirectory
 	nextSeg int
+	// savedDir and savedDict are what the last commit (or Open) left on
+	// disk: the directory in keydir.idx and the number of names in
+	// dict.txt, -1 while there is no dict.txt. A commit rewrites dict.txt
+	// only when the dictionary has grown past savedDict; Close commits
+	// only when either differs from the state in memory.
+	savedDir  *keyDirectory
+	savedDict int
 
 	// segDicts caches decoded segment dictionaries per segment file;
 	// entries are evicted when the file is swept.
@@ -200,6 +207,7 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 	ar := &Archiver{
 		dir: dir, spec: spec, cfg: cfg, fs: cfg.FS,
 		dict: newDictionary(), gens: map[int]*genState{},
+		savedDict: -1,
 	}
 	ar.segDicts = &dictCache{fs: ar.fs, dir: dir, counter: &ar.bytesRead}
 	ar.nextSeg = ar.maxSegID() + 1
@@ -243,6 +251,7 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 	if err != nil {
 		return nil, err
 	}
+	ar.savedDict = len(ar.dict.snapshot())
 
 	if d == nil {
 		// Corrupt, truncated or missing key directory: fall back to
@@ -259,10 +268,13 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 		if err := ar.commitState(d); err != nil {
 			return nil, err
 		}
-	} else if metaErr != nil || !metaMatches(metaData, d) {
-		// Self-heal a stale or missing meta backup from the directory.
-		if err := writeFileAtomic(ar.fs, filepath.Join(ar.dir, metaFile), encodeMeta(d)); err != nil {
-			return nil, err
+	} else {
+		ar.savedDir = d
+		if metaErr != nil || !metaMatches(metaData, d) {
+			// Self-heal a stale or missing meta backup from the directory.
+			if err := writeFileAtomic(ar.fs, filepath.Join(ar.dir, metaFile), encodeMeta(d)); err != nil {
+				return nil, err
+			}
 		}
 	}
 	d.resolveTags(ar.dict)
@@ -314,10 +326,9 @@ func (ar *Archiver) preloadDicts() {
 }
 
 // sweepTmp removes the transient files a crashed operation can strand:
-// "tmp-*" scratch files (version/key/run/sorted files of an Add),
-// "*.tmp" atomic-replace siblings (a commit killed between tmp-create
-// and rename), and "*.part" replication staging files (a pull killed
-// mid-transfer). Only committed state survives a reopen, so anything
+// "tmp-*" scratch files (version/key/run/sorted files of a streamed Add),
+// "*.tmp" staged siblings (a commit killed between staging and rename),
+// and "*.part" replication staging files (a pull killed mid-transfer). Only committed state survives a reopen, so anything
 // matching these patterns is garbage by construction. It returns what
 // it removed (for fsck reporting).
 func (ar *Archiver) sweepTmp() []string {
@@ -331,7 +342,7 @@ func (ar *Archiver) sweepTmp() []string {
 }
 
 // listTransient lists the transient crash-leftover files in dir:
-// scratch files ("tmp-*"), atomic-replace siblings ("*.tmp"), and
+// scratch files ("tmp-*"), staged siblings ("*.tmp"), and
 // replication staging files ("*.part").
 func listTransient(fs fsio.FS, dir string) []string {
 	ents, err := fs.ReadDir(dir)
@@ -375,27 +386,77 @@ func (ar *Archiver) maxSegID() int {
 	return max
 }
 
-// commitState persists the archive state crash-safely: dictionary and
-// meta backup first, then the key directory — whose rename is the commit
-// point for the segment layout.
-func (ar *Archiver) commitState(d *keyDirectory) error {
+// commitState persists the archive state as one staged commit. It pays
+// for exactly what must be durable, in the order recovery relies on:
+//
+//  1. stage: dict.txt (only when the dictionary grew since it was last
+//     written — it is append-only by id), meta.txt and keydir.idx are
+//     written under their ".tmp" names and fsynced, so no rename below can
+//     expose bytes that are not on disk;
+//  2. dict.txt and meta.txt take their names;
+//  3. barrier SyncDir: the new segment files' names, dict.txt and meta.txt
+//     are durable before anything durable can refer to them;
+//  4. keydir.idx takes its name — the commit point;
+//  5. ack SyncDir: the commit is durable before the caller hears of it.
+//
+// A crash before 4 reopens as the previous generation (Open trusts
+// keydir.idx, re-derives a disagreeing meta.txt from it, and sweeps the
+// orphan segments and ".tmp" files); one after it as the new generation.
+// Every failed fsync, close, rename or SyncDir is a commit fault.
+func (ar *Archiver) commitState(d *keyDirectory) (err error) {
 	if err := ar.writable(); err != nil {
 		return err
 	}
-	var db bytes.Buffer
-	if err := ar.dict.save(&db); err != nil {
+	type stateFile struct {
+		path string
+		data []byte
+	}
+	var files []stateFile
+	dictLen := len(ar.dict.snapshot())
+	if dictLen != ar.savedDict {
+		var db bytes.Buffer
+		if err := ar.dict.save(&db); err != nil {
+			return err
+		}
+		files = append(files, stateFile{filepath.Join(ar.dir, dictFile), db.Bytes()})
+	}
+	files = append(files,
+		stateFile{filepath.Join(ar.dir, metaFile), encodeMeta(d)},
+		stateFile{filepath.Join(ar.dir, keydirFile), d.encode()})
+
+	staged, renamed := 0, 0
+	defer func() {
+		if err != nil {
+			// Best-effort: whatever a dead disk keeps is swept by Open.
+			for _, f := range files[renamed:staged] {
+				ar.fs.Remove(f.path + ".tmp")
+			}
+		}
+	}()
+	for _, f := range files {
+		if err := stageFile(ar.fs, f.path, f.data); err != nil {
+			return err
+		}
+		staged++
+	}
+	for _, f := range files[:len(files)-1] {
+		if err := renameStaged(ar.fs, f.path); err != nil {
+			return err
+		}
+		renamed++
+	}
+	if err := syncDir(ar.fs, ar.dir); err != nil {
 		return err
 	}
-	if err := writeFileAtomic(ar.fs, filepath.Join(ar.dir, dictFile), db.Bytes()); err != nil {
+	if err := renameStaged(ar.fs, files[renamed].path); err != nil {
 		return err
 	}
-	if err := writeFileAtomic(ar.fs, filepath.Join(ar.dir, metaFile), encodeMeta(d)); err != nil {
-		return err
-	}
-	if err := writeFileAtomic(ar.fs, filepath.Join(ar.dir, keydirFile), d.encode()); err != nil {
+	renamed++
+	if err := syncDir(ar.fs, ar.dir); err != nil {
 		return err
 	}
 	ar.commits.Add(1)
+	ar.savedDir, ar.savedDict = d, dictLen
 	return nil
 }
 
@@ -468,14 +529,19 @@ func (ar *Archiver) Spec() *keys.Spec { return ar.spec }
 // directory-seek benchmarks.
 func (ar *Archiver) BytesRead() int64 { return ar.bytesRead.Load() }
 
-// Close flushes the archive metadata. The archiver keeps no open file
-// handles between operations, so Close is cheap; it exists so the store
-// layer can offer one lifecycle across engines. A degraded archiver
-// refuses the flush — its committed on-disk state is already
+// Close commits whatever is not on disk yet — after a successful Add,
+// Compact or Open, nothing: the archiver keeps no open file handles
+// between operations and every operation commits before it returns. What
+// can be left is names a failed document put in the dictionary. Close
+// exists so the store layer can offer one lifecycle across engines. A
+// degraded archiver refuses — its committed on-disk state is already
 // authoritative and must not be touched by a poisoned writer.
 func (ar *Archiver) Close() error {
 	if err := ar.writable(); err != nil {
 		return err
+	}
+	if ar.curDir == ar.savedDir && len(ar.dict.snapshot()) == ar.savedDict {
+		return nil
 	}
 	return ar.noteFatal(ar.commitState(ar.curDir))
 }
@@ -623,7 +689,7 @@ type BatchItem struct {
 // with ONE durability commit for the whole group: every document runs
 // the full sort and segment merge, each merging against the
 // uncommitted directory of its predecessor, and only the final directory
-// goes through the tmp+fsync+rename commit protocol — the group-commit
+// goes through the staged commit (commitState) — the group-commit
 // amortization behind the archive server's ingest path.
 //
 // The returned slice has one BatchItem per source: a document whose own
@@ -645,7 +711,7 @@ func (ar *Archiver) AddVersionBatch(srcs []Source) ([]BatchItem, error) {
 }
 
 // CommitCount returns the number of durable key-directory commits
-// (tmp+fsync+rename protocol runs) since the archiver was opened,
+// (commitState runs) since the archiver was opened,
 // including the open itself. The archive server's group-commit tests
 // compare it against submitter counts.
 func (ar *Archiver) CommitCount() int64 { return ar.commits.Load() }
@@ -673,7 +739,7 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 		return errors.As(err, &cf)
 	}
 	for k, src := range srcs {
-		sortedPath, scratch, err := ar.prepareSorted(src)
+		sorted, scratch, err := ar.prepareSorted(src)
 		if err != nil {
 			removePaths(ar.fs, scratch)
 			items[k].Err = err
@@ -683,7 +749,7 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 			continue
 		}
 		vnum := staged.versions + 1
-		newDir, stats, newFiles, err := ar.mergeIntoSegments(staged, sortedPath, vnum)
+		newDir, stats, newFiles, err := ar.mergeIntoSegments(staged, sorted, vnum)
 		removePaths(ar.fs, scratch)
 		if err != nil {
 			for _, f := range newFiles {
@@ -741,37 +807,53 @@ func removePaths(fs fsio.FS, paths []string) {
 	}
 }
 
+// sortedVersion is one version in §6.2's sorted form, where its sort left
+// it: in memory (a tree's; the zero value is the empty version), or in
+// the scratch file the external sort wrote for a streamed version, which
+// need not fit in memory.
+type sortedVersion struct {
+	data []byte
+	path string // "" means data
+}
+
+// open returns a reader at the start of the sorted token stream; the
+// segment merge reads it twice, to plan and to merge.
+func (v sortedVersion) open(fs fsio.FS) (io.ReadCloser, error) {
+	if v.path == "" {
+		return io.NopCloser(bytes.NewReader(v.data)), nil
+	}
+	f, err := fs.Open(v.path)
+	if err != nil {
+		return nil, fmt.Errorf("extmem: %w", err)
+	}
+	return f, nil
+}
+
 // prepareSorted brings one version into §6.2's sorted form — a tree by an
-// in-memory sort (sortTree), streamed XML by the external sort, an empty
-// source as an empty file (an empty version) — and returns the path of
-// the sorted version file plus every scratch file created (sortedPath
-// included). The caller removes the scratch files when done with them.
-func (ar *Archiver) prepareSorted(src Source) (sortedPath string, scratch []string, err error) {
-	sortedPath = ar.tmpPath("sorted.tok")
+// in-memory sort (sortTree) that touches no file, streamed XML by the
+// external sort — and returns it with every scratch file created, which
+// the caller removes when done with the version.
+func (ar *Archiver) prepareSorted(src Source) (sorted sortedVersion, scratch []string, err error) {
 	var stats SortStats
 	switch {
 	case src.Doc != nil:
-		scratch = []string{sortedPath}
-		var w *scratchWriter
-		if w, err = createScratch(ar.fs, sortedPath); err == nil {
-			err = sortTree(src.Doc, ar.spec, ar.dict, w.tokenWriter)
-			if ferr := w.finish(); err == nil {
-				err = ferr
-			}
+		var buf bytes.Buffer
+		tw := newTokenWriter(&buf)
+		err = sortTree(src.Doc, ar.spec, ar.dict, tw)
+		if ferr := tw.flush(); err == nil {
+			err = ferr
 		}
+		tw.release()
+		sorted.data = buf.Bytes()
 	case src.Reader != nil:
-		stats, scratch, err = ar.externalSort(src.Reader, sortedPath)
-	default:
-		scratch = []string{sortedPath}
-		if err = ar.fs.WriteFile(sortedPath, nil, 0o644); err != nil {
-			err = fmt.Errorf("extmem: %w", err)
-		}
+		sorted.path = ar.tmpPath("sorted.tok")
+		stats, scratch, err = ar.externalSort(src.Reader, sorted.path)
 	}
 	if err != nil {
-		return "", scratch, err
+		return sortedVersion{}, scratch, err
 	}
 	ar.LastSort = stats
-	return sortedPath, scratch, nil
+	return sorted, scratch, nil
 }
 
 func (ar *Archiver) tmpPath(name string) string {

@@ -547,15 +547,39 @@ func (ar *Archiver) updateAttrIndex() {
 		ar.IdxErr = err
 		return
 	}
-	data := idx.encode(d)
-	if err := writeFileAtomic(ar.fs, filepath.Join(ar.dir, attrIdxFile), data); err != nil {
-		// The in-memory index is still exact for this directory; only
-		// the next open loses it. Never a commit fault for the caller.
-		ar.IdxErr = err
-	} else {
-		ar.IdxErr = nil
-	}
+	// The in-memory index is exact for this directory whether or not the
+	// file is written; only the next open loses it. Never a commit fault
+	// for the caller.
+	ar.IdxErr = ar.writeSidecar(idx.encode(d))
 	ar.aidx = idx
+}
+
+// writeSidecar replaces attr.idx by tmp + rename, with no fsync of the
+// file or of the directory. The rename keeps a reader in this process
+// lifetime from seeing a half-written file; across a power failure nothing
+// is promised and nothing needs to be: the file carries a whole-file CRC,
+// is bound to keydir.idx by keydirCRC and cross-checked against the
+// directory by attrIndexMatches, so loadAttrIndex detects a torn, empty or
+// stale one, removes it, and queries fall back to the scan.
+func (ar *Archiver) writeSidecar(data []byte) error {
+	path := filepath.Join(ar.dir, attrIdxFile)
+	tmp := path + ".tmp"
+	f, err := ar.fs.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("extmem: %w", err)
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = ar.fs.Rename(tmp, path)
+	}
+	if err != nil {
+		ar.fs.Remove(tmp)
+		return fmt.Errorf("extmem: %w", err)
+	}
+	return nil
 }
 
 func (ar *Archiver) buildAttrIndex(d *keyDirectory, old *attrIndex) (*attrIndex, error) {

@@ -306,7 +306,9 @@ func TestCompactionCrashInjection(t *testing.T) {
 		// segment files are on disk but no committed state points at them —
 		// and, because a crashed FaultFS fails the cleanup removes too, they
 		// stay there exactly as a real kill would leave them.
-		ffs.SetFault("dict.rename", fsio.Fault{Crash: true})
+		// (A compaction adds no name, so the commit does not write dict.txt:
+		// meta.txt is the first file to take its name.)
+		ffs.SetFault("meta.rename", fsio.Fault{Crash: true})
 		_, err := ar.Compact()
 		if !errors.Is(err, fsio.ErrCrashed) {
 			t.Fatalf("Compact under crash fault: %v", err)

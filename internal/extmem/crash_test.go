@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"xarch/internal/datagen"
 	"xarch/internal/fsio"
+	"xarch/internal/qlang"
 	"xarch/internal/xmltree"
 )
 
@@ -57,15 +59,18 @@ func copyDir(t *testing.T, src, dst string) {
 // assertRecovered reopens a crashed directory with a clean filesystem
 // and checks every recovery invariant. wantPre/wantPost are the archive
 // streams of the two committed generations the crash may resolve to
-// (identical for stream-preserving operations like compaction).
+// (identical for stream-preserving operations like compaction). It
+// returns the version count and segment files recovered to.
 func assertRecovered(t *testing.T, dir string, cfg Config, label string,
-	preV, postV int, wantPre, wantPost []byte) {
+	preV, postV int, wantPre, wantPost []byte) (versions int, files []string) {
 	t.Helper()
 	cfg.FS = nil
 	ar, err := Open(dir, datagen.OMIMSpec(), cfg)
 	if err != nil {
 		t.Fatalf("%s: reopen after crash: %v", label, err)
 	}
+	versions, files = ar.Versions(), segmentFiles(t, ar)
+	assertSidecarAgreesWithScan(t, ar, label)
 	got := archiveStreamBytes(t, ar)
 	switch v := ar.Versions(); v {
 	case preV:
@@ -110,6 +115,39 @@ func assertRecovered(t *testing.T, dir string, cfg Config, label string,
 	}
 	if !report.Clean {
 		t.Errorf("%s: fsck not clean after recovery: %+v", label, report.Problems())
+	}
+	return versions, files
+}
+
+// assertSidecarAgreesWithScan: whatever attr.idx the reopen kept — it is
+// written without any fsync, so a crash may leave it whole, stale, torn
+// or empty — Select through it answers what the exact scan answers.
+func assertSidecarAgreesWithScan(t *testing.T, ar *Archiver, label string) {
+	t.Helper()
+	q, err := ar.OpenQuery()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	defer q.Close()
+	kept := q.aidx
+	for _, expr := range []string{"changed 2..", "in ..2 AND NOT at 3", "/ROOT/Record"} {
+		e, err := qlang.Parse(expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.aidx = kept
+		indexed, err := q.Select(e)
+		if err != nil {
+			t.Fatalf("%s: Select(%q): %v", label, expr, err)
+		}
+		q.aidx = nil
+		scanned, err := q.Select(e)
+		if err != nil {
+			t.Fatalf("%s: scan Select(%q): %v", label, expr, err)
+		}
+		if !slices.Equal(indexed, scanned) {
+			t.Errorf("%s: Select(%q) through the recovered sidecar differs from the scan", label, expr)
+		}
 	}
 }
 

@@ -414,17 +414,13 @@ func (d *keyDirectory) parseTimes() error {
 // ---------------------------------------------------------------------------
 // Crash-safe file replacement
 
-// writeFileAtomic replaces path with data durably: the bytes go to a
-// sibling temp file which is fsynced, renamed over path, and the parent
-// directory fsynced, so a crash leaves either the old or the new file —
-// never a torn one. Failures of the durability-critical steps (fsync,
-// rename, directory fsync) are marked as commit faults: after one of
-// those the state of the page cache is unknowable, so the caller must
-// poison the writer rather than silently retry (the fsyncgate lesson).
-// fs.SyncDir itself tolerates only the benign "directory fsync
-// unsupported" errors; everything else surfaces here as a commit
-// failure.
-func writeFileAtomic(fs fsio.FS, path string, data []byte) error {
+// stageFile writes data to path's ".tmp" sibling and fsyncs it, so the
+// bytes are durable before any rename gives them a committed name. A
+// failed create or write is an ordinary error; a failed fsync or close is
+// a commit fault: after one of those the state of the page cache is
+// unknowable, so the caller must poison the writer rather than silently
+// retry (the fsyncgate lesson). A failed stageFile leaves no sibling.
+func stageFile(fs fsio.FS, path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := fs.Create(tmp)
 	if err != nil {
@@ -444,14 +440,42 @@ func writeFileAtomic(fs fsio.FS, path string, data []byte) error {
 		fs.Remove(tmp)
 		return commitFaultf("close "+filepath.Base(tmp), err)
 	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
+	return nil
+}
+
+// renameStaged gives a staged file its committed name. The rename is
+// durable only after the next SyncDir of the directory; on failure the
+// sibling is still there, for the caller to remove.
+func renameStaged(fs fsio.FS, path string) error {
+	if err := fs.Rename(path+".tmp", path); err != nil {
 		return commitFaultf("rename "+filepath.Base(path), err)
 	}
-	if err := fs.SyncDir(filepath.Dir(path)); err != nil {
+	return nil
+}
+
+// syncDir is fs.SyncDir as a commit step. fs.SyncDir itself tolerates
+// only the benign "directory fsync unsupported" errors; everything else
+// surfaces here as a commit fault.
+func syncDir(fs fsio.FS, dir string) error {
+	if err := fs.SyncDir(dir); err != nil {
 		return commitFaultf("fsync dir", err)
 	}
 	return nil
+}
+
+// writeFileAtomic replaces one file durably on its own: stage, rename,
+// fsync the directory. Only Open's meta self-heal replaces a single file;
+// a commit stages all of its files and shares two directory fsyncs
+// between them (commitState).
+func writeFileAtomic(fs fsio.FS, path string, data []byte) error {
+	if err := stageFile(fs, path, data); err != nil {
+		return err
+	}
+	if err := renameStaged(fs, path); err != nil {
+		fs.Remove(path + ".tmp")
+		return err
+	}
+	return syncDir(fs, filepath.Dir(path))
 }
 
 // ---------------------------------------------------------------------------

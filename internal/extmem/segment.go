@@ -560,17 +560,29 @@ func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 		s.f = nil
 		return nil, nil, err
 	}
-	if dict.blockLen > 0 {
-		s.blk.reset(f, dict, part.off, part.n, s.counter)
-		return &s.blk, dict, nil
-	}
-	if _, err := f.Seek(seg.dataOff+part.off, io.SeekStart); err != nil {
+	r, err := payloadSection(f, seg, dict, part.off, part.n, s.counter, &s.sec, &s.blk)
+	if err != nil {
 		f.Close()
 		s.f = nil
-		return nil, nil, fmt.Errorf("extmem: %w", err)
+		return nil, nil, err
 	}
-	s.sec = partReader{f: f, rem: part.n, c: s.counter}
-	return &s.sec, dict, nil
+	return r, dict, nil
+}
+
+// payloadSection returns a reader over bytes [off, off+n) of seg's
+// uncompressed payload in its open file f, aiming blk at it when the
+// segment is block-compressed and sec otherwise. Bytes read from disk are
+// added to counter.
+func payloadSection(f fsio.File, seg *segmentRecord, dict *segDict, off, n int64, counter *atomic.Int64, sec *partReader, blk *blockReader) (io.Reader, error) {
+	if dict.blockLen > 0 {
+		blk.reset(f, dict, off, n, counter)
+		return blk, nil
+	}
+	if _, err := f.Seek(seg.dataOff+off, io.SeekStart); err != nil {
+		return nil, fmt.Errorf("extmem: %w", err)
+	}
+	*sec = partReader{f: f, rem: n, c: counter}
+	return sec, nil
 }
 
 // openPart opens one segment file through the stream's FS; a stream

@@ -112,25 +112,25 @@ func mergedTimeTok(at token, parentEff *intervals.Set, i int) (*intervals.Set, s
 	return t, t.String(), nil
 }
 
-// mergeIntoSegments merges the sorted version in sortedPath as version i
-// against the base directory — usually the committed ar.curDir, but a
-// group commit (AddVersionBatch) chains the uncommitted directory of the
-// previous batch member through here. It returns the fresh directory,
+// mergeIntoSegments merges the sorted version as version i against the
+// base directory — usually the committed ar.curDir, but a group commit
+// (AddVersionBatch) chains the uncommitted directory of the previous
+// batch member through here. It returns the fresh directory,
 // the merge stats and the list of segment files created (for cleanup if
 // the commit fails).
-func (ar *Archiver) mergeIntoSegments(base *keyDirectory, sortedPath string, i int) (*keyDirectory, MergeStats, []string, error) {
+func (ar *Archiver) mergeIntoSegments(base *keyDirectory, sorted sortedVersion, i int) (*keyDirectory, MergeStats, []string, error) {
 	old := base
 	newRoot := old.rootTime.Clone()
 	newRoot.Add(i)
 	m := &segMerge{ar: ar, base: base, i: i, newRoot: newRoot}
 
-	if err := m.planReuse(sortedPath); err != nil {
+	if err := m.planReuse(sorted); err != nil {
 		return nil, m.stats, nil, err
 	}
 
-	df, err := ar.fs.Open(sortedPath)
+	df, err := sorted.open(ar.fs)
 	if err != nil {
-		return nil, m.stats, nil, fmt.Errorf("extmem: %w", err)
+		return nil, m.stats, nil, err
 	}
 	defer df.Close()
 	d := newTokenReader(df)
@@ -552,11 +552,11 @@ func copyBalancedTo(r *tokenReader, tw *captureWriter, emitClose bool) error {
 // the scan, checking each child's bytes against the stored section as
 // they stream past), never a fingerprint; the sorted version is read
 // exactly once.
-func (m *segMerge) planReuse(sortedPath string) error {
+func (m *segMerge) planReuse(sorted sortedVersion) error {
 	m.plans = map[*segmentRecord]*segPlan{}
-	f, err := m.ar.fs.Open(sortedPath)
+	f, err := sorted.open(m.ar.fs)
 	if err != nil {
-		return fmt.Errorf("extmem: %w", err)
+		return err
 	}
 	defer f.Close()
 	pr := &posReader{br: bufio.NewReaderSize(f, tokenBufSize)}
@@ -644,6 +644,8 @@ func (m *segMerge) planRoot(pr *posReader, r *rootRecord) error {
 	cmpBuf := bufio.NewWriterSize(mem, 32*1024)
 	var entryBuf bytes.Buffer
 	var openBuf bytes.Buffer
+	stored := segCursor{ar: m.ar}
+	defer stored.close()
 	for {
 		op, ok, err := pr.peekByte()
 		if err != nil {
@@ -692,11 +694,20 @@ func (m *segMerge) planRoot(pr *posReader, r *rootRecord) error {
 			}
 		}
 		seg := segs[si]
+		pl := plan(seg)
+		if pl.dirty {
+			// The segment will be rewritten whatever its other children
+			// turn out to be: nothing left to learn from this one.
+			if err := pr.skipBalanced(1); err != nil {
+				return err
+			}
+			continue
+		}
 		for ei < len(seg.entries) && compareLabels(seg.entries[ei].name, seg.entries[ei].key, name, key) < 0 {
 			ei++
 		}
 		if ei >= len(seg.entries) || compareLabels(seg.entries[ei].name, seg.entries[ei].key, name, key) != 0 {
-			plan(seg).dirty = true // inserted child in this range
+			pl.dirty = true // inserted child in this range
 			if err := pr.skipBalanced(1); err != nil {
 				return err
 			}
@@ -705,13 +716,13 @@ func (m *segMerge) planRoot(pr *posReader, r *rootRecord) error {
 		e := &seg.entries[ei]
 		ei++
 		if e.timeStr != "" {
-			plan(seg).dirty = true // the merge will restamp this child
+			pl.dirty = true // the merge will restamp this child
 			if err := pr.skipBalanced(1); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := m.inlineEntry(seg, e, &entryBuf); err != nil {
+		if err := stored.inline(seg, e, &entryBuf); err != nil {
 			return err
 		}
 		mem.reset(entryBuf.Bytes())
@@ -728,34 +739,99 @@ func (m *segMerge) planRoot(pr *posReader, r *rootRecord) error {
 			return err
 		}
 		if mem.equal() {
-			plan(seg).cleanMatched++
+			pl.cleanMatched++
 		} else {
-			plan(seg).dirty = true
+			pl.dirty = true
 		}
 	}
 }
 
-// inlineEntry renders one stored entry subtree in the inline token
-// grammar — the encoding the sorted version stream uses — so the
-// planning pass can byte-compare it with an incoming child.
-func (m *segMerge) inlineEntry(seg *segmentRecord, e *childEntry, buf *bytes.Buffer) error {
+// segCursor reads stored entry subtrees for the planning pass, which asks
+// for them in directory order: each base segment is opened, and its
+// dictionary resolved, once; one token reader follows the payload from
+// entry to entry and is re-aimed only across a gap (entries the version
+// does not mention).
+type segCursor struct {
+	ar   *Archiver
+	seg  *segmentRecord
+	f    fsio.File
+	dict *segDict
+	tr   *tokenReader
+	at   int64 // payload offset of tr's lookahead token
+	sec  partReader
+	blk  blockReader
+}
+
+func (c *segCursor) close() {
+	if c.tr != nil {
+		c.tr.release()
+	}
+	if c.f != nil {
+		c.f.Close()
+	}
+	*c = segCursor{ar: c.ar}
+}
+
+// seek opens seg if it is not the open segment and stands the reader at
+// payload offset off.
+func (c *segCursor) seek(seg *segmentRecord, off int64) error {
+	if seg != c.seg {
+		c.close()
+		f, err := c.ar.fs.Open(filepath.Join(c.ar.dir, seg.file))
+		if err != nil {
+			return fmt.Errorf("extmem: %w", err)
+		}
+		c.f = f
+		if c.dict, err = c.ar.segDicts.get(seg); err != nil {
+			return err
+		}
+		c.seg = seg
+	}
+	r, err := payloadSection(c.f, seg, c.dict, off, seg.payload-off, &c.ar.bytesRead, &c.sec, &c.blk)
+	if err != nil {
+		return err
+	}
+	if c.tr == nil {
+		c.tr = newTokenReaderDict(r, c.dict)
+	} else {
+		c.tr.reset(r, c.dict)
+	}
+	c.at = off
+	return nil
+}
+
+// inline renders the stored subtree of entry e in the inline token
+// grammar — the encoding the sorted version stream uses — so the planning
+// pass can byte-compare it with an incoming child.
+func (c *segCursor) inline(seg *segmentRecord, e *childEntry, buf *bytes.Buffer) error {
+	if seg != c.seg || c.at != e.offset {
+		if err := c.seek(seg, e.offset); err != nil {
+			return err
+		}
+	}
 	buf.Reset()
-	ds := &dirStream{fs: m.ar.fs, dir: m.ar.dir, parts: entryParts(seg, e), dicts: m.ar.segDicts, counter: &m.ar.bytesRead}
-	defer ds.Close()
-	tr := newDirTokenReader(ds)
-	defer tr.release()
 	tw := newTokenWriter(buf)
 	defer tw.release()
-	for {
-		t, ok := tr.take()
+	for depth := 0; ; {
+		t, ok := c.tr.take()
 		if !ok {
-			break
+			if c.tr.err != nil {
+				return c.tr.err
+			}
+			return corruptf("segment %s ends inside the subtree at offset %d", seg.file, e.offset)
 		}
 		tw.writeToken(t)
+		switch t.op {
+		case tokOpen:
+			depth++
+		case tokClose:
+			depth--
+		}
+		if depth == 0 {
+			break
+		}
 	}
-	if tr.err != nil {
-		return tr.err
-	}
+	c.at = e.offset + e.size
 	return tw.flush()
 }
 

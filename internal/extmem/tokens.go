@@ -241,22 +241,23 @@ type tokenReader struct {
 	done bool
 }
 
-func newTokenReader(r io.Reader) *tokenReader {
-	br := tokenReaderPool.Get().(*bufio.Reader)
-	br.Reset(r)
-	tr := &tokenReader{r: br}
-	tr.next()
-	return tr
-}
+func newTokenReader(r io.Reader) *tokenReader { return newTokenReaderDict(r, nil) }
 
 // newTokenReaderDict reads a single stream encoded against a fixed
 // segment dictionary.
 func newTokenReaderDict(r io.Reader, dict *segDict) *tokenReader {
-	br := tokenReaderPool.Get().(*bufio.Reader)
-	br.Reset(r)
-	tr := &tokenReader{r: br, dict: dict}
-	tr.next()
+	tr := &tokenReader{r: tokenReaderPool.Get().(*bufio.Reader)}
+	tr.reset(r, dict)
 	return tr
+}
+
+// reset aims the reader at another single stream and its dictionary,
+// dropping the lookahead and any end-of-stream or error state, so one
+// reader (and its buffer) can visit several places in a file.
+func (tr *tokenReader) reset(r io.Reader, dict *segDict) {
+	tr.r.Reset(r)
+	tr.dict, tr.err, tr.done = dict, nil, false
+	tr.next()
 }
 
 // newDirTokenReader reads the concatenation of a dirStream's parts as

@@ -2,6 +2,7 @@ package extmem
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -87,16 +88,24 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// sortedStream sorts one source and returns the sorted version file's
-// bytes.
+// sortedStream sorts one source and returns the sorted version's bytes,
+// from memory or from the scratch file, wherever its sort left them.
 func sortedStream(t *testing.T, ar *Archiver, src Source) []byte {
 	t.Helper()
-	path, scratch, err := ar.prepareSorted(src)
+	sorted, scratch, err := ar.prepareSorted(src)
 	defer removePaths(ar.fs, scratch)
 	if err != nil {
 		t.Fatalf("prepareSorted: %v", err)
 	}
-	data, err := os.ReadFile(path)
+	if (src.Doc != nil) != (sorted.path == "") {
+		t.Fatalf("sorted version of %+v left at path %q", src, sorted.path)
+	}
+	r, err := sorted.open(ar.fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	data, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +172,11 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 }
 
 // TestTreeSourceNeedsNoScratchFiles pins what each sort leaves in the
-// directory: an add from a parsed document creates the sorted version file
-// and nothing else before the merge — no token file, no key files, no
-// runs — while a streamed add creates the token file, runs, and a key file
-// for each keyed-path pattern that occurs in the document, not for every
-// pattern of the specification.
+// directory: an add from a parsed document creates no scratch file at all —
+// the sorted version stays in memory — while a streamed add creates the
+// token file, runs, the sorted version file, and a key file for each
+// keyed-path pattern that occurs in the document, not for every pattern of
+// the specification.
 func TestTreeSourceNeedsNoScratchFiles(t *testing.T) {
 	spec := keys.MustParseSpec(edgeSpec)
 	doc := xmltree.MustParseString(`<db><north><item id="1"><body>x</body></item><item id="2"/></north></db>`)
@@ -189,8 +198,11 @@ func TestTreeSourceNeedsNoScratchFiles(t *testing.T) {
 		slices.Sort(scratch)
 		return scratch
 	}
-	if got, want := created(Source{Doc: doc}), []string{"tmp-sorted.tok"}; !slices.Equal(got, want) {
-		t.Errorf("tree-sourced add created scratch files %v, want %v", got, want)
+	if got := created(Source{Doc: doc}); len(got) != 0 {
+		t.Errorf("tree-sourced add created scratch files %v, want none", got)
+	}
+	if got := created(Source{}); len(got) != 0 {
+		t.Errorf("empty version created scratch files %v, want none", got)
 	}
 	want := []string{"tmp-run0000.tok", "tmp-sorted.tok", "tmp-version.tok"}
 	for _, pattern := range []string{"/db", "/db/north", "/db/_/item", "/db/_/item/body"} {

@@ -53,8 +53,9 @@ type Op struct {
 }
 
 // FaultFS wraps an FS with a failpoint registry, a crash-after-op-k
-// switch, and a trace of every mutating operation. It is safe for
-// concurrent use.
+// switch, a trace of every mutating operation and, once TrackDurability
+// is called, a model of what a power failure would leave of one
+// directory. It is safe for concurrent use.
 //
 // Failpoints are named "<class>.<op>": the class is derived from the
 // file name (Classify), the op is the operation kind — create, open,
@@ -75,6 +76,8 @@ type FaultFS struct {
 	crashAfter int // crash once this many mutating ops applied; -1 = off
 	crashTorn  bool
 	crashed    bool
+
+	dur *durModel // nil until TrackDurability
 }
 
 type faultState struct {
@@ -273,7 +276,7 @@ func (f *FaultFS) Create(name string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{fs: f, f: file, path: name}, nil
+	return &faultFile{fs: f, f: file, path: name, dur: f.durCreate(name)}, nil
 }
 
 func (f *FaultFS) Open(name string) (File, error) {
@@ -291,14 +294,22 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 	if d := f.gate("rename", f.point("rename", newpath), newpath, 0); d.err != nil {
 		return fmt.Errorf("rename %s: %w", newpath, d.err)
 	}
-	return f.inner.Rename(oldpath, newpath)
+	if err := f.inner.Rename(oldpath, newpath); err != nil {
+		return err
+	}
+	f.durRename(oldpath, newpath)
+	return nil
 }
 
 func (f *FaultFS) Remove(name string) error {
 	if d := f.gate("remove", f.point("remove", name), name, 0); d.err != nil {
 		return fmt.Errorf("remove %s: %w", name, d.err)
 	}
-	return f.inner.Remove(name)
+	if err := f.inner.Remove(name); err != nil {
+		return err
+	}
+	f.durRemove(name)
+	return nil
 }
 
 func (f *FaultFS) ReadFile(name string) ([]byte, error) {
@@ -313,10 +324,15 @@ func (f *FaultFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	if d.err != nil {
 		if d.torn >= 0 {
 			f.inner.WriteFile(name, data[:d.torn], perm)
+			f.durCreate(name)
 		}
 		return fmt.Errorf("writefile %s: %w", name, d.err)
 	}
-	return f.inner.WriteFile(name, data, perm)
+	if err := f.inner.WriteFile(name, data, perm); err != nil {
+		return err
+	}
+	f.durCreate(name)
+	return nil
 }
 
 func (f *FaultFS) Stat(name string) (fs.FileInfo, error) {
@@ -344,7 +360,11 @@ func (f *FaultFS) SyncDir(dir string) error {
 	if d := f.gate("sync", "dir.sync", dir, 0); d.err != nil {
 		return fmt.Errorf("syncdir %s: %w", dir, d.err)
 	}
-	return f.inner.SyncDir(dir)
+	if err := f.inner.SyncDir(dir); err != nil {
+		return err
+	}
+	f.durSyncDir(dir)
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -354,6 +374,7 @@ type faultFile struct {
 	fs   *FaultFS
 	f    File
 	path string
+	dur  *durFile // the file's identity in the power-loss model; nil when untracked
 }
 
 func (ff *faultFile) Name() string { return ff.path }
@@ -407,7 +428,10 @@ func (ff *faultFile) Sync() error {
 	if d := ff.fs.gate("sync", ff.fs.point("sync", ff.path), ff.path, 0); d.err != nil {
 		return fmt.Errorf("sync %s: %w", ff.path, d.err)
 	}
-	return ff.f.Sync()
+	if err := ff.f.Sync(); err != nil {
+		return err
+	}
+	return ff.fs.durSync(ff)
 }
 
 // Close always closes the underlying handle — a crashed FaultFS must

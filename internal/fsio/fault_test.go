@@ -259,3 +259,136 @@ func TestDelayOnlyFaultProceeds(t *testing.T) {
 		t.Fatal("delayed write not applied")
 	}
 }
+
+// replaceFile is the atomic-replace idiom with each durability step
+// optional, so the power-loss tests can leave exactly one of them out.
+func replaceFile(t *testing.T, ffs *FaultFS, dir, name, content string, syncFile, syncDir bool) {
+	t.Helper()
+	tmp := filepath.Join(dir, name+".tmp")
+	f, err := ffs.Create(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte(content)); err != nil {
+		t.Fatal(err)
+	}
+	if syncFile {
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ffs.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		t.Fatal(err)
+	}
+	if syncDir {
+		if err := ffs.SyncDir(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// powerLoss returns the files a power failure leaves, by name.
+func powerLoss(t *testing.T, ffs *FaultFS, mode PowerLossMode) map[string]string {
+	t.Helper()
+	dst := t.TempDir()
+	if err := ffs.PowerLoss(dst, mode); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dst, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+func trackedDir(t *testing.T, files map[string]string) (*FaultFS, string) {
+	t.Helper()
+	dir := t.TempDir()
+	for name, content := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ffs := NewFaultFS(nil)
+	if err := ffs.TrackDurability(dir); err != nil {
+		t.Fatal(err)
+	}
+	return ffs, dir
+}
+
+// A replace that pays every sync survives both outages, and leaves the
+// untouched neighbour alone.
+func TestPowerLossKeepsWhatWasSynced(t *testing.T) {
+	ffs, dir := trackedDir(t, map[string]string{"a": "old", "b": "keep"})
+	replaceFile(t, ffs, dir, "a", "new", true, true)
+	for _, mode := range []PowerLossMode{PowerLossStrict, PowerLossNamesAhead, PowerLossLastNameOnly} {
+		got := powerLoss(t, ffs, mode)
+		if len(got) != 2 || got["a"] != "new" || got["b"] != "keep" {
+			t.Errorf("%v: got %q, want a=new b=keep", mode, got)
+		}
+	}
+	// A remove is a name change like any other: durable at the next SyncDir.
+	if err := ffs.Remove(filepath.Join(dir, "b")); err != nil {
+		t.Fatal(err)
+	}
+	if got := powerLoss(t, ffs, PowerLossStrict); got["b"] != "keep" {
+		t.Errorf("strict: unsynced remove was durable: %q", got)
+	}
+	if got := powerLoss(t, ffs, PowerLossNamesAhead); len(got) != 1 {
+		t.Errorf("names-ahead: removed file came back: %q", got)
+	}
+}
+
+// Negative control: rename without fsync of the file. If the names reach
+// the disk ahead of the data, the new name holds nothing.
+func TestPowerLossRenameWithoutFsync(t *testing.T) {
+	ffs, dir := trackedDir(t, map[string]string{"a": "old"})
+	replaceFile(t, ffs, dir, "a", "new", false, true)
+	if got := powerLoss(t, ffs, PowerLossNamesAhead); len(got) != 1 || got["a"] != "" {
+		t.Errorf("names-ahead: got %q, want an empty a (the model forgave a missing fsync)", got)
+	}
+}
+
+// Negative control: no fsync of the directory after the rename. The name
+// still points at the old file.
+func TestPowerLossMissingSyncDir(t *testing.T) {
+	ffs, dir := trackedDir(t, map[string]string{"a": "old"})
+	replaceFile(t, ffs, dir, "a", "new", true, false)
+	if got := powerLoss(t, ffs, PowerLossStrict); len(got) != 1 || got["a"] != "old" {
+		t.Errorf("strict: got %q, want a=old (the model forgave a missing SyncDir)", got)
+	}
+	if got := powerLoss(t, ffs, PowerLossNamesAhead); got["a"] != "new" {
+		t.Errorf("names-ahead: got %q, want a=new", got)
+	}
+}
+
+// Negative control: no SyncDir between a file taking its name and the
+// rename that commits to it. If only the later rename reaches the disk,
+// the commit names a file that is not there.
+func TestPowerLossMissingBarrier(t *testing.T) {
+	ffs, dir := trackedDir(t, map[string]string{"commit": "old"})
+	replaceFile(t, ffs, dir, "data", "d", true, false)
+	replaceFile(t, ffs, dir, "commit", "new: see data", true, false)
+	got := powerLoss(t, ffs, PowerLossLastNameOnly)
+	if _, ok := got["data"]; ok || got["commit"] != "new: see data" {
+		t.Errorf("last-name-only: got %q, want the new commit without data (the model forgave a missing barrier)", got)
+	}
+	// With the barrier, the same outage finds both.
+	ffs, dir = trackedDir(t, map[string]string{"commit": "old"})
+	replaceFile(t, ffs, dir, "data", "d", true, true)
+	replaceFile(t, ffs, dir, "commit", "new: see data", true, false)
+	if got := powerLoss(t, ffs, PowerLossLastNameOnly); got["data"] != "d" || got["commit"] != "new: see data" {
+		t.Errorf("last-name-only after a barrier: got %q", got)
+	}
+}

@@ -94,6 +94,15 @@ type degrader interface{ Degraded() error }
 // opportunistic compaction pass; *xarch.ExtStore implements it.
 type compactionReporter interface{ CompactionErr() error }
 
+// storageReporter and commitCounter are the optional store facets behind
+// the "storage" and "commits" fields of /v1/stats. *xarch.ExtStore
+// implements both, and so does a decorator that embeds or forwards to one.
+type storageReporter interface {
+	StorageStats() (extmem.StorageStats, error)
+}
+
+type commitCounter interface{ CommitCount() int64 }
+
 // replicaSource is the optional store facet handing out pinned
 // generation views for replication; *xarch.ExtStore implements it.
 // Stores without it (the in-memory engine) answer the replication
@@ -415,11 +424,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"archive":  st,
 		"server":   s.Metrics(),
 	}
-	if es, ok := s.store.(*xarch.ExtStore); ok {
-		if ss, err := es.StorageStats(); err == nil {
+	if sr, ok := s.store.(storageReporter); ok {
+		if ss, err := sr.StorageStats(); err == nil {
 			resp["storage"] = ss
 		}
-		resp["commits"] = es.CommitCount()
+	}
+	if cc, ok := s.store.(commitCounter); ok {
+		resp["commits"] = cc.CommitCount()
 	}
 	writeJSON(w, resp)
 }

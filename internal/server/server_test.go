@@ -560,3 +560,81 @@ func TestServeGroupCommitEndToEnd(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 }
+
+// ---------------------------------------------------------------------------
+// /v1/stats behind a decorator: the "storage" and "commits" fields are
+// found through the facets the store offers, not its concrete type.
+
+// countingStore decorates an ExtStore the way the benchmark's tracing
+// store does: by embedding it and overriding what it wants to see.
+type countingStore struct {
+	*xarch.ExtStore
+	adds atomic.Int64
+}
+
+func (c *countingStore) AddBatch(docs []*xarch.Document) ([]xarch.AddResult, error) {
+	c.adds.Add(int64(len(docs)))
+	return c.ExtStore.AddBatch(docs)
+}
+
+func TestStatsThroughDecoratorStore(t *testing.T) {
+	spec, err := xarch.ParseKeySpec(recSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := xarch.OpenStore(t.TempDir(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &countingStore{ExtStore: ext}
+	srv := New(store, Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	if status, out := postDoc(t, ts.URL, recDoc("a", 1)); status != http.StatusOK {
+		t.Fatalf("add: status %d (%v)", status, out)
+	}
+	if store.adds.Load() != 1 {
+		t.Fatalf("the add bypassed the decorator")
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Commits *int64 `json:"commits"`
+		Storage *struct {
+			Segments int
+		} `json:"storage"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Commits == nil || *stats.Commits != ext.CommitCount() {
+		t.Errorf("commits = %v, want %d", stats.Commits, ext.CommitCount())
+	}
+	if stats.Storage == nil || stats.Storage.Segments != 1 {
+		t.Errorf("storage = %+v, want one segment", stats.Storage)
+	}
+
+	// A store with neither facet reports neither field.
+	fake := newFakeStore()
+	fsrv := New(fake, Options{})
+	fts := httptest.NewServer(fsrv.Handler())
+	defer fts.Close()
+	defer fsrv.Shutdown(context.Background())
+	fresp, err := http.Get(fts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresp.Body.Close()
+	var raw map[string]any
+	if err := json.NewDecoder(fresp.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := raw["commits"]; ok || raw["storage"] != nil {
+		t.Errorf("facet-less store reported %v", raw)
+	}
+}
