@@ -261,7 +261,7 @@ func (s *ExtStore) Snapshot(w io.Writer) error {
 		return err
 	}
 	defer q.Close()
-	return q.WriteArchiveXML(w, true)
+	return q.WriteArchiveXML(w)
 }
 
 // Close flushes metadata and releases the store; every later call fails

@@ -638,7 +638,7 @@ func (ar *Archiver) Segments() []SegmentInfo {
 				info.FirstLabel = keyLabel(first.name, first.key)
 				info.LastLabel = keyLabel(last.name, last.key)
 			}
-			info.CRCOK = verifySegment(ar.fs, filepath.Join(ar.dir, s.file), s) == nil
+			info.CRCOK = verifySegment(ar.fs, filepath.Join(ar.dir, s.file), s, ar.dict) == nil
 			out = append(out, info)
 		}
 	}
@@ -816,11 +816,11 @@ type sortedVersion struct {
 	path string // "" means data
 }
 
-// open returns a reader at the start of the sorted token stream; the
-// segment merge reads it twice, to plan and to merge.
-func (v sortedVersion) open(fs fsio.FS) (io.ReadCloser, error) {
+// open returns a reader at the start of the sorted token stream, which
+// the segment merge reads once and re-aims at a dirty segment's range.
+func (v sortedVersion) open(fs fsio.FS) (io.ReadSeekCloser, error) {
 	if v.path == "" {
-		return io.NopCloser(bytes.NewReader(v.data)), nil
+		return memStream{bytes.NewReader(v.data)}, nil
 	}
 	f, err := fs.Open(v.path)
 	if err != nil {
@@ -828,6 +828,11 @@ func (v sortedVersion) open(fs fsio.FS) (io.ReadCloser, error) {
 	}
 	return f, nil
 }
+
+// memStream is a sorted version held in memory, with nothing to close.
+type memStream struct{ *bytes.Reader }
+
+func (memStream) Close() error { return nil }
 
 // prepareSorted brings one version into §6.2's sorted form — a tree by an
 // in-memory sort (sortTree) that touches no file, streamed XML by the
@@ -874,17 +879,13 @@ func sanitize(s string) string {
 	return b.String()
 }
 
-// WriteArchiveXML streams the archive in the paper's XML form (compact,
-// no indentation): the outer <T> carries the root timestamp; explicit
-// node timestamps and content groups become nested <T> elements, with
-// <_attr> carriers for attribute items inside groups. The emitter (and
-// its XML escaping) is shared with the streaming query engine and the
-// xmltree serializer, so the forms can never diverge.
+// WriteArchiveXML streams the current generation's archive in the paper's
+// XML form (QueryView.WriteArchiveXML).
 func (ar *Archiver) WriteArchiveXML(w io.Writer) error {
 	q, err := ar.OpenQuery()
 	if err != nil {
 		return err
 	}
 	defer q.Close()
-	return q.WriteArchiveXML(w, false)
+	return q.WriteArchiveXML(w)
 }

@@ -222,20 +222,22 @@ func (x *attrIndex) encode(d *keyDirectory) []byte {
 	return append(body, tail[:]...)
 }
 
+// decodeAttrIndex parses attr.idx bytes under decodeKeyDirectory's
+// contract: no panic, allocation bounded by the input, ErrCorruptArchive.
 func decodeAttrIndex(data []byte) (*attrIndex, error) {
 	if len(data) < len(attrIdxMagic)+4 {
-		return nil, fmt.Errorf("extmem: attr index truncated")
+		return nil, corruptf("attr index truncated")
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("extmem: attr index checksum mismatch")
+		return nil, corruptf("attr index checksum mismatch")
 	}
 	if string(body[:len(attrIdxMagic)]) != attrIdxMagic {
-		return nil, fmt.Errorf("extmem: attr index bad magic")
+		return nil, corruptf("attr index bad magic")
 	}
 	r := &kdReader{r: bytes.NewReader(body[len(attrIdxMagic):])}
 	if format := r.varint(); format != attrIdxFormat {
-		return nil, fmt.Errorf("extmem: attr index format %d not supported", format)
+		return nil, corruptf("attr index format %d not supported", format)
 	}
 	x := &attrIndex{
 		keydirCRC: uint32(r.varint()),
@@ -261,7 +263,7 @@ func decodeAttrIndex(data []byte) (*attrIndex, error) {
 		x.raws[label] = ri
 	}
 	if r.err != nil {
-		return nil, fmt.Errorf("extmem: attr index: %w", r.err)
+		return nil, corruptf("attr index: %v", r.err)
 	}
 	return x, nil
 }

@@ -146,7 +146,7 @@ func checkEquivalence(t *testing.T, spec *keys.Spec, docs []*xmltree.Node, budge
 	// The indented archive emitter must match the in-memory serializer
 	// byte for byte.
 	var indented strings.Builder
-	if err := q.WriteArchiveXML(&indented, true); err != nil {
+	if err := q.WriteArchiveXML(&indented); err != nil {
 		t.Fatal(err)
 	}
 	if indented.String() != ext.XML() {
@@ -460,7 +460,7 @@ func TestArchiveXMLWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 	xml := b.String()
-	if !strings.HasPrefix(xml, `<T t="1-4"><root>`) {
+	if !strings.HasPrefix(xml, "<T t=\"1-4\">\n  <root>\n") {
 		t.Errorf("archive XML prefix wrong: %s", clip(xml))
 	}
 	if _, err := xmltree.ParseString(xml); err != nil {

@@ -146,12 +146,13 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 			for _, seg := range root.segs {
 				live[seg.file] = true
 				// verifySegment also decodes the dictionary and walks
-				// every token, so a dangling dictionary id fails here
-				// like a bad checksum.
-				if err := verifySegment(fs, filepath.Join(dir, seg.file), seg); err != nil {
+				// every token, so a dangling dictionary id or a directory
+				// entry that points beside its subtree fails here like a
+				// bad checksum.
+				if err := verifySegment(fs, filepath.Join(dir, seg.file), seg, dict); err != nil {
 					r.add(seg.file, "segment", false, err.Error())
 				} else {
-					r.add(seg.file, "segment", true, "payload checksum and dictionary ids valid")
+					r.add(seg.file, "segment", true, "checksums, dictionary ids and directory entries valid")
 				}
 			}
 		}
@@ -164,7 +165,7 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 					r.add(seg.file, "segment", false, "unverifiable: dictionary unavailable")
 					continue
 				}
-				if _, _, _, err := scanSegment(fs, filepath.Join(dir, seg.file), dict); errors.Is(err, ErrLegacyFormat) {
+				if _, _, err := walkSegment(fs, filepath.Join(dir, seg.file), dict); errors.Is(err, ErrLegacyFormat) {
 					return nil, err
 				} else if err != nil {
 					r.add(seg.file, "segment", false, err.Error())

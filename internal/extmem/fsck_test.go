@@ -118,6 +118,49 @@ func TestFsckDetectsCorruptSegment(t *testing.T) {
 	}
 }
 
+// TestFsckDetectsMisaimedDirectoryEntry: a key directory that decodes and
+// carries a valid checksum can still point beside the subtrees its
+// segments hold. The segment walk re-derives every entry from the payload
+// and the check holds the directory's against them.
+func TestFsckDetectsMisaimedDirectoryEntry(t *testing.T) {
+	dir := t.TempDir()
+	ar := buildOMIMArchive(t, dir, Config{Budget: 1 << 16, SegmentTarget: 2048}, 2)
+	if err := ar.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p := filepath.Join(dir, keydirFile)
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := decodeKeyDirectory(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := d.roots[0].segs[0]
+	if len(seg.entries) < 2 {
+		t.Fatalf("segment %s has %d entries, want several", seg.file, len(seg.entries))
+	}
+	seg.entries[1].offset++ // one byte into the subtree; encode re-seals
+	if err := os.WriteFile(p, d.encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeKeyDirectory(d.encode()); err != nil {
+		t.Fatalf("altered directory does not decode: %v", err)
+	}
+	r, err := CheckArchive(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found bool
+	for _, it := range r.Problems() {
+		found = found || (it.Kind == "segment" && it.File == seg.file && strings.Contains(it.Detail, "disagrees with directory entry"))
+	}
+	if !found {
+		t.Fatalf("misaimed entry of %s not reported: %+v", seg.file, r.Problems())
+	}
+}
+
 func TestFsckDetectsLeftoversAndRepairSweeps(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Budget: 1 << 16, SegmentTarget: 2048}

@@ -1,0 +1,217 @@
+package extmem
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"xarch/internal/core"
+	"xarch/internal/datagen"
+	"xarch/internal/keys"
+	"xarch/internal/xmltree"
+)
+
+// The decoders of bytes a replication peer supplies — keydir.idx, attr.idx
+// and segment payloads (the segment header has FuzzSegmentHeader) — share
+// one contract: whatever the bytes, no panic, no allocation beyond a small
+// multiple of the bytes actually supplied, and an error that matches
+// ErrCorruptArchive (ErrLegacyFormat for a format-1 key directory).
+
+// checkHostile runs decode over n input bytes and holds it to the
+// contract. The multiple covers the decoded form of the densest input —
+// a record of a hundred-odd bytes per handful of one-byte fields, doubled
+// by slice growth — and the constant the pooled buffers.
+func checkHostile(t *testing.T, n int, decode func() error) error {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := decode()
+	runtime.ReadMemStats(&after)
+	if grown, limit := after.TotalAlloc-before.TotalAlloc, 256*uint64(n)+1<<20; grown > limit {
+		t.Fatalf("%d input bytes made the decoder allocate %d bytes (limit %d)", n, grown, limit)
+	}
+	if err != nil && !errors.Is(err, core.ErrCorruptArchive) && !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("error does not match ErrCorruptArchive: %v", err)
+	}
+	return err
+}
+
+// seal appends the whole-file CRC32 trailer keydir.idx and attr.idx end
+// with, so the fuzzer's mutations reach the decoder behind the checksum.
+func seal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
+}
+
+// hugeStringKeydir is a CRC-valid keydir.idx of 19 bytes whose root
+// timestamp claims 1<<62 bytes; hugeTextToken is a text token claiming
+// 1<<33. Each used to size a make with the claim.
+var (
+	hugeStringKeydir = seal(binary.AppendUvarint(append([]byte(keydirMagic), keydirFormat, 1), 1<<62))
+	hugeTextToken    = binary.AppendUvarint([]byte{tokText}, 1<<33)
+)
+
+func TestHostileLengthPrefixes(t *testing.T) {
+	if len(hugeStringKeydir) != 19 {
+		t.Fatalf("repro is %d bytes, want 19", len(hugeStringKeydir))
+	}
+	if err := checkHostile(t, len(hugeStringKeydir), func() error {
+		_, err := decodeKeyDirectory(hugeStringKeydir)
+		return err
+	}); err == nil {
+		t.Error("key directory with a 1<<62-byte string decoded")
+	}
+	if err := checkHostile(t, len(hugeStringKeydir), func() error {
+		_, err := DecodeManifest(hugeStringKeydir)
+		return err
+	}); err == nil {
+		t.Error("manifest with a 1<<62-byte string decoded")
+	}
+	for _, dict := range []*segDict{nil, {}} {
+		if err := checkHostile(t, len(hugeTextToken), func() error { return drainTokens(t, hugeTextToken, dict) }); err == nil {
+			t.Errorf("text token of 1<<33 bytes decoded (interned grammar: %v)", dict != nil)
+		}
+	}
+}
+
+// drainTokens decodes data to its end twice — token by token, and
+// skipping every subtree — and checks that a clean decode accounts for
+// every byte.
+func drainTokens(t *testing.T, data []byte, dict *segDict) error {
+	tr := newTokenReaderDict(bytes.NewReader(data), dict, 0)
+	defer tr.release()
+	for {
+		at := tr.pos
+		if _, ok := tr.take(); !ok {
+			break
+		}
+		if tr.pos <= at {
+			t.Fatalf("token offset %d after %d", tr.pos, at)
+		}
+	}
+	if tr.err == nil && tr.pos != int64(len(data)) {
+		t.Fatalf("clean end of stream at offset %d of %d", tr.pos, len(data))
+	}
+	// Skipping resolves no ids and balances subtrees, so it may accept or
+	// refuse what decoding does not; it is held to the contract alone.
+	sk := newTokenReaderDict(bytes.NewReader(data), dict, 0)
+	defer sk.release()
+	for {
+		tok, ok := sk.take()
+		if !ok {
+			break
+		}
+		if tok.op == tokOpen {
+			if err := sk.discardSubtree(); err != nil {
+				return err
+			}
+		}
+	}
+	return errors.Join(tr.err, sk.err)
+}
+
+// fuzzSeedArchive archives the four company versions — small, so the
+// fuzzer spends its time mutating the seeds, not minimizing them — over
+// several segments, and returns the directory and the closed archiver.
+func fuzzSeedArchive(f *testing.F) (string, *Archiver) {
+	dir := f.TempDir()
+	ar, err := Open(dir, datagen.CompanySpec(), Config{SegmentTarget: 64})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, doc := range datagen.CompanyVersions() {
+		if items, err := ar.AddVersionBatch([]Source{{Doc: doc}}); err != nil || items[0].Err != nil {
+			f.Fatal(err, items)
+		}
+	}
+	if err := ar.Close(); err != nil {
+		f.Fatal(err)
+	}
+	return dir, ar
+}
+
+func FuzzKeyDirectory(f *testing.F) {
+	dir, _ := fuzzSeedArchive(f)
+	data, err := os.ReadFile(filepath.Join(dir, keydirFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data[:len(data)-4])
+	f.Add(hugeStringKeydir[:len(hugeStringKeydir)-4])
+	f.Add(append([]byte(keydirMagic), 1)) // format 1: ErrLegacyFormat
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sealed := seal(body)
+		var d *keyDirectory
+		err := checkHostile(t, len(sealed), func() (err error) {
+			d, err = decodeKeyDirectory(sealed)
+			return err
+		})
+		if err == nil {
+			// What decodes must encode and decode again to the same thing.
+			again, err := decodeKeyDirectory(d.encode())
+			if err != nil || again.versions != d.versions || again.entryCount() != d.entryCount() {
+				t.Fatalf("decoded directory does not survive a round trip: %v", err)
+			}
+		}
+		checkHostile(t, len(body), func() error { // unsealed: the checksum path
+			_, err := DecodeManifest(body)
+			return err
+		})
+	})
+}
+
+func FuzzAttrIndex(f *testing.F) {
+	dir, _ := fuzzSeedArchive(f)
+	data, err := os.ReadFile(filepath.Join(dir, attrIdxFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data[:len(data)-4])
+	f.Add(binary.AppendUvarint(append([]byte(attrIdxMagic), attrIdxFormat, 0, 1, 1), 1<<62)) // one file, its name 1<<62 bytes
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sealed := seal(body)
+		checkHostile(t, len(sealed), func() error {
+			_, err := decodeAttrIndex(sealed)
+			return err
+		})
+	})
+}
+
+func FuzzTokenStream(f *testing.F) {
+	// Interned grammar: a real segment's payload, decoded against that
+	// segment's dictionary (the fuzzed bytes' ids index its tables).
+	dir, ar := fuzzSeedArchive(f)
+	seg := ar.curDir.roots[0].segs[0]
+	file, err := os.ReadFile(filepath.Join(dir, seg.file))
+	if err != nil {
+		f.Fatal(err)
+	}
+	h, err := readSegmentHeader(bytes.NewReader(file))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file[h.dataOff:], true)
+	// Inline grammar: a sorted version, as the tree sort writes it.
+	var sorted bytes.Buffer
+	tw := newTokenWriter(&sorted)
+	doc := xmltree.MustParseString(`<db><north><item id="1"><body>x<b q="v">y</b></body><note>whole</note></item></north></db>`)
+	if err := sortTree(doc, keys.MustParseSpec(edgeSpec), newDictionary(), tw); err != nil {
+		f.Fatal(err)
+	}
+	tw.flush()
+	tw.release()
+	f.Add(sorted.Bytes(), false)
+	f.Add(hugeTextToken, true)
+	f.Add(hugeTextToken, false)
+	f.Fuzz(func(t *testing.T, data []byte, interned bool) {
+		var dict *segDict
+		if interned {
+			dict = h.dict
+		}
+		checkHostile(t, len(data), func() error { return drainTokens(t, data, dict) })
+	})
+}

@@ -248,6 +248,9 @@ func (d *keyDirectory) encode() []byte {
 	return out
 }
 
+// kdReader decodes keydir.idx and attr.idx, files a replication peer
+// supplies: a length prefix sizes an allocation only once it is known to
+// fit in the bytes that remain.
 type kdReader struct {
 	r   *bytes.Reader
 	err error
@@ -267,6 +270,10 @@ func (r *kdReader) varint() uint64 {
 func (r *kdReader) str() string {
 	n := r.varint()
 	if r.err != nil {
+		return ""
+	}
+	if n > uint64(r.r.Len()) {
+		r.err = fmt.Errorf("string of %d bytes with %d bytes left", n, r.r.Len())
 		return ""
 	}
 	buf := make([]byte, n)
@@ -302,31 +309,34 @@ func (r *kdReader) key() *tkey {
 }
 
 // decodeKeyDirectory parses keydir.idx bytes, verifying the CRC first.
+// Whatever the bytes, it neither panics nor allocates beyond a small
+// multiple of their length, and its error matches ErrCorruptArchive (or
+// ErrLegacyFormat).
 func decodeKeyDirectory(data []byte) (*keyDirectory, error) {
 	if len(data) < len(keydirMagic)+4 {
-		return nil, fmt.Errorf("extmem: key directory truncated")
+		return nil, corruptf("key directory truncated")
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("extmem: key directory checksum mismatch")
+		return nil, corruptf("key directory checksum mismatch")
 	}
 	if string(body[:len(keydirMagic)]) != keydirMagic {
-		return nil, fmt.Errorf("extmem: key directory bad magic")
+		return nil, corruptf("key directory bad magic")
 	}
 	r := &kdReader{r: bytes.NewReader(body[len(keydirMagic):])}
 	switch format := r.varint(); {
 	case r.err != nil:
-		return nil, fmt.Errorf("extmem: key directory: %w", r.err)
+		return nil, corruptf("key directory: %v", r.err)
 	case format == 1:
 		return nil, fmt.Errorf("%w (format-1 key directory)", ErrLegacyFormat)
 	case format != keydirFormat:
-		return nil, fmt.Errorf("extmem: key directory format %d not supported", format)
+		return nil, corruptf("key directory format %d not supported", format)
 	}
 	d := &keyDirectory{}
 	d.versions = int(r.varint())
 	ts, err := intervals.Parse(r.str())
 	if err != nil {
-		return nil, fmt.Errorf("extmem: key directory root timestamp: %w", err)
+		return nil, corruptf("key directory root timestamp: %v", err)
 	}
 	d.rootTime = ts
 	nRoots := r.varint()
@@ -348,7 +358,7 @@ func decodeKeyDirectory(data []byte) (*keyDirectory, error) {
 				if segFmt == 1 {
 					return nil, fmt.Errorf("%w (key directory lists format-1 segment %s)", ErrLegacyFormat, s.file)
 				}
-				return nil, fmt.Errorf("extmem: key directory: segment %s format %d not supported", s.file, segFmt)
+				return nil, corruptf("key directory: segment %s format %d not supported", s.file, segFmt)
 			}
 			s.dataOff = int64(r.varint())
 			s.payload = int64(r.varint())
@@ -371,7 +381,7 @@ func decodeKeyDirectory(data []byte) (*keyDirectory, error) {
 		d.roots = append(d.roots, rr)
 	}
 	if r.err != nil {
-		return nil, fmt.Errorf("extmem: key directory: %w", r.err)
+		return nil, corruptf("key directory: %v", r.err)
 	}
 	if err := d.parseTimes(); err != nil {
 		return nil, err
@@ -390,7 +400,7 @@ func (d *keyDirectory) parseTimes() error {
 		if rr.timeStr != "" {
 			ts, err := intervals.Parse(rr.timeStr)
 			if err != nil {
-				return fmt.Errorf("extmem: key directory root timestamp: %w", err)
+				return corruptf("key directory root timestamp: %v", err)
 			}
 			rr.time = ts
 		}
@@ -402,7 +412,7 @@ func (d *keyDirectory) parseTimes() error {
 				}
 				ts, err := intervals.Parse(e.timeStr)
 				if err != nil {
-					return fmt.Errorf("extmem: key directory entry timestamp: %w", err)
+					return corruptf("key directory entry timestamp: %v", err)
 				}
 				e.time = ts
 			}

@@ -1162,15 +1162,13 @@ func countFrontierBody(body *fbody, s *core.Stats) {
 // ---------------------------------------------------------------------------
 // Archive XML (paper form, §2/Fig 5)
 
-// WriteArchiveXML streams the archive's XML form to w. With indent, the
-// output is byte-identical to the in-memory engine's serialization of the
-// same archive — the line-oriented layout the space experiments measure;
-// without, the compact single-line form. Both parse back with the
-// in-memory loader.
-func (q *QueryView) WriteArchiveXML(w io.Writer, indent bool) error {
-	if !indent {
-		return q.writeArchiveCompact(w)
-	}
+// WriteArchiveXML streams the archive's XML form to w: the outer <T>
+// carries the root timestamp; explicit node timestamps and content groups
+// become nested <T> elements. The output is byte-identical to the
+// in-memory engine's serialization of the same archive — the
+// line-oriented layout the space experiments measure — and parses back
+// with the in-memory loader.
+func (q *QueryView) WriteArchiveXML(w io.Writer) error {
 	return q.writeArchiveIndented(w, nil)
 }
 
@@ -1326,101 +1324,4 @@ func (q *QueryView) bodyToArchiveXML(name string, body *fbody) (*xmltree.Node, e
 		el.Append(te)
 	}
 	return el, nil
-}
-
-// writeArchiveCompact is the single-line emitter (the historical snapshot
-// form); it works straight off the tokens with no trees at all.
-func (q *QueryView) writeArchiveCompact(w io.Writer) error {
-	bw, done := pooledWriter(w)
-	defer done()
-	tr, err := q.reader()
-	if err != nil {
-		return err
-	}
-	defer tr.release()
-	fmt.Fprintf(bw, `<T t="%s"><root>`, q.rootTime.String())
-
-	type frame struct {
-		name    string
-		wrapped bool // node wrapped in a <T> element
-		started bool // '>' written
-	}
-	var stack []frame
-	closeStart := func() {
-		if n := len(stack); n > 0 && !stack[n-1].started {
-			bw.WriteByte('>')
-			stack[n-1].started = true
-		}
-	}
-	inGroup := false
-	for {
-		t, ok := tr.take()
-		if !ok {
-			break
-		}
-		switch t.op {
-		case tokOpen:
-			closeStart()
-			name, err := q.name(t.tag)
-			if err != nil {
-				return err
-			}
-			wrapped := false
-			if t.data != "" && !inGroup {
-				fmt.Fprintf(bw, `<T t="%s">`, t.data)
-				wrapped = true
-			}
-			bw.WriteByte('<')
-			bw.WriteString(name)
-			stack = append(stack, frame{name: name, wrapped: wrapped})
-		case tokAttr:
-			name, err := q.name(t.tag)
-			if err != nil {
-				return err
-			}
-			if len(stack) > 0 && !stack[len(stack)-1].started {
-				fmt.Fprintf(bw, ` %s="`, name)
-				xmltree.EscapeAttr(bw, t.data)
-				bw.WriteByte('"')
-			} else {
-				// An attribute item inside group content after other
-				// items: carry it in an <_attr> element.
-				bw.WriteString(`<_attr n="`)
-				xmltree.EscapeAttr(bw, name)
-				bw.WriteString(`">`)
-				xmltree.EscapeText(bw, t.data)
-				bw.WriteString("</_attr>")
-			}
-		case tokText:
-			closeStart()
-			xmltree.EscapeText(bw, t.data)
-		case tokClose:
-			n := len(stack)
-			if n == 0 {
-				return corruptf("unbalanced archive tokens")
-			}
-			fr := stack[n-1]
-			stack = stack[:n-1]
-			if !fr.started {
-				bw.WriteString("/>")
-			} else {
-				fmt.Fprintf(bw, "</%s>", fr.name)
-			}
-			if fr.wrapped {
-				bw.WriteString("</T>")
-			}
-		case tokTSOpen:
-			closeStart()
-			fmt.Fprintf(bw, `<T t="%s">`, t.data)
-			inGroup = true
-		case tokTSClose:
-			bw.WriteString("</T>")
-			inGroup = false
-		}
-	}
-	if tr.err != nil {
-		return tr.err
-	}
-	bw.WriteString("</root></T>")
-	return bw.Flush()
 }

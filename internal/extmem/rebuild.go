@@ -1,0 +1,186 @@
+package extmem
+
+import (
+	"fmt"
+	"hash/crc32"
+	"io"
+	"path/filepath"
+
+	"xarch/internal/fsio"
+)
+
+// The one end-to-end reader of a segment file, and its two users: the
+// verification of a file against its directory record (fsck, inspect) and
+// the rebuild of a lost key directory from the files meta.txt lists.
+
+// walkSegment reads one segment file end to end and checks everything the
+// file says about itself: the header, the stored (possibly compressed)
+// bytes against the stored CRC, the uncompressed payload against the
+// payload CRC, every dictionary entry, and every token — so a dangling
+// interned id is corruption just like a bad checksum. It returns the header
+// and, for a non-raw segment, the entry table re-derived from the payload
+// tokens: labels, timestamps, offsets and sizes in uncompressed payload
+// space, names resolved through dict when one is given.
+func walkSegment(fs fsio.FS, path string, dict *dictionary) (*segmentHeader, []childEntry, error) {
+	f, err := fs.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("extmem: %w", err)
+	}
+	defer f.Close()
+	h, err := readSegmentHeader(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := f.Seek(h.dataOff, io.SeekStart); err != nil {
+		return nil, nil, fmt.Errorf("extmem: %w", err)
+	}
+	stored := crc32.NewIEEE()
+	if _, err := io.CopyN(stored, f, h.stored); err != nil {
+		return nil, nil, corruptf("stored payload truncated: %v", err)
+	}
+	if stored.Sum32() != h.storedCRC {
+		return nil, nil, corruptf("stored payload checksum mismatch")
+	}
+	var payload io.Reader
+	var blk blockReader
+	if h.compressed {
+		blk.reset(f, h.dict, 0, h.payload, nil)
+		payload = &blk
+	} else {
+		if _, err := f.Seek(h.dataOff, io.SeekStart); err != nil {
+			return nil, nil, fmt.Errorf("extmem: %w", err)
+		}
+		payload = io.LimitReader(f, h.payload)
+	}
+	// The dictionary materializes lazily, so force every entry here: a
+	// corrupt entry is a finding even when no token references it.
+	if err := h.dict.validate(); err != nil {
+		return nil, nil, err
+	}
+	crc := crc32.NewIEEE()
+	tr := newTokenReaderDict(io.TeeReader(payload, crc), h.dict, 0)
+	defer tr.release()
+	var entries []childEntry
+	if h.raw {
+		// A verbatim slice of the root's subtree: tokens, no entries.
+		for ok := true; ok; {
+			_, ok = tr.take()
+		}
+		err = tr.err
+	} else if entries, err = scanEntries(tr); err == nil && len(entries) == 0 {
+		err = corruptf("segment has no entries")
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if crc.Sum32() != h.crc {
+		return nil, nil, corruptf("payload checksum mismatch")
+	}
+	if dict != nil {
+		for i := range entries {
+			if entries[i].name, err = dict.name(entries[i].tag); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return h, entries, nil
+}
+
+// scanEntries reads a payload to its end, recording each top-level
+// subtree's label, timestamp, offset and size.
+func scanEntries(tr *tokenReader) ([]childEntry, error) {
+	var entries []childEntry
+	depth := 0
+	for {
+		at := tr.pos
+		t, ok := tr.take()
+		if !ok {
+			break
+		}
+		switch t.op {
+		case tokOpen:
+			if depth == 0 {
+				entries = append(entries, childEntry{tag: t.tag, key: t.key, timeStr: t.data, offset: at})
+			}
+			depth++
+		case tokClose:
+			depth--
+			if depth < 0 {
+				return nil, corruptf("unbalanced segment payload")
+			}
+			if depth == 0 {
+				e := &entries[len(entries)-1]
+				e.size = tr.pos - e.offset
+			}
+		}
+	}
+	if tr.err != nil {
+		return nil, tr.err
+	}
+	if depth != 0 {
+		return nil, corruptf("unbalanced segment payload")
+	}
+	return entries, nil
+}
+
+// verifySegment checks a segment file against itself (walkSegment) and
+// against its directory record: the header's geometry and checksums, and
+// the entry table — a directory whose offsets point anywhere but at the
+// subtrees the payload holds is reported even though its own checksum is
+// valid. Entry names are compared when dict is given.
+func verifySegment(fs fsio.FS, path string, sr *segmentRecord, dict *dictionary) error {
+	h, entries, err := walkSegment(fs, path, dict)
+	if err != nil {
+		return fmt.Errorf("segment %s: %w", sr.file, err)
+	}
+	if h.payload != sr.payload || h.crc != sr.crc || h.dataOff != sr.dataOff ||
+		h.stored != sr.stored || h.storedCRC != sr.storedCRC || h.dictLen != sr.dictLen {
+		return corruptf("segment %s header disagrees with directory", sr.file)
+	}
+	if h.raw {
+		return nil
+	}
+	if len(entries) != len(sr.entries) {
+		return corruptf("segment %s holds %d entries, the directory lists %d", sr.file, len(entries), len(sr.entries))
+	}
+	for i := range entries {
+		e, de := &entries[i], &sr.entries[i]
+		if e.offset != de.offset || e.size != de.size || e.timeStr != de.timeStr ||
+			(dict != nil && e.name != de.name) || (e.key == nil) != (de.key == nil) || compareKeys(e.key, de.key) != 0 {
+			return corruptf("segment %s entry %d (%s) disagrees with directory entry %s at offset %d",
+				sr.file, i, keyLabel(e.name, e.key), keyLabel(de.name, de.key), de.offset)
+		}
+	}
+	return nil
+}
+
+// rebuildDirectory reconstructs the segment and entry tables by reading
+// exactly the segment files the meta backup lists for each root — never
+// globbing the directory, so crash orphans lying on disk cannot be
+// woven into the rebuilt archive — and re-deriving entries (offsets,
+// sizes, timestamps) from the payload tokens. meta also supplies the
+// root records, which the payloads cannot (a root's timestamp lives
+// only in the directory).
+func (ar *Archiver) rebuildDirectory(meta *keyDirectory) (*keyDirectory, error) {
+	out := &keyDirectory{versions: meta.versions, rootTime: meta.rootTime}
+	for _, r := range meta.roots {
+		rec := &rootRecord{name: r.name, key: r.key, timeStr: r.timeStr, attrs: r.attrs, raw: r.raw}
+		for _, skel := range r.segs {
+			h, entries, err := walkSegment(ar.fs, filepath.Join(ar.dir, skel.file), ar.dict)
+			if err != nil {
+				return nil, fmt.Errorf("extmem: rebuild %s: %w", skel.file, err)
+			}
+			if h.raw != r.raw || h.rootName != r.name || compareKeys(h.rootKey, r.key) != 0 {
+				return nil, fmt.Errorf("extmem: rebuild: segment %s belongs to root %s, not %s", skel.file, h.rootName, r.name)
+			}
+			rec.segs = append(rec.segs, &segmentRecord{
+				file: skel.file, dataOff: h.dataOff,
+				payload: h.payload, crc: h.crc,
+				stored: h.stored, storedCRC: h.storedCRC, dictLen: h.dictLen,
+				entries: entries,
+			})
+		}
+		out.roots = append(out.roots, rec)
+	}
+	return out, nil
+}

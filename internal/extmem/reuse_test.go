@@ -1,0 +1,240 @@
+package extmem
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"xarch/internal/core"
+	"xarch/internal/keys"
+	"xarch/internal/xmltree"
+)
+
+// reuseSpec keys /db/item by its id attribute and keeps two keyed children
+// under an item, so an item's subtree can carry a nested explicit
+// timestamp. reuseFlatSpec is the same database with body as the frontier:
+// p is content there and carries no key annotation at all, where reuseSpec
+// gives it the empty key.
+const (
+	reuseSpec = `
+(/, (db, {}))
+(/db, (item, {id}))
+(/db/item, (body, {}))
+(/db/item, (note, {}))
+(/db/item/body, (p, {}))
+`
+	reuseFlatSpec = `
+(/, (db, {}))
+(/db, (item, {id}))
+(/db/item, (body, {}))
+(/db/item, (note, {}))
+`
+)
+
+// reuseItem builds <item id="…"><body><p>…</p></body><note>n</note></item>.
+func reuseItem(id int, body string) *xmltree.Node {
+	return xmltree.Elem("item",
+		xmltree.AttrNode("id", fmt.Sprintf("%03d", id)),
+		xmltree.Elem("body", xmltree.ElemText("p", body)),
+		xmltree.ElemText("note", "n"))
+}
+
+// reuseBase is the first version of every row: forty items, ids 010 to
+// 400, which a 512-byte segment target spreads over five segments.
+func reuseBase() *xmltree.Node {
+	db := xmltree.Elem("db")
+	for id := 10; id <= 400; id += 10 {
+		db.Append(reuseItem(id, fmt.Sprintf("the body text of item number %03d", id)))
+	}
+	return db
+}
+
+func reuseFind(db *xmltree.Node, id int) int {
+	want := fmt.Sprintf("%03d", id)
+	for i, c := range db.Children {
+		if v, _ := c.Attr("id"); v == want {
+			return i
+		}
+	}
+	panic("no item " + want)
+}
+
+// TestReuseDecisions pins, case by case, which segments an add links
+// unchanged and which it rewrites. The MergeStats are those the two-pass
+// planner of commit a916475 produced for the same inputs; the archive
+// stream is held to the in-memory archiver's.
+func TestReuseDecisions(t *testing.T) {
+	type step func(prev *xmltree.Node) *xmltree.Node
+	edit := func(id int) step {
+		return func(prev *xmltree.Node) *xmltree.Node {
+			db := prev.Clone()
+			db.Children[reuseFind(db, id)].Child("body").Child("p").Children[0].Data = fmt.Sprintf("item %03d, edited", id)
+			return db
+		}
+	}
+	insert := func(id int) step {
+		return func(prev *xmltree.Node) *xmltree.Node {
+			db := prev.Clone()
+			at := 0
+			for at < len(db.Children) {
+				if v, _ := db.Children[at].Attr("id"); v >= fmt.Sprintf("%03d", id) {
+					break
+				}
+				at++
+			}
+			kids := append([]*xmltree.Node{}, db.Children[:at]...)
+			kids = append(kids, reuseItem(id, fmt.Sprintf("a new item, number %03d", id)))
+			db.Children = append(kids, db.Children[at:]...)
+			return db
+		}
+	}
+	remove := func(id int) step {
+		return func(prev *xmltree.Node) *xmltree.Node {
+			db := prev.Clone()
+			i := reuseFind(db, id)
+			db.Children = append(db.Children[:i:i], db.Children[i+1:]...)
+			return db
+		}
+	}
+	dropBody := func(id int) step {
+		return func(prev *xmltree.Node) *xmltree.Node {
+			db := prev.Clone()
+			item := db.Children[reuseFind(db, id)]
+			item.Children = item.Children[1:] // body goes, note stays
+			return db
+		}
+	}
+	same := func(prev *xmltree.Node) *xmltree.Node { return prev.Clone() }
+	base := func(*xmltree.Node) *xmltree.Node { return reuseBase() }
+	empty := func(*xmltree.Node) *xmltree.Node { return nil }
+
+	rows := []struct {
+		name  string
+		steps []step
+		// respec, when set, reopens the archive under reuseFlatSpec before
+		// the last step.
+		respec bool
+		want   []MergeStats // per step after the base version
+	}{
+		{name: "no-op", steps: []step{same},
+			want: []MergeStats{{5, 0, 0}}},
+		{name: "edit in the first segment", steps: []step{edit(20)},
+			want: []MergeStats{{4, 1, 2}}},
+		{name: "edit in a middle segment", steps: []step{edit(200)},
+			want: []MergeStats{{4, 1, 2}}},
+		{name: "edit in the last segment", steps: []step{edit(400)},
+			want: []MergeStats{{4, 1, 1}}},
+		{name: "insert before the first label", steps: []step{insert(5)},
+			want: []MergeStats{{4, 1, 2}}},
+		{name: "insert after the last label", steps: []step{insert(999)},
+			want: []MergeStats{{4, 1, 2}}},
+		{name: "delete an inherited-timestamp entry", steps: []step{remove(200)},
+			want: []MergeStats{{4, 1, 1}}},
+		{name: "re-add a terminated entry", steps: []step{remove(200), base},
+			want: []MergeStats{{4, 1, 1}, {4, 1, 1}}},
+		{name: "terminated entry stays away", steps: []step{remove(200), same},
+			want: []MergeStats{{4, 1, 1}, {5, 0, 0}}},
+		{name: "nested explicit timestamp", steps: []step{dropBody(200), base},
+			want: []MergeStats{{4, 1, 1}, {4, 1, 1}}},
+		{name: "nil key against the empty key", steps: []step{same}, respec: true,
+			want: []MergeStats{{0, 5, 5}}},
+		{name: "empty version", steps: []step{empty},
+			want: []MergeStats{{5, 0, 0}}},
+	}
+
+	source := map[string]func(*xmltree.Node) Source{
+		"tree": func(doc *xmltree.Node) Source {
+			if doc == nil {
+				return Source{}
+			}
+			return Source{Doc: doc.Clone()}
+		},
+		"stream": func(doc *xmltree.Node) Source {
+			if doc == nil {
+				return Source{}
+			}
+			return Source{Reader: strings.NewReader(doc.XML())}
+		},
+	}
+	for _, row := range rows {
+		docs := []*xmltree.Node{reuseBase()}
+		for _, s := range row.steps {
+			docs = append(docs, s(docs[len(docs)-1]))
+		}
+		memSpec := keys.MustParseSpec(reuseSpec)
+		if row.respec {
+			memSpec = keys.MustParseSpec(reuseFlatSpec)
+		}
+		mem := core.New(memSpec, core.Options{})
+		for _, d := range docs {
+			var doc *xmltree.Node
+			if d != nil {
+				doc = d.Clone()
+			}
+			if err := mem.Add(doc); err != nil {
+				t.Fatalf("%s: in-memory add: %v", row.name, err)
+			}
+		}
+		for _, mode := range []string{"tree", "stream", "batch"} {
+			t.Run(row.name+"/"+mode, func(t *testing.T) {
+				if mode == "batch" && row.respec {
+					t.Skip("a batch cannot change specification half way")
+				}
+				dir := t.TempDir()
+				cfg := Config{SegmentTarget: 512, Budget: 64}
+				ar, err := Open(dir, keys.MustParseSpec(reuseSpec), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				add := func(srcs ...Source) {
+					t.Helper()
+					items, err := ar.AddVersionBatch(srcs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, it := range items {
+						if it.Err != nil {
+							t.Fatal(it.Err)
+						}
+					}
+				}
+				if mode == "batch" {
+					var srcs []Source
+					for _, d := range docs {
+						srcs = append(srcs, source["tree"](d))
+					}
+					add(srcs...)
+					if got, want := ar.LastMerge, row.want[len(row.want)-1]; got != want {
+						t.Errorf("last member of the batch: %+v, want %+v", got, want)
+					}
+				} else {
+					add(source[mode](docs[0]))
+					if n := len(ar.curDir.roots[0].segs); n < 4 {
+						t.Fatalf("base version spans %d segments, want at least 4", n)
+					}
+					for k, d := range docs[1:] {
+						if row.respec && k == len(docs)-2 {
+							if err := ar.Close(); err != nil {
+								t.Fatal(err)
+							}
+							if ar, err = Open(dir, keys.MustParseSpec(reuseFlatSpec), cfg); err != nil {
+								t.Fatal(err)
+							}
+						}
+						add(source[mode](d))
+						if got := ar.LastMerge; got != row.want[k] {
+							t.Errorf("step %d: %+v, want %+v", k+1, got, row.want[k])
+						}
+					}
+				}
+				var b strings.Builder
+				if err := ar.WriteArchiveXML(&b); err != nil {
+					t.Fatal(err)
+				}
+				if b.String() != mem.XML() {
+					t.Errorf("archive stream differs from the in-memory archiver's\n got %s\nwant %s", clip(b.String()), clip(mem.XML()))
+				}
+			})
+		}
+	}
+}

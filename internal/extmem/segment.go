@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path/filepath"
 	"sync/atomic"
@@ -70,8 +69,8 @@ const segFixedOff = len(segMagic) + 2
 const maxSegBlockLen = 1 << 30
 
 // readSegmentHeader parses the header at the start of f. The variable
-// tail (the root label) is read through a position-tracking reader, so
-// arbitrarily large root keys parse back exactly as written. Segment
+// tail is read through a counted buffer, so arbitrarily large root keys
+// parse back exactly as written and the payload offset falls out. Segment
 // files arrive from replication peers, so every length prefix that
 // sizes an allocation is checked against the file's size first: a
 // hostile header fails with ErrCorruptArchive instead of panicking or
@@ -108,10 +107,11 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 	if h.payload < 0 {
 		return nil, corruptf("segment header: payload length out of range")
 	}
-	pr := &posReader{br: bufio.NewReaderSize(f, 4096)}
+	in := &offsetReader{r: f, n: int64(len(fixed))}
+	br := bufio.NewReaderSize(in, 4096)
 	// sized reads a length prefix that is about to size an allocation.
 	sized := func(what string) (uint64, error) {
-		n, err := pr.varint()
+		n, err := binary.ReadUvarint(br)
 		if err != nil {
 			return 0, fmt.Errorf("extmem: segment header: %w", err)
 		}
@@ -126,7 +126,7 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 			return "", err
 		}
 		buf := make([]byte, n)
-		if err := pr.readFull(buf); err != nil {
+		if _, err := io.ReadFull(br, buf); err != nil {
 			return "", fmt.Errorf("extmem: segment header: %w", err)
 		}
 		return string(buf), nil
@@ -134,13 +134,13 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 	if h.rootName, err = str(); err != nil {
 		return nil, err
 	}
-	hasKey, err := pr.byte()
+	hasKey, err := br.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("extmem: segment header: %w", err)
 	}
 	if hasKey != 0 {
 		k := &tkey{}
-		n, err := pr.varint()
+		n, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("extmem: segment header: %w", err)
 		}
@@ -165,11 +165,11 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 	}
 	h.stored = int64(stored)
 	var sc [4]byte
-	if err := pr.readFull(sc[:]); err != nil {
+	if _, err := io.ReadFull(br, sc[:]); err != nil {
 		return nil, fmt.Errorf("extmem: segment header: %w", err)
 	}
 	h.storedCRC = binary.LittleEndian.Uint32(sc[:])
-	blockLen, err := pr.varint()
+	blockLen, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("extmem: segment header: %w", err)
 	}
@@ -211,14 +211,14 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 	}
 	h.dictLen = int64(dictLen)
 	dictBytes := make([]byte, dictLen)
-	if err := pr.readFull(dictBytes); err != nil {
+	if _, err := io.ReadFull(br, dictBytes); err != nil {
 		return nil, fmt.Errorf("extmem: segment dictionary: %w", err)
 	}
 	dict, err := decodeSegDict(dictBytes)
 	if err != nil {
 		return nil, err
 	}
-	h.dataOff = int64(len(fixed)) + pr.pos
+	h.dataOff = in.n - int64(br.Buffered())
 	dict.payload = h.payload
 	if blockLen > 0 {
 		dict.blockLen = int(blockLen)
@@ -232,70 +232,6 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 	}
 	h.dict = dict
 	return h, nil
-}
-
-// verifySegment checks a segment file against its header and the
-// directory record: the stored (possibly compressed) bytes against the
-// stored CRC, the decompressed payload against the payload CRC, and the
-// whole token stream against the dictionary, so a dangling interned id
-// is reported as corruption just like a bad checksum.
-func verifySegment(fs fsio.FS, path string, sr *segmentRecord) error {
-	f, err := fs.Open(path)
-	if err != nil {
-		return fmt.Errorf("extmem: %w", err)
-	}
-	defer f.Close()
-	h, err := readSegmentHeader(f)
-	if err != nil {
-		return err
-	}
-	if h.payload != sr.payload || h.crc != sr.crc || h.dataOff != sr.dataOff ||
-		h.stored != sr.stored || h.storedCRC != sr.storedCRC || h.dictLen != sr.dictLen {
-		return fmt.Errorf("extmem: segment %s header disagrees with directory", sr.file)
-	}
-	crc := crc32.NewIEEE()
-	if _, err := f.Seek(h.dataOff, io.SeekStart); err != nil {
-		return fmt.Errorf("extmem: %w", err)
-	}
-	if _, err := io.CopyN(crc, f, h.stored); err != nil {
-		return fmt.Errorf("extmem: segment %s truncated: %w", sr.file, err)
-	}
-	if crc.Sum32() != h.storedCRC {
-		return fmt.Errorf("extmem: segment %s stored payload checksum mismatch", sr.file)
-	}
-	// Decompress (when compressed) and walk every token: recompute the
-	// uncompressed CRC and resolve every interned reference.
-	var payload io.Reader
-	var blk blockReader
-	if h.compressed {
-		blk.reset(f, h.dict, 0, h.payload, nil)
-		payload = &blk
-	} else {
-		if _, err := f.Seek(h.dataOff, io.SeekStart); err != nil {
-			return fmt.Errorf("extmem: %w", err)
-		}
-		payload = io.LimitReader(f, h.payload)
-	}
-	// The dictionary materializes lazily, so force every entry here:
-	// fsck must flag a corrupt entry even when no token references it.
-	if err := h.dict.validate(); err != nil {
-		return fmt.Errorf("extmem: segment %s: %w", sr.file, err)
-	}
-	ucrc := crc32.NewIEEE()
-	tr := newTokenReaderDict(io.TeeReader(payload, ucrc), h.dict)
-	defer tr.release()
-	for {
-		if _, ok := tr.take(); !ok {
-			break
-		}
-	}
-	if tr.err != nil {
-		return fmt.Errorf("extmem: segment %s: %w", sr.file, tr.err)
-	}
-	if ucrc.Sum32() != sr.crc {
-		return fmt.Errorf("extmem: segment %s payload checksum mismatch", sr.file)
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

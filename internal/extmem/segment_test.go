@@ -71,7 +71,7 @@ func snapshotXML(t *testing.T, ar *Archiver) string {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	if err := q.WriteArchiveXML(&b, true); err != nil {
+	if err := q.WriteArchiveXML(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()

@@ -99,6 +99,7 @@ type pnode struct {
 	name     string
 	key      *tkey
 	frontier bool
+	stem     bool // re-created by flushRun, not met in the document
 	attrs    []token
 	children []*pnode
 	content  []token // raw content of a frontier node
@@ -299,7 +300,7 @@ func (rf *runFormer) flushRun(openStack []*pnode) error {
 	var parent *pnode
 	newStack := make([]*pnode, 0, len(openStack))
 	for _, old := range openStack {
-		fresh := &pnode{tag: old.tag, name: old.name, key: old.key, frontier: old.frontier}
+		fresh := &pnode{tag: old.tag, name: old.name, key: old.key, frontier: old.frontier, stem: true}
 		if !old.frontier {
 			// Non-frontier stem nodes re-carry their attributes (merged
 			// away again during the run merge); frontier content already
@@ -324,7 +325,11 @@ func (rf *runFormer) flushRun(openStack []*pnode) error {
 // which the run merge would otherwise fuse into one node.
 func (rf *runFormer) writeSorted(tw *tokenWriter, n *pnode) error {
 	rf.sorting = append(rf.sorting, n.name)
-	tw.open(n.tag, n.key, "")
+	if n.stem {
+		tw.openStem(n.tag, n.key)
+	} else {
+		tw.open(n.tag, n.key, "")
+	}
 	rf.stats.RunTokens++
 	for _, a := range n.attrs {
 		tw.writeToken(a)
@@ -413,21 +418,38 @@ func mergeRunFiles(fs fsio.FS, runPaths []string, dict *dictionary, outPath stri
 type runMerger struct {
 	dict *dictionary
 	out  *tokenWriter
+	path []string // names of the nodes being merged, to name errors
 }
 
 // mergeNodes merges the same-label node at the head of every cursor: the
 // open/attrs are emitted once; keyed children are merged by ascending
 // label; frontier content is concatenated in run-creation order.
+//
+// The cursors are in run order and a node spans consecutive runs: met in
+// the document in the first, repeated as a stem (flagStem) by each run
+// after it. A same-label open that is not a stem is therefore a second
+// node with the first one's key, which the run former could not see
+// because the two fell into different runs.
 func (m *runMerger) mergeNodes(cursors []*tokenReader) error {
-	opens := make([]token, len(cursors))
+	var name string
 	for i, c := range cursors {
 		t, ok := c.take()
 		if !ok || t.op != tokOpen {
 			return fmt.Errorf("extmem: run cursor not at an open tag")
 		}
-		opens[i] = t
+		switch {
+		case i == 0:
+			m.out.writeToken(t)
+			var err error
+			if name, err = m.dict.name(t.tag); err != nil {
+				return err
+			}
+		case !t.stem:
+			return fmt.Errorf("extmem: %s: more than one child %s", pathString(m.path), keyLabel(name, t.key))
+		}
 	}
-	m.out.writeToken(opens[0])
+	m.path = append(m.path, name)
+	defer func() { m.path = m.path[:len(m.path)-1] }()
 
 	// Attributes: emit the first cursor's, drain the others'.
 	first := true

@@ -22,9 +22,9 @@ package extmem
 
 import (
 	"bufio"
-	"encoding/binary"
-	"fmt"
+	"bytes"
 	"io"
+	"math"
 	"strings"
 	"sync"
 
@@ -52,10 +52,13 @@ const (
 	tokTSClose = 0x06 // group close
 )
 
-// Open flags.
+// Open flags. flagStem exists in the external sort's run files only: it
+// marks an open token that repeats, at the head of a run, a node an earlier
+// run left open, as against a node met in the document (sort.go).
 const (
 	flagHasKey  = 0x01
 	flagHasTime = 0x02
+	flagStem    = 0x04
 )
 
 // token is one decoded token. Tokens decoded from a segment carry
@@ -65,6 +68,7 @@ const (
 // needs to mutate the set must clone it first.
 type token struct {
 	op   byte
+	stem bool           // tokOpen read from a run file: flagStem
 	tag  int            // tokOpen: dictionary id; tokAttr: name id
 	data string         // tokText: text; tokAttr: value; tokTSOpen/tokOpen: time
 	key  *tkey          // tokOpen with flagHasKey
@@ -162,9 +166,19 @@ func (tw *tokenWriter) str(s string) {
 }
 
 func (tw *tokenWriter) open(tagID int, key *tkey, time string) {
+	tw.openFlags(tagID, key, time, 0)
+}
+
+// openStem writes the open token of a node a run repeats from the run
+// before it. Only run files carry the flag: writeToken, which every other
+// stream is written through, goes through open and drops it.
+func (tw *tokenWriter) openStem(tagID int, key *tkey) {
+	tw.openFlags(tagID, key, "", flagStem)
+}
+
+func (tw *tokenWriter) openFlags(tagID int, key *tkey, time string, flags byte) {
 	tw.w.WriteByte(tokOpen)
 	tw.varint(uint64(tagID))
-	var flags byte
 	if key != nil {
 		flags |= flagHasKey
 	}
@@ -224,7 +238,13 @@ func (tw *tokenWriter) writeToken(t token) {
 	}
 }
 
-// tokenReader reads a token stream with one token of lookahead.
+// tokenReader reads a token stream with one token of lookahead. It is
+// the one decoder of both token grammars, and it reads bytes this process
+// did not write (a peer's segment payload): whatever it is handed, it
+// never panics, never allocates more than a small multiple of the bytes
+// the stream actually supplied, and reports anything that is not a token
+// stream — an unknown opcode, a dangling id, a stream that ends inside a
+// token — as an error matching ErrCorruptArchive.
 //
 // A reader over a segment carries the segment's dictionary: open and
 // attr tokens reference interned strings, key tuples, and pre-parsed
@@ -234,34 +254,53 @@ func (tw *tokenWriter) writeToken(t token) {
 // inline grammar and carry none).
 type tokenReader struct {
 	r    *bufio.Reader
-	dict *segDict   // current part's dictionary; nil = inline grammar
-	src  *dirStream // nil = single fixed reader
+	in   offsetReader // what r reads, when that is one fixed stream
+	dict *segDict     // current part's dictionary; nil = inline grammar
+	src  *dirStream   // nil = single fixed reader
 	cur  token
+	pos  int64 // stream offset of cur, or of the end of the stream
 	err  error
 	done bool
 }
 
-func newTokenReader(r io.Reader) *tokenReader { return newTokenReaderDict(r, nil) }
+// offsetReader counts what a tokenReader's buffer has pulled from a single
+// stream, from the offset the stream started at; less what is still
+// buffered, that is the offset of the next byte to decode.
+type offsetReader struct {
+	r io.Reader
+	n int64
+}
 
-// newTokenReaderDict reads a single stream encoded against a fixed
-// segment dictionary.
-func newTokenReaderDict(r io.Reader, dict *segDict) *tokenReader {
+func (o *offsetReader) Read(p []byte) (int, error) {
+	n, err := o.r.Read(p)
+	o.n += int64(n)
+	return n, err
+}
+
+func newTokenReader(r io.Reader) *tokenReader { return newTokenReaderDict(r, nil, 0) }
+
+// newTokenReaderDict reads a single stream, which starts at offset at,
+// encoded against a fixed segment dictionary.
+func newTokenReaderDict(r io.Reader, dict *segDict, at int64) *tokenReader {
 	tr := &tokenReader{r: tokenReaderPool.Get().(*bufio.Reader)}
-	tr.reset(r, dict)
+	tr.reset(r, dict, at)
 	return tr
 }
 
 // reset aims the reader at another single stream and its dictionary,
 // dropping the lookahead and any end-of-stream or error state, so one
-// reader (and its buffer) can visit several places in a file.
-func (tr *tokenReader) reset(r io.Reader, dict *segDict) {
-	tr.r.Reset(r)
+// reader (and its buffer) can visit several places in a file. at is the
+// offset r starts at in whatever the caller measures pos in.
+func (tr *tokenReader) reset(r io.Reader, dict *segDict, at int64) {
+	tr.in = offsetReader{r: r, n: at}
+	tr.r.Reset(&tr.in)
 	tr.dict, tr.err, tr.done = dict, nil, false
 	tr.next()
 }
 
 // newDirTokenReader reads the concatenation of a dirStream's parts as
-// one token stream, switching per-part dictionaries as it goes.
+// one token stream, switching per-part dictionaries as it goes. Its pos
+// means nothing: offsets belong to one stream.
 func newDirTokenReader(s *dirStream) *tokenReader {
 	br := tokenReaderPool.Get().(*bufio.Reader)
 	br.Reset(strings.NewReader(""))
@@ -279,42 +318,121 @@ func (tr *tokenReader) release() {
 	tr.r.Reset(strings.NewReader(""))
 	tokenReaderPool.Put(tr.r)
 	tr.r = nil
+	tr.in.r = nil
 	tr.src = nil
 	tr.dict = nil
 	tr.done = true
 }
 
-func (tr *tokenReader) varint() uint64 {
-	v, err := binary.ReadUvarint(tr.r)
-	if err != nil {
-		tr.fail(err)
-		return 0
-	}
-	return v
-}
-
-func (tr *tokenReader) str() string {
-	n := tr.varint()
-	if tr.err != nil {
-		return ""
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(tr.r, buf); err != nil {
-		tr.fail(err)
-		return ""
-	}
-	return string(buf)
-}
-
+// fail ends the stream with err; io.EOF is its clean end, which only
+// readOp — between tokens — may report.
 func (tr *tokenReader) fail(err error) {
-	if err == io.EOF {
-		tr.done = true
-		return
-	}
-	if tr.err == nil {
+	if err != io.EOF && tr.err == nil {
 		tr.err = err
 	}
 	tr.done = true
+}
+
+// cut fails a read inside a token: there, the end of the stream is
+// corruption like any other, not the stream's end.
+func (tr *tokenReader) cut(err error) {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = corruptf("token stream ends inside a token")
+	}
+	tr.fail(err)
+}
+
+func (tr *tokenReader) byte() byte {
+	b, err := tr.r.ReadByte()
+	if err != nil {
+		tr.cut(err)
+	}
+	return b
+}
+
+// varint reads a uvarint byte by byte (binary.ReadUvarint would not tell
+// an overflow, which is corruption, from a failed read, which is not).
+func (tr *tokenReader) varint() uint64 {
+	var v uint64
+	for shift := uint(0); shift < 64; shift += 7 {
+		b, err := tr.r.ReadByte()
+		if err != nil {
+			tr.cut(err)
+			return 0
+		}
+		v |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			return v
+		}
+	}
+	tr.fail(corruptf("varint overflows 64 bits"))
+	return 0
+}
+
+// str reads one length-prefixed string. One that fits the reader's buffer
+// is copied out of it once it is known to be all there; a longer one
+// grows as its bytes arrive. Either way the length prefix alone sizes no
+// allocation.
+func (tr *tokenReader) str() string {
+	n := tr.varint()
+	if tr.done {
+		return ""
+	}
+	if n <= tokenBufSize {
+		b, err := tr.r.Peek(int(n))
+		if err != nil {
+			tr.cut(err)
+			return ""
+		}
+		s := string(b)
+		tr.r.Discard(len(b))
+		return s
+	}
+	if n > math.MaxInt64 {
+		tr.fail(corruptf("string length %d out of range", n))
+		return ""
+	}
+	var b bytes.Buffer
+	if _, err := io.CopyN(&b, tr.r, int64(n)); err != nil {
+		tr.cut(err)
+		return ""
+	}
+	return b.String()
+}
+
+// skipStr discards one length-prefixed string without materializing it.
+func (tr *tokenReader) skipStr() {
+	n := tr.varint()
+	for n > 0 && !tr.done {
+		c := min(n, 1<<30) // Discard takes an int
+		if _, err := tr.r.Discard(int(c)); err != nil {
+			tr.cut(err)
+		}
+		n -= c
+	}
+}
+
+// skipField discards a timestamp or an attribute value: one id in the
+// interned grammar, a string inline.
+func (tr *tokenReader) skipField() {
+	if tr.dict != nil {
+		tr.varint()
+	} else {
+		tr.skipStr()
+	}
+}
+
+// skipKey discards a key annotation: one id, or the inline tuple.
+func (tr *tokenReader) skipKey() {
+	if tr.dict != nil {
+		tr.varint()
+		return
+	}
+	n := tr.varint()
+	for i := uint64(0); i < n && !tr.done; i++ {
+		tr.skipStr()
+		tr.skipStr()
+	}
 }
 
 // readOp reads the next opcode byte. Parts of a dirStream are always
@@ -342,31 +460,49 @@ func (tr *tokenReader) readOp() (byte, error) {
 	}
 }
 
-// dictKey resolves a key id against the current segment dictionary.
-func (tr *tokenReader) dictKey() *tkey {
+// dictID reads an interned id and checks it against its table's size.
+func (tr *tokenReader) dictID(what string, size int) (int, bool) {
 	id := tr.varint()
-	if tr.err != nil || tr.done {
-		return nil
+	if tr.done {
+		return 0, false
 	}
-	if id >= uint64(len(tr.dict.keys)) {
-		tr.fail(fmt.Errorf("extmem: dangling key id %d (dictionary has %d)", id, len(tr.dict.keys)))
-		return nil
+	if id >= uint64(size) {
+		tr.fail(corruptf("dangling %s id %d (dictionary has %d)", what, id, size))
+		return 0, false
 	}
-	return tr.dict.key(int(id))
+	return int(id), true
 }
 
-// dictTime resolves a timestamp id to its interned string and shared
-// pre-parsed interval set.
-func (tr *tokenReader) dictTime() (string, *intervals.Set) {
-	id := tr.varint()
-	if tr.err != nil || tr.done {
+// key reads an open token's key annotation: an id into the segment
+// dictionary's shared key table, or the tuple itself in the inline
+// grammar.
+func (tr *tokenReader) key() *tkey {
+	if tr.dict != nil {
+		if id, ok := tr.dictID("key", len(tr.dict.keys)); ok {
+			return tr.dict.key(id)
+		}
+		return nil
+	}
+	k := &tkey{}
+	n := tr.varint()
+	for i := uint64(0); i < n && !tr.done; i++ {
+		k.paths = append(k.paths, tr.str())
+		k.canon = append(k.canon, tr.str())
+	}
+	return k
+}
+
+// time reads a timestamp: interned, with the dictionary's shared
+// pre-parsed interval set, or inline.
+func (tr *tokenReader) time() (string, *intervals.Set) {
+	if tr.dict == nil {
+		return tr.str(), nil
+	}
+	id, ok := tr.dictID("timestamp", len(tr.dict.times))
+	if !ok {
 		return "", nil
 	}
-	if id >= uint64(len(tr.dict.times)) {
-		tr.fail(fmt.Errorf("extmem: dangling timestamp id %d (dictionary has %d)", id, len(tr.dict.times)))
-		return "", nil
-	}
-	set, err := tr.dict.timeSet(int(id))
+	set, err := tr.dict.timeSet(id)
 	if err != nil {
 		tr.fail(err)
 		return "", nil
@@ -374,17 +510,15 @@ func (tr *tokenReader) dictTime() (string, *intervals.Set) {
 	return tr.dict.times[id], set
 }
 
-// dictValue resolves a spilled-value id (attribute values).
-func (tr *tokenReader) dictValue() string {
-	id := tr.varint()
-	if tr.err != nil || tr.done {
-		return ""
+// value reads an attribute value: a spilled-value id, or inline.
+func (tr *tokenReader) value() string {
+	if tr.dict == nil {
+		return tr.str()
 	}
-	if id >= uint64(len(tr.dict.values)) {
-		tr.fail(fmt.Errorf("extmem: dangling value id %d (dictionary has %d)", id, len(tr.dict.values)))
-		return ""
+	if id, ok := tr.dictID("value", len(tr.dict.values)); ok {
+		return tr.dict.values[id]
 	}
-	return tr.dict.values[id]
+	return ""
 }
 
 // next advances to the next token; peek() then returns it.
@@ -392,89 +526,38 @@ func (tr *tokenReader) next() {
 	if tr.done {
 		return
 	}
+	tr.pos = tr.in.n - int64(tr.r.Buffered())
 	op, err := tr.readOp()
 	if err != nil {
 		tr.fail(err)
 		return
 	}
 	t := token{op: op}
-	if tr.dict != nil {
-		switch op {
-		case tokOpen:
-			t.tag = int(tr.varint())
-			flags, err := tr.r.ReadByte()
-			if err != nil {
-				tr.fail(err)
-				return
-			}
-			if flags&flagHasKey != 0 {
-				t.key = tr.dictKey()
-			}
-			if flags&flagHasTime != 0 {
-				t.data, t.time = tr.dictTime()
-			}
-		case tokText:
-			t.data = tr.str()
-		case tokAttr:
-			t.tag = int(tr.varint())
-			t.data = tr.dictValue()
-		case tokClose, tokTSClose:
-		case tokTSOpen:
-			t.data, t.time = tr.dictTime()
-		default:
-			tr.fail(fmt.Errorf("extmem: unknown opcode %#x", op))
-			return
-		}
-		if tr.err == nil && !tr.done {
-			tr.cur = t
-		}
-		return
-	}
 	switch op {
 	case tokOpen:
 		t.tag = int(tr.varint())
-		flags, err := tr.r.ReadByte()
-		if err != nil {
-			tr.fail(err)
-			return
-		}
+		flags := tr.byte()
 		if flags&flagHasKey != 0 {
-			k := &tkey{}
-			n := tr.varint()
-			for i := uint64(0); i < n; i++ {
-				k.paths = append(k.paths, tr.str())
-				k.canon = append(k.canon, tr.str())
-			}
-			t.key = k
+			t.key = tr.key()
 		}
 		if flags&flagHasTime != 0 {
-			t.data = tr.str()
+			t.data, t.time = tr.time()
 		}
+		t.stem = flags&flagStem != 0
 	case tokText:
 		t.data = tr.str()
 	case tokAttr:
 		t.tag = int(tr.varint())
-		t.data = tr.str()
+		t.data = tr.value()
 	case tokClose, tokTSClose:
 	case tokTSOpen:
-		t.data = tr.str()
+		t.data, t.time = tr.time()
 	default:
-		tr.fail(fmt.Errorf("extmem: unknown opcode %#x", op))
+		tr.fail(corruptf("unknown opcode %#x", op))
 		return
 	}
-	if tr.err == nil && !tr.done {
+	if !tr.done {
 		tr.cur = t
-	}
-}
-
-// skipStr discards one length-prefixed string without materializing it.
-func (tr *tokenReader) skipStr() {
-	n := tr.varint()
-	if tr.err != nil || tr.done {
-		return
-	}
-	if _, err := tr.r.Discard(int(n)); err != nil {
-		tr.fail(err)
 	}
 }
 
@@ -486,7 +569,7 @@ func (tr *tokenReader) skipStr() {
 // nothing.
 func (tr *tokenReader) discardSubtree() error {
 	if tr.done {
-		return fmt.Errorf("extmem: truncated subtree")
+		return corruptf("truncated subtree")
 	}
 	depth := 1
 	// The lookahead token is already decoded; account for it first.
@@ -502,74 +585,36 @@ func (tr *tokenReader) discardSubtree() error {
 			tr.fail(err)
 			break
 		}
-		if tr.dict != nil {
-			// Interned grammar: key, timestamp, and attribute-value
-			// payloads are single varint ids.
-			switch op {
-			case tokOpen:
-				depth++
-				tr.varint() // tag id
-				flags, err := tr.r.ReadByte()
-				if err != nil {
-					tr.fail(err)
-					break
-				}
-				if flags&flagHasKey != 0 {
-					tr.varint()
-				}
-				if flags&flagHasTime != 0 {
-					tr.varint()
-				}
-			case tokText:
-				tr.skipStr()
-			case tokTSOpen:
-				tr.varint()
-			case tokAttr:
-				tr.varint()
-				tr.varint()
-			case tokClose:
-				depth--
-			case tokTSClose:
-			default:
-				tr.fail(fmt.Errorf("extmem: unknown opcode %#x", op))
-			}
-			continue
-		}
 		switch op {
 		case tokOpen:
 			depth++
 			tr.varint() // tag id
-			flags, err := tr.r.ReadByte()
-			if err != nil {
-				tr.fail(err)
-				break
-			}
+			flags := tr.byte()
 			if flags&flagHasKey != 0 {
-				n := tr.varint()
-				for i := uint64(0); i < 2*n && !tr.done; i++ {
-					tr.skipStr()
-				}
+				tr.skipKey()
 			}
 			if flags&flagHasTime != 0 {
-				tr.skipStr()
+				tr.skipField()
 			}
-		case tokText, tokTSOpen:
+		case tokText:
 			tr.skipStr()
+		case tokTSOpen:
+			tr.skipField()
 		case tokAttr:
 			tr.varint()
-			tr.skipStr()
+			tr.skipField()
 		case tokClose:
 			depth--
 		case tokTSClose:
 		default:
-			tr.fail(fmt.Errorf("extmem: unknown opcode %#x", op))
+			tr.fail(corruptf("unknown opcode %#x", op))
 		}
 	}
 	if tr.err != nil {
 		return tr.err
 	}
 	if depth > 0 {
-		return fmt.Errorf("extmem: truncated subtree")
+		return corruptf("truncated subtree")
 	}
 	tr.next() // re-prime the lookahead
 	return nil

@@ -2,6 +2,7 @@ package extmem
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -117,15 +118,30 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 	sp := datagen.NewSwissProt(datagen.SwissProtConfig{Seed: 62, Records: 12, DeleteFrac: 0.1, InsertFrac: 0.2, ModifyFrac: 0.1})
 	xm := datagen.NewXMark(datagen.XMarkConfig{Seed: 63, Items: 25, People: 15, Categories: 8, OpenAucts: 10, ClosedAucts: 6})
 	xdoc := xm.Document()
+	// mixed: over five segments, v2 edits one in the middle and v3 the
+	// first and the last, so every add links some segments and re-aims the
+	// version reader — a Seek in tmp-sorted.tok on the streamed side — for
+	// the others.
+	mixed := []*xmltree.Node{reuseBase()}
+	for _, ids := range [][]int{{200}, {10, 400}} {
+		db := mixed[len(mixed)-1].Clone()
+		for _, id := range ids {
+			db.Children[reuseFind(db, id)].Child("note").Children[0].Data = "edited"
+		}
+		mixed = append(mixed, db)
+	}
 	cases := []struct {
-		name string
-		spec *keys.Spec
-		docs []*xmltree.Node
+		name      string
+		spec      *keys.Spec
+		docs      []*xmltree.Node
+		segTarget int
+		mixed     bool // every add after the first both links and rewrites segments
 	}{
-		{"omim", datagen.OMIMSpec(), []*xmltree.Node{omim.Next(), omim.Next(), omim.Next()}},
-		{"swissprot", datagen.SwissProtSpec(), []*xmltree.Node{sp.Next(), sp.Next(), sp.Next()}},
-		{"xmark", datagen.XMarkSpec(), []*xmltree.Node{xdoc, xm.RandomChanges(xdoc, 0.1), xm.KeyModChanges(xdoc, 0.1)}},
-		{"edge", keys.MustParseSpec(edgeSpec), edgeDocs()},
+		{name: "omim", spec: datagen.OMIMSpec(), docs: []*xmltree.Node{omim.Next(), omim.Next(), omim.Next()}},
+		{name: "swissprot", spec: datagen.SwissProtSpec(), docs: []*xmltree.Node{sp.Next(), sp.Next(), sp.Next()}},
+		{name: "xmark", spec: datagen.XMarkSpec(), docs: []*xmltree.Node{xdoc, xm.RandomChanges(xdoc, 0.1), xm.KeyModChanges(xdoc, 0.1)}},
+		{name: "edge", spec: keys.MustParseSpec(edgeSpec), docs: edgeDocs()},
+		{name: "mixed", spec: keys.MustParseSpec(reuseSpec), docs: mixed, segTarget: 512, mixed: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -133,6 +149,9 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 			// several segments on the streamed side, so stems, run merge
 			// and segment splits are all held against the in-memory sort.
 			cfg := Config{Budget: 300, SegmentTarget: 2048}
+			if tc.segTarget != 0 {
+				cfg.SegmentTarget = tc.segTarget
+			}
 			treeDir, streamDir := t.TempDir(), t.TempDir()
 			tree, err := Open(treeDir, tc.spec, cfg)
 			if err != nil {
@@ -156,6 +175,12 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 				}
 				if err := stream.AddVersion(strings.NewReader(doc.IndentedXML())); err != nil {
 					t.Fatalf("v%d: stream add: %v", v+1, err)
+				}
+				if tree.LastMerge != stream.LastMerge {
+					t.Errorf("v%d: tree-sourced merge %+v, streamed %+v", v+1, tree.LastMerge, stream.LastMerge)
+				}
+				if st := stream.LastMerge; tc.mixed && v > 0 && (st.SegmentsReused == 0 || st.SegmentsRewritten == 0) {
+					t.Errorf("v%d: merge %+v neither links nor rewrites", v+1, st)
 				}
 				got, want := dirFiles(t, treeDir), dirFiles(t, streamDir)
 				if len(got) != len(want) {
@@ -215,9 +240,11 @@ func TestTreeSourceNeedsNoScratchFiles(t *testing.T) {
 }
 
 // TestDuplicateSiblingKeysRejected: two siblings with one key are a key
-// violation that nothing upstream has caught when validation is off. Sorted,
-// they are adjacent, and both sorts must refuse the version — failing that
-// document alone — where the run merge used to fuse the two into one node.
+// violation that nothing upstream has caught when validation is off. Both
+// sorts must refuse the version — failing that document alone — wherever
+// the twins fall: in one run they sort adjacent; in different runs, however
+// far apart, the second is an open token that is not a stem, where the run
+// merge used to fuse the two into one node.
 func TestDuplicateSiblingKeysRejected(t *testing.T) {
 	spec := keys.MustParseSpec(`
 (/, (db, {}))
@@ -226,18 +253,38 @@ func TestDuplicateSiblingKeysRejected(t *testing.T) {
 (/db/item, (body, {}))
 `)
 	const good = `<db><item><id>2</id><body>ok</body></item></db>`
-	const dup = `<db><item><id>1</id><body>first</body></item><item><id>1</id><body>second</body></item></db>`
-	sources := map[string]func(string) Source{
-		"tree":   func(s string) Source { return Source{Doc: xmltree.MustParseString(s)} },
-		"stream": func(s string) Source { return Source{Reader: strings.NewReader(s)} },
+	// dup holds item 1 twice, fillers items apart.
+	dup := func(fillers int) string {
+		var b strings.Builder
+		b.WriteString(`<db><item><id>1</id><body>first</body></item>`)
+		for i := 0; i < fillers; i++ {
+			fmt.Fprintf(&b, `<item><id>f%02d</id><body>filler</body></item>`, i)
+		}
+		b.WriteString(`<item><id>1</id><body>second</body></item></db>`)
+		return b.String()
 	}
-	for name, src := range sources {
-		t.Run(name, func(t *testing.T) {
-			ar, err := Open(t.TempDir(), spec, Config{})
+	tree := func(s string) Source { return Source{Doc: xmltree.MustParseString(s)} }
+	stream := func(s string) Source { return Source{Reader: strings.NewReader(s)} }
+	cases := []struct {
+		name    string
+		src     func(string) Source
+		budget  int // 0: the default, one run
+		fillers int
+		runs    int // runs the external sort forms of dup without its second twin
+	}{
+		{name: "tree", src: tree},
+		{name: "stream", src: stream, runs: 1},
+		{name: "stream-adjacent-runs", src: stream, budget: 16, fillers: 1, runs: 2},
+		{name: "stream-distant-runs", src: stream, budget: 16, fillers: 38, runs: 23},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ar, err := Open(t.TempDir(), spec, Config{Budget: tc.budget})
 			if err != nil {
 				t.Fatal(err)
 			}
-			items, err := ar.AddVersionBatch([]Source{src(good), src(dup), src(good)})
+			doc := dup(tc.fillers)
+			items, err := ar.AddVersionBatch([]Source{tc.src(good), tc.src(doc), tc.src(good)})
 			if err != nil {
 				t.Fatalf("batch failed as a whole: %v", err)
 			}
@@ -246,11 +293,21 @@ func TestDuplicateSiblingKeysRejected(t *testing.T) {
 			}
 			if err := items[1].Err; err == nil {
 				t.Error("duplicate sibling keys were archived")
-			} else if msg := err.Error(); !strings.Contains(msg, "/db") || !strings.Contains(msg, "item{id=1}") {
+			} else if !strings.Contains(err.Error(), "/db: more than one child item{id=1}") {
 				t.Errorf("error does not name path and key: %v", err)
 			}
 			if tr := listTransient(fsio.OS, ar.dir); len(tr) != 0 {
 				t.Errorf("scratch files left behind: %v", tr)
+			}
+			if tc.runs > 0 {
+				// Where the twins fell: the document up to the second twin.
+				upTo := strings.TrimSuffix(doc, `<item><id>1</id><body>second</body></item></db>`) + `</db>`
+				if err := ar.AddVersion(strings.NewReader(upTo)); err != nil {
+					t.Fatal(err)
+				}
+				if ar.LastSort.Runs != tc.runs {
+					t.Errorf("the document before its second twin sorts in %d runs, want %d", ar.LastSort.Runs, tc.runs)
+				}
 			}
 		})
 	}
