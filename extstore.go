@@ -3,6 +3,7 @@ package xarch
 import (
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"xarch/internal/core"
 	"xarch/internal/extmem"
@@ -23,18 +24,29 @@ import (
 // archive and version count. Selective keyed selectors resolve through
 // the key directory and seek straight to the matching subtrees (History
 // on a fully keyed selector reads no archive bytes at all); full scans
-// read the segments in key order as one token stream. Each query takes a consistent snapshot (the
-// directory generation plus the dictionary's point-in-time name table)
-// under a read lock and then reads without holding any lock, so any
-// number of readers run alongside an Add: the Add commits a fresh
-// directory by rename while open snapshots pin their generation's
-// segment files. Anyone who wants an in-RAM copy loads a Snapshot into a
-// MemStore with LoadStore.
+// read the segments in key order as one token stream.
+//
+// Readers never wait for a writer. Every committed state is one immutable
+// generation — key directory, the dictionary's name table as of that
+// commit, attribute index — which the writer publishes in one step once
+// the commit is durable and its index is built, before the call that made
+// it returns. A read loads the published generation, pins its segment
+// files against deletion for as long as it scans them, and takes no lock
+// that is ever held across a filesystem call or a merge: beside an Add or
+// a Compact of any length it answers from the generation committed before
+// it, and from the new one as soon as that call has returned. mu only
+// keeps writers apart — AddBatch, AddReader's streamed form, Compact and
+// Close run one at a time — and OpenReplicaView takes it too, because it
+// reads the state files back from disk and must not catch them
+// mid-commit. What a reader can cost is disk: a view left open keeps its
+// generation's superseded segment files (StorageStats.PinnedGenerations).
+// Anyone who wants an in-RAM copy loads a Snapshot into a MemStore with
+// LoadStore.
 type ExtStore struct {
-	mu     sync.RWMutex
+	mu     sync.Mutex // writer against writer; no read path takes it
 	cfg    config
 	ar     *extmem.Archiver
-	closed bool
+	closed atomic.Bool
 }
 
 var _ Store = (*ExtStore)(nil)
@@ -92,7 +104,7 @@ func (s *ExtStore) Add(doc *Document) error {
 func (s *ExtStore) AddBatch(docs []*Document) ([]AddResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	out := make([]AddResult, len(docs))
@@ -153,19 +165,17 @@ func (s *ExtStore) AddReader(r io.Reader) error {
 func (s *ExtStore) addStream(r io.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	return s.ar.AddVersion(r)
 }
 
-// query opens a consistent streaming read view under the read lock; the
-// caller scans (and must Close it) without holding any lock, concurrently
-// with other readers and with at most one Add.
+// query opens a consistent streaming read view: the published generation,
+// pinned. The caller scans (and must Close it) concurrently with other
+// readers and with the writer, waiting for neither.
 func (s *ExtStore) query() (*extmem.QueryView, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	return s.ar.OpenQuery()
@@ -173,8 +183,6 @@ func (s *ExtStore) query() (*extmem.QueryView, error) {
 
 // Versions returns the number of archived versions.
 func (s *ExtStore) Versions() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.ar.Versions()
 }
 
@@ -270,10 +278,9 @@ func (s *ExtStore) Snapshot(w io.Writer) error {
 func (s *ExtStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Swap(true) {
 		return nil
 	}
-	s.closed = true
 	return s.ar.Close()
 }
 
@@ -283,9 +290,7 @@ func (s *ExtStore) Close() error {
 // XMill figure this is a metadata walk over the key directory — no
 // archive bytes are read.
 func (s *ExtStore) CompressedSize() (int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
+	if s.closed.Load() {
 		return 0, ErrClosed
 	}
 	return int(s.ar.CompressedSize()), nil
@@ -296,10 +301,7 @@ func (s *ExtStore) CompressedSize() (int, error) {
 // spec, so it runs on a throwaway annotator without materializing the
 // archive.
 func (s *ExtStore) SameVersion(doc, other *Document) (bool, error) {
-	s.mu.RLock()
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
+	if s.closed.Load() {
 		return false, ErrClosed
 	}
 	return core.New(s.ar.Spec(), s.cfg.coreOptions()).SameVersion(doc, other)
@@ -309,18 +311,15 @@ func (s *ExtStore) SameVersion(doc, other *Document) (bool, error) {
 // recent add formed (§6): one means the version fit the memory budget,
 // zero that it was added as a tree and sorted in memory.
 func (s *ExtStore) SortRuns() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ar.LastSort.Runs
+	return s.ar.Last().Sort.Runs
 }
 
 // StorageStats reports the shape of the segmented on-disk layout: root
 // and segment counts, key-directory size, and how much segment reuse the
-// most recent Add achieved.
+// most recent Add achieved, the published generation's number and how
+// many generations open views pin.
 func (s *ExtStore) StorageStats() (extmem.StorageStats, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
+	if s.closed.Load() {
 		return extmem.StorageStats{}, ErrClosed
 	}
 	return s.ar.StorageStats(), nil
@@ -328,11 +327,11 @@ func (s *ExtStore) StorageStats() (extmem.StorageStats, error) {
 
 // Segments lists every segment file with its key range and fill ratio,
 // verifying each payload checksum (reads the whole archive; meant for
-// inspection tooling such as `xarch inspect`).
+// inspection tooling such as `xarch inspect`). Like any scan it pins the
+// generation it walks: Adds proceed beside it and it reports the layout
+// it started on.
 func (s *ExtStore) Segments() ([]extmem.SegmentInfo, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	return s.ar.Segments(), nil
@@ -347,7 +346,7 @@ func (s *ExtStore) Segments() ([]extmem.SegmentInfo, error) {
 func (s *ExtStore) Compact() (extmem.CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return extmem.CompactStats{}, ErrClosed
 	}
 	return s.ar.Compact()
@@ -356,9 +355,7 @@ func (s *ExtStore) Compact() (extmem.CompactStats, error) {
 // CompactionPlan reports the coalesce runs a Compact call would rewrite,
 // without touching any file (the `xarch compact -dry-run` view).
 func (s *ExtStore) CompactionPlan() ([]extmem.CompactionRun, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	return s.ar.CompactionPlan(), nil
@@ -369,9 +366,7 @@ func (s *ExtStore) CompactionPlan() ([]extmem.CompactionRun, error) {
 // unaffected — the version is durable before the pass starts and a
 // failed pass leaves the committed layout untouched.
 func (s *ExtStore) CompactionErr() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ar.CompactErr
+	return s.ar.Last().CompactErr
 }
 
 // Degraded reports whether the store's writer has been poisoned by a
@@ -381,9 +376,7 @@ func (s *ExtStore) CompactionErr() error {
 // the last committed generation but refuses further writes; reopening
 // the directory (after `xarch fsck`) restores write service.
 func (s *ExtStore) Degraded() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	return s.ar.Degraded()
@@ -402,13 +395,13 @@ func (s *ExtStore) BytesRead() int64 {
 // streaming access to the segment files the key directory references.
 // The pin keeps those files alive while a pull copies them, even as
 // concurrent Adds commit newer generations; the caller must Close the
-// view. The read lock matters beyond the closed check — it serializes
-// with Add's write lock, so the three state files are never read
-// mid-commit.
+// view. It is the one reader that takes the writer mutex, and so may
+// wait out one commit: the three state files are read back from disk and
+// must never be caught mid-commit.
 func (s *ExtStore) OpenReplicaView() (*extmem.ReplicaView, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	return s.ar.OpenReplicaView()

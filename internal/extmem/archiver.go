@@ -33,8 +33,11 @@ type Archiver struct {
 	// harness.
 	fs fsio.FS
 
+	// dict and everything down to pendingIdx is the writer's working
+	// state: only the goroutine running an add, a compaction or Close
+	// touches it (the store layer's mutex admits one at a time). Readers
+	// see none of it; they read the published generation.
 	dict    *dictionary
-	curDir  *keyDirectory
 	nextSeg int
 	// savedDir and savedDict are what the last commit (or Open) left on
 	// disk: the directory in keydir.idx and the number of names in
@@ -43,6 +46,16 @@ type Archiver struct {
 	// only when either differs from the state in memory.
 	savedDir  *keyDirectory
 	savedDict int
+	// last collects the diagnostics the next generation will carry.
+	last Diagnostics
+	// IdxErr holds the error of the last attribute-index sidecar rebuild,
+	// if any. The sidecar is advisory (see attridx.go): a failed rebuild
+	// only costs query speed, never correctness, so the commit that
+	// triggered it still succeeds.
+	IdxErr error
+	// pendingIdx parks per-file facts captured during segment writes
+	// until the next generation's index build consumes them.
+	pendingIdx map[string]*capFile
 
 	// segDicts caches decoded segment dictionaries per segment file;
 	// entries are evicted when the file is swept.
@@ -53,50 +66,19 @@ type Archiver struct {
 	// See degrade.go.
 	degraded degradedState
 
-	// genMu guards the generation table: every committed directory is a
-	// generation; open query views pin the generation they captured so
-	// its segment files are not deleted underneath them.
+	// cur is the published generation (view.go): the one value every read
+	// starts from. genMu guards its replacement together with the table of
+	// generations still alive — the current one and those open views pin —
+	// and is never held across a filesystem call.
+	cur   atomic.Pointer[generation]
 	genMu sync.Mutex
-	gen   int
-	gens  map[int]*genState
+	gens  map[int]*generation
 
 	bytesRead atomic.Int64
 	// commits counts durable key-directory commits (commitState runs
 	// whose rename succeeded) — the group-commit tests' evidence that a
 	// batch of Adds shares one commit.
 	commits atomic.Int64
-
-	// LastSort reports the external sort of the most recent AddVersion.
-	LastSort SortStats
-	// LastMerge reports the segment work of the most recent AddVersion.
-	LastMerge MergeStats
-	// LastCompact reports the most recent compaction pass (explicit or
-	// the opportunistic post-Add pass).
-	LastCompact CompactStats
-	// CompactErr holds the error of the last opportunistic post-Add
-	// compaction pass, if any. Add itself still succeeds — the version
-	// is durable before compaction starts and a failed pass leaves the
-	// committed layout untouched — but the store surfaces the condition
-	// here rather than silently dropping it.
-	CompactErr error
-	// IdxErr holds the error of the last attribute-index sidecar rebuild,
-	// if any. The sidecar is advisory (see attridx.go): a failed rebuild
-	// only costs query speed, never correctness, so the commit that
-	// triggered it still succeeds.
-	IdxErr error
-
-	// aidx is the attribute index bound to curDir, nil when absent or
-	// disabled; pendingIdx parks per-file facts captured during segment
-	// writes until the post-commit sidecar rebuild consumes them.
-	aidx       *attrIndex
-	pendingIdx map[string]*capFile
-}
-
-// genState tracks one committed directory generation: how many open
-// views pin it and which segment files it references.
-type genState struct {
-	refs  int
-	files map[string]bool
 }
 
 // Config collects the archiver's tuning knobs.
@@ -206,7 +188,7 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 	}
 	ar := &Archiver{
 		dir: dir, spec: spec, cfg: cfg, fs: cfg.FS,
-		dict: newDictionary(), gens: map[int]*genState{},
+		dict: newDictionary(), gens: map[int]*generation{},
 		savedDict: -1,
 	}
 	ar.segDicts = &dictCache{fs: ar.fs, dir: dir, counter: &ar.bytesRead}
@@ -216,11 +198,11 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 	kdData, kdErr := ar.fs.ReadFile(filepath.Join(dir, keydirFile))
 	if errors.Is(metaErr, iofs.ErrNotExist) && errors.Is(kdErr, iofs.ErrNotExist) {
 		// Fresh archive.
-		ar.curDir = &keyDirectory{rootTime: intervals.New()}
-		if err := ar.commitState(ar.curDir); err != nil {
+		d := &keyDirectory{rootTime: intervals.New()}
+		if err := ar.commitState(d); err != nil {
 			return nil, err
 		}
-		ar.finishOpen()
+		ar.finishOpen(d)
 		return ar, nil
 	}
 	if metaErr != nil && kdErr != nil {
@@ -278,8 +260,7 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 		}
 	}
 	d.resolveTags(ar.dict)
-	ar.curDir = d
-	ar.finishOpen()
+	ar.finishOpen(d)
 	return ar, nil
 }
 
@@ -292,23 +273,24 @@ func metaMatches(metaData []byte, d *keyDirectory) bool {
 	return meta.versions == d.versions && meta.rootTime.Equal(d.rootTime) && len(meta.roots) == len(d.roots)
 }
 
-// finishOpen installs generation 0 and garbage-collects files no
-// committed state references (crash leftovers: orphan segments, temp
-// files).
-func (ar *Archiver) finishOpen() {
-	ar.gens[0] = &genState{files: ar.curDir.files()}
-	live := ar.curDir.files()
+// finishOpen garbage-collects files no committed state references (crash
+// leftovers: orphan segments, temp files) and publishes d, with the
+// sidecar found beside it or rebuilt on request, as generation 0.
+func (ar *Archiver) finishOpen(d *keyDirectory) {
+	g := &generation{d: d, names: ar.dict.snapshot(), files: d.files()}
 	for _, p := range ar.globSegments() {
-		if !live[filepath.Base(p)] {
+		if !g.files[filepath.Base(p)] {
 			ar.fs.Remove(p)
 		}
 	}
 	ar.sweepTmp()
-	ar.preloadDicts()
-	ar.loadAttrIndex()
-	if ar.aidx == nil && ar.cfg.RebuildAttrIndex {
-		ar.updateAttrIndex()
+	ar.preloadDicts(d)
+	g.aidx = ar.loadAttrIndex(d)
+	if g.aidx == nil && ar.cfg.RebuildAttrIndex {
+		ar.indexGeneration(g)
+		ar.saveAttrIndex(g)
 	}
+	ar.publish(g)
 }
 
 // preloadDicts warms the dictionary cache for every committed
@@ -317,8 +299,8 @@ func (ar *Archiver) finishOpen() {
 // their decode once at open keeps it off every query's first token.
 // Best-effort: a segment that fails to load here surfaces its error on
 // the query that actually touches it, exactly as without preloading.
-func (ar *Archiver) preloadDicts() {
-	for _, r := range ar.curDir.roots {
+func (ar *Archiver) preloadDicts(d *keyDirectory) {
+	for _, r := range d.roots {
 		for _, s := range r.segs {
 			ar.segDicts.get(s)
 		}
@@ -460,66 +442,18 @@ func (ar *Archiver) commitState(d *keyDirectory) (err error) {
 	return nil
 }
 
-// installDir makes d the current directory generation and deletes the
-// files of unpinned generations that no live generation references.
-func (ar *Archiver) installDir(d *keyDirectory) {
-	ar.genMu.Lock()
-	defer ar.genMu.Unlock()
-	oldGen := ar.gen
-	old := ar.gens[oldGen]
-	ar.gen++
-	ar.gens[ar.gen] = &genState{files: d.files()}
-	ar.curDir = d
-	if old != nil && old.refs <= 0 {
-		delete(ar.gens, oldGen)
-		ar.sweepFiles(old.files)
-	}
-}
-
-// acquireGen pins the current generation for a query view.
-func (ar *Archiver) acquireGen() int {
-	ar.genMu.Lock()
-	defer ar.genMu.Unlock()
-	ar.gens[ar.gen].refs++
-	return ar.gen
-}
-
-// releaseGen unpins a generation; a fully released, superseded
-// generation has its exclusive segment files deleted.
-func (ar *Archiver) releaseGen(gen int) {
-	ar.genMu.Lock()
-	defer ar.genMu.Unlock()
-	g := ar.gens[gen]
-	if g == nil {
-		return
-	}
-	g.refs--
-	if g.refs <= 0 && gen != ar.gen {
-		delete(ar.gens, gen)
-		ar.sweepFiles(g.files)
-	}
-}
-
-// sweepFiles deletes candidate segment files no live generation
-// references. Callers hold genMu.
-func (ar *Archiver) sweepFiles(cand map[string]bool) {
-	for f := range cand {
-		live := false
-		for _, g := range ar.gens {
-			if g.files[f] {
-				live = true
-				break
-			}
-		}
-		if !live {
-			ar.fs.Remove(filepath.Join(ar.dir, f))
-			ar.segDicts.evict(f)
-		}
-	}
+// newGeneration wraps a directory the commit has just made durable as the
+// next generation to publish: the dictionary's names as of now, the
+// writer's diagnostics, and the attribute index, built in memory — so no
+// view ever sees a directory whose index is still on its way.
+func (ar *Archiver) newGeneration(d *keyDirectory) *generation {
+	g := &generation{d: d, names: ar.dict.snapshot(), files: d.files(), last: ar.last}
+	ar.indexGeneration(g)
+	return g
 }
 
 // Versions returns the number of archived versions.
-func (ar *Archiver) Versions() int { return ar.curDir.versions }
+func (ar *Archiver) Versions() int { return ar.current().d.versions }
 
 // Spec returns the archiver's key specification.
 func (ar *Archiver) Spec() *keys.Spec { return ar.spec }
@@ -540,10 +474,11 @@ func (ar *Archiver) Close() error {
 	if err := ar.writable(); err != nil {
 		return err
 	}
-	if ar.curDir == ar.savedDir && len(ar.dict.snapshot()) == ar.savedDict {
+	d := ar.current().d
+	if d == ar.savedDir && len(ar.dict.snapshot()) == ar.savedDict {
 		return nil
 	}
-	return ar.noteFatal(ar.commitState(ar.curDir))
+	return ar.noteFatal(ar.commitState(d))
 }
 
 // StorageStats summarizes the segmented layout.
@@ -556,18 +491,34 @@ type StorageStats struct {
 	DirectoryBytes   int   // encoded keydir.idx size
 	LastAddReused    int   // segments the last Add linked unchanged
 	LastAddRewritten int   // segments the last Add merged into new files
+	// Generation counts the commits published since the store was opened
+	// (adds, compactions); PinnedGenerations how many generations open
+	// views still hold — the current one included while a view is open on
+	// it. A view that is never closed keeps a superseded generation's
+	// segment files on disk, and shows here as a count that does not fall.
+	Generation        int
+	PinnedGenerations int
 }
 
 // StorageStats reports the current segment and key-directory shape.
 func (ar *Archiver) StorageStats() StorageStats {
-	d := ar.curDir
+	g := ar.current()
+	d := g.d
 	st := StorageStats{
 		Roots:            len(d.roots),
 		DirectoryEntries: d.entryCount(),
 		DirectoryBytes:   d.encodedLen,
-		LastAddReused:    ar.LastMerge.SegmentsReused,
-		LastAddRewritten: ar.LastMerge.SegmentsRewritten,
+		LastAddReused:    g.last.Merge.SegmentsReused,
+		LastAddRewritten: g.last.Merge.SegmentsRewritten,
+		Generation:       g.id,
 	}
+	ar.genMu.Lock()
+	for _, o := range ar.gens {
+		if o.refs > 0 {
+			st.PinnedGenerations++
+		}
+	}
+	ar.genMu.Unlock()
 	for _, r := range d.roots {
 		for _, s := range r.segs {
 			st.Segments++
@@ -585,7 +536,7 @@ func (ar *Archiver) StorageStats() StorageStats {
 // document bytes.
 func (ar *Archiver) CompressedSize() int64 {
 	var n int64
-	for _, r := range ar.curDir.roots {
+	for _, r := range ar.current().d.roots {
 		for _, s := range r.segs {
 			n += s.stored + s.dictLen
 		}
@@ -615,16 +566,20 @@ type SegmentInfo struct {
 // Segments lists every segment with its key range and fill ratio,
 // verifying each payload checksum (an O(archive) read; meant for the
 // inspect tooling). Segments a compaction pass would coalesce are
-// flagged.
+// flagged. It pins the generation it lists, like any other scan, so it
+// neither blocks nor races a concurrent Add.
 func (ar *Archiver) Segments() []SegmentInfo {
+	g := ar.pin()
+	defer ar.unpin(g)
+	names := &dictionary{names: g.names}
 	candidates := map[string]bool{}
-	for _, run := range ar.CompactionPlan() {
+	for _, run := range ar.compactionPlan(g.d) {
 		for _, f := range run.Files {
 			candidates[f] = true
 		}
 	}
 	var out []SegmentInfo
-	for _, r := range ar.curDir.roots {
+	for _, r := range g.d.roots {
 		for _, s := range r.segs {
 			info := SegmentInfo{
 				Root: keyLabel(r.name, r.key), File: s.file,
@@ -638,7 +593,7 @@ func (ar *Archiver) Segments() []SegmentInfo {
 				info.FirstLabel = keyLabel(first.name, first.key)
 				info.LastLabel = keyLabel(last.name, last.key)
 			}
-			info.CRCOK = verifySegment(ar.fs, filepath.Join(ar.dir, s.file), s, ar.dict) == nil
+			info.CRCOK = verifySegment(ar.fs, filepath.Join(ar.dir, s.file), s, names) == nil
 			out = append(out, info)
 		}
 	}
@@ -718,7 +673,7 @@ func (ar *Archiver) CommitCount() int64 { return ar.commits.Load() }
 
 func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 	items := make([]BatchItem, len(srcs))
-	base := ar.curDir
+	base := ar.current().d
 	staged := base
 	var stagedFiles []string // segments written by the batch, uncommitted
 	committed := false
@@ -764,7 +719,7 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 		staged = newDir
 		stagedFiles = append(stagedFiles, newFiles...)
 		items[k].Version = vnum
-		ar.LastMerge = stats
+		ar.last.Merge = stats
 	}
 	if staged == base {
 		// Every document failed its own pipeline: nothing to commit.
@@ -774,27 +729,31 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 		return fatal(err)
 	}
 	committed = true
-	ar.installDir(staged)
+	// The visibility order: durable, the attribute index built in memory,
+	// published — from here every new view sees the batch, with its index —
+	// then the superseded files swept and the sidecar file written, and
+	// only then acknowledged.
+	ar.last.CompactErr = nil
+	g := ar.newGeneration(staged)
+	ar.publish(g)
 	// Segments written for early batch members and already superseded
 	// within the same batch belong to no committed generation (the batch
 	// commits only its final directory): delete them now.
-	live := staged.files()
 	for _, f := range stagedFiles {
-		if !live[f] {
+		if !g.files[f] {
 			ar.fs.Remove(filepath.Join(ar.dir, f))
 		}
 	}
-	// The batch is durable; refresh the advisory attribute-index sidecar
-	// for the new directory (best-effort, see attridx.go).
-	ar.updateAttrIndex()
+	ar.saveAttrIndex(g)
 	// Opportunistic maintenance: coalesce undersized neighbor segments
 	// under the configured byte budget. The batch is already durable; a
 	// compaction failure leaves the committed layout intact and is
-	// reported through CompactErr instead of failing the batch.
-	ar.CompactErr = nil
+	// reported through CompactErr — republished with the layout it left
+	// alone — instead of failing the batch.
 	if ar.cfg.CompactionBudget > 0 {
 		if _, cerr := ar.compact(int64(ar.cfg.CompactionBudget)); cerr != nil {
-			ar.CompactErr = ar.noteFatal(cerr)
+			ar.last.CompactErr = ar.noteFatal(cerr)
+			ar.publish(&generation{d: g.d, names: g.names, aidx: g.aidx, files: g.files, last: ar.last})
 		}
 	}
 	return items, nil
@@ -857,7 +816,7 @@ func (ar *Archiver) prepareSorted(src Source) (sorted sortedVersion, scratch []s
 	if err != nil {
 		return sortedVersion{}, scratch, err
 	}
-	ar.LastSort = stats
+	ar.last.Sort = stats
 	return sorted, scratch, nil
 }
 

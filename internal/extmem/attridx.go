@@ -3,10 +3,8 @@ package extmem
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	iofs "io/fs"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -501,10 +499,9 @@ func idxToFacts(e *idxEntry) (*qlang.RecordFacts, error) {
 // resolveCapEntry converts a pending capture entry to the stored form,
 // resolving dictionary ids and dropping kid spans for frontier entries
 // (their content is group-structured, not seekable by child).
-func (ar *Archiver) resolveCapEntry(ce *capEntry, frontier bool) (*idxEntry, error) {
+func resolveCapEntry(ce *capEntry, names []string, frontier bool) (*idxEntry, error) {
 	e := &idxEntry{hasGroups: ce.hasGroups}
 	e.changes = append(e.changes, ce.changes...)
-	names := ar.dict.snapshot()
 	name := func(id int) (string, error) {
 		if id < 0 || id >= len(names) {
 			return "", fmt.Errorf("extmem: tag id %d outside dictionary", id)
@@ -531,29 +528,32 @@ func (ar *Archiver) resolveCapEntry(ce *capEntry, frontier bool) (*idxEntry, err
 	return e, nil
 }
 
-// updateAttrIndex rebuilds the sidecar for the current committed
-// directory, reusing old postings for unchanged segment files, consuming
-// the write pass's captured facts for fresh ones, and scanning the rest.
-// It is strictly best-effort: any failure leaves the archive without a
-// (fresh) sidecar — queries fall back to scans — and never poisons the
-// writer. The batch that triggered it has already committed.
-func (ar *Archiver) updateAttrIndex() {
+// indexGeneration builds the attribute index of a generation about to be
+// published, in memory: old postings are reused for unchanged segment
+// files, the write pass's captured facts consumed for fresh ones, the rest
+// scanned. It is strictly best-effort: a failure leaves the generation
+// without an index — its queries fall back to scans — and never poisons
+// the writer. The commit behind g is already durable.
+func (ar *Archiver) indexGeneration(g *generation) {
 	if ar.cfg.NoAttrIndex {
 		return
 	}
-	d := ar.curDir
-	idx, err := ar.buildAttrIndex(d, ar.aidx)
-	ar.pendingIdx = nil
-	if err != nil {
-		ar.aidx = nil
-		ar.IdxErr = err
-		return
+	var old *attrIndex
+	if cur := ar.current(); cur != nil {
+		old = cur.aidx
 	}
-	// The in-memory index is exact for this directory whether or not the
-	// file is written; only the next open loses it. Never a commit fault
-	// for the caller.
-	ar.IdxErr = ar.writeSidecar(idx.encode(d))
-	ar.aidx = idx
+	g.aidx, ar.IdxErr = ar.buildAttrIndex(g, old)
+	ar.pendingIdx = nil
+}
+
+// saveAttrIndex writes a published generation's index to the sidecar
+// file. The in-memory index is exact for its directory whether or not the
+// file is written; only the next open loses it. Never a commit fault for
+// the caller.
+func (ar *Archiver) saveAttrIndex(g *generation) {
+	if g.aidx != nil {
+		ar.IdxErr = ar.writeSidecar(g.aidx.encode(g.d))
+	}
 }
 
 // writeSidecar replaces attr.idx by tmp + rename, with no fsync of the
@@ -584,7 +584,8 @@ func (ar *Archiver) writeSidecar(data []byte) error {
 	return nil
 }
 
-func (ar *Archiver) buildAttrIndex(d *keyDirectory, old *attrIndex) (*attrIndex, error) {
+func (ar *Archiver) buildAttrIndex(g *generation, old *attrIndex) (*attrIndex, error) {
+	d := g.d
 	idx := &attrIndex{
 		keydirCRC: d.crc,
 		versions:  d.versions,
@@ -597,16 +598,11 @@ func (ar *Archiver) buildAttrIndex(d *keyDirectory, old *attrIndex) (*attrIndex,
 			q.Close()
 		}
 	}()
-	scanView := func() (*QueryView, error) {
+	scanView := func() *QueryView {
 		if q == nil {
-			var err error
-			q, err = ar.OpenQuery()
-			if err != nil {
-				return nil, err
-			}
-			q.aidx = nil // the sidecar under (re)construction must not serve
+			q = ar.viewOf(g) // g.aidx is still nil: the index under construction must not serve
 		}
-		return q, nil
+		return q
 	}
 	for _, r := range d.roots {
 		if r.raw {
@@ -618,11 +614,7 @@ func (ar *Archiver) buildAttrIndex(d *keyDirectory, old *attrIndex) (*attrIndex,
 					continue
 				}
 			}
-			qv, err := scanView()
-			if err != nil {
-				return nil, err
-			}
-			node, err := qv.rawNode(r)
+			node, err := scanView().rawNode(r)
 			if err != nil {
 				return nil, err
 			}
@@ -643,7 +635,7 @@ func (ar *Archiver) buildAttrIndex(d *keyDirectory, old *attrIndex) (*attrIndex,
 				f := &fileIdx{crc: s.crc}
 				ok := true
 				for i, ce := range cf.entries {
-					e, err := ar.resolveCapEntry(ce, frontierEntry(&s.entries[i]))
+					e, err := resolveCapEntry(ce, g.names, frontierEntry(&s.entries[i]))
 					if err != nil {
 						ok = false
 						break
@@ -658,10 +650,7 @@ func (ar *Archiver) buildAttrIndex(d *keyDirectory, old *attrIndex) (*attrIndex,
 			// Scan fallback: files whose capture is gone (a sidecar
 			// rebuilt from scratch at open or by fsck -repair). Exact
 			// facts, no kid spans.
-			qv, err := scanView()
-			if err != nil {
-				return nil, err
-			}
+			qv := scanView()
 			f := &fileIdx{crc: s.crc}
 			for i := range s.entries {
 				node, err := qv.entryNode(r, s, &s.entries[i])
@@ -679,31 +668,27 @@ func (ar *Archiver) buildAttrIndex(d *keyDirectory, old *attrIndex) (*attrIndex,
 // loadAttrIndex loads and validates the sidecar at open time. A missing
 // sidecar is normal; a corrupt or stale one is deleted (this is the
 // writable open path) so fsck after recovery sees a clean directory.
-func (ar *Archiver) loadAttrIndex() {
+func (ar *Archiver) loadAttrIndex(d *keyDirectory) *attrIndex {
 	if ar.cfg.NoAttrIndex {
-		return
+		return nil
 	}
 	path := filepath.Join(ar.dir, attrIdxFile)
 	data, err := ar.fs.ReadFile(path)
-	if errors.Is(err, iofs.ErrNotExist) {
-		return
-	}
 	if err != nil {
-		return
+		return nil
 	}
 	x, derr := decodeAttrIndex(data)
-	if derr != nil || x.keydirCRC != ar.curDir.crc || !ar.attrIndexMatches(x) {
+	if derr != nil || x.keydirCRC != d.crc || !attrIndexMatches(x, d) {
 		ar.fs.Remove(path)
-		return
+		return nil
 	}
-	ar.aidx = x
+	return x
 }
 
-// attrIndexMatches cross-checks a decoded sidecar against the current
+// attrIndexMatches cross-checks a decoded sidecar against the
 // directory: every live segment file and raw root must be covered with
 // matching CRCs and entry counts.
-func (ar *Archiver) attrIndexMatches(x *attrIndex) bool {
-	d := ar.curDir
+func attrIndexMatches(x *attrIndex, d *keyDirectory) bool {
 	for _, r := range d.roots {
 		if r.raw {
 			ri := x.raws[keyLabel(r.name, r.key)]

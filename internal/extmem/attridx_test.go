@@ -80,11 +80,11 @@ func TestAttrIndexPersistedAndLoaded(t *testing.T) {
 	if ar.IdxErr != nil {
 		t.Fatalf("IdxErr = %v", ar.IdxErr)
 	}
-	if ar.aidx == nil {
+	if ar.current().aidx == nil {
 		t.Fatal("no in-memory attr index after commits")
 	}
-	if ar.aidx.keydirCRC != ar.curDir.crc {
-		t.Fatalf("index CRC %08x does not match directory %08x", ar.aidx.keydirCRC, ar.curDir.crc)
+	if ar.current().aidx.keydirCRC != ar.current().d.crc {
+		t.Fatalf("index CRC %08x does not match directory %08x", ar.current().aidx.keydirCRC, ar.current().d.crc)
 	}
 	if err := ar.Close(); err != nil {
 		t.Fatal(err)
@@ -98,14 +98,14 @@ func TestAttrIndexPersistedAndLoaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ar2.Close()
-	if ar2.aidx == nil {
+	if ar2.current().aidx == nil {
 		t.Fatal("attr index not loaded on reopen")
 	}
-	if ar2.aidx.keydirCRC != ar2.curDir.crc {
+	if ar2.current().aidx.keydirCRC != ar2.current().d.crc {
 		t.Fatal("reloaded index not bound to current directory")
 	}
-	if ar2.aidx.versions != 4 {
-		t.Fatalf("reloaded index versions = %d, want 4", ar2.aidx.versions)
+	if ar2.current().aidx.versions != 4 {
+		t.Fatalf("reloaded index versions = %d, want 4", ar2.current().aidx.versions)
 	}
 }
 
@@ -123,10 +123,10 @@ func TestAttrIndexCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(x.encode(ar.curDir), data) {
+	if !bytes.Equal(x.encode(ar.current().d), data) {
 		t.Fatal("decode+encode is not byte-identical")
 	}
-	if got := ar.aidx.encode(ar.curDir); !bytes.Equal(got, data) {
+	if got := ar.current().aidx.encode(ar.current().d); !bytes.Equal(got, data) {
 		t.Fatal("in-memory index does not encode to the on-disk bytes")
 	}
 }
@@ -160,7 +160,7 @@ func TestAttrIndexCorruptRemovedOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ar2.aidx != nil {
+	if ar2.current().aidx != nil {
 		t.Fatal("corrupt index survived open")
 	}
 	if _, err := os.Stat(p); !os.IsNotExist(err) {
@@ -169,7 +169,7 @@ func TestAttrIndexCorruptRemovedOnOpen(t *testing.T) {
 	if err := ar2.AddVersion(strings.NewReader(attrDoc(4))); err != nil {
 		t.Fatal(err)
 	}
-	if ar2.aidx == nil {
+	if ar2.current().aidx == nil {
 		t.Fatal("index not rebuilt by next commit")
 	}
 	if err := ar2.Close(); err != nil {
@@ -217,7 +217,7 @@ func TestAttrIndexStaleKeydir(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ar2.Close()
-	if ar2.aidx != nil {
+	if ar2.current().aidx != nil {
 		t.Fatal("stale index adopted on open")
 	}
 	if _, err := os.Stat(p); !os.IsNotExist(err) {
@@ -274,10 +274,10 @@ func TestAttrIndexCaptureMatchesScan(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Budget: 1 << 16, SegmentTarget: 512}
 	ar := buildAttrArchive(t, dir, cfg, 4)
-	if ar.aidx == nil {
+	if ar.current().aidx == nil {
 		t.Fatal("no captured index")
 	}
-	captured := factsRendering(ar.aidx)
+	captured := factsRendering(ar.current().aidx)
 	if err := ar.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -290,10 +290,10 @@ func TestAttrIndexCaptureMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ar2.Close()
-	if ar2.aidx == nil {
+	if ar2.current().aidx == nil {
 		t.Fatalf("scan rebuild did not run (IdxErr=%v)", ar2.IdxErr)
 	}
-	if scanned := factsRendering(ar2.aidx); scanned != captured {
+	if scanned := factsRendering(ar2.current().aidx); scanned != captured {
 		t.Fatalf("captured and scan-built facts differ:\ncaptured:\n%s\nscanned:\n%s", captured, scanned)
 	}
 }
@@ -304,7 +304,7 @@ func TestAttrIndexDisabled(t *testing.T) {
 	dir := t.TempDir()
 	ar := buildAttrArchive(t, dir, Config{Budget: 1 << 16, NoAttrIndex: true}, 3)
 	defer ar.Close()
-	if ar.aidx != nil {
+	if ar.current().aidx != nil {
 		t.Fatal("index built despite NoAttrIndex")
 	}
 	if _, err := os.Stat(filepath.Join(dir, attrIdxFile)); !os.IsNotExist(err) {
@@ -321,7 +321,7 @@ func TestAttrIndexDisabled(t *testing.T) {
 func TestFsckAttrIndexSemanticChecks(t *testing.T) {
 	dir := t.TempDir()
 	ar := buildAttrArchive(t, dir, Config{Budget: 1 << 16, SegmentTarget: 512}, 3)
-	d := ar.curDir
+	d := ar.current().d
 	if err := ar.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -199,7 +199,7 @@ func TestDegradedOnBarrierSyncDirFault(t *testing.T) {
 	if tr := listTransient(fsio.OS, dir); len(tr) != 0 {
 		t.Errorf("staged files survived the reopen: %v", tr)
 	}
-	if segs := diskSegments(t, dir); len(segs) != len(ar2.curDir.files()) {
+	if segs := diskSegments(t, dir); len(segs) != len(ar2.current().d.files()) {
 		t.Errorf("orphan segments survived the reopen: %v", segs)
 	}
 }

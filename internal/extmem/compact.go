@@ -122,7 +122,10 @@ func planCompaction(d *keyDirectory, under, target int64) []compactRun {
 // CompactionPlan reports the coalesce runs a compaction pass would
 // rewrite, without touching any file.
 func (ar *Archiver) CompactionPlan() []CompactionRun {
-	d := ar.curDir
+	return ar.compactionPlan(ar.current().d)
+}
+
+func (ar *Archiver) compactionPlan(d *keyDirectory) []CompactionRun {
 	var out []CompactionRun
 	for _, cr := range planCompaction(d, int64(ar.cfg.CompactTarget), int64(ar.cfg.SegmentTarget)) {
 		r := d.roots[cr.ri]
@@ -154,7 +157,7 @@ func (ar *Archiver) Compact() (CompactStats, error) {
 // fit, and at least one run always executes so a pass can never stall
 // behind a run larger than the budget.
 func (ar *Archiver) compact(budget int64) (CompactStats, error) {
-	d := ar.curDir
+	d := ar.current().d
 	runs := planCompaction(d, int64(ar.cfg.CompactTarget), int64(ar.cfg.SegmentTarget))
 	st := CompactStats{Planned: len(runs)}
 	if len(runs) == 0 {
@@ -218,9 +221,10 @@ func (ar *Archiver) compact(budget int64) (CompactStats, error) {
 	if err := ar.commitState(out); err != nil {
 		return fail(err)
 	}
-	ar.installDir(out)
-	ar.updateAttrIndex()
-	ar.LastCompact = st
+	ar.last.Compact = st
+	g := ar.newGeneration(out)
+	ar.publish(g)
+	ar.saveAttrIndex(g)
 	return st, nil
 }
 

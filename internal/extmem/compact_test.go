@@ -119,7 +119,7 @@ func diskSegments(t *testing.T, dir string) []string {
 func segmentFiles(t *testing.T, ar *Archiver) []string {
 	t.Helper()
 	var out []string
-	for f := range ar.curDir.files() {
+	for f := range ar.current().d.files() {
 		out = append(out, f)
 	}
 	sort.Strings(out)
@@ -210,7 +210,7 @@ func TestOpportunisticCompactionBoundsSegments(t *testing.T) {
 		// at the target — the count a single bulk Add of the same stream
 		// would produce.
 		ideal := 0
-		for _, r := range arComp.curDir.roots {
+		for _, r := range arComp.current().d.roots {
 			var bytes int64
 			for _, s := range r.segs {
 				bytes += s.payload
@@ -231,8 +231,8 @@ func TestOpportunisticCompactionBoundsSegments(t *testing.T) {
 		if len(arPlain.CompactionPlan()) == 0 {
 			t.Errorf("unmaintained archive has no coalesce runs to plan")
 		}
-		if arComp.CompactErr != nil {
-			t.Errorf("opportunistic pass failed: %v", arComp.CompactErr)
+		if arComp.Last().CompactErr != nil {
+			t.Errorf("opportunistic pass failed: %v", arComp.Last().CompactErr)
 		}
 	})
 }
@@ -389,7 +389,7 @@ func TestCompactionPinnedViews(t *testing.T) {
 			t.Fatal(err)
 		}
 		pinned := map[string]bool{}
-		for f := range ar.curDir.files() {
+		for f := range ar.current().d.files() {
 			pinned[f] = true
 		}
 		var before strings.Builder
@@ -425,7 +425,7 @@ func TestCompactionPinnedViews(t *testing.T) {
 
 		q.Close()
 		// With the view closed, only the current generation's files remain.
-		live := ar.curDir.files()
+		live := ar.current().d.files()
 		for _, p := range ar.globSegments() {
 			if !live[filepath.Base(p)] {
 				t.Errorf("superseded segment %s not swept after view close", filepath.Base(p))
@@ -447,8 +447,8 @@ func TestOpportunisticCompactionPreservesQueries(t *testing.T) {
 		cfg.CompactionBudget = 32 * 1024
 		arComp := fragmentedArchive(t, comp, cfg, 20)
 		defer arComp.Close()
-		if arComp.CompactErr != nil {
-			t.Fatalf("opportunistic pass failed: %v", arComp.CompactErr)
+		if arComp.Last().CompactErr != nil {
+			t.Fatalf("opportunistic pass failed: %v", arComp.Last().CompactErr)
 		}
 		if got, want := snapshotXML(t, arComp), snapshotXML(t, arPlain); got != want {
 			t.Errorf("snapshots diverge under opportunistic compaction")

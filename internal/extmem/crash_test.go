@@ -87,13 +87,13 @@ func assertRecovered(t *testing.T, dir string, cfg Config, label string,
 	if tr := listTransient(fsio.OS, dir); len(tr) != 0 {
 		t.Errorf("%s: transient files survived reopen: %v", label, tr)
 	}
-	live := ar.curDir.files()
+	live := ar.current().d.files()
 	for _, p := range ar.globSegments() {
 		if !live[filepath.Base(p)] {
 			t.Errorf("%s: orphan segment %s survived reopen", label, filepath.Base(p))
 		}
 	}
-	dirCRC := ar.curDir.crc
+	dirCRC := ar.current().d.crc
 	if err := ar.Close(); err != nil {
 		t.Fatalf("%s: close recovered archive: %v", label, err)
 	}

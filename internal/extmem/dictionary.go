@@ -5,16 +5,15 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 )
 
 // dictionary maps tag/attribute names to integers (§6.1: "a document with
 // tag names replaced by integers"). One dictionary serves the archive and
-// every version. It is safe for one writer (an add) and any number of
-// readers (query snapshots) to use it concurrently: entries are immutable
-// once assigned, and a mutex guards the growing structures.
+// every version. It belongs to the writer and holds no lock: one goroutine
+// at a time assigns ids (the store layer admits one add at a time), and
+// readers never touch it — each holds the name table its generation was
+// published with (snapshot), whose entries are immutable once assigned.
 type dictionary struct {
-	mu    sync.RWMutex
 	ids   map[string]int
 	names []string
 }
@@ -24,26 +23,16 @@ func newDictionary() *dictionary {
 }
 
 func (d *dictionary) id(name string) int {
-	d.mu.RLock()
-	id, ok := d.ids[name]
-	d.mu.RUnlock()
-	if ok {
-		return id
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if id, ok := d.ids[name]; ok {
 		return id
 	}
-	id = len(d.names)
+	id := len(d.names)
 	d.ids[name] = id
 	d.names = append(d.names, name)
 	return id
 }
 
 func (d *dictionary) name(id int) (string, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	if id < 0 || id >= len(d.names) {
 		return "", fmt.Errorf("extmem: tag id %d outside dictionary", id)
 	}
@@ -52,10 +41,9 @@ func (d *dictionary) name(id int) (string, error) {
 
 // snapshot returns the current name table. Entries are immutable and the
 // table is append-only, so the returned slice is a consistent point-in-time
-// view that later id() calls never mutate.
+// view that later id() calls never mutate (its capacity is clipped: an
+// append goes past it or to a new array).
 func (d *dictionary) snapshot() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	return d.names[:len(d.names):len(d.names)]
 }
 

@@ -193,10 +193,10 @@ func TestRunsFormedUnderBudget(t *testing.T) {
 	if err := ar.AddVersion(strings.NewReader(doc.IndentedXML())); err != nil {
 		t.Fatal(err)
 	}
-	if ar.LastSort.Runs < 2 {
-		t.Errorf("tiny budget produced %d runs, expected several", ar.LastSort.Runs)
+	if ar.Last().Sort.Runs < 2 {
+		t.Errorf("tiny budget produced %d runs, expected several", ar.Last().Sort.Runs)
 	}
-	t.Logf("budget=64: runs=%d tokens=%d", ar.LastSort.Runs, ar.LastSort.RunTokens)
+	t.Logf("budget=64: runs=%d tokens=%d", ar.Last().Sort.Runs, ar.Last().Sort.RunTokens)
 
 	dir2 := t.TempDir()
 	ar2, err := Open(dir2, datagen.OMIMSpec(), Config{Budget: 1 << 20})
@@ -206,8 +206,8 @@ func TestRunsFormedUnderBudget(t *testing.T) {
 	if err := ar2.AddVersion(strings.NewReader(doc.IndentedXML())); err != nil {
 		t.Fatal(err)
 	}
-	if ar2.LastSort.Runs != 1 {
-		t.Errorf("huge budget produced %d runs, want 1", ar2.LastSort.Runs)
+	if ar2.Last().Sort.Runs != 1 {
+		t.Errorf("huge budget produced %d runs, want 1", ar2.Last().Sort.Runs)
 	}
 }
 

@@ -185,7 +185,7 @@ func FuzzTokenStream(f *testing.F) {
 	// Interned grammar: a real segment's payload, decoded against that
 	// segment's dictionary (the fuzzed bytes' ids index its tables).
 	dir, ar := fuzzSeedArchive(f)
-	seg := ar.curDir.roots[0].segs[0]
+	seg := ar.current().d.roots[0].segs[0]
 	file, err := os.ReadFile(filepath.Join(dir, seg.file))
 	if err != nil {
 		f.Fatal(err)

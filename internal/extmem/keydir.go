@@ -243,8 +243,12 @@ func (d *keyDirectory) encode() []byte {
 	var tail [4]byte
 	binary.LittleEndian.PutUint32(tail[:], sum)
 	out := append(body, tail[:]...)
-	d.encodedLen = len(out)
-	d.crc = sum
+	// A published directory is re-encoded by Close beside readers of these
+	// two fields; the bytes are a function of the directory, so store only
+	// what is not there yet.
+	if d.encodedLen != len(out) || d.crc != sum {
+		d.encodedLen, d.crc = len(out), sum
+	}
 	return out
 }
 

@@ -96,7 +96,7 @@ func DecodeManifest(keydir []byte) (*Manifest, error) {
 // from the view never observes a half-installed generation.
 type ReplicaView struct {
 	ar      *Archiver
-	gen     int
+	g       *generation
 	man     *Manifest
 	keydir  []byte
 	dict    []byte
@@ -139,7 +139,7 @@ func (ar *Archiver) OpenReplicaView() (*ReplicaView, error) {
 		}
 	}
 	v := &ReplicaView{
-		ar: ar, gen: ar.acquireGen(), man: man,
+		ar: ar, g: ar.pin(), man: man,
 		keydir: kd, dict: dict, meta: meta, attrIdx: aidx,
 		names: map[string]bool{},
 	}
@@ -193,6 +193,6 @@ func (v *ReplicaView) OpenSegment(name string) (io.ReadCloser, int64, error) {
 // Close releases the generation pin; superseded segment files become
 // eligible for deletion. Close is idempotent.
 func (v *ReplicaView) Close() error {
-	v.closeOnce.Do(func() { v.ar.releaseGen(v.gen) })
+	v.closeOnce.Do(func() { v.ar.unpin(v.g) })
 	return nil
 }

@@ -12,99 +12,6 @@ import (
 	"xarch/internal/xmltree"
 )
 
-// QueryView is the streaming query engine over the segmented archive: a
-// consistent read view taken at open time, answering Version,
-// WriteVersion, History, ContentHistory and Stats without ever
-// materializing an in-memory archive — peak memory is O(document depth
-// + dictionary + one frontier record), independent of how many versions
-// the archive holds.
-//
-// Full scans read the key directory's segments in order, a stream that is
-// byte-identical to the former monolithic token file. Selective queries
-// resolve keyed selector steps against the in-memory key directory and
-// seek straight to the matching subtree, reading O(matched bytes) instead
-// of the whole archive.
-//
-// A view stays valid while later Adds run: it pins the directory
-// generation it captured (so its segment files are not deleted
-// underneath it) and holds a point-in-time snapshot of the append-only
-// dictionary. A QueryView answers one query at a time; open one view per
-// concurrent query.
-type QueryView struct {
-	ar       *Archiver
-	d        *keyDirectory
-	gen      int
-	names    []string
-	spec     *keys.Spec
-	rootTime *intervals.Set
-	versions int
-	seek     bool
-	aidx     *attrIndex // attribute index bound to d, nil when absent
-	cur      *dirStream // the live stream of the current query, if any
-}
-
-// OpenQuery opens a consistent read view of the archive. The caller must
-// Close it. OpenQuery must not run concurrently with AddVersion (the store
-// layer serializes them); the returned view, however, may be used freely
-// while later Adds proceed.
-func (ar *Archiver) OpenQuery() (*QueryView, error) {
-	q := &QueryView{
-		ar:       ar,
-		d:        ar.curDir,
-		gen:      ar.acquireGen(),
-		names:    ar.dict.snapshot(),
-		spec:     ar.spec,
-		rootTime: ar.curDir.rootTime.Clone(),
-		versions: ar.curDir.versions,
-		seek:     !ar.cfg.NoDirectorySeek,
-	}
-	if ar.aidx != nil && ar.aidx.keydirCRC == ar.curDir.crc {
-		q.aidx = ar.aidx
-	}
-	return q, nil
-}
-
-// Close releases the view: any open segment stream is closed and the
-// pinned directory generation is unpinned (letting a superseded
-// generation's segment files be deleted).
-func (q *QueryView) Close() error {
-	if q.cur != nil {
-		q.cur.Close()
-		q.cur = nil
-	}
-	if q.ar != nil {
-		q.ar.releaseGen(q.gen)
-		q.ar = nil
-	}
-	return nil
-}
-
-// Versions returns the number of versions visible in this view.
-func (q *QueryView) Versions() int { return q.versions }
-
-func (q *QueryView) name(id int) (string, error) {
-	if id < 0 || id >= len(q.names) {
-		return "", fmt.Errorf("extmem: tag id %d outside dictionary: %w", id, core.ErrCorruptArchive)
-	}
-	return q.names[id], nil
-}
-
-// stream opens a pooled token reader over the given stream parts,
-// closing the previous query's stream if one is still open.
-func (q *QueryView) stream(parts []streamPart) *tokenReader {
-	if q.cur != nil {
-		q.cur.Close()
-	}
-	q.cur = &dirStream{fs: q.ar.fs, dir: q.ar.dir, parts: parts, dicts: q.ar.segDicts, counter: &q.ar.bytesRead}
-	return newDirTokenReader(q.cur)
-}
-
-// reader returns a pooled token reader over the whole archive stream —
-// byte-identical to the former monolithic token file.
-func (q *QueryView) reader() (*tokenReader, error) {
-	return q.stream(archiveParts(q.d)), nil
-}
-
 // rootEff returns a root's effective timestamp. Decoded directories
 // carry the interval set pre-parsed; freshly-built ones fall back to
 // parsing the string.

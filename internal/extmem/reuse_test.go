@@ -204,12 +204,12 @@ func TestReuseDecisions(t *testing.T) {
 						srcs = append(srcs, source["tree"](d))
 					}
 					add(srcs...)
-					if got, want := ar.LastMerge, row.want[len(row.want)-1]; got != want {
+					if got, want := ar.Last().Merge, row.want[len(row.want)-1]; got != want {
 						t.Errorf("last member of the batch: %+v, want %+v", got, want)
 					}
 				} else {
 					add(source[mode](docs[0]))
-					if n := len(ar.curDir.roots[0].segs); n < 4 {
+					if n := len(ar.current().d.roots[0].segs); n < 4 {
 						t.Fatalf("base version spans %d segments, want at least 4", n)
 					}
 					for k, d := range docs[1:] {
@@ -222,7 +222,7 @@ func TestReuseDecisions(t *testing.T) {
 							}
 						}
 						add(source[mode](d))
-						if got := ar.LastMerge; got != row.want[k] {
+						if got := ar.Last().Merge; got != row.want[k] {
 							t.Errorf("step %d: %+v, want %+v", k+1, got, row.want[k])
 						}
 					}

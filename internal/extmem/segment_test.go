@@ -25,7 +25,7 @@ import (
 // whatever each segment's dictionary, compression or file layout.
 func archiveStreamBytes(t *testing.T, ar *Archiver) []byte {
 	t.Helper()
-	ds := &dirStream{fs: ar.fs, dir: ar.dir, parts: archiveParts(ar.curDir), dicts: ar.segDicts, counter: &ar.bytesRead}
+	ds := &dirStream{fs: ar.fs, dir: ar.dir, parts: archiveParts(ar.current().d), dicts: ar.segDicts, counter: &ar.bytesRead}
 	defer ds.Close()
 	tr := newDirTokenReader(ds)
 	defer tr.release()
@@ -102,34 +102,34 @@ func TestSegmentLocalMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := map[string]bool{}
-	for f := range ar2.curDir.files() {
+	for f := range ar2.current().d.files() {
 		before[f] = true
 	}
 	if err := ar2.AddVersion(strings.NewReader(g.Next().IndentedXML())); err != nil {
 		t.Fatal(err)
 	}
-	if ar2.LastMerge.SegmentsReused == 0 {
-		t.Errorf("small add reused no segments: %+v", ar2.LastMerge)
+	if ar2.Last().Merge.SegmentsReused == 0 {
+		t.Errorf("small add reused no segments: %+v", ar2.Last().Merge)
 	}
-	if ar2.LastMerge.SegmentsRewritten >= len(before) {
-		t.Errorf("small add rewrote every one of the %d segments: %+v", len(before), ar2.LastMerge)
+	if ar2.Last().Merge.SegmentsRewritten >= len(before) {
+		t.Errorf("small add rewrote every one of the %d segments: %+v", len(before), ar2.Last().Merge)
 	}
 	reusedOnDisk := 0
-	for f := range ar2.curDir.files() {
+	for f := range ar2.current().d.files() {
 		if before[f] {
 			reusedOnDisk++
 		}
 	}
-	if reusedOnDisk != ar2.LastMerge.SegmentsReused {
-		t.Errorf("reused-on-disk %d != reported reused %d", reusedOnDisk, ar2.LastMerge.SegmentsReused)
+	if reusedOnDisk != ar2.Last().Merge.SegmentsReused {
+		t.Errorf("reused-on-disk %d != reported reused %d", reusedOnDisk, ar2.Last().Merge.SegmentsReused)
 	}
 
 	// An empty version is a directory-only commit: zero segment I/O.
 	if err := ar2.AddEmptyVersion(); err != nil {
 		t.Fatal(err)
 	}
-	if ar2.LastMerge.SegmentsRewritten != 0 || ar2.LastMerge.SegmentsCreated != 0 {
-		t.Errorf("empty version touched segments: %+v", ar2.LastMerge)
+	if ar2.Last().Merge.SegmentsRewritten != 0 || ar2.Last().Merge.SegmentsCreated != 0 {
+		t.Errorf("empty version touched segments: %+v", ar2.Last().Merge)
 	}
 }
 
@@ -222,7 +222,7 @@ func TestStaleMetaSelfHeal(t *testing.T) {
 	want := snapshotXML(t, ar)
 	ar.Close()
 	// Fake a stale meta: bump its version count.
-	meta := ar.curDir
+	meta := ar.current().d
 	fake := &keyDirectory{versions: meta.versions + 7, rootTime: meta.rootTime, roots: meta.roots}
 	if err := os.WriteFile(filepath.Join(dir, metaFile), encodeMeta(fake), 0o644); err != nil {
 		t.Fatal(err)
@@ -533,7 +533,7 @@ func TestViewSurvivesAdds(t *testing.T) {
 	}
 	q.Close()
 	// After the view closes, its superseded segment files are swept.
-	live := ar.curDir.files()
+	live := ar.current().d.files()
 	for _, p := range ar.globSegments() {
 		if !live[filepath.Base(p)] {
 			t.Errorf("unswept segment file %s after view close", filepath.Base(p))
@@ -694,7 +694,7 @@ func FuzzSegmentHeader(f *testing.F) {
 	for _, compress := range []bool{false, true} {
 		dir := f.TempDir()
 		ar := buildOMIMArchive(f, dir, Config{Budget: 1 << 16, SegmentTarget: 2048, Compression: compress}, 1)
-		seg := ar.curDir.roots[0].segs[0]
+		seg := ar.current().d.roots[0].segs[0]
 		if compress != (seg.stored < seg.payload) {
 			f.Fatalf("seed segment: compression=%v but stored %d of %d payload bytes", compress, seg.stored, seg.payload)
 		}

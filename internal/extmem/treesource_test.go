@@ -176,10 +176,10 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 				if err := stream.AddVersion(strings.NewReader(doc.IndentedXML())); err != nil {
 					t.Fatalf("v%d: stream add: %v", v+1, err)
 				}
-				if tree.LastMerge != stream.LastMerge {
-					t.Errorf("v%d: tree-sourced merge %+v, streamed %+v", v+1, tree.LastMerge, stream.LastMerge)
+				if tree.Last().Merge != stream.Last().Merge {
+					t.Errorf("v%d: tree-sourced merge %+v, streamed %+v", v+1, tree.Last().Merge, stream.Last().Merge)
 				}
-				if st := stream.LastMerge; tc.mixed && v > 0 && (st.SegmentsReused == 0 || st.SegmentsRewritten == 0) {
+				if st := stream.Last().Merge; tc.mixed && v > 0 && (st.SegmentsReused == 0 || st.SegmentsRewritten == 0) {
 					t.Errorf("v%d: merge %+v neither links nor rewrites", v+1, st)
 				}
 				got, want := dirFiles(t, treeDir), dirFiles(t, streamDir)
@@ -305,8 +305,8 @@ func TestDuplicateSiblingKeysRejected(t *testing.T) {
 				if err := ar.AddVersion(strings.NewReader(upTo)); err != nil {
 					t.Fatal(err)
 				}
-				if ar.LastSort.Runs != tc.runs {
-					t.Errorf("the document before its second twin sorts in %d runs, want %d", ar.LastSort.Runs, tc.runs)
+				if ar.Last().Sort.Runs != tc.runs {
+					t.Errorf("the document before its second twin sorts in %d runs, want %d", ar.Last().Sort.Runs, tc.runs)
 				}
 			}
 		})

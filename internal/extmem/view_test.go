@@ -1,0 +1,157 @@
+package extmem
+
+import (
+	"strings"
+	"sync"
+	"testing"
+
+	"xarch/internal/datagen"
+	"xarch/internal/xmltree"
+)
+
+// TestViewsBesideWriter: views opened at any moment of 30 adds and a
+// compaction are whole generations — the attribute index is there and is
+// the one built for that view's directory (no window in which a view falls
+// back to the scan), every version reads back byte-identical — and once
+// the last view closes nothing is left pinned: one generation in the
+// table, exactly the live files in the directory.
+func TestViewsBesideWriter(t *testing.T) {
+	const adds = 30
+	cfg := Config{Budget: 1 << 16, SegmentTarget: fragTarget}
+	g := newInterleavedGrowth(40)
+	docs := []string{g.doc()}
+	for i := 0; i < adds; i++ {
+		g.grow()
+		docs = append(docs, g.doc())
+	}
+	// The expected bytes of every version, from an archive built alone.
+	ref, err := Open(t.TempDir(), datagen.OMIMSpec(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs {
+		if err := ref.AddVersion(strings.NewReader(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([]string, len(docs)+1)
+	rq, _ := ref.OpenQuery()
+	for v := 1; v <= len(docs); v++ {
+		var b strings.Builder
+		if err := rq.WriteVersion(v, &b, xmltree.WriteOptions{Indent: true}); err != nil {
+			t.Fatal(err)
+		}
+		want[v] = b.String()
+	}
+	rq.Close()
+	ref.Close()
+
+	dir := t.TempDir()
+	ar, err := Open(dir, datagen.OMIMSpec(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ar.Close()
+	if err := ar.AddVersion(strings.NewReader(docs[0])); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q, err := ar.OpenQuery()
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				if q.aidx == nil || q.aidx.keydirCRC != q.d.crc {
+					t.Errorf("reader %d: view of %d versions has no attribute index of its own directory (%v)", r, q.versions, q.aidx)
+				}
+				v := 1 + i%q.Versions()
+				var b strings.Builder
+				if err := q.WriteVersion(v, &b, xmltree.WriteOptions{Indent: true}); err != nil {
+					t.Errorf("reader %d: WriteVersion(%d) of %d: %v", r, v, q.versions, err)
+				} else if b.String() != want[v] {
+					t.Errorf("reader %d: version %d of %d differs from the archive built alone", r, v, q.versions)
+				}
+				q.Close()
+				if t.Failed() {
+					return
+				}
+			}
+		}(r)
+	}
+	for i, d := range docs[1:] {
+		if err := ar.AddVersion(strings.NewReader(d)); err != nil {
+			t.Fatalf("add %d: %v", i+2, err)
+		}
+		if i == adds/2 {
+			if st, err := ar.Compact(); err != nil || st.Executed == 0 {
+				t.Fatalf("compact: %+v, %v", st, err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	ar.genMu.Lock()
+	gens, refs := len(ar.gens), ar.current().refs
+	ar.genMu.Unlock()
+	if gens != 1 || refs != 0 || ar.gens[ar.current().id] != ar.current() {
+		t.Errorf("after the last Close: %d generations in the table, %d pins on the current one", gens, refs)
+	}
+	if st := ar.StorageStats(); st.PinnedGenerations != 0 || st.Generation != adds+2 {
+		t.Errorf("StorageStats: generation %d, %d pinned; want %d, 0", st.Generation, st.PinnedGenerations, adds+2)
+	}
+	live := ar.current().d.files()
+	if segs := diskSegments(t, dir); len(segs) != len(live) {
+		t.Errorf("%d segment files on disk, %d live", len(segs), len(live))
+	}
+	for _, f := range diskSegments(t, dir) {
+		if !live[f] {
+			t.Errorf("superseded segment %s survived the last Close", f)
+		}
+	}
+	if tr := listTransient(ar.fs, dir); len(tr) != 0 {
+		t.Errorf("transient files left: %v", tr)
+	}
+}
+
+// A view that is never closed pins disk space, not the writer; the gauge
+// that makes it visible.
+func TestPinnedGenerationsGauge(t *testing.T) {
+	ar, err := Open(t.TempDir(), datagen.OMIMSpec(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ar.Close()
+	g := newInterleavedGrowth(5)
+	add := func() {
+		t.Helper()
+		g.grow()
+		if err := ar.AddVersion(strings.NewReader(g.doc())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add()
+	q1, _ := ar.OpenQuery()
+	add()
+	q2, _ := ar.OpenQuery()
+	add()
+	if st := ar.StorageStats(); st.Generation != 3 || st.PinnedGenerations != 2 {
+		t.Errorf("two views on superseded generations: generation %d, %d pinned; want 3, 2", st.Generation, st.PinnedGenerations)
+	}
+	q1.Close()
+	q2.Close()
+	if st := ar.StorageStats(); st.PinnedGenerations != 0 || len(ar.gens) != 1 {
+		t.Errorf("after Close: %d pinned, %d generations in the table", st.PinnedGenerations, len(ar.gens))
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -25,7 +26,7 @@ var ErrInjected = errors.New("fsio: injected fault")
 type Fault struct {
 	// Err is returned instead of performing the operation. Defaults to
 	// ErrInjected; use syscall.ENOSPC etc. for specific conditions.
-	// When only Delay is set, the operation proceeds after the delay.
+	// When only Delay or Hold is set, the operation proceeds afterwards.
 	Err error
 	// Torn makes a triggered write apply only a prefix (half the bytes)
 	// before returning the error — a short/torn write.
@@ -37,6 +38,10 @@ type Fault struct {
 	// fsync/IO simulation). With no Err and no Crash the operation then
 	// succeeds normally.
 	Delay time.Duration
+	// Hold parks a triggered operation until the channel is closed, then
+	// lets it proceed like a Delay would; FaultFS.Held says when it has
+	// arrived. Tests assert on order with it instead of sleeping.
+	Hold <-chan struct{}
 	// After skips the first After hits of the point before triggering.
 	After int
 	// Count caps how many times the point triggers; 0 = every hit once
@@ -76,6 +81,7 @@ type FaultFS struct {
 	crashAfter int // crash once this many mutating ops applied; -1 = off
 	crashTorn  bool
 	crashed    bool
+	held       atomic.Int32 // operations parked at a Fault.Hold
 
 	dur *durModel // nil until TrackDurability
 }
@@ -195,6 +201,7 @@ type decision struct {
 	err   error
 	torn  int // ≥0: apply only this prefix of a write, then return err
 	delay time.Duration
+	hold  <-chan struct{}
 }
 
 var mutatingKinds = map[string]bool{
@@ -221,14 +228,14 @@ func (f *FaultFS) gate(kind, point, path string, n int) decision {
 		fires := st.hits > st.f.After && (st.f.Count == 0 || st.done < st.f.Count)
 		if fires {
 			st.done++
-			d.delay = st.f.Delay
+			d.delay, d.hold = st.f.Delay, st.f.Hold
 			switch {
 			case st.f.Crash:
 				f.crashed = true
 				d.err = ErrCrashed
 			case st.f.Err != nil:
 				d.err = st.f.Err
-			case !st.f.Torn && st.f.Delay == 0:
+			case !st.f.Torn && st.f.Delay == 0 && st.f.Hold == nil:
 				d.err = ErrInjected
 			case st.f.Torn:
 				d.err = ErrInjected
@@ -254,8 +261,16 @@ func (f *FaultFS) gate(kind, point, path string, n int) decision {
 	if d.delay > 0 {
 		time.Sleep(d.delay)
 	}
+	if d.hold != nil {
+		f.held.Add(1)
+		<-d.hold
+		f.held.Add(-1)
+	}
 	return d
 }
+
+// Held reports how many operations are parked at a Fault.Hold right now.
+func (f *FaultFS) Held() int { return int(f.held.Load()) }
 
 func isWriteKind(kind string) bool {
 	return kind == "write" || kind == "writeat" || kind == "writefile"

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"testing"
 )
@@ -257,6 +258,36 @@ func TestDelayOnlyFaultProceeds(t *testing.T) {
 	}
 	if got, _ := os.ReadFile(p); string(got) != "m" {
 		t.Fatal("delayed write not applied")
+	}
+}
+
+// A Hold parks the operation, visibly, until the channel closes; then the
+// operation applies as if nothing had been injected.
+func TestHoldParksUntilReleased(t *testing.T) {
+	dir := t.TempDir()
+	ffs := NewFaultFS(nil)
+	release := make(chan struct{})
+	ffs.SetFault("meta.writefile", Fault{Hold: release, Count: 1})
+	p := filepath.Join(dir, "meta.txt")
+	done := make(chan error, 1)
+	go func() { done <- ffs.WriteFile(p, []byte("m"), 0o644) }()
+	for ffs.Held() == 0 {
+		runtime.Gosched()
+	}
+	if _, err := os.Stat(p); err == nil {
+		t.Fatal("held write already applied")
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("held write returned before release: %v", err)
+	default:
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("hold-only fault must not fail the op: %v", err)
+	}
+	if got, _ := os.ReadFile(p); string(got) != "m" || ffs.Held() != 0 {
+		t.Fatalf("after release: file %q, held %d", got, ffs.Held())
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"xarch"
+	"xarch/internal/fsio"
 )
 
 // ---------------------------------------------------------------------------
@@ -430,6 +431,77 @@ func TestEndpoints(t *testing.T) {
 	status, out := postDoc(t, ts.URL, "<db><rec><id>dup</id></rec><rec><id>dup</id></rec></db>")
 	if status != http.StatusUnprocessableEntity {
 		t.Fatalf("key violation: status %d (%v), want 422", status, out)
+	}
+}
+
+// TestReadsAnswerDuringHeldCommit: a commit (or a compaction) of any
+// length costs readers and probes nothing. With the add's commit parked at
+// the keydir.idx rename, the liveness probe, the stats and every read
+// endpoint answer 200 from the generation committed before it — all
+// before POST /v1/add gets its answer.
+func TestReadsAnswerDuringHeldCommit(t *testing.T) {
+	spec, err := xarch.ParseKeySpec(recSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs := fsio.NewFaultFS(nil)
+	store, err := xarch.OpenStore(t.TempDir(), spec, xarch.WithFS(ffs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+	if status, out := postDoc(t, ts.URL, recDoc("a", 1)); status != http.StatusOK {
+		t.Fatalf("add 1: status %d (%v)", status, out)
+	}
+
+	release := make(chan struct{})
+	ffs.SetFault("keydir.rename", fsio.Fault{Hold: release, Count: 1})
+	answered := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/add", "application/xml", strings.NewReader(recDoc("a", 2)))
+		if err != nil {
+			t.Errorf("POST /v1/add: %v", err)
+			answered <- 0
+			return
+		}
+		resp.Body.Close()
+		answered <- resp.StatusCode
+	}()
+	waitFor(t, "the commit to reach keydir.rename", func() bool { return ffs.Held() > 0 })
+
+	for path, want := range map[string]string{
+		"/v1/healthz":   `"versions":1`,
+		"/v1/stats":     `"versions":1`,
+		"/v1/version/1": "<v>1</v>",
+		"/v1/history?selector=" + url.QueryEscape("/db/rec[id=a]"): `"versions":[1]`,
+		"/v1/query?q=" + url.QueryEscape("/db/rec[id=a]"):          `"versions":"1"`,
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("GET %s beside the held commit: status %d, body %.300s; want 200 with %s", path, resp.StatusCode, body, want)
+		}
+	}
+	select {
+	case status := <-answered:
+		t.Fatalf("POST /v1/add answered %d while its commit was held", status)
+	default:
+	}
+	close(release)
+	if status := <-answered; status != http.StatusOK {
+		t.Fatalf("POST /v1/add after release: status %d", status)
+	}
+	if resp, err := http.Get(ts.URL + "/v1/version/2"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("version/2 after the add answered: %v, %v", resp, err)
+	} else {
+		resp.Body.Close()
 	}
 }
 
