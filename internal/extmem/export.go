@@ -1,0 +1,260 @@
+package extmem
+
+import (
+	"io"
+
+	"xarch/internal/core"
+	"xarch/internal/keys"
+	"xarch/internal/xmltree"
+)
+
+// ---------------------------------------------------------------------------
+// Stats (streaming)
+
+// countWriter counts bytes written through it.
+type countWriter struct{ n int }
+
+func (w *countWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// Stats summarizes the archive's structure with one streaming pass: the
+// indented archive emitter runs over a counting writer (yielding the
+// serialized XML size) while the structural counters ride along on the
+// same token walk — never holding more than a frontier record in memory
+// and never scanning the archive twice.
+func (q *QueryView) Stats() (core.Stats, error) {
+	s := core.Stats{Versions: q.versions, Elements: 1} // the synthetic root
+	var cw countWriter
+	if err := q.writeArchiveIndented(&cw, &s); err != nil {
+		return core.Stats{}, err
+	}
+	s.XMLBytes = cw.n
+	return s, nil
+}
+
+// countNodeOpen accumulates the keyed-level counters of one open token.
+func countNodeOpen(t token, s *core.Stats) error {
+	s.Elements++
+	if t.key == nil {
+		return nil
+	}
+	s.KeyedNodes++
+	if t.data == "" {
+		s.InheritedTimestamps++
+		return nil
+	}
+	ts, err := tokenEff(t)
+	if err != nil {
+		return corruptf("bad timestamp %q", t.data)
+	}
+	s.ExplicitTimestamps++
+	s.TimestampRuns += ts.RunCount()
+	return nil
+}
+
+// countFrontierBody accumulates the counters of one frontier body.
+func countFrontierBody(body *fbody, s *core.Stats) {
+	countToks := func(toks []token) {
+		for _, t := range toks {
+			switch t.op {
+			case tokOpen:
+				s.Elements++
+			case tokText:
+				s.TextNodes++
+			case tokAttr:
+				s.Attributes++
+			}
+		}
+	}
+	countToks(body.shared)
+	for i := range body.groups {
+		g := &body.groups[i]
+		s.Groups++
+		s.TimestampRuns += g.time.RunCount()
+		countToks(g.tokens)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Archive XML (paper form, §2/Fig 5)
+
+// WriteArchiveXML streams the archive's XML form to w: the outer <T>
+// carries the root timestamp; explicit node timestamps and content groups
+// become nested <T> elements. The output is byte-identical to the
+// in-memory engine's serialization of the same archive — the
+// line-oriented layout the space experiments measure — and parses back
+// with the in-memory loader.
+func (q *QueryView) WriteArchiveXML(w io.Writer) error {
+	return q.writeArchiveIndented(w, nil)
+}
+
+// writeArchiveIndented emits the indented archive form; with a non-nil
+// stats, the structural counters are accumulated on the same walk (the
+// counting emitter behind Stats).
+func (q *QueryView) writeArchiveIndented(w io.Writer, stats *core.Stats) error {
+	bw, done := pooledWriter(w)
+	defer done()
+	out := &xmlSink{w: bw, opts: xmltree.WriteOptions{Indent: true, IndentString: "  "}}
+	tr, err := q.reader()
+	if err != nil {
+		return err
+	}
+	defer tr.release()
+
+	out.open("T", false)
+	out.attr("t", q.rootTime.String())
+	out.open("root", false)
+	for {
+		t, ok := tr.take()
+		if !ok {
+			break
+		}
+		if t.op != tokOpen {
+			return corruptf("unexpected token %#x at archive root", t.op)
+		}
+		if err := q.writeArchiveNode(tr, t, out, q.spec.Cursor(), stats); err != nil {
+			return err
+		}
+	}
+	if tr.err != nil {
+		return tr.err
+	}
+	out.close()
+	out.close()
+	return bw.Flush()
+}
+
+// writeArchiveNode emits one keyed-level node (whose open token t has been
+// consumed) in the indented archive form; up is the key spec's position at
+// its parent.
+func (q *QueryView) writeArchiveNode(tr *tokenReader, t token, out *xmlSink, up keys.Cursor, stats *core.Stats) error {
+	name, err := q.name(t.tag)
+	if err != nil {
+		return err
+	}
+	if stats != nil {
+		if err := countNodeOpen(t, stats); err != nil {
+			return err
+		}
+	}
+	cur := up.Child(name)
+	if t.data != "" {
+		out.open("T", false)
+		out.attr("t", t.data)
+	}
+	if cur.Frontier() {
+		body, err := readFrontierBody(tr)
+		if err != nil {
+			return err
+		}
+		if stats != nil {
+			stats.FrontierNodes++
+			countFrontierBody(body, stats)
+		}
+		el, err := q.bodyToArchiveXML(name, body)
+		if err != nil {
+			return err
+		}
+		out.closeStart()
+		el.WriteDepth(out.w, out.opts, len(out.stack))
+	} else {
+		out.open(name, false)
+		for closed := false; !closed; {
+			ct, err := tr.mustTake(name)
+			if err != nil {
+				return err
+			}
+			switch ct.op {
+			case tokAttr:
+				if stats != nil {
+					stats.Attributes++
+				}
+				an, err := q.name(ct.tag)
+				if err != nil {
+					return err
+				}
+				out.attr(an, ct.data)
+			case tokClose:
+				out.close()
+				closed = true
+			case tokOpen:
+				if err := q.writeArchiveNode(tr, ct, out, cur, stats); err != nil {
+					return err
+				}
+			default:
+				return corruptf("unexpected token %#x above the frontier", ct.op)
+			}
+		}
+	}
+	if t.data != "" {
+		out.close()
+	}
+	return nil
+}
+
+// appendItems converts a balanced token sequence into children (and
+// attributes) of el. With attrCarrier, a bare attribute item — one
+// outside any nested element — becomes an <_attr n="name">value</_attr>
+// wrapper, the archive-XML form of attributes inside timestamp groups
+// (XML cannot hold a bare attribute as a child element).
+func (q *QueryView) appendItems(el *xmltree.Node, toks []token, attrCarrier bool) error {
+	stack := []*xmltree.Node{el}
+	for _, t := range toks {
+		top := stack[len(stack)-1]
+		switch t.op {
+		case tokOpen:
+			n, err := q.name(t.tag)
+			if err != nil {
+				return err
+			}
+			c := xmltree.Elem(n)
+			top.Append(c)
+			stack = append(stack, c)
+		case tokAttr:
+			n, err := q.name(t.tag)
+			if err != nil {
+				return err
+			}
+			if attrCarrier && len(stack) == 1 {
+				w := xmltree.Elem("_attr", xmltree.TextNode(t.data))
+				w.SetAttr("n", n)
+				top.Append(w)
+			} else {
+				top.Append(xmltree.AttrNode(n, t.data))
+			}
+		case tokText:
+			top.Append(xmltree.TextNode(t.data))
+		case tokClose:
+			if len(stack) == 1 {
+				return corruptf("unbalanced frontier content")
+			}
+			stack = stack[:len(stack)-1]
+		default:
+			return corruptf("unexpected token %#x in frontier content", t.op)
+		}
+	}
+	if len(stack) != 1 {
+		return corruptf("unbalanced frontier content")
+	}
+	return nil
+}
+
+// bodyToArchiveXML builds the archive-form XML tree of one frontier node:
+// shared content inline, each timestamped group as a <T t="..."> element,
+// attribute items inside groups carried by <_attr n="..."> wrappers (the
+// same reserved names the in-memory serializer and loader use).
+func (q *QueryView) bodyToArchiveXML(name string, body *fbody) (*xmltree.Node, error) {
+	el := xmltree.Elem(name)
+	if err := q.appendItems(el, body.shared, false); err != nil {
+		return nil, err
+	}
+	for i := range body.groups {
+		g := &body.groups[i]
+		te := xmltree.Elem("T")
+		te.SetAttr("t", g.time.String())
+		if err := q.appendItems(te, g.tokens, true); err != nil {
+			return nil, err
+		}
+		el.Append(te)
+	}
+	return el, nil
+}

@@ -195,23 +195,44 @@ func FuzzTokenStream(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(file[h.dataOff:], true)
-	// Inline grammar: a sorted version, as the tree sort writes it.
-	var sorted bytes.Buffer
-	tw := newTokenWriter(&sorted)
+	// Inline grammar: a sorted version, as the tree sort writes it, and
+	// what no writer writes.
 	doc := xmltree.MustParseString(`<db><north><item id="1"><body>x<b q="v">y</b></body><note>whole</note></item></north></db>`)
-	if err := sortTree(doc, keys.MustParseSpec(edgeSpec), newDictionary(), tw); err != nil {
-		f.Fatal(err)
+	inlineSpec, inlineDict := keys.MustParseSpec(edgeSpec), newDictionary()
+	sorted := tokenBytes(func(tw *tokenWriter) {
+		if err := sortTree(doc, inlineSpec, inlineDict, tw); err != nil {
+			f.Fatal(err)
+		}
+	})
+	f.Add(sorted, false)
+	for _, hs := range hostileStreams(inlineDict) {
+		f.Add(tokenBytes(func(tw *tokenWriter) {
+			tw.open(inlineDict.id("db"), nil, "")
+			tw.open(inlineDict.id("north"), nil, "")
+			tw.w.Write(hs.item)
+			tw.close()
+			tw.close()
+		}), false)
 	}
-	tw.flush()
-	tw.release()
-	f.Add(sorted.Bytes(), false)
 	f.Add(hugeTextToken, true)
 	f.Add(hugeTextToken, false)
+	// The version emitter takes the bytes for the subtrees under an element:
+	// a segment's entries under their root, or the inline document itself.
+	drain := func(data []byte, interned bool) error {
+		if interned {
+			return drainVersion(data, h.dict, ar.current().names, ar.spec, []string{ar.current().d.roots[0].name}, 1+len(data)%4)
+		}
+		return drainVersion(data, nil, inlineDict.snapshot(), inlineSpec, nil, 1)
+	}
+	if err := errors.Join(drain(file[h.dataOff:], true), drain(sorted, false)); err != nil {
+		f.Fatalf("the version emitter refuses a writer's own bytes: %v", err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, interned bool) {
 		var dict *segDict
 		if interned {
 			dict = h.dict
 		}
 		checkHostile(t, len(data), func() error { return drainTokens(t, data, dict) })
+		checkHostile(t, len(data), func() error { return drain(data, interned) })
 	})
 }

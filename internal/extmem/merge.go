@@ -175,14 +175,14 @@ func readFrontierBody(r *tokenReader) (*fbody, error) {
 	depth := 1
 	var group *fgroup
 	for {
-		t, ok := r.take()
-		if !ok {
-			return nil, fmt.Errorf("extmem: truncated frontier content")
+		t, err := r.mustTake("frontier content")
+		if err != nil {
+			return nil, err
 		}
 		switch t.op {
 		case tokTSOpen:
 			if depth != 1 || group != nil {
-				return nil, fmt.Errorf("extmem: nested timestamp group")
+				return nil, corruptf("nested timestamp group")
 			}
 			// Group times are mutated downstream (emitMergedFrontier adds
 			// version i), so a dictionary-shared pre-parsed set must be
@@ -194,7 +194,7 @@ func readFrontierBody(r *tokenReader) (*fbody, error) {
 				var err error
 				ts, err = intervals.Parse(t.data)
 				if err != nil {
-					return nil, fmt.Errorf("extmem: bad group timestamp %q: %w", t.data, err)
+					return nil, corruptf("bad group timestamp %q: %v", t.data, err)
 				}
 			}
 			b.groups = append(b.groups, fgroup{time: ts})
@@ -202,7 +202,7 @@ func readFrontierBody(r *tokenReader) (*fbody, error) {
 			continue
 		case tokTSClose:
 			if group == nil {
-				return nil, fmt.Errorf("extmem: unbalanced timestamp group")
+				return nil, corruptf("unbalanced timestamp group")
 			}
 			group = nil
 			continue
@@ -212,7 +212,7 @@ func readFrontierBody(r *tokenReader) (*fbody, error) {
 			depth--
 			if depth == 0 {
 				if group != nil {
-					return nil, fmt.Errorf("extmem: unterminated timestamp group")
+					return nil, corruptf("unterminated timestamp group")
 				}
 				return b, nil
 			}

@@ -1,0 +1,413 @@
+package extmem
+
+import (
+	"xarch/internal/anode"
+	"xarch/internal/core"
+	"xarch/internal/intervals"
+	"xarch/internal/keys"
+	"xarch/internal/xmltree"
+)
+
+// ---------------------------------------------------------------------------
+// History queries (§7.2, streaming)
+
+// resolved carries the outcome of a selector resolution. err holds
+// selector-semantic failures (no match, deeper ambiguity) that are only
+// reported once the enclosing level has been scanned to the end — a later
+// sibling match turns them into an ambiguity error at this level, exactly
+// like the in-memory resolver that checks all siblings before descending.
+type resolved struct {
+	eff  *intervals.Set
+	node *anode.Node // only populated when the caller asked for the body
+	err  error
+}
+
+// History returns the versions in which the selected element exists,
+// resolving the selector with one scan of the token file.
+func (q *QueryView) History(selector string) (*intervals.Set, error) {
+	steps, err := core.ParseSelector(selector)
+	if err != nil {
+		return nil, err
+	}
+	r, err := q.resolveSelector(steps, false)
+	if err != nil {
+		return nil, err
+	}
+	return r.eff.Clone(), nil
+}
+
+// ContentHistory returns, for a frontier element, the versions at which
+// its content changed.
+func (q *QueryView) ContentHistory(selector string) ([]int, error) {
+	steps, err := core.ParseSelector(selector)
+	if err != nil {
+		return nil, err
+	}
+	r, err := q.resolveSelector(steps, true)
+	if err != nil {
+		return nil, err
+	}
+	return core.ContentChangeVersions(r.node, r.eff), nil
+}
+
+func (q *QueryView) resolveSelector(steps []core.SelectorStep, wantBody bool) (*resolved, error) {
+	var res *resolved
+	var err error
+	if q.seek {
+		res, err = q.resolveViaDirectory(steps, wantBody)
+	} else {
+		res, err = q.resolveViaScan(steps, wantBody)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if res.err != nil {
+		return nil, res.err
+	}
+	return res, nil
+}
+
+// resolveViaScan resolves the selector with one scan of the whole
+// archive stream (the directory-free path).
+func (q *QueryView) resolveViaScan(steps []core.SelectorStep, wantBody bool) (*resolved, error) {
+	tr, err := q.reader()
+	if err != nil {
+		return nil, err
+	}
+	defer tr.release()
+	return q.resolveLevel(tr, steps, q.rootTime, "", q.spec.Cursor(), wantBody)
+}
+
+// resolveViaDirectory resolves the top two selector steps against the
+// in-memory key directory — no I/O at all — and descends into at most
+// one matched subtree by seeking straight to its bytes. Match order,
+// ambiguity handling and error texts mirror resolveLevel exactly, so the
+// two paths are indistinguishable to callers.
+func (q *QueryView) resolveViaDirectory(steps []core.SelectorStep, wantBody bool) (*resolved, error) {
+	step := &steps[0]
+	stepPath := "/" + step.Tag
+	var res *resolved
+	var foundLabel string
+	ambiguous := false
+	for _, r := range q.d.roots {
+		if ambiguous || r.name != step.Tag || !entryMatches(step, r.key) {
+			continue
+		}
+		label := keyLabel(r.name, r.key)
+		if res != nil {
+			res = &resolved{err: core.AmbiguousSelectorError(stepPath, foundLabel, label)}
+			ambiguous = true
+			continue
+		}
+		foundLabel = label
+		eff, err := q.rootEff(r)
+		if err != nil {
+			return nil, err
+		}
+		res, err = q.resolveRoot(r, eff, steps, stepPath, wantBody)
+		if err != nil {
+			return nil, err
+		}
+	}
+	if res == nil {
+		return &resolved{err: core.NoSuchElementError(stepPath)}, nil
+	}
+	return res, nil
+}
+
+// resolveRoot resolves the remaining steps inside a matched root record.
+func (q *QueryView) resolveRoot(r *rootRecord, eff *intervals.Set, steps []core.SelectorStep, stepPath string, wantBody bool) (*resolved, error) {
+	last := len(steps) == 1
+	if r.raw {
+		// Frontier root: its body must be read from the segment bytes.
+		if last && !wantBody {
+			return &resolved{eff: eff}, nil
+		}
+		tr := q.stream(rootParts(r))
+		defer tr.release()
+		if t, ok := tr.take(); !ok || t.op != tokOpen {
+			return nil, corruptf("raw root %s has no open token", r.name)
+		}
+		body, err := readFrontierBody(tr)
+		if err != nil {
+			return nil, err
+		}
+		node, err := q.bodyToANode(r.name, body)
+		if err != nil {
+			return nil, err
+		}
+		if last {
+			return &resolved{eff: eff, node: node}, nil
+		}
+		n, eff2, serr := core.ResolveFrom(node, eff, steps[1:], stepPath)
+		if serr != nil {
+			return &resolved{err: serr}, nil
+		}
+		return &resolved{eff: eff2, node: n}, nil
+	}
+	if last {
+		return &resolved{eff: eff, node: &anode.Node{Kind: xmltree.Element, Name: r.name}}, nil
+	}
+	// Level 2: look the step up in the key directory. The entries are
+	// sorted by (name, canonical key) across the root's segments, so the
+	// lookup binary-searches instead of walking every entry; the first
+	// match is resolved and a second match overrides the outcome with an
+	// ambiguity error, exactly like the linear scan it replaces.
+	step := &steps[1]
+	childPath := stepPath + "/" + step.Tag
+	matches := r.lookup(step)
+	if len(matches) == 0 {
+		return &resolved{err: core.NoSuchElementError(childPath)}, nil
+	}
+	m := matches[0]
+	ceff, err := entryEff(m.e, eff)
+	if err != nil {
+		return nil, err
+	}
+	res, err := q.resolveEntry(r, m.seg, m.e, ceff, steps[1:], childPath, wantBody)
+	if err != nil {
+		return nil, err
+	}
+	if len(matches) > 1 {
+		res = &resolved{err: core.AmbiguousSelectorError(childPath,
+			keyLabel(m.e.name, m.e.key), keyLabel(matches[1].e.name, matches[1].e.key))}
+	}
+	return res, nil
+}
+
+// resolveEntry resolves the remaining steps inside one matched child
+// entry, reading the child's bytes only when the answer needs them:
+// History on a selective two-step selector is answered from the
+// directory alone.
+func (q *QueryView) resolveEntry(r *rootRecord, s *segmentRecord, e *childEntry, eff *intervals.Set, steps []core.SelectorStep, stepPath string, wantBody bool) (*resolved, error) {
+	last := len(steps) == 1
+	if last && !wantBody {
+		return &resolved{eff: eff}, nil
+	}
+	cur := q.spec.Cursor().Child(r.name).Child(e.name)
+	frontier := cur.Frontier()
+	if last && !frontier {
+		// Above-frontier nodes have no content groups; ContentHistory
+		// reports their first version.
+		return &resolved{eff: eff, node: &anode.Node{Kind: xmltree.Element, Name: e.name}}, nil
+	}
+	if !frontier {
+		// With a fresh attribute index the entry's direct children carry
+		// byte spans: resolve the next step against that mini-index and
+		// seek straight to the one matched child subtree, instead of
+		// streaming every sibling of the entry.
+		if res, ok, err := q.resolveViaKids(r, s, e, eff, steps, stepPath, wantBody); ok || err != nil {
+			return res, err
+		}
+	}
+	tr := q.stream(entryParts(s, e))
+	defer tr.release()
+	if t, ok := tr.take(); !ok || t.op != tokOpen {
+		return nil, corruptf("entry %s has no open token", e.name)
+	}
+	if frontier {
+		body, err := readFrontierBody(tr)
+		if err != nil {
+			return nil, err
+		}
+		node, err := q.bodyToANode(e.name, body)
+		if err != nil {
+			return nil, err
+		}
+		if last {
+			return &resolved{eff: eff, node: node}, nil
+		}
+		n, eff2, serr := core.ResolveFrom(node, eff, steps[1:], stepPath)
+		if serr != nil {
+			return &resolved{err: serr}, nil
+		}
+		return &resolved{eff: eff2, node: n}, nil
+	}
+	drainAttrs(tr)
+	sub, err := q.resolveLevel(tr, steps[1:], eff, stepPath, cur, wantBody)
+	if err != nil {
+		return nil, err
+	}
+	if t, ok := tr.take(); !ok || t.op != tokClose {
+		return nil, corruptf("missing close at %s", stepPath)
+	}
+	return sub, nil
+}
+
+// resolveViaKids resolves steps[1] against the attribute index's kid
+// mini-index of the entry, seeking to the single matched child subtree.
+// ok=false means no usable index (absent sidecar, scan-built postings
+// without spans) and the caller falls back to streaming the entry. Match
+// order, ambiguity handling and error texts mirror resolveLevel exactly.
+func (q *QueryView) resolveViaKids(r *rootRecord, s *segmentRecord, e *childEntry, eff *intervals.Set, steps []core.SelectorStep, stepPath string, wantBody bool) (*resolved, bool, error) {
+	if q.aidx == nil {
+		return nil, false, nil
+	}
+	fi := q.aidx.files[s.file]
+	if fi == nil {
+		return nil, false, nil
+	}
+	var ent *idxEntry
+	for i := range s.entries {
+		if &s.entries[i] == e {
+			if i < len(fi.entries) {
+				ent = fi.entries[i]
+			}
+			break
+		}
+	}
+	if ent == nil || !ent.hasKids {
+		return nil, false, nil
+	}
+	step := &steps[1]
+	kidPath := stepPath + "/" + step.Tag
+	var first *idxKid
+	var foundLabel string
+	for ki := range ent.kids {
+		k := &ent.kids[ki]
+		if k.name != step.Tag || !entryMatches(step, k.key) {
+			continue
+		}
+		if first != nil {
+			return &resolved{err: core.AmbiguousSelectorError(kidPath, foundLabel, keyLabel(k.name, k.key))}, true, nil
+		}
+		first = k
+		foundLabel = keyLabel(k.name, k.key)
+	}
+	if first == nil {
+		return &resolved{err: core.NoSuchElementError(kidPath)}, true, nil
+	}
+	keff := eff
+	if first.timeStr != "" {
+		ts, err := intervals.Parse(first.timeStr)
+		if err != nil {
+			return nil, false, corruptf("attr index timestamp %q", first.timeStr)
+		}
+		keff = ts
+	}
+	tr := q.stream([]streamPart{{seg: s, off: e.offset + first.off, n: first.size}})
+	defer tr.release()
+	if t, ok := tr.take(); !ok || t.op != tokOpen {
+		return nil, false, corruptf("kid %s has no open token", first.name)
+	}
+	res, err := q.resolveInto(tr, first.name, keff, steps[1:], kidPath, q.spec.Cursor().Child(r.name).Child(e.name).Child(first.name), wantBody)
+	if err != nil {
+		return nil, false, err
+	}
+	return res, true, nil
+}
+
+// resolveLevel scans the sibling sequence at the cursor (stopping at the
+// balancing close, which it does not consume) for elements matching the
+// first step. The first match is resolved immediately — the stream cannot
+// be revisited — and a second match turns the outcome into an ambiguity
+// error. Every selector-semantic outcome, including ambiguity, travels as
+// a soft resolved.err: the in-memory resolver checks each level's
+// siblings before descending, so an ambiguity at an enclosing level must
+// override whatever resolving inside the first match produced, and only
+// the outermost still-ambiguous level is reported.
+func (q *QueryView) resolveLevel(tr *tokenReader, steps []core.SelectorStep, parentEff *intervals.Set, path string, up keys.Cursor, wantBody bool) (*resolved, error) {
+	step := &steps[0]
+	stepPath := path + "/" + step.Tag
+	var res *resolved
+	var foundLabel string
+	ambiguous := false
+	for {
+		t, ok := tr.peek()
+		if !ok || t.op == tokClose {
+			break
+		}
+		if t.op != tokOpen {
+			return nil, corruptf("unexpected token %#x at keyed level", t.op)
+		}
+		tr.take()
+		name, err := q.name(t.tag)
+		if err != nil {
+			return nil, err
+		}
+		if ambiguous || name != step.Tag || !step.MatchesKey(keyDisplay(t.key)) {
+			if err := tr.discardSubtree(); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		label := keyLabel(name, t.key)
+		if res != nil {
+			res = &resolved{err: core.AmbiguousSelectorError(stepPath, foundLabel, label)}
+			ambiguous = true
+			if err := tr.discardSubtree(); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		foundLabel = label
+		eff := parentEff
+		if t.data != "" {
+			ts, err := tokenEff(t)
+			if err != nil {
+				return nil, corruptf("bad timestamp %q", t.data)
+			}
+			eff = ts
+		}
+		res, err = q.resolveInto(tr, name, eff, steps, stepPath, up.Child(name), wantBody)
+		if err != nil {
+			return nil, err
+		}
+	}
+	if tr.err != nil {
+		return nil, tr.err
+	}
+	if res == nil {
+		return &resolved{err: core.NoSuchElementError(stepPath)}, nil
+	}
+	return res, nil
+}
+
+// resolveInto resolves the remaining steps inside the (already-opened)
+// matched node and consumes the node's whole subtree.
+func (q *QueryView) resolveInto(tr *tokenReader, name string, eff *intervals.Set, steps []core.SelectorStep, stepPath string, cur keys.Cursor, wantBody bool) (*resolved, error) {
+	last := len(steps) == 1
+	if cur.Frontier() {
+		if last && !wantBody {
+			if err := tr.discardSubtree(); err != nil {
+				return nil, err
+			}
+			return &resolved{eff: eff}, nil
+		}
+		body, err := readFrontierBody(tr)
+		if err != nil {
+			return nil, err
+		}
+		node, err := q.bodyToANode(name, body)
+		if err != nil {
+			return nil, err
+		}
+		if last {
+			return &resolved{eff: eff, node: node}, nil
+		}
+		// Selector tails that descend below the frontier resolve over the
+		// materialized (record-sized) body with the shared core resolver.
+		n, eff2, serr := core.ResolveFrom(node, eff, steps[1:], stepPath)
+		if serr != nil {
+			return &resolved{err: serr}, nil
+		}
+		return &resolved{eff: eff2, node: n}, nil
+	}
+	if last {
+		if err := tr.discardSubtree(); err != nil {
+			return nil, err
+		}
+		// Above-frontier nodes have no content groups; ContentHistory
+		// reports their first version.
+		return &resolved{eff: eff, node: &anode.Node{Kind: xmltree.Element, Name: name}}, nil
+	}
+	drainAttrs(tr)
+	sub, err := q.resolveLevel(tr, steps[1:], eff, stepPath, cur, wantBody)
+	if err != nil {
+		return nil, err
+	}
+	if t, ok := tr.take(); !ok || t.op != tokClose {
+		return nil, corruptf("missing close at %s", stepPath)
+	}
+	return sub, nil
+}

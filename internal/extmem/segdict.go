@@ -331,13 +331,19 @@ type blockReader struct {
 
 // reset points the reader at the uncompressed range [off, off+n) of the
 // segment whose open file and dictionary are given. The file handle is
-// borrowed, not owned.
+// borrowed, not owned. A range that starts in the block the reader holds —
+// the next live entry of the same file — keeps it instead of inflating it
+// again.
 func (br *blockReader) reset(f fsio.File, d *segDict, off, n int64, counter *atomic.Int64) {
-	br.f, br.d, br.counter = f, d, counter
-	br.blk = int(off / int64(d.blockLen))
-	br.skip = off % int64(d.blockLen)
-	br.rem = n
-	br.pos, br.n, br.err = 0, 0, nil
+	blk, skip := int(off/int64(d.blockLen)), off%int64(d.blockLen)
+	held := br.f == f && br.d == d && br.err == nil && br.n > 0 && br.blk == blk+1
+	br.f, br.d, br.counter, br.rem, br.err = f, d, counter, n, nil
+	if held {
+		br.pos = int(skip)
+		return
+	}
+	br.blk, br.skip = blk, skip
+	br.pos, br.n = 0, 0
 }
 
 func (br *blockReader) Read(p []byte) (int, error) {

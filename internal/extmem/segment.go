@@ -430,7 +430,8 @@ type dirStream struct {
 	parts   []streamPart
 	dicts   *dictCache // resolves segment dictionaries
 	i       int
-	f       fsio.File
+	f       fsio.File      // the open file of seg, if any
+	seg     *segmentRecord // the segment the last segment part read
 	counter *atomic.Int64
 
 	lit bytes.Reader
@@ -465,16 +466,13 @@ func (pr *partReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// nextPart closes the current part and opens the next, returning its
-// reader and segment dictionary (nil for literal parts, which use the
-// inline grammar). A nil reader with nil error means the stream is
-// exhausted.
+// nextPart opens the next part, returning its reader and segment
+// dictionary (nil for literal parts, which use the inline grammar). A part
+// of the segment the part before it read keeps that segment's open file.
+// A nil reader with nil error means the stream is exhausted.
 func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
-	if s.f != nil {
-		s.f.Close()
-		s.f = nil
-	}
 	if s.i >= len(s.parts) {
+		s.closeFile()
 		return nil, nil, nil
 	}
 	part := &s.parts[s.i]
@@ -485,21 +483,22 @@ func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 		return &s.cnt, nil, nil
 	}
 	seg := part.seg
-	f, err := s.openPart(filepath.Join(s.dir, seg.file))
-	if err != nil {
-		return nil, nil, fmt.Errorf("extmem: %w", err)
+	if s.f == nil || s.seg != seg {
+		s.closeFile()
+		f, err := s.openPart(filepath.Join(s.dir, seg.file))
+		if err != nil {
+			return nil, nil, fmt.Errorf("extmem: %w", err)
+		}
+		s.f, s.seg = f, seg
 	}
-	s.f = f
 	dict, err := s.dicts.get(seg)
 	if err != nil {
-		f.Close()
-		s.f = nil
+		s.closeFile()
 		return nil, nil, err
 	}
-	r, err := payloadSection(f, seg, dict, part.off, part.n, s.counter, &s.sec, &s.blk)
+	r, err := payloadSection(s.f, seg, dict, part.off, part.n, s.counter, &s.sec, &s.blk)
 	if err != nil {
-		f.Close()
-		s.f = nil
+		s.closeFile()
 		return nil, nil, err
 	}
 	return r, dict, nil
@@ -533,12 +532,16 @@ func (s *dirStream) openPart(path string) (fsio.File, error) {
 
 // Close releases the stream's open file, if any.
 func (s *dirStream) Close() error {
+	s.closeFile()
+	s.i = len(s.parts)
+	return nil
+}
+
+func (s *dirStream) closeFile() {
 	if s.f != nil {
 		s.f.Close()
 		s.f = nil
 	}
-	s.i = len(s.parts)
-	return nil
 }
 
 // synthRootPrefix renders the open token (with key and timestamp) and

@@ -155,7 +155,7 @@ func (q *QueryView) kidPathSet(r *rootRecord, s *segmentRecord, en *childEntry, 
 			tr.release()
 			return nil, false, corruptf("kid %s has no open token", k.name)
 		}
-		node, err := q.subtreeANode(tr, k.name, t.key, []string{r.name, en.name, k.name})
+		node, err := q.subtreeANode(tr, k.name, t.key, q.spec.Cursor().Child(r.name).Child(en.name).Child(k.name))
 		tr.release()
 		if err != nil {
 			return nil, false, err
@@ -189,16 +189,16 @@ func (q *QueryView) entryNode(r *rootRecord, s *segmentRecord, en *childEntry) (
 	if !ok || t.op != tokOpen {
 		return nil, corruptf("entry %s has no open token", en.name)
 	}
-	return q.subtreeANode(tr, en.name, t.key, []string{r.name, en.name})
+	return q.subtreeANode(tr, en.name, t.key, q.spec.Cursor().Child(r.name).Child(en.name))
 }
 
 // subtreeANode materializes the subtree whose open token was just
-// consumed, tracking the tag path so frontier subtrees take the
+// consumed, at position cur of the key spec, so frontier subtrees take the
 // group-preserving body reader. Explicit child timestamps and key
 // annotations are carried onto the nodes, so qlang's path walk matches
 // exactly like the in-memory engine's.
-func (q *QueryView) subtreeANode(tr *tokenReader, name string, key *tkey, segs []string) (*anode.Node, error) {
-	if q.spec.IsFrontier(keys.Path(segs)) {
+func (q *QueryView) subtreeANode(tr *tokenReader, name string, key *tkey, cur keys.Cursor) (*anode.Node, error) {
+	if cur.Frontier() {
 		body, err := readFrontierBody(tr)
 		if err != nil {
 			return nil, err
@@ -238,7 +238,7 @@ func (q *QueryView) subtreeANode(tr *tokenReader, name string, key *tkey, segs [
 		if err != nil {
 			return nil, err
 		}
-		child, err := q.subtreeANode(tr, cn, t.key, append(segs, cn))
+		child, err := q.subtreeANode(tr, cn, t.key, cur.Child(cn))
 		if err != nil {
 			return nil, err
 		}

@@ -294,7 +294,7 @@ func newTokenReaderDict(r io.Reader, dict *segDict, at int64) *tokenReader {
 func (tr *tokenReader) reset(r io.Reader, dict *segDict, at int64) {
 	tr.in = offsetReader{r: r, n: at}
 	tr.r.Reset(&tr.in)
-	tr.dict, tr.err, tr.done = dict, nil, false
+	tr.dict, tr.err, tr.done, tr.cur = dict, nil, false, token{}
 	tr.next()
 }
 
@@ -547,6 +547,12 @@ func (tr *tokenReader) next() {
 	case tokText:
 		t.data = tr.str()
 	case tokAttr:
+		// An attribute belongs to a start tag. No writer puts one after
+		// content, and a reader that met one could only hoist it back.
+		if prev := tr.cur.op; prev != tokOpen && prev != tokAttr && prev != tokTSOpen {
+			tr.fail(corruptf("attribute after content"))
+			return
+		}
 		t.tag = int(tr.varint())
 		t.data = tr.value()
 	case tokClose, tokTSClose:
@@ -561,12 +567,12 @@ func (tr *tokenReader) next() {
 	}
 }
 
-// discardSubtree skips the balance of an already-consumed open token
-// without materializing any tokens: payloads (text, key annotations,
-// timestamps) are discarded from the buffer instead of decoded into
-// strings. Queries use it for every subtree whose timestamp excludes the
-// requested version, so skipping dead parts of the archive allocates
-// nothing.
+// discardSubtree skips the balance of an already-consumed open token — or
+// group-open token: the two kinds of bracket nest — without materializing
+// any tokens: payloads (text, key annotations, timestamps) are discarded
+// from the buffer instead of decoded into strings. Queries use it for
+// every subtree and content group whose timestamp excludes the requested
+// version, so skipping dead parts of the archive allocates nothing.
 func (tr *tokenReader) discardSubtree() error {
 	if tr.done {
 		return corruptf("truncated subtree")
@@ -574,9 +580,9 @@ func (tr *tokenReader) discardSubtree() error {
 	depth := 1
 	// The lookahead token is already decoded; account for it first.
 	switch tr.cur.op {
-	case tokOpen:
+	case tokOpen, tokTSOpen:
 		depth++
-	case tokClose:
+	case tokClose, tokTSClose:
 		depth--
 	}
 	for depth > 0 && !tr.done {
@@ -599,13 +605,13 @@ func (tr *tokenReader) discardSubtree() error {
 		case tokText:
 			tr.skipStr()
 		case tokTSOpen:
+			depth++
 			tr.skipField()
 		case tokAttr:
 			tr.varint()
 			tr.skipField()
-		case tokClose:
+		case tokClose, tokTSClose:
 			depth--
-		case tokTSClose:
 		default:
 			tr.fail(corruptf("unknown opcode %#x", op))
 		}
@@ -616,7 +622,8 @@ func (tr *tokenReader) discardSubtree() error {
 	if depth > 0 {
 		return corruptf("truncated subtree")
 	}
-	tr.next() // re-prime the lookahead
+	tr.cur = token{op: tokClose} // what the lookahead follows
+	tr.next()                    // re-prime the lookahead
 	return nil
 }
 
@@ -635,4 +642,18 @@ func (tr *tokenReader) take() (token, bool) {
 		tr.next()
 	}
 	return t, ok
+}
+
+// mustTake is take where the stream may not end, inside the element named.
+// An ended reader reports the error that ended it first: a read that failed
+// is not corruption, and must not send the operator to fsck -repair.
+func (tr *tokenReader) mustTake(in string) (token, error) {
+	t, ok := tr.take()
+	if ok {
+		return t, nil
+	}
+	if tr.err != nil {
+		return t, tr.err
+	}
+	return t, corruptf("truncated archive at %s", in)
 }

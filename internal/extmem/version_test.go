@@ -1,0 +1,491 @@
+package extmem
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"xarch/internal/core"
+	"xarch/internal/datagen"
+	"xarch/internal/fsio"
+	"xarch/internal/keys"
+	"xarch/internal/xmltree"
+)
+
+// The version path writes XML itself, from tokens, and xmltree's serializer
+// is its reference: a version must come out byte for byte as the in-memory
+// archive's tree serializes, with and without indentation, as a stream and
+// as a tree.
+
+// layoutDocs hits every branch of xmltree's writeNode inside frontier
+// records (body, note, x:meta under edgeSpec), with enough items that a
+// segment of 4 KiB holds several and versions that kill some in the middle
+// of a segment, so a file is read as more than one range.
+func layoutDocs() []*xmltree.Node {
+	parse := xmltree.MustParseString
+	bodies := []string{
+		`<body><b/>t</body>`,     // a text child after an element: one line
+		`<body>t<b/>u</body>`,    // mixed content
+		`<body>only text</body>`, // text-only leaf
+		`<body/>`,                // empty element
+		`<body a="1" z="2"/>`,    // attributes only
+		`<body><b q="v"><c r="w"/><c r="x">deep</c></b><d/></body>`, // attributes on nested elements, no text at the top
+		`<body a="&lt;&quot;&amp;'">a &amp; b &lt; c &gt; d</body>`, // escaping in both
+		`<body><p><q><r/></q></p></body>`,                           // nesting without text: indented all the way
+	}
+	filler := strings.Repeat("lorem ipsum ", 12)
+	v1 := xmltree.Elem("db")
+	for _, region := range []string{"north", "south"} {
+		r := xmltree.Elem(region)
+		for i := 0; i < 48; i++ {
+			it := xmltree.Elem("item", xmltree.AttrNode("id", fmt.Sprintf("%s-%03d", region, i)))
+			it.Append(xmltree.Elem("note", xmltree.TextNode(fmt.Sprint("n", i))))
+			it.Append(parse(bodies[i%len(bodies)]))
+			it.Append(xmltree.Elem("x:meta", xmltree.Elem("x:deep", xmltree.AttrNode("x:at", "v"), xmltree.TextNode(filler))))
+			r.Append(it)
+		}
+		v1.Append(r)
+	}
+	drop := func(doc *xmltree.Node, region string, ids ...int) {
+		r := doc.Child(region)
+		kept := r.Children[:0:0]
+		for i, c := range r.Children {
+			dead := false
+			for _, id := range ids {
+				dead = dead || i == id
+			}
+			if !dead {
+				kept = append(kept, c)
+			}
+		}
+		r.Children = kept
+	}
+	// v2: items die in the middle of segments; a body changes content and
+	// attributes (its record gets two groups), another only its content.
+	v2 := v1.Clone()
+	b := v2.Child("north").Children[1].Child("body")
+	b.Attrs, b.Children = []*xmltree.Node{xmltree.AttrNode("changed", "yes")}, []*xmltree.Node{xmltree.Elem("now"), xmltree.Elem("elements")}
+	v2.Child("south").Children[2].Child("body").Children[0].Data = "other text"
+	drop(v2, "north", 3, 4, 10, 25, 26, 27, 40)
+	drop(v2, "south", 0, 47)
+	// v3: a third group for the first body, south gone above the frontier.
+	v3 := v2.Clone()
+	b = v3.Child("north").Children[1].Child("body")
+	b.Attrs, b.Children = nil, []*xmltree.Node{xmltree.TextNode("third")}
+	v3.Children = v3.Children[:1]
+	// v4 is empty; v5 brings v1 back, so every group but one is dead again.
+	return []*xmltree.Node{v1, v2, v3, nil, v1.Clone()}
+}
+
+// checkLayouts archives docs under cfg and compares, version by version and
+// for both option sets, the streamed XML, the streamed tree and the
+// in-memory archive's tree.
+func checkLayouts(t *testing.T, spec *keys.Spec, docs []*xmltree.Node, cfg Config) {
+	t.Helper()
+	ar, err := Open(t.TempDir(), spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ar.Close()
+	mem := core.New(spec, core.Options{SkipValidation: true})
+	for i, d := range docs {
+		if d == nil {
+			err = ar.AddEmptyVersion()
+		} else {
+			err = addTree(d.Clone())(ar)
+		}
+		if err != nil {
+			t.Fatalf("add v%d: %v", i+1, err)
+		}
+		if d != nil {
+			d = d.Clone()
+		}
+		if err := mem.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, err := ar.OpenQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	for v := 1; v <= len(docs); v++ {
+		for _, opts := range []xmltree.WriteOptions{{Indent: true}, {}} {
+			var want, streamed, tree bytes.Buffer
+			if doc, err := mem.Version(v); err != nil {
+				t.Fatal(err)
+			} else if doc != nil {
+				doc.Write(&want, opts)
+			}
+			if err := q.WriteVersion(v, &streamed, opts); err != nil {
+				t.Fatalf("WriteVersion(%d, %+v): %v", v, opts, err)
+			}
+			if doc, err := q.Version(v); err != nil {
+				t.Fatalf("Version(%d): %v", v, err)
+			} else if doc != nil {
+				doc.Write(&tree, opts)
+			}
+			if !bytes.Equal(streamed.Bytes(), want.Bytes()) {
+				t.Fatalf("v%d %+v: WriteVersion differs from the in-memory archive:\n%s\n--- want\n%s", v, opts, clip(streamed.String()), clip(want.String()))
+			}
+			if !bytes.Equal(tree.Bytes(), want.Bytes()) {
+				t.Fatalf("v%d %+v: Version().Write differs from the in-memory archive:\n%s\n--- want\n%s", v, opts, clip(tree.String()), clip(want.String()))
+			}
+		}
+	}
+}
+
+func TestVersionLayoutDifferential(t *testing.T) {
+	omim := datagen.NewOMIM(datagen.OMIMConfig{Seed: 71, Records: 40, DeleteFrac: 0.1, InsertFrac: 0.1, ModifyFrac: 0.2})
+	sp := datagen.NewSwissProt(datagen.SwissProtConfig{Seed: 72, Records: 12, DeleteFrac: 0.1, InsertFrac: 0.2, ModifyFrac: 0.2})
+	xm := datagen.NewXMark(datagen.XMarkConfig{Seed: 73, Items: 25, People: 15, Categories: 8, OpenAucts: 10, ClosedAucts: 6})
+	var omimDocs, spDocs, xmDocs []*xmltree.Node
+	xdoc := xm.Document()
+	for i := 0; i < 5; i++ {
+		omimDocs, spDocs, xmDocs = append(omimDocs, omim.Next()), append(spDocs, sp.Next()), append(xmDocs, xdoc)
+		xdoc = xm.RandomChanges(xdoc, 0.1)
+	}
+	// The root is itself a frontier record, stored raw: its attributes and
+	// mixed content change, and it is absent from one version.
+	rawRoot := []*xmltree.Node{
+		xmltree.MustParseString(`<doc k="1">text<e a="b"/><f><g/></f></doc>`),
+		xmltree.MustParseString(`<doc k="2"><e/><f>t</f></doc>`),
+		nil,
+		xmltree.MustParseString(`<doc k="1">text<e a="b"/><f><g/></f></doc>`),
+		xmltree.MustParseString(`<doc/>`),
+	}
+	for _, tc := range []struct {
+		name string
+		spec *keys.Spec
+		docs []*xmltree.Node
+	}{
+		{"layouts", keys.MustParseSpec(edgeSpec), layoutDocs()},
+		{"raw-root", keys.MustParseSpec(`(/, (doc, {}))`), rawRoot},
+		{"omim", omim.Spec(), omimDocs},
+		{"swissprot", sp.Spec(), spDocs},
+		{"xmark", xm.Spec(), xmDocs},
+	} {
+		for _, cfg := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"plain", Config{SegmentTarget: 4096}},
+			{"deflate", Config{SegmentTarget: 4096, Compression: true}},
+			{"scan", Config{SegmentTarget: 4096, NoDirectorySeek: true}},
+		} {
+			t.Run(tc.name+"/"+cfg.name, func(t *testing.T) { checkLayouts(t, tc.spec, tc.docs, cfg.cfg) })
+		}
+	}
+}
+
+// countingFS counts the segment files opened through it.
+type countingFS struct {
+	fsio.FS
+	opens atomic.Int64
+}
+
+func (c *countingFS) Open(name string) (fsio.File, error) {
+	if fsio.ClassifyArchivePath(name) == "segment" {
+		c.opens.Add(1)
+	}
+	return c.FS.Open(name)
+}
+
+// omimFixture archives three versions of a 450-record OMIM database — the
+// size of the benchmark's ingest-accrete archive — through fs.
+func omimFixture(t testing.TB, fs fsio.FS, segTarget int) *Archiver {
+	t.Helper()
+	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 7, Records: 450, DeleteFrac: 0.02, InsertFrac: 0.05, ModifyFrac: 0.05})
+	ar, err := Open(t.TempDir(), g.Spec(), Config{FS: fs, SegmentTarget: segTarget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ar.Close() })
+	for i := 0; i < 3; i++ {
+		if err := addTree(g.Next())(ar); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ar
+}
+
+// liveShape counts what the directory says is alive at v: level-2 entries,
+// the runs of adjacent ones, the segments holding any, and their bytes.
+func liveShape(t *testing.T, q *QueryView, v int) (entries, ranges, segs int, size int64) {
+	t.Helper()
+	for _, r := range q.d.roots {
+		reff, err := q.rootEff(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range r.segs {
+			before, prevLive := entries, false
+			for i := range s.entries {
+				eff, err := entryEff(&s.entries[i], reff)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live := eff.Contains(v)
+				if live {
+					entries++
+					size += s.entries[i].size
+				}
+				if live && !prevLive {
+					ranges++
+				}
+				prevLive = live
+			}
+			if entries > before {
+				segs++
+			}
+		}
+	}
+	return entries, ranges, segs, size
+}
+
+// TestVersionIOBudget pins what a version costs as counts: a segment file
+// is opened once however many of its entries are alive and however many
+// dead ones lie between them, and only the live entries' bytes are read.
+func TestVersionIOBudget(t *testing.T) {
+	cfs := &countingFS{FS: fsio.OS}
+	ar := omimFixture(t, cfs, 16<<10)
+	q, err := ar.OpenQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	for v := 1; v <= q.Versions(); v++ {
+		if err := q.WriteVersion(v, io.Discard, xmltree.WriteOptions{Indent: true}); err != nil {
+			t.Fatal(err) // also loads every segment dictionary, once
+		}
+		liveEntries, ranges, liveSegs, liveBytes := liveShape(t, q, v)
+		opens, read := cfs.opens.Load(), ar.BytesRead()
+		if err := q.WriteVersion(v, io.Discard, xmltree.WriteOptions{Indent: true}); err != nil {
+			t.Fatal(err)
+		}
+		opens, read = cfs.opens.Load()-opens, ar.BytesRead()-read
+		t.Logf("v%d: %d live entries in %d ranges of %d segments: %d opens, %d bytes", v, liveEntries, ranges, liveSegs, opens, read)
+		if opens > int64(liveSegs) {
+			t.Errorf("v%d: %d segment files opened for %d live segments (%d live entries)", v, opens, liveSegs, liveEntries)
+		}
+		if read != liveBytes {
+			t.Errorf("v%d: read %d bytes, the live entries hold %d", v, read, liveBytes)
+		}
+		if v == q.Versions() && ranges <= liveSegs {
+			t.Errorf("fixture: v%d reads %d ranges of %d segments; want dead entries between live ones", v, ranges, liveSegs)
+		}
+	}
+}
+
+// TestVersionAllocBudget keeps the tree from coming back: a frontier
+// record costs its text strings and little else (the tree-building path
+// made 155 allocations per record, this one 19).
+func TestVersionAllocBudget(t *testing.T) {
+	ar := omimFixture(t, nil, 0)
+	q, err := ar.OpenQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	records, _, _, _ := liveShape(t, q, 3)
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := q.WriteVersion(3, io.Discard, xmltree.WriteOptions{Indent: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d records, %.0f allocations per WriteVersion, %.1f per record", records, allocs, allocs/float64(records))
+	if records < 400 || allocs > 25*float64(records) {
+		t.Errorf("%.0f allocations for %d records: over 25 per record", allocs, records)
+	}
+}
+
+// TestVersionReadFaultIsNotCorruption: a read or an open that fails while a
+// version streams is reported as what it is. It used to surface as "entry
+// has no open token: corrupt archive" — an EIO telling the operator to run
+// fsck -repair.
+func TestVersionReadFaultIsNotCorruption(t *testing.T) {
+	ffs := fsio.NewFaultFS(nil)
+	ar := omimFixture(t, ffs, 16<<10)
+	for _, point := range []string{"segment.read", "segment.open"} {
+		for _, call := range []string{"WriteVersion", "Version"} {
+			failed := 0
+			for after := 0; ; after++ {
+				// A view of its own and an empty dictionary cache each time, so
+				// the fault walks through every read and open of a cold call.
+				ar.segDicts.m.Range(func(k, _ any) bool { ar.segDicts.m.Delete(k); return true })
+				q, err := ar.OpenQuery()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ffs.SetFault(point, fsio.Fault{After: after, Count: 1})
+				if call == "Version" {
+					_, err = q.Version(2)
+				} else {
+					err = q.WriteVersion(2, io.Discard, xmltree.WriteOptions{Indent: true})
+				}
+				ffs.ClearFaults()
+				q.Close()
+				if err == nil {
+					break // the call makes fewer than after+1 such operations
+				}
+				failed++
+				if !errors.Is(err, fsio.ErrInjected) || errors.Is(err, core.ErrCorruptArchive) {
+					t.Fatalf("%s with the %s fault after %d: %v", call, point, after, err)
+				}
+			}
+			if failed < 3 {
+				t.Errorf("%s: the %s fault fired in %d positions only", call, point, failed)
+			}
+		}
+	}
+}
+
+// TestMalformedFrontierIsCorruption feeds the version path and the merge's
+// frontier reader streams no writer produces; each must be refused as a
+// corrupt archive, for the reason given, not with a bare error and not by
+// guessing what was meant.
+func TestMalformedFrontierIsCorruption(t *testing.T) {
+	dict := newDictionary()
+	for _, h := range hostileStreams(dict) {
+		if h.body != nil {
+			tr := newTokenReader(bytes.NewReader(h.body))
+			tr.take() // the record's open
+			_, err := readFrontierBody(tr)
+			tr.release()
+			if !errors.Is(err, core.ErrCorruptArchive) || !strings.Contains(err.Error(), h.want) {
+				t.Errorf("%s: readFrontierBody: %v, want corruption: %s", h.name, err, h.want)
+			}
+		}
+		err := drainVersion(h.item, nil, dict.snapshot(), keys.MustParseSpec(edgeSpec), []string{"db", "north"}, 1)
+		if !errors.Is(err, core.ErrCorruptArchive) || !strings.Contains(err.Error(), h.want) {
+			t.Errorf("%s: version path: %v, want corruption: %s", h.name, err, h.want)
+		}
+	}
+}
+
+// tokenBytes returns what write writes, in the inline grammar.
+func tokenBytes(write func(tw *tokenWriter)) []byte {
+	var b bytes.Buffer
+	tw := newTokenWriter(&b)
+	write(tw)
+	tw.flush()
+	tw.release()
+	return b.Bytes()
+}
+
+type hostileStream struct {
+	name, want string
+	item       []byte // an <item> of /db/north under edgeSpec, inline grammar
+	body       []byte // its malformed record alone, from the record's open token; nil when the merge has no quarrel with it
+}
+
+// hostileStreams are items whose record <body> — or, for the last, the item
+// itself — no writer could have produced.
+func hostileStreams(dict *dictionary) []hostileStream {
+	stream, id := tokenBytes, dict.id
+	var out []hostileStream
+	record := func(name, want string, merge bool, content func(tw *tokenWriter)) {
+		h := hostileStream{name: name, want: want, item: stream(func(tw *tokenWriter) {
+			tw.open(id("item"), nil, "")
+			tw.attr(id("id"), "1")
+			tw.open(id("body"), nil, "")
+			content(tw)
+			tw.close()
+		})}
+		if merge {
+			h.body = stream(func(tw *tokenWriter) {
+				tw.open(id("body"), nil, "")
+				content(tw)
+			})
+		}
+		out = append(out, h)
+	}
+	record("late attribute", "attribute after content", true, func(tw *tokenWriter) {
+		tw.text("content")
+		tw.attr(id("a"), "late")
+		tw.close()
+	})
+	record("nested group", "nested timestamp group", true, func(tw *tokenWriter) {
+		tw.tsOpen("1")
+		tw.tsOpen("1")
+		tw.tsClose()
+		tw.tsClose()
+		tw.close()
+	})
+	record("group left open", "unterminated timestamp group", true, func(tw *tokenWriter) {
+		tw.tsOpen("1")
+		tw.text("content")
+		tw.close()
+	})
+	record("stray group close", "unbalanced timestamp group", true, func(tw *tokenWriter) {
+		tw.tsClose()
+		tw.close()
+	})
+	record("group inside an element", "nested timestamp group", true, func(tw *tokenWriter) {
+		tw.open(id("b"), nil, "")
+		tw.tsOpen("1")
+		tw.tsClose()
+		tw.close()
+		tw.close()
+	})
+	record("two live groups", "attribute after content", false, func(tw *tokenWriter) {
+		tw.tsOpen("1")
+		tw.text("content")
+		tw.tsClose()
+		tw.tsOpen("1-2")
+		tw.attr(id("a"), "would be hoisted")
+		tw.tsClose()
+		tw.close()
+	})
+	trunc := stream(func(tw *tokenWriter) {
+		tw.open(id("body"), nil, "")
+		tw.tsOpen("1")
+		tw.text("content")
+	})
+	out = append(out, hostileStream{name: "ends in a group", want: "truncated", body: trunc,
+		item: append(stream(func(tw *tokenWriter) { tw.open(id("item"), nil, "") }), trunc...)})
+	out = append(out, hostileStream{name: "text above the frontier", want: "above the frontier", item: stream(func(tw *tokenWriter) {
+		tw.open(id("item"), nil, "")
+		tw.text("content")
+		tw.close()
+	})})
+	return out
+}
+
+// drainVersion drives the version emitter, into both sinks, over a token
+// stream that holds sibling subtrees of the element at path up: what a
+// segment's payload is to streamVersionSeek.
+func drainVersion(data []byte, dict *segDict, names []string, spec *keys.Spec, up []string, v int) error {
+	cur := spec.Cursor()
+	for _, name := range up {
+		cur = cur.Child(name)
+	}
+	bw, done := pooledWriter(io.Discard)
+	defer done()
+	var errs []error
+	for _, sink := range []versionSink{&xmlSink{w: bw, opts: xmltree.WriteOptions{Indent: true, IndentString: "  "}}, &treeSink{}} {
+		tr := newTokenReaderDict(bytes.NewReader(data), dict, 0)
+		w := &versionWalk{q: &QueryView{names: names, spec: spec}, v: v, sink: sink, tr: tr}
+		sink.open("up", false)
+		var err error
+		for err == nil {
+			t, ok := tr.take()
+			if !ok {
+				err = tr.err
+				break
+			}
+			if t.op != tokOpen {
+				err = corruptf("unexpected token %#x", t.op)
+				break
+			}
+			err = w.emitNode(t, cur)
+		}
+		tr.release()
+		errs = append(errs, err)
+	}
+	return errors.Join(errs...)
+}
