@@ -60,6 +60,13 @@ type Archiver struct {
 	// segDicts caches decoded segment dictionaries per segment file;
 	// entries are evicted when the file is swept.
 	segDicts *dictCache
+	// segOut and segEnc are the segment writer's token buffer and encoder.
+	// Segment writers work one after the other, so each borrows these two
+	// and only the first segments of a store pay for growing them: grown
+	// afresh, they are the larger part of what rewriting a segment
+	// allocates. Between writers segOut holds no token.
+	segOut captureWriter
+	segEnc *segEncoder
 
 	// degraded is the poisoned-writer flag: set by the first commit
 	// fault (failed fsync/rename), checked by every write entry point.
@@ -776,7 +783,8 @@ type sortedVersion struct {
 }
 
 // open returns a reader at the start of the sorted token stream, which
-// the segment merge reads once and re-aims at a dirty segment's range.
+// the segment merge reads once and re-aims at a dirty segment's first
+// dirty child.
 func (v sortedVersion) open(fs fsio.FS) (io.ReadSeekCloser, error) {
 	if v.path == "" {
 		return memStream{bytes.NewReader(v.data)}, nil

@@ -12,7 +12,6 @@ package extmem
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"slices"
@@ -54,10 +53,8 @@ type decomposer struct {
 
 	path     []string
 	cursors  []keys.Cursor // cursors[i] matches path[:i]; descends the spec with the document
-	attrs    [][2]string   // scratch: the open element's attributes
 	pendings []*pendingKey
 	memos    []*memo
-	textBuf  strings.Builder
 	depth    int
 }
 
@@ -75,43 +72,34 @@ func decompose(r io.Reader, spec *keys.Spec, dict *dictionary, tokens *tokenWrit
 		keyOut:  map[string]*tokenWriter{},
 		keyFile: keyFile,
 	}
-	dec := xml.NewDecoder(r)
+	// The tokenizer has already done what the event loop would otherwise
+	// repeat: names resolved, namespace declarations dropped, one text
+	// event per gap between tags and none for white space, tags balanced
+	// under one root.
+	t := xmltree.NewTokenizer(r)
 	for {
-		tok, err := dec.Token()
+		ev, err := t.Next()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("extmem: parse: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if err := d.start(t); err != nil {
-				return err
-			}
-		case xml.EndElement:
-			if err := d.end(); err != nil {
-				return err
-			}
-		case xml.CharData:
-			d.textBuf.Write(t)
+		switch ev {
+		case xmltree.StartEvent:
+			err = d.start(t.Name, t.Attrs)
+		case xmltree.EndEvent:
+			err = d.end()
+		case xmltree.TextEvent:
+			d.text(t.Text)
+		}
+		if err != nil {
+			return err
 		}
 	}
-	if d.depth != 0 {
-		return fmt.Errorf("extmem: unbalanced document")
-	}
-	return nil
 }
 
-func (d *decomposer) flushText() {
-	if d.textBuf.Len() == 0 {
-		return
-	}
-	s := d.textBuf.String()
-	d.textBuf.Reset()
-	if strings.TrimSpace(s) == "" {
-		return
-	}
+func (d *decomposer) text(s string) {
 	d.tokens.text(s)
 	for _, m := range d.memos {
 		m.b.WriteString("t(")
@@ -120,30 +108,21 @@ func (d *decomposer) flushText() {
 	}
 }
 
-func (d *decomposer) start(t xml.StartElement) error {
-	d.flushText()
-	name := localName(t.Name)
+// start takes the tokenizer's attribute scratch, which is this call's to
+// reorder.
+func (d *decomposer) start(name string, attrs []xmltree.Attribute) error {
 	d.path = append(d.path, name)
 	cur := d.cursors[len(d.cursors)-1].Child(name)
 	d.cursors = append(d.cursors, cur)
 	d.depth++
 
 	// Sorted attributes (canonical order).
-	attrs := d.attrs[:0]
-	for _, a := range t.Attr {
-		an := localName(a.Name)
-		if isNamespaceDecl(an) {
-			continue
-		}
-		attrs = append(attrs, [2]string{an, a.Value})
-	}
-	d.attrs = attrs
 	if len(attrs) > 1 {
-		slices.SortFunc(attrs, func(a, b [2]string) int {
-			if c := strings.Compare(a[0], b[0]); c != 0 {
+		slices.SortFunc(attrs, func(a, b xmltree.Attribute) int {
+			if c := strings.Compare(a.Name, b.Name); c != 0 {
 				return c
 			}
-			return strings.Compare(a[1], b[1])
+			return strings.Compare(a.Value, b.Value)
 		})
 	}
 
@@ -198,23 +177,21 @@ func (d *decomposer) start(t xml.StartElement) error {
 		xmltree.EscapeCanonical(&m.b, name)
 		for _, a := range attrs {
 			m.b.WriteString("a(")
-			xmltree.EscapeCanonical(&m.b, a[0])
+			xmltree.EscapeCanonical(&m.b, a.Name)
 			m.b.WriteByte('=')
-			xmltree.EscapeCanonical(&m.b, a[1])
+			xmltree.EscapeCanonical(&m.b, a.Value)
 			m.b.WriteByte(')')
 		}
 	}
 
 	d.tokens.open(d.dict.id(name), nil, "")
 	for _, a := range attrs {
-		d.tokens.attr(d.dict.id(a[0]), a[1])
+		d.tokens.attr(d.dict.id(a.Name), a.Value)
 	}
 	return nil
 }
 
 func (d *decomposer) end() error {
-	d.flushText()
-
 	// Close canonical fragments; finish memorizations that began here.
 	remaining := d.memos[:0]
 	for _, m := range d.memos {
@@ -345,14 +322,14 @@ func readKeyRecord(rr *rawReader) (*tkey, error) {
 }
 
 // fillFromAttrs fills key path pi of p from a matching attribute.
-func fillFromAttrs(p *pendingKey, pi int, seg string, attrs [][2]string) error {
+func fillFromAttrs(p *pendingKey, pi int, seg string, attrs []xmltree.Attribute) error {
 	for _, a := range attrs {
-		if seg == a[0] || seg == keys.Wildcard {
+		if seg == a.Name || seg == keys.Wildcard {
 			var b strings.Builder
 			b.WriteString("a(")
-			xmltree.EscapeCanonical(&b, a[0])
+			xmltree.EscapeCanonical(&b, a.Name)
 			b.WriteByte('=')
-			xmltree.EscapeCanonical(&b, a[1])
+			xmltree.EscapeCanonical(&b, a.Value)
 			b.WriteByte(')')
 			if err := p.fill(pi, b.String()); err != nil {
 				return err
@@ -360,11 +337,4 @@ func fillFromAttrs(p *pendingKey, pi int, seg string, attrs [][2]string) error {
 		}
 	}
 	return nil
-}
-
-func localName(n xml.Name) string {
-	if n.Space == "" || strings.ContainsAny(n.Space, ":/") {
-		return n.Local
-	}
-	return n.Space + ":" + n.Local
 }

@@ -106,11 +106,4 @@ func unescapeNL(s string) string {
 	return b.String()
 }
 
-// isNamespaceDecl reports whether an attribute name declares a namespace;
-// such attributes are not part of the data model (xmltree.Parse drops
-// them too).
-func isNamespaceDecl(name string) bool {
-	return name == "xmlns" || strings.HasPrefix(name, "xmlns:")
-}
-
 func pathString(p []string) string { return "/" + strings.Join(p, "/") }

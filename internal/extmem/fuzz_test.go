@@ -7,11 +7,11 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"xarch/internal/core"
 	"xarch/internal/datagen"
+	"xarch/internal/hostile"
 	"xarch/internal/keys"
 	"xarch/internal/xmltree"
 )
@@ -22,19 +22,10 @@ import (
 // multiple of the bytes actually supplied, and an error that matches
 // ErrCorruptArchive (ErrLegacyFormat for a format-1 key directory).
 
-// checkHostile runs decode over n input bytes and holds it to the
-// contract. The multiple covers the decoded form of the densest input —
-// a record of a hundred-odd bytes per handful of one-byte fields, doubled
-// by slice growth — and the constant the pooled buffers.
+// checkHostile holds decode, run over n input bytes, to that contract.
 func checkHostile(t *testing.T, n int, decode func() error) error {
 	t.Helper()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := decode()
-	runtime.ReadMemStats(&after)
-	if grown, limit := after.TotalAlloc-before.TotalAlloc, 256*uint64(n)+1<<20; grown > limit {
-		t.Fatalf("%d input bytes made the decoder allocate %d bytes (limit %d)", n, grown, limit)
-	}
+	err := hostile.Check(t, n, decode)
 	if err != nil && !errors.Is(err, core.ErrCorruptArchive) && !errors.Is(err, ErrLegacyFormat) {
 		t.Fatalf("error does not match ErrCorruptArchive: %v", err)
 	}

@@ -2,13 +2,11 @@ package extmem
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 
-	"xarch/internal/fingerprint"
 	"xarch/internal/intervals"
 	"xarch/internal/keys"
-	"xarch/internal/xmltree"
 )
 
 // streamMerger implements the single-pass merge of the sorted archive and
@@ -19,6 +17,22 @@ type streamMerger struct {
 	spec *keys.Spec
 	out  *captureWriter
 	i    int // the new version number
+	// The two sides of the frontier node being merged: their tokens are
+	// copied out before the next node is read, so one pair serves them all.
+	aBody, dBody fbody
+	// The path isFrontier was last asked about, and the answer: siblings
+	// come one after the other and share it.
+	lastPath     []string
+	lastFrontier bool
+}
+
+// isFrontier is spec.IsFrontier(path), looked up once per run of siblings.
+func (sm *streamMerger) isFrontier(path []string) bool {
+	if sm.lastPath == nil || !slices.Equal(path, sm.lastPath) {
+		sm.lastPath = append(sm.lastPath[:0], path...)
+		sm.lastFrontier = sm.spec.IsFrontier(keys.Path(path))
+	}
+	return sm.lastFrontier
 }
 
 // mergeLevel merges the sibling sequences at the heads of a (archive) and
@@ -87,19 +101,17 @@ func (sm *streamMerger) mergeEqual(a, d *tokenReader, parentEff *intervals.Set, 
 	}
 	sm.out.open(at.tag, at.key, timeStr)
 
-	if sm.spec.IsFrontier(keys.Path(path)) {
-		aBody, err := readFrontierBody(a)
-		if err != nil {
+	if sm.isFrontier(path) {
+		if err := sm.aBody.read(a); err != nil {
 			return err
 		}
-		dBody, err := readFrontierBody(d)
-		if err != nil {
+		if err := sm.dBody.read(d); err != nil {
 			return err
 		}
-		if len(dBody.groups) != 0 {
+		if len(sm.dBody.groups) != 0 {
 			return fmt.Errorf("extmem: version stream contains timestamp groups")
 		}
-		sm.emitMergedFrontier(aBody, dBody.shared, eff)
+		sm.emitMergedFrontier(&sm.aBody, sm.dBody.shared, eff)
 		sm.out.close()
 		_ = dt
 		return nil
@@ -172,17 +184,28 @@ type fbody struct {
 // record-sized); only the stream above the frontier is unbounded.
 func readFrontierBody(r *tokenReader) (*fbody, error) {
 	b := &fbody{}
+	if err := b.read(r); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// read is readFrontierBody into b, over what b held and in its room.
+func (b *fbody) read(r *tokenReader) error {
+	b.shared = b.shared[:0]
+	groups := b.groups[:cap(b.groups)] // each with the token room of a group read before
+	b.groups = b.groups[:0]
 	depth := 1
 	var group *fgroup
 	for {
 		t, err := r.mustTake("frontier content")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch t.op {
 		case tokTSOpen:
 			if depth != 1 || group != nil {
-				return nil, corruptf("nested timestamp group")
+				return corruptf("nested timestamp group")
 			}
 			// Group times are mutated downstream (emitMergedFrontier adds
 			// version i), so a dictionary-shared pre-parsed set must be
@@ -194,15 +217,19 @@ func readFrontierBody(r *tokenReader) (*fbody, error) {
 				var err error
 				ts, err = intervals.Parse(t.data)
 				if err != nil {
-					return nil, corruptf("bad group timestamp %q: %v", t.data, err)
+					return corruptf("bad group timestamp %q: %v", t.data, err)
 				}
 			}
-			b.groups = append(b.groups, fgroup{time: ts})
+			if n := len(b.groups); n < len(groups) {
+				b.groups = append(b.groups, fgroup{time: ts, tokens: groups[n].tokens[:0]})
+			} else {
+				b.groups = append(b.groups, fgroup{time: ts})
+			}
 			group = &b.groups[len(b.groups)-1]
 			continue
 		case tokTSClose:
 			if group == nil {
-				return nil, corruptf("unbalanced timestamp group")
+				return corruptf("unbalanced timestamp group")
 			}
 			group = nil
 			continue
@@ -212,9 +239,9 @@ func readFrontierBody(r *tokenReader) (*fbody, error) {
 			depth--
 			if depth == 0 {
 				if group != nil {
-					return nil, corruptf("unterminated timestamp group")
+					return corruptf("unterminated timestamp group")
 				}
-				return b, nil
+				return nil
 			}
 		}
 		if group != nil {
@@ -227,18 +254,12 @@ func readFrontierBody(r *tokenReader) (*fbody, error) {
 
 // emitMergedFrontier applies the plain frontier-merge rules (§4.2) to the
 // materialized contents and writes the result. eff is the node's effective
-// timestamp including i. Contents are compared fingerprint-first over the
-// token streams (§4.3) — no canonical strings are materialized — with an
-// exact token comparison when fingerprints agree, so collisions never
-// merge different contents.
+// timestamp including i. Contents are compared token by token, exactly: a
+// fingerprint (§4.3) would have to read both sides whole before a
+// comparison that stops at the first difference gets to answer.
 func (sm *streamMerger) emitMergedFrontier(aBody *fbody, dTokens []token, eff *intervals.Set) {
-	dFP := fingerprintOfTokens(sm.dict, dTokens)
-	same := func(tokens []token) bool {
-		return fingerprintOfTokens(sm.dict, tokens) == dFP && tokensEqual(tokens, dTokens)
-	}
-
 	if len(aBody.groups) == 0 {
-		if same(aBody.shared) {
+		if tokensEqual(aBody.shared, dTokens) {
 			for _, t := range aBody.shared {
 				sm.out.writeToken(t)
 			}
@@ -251,7 +272,7 @@ func (sm *streamMerger) emitMergedFrontier(aBody *fbody, dTokens []token, eff *i
 	matched := false
 	for gi := range aBody.groups {
 		g := &aBody.groups[gi]
-		if !matched && same(g.tokens) {
+		if !matched && tokensEqual(g.tokens, dTokens) {
 			g.time.Add(sm.i)
 			matched = true
 		}
@@ -295,50 +316,6 @@ func attrTokensEqual(a, b []token) bool {
 		}
 	}
 	return true
-}
-
-// hasherPool recycles the streaming FNV states used for token-content
-// fingerprints. The function is fixed: these fingerprints are an internal
-// matching device, always confirmed by tokensEqual, so the choice never
-// shows in the output.
-var hasherPool = sync.Pool{New: func() any { return fingerprint.NewFNV() }}
-
-// fingerprintOfTokens hashes a balanced token sequence in the canonical
-// form of the xmltree package — the same bytes canonicalOfTokens used to
-// build — without materializing the string.
-func fingerprintOfTokens(dict *dictionary, tokens []token) uint64 {
-	h := hasherPool.Get().(fingerprint.Hasher)
-	h.Reset()
-	for _, t := range tokens {
-		switch t.op {
-		case tokOpen:
-			name, err := dict.name(t.tag)
-			if err != nil {
-				name = fmt.Sprintf("?%d", t.tag)
-			}
-			h.WriteString("e(")
-			xmltree.EscapeCanonical(h, name)
-		case tokAttr:
-			name, err := dict.name(t.tag)
-			if err != nil {
-				name = fmt.Sprintf("?%d", t.tag)
-			}
-			h.WriteString("a(")
-			xmltree.EscapeCanonical(h, name)
-			h.WriteByte('=')
-			xmltree.EscapeCanonical(h, t.data)
-			h.WriteByte(')')
-		case tokText:
-			h.WriteString("t(")
-			xmltree.EscapeCanonical(h, t.data)
-			h.WriteByte(')')
-		case tokClose:
-			h.WriteByte(')')
-		}
-	}
-	fp := h.Sum64()
-	hasherPool.Put(h)
-	return fp
 }
 
 // tokensEqual reports whether two balanced token sequences denote the

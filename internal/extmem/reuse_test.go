@@ -2,10 +2,12 @@ package extmem
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"xarch/internal/core"
+	"xarch/internal/fsio"
 	"xarch/internal/keys"
 	"xarch/internal/xmltree"
 )
@@ -134,6 +136,10 @@ func TestReuseDecisions(t *testing.T) {
 			want: []MergeStats{{4, 1, 1}, {4, 1, 1}}},
 		{name: "terminated entry stays away", steps: []step{remove(200), same},
 			want: []MergeStats{{4, 1, 1}, {5, 0, 0}}},
+		{name: "terminated entry before an edit in its segment", steps: []step{remove(180), edit(220)},
+			want: []MergeStats{{4, 1, 1}, {4, 1, 2}}},
+		{name: "edits either side of unchanged entries", steps: []step{edit(170), edit(240)},
+			want: []MergeStats{{4, 1, 2}, {4, 2, 2}}},
 		{name: "nested explicit timestamp", steps: []step{dropBody(200), base},
 			want: []MergeStats{{4, 1, 1}, {4, 1, 1}}},
 		{name: "nil key against the empty key", steps: []step{same}, respec: true,
@@ -236,5 +242,73 @@ func TestReuseDecisions(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// sortedReads counts what is read from the sorted version's scratch file,
+// and notes the file's size when it is opened.
+type sortedReads struct {
+	fsio.FS
+	read, size int64
+}
+
+type countedFile struct {
+	fsio.File
+	n *int64
+}
+
+func (c *sortedReads) Open(name string) (fsio.File, error) {
+	f, err := c.FS.Open(name)
+	if err != nil || filepath.Base(name) != "tmp-sorted.tok" {
+		return f, err
+	}
+	if st, err := c.FS.Stat(name); err == nil {
+		c.size = st.Size()
+	}
+	return &countedFile{File: f, n: &c.read}, nil
+}
+
+func (f *countedFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	*f.n += int64(n)
+	return n, err
+}
+
+// TestDirtySegmentResumesAtDirtyChild pins what a dirty segment costs the
+// version side: the children before its first dirty one were compared once,
+// by segmentClean, and come out of the stored segment as they stand, so the
+// sorted version is read again only from that child on. The whole archive
+// is one segment here and the second version appends an item after the last
+// label: a merge that went back to the start of the segment's range would
+// read the version twice.
+func TestDirtySegmentResumesAtDirtyChild(t *testing.T) {
+	base := xmltree.Elem("db")
+	for id := 0; id < 900; id++ {
+		base.Append(reuseItem(id, fmt.Sprintf("item number %03d%s", id, strings.Repeat(", and more of its text", 15))))
+	}
+	next := base.Clone()
+	next.Append(reuseItem(999, "appended after the last label"))
+
+	fs := &sortedReads{FS: fsio.OS}
+	ar, err := Open(t.TempDir(), keys.MustParseSpec(reuseSpec), Config{SegmentTarget: 1 << 20, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ar.Close()
+	if err := ar.AddVersion(strings.NewReader(base.XML())); err != nil {
+		t.Fatal(err)
+	}
+	fs.read = 0
+	if err := ar.AddVersion(strings.NewReader(next.XML())); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ar.Last().Merge, (MergeStats{SegmentsRewritten: 1, SegmentsCreated: 1}); got != want {
+		t.Fatalf("merge stats %+v, want %+v: the test needs exactly one dirty segment", got, want)
+	}
+	if fs.size < 4*tokenBufSize {
+		t.Fatalf("a sorted version of %d bytes cannot tell one read from two", fs.size)
+	}
+	if limit := fs.size + 2*tokenBufSize; fs.read > limit {
+		t.Errorf("%d bytes read from a sorted version of %d (limit %d): the dirty segment's unchanged children were read again", fs.read, fs.size, limit)
 	}
 }

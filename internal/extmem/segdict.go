@@ -438,7 +438,10 @@ type captureWriter struct {
 	est  int64
 }
 
+// reset empties the buffer and keeps its room. The tokens are zeroed, not
+// only cut off: the buffer outlives the version whose strings they hold.
 func (c *captureWriter) reset() {
+	clear(c.toks)
 	c.toks = c.toks[:0]
 	c.est = 0
 }

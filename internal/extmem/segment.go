@@ -244,6 +244,8 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 // needs the whole population before ids exist), then encoded and written
 // in one pass at closeCurrent; no file exists until then. out is stable
 // across rolls, so a merge can keep one output handle for the whole pass.
+// out and enc are the archiver's (Archiver.segOut): one writer is in use
+// at a time, from newSegmentSetWriter to finish.
 //
 // When the caller knows the total payload it will write (the compactor
 // does), planned/minTail arm tail absorption: a roll is suppressed when
@@ -278,11 +280,15 @@ type segmentSetWriter struct {
 // disk — before it is complete — so failed merges can remove every file
 // they created, not only the finished ones.
 func newSegmentSetWriter(ar *Archiver, root *rootRecord, raw bool, emit func(*segmentRecord), onCreate func(name string)) *segmentSetWriter {
+	if ar.segEnc == nil {
+		ar.segEnc = newSegEncoder()
+	}
 	sw := &segmentSetWriter{
 		ar: ar, root: root, raw: raw, target: int64(ar.cfg.SegmentTarget),
-		out: &captureWriter{}, enc: newSegEncoder(),
+		out: &ar.segOut, enc: ar.segEnc,
 		emit: emit, onCreate: onCreate,
 	}
+	sw.out.reset()
 	sw.enc.wantOffs = !raw && !ar.cfg.NoAttrIndex
 	return sw
 }
@@ -399,9 +405,10 @@ func (sw *segmentSetWriter) endChild() {
 	}
 }
 
-// finish closes any open file.
+// finish closes any open file and lets go of the last segment's tokens.
 func (sw *segmentSetWriter) finish() error {
 	sw.closeCurrent()
+	sw.out.reset()
 	return sw.err
 }
 

@@ -34,7 +34,7 @@ type segMerge struct {
 	stats    MergeStats
 	newFiles []string
 	// src is the sorted version under the merge's token reader, which a
-	// segment that turns out dirty re-aims at the start of its range.
+	// segment that turns out dirty re-aims at its first dirty child.
 	src io.ReadSeeker
 }
 
@@ -228,7 +228,7 @@ func (m *segMerge) newRootFromVersion(d *tokenReader, dn string, dt token) (*roo
 		out.attrs = append(out.attrs, attrRec{name: an, tag: t.tag, value: t.data})
 	}
 	sw := m.newWriter(out, false)
-	if err := m.copyChildrenVerbatim(sw, d); err != nil {
+	if err := m.copyChildrenVerbatim(sw, d, -1); err != nil {
 		sw.finish()
 		return nil, err
 	}
@@ -241,13 +241,16 @@ func (m *segMerge) newRootFromVersion(d *tokenReader, dn string, dt token) (*roo
 	return out, nil
 }
 
-// copyChildrenVerbatim copies the sibling subtrees at the cursor into sw
-// unchanged (stopping at the balancing close, which it does not
-// consume), recording one entry per subtree.
-func (m *segMerge) copyChildrenVerbatim(sw *segmentSetWriter, tr *tokenReader) error {
-	for {
+// copyChildrenVerbatim copies the first n sibling subtrees at the cursor
+// (all of them when n < 0, stopping at the balancing close, which it does
+// not consume) into sw unchanged, recording one entry per subtree.
+func (m *segMerge) copyChildrenVerbatim(sw *segmentSetWriter, tr *tokenReader, n int) error {
+	for ; n != 0; n-- {
 		t, ok := tr.peek()
 		if !ok || t.op == tokClose {
+			if n > 0 && tr.err == nil {
+				return corruptf("segment ends %d entries short of its directory", n)
+			}
 			return tr.err
 		}
 		if t.op != tokOpen {
@@ -268,6 +271,7 @@ func (m *segMerge) copyChildrenVerbatim(sw *segmentSetWriter, tr *tokenReader) e
 			return sw.err
 		}
 	}
+	return nil
 }
 
 // mergeRoot merges a root present in both archive and version.
@@ -319,8 +323,10 @@ func (m *segMerge) mergeRoot(r *rootRecord, d *tokenReader) (*rootRecord, error)
 
 // mergeChildren merges the version's children (up to the root's close)
 // into the root's segments, reusing every segment the version leaves as it
-// is. The version is read once, plus once more over the range of each
-// segment that turns out dirty, up to its first dirty child.
+// is. The version is read once, plus once more over the first dirty child
+// of each segment that turns out dirty: the entries segmentClean found
+// unchanged before it are copied from the segment as they stand, and the
+// merge takes over at that child.
 func (m *segMerge) mergeChildren(sw *segmentSetWriter, sm *streamMerger, r, out *rootRecord, d *tokenReader, eff *intervals.Set) error {
 	path := []string{out.name}
 	stored := segCursor{ar: m.ar}
@@ -331,8 +337,7 @@ func (m *segMerge) mergeChildren(sw *segmentSetWriter, sm *streamMerger, r, out 
 			hiName, hiKey := r.segs[si+1].firstLabel()
 			inRange = func(n string, k *tkey) bool { return compareLabels(n, k, hiName, hiKey) < 0 }
 		}
-		start := d.pos
-		clean, err := m.segmentClean(seg, &stored, d, inRange)
+		clean, same, resume, err := m.segmentClean(seg, &stored, d, inRange)
 		if err != nil {
 			return err
 		}
@@ -349,16 +354,18 @@ func (m *segMerge) mergeChildren(sw *segmentSetWriter, sm *streamMerger, r, out 
 			m.stats.SegmentsReused++
 			continue
 		}
-		if d.pos != start {
-			if _, err := m.src.Seek(start, io.SeekStart); err != nil {
+		if d.pos != resume {
+			if _, err := m.src.Seek(resume, io.SeekStart); err != nil {
 				return fmt.Errorf("extmem: %w", err)
 			}
-			d.reset(m.src, nil, start)
+			d.reset(m.src, nil, resume)
 		}
 		m.stats.SegmentsRewritten++
 		ds := &dirStream{fs: m.ar.fs, dir: m.ar.dir, parts: []streamPart{{seg: seg, off: 0, n: seg.payload}}, dicts: m.ar.segDicts, counter: &m.ar.bytesRead}
 		a := newDirTokenReader(ds)
-		err = m.mergeChildLevel(sw, sm, a, d, inRange, eff, path)
+		if err = m.copyChildrenVerbatim(sw, a, same); err == nil {
+			err = m.mergeChildLevel(sw, sm, a, d, inRange, eff, path)
+		}
 		a.release()
 		ds.Close()
 		if err != nil {
@@ -377,45 +384,48 @@ func (m *segMerge) mergeChildren(sw *segmentSetWriter, sm *streamMerger, r, out 
 // merge would restamp one), no child is inserted, and every entry the
 // version does not mention already has an explicit timestamp (an inherited
 // one would have to be terminated). When it returns true it has consumed
-// the children of the range; it stops at the first thing that makes the
-// segment dirty, leaving d somewhere inside the range.
-func (m *segMerge) segmentClean(seg *segmentRecord, stored *segCursor, d *tokenReader, inRange func(string, *tkey) bool) (bool, error) {
+// the children of the range. It stops at the first thing that makes the
+// segment dirty, leaving d somewhere inside the range, and says where the
+// merge has to start: the first same entries come out of it as they are
+// stored, and resume is the offset in the version of the child that meets
+// the next one.
+func (m *segMerge) segmentClean(seg *segmentRecord, stored *segCursor, d *tokenReader, inRange func(string, *tkey) bool) (clean bool, same int, resume int64, err error) {
 	entries := seg.entries
 	for {
+		same, resume = len(seg.entries)-len(entries), d.pos
 		dt, ok := d.peek()
 		if !ok && d.err != nil {
-			return false, d.err
+			return false, same, resume, d.err
 		}
 		var dn string
 		child := ok && dt.op == tokOpen
 		if child {
-			var err error
 			if dn, err = m.ar.dict.name(dt.tag); err != nil {
-				return false, err
+				return false, same, resume, err
 			}
 			child = inRange(dn, dt.key)
 		}
 		if !child {
 			// The range is exhausted: what is left is not in the version.
-			return noneInherited(entries), nil
+			return noneInherited(entries), same, resume, nil
 		}
 		below := 0
 		for below < len(entries) && compareLabels(entries[below].name, entries[below].key, dn, dt.key) < 0 {
 			below++
 		}
 		if !noneInherited(entries[:below]) {
-			return false, nil
+			return false, same, resume, nil
 		}
-		entries = entries[below:]
+		entries, same = entries[below:], same+below
 		if len(entries) == 0 || entries[0].timeStr != "" || compareLabels(entries[0].name, entries[0].key, dn, dt.key) != 0 {
-			return false, nil // an inserted child, or one the merge restamps
+			return false, same, resume, nil // an inserted child, or one the merge restamps
 		}
 		a, err := stored.at(seg, &entries[0])
 		if err != nil {
-			return false, err
+			return false, same, resume, err
 		}
-		if same, err := sameSubtree(a, d); err != nil || !same {
-			return false, err
+		if eq, err := sameSubtree(a, d); err != nil || !eq {
+			return false, same, resume, err
 		}
 		entries = entries[1:]
 	}

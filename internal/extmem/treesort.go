@@ -152,6 +152,13 @@ func textRun(children []*xmltree.Node, i int) (string, int) {
 	return text, i
 }
 
+// isNamespaceDecl reports whether an attribute name declares a namespace.
+// Such attributes are not part of the data model: the tokenizer never
+// hands one out, so only a tree built in code can still carry one.
+func isNamespaceDecl(name string) bool {
+	return name == "xmlns" || strings.HasPrefix(name, "xmlns:")
+}
+
 // sortedAttrs returns x's attributes in canonical (name, value) order
 // without namespace declarations. The result is x.Attrs itself when that
 // already qualifies, otherwise scratch valid until the next call.

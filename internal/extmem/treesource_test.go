@@ -72,6 +72,33 @@ func edgeDocs() []*xmltree.Node {
 	return []*xmltree.Node{v1, v2, v1.Clone()}
 }
 
+// edgeTexts are versions under edgeSpec as XML text, for what only text can
+// hold: a declaration and a doctype, a root in a declared namespace, CDATA
+// and a comment inside one text run, references in attribute values, both
+// quote characters, \r\n line ends and white space between elements. The
+// tree side parses them (what AddReader does when validation is on), the
+// stream side reads them as they stand.
+func edgeTexts() []string {
+	v1 := `<?xml version="1.0" encoding="UTF-8"?>
+<!DOCTYPE db [<!ELEMENT db ANY> <!-- > -->]>
+<d:db xmlns:d="http://example.com/db">
+  <north>
+    <item id="a&quot;b&lt;c&amp;d&#x3e;e">
+      <note>whole <![CDATA[<value> & ]]>key</note>
+      <body z="tab&#9;here" a='line&#10;break&#13;'>text<!-- split -->run<i> </i>  <b q="'s' &quot;d&quot;">a&lt;b</b>tail&#13;
+</body>
+      <x:meta><x:deep x:at="v">prefixed</x:deep></x:meta>
+    </item>
+    <item id="2"/>
+  </north>
+
+  <south><item id='2'><note><nested k="v">x</nested> y</note></item>` + "\r\n\t" + `</south>
+</d:db>
+`
+	v2 := strings.Replace(strings.Replace(v1, "<item id=\"2\"/>", "", 1), "text<!-- split -->run", "<![CDATA[changed]]>", 1)
+	return []string{v1, v2, strings.ReplaceAll(v1, "\n", "\r\n")}
+}
+
 func dirFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
@@ -134,6 +161,7 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 		name      string
 		spec      *keys.Spec
 		docs      []*xmltree.Node
+		texts     []string // the versions as XML text; docs is parsed from it
 		segTarget int
 		mixed     bool // every add after the first both links and rewrites segments
 	}{
@@ -141,6 +169,7 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 		{name: "swissprot", spec: datagen.SwissProtSpec(), docs: []*xmltree.Node{sp.Next(), sp.Next(), sp.Next()}},
 		{name: "xmark", spec: datagen.XMarkSpec(), docs: []*xmltree.Node{xdoc, xm.RandomChanges(xdoc, 0.1), xm.KeyModChanges(xdoc, 0.1)}},
 		{name: "edge", spec: keys.MustParseSpec(edgeSpec), docs: edgeDocs()},
+		{name: "text", spec: keys.MustParseSpec(edgeSpec), texts: edgeTexts()},
 		{name: "mixed", spec: keys.MustParseSpec(reuseSpec), docs: mixed, segTarget: 512, mixed: true},
 	}
 	for _, tc := range cases {
@@ -161,9 +190,16 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			for _, text := range tc.texts {
+				tc.docs = append(tc.docs, xmltree.MustParseString(text))
+			}
 			for v, doc := range tc.docs {
+				compact, indented := doc.XML(), doc.IndentedXML()
+				if tc.texts != nil {
+					compact, indented = tc.texts[v], tc.texts[v]
+				}
 				fromTree := sortedStream(t, tree, Source{Doc: doc})
-				fromStream := sortedStream(t, stream, Source{Reader: strings.NewReader(doc.XML())})
+				fromStream := sortedStream(t, stream, Source{Reader: strings.NewReader(compact)})
 				if !bytes.Equal(fromTree, fromStream) {
 					t.Fatalf("v%d: sorted token streams differ (%d vs %d bytes)", v+1, len(fromTree), len(fromStream))
 				}
@@ -173,7 +209,7 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 				if items, err := tree.AddVersionBatch([]Source{{Doc: doc}}); err != nil || items[0].Err != nil {
 					t.Fatalf("v%d: tree add: %v %v", v+1, err, items)
 				}
-				if err := stream.AddVersion(strings.NewReader(doc.IndentedXML())); err != nil {
+				if err := stream.AddVersion(strings.NewReader(indented)); err != nil {
 					t.Fatalf("v%d: stream add: %v", v+1, err)
 				}
 				if tree.Last().Merge != stream.Last().Merge {

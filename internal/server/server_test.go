@@ -432,6 +432,13 @@ func TestEndpoints(t *testing.T) {
 	if status != http.StatusUnprocessableEntity {
 		t.Fatalf("key violation: status %d (%v), want 422", status, out)
 	}
+
+	// Malformed XML is the client's error too, and the answer says where.
+	status, out = postDoc(t, ts.URL, "<db>\n  <rec><id>a</id></rec>\n  <rec><id>b</id></db>")
+	if msg, _ := out["error"].(string); status != http.StatusBadRequest ||
+		!strings.Contains(msg, "line 3, col 18: element <rec> closed by </db>") {
+		t.Fatalf("malformed add: status %d (%v), want 400 naming line 3, col 18", status, out)
+	}
 }
 
 // TestReadsAnswerDuringHeldCommit: a commit (or a compaction) of any

@@ -1,7 +1,6 @@
 package xmltree
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
@@ -11,74 +10,53 @@ import (
 // text nodes are dropped (the paper's model ignores inter-element
 // whitespace); other text is preserved verbatim, with adjacent character
 // data coalesced into one T-node. Comments, processing instructions and
-// directives are skipped. Namespace prefixes are kept as written.
-func Parse(r io.Reader) (*Node, error) {
-	dec := xml.NewDecoder(r)
+// directives are skipped. Names are resolved as Tokenizer documents. A
+// malformed document fails with an error wrapping a *SyntaxError.
+func Parse(r io.Reader) (*Node, error) { return parse(NewTokenizer(r)) }
+
+func parse(t *Tokenizer) (*Node, error) {
 	var root *Node
-	var stack []*Node
-	var text strings.Builder
-
-	flushText := func() {
-		if text.Len() == 0 {
-			return
-		}
-		s := text.String()
-		text.Reset()
-		if strings.TrimSpace(s) == "" {
-			return
-		}
-		if len(stack) > 0 {
-			top := stack[len(stack)-1]
-			top.Children = append(top.Children, TextNode(s))
-		}
-	}
-
+	var open []*Node // the open elements
+	var marks []int  // marks[i] is where open[i]'s children begin in kids
+	var kids []*Node // the children met so far of every open element
 	for {
-		tok, err := dec.Token()
+		ev, err := t.Next()
 		if err == io.EOF {
-			break
+			return root, nil
 		}
 		if err != nil {
 			return nil, fmt.Errorf("xmltree: parse: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			flushText()
-			n := &Node{Kind: Element, Name: qname(t.Name)}
-			for _, a := range t.Attr {
-				name := qname(a.Name)
-				if name == "xmlns" || strings.HasPrefix(name, "xmlns:") {
-					continue
+		switch ev {
+		case StartEvent:
+			n := &Node{Kind: Element, Name: t.Name}
+			if len(t.Attrs) > 0 {
+				nodes := make([]Node, len(t.Attrs))
+				n.Attrs = make([]*Node, len(t.Attrs))
+				for i, a := range t.Attrs {
+					nodes[i] = Node{Kind: Attr, Name: a.Name, Data: a.Value}
+					n.Attrs[i] = &nodes[i]
 				}
-				n.Attrs = append(n.Attrs, AttrNode(name, a.Value))
 			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("xmltree: multiple root elements (%s, %s)", root.Name, n.Name)
-				}
+			if root == nil {
 				root = n
 			} else {
-				top := stack[len(stack)-1]
-				top.Children = append(top.Children, n)
+				kids = append(kids, n)
 			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			flushText()
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: unbalanced end element %s", qname(t.Name))
+			open, marks = append(open, n), append(marks, len(kids))
+		case EndEvent:
+			// An element's children are known at its end tag: one slice
+			// of the exact size, where appending as they came would have
+			// grown one by doubling.
+			top, mark := len(open)-1, marks[len(open)-1]
+			if mark < len(kids) {
+				open[top].Children = append([]*Node(nil), kids[mark:]...)
 			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			text.Write(t)
+			open, marks, kids = open[:top], marks[:top], kids[:mark]
+		case TextEvent:
+			kids = append(kids, TextNode(t.Text))
 		}
 	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: unclosed element %s", stack[len(stack)-1].Name)
-	}
-	if root == nil {
-		return nil, fmt.Errorf("xmltree: no root element")
-	}
-	return root, nil
 }
 
 // ParseString is Parse over a string.
@@ -94,19 +72,4 @@ func MustParseString(s string) *Node {
 		panic(err)
 	}
 	return n
-}
-
-func qname(n xml.Name) string {
-	// encoding/xml resolves prefixes to namespace URLs in Name.Space; for
-	// the archiver we only care about the local structure, and the T tag
-	// namespace (§2) is handled at the archive layer, so we use the local
-	// name, qualifying only true prefixes that did not resolve.
-	if n.Space == "" {
-		return n.Local
-	}
-	if strings.ContainsAny(n.Space, ":/") {
-		// A resolved URL; drop it and keep the local name.
-		return n.Local
-	}
-	return n.Space + ":" + n.Local
 }

@@ -1,9 +1,13 @@
 package xmltree
 
 import (
+	"bufio"
+	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -179,5 +183,108 @@ func TestNamespacePrefixHandling(t *testing.T) {
 	}
 	if v, ok := tn.Attr("t"); !ok || v != "1-3" {
 		t.Fatalf("t attr = %q, %v", v, ok)
+	}
+	// The one name rule, case by case, as the tree serializes.
+	for _, tc := range []struct{ what, in, want string }{
+		{"a prefix declared as a URL is dropped", `<p:a xmlns:p="http://x/" p:k="1"/>`, `<a k="1"/>`},
+		{"an undeclared prefix stays as written", `<p:a p:k="1"><q:b/></p:a>`, `<p:a p:k="1"><q:b/></p:a>`},
+		{"a prefix bound to a bare word is replaced by the word", `<p:a xmlns:p="word" p:k="1"/>`, `<word:a word:k="1"/>`},
+		{"xml: always resolves", `<a xml:lang="en"><xml:b/></a>`, `<a lang="en"><b/></a>`},
+		{"a default URL namespace leaves names alone", `<a xmlns="http://x/" k="1"><b/></a>`, `<a k="1"><b/></a>`},
+		{"a default bare word qualifies elements, never attributes", `<a xmlns="word" k="1"><b/></a>`, `<word:a k="1"><word:b/></word:a>`},
+		{"a binding ends at its element's end tag", `<r><a xmlns:p="word"><p:b/></a><p:b/></r>`, `<r><a><word:b/></a><p:b/></r>`},
+		{"and at a self-closing element", `<r><a xmlns:p="word" p:k="1"/><p:b/></r>`, `<r><a word:k="1"/><p:b/></r>`},
+		{"an inner binding shadows the outer until it ends", `<r xmlns:p="one"><a xmlns:p="two"><p:b/></a><p:b/></r>`, `<r><a><two:b/></a><one:b/></r>`},
+		{"end tags match the raw name, not the resolved one", `<p:a xmlns:p="http://x/"></p:a>`, `<a/>`},
+	} {
+		doc, err := ParseString(tc.in)
+		if err != nil {
+			t.Errorf("%s: %v", tc.what, err)
+		} else if got := doc.XML(); got != tc.want {
+			t.Errorf("%s: %s parses to %s, want %s", tc.what, tc.in, got, tc.want)
+		}
+	}
+	if _, err := ParseString(`<p:a xmlns:p="http://x/"></a>`); err == nil {
+		t.Error("an end tag that matches only the resolved name was accepted")
+	}
+}
+
+// TestCarriageReturnRoundTrip: a carriage return, which only a character
+// reference can bring into a document, must leave as one, or the next
+// parser turns it into a line feed.
+func TestCarriageReturnRoundTrip(t *testing.T) {
+	doc := MustParseString(`<a k="p&#13;q">x&#13;y<b>&#13;&#10;</b></a>`)
+	if v, _ := doc.Attr("k"); v != "p\rq" || doc.Children[0].Data != "x\ry" {
+		t.Fatalf("references not decoded: %q %q", v, doc.Children[0].Data)
+	}
+	for how, out := range map[string]string{"compact": doc.XML(), "indented": doc.IndentedXML()} {
+		back, err := ParseString(out)
+		if err != nil || !Equal(doc, back) {
+			t.Errorf("%s round trip changed the value (%v): %q", how, err, out)
+		}
+	}
+}
+
+// TestEscapeOutputPinned holds the two escape functions to the bytes they
+// have always written (a carriage return aside).
+func TestEscapeOutputPinned(t *testing.T) {
+	for _, tc := range []struct{ in, text, attr string }{
+		{"x", "x", "x"},
+		{"a & b", "a &amp; b", "a &amp; b"},
+		{"<tag>", "&lt;tag&gt;", "&lt;tag&gt;"},
+		{`"quoted"`, `"quoted"`, "&quot;quoted&quot;"},
+		{"tab\tsep", "tab\tsep", "tab&#9;sep"},
+		{"multi\nline", "multi\nline", "multi&#10;line"},
+		{"]]>", "]]&gt;", "]]&gt;"},
+		{"", "", ""},
+		{"&", "&amp;", "&amp;"},
+		{"<<a>>'é€'", "&lt;&lt;a&gt;&gt;'é€'", "&lt;&lt;a&gt;&gt;'é€'"},
+		{"cr\rlf", "cr&#13;lf", "cr&#13;lf"},
+	} {
+		var text, attr strings.Builder
+		tw, aw := bufio.NewWriter(&text), bufio.NewWriter(&attr)
+		EscapeText(tw, tc.in)
+		EscapeAttr(aw, tc.in)
+		tw.Flush()
+		aw.Flush()
+		if text.String() != tc.text || attr.String() != tc.attr {
+			t.Errorf("%q escapes to text %q, attr %q; want %q, %q", tc.in, text.String(), attr.String(), tc.text, tc.attr)
+		}
+	}
+}
+
+// TestTokenizerWindowIsBounded: the tokenizer's memory is its window, and
+// the window follows the largest single token, not the document.
+func TestTokenizerWindowIsBounded(t *testing.T) {
+	drain := func(doc io.Reader) *Tokenizer {
+		tok := NewTokenizer(doc)
+		for {
+			if _, err := tok.Next(); err == io.EOF {
+				return tok
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rec := `<rec id="7"><name>some text</name><!-- c --><v>1</v></rec>` + "\n"
+	many := io.MultiReader(strings.NewReader("<db>"), strings.NewReader(strings.Repeat(rec, 100_000)), strings.NewReader("</db>"))
+	if tok := drain(many); len(tok.buf) != 16<<10 || len(tok.names) != 5 {
+		t.Errorf("%d records of %d bytes left a window of %d bytes and %d names", 100_000, len(rec), len(tok.buf), len(tok.names))
+	}
+	const big = 300_000
+	one := strings.NewReader("<db>" + rec + "<t>" + strings.Repeat("x", big) + "</t>" + rec + "</db>")
+	if tok := drain(one); len(tok.buf) < big || len(tok.buf) > 4*big {
+		t.Errorf("a text run of %d bytes left a window of %d", big, len(tok.buf))
+	}
+}
+
+// TestParseReturnsReaderError: a reader that fails is not a malformed
+// document; its error comes back wrapped, for errors.Is and errors.As.
+func TestParseReturnsReaderError(t *testing.T) {
+	doc := "<a>" + strings.Repeat("<b>text</b>", 5000) + "</a>"
+	_, err := Parse(iotest.TimeoutReader(iotest.HalfReader(strings.NewReader(doc))))
+	var syn *SyntaxError
+	if !errors.Is(err, iotest.ErrTimeout) || errors.As(err, &syn) {
+		t.Fatalf("Parse over a failing reader: %v", err)
 	}
 }

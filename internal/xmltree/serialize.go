@@ -144,40 +144,28 @@ func writeIndent(w *bufio.Writer, opts WriteOptions, depth int) {
 
 // EscapeText writes s with XML character-data escaping. It is the single
 // text-escaping implementation shared by both engines' serializers.
-func EscapeText(w *bufio.Writer, s string) {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '&':
-			w.WriteString("&amp;")
-		case '<':
-			w.WriteString("&lt;")
-		case '>':
-			w.WriteString("&gt;")
-		default:
-			w.WriteByte(s[i])
-		}
-	}
-}
+func EscapeText(w *bufio.Writer, s string) { escape(w, s, &textEscapes) }
 
 // EscapeAttr writes s with XML attribute-value escaping (quotes, newlines
 // and tabs escaped so values round-trip); shared by both engines.
-func EscapeAttr(w *bufio.Writer, s string) {
+func EscapeAttr(w *bufio.Writer, s string) { escape(w, s, &attrEscapes) }
+
+// A carriage return is escaped in both: written raw it would come back
+// from any XML parser as a line feed.
+var textEscapes = [256]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '\r': "&#13;"}
+var attrEscapes = [256]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '\r': "&#13;",
+	'"': "&quot;", '\n': "&#10;", '\t': "&#9;"}
+
+// escape writes s with each byte that has an entry in esc replaced by it,
+// and each run between two such bytes in one write.
+func escape(w *bufio.Writer, s string, esc *[256]string) {
+	run := 0
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '&':
-			w.WriteString("&amp;")
-		case '<':
-			w.WriteString("&lt;")
-		case '>':
-			w.WriteString("&gt;")
-		case '"':
-			w.WriteString("&quot;")
-		case '\n':
-			w.WriteString("&#10;")
-		case '\t':
-			w.WriteString("&#9;")
-		default:
-			w.WriteByte(s[i])
+		if e := esc[s[i]]; e != "" {
+			w.WriteString(s[run:i])
+			w.WriteString(e)
+			run = i + 1
 		}
 	}
+	w.WriteString(s[run:])
 }

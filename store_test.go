@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"xarch/internal/xmltree"
 )
 
 func mustSpec(t *testing.T) *KeySpec {
@@ -297,8 +299,8 @@ func TestTreeAddKeepsWhatReparsingLost(t *testing.T) {
 		if mw.String() != ew.String() {
 			t.Errorf("WriteVersion(%d) bytes differ across engines:\n%q\nvs\n%q", n, mw.String(), ew.String())
 		}
-		if strings.Count(ew.String(), "\r") != 2 {
-			t.Errorf("version %d lost its carriage returns: %q", n, ew.String())
+		if strings.Count(ew.String(), "&#13;") != 2 || strings.Contains(ew.String(), "\r") {
+			t.Errorf("version %d does not carry its two carriage returns as references: %q", n, ew.String())
 		}
 	}
 	var msnap, esnap strings.Builder
@@ -311,6 +313,51 @@ func TestTreeAddKeepsWhatReparsingLost(t *testing.T) {
 	if msnap.String() != esnap.String() {
 		t.Errorf("snapshots differ across engines (%d vs %d bytes)", msnap.Len(), esnap.Len())
 	}
+}
+
+// TestCarriageReturnSurvivesRetrieval: the §2 contract — every version
+// comes back identical — for a value holding a carriage return, in a key,
+// in frontier text and in an attribute, through every way a version leaves
+// either engine. Written raw, the next parser would read it as a line feed.
+func TestCarriageReturnSurvivesRetrieval(t *testing.T) {
+	// Siblings stand in label order, the order retrieval returns them in.
+	const src = `<db><dept><emp><fn>F</fn><ln>L</ln><sal cur="p&#13;q">x&#13;y&#13;&#10;z</sal></emp><name>d&#13;1</name></dept></db>`
+	want, err := ParseXMLString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bothEngines(t, func(t *testing.T, s Store) {
+		addString(t, s, src)
+		same := func(how string, got *Document, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", how, err)
+			}
+			if !xmltree.Equal(want, got) {
+				t.Errorf("%s changed the version: %q", how, got.XML())
+			}
+		}
+		got, err := s.Version(1)
+		same("Version", got, err)
+		var indented, plain strings.Builder
+		if err := s.WriteVersion(1, &indented); err != nil {
+			t.Fatal(err)
+		}
+		got, err = ParseXMLString(indented.String())
+		same("WriteVersion", got, err)
+		if ext, ok := s.(*ExtStore); ok {
+			q, err := ext.query()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			if err := q.WriteVersion(1, &plain, xmltree.WriteOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			got, err = ParseXMLString(plain.String())
+			same("plain WriteVersion", got, err)
+		}
+	})
 }
 
 // TestStreamingQueryAfterAdd pins the ingest/query interleaving contract

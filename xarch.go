@@ -83,7 +83,17 @@ func ReadKeySpec(r io.Reader) (*KeySpec, error) {
 	return keys.ParseSpec(r)
 }
 
-// ParseXML parses an XML document into a Document.
+// ParseXML parses an XML document into a Document. It reads the subset of
+// XML 1.0 the archive stores: UTF-8; elements, attributes, character data
+// and CDATA sections; the five predefined entities and decimal or
+// hexadecimal character references. Comments, processing instructions and
+// a doctype are skipped — entities a doctype declares stay undefined — and
+// text that is only white space is dropped. Line ends become \n. A name
+// loses its namespace prefix when the prefix is declared as a URL, and
+// xmlns declarations are not kept as attributes. A document that is not
+// well formed fails with an error that wraps a positioned syntax error
+// ("xmltree: parse: line 12, col 7: …"); a failing reader's error comes
+// back wrapped as it is.
 func ParseXML(r io.Reader) (*Document, error) {
 	return xmltree.Parse(r)
 }
