@@ -303,6 +303,24 @@ func BenchmarkExtStoreWriteVersion(b *testing.B) {
 	}
 }
 
+// BenchmarkExtStoreSelect: the external engine's Select over a 450-record
+// OMIM root (the benchmark's ingest-accrete shape), by what the plan can
+// narrow on — a keyed path, an attribute, nothing.
+func BenchmarkExtStoreSelect(b *testing.B) {
+	st, nums := buildOMIMStore(b, 450, 4)
+	exprs := omimSelects(nums[len(nums)/2])
+	for _, name := range []string{"keyed", "attr", "unnarrowed"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.Select(exprs[name]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkHistoryScan and BenchmarkHistoryIndex: temporal history by
 // archive walk versus the §7.2 sorted-list index.
 func BenchmarkHistoryScan(b *testing.B) {

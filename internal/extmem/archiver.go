@@ -55,7 +55,7 @@ type Archiver struct {
 	IdxErr error
 	// pendingIdx parks per-file facts captured during segment writes
 	// until the next generation's index build consumes them.
-	pendingIdx map[string]*capFile
+	pendingIdx map[string]*fileIdx
 
 	// segDicts caches decoded segment dictionaries per segment file;
 	// entries are evicted when the file is swept.

@@ -1,12 +1,10 @@
 package extmem
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"xarch/internal/intervals"
@@ -37,41 +35,61 @@ const (
 	attrIdxFormat = 1
 )
 
-// idxChange is one content-change fact: an explicit group's first
-// version, or an inherit marker resolving to the record lifespan's
-// minimum at evaluation time.
-type idxChange struct {
-	explicit bool
-	v        int
-}
-
-// idxAttr is one attribute occurrence inside a record subtree. timeStr
-// is the owning element's effective timestamp relative to the record;
-// "" inherits the record lifespan.
-type idxAttr struct {
-	name    string
-	value   string
-	timeStr string
-}
-
 // idxKid is one direct child of a non-frontier record: its identity and
 // the byte span of its subtree relative to the record's entry span (in
 // uncompressed payload space).
 type idxKid struct {
 	name    string
 	key     *tkey
-	timeStr string // "" inherits the record's effective timestamp
+	timeStr string         // "" inherits the record's effective timestamp
+	time    *intervals.Set // parsed timeStr; nil when it inherits; shared, read-only
 	off     int64
 	size    int64
 }
 
-// idxEntry is the indexed form of one record.
+// idxEntry is the indexed form of one record. Its facts are held in the
+// form the shared qlang evaluators read — timestamps parsed — from the
+// moment the sidecar is loaded or built, so a query decodes nothing; the
+// kids' identities are derived on first use, like a segment's entries'.
+// attrTimes[i] is facts.Attrs[i].Time as stored ("" inherits the record
+// lifespan), kept so that encode writes the bytes decode read. Immutable
+// once built, and shared by every generation whose segment file is unchanged.
 type idxEntry struct {
-	hasGroups bool
 	hasKids   bool // kid spans recorded (capture-built, non-frontier)
-	changes   []idxChange
-	attrs     []idxAttr
+	facts     qlang.RecordFacts
+	attrTimes []string
 	kids      []idxKid
+
+	kidOnce  sync.Once
+	kidIdent []entryIdent
+}
+
+func (e *idxEntry) addAttr(name, value, timeStr string, time *intervals.Set) {
+	e.attrTimes = append(e.attrTimes, timeStr)
+	e.facts.Attrs = append(e.facts.Attrs, qlang.AttrFact{Name: name, Value: value, Time: time})
+}
+
+// stampParser parses the timestamps of one record's facts. Attributes of
+// one element, and kids of one edit, repeat the timestamp before them, so it
+// keeps the last set it parsed; the sets are shared and never mutated.
+type stampParser struct {
+	last string
+	set  *intervals.Set
+}
+
+// parse returns the set timeStr names, nil for "" (inherit).
+func (p *stampParser) parse(timeStr string) (*intervals.Set, error) {
+	if timeStr == "" {
+		return nil, nil
+	}
+	if timeStr != p.last {
+		ts, err := intervals.Parse(timeStr)
+		if err != nil {
+			return nil, fmt.Errorf("bad timestamp %q", timeStr)
+		}
+		p.last, p.set = timeStr, ts
+	}
+	return p.set, nil
 }
 
 // fileIdx is the per-segment-file posting list: one idxEntry per
@@ -107,27 +125,27 @@ type attrIndex struct {
 
 func encodeIdxEntry(w *kdWriter, e *idxEntry) {
 	var flags byte
-	if e.hasGroups {
+	if e.facts.HasGroups {
 		flags |= 1
 	}
 	if e.hasKids {
 		flags |= 2
 	}
 	w.b.WriteByte(flags)
-	w.varint(uint64(len(e.changes)))
-	for _, c := range e.changes {
-		if c.explicit {
+	w.varint(uint64(len(e.facts.Changes)))
+	for _, c := range e.facts.Changes {
+		if c.Explicit {
 			w.b.WriteByte(1)
-			w.varint(uint64(c.v))
+			w.varint(uint64(c.V))
 		} else {
 			w.b.WriteByte(0)
 		}
 	}
-	w.varint(uint64(len(e.attrs)))
-	for _, a := range e.attrs {
-		w.str(a.name)
-		w.str(a.value)
-		w.str(a.timeStr)
+	w.varint(uint64(len(e.facts.Attrs)))
+	for i, a := range e.facts.Attrs {
+		w.str(a.Name)
+		w.str(a.Value)
+		w.str(e.attrTimes[i])
 	}
 	w.varint(uint64(len(e.kids)))
 	for _, k := range e.kids {
@@ -139,29 +157,39 @@ func encodeIdxEntry(w *kdWriter, e *idxEntry) {
 	}
 }
 
+// decodeIdxEntry decodes one record's facts; a timestamp that does not
+// parse is the reader's error, like a short file.
 func decodeIdxEntry(r *kdReader) *idxEntry {
 	e := &idxEntry{}
 	flags := r.byte()
-	e.hasGroups = flags&1 != 0
+	e.facts.HasGroups = flags&1 != 0
 	e.hasKids = flags&2 != 0
 	nc := int(r.varint())
 	for i := 0; i < nc && r.err == nil; i++ {
-		c := idxChange{explicit: r.byte() == 1}
-		if c.explicit {
-			c.v = int(r.varint())
+		c := qlang.ChangeItem{Explicit: r.byte() == 1}
+		if c.Explicit {
+			c.V = int(r.varint())
 		}
-		e.changes = append(e.changes, c)
+		e.facts.Changes = append(e.facts.Changes, c)
 	}
+	var stamps stampParser
 	na := int(r.varint())
 	for i := 0; i < na && r.err == nil; i++ {
-		e.attrs = append(e.attrs, idxAttr{name: r.str(), value: r.str(), timeStr: r.str()})
+		name, value, timeStr := r.str(), r.str(), r.str()
+		ts, err := stamps.parse(timeStr)
+		if err != nil && r.err == nil {
+			r.err = err
+		}
+		e.addAttr(name, value, timeStr, ts)
 	}
 	nk := int(r.varint())
 	for i := 0; i < nk && r.err == nil; i++ {
-		e.kids = append(e.kids, idxKid{
-			name: r.str(), key: r.key(), timeStr: r.str(),
-			off: int64(r.varint()), size: int64(r.varint()),
-		})
+		k := idxKid{name: r.str(), key: r.key(), timeStr: r.str(), off: int64(r.varint()), size: int64(r.varint())}
+		var err error
+		if k.time, err = stamps.parse(k.timeStr); err != nil && r.err == nil {
+			r.err = err
+		}
+		e.kids = append(e.kids, k)
 	}
 	return e
 }
@@ -233,7 +261,7 @@ func decodeAttrIndex(data []byte) (*attrIndex, error) {
 	if string(body[:len(attrIdxMagic)]) != attrIdxMagic {
 		return nil, corruptf("attr index bad magic")
 	}
-	r := &kdReader{r: bytes.NewReader(body[len(attrIdxMagic):])}
+	r := &kdReader{s: string(body[len(attrIdxMagic):])}
 	if format := r.varint(); format != attrIdxFormat {
 		return nil, corruptf("attr index format %d not supported", format)
 	}
@@ -269,36 +297,6 @@ func decodeAttrIndex(data []byte) (*attrIndex, error) {
 // ---------------------------------------------------------------------------
 // Write-time capture
 
-// capAttr/capKid/capEntry are the pending, dictionary-id form of an
-// entry's facts, derived from the captured token run at segment close
-// and resolved to strings when the sidecar is rebuilt after commit.
-type capAttr struct {
-	tag     int
-	value   string
-	timeStr string
-}
-
-type capKid struct {
-	tag     int
-	key     *tkey
-	timeStr string
-	off     int64
-	size    int64
-}
-
-type capEntry struct {
-	hasGroups bool
-	changes   []idxChange
-	attrs     []capAttr
-	kids      []capKid
-	hasKids   bool
-}
-
-type capFile struct {
-	crc     uint32
-	entries []*capEntry
-}
-
 // captureEntryFacts walks one entry's captured tokens and derives its
 // facts. m is the entry's token range (open token through balancing
 // close); tokOffs, when non-nil, holds the byte offset of every token in
@@ -311,8 +309,10 @@ type capFile struct {
 // time's minimum; an element holding both groups and plain content has a
 // shared nil-time group, which changed at the element's effective
 // minimum — an inherit marker when that is the record lifespan.
-func captureEntryFacts(toks []token, m entryMark, tokOffs []int64) *capEntry {
-	e := &capEntry{hasKids: tokOffs != nil}
+func captureEntryFacts(toks []token, m entryMark, tokOffs []int64, dict *dictionary) (*idxEntry, error) {
+	e := &idxEntry{hasKids: tokOffs != nil}
+	var stamps stampParser
+	changed := func(c qlang.ChangeItem) { e.facts.Changes = append(e.facts.Changes, c) }
 	eff := []string{""}
 	depth := 0
 	groupDepth := 0
@@ -342,10 +342,15 @@ func captureEntryFacts(toks []token, m entryMark, tokOffs []int64) *capEntry {
 					ne = t.data
 				}
 				if depth == 2 && groupDepth == 0 && tokOffs != nil {
-					e.kids = append(e.kids, capKid{
-						tag: t.tag, key: t.key, timeStr: t.data,
-						off: tokOffs[i] - entryOff,
-					})
+					n, err := dict.name(t.tag)
+					if err != nil {
+						return nil, err
+					}
+					ts, err := stamps.parse(t.data)
+					if err != nil {
+						return nil, err
+					}
+					e.kids = append(e.kids, idxKid{name: n, key: t.key, timeStr: t.data, time: ts, off: tokOffs[i] - entryOff})
 				}
 			}
 			eff = append(eff, ne)
@@ -360,12 +365,10 @@ func captureEntryFacts(toks []token, m entryMark, tokOffs []int64) *capEntry {
 				// The closing element mixes groups and shared content:
 				// the shared part is a nil-time group that changed at the
 				// element's effective minimum.
-				if es := eff[len(eff)-1]; es == "" {
-					e.changes = append(e.changes, idxChange{})
-				} else if ts, err := intervals.Parse(es); err == nil && !ts.Empty() {
-					e.changes = append(e.changes, idxChange{explicit: true, v: ts.Min()})
+				if ts, err := stamps.parse(eff[len(eff)-1]); err == nil && !ts.Empty() {
+					changed(qlang.ChangeItem{Explicit: true, V: ts.Min()})
 				} else {
-					e.changes = append(e.changes, idxChange{})
+					changed(qlang.ChangeItem{})
 				}
 			}
 			sawTS = sawTS[:len(sawTS)-1]
@@ -374,12 +377,12 @@ func captureEntryFacts(toks []token, m entryMark, tokOffs []int64) *capEntry {
 			depth--
 		case tokTSOpen:
 			if groupDepth == 0 {
-				e.hasGroups = true
+				e.facts.HasGroups = true
 				if len(sawTS) > 0 {
 					sawTS[len(sawTS)-1] = true
 				}
-				if ts, err := intervals.Parse(t.data); err == nil && !ts.Empty() {
-					e.changes = append(e.changes, idxChange{explicit: true, v: ts.Min()})
+				if ts, err := stamps.parse(t.data); err == nil && !ts.Empty() {
+					changed(qlang.ChangeItem{Explicit: true, V: ts.Min()})
 				}
 			}
 			groupDepth++
@@ -389,61 +392,51 @@ func captureEntryFacts(toks []token, m entryMark, tokOffs []int64) *capEntry {
 			eff = eff[:len(eff)-1]
 		case tokAttr:
 			if depth >= 1 {
-				e.attrs = append(e.attrs, capAttr{tag: t.tag, value: t.data, timeStr: eff[len(eff)-1]})
+				n, err := dict.name(t.tag)
+				if err != nil {
+					return nil, err
+				}
+				ts, err := stamps.parse(eff[len(eff)-1])
+				if err != nil {
+					return nil, err
+				}
+				e.addAttr(n, t.data, eff[len(eff)-1], ts)
 			}
 			markPlain()
 		case tokText:
 			markPlain()
 		}
 	}
-	e.changes = normalizeIdxChanges(e.changes)
-	return e
+	e.facts.Changes = qlang.NormalizeChanges(e.facts.Changes)
+	return e, nil
 }
 
-// normalizeIdxChanges mirrors qlang's canonical change order: at most one
-// inherit marker first, then distinct explicit versions ascending.
-func normalizeIdxChanges(cs []idxChange) []idxChange {
-	if len(cs) == 0 {
-		return cs
-	}
-	inherit := false
-	seen := map[int]bool{}
-	var vs []int
-	for _, c := range cs {
-		if !c.explicit {
-			inherit = true
-		} else if !seen[c.v] {
-			seen[c.v] = true
-			vs = append(vs, c.v)
-		}
-	}
-	sort.Ints(vs)
-	out := cs[:0]
-	if inherit {
-		out = append(out, idxChange{})
-	}
-	for _, v := range vs {
-		out = append(out, idxChange{explicit: true, v: v})
-	}
-	return out
-}
-
-// captureIdx derives the per-entry facts of a freshly written
-// segment and parks them on the archiver, keyed by file name, for the
-// post-commit sidecar rebuild. Raw segments carry no entry marks and
-// are always scan-indexed.
+// captureIdx derives the postings of a freshly written segment — names
+// resolved, timestamps parsed, kid spans for every entry above the frontier
+// (a frontier entry's content is group-structured, not seekable by child) —
+// and parks them on the archiver, keyed by file name, for the post-commit
+// sidecar rebuild. Raw segments carry no entry marks and are always
+// scan-indexed, as is a file whose tokens do not capture.
 func (sw *segmentSetWriter) captureIdx(rec *segmentRecord, res *encodedSegment) {
 	if sw.ar.cfg.NoAttrIndex || sw.raw || len(sw.marks) == 0 {
 		return
 	}
-	cf := &capFile{crc: rec.crc}
-	for _, m := range sw.marks {
-		cf.entries = append(cf.entries, captureEntryFacts(sw.out.toks, m, res.tokOffs))
+	f := &fileIdx{crc: rec.crc}
+	for i, m := range sw.marks {
+		offs := res.tokOffs
+		if sw.ar.spec.IsFrontier(keys.Path([]string{sw.root.name, rec.entries[i].name})) {
+			offs = nil
+		}
+		e, err := captureEntryFacts(sw.out.toks, m, offs, sw.ar.dict)
+		if err != nil {
+			return
+		}
+		f.entries = append(f.entries, e)
 	}
 	if sw.ar.pendingIdx == nil {
-		sw.ar.pendingIdx = map[string]*capFile{}
+		sw.ar.pendingIdx = map[string]*fileIdx{}
 	}
-	sw.ar.pendingIdx[rec.file] = cf
+	sw.ar.pendingIdx[rec.file] = f
 }
 
 // ---------------------------------------------------------------------------
@@ -461,71 +454,16 @@ func rawSig(r *rootRecord) string {
 
 // factsToIdx converts scan-derived record facts to the stored form.
 func factsToIdx(f *qlang.RecordFacts) *idxEntry {
-	e := &idxEntry{hasGroups: f.HasGroups}
-	for _, c := range f.Changes {
-		e.changes = append(e.changes, idxChange{explicit: c.Explicit, v: c.V})
-	}
+	e := &idxEntry{}
+	e.facts.HasGroups, e.facts.Changes = f.HasGroups, f.Changes
 	for _, a := range f.Attrs {
 		ts := ""
 		if a.Time != nil {
 			ts = a.Time.String()
 		}
-		e.attrs = append(e.attrs, idxAttr{name: a.Name, value: a.Value, timeStr: ts})
+		e.addAttr(a.Name, a.Value, ts, a.Time)
 	}
 	return e
-}
-
-// idxToFacts converts a stored entry back to record facts for the
-// shared qlang evaluators.
-func idxToFacts(e *idxEntry) (*qlang.RecordFacts, error) {
-	f := &qlang.RecordFacts{HasGroups: e.hasGroups}
-	for _, c := range e.changes {
-		f.Changes = append(f.Changes, qlang.ChangeItem{Explicit: c.explicit, V: c.v})
-	}
-	for _, a := range e.attrs {
-		var ts *intervals.Set
-		if a.timeStr != "" {
-			var err error
-			ts, err = intervals.Parse(a.timeStr)
-			if err != nil {
-				return nil, corruptf("attr index timestamp %q", a.timeStr)
-			}
-		}
-		f.Attrs = append(f.Attrs, qlang.AttrFact{Name: a.name, Value: a.value, Time: ts})
-	}
-	return f, nil
-}
-
-// resolveCapEntry converts a pending capture entry to the stored form,
-// resolving dictionary ids and dropping kid spans for frontier entries
-// (their content is group-structured, not seekable by child).
-func resolveCapEntry(ce *capEntry, names []string, frontier bool) (*idxEntry, error) {
-	e := &idxEntry{hasGroups: ce.hasGroups}
-	e.changes = append(e.changes, ce.changes...)
-	name := func(id int) (string, error) {
-		if id < 0 || id >= len(names) {
-			return "", fmt.Errorf("extmem: tag id %d outside dictionary", id)
-		}
-		return names[id], nil
-	}
-	for _, a := range ce.attrs {
-		n, err := name(a.tag)
-		if err != nil {
-			return nil, err
-		}
-		e.attrs = append(e.attrs, idxAttr{name: n, value: a.value, timeStr: a.timeStr})
-	}
-	if !frontier && ce.hasKids {
-		e.hasKids = true
-		for _, k := range ce.kids {
-			n, err := name(k.tag)
-			if err != nil {
-				return nil, err
-			}
-			e.kids = append(e.kids, idxKid{name: n, key: k.key, timeStr: k.timeStr, off: k.off, size: k.size})
-		}
-	}
-	return e, nil
 }
 
 // indexGeneration builds the attribute index of a generation about to be
@@ -621,9 +559,6 @@ func (ar *Archiver) buildAttrIndex(g *generation, old *attrIndex) (*attrIndex, e
 			idx.raws[label] = &rawIdx{sig: sig, e: factsToIdx(qlang.FactsOf(node))}
 			continue
 		}
-		frontierEntry := func(e *childEntry) bool {
-			return ar.spec.IsFrontier(keys.Path([]string{r.name, e.name}))
-		}
 		for _, s := range r.segs {
 			if old != nil {
 				if of := old.files[s.file]; of != nil && of.crc == s.crc && len(of.entries) == len(s.entries) {
@@ -632,20 +567,8 @@ func (ar *Archiver) buildAttrIndex(g *generation, old *attrIndex) (*attrIndex, e
 				}
 			}
 			if cf := ar.pendingIdx[s.file]; cf != nil && cf.crc == s.crc && len(cf.entries) == len(s.entries) {
-				f := &fileIdx{crc: s.crc}
-				ok := true
-				for i, ce := range cf.entries {
-					e, err := resolveCapEntry(ce, g.names, frontierEntry(&s.entries[i]))
-					if err != nil {
-						ok = false
-						break
-					}
-					f.entries = append(f.entries, e)
-				}
-				if ok {
-					idx.files[s.file] = f
-					continue
-				}
+				idx.files[s.file] = cf
+				continue
 			}
 			// Scan fallback: files whose capture is gone (a sidecar
 			// rebuilt from scratch at open or by fsck -repair). Exact
@@ -728,10 +651,10 @@ func (x *attrIndex) buildInv(d *keyDirectory) {
 		m := map[string][]int{}
 		ord := 0
 		add := func(e *idxEntry) {
-			for i := range e.attrs {
-				a := &e.attrs[i]
-				invAdd(m, invNameKey(a.name), ord)
-				invAdd(m, invPairKey(a.name, a.value), ord)
+			for i := range e.facts.Attrs {
+				a := &e.facts.Attrs[i]
+				invAdd(m, invNameKey(a.Name), ord)
+				invAdd(m, invPairKey(a.Name, a.Value), ord)
 			}
 			ord++
 		}

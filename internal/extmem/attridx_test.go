@@ -255,13 +255,20 @@ func factsRendering(x *attrIndex) string {
 
 func entryFacts(e *idxEntry) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "groups=%v changes=", e.hasGroups)
-	for _, c := range e.changes {
-		fmt.Fprintf(&b, "(%v,%d)", c.explicit, c.v)
+	fmt.Fprintf(&b, "groups=%v changes=", e.facts.HasGroups)
+	for _, c := range e.facts.Changes {
+		fmt.Fprintf(&b, "(%v,%d)", c.Explicit, c.V)
 	}
-	attrs := make([]string, len(e.attrs))
-	for i, a := range e.attrs {
-		attrs[i] = fmt.Sprintf("%s=%s@%q", a.name, a.value, a.timeStr)
+	attrs := make([]string, len(e.facts.Attrs))
+	for i, a := range e.facts.Attrs {
+		ts := ""
+		if a.Time != nil {
+			ts = a.Time.String()
+		}
+		attrs[i] = fmt.Sprintf("%s=%s@%q", a.Name, a.Value, ts)
+		if e.attrTimes[i] != ts {
+			attrs[i] += fmt.Sprintf(" (stored as %q)", e.attrTimes[i])
+		}
 	}
 	sort.Strings(attrs)
 	fmt.Fprintf(&b, " attrs=%v", attrs)

@@ -11,6 +11,7 @@ import (
 
 	"xarch/internal/datagen"
 	"xarch/internal/fsio"
+	"xarch/internal/keys"
 	"xarch/internal/xmltree"
 )
 
@@ -490,4 +491,111 @@ func TestOpportunisticCompactionPreservesQueries(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestCompactKeepsKidSpans: the compactor writes through the segment
+// writer, so the segments it creates carry captured postings — every
+// non-frontier entry keeps its kid spans (the depth-3 seek path) through a
+// compaction and through the reopen that reloads attr.idx. Run over the
+// churn generator's seeds 1–10 and an accretive OMIM history, because a
+// shrinking sidecar was once seen on some seeds and never explained.
+func TestCompactKeepsKidSpans(t *testing.T) {
+	type history struct {
+		name string
+		spec *keys.Spec
+		docs []*xmltree.Node
+	}
+	var histories []history
+	for seed := int64(1); seed <= 10; seed++ {
+		g := datagen.NewXMark(datagen.XMarkConfig{Seed: seed, Items: 36, People: 24, Categories: 4, OpenAucts: 12, ClosedAucts: 8})
+		h := history{name: fmt.Sprintf("xmark-seed%d", seed), spec: g.Spec()}
+		doc := g.Document()
+		for v := 0; v < 4; v++ {
+			h.docs = append(h.docs, doc)
+			if v%2 == 0 {
+				doc = g.RandomChanges(doc, 0.10)
+			} else {
+				doc = g.KeyModChanges(doc, 0.10)
+			}
+		}
+		histories = append(histories, h)
+	}
+	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 1, Records: 60, DeleteFrac: 0.02, InsertFrac: 0.05, ModifyFrac: 0.05})
+	omim := history{name: "omim", spec: g.Spec()}
+	for v := 0; v < 4; v++ {
+		omim.docs = append(omim.docs, g.Next())
+	}
+	histories = append(histories, omim)
+
+	for _, h := range histories {
+		t.Run(h.name, func(t *testing.T) {
+			dir := t.TempDir()
+			open := func(cfg Config) *Archiver {
+				t.Helper()
+				ar, err := Open(dir, h.spec, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ar
+			}
+			// check returns the sidecar's size on disk.
+			check := func(ar *Archiver, phase string) int64 {
+				t.Helper()
+				g := ar.current()
+				if g.aidx == nil {
+					t.Fatalf("%s: no attribute index", phase)
+				}
+				for _, r := range g.d.roots {
+					for _, s := range r.segs {
+						for i := range s.entries {
+							e := &s.entries[i]
+							if r.raw || h.spec.IsFrontier(keys.Path([]string{r.name, e.name})) {
+								continue
+							}
+							if ent := g.aidx.files[s.file].entries[i]; !ent.hasKids {
+								t.Errorf("%s: %s entry %s has no kid spans", phase, s.file, keyLabel(e.name, e.key))
+							}
+						}
+					}
+				}
+				fi, err := os.Stat(filepath.Join(dir, attrIdxFile))
+				if err != nil {
+					t.Fatalf("%s: %v", phase, err)
+				}
+				return fi.Size()
+			}
+			// One level-2 entry per file, so that under the default target the
+			// whole layout is one coalesce run.
+			ar := open(Config{SegmentTarget: 64})
+			for _, doc := range h.docs {
+				if items, err := ar.AddVersionBatch([]Source{{Doc: doc.Clone()}}); err != nil || items[0].Err != nil {
+					t.Fatal(err, items)
+				}
+			}
+			check(ar, "fragmented")
+			if err := ar.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ar = open(Config{})
+			before := check(ar, "reopened before compaction")
+			st, err := ar.Compact()
+			if err != nil || st.Executed == 0 {
+				t.Fatalf("compaction did nothing: %+v, %v", st, err)
+			}
+			after := check(ar, "compacted")
+			if err := ar.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ar = open(Config{})
+			defer ar.Close()
+			if got := check(ar, "reopened after compaction"); got != after {
+				t.Errorf("attr.idx is %d bytes after the reopen, %d before it", got, after)
+			}
+			// Fewer files means fewer file names and CRCs, nothing else.
+			if after < before*9/10 {
+				t.Errorf("attr.idx shrank from %d to %d bytes across Compact", before, after)
+			}
+			t.Logf("attr.idx %d -> %d bytes, %d segments coalesced into %d", before, after, st.Coalesced, st.Created)
+		})
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"xarch/internal/core"
-	"xarch/internal/xmltree"
 )
 
 // dirIndex is the lazily-built lookup index over one root's level-2
@@ -28,17 +27,16 @@ import (
 // scan semantics, ambiguity detection included, which the randomized
 // seek-vs-scan property test pins.
 //
-// A dirIndex belongs to an immutable rootRecord and is built at most
-// once per directory generation (sync.Once), shared by every query
-// view that captured the generation. Roots below dirIndexMinEntries
-// skip the build entirely: at that size the plain scan beats the
-// O(n log n) construction it would amortize.
+// The index holds positions only: names and display keys are read from the
+// segments' shared identity tables (segmentRecord.idents). It belongs to an
+// immutable rootRecord and is built at most once per directory generation
+// (sync.Once), shared by every query view that captured the generation.
+// Roots below dirIndexMinEntries skip the build entirely: at that size the
+// plain scan beats the O(n log n) construction it would amortize.
 type dirIndex struct {
 	segs   []*segmentRecord
 	cum    []int             // cum[i] = entries before segs[i]; len(segs)+1 entries
-	names  []string          // entry tag name per flat physical position
-	disp   []string          // joined display key per flat physical position
-	byDisp []int32           // physical positions sorted by (name, disp, position)
+	byDisp []int32           // physical positions sorted by (name, display key, position)
 	shapes map[string]string // name -> uniform joined key-path shape
 	mixed  map[string]bool   // name -> entries disagree on key-path shape
 	sorted bool              // entries verified (name, canonical key)-sorted
@@ -48,13 +46,15 @@ type dirIndex struct {
 // dirIndexMinEntries is the root size below which lookups stay on the
 // plain linear scan instead of building the index. A variable so tests
 // can exercise the indexed path on small fixtures.
-var dirIndexMinEntries = 512
+var dirIndexMinEntries = 64
 
 // segEntry addresses one child entry inside its segment.
 type segEntry struct {
 	seg *segmentRecord
-	e   *childEntry
+	i   int
 }
+
+func (m segEntry) e() *childEntry { return &m.seg.entries[m.i] }
 
 // index returns the root's entry index, building it on first use.
 func (r *rootRecord) index() *dirIndex {
@@ -63,10 +63,7 @@ func (r *rootRecord) index() *dirIndex {
 }
 
 func buildDirIndex(r *rootRecord) *dirIndex {
-	ix := &dirIndex{
-		segs: r.segs, shapes: map[string]string{}, mixed: map[string]bool{},
-		sorted: true,
-	}
+	ix := &dirIndex{segs: r.segs, sorted: true}
 	n := 0
 	ix.cum = make([]int, len(r.segs)+1)
 	for i, s := range r.segs {
@@ -78,21 +75,21 @@ func buildDirIndex(r *rootRecord) *dirIndex {
 		ix.small = true
 		return ix
 	}
-	ix.names = make([]string, n)
-	ix.disp = make([]string, n)
+	ix.shapes, ix.mixed = map[string]string{}, map[string]bool{}
 	ix.byDisp = make([]int32, n)
+	ids := make([]*entryIdent, 0, n) // by flat position, for the sort only
 	var prevName string
 	var prevKey *tkey
 	flat := 0
 	for _, s := range r.segs {
+		segIDs := s.idents()
 		for ei := range s.entries {
 			e := &s.entries[ei]
+			ids = append(ids, &segIDs[ei])
 			if flat > 0 && compareLabels(prevName, prevKey, e.name, e.key) > 0 {
 				ix.sorted = false
 			}
 			prevName, prevKey = e.name, e.key
-			ix.names[flat] = e.name
-			ix.disp[flat] = joinedDisplay(e.key)
 			ix.byDisp[flat] = int32(flat)
 			shape := joinedPaths(e.key)
 			if cur, ok := ix.shapes[e.name]; !ok {
@@ -105,11 +102,8 @@ func buildDirIndex(r *rootRecord) *dirIndex {
 	}
 	sort.Slice(ix.byDisp, func(i, j int) bool {
 		a, b := ix.byDisp[i], ix.byDisp[j]
-		if ix.names[a] != ix.names[b] {
-			return ix.names[a] < ix.names[b]
-		}
-		if ix.disp[a] != ix.disp[b] {
-			return ix.disp[a] < ix.disp[b]
+		if c := ids[a].compare(ids[b].name, ids[b].joined); c != 0 {
+			return c < 0
 		}
 		return a < b
 	})
@@ -119,25 +113,22 @@ func buildDirIndex(r *rootRecord) *dirIndex {
 // at resolves a flat physical position to its segment and entry.
 func (ix *dirIndex) at(flat int) segEntry {
 	si := sort.Search(len(ix.cum), func(i int) bool { return ix.cum[i] > flat }) - 1
-	s := ix.segs[si]
-	return segEntry{seg: s, e: &s.entries[flat-ix.cum[si]]}
+	return segEntry{seg: ix.segs[si], i: flat - ix.cum[si]}
 }
 
-// joinedDisplay renders a key annotation's display values as one
-// comparable string. XML text cannot contain NUL, so the separator is
-// unambiguous.
-func joinedDisplay(k *tkey) string {
-	if k == nil || len(k.canon) == 0 {
-		return ""
+// ident returns the identity of the entry at a flat physical position.
+func (ix *dirIndex) ident(flat int) *entryIdent {
+	se := ix.at(flat)
+	return &se.seg.idents()[se.i]
+}
+
+// compare orders the identity against a (name, joined display key) pair:
+// byDisp's order.
+func (id *entryIdent) compare(name, joined string) int {
+	if c := strings.Compare(id.name, name); c != 0 {
+		return c
 	}
-	if len(k.canon) == 1 {
-		return xmltree.DisplayFromCanonical(k.canon[0])
-	}
-	parts := make([]string, len(k.canon))
-	for i, c := range k.canon {
-		parts[i] = xmltree.DisplayFromCanonical(c)
-	}
-	return strings.Join(parts, "\x00")
+	return strings.Compare(id.joined, joined)
 }
 
 // joinedPaths renders a key annotation's path names (already sorted by
@@ -156,55 +147,50 @@ func joinedPaths(k *tkey) string {
 // either outcome, so the search stops there.
 func (r *rootRecord) lookup(step *core.SelectorStep) []segEntry {
 	ix := r.index()
-	if ix.small {
-		return scanEntriesLinear(r, step)
-	}
-	if !ix.sorted {
-		// A directory that violates the sort invariant (never produced
-		// by a healthy archive) gets the plain linear scan.
-		return ix.scanRange(step, 0, len(ix.names))
-	}
-	lo := sort.SearchStrings(ix.names, step.Tag)
-	hi := lo + sort.SearchStrings(ix.names[lo:], step.Tag+"\x00")
-	if lo == hi {
-		return nil
-	}
-	if len(step.Preds) == 0 {
-		out := []segEntry{ix.at(lo)}
-		if hi-lo > 1 {
-			out = append(out, ix.at(lo+1))
-		}
-		return out
-	}
-	if target, ok := ix.exactTarget(step); ok {
-		// Fully-keyed step over a uniform key shape: every entry of this
-		// name carries exactly the predicate paths, so predicate
-		// matching reduces to display-key equality — one binary search
-		// over the display-ordered permutation.
-		dLo := sort.Search(len(ix.byDisp), func(i int) bool {
-			p := ix.byDisp[i]
-			if ix.names[p] != step.Tag {
-				return ix.names[p] > step.Tag
-			}
-			return ix.disp[p] >= target
-		})
+	if flats, ok := ix.seek(step); ok {
 		var out []segEntry
-		for i := dLo; i < len(ix.byDisp) && len(out) < 2; i++ {
-			p := ix.byDisp[i]
-			if ix.names[p] != step.Tag || ix.disp[p] != target {
-				break
-			}
-			se := ix.at(int(p))
-			if !entryMatches(step, se.e.key) {
-				// Cannot happen while the uniformity invariant holds;
-				// re-derive the answer the slow way rather than trust it.
-				return ix.scanRange(step, lo, hi)
-			}
-			out = append(out, se)
+		for _, p := range flats[:min(len(flats), 2)] {
+			out = append(out, ix.at(int(p)))
 		}
 		return out
+	}
+	lo, hi := 0, ix.cum[len(ix.segs)]
+	if !ix.small && ix.sorted {
+		lo = sort.Search(hi, func(i int) bool { return ix.at(i).e().name >= step.Tag })
+		hi = lo + sort.Search(hi-lo, func(i int) bool { return ix.at(lo+i).e().name > step.Tag })
 	}
 	return ix.scanRange(step, lo, hi)
+}
+
+// seek answers a fully-keyed step over a uniform key shape by binary
+// search: every entry of the step's name carries exactly the predicate
+// paths, so predicate matching reduces to display-key equality, and the
+// entries that match are one run of the display-ordered permutation. It
+// returns their physical positions, ascending. ok is false when the step
+// cannot be answered this way — a small or unsorted root, an
+// under-specified step, mixed key shapes — and the caller scans.
+func (ix *dirIndex) seek(step *core.SelectorStep) (flats []int32, ok bool) {
+	if ix.small || !ix.sorted || len(step.Preds) == 0 {
+		return nil, false
+	}
+	target, ok := ix.exactTarget(step)
+	if !ok {
+		return nil, false
+	}
+	lo := sort.Search(len(ix.byDisp), func(i int) bool { return ix.ident(int(ix.byDisp[i])).compare(step.Tag, target) >= 0 })
+	hi := lo
+	for ; hi < len(ix.byDisp); hi++ {
+		id := ix.ident(int(ix.byDisp[hi]))
+		if id.compare(step.Tag, target) != 0 {
+			break
+		}
+		if !entryMatches(step, id) {
+			// Cannot happen while the uniformity invariant holds;
+			// re-derive the answer the slow way rather than trust it.
+			return nil, false
+		}
+	}
+	return ix.byDisp[lo:hi], true
 }
 
 // exactTarget reports whether the step's predicates name exactly the
@@ -219,6 +205,9 @@ func (ix *dirIndex) exactTarget(step *core.SelectorStep) (string, bool) {
 		return "", false
 	}
 	preds := step.Preds
+	if len(preds) == 1 {
+		return preds[0].Value, preds[0].Path == shape
+	}
 	if !sort.SliceIsSorted(preds, func(i, j int) bool { return preds[i].Path < preds[j].Path }) {
 		sorted := append([]core.Predicate(nil), preds...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
@@ -236,35 +225,24 @@ func (ix *dirIndex) exactTarget(step *core.SelectorStep) (string, bool) {
 	return strings.Join(vals, "\x00"), true
 }
 
-// scanRange is the linear fallback over the flat positions [lo, hi):
-// exactly the pre-index scan, returning the first two matches.
+// scanRange is the linear walk over the flat positions [lo, hi), segment
+// by segment: exactly the pre-index scan, returning the first two matches.
 func (ix *dirIndex) scanRange(step *core.SelectorStep, lo, hi int) []segEntry {
 	var out []segEntry
-	for flat := lo; flat < hi && len(out) < 2; flat++ {
-		if ix.names[flat] != step.Tag {
+	for si, s := range ix.segs {
+		base := ix.cum[si]
+		if base >= hi {
+			break
+		}
+		if ix.cum[si+1] <= lo {
 			continue
 		}
-		se := ix.at(flat)
-		if entryMatches(step, se.e.key) {
-			out = append(out, se)
-		}
-	}
-	return out
-}
-
-// scanEntriesLinear is the index-free scan small roots use: the
-// original entry walk, returning the first two matches in physical
-// order.
-func scanEntriesLinear(r *rootRecord, step *core.SelectorStep) []segEntry {
-	var out []segEntry
-	for _, s := range r.segs {
-		for i := range s.entries {
-			e := &s.entries[i]
-			if e.name != step.Tag || !entryMatches(step, e.key) {
+		ids := s.idents()
+		for i := max(lo-base, 0); i < len(s.entries) && base+i < hi; i++ {
+			if !entryMatches(step, &ids[i]) {
 				continue
 			}
-			out = append(out, segEntry{seg: s, e: e})
-			if len(out) == 2 {
+			if out = append(out, segEntry{seg: s, i: i}); len(out) == 2 {
 				return out
 			}
 		}

@@ -34,8 +34,8 @@ func refLookup(r *rootRecord, step *core.SelectorStep) []segEntry {
 	for _, s := range r.segs {
 		for i := range s.entries {
 			e := &s.entries[i]
-			if len(out) < 2 && e.name == step.Tag && entryMatches(step, e.key) {
-				out = append(out, segEntry{seg: s, e: e})
+			if len(out) < 2 && e.name == step.Tag && (e.key != nil || len(step.Preds) == 0) && step.MatchesKey(keyDisplay(e.key)) {
+				out = append(out, segEntry{seg: s, i: i})
 			}
 		}
 	}
@@ -63,9 +63,9 @@ func checkLookup(t *testing.T, r *rootRecord, step *core.SelectorStep) {
 		t.Fatalf("lookup(%s%v): %d matches, want %d", step.Tag, step.Preds, len(got), len(want))
 	}
 	for i := range got {
-		if got[i].e != want[i].e {
+		if got[i] != want[i] {
 			t.Errorf("lookup(%s%v): match %d is %s{%v}, want %s{%v}",
-				step.Tag, step.Preds, i, got[i].e.name, got[i].e.key, want[i].e.name, want[i].e.key)
+				step.Tag, step.Preds, i, got[i].e().name, got[i].e().key, want[i].e().name, want[i].e().key)
 		}
 	}
 }
@@ -169,7 +169,7 @@ func TestDirIndexLookupCost(t *testing.T) {
 	for _, probe := range []int{0, 1, n / 2, n - 1} {
 		step := stepOf("rec", core.Predicate{Path: "id", Value: fmt.Sprintf("k%06d", probe)})
 		got := r.lookup(step)
-		if len(got) != 1 || got[0].e != &r.segs[0].entries[probe] {
+		if len(got) != 1 || got[0].e() != &r.segs[0].entries[probe] {
 			t.Fatalf("lookup k%06d: %v", probe, got)
 		}
 	}

@@ -101,7 +101,7 @@ func (q *QueryView) writeArchiveIndented(w io.Writer, stats *core.Stats) error {
 	defer tr.release()
 
 	out.open("T", false)
-	out.attr("t", q.rootTime.String())
+	out.attr("t", q.d.rootTime.String())
 	out.open("root", false)
 	for {
 		t, ok := tr.take()

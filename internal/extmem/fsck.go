@@ -235,21 +235,15 @@ func checkAttrIndex(fs fsio.FS, dir string, d *keyDirectory, r *CheckReport) {
 		return
 	}
 	checkEntry := func(e *idxEntry, eff *intervals.Set, where string) string {
-		for _, c := range e.changes {
-			if c.explicit && (c.v < 1 || c.v > x.versions) {
-				return fmt.Sprintf("%s: change version %d outside 1..%d", where, c.v, x.versions)
+		for _, c := range e.facts.Changes {
+			if c.Explicit && (c.V < 1 || c.V > x.versions) {
+				return fmt.Sprintf("%s: change version %d outside 1..%d", where, c.V, x.versions)
 			}
 		}
-		for _, a := range e.attrs {
-			if a.timeStr == "" {
-				continue
-			}
-			ts, err := intervals.Parse(a.timeStr)
-			if err != nil {
-				return fmt.Sprintf("%s: bad attr timestamp %q", where, a.timeStr)
-			}
-			if !ts.Minus(eff).Empty() {
-				return fmt.Sprintf("%s: attr %s lifespan %s outside record lifespan %s", where, a.name, a.timeStr, eff)
+		// A timestamp that does not parse has already failed the decode.
+		for _, a := range e.facts.Attrs {
+			if a.Time != nil && !a.Time.Minus(eff).Empty() {
+				return fmt.Sprintf("%s: attr %s lifespan %s outside record lifespan %s", where, a.Name, a.Time, eff)
 			}
 		}
 		return ""

@@ -69,6 +69,33 @@ func TestHostileLengthPrefixes(t *testing.T) {
 	}
 }
 
+// TestKdReaderVarint holds the reader's own varint loop to
+// encoding/binary's on the edges: every length, the largest value, a tenth
+// byte that overflows, an eleventh, and a cut after every byte.
+func TestKdReaderVarint(t *testing.T) {
+	var cases [][]byte
+	for shift := 0; shift < 64; shift += 7 {
+		cases = append(cases, binary.AppendUvarint(nil, 1<<shift), binary.AppendUvarint(nil, 1<<shift-1))
+	}
+	cases = append(cases, binary.AppendUvarint(nil, 1<<64-1),
+		[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+		[]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+	for _, full := range cases {
+		for cut := 0; cut <= len(full); cut++ {
+			in := append(bytes.Clone(full[:cut]), "tail"...)
+			if cut < len(full) {
+				in = in[:cut]
+			}
+			want, n := binary.Uvarint(in)
+			r := &kdReader{s: string(in)}
+			got := r.varint()
+			if (n <= 0) != (r.err != nil) || n > 0 && (got != want || r.s != string(in[n:])) {
+				t.Errorf("% x: got %d, rest %q, err %v; binary.Uvarint says %d, n=%d", in, got, r.s, r.err, want, n)
+			}
+		}
+	}
+}
+
 // drainTokens decodes data to its end twice — token by token, and
 // skipping every subtree — and checks that a clean decode accounts for
 // every byte.

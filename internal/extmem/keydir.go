@@ -3,6 +3,7 @@ package extmem
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -78,6 +79,9 @@ type segmentRecord struct {
 	storedCRC uint32 // CRC32 (IEEE) of the on-disk payload bytes
 	dictLen   int64  // dictionary section bytes
 	entries   []childEntry
+
+	identOnce sync.Once
+	ident     []entryIdent // idents(): derived on first query, index-aligned with entries
 }
 
 // firstLabel returns the label of the segment's first entry.
@@ -105,6 +109,9 @@ type rootRecord struct {
 
 	idxOnce sync.Once
 	idx     *dirIndex
+
+	identOnce sync.Once
+	id        entryIdent
 }
 
 // keyDirectory is one immutable snapshot of the segmented layout plus
@@ -132,9 +139,15 @@ func (d *keyDirectory) files() map[string]bool {
 func (d *keyDirectory) entryCount() int {
 	n := 0
 	for _, r := range d.roots {
-		for _, s := range r.segs {
-			n += len(s.entries)
-		}
+		n += r.entryCount()
+	}
+	return n
+}
+
+func (r *rootRecord) entryCount() int {
+	n := 0
+	for _, s := range r.segs {
+		n += len(s.entries)
 	}
 	return n
 }
@@ -253,10 +266,11 @@ func (d *keyDirectory) encode() []byte {
 }
 
 // kdReader decodes keydir.idx and attr.idx, files a replication peer
-// supplies: a length prefix sizes an allocation only once it is known to
-// fit in the bytes that remain.
+// supplies, over one string copy of the checked body: every decoded string
+// is a substring of it (one allocation for the file, none per field), and a
+// length prefix is honoured only once it is known to fit in what remains.
 type kdReader struct {
-	r   *bytes.Reader
+	s   string // the body, or what is left of it
 	err error
 }
 
@@ -264,11 +278,21 @@ func (r *kdReader) varint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		r.err = err
+	var v uint64
+	for i := 0; i < len(r.s); i++ {
+		b := r.s[i]
+		if i == binary.MaxVarintLen64-1 && b > 1 {
+			r.err = errors.New("varint overflows 64 bits")
+			return 0
+		}
+		v |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			r.s = r.s[i+1:]
+			return v
+		}
 	}
-	return v
+	r.err = io.ErrUnexpectedEOF
+	return 0
 }
 
 func (r *kdReader) str() string {
@@ -276,26 +300,25 @@ func (r *kdReader) str() string {
 	if r.err != nil {
 		return ""
 	}
-	if n > uint64(r.r.Len()) {
-		r.err = fmt.Errorf("string of %d bytes with %d bytes left", n, r.r.Len())
+	if n > uint64(len(r.s)) {
+		r.err = fmt.Errorf("string of %d bytes with %d bytes left", n, len(r.s))
 		return ""
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		r.err = err
-		return ""
-	}
-	return string(buf)
+	out := r.s[:n]
+	r.s = r.s[n:]
+	return out
 }
 
 func (r *kdReader) byte() byte {
 	if r.err != nil {
 		return 0
 	}
-	b, err := r.r.ReadByte()
-	if err != nil {
-		r.err = err
+	if len(r.s) == 0 {
+		r.err = io.ErrUnexpectedEOF
+		return 0
 	}
+	b := r.s[0]
+	r.s = r.s[1:]
 	return b
 }
 
@@ -327,7 +350,7 @@ func decodeKeyDirectory(data []byte) (*keyDirectory, error) {
 	if string(body[:len(keydirMagic)]) != keydirMagic {
 		return nil, corruptf("key directory bad magic")
 	}
-	r := &kdReader{r: bytes.NewReader(body[len(keydirMagic):])}
+	r := &kdReader{s: string(body[len(keydirMagic):])}
 	switch format := r.varint(); {
 	case r.err != nil:
 		return nil, corruptf("key directory: %v", r.err)

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strings"
 
 	"xarch/internal/anode"
 	"xarch/internal/core"
 	"xarch/internal/intervals"
+	"xarch/internal/qlang"
 	"xarch/internal/xmltree"
 )
 
@@ -16,7 +18,7 @@ import (
 // parsing the string.
 func (q *QueryView) rootEff(r *rootRecord) (*intervals.Set, error) {
 	if r.timeStr == "" {
-		return q.rootTime, nil
+		return q.d.rootTime, nil
 	}
 	if r.time != nil {
 		return r.time, nil
@@ -134,27 +136,67 @@ func (q *QueryView) tokensToANodes(toks []token) ([]*anode.Node, error) {
 	return items, nil
 }
 
-// entryMatches evaluates a selector step's predicates against a key
-// annotation, deriving display values only for the paths the predicates
-// name — semantically identical to SelectorStep.MatchesKey over
-// keyDisplay (the randomized seek-vs-scan property test pins this), but
-// without materializing a display slice per directory entry.
-func entryMatches(step *core.SelectorStep, k *tkey) bool {
-	for _, p := range step.Preds {
-		ok := false
-		if k != nil {
-			for i := range k.paths {
-				if k.paths[i] == p.Path {
-					ok = xmltree.DisplayFromCanonical(k.canon[i]) == p.Value
-					break
-				}
-			}
-		}
-		if !ok {
-			return false
-		}
+// entryIdent is what History and Select derive from the name and key of a
+// directory entry, a root or an indexed kid: the display values selector
+// predicates compare, the label results and errors print, the KeyInfo a
+// Record carries. A function of the immutable name and key alone, it is
+// derived by the first query that asks — never at open or commit — and lives
+// with what it describes: a segmentRecord's table is shared by every
+// generation that re-links the segment, an idxEntry's kid table likewise.
+type entryIdent struct {
+	name   string
+	label  string         // "emp{fn=John,ln=Doe}"
+	key    *qlang.KeyInfo // nil for an unkeyed node; Paths alias the tkey's
+	joined string         // the display values joined by NUL: dirIndex's sort key
+}
+
+func identOf(name string, k *tkey) entryIdent {
+	if k == nil {
+		return entryIdent{name: name, label: name}
 	}
-	return true
+	paths, disp := keyDisplay(k)
+	id := entryIdent{name: name, label: labelOf(name, paths, disp), key: &qlang.KeyInfo{Paths: paths, Disp: disp}}
+	id.joined = strings.Join(disp, "\x00") // XML text cannot contain NUL
+	return id
+}
+
+// idents returns the entries' identities, index-aligned with entries.
+func (s *segmentRecord) idents() []entryIdent {
+	s.identOnce.Do(func() {
+		s.ident = make([]entryIdent, len(s.entries))
+		for i := range s.entries {
+			s.ident[i] = identOf(s.entries[i].name, s.entries[i].key)
+		}
+	})
+	return s.ident
+}
+
+func (r *rootRecord) ident() *entryIdent {
+	r.identOnce.Do(func() { r.id = identOf(r.name, r.key) })
+	return &r.id
+}
+
+// kidIdents returns the kids' identities, index-aligned with kids.
+func (e *idxEntry) kidIdents() []entryIdent {
+	e.kidOnce.Do(func() {
+		e.kidIdent = make([]entryIdent, len(e.kids))
+		for i := range e.kids {
+			e.kidIdent[i] = identOf(e.kids[i].name, e.kids[i].key)
+		}
+	})
+	return e.kidIdent
+}
+
+// entryMatches evaluates a selector step's predicates against a decoded
+// identity: core's one matching rule, with nothing derived per call.
+func entryMatches(step *core.SelectorStep, id *entryIdent) bool {
+	if id.name != step.Tag {
+		return false
+	}
+	if id.key == nil {
+		return len(step.Preds) == 0
+	}
+	return step.MatchesKey(id.key.Paths, id.key.Disp)
 }
 
 // keyDisplay derives the key annotation's path names and display values
@@ -175,16 +217,17 @@ func keyDisplay(k *tkey) (paths, disp []string) {
 // keyLabel renders "emp{fn=John,ln=Doe}" for error messages, matching the
 // annotated-node Label format.
 func keyLabel(name string, k *tkey) string {
-	if k == nil || len(k.paths) == 0 {
+	paths, disp := keyDisplay(k)
+	return labelOf(name, paths, disp)
+}
+
+func labelOf(name string, paths, disp []string) string {
+	if len(paths) == 0 {
 		return name
 	}
-	paths, disp := keyDisplay(k)
-	out := name + "{"
+	parts := make([]string, len(paths))
 	for i := range paths {
-		if i > 0 {
-			out += ","
-		}
-		out += paths[i] + "=" + disp[i]
+		parts[i] = paths[i] + "=" + disp[i]
 	}
-	return out + "}"
+	return name + "{" + strings.Join(parts, ",") + "}"
 }

@@ -75,7 +75,7 @@ func (q *QueryView) resolveViaScan(steps []core.SelectorStep, wantBody bool) (*r
 		return nil, err
 	}
 	defer tr.release()
-	return q.resolveLevel(tr, steps, q.rootTime, "", q.spec.Cursor(), wantBody)
+	return q.resolveLevel(tr, steps, q.d.rootTime, "", q.spec.Cursor(), wantBody)
 }
 
 // resolveViaDirectory resolves the top two selector steps against the
@@ -90,10 +90,10 @@ func (q *QueryView) resolveViaDirectory(steps []core.SelectorStep, wantBody bool
 	var foundLabel string
 	ambiguous := false
 	for _, r := range q.d.roots {
-		if ambiguous || r.name != step.Tag || !entryMatches(step, r.key) {
+		if ambiguous || !entryMatches(step, r.ident()) {
 			continue
 		}
-		label := keyLabel(r.name, r.key)
+		label := r.ident().label
 		if res != nil {
 			res = &resolved{err: core.AmbiguousSelectorError(stepPath, foundLabel, label)}
 			ambiguous = true
@@ -160,17 +160,17 @@ func (q *QueryView) resolveRoot(r *rootRecord, eff *intervals.Set, steps []core.
 		return &resolved{err: core.NoSuchElementError(childPath)}, nil
 	}
 	m := matches[0]
-	ceff, err := entryEff(m.e, eff)
+	ceff, err := entryEff(m.e(), eff)
 	if err != nil {
 		return nil, err
 	}
-	res, err := q.resolveEntry(r, m.seg, m.e, ceff, steps[1:], childPath, wantBody)
+	res, err := q.resolveEntry(r, m, ceff, steps[1:], childPath, wantBody)
 	if err != nil {
 		return nil, err
 	}
 	if len(matches) > 1 {
-		res = &resolved{err: core.AmbiguousSelectorError(childPath,
-			keyLabel(m.e.name, m.e.key), keyLabel(matches[1].e.name, matches[1].e.key))}
+		m2 := matches[1]
+		res = &resolved{err: core.AmbiguousSelectorError(childPath, m.seg.idents()[m.i].label, m2.seg.idents()[m2.i].label)}
 	}
 	return res, nil
 }
@@ -179,7 +179,8 @@ func (q *QueryView) resolveRoot(r *rootRecord, eff *intervals.Set, steps []core.
 // entry, reading the child's bytes only when the answer needs them:
 // History on a selective two-step selector is answered from the
 // directory alone.
-func (q *QueryView) resolveEntry(r *rootRecord, s *segmentRecord, e *childEntry, eff *intervals.Set, steps []core.SelectorStep, stepPath string, wantBody bool) (*resolved, error) {
+func (q *QueryView) resolveEntry(r *rootRecord, m segEntry, eff *intervals.Set, steps []core.SelectorStep, stepPath string, wantBody bool) (*resolved, error) {
+	s, e := m.seg, m.e()
 	last := len(steps) == 1
 	if last && !wantBody {
 		return &resolved{eff: eff}, nil
@@ -196,7 +197,7 @@ func (q *QueryView) resolveEntry(r *rootRecord, s *segmentRecord, e *childEntry,
 		// byte spans: resolve the next step against that mini-index and
 		// seek straight to the one matched child subtree, instead of
 		// streaming every sibling of the entry.
-		if res, ok, err := q.resolveViaKids(r, s, e, eff, steps, stepPath, wantBody); ok || err != nil {
+		if res, ok, err := q.resolveViaKids(r, m, eff, steps, stepPath, wantBody); ok || err != nil {
 			return res, err
 		}
 	}
@@ -239,58 +240,39 @@ func (q *QueryView) resolveEntry(r *rootRecord, s *segmentRecord, e *childEntry,
 // ok=false means no usable index (absent sidecar, scan-built postings
 // without spans) and the caller falls back to streaming the entry. Match
 // order, ambiguity handling and error texts mirror resolveLevel exactly.
-func (q *QueryView) resolveViaKids(r *rootRecord, s *segmentRecord, e *childEntry, eff *intervals.Set, steps []core.SelectorStep, stepPath string, wantBody bool) (*resolved, bool, error) {
-	if q.aidx == nil {
-		return nil, false, nil
-	}
-	fi := q.aidx.files[s.file]
-	if fi == nil {
-		return nil, false, nil
-	}
-	var ent *idxEntry
-	for i := range s.entries {
-		if &s.entries[i] == e {
-			if i < len(fi.entries) {
-				ent = fi.entries[i]
-			}
-			break
-		}
-	}
+func (q *QueryView) resolveViaKids(r *rootRecord, m segEntry, eff *intervals.Set, steps []core.SelectorStep, stepPath string, wantBody bool) (*resolved, bool, error) {
+	ent := q.posting(m.seg, m.i)
 	if ent == nil || !ent.hasKids {
 		return nil, false, nil
 	}
 	step := &steps[1]
 	kidPath := stepPath + "/" + step.Tag
+	ids := ent.kidIdents()
 	var first *idxKid
 	var foundLabel string
 	for ki := range ent.kids {
-		k := &ent.kids[ki]
-		if k.name != step.Tag || !entryMatches(step, k.key) {
+		if !entryMatches(step, &ids[ki]) {
 			continue
 		}
 		if first != nil {
-			return &resolved{err: core.AmbiguousSelectorError(kidPath, foundLabel, keyLabel(k.name, k.key))}, true, nil
+			return &resolved{err: core.AmbiguousSelectorError(kidPath, foundLabel, ids[ki].label)}, true, nil
 		}
-		first = k
-		foundLabel = keyLabel(k.name, k.key)
+		first = &ent.kids[ki]
+		foundLabel = ids[ki].label
 	}
 	if first == nil {
 		return &resolved{err: core.NoSuchElementError(kidPath)}, true, nil
 	}
 	keff := eff
-	if first.timeStr != "" {
-		ts, err := intervals.Parse(first.timeStr)
-		if err != nil {
-			return nil, false, corruptf("attr index timestamp %q", first.timeStr)
-		}
-		keff = ts
+	if first.time != nil {
+		keff = first.time
 	}
-	tr := q.stream([]streamPart{{seg: s, off: e.offset + first.off, n: first.size}})
+	tr := q.stream([]streamPart{{seg: m.seg, off: m.e().offset + first.off, n: first.size}})
 	defer tr.release()
 	if t, ok := tr.take(); !ok || t.op != tokOpen {
 		return nil, false, corruptf("kid %s has no open token", first.name)
 	}
-	res, err := q.resolveInto(tr, first.name, keff, steps[1:], kidPath, q.spec.Cursor().Child(r.name).Child(e.name).Child(first.name), wantBody)
+	res, err := q.resolveInto(tr, first.name, keff, steps[1:], kidPath, q.spec.Cursor().Child(r.name).Child(m.e().name).Child(first.name), wantBody)
 	if err != nil {
 		return nil, false, err
 	}

@@ -2,6 +2,7 @@ package extmem
 
 import (
 	"xarch/internal/anode"
+	"xarch/internal/core"
 	"xarch/internal/intervals"
 	"xarch/internal/keys"
 	"xarch/internal/qlang"
@@ -10,12 +11,12 @@ import (
 
 // Select evaluates a boolean query expression against the view's records
 // (level-2 entries and raw roots), returning the non-empty matches sorted
-// by path. When the view carries a fresh attribute index the planner
-// narrows the record set through the inverted attribute map and answers
-// attribute/changed predicates — and shallow path predicates — from the
-// sidecar alone; deeper path predicates seek the matched child subtree
-// through the per-entry mini-index. Without a sidecar every record is
-// scanned and materialized exactly; the two paths answer identically.
+// by path. The plan narrows before any record is built (selectRecords), then
+// evaluates the survivors exactly: attribute, changed and shallow path
+// predicates from the sidecar's facts alone, deeper path predicates by
+// seeking the matched child subtree through the per-entry mini-index.
+// Without a sidecar, or with directory seeks off, every record is scanned
+// and materialized; the paths answer identically.
 func (q *QueryView) Select(e qlang.Expr) ([]qlang.Result, error) {
 	recs, err := q.selectRecords(e)
 	if err != nil {
@@ -24,143 +25,195 @@ func (q *QueryView) Select(e qlang.Expr) ([]qlang.Result, error) {
 	return qlang.EvalAll(e, recs)
 }
 
-func tkeyInfo(k *tkey) *qlang.KeyInfo {
-	if k == nil {
-		return nil
-	}
-	paths, disp := keyDisplay(k)
-	return &qlang.KeyInfo{Paths: paths, Disp: disp}
+// recordSource is the qlang.Source of one record: where its subtree and its
+// indexed facts are. s is nil for a raw root, ent without a sidecar.
+type recordSource struct {
+	q   *QueryView
+	r   *rootRecord
+	s   *segmentRecord
+	i   int // entry index within s
+	ent *idxEntry
 }
 
-// selectRecords enumerates the view's records in directory order,
-// skipping — when an index is available — records that cannot satisfy the
-// expression's required attribute predicates. The enumeration order must
-// match attrIndex.buildInv exactly: raw roots one ordinal, non-raw roots
-// one ordinal per segment entry.
-func (q *QueryView) selectRecords(e qlang.Expr) ([]*qlang.Record, error) {
-	var cand map[int]bool
+func (src *recordSource) Node() (*anode.Node, error) {
+	if src.s == nil {
+		return src.q.rawNode(src.r)
+	}
+	return src.q.entryNode(src.r, src.s, &src.s.entries[src.i])
+}
+
+func (src *recordSource) Facts() (*qlang.RecordFacts, error) {
+	if src.ent == nil {
+		return nil, nil
+	}
+	return &src.ent.facts, nil
+}
+
+// posting returns the sidecar's facts for entry i of s, nil when the view
+// has none.
+func (q *QueryView) posting(s *segmentRecord, i int) *idxEntry {
+	if q.aidx != nil {
+		if fi := q.aidx.files[s.file]; fi != nil && i < len(fi.entries) {
+			return fi.entries[i]
+		}
+	}
+	return nil
+}
+
+// selectRecords enumerates the view's records in directory order, skipping
+// those the expression's conjunctive spine rules out: with an index, records
+// lacking a required attribute; with directory seeks on, records whose root
+// fails step 0, or whose own element fails step 1, of a required path of two
+// or more steps — by binary search where such a step is fully keyed
+// (dirIndex.seek), by a compare against the decoded identity otherwise. Both
+// are superset filters, evaluation stays exact, and the seek-less,
+// index-less store narrows nothing: it remains an independent oracle.
+// Ordinals must match attrIndex.buildInv: a raw root is one, any other root
+// one per segment entry (base + flat position).
+func (q *QueryView) selectRecords(e qlang.Expr) ([]qlang.Record, error) {
+	var cand []int // sorted ordinals; nil: every record is a candidate
 	if q.aidx != nil {
 		if preds := qlang.RequiredAttrs(e); len(preds) > 0 {
-			cand = map[int]bool{}
-			for _, o := range q.aidx.candidates(q.d, preds) {
-				cand[o] = true
+			cand = q.aidx.candidates(q.d, preds)
+		}
+	}
+	var spine []*qlang.PathPred
+	if q.seek {
+		for _, p := range qlang.RequiredPaths(e) {
+			if len(p.Steps) >= 2 {
+				spine = append(spine, p)
 			}
 		}
 	}
-	var recs []*qlang.Record
+	hint := len(cand) // with neither filter, every record: one slab each
+	if cand == nil && spine == nil {
+		hint = q.d.entryCount() + len(q.d.roots)
+	}
+	recs, srcs := make([]qlang.Record, 0, hint), make([]recordSource, 0, hint)
+	// add appends the record at ordinal ord (entry i of s, or the raw root r
+	// itself when s is nil) unless the plan rules it out. Ordinals arrive
+	// ascending, so cand is consumed from its head.
+	add := func(r *rootRecord, rootEff *intervals.Set, s *segmentRecord, i, ord int) error {
+		if cand != nil {
+			for len(cand) > 0 && cand[0] < ord {
+				cand = cand[1:]
+			}
+			if len(cand) == 0 || cand[0] != ord {
+				return nil
+			}
+		}
+		rid := r.ident()
+		rec := qlang.Record{RootName: r.name, RootKey: rid.key, RootLabel: rid.label, Raw: s == nil, Life: rootEff, Versions: q.versions}
+		src := recordSource{q: q, r: r, s: s, i: i}
+		if s != nil {
+			id := &s.idents()[i]
+			for _, p := range spine {
+				if !entryMatches(&p.Steps[1], id) {
+					return nil
+				}
+			}
+			eff, err := entryEff(&s.entries[i], rootEff)
+			if err != nil {
+				return err
+			}
+			rec.Name, rec.Key, rec.Label, rec.Life = id.name, id.key, id.label, eff
+			src.ent = q.posting(s, i)
+		} else if q.aidx != nil {
+			if ri := q.aidx.raws[rid.label]; ri != nil {
+				src.ent = ri.e
+			}
+		}
+		recs, srcs = append(recs, rec), append(srcs, src)
+		return nil
+	}
 	ord := 0
+nextRoot:
 	for _, r := range q.d.roots {
+		base := ord
+		if r.raw {
+			ord++
+		} else {
+			ord += r.entryCount()
+		}
+		for _, p := range spine {
+			if !entryMatches(&p.Steps[0], r.ident()) {
+				continue nextRoot
+			}
+		}
 		rootEff, err := q.rootEff(r)
 		if err != nil {
 			return nil, err
 		}
 		if r.raw {
-			o := ord
-			ord++
-			if cand != nil && !cand[o] {
-				continue
+			if err := add(r, rootEff, nil, 0, base); err != nil {
+				return nil, err
 			}
-			r := r
-			rec := &qlang.Record{
-				RootName:  r.name,
-				RootKey:   tkeyInfo(r.key),
-				RootLabel: keyLabel(r.name, r.key),
-				Raw:       true,
-				Life:      rootEff,
-				Versions:  q.versions,
-				Node:      func() (*anode.Node, error) { return q.rawNode(r) },
-			}
-			if q.aidx != nil {
-				if ri := q.aidx.raws[keyLabel(r.name, r.key)]; ri != nil {
-					ent := ri.e
-					rec.Facts = func() (*qlang.RecordFacts, error) { return idxToFacts(ent) }
-				}
-			}
-			recs = append(recs, rec)
 			continue
 		}
-		rootLabel := keyLabel(r.name, r.key)
-		rootKey := tkeyInfo(r.key)
-		for _, s := range r.segs {
-			var fi *fileIdx
-			if q.aidx != nil {
-				fi = q.aidx.files[s.file]
-			}
-			for i := range s.entries {
-				o := ord
-				ord++
-				if cand != nil && !cand[o] {
-					continue
-				}
-				en := &s.entries[i]
-				eff, err := entryEff(en, rootEff)
-				if err != nil {
-					return nil, err
-				}
-				r, s, en := r, s, en
-				rec := &qlang.Record{
-					RootName:  r.name,
-					RootKey:   rootKey,
-					RootLabel: rootLabel,
-					Name:      en.name,
-					Key:       tkeyInfo(en.key),
-					Label:     keyLabel(en.name, en.key),
-					Life:      eff,
-					Versions:  q.versions,
-					Node:      func() (*anode.Node, error) { return q.entryNode(r, s, en) },
-				}
-				if fi != nil && i < len(fi.entries) {
-					ent := fi.entries[i]
-					rec.Facts = func() (*qlang.RecordFacts, error) { return idxToFacts(ent) }
-					if ent.hasKids {
-						rec.PathSet = func(p *qlang.PathPred) (*intervals.Set, bool, error) {
-							return q.kidPathSet(r, s, en, ent, eff, p)
-						}
+		for _, p := range spine {
+			if flats, ok := r.index().seek(&p.Steps[1]); ok {
+				for _, flat := range flats {
+					m := r.index().at(int(flat))
+					if err := add(r, rootEff, m.seg, m.i, base+int(flat)); err != nil {
+						return nil, err
 					}
 				}
-				recs = append(recs, rec)
+				continue nextRoot
 			}
 		}
+		for _, s := range r.segs {
+			for i := range s.entries {
+				if err := add(r, rootEff, s, i, base); err != nil {
+					return nil, err
+				}
+				base++
+			}
+		}
+	}
+	for i := range recs {
+		recs[i].Src = &srcs[i]
 	}
 	return recs, nil
 }
 
-// kidPathSet evaluates a path predicate (steps relative to the record's
+// PathSet evaluates a path predicate (steps relative to the record's
 // children) through the entry's kid mini-index: one-step predicates are
 // answered from kid metadata alone; deeper ones seek each matching kid's
 // subtree through the segment directory and walk only those bytes.
-func (q *QueryView) kidPathSet(r *rootRecord, s *segmentRecord, en *childEntry, ent *idxEntry, eff *intervals.Set, p *qlang.PathPred) (*intervals.Set, bool, error) {
-	step := &p.Steps[0]
+func (src *recordSource) PathSet(steps []core.SelectorStep, eff *intervals.Set) (*intervals.Set, bool, error) {
+	ent := src.ent
+	if ent == nil || !ent.hasKids {
+		return nil, false, nil
+	}
+	q, step := src.q, &steps[0]
+	en := &src.s.entries[src.i]
+	ids := ent.kidIdents()
 	acc := intervals.New()
 	for ki := range ent.kids {
-		k := &ent.kids[ki]
-		if k.name != step.Tag || !entryMatches(step, k.key) {
+		if !entryMatches(step, &ids[ki]) {
 			continue
 		}
+		k := &ent.kids[ki]
 		keff := eff
-		if k.timeStr != "" {
-			ts, err := intervals.Parse(k.timeStr)
-			if err != nil {
-				return nil, false, corruptf("attr index timestamp %q", k.timeStr)
-			}
-			keff = ts
+		if k.time != nil {
+			keff = k.time
 		}
-		if len(p.Steps) == 1 {
+		if len(steps) == 1 {
 			acc = acc.Union(keff)
 			continue
 		}
-		tr := q.stream([]streamPart{{seg: s, off: en.offset + k.off, n: k.size}})
+		tr := q.stream([]streamPart{{seg: src.s, off: en.offset + k.off, n: k.size}})
 		t, ok := tr.take()
 		if !ok || t.op != tokOpen {
 			tr.release()
 			return nil, false, corruptf("kid %s has no open token", k.name)
 		}
-		node, err := q.subtreeANode(tr, k.name, t.key, q.spec.Cursor().Child(r.name).Child(en.name).Child(k.name))
+		node, err := q.subtreeANode(tr, k.name, t.key, q.spec.Cursor().Child(src.r.name).Child(en.name).Child(k.name))
 		tr.release()
 		if err != nil {
 			return nil, false, err
 		}
-		acc = acc.Union(qlang.EvalPath(node, keff, p.Steps[1:]))
+		acc = acc.Union(qlang.EvalPath(node, keff, steps[1:]))
 	}
 	return acc, true, nil
 }

@@ -155,7 +155,7 @@ func (w *versionWalk) streamVersionScan() error {
 		if t.op != tokOpen {
 			return corruptf("unexpected token %#x at archive root", t.op)
 		}
-		dead := !w.q.rootTime.Contains(w.v)
+		dead := !w.q.d.rootTime.Contains(w.v)
 		if t.data != "" {
 			if dead, err = w.dead(t); err != nil {
 				return err

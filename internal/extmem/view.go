@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 
 	"xarch/internal/core"
-	"xarch/internal/intervals"
 	"xarch/internal/keys"
 )
 
@@ -142,7 +141,6 @@ type QueryView struct {
 	d        *keyDirectory
 	names    []string
 	spec     *keys.Spec
-	rootTime *intervals.Set
 	versions int
 	seek     bool
 	aidx     *attrIndex // attribute index bound to d, nil when absent
@@ -168,7 +166,6 @@ func (ar *Archiver) viewOf(g *generation) *QueryView {
 		d:        g.d,
 		names:    g.names,
 		spec:     ar.spec,
-		rootTime: g.d.rootTime.Clone(),
 		versions: g.d.versions,
 		seek:     !ar.cfg.NoDirectorySeek,
 		aidx:     g.aidx,

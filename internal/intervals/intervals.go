@@ -93,18 +93,17 @@ func MustParse(s string) *Set {
 // String renders the set in the paper's syntax ("1-3,5,7-9").
 // The empty set renders as "".
 func (s *Set) String() string {
-	var b strings.Builder
+	var b []byte
 	for i, r := range s.runs {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		if r.lo == r.hi {
-			fmt.Fprintf(&b, "%d", r.lo)
-		} else {
-			fmt.Fprintf(&b, "%d-%d", r.lo, r.hi)
+		b = strconv.AppendInt(b, int64(r.lo), 10)
+		if r.lo != r.hi {
+			b = strconv.AppendInt(append(b, '-'), int64(r.hi), 10)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // Empty reports whether the set has no elements. A nil *Set is empty.

@@ -1,6 +1,7 @@
 package qlang
 
 import (
+	"math"
 	"sort"
 
 	"xarch/internal/anode"
@@ -71,22 +72,22 @@ type RecordFacts struct {
 func FactsOf(n *anode.Node) *RecordFacts {
 	f := &RecordFacts{}
 	f.collect(n, nil)
-	f.normalizeChanges()
+	f.Changes = NormalizeChanges(f.Changes)
 	return f
 }
 
-// normalizeChanges puts Changes in canonical form: at most one inherit
-// item first, then distinct explicit versions ascending. Collection order
-// is walk-dependent, so the canonical form is what gets stored and
-// compared.
-func (f *RecordFacts) normalizeChanges() {
-	if len(f.Changes) == 0 {
-		return
+// NormalizeChanges puts a change list in canonical form: at most one
+// inherit item first, then distinct explicit versions ascending. Collection
+// order is walk-dependent, so the canonical form is what gets stored and
+// compared. It reuses cs's storage.
+func NormalizeChanges(cs []ChangeItem) []ChangeItem {
+	if len(cs) == 0 {
+		return cs
 	}
 	inherit := false
 	seen := map[int]bool{}
 	var vs []int
-	for _, c := range f.Changes {
+	for _, c := range cs {
 		if !c.Explicit {
 			inherit = true
 		} else if !seen[c.V] {
@@ -95,14 +96,14 @@ func (f *RecordFacts) normalizeChanges() {
 		}
 	}
 	sort.Ints(vs)
-	out := f.Changes[:0]
+	out := cs[:0]
 	if inherit {
 		out = append(out, ChangeItem{})
 	}
 	for _, v := range vs {
 		out = append(out, ChangeItem{Explicit: true, V: v})
 	}
-	f.Changes = out
+	return out
 }
 
 // collect gathers attribute facts below n, where t is n's effective time
@@ -181,22 +182,27 @@ func EvalAttr(f *RecordFacts, p *AttrPred, life *intervals.Set) *intervals.Set {
 	return acc.Intersect(life)
 }
 
-// ChangeSet evaluates the changed-versions point set of facts: the start
-// version of every content group in the record subtree, or the record's
-// first version when its content is entirely group-free.
-func ChangeSet(f *RecordFacts, life *intervals.Set) *intervals.Set {
+// ChangeSet evaluates the changed-versions point set of facts within
+// [lo, hi]: the start version of every content group in the record subtree,
+// or the record's first version when its content is entirely group-free.
+func ChangeSet(f *RecordFacts, life *intervals.Set, lo, hi int) *intervals.Set {
 	out := intervals.New()
+	add := func(v int) {
+		if lo <= v && v <= hi {
+			out.Add(v)
+		}
+	}
 	if !f.HasGroups {
 		if !life.Empty() {
-			out.Add(life.Min())
+			add(life.Min())
 		}
 		return out
 	}
 	for _, c := range f.Changes {
 		if c.Explicit {
-			out.Add(c.V)
+			add(c.V)
 		} else if !life.Empty() {
-			out.Add(life.Min())
+			add(life.Min())
 		}
 	}
 	return out
@@ -232,6 +238,30 @@ func EvalPath(n *anode.Node, eff *intervals.Set, steps []core.SelectorStep) *int
 	return acc
 }
 
+// Source is where an engine keeps what a Record does not carry: the parts
+// that cost I/O or a tree, asked for only when a predicate needs them.
+type Source interface {
+	// Node materializes the record's annotated subtree, for scan
+	// evaluation of path, attribute and changed predicates.
+	Node() (*anode.Node, error)
+	// Facts returns index-derived facts (shared, read-only), or nil to have
+	// them derived from Node.
+	Facts() (*RecordFacts, error)
+	// PathSet evaluates steps, relative to the record's children, without
+	// materializing the whole record (index-assisted); life is the record's
+	// lifespan. ok=false falls back to Node + EvalPath.
+	PathSet(steps []core.SelectorStep, life *intervals.Set) (s *intervals.Set, ok bool, err error)
+}
+
+// NodeSource is the Source of a record whose subtree is already in memory.
+type NodeSource anode.Node
+
+func (n *NodeSource) Node() (*anode.Node, error)   { return (*anode.Node)(n), nil }
+func (n *NodeSource) Facts() (*RecordFacts, error) { return nil, nil }
+func (n *NodeSource) PathSet([]core.SelectorStep, *intervals.Set) (*intervals.Set, bool, error) {
+	return nil, false, nil
+}
+
 // Record is one evaluable archive record: a level-2 entry of a keyed root, or
 // a raw (frontier-at-depth-1) root itself.
 type Record struct {
@@ -244,17 +274,7 @@ type Record struct {
 	Raw       bool   // record is the root itself (no level-2 step)
 	Life      *intervals.Set
 	Versions  int // total archive versions (range default upper bound)
-
-	// Node materializes the record's annotated subtree (for scan evaluation
-	// of path/attr/changed predicates). May be left nil when Facts covers
-	// all predicates in the query.
-	Node func() (*anode.Node, error)
-	// Facts returns index-derived facts, or nil to derive them from Node.
-	Facts func() (*RecordFacts, error)
-	// PathSet optionally evaluates a path predicate without materializing
-	// the whole record (index-assisted). Return ok=false to fall back to
-	// Node + EvalPath.
-	PathSet func(p *PathPred) (s *intervals.Set, ok bool, err error)
+	Src       Source
 }
 
 // Path returns the record's display path.
@@ -266,25 +286,30 @@ func (r *Record) Path() string {
 }
 
 func (r *Record) facts() (*RecordFacts, error) {
-	if r.Facts != nil {
-		return r.Facts()
+	if f, err := r.Src.Facts(); f != nil || err != nil {
+		return f, err
 	}
-	n, err := r.Node()
+	n, err := r.Src.Node()
 	if err != nil {
 		return nil, err
 	}
 	return FactsOf(n), nil
 }
 
-func (r *Record) spanSet(sp Span) *intervals.Set {
-	lo := 1
+// span resolves a query span's open ends: version 1, the archive's last.
+func (r *Record) span(sp Span) (lo, hi int) {
+	lo, hi = 1, r.Versions
 	if sp.HasLo {
 		lo = sp.Lo
 	}
-	hi := r.Versions
 	if sp.HasHi {
 		hi = sp.Hi
 	}
+	return lo, hi
+}
+
+func (r *Record) spanSet(sp Span) *intervals.Set {
+	lo, hi := r.span(sp)
 	if hi < lo {
 		return intervals.New()
 	}
@@ -312,14 +337,12 @@ func (r *Record) evalPathPred(p *PathPred) (*intervals.Set, error) {
 	if len(steps) == 0 {
 		return r.Life.Clone(), nil
 	}
-	if r.PathSet != nil {
-		if s, ok, err := r.PathSet(&PathPred{Steps: steps}); err != nil {
-			return nil, err
-		} else if ok {
-			return s.Intersect(r.Life), nil
-		}
+	if s, ok, err := r.Src.PathSet(steps, r.Life); err != nil {
+		return nil, err
+	} else if ok {
+		return s.Intersect(r.Life), nil
 	}
-	n, err := r.Node()
+	n, err := r.Src.Node()
 	if err != nil {
 		return nil, err
 	}
@@ -345,11 +368,11 @@ func (r *Record) leaf(p Pred) (*intervals.Set, error) {
 		if err != nil {
 			return nil, err
 		}
-		cs := ChangeSet(f, r.Life)
+		lo, hi := 0, math.MaxInt
 		if p.HasRange {
-			cs = cs.Intersect(r.spanSet(p.Span))
+			lo, hi = r.span(p.Span)
 		}
-		return cs, nil
+		return ChangeSet(f, r.Life, lo, hi), nil
 	}
 	return intervals.New(), nil
 }
@@ -396,9 +419,10 @@ func EvalRecord(e Expr, r *Record) (*intervals.Set, error) {
 // EvalAll evaluates e against every record and collects the non-empty
 // matches, sorted by display path. Both engines funnel their Select through
 // this, so result shape and ordering are defined once.
-func EvalAll(e Expr, recs []*Record) ([]Result, error) {
+func EvalAll(e Expr, recs []Record) ([]Result, error) {
 	var out []Result
-	for _, r := range recs {
+	for i := range recs {
+		r := &recs[i]
 		s, err := EvalRecord(e, r)
 		if err != nil {
 			return nil, err
@@ -422,6 +446,19 @@ func RequiredAttrs(e Expr) []*AttrPred {
 		return append(RequiredAttrs(e.L), RequiredAttrs(e.R)...)
 	case *AttrPred:
 		return []*AttrPred{e}
+	}
+	return nil
+}
+
+// RequiredPaths is RequiredAttrs for path predicates: a record whose root or
+// own element fails a step of one of them evaluates that conjunct, and so e,
+// to the empty set. Paths under OR or NOT are not on the spine.
+func RequiredPaths(e Expr) []*PathPred {
+	switch e := e.(type) {
+	case *And:
+		return append(RequiredPaths(e.L), RequiredPaths(e.R)...)
+	case *PathPred:
+		return []*PathPred{e}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package qlang
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -149,7 +150,7 @@ func testRecord() *Record {
 		Label:     "emp{id=7}",
 		Life:      intervals.FromRange(1, 10),
 		Versions:  10,
-		Node:      func() (*anode.Node, error) { return emp, nil },
+		Src:       (*NodeSource)(emp),
 	}
 }
 
@@ -211,11 +212,14 @@ func TestChangeSetGroups(t *testing.T) {
 		t.Fatalf("facts = %+v", f)
 	}
 	life := intervals.FromRange(1, 9)
-	if got := ChangeSet(f, life).String(); got != "1-2,8" {
+	if got := ChangeSet(f, life, 0, math.MaxInt).String(); got != "1-2,8" {
 		t.Fatalf("ChangeSet = %q, want %q", got, "1-2,8")
 	}
+	if got := ChangeSet(f, life, 2, 7).String(); got != "2" {
+		t.Fatalf("ChangeSet within 2..7 = %q, want %q", got, "2")
+	}
 	// Empty lifespan: inherited group contributes nothing.
-	if got := ChangeSet(f, intervals.New()).String(); got != "2,8" {
+	if got := ChangeSet(f, intervals.New(), 0, math.MaxInt).String(); got != "2,8" {
 		t.Fatalf("ChangeSet(empty life) = %q, want %q", got, "2,8")
 	}
 }
@@ -228,5 +232,16 @@ func TestRequiredAttrs(t *testing.T) {
 	got := RequiredAttrs(e)
 	if len(got) != 2 || got[0].Name != "a" || got[1].Name != "e" {
 		t.Fatalf("RequiredAttrs = %+v", got)
+	}
+}
+
+func TestRequiredPaths(t *testing.T) {
+	e, err := Parse(`/a/b[k=1] AND (/c OR /d) AND NOT /e/f AND @x AND /g`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := RequiredPaths(e)
+	if len(got) != 2 || got[0].Raw != "/a/b[k=1]" || got[1].Raw != "/g" {
+		t.Fatalf("RequiredPaths = %+v", got)
 	}
 }

@@ -26,8 +26,8 @@ func keyInfo(kv *anode.KeyValue) *qlang.KeyInfo {
 // (depth-1 frontier) roots themselves, and the level-2 children of every
 // other root. Effective lifespans follow core.ResolveFrom — an explicit
 // node time replaces the inherited one.
-func memRecords(root *anode.Node, versions int) []*qlang.Record {
-	var recs []*qlang.Record
+func memRecords(root *anode.Node, versions int) []qlang.Record {
+	var recs []qlang.Record
 	for _, rc := range root.Children {
 		if rc.Kind != xmltree.Element {
 			continue
@@ -36,39 +36,22 @@ func memRecords(root *anode.Node, versions int) []*qlang.Record {
 		if rc.Time != nil {
 			rootEff = rc.Time
 		}
+		rec := qlang.Record{RootName: rc.Name, RootKey: keyInfo(rc.Key), RootLabel: rc.Label(), Versions: versions}
 		if rc.Frontier {
-			rc := rc
-			recs = append(recs, &qlang.Record{
-				RootName:  rc.Name,
-				RootKey:   keyInfo(rc.Key),
-				RootLabel: rc.Label(),
-				Raw:       true,
-				Life:      rootEff,
-				Versions:  versions,
-				Node:      func() (*anode.Node, error) { return rc, nil },
-			})
+			rec.Raw, rec.Life, rec.Src = true, rootEff, (*qlang.NodeSource)(rc)
+			recs = append(recs, rec)
 			continue
 		}
 		for _, e := range rc.Children {
 			if e.Kind != xmltree.Element {
 				continue
 			}
-			eff := rootEff
+			rec.Name, rec.Key, rec.Label = e.Name, keyInfo(e.Key), e.Label()
+			rec.Life, rec.Src = rootEff, (*qlang.NodeSource)(e)
 			if e.Time != nil {
-				eff = e.Time
+				rec.Life = e.Time
 			}
-			rc, e := rc, e
-			recs = append(recs, &qlang.Record{
-				RootName:  rc.Name,
-				RootKey:   keyInfo(rc.Key),
-				RootLabel: rc.Label(),
-				Name:      e.Name,
-				Key:       keyInfo(e.Key),
-				Label:     e.Label(),
-				Life:      eff,
-				Versions:  versions,
-				Node:      func() (*anode.Node, error) { return e, nil },
-			})
+			recs = append(recs, rec)
 		}
 	}
 	return recs
@@ -76,7 +59,7 @@ func memRecords(root *anode.Node, versions int) []*qlang.Record {
 
 // evalRecords runs a parsed expression over records and collects the
 // non-empty matches, sorted by path.
-func evalRecords(e qlang.Expr, recs []*qlang.Record) ([]SelectResult, error) {
+func evalRecords(e qlang.Expr, recs []qlang.Record) ([]SelectResult, error) {
 	return qlang.EvalAll(e, recs)
 }
 

@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"xarch/internal/datagen"
+	"xarch/internal/xmltree"
 )
 
 // selectSpec extends the department schema with keyed attribute slots
@@ -180,16 +183,21 @@ var selectLeaves = []string{
 }
 
 // randExpr builds a random boolean expression of bounded depth from the
-// leaf pool.
+// leaf pool and keyed record paths.
 func randExpr(rng *rand.Rand, depth int) string {
 	if depth == 0 || rng.Intn(3) == 0 {
 		return selectLeaves[rng.Intn(len(selectLeaves))]
 	}
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0:
 		return "NOT (" + randExpr(rng, depth-1) + ")"
 	case 1:
 		return "(" + randExpr(rng, depth-1) + ") AND (" + randExpr(rng, depth-1) + ")"
+	case 2:
+		// A keyed two-step path on a conjunctive spine — the plan that
+		// narrows by path when this is the top of the expression, and must
+		// not when it ends up under a NOT or an OR. d5 names no department.
+		return fmt.Sprintf("/db/dept[name=d%d] AND (%s)", 1+rng.Intn(5), randExpr(rng, depth-1))
 	default:
 		return "(" + randExpr(rng, depth-1) + ") OR (" + randExpr(rng, depth-1) + ")"
 	}
@@ -337,6 +345,207 @@ func TestSelectDifferential(t *testing.T) {
 				t.Errorf("depth-3 selects read %d bytes after compaction, %d before: compacted segments lost the index path", got, fragmentedBytes)
 			}
 		})
+	}
+}
+
+// narrowSpec archives three kinds of root across versions — two keyed
+// libraries, an unkeyed db that reuses the tag `book` under another key
+// shape, and raw memos — so a path predicate can miss at the root, at the
+// record, or only below it.
+const narrowSpec = `
+(/, (lib, {name}))
+(/lib, (book, {isbn}))
+(/lib/book, (title, {}))
+(/lib, (shelf, {row, col}))
+(/lib/shelf, (note, {}))
+(/lib, (misc, {}))
+(/, (db, {}))
+(/db, (book, {code}))
+(/db/book, (title, {}))
+(/, (memo, {.}))
+`
+
+// narrowLib renders one library version: books b000.. (more than
+// dirIndexMinEntries of them in the main library, so a keyed step is a
+// binary search there and a compare in the annex), one whose key needs
+// escaping in its canonical form, a 2x2 grid of shelves and one unkeyed
+// entry. drop names a book left out; rev varies the titles.
+func narrowLib(name string, books, drop, rev int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "<lib><name>%s</name>", name)
+	for i := 0; i < books; i++ {
+		if i == drop {
+			continue
+		}
+		lang := "en"
+		if i%5 == 0 {
+			lang = "fr"
+		}
+		fmt.Fprintf(&b, `<book><isbn>b%03d</isbn><title lang="%s">title %d.%d</title></book>`, i, lang, i, rev*(i%3))
+	}
+	b.WriteString(`<book><isbn>9(7) x</isbn><title lang="la">odd key</title></book>`)
+	for row := 1; row <= 2; row++ {
+		for col := 1; col <= 2; col++ {
+			fmt.Fprintf(&b, "<shelf><row>%d</row><col>%d</col><note>n%d</note></shelf>", row, col, rev)
+		}
+	}
+	b.WriteString("<misc>loose leaves</misc></lib>")
+	return b.String()
+}
+
+// TestSelectPathNarrowing holds the Select plan's path narrowing to the
+// in-memory engine and to the store that narrows nothing: every query here
+// puts a path predicate where the planner must use it (the conjunctive
+// spine) or must not (beside OR, under NOT, one step long), and the three
+// answers must agree.
+func TestSelectPathNarrowing(t *testing.T) {
+	spec := func() *KeySpec {
+		s, err := ParseKeySpec(narrowSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	open := func(opts ...Option) *ExtStore {
+		s, err := OpenStore(t.TempDir(), spec(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	mem := NewStore(spec())
+	defer mem.Close()
+	planned, scan := open(), open(WithQueryIndex(false), WithDirectorySeek(false))
+	for _, src := range []string{
+		narrowLib("main", 70, -1, 0),
+		narrowLib("main", 70, 8, 1),
+		narrowLib("annex", 12, -1, 0),
+		`<db><book><code>b007</code><title>other shape</title></book><book><code>c1</code><title>t</title></book></db>`,
+		`<memo priority="high"><x>ship it</x></memo>`,
+		narrowLib("main", 70, 8, 2),
+	} {
+		for _, s := range []Store{mem, planned, scan} {
+			addString(t, s, src)
+		}
+	}
+	for _, c := range []struct{ expr, why string }{
+		{`/lib[name=main]/book[isbn=b007] AND in 1..`, "fully keyed at both levels: the lookup"},
+		{`/lib[name=main]/book[isbn=b007]/title AND changed`, "the lookup, then a walk below the record"},
+		{`/lib[name=main]/book[isbn=b008] AND in 2..`, "the record is gone from every version asked for"},
+		{`/lib[name=main]/book[isbn=b007] OR @lang=la`, "beside OR: no spine"},
+		{`NOT /lib[name=main]/book[isbn=b007]`, "under NOT: no spine"},
+		{`at 1 AND NOT /lib[name=main]/book[isbn=b007]`, "under NOT inside AND: the path is not on the spine"},
+		{`/lib[name=nosuch]/book[isbn=b007] AND in 1..`, "root key mismatch"},
+		{`/lib/book[isbn=b007] AND in 1..`, "unkeyed root step: both libraries"},
+		{`/lib[name=annex]/book[isbn=b007] AND in 1..`, "a root below the index threshold: compare, not seek"},
+		{`/lib[name=main]/shelf[row=1] AND in 1..`, "partially keyed level-2 step"},
+		{`/lib[name=main]/shelf[col=2,row=1] AND in 1..`, "two key paths, given out of order"},
+		{`/lib[name=main]/shelf[row=1,row=1] AND in 1..`, "a repeated predicate is not a full key"},
+		{`/lib[name=main]/book AND changed 2..`, "unkeyed level-2 step"},
+		{`/lib[name=main]/misc AND in 1..`, "unkeyed entry"},
+		{`/lib[name=main]/misc[x=1] AND in 1..`, "keyed step against an unkeyed entry"},
+		{`/db/book[code=b007] AND in 1..`, "the same tag under another root, its own key shape"},
+		{`/db/book[isbn=b007] AND in 1..`, "the other root's key shape: nothing"},
+		{`/lib[name=main]/book[code=b007] AND in 1..`, "and the other way round"},
+		{`/lib[name=main]/book[isbn="9(7) x"] AND in 1..`, "display form differs from the canonical form"},
+		{`/lib[name=main]/book[isbn=b007] AND /lib[name=main]/book[isbn=b009]`, "two spine paths, two records: empty"},
+		{`/lib[name=main]/book[isbn=b007] AND /lib/book/title AND @lang=en`, "two spine paths and an attribute, one record"},
+		{`/lib[name=main]/book AND /lib/shelf[row=2,col=2]`, "an unkeyed spine path beside a keyed one that excludes it"},
+		{`/lib AND in 3..`, "one step: narrows nothing"},
+		{`/memo AND in 1..`, "raw root, one step"},
+		{`/memo/x AND in 1..`, "raw root, two steps: step 0 matches, the rest is inside"},
+		{`/lib[name=main]/book[isbn=b007] AND /memo`, "a raw root and a record cannot both match"},
+		{`/nosuch/book[isbn=b007] AND in 1..`, "no such root"},
+	} {
+		want := mustSelect(t, mem, c.expr)
+		if got := mustSelect(t, scan, c.expr); got != want {
+			t.Errorf("%s (%s): the scan-only store disagrees with mem:\nmem:\n%s\nscan:\n%s", c.expr, c.why, want, got)
+		}
+		if got := mustSelect(t, planned, c.expr); got != want {
+			t.Errorf("%s (%s): the planned store disagrees with mem:\nmem:\n%s\nplanned:\n%s", c.expr, c.why, want, got)
+		}
+	}
+	// The table is only worth its name if some of it matches something.
+	if got := mustSelect(t, planned, `/lib[name=main]/book[isbn=b007] AND in 1..`); got != "/lib{name=main}/book{isbn=b007}=1-2,6\n" {
+		t.Errorf("keyed select answered %q", got)
+	}
+}
+
+// buildOMIMStore archives nv versions of an OMIM-like database of the given
+// size — one root, one level-2 entry per record, the shape of the
+// benchmark's ingest-accrete workload — with a grade attribute on every
+// record's title (OMIM itself has no attributes), and returns the store and
+// the record keys of version 1.
+func buildOMIMStore(tb testing.TB, records, nv int) (*ExtStore, []string) {
+	tb.Helper()
+	cfg := datagen.DefaultOMIM()
+	cfg.Seed, cfg.Records = 3, records
+	g := datagen.NewOMIM(cfg)
+	st, err := OpenStore(tb.TempDir(), g.Spec())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { st.Close() })
+	var nums []string
+	for v := 0; v < nv; v++ {
+		doc := g.Next()
+		for i, rec := range doc.ChildrenNamed("Record") {
+			if v == 0 {
+				nums = append(nums, rec.ChildText("Num"))
+			}
+			rec.Child("Title").Attrs = []*xmltree.Node{xmltree.AttrNode("grade", fmt.Sprintf("g%d", i%16))}
+		}
+		if err := st.Add(doc); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return st, nums
+}
+
+// omimSelects are the three shapes of Select over that store: a keyed
+// record (narrowed by the path spine to a lookup), an attribute (narrowed by
+// the sidecar's postings to one record in sixteen), and one that nothing
+// narrows, so every record is evaluated.
+func omimSelects(num string) map[string]string {
+	return map[string]string{
+		"keyed":      "/ROOT/Record[Num=" + num + "] AND in 2..3",
+		"attr":       "@grade=g3 AND in 2..",
+		"unnarrowed": "changed 2..3",
+	}
+}
+
+// TestSelectAllocations pins what a read costs in allocations on a
+// 450-record root, the size at which a Select that built a Record per
+// directory entry made 5,499 of them: a keyed Select and a two-step History
+// are lookups, and a Select that must look at every record pays per record
+// only for what it evaluates.
+func TestSelectAllocations(t *testing.T) {
+	const records = 450
+	st, nums := buildOMIMStore(t, records, 4)
+	exprs := omimSelects(nums[records/2])
+	selector := "/ROOT/Record[Num=" + nums[records/3] + "]"
+	for _, c := range []struct {
+		name string
+		max  float64
+		op   func() error
+	}{
+		{"keyed Select", 64, func() error { _, err := st.Select(exprs["keyed"]); return err }},
+		{"two-step History", 24, func() error { _, err := st.History(selector); return err }},
+		{"unnarrowed Select, per record", 2 * records, func() error { _, err := st.Select(exprs["unnarrowed"]); return err }},
+	} {
+		if err := c.op(); err != nil { // also builds what is built once: identities, the entry index
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := testing.AllocsPerRun(20, func() {
+			if err := c.op(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.max {
+			t.Errorf("%s: %.0f allocations, want at most %.0f", c.name, got, c.max)
+		}
+		t.Logf("%s: %.0f allocations", c.name, got)
 	}
 }
 
