@@ -8,6 +8,7 @@
 package xarch
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -318,6 +319,29 @@ func BenchmarkExtStoreSelect(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkExtStoreAddReader: the validated AddReader on the benchmark's
+// ingest-accrete shape — a 450-record OMIM archive, each iteration adding
+// the next of versions 2–6 again (TestAddAllocations holds its budget).
+func BenchmarkExtStoreAddReader(b *testing.B) {
+	spec, texts := omimTexts(b, 450, 6, 1)
+	st, err := OpenStore(b.TempDir(), spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.AddReader(bytes.NewReader(texts[0])); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(texts[1])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.AddReader(bytes.NewReader(texts[1+i%5])); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

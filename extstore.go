@@ -84,10 +84,11 @@ func (s *ExtStore) Add(doc *Document) error {
 }
 
 // AddBatch archives docs as consecutive versions with ONE durable commit
-// for the whole group: every document is validated (with validation on),
-// then sorted straight from its tree — one walk, no serialization or
-// re-parse, no key files, no runs — and merged against the uncommitted
-// result of its predecessor, and only the final key directory goes
+// for the whole group: every document is loaded once into the writer's
+// document slab, validated there (with validation on) and sorted there —
+// no serialization or re-parse, no key files, no runs — and merged
+// against the uncommitted result of its predecessor, and only the final
+// key directory goes
 // through the staged commit (stage and fsync the state files, two
 // renames around a directory fsync, one more to acknowledge). Group
 // commit amortizes that protocol — and the segment rewrites of overlapping key ranges — across submitters,
@@ -107,30 +108,17 @@ func (s *ExtStore) AddBatch(docs []*Document) ([]AddResult, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	out := make([]AddResult, len(docs))
-	// Validate up front so invalid documents never enter the pipeline;
-	// idx maps the surviving sources back to their document slots.
-	srcs := make([]extmem.Source, 0, len(docs))
-	idx := make([]int, 0, len(docs))
+	srcs := make([]extmem.Source, len(docs))
 	for k, doc := range docs {
-		if doc != nil && s.cfg.validation {
-			if err := s.ar.Spec().CheckDocumentErr(doc); err != nil {
-				out[k].Err = err
-				continue
-			}
-		}
-		srcs = append(srcs, extmem.Source{Doc: doc}) // a nil doc is an empty version
-		idx = append(idx, k)
+		srcs[k] = extmem.Source{Doc: doc, Validate: s.cfg.validation} // a nil doc is an empty version
 	}
-	if len(srcs) == 0 {
-		return out, nil
-	}
+	out := make([]AddResult, len(docs))
 	items, err := s.ar.AddVersionBatch(srcs)
 	if err != nil {
 		return out, err
 	}
-	for j, it := range items {
-		out[idx[j]] = AddResult{Version: it.Version, Err: it.Err}
+	for k, it := range items {
+		out[k] = AddResult{Version: it.Version, Err: it.Err}
 	}
 	return out, nil
 }
@@ -144,31 +132,24 @@ func (s *ExtStore) CommitCount() int64 {
 }
 
 // AddReader archives the XML document read from r as the next version.
-// With validation on (the default) the document is parsed once, checked
-// against the key specification exactly like the in-memory engine, and
-// added as a tree (see AddBatch). Construct the store with
-// WithValidation(false) to stream a document larger than memory through
-// the streaming decomposer, external sort and merge without ever holding
-// it as a tree; key violations then surface as decompose or merge errors
-// rather than a full validation report.
+// With validation on (the default) the document is tokenized straight into
+// the writer's reused document slab — no tree is built — checked against
+// the key specification exactly like the in-memory engine, and sorted
+// there. Construct the store with WithValidation(false) to stream a
+// document larger than memory through the streaming decomposer, external
+// sort and merge without ever holding it; key violations then surface as
+// decompose or merge errors rather than a full validation report.
 func (s *ExtStore) AddReader(r io.Reader) error {
-	if s.cfg.validation {
-		doc, err := xmltree.Parse(r)
-		if err != nil {
-			return err
-		}
-		return s.Add(doc)
-	}
-	return s.addStream(r)
-}
-
-func (s *ExtStore) addStream(r io.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	return s.ar.AddVersion(r)
+	items, err := s.ar.AddVersionBatch([]extmem.Source{{Reader: r, Validate: s.cfg.validation}})
+	if err != nil {
+		return err
+	}
+	return items[0].Err
 }
 
 // query opens a consistent streaming read view: the published generation,

@@ -67,6 +67,12 @@ type Archiver struct {
 	// allocates. Between writers segOut holds no token.
 	segOut captureWriter
 	segEnc *segEncoder
+	// flat and toks are where a version sorted in memory is held: the
+	// document slab, reused by every such add, and the sorted tokens, sized
+	// to the version and zeroed once the merge has read them, as they
+	// hold its strings.
+	flat xmltree.Flat
+	toks []token
 
 	// degraded is the poisoned-writer flag: set by the first commit
 	// fault (failed fsync/rename), checked by every write entry point.
@@ -92,8 +98,8 @@ type Archiver struct {
 type Config struct {
 	// Budget caps the in-memory partial trees of the external sort, in
 	// tokens; small budgets force many sorted runs. It bounds streamed
-	// versions (Source.Reader) only: a tree is sorted in memory. Default
-	// 1<<20.
+	// versions (a Source.Reader without Validate) only: any other version
+	// is sorted in memory. Default 1<<20.
 	Budget int
 	// SegmentTarget is the segment file payload size the merge aims for,
 	// in bytes. Smaller targets mean more segments: finer-grained merge
@@ -607,32 +613,19 @@ func (ar *Archiver) Segments() []SegmentInfo {
 	return out
 }
 
-// AddEmptyVersion archives an empty database as the next version.
-func (ar *Archiver) AddEmptyVersion() error { return ar.AddVersion(nil) }
-
-// AddVersion archives the XML document read from r as the next version,
-// running the §6 phases: decompose, external sort, and a segment-local
-// streaming merge that rewrites only the segments whose key ranges the
-// version touches. A failed fsync or rename in the commit protocol
-// poisons the writer: the error satisfies errors.Is(err, ErrDegraded),
-// every later write fails fast, and readers keep serving the last
-// committed generation (see degrade.go).
-func (ar *Archiver) AddVersion(r io.Reader) error {
-	items, err := ar.AddVersionBatch([]Source{{Reader: r}})
-	if err != nil {
-		return err
-	}
-	return items[0].Err
-}
-
 // Source is one version handed to AddVersionBatch: a parsed document, or
-// XML to stream, or — the zero Source — an empty version. A Doc is
-// sorted in memory, straight from the tree (sortTree); a Reader goes
-// through the external sort (decompose, key files, runs, run merge),
-// which never holds the version in memory.
+// XML, or — the zero Source — an empty version. A Doc is loaded into the
+// writer's slab and sorted there (sortInMemory); so is a Reader with
+// Validate set, tokenized straight into the slab. A Reader without it goes
+// through the external sort (decompose, key files, runs, run merge), which
+// never holds the version in memory.
 type Source struct {
 	Doc    *xmltree.Node
 	Reader io.Reader
+	// Validate checks the version against the key specification before it
+	// is sorted: a violation fails it with a *keys.ViolationsError that
+	// names every violation.
+	Validate bool
 }
 
 // BatchItem reports the outcome of one document of an AddVersionBatch
@@ -712,6 +705,7 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 		}
 		vnum := staged.versions + 1
 		newDir, stats, newFiles, err := ar.mergeIntoSegments(staged, sorted, vnum)
+		clear(sorted.toks)
 		removePaths(ar.fs, scratch)
 		if err != nil {
 			for _, f := range newFiles {
@@ -773,50 +767,23 @@ func removePaths(fs fsio.FS, paths []string) {
 	}
 }
 
-// sortedVersion is one version in §6.2's sorted form, where its sort left
-// it: in memory (a tree's; the zero value is the empty version), or in
-// the scratch file the external sort wrote for a streamed version, which
-// need not fit in memory.
+// sortedVersion is one version in §6.2's sorted form: tokens in the
+// writer's buffer (none: the empty version), or the scratch file the
+// external sort wrote for a streamed version, which need not fit in memory.
 type sortedVersion struct {
-	data []byte
-	path string // "" means data
+	toks []token
+	path string // "" means toks
 }
 
-// open returns a reader at the start of the sorted token stream, which
-// the segment merge reads once and re-aims at a dirty segment's first
-// dirty child.
-func (v sortedVersion) open(fs fsio.FS) (io.ReadSeekCloser, error) {
-	if v.path == "" {
-		return memStream{bytes.NewReader(v.data)}, nil
-	}
-	f, err := fs.Open(v.path)
-	if err != nil {
-		return nil, fmt.Errorf("extmem: %w", err)
-	}
-	return f, nil
-}
-
-// memStream is a sorted version held in memory, with nothing to close.
-type memStream struct{ *bytes.Reader }
-
-func (memStream) Close() error { return nil }
-
-// prepareSorted brings one version into §6.2's sorted form — a tree by an
-// in-memory sort (sortTree) that touches no file, streamed XML by the
-// external sort — and returns it with every scratch file created, which
-// the caller removes when done with the version.
+// prepareSorted brings one version into §6.2's sorted form — a document
+// held in memory by sortInMemory, which touches no file, streamed XML by
+// the external sort — and returns it with every scratch file created,
+// which the caller removes when done with the version.
 func (ar *Archiver) prepareSorted(src Source) (sorted sortedVersion, scratch []string, err error) {
 	var stats SortStats
 	switch {
-	case src.Doc != nil:
-		var buf bytes.Buffer
-		tw := newTokenWriter(&buf)
-		err = sortTree(src.Doc, ar.spec, ar.dict, tw)
-		if ferr := tw.flush(); err == nil {
-			err = ferr
-		}
-		tw.release()
-		sorted.data = buf.Bytes()
+	case src.Doc != nil || src.Reader != nil && src.Validate:
+		sorted.toks, err = ar.sortInMemory(src)
 	case src.Reader != nil:
 		sorted.path = ar.tmpPath("sorted.tok")
 		stats, scratch, err = ar.externalSort(src.Reader, sorted.path)

@@ -65,7 +65,7 @@ func buildAttrArchive(t *testing.T, dir string, cfg Config, versions int) *Archi
 		t.Fatal(err)
 	}
 	for v := 1; v <= versions; v++ {
-		if err := ar.AddVersion(strings.NewReader(attrDoc(v))); err != nil {
+		if err := addVersion(ar, strings.NewReader(attrDoc(v))); err != nil {
 			t.Fatalf("add v%d: %v", v, err)
 		}
 	}
@@ -166,7 +166,7 @@ func TestAttrIndexCorruptRemovedOnOpen(t *testing.T) {
 	if _, err := os.Stat(p); !os.IsNotExist(err) {
 		t.Fatalf("corrupt attr.idx not removed on writable open: %v", err)
 	}
-	if err := ar2.AddVersion(strings.NewReader(attrDoc(4))); err != nil {
+	if err := addVersion(ar2, strings.NewReader(attrDoc(4))); err != nil {
 		t.Fatal(err)
 	}
 	if ar2.current().aidx == nil {
@@ -196,7 +196,7 @@ func TestAttrIndexStaleKeydir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ar.AddVersion(strings.NewReader(attrDoc(3))); err != nil {
+	if err := addVersion(ar, strings.NewReader(attrDoc(3))); err != nil {
 		t.Fatal(err)
 	}
 	if err := ar.Close(); err != nil {

@@ -86,12 +86,12 @@ func fragmentedArchive(t *testing.T, dir string, cfg Config, adds int) *Archiver
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ar.AddVersion(strings.NewReader(g.doc())); err != nil {
+	if err := addVersion(ar, strings.NewReader(g.doc())); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < adds; i++ {
 		g.grow()
-		if err := ar.AddVersion(strings.NewReader(g.doc())); err != nil {
+		if err := addVersion(ar, strings.NewReader(g.doc())); err != nil {
 			t.Fatalf("add v%d: %v", i+2, err)
 		}
 	}
@@ -376,12 +376,12 @@ func TestCompactionPinnedViews(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ar.Close()
-		if err := ar.AddVersion(strings.NewReader(g.doc())); err != nil {
+		if err := addVersion(ar, strings.NewReader(g.doc())); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 20; i++ {
 			g.grow()
-			if err := ar.AddVersion(strings.NewReader(g.doc())); err != nil {
+			if err := addVersion(ar, strings.NewReader(g.doc())); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -406,7 +406,7 @@ func TestCompactionPinnedViews(t *testing.T) {
 			for j := 0; j < 5; j++ {
 				g.grow()
 			}
-			if err := ar.AddVersion(strings.NewReader(g.doc())); err != nil {
+			if err := addVersion(ar, strings.NewReader(g.doc())); err != nil {
 				t.Fatal(err)
 			}
 			// Every file of the pinned generation must still exist.

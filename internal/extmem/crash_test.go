@@ -170,7 +170,7 @@ func TestCrashMatrixAdd(t *testing.T) {
 	})
 	t.Run("stream", func(t *testing.T) {
 		crashMatrixAdd(t, docs, true, func(ar *Archiver, doc *xmltree.Node) error {
-			return ar.AddVersion(strings.NewReader(doc.IndentedXML()))
+			return addVersion(ar, strings.NewReader(doc.IndentedXML()))
 		})
 	})
 }

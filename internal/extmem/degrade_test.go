@@ -29,14 +29,14 @@ func TestDegradedOnCommitFsyncFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ar.AddVersion(strings.NewReader(docs[0])); err != nil {
+	if err := addVersion(ar, strings.NewReader(docs[0])); err != nil {
 		t.Fatal(err)
 	}
 	before := snapshotXML(t, ar)
 	stream := archiveStreamBytes(t, ar)
 
 	ffs.SetFault("keydir.sync", fsio.Fault{Err: syscall.EIO})
-	err = ar.AddVersion(strings.NewReader(docs[1]))
+	err = addVersion(ar, strings.NewReader(docs[1]))
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("AddVersion under fsync fault: got %v, want ErrDegraded", err)
 	}
@@ -52,7 +52,7 @@ func TestDegradedOnCommitFsyncFault(t *testing.T) {
 	// write entry point fails fast with the same sentinel and no further
 	// disk writes are attempted past the marker.
 	ffs.ClearFaults()
-	if err := ar.AddVersion(strings.NewReader(docs[1])); !errors.Is(err, ErrDegraded) {
+	if err := addVersion(ar, strings.NewReader(docs[1])); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("AddVersion after poisoning: got %v, want fast ErrDegraded", err)
 	}
 	if _, err := ar.Compact(); !errors.Is(err, ErrDegraded) {
@@ -91,7 +91,7 @@ func TestDegradedOnCommitFsyncFault(t *testing.T) {
 	if got := snapshotXML(t, ar2); got != before {
 		t.Error("reopened archive lost the committed generation")
 	}
-	if err := ar2.AddVersion(strings.NewReader(docs[1])); err != nil {
+	if err := addVersion(ar2, strings.NewReader(docs[1])); err != nil {
 		t.Fatalf("reopened archive cannot write: %v", err)
 	}
 }
@@ -107,7 +107,7 @@ func TestDegradedOnCommitRenameFault(t *testing.T) {
 	}
 	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 7, Records: 10})
 	ffs.SetFault("keydir.rename", fsio.Fault{Err: syscall.EIO})
-	err = ar.AddVersion(strings.NewReader(g.Next().IndentedXML()))
+	err = addVersion(ar, strings.NewReader(g.Next().IndentedXML()))
 	if !errors.Is(err, ErrDegraded) || !errors.Is(err, syscall.EIO) {
 		t.Fatalf("got %v, want ErrDegraded wrapping EIO", err)
 	}
@@ -127,7 +127,7 @@ func TestScratchWriteErrorDoesNotDegrade(t *testing.T) {
 	doc := g.Next().IndentedXML()
 
 	ffs.SetFault("scratch.write", fsio.Fault{Err: syscall.ENOSPC})
-	err = ar.AddVersion(strings.NewReader(doc))
+	err = addVersion(ar, strings.NewReader(doc))
 	if err == nil {
 		t.Fatal("AddVersion succeeded despite ENOSPC on scratch writes")
 	}
@@ -143,7 +143,7 @@ func TestScratchWriteErrorDoesNotDegrade(t *testing.T) {
 
 	// Same archiver, fault lifted: the retry goes through.
 	ffs.ClearFaults()
-	if err := ar.AddVersion(strings.NewReader(doc)); err != nil {
+	if err := addVersion(ar, strings.NewReader(doc)); err != nil {
 		t.Fatalf("retry after transient ENOSPC: %v", err)
 	}
 	if got := ar.Versions(); got != 1 {

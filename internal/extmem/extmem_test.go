@@ -2,6 +2,7 @@ package extmem
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -11,15 +12,25 @@ import (
 	"xarch/internal/xmltree"
 )
 
+// addVersion archives the XML r holds (a nil r: the empty version) as the
+// next version, streamed through the external sort.
+func addVersion(ar *Archiver, r io.Reader) error {
+	items, err := ar.AddVersionBatch([]Source{{Reader: r}})
+	if err != nil {
+		return err
+	}
+	return items[0].Err
+}
+
 // addAll archives the version sequence with the external archiver.
 func addAll(t *testing.T, ar *Archiver, docs []*xmltree.Node) {
 	t.Helper()
 	for i, d := range docs {
 		var err error
 		if d == nil {
-			err = ar.AddEmptyVersion()
+			err = addVersion(ar, nil)
 		} else {
-			err = ar.AddVersion(strings.NewReader(d.IndentedXML()))
+			err = addVersion(ar, strings.NewReader(d.IndentedXML()))
 		}
 		if err != nil {
 			t.Fatalf("external add v%d: %v", i+1, err)
@@ -190,7 +201,7 @@ func TestRunsFormedUnderBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ar.AddVersion(strings.NewReader(doc.IndentedXML())); err != nil {
+	if err := addVersion(ar, strings.NewReader(doc.IndentedXML())); err != nil {
 		t.Fatal(err)
 	}
 	if ar.Last().Sort.Runs < 2 {
@@ -203,7 +214,7 @@ func TestRunsFormedUnderBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ar2.AddVersion(strings.NewReader(doc.IndentedXML())); err != nil {
+	if err := addVersion(ar2, strings.NewReader(doc.IndentedXML())); err != nil {
 		t.Fatal(err)
 	}
 	if ar2.Last().Sort.Runs != 1 {
@@ -320,7 +331,7 @@ func TestDecomposeErrors(t *testing.T) {
 		`<db><zzz/></db>`,                                    // unkeyed element
 		`<db><dept><name>f</name>stray</dept></db>`,          // text above frontier
 	} {
-		if err := ar.AddVersion(strings.NewReader(src)); err == nil {
+		if err := addVersion(ar, strings.NewReader(src)); err == nil {
 			t.Errorf("AddVersion(%q): expected error", src)
 		}
 		items, err := ar.AddVersionBatch([]Source{{Doc: xmltree.MustParseString(src)}})
@@ -442,7 +453,7 @@ func BenchmarkExternalAdd(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := ar.AddVersion(strings.NewReader(text)); err != nil {
+		if err := addVersion(ar, strings.NewReader(text)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -245,11 +245,11 @@ func TestFsckRepairClearsDegradedMarker(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 7, Records: 10})
-	if err := ar.AddVersion(strings.NewReader(g.Next().IndentedXML())); err != nil {
+	if err := addVersion(ar, strings.NewReader(g.Next().IndentedXML())); err != nil {
 		t.Fatal(err)
 	}
 	ffs.SetFault("keydir.sync", fsio.Fault{Err: syscall.EIO})
-	if err := ar.AddVersion(strings.NewReader(g.Next().IndentedXML())); !errors.Is(err, ErrDegraded) {
+	if err := addVersion(ar, strings.NewReader(g.Next().IndentedXML())); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("got %v, want ErrDegraded", err)
 	}
 	// The process is abandoned degraded; the marker stays behind.

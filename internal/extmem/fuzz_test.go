@@ -4,20 +4,27 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"xarch/internal/core"
 	"xarch/internal/datagen"
+	"xarch/internal/fsio"
 	"xarch/internal/hostile"
 	"xarch/internal/keys"
+	"xarch/internal/keys/keystest"
 	"xarch/internal/xmltree"
 )
 
 // The decoders of bytes a replication peer supplies — keydir.idx, attr.idx
-// and segment payloads (the segment header has FuzzSegmentHeader) — share
+// and segment payloads (the segment header has FuzzSegmentHeader; dict.txt
+// and meta.txt, text, have their own round trips below) — share
 // one contract: whatever the bytes, no panic, no allocation beyond a small
 // multiple of the bytes actually supplied, and an error that matches
 // ErrCorruptArchive (ErrLegacyFormat for a format-1 key directory).
@@ -217,11 +224,7 @@ func FuzzTokenStream(f *testing.F) {
 	// what no writer writes.
 	doc := xmltree.MustParseString(`<db><north><item id="1"><body>x<b q="v">y</b></body><note>whole</note></item></north></db>`)
 	inlineSpec, inlineDict := keys.MustParseSpec(edgeSpec), newDictionary()
-	sorted := tokenBytes(func(tw *tokenWriter) {
-		if err := sortTree(doc, inlineSpec, inlineDict, tw); err != nil {
-			f.Fatal(err)
-		}
-	})
+	sorted := sortDoc(f, inlineSpec, inlineDict, doc)
 	f.Add(sorted, false)
 	for _, hs := range hostileStreams(inlineDict) {
 		f.Add(tokenBytes(func(tw *tokenWriter) {
@@ -252,5 +255,116 @@ func FuzzTokenStream(f *testing.F) {
 		}
 		checkHostile(t, len(data), func() error { return drainTokens(t, data, dict) })
 		checkHostile(t, len(data), func() error { return drain(data, interned) })
+	})
+}
+
+// FuzzDictionary and FuzzMeta hold the two text state files a replication
+// peer supplies, dict.txt and meta.txt, to the hostile-input contract: no
+// panic, no allocation beyond a small multiple of the bytes, and what
+// decodes must encode and decode again to the same thing.
+func FuzzDictionary(f *testing.F) {
+	dir, _ := fuzzSeedArchive(f)
+	data, err := os.ReadFile(filepath.Join(dir, dictFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte("0\ta\\nb\\tc\\\\d\n1\t" + strings.Repeat("n", 70000) + "\n"))
+	f.Add([]byte("1\tdb\n")) // ids out of order
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var d *dictionary
+		if err := hostile.Check(t, len(data), func() (err error) {
+			d, err = loadDictionary(bytes.NewReader(data))
+			return err
+		}); err != nil {
+			return
+		}
+		var b bytes.Buffer
+		if err := d.save(&b); err != nil {
+			t.Fatal(err)
+		}
+		again, err := loadDictionary(&b)
+		if err != nil || !slices.Equal(again.snapshot(), d.snapshot()) {
+			t.Fatalf("loaded dictionary does not survive a round trip: %v", err)
+		}
+	})
+}
+
+func FuzzMeta(f *testing.F) {
+	dir, _ := fuzzSeedArchive(f)
+	data, err := os.ReadFile(filepath.Join(dir, metaFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte("xarch-ext 2\nversions 3\nroottime \"1-3\"\nroots 1000000000000\n"))
+	f.Add([]byte("xarch-ext 1\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var d *keyDirectory
+		if err := hostile.Check(t, len(data), func() (err error) {
+			d, err = parseMetaV2(bytes.NewReader(data))
+			return err
+		}); err != nil {
+			return
+		}
+		enc := encodeMeta(d)
+		again, err := parseMetaV2(bytes.NewReader(enc))
+		if err != nil || !bytes.Equal(encodeMeta(again), enc) {
+			t.Fatalf("parsed meta does not survive a round trip: %v", err)
+		}
+	})
+}
+
+// FuzzFlatVsTree holds the validated add's document slab to the tree and
+// to the external sort, for whatever XML it is handed: the slab the
+// tokenizer fills equals the tree the parser builds, flattened; the
+// validator's report over it equals the pattern-loop reference's over the
+// tree; and a valid document sorts in the slab to the bytes the external
+// sort writes (at a budget that forces several runs).
+func FuzzFlatVsTree(f *testing.F) {
+	spec := keys.MustParseSpec(edgeSpec)
+	for _, text := range edgeTexts() {
+		f.Add([]byte(text))
+	}
+	for _, doc := range edgeDocs() {
+		f.Add([]byte(doc.XML()))
+	}
+	f.Add([]byte(`<db><north><item id="1"><note>a</note></item><item id="1"/></north><south>x</south></db>`))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, text []byte) {
+		tree, err := xmltree.Parse(bytes.NewReader(text))
+		var slab xmltree.Flat
+		if rerr := slab.Read(bytes.NewReader(text)); fmt.Sprint(rerr) != fmt.Sprint(err) {
+			t.Fatalf("tokenizing into the slab: %v; parsing: %v", rerr, err)
+		}
+		if err != nil {
+			return
+		}
+		flat := xmltree.Flatten(tree)
+		if !slices.Equal(slab.Nodes, flat.Nodes) || !slices.Equal(slab.Names, flat.Names) ||
+			!bytes.Equal(slab.Arena, flat.Arena) || !slab.Normalized || !flat.Normalized {
+			t.Fatal("the tokenized slab differs from the parsed tree, flattened")
+		}
+		report := spec.Check(&slab)
+		if want := keystest.CheckDocument(spec, tree); !reflect.DeepEqual(report, want) {
+			t.Fatalf("slab report differs from the reference\n got: %v\nwant: %v", report, want)
+		}
+		if len(report) > 0 {
+			return
+		}
+		toks, err := (&Archiver{spec: spec, dict: newDictionary()}).sortInMemory(Source{Reader: bytes.NewReader(text), Validate: true})
+		if err != nil {
+			t.Fatalf("a valid document does not sort: %v", err)
+		}
+		ext := &Archiver{dir: dir, fs: fsio.OS, spec: spec, dict: newDictionary(), cfg: Config{Budget: 16}}
+		path := ext.tmpPath("sorted.tok")
+		_, scratch, err := ext.externalSort(bytes.NewReader(text), path)
+		defer removePaths(fsio.OS, append(scratch, path))
+		if err != nil {
+			t.Fatalf("the external sort refuses a valid document: %v", err)
+		}
+		if want, err := os.ReadFile(path); err != nil || !bytes.Equal(encodeTokens(toks), want) {
+			t.Fatalf("slab and external sort disagree (%v)", err)
+		}
 	})
 }

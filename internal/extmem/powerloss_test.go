@@ -171,7 +171,7 @@ func TestPowerLossMatrixAdd(t *testing.T) {
 	})
 	t.Run("stream", func(t *testing.T) {
 		powerLossMatrix(t, cfg, base, preV, wantPre, func(ar *Archiver) error {
-			return ar.AddVersion(strings.NewReader(docs[2].IndentedXML()))
+			return addVersion(ar, strings.NewReader(docs[2].IndentedXML()))
 		})
 	})
 }

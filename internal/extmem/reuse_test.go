@@ -295,11 +295,11 @@ func TestDirtySegmentResumesAtDirtyChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ar.Close()
-	if err := ar.AddVersion(strings.NewReader(base.XML())); err != nil {
+	if err := addVersion(ar, strings.NewReader(base.XML())); err != nil {
 		t.Fatal(err)
 	}
 	fs.read = 0
-	if err := ar.AddVersion(strings.NewReader(next.XML())); err != nil {
+	if err := addVersion(ar, strings.NewReader(next.XML())); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := ar.Last().Merge, (MergeStats{SegmentsRewritten: 1, SegmentsCreated: 1}); got != want {

@@ -56,7 +56,7 @@ func buildOMIMArchive(t testing.TB, dir string, cfg Config, versions int) *Archi
 		t.Fatal(err)
 	}
 	for i := 0; i < versions; i++ {
-		if err := ar.AddVersion(strings.NewReader(g.Next().IndentedXML())); err != nil {
+		if err := addVersion(ar, strings.NewReader(g.Next().IndentedXML())); err != nil {
 			t.Fatalf("add v%d: %v", i+1, err)
 		}
 	}
@@ -98,14 +98,14 @@ func TestSegmentLocalMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ar2.AddVersion(strings.NewReader(v1.IndentedXML())); err != nil {
+	if err := addVersion(ar2, strings.NewReader(v1.IndentedXML())); err != nil {
 		t.Fatal(err)
 	}
 	before := map[string]bool{}
 	for f := range ar2.current().d.files() {
 		before[f] = true
 	}
-	if err := ar2.AddVersion(strings.NewReader(g.Next().IndentedXML())); err != nil {
+	if err := addVersion(ar2, strings.NewReader(g.Next().IndentedXML())); err != nil {
 		t.Fatal(err)
 	}
 	if ar2.Last().Merge.SegmentsReused == 0 {
@@ -125,7 +125,7 @@ func TestSegmentLocalMerge(t *testing.T) {
 	}
 
 	// An empty version is a directory-only commit: zero segment I/O.
-	if err := ar2.AddEmptyVersion(); err != nil {
+	if err := addVersion(ar2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if ar2.Last().Merge.SegmentsRewritten != 0 || ar2.Last().Merge.SegmentsCreated != 0 {
@@ -306,7 +306,7 @@ func TestDirectorySeekParityRandomized(t *testing.T) {
 			for _, rec := range doc.ChildrenNamed("Record") {
 				nums = append(nums, rec.ChildText("Num"))
 			}
-			if err := ar.AddVersion(strings.NewReader(doc.IndentedXML())); err != nil {
+			if err := addVersion(ar, strings.NewReader(doc.IndentedXML())); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -417,7 +417,7 @@ func TestSelectorSpecialCharacterKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ar.AddVersion(strings.NewReader(b.String())); err != nil {
+	if err := addVersion(ar, strings.NewReader(b.String())); err != nil {
 		t.Fatal(err)
 	}
 	ext := loadExternal(t, ar, spec)
@@ -504,7 +504,7 @@ func TestViewSurvivesAdds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ar.AddVersion(strings.NewReader(g.Next().IndentedXML())); err != nil {
+	if err := addVersion(ar, strings.NewReader(g.Next().IndentedXML())); err != nil {
 		t.Fatal(err)
 	}
 	q, err := ar.OpenQuery()
@@ -517,7 +517,7 @@ func TestViewSurvivesAdds(t *testing.T) {
 	}
 	// Heavy churn: several adds rewrite most segments.
 	for i := 0; i < 3; i++ {
-		if err := ar.AddVersion(strings.NewReader(g.Next().IndentedXML())); err != nil {
+		if err := addVersion(ar, strings.NewReader(g.Next().IndentedXML())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -551,14 +551,14 @@ func TestRootAttributesAndEmptyFirstVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ar.AddEmptyVersion(); err != nil {
+	if err := addVersion(ar, nil); err != nil {
 		t.Fatal(err)
 	}
 	doc := `<db org="acme"><dept><name>finance</name></dept></db>`
-	if err := ar.AddVersion(strings.NewReader(doc)); err != nil {
+	if err := addVersion(ar, strings.NewReader(doc)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ar.AddVersion(strings.NewReader(doc)); err != nil {
+	if err := addVersion(ar, strings.NewReader(doc)); err != nil {
 		t.Fatal(err)
 	}
 	q, err := ar.OpenQuery()
@@ -592,7 +592,7 @@ func TestRootAttributesAndEmptyFirstVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = ar2.AddVersion(strings.NewReader(`<db org="other"><dept><name>finance</name></dept></db>`))
+	err = addVersion(ar2, strings.NewReader(`<db org="other"><dept><name>finance</name></dept></db>`))
 	if err == nil || !strings.Contains(err.Error(), "attributes of /db differ") {
 		t.Errorf("mismatching root attributes accepted: %v", err)
 	}

@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -33,8 +34,8 @@ type segMerge struct {
 	newRoot  *intervals.Set
 	stats    MergeStats
 	newFiles []string
-	// src is the sorted version under the merge's token reader, which a
-	// segment that turns out dirty re-aims at its first dirty child.
+	// src is the streamed version's scratch file under the version reader
+	// (nil in slice mode), which a dirty segment re-aims at its first dirty child.
 	src io.ReadSeeker
 }
 
@@ -87,13 +88,17 @@ func (ar *Archiver) mergeIntoSegments(base *keyDirectory, sorted sortedVersion, 
 	old := base
 	newRoot := old.rootTime.Clone()
 	newRoot.Add(i)
-	df, err := sorted.open(ar.fs)
-	if err != nil {
-		return nil, MergeStats{}, nil, err
+	m := &segMerge{ar: ar, i: i, newRoot: newRoot}
+	d := &tokenReader{toks: sorted.toks} // slice mode, unless streamed
+	if sorted.path != "" {
+		f, err := ar.fs.Open(sorted.path)
+		if err != nil {
+			return nil, MergeStats{}, nil, fmt.Errorf("extmem: %w", err)
+		}
+		defer f.Close()
+		m.src, d.r = f, tokenReaderPool.Get().(*bufio.Reader)
 	}
-	defer df.Close()
-	m := &segMerge{ar: ar, i: i, newRoot: newRoot, src: df}
-	d := newTokenReader(df)
+	d.reset(m.src, nil, 0)
 	defer d.release()
 
 	out := &keyDirectory{versions: i, rootTime: newRoot}
@@ -109,6 +114,7 @@ func (ar *Archiver) mergeIntoSegments(base *keyDirectory, sorted sortedVersion, 
 		}
 		aOK := oi < len(old.roots)
 		var rec *rootRecord
+		var err error
 		switch {
 		case aOK && dOK:
 			r := old.roots[oi]
@@ -355,8 +361,10 @@ func (m *segMerge) mergeChildren(sw *segmentSetWriter, sm *streamMerger, r, out 
 			continue
 		}
 		if d.pos != resume {
-			if _, err := m.src.Seek(resume, io.SeekStart); err != nil {
-				return fmt.Errorf("extmem: %w", err)
+			if m.src != nil {
+				if _, err := m.src.Seek(resume, io.SeekStart); err != nil {
+					return fmt.Errorf("extmem: %w", err)
+				}
 			}
 			d.reset(m.src, nil, resume)
 		}

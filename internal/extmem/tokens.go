@@ -12,8 +12,8 @@
 //     the sorted version by the Nested Merge rules.
 //
 // Steps 1 and 2 are for a version that is streamed in (decompose.go,
-// sort.go); one already parsed into a tree is walked and sorted in memory
-// into the same sorted document (treesort.go).
+// sort.go); a tree, or validated XML, is held in a document slab and
+// sorted there into the same sorted document (treesort.go).
 //
 // Only O(height + frontier-subtree) state is held in memory at any point
 // outside the run former, whose memory use is capped by an explicit node
@@ -251,14 +251,17 @@ func (tw *tokenWriter) writeToken(t token) {
 // interval sets instead of allocating them per token. A reader fed by a
 // dirStream advances across stream parts at token boundaries, switching
 // dictionaries per part (literal parts, like scratch files, use the
-// inline grammar and carry none).
+// inline grammar and carry none). In slice mode (r nil) it reads a sorted
+// version held in memory.
 type tokenReader struct {
 	r    *bufio.Reader
 	in   offsetReader // what r reads, when that is one fixed stream
 	dict *segDict     // current part's dictionary; nil = inline grammar
 	src  *dirStream   // nil = single fixed reader
+	toks []token      // slice mode: the tokens, toks[at] the one after cur
+	at   int
 	cur  token
-	pos  int64 // stream offset of cur, or of the end of the stream
+	pos  int64 // stream offset (in slice mode, index) of cur, or of the end
 	err  error
 	done bool
 }
@@ -290,10 +293,13 @@ func newTokenReaderDict(r io.Reader, dict *segDict, at int64) *tokenReader {
 // reset aims the reader at another single stream and its dictionary,
 // dropping the lookahead and any end-of-stream or error state, so one
 // reader (and its buffer) can visit several places in a file. at is the
-// offset r starts at in whatever the caller measures pos in.
+// offset r starts at in whatever the caller measures pos in; in slice mode
+// it is the index to read on from, and r is nil.
 func (tr *tokenReader) reset(r io.Reader, dict *segDict, at int64) {
-	tr.in = offsetReader{r: r, n: at}
-	tr.r.Reset(&tr.in)
+	if tr.at = int(at); tr.r != nil {
+		tr.in = offsetReader{r: r, n: at}
+		tr.r.Reset(&tr.in)
+	}
 	tr.dict, tr.err, tr.done, tr.cur = dict, nil, false, token{}
 	tr.next()
 }
@@ -526,6 +532,16 @@ func (tr *tokenReader) next() {
 	if tr.done {
 		return
 	}
+	if tr.r == nil {
+		if tr.pos = int64(tr.at); tr.at == len(tr.toks) {
+			tr.fail(io.EOF)
+		} else if t := tr.toks[tr.at]; t.op == tokAttr && !attrFollows(tr.cur.op) {
+			tr.fail(corruptf("attribute after content"))
+		} else {
+			tr.cur, tr.at = t, tr.at+1
+		}
+		return
+	}
 	tr.pos = tr.in.n - int64(tr.r.Buffered())
 	op, err := tr.readOp()
 	if err != nil {
@@ -547,9 +563,7 @@ func (tr *tokenReader) next() {
 	case tokText:
 		t.data = tr.str()
 	case tokAttr:
-		// An attribute belongs to a start tag. No writer puts one after
-		// content, and a reader that met one could only hoist it back.
-		if prev := tr.cur.op; prev != tokOpen && prev != tokAttr && prev != tokTSOpen {
+		if !attrFollows(tr.cur.op) {
 			tr.fail(corruptf("attribute after content"))
 			return
 		}
@@ -566,6 +580,11 @@ func (tr *tokenReader) next() {
 		tr.cur = t
 	}
 }
+
+// attrFollows reports whether an attribute may follow a token of op prev.
+// An attribute belongs to a start tag. No writer puts one after content,
+// and a reader that met one could only hoist it back.
+func attrFollows(prev byte) bool { return prev == tokOpen || prev == tokAttr || prev == tokTSOpen }
 
 // discardSubtree skips the balance of an already-consumed open token — or
 // group-open token: the two kinds of bracket nest — without materializing

@@ -1,6 +1,8 @@
 package extmem
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -9,239 +11,242 @@ import (
 	"xarch/internal/xmltree"
 )
 
-// sortTree writes the §6.2 sorted token stream of a version already held
-// as a tree: one walk of doc, in lockstep with the specification's
-// compiled trie, that at every keyed level computes each element child's
-// composite key, orders the children by (name, key) and descends in that
-// order. A tree knows a keyed node's key value at its open tag, so the
-// open token carries the key inline; nothing here touches a scratch file
-// besides out. The stream is byte for byte what the external sort
-// (decompose.go, sort.go) makes of the tree's serialization — adjacent
-// text coalesced, whitespace-only text and namespace declarations
+// sortInMemory loads a tree, or tokenizes XML, into the writer's slab, has
+// the specification check it and store its keys, and turns it into the
+// §6.2 sorted token stream, in the writer's token buffer: one walk in
+// lockstep with the specification's compiled trie that at every keyed
+// level orders the element children by (name, key) over a stack of node
+// indexes and descends in that order. The tokens are the ones the external
+// sort (decompose.go, sort.go) makes of the document's serialization —
+// adjacent text joined, whitespace-only text and namespace declarations
 // dropped, attributes in canonical order, dictionary ids assigned in
-// document order — except that names and values are taken from the tree
-// as they are, not through an escape and re-parse.
-func sortTree(doc *xmltree.Node, spec *keys.Spec, dict *dictionary, out *tokenWriter) error {
-	s := &treeSorter{dict: dict, out: out}
+// document order — and the merge reads them where they are. The caller
+// zeroes the buffer once it is done with them.
+//
+// Violations fail the version when the source asks for validation;
+// otherwise only what the sort cannot place does, as the first violation
+// or the sort's own error.
+func (ar *Archiver) sortInMemory(src Source) ([]token, error) {
+	d := &ar.flat
+	if src.Doc != nil {
+		d.Load(src.Doc)
+	} else if err := d.Read(src.Reader); err != nil {
+		return nil, err
+	}
+	errs := ar.spec.Check(d)
+	if src.Validate && len(errs) > 0 {
+		return nil, &keys.ViolationsError{Violations: errs}
+	} else if len(d.Nodes) == 0 {
+		return ar.toks[:0], nil
+	}
+	s := &flatSorter{d: d, tags: make([]int, len(d.Names)), bare: map[*keys.Key]*tkey{}}
 	// Emitting in sorted order would also number new names in sorted
 	// order; the dictionary is on disk, so number them first, as met.
-	s.intern(doc)
-	cur := spec.Cursor().Child(doc.Name)
-	key, err := s.keyValue(doc, cur.Key())
-	if err != nil {
-		return err
-	}
-	return s.keyed(keyedChild{doc, cur, key})
-}
-
-type treeSorter struct {
-	dict *dictionary
-	out  *tokenWriter
-
-	path  []string             // names of the open keyed elements, for errors
-	canon xmltree.AppendBuffer // scratch for one key-path value
-	attrs []*xmltree.Node      // scratch for attributes that need sorting
-	kids  []keyedChild         // stack of the open keyed levels' children
-}
-
-// keyedChild is an element at or above the frontier, the cursor the
-// specification matches it as, and its composite key.
-type keyedChild struct {
-	node *xmltree.Node
-	cur  keys.Cursor
-	key  *tkey
-}
-
-func (s *treeSorter) intern(x *xmltree.Node) {
-	s.dict.id(x.Name)
-	for _, a := range s.sortedAttrs(x) {
-		s.dict.id(a.Name)
-	}
-	for _, c := range x.Children {
-		if c.Kind == xmltree.Element {
-			s.intern(c)
+	elements, tag := 0, func(name int32) {
+		if s.tags[name] == 0 {
+			s.tags[name] = ar.dict.id(d.Names[name]) + 1
 		}
 	}
+	for i := range d.Nodes {
+		if d.Nodes[i].Kind != xmltree.Element {
+			continue
+		}
+		elements++
+		tag(d.Nodes[i].Name)
+		s.attrs = d.SortedAttrs(s.attrs[:0], int32(i), true)
+		for _, a := range s.attrs {
+			tag(d.Nodes[a].Name)
+		}
+	}
+	// Sized to the version; a store whose versions grow regrows it once an
+	// eighth of growth, not at every add.
+	if need := len(d.Nodes) + elements; cap(ar.toks) < need {
+		ar.toks = make([]token, 0, need+cap(ar.toks)/8)
+	}
+	s.toks = ar.toks[:0]
+	cur := ar.spec.Cursor().Child(d.Name(0))
+	err := errNoKey
+	if cur.Key() != nil && d.Nodes[0].Key >= 0 {
+		s.enter(0, 1)
+		err = s.keyed(0, cur, s.key(0, cur.Key()))
+	}
+	if err == errNoKey {
+		err = errs[0]
+	}
+	if err != nil {
+		clear(s.toks)
+		return nil, err
+	}
+	return s.toks, nil
 }
 
-// keyed emits the subtree of x: a frontier node's content as it stands, a
-// node above the frontier with its children sorted.
-func (s *treeSorter) keyed(x keyedChild) error {
-	s.open(x.node, x.key)
-	if x.cur.Frontier() {
-		s.content(x.node)
+type flatSorter struct {
+	d    *xmltree.Flat
+	tags []int // dictionary id by slab name id, 0 until met (ids are 1-based)
+	toks []token
+
+	path  []string  // names of the open keyed elements, for errors
+	kids  []flatKid // stack of the open keyed levels' children
+	attrs []int32   // scratch for one element's attributes
+
+	// The root's key, or the child of the root being emitted: its arena
+	// bytes [ca, cb) as one string, its keys' as another, and the room for
+	// their annotations.
+	ca, cb int
+	text   string
+	keyStr string
+	keyLo  int // where keyStr begins in d.Keys
+	tkeys  []tkey
+	canon  []string
+	bare   map[*keys.Key]*tkey // the one annotation of each key without paths
+}
+
+// flatKid is an element at or above the frontier, the cursor the
+// specification matches it as, and its composite key's bytes in d.Keys.
+type flatKid struct {
+	node int32
+	cur  keys.Cursor
+	key  []byte
+}
+
+// errNoKey stops the sort at an element Check could store no key for; the
+// violation it reported says why.
+var errNoKey = errors.New("extmem: element without a key above the frontier")
+
+// key returns element n's key annotation, cut from the room enter made.
+func (s *flatSorter) key(n int32, k *keys.Key) *tkey {
+	if len(k.KeyPaths) == 0 {
+		// Such a key is its path names alone: one annotation serves all.
+		t := s.bare[k]
+		if t == nil {
+			t = &tkey{paths: k.SortedKeyPathNames()}
+			s.bare[k] = t
+		}
+		return t
+	}
+	t, first, parts := &s.tkeys[0], int(s.d.Nodes[n].Key), len(k.KeyPaths)
+	s.tkeys = s.tkeys[1:]
+	t.paths = k.SortedKeyPathNames()
+	t.canon, s.canon = s.canon[:parts:parts], s.canon[parts:]
+	for j := range t.canon {
+		t.canon[j] = s.keyStr[s.d.KeyStart(first+j)-s.keyLo : s.d.KeyEnds[first+j]-s.keyLo]
+	}
+	return t
+}
+
+// enter makes the nodes from c up to end the ones being emitted: one
+// string for their text and attribute values, one for their keys, and the
+// room for their annotations. Per child of the root, so that what the
+// archive keeps past the add — directory keys, the attribute index's
+// facts — keeps that child's bytes alive, never the whole version's.
+func (s *flatSorter) enter(c, end int32) {
+	d := s.d
+	s.ca, s.cb = d.ArenaAt(c), d.ArenaAt(end)
+	s.text = string(d.Arena[s.ca:s.cb])
+	lo, hi, keyed := d.KeyParts(c, end)
+	s.keyLo = d.KeyStart(lo)
+	s.keyStr = string(d.Keys[s.keyLo:d.KeyStart(hi)])
+	s.tkeys, s.canon = make([]tkey, keyed), make([]string, hi-lo)
+}
+
+// str returns the bytes [off, end) of the arena as a string: a piece of the
+// current child's, or a copy.
+func (s *flatSorter) str(off, end int) string {
+	if s.ca <= off && end <= s.cb {
+		return s.text[off-s.ca : end-s.ca]
+	}
+	return string(s.d.Arena[off:end])
+}
+
+// keyed emits the subtree of element n: a frontier node's content as it
+// stands, a node above the frontier with its children sorted.
+func (s *flatSorter) keyed(n int32, cur keys.Cursor, key *tkey) error {
+	d := s.d
+	s.open(n, key)
+	if cur.Frontier() {
+		s.content(n)
 		return nil
 	}
-	s.path = append(s.path, x.node.Name)
+	s.path = append(s.path, d.Name(n))
 	base := len(s.kids)
-	for i := 0; i < len(x.node.Children); i++ {
-		c := x.node.Children[i]
-		switch c.Kind {
+	for c := d.Nodes[n].First; c >= 0; c = d.Nodes[c].Next {
+		switch d.Nodes[c].Kind {
 		case xmltree.Text:
-			var text string
-			if text, i = textRun(x.node.Children, i); strings.TrimSpace(text) != "" {
+			var text []byte
+			if text, c = d.TextRun(c); len(bytes.TrimSpace(text)) > 0 {
 				return fmt.Errorf("extmem: %s: text above the frontier", pathString(s.path))
 			}
 		case xmltree.Element:
-			cur := x.cur.Child(c.Name)
-			key, err := s.keyValue(c, cur.Key())
-			if err != nil {
-				return err
+			cc := cur.Child(d.Name(c))
+			k := cc.Key()
+			if k == nil || d.Nodes[c].Key < 0 {
+				return errNoKey
 			}
-			s.kids = append(s.kids, keyedChild{c, cur, key})
+			s.kids = append(s.kids, flatKid{c, cc, d.Key(c, len(k.KeyPaths))})
 		}
 	}
 	// Deeper levels push and pop above this one's children, so kids stays
 	// valid — if s.kids is reallocated, as the old array — while they run.
 	kids := s.kids[base:]
-	slices.SortFunc(kids, func(a, b keyedChild) int {
-		if c := strings.Compare(a.node.Name, b.node.Name); c != 0 {
+	order := func(a, b flatKid) int {
+		if c := strings.Compare(d.Name(a.node), d.Name(b.node)); c != 0 {
 			return c
 		}
-		return compareKeys(a.key, b.key)
-	})
+		return bytes.Compare(a.key, b.key)
+	}
+	slices.SortFunc(kids, order)
 	for i, c := range kids {
-		if i > 0 && c.node.Name == kids[i-1].node.Name && compareKeys(c.key, kids[i-1].key) == 0 {
-			return fmt.Errorf("extmem: %s: more than one child %s", pathString(s.path), keyLabel(c.node.Name, c.key))
+		if n == 0 {
+			s.enter(c.node, d.SubtreeEnd(c.node))
 		}
-		if err := s.keyed(c); err != nil {
+		key := s.key(c.node, c.cur.Key())
+		if i > 0 && order(kids[i-1], c) == 0 {
+			return fmt.Errorf("extmem: %s: more than one child %s", pathString(s.path), keyLabel(d.Name(c.node), key))
+		}
+		if err := s.keyed(c.node, c.cur, key); err != nil {
 			return err
 		}
 	}
 	s.kids = s.kids[:base]
 	s.path = s.path[:len(s.path)-1]
-	s.out.close()
+	s.toks = append(s.toks, token{op: tokClose})
 	return nil
 }
 
-// open writes x's open token and attributes.
-func (s *treeSorter) open(x *xmltree.Node, key *tkey) {
-	s.out.open(s.dict.id(x.Name), key, "")
-	for _, a := range s.sortedAttrs(x) {
-		s.out.attr(s.dict.id(a.Name), a.Data)
+// open emits element n's open token and attributes.
+func (s *flatSorter) open(n int32, key *tkey) {
+	d := s.d
+	s.toks = append(s.toks, token{op: tokOpen, tag: s.tags[d.Nodes[n].Name] - 1, key: key})
+	s.attrs = d.SortedAttrs(s.attrs[:0], n, true)
+	for _, a := range s.attrs {
+		s.toks = append(s.toks, token{op: tokAttr, tag: s.tags[d.Nodes[a].Name] - 1, data: s.str(d.Nodes[a].Off, d.Nodes[a].End)})
 	}
 }
 
-// content writes the children of x, an element at or below the frontier,
-// in document order, and x's close token.
-func (s *treeSorter) content(x *xmltree.Node) {
-	for i := 0; i < len(x.Children); i++ {
-		c := x.Children[i]
-		switch c.Kind {
+// content emits the children of element n, at or below the frontier, in
+// document order, and n's close token.
+func (s *flatSorter) content(n int32) {
+	d := s.d
+	for c := d.Nodes[n].First; c >= 0; c = d.Nodes[c].Next {
+		switch d.Nodes[c].Kind {
 		case xmltree.Text:
-			var text string
-			if text, i = textRun(x.Children, i); strings.TrimSpace(text) != "" {
-				s.out.text(text)
+			first := c
+			var text []byte
+			if text, c = d.TextRun(c); len(bytes.TrimSpace(text)) == 0 {
+				break
 			}
+			data := s.str(d.Nodes[first].Off, d.Nodes[first].End)
+			if c != first {
+				data = string(text)
+			}
+			s.toks = append(s.toks, token{op: tokText, data: data})
 		case xmltree.Element:
+			if n == 0 {
+				s.enter(c, d.SubtreeEnd(c))
+			}
 			s.open(c, nil)
 			s.content(c)
 		}
 	}
-	s.out.close()
-}
-
-// textRun returns the concatenation of the run of text children that
-// starts at children[i], and the index of the run's last node.
-func textRun(children []*xmltree.Node, i int) (string, int) {
-	text := children[i].Data
-	for i+1 < len(children) && children[i+1].Kind == xmltree.Text {
-		i++
-		text += children[i].Data
-	}
-	return text, i
-}
-
-// isNamespaceDecl reports whether an attribute name declares a namespace.
-// Such attributes are not part of the data model: the tokenizer never
-// hands one out, so only a tree built in code can still carry one.
-func isNamespaceDecl(name string) bool {
-	return name == "xmlns" || strings.HasPrefix(name, "xmlns:")
-}
-
-// sortedAttrs returns x's attributes in canonical (name, value) order
-// without namespace declarations. The result is x.Attrs itself when that
-// already qualifies, otherwise scratch valid until the next call.
-func (s *treeSorter) sortedAttrs(x *xmltree.Node) []*xmltree.Node {
-	ok := true
-	for i, a := range x.Attrs {
-		if isNamespaceDecl(a.Name) || (i > 0 && xmltree.Compare(x.Attrs[i-1], a) > 0) {
-			ok = false
-			break
-		}
-	}
-	if ok {
-		return x.Attrs
-	}
-	s.attrs = s.attrs[:0]
-	for _, a := range x.Attrs {
-		if !isNamespaceDecl(a.Name) {
-			s.attrs = append(s.attrs, a)
-		}
-	}
-	slices.SortFunc(s.attrs, xmltree.Compare) // attributes order by (name, value)
-	return s.attrs
-}
-
-// keyValue computes the composite key of x, a child of the element s.path
-// names, under k: canonical key-path values in the key's precomputed §4.2
-// order.
-func (s *treeSorter) keyValue(x *xmltree.Node, k *keys.Key) (*tkey, error) {
-	if k == nil {
-		return nil, fmt.Errorf("extmem: unkeyed element %s above the frontier", pathString(append(s.path, x.Name)))
-	}
-	key := &tkey{paths: k.SortedKeyPathNames()}
-	if len(k.KeyPaths) > 0 {
-		key.canon = make([]string, len(k.KeyPaths))
-	}
-	for out, i := range k.KeyPathOrder() {
-		kp := k.KeyPaths[i]
-		v, found := kp.ResolveUnique(x)
-		if found != 1 {
-			n := "more than one node"
-			if found == 0 {
-				n = "0 nodes"
-			}
-			return nil, fmt.Errorf("extmem: %s: key path %s of %s resolves to %s", pathString(append(s.path, x.Name)), kp, k, n)
-		}
-		s.canon.Reset()
-		s.writeCanon(v)
-		key.canon[out] = s.canon.String()
-	}
-	return key, nil
-}
-
-// writeCanon appends the canonical form of a key-path value (an element
-// or attribute) to s.canon, as the streaming decomposer memorizes it:
-// over the same normalized view of the tree that content emits.
-func (s *treeSorter) writeCanon(n *xmltree.Node) {
-	w := &s.canon
-	if n.Kind == xmltree.Attr {
-		w.WriteString("a(")
-		xmltree.EscapeCanonical(w, n.Name)
-		w.WriteByte('=')
-		xmltree.EscapeCanonical(w, n.Data)
-		w.WriteByte(')')
-		return
-	}
-	w.WriteString("e(")
-	xmltree.EscapeCanonical(w, n.Name)
-	for _, a := range s.sortedAttrs(n) {
-		s.writeCanon(a)
-	}
-	for i := 0; i < len(n.Children); i++ {
-		c := n.Children[i]
-		switch c.Kind {
-		case xmltree.Text:
-			var text string
-			if text, i = textRun(n.Children, i); strings.TrimSpace(text) != "" {
-				w.WriteString("t(")
-				xmltree.EscapeCanonical(w, text)
-				w.WriteByte(')')
-			}
-		case xmltree.Element:
-			s.writeCanon(c)
-		}
-	}
-	w.WriteByte(')')
+	s.toks = append(s.toks, token{op: tokClose})
 }

@@ -3,7 +3,6 @@ package extmem
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -16,11 +15,12 @@ import (
 	"xarch/internal/xmltree"
 )
 
-// The two ways a version is sorted — sortTree over a parsed document, in
+// The two ways a version is sorted — sortInMemory over the document slab, in
 // memory, and the external sort (decompose, run forming, run merge) over
 // XML text — share no code and must be one sort in effect: the same sorted
 // token stream, and after the merge the same bytes in every file of the
-// archive directory.
+// archive directory. The slab is filled from a tree (Add) or straight from
+// the tokenizer (a validated AddReader); the text case takes the second.
 
 // edgeSpec exercises what the generators' specifications do not: a
 // wildcard context, a key path that ends at an attribute, a whole-value
@@ -76,7 +76,7 @@ func edgeDocs() []*xmltree.Node {
 // hold: a declaration and a doctype, a root in a declared namespace, CDATA
 // and a comment inside one text run, references in attribute values, both
 // quote characters, \r\n line ends and white space between elements. The
-// tree side parses them (what AddReader does when validation is on), the
+// slab side tokenizes them (what AddReader does when validation is on), the
 // stream side reads them as they stand.
 func edgeTexts() []string {
 	v1 := `<?xml version="1.0" encoding="UTF-8"?>
@@ -116,8 +116,9 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// sortedStream sorts one source and returns the sorted version's bytes,
-// from memory or from the scratch file, wherever its sort left them.
+// sortedStream sorts one source and returns the sorted version in the
+// inline grammar: a document's tokens encoded as a scratch file holds
+// them, a streamed version's scratch file as the external sort left it.
 func sortedStream(t *testing.T, ar *Archiver, src Source) []byte {
 	t.Helper()
 	sorted, scratch, err := ar.prepareSorted(src)
@@ -125,19 +126,39 @@ func sortedStream(t *testing.T, ar *Archiver, src Source) []byte {
 	if err != nil {
 		t.Fatalf("prepareSorted: %v", err)
 	}
-	if (src.Doc != nil) != (sorted.path == "") {
+	if inMemory := src.Doc != nil || src.Validate; inMemory != (sorted.path == "") {
 		t.Fatalf("sorted version of %+v left at path %q", src, sorted.path)
 	}
-	r, err := sorted.open(ar.fs)
-	if err != nil {
-		t.Fatal(err)
+	if sorted.path == "" {
+		defer clear(sorted.toks)
+		return encodeTokens(sorted.toks)
 	}
-	defer r.Close()
-	data, err := io.ReadAll(r)
+	data, err := os.ReadFile(sorted.path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// encodeTokens writes tokens in the inline grammar.
+func encodeTokens(toks []token) []byte {
+	return tokenBytes(func(tw *tokenWriter) {
+		for _, tok := range toks {
+			tw.writeToken(tok)
+		}
+	})
+}
+
+// sortDoc sorts doc in memory, as an add of it would, into the inline
+// grammar.
+func sortDoc(tb testing.TB, spec *keys.Spec, dict *dictionary, doc *xmltree.Node) []byte {
+	tb.Helper()
+	ar := &Archiver{spec: spec, dict: dict}
+	toks, err := ar.sortInMemory(Source{Doc: doc})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return encodeTokens(toks)
 }
 
 func TestTreeSourceMatchesStream(t *testing.T) {
@@ -198,7 +219,11 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 				if tc.texts != nil {
 					compact, indented = tc.texts[v], tc.texts[v]
 				}
-				fromTree := sortedStream(t, tree, Source{Doc: doc})
+				src := Source{Doc: doc}
+				if tc.texts != nil {
+					src = Source{Reader: strings.NewReader(tc.texts[v]), Validate: true}
+				}
+				fromTree := sortedStream(t, tree, src)
 				fromStream := sortedStream(t, stream, Source{Reader: strings.NewReader(compact)})
 				if !bytes.Equal(fromTree, fromStream) {
 					t.Fatalf("v%d: sorted token streams differ (%d vs %d bytes)", v+1, len(fromTree), len(fromStream))
@@ -206,10 +231,13 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 				if len(fromTree) == 0 {
 					t.Fatalf("v%d: empty sorted stream", v+1)
 				}
-				if items, err := tree.AddVersionBatch([]Source{{Doc: doc}}); err != nil || items[0].Err != nil {
+				if tc.texts != nil {
+					src.Reader = strings.NewReader(tc.texts[v])
+				}
+				if items, err := tree.AddVersionBatch([]Source{src}); err != nil || items[0].Err != nil {
 					t.Fatalf("v%d: tree add: %v %v", v+1, err, items)
 				}
-				if err := stream.AddVersion(strings.NewReader(indented)); err != nil {
+				if err := addVersion(stream, strings.NewReader(indented)); err != nil {
 					t.Fatalf("v%d: stream add: %v", v+1, err)
 				}
 				if tree.Last().Merge != stream.Last().Merge {
@@ -233,11 +261,11 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 }
 
 // TestTreeSourceNeedsNoScratchFiles pins what each sort leaves in the
-// directory: an add from a parsed document creates no scratch file at all —
-// the sorted version stays in memory — while a streamed add creates the
-// token file, runs, the sorted version file, and a key file for each
-// keyed-path pattern that occurs in the document, not for every pattern of
-// the specification.
+// directory: an add from a parsed document or validated XML creates no
+// scratch file at all — the sorted version stays in memory — while an
+// unvalidated streamed add creates the token file, runs, the sorted
+// version file, and a key file for each keyed-path pattern that occurs in
+// the document, not for every pattern of the specification.
 func TestTreeSourceNeedsNoScratchFiles(t *testing.T) {
 	spec := keys.MustParseSpec(edgeSpec)
 	doc := xmltree.MustParseString(`<db><north><item id="1"><body>x</body></item><item id="2"/></north></db>`)
@@ -261,6 +289,9 @@ func TestTreeSourceNeedsNoScratchFiles(t *testing.T) {
 	}
 	if got := created(Source{Doc: doc}); len(got) != 0 {
 		t.Errorf("tree-sourced add created scratch files %v, want none", got)
+	}
+	if got := created(Source{Reader: strings.NewReader(doc.XML()), Validate: true}); len(got) != 0 {
+		t.Errorf("validated streamed add created scratch files %v, want none", got)
 	}
 	if got := created(Source{}); len(got) != 0 {
 		t.Errorf("empty version created scratch files %v, want none", got)
@@ -338,7 +369,7 @@ func TestDuplicateSiblingKeysRejected(t *testing.T) {
 			if tc.runs > 0 {
 				// Where the twins fell: the document up to the second twin.
 				upTo := strings.TrimSuffix(doc, `<item><id>1</id><body>second</body></item></db>`) + `</db>`
-				if err := ar.AddVersion(strings.NewReader(upTo)); err != nil {
+				if err := addVersion(ar, strings.NewReader(upTo)); err != nil {
 					t.Fatal(err)
 				}
 				if ar.Last().Sort.Runs != tc.runs {

@@ -94,7 +94,7 @@ func checkLayouts(t *testing.T, spec *keys.Spec, docs []*xmltree.Node, cfg Confi
 	mem := core.New(spec, core.Options{SkipValidation: true})
 	for i, d := range docs {
 		if d == nil {
-			err = ar.AddEmptyVersion()
+			err = addVersion(ar, nil)
 		} else {
 			err = addTree(d.Clone())(ar)
 		}

@@ -30,7 +30,7 @@ func TestViewsBesideWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range docs {
-		if err := ref.AddVersion(strings.NewReader(d)); err != nil {
+		if err := addVersion(ref, strings.NewReader(d)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func TestViewsBesideWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ar.Close()
-	if err := ar.AddVersion(strings.NewReader(docs[0])); err != nil {
+	if err := addVersion(ar, strings.NewReader(docs[0])); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -90,7 +90,7 @@ func TestViewsBesideWriter(t *testing.T) {
 		}(r)
 	}
 	for i, d := range docs[1:] {
-		if err := ar.AddVersion(strings.NewReader(d)); err != nil {
+		if err := addVersion(ar, strings.NewReader(d)); err != nil {
 			t.Fatalf("add %d: %v", i+2, err)
 		}
 		if i == adds/2 {
@@ -137,7 +137,7 @@ func TestPinnedGenerationsGauge(t *testing.T) {
 	add := func() {
 		t.Helper()
 		g.grow()
-		if err := ar.AddVersion(strings.NewReader(g.doc())); err != nil {
+		if err := addVersion(ar, strings.NewReader(g.doc())); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -229,3 +229,52 @@ func (p Path) each(n *xmltree.Node, fn func(*xmltree.Node)) {
 		}
 	}
 }
+
+// ResolveFlat is ResolveUnique from element n of a flat document: the
+// index of the unique match, or found != 1 (saturating at 2).
+func (p Path) ResolveFlat(d *xmltree.Flat, n int32) (match int32, found int) {
+	if len(p) == 0 {
+		return n, 1
+	}
+	p.resolveFlat(d, n, &match, &found)
+	if found != 1 {
+		return -1, found
+	}
+	return match, 1
+}
+
+func (p Path) resolveFlat(d *xmltree.Flat, n int32, match *int32, found *int) {
+	last := len(p) == 1
+	for ch := d.Nodes[n].First; ch >= 0 && *found < 2; ch = d.Nodes[ch].Next {
+		kind := d.Nodes[ch].Kind
+		if kind == xmltree.Text || kind == xmltree.Attr && !last || !segMatch(p[0], d.Name(ch)) {
+			continue
+		}
+		if last {
+			*found++
+			*match = ch
+		} else {
+			p[1:].resolveFlat(d, ch, match, found)
+		}
+	}
+}
+
+// countFlat is len(p.Resolve(n)) over a flat document.
+func (p Path) countFlat(d *xmltree.Flat, n int32) int {
+	if len(p) == 0 {
+		return 1
+	}
+	last, count := len(p) == 1, 0
+	for ch := d.Nodes[n].First; ch >= 0; ch = d.Nodes[ch].Next {
+		kind := d.Nodes[ch].Kind
+		if kind == xmltree.Text || kind == xmltree.Attr && !last || !segMatch(p[0], d.Name(ch)) {
+			continue
+		}
+		if last {
+			count++
+		} else {
+			count += p[1:].countFlat(d, ch)
+		}
+	}
+	return count
+}

@@ -1,7 +1,9 @@
 package keys
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"xarch/internal/xmltree"
@@ -61,10 +63,7 @@ func (e *ViolationsError) Unwrap() []error {
 //
 // It returns all violations found (nil if the document satisfies the spec).
 func (s *Spec) CheckDocument(doc *xmltree.Node) []*ValidationError {
-	c := checker{path: make(Path, 0, 16)}
-	c.path = append(c.path, doc.Name)
-	c.node(doc, s.Cursor().Child(doc.Name))
-	return c.errs
+	return s.Check(xmltree.Flatten(doc))
 }
 
 // CheckDocumentErr is CheckDocument returning the violations as a single
@@ -76,106 +75,180 @@ func (s *Spec) CheckDocumentErr(doc *xmltree.Node) error {
 	return nil
 }
 
-// checker is one CheckDocument walk: it descends the compiled trie in
-// lockstep with the document, keeping the concrete path only to name
+// Check is CheckDocument over a flat document, in one walk in lockstep with
+// the compiled trie, and the walk that annotates d with keys: every element
+// it reaches at or above the frontier whose key paths resolve uniquely gets
+// its composite key stored in d (Flat.Key) — the canonical forms, as data
+// (Flat.AppendCanonical, normalized), of the values of the key Cursor.Key
+// names, in the key's §4.2 order. That is what the archiver sorts by. Where
+// d is Normalized the stored keys also decide uniqueness among targets;
+// elsewhere the tree's own forms decide it, as CheckDocument always has.
+func (s *Spec) Check(d *xmltree.Flat) []*ValidationError {
+	d.Keys, d.KeyEnds = d.Keys[:0], d.KeyEnds[:0]
+	for i := range d.Nodes {
+		d.Nodes[i].Key = -1
+	}
+	if len(d.Nodes) == 0 {
+		return nil
+	}
+	c := checker{d: d, path: Path{d.Name(0)}}
+	c.node(0, s.Cursor().Child(d.Name(0)))
+	return c.errs
+}
+
+// checker is one Check walk; it keeps the concrete path only to name
 // violations.
 type checker struct {
+	d    *xmltree.Flat
 	path Path
 	errs []*ValidationError
 
-	tuple xmltree.AppendBuffer // scratch for one target's key value
-	seen  map[string]struct{}  // key values among one context's targets
+	// One context's target key values: spans of d.Keys, or of tuples for a
+	// value d has no stored key for.
+	spans  []tuple
+	tuples []byte
+}
+
+type tuple struct {
+	lo, hi int
+	stored bool
 }
 
 func (c *checker) report(path, key, msg string) {
 	c.errs = append(c.errs, &ValidationError{Path: path, Key: key, Msg: msg})
 }
 
-// node checks the element n at c.path, matched so far as cur.
-func (c *checker) node(n *xmltree.Node, cur Cursor) {
-	// Coverage of this node.
+// node checks element n at c.path, matched so far as cur.
+func (c *checker) node(n int32, cur Cursor) {
+	d := c.d
 	if cur.Key() == nil {
 		c.report(c.path.Absolute(), "", "unkeyed element above the frontier")
 		return // no key structure to check below
 	}
-
+	c.storeKey(n, cur.Key())
 	// This node is a target of every key ending here; check their key
 	// paths resolve uniquely.
-	for _, k := range cur.st.keys {
+	for i, k := range cur.st.keys {
+		if i == 0 && d.Nodes[n].Key >= 0 {
+			continue // resolved when its key was stored
+		}
 		for _, kp := range k.KeyPaths {
 			if len(kp) == 0 {
 				continue
 			}
-			if _, found := kp.ResolveUnique(n); found != 1 {
+			if _, found := kp.ResolveFlat(d, n); found != 1 {
 				c.report(c.path.Absolute(), k.String(),
-					fmt.Sprintf("key path %s resolves to %d nodes, want 1", kp, len(kp.Resolve(n))))
+					fmt.Sprintf("key path %s resolves to %d nodes, want 1", kp, kp.countFlat(d, n)))
 			}
 		}
 	}
-	// Uniqueness among the targets of every key whose context is this node.
+	at := len(c.errs)
+	if !cur.Frontier() {
+		// Above the frontier: attributes must be keyed paths, text must not
+		// appear, element children must be keyed (checked recursively).
+		for ch := d.Nodes[n].First; ch >= 0; ch = d.Nodes[ch].Next {
+			switch d.Nodes[ch].Kind {
+			case xmltree.Attr:
+				if name := d.Name(ch); cur.Child(name).Key() == nil {
+					c.report(append(c.path, name).Absolute(), "", "unkeyed attribute above the frontier")
+				}
+			case xmltree.Text:
+				c.report(c.path.Absolute(), "", "text content above the frontier")
+			case xmltree.Element:
+				name := d.Name(ch)
+				c.path = append(c.path, name)
+				c.node(ch, cur.Child(name))
+				c.path = c.path[:len(c.path)-1]
+			}
+		}
+	}
+	// Uniqueness among the targets of every key whose context is this node,
+	// decided once the walk below has stored the children's keys and
+	// reported ahead of what it found there.
+	var dups []*ValidationError
 	for _, k := range cur.st.contexts {
-		c.checkTargets(n, k)
-	}
-
-	if cur.Frontier() {
-		return // content below the frontier is unconstrained
-	}
-
-	// Above the frontier: attributes must be keyed paths, text must not
-	// appear, element children must be keyed (checked recursively).
-	for _, a := range n.Attrs {
-		if cur.Child(a.Name).Key() == nil {
-			c.report(append(c.path, a.Name).Absolute(), "", "unkeyed attribute above the frontier")
+		for i := c.duplicates(n, cur, k); i > 0; i-- {
+			dups = append(dups, &ValidationError{Path: c.path.Absolute(), Key: k.String(), Msg: "duplicate key value among targets"})
 		}
 	}
-	for _, ch := range n.Children {
-		switch ch.Kind {
-		case xmltree.Text:
-			c.report(c.path.Absolute(), "", "text content above the frontier")
-		case xmltree.Element:
-			c.path = append(c.path, ch.Name)
-			c.node(ch, cur.Child(ch.Name))
-			c.path = c.path[:len(c.path)-1]
-		}
-	}
+	c.errs = slices.Insert(c.errs, at, dups...)
 }
 
-// checkTargets reports every target of key k under context node n whose
-// key value repeats an earlier target's.
-func (c *checker) checkTargets(n *xmltree.Node, k *Key) {
-	targets := 0
-	k.Target.each(n, func(*xmltree.Node) { targets++ })
-	if targets <= 1 {
-		return
-	}
-	if c.seen == nil {
-		c.seen = map[string]struct{}{}
-	}
-	clear(c.seen)
-	k.Target.each(n, func(t *xmltree.Node) {
-		if !c.keyTuple(t, k) {
-			return // missing key path already reported at the target
-		}
-		if _, dup := c.seen[string(c.tuple.Buf)]; dup {
-			c.report(c.path.Absolute(), k.String(), "duplicate key value among targets")
+// storeKey stores the composite key of element n under k, when each of
+// k's key paths resolves to one node.
+func (c *checker) storeKey(n int32, k *Key) {
+	d := c.d
+	lo, p := len(d.Keys), len(d.KeyEnds)
+	for _, i := range k.KeyPathOrder() {
+		v, found := k.KeyPaths[i].ResolveFlat(d, n)
+		if found != 1 {
+			d.Keys, d.KeyEnds = d.Keys[:lo], d.KeyEnds[:p]
 			return
 		}
-		c.seen[string(c.tuple.Buf)] = struct{}{}
-	})
+		d.Keys = d.AppendCanonical(d.Keys, v, true)
+		d.KeyEnds = append(d.KeyEnds, len(d.Keys))
+	}
+	d.Nodes[n].Key = int32(p)
 }
 
-// keyTuple renders the key value of target node t under key k into
-// c.tuple as a single canonical string, or reports false if some key path
-// does not resolve uniquely.
-func (c *checker) keyTuple(t *xmltree.Node, k *Key) bool {
-	c.tuple.Reset()
-	for _, kp := range k.KeyPaths {
-		v, found := kp.ResolveUnique(t)
-		if found != 1 {
-			return false
-		}
-		c.tuple.WriteByte('|')
-		xmltree.WriteCanonicalTo(&c.tuple, v)
+// duplicates counts the targets of key k under context n, matched as cur,
+// whose key value repeats another target's.
+func (c *checker) duplicates(n int32, cur Cursor, k *Key) int {
+	c.spans, c.tuples = c.spans[:0], c.tuples[:0]
+	c.targets(n, cur, k, k.Target, n)
+	if len(c.spans) < 2 {
+		return 0
 	}
-	return true
+	slices.SortFunc(c.spans, func(a, b tuple) int { return bytes.Compare(c.value(a), c.value(b)) })
+	dups := 0
+	for i := 1; i < len(c.spans); i++ {
+		if bytes.Equal(c.value(c.spans[i-1]), c.value(c.spans[i])) {
+			dups++
+		}
+	}
+	return dups
+}
+
+func (c *checker) value(t tuple) []byte {
+	if t.stored {
+		return c.d.Keys[t.lo:t.hi]
+	}
+	return c.tuples[t.lo:t.hi]
+}
+
+// targets collects the key value of every node path p reaches from x, a
+// descendant of context n or n itself.
+func (c *checker) targets(n int32, cur Cursor, k *Key, p Path, x int32) {
+	d := c.d
+	last := len(p) == 1
+	for ch := d.Nodes[x].First; ch >= 0; ch = d.Nodes[ch].Next {
+		kind := d.Nodes[ch].Kind
+		if kind == xmltree.Text || kind == xmltree.Attr && !last || !segMatch(p[0], d.Name(ch)) {
+			continue
+		}
+		if !last {
+			c.targets(n, cur, k, p[1:], ch)
+			continue
+		}
+		if d.Normalized && kind == xmltree.Element && x == n && d.Nodes[ch].Key >= 0 && cur.Child(d.Name(ch)).Key() == k {
+			first := int(d.Nodes[ch].Key)
+			c.spans = append(c.spans, tuple{d.KeyStart(first), d.KeyStart(first + len(k.KeyPaths)), true})
+			continue
+		}
+		lo := len(c.tuples)
+		complete := true
+		for _, i := range k.KeyPathOrder() {
+			v, found := k.KeyPaths[i].ResolveFlat(d, ch)
+			if found != 1 {
+				complete = false // missing key path already reported at the target
+				break
+			}
+			c.tuples = d.AppendCanonical(c.tuples, v, false)
+		}
+		if complete {
+			c.spans = append(c.spans, tuple{lo, len(c.tuples), false})
+		} else {
+			c.tuples = c.tuples[:lo]
+		}
+	}
 }

@@ -52,8 +52,8 @@ func addVersions(t *testing.T, dir string, g *datagen.OMIM, n int) []byte {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := ar.AddVersion(strings.NewReader(g.Next().IndentedXML())); err != nil {
-			t.Fatal(err)
+		if items, err := ar.AddVersionBatch([]extmem.Source{{Reader: strings.NewReader(g.Next().IndentedXML())}}); err != nil || items[0].Err != nil {
+			t.Fatal(err, items)
 		}
 	}
 	var buf bytes.Buffer

@@ -30,8 +30,8 @@ func buildArchive(t *testing.T, dir string, versions int) *segstore.Local {
 	}
 	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 7, Records: 10, DeleteFrac: 0.05, InsertFrac: 0.1, ModifyFrac: 0.2})
 	for i := 0; i < versions; i++ {
-		if err := ar.AddVersion(strings.NewReader(g.Next().IndentedXML())); err != nil {
-			t.Fatal(err)
+		if items, err := ar.AddVersionBatch([]extmem.Source{{Reader: strings.NewReader(g.Next().IndentedXML())}}); err != nil || items[0].Err != nil {
+			t.Fatal(err, items)
 		}
 	}
 	if err := ar.Close(); err != nil {

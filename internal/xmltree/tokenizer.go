@@ -69,6 +69,8 @@ type Tokenizer struct {
 	ns        []binding         // xmlns declarations in scope, innermost last
 	attrs     []Attribute
 	text      []byte // the decoded text since the last tag
+	raw       []byte // the bytes of the last text event, valid until the next call
+	rawText   bool   // hand text out in raw only; Text stays empty (Flat.Read)
 	val       []byte // scratch: one attribute value
 	selfClose bool   // the start event just returned came from <a/>
 	rooted    bool
@@ -205,7 +207,9 @@ func (t *Tokenizer) scan() (Event, error) {
 	if s := t.text; len(s) > 0 {
 		t.text = s[:0]
 		if len(t.open) > 0 && len(bytes.TrimSpace(s)) > 0 {
-			t.Text = string(s)
+			if t.raw = s; !t.rawText {
+				t.Text = string(s)
+			}
 			return TextEvent, nil
 		}
 	}

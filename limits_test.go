@@ -1,0 +1,129 @@
+package xarch
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"xarch/internal/xmltree"
+)
+
+// TestAddLimits takes the edges of a document's shape through the three
+// ways a version enters a store — ExtStore.AddReader, which tokenizes it
+// into the writer's document slab; ExtStore.Add of the parsed tree, which
+// flattens it there; and MemStore — and demands one outcome of all three:
+// the same version back, or the same *KeyViolationError.
+func TestAddLimits(t *testing.T) {
+	deep := func(levels int) string {
+		return "<db><dept><name>d</name><emp><fn>a</fn><ln>b</ln><sal>" +
+			strings.Repeat("<x>", levels) + "v" + strings.Repeat("</x>", levels) + "</sal></emp></dept></db>"
+	}
+	var attrs strings.Builder
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&attrs, ` a%03d="%d"`, 999-i, i) // out of canonical order
+	}
+	for _, c := range []struct{ name, doc string }{
+		{"empty input", ""},
+		{"root only", "<db/>"},
+		{"100,000 levels below the frontier", deep(100_000)},
+		{"key value over 64 KiB", "<db><dept><name>" + strings.Repeat("k", 70<<10) + "</name></dept></db>"},
+		{"1,000 attributes", "<db><dept><name>d</name><emp><fn>a</fn><ln>b</ln><sal" + attrs.String() + ">1K</sal></emp></dept></db>"},
+		{"duplicate keys at two levels", "<db><dept><name>d</name><emp><fn>a</fn><ln>b</ln></emp>" +
+			"<emp><fn>a</fn><ln>b</ln></emp></dept><dept><name>d</name></dept></db>"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mem := NewStore(mustSpec(t))
+			defer mem.Close()
+			stores := []Store{mem}
+			for range 2 {
+				ext, err := OpenStore(t.TempDir(), mustSpec(t))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ext.Close()
+				stores = append(stores, ext)
+			}
+			errs := []error{mem.AddReader(strings.NewReader(c.doc)), stores[1].AddReader(strings.NewReader(c.doc))}
+			if tree, err := ParseXMLString(c.doc); err != nil {
+				errs = append(errs, stores[2].Add(nil)) // no tree to hand over: the empty version
+			} else {
+				errs = append(errs, stores[2].Add(tree))
+			}
+			var want *KeyViolationError
+			if errors.As(errs[0], &want) {
+				for i, err := range errs[1:] {
+					var got *KeyViolationError
+					if !errors.As(err, &got) || !reflect.DeepEqual(got.Violations, want.Violations) {
+						t.Errorf("store %d: %v, want %v", i+1, err, want)
+					}
+				}
+				return
+			}
+			if c.doc == "" {
+				if errs[0] == nil || errs[1] == nil || errs[0].Error() != errs[1].Error() || errs[2] != nil {
+					t.Fatalf("empty input: %v", errs)
+				}
+				if err := mem.Add(nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := stores[1].Add(nil); err != nil {
+					t.Fatal(err)
+				}
+			} else if errs[0] != nil || errs[1] != nil || errs[2] != nil {
+				t.Fatalf("adds: %v", errs)
+			}
+			wantDoc, err := mem.Version(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range stores[1:] {
+				got, err := s.Version(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Attributes are a set: the engines may list them in different orders.
+				if !xmltree.Equal(got, wantDoc) {
+					t.Errorf("store %d: version 1 differs from the in-memory engine's", i+1)
+				}
+			}
+		})
+	}
+}
+
+// TestWhitespaceTwinsRejectedBySort: a tree built in code can hold two
+// keyed siblings whose values differ only in text that is white space —
+// distinct as trees, so validation passes them, but one value to the
+// archiver, which drops such text (footnote 3). The external engine must
+// refuse the version, and it does so in the sort, naming the twins, not as
+// a key violation.
+func TestWhitespaceTwinsRejectedBySort(t *testing.T) {
+	spec, err := ParseKeySpec("(/, (db, {}))\n(/db, (entry, {\\e}))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, elem := xmltree.TextNode, xmltree.Elem
+	doc := elem("db", elem("entry", elem("a")), elem("entry", text(" \n"), elem("a")))
+	if errs := spec.CheckDocument(doc); len(errs) != 0 {
+		t.Fatalf("validation reports %v; the twins differ as trees", errs)
+	}
+	ext, err := OpenStore(t.TempDir(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ext.Close()
+	err = ext.Add(doc)
+	var kv *KeyViolationError
+	if err == nil || errors.As(err, &kv) || !strings.Contains(err.Error(), "/db: more than one child entry") {
+		t.Fatalf("Add = %v, want the sort's duplicate-child error", err)
+	}
+	if ext.Versions() != 0 {
+		t.Errorf("the refused version was archived")
+	}
+	// The in-memory engine keeps a tree's text as it stands, so to it the
+	// twins are two entries.
+	if err := NewStore(spec).Add(doc); err != nil {
+		t.Errorf("MemStore.Add = %v", err)
+	}
+}
