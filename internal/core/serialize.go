@@ -29,7 +29,7 @@ func appendChild(e *xmltree.Node, n *anode.Node) {
 		for _, g := range n.Groups {
 			if g.Time == nil {
 				for _, it := range g.Content {
-					e.Append(itemXML(it))
+					e.Append(NodeXML(it))
 				}
 				continue
 			}
@@ -42,7 +42,7 @@ func appendChild(e *xmltree.Node, n *anode.Node) {
 					t.Append(w)
 					continue
 				}
-				t.Append(itemXML(it))
+				t.Append(NodeXML(it))
 			}
 			e.Append(t)
 		}
@@ -52,7 +52,7 @@ func appendChild(e *xmltree.Node, n *anode.Node) {
 		e.Append(xmltree.AttrNode(attr.Name, attr.Data))
 	}
 	for _, c := range n.Children {
-		ce := nodeXML(c)
+		ce := NodeXML(c)
 		if c.Time != nil {
 			t := xmltree.Elem(annotate.TimestampTag, ce)
 			t.SetAttr("t", c.Time.String())
@@ -63,8 +63,10 @@ func appendChild(e *xmltree.Node, n *anode.Node) {
 	}
 }
 
-// nodeXML converts one archive node (without its own timestamp wrapper).
-func nodeXML(n *anode.Node) *xmltree.Node {
+// NodeXML converts one archive node (without its own timestamp wrapper)
+// to the paper's XML form, the form ToXMLTree gives it in the whole
+// archive: the external engine renders its frontier records through it.
+func NodeXML(n *anode.Node) *xmltree.Node {
 	switch n.Kind {
 	case xmltree.Text:
 		return xmltree.TextNode(n.Data)
@@ -74,11 +76,6 @@ func nodeXML(n *anode.Node) *xmltree.Node {
 	e := xmltree.Elem(n.Name)
 	appendChild(e, n)
 	return e
-}
-
-// itemXML converts a frontier content item (no timestamps below here).
-func itemXML(n *anode.Node) *xmltree.Node {
-	return nodeXML(n)
 }
 
 // WriteXML writes the archive's XML form. With indent, the line-oriented

@@ -16,10 +16,11 @@ import (
 // index for boolean Select queries: per archive record (a level-2 child
 // entry, or a raw frontier root) it stores the attribute facts (name,
 // value, effective lifespan), the content-change facts, and — for
-// non-frontier entries written with token capture — a mini-index of the
-// record's direct children with their byte spans inside the entry, so
-// depth-3+ selector steps seek straight to the matched child subtree
-// instead of streaming the whole record.
+// non-frontier entries — a mini-index of the record's direct children with
+// their byte spans inside the entry, so depth-3+ selector steps seek
+// straight to the matched child subtree instead of streaming the whole
+// record. Every posting is derived one way, captureEntryFacts over the
+// record's tokens: as the segment is written, or from its stored bytes.
 //
 // The sidecar is ADVISORY, never authoritative. It is bound to one exact
 // key directory by the keydir.idx file checksum: any commit produces a
@@ -55,7 +56,7 @@ type idxKid struct {
 // lifespan), kept so that encode writes the bytes decode read. Immutable
 // once built, and shared by every generation whose segment file is unchanged.
 type idxEntry struct {
-	hasKids   bool // kid spans recorded (capture-built, non-frontier)
+	hasKids   bool // kid spans recorded (non-frontier)
 	facts     qlang.RecordFacts
 	attrTimes []string
 	kids      []idxKid
@@ -415,8 +416,9 @@ func captureEntryFacts(toks []token, m entryMark, tokOffs []int64, dict *diction
 // resolved, timestamps parsed, kid spans for every entry above the frontier
 // (a frontier entry's content is group-structured, not seekable by child) —
 // and parks them on the archiver, keyed by file name, for the post-commit
-// sidecar rebuild. Raw segments carry no entry marks and are always
-// scan-indexed, as is a file whose tokens do not capture.
+// sidecar rebuild. Raw segments carry no entry marks; their postings, and
+// those of a file whose tokens do not capture, come from the stored bytes
+// (captureStored).
 func (sw *segmentSetWriter) captureIdx(rec *segmentRecord, res *encodedSegment) {
 	if sw.ar.cfg.NoAttrIndex || sw.raw || len(sw.marks) == 0 {
 		return
@@ -439,6 +441,39 @@ func (sw *segmentSetWriter) captureIdx(rec *segmentRecord, res *encodedSegment) 
 	sw.ar.pendingIdx[rec.file] = f
 }
 
+// captureStored derives the postings of the stored record at tr's head —
+// its open token through the balancing close — with captureEntryFacts, the
+// write pass's derivation, so a posting rebuilt from a segment is the one
+// written beside it. With kids, every token's payload offset (tr.pos) goes
+// along for the kid spans.
+func captureStored(tr *tokenReader, name string, kids bool, dict *dictionary) (*idxEntry, error) {
+	var toks []token
+	var offs []int64
+	for depth := 0; len(toks) == 0 || depth > 0; {
+		offs = append(offs, tr.pos)
+		t, err := tr.mustTake(name)
+		if err != nil {
+			return nil, err
+		}
+		if len(toks) == 0 && t.op != tokOpen {
+			return nil, corruptf("%s has no open token", name)
+		}
+		switch t.op {
+		case tokOpen:
+			depth++
+		case tokClose:
+			depth--
+		}
+		toks = append(toks, t)
+	}
+	if kids {
+		offs = append(offs, tr.pos)
+	} else {
+		offs = nil
+	}
+	return captureEntryFacts(toks, entryMark{start: 0, end: len(toks)}, offs, dict)
+}
+
 // ---------------------------------------------------------------------------
 // Build and maintenance
 
@@ -452,26 +487,12 @@ func rawSig(r *rootRecord) string {
 	return sig
 }
 
-// factsToIdx converts scan-derived record facts to the stored form.
-func factsToIdx(f *qlang.RecordFacts) *idxEntry {
-	e := &idxEntry{}
-	e.facts.HasGroups, e.facts.Changes = f.HasGroups, f.Changes
-	for _, a := range f.Attrs {
-		ts := ""
-		if a.Time != nil {
-			ts = a.Time.String()
-		}
-		e.addAttr(a.Name, a.Value, ts, a.Time)
-	}
-	return e
-}
-
 // indexGeneration builds the attribute index of a generation about to be
 // published, in memory: old postings are reused for unchanged segment
 // files, the write pass's captured facts consumed for fresh ones, the rest
-// scanned. It is strictly best-effort: a failure leaves the generation
-// without an index — its queries fall back to scans — and never poisons
-// the writer. The commit behind g is already durable.
+// captured from the stored tokens. It is strictly best-effort: a failure
+// leaves the generation without an index — its queries fall back to scans
+// — and never poisons the writer. The commit behind g is already durable.
 func (ar *Archiver) indexGeneration(g *generation) {
 	if ar.cfg.NoAttrIndex {
 		return
@@ -530,18 +551,8 @@ func (ar *Archiver) buildAttrIndex(g *generation, old *attrIndex) (*attrIndex, e
 		files:     map[string]*fileIdx{},
 		raws:      map[string]*rawIdx{},
 	}
-	var q *QueryView
-	defer func() {
-		if q != nil {
-			q.Close()
-		}
-	}()
-	scanView := func() *QueryView {
-		if q == nil {
-			q = ar.viewOf(g) // g.aidx is still nil: the index under construction must not serve
-		}
-		return q
-	}
+	stored := segCursor{ar: ar}
+	defer stored.close()
 	for _, r := range d.roots {
 		if r.raw {
 			label := keyLabel(r.name, r.key)
@@ -552,11 +563,15 @@ func (ar *Archiver) buildAttrIndex(g *generation, old *attrIndex) (*attrIndex, e
 					continue
 				}
 			}
-			node, err := scanView().rawNode(r)
+			ds := &dirStream{fs: ar.fs, dir: ar.dir, parts: rootParts(r), dicts: ar.segDicts, counter: &ar.bytesRead}
+			tr := newDirTokenReader(ds)
+			e, err := captureStored(tr, r.name, false, ar.dict)
+			tr.release()
+			ds.Close()
 			if err != nil {
 				return nil, err
 			}
-			idx.raws[label] = &rawIdx{sig: sig, e: factsToIdx(qlang.FactsOf(node))}
+			idx.raws[label] = &rawIdx{sig: sig, e: e}
 			continue
 		}
 		for _, s := range r.segs {
@@ -570,17 +585,21 @@ func (ar *Archiver) buildAttrIndex(g *generation, old *attrIndex) (*attrIndex, e
 				idx.files[s.file] = cf
 				continue
 			}
-			// Scan fallback: files whose capture is gone (a sidecar
-			// rebuilt from scratch at open or by fsck -repair). Exact
-			// facts, no kid spans.
-			qv := scanView()
+			// Neither posted nor just written (a sidecar rebuilt at open or by
+			// fsck -repair, a segment re-linked while none was loaded): capture
+			// the postings from the stored tokens.
 			f := &fileIdx{crc: s.crc}
 			for i := range s.entries {
-				node, err := qv.entryNode(r, s, &s.entries[i])
+				en := &s.entries[i]
+				tr, err := stored.at(s, en)
 				if err != nil {
 					return nil, err
 				}
-				f.entries = append(f.entries, factsToIdx(qlang.FactsOf(node)))
+				e, err := captureStored(tr, en.name, !ar.spec.IsFrontier(keys.Path([]string{r.name, en.name})), ar.dict)
+				if err != nil {
+					return nil, err
+				}
+				f.entries = append(f.entries, e)
 			}
 			idx.files[s.file] = f
 		}

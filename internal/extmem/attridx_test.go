@@ -9,7 +9,11 @@ import (
 	"strings"
 	"testing"
 
+	"xarch/internal/datagen"
+	"xarch/internal/intervals"
 	"xarch/internal/keys"
+	"xarch/internal/qlang"
+	"xarch/internal/xmltree"
 )
 
 // attrSpec mirrors the department schema with keyed attribute slots, so
@@ -225,84 +229,261 @@ func TestAttrIndexStaleKeydir(t *testing.T) {
 	}
 }
 
-// factsRendering renders the fact content of an index — changes and
-// attributes per record, raw signatures — ignoring the kid mini-index,
-// which only capture-built postings carry.
-func factsRendering(x *attrIndex) string {
-	var files []string
-	for f := range x.files {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	var b strings.Builder
-	for _, f := range files {
-		fi := x.files[f]
-		fmt.Fprintf(&b, "file %s crc=%08x n=%d\n", f, fi.crc, len(fi.entries))
-		for i, e := range fi.entries {
-			fmt.Fprintf(&b, " entry %d %s\n", i, entryFacts(e))
-		}
-	}
-	var raws []string
-	for label, ri := range x.raws {
-		raws = append(raws, fmt.Sprintf("raw %s sig=%s %s\n", label, ri.sig, entryFacts(ri.e)))
-	}
-	sort.Strings(raws)
-	for _, r := range raws {
-		b.WriteString(r)
-	}
-	return b.String()
+// sidecarCorpus is one archive history the attr.idx derivation is checked
+// over.
+type sidecarCorpus struct {
+	name string
+	spec *keys.Spec
+	docs []*xmltree.Node
 }
 
-func entryFacts(e *idxEntry) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "groups=%v changes=", e.facts.HasGroups)
-	for _, c := range e.facts.Changes {
-		fmt.Fprintf(&b, "(%v,%d)", c.Explicit, c.V)
-	}
-	attrs := make([]string, len(e.facts.Attrs))
-	for i, a := range e.facts.Attrs {
-		ts := ""
-		if a.Time != nil {
-			ts = a.Time.String()
+// sidecarCorpora: the attr corpus (attributes above and inside the
+// frontier), the same documents under a spec whose root is the frontier (one
+// raw root), XMark and OMIM.
+func sidecarCorpora(t *testing.T) []sidecarCorpus {
+	t.Helper()
+	var attrDocs []*xmltree.Node
+	for v := 1; v <= 4; v++ {
+		doc, err := xmltree.ParseString(attrDoc(v))
+		if err != nil {
+			t.Fatal(err)
 		}
-		attrs[i] = fmt.Sprintf("%s=%s@%q", a.Name, a.Value, ts)
-		if e.attrTimes[i] != ts {
-			attrs[i] += fmt.Sprintf(" (stored as %q)", e.attrTimes[i])
-		}
+		attrDocs = append(attrDocs, doc)
 	}
-	sort.Strings(attrs)
-	fmt.Fprintf(&b, " attrs=%v", attrs)
-	return b.String()
+	xm := datagen.NewXMark(datagen.XMarkConfig{Seed: 1, Items: 36, People: 24, Categories: 4, OpenAucts: 12, ClosedAucts: 8})
+	xdoc := xm.Document()
+	xdocs := []*xmltree.Node{xdoc, xm.RandomChanges(xdoc, 0.1)}
+	xdocs = append(xdocs, xm.KeyModChanges(xdocs[1], 0.1))
+	omim := datagen.NewOMIM(datagen.OMIMConfig{Seed: 1, Records: 60, DeleteFrac: 0.02, InsertFrac: 0.05, ModifyFrac: 0.05})
+	var odocs []*xmltree.Node
+	for v := 0; v < 4; v++ {
+		odocs = append(odocs, omim.Next())
+	}
+	return []sidecarCorpus{
+		{"attr", keys.MustParseSpec(attrSpec), attrDocs},
+		{"raw-root", keys.MustParseSpec("(/, (db, {}))"), attrDocs},
+		{"xmark", xm.Spec(), xdocs},
+		{"omim", omim.Spec(), odocs},
+	}
 }
 
-// TestAttrIndexCaptureMatchesScan: the write-time captured postings hold
-// exactly the facts a from-scratch scan rebuild derives.
-func TestAttrIndexCaptureMatchesScan(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{Budget: 1 << 16, SegmentTarget: 512}
-	ar := buildAttrArchive(t, dir, cfg, 4)
-	if ar.current().aidx == nil {
-		t.Fatal("no captured index")
-	}
-	captured := factsRendering(ar.current().aidx)
-	if err := ar.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, attrIdxFile)); err != nil {
-		t.Fatal(err)
-	}
-	cfg.RebuildAttrIndex = true
-	ar2, err := Open(dir, keys.MustParseSpec(attrSpec), cfg)
+// build archives the corpus into dir, one add per document, in small
+// segments so that sidecar postings are reused, captured and re-linked.
+func (c *sidecarCorpus) build(t *testing.T, dir string) {
+	t.Helper()
+	ar, err := Open(dir, c.spec, Config{SegmentTarget: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ar2.Close()
-	if ar2.current().aidx == nil {
-		t.Fatalf("scan rebuild did not run (IdxErr=%v)", ar2.IdxErr)
+	for _, doc := range c.docs {
+		if err := addTree(doc.Clone())(ar); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if scanned := factsRendering(ar2.current().aidx); scanned != captured {
-		t.Fatalf("captured and scan-built facts differ:\ncaptured:\n%s\nscanned:\n%s", captured, scanned)
+	if ar.IdxErr != nil {
+		t.Fatalf("IdxErr = %v", ar.IdxErr)
 	}
+	if err := ar.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rebuildSidecar deletes dir's attr.idx and opens the archive with
+// RebuildAttrIndex, as fsck -repair does; the caller closes it.
+func rebuildSidecar(t *testing.T, dir string, spec *keys.Spec) *Archiver {
+	t.Helper()
+	if err := os.Remove(filepath.Join(dir, attrIdxFile)); err != nil {
+		t.Fatal(err)
+	}
+	ar, err := Open(dir, spec, Config{SegmentTarget: 2048, RebuildAttrIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ar.current().aidx == nil {
+		t.Fatalf("sidecar not rebuilt (IdxErr=%v)", ar.IdxErr)
+	}
+	return ar
+}
+
+// TestAttrIndexCaptureMatchesScan: a sidecar rebuilt from the stored
+// segments (open with RebuildAttrIndex, what fsck -repair does) is byte for
+// byte the one the writes captured, kid spans included.
+func TestAttrIndexCaptureMatchesScan(t *testing.T) {
+	for _, c := range sidecarCorpora(t) {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c.build(t, dir)
+			captured, err := os.ReadFile(filepath.Join(dir, attrIdxFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ar := rebuildSidecar(t, dir, c.spec)
+			rebuilt := ar.current().aidx.encode(ar.current().d)
+			if err := ar.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rebuilt, captured) {
+				t.Fatalf("rebuilt sidecar (%d bytes) differs from the captured one (%d bytes)", len(rebuilt), len(captured))
+			}
+			if onDisk, err := os.ReadFile(filepath.Join(dir, attrIdxFile)); err != nil || !bytes.Equal(onDisk, captured) {
+				t.Fatalf("rebuilt attr.idx on disk differs from the captured one (%v)", err)
+			}
+		})
+	}
+}
+
+// renderFacts renders record facts for comparison, attributes sorted (the
+// token walk and qlang's tree walk meet them in different orders).
+func renderFacts(f *qlang.RecordFacts) string {
+	attrs := make([]string, len(f.Attrs))
+	for i, a := range f.Attrs {
+		attrs[i] = fmt.Sprintf("%s=%s@%v", a.Name, a.Value, a.Time)
+	}
+	sort.Strings(attrs)
+	return fmt.Sprintf("groups=%v changes=%v attrs=%v", f.HasGroups, f.Changes, attrs)
+}
+
+// TestAttrIndexMatchesFactsOf holds every posting, captured and rebuilt, to
+// the shared evaluator: qlang.FactsOf over the record the query path
+// materializes (recordNode) — for every entry and raw root, frontier or not.
+// A non-frontier posting carries one kid span per element child.
+func TestAttrIndexMatchesFactsOf(t *testing.T) {
+	for _, c := range sidecarCorpora(t) {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c.build(t, dir)
+			check := func(ar *Archiver, phase string) {
+				t.Helper()
+				q, err := ar.OpenQuery()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer q.Close()
+				records := 0
+				compare := func(where string, ent *idxEntry, r *rootRecord, s *segmentRecord, e *childEntry, frontier bool) {
+					t.Helper()
+					records++
+					node, err := q.recordNode(r, s, e)
+					if err != nil {
+						t.Fatalf("%s %s: %v", phase, where, err)
+					}
+					if got, want := renderFacts(&ent.facts), renderFacts(qlang.FactsOf(node)); got != want {
+						t.Errorf("%s %s:\nposting  %s\nFactsOf  %s", phase, where, got, want)
+					}
+					if frontier {
+						return
+					}
+					var kids []string
+					for _, ch := range node.Children {
+						kids = append(kids, ch.Name)
+					}
+					var posted []string
+					for _, k := range ent.kids {
+						posted = append(posted, k.name)
+					}
+					if !ent.hasKids || fmt.Sprint(posted) != fmt.Sprint(kids) {
+						t.Errorf("%s %s: kid spans %v (recorded %v), children %v", phase, where, posted, ent.hasKids, kids)
+					}
+				}
+				for _, r := range q.d.roots {
+					if r.raw {
+						compare("raw root "+r.name, q.aidx.raws[keyLabel(r.name, r.key)].e, r, nil, nil, true)
+						continue
+					}
+					for _, s := range r.segs {
+						for i := range s.entries {
+							e := &s.entries[i]
+							frontier := c.spec.IsFrontier(keys.Path([]string{r.name, e.name}))
+							compare(s.file+" "+keyLabel(e.name, e.key), q.posting(s, i), r, s, e, frontier)
+						}
+					}
+				}
+				if records == 0 {
+					t.Fatalf("%s: no records", phase)
+				}
+			}
+			ar, err := Open(dir, c.spec, Config{SegmentTarget: 2048})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(ar, "captured")
+			if err := ar.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ar = rebuildSidecar(t, dir, c.spec)
+			defer ar.Close()
+			check(ar, "rebuilt")
+		})
+	}
+}
+
+// TestHistoryIOBudget: with the sidecar — captured or rebuilt — a warm
+// two-step History is answered from the key directory and a three-step one
+// from the kid index's recorded lifespan: neither reads a segment byte, and
+// both answer like the store without a sidecar.
+func TestHistoryIOBudget(t *testing.T) {
+	xm := datagen.NewXMark(datagen.XMarkConfig{Seed: 1, Items: 60, People: 40, Categories: 6, OpenAucts: 20, ClosedAucts: 12})
+	c := sidecarCorpus{spec: xm.Spec()}
+	doc := xm.Document()
+	for v := 0; v < 4; v++ {
+		c.docs = append(c.docs, doc)
+		doc = xm.RandomChanges(doc, 0.1)
+	}
+	dir := t.TempDir()
+	c.build(t, dir)
+	selectors := []string{"/site/people", "/site/people/person[id=person3]", "/site/open_auctions/open_auction[id=open_auction2]"}
+	history := func(ar *Archiver, sel string) (*intervals.Set, int64) {
+		t.Helper()
+		q, err := ar.OpenQuery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer q.Close()
+		if _, err := q.History(sel); err != nil { // warm: the dictionaries are cached
+			t.Fatalf("History(%s): %v", sel, err)
+		}
+		before := ar.BytesRead()
+		h, err := q.History(sel)
+		if err != nil {
+			t.Fatalf("History(%s): %v", sel, err)
+		}
+		return h, ar.BytesRead() - before
+	}
+	scan, err := Open(dir, c.spec, Config{NoAttrIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, sel := range selectors {
+		h, _ := history(scan, sel)
+		want[sel] = h.String()
+	}
+	if err := scan.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(ar *Archiver, phase string) {
+		t.Helper()
+		for _, sel := range selectors {
+			h, n := history(ar, sel)
+			if n != 0 {
+				t.Errorf("%s: History(%s) read %d segment bytes, want 0", phase, sel, n)
+			}
+			if h.String() != want[sel] {
+				t.Errorf("%s: History(%s) = %s, the store without a sidecar says %s", phase, sel, h, want[sel])
+			}
+		}
+	}
+	ar, err := Open(dir, c.spec, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(ar, "captured")
+	if err := ar.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ar = rebuildSidecar(t, dir, c.spec)
+	defer ar.Close()
+	check(ar, "rebuilt")
 }
 
 // TestAttrIndexDisabled: NoAttrIndex archives never write the sidecar and

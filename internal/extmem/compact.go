@@ -197,7 +197,7 @@ func (ar *Archiver) compact(budget int64) (CompactStats, error) {
 			continue
 		}
 		nr := &rootRecord{
-			name: r.name, tag: r.tag, key: r.key, timeStr: r.timeStr,
+			name: r.name, tag: r.tag, key: r.key, timeStr: r.timeStr, time: r.time,
 			attrs: r.attrs, raw: r.raw,
 		}
 		next := 0
@@ -259,7 +259,7 @@ func (ar *Archiver) coalesceRun(newRoot, old *rootRecord, lo, hi int, onCreate f
 				sw.fail(err)
 				break
 			}
-			sw.beginChild(e.name, e.tag, e.key, e.timeStr)
+			sw.beginChild(e.name, e.tag, e.key, e.timeStr, e.time)
 			if sw.err != nil {
 				break
 			}

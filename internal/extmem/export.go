@@ -150,12 +150,12 @@ func (q *QueryView) writeArchiveNode(tr *tokenReader, t token, out *xmlSink, up 
 			stats.FrontierNodes++
 			countFrontierBody(body, stats)
 		}
-		el, err := q.bodyToArchiveXML(name, body)
+		n, err := q.bodyToANode(name, body)
 		if err != nil {
 			return err
 		}
 		out.closeStart()
-		el.WriteDepth(out.w, out.opts, len(out.stack))
+		core.NodeXML(n).WriteDepth(out.w, out.opts, len(out.stack))
 	} else {
 		out.open(name, false)
 		for closed := false; !closed; {
@@ -189,72 +189,4 @@ func (q *QueryView) writeArchiveNode(tr *tokenReader, t token, out *xmlSink, up 
 		out.close()
 	}
 	return nil
-}
-
-// appendItems converts a balanced token sequence into children (and
-// attributes) of el. With attrCarrier, a bare attribute item — one
-// outside any nested element — becomes an <_attr n="name">value</_attr>
-// wrapper, the archive-XML form of attributes inside timestamp groups
-// (XML cannot hold a bare attribute as a child element).
-func (q *QueryView) appendItems(el *xmltree.Node, toks []token, attrCarrier bool) error {
-	stack := []*xmltree.Node{el}
-	for _, t := range toks {
-		top := stack[len(stack)-1]
-		switch t.op {
-		case tokOpen:
-			n, err := q.name(t.tag)
-			if err != nil {
-				return err
-			}
-			c := xmltree.Elem(n)
-			top.Append(c)
-			stack = append(stack, c)
-		case tokAttr:
-			n, err := q.name(t.tag)
-			if err != nil {
-				return err
-			}
-			if attrCarrier && len(stack) == 1 {
-				w := xmltree.Elem("_attr", xmltree.TextNode(t.data))
-				w.SetAttr("n", n)
-				top.Append(w)
-			} else {
-				top.Append(xmltree.AttrNode(n, t.data))
-			}
-		case tokText:
-			top.Append(xmltree.TextNode(t.data))
-		case tokClose:
-			if len(stack) == 1 {
-				return corruptf("unbalanced frontier content")
-			}
-			stack = stack[:len(stack)-1]
-		default:
-			return corruptf("unexpected token %#x in frontier content", t.op)
-		}
-	}
-	if len(stack) != 1 {
-		return corruptf("unbalanced frontier content")
-	}
-	return nil
-}
-
-// bodyToArchiveXML builds the archive-form XML tree of one frontier node:
-// shared content inline, each timestamped group as a <T t="..."> element,
-// attribute items inside groups carried by <_attr n="..."> wrappers (the
-// same reserved names the in-memory serializer and loader use).
-func (q *QueryView) bodyToArchiveXML(name string, body *fbody) (*xmltree.Node, error) {
-	el := xmltree.Elem(name)
-	if err := q.appendItems(el, body.shared, false); err != nil {
-		return nil, err
-	}
-	for i := range body.groups {
-		g := &body.groups[i]
-		te := xmltree.Elem("T")
-		te.SetAttr("t", g.time.String())
-		if err := q.appendItems(te, g.tokens, true); err != nil {
-			return nil, err
-		}
-		el.Append(te)
-	}
-	return el, nil
 }

@@ -50,10 +50,9 @@ type attrRec struct {
 // timeStr is the node's explicit timestamp exactly as carried by its open
 // token ("" = inherited from the root's effective timestamp) — the
 // version interval summary that lets merges and version projections skip
-// the subtree without reading its bytes. time caches the parsed form
-// (nil when timeStr is "" or the directory has not been through a
-// decode); it is shared by every reader of the generation and must not
-// be mutated.
+// the subtree without reading its bytes. time is the parsed form, set
+// when the entry is created and nil exactly when timeStr is ""; it is
+// shared by every reader of the generation and must not be mutated.
 type childEntry struct {
 	name    string
 	tag     int // dictionary id, resolved in memory
@@ -102,7 +101,7 @@ type rootRecord struct {
 	tag     int // dictionary id, resolved in memory
 	key     *tkey
 	timeStr string         // "" = inherited from the archive root timestamp
-	time    *intervals.Set // parsed timeStr; shared, read-only; may be nil
+	time    *intervals.Set // parsed timeStr, nil exactly when it is ""; shared, read-only
 	attrs   []attrRec
 	raw     bool
 	segs    []*segmentRecord

@@ -13,36 +13,21 @@ import (
 	"xarch/internal/xmltree"
 )
 
-// rootEff returns a root's effective timestamp. Decoded directories
-// carry the interval set pre-parsed; freshly-built ones fall back to
-// parsing the string.
-func (q *QueryView) rootEff(r *rootRecord) (*intervals.Set, error) {
-	if r.timeStr == "" {
-		return q.d.rootTime, nil
+// rootEff returns a root's effective timestamp. Every record carries its
+// explicit timestamp parsed from the moment it is created.
+func (q *QueryView) rootEff(r *rootRecord) *intervals.Set {
+	if r.time == nil {
+		return q.d.rootTime
 	}
-	if r.time != nil {
-		return r.time, nil
-	}
-	ts, err := intervals.Parse(r.timeStr)
-	if err != nil {
-		return nil, corruptf("bad timestamp %q", r.timeStr)
-	}
-	return ts, nil
+	return r.time
 }
 
 // entryEff returns a child entry's effective timestamp under its root's.
-func entryEff(e *childEntry, rootEff *intervals.Set) (*intervals.Set, error) {
-	if e.timeStr == "" {
-		return rootEff, nil
+func entryEff(e *childEntry, rootEff *intervals.Set) *intervals.Set {
+	if e.time == nil {
+		return rootEff
 	}
-	if e.time != nil {
-		return e.time, nil
-	}
-	ts, err := intervals.Parse(e.timeStr)
-	if err != nil {
-		return nil, corruptf("bad timestamp %q", e.timeStr)
-	}
-	return ts, nil
+	return e.time
 }
 
 func corruptf(format string, args ...any) error {

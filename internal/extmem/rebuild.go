@@ -160,7 +160,7 @@ func verifySegment(fs fsio.FS, path string, sr *segmentRecord, dict *dictionary)
 // woven into the rebuilt archive — and re-deriving entries (offsets,
 // sizes, timestamps) from the payload tokens. meta also supplies the
 // root records, which the payloads cannot (a root's timestamp lives
-// only in the directory).
+// only in the directory). Every timestamp is parsed here, once.
 func (ar *Archiver) rebuildDirectory(meta *keyDirectory) (*keyDirectory, error) {
 	out := &keyDirectory{versions: meta.versions, rootTime: meta.rootTime}
 	for _, r := range meta.roots {
@@ -181,6 +181,9 @@ func (ar *Archiver) rebuildDirectory(meta *keyDirectory) (*keyDirectory, error) 
 			})
 		}
 		out.roots = append(out.roots, rec)
+	}
+	if err := out.parseTimes(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

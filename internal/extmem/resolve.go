@@ -100,12 +100,8 @@ func (q *QueryView) resolveViaDirectory(steps []core.SelectorStep, wantBody bool
 			continue
 		}
 		foundLabel = label
-		eff, err := q.rootEff(r)
-		if err != nil {
-			return nil, err
-		}
-		res, err = q.resolveRoot(r, eff, steps, stepPath, wantBody)
-		if err != nil {
+		var err error
+		if res, err = q.resolveRoot(r, q.rootEff(r), steps, stepPath, wantBody); err != nil {
 			return nil, err
 		}
 	}
@@ -123,27 +119,12 @@ func (q *QueryView) resolveRoot(r *rootRecord, eff *intervals.Set, steps []core.
 		if last && !wantBody {
 			return &resolved{eff: eff}, nil
 		}
-		tr := q.stream(rootParts(r))
+		tr, key, err := q.openSubtree(rootParts(r), r.name)
+		if err != nil {
+			return nil, err
+		}
 		defer tr.release()
-		if t, ok := tr.take(); !ok || t.op != tokOpen {
-			return nil, corruptf("raw root %s has no open token", r.name)
-		}
-		body, err := readFrontierBody(tr)
-		if err != nil {
-			return nil, err
-		}
-		node, err := q.bodyToANode(r.name, body)
-		if err != nil {
-			return nil, err
-		}
-		if last {
-			return &resolved{eff: eff, node: node}, nil
-		}
-		n, eff2, serr := core.ResolveFrom(node, eff, steps[1:], stepPath)
-		if serr != nil {
-			return &resolved{err: serr}, nil
-		}
-		return &resolved{eff: eff2, node: n}, nil
+		return q.resolveInto(tr, r.name, key, eff, steps, stepPath, q.spec.Cursor().Child(r.name), wantBody)
 	}
 	if last {
 		return &resolved{eff: eff, node: &anode.Node{Kind: xmltree.Element, Name: r.name}}, nil
@@ -160,11 +141,7 @@ func (q *QueryView) resolveRoot(r *rootRecord, eff *intervals.Set, steps []core.
 		return &resolved{err: core.NoSuchElementError(childPath)}, nil
 	}
 	m := matches[0]
-	ceff, err := entryEff(m.e(), eff)
-	if err != nil {
-		return nil, err
-	}
-	res, err := q.resolveEntry(r, m, ceff, steps[1:], childPath, wantBody)
+	res, err := q.resolveEntry(r, m, entryEff(m.e(), eff), steps[1:], childPath, wantBody)
 	if err != nil {
 		return nil, err
 	}
@@ -180,66 +157,41 @@ func (q *QueryView) resolveRoot(r *rootRecord, eff *intervals.Set, steps []core.
 // History on a selective two-step selector is answered from the
 // directory alone.
 func (q *QueryView) resolveEntry(r *rootRecord, m segEntry, eff *intervals.Set, steps []core.SelectorStep, stepPath string, wantBody bool) (*resolved, error) {
-	s, e := m.seg, m.e()
+	e := m.e()
 	last := len(steps) == 1
 	if last && !wantBody {
 		return &resolved{eff: eff}, nil
 	}
 	cur := q.spec.Cursor().Child(r.name).Child(e.name)
-	frontier := cur.Frontier()
-	if last && !frontier {
-		// Above-frontier nodes have no content groups; ContentHistory
-		// reports their first version.
-		return &resolved{eff: eff, node: &anode.Node{Kind: xmltree.Element, Name: e.name}}, nil
-	}
-	if !frontier {
-		// With a fresh attribute index the entry's direct children carry
-		// byte spans: resolve the next step against that mini-index and
-		// seek straight to the one matched child subtree, instead of
-		// streaming every sibling of the entry.
+	if !cur.Frontier() {
+		if last {
+			// Above-frontier nodes have no content groups; ContentHistory
+			// reports their first version.
+			return &resolved{eff: eff, node: &anode.Node{Kind: xmltree.Element, Name: e.name}}, nil
+		}
+		// With the attribute index the entry's direct children carry byte
+		// spans: resolve the next step against that mini-index and seek
+		// straight to the one matched child subtree, instead of streaming
+		// every sibling of the entry.
 		if res, ok, err := q.resolveViaKids(r, m, eff, steps, stepPath, wantBody); ok || err != nil {
 			return res, err
 		}
 	}
-	tr := q.stream(entryParts(s, e))
-	defer tr.release()
-	if t, ok := tr.take(); !ok || t.op != tokOpen {
-		return nil, corruptf("entry %s has no open token", e.name)
-	}
-	if frontier {
-		body, err := readFrontierBody(tr)
-		if err != nil {
-			return nil, err
-		}
-		node, err := q.bodyToANode(e.name, body)
-		if err != nil {
-			return nil, err
-		}
-		if last {
-			return &resolved{eff: eff, node: node}, nil
-		}
-		n, eff2, serr := core.ResolveFrom(node, eff, steps[1:], stepPath)
-		if serr != nil {
-			return &resolved{err: serr}, nil
-		}
-		return &resolved{eff: eff2, node: n}, nil
-	}
-	drainAttrs(tr)
-	sub, err := q.resolveLevel(tr, steps[1:], eff, stepPath, cur, wantBody)
+	tr, key, err := q.openSubtree(entryParts(m.seg, e), e.name)
 	if err != nil {
 		return nil, err
 	}
-	if t, ok := tr.take(); !ok || t.op != tokClose {
-		return nil, corruptf("missing close at %s", stepPath)
-	}
-	return sub, nil
+	defer tr.release()
+	return q.resolveInto(tr, e.name, key, eff, steps, stepPath, cur, wantBody)
 }
 
 // resolveViaKids resolves steps[1] against the attribute index's kid
-// mini-index of the entry, seeking to the single matched child subtree.
-// ok=false means no usable index (absent sidecar, scan-built postings
-// without spans) and the caller falls back to streaming the entry. Match
-// order, ambiguity handling and error texts mirror resolveLevel exactly.
+// mini-index of the entry, seeking to the single matched child subtree —
+// or, when the kid is the last step and no body is wanted, answering from
+// its recorded lifespan without opening the segment. ok=false means no
+// usable index (absent sidecar, or a posting an older build stored without
+// spans) and the caller falls back to streaming the entry. Match order,
+// ambiguity handling and error texts mirror resolveLevel exactly.
 func (q *QueryView) resolveViaKids(r *rootRecord, m segEntry, eff *intervals.Set, steps []core.SelectorStep, stepPath string, wantBody bool) (*resolved, bool, error) {
 	ent := q.posting(m.seg, m.i)
 	if ent == nil || !ent.hasKids {
@@ -267,16 +219,17 @@ func (q *QueryView) resolveViaKids(r *rootRecord, m segEntry, eff *intervals.Set
 	if first.time != nil {
 		keff = first.time
 	}
-	tr := q.stream([]streamPart{{seg: m.seg, off: m.e().offset + first.off, n: first.size}})
-	defer tr.release()
-	if t, ok := tr.take(); !ok || t.op != tokOpen {
-		return nil, false, corruptf("kid %s has no open token", first.name)
+	if len(steps) == 2 && !wantBody {
+		// The kid is the last step: its recorded lifespan is the answer.
+		return &resolved{eff: keff}, true, nil
 	}
-	res, err := q.resolveInto(tr, first.name, keff, steps[1:], kidPath, q.spec.Cursor().Child(r.name).Child(m.e().name).Child(first.name), wantBody)
+	tr, key, err := q.openSubtree([]streamPart{{seg: m.seg, off: m.e().offset + first.off, n: first.size}}, first.name)
 	if err != nil {
 		return nil, false, err
 	}
-	return res, true, nil
+	defer tr.release()
+	res, err := q.resolveInto(tr, first.name, key, keff, steps[1:], kidPath, q.spec.Cursor().Child(r.name).Child(m.e().name).Child(first.name), wantBody)
+	return res, true, err
 }
 
 // resolveLevel scans the sibling sequence at the cursor (stopping at the
@@ -331,7 +284,7 @@ func (q *QueryView) resolveLevel(tr *tokenReader, steps []core.SelectorStep, par
 			}
 			eff = ts
 		}
-		res, err = q.resolveInto(tr, name, eff, steps, stepPath, up.Child(name), wantBody)
+		res, err = q.resolveInto(tr, name, t.key, eff, steps, stepPath, up.Child(name), wantBody)
 		if err != nil {
 			return nil, err
 		}
@@ -346,8 +299,8 @@ func (q *QueryView) resolveLevel(tr *tokenReader, steps []core.SelectorStep, par
 }
 
 // resolveInto resolves the remaining steps inside the (already-opened)
-// matched node and consumes the node's whole subtree.
-func (q *QueryView) resolveInto(tr *tokenReader, name string, eff *intervals.Set, steps []core.SelectorStep, stepPath string, cur keys.Cursor, wantBody bool) (*resolved, error) {
+// matched node, whose key is key, and consumes the node's whole subtree.
+func (q *QueryView) resolveInto(tr *tokenReader, name string, key *tkey, eff *intervals.Set, steps []core.SelectorStep, stepPath string, cur keys.Cursor, wantBody bool) (*resolved, error) {
 	last := len(steps) == 1
 	if cur.Frontier() {
 		if last && !wantBody {
@@ -356,11 +309,7 @@ func (q *QueryView) resolveInto(tr *tokenReader, name string, eff *intervals.Set
 			}
 			return &resolved{eff: eff}, nil
 		}
-		body, err := readFrontierBody(tr)
-		if err != nil {
-			return nil, err
-		}
-		node, err := q.bodyToANode(name, body)
+		node, err := q.subtreeANode(tr, name, key, cur)
 		if err != nil {
 			return nil, err
 		}

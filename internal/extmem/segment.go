@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"xarch/internal/fsio"
+	"xarch/internal/intervals"
 )
 
 // Segment files hold the archive body. Each file starts with a versioned
@@ -374,9 +375,11 @@ func (sw *segmentSetWriter) closeCurrent() {
 	sw.emit(rec)
 }
 
-// beginChild notes the subtree about to be written; its entry is
+// beginChild notes the subtree about to be written, stamped timeStr; eff is
+// the set the caller holds for it, the node's effective timestamp, kept as
+// the entry's parsed time when the stamp is explicit. The entry is
 // completed by endChild. For raw roots the entry metadata is ignored.
-func (sw *segmentSetWriter) beginChild(name string, tag int, key *tkey, timeStr string) {
+func (sw *segmentSetWriter) beginChild(name string, tag int, key *tkey, timeStr string, eff *intervals.Set) {
 	if sw.err != nil {
 		return
 	}
@@ -385,6 +388,9 @@ func (sw *segmentSetWriter) beginChild(name string, tag int, key *tkey, timeStr 
 	}
 	sw.markStart = len(sw.out.toks)
 	sw.pending = childEntry{name: name, tag: tag, key: key, timeStr: timeStr}
+	if timeStr != "" {
+		sw.pending.time = eff
+	}
 }
 
 // endChild completes the pending entry and rolls the file when the

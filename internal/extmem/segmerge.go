@@ -32,6 +32,7 @@ type segMerge struct {
 	ar       *Archiver
 	i        int
 	newRoot  *intervals.Set
+	only     *intervals.Set // {i}, the stamp of a node only the version has; shared, read-only
 	stats    MergeStats
 	newFiles []string
 	// src is the streamed version's scratch file under the version reader
@@ -39,38 +40,22 @@ type segMerge struct {
 	src io.ReadSeeker
 }
 
-// mergedTime applies the §4.2 timestamp rule for a node present in both
-// archive and version: an explicit archive timestamp gains version i and
-// collapses back to inherited ("") when it catches up with the parent's
-// effective timestamp. It returns the node's new effective timestamp and
-// its stored form.
-func mergedTime(atData string, parentEff *intervals.Set, i int) (*intervals.Set, string, error) {
-	if atData == "" {
-		return parentEff, "", nil
-	}
-	t, err := intervals.Parse(atData)
-	if err != nil {
-		return nil, "", fmt.Errorf("extmem: bad archive timestamp %q: %w", atData, err)
-	}
-	t.Add(i)
-	if t.Equal(parentEff) {
-		return parentEff, "", nil
-	}
-	return t, t.String(), nil
-}
-
-// mergedTimeTok is mergedTime over a decoded archive token: a token from
-// a segment carries its timestamp pre-parsed in the shared segment
-// dictionary, which must be cloned — never mutated — before version i is
-// added.
+// mergedTimeTok applies the §4.2 timestamp rule to the archive token of a
+// node present in both archive and version: an explicit archive timestamp
+// gains version i and collapses back to inherited ("") when it catches up
+// with the parent's effective timestamp. It returns the node's new
+// effective timestamp and its stored form. A token from a segment, like a
+// directory record, carries its timestamp pre-parsed and shared, so the set
+// is cloned — never mutated — before version i is added.
 func mergedTimeTok(at token, parentEff *intervals.Set, i int) (*intervals.Set, string, error) {
 	if at.data == "" {
 		return parentEff, "", nil
 	}
-	if at.time == nil {
-		return mergedTime(at.data, parentEff, i)
+	t, err := tokenEff(at)
+	if err != nil {
+		return nil, "", fmt.Errorf("extmem: bad archive timestamp %q: %w", at.data, err)
 	}
-	t := at.time.Clone()
+	t = t.Clone()
 	t.Add(i)
 	if t.Equal(parentEff) {
 		return parentEff, "", nil
@@ -88,7 +73,7 @@ func (ar *Archiver) mergeIntoSegments(base *keyDirectory, sorted sortedVersion, 
 	old := base
 	newRoot := old.rootTime.Clone()
 	newRoot.Add(i)
-	m := &segMerge{ar: ar, i: i, newRoot: newRoot}
+	m := &segMerge{ar: ar, i: i, newRoot: newRoot, only: intervals.New(i)}
 	d := &tokenReader{toks: sorted.toks} // slice mode, unless streamed
 	if sorted.path != "" {
 		f, err := ar.fs.Open(sorted.path)
@@ -174,9 +159,10 @@ func (m *segMerge) newWriter(rec *rootRecord, raw bool) *segmentSetWriter {
 // root with an inherited timestamp must be rewritten because its open
 // token (and timestamp) live in the segment bytes.
 func (m *segMerge) terminateRoot(r *rootRecord) (*rootRecord, error) {
-	out := &rootRecord{name: r.name, tag: r.tag, key: r.key, timeStr: r.timeStr, attrs: r.attrs, raw: r.raw}
+	out := &rootRecord{name: r.name, tag: r.tag, key: r.key, timeStr: r.timeStr, time: r.time, attrs: r.attrs, raw: r.raw}
 	if r.timeStr == "" {
-		out.timeStr = m.newRoot.Without(m.i).String()
+		out.time = m.newRoot.Without(m.i)
+		out.timeStr = out.time.String()
 	}
 	if !r.raw || r.timeStr != "" {
 		out.segs = r.segs
@@ -212,8 +198,8 @@ func (m *segMerge) terminateRoot(r *rootRecord) (*rootRecord, error) {
 func (m *segMerge) newRootFromVersion(d *tokenReader, dn string, dt token) (*rootRecord, error) {
 	out := &rootRecord{
 		name: dn, tag: dt.tag, key: dt.key,
-		timeStr: intervals.New(m.i).String(),
-		raw:     m.ar.spec.IsFrontier(keys.Path([]string{dn})),
+		timeStr: m.only.String(), time: m.only,
+		raw: m.ar.spec.IsFrontier(keys.Path([]string{dn})),
 	}
 	d.take() // the root open
 	if out.raw {
@@ -267,7 +253,7 @@ func (m *segMerge) copyChildrenVerbatim(sw *segmentSetWriter, tr *tokenReader, n
 		if err != nil {
 			return err
 		}
-		sw.beginChild(name, t.tag, t.key, t.data)
+		sw.beginChild(name, t.tag, t.key, t.data, t.time)
 		sw.out.open(t.tag, t.key, t.data)
 		if err := copyBalancedTo(tr, sw.out, true); err != nil {
 			return err
@@ -282,11 +268,14 @@ func (m *segMerge) copyChildrenVerbatim(sw *segmentSetWriter, tr *tokenReader, n
 
 // mergeRoot merges a root present in both archive and version.
 func (m *segMerge) mergeRoot(r *rootRecord, d *tokenReader) (*rootRecord, error) {
-	eff, timeStr, err := mergedTime(r.timeStr, m.newRoot, m.i)
+	eff, timeStr, err := mergedTimeTok(token{data: r.timeStr, time: r.time}, m.newRoot, m.i)
 	if err != nil {
 		return nil, err
 	}
 	out := &rootRecord{name: r.name, tag: r.tag, key: r.key, timeStr: timeStr, attrs: r.attrs, raw: r.raw}
+	if timeStr != "" {
+		out.time = eff
+	}
 	sm := &streamMerger{dict: m.ar.dict, spec: m.ar.spec, i: m.i}
 
 	if r.raw {
@@ -576,22 +565,22 @@ func (m *segMerge) mergeChildLevel(sw *segmentSetWriter, sm *streamMerger, a, d 
 		case aOK && dOK:
 			switch cmp := compareLabels(an, at.key, dn, dt.key); {
 			case cmp == 0:
-				_, ts, terr := mergedTimeTok(at, eff, m.i)
+				teff, ts, terr := mergedTimeTok(at, eff, m.i)
 				if terr != nil {
 					return terr
 				}
-				sw.beginChild(an, at.tag, at.key, ts)
+				sw.beginChild(an, at.tag, at.key, ts, teff)
 				err = sm.mergeEqual(a, d, eff, append(path, an))
 			case cmp < 0:
 				err = m.copyArchiveChildEntry(sw, sm, a, at, an, eff)
 			default:
-				sw.beginChild(dn, dt.tag, dt.key, intervals.New(m.i).String())
+				sw.beginChild(dn, dt.tag, dt.key, m.only.String(), m.only)
 				err = sm.copyVersionChild(d)
 			}
 		case aOK:
 			err = m.copyArchiveChildEntry(sw, sm, a, at, an, eff)
 		case dOK:
-			sw.beginChild(dn, dt.tag, dt.key, intervals.New(m.i).String())
+			sw.beginChild(dn, dt.tag, dt.key, m.only.String(), m.only)
 			err = sm.copyVersionChild(d)
 		default:
 			return nil
@@ -607,11 +596,12 @@ func (m *segMerge) mergeChildLevel(sw *segmentSetWriter, sm *streamMerger, a, d 
 }
 
 func (m *segMerge) copyArchiveChildEntry(sw *segmentSetWriter, sm *streamMerger, a *tokenReader, at token, an string, eff *intervals.Set) error {
-	ts := at.data
+	ts, t := at.data, at.time
 	if ts == "" {
-		ts = eff.Without(m.i).String()
+		t = eff.Without(m.i)
+		ts = t.String()
 	}
-	sw.beginChild(an, at.tag, at.key, ts)
+	sw.beginChild(an, at.tag, at.key, ts, t)
 	return sm.copyArchiveChild(a, eff)
 }
 

@@ -18,11 +18,7 @@ import (
 // Without a sidecar, or with directory seeks off, every record is scanned
 // and materialized; the paths answer identically.
 func (q *QueryView) Select(e qlang.Expr) ([]qlang.Result, error) {
-	recs, err := q.selectRecords(e)
-	if err != nil {
-		return nil, err
-	}
-	return qlang.EvalAll(e, recs)
+	return qlang.EvalAll(e, q.selectRecords(e))
 }
 
 // recordSource is the qlang.Source of one record: where its subtree and its
@@ -36,10 +32,11 @@ type recordSource struct {
 }
 
 func (src *recordSource) Node() (*anode.Node, error) {
-	if src.s == nil {
-		return src.q.rawNode(src.r)
+	var e *childEntry
+	if src.s != nil {
+		e = &src.s.entries[src.i]
 	}
-	return src.q.entryNode(src.r, src.s, &src.s.entries[src.i])
+	return src.q.recordNode(src.r, src.s, e)
 }
 
 func (src *recordSource) Facts() (*qlang.RecordFacts, error) {
@@ -70,7 +67,7 @@ func (q *QueryView) posting(s *segmentRecord, i int) *idxEntry {
 // index-less store narrows nothing: it remains an independent oracle.
 // Ordinals must match attrIndex.buildInv: a raw root is one, any other root
 // one per segment entry (base + flat position).
-func (q *QueryView) selectRecords(e qlang.Expr) ([]qlang.Record, error) {
+func (q *QueryView) selectRecords(e qlang.Expr) []qlang.Record {
 	var cand []int // sorted ordinals; nil: every record is a candidate
 	if q.aidx != nil {
 		if preds := qlang.RequiredAttrs(e); len(preds) > 0 {
@@ -93,13 +90,13 @@ func (q *QueryView) selectRecords(e qlang.Expr) ([]qlang.Record, error) {
 	// add appends the record at ordinal ord (entry i of s, or the raw root r
 	// itself when s is nil) unless the plan rules it out. Ordinals arrive
 	// ascending, so cand is consumed from its head.
-	add := func(r *rootRecord, rootEff *intervals.Set, s *segmentRecord, i, ord int) error {
+	add := func(r *rootRecord, rootEff *intervals.Set, s *segmentRecord, i, ord int) {
 		if cand != nil {
 			for len(cand) > 0 && cand[0] < ord {
 				cand = cand[1:]
 			}
 			if len(cand) == 0 || cand[0] != ord {
-				return nil
+				return
 			}
 		}
 		rid := r.ident()
@@ -109,14 +106,10 @@ func (q *QueryView) selectRecords(e qlang.Expr) ([]qlang.Record, error) {
 			id := &s.idents()[i]
 			for _, p := range spine {
 				if !entryMatches(&p.Steps[1], id) {
-					return nil
+					return
 				}
 			}
-			eff, err := entryEff(&s.entries[i], rootEff)
-			if err != nil {
-				return err
-			}
-			rec.Name, rec.Key, rec.Label, rec.Life = id.name, id.key, id.label, eff
+			rec.Name, rec.Key, rec.Label, rec.Life = id.name, id.key, id.label, entryEff(&s.entries[i], rootEff)
 			src.ent = q.posting(s, i)
 		} else if q.aidx != nil {
 			if ri := q.aidx.raws[rid.label]; ri != nil {
@@ -124,7 +117,6 @@ func (q *QueryView) selectRecords(e qlang.Expr) ([]qlang.Record, error) {
 			}
 		}
 		recs, srcs = append(recs, rec), append(srcs, src)
-		return nil
 	}
 	ord := 0
 nextRoot:
@@ -140,32 +132,23 @@ nextRoot:
 				continue nextRoot
 			}
 		}
-		rootEff, err := q.rootEff(r)
-		if err != nil {
-			return nil, err
-		}
+		rootEff := q.rootEff(r)
 		if r.raw {
-			if err := add(r, rootEff, nil, 0, base); err != nil {
-				return nil, err
-			}
+			add(r, rootEff, nil, 0, base)
 			continue
 		}
 		for _, p := range spine {
 			if flats, ok := r.index().seek(&p.Steps[1]); ok {
 				for _, flat := range flats {
 					m := r.index().at(int(flat))
-					if err := add(r, rootEff, m.seg, m.i, base+int(flat)); err != nil {
-						return nil, err
-					}
+					add(r, rootEff, m.seg, m.i, base+int(flat))
 				}
 				continue nextRoot
 			}
 		}
 		for _, s := range r.segs {
 			for i := range s.entries {
-				if err := add(r, rootEff, s, i, base); err != nil {
-					return nil, err
-				}
+				add(r, rootEff, s, i, base)
 				base++
 			}
 		}
@@ -173,7 +156,7 @@ nextRoot:
 	for i := range recs {
 		recs[i].Src = &srcs[i]
 	}
-	return recs, nil
+	return recs
 }
 
 // PathSet evaluates a path predicate (steps relative to the record's
@@ -202,13 +185,11 @@ func (src *recordSource) PathSet(steps []core.SelectorStep, eff *intervals.Set) 
 			acc = acc.Union(keff)
 			continue
 		}
-		tr := q.stream([]streamPart{{seg: src.s, off: en.offset + k.off, n: k.size}})
-		t, ok := tr.take()
-		if !ok || t.op != tokOpen {
-			tr.release()
-			return nil, false, corruptf("kid %s has no open token", k.name)
+		tr, key, err := q.openSubtree([]streamPart{{seg: src.s, off: en.offset + k.off, n: k.size}}, k.name)
+		if err != nil {
+			return nil, false, err
 		}
-		node, err := q.subtreeANode(tr, k.name, t.key, q.spec.Cursor().Child(src.r.name).Child(en.name).Child(k.name))
+		node, err := q.subtreeANode(tr, k.name, key, q.spec.Cursor().Child(src.r.name).Child(en.name).Child(k.name))
 		tr.release()
 		if err != nil {
 			return nil, false, err
@@ -218,38 +199,44 @@ func (src *recordSource) PathSet(steps []core.SelectorStep, eff *intervals.Set) 
 	return acc, true, nil
 }
 
-// rawNode materializes a raw root's annotated subtree.
-func (q *QueryView) rawNode(r *rootRecord) (*anode.Node, error) {
-	tr := q.stream(rootParts(r))
-	defer tr.release()
-	if t, ok := tr.take(); !ok || t.op != tokOpen {
-		return nil, corruptf("raw root %s has no open token", r.name)
+// recordNode materializes one record's annotated subtree: entry e of s, or
+// the raw root r itself when s is nil — the record-sized unit Select
+// evaluates a predicate over when no index answers it.
+func (q *QueryView) recordNode(r *rootRecord, s *segmentRecord, e *childEntry) (*anode.Node, error) {
+	parts, name, cur := rootParts(r), r.name, q.spec.Cursor().Child(r.name)
+	if s != nil {
+		parts, name, cur = entryParts(s, e), e.name, cur.Child(e.name)
 	}
-	body, err := readFrontierBody(tr)
+	tr, key, err := q.openSubtree(parts, name)
 	if err != nil {
 		return nil, err
 	}
-	return q.bodyToANode(r.name, body)
+	defer tr.release()
+	return q.subtreeANode(tr, name, key, cur)
 }
 
-// entryNode materializes one level-2 entry's annotated subtree — the
-// record-sized unit Select evaluates path, attribute and changed
-// predicates over when no index applies.
-func (q *QueryView) entryNode(r *rootRecord, s *segmentRecord, en *childEntry) (*anode.Node, error) {
-	tr := q.stream(entryParts(s, en))
-	defer tr.release()
-	t, ok := tr.take()
-	if !ok || t.op != tokOpen {
-		return nil, corruptf("entry %s has no open token", en.name)
+// openSubtree opens a stream over parts, which hold one subtree named name,
+// and consumes its open token, returning the token's key. A failed read is
+// reported as itself, not as corruption.
+func (q *QueryView) openSubtree(parts []streamPart, name string) (*tokenReader, *tkey, error) {
+	tr := q.stream(parts)
+	t, err := tr.mustTake(name)
+	if err == nil && t.op != tokOpen {
+		err = corruptf("%s has no open token", name)
 	}
-	return q.subtreeANode(tr, en.name, t.key, q.spec.Cursor().Child(r.name).Child(en.name))
+	if err != nil {
+		tr.release()
+		return nil, nil, err
+	}
+	return tr, t.key, nil
 }
 
 // subtreeANode materializes the subtree whose open token was just
 // consumed, at position cur of the key spec, so frontier subtrees take the
 // group-preserving body reader. Explicit child timestamps and key
 // annotations are carried onto the nodes, so qlang's path walk matches
-// exactly like the in-memory engine's.
+// exactly like the in-memory engine's. It is the one way a stored subtree
+// becomes an anode.Node.
 func (q *QueryView) subtreeANode(tr *tokenReader, name string, key *tkey, cur keys.Cursor) (*anode.Node, error) {
 	if cur.Frontier() {
 		body, err := readFrontierBody(tr)

@@ -62,10 +62,7 @@ func (q *QueryView) streamVersion(v int, sink versionSink) error {
 func (w *versionWalk) streamVersionSeek() error {
 	emitted := false
 	for _, r := range w.q.d.roots {
-		eff, err := w.q.rootEff(r)
-		if err != nil {
-			return err
-		}
+		eff := w.q.rootEff(r)
 		if !eff.Contains(w.v) {
 			continue
 		}
@@ -94,11 +91,7 @@ func (w *versionWalk) emitRoot(r *rootRecord, eff *intervals.Set) error {
 		for _, s := range r.segs {
 			for i := range s.entries {
 				e := &s.entries[i]
-				ceff, err := entryEff(e, eff)
-				if err != nil {
-					return err
-				}
-				if !ceff.Contains(w.v) {
+				if !entryEff(e, eff).Contains(w.v) {
 					continue // skipped without any I/O
 				}
 				if n := len(parts); n > 0 && parts[n-1].seg == s && parts[n-1].off+parts[n-1].n == e.offset {

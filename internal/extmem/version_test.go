@@ -218,18 +218,11 @@ func omimFixture(t testing.TB, fs fsio.FS, segTarget int) *Archiver {
 func liveShape(t *testing.T, q *QueryView, v int) (entries, ranges, segs int, size int64) {
 	t.Helper()
 	for _, r := range q.d.roots {
-		reff, err := q.rootEff(r)
-		if err != nil {
-			t.Fatal(err)
-		}
+		reff := q.rootEff(r)
 		for _, s := range r.segs {
 			before, prevLive := entries, false
 			for i := range s.entries {
-				eff, err := entryEff(&s.entries[i], reff)
-				if err != nil {
-					t.Fatal(err)
-				}
-				live := eff.Contains(v)
+				live := entryEff(&s.entries[i], reff).Contains(v)
 				if live {
 					entries++
 					size += s.entries[i].size

@@ -137,7 +137,7 @@ func (ar *Archiver) removeSegments(files []string) {
 // concurrent query.
 type QueryView struct {
 	ar       *Archiver
-	g        *generation // the pin to release at Close; nil for the writer's own view
+	g        *generation // the pin to release at Close; nil once closed
 	d        *keyDirectory
 	names    []string
 	spec     *keys.Spec
@@ -153,23 +153,16 @@ type QueryView struct {
 // committed before it.
 func (ar *Archiver) OpenQuery() (*QueryView, error) {
 	g := ar.pin()
-	q := ar.viewOf(g)
-	q.g = g
-	return q, nil
-}
-
-// viewOf opens an unpinned view over g. The writer uses it on a
-// generation it has not published yet, whose files only it could sweep.
-func (ar *Archiver) viewOf(g *generation) *QueryView {
 	return &QueryView{
 		ar:       ar,
+		g:        g,
 		d:        g.d,
 		names:    g.names,
 		spec:     ar.spec,
 		versions: g.d.versions,
 		seek:     !ar.cfg.NoDirectorySeek,
 		aidx:     g.aidx,
-	}
+	}, nil
 }
 
 // Close releases the view: any open segment stream is closed and the

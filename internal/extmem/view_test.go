@@ -1,11 +1,16 @@
 package extmem
 
 import (
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"xarch/internal/datagen"
+	"xarch/internal/intervals"
+	"xarch/internal/qlang"
 	"xarch/internal/xmltree"
 )
 
@@ -55,40 +60,18 @@ func TestViewsBesideWriter(t *testing.T) {
 	if err := addVersion(ar, strings.NewReader(docs[0])); err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := r; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				q, err := ar.OpenQuery()
-				if err != nil {
-					t.Errorf("reader %d: %v", r, err)
-					return
-				}
-				if q.aidx == nil || q.aidx.keydirCRC != q.d.crc {
-					t.Errorf("reader %d: view of %d versions has no attribute index of its own directory (%v)", r, q.versions, q.aidx)
-				}
-				v := 1 + i%q.Versions()
-				var b strings.Builder
-				if err := q.WriteVersion(v, &b, xmltree.WriteOptions{Indent: true}); err != nil {
-					t.Errorf("reader %d: WriteVersion(%d) of %d: %v", r, v, q.versions, err)
-				} else if b.String() != want[v] {
-					t.Errorf("reader %d: version %d of %d differs from the archive built alone", r, v, q.versions)
-				}
-				q.Close()
-				if t.Failed() {
-					return
-				}
-			}
-		}(r)
-	}
+	stop := readersBeside(t, ar, 4, func(r, i int, q *QueryView) {
+		if q.aidx == nil || q.aidx.keydirCRC != q.d.crc {
+			t.Errorf("reader %d: view of %d versions has no attribute index of its own directory (%v)", r, q.versions, q.aidx)
+		}
+		v := 1 + i%q.Versions()
+		var b strings.Builder
+		if err := q.WriteVersion(v, &b, xmltree.WriteOptions{Indent: true}); err != nil {
+			t.Errorf("reader %d: WriteVersion(%d) of %d: %v", r, v, q.versions, err)
+		} else if b.String() != want[v] {
+			t.Errorf("reader %d: version %d of %d differs from the archive built alone", r, v, q.versions)
+		}
+	})
 	for i, d := range docs[1:] {
 		if err := addVersion(ar, strings.NewReader(d)); err != nil {
 			t.Fatalf("add %d: %v", i+2, err)
@@ -99,8 +82,7 @@ func TestViewsBesideWriter(t *testing.T) {
 			}
 		}
 	}
-	close(stop)
-	wg.Wait()
+	stop()
 
 	ar.genMu.Lock()
 	gens, refs := len(ar.gens), ar.current().refs
@@ -122,6 +104,163 @@ func TestViewsBesideWriter(t *testing.T) {
 	}
 	if tr := listTransient(ar.fs, dir); len(tr) != 0 {
 		t.Errorf("transient files left: %v", tr)
+	}
+}
+
+// readersBeside runs n readers beside ar's writer: each opens a view of the
+// published generation, hands it to read with its number and a counter, and
+// closes it, over and over, until stop is called; stop waits for them.
+func readersBeside(t *testing.T, ar *Archiver, n int, read func(r, i int, q *QueryView)) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				q, err := ar.OpenQuery()
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				read(r, i, q)
+				q.Close()
+				if t.Failed() {
+					return
+				}
+			}
+		}(r)
+	}
+	return func() {
+		close(done)
+		wg.Wait()
+	}
+}
+
+// TestRecordTimesParsedAtCreation: every root and entry record carries its
+// explicit timestamp parsed from the moment it is created, as the set its
+// string names (and none when it inherits) — after adds of every kind (a
+// tree, validated XML, streamed XML, the empty version that terminates the
+// root), a compaction, a reopen, a rebuild from meta.txt and adds after
+// each. Readers query beside the writer: under -race they show that no
+// published record is written once a view can see it.
+func TestRecordTimesParsedAtCreation(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Budget: 1 << 16, SegmentTarget: fragTarget}
+	g := newInterleavedGrowth(40)
+	next := func() string {
+		g.grow()
+		return g.doc()
+	}
+	var ar *Archiver
+	open := func() {
+		t.Helper()
+		var err error
+		if ar, err = Open(dir, datagen.OMIMSpec(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	explicitRoots, explicitEntries := 0, 0
+	check := func(phase string) {
+		t.Helper()
+		stamped := func(what, timeStr string, time *intervals.Set) {
+			if (time == nil) != (timeStr == "") || time != nil && time.String() != timeStr {
+				t.Errorf("%s: %s stamped %q carries %v", phase, what, timeStr, time)
+			}
+		}
+		for _, r := range ar.current().d.roots {
+			stamped("root "+r.name, r.timeStr, r.time)
+			if r.time != nil {
+				explicitRoots++
+			}
+			for _, s := range r.segs {
+				for i := range s.entries {
+					e := &s.entries[i]
+					stamped(s.file+" entry "+keyLabel(e.name, e.key), e.timeStr, e.time)
+					if e.time != nil {
+						explicitEntries++
+					}
+				}
+			}
+		}
+	}
+	add := func(phase string, srcs ...Source) {
+		t.Helper()
+		items, err := ar.AddVersionBatch(srcs)
+		if err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		for _, it := range items {
+			if it.Err != nil {
+				t.Fatalf("%s: %v", phase, it.Err)
+			}
+		}
+		check(phase)
+	}
+	tree := func() Source {
+		doc, err := xmltree.ParseString(next())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Source{Doc: doc}
+	}
+	validated := func() Source { return Source{Reader: strings.NewReader(next()), Validate: true} }
+	streamed := func() Source { return Source{Reader: strings.NewReader(next())} }
+	changed, err := qlang.Parse("changed 2..")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	open()
+	add("first add", tree())
+	stop := readersBeside(t, ar, 2, func(r, i int, q *QueryView) {
+		if _, err := q.History("/ROOT"); err != nil {
+			t.Errorf("reader %d: History: %v", r, err)
+		}
+		if _, err := q.Select(changed); err != nil {
+			t.Errorf("reader %d: Select: %v", r, err)
+		}
+		if err := q.WriteVersion(1+i%q.Versions(), io.Discard, xmltree.WriteOptions{}); err != nil {
+			t.Errorf("reader %d: WriteVersion: %v", r, err)
+		}
+	})
+	for round := 0; round < 4; round++ {
+		add("tree add", tree())
+		add("validated add", validated())
+		add("streamed add", streamed())
+		add("batch", tree(), validated(), streamed())
+		if round == 1 {
+			add("empty version", Source{})
+		}
+	}
+	if st, err := ar.Compact(); err != nil || st.Executed == 0 {
+		t.Fatalf("compact: %+v, %v", st, err)
+	}
+	check("compact")
+	stop()
+	if err := ar.Close(); err != nil {
+		t.Fatal(err)
+	}
+	open()
+	check("reopen")
+	add("add after reopen", tree())
+	if err := ar.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, keydirFile)); err != nil {
+		t.Fatal(err)
+	}
+	open()
+	defer ar.Close()
+	check("rebuild from meta.txt")
+	add("add after rebuild", streamed())
+	if explicitRoots == 0 || explicitEntries == 0 {
+		t.Errorf("explicit timestamps checked: %d on roots, %d on entries; want some of each", explicitRoots, explicitEntries)
 	}
 }
 
