@@ -271,37 +271,28 @@ func BenchmarkRetrievalIncDiffs(b *testing.B) {
 }
 
 // BenchmarkExtStoreWriteVersion: the same retrievals streamed from the
-// external engine's segments, stored as they are and in deflated blocks —
-// what WithSegmentCompression costs or saves a read (ROADMAP 2c's open
-// question; the numbers are in CHANGES.md, PR 22).
+// external engine's segments, with the segment bytes each one reads.
 func BenchmarkExtStoreWriteVersion(b *testing.B) {
 	_, docs := buildBenchArchive(b, 10)
-	for _, c := range []struct {
-		name    string
-		deflate bool
-	}{{"plain", false}, {"deflate", true}} {
-		b.Run(c.name, func(b *testing.B) {
-			st, err := OpenStore(b.TempDir(), datagen.OMIMSpec(), WithSegmentCompression(c.deflate))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			for _, d := range docs {
-				if err := st.Add(d.Clone()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			read := st.BytesRead()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := st.WriteVersion(1+i%10, io.Discard); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(st.BytesRead()-read)/float64(b.N), "diskB/op")
-		})
+	st, err := OpenStore(b.TempDir(), datagen.OMIMSpec())
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer st.Close()
+	for _, d := range docs {
+		if err := st.Add(d.Clone()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	read := st.BytesRead()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.WriteVersion(1+i%10, io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.BytesRead()-read)/float64(b.N), "diskB/op")
 }
 
 // BenchmarkExtStoreSelect: the external engine's Select over a 450-record

@@ -30,6 +30,15 @@ func keydirFile(body string) string {
 // flags, zero payload length and CRC, root label "db" without a key.
 const legacySegment = "XSG1\x01\x00" + "\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" + "\x02db\x00"
 
+// compressedSegment is a segment header only a block-compressing build
+// wrote: format 2 with the compression flag 0x02, zero payload length and
+// CRC, root label "db" without a key.
+const compressedSegment = "XSG1\x02\x02" + "\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" + "\x02db\x00"
+
+// compressedMeta is the meta.txt of a one-version archive whose one root
+// db has one segment file.
+const compressedMeta = "xarch-ext 2\nversions 1\nroottime \"1\"\nroots 1\nroot \"db\" \"\" 0 0 0 0 1\nseg \"seg-00000000.tok\"\n"
+
 var legacyShapes = map[string]map[string]string{
 	// The pre-segment layout: a v1 meta and one monolithic token file
 	// (<db/> as open tag 0, close).
@@ -54,6 +63,25 @@ var legacyShapes = map[string]map[string]string{
 			"\x02db" + "\x00" + "\x00" + "\x00" + "\x00" + "\x01" + // name, no key, inherited time, no attrs, not raw, one segment
 			"\x10seg-00000000.tok" + "\x01"), // file, segment format 1
 		"seg-00000000.tok": legacySegment,
+	},
+	// A block-compressed segment with no key directory to say so: the
+	// readers fall back to the files meta.txt lists.
+	"compressed-segment": {
+		"meta.txt":         compressedMeta,
+		"dict.txt":         "0\tdb\n",
+		"seg-00000000.tok": compressedSegment,
+	},
+	// A key directory whose segment record carries stored slots that
+	// differ from its payload and CRC — the on-disk size and checksum of a
+	// compressed payload. Decoding stops at those slots.
+	"compressed-keydir": {
+		"meta.txt": compressedMeta,
+		"dict.txt": "0\tdb\n",
+		"keydir.idx": keydirFile("\x02" + "\x01" + "\x011" + "\x01" + // format, versions, root time, one root
+			"\x02db" + "\x00" + "\x00" + "\x00" + "\x00" + "\x01" + // name, no key, inherited time, no attrs, not raw, one segment
+			"\x10seg-00000000.tok" + "\x02" + "\x16" + // file, segment format 2, data offset
+			"\x40" + "\x05" + "\x20" + "\x09"), // payload 64 bytes with CRC 5, stored as 32 bytes with CRC 9
+		"seg-00000000.tok": compressedSegment,
 	},
 }
 

@@ -484,11 +484,11 @@ func cmdInspect(args []string) error {
 		if !s.CRCOK {
 			crc = "CORRUPT"
 		}
-		// stored/uncompressed bytes plus dictionary overhead; the ratio is
-		// on-disk bytes per decoded payload byte.
-		size := fmt.Sprintf("%d bytes (%d stored + %d dict, ratio %.2f)",
-			s.Bytes, s.Stored, s.DictBytes,
-			float64(s.Stored+s.DictBytes)/float64(max(s.Bytes, 1)))
+		// payload bytes plus dictionary overhead; the ratio is on-disk
+		// bytes per payload byte.
+		size := fmt.Sprintf("%d bytes (+ %d dict, ratio %.2f)",
+			s.Bytes, s.DictBytes,
+			float64(s.Bytes+s.DictBytes)/float64(max(s.Bytes, 1)))
 		mark := ""
 		if s.Compactable {
 			mark = "  COMPACTABLE"

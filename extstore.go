@@ -64,7 +64,6 @@ func OpenStore(dir string, spec *KeySpec, opts ...Option) (*ExtStore, error) {
 		SegmentTarget:    cfg.segTarget,
 		NoDirectorySeek:  cfg.noSeek,
 		CompactionBudget: cfg.compBudget,
-		Compression:      cfg.segCompress,
 		NoAttrIndex:      cfg.noQueryIdx,
 		FS:               cfg.fs,
 	})
@@ -265,9 +264,9 @@ func (s *ExtStore) Close() error {
 	return s.ar.Close()
 }
 
-// CompressedSize returns the archive's compressed on-disk size (§5.4):
-// the stored segment payloads (compressed when WithSegmentCompression is
-// on) plus the per-segment dictionaries. Unlike the in-memory engine's
+// CompressedSize returns the archive's on-disk size (§5.4): the
+// dictionary-interned segment payloads plus the per-segment
+// dictionaries. Unlike the in-memory engine's
 // XMill figure this is a metadata walk over the key directory — no
 // archive bytes are read.
 func (s *ExtStore) CompressedSize() (int, error) {

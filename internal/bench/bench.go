@@ -7,10 +7,13 @@ package bench
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"xarch/internal/compressutil"
 	"xarch/internal/core"
+	"xarch/internal/extmem"
 	"xarch/internal/keys"
 	"xarch/internal/repo"
 	"xarch/internal/xmill"
@@ -26,11 +29,15 @@ type Lines struct {
 	Archive   []int // our archive holding versions 1..i
 	IncDiffs  []int // V1 + incremental diffs
 	CumuDiffs []int // V1 + cumulative diffs
+	// ExtArchive is the external engine's archive of versions 1..i: its
+	// segment payloads plus their dictionaries.
+	ExtArchive []int
 	// Compressed sizes (§5.4); -1 when skipped at that version.
 	GzipInc      []int // gzip(V1 + incremental diffs)
 	GzipCumu     []int // gzip(V1 + cumulative diffs)
 	XMillArchive []int // xmill(archive)
 	XMillConcat  []int // xmill(V1 + ... + Vi)
+	GzipExt      []int // gzip of each external-engine segment file, summed
 }
 
 // Config controls which lines are computed.
@@ -46,9 +53,22 @@ type Config struct {
 	KeepConcat bool
 }
 
-// Run archives the version sequence and measures every configured line.
+// Run archives the version sequence — in the in-memory archive and, one
+// tree add per version, in an external-engine archive in a temporary
+// directory under the default configuration — and measures every
+// configured line.
 func Run(spec *keys.Spec, versions []*xmltree.Node, cfg Config) (*Lines, error) {
 	a := core.New(spec, core.Options{FurtherCompaction: cfg.Weave, SkipValidation: true})
+	dir, err := os.MkdirTemp("", "bench-ext-*")
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
+	}
+	defer os.RemoveAll(dir)
+	ext, err := extmem.Open(dir, spec, extmem.Config{})
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
+	}
+	defer ext.Close()
 	inc := repo.NewIncremental()
 	cumu := repo.NewCumulative()
 	out := &Lines{}
@@ -58,6 +78,13 @@ func Run(spec *keys.Spec, versions []*xmltree.Node, cfg Config) (*Lines, error) 
 		text := doc.IndentedXML()
 		if err := a.Add(doc); err != nil {
 			return nil, fmt.Errorf("bench: version %d: %w", i+1, err)
+		}
+		items, err := ext.AddVersionBatch([]extmem.Source{{Doc: doc}})
+		if err == nil {
+			err = items[0].Err
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bench: version %d, external engine: %w", i+1, err)
 		}
 		inc.Add(text)
 		cumu.Add(text)
@@ -69,6 +96,7 @@ func Run(spec *keys.Spec, versions []*xmltree.Node, cfg Config) (*Lines, error) 
 		out.Archive = append(out.Archive, len(a.XML()))
 		out.IncDiffs = append(out.IncDiffs, inc.Size())
 		out.CumuDiffs = append(out.CumuDiffs, cumu.Size())
+		out.ExtArchive = append(out.ExtArchive, int(ext.CompressedSize()))
 
 		compress := cfg.CompressEvery > 0 &&
 			((i+1)%cfg.CompressEvery == 0 || i == len(versions)-1)
@@ -81,14 +109,39 @@ func Run(spec *keys.Spec, versions []*xmltree.Node, cfg Config) (*Lines, error) 
 			} else {
 				out.XMillConcat = append(out.XMillConcat, -1)
 			}
+			gz, err := gzipSegments(dir)
+			if err != nil {
+				return nil, err
+			}
+			out.GzipExt = append(out.GzipExt, gz)
 		} else {
 			out.GzipInc = append(out.GzipInc, -1)
 			out.GzipCumu = append(out.GzipCumu, -1)
 			out.XMillArchive = append(out.XMillArchive, -1)
 			out.XMillConcat = append(out.XMillConcat, -1)
+			out.GzipExt = append(out.GzipExt, -1)
 		}
 	}
 	return out, nil
+}
+
+// gzipSegments sums the gzip size of every segment file in dir: what a
+// filesystem or object store compressing whole files would keep of the
+// external engine's archive.
+func gzipSegments(dir string) (int, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.tok"))
+	if err != nil {
+		return 0, fmt.Errorf("bench: %w", err)
+	}
+	n := 0
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return 0, fmt.Errorf("bench: %w", err)
+		}
+		n += compressutil.GzipSize(data)
+	}
+	return n, nil
 }
 
 // Last returns the final value of a line, skipping trailing -1 entries.
@@ -113,10 +166,12 @@ func (l *Lines) Table(title string) string {
 		{"archive", l.Archive},
 		{"V1+inc", l.IncDiffs},
 		{"V1+cumu", l.CumuDiffs},
+		{"ext", l.ExtArchive},
 		{"gz(inc)", l.GzipInc},
 		{"gz(cumu)", l.GzipCumu},
 		{"xm(arch)", l.XMillArchive},
 		{"xm(cat)", l.XMillConcat},
+		{"gz(ext)", l.GzipExt},
 	}
 	fmt.Fprintf(&b, "%4s", "v")
 	for _, c := range cols {
@@ -155,6 +210,8 @@ func (l *Lines) Summary() string {
 		arch, ratio(arch, inc), ratio(arch, ver))
 	fmt.Fprintf(&b, "  V1+incremental      %d bytes\n", inc)
 	fmt.Fprintf(&b, "  V1+cumulative       %d bytes (%.2fx incremental)\n", cumu, ratio(cumu, inc))
+	ext := Last(l.ExtArchive)
+	fmt.Fprintf(&b, "  ext archive         %d bytes (%.3fx V1+inc, %.3fx V1+cumu)\n", ext, ratio(ext, inc), ratio(ext, cumu))
 	if gz := Last(l.GzipInc); gz >= 0 {
 		xa := Last(l.XMillArchive)
 		fmt.Fprintf(&b, "  gzip(inc diffs)     %d bytes\n", gz)
@@ -164,6 +221,8 @@ func (l *Lines) Summary() string {
 		if xc := Last(l.XMillConcat); xc >= 0 {
 			fmt.Fprintf(&b, "  xmill(V1+...+Vn)    %d bytes\n", xc)
 		}
+		ge := Last(l.GzipExt)
+		fmt.Fprintf(&b, "  gzip(ext segments)  %d bytes (%.3fx gzip(inc))\n", ge, ratio(ge, gz))
 	}
 	return b.String()
 }

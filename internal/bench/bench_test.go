@@ -3,6 +3,9 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"xarch/internal/keys"
+	"xarch/internal/xmltree"
 )
 
 // Small scales keep the test suite fast; cmd/benchfig runs the full sizes.
@@ -47,6 +50,36 @@ func TestRunOMIMShape(t *testing.T) {
 	}
 	if Last(lines.XMillConcat) < 0 {
 		t.Error("concat line missing")
+	}
+}
+
+// TestExtArchiveBelowCumulativeDiffs: §5's raw claim — the archive is no
+// larger than the cumulative diff repository — holds for the bytes the
+// external engine writes, on the accretive, churning and both XMark
+// sequences. (Its gzipped segment files do not beat gzip of the
+// incremental diffs; only xmill(archive) does. DESIGN.md E15 has the
+// numbers.)
+func TestExtArchiveBelowCumulativeDiffs(t *testing.T) {
+	seqs := []struct {
+		name string
+		seq  func() (*keys.Spec, []*xmltree.Node)
+	}{
+		{"omim", func() (*keys.Spec, []*xmltree.Node) { return OMIMSequence(0.1, 8) }},
+		{"swissprot", func() (*keys.Spec, []*xmltree.Node) { return SwissProtSequence(0.12, 8) }},
+		{"xmark-random", func() (*keys.Spec, []*xmltree.Node) { return XMarkSequence(0.25, 6, 0.10, false) }},
+		{"xmark-keymod", func() (*keys.Spec, []*xmltree.Node) { return XMarkSequence(0.25, 6, 0.10, true) }},
+	}
+	for _, sq := range seqs {
+		spec, docs := sq.seq()
+		lines, err := Run(spec, docs, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext, cumu := Last(lines.ExtArchive), Last(lines.CumuDiffs)
+		t.Logf("%s: ext %d, V1+cumu %d, V1+inc %d", sq.name, ext, cumu, Last(lines.IncDiffs))
+		if ext >= cumu {
+			t.Errorf("%s: external archive %d bytes is not below V1+cumulative diffs %d", sq.name, ext, cumu)
+		}
 	}
 }
 

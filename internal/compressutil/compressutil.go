@@ -1,8 +1,6 @@
 // Package compressutil wraps DEFLATE/gzip: maximum-compression helpers
-// for the "gzip -9" baselines of §5.4, and pooled block helpers for the
-// external engine's per-segment block compression (segment format v2),
-// where many small blocks are compressed on the write path and the
-// writer/reader state must be reused rather than reallocated.
+// for the "gzip -9" baselines of §5.4 and the XMill-style container
+// compressor.
 package compressutil
 
 import (
@@ -11,7 +9,6 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // Gzip compresses data at gzip.BestCompression.
@@ -82,62 +79,4 @@ func Unflate(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("compressutil: %w", err)
 	}
 	return out, nil
-}
-
-// Block compression: segments are compressed ~64KiB at a time, so the
-// flate machinery (a few hundred KiB of window state per writer) is
-// pooled and Reset between blocks instead of reallocated per block.
-
-var blockWriterPool = sync.Pool{
-	New: func() any {
-		// BestSpeed: blocks sit on the hot write path of every Add and
-		// compaction; the last few percent of ratio is not worth the
-		// wall-clock there, and the archive-level diff encoding already
-		// removed the bulk redundancy.
-		w, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-		if err != nil {
-			panic(err) // static level; cannot fail
-		}
-		return w
-	},
-}
-
-var blockReaderPool = sync.Pool{
-	New: func() any { return flate.NewReader(bytes.NewReader(nil)) },
-}
-
-// FlateBlock appends the raw-DEFLATE compression of data to dst and
-// returns the number of compressed bytes appended.
-func FlateBlock(dst *bytes.Buffer, data []byte) int {
-	w := blockWriterPool.Get().(*flate.Writer)
-	before := dst.Len()
-	w.Reset(dst)
-	if _, err := w.Write(data); err != nil {
-		panic(fmt.Sprintf("compressutil: in-memory flate write failed: %v", err))
-	}
-	if err := w.Close(); err != nil {
-		panic(fmt.Sprintf("compressutil: in-memory flate close failed: %v", err))
-	}
-	blockWriterPool.Put(w)
-	return dst.Len() - before
-}
-
-// UnflateBlock decompresses one raw-DEFLATE block into dst, which must
-// be exactly the uncompressed size (the caller knows it from the block
-// geometry). Short or long streams are errors.
-func UnflateBlock(dst, src []byte) error {
-	r := blockReaderPool.Get().(io.ReadCloser)
-	defer blockReaderPool.Put(r)
-	if err := r.(flate.Resetter).Reset(bytes.NewReader(src), nil); err != nil {
-		return fmt.Errorf("compressutil: %w", err)
-	}
-	if _, err := io.ReadFull(r, dst); err != nil {
-		return fmt.Errorf("compressutil: short block: %w", err)
-	}
-	// Exactly at EOF: one more read must fail.
-	var one [1]byte
-	if n, _ := r.Read(one[:]); n != 0 {
-		return fmt.Errorf("compressutil: block longer than declared size")
-	}
-	return nil
 }

@@ -109,19 +109,10 @@ type Config struct {
 	// instead of seeking through the key directory (diagnostic knob; the
 	// two paths answer byte-identically).
 	NoDirectorySeek bool
-	// CompactTarget is the payload size below which a segment counts as
-	// undersized for the compaction planner. Default SegmentTarget/2.
-	CompactTarget int
 	// CompactionBudget caps the payload bytes an opportunistic post-Add
 	// compaction pass may rewrite. 0 (the default) disables the
 	// opportunistic pass; explicit Compact calls are never budgeted.
 	CompactionBudget int
-	// Compression block-compresses segment payloads (64 KiB deflate
-	// blocks with a per-block index, so directory seeks still land
-	// mid-segment). Off by default: interning alone shrinks segments and
-	// raw payloads keep scans cheapest; enable it where disk bytes
-	// dominate.
-	Compression bool
 	// NoAttrIndex disables the attr.idx secondary-index sidecar: segment
 	// writes skip fact capture, commits skip the sidecar rebuild, and
 	// Select queries always run the exact streaming scan (diagnostic
@@ -146,16 +137,6 @@ func (c *Config) setDefaults() {
 	if c.SegmentTarget <= 0 {
 		c.SegmentTarget = defaultSegmentTarget
 	}
-	if c.CompactTarget <= 0 {
-		c.CompactTarget = c.SegmentTarget / 2
-	}
-	// The undersized threshold must not exceed the roll target: the
-	// coalescer's output files land at about the segment target, so a
-	// larger threshold would mark them undersized again and compaction
-	// could never converge.
-	if c.CompactTarget > c.SegmentTarget {
-		c.CompactTarget = c.SegmentTarget
-	}
 	if c.FS == nil {
 		c.FS = fsio.OS
 	}
@@ -171,18 +152,41 @@ const (
 
 // ErrLegacyFormat reports an archive directory in an on-disk layout
 // this build no longer reads: the monolithic archive.tok, a format-1
-// key directory, or format-1 (pre-dictionary) segment files. Open,
-// CheckArchive and a replication sync return it before touching the
-// directory.
-var ErrLegacyFormat = errors.New("extmem: legacy archive layout is no longer supported; " +
-	"upgrade by opening the archive once with the PR 11 build (commit 2a11f15)")
+// key directory, format-1 (pre-dictionary) segment files, or
+// block-compressed segment files. The wrapping error names the layout
+// and the build that still reads it. Open, CheckArchive and a
+// replication sync return it before touching the directory.
+var ErrLegacyFormat = errors.New("extmem: legacy archive layout is no longer supported")
+
+// legacyf wraps ErrLegacyFormat for a layout older than format 2, which
+// the build at commit 2a11f15 upgrades in place.
+func legacyf(format string, args ...any) error {
+	return fmt.Errorf("%w (%s); upgrade by opening the archive once with the build at commit 2a11f15",
+		ErrLegacyFormat, fmt.Sprintf(format, args...))
+}
+
+// compressedf wraps ErrLegacyFormat for a block-compressed segment, which
+// the build at commit 07f536d still reads.
+func compressedf(format string, args ...any) error {
+	return fmt.Errorf("%w (%s is block-compressed); the build at commit 07f536d still reads it",
+		ErrLegacyFormat, fmt.Sprintf(format, args...))
+}
 
 // CheckLegacyLayout returns ErrLegacyFormat when dir still holds the
-// monolithic archive.tok. (Format-1 key directories and segment headers
-// are rejected where they are decoded.)
+// monolithic archive.tok or — with no key directory to decode — a segment
+// file whose first bytes name a legacy encoding. (A key directory, and
+// the segment headers it lists, are checked where they are decoded.)
 func CheckLegacyLayout(fs fsio.FS, dir string) error {
 	if _, err := fs.Stat(filepath.Join(dir, legacyArchiveFile)); err == nil {
-		return fmt.Errorf("%w (%s holds a monolithic %s)", ErrLegacyFormat, dir, legacyArchiveFile)
+		return legacyf("%s holds a monolithic %s", dir, legacyArchiveFile)
+	}
+	if _, err := fs.Stat(filepath.Join(dir, keydirFile)); err == nil {
+		return nil
+	}
+	for _, p := range globSegments(fs, dir) {
+		if err := checkSegmentEncoding(fs, p); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -291,7 +295,7 @@ func metaMatches(metaData []byte, d *keyDirectory) bool {
 // sidecar found beside it or rebuilt on request, as generation 0.
 func (ar *Archiver) finishOpen(d *keyDirectory) {
 	g := &generation{d: d, names: ar.dict.snapshot(), files: d.files()}
-	for _, p := range ar.globSegments() {
+	for _, p := range globSegments(ar.fs, ar.dir) {
 		if !g.files[filepath.Base(p)] {
 			ar.fs.Remove(p)
 		}
@@ -354,8 +358,9 @@ func listTransient(fs fsio.FS, dir string) []string {
 	return names
 }
 
-func (ar *Archiver) globSegments() []string {
-	ents, err := ar.fs.ReadDir(ar.dir)
+// globSegments lists the paths of the segment files in dir.
+func globSegments(fs fsio.FS, dir string) []string {
+	ents, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
@@ -363,7 +368,7 @@ func (ar *Archiver) globSegments() []string {
 	for _, e := range ents {
 		n := e.Name()
 		if strings.HasPrefix(n, "seg-") && strings.HasSuffix(n, ".tok") {
-			names = append(names, filepath.Join(ar.dir, n))
+			names = append(names, filepath.Join(dir, n))
 		}
 	}
 	return names
@@ -372,7 +377,7 @@ func (ar *Archiver) globSegments() []string {
 // maxSegID returns the highest segment file id on disk.
 func (ar *Archiver) maxSegID() int {
 	max := -1
-	for _, p := range ar.globSegments() {
+	for _, p := range globSegments(ar.fs, ar.dir) {
 		var id int
 		if _, err := fmt.Sscanf(filepath.Base(p), "seg-%d.tok", &id); err == nil && id > max {
 			max = id
@@ -498,8 +503,8 @@ func (ar *Archiver) Close() error {
 type StorageStats struct {
 	Roots            int
 	Segments         int
-	SegmentBytes     int64 // decoded payload bytes across segments
-	StoredBytes      int64 // on-disk bytes (stored payloads + dictionaries)
+	SegmentBytes     int64 // payload bytes across segments
+	StoredBytes      int64 // on-disk bytes (payloads + dictionaries)
 	DirectoryEntries int   // child entries in the key directory
 	DirectoryBytes   int   // encoded keydir.idx size
 	LastAddReused    int   // segments the last Add linked unchanged
@@ -536,33 +541,25 @@ func (ar *Archiver) StorageStats() StorageStats {
 		for _, s := range r.segs {
 			st.Segments++
 			st.SegmentBytes += s.payload
-			st.StoredBytes += s.stored + s.dictLen
+			st.StoredBytes += s.payload + s.dictLen
 		}
 	}
 	return st
 }
 
-// CompressedSize returns the archive's on-disk token bytes: the stored
-// (for compressed segments: compressed) payloads plus the per-segment
-// dictionaries. Headers and the state files are excluded, mirroring how
-// the in-memory engine's compressed-size figure counts only encoded
-// document bytes.
+// CompressedSize returns the archive's on-disk token bytes: the interned
+// payloads plus the per-segment dictionaries. Headers and the state files
+// are excluded, mirroring how the in-memory engine's compressed-size
+// figure counts only encoded document bytes.
 func (ar *Archiver) CompressedSize() int64 {
-	var n int64
-	for _, r := range ar.current().d.roots {
-		for _, s := range r.segs {
-			n += s.stored + s.dictLen
-		}
-	}
-	return n
+	return ar.StorageStats().StoredBytes
 }
 
 // SegmentInfo describes one segment file for inspection tooling.
 type SegmentInfo struct {
 	Root       string // label of the owning top-level subtree
 	File       string
-	Bytes      int64   // decoded payload bytes
-	Stored     int64   // on-disk payload bytes (compressed when the flag is set)
+	Bytes      int64   // payload bytes
 	DictBytes  int64   // encoded dictionary section size
 	Fill       float64 // payload bytes / segment target size
 	Entries    int
@@ -596,7 +593,7 @@ func (ar *Archiver) Segments() []SegmentInfo {
 		for _, s := range r.segs {
 			info := SegmentInfo{
 				Root: keyLabel(r.name, r.key), File: s.file,
-				Bytes: s.payload, Stored: s.stored, DictBytes: s.dictLen,
+				Bytes: s.payload, DictBytes: s.dictLen,
 				Entries: len(s.entries), Raw: r.raw,
 				Fill:        float64(s.payload) / float64(ar.cfg.SegmentTarget),
 				Compactable: candidates[s.file],

@@ -37,8 +37,7 @@ const (
 )
 
 // idxKid is one direct child of a non-frontier record: its identity and
-// the byte span of its subtree relative to the record's entry span (in
-// uncompressed payload space).
+// the byte span of its subtree relative to the record's entry span.
 type idxKid struct {
 	name    string
 	key     *tkey
@@ -300,8 +299,8 @@ func decodeAttrIndex(data []byte) (*attrIndex, error) {
 
 // captureEntryFacts walks one entry's captured tokens and derives its
 // facts. m is the entry's token range (open token through balancing
-// close); tokOffs, when non-nil, holds the byte offset of every token in
-// uncompressed payload space plus a final total, enabling kid spans.
+// close); tokOffs, when non-nil, holds the payload byte offset of every
+// token plus a final total, enabling kid spans.
 // Effective timestamps follow the same replacement rule as
 // core.ResolveFrom; group content inherits the group time.
 //

@@ -60,16 +60,23 @@ func repackFiles(total, target, minTail int64) int {
 	return int(n)
 }
 
+// undersized is the payload below which a segment counts as undersized
+// for the planner, and the smallest final file a coalesced rewrite may
+// leave: half the segment target. The coalescer's output files land at
+// about the target, so it never marks its own output undersized again.
+func undersized(target int64) int64 { return target / 2 }
+
 // planCompaction finds the coalesce runs whose rewrite shrinks the
-// layout. Every maximal run of adjacent undersized segments (payload
-// below the threshold) seeds a candidate; because the merge's roll
-// policy tends to strand single small tails between right-sized
-// neighbors, a run may annex one neighbor on either side when doing so
-// lets the repack reduce the file count. A run is planned only when it
-// strictly reduces the count, so compaction converges: a pass over an
-// already-compacted layout plans nothing. Raw roots are never planned
-// (a raw root stores its whole subtree in one segment).
-func planCompaction(d *keyDirectory, under, target int64) []compactRun {
+// layout. Every maximal run of adjacent undersized segments seeds a
+// candidate; because the merge's roll policy tends to strand single small
+// tails between right-sized neighbors, a run may annex one neighbor on
+// either side when doing so lets the repack reduce the file count. A run
+// is planned only when it strictly reduces the count, so compaction
+// converges: a pass over an already-compacted layout plans nothing. Raw
+// roots are never planned (a raw root stores its whole subtree in one
+// segment).
+func planCompaction(d *keyDirectory, target int64) []compactRun {
+	under := undersized(target)
 	var runs []compactRun
 	for ri, r := range d.roots {
 		if r.raw {
@@ -127,7 +134,7 @@ func (ar *Archiver) CompactionPlan() []CompactionRun {
 
 func (ar *Archiver) compactionPlan(d *keyDirectory) []CompactionRun {
 	var out []CompactionRun
-	for _, cr := range planCompaction(d, int64(ar.cfg.CompactTarget), int64(ar.cfg.SegmentTarget)) {
+	for _, cr := range planCompaction(d, int64(ar.cfg.SegmentTarget)) {
 		r := d.roots[cr.ri]
 		run := CompactionRun{
 			Root: keyLabel(r.name, r.key), Segments: cr.hi - cr.lo, Bytes: cr.bytes,
@@ -158,7 +165,7 @@ func (ar *Archiver) Compact() (CompactStats, error) {
 // behind a run larger than the budget.
 func (ar *Archiver) compact(budget int64) (CompactStats, error) {
 	d := ar.current().d
-	runs := planCompaction(d, int64(ar.cfg.CompactTarget), int64(ar.cfg.SegmentTarget))
+	runs := planCompaction(d, int64(ar.cfg.SegmentTarget))
 	st := CompactStats{Planned: len(runs)}
 	if len(runs) == 0 {
 		return st, nil
@@ -242,7 +249,7 @@ func (ar *Archiver) coalesceRun(newRoot, old *rootRecord, lo, hi int, onCreate f
 	for si := lo; si < hi; si++ {
 		sw.planned += old.segs[si].payload
 	}
-	sw.minTail = int64(ar.cfg.CompactTarget)
+	sw.minTail = undersized(sw.target)
 	var copied int64
 	for si := lo; si < hi; si++ {
 		seg := old.segs[si]

@@ -62,18 +62,13 @@ func (g *interleavedGrowth) grow() {
 
 const fragTarget = 4096
 
-// bothEncodings runs a compaction test on an uncompressed and on a
-// block-compressed store: the one token-level compactor serves both.
-func bothEncodings(t *testing.T, body func(t *testing.T, cfg Config)) {
-	for _, compress := range []bool{false, true} {
-		name := "raw"
-		if compress {
-			name = "compressed"
-		}
-		t.Run(name, func(t *testing.T) {
-			body(t, Config{Budget: 1 << 16, SegmentTarget: fragTarget, Compression: compress})
-		})
-	}
+// rawSegments runs a compaction test as the subtest "raw" over the
+// compaction tests' configuration: segments small enough that the
+// interleaved growth fragments them quickly.
+func rawSegments(t *testing.T, body func(t *testing.T, cfg Config)) {
+	t.Run("raw", func(t *testing.T) {
+		body(t, Config{Budget: 1 << 16, SegmentTarget: fragTarget})
+	})
 }
 
 // fragmentedArchive builds an archive under the interleaved-growth
@@ -132,7 +127,7 @@ func segmentFiles(t *testing.T, ar *Archiver) []string {
 // the concatenated archive stream — and every query answer — untouched
 // down to the byte.
 func TestCompactionCoalesces(t *testing.T) {
-	bothEncodings(t, func(t *testing.T, cfg Config) {
+	rawSegments(t, func(t *testing.T, cfg Config) {
 		dir := t.TempDir()
 		ar := fragmentedArchive(t, dir, cfg, 30)
 		wantStream := archiveStreamBytes(t, ar)
@@ -159,9 +154,6 @@ func TestCompactionCoalesces(t *testing.T) {
 		}
 		if after.SegmentBytes != before.SegmentBytes {
 			t.Errorf("payload bytes changed: %d -> %d", before.SegmentBytes, after.SegmentBytes)
-		}
-		if cfg.Compression && after.StoredBytes >= after.SegmentBytes {
-			t.Errorf("compacted segments are not compressed: %d stored vs %d payload", after.StoredBytes, after.SegmentBytes)
 		}
 		if got := archiveStreamBytes(t, ar); string(got) != string(wantStream) {
 			t.Errorf("archive stream changed under compaction")
@@ -194,7 +186,7 @@ func TestCompactionCoalesces(t *testing.T) {
 // would produce), where the unmaintained archive fragments past the
 // maintained one — and the archives stay byte-identical.
 func TestOpportunisticCompactionBoundsSegments(t *testing.T) {
-	bothEncodings(t, func(t *testing.T, cfg Config) {
+	rawSegments(t, func(t *testing.T, cfg Config) {
 		const adds = 50
 		plain := t.TempDir()
 		arPlain := fragmentedArchive(t, plain, cfg, adds)
@@ -242,7 +234,7 @@ func TestOpportunisticCompactionBoundsSegments(t *testing.T) {
 // (beyond the guaranteed first run) and leaves the rest for later
 // passes.
 func TestCompactionBudget(t *testing.T) {
-	bothEncodings(t, func(t *testing.T, cfg Config) {
+	rawSegments(t, func(t *testing.T, cfg Config) {
 		dir := t.TempDir()
 		ar := fragmentedArchive(t, dir, cfg, 30)
 		defer ar.Close()
@@ -263,34 +255,12 @@ func TestCompactionBudget(t *testing.T) {
 	})
 }
 
-// TestCompactionConvergesWithOversizedThreshold: a threshold configured
-// above the segment target is clamped, so compaction still converges (an
-// unclamped threshold would mark the coalescer's own right-sized output
-// undersized again and replan it forever).
-func TestCompactionConvergesWithOversizedThreshold(t *testing.T) {
-	bothEncodings(t, func(t *testing.T, cfg Config) {
-		dir := t.TempDir()
-		cfg.CompactTarget = 4 * fragTarget
-		ar := fragmentedArchive(t, dir, cfg, 20)
-		defer ar.Close()
-		if got := ar.cfg.CompactTarget; got != fragTarget {
-			t.Fatalf("CompactTarget not clamped: %d (target %d)", got, fragTarget)
-		}
-		if _, err := ar.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		if rest := ar.CompactionPlan(); len(rest) != 0 {
-			t.Errorf("compaction did not converge: %d runs still planned", len(rest))
-		}
-	})
-}
-
 // TestCompactionCrashInjection simulates a kill between the compaction's
 // segment writes and the key directory commit: on reopen the archive is
 // byte-identical with the pre-compaction segment set and the orphan
 // files are collected.
 func TestCompactionCrashInjection(t *testing.T) {
-	bothEncodings(t, func(t *testing.T, cfg Config) {
+	rawSegments(t, func(t *testing.T, cfg Config) {
 		dir := t.TempDir()
 		ffs := fsio.NewFaultFS(nil)
 		fcfg := cfg
@@ -348,7 +318,7 @@ func TestCompactionCrashInjection(t *testing.T) {
 		if got := snapshotXML(t, ar2); got != wantXML {
 			t.Errorf("archive XML changed across the crash")
 		}
-		for _, p := range ar2.globSegments() {
+		for _, p := range globSegments(ar2.fs, ar2.dir) {
 			if !live[filepath.Base(p)] {
 				t.Errorf("orphan segment %s survived reopen", filepath.Base(p))
 			}
@@ -368,7 +338,7 @@ func TestCompactionCrashInjection(t *testing.T) {
 // answering from the generation they pinned, and their segment files
 // are swept only once the last view closes.
 func TestCompactionPinnedViews(t *testing.T) {
-	bothEncodings(t, func(t *testing.T, cfg Config) {
+	rawSegments(t, func(t *testing.T, cfg Config) {
 		dir := t.TempDir()
 		g := newInterleavedGrowth(100)
 		ar, err := Open(dir, datagen.OMIMSpec(), cfg)
@@ -427,7 +397,7 @@ func TestCompactionPinnedViews(t *testing.T) {
 		q.Close()
 		// With the view closed, only the current generation's files remain.
 		live := ar.current().d.files()
-		for _, p := range ar.globSegments() {
+		for _, p := range globSegments(ar.fs, ar.dir) {
 			if !live[filepath.Base(p)] {
 				t.Errorf("superseded segment %s not swept after view close", filepath.Base(p))
 			}
@@ -440,7 +410,7 @@ func TestCompactionPinnedViews(t *testing.T) {
 // built without compaction, including History resolved through the
 // (rebuilt) key directory of the compacted layout.
 func TestOpportunisticCompactionPreservesQueries(t *testing.T) {
-	bothEncodings(t, func(t *testing.T, cfg Config) {
+	rawSegments(t, func(t *testing.T, cfg Config) {
 		plain := t.TempDir()
 		arPlain := fragmentedArchive(t, plain, cfg, 20)
 		defer arPlain.Close()

@@ -40,6 +40,40 @@ func TestFsckCleanArchive(t *testing.T) {
 	}
 }
 
+// TestFsckReadsEachSegmentOnce: verifying a segment reads its file once —
+// the header, then the payload on from where the header ends — so checking
+// an archive reads no more segment bytes than its segment files hold.
+func TestFsckReadsEachSegmentOnce(t *testing.T) {
+	dir := t.TempDir()
+	ar := buildOMIMArchive(t, dir, Config{Budget: 1 << 16, SegmentTarget: 1024}, 2)
+	if err := ar.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	segs := globSegments(fsio.OS, dir)
+	for _, p := range segs {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += fi.Size()
+	}
+	if len(segs) < 20 {
+		t.Fatalf("fixture has %d segments, want at least 20", len(segs))
+	}
+	cfs := &countingFS{FS: fsio.OS}
+	r, err := CheckArchive(cfs, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Clean {
+		t.Fatalf("archive not clean: %+v", r.Problems())
+	}
+	if read := cfs.read.Load(); read > size {
+		t.Errorf("CheckArchive read %d bytes from %d segment files holding %d", read, len(segs), size)
+	}
+}
+
 func TestFsckDetectsCorruptKeydirAndRepairs(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Budget: 1 << 16, SegmentTarget: 2048}
@@ -91,7 +125,7 @@ func TestFsckDetectsCorruptSegment(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Budget: 1 << 16, SegmentTarget: 2048}
 	ar := buildOMIMArchive(t, dir, cfg, 2)
-	segs := ar.globSegments()
+	segs := globSegments(ar.fs, ar.dir)
 	if len(segs) == 0 {
 		t.Fatal("no segments")
 	}

@@ -215,7 +215,7 @@ func FuzzTokenStream(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	h, err := readSegmentHeader(bytes.NewReader(file))
+	h, _, err := readSegmentHeader(bytes.NewReader(file))
 	if err != nil {
 		f.Fatal(err)
 	}

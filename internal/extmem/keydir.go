@@ -59,25 +59,22 @@ type childEntry struct {
 	key     *tkey
 	timeStr string
 	time    *intervals.Set // parsed timeStr; shared, read-only
-	offset  int64          // within the (uncompressed) segment payload
+	offset  int64          // within the segment payload
 	size    int64
 }
 
 // segmentRecord describes one segment file: a contiguous key range of
 // second-level subtrees (or, for a raw root, a verbatim slice of the
-// root's whole subtree). payload/crc always describe the uncompressed
-// token bytes; stored/storedCRC the on-disk payload (equal for
-// uncompressed segments), so replication can verify a transferred blob
+// root's whole subtree). The payload runs from dataOff to the end of the
+// file, so replication can verify a transferred blob by its payload CRC
 // without decoding it.
 type segmentRecord struct {
-	file      string // base name within the archive directory
-	dataOff   int64  // payload start (after header incl. the dictionary)
-	payload   int64  // uncompressed payload bytes
-	crc       uint32 // CRC32 (IEEE) of the uncompressed payload
-	stored    int64  // on-disk payload bytes
-	storedCRC uint32 // CRC32 (IEEE) of the on-disk payload bytes
-	dictLen   int64  // dictionary section bytes
-	entries   []childEntry
+	file    string // base name within the archive directory
+	dataOff int64  // payload start (after header incl. the dictionary)
+	payload int64  // payload bytes
+	crc     uint32 // CRC32 (IEEE) of the payload
+	dictLen int64  // dictionary section bytes
+	entries []childEntry
 
 	identOnce sync.Once
 	ident     []entryIdent // idents(): derived on first query, index-aligned with entries
@@ -234,10 +231,12 @@ func (d *keyDirectory) encode() []byte {
 			w.str(s.file)
 			w.varint(segFormatV2)
 			w.varint(uint64(s.dataOff))
-			w.varint(uint64(s.payload))
-			w.varint(uint64(s.crc))
-			w.varint(uint64(s.stored))
-			w.varint(uint64(s.storedCRC))
+			// Payload and CRC, then the stored-payload slots, which repeat
+			// them since the one segment encoding.
+			for range 2 {
+				w.varint(uint64(s.payload))
+				w.varint(uint64(s.crc))
+			}
 			w.varint(uint64(s.dictLen))
 			w.varint(uint64(len(s.entries)))
 			for i := range s.entries {
@@ -354,7 +353,7 @@ func decodeKeyDirectory(data []byte) (*keyDirectory, error) {
 	case r.err != nil:
 		return nil, corruptf("key directory: %v", r.err)
 	case format == 1:
-		return nil, fmt.Errorf("%w (format-1 key directory)", ErrLegacyFormat)
+		return nil, legacyf("format-1 key directory")
 	case format != keydirFormat:
 		return nil, corruptf("key directory format %d not supported", format)
 	}
@@ -382,15 +381,18 @@ func decodeKeyDirectory(data []byte) (*keyDirectory, error) {
 			s.file = r.str()
 			if segFmt := r.varint(); r.err == nil && segFmt != segFormatV2 {
 				if segFmt == 1 {
-					return nil, fmt.Errorf("%w (key directory lists format-1 segment %s)", ErrLegacyFormat, s.file)
+					return nil, legacyf("key directory lists format-1 segment %s", s.file)
 				}
 				return nil, corruptf("key directory: segment %s format %d not supported", s.file, segFmt)
 			}
 			s.dataOff = int64(r.varint())
-			s.payload = int64(r.varint())
-			s.crc = uint32(r.varint())
-			s.stored = int64(r.varint())
-			s.storedCRC = uint32(r.varint())
+			payload, crc := r.varint(), r.varint()
+			s.payload, s.crc = int64(payload), uint32(crc)
+			// Stored-payload slots that differ from the payload's were
+			// written by a block-compressing build.
+			if stored, storedCRC := r.varint(), r.varint(); r.err == nil && (stored != payload || storedCRC != crc) {
+				return nil, compressedf("key directory lists segment %s, which", s.file)
+			}
 			s.dictLen = int64(r.varint())
 			nEnt := r.varint()
 			for k := uint64(0); k < nEnt && r.err == nil; k++ {

@@ -30,13 +30,11 @@ const (
 )
 
 // SegmentMeta pins one committed segment blob: its base name, total
-// file size, and the stored-payload range [DataOff, DataOff+Payload)
-// whose CRC32 (IEEE) the key directory records. Payload here is the
-// on-disk (for compressed v2 segments: compressed) byte count, and CRC
-// the checksum of those stored bytes, so the transport verifies a
+// file size, and the payload range [DataOff, DataOff+Payload) whose
+// CRC32 (IEEE) the key directory records, so the transport verifies a
 // transferred blob without decoding any segment format. Size is always
 // DataOff+Payload — a committed segment file ends exactly at its
-// stored payload.
+// payload.
 type SegmentMeta struct {
 	Name    string
 	Size    int64
@@ -79,10 +77,10 @@ func DecodeManifest(keydir []byte) (*Manifest, error) {
 		for _, s := range r.segs {
 			m.Segments = append(m.Segments, SegmentMeta{
 				Name:    s.file,
-				Size:    s.dataOff + s.stored,
+				Size:    s.dataOff + s.payload,
 				DataOff: s.dataOff,
-				Payload: s.stored,
-				CRC:     s.storedCRC,
+				Payload: s.payload,
+				CRC:     s.crc,
 			})
 		}
 	}

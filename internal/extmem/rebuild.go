@@ -13,44 +13,22 @@ import (
 // verification of a file against its directory record (fsck, inspect) and
 // the rebuild of a lost key directory from the files meta.txt lists.
 
-// walkSegment reads one segment file end to end and checks everything the
-// file says about itself: the header, the stored (possibly compressed)
-// bytes against the stored CRC, the uncompressed payload against the
-// payload CRC, every dictionary entry, and every token — so a dangling
+// walkSegment reads one segment file end to end, once, and checks
+// everything the file says about itself: the header, the payload against
+// its CRC, every dictionary entry, and every token — so a dangling
 // interned id is corruption just like a bad checksum. It returns the header
 // and, for a non-raw segment, the entry table re-derived from the payload
-// tokens: labels, timestamps, offsets and sizes in uncompressed payload
-// space, names resolved through dict when one is given.
+// tokens: labels, timestamps, offsets and sizes, names resolved through
+// dict when one is given.
 func walkSegment(fs fsio.FS, path string, dict *dictionary) (*segmentHeader, []childEntry, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("extmem: %w", err)
 	}
 	defer f.Close()
-	h, err := readSegmentHeader(f)
+	h, payload, err := readSegmentHeader(f)
 	if err != nil {
 		return nil, nil, err
-	}
-	if _, err := f.Seek(h.dataOff, io.SeekStart); err != nil {
-		return nil, nil, fmt.Errorf("extmem: %w", err)
-	}
-	stored := crc32.NewIEEE()
-	if _, err := io.CopyN(stored, f, h.stored); err != nil {
-		return nil, nil, corruptf("stored payload truncated: %v", err)
-	}
-	if stored.Sum32() != h.storedCRC {
-		return nil, nil, corruptf("stored payload checksum mismatch")
-	}
-	var payload io.Reader
-	var blk blockReader
-	if h.compressed {
-		blk.reset(f, h.dict, 0, h.payload, nil)
-		payload = &blk
-	} else {
-		if _, err := f.Seek(h.dataOff, io.SeekStart); err != nil {
-			return nil, nil, fmt.Errorf("extmem: %w", err)
-		}
-		payload = io.LimitReader(f, h.payload)
 	}
 	// The dictionary materializes lazily, so force every entry here: a
 	// corrupt entry is a finding even when no token references it.
@@ -133,8 +111,7 @@ func verifySegment(fs fsio.FS, path string, sr *segmentRecord, dict *dictionary)
 	if err != nil {
 		return fmt.Errorf("segment %s: %w", sr.file, err)
 	}
-	if h.payload != sr.payload || h.crc != sr.crc || h.dataOff != sr.dataOff ||
-		h.stored != sr.stored || h.storedCRC != sr.storedCRC || h.dictLen != sr.dictLen {
+	if h.payload != sr.payload || h.crc != sr.crc || h.dataOff != sr.dataOff || h.dictLen != sr.dictLen {
 		return corruptf("segment %s header disagrees with directory", sr.file)
 	}
 	if h.raw {
@@ -175,8 +152,7 @@ func (ar *Archiver) rebuildDirectory(meta *keyDirectory) (*keyDirectory, error) 
 			}
 			rec.segs = append(rec.segs, &segmentRecord{
 				file: skel.file, dataOff: h.dataOff,
-				payload: h.payload, crc: h.crc,
-				stored: h.stored, storedCRC: h.storedCRC, dictLen: h.dictLen,
+				payload: h.payload, crc: h.crc, dictLen: h.dictLen,
 				entries: entries,
 			})
 		}

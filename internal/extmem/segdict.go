@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"xarch/internal/compressutil"
 	"xarch/internal/fsio"
 	"xarch/internal/intervals"
 )
@@ -26,27 +25,15 @@ import (
 // comparing strings: the merge planner and query scans compare
 // integers, and share one decoded string/interval/key object per
 // distinct value.
-//
-// Behind the same format byte, a payload may be block-compressed
-// (segFlagCompressed): the uncompressed payload is cut into fixed
-// segBlockLen blocks, each deflated independently, and the header
-// records the stored size of every block. Directory seeks land
-// mid-segment by decompressing only the blocks overlapping the target
-// range. The CRC of the uncompressed payload is retained alongside the
-// stored-byte CRC, so corruption checks are format-independent and
-// replication can verify transferred blobs without decompressing them.
 
-// segBlockLen is the uncompressed block size of compressed payloads.
-const segBlockLen = 64 * 1024
-
-// segDict is the decoded dictionary section of one segment, plus the
-// block geometry from its header. It is immutable once decoded and
-// shared by every reader of the segment. The string tables are
-// substrings of one backing string, so decoding allocates O(1) objects
-// regardless of table sizes; interval sets and key tuples are
-// materialized lazily, on first reference, and memoized per id — a
-// query that touches one subtree pays only for the entries that subtree
-// references. Shared objects are read-only and must never be mutated.
+// segDict is the decoded dictionary section of one segment. It is
+// immutable once decoded and shared by every reader of the segment. The
+// string tables are substrings of one backing string, so decoding
+// allocates O(1) objects regardless of table sizes; interval sets and key
+// tuples are materialized lazily, on first reference, and memoized per
+// id — a query that touches one subtree pays only for the entries that
+// subtree references. Shared objects are read-only and must never be
+// mutated.
 type segDict struct {
 	paths  []string
 	values []string
@@ -58,10 +45,6 @@ type segDict struct {
 	keys     []atomic.Pointer[tkey]
 	keyStart []uint32 // prefix offsets into keyPairs, len(keys)+1
 	keyPairs []uint32 // alternating (path id, value id)
-
-	blockLen int     // uncompressed block size; 0 = payload stored raw
-	blockOff []int64 // absolute file offset of each block + end sentinel
-	payload  int64   // uncompressed payload bytes
 }
 
 // timeSet returns the parsed interval set of timestamp id, parsing and
@@ -267,41 +250,30 @@ type dictCache struct {
 // are counted into the bytes-read telemetry.
 //
 // The directory record pins the dictionary's exact location
-// (dataOff-dictLen), so a raw-payload segment loads with one positioned
-// read of just the section instead of re-parsing the whole header.
-// Compressed segments still go through readSegmentHeader — the block
-// index lives in the header and the dictionary needs it for seeks.
+// (dataOff-dictLen), so a segment loads with one positioned read of just
+// the section instead of re-parsing the whole header.
 func (c *dictCache) get(seg *segmentRecord) (*segDict, error) {
 	if v, ok := c.m.Load(seg.file); ok {
 		return v.(*segDict), nil
+	}
+	if seg.dictLen <= 0 || seg.dictLen > seg.dataOff {
+		return nil, corruptf("segment %s: dictionary section out of range", seg.file)
 	}
 	f, err := c.fs.Open(filepath.Join(c.dir, seg.file))
 	if err != nil {
 		return nil, fmt.Errorf("extmem: %w", err)
 	}
 	defer f.Close()
-	var d *segDict
-	if seg.stored == seg.payload && seg.dictLen > 0 && seg.dataOff >= seg.dictLen {
-		buf := make([]byte, seg.dictLen)
-		if _, err := f.ReadAt(buf, seg.dataOff-seg.dictLen); err != nil {
-			return nil, fmt.Errorf("extmem: segment dictionary: %w", err)
-		}
-		if d, err = decodeSegDict(buf); err != nil {
-			return nil, err
-		}
-		d.payload = seg.payload
-		if c.counter != nil {
-			c.counter.Add(seg.dictLen)
-		}
-	} else {
-		h, err := readSegmentHeader(f)
-		if err != nil {
-			return nil, err
-		}
-		d = h.dict
-		if c.counter != nil {
-			c.counter.Add(h.dataOff)
-		}
+	buf := make([]byte, seg.dictLen)
+	if _, err := f.ReadAt(buf, seg.dataOff-seg.dictLen); err != nil {
+		return nil, fmt.Errorf("extmem: segment dictionary: %w", err)
+	}
+	d, err := decodeSegDict(buf)
+	if err != nil {
+		return nil, err
+	}
+	if c.counter != nil {
+		c.counter.Add(seg.dictLen)
 	}
 	v, _ := c.m.LoadOrStore(seg.file, d)
 	return v.(*segDict), nil
@@ -309,107 +281,6 @@ func (c *dictCache) get(seg *segmentRecord) (*segDict, error) {
 
 // evict drops the cached dictionary of a swept segment file.
 func (c *dictCache) evict(name string) { c.m.Delete(name) }
-
-// ---------------------------------------------------------------------------
-// Block decompression
-
-// blockReader serves one uncompressed-payload byte range of a
-// compressed segment, decompressing only the blocks that overlap it.
-// The zero value is ready for reset; buffers are reused across resets.
-type blockReader struct {
-	f       fsio.File
-	d       *segDict
-	counter *atomic.Int64
-	rem     int64 // uncompressed bytes left to serve
-	blk     int   // next block to load
-	skip    int64 // front-of-block bytes to drop after the next load
-	buf     []byte
-	pos, n  int
-	cbuf    []byte
-	err     error
-}
-
-// reset points the reader at the uncompressed range [off, off+n) of the
-// segment whose open file and dictionary are given. The file handle is
-// borrowed, not owned. A range that starts in the block the reader holds —
-// the next live entry of the same file — keeps it instead of inflating it
-// again.
-func (br *blockReader) reset(f fsio.File, d *segDict, off, n int64, counter *atomic.Int64) {
-	blk, skip := int(off/int64(d.blockLen)), off%int64(d.blockLen)
-	held := br.f == f && br.d == d && br.err == nil && br.n > 0 && br.blk == blk+1
-	br.f, br.d, br.counter, br.rem, br.err = f, d, counter, n, nil
-	if held {
-		br.pos = int(skip)
-		return
-	}
-	br.blk, br.skip = blk, skip
-	br.pos, br.n = 0, 0
-}
-
-func (br *blockReader) Read(p []byte) (int, error) {
-	if br.err != nil {
-		return 0, br.err
-	}
-	if br.rem <= 0 {
-		return 0, io.EOF
-	}
-	for br.pos >= br.n {
-		if err := br.load(); err != nil {
-			br.err = err
-			return 0, err
-		}
-	}
-	avail := br.n - br.pos
-	if int64(avail) > br.rem {
-		avail = int(br.rem)
-	}
-	if len(p) > avail {
-		p = p[:avail]
-	}
-	copied := copy(p, br.buf[br.pos:br.n])
-	br.pos += copied
-	br.rem -= int64(copied)
-	return copied, nil
-}
-
-// load reads and decompresses the next block. Stored (compressed)
-// bytes, not uncompressed ones, are what the telemetry counts: they are
-// the bytes that actually left the disk.
-func (br *blockReader) load() error {
-	d := br.d
-	if br.blk >= len(d.blockOff)-1 {
-		return io.ErrUnexpectedEOF
-	}
-	start, end := d.blockOff[br.blk], d.blockOff[br.blk+1]
-	unc := d.blockLen
-	if rest := d.payload - int64(br.blk)*int64(d.blockLen); rest < int64(unc) {
-		unc = int(rest)
-	}
-	if cap(br.cbuf) < int(end-start) {
-		br.cbuf = make([]byte, end-start)
-	}
-	br.cbuf = br.cbuf[:end-start]
-	if _, err := br.f.ReadAt(br.cbuf, start); err != nil {
-		return fmt.Errorf("extmem: %w", err)
-	}
-	if br.counter != nil {
-		br.counter.Add(end - start)
-	}
-	if cap(br.buf) < unc {
-		br.buf = make([]byte, unc)
-	}
-	br.buf = br.buf[:unc]
-	if err := compressutil.UnflateBlock(br.buf, br.cbuf); err != nil {
-		return fmt.Errorf("extmem: segment block %d: %w", br.blk, err)
-	}
-	br.blk++
-	br.pos, br.n = 0, unc
-	if br.skip > 0 {
-		br.pos = int(br.skip)
-		br.skip = 0
-	}
-	return nil
-}
 
 // countReader counts bytes read through it into an atomic counter.
 type countReader struct {
@@ -505,21 +376,19 @@ type entrySpan struct{ off, size int64 }
 // slices alias the encoder's internal buffers and are valid until the
 // next encode.
 type encodedSegment struct {
-	head       []byte // header including the dictionary section
-	stored     []byte // on-disk payload (compressed when compressed is set)
-	payload    int64
-	crc        uint32 // CRC32 of the uncompressed payload
-	storedCRC  uint32 // CRC32 of the stored payload bytes
-	dictLen    int64
-	compressed bool
-	offs       []entrySpan // per entryMark, in uncompressed payload space
-	tokOffs    []int64     // optional: byte offset of every token plus a final total
+	head    []byte // header including the dictionary section
+	pay     []byte // the payload
+	payload int64
+	crc     uint32 // CRC32 of the payload
+	dictLen int64
+	offs    []entrySpan // per entryMark
+	tokOffs []int64     // optional: byte offset of every token plus a final total
 }
 
 // segEncoder turns a captured token run into a segment: it builds
-// the sorted dictionary tables, encodes the payload with ids, optionally
-// block-compresses it, and renders the full header. All scratch state is
-// reused across segments of one write pass.
+// the sorted dictionary tables, encodes the payload with ids, and renders
+// the full header. All scratch state is reused across segments of one
+// write pass.
 type segEncoder struct {
 	pathID, valueID, timeID map[string]int
 	keyID                   map[*tkey]int
@@ -528,8 +397,7 @@ type segEncoder struct {
 	keyPtrs, keyReps        []*tkey
 
 	dict, head kdWriter
-	pay, comp  bytes.Buffer
-	blockSizes []int64
+	pay        bytes.Buffer
 	offs       []entrySpan
 
 	// wantOffs asks encode to record the payload byte offset of every
@@ -558,7 +426,7 @@ func (enc *segEncoder) addString(m map[string]int, list []string, s string) []st
 // encode renders one segment from the captured tokens. marks gives the
 // token range of each directory entry (empty for raw segments); the
 // resulting byte spans come back in offs, index-aligned with marks.
-func (enc *segEncoder) encode(raw, compress bool, rootName string, rootKey *tkey, toks []token, marks []entryMark) (*encodedSegment, error) {
+func (enc *segEncoder) encode(raw bool, rootName string, rootKey *tkey, toks []token, marks []entryMark) (*encodedSegment, error) {
 	clear(enc.pathID)
 	clear(enc.valueID)
 	clear(enc.timeID)
@@ -571,8 +439,6 @@ func (enc *segEncoder) encode(raw, compress bool, rootName string, rootKey *tkey
 	enc.dict.b.Reset()
 	enc.head.b.Reset()
 	enc.pay.Reset()
-	enc.comp.Reset()
-	enc.blockSizes = enc.blockSizes[:0]
 	enc.offs = enc.offs[:0]
 	enc.tokOffs = enc.tokOffs[:0]
 
@@ -653,7 +519,7 @@ func (enc *segEncoder) encode(raw, compress bool, rootName string, rootKey *tkey
 	}
 
 	res := &encodedSegment{
-		payload: int64(enc.pay.Len()),
+		pay:     enc.pay.Bytes(),
 		crc:     crc32.ChecksumIEEE(enc.pay.Bytes()),
 		dictLen: int64(enc.dict.b.Len()),
 		offs:    enc.offs,
@@ -662,49 +528,20 @@ func (enc *segEncoder) encode(raw, compress bool, rootName string, rootKey *tkey
 		enc.tokOffs = append(enc.tokOffs, int64(enc.pay.Len()))
 		res.tokOffs = enc.tokOffs
 	}
-
-	pay := enc.pay.Bytes()
-	if compress && len(pay) > 0 {
-		for off := 0; off < len(pay); off += segBlockLen {
-			end := off + segBlockLen
-			if end > len(pay) {
-				end = len(pay)
-			}
-			n := compressutil.FlateBlock(&enc.comp, pay[off:end])
-			enc.blockSizes = append(enc.blockSizes, int64(n))
-		}
-		// Incompressible payloads are stored raw: never pay decompression
-		// on read for a file that got no smaller.
-		if enc.comp.Len() < len(pay) {
-			res.compressed = true
-		}
-	}
-	if res.compressed {
-		res.stored = enc.comp.Bytes()
-		res.storedCRC = crc32.ChecksumIEEE(res.stored)
-	} else {
-		res.stored = pay
-		res.storedCRC = res.crc
-	}
-
-	renderSegHead(&enc.head, raw, res.compressed, res.payload, res.crc,
-		rootName, rootKey, len(res.stored), res.storedCRC, enc.blockSizes, enc.dict.b.Bytes())
+	renderSegHead(&enc.head, raw, int64(len(res.pay)), res.crc, rootName, rootKey, enc.dict.b.Bytes())
 	res.head = enc.head.b.Bytes()
 	return res, nil
 }
 
 // renderSegHead renders a complete segment header into w: magic, format,
-// flags, fixed payload/CRC and root label, then the stored geometry,
-// block index and the dictionary section.
-func renderSegHead(w *kdWriter, raw, compressed bool, payload int64, crc uint32, rootName string, rootKey *tkey, storedLen int, storedCRC uint32, blockSizes []int64, dict []byte) {
+// flags, fixed payload/CRC and root label, then the stored-payload slots
+// and the dictionary section.
+func renderSegHead(w *kdWriter, raw bool, payload int64, crc uint32, rootName string, rootKey *tkey, dict []byte) {
 	w.b.WriteString(segMagic)
 	w.b.WriteByte(segFormatV2)
 	var flags byte
 	if raw {
 		flags |= segFlagRaw
-	}
-	if compressed {
-		flags |= segFlagCompressed
 	}
 	w.b.WriteByte(flags)
 	var fixed [12]byte
@@ -713,19 +550,12 @@ func renderSegHead(w *kdWriter, raw, compressed bool, payload int64, crc uint32,
 	w.b.Write(fixed[:])
 	w.str(rootName)
 	w.key(rootKey)
-	w.varint(uint64(storedLen))
-	var sc [4]byte
-	binary.LittleEndian.PutUint32(sc[:], storedCRC)
-	w.b.Write(sc[:])
-	if compressed {
-		w.varint(segBlockLen)
-		w.varint(uint64(len(blockSizes)))
-		for _, n := range blockSizes {
-			w.varint(uint64(n))
-		}
-	} else {
-		w.varint(0)
-	}
+	// The stored-payload slots, kept so the bytes on disk stay those of
+	// format 2: stored length and CRC repeat the payload's, and the block
+	// length is 0.
+	w.varint(uint64(payload))
+	w.b.Write(fixed[8:])
+	w.varint(0)
 	w.varint(uint64(len(dict)))
 	w.b.Write(dict)
 }

@@ -29,45 +29,68 @@ import (
 const (
 	segMagic = "XSG1"
 	// segFormatV2 is the one segment format: interned per-segment
-	// dictionary plus optional block compression (see segdict.go). The
-	// pre-dictionary format 1 is rejected with ErrLegacyFormat.
+	// dictionary (see segdict.go). The pre-dictionary format 1 is
+	// rejected with ErrLegacyFormat.
 	segFormatV2 = 2
 )
 
 const (
-	segFlagRaw        = 0x01
-	segFlagCompressed = 0x02 // payload stored as deflated blocks
+	segFlagRaw = 0x01
+	// segFlagCompressed marked a payload stored as deflated blocks. No
+	// build writes it any more; a header carrying it is ErrLegacyFormat.
+	segFlagCompressed = 0x02
 )
 
 // segmentHeader is the decoded fixed+variable header of one segment
-// file: past the root label it carries the stored-payload geometry
-// (stored bytes, stored CRC, block index) and the dictionary section.
-// payload/crc always describe the uncompressed token bytes, so
-// verification is independent of compression.
+// file: the payload length and CRC, the root label, and past it the
+// dictionary section.
 type segmentHeader struct {
-	raw        bool
-	compressed bool
-	payload    int64
-	crc        uint32
-	rootName   string
-	rootKey    *tkey
-	dataOff    int64
-
-	// dict carries the decoded dictionary plus the block geometry;
-	// stored/storedCRC describe the on-disk payload bytes (equal to
-	// payload/crc when not compressed).
-	stored    int64
-	storedCRC uint32
-	dictLen   int64
-	dict      *segDict
+	raw      bool
+	payload  int64
+	crc      uint32
+	rootName string
+	rootKey  *tkey
+	dataOff  int64
+	dictLen  int64
+	dict     *segDict
 }
 
 // fixedOff is the offset of the payload-length/CRC fields in the header.
 const segFixedOff = len(segMagic) + 2
 
-// maxSegBlockLen bounds the block size a compressed segment header may
-// declare; the writer always uses segBlockLen.
-const maxSegBlockLen = 1 << 30
+// segmentLegacy reports the legacy encoding a segment file's first bytes
+// (magic, format, flags) name, if any: format 1, or block compression.
+func segmentLegacy(head []byte) error {
+	if len(head) < segFixedOff || string(head[:len(segMagic)]) != segMagic {
+		return nil
+	}
+	switch {
+	case head[len(segMagic)] == 1:
+		return legacyf("format-1 segment header")
+	case head[len(segMagic)+1]&segFlagCompressed != 0:
+		return compressedf("segment")
+	}
+	return nil
+}
+
+// checkSegmentEncoding reads the first bytes of the segment file at path
+// and reports the legacy encoding they name, if any. A file too short or
+// unreadable to say is left to the readers that need its bytes.
+func checkSegmentEncoding(fs fsio.FS, path string) error {
+	f, err := fs.Open(path)
+	if err != nil {
+		return nil
+	}
+	defer f.Close()
+	head := make([]byte, segFixedOff)
+	if _, err := io.ReadFull(f, head); err != nil {
+		return nil
+	}
+	if err := segmentLegacy(head); err != nil {
+		return fmt.Errorf("%s: %w", filepath.Base(path), err)
+	}
+	return nil
+}
 
 // readSegmentHeader parses the header at the start of f. The variable
 // tail is read through a counted buffer, so arbitrarily large root keys
@@ -75,38 +98,35 @@ const maxSegBlockLen = 1 << 30
 // files arrive from replication peers, so every length prefix that
 // sizes an allocation is checked against the file's size first: a
 // hostile header fails with ErrCorruptArchive instead of panicking or
-// allocating beyond the bytes actually supplied.
-func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
+// allocating beyond the bytes actually supplied. The returned reader
+// serves the payload on from where the header ends, so a caller reading
+// the whole file reads each byte once.
+func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, io.Reader, error) {
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
-		return nil, fmt.Errorf("extmem: %w", err)
+		return nil, nil, fmt.Errorf("extmem: %w", err)
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("extmem: %w", err)
+		return nil, nil, fmt.Errorf("extmem: %w", err)
 	}
 	fixed := make([]byte, segFixedOff+12)
 	if _, err := io.ReadFull(f, fixed); err != nil {
-		return nil, fmt.Errorf("extmem: not a segment file: %w", err)
+		return nil, nil, fmt.Errorf("extmem: not a segment file: %w", err)
 	}
 	if string(fixed[:len(segMagic)]) != segMagic {
-		return nil, fmt.Errorf("extmem: not a segment file")
+		return nil, nil, fmt.Errorf("extmem: not a segment file")
 	}
-	switch format := fixed[len(segMagic)]; format {
-	case segFormatV2:
-	case 1:
-		return nil, fmt.Errorf("%w (format-1 segment header)", ErrLegacyFormat)
-	default:
-		return nil, fmt.Errorf("extmem: segment format %d not supported", format)
+	if err := segmentLegacy(fixed); err != nil {
+		return nil, nil, err
 	}
-	flags := fixed[len(segMagic)+1]
-	h := &segmentHeader{
-		raw:        flags&segFlagRaw != 0,
-		compressed: flags&segFlagCompressed != 0,
+	if format := fixed[len(segMagic)]; format != segFormatV2 {
+		return nil, nil, fmt.Errorf("extmem: segment format %d not supported", format)
 	}
+	h := &segmentHeader{raw: fixed[len(segMagic)+1]&segFlagRaw != 0}
 	h.payload = int64(binary.LittleEndian.Uint64(fixed[segFixedOff : segFixedOff+8]))
 	h.crc = binary.LittleEndian.Uint32(fixed[segFixedOff+8 : segFixedOff+12])
 	if h.payload < 0 {
-		return nil, corruptf("segment header: payload length out of range")
+		return nil, nil, corruptf("segment header: payload length out of range")
 	}
 	in := &offsetReader{r: f, n: int64(len(fixed))}
 	br := bufio.NewReaderSize(in, 4096)
@@ -133,106 +153,66 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 		return string(buf), nil
 	}
 	if h.rootName, err = str(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	hasKey, err := br.ReadByte()
 	if err != nil {
-		return nil, fmt.Errorf("extmem: segment header: %w", err)
+		return nil, nil, fmt.Errorf("extmem: segment header: %w", err)
 	}
 	if hasKey != 0 {
 		k := &tkey{}
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("extmem: segment header: %w", err)
+			return nil, nil, fmt.Errorf("extmem: segment header: %w", err)
 		}
 		for i := uint64(0); i < n; i++ {
 			kp, err := str()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			kc, err := str()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			k.paths = append(k.paths, kp)
 			k.canon = append(k.canon, kc)
 		}
 		h.rootKey = k
 	}
-	// Stored geometry, block index, dictionary.
-	stored, err := sized("stored length")
+	// The stored-payload slots (length, CRC, block length) repeat the
+	// payload's since the one encoding; anything else is damage, as the
+	// compression flag was checked above.
+	var slots [4]byte
+	stored, err := binary.ReadUvarint(br)
+	if err == nil {
+		_, err = io.ReadFull(br, slots[:])
+	}
+	var blockLen uint64
+	if err == nil {
+		blockLen, err = binary.ReadUvarint(br)
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("extmem: segment header: %w", err)
 	}
-	h.stored = int64(stored)
-	var sc [4]byte
-	if _, err := io.ReadFull(br, sc[:]); err != nil {
-		return nil, fmt.Errorf("extmem: segment header: %w", err)
-	}
-	h.storedCRC = binary.LittleEndian.Uint32(sc[:])
-	blockLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("extmem: segment header: %w", err)
-	}
-	if (blockLen > 0) != h.compressed {
-		return nil, fmt.Errorf("extmem: segment header: block size disagrees with compression flag")
-	}
-	if blockLen > maxSegBlockLen {
-		return nil, corruptf("segment header: block size %d out of range", blockLen)
-	}
-	var blockSizes []int64
-	if blockLen > 0 {
-		// Every block costs at least one header byte, so the count is
-		// bounded by the file size whatever payload the header claims.
-		nBlocks, err := sized("block count")
-		if err != nil {
-			return nil, err
-		}
-		want := (uint64(h.payload) + blockLen - 1) / blockLen
-		if nBlocks != want {
-			return nil, fmt.Errorf("extmem: segment header: %d blocks for %d payload bytes (want %d)", nBlocks, h.payload, want)
-		}
-		blockSizes = make([]int64, 0, nBlocks)
-		var sum int64
-		for i := uint64(0); i < nBlocks; i++ {
-			n, err := sized("block size")
-			if err != nil {
-				return nil, err
-			}
-			blockSizes = append(blockSizes, int64(n))
-			sum += int64(n)
-		}
-		if sum != h.stored {
-			return nil, fmt.Errorf("extmem: segment header: block sizes sum to %d, stored is %d", sum, h.stored)
-		}
+	if stored != uint64(h.payload) || binary.LittleEndian.Uint32(slots[:]) != h.crc || blockLen != 0 {
+		return nil, nil, corruptf("segment header: stored payload slots disagree with the payload")
 	}
 	dictLen, err := sized("dictionary length")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	h.dictLen = int64(dictLen)
 	dictBytes := make([]byte, dictLen)
 	if _, err := io.ReadFull(br, dictBytes); err != nil {
-		return nil, fmt.Errorf("extmem: segment dictionary: %w", err)
+		return nil, nil, fmt.Errorf("extmem: segment dictionary: %w", err)
 	}
 	dict, err := decodeSegDict(dictBytes)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	h.dataOff = in.n - int64(br.Buffered())
-	dict.payload = h.payload
-	if blockLen > 0 {
-		dict.blockLen = int(blockLen)
-		dict.blockOff = make([]int64, 0, len(blockSizes)+1)
-		off := h.dataOff
-		dict.blockOff = append(dict.blockOff, off)
-		for _, n := range blockSizes {
-			off += n
-			dict.blockOff = append(dict.blockOff, off)
-		}
-	}
 	h.dict = dict
-	return h, nil
+	return h, io.LimitReader(br, h.payload), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -312,8 +292,8 @@ func (sw *segmentSetWriter) open() {
 	sw.cur = &segmentRecord{}
 }
 
-// closeCurrent encodes the captured tokens (dictionary, payload, optional
-// block compression) and writes them as a complete file. Until here
+// closeCurrent encodes the captured tokens (dictionary, payload) and
+// writes them as a complete file. Until here
 // nothing of this segment exists on disk, so an encode or create failure
 // leaves no file to clean up. A failed segment fsync or close is
 // durability-critical: the file may be referenced by the directory about
@@ -325,7 +305,7 @@ func (sw *segmentSetWriter) closeCurrent() {
 	if rec == nil || sw.err != nil {
 		return
 	}
-	res, err := sw.enc.encode(sw.raw, sw.ar.cfg.Compression, sw.root.name, sw.root.key, sw.out.toks, sw.marks)
+	res, err := sw.enc.encode(sw.raw, sw.root.name, sw.root.key, sw.out.toks, sw.marks)
 	if err != nil {
 		sw.fail(err)
 		return
@@ -335,10 +315,8 @@ func (sw *segmentSetWriter) closeCurrent() {
 		rec.entries[i].size = res.offs[i].size
 	}
 	rec.dataOff = int64(len(res.head))
-	rec.payload = res.payload
+	rec.payload = int64(len(res.pay))
 	rec.crc = res.crc
-	rec.stored = int64(len(res.stored))
-	rec.storedCRC = res.storedCRC
 	rec.dictLen = res.dictLen
 	name := fmt.Sprintf("seg-%08d.tok", sw.ar.nextSeg)
 	sw.ar.nextSeg++
@@ -356,7 +334,7 @@ func (sw *segmentSetWriter) closeCurrent() {
 		sw.fail(fmt.Errorf("extmem: %w", err))
 		return
 	}
-	if _, err := f.Write(res.stored); err != nil {
+	if _, err := f.Write(res.pay); err != nil {
 		f.Close()
 		sw.fail(fmt.Errorf("extmem: %w", err))
 		return
@@ -422,8 +400,7 @@ func (sw *segmentSetWriter) finish() error {
 // Reading: the concatenated archive stream and per-entry sections
 
 // streamPart is one piece of a dirStream: either literal bytes
-// (synthesized tokens) or a byte range of a segment payload, in
-// uncompressed payload space.
+// (synthesized tokens) or a byte range of a segment payload.
 type streamPart struct {
 	data []byte
 	seg  *segmentRecord
@@ -435,8 +412,8 @@ type streamPart struct {
 // parts — logically one contiguous token stream, but handed out part by
 // part so the token reader can switch each part's segment dictionary in
 // (literal parts use the inline grammar). At most one segment file is
-// open at a time; the bytes actually read from disk (compressed bytes
-// for compressed segments) are counted into the archiver's telemetry.
+// open at a time; the bytes read from disk are counted into the
+// archiver's telemetry.
 type dirStream struct {
 	fs      fsio.FS
 	dir     string
@@ -450,15 +427,24 @@ type dirStream struct {
 	lit bytes.Reader
 	cnt countReader
 	sec partReader
-	blk blockReader
 }
 
-// partReader serves one uncompressed section of an open segment file,
+// partReader serves one section of an open segment file's payload,
 // turning a premature end of file into an explicit truncation error.
 type partReader struct {
 	f   fsio.File
 	rem int64
 	c   *atomic.Int64
+}
+
+// aim points the reader at bytes [off, off+n) of seg's payload in its
+// open file f. Bytes read are added to c.
+func (pr *partReader) aim(f fsio.File, seg *segmentRecord, off, n int64, c *atomic.Int64) error {
+	if _, err := f.Seek(seg.dataOff+off, io.SeekStart); err != nil {
+		return fmt.Errorf("extmem: %w", err)
+	}
+	*pr = partReader{f: f, rem: n, c: c}
+	return nil
 }
 
 func (pr *partReader) Read(p []byte) (int, error) {
@@ -509,28 +495,11 @@ func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 		s.closeFile()
 		return nil, nil, err
 	}
-	r, err := payloadSection(s.f, seg, dict, part.off, part.n, s.counter, &s.sec, &s.blk)
-	if err != nil {
+	if err := s.sec.aim(s.f, seg, part.off, part.n, s.counter); err != nil {
 		s.closeFile()
 		return nil, nil, err
 	}
-	return r, dict, nil
-}
-
-// payloadSection returns a reader over bytes [off, off+n) of seg's
-// uncompressed payload in its open file f, aiming blk at it when the
-// segment is block-compressed and sec otherwise. Bytes read from disk are
-// added to counter.
-func payloadSection(f fsio.File, seg *segmentRecord, dict *segDict, off, n int64, counter *atomic.Int64, sec *partReader, blk *blockReader) (io.Reader, error) {
-	if dict.blockLen > 0 {
-		blk.reset(f, dict, off, n, counter)
-		return blk, nil
-	}
-	if _, err := f.Seek(seg.dataOff+off, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("extmem: %w", err)
-	}
-	*sec = partReader{f: f, rem: n, c: counter}
-	return sec, nil
+	return &s.sec, dict, nil
 }
 
 // openPart opens one segment file through the stream's FS; a stream
@@ -581,8 +550,7 @@ func archiveParts(d *keyDirectory) []streamPart {
 }
 
 // rootParts lays out one root subtree as stream parts. Offsets are in
-// payload space; the stream resolves them to file offsets, or block
-// coordinates for compressed segments.
+// payload space; the stream resolves them to file offsets.
 func rootParts(r *rootRecord) []streamPart {
 	var parts []streamPart
 	if r.raw {

@@ -3,6 +3,7 @@ package extmem
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -22,7 +23,7 @@ import (
 
 // archiveStreamBytes reads the whole concatenated archive token stream,
 // re-rendered in the inline grammar so streams compare byte for byte
-// whatever each segment's dictionary, compression or file layout.
+// whatever each segment's dictionary or file layout.
 func archiveStreamBytes(t *testing.T, ar *Archiver) []byte {
 	t.Helper()
 	ds := &dirStream{fs: ar.fs, dir: ar.dir, parts: archiveParts(ar.current().d), dicts: ar.segDicts, counter: &ar.bytesRead}
@@ -534,7 +535,7 @@ func TestViewSurvivesAdds(t *testing.T) {
 	q.Close()
 	// After the view closes, its superseded segment files are swept.
 	live := ar.current().d.files()
-	for _, p := range ar.globSegments() {
+	for _, p := range globSegments(ar.fs, ar.dir) {
 		if !live[filepath.Base(p)] {
 			t.Errorf("unswept segment file %s after view close", filepath.Base(p))
 		}
@@ -659,7 +660,7 @@ func dirContents(t *testing.T, dir string) map[string]string {
 // fall back to the files meta.txt lists — and meet a format-1 header.
 // Both must report ErrLegacyFormat and leave the directory untouched.
 func TestLegacySegmentHeaderRejected(t *testing.T) {
-	if _, err := readSegmentHeader(bytes.NewReader(legacySegHeader)); !errors.Is(err, ErrLegacyFormat) {
+	if _, _, err := readSegmentHeader(bytes.NewReader(legacySegHeader)); !errors.Is(err, ErrLegacyFormat) {
 		t.Fatalf("readSegmentHeader(format-1 header) = %v, want ErrLegacyFormat", err)
 	}
 	dir := t.TempDir()
@@ -689,27 +690,44 @@ func TestLegacySegmentHeaderRejected(t *testing.T) {
 // FuzzSegmentHeader feeds readSegmentHeader hostile bytes — what a
 // replication peer can hand us. It must never panic and never allocate
 // beyond a small multiple of the bytes actually supplied: every length
-// prefix is capped by the input size before it sizes a make.
+// prefix is capped by the input size before it sizes a make. The seeds
+// include what a block-compressing build left behind — the compression
+// flag on a header — and a block length without the flag, which are
+// ErrLegacyFormat and ErrCorruptArchive.
 func FuzzSegmentHeader(f *testing.F) {
-	for _, compress := range []bool{false, true} {
-		dir := f.TempDir()
-		ar := buildOMIMArchive(f, dir, Config{Budget: 1 << 16, SegmentTarget: 2048, Compression: compress}, 1)
-		seg := ar.current().d.roots[0].segs[0]
-		if compress != (seg.stored < seg.payload) {
-			f.Fatalf("seed segment: compression=%v but stored %d of %d payload bytes", compress, seg.stored, seg.payload)
+	dir := f.TempDir()
+	ar := buildOMIMArchive(f, dir, Config{Budget: 1 << 16, SegmentTarget: 2048}, 1)
+	seg := ar.current().d.roots[0].segs[0]
+	data, err := os.ReadFile(filepath.Join(dir, seg.file))
+	if err != nil {
+		f.Fatal(err)
+	}
+	ar.Close()
+	f.Add(data)
+	flagged := bytes.Clone(data)
+	flagged[len(segMagic)+1] |= segFlagCompressed
+	// The block length is the byte before the dictionary length.
+	blocked := bytes.Clone(data)
+	at := seg.dataOff - seg.dictLen - int64(len(binary.AppendUvarint(nil, uint64(seg.dictLen)))) - 1
+	if blocked[at] != 0 {
+		f.Fatalf("byte %d of the seed header is %#x, not the block length 0", at, blocked[at])
+	}
+	blocked[at] = 1
+	for _, c := range []struct {
+		name string
+		data []byte
+		want error
+	}{{"compression flag", flagged, ErrLegacyFormat}, {"block length", blocked, core.ErrCorruptArchive}} {
+		if _, _, err := readSegmentHeader(bytes.NewReader(c.data)); !errors.Is(err, c.want) {
+			f.Fatalf("header with a %s: %v, want %v", c.name, err, c.want)
 		}
-		data, err := os.ReadFile(filepath.Join(dir, seg.file))
-		if err != nil {
-			f.Fatal(err)
-		}
-		ar.Close()
-		f.Add(data)
+		f.Add(c.data)
 	}
 	f.Add(legacySegHeader)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		h, err := readSegmentHeader(bytes.NewReader(data))
+		h, _, err := readSegmentHeader(bytes.NewReader(data))
 		runtime.ReadMemStats(&after)
 		// Slack: string headers of dictionary tables cost 16 bytes per
 		// input byte at worst; the constant covers the fixed buffers.

@@ -485,7 +485,6 @@ type segCursor struct {
 	dict *segDict
 	tr   *tokenReader // pos is the payload offset of its lookahead token
 	sec  partReader
-	blk  blockReader
 }
 
 func (c *segCursor) close() {
@@ -515,14 +514,13 @@ func (c *segCursor) at(seg *segmentRecord, e *childEntry) (*tokenReader, error) 
 	if c.tr != nil && c.tr.pos == e.offset && !c.tr.done {
 		return c.tr, nil
 	}
-	r, err := payloadSection(c.f, seg, c.dict, e.offset, seg.payload-e.offset, &c.ar.bytesRead, &c.sec, &c.blk)
-	if err != nil {
+	if err := c.sec.aim(c.f, seg, e.offset, seg.payload-e.offset, &c.ar.bytesRead); err != nil {
 		return nil, err
 	}
 	if c.tr == nil {
-		c.tr = newTokenReaderDict(r, c.dict, e.offset)
+		c.tr = newTokenReaderDict(&c.sec, c.dict, e.offset)
 	} else {
-		c.tr.reset(r, c.dict, e.offset)
+		c.tr.reset(&c.sec, c.dict, e.offset)
 	}
 	return c.tr, nil
 }

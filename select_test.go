@@ -229,10 +229,10 @@ var selectDepth3 = []string{
 }
 
 // TestSelectDifferential archives identical random version sequences into
-// the in-memory engine and five external-engine configurations (indexed,
-// forced streaming scan, compressed segments, and a fragmented layout —
-// raw and compressed — that is then compacted) and requires every random
-// boolean query to answer byte-identically everywhere — before
+// the in-memory engine and three external-engine configurations
+// (indexed, forced streaming scan, and a fragmented layout that is then
+// compacted) and requires every random boolean query to answer
+// byte-identically everywhere — before
 // compaction, after compaction, and after a close/reopen that reloads
 // the persistent sidecar. Compaction must also keep the index path:
 // depth-≥3 selects read no more bytes from the compacted store than they
@@ -254,33 +254,31 @@ func TestSelectDifferential(t *testing.T) {
 				}
 				return s
 			}
-			// The compacted variants ingest under a segment target smaller
+			// The compacted variant ingests under a segment target smaller
 			// than any department, so every level-2 record lands in its
 			// own file; reopened under the default target the whole layout
 			// is one coalesce run.
 			fragment := WithSegmentTargetSize(64)
 			dirs := map[string]string{}
-			for _, name := range []string{"indexed", "scan", "compressed", "compacted", "compressed+compacted"} {
+			for _, name := range []string{"indexed", "scan", "compacted"} {
 				dirs[name] = t.TempDir()
 			}
 			exts := map[string]*ExtStore{
-				"indexed":              open(dirs["indexed"]),
-				"scan":                 open(dirs["scan"], WithQueryIndex(false), WithDirectorySeek(false)),
-				"compressed":           open(dirs["compressed"], WithSegmentCompression(true)),
-				"compacted":            open(dirs["compacted"], fragment),
-				"compressed+compacted": open(dirs["compressed+compacted"], fragment, WithSegmentCompression(true)),
+				"indexed":   open(dirs["indexed"]),
+				"scan":      open(dirs["scan"], WithQueryIndex(false), WithDirectorySeek(false)),
+				"compacted": open(dirs["compacted"], fragment),
 			}
 			defer func() {
 				for _, s := range exts {
 					s.Close()
 				}
 			}()
-			reopen := func(name string, opts ...Option) {
+			reopen := func(name string) {
 				t.Helper()
 				if err := exts[name].Close(); err != nil {
 					t.Fatal(err)
 				}
-				exts[name] = open(dirs[name], opts...)
+				exts[name] = open(dirs[name])
 			}
 
 			nv := 3 + trng.Intn(3)
@@ -323,13 +321,12 @@ func TestSelectDifferential(t *testing.T) {
 			fragmentedBytes := depth3Bytes(exts["compacted"])
 
 			reopen("compacted")
-			reopen("compressed+compacted", WithSegmentCompression(true))
-			for _, name := range []string{"indexed", "compressed", "compacted", "compressed+compacted"} {
+			for _, name := range []string{"indexed", "compacted"} {
 				st, err := exts[name].Compact()
 				if err != nil {
 					t.Fatalf("%s compact: %v", name, err)
 				}
-				if strings.HasSuffix(name, "compacted") && (st.Executed == 0 || st.Created >= st.Coalesced) {
+				if name == "compacted" && (st.Executed == 0 || st.Created >= st.Coalesced) {
 					t.Fatalf("%s: compaction coalesced nothing: %+v", name, st)
 				}
 			}
@@ -339,7 +336,6 @@ func TestSelectDifferential(t *testing.T) {
 			// for the fragmented measurement.
 			reopen("indexed")
 			reopen("compacted")
-			reopen("compressed+compacted", WithSegmentCompression(true))
 			check("reopened")
 			if got := depth3Bytes(exts["compacted"]); got > fragmentedBytes {
 				t.Errorf("depth-3 selects read %d bytes after compaction, %d before: compacted segments lost the index path", got, fragmentedBytes)

@@ -122,7 +122,6 @@ type config struct {
 	segTarget   int     // external engine segment payload target, in bytes
 	noSeek      bool    // external engine: disable key-directory seeks
 	compBudget  int     // external engine: opportunistic compaction budget per Add, in bytes
-	segCompress bool    // external engine: block-compress segment payloads
 	noQueryIdx  bool    // external engine: disable the attr.idx query sidecar
 	fs          fsio.FS // external engine filesystem (nil = the real one)
 }
@@ -231,17 +230,6 @@ func WithQueryIndex(on bool) Option {
 // default) uses the real filesystem directly. External engine only.
 func WithFS(fs fsio.FS) Option {
 	return func(c *config) { c.fs = fs }
-}
-
-// WithSegmentCompression toggles block compression of the external
-// engine's segment payloads: each segment's token stream is deflated in
-// 64 KiB blocks with a per-block index in the segment header, so
-// directory seeks still land mid-segment and decompress only the blocks
-// they touch. Off by default — the dictionary-interned segment format
-// already shrinks the archive, and raw payloads keep full scans
-// cheapest; turn it on where disk bytes dominate. External engine only.
-func WithSegmentCompression(on bool) Option {
-	return func(c *config) { c.segCompress = on }
 }
 
 // writeVersion implements Store.WriteVersion on top of Version; both

@@ -153,9 +153,9 @@ func TestEngineParity(t *testing.T) {
 
 // TestEngineParityReopened pins byte-identical query output between the
 // in-memory engine and external archives of the same versions that went
-// through a close and reopen, with raw and with block-compressed
-// segments: what is on disk, not what the writing session had in memory,
-// answers every query. The versions go in parsed (sorted in memory) and,
+// through a close and reopen: what is on disk, not what the writing
+// session had in memory, answers every query. The versions go in parsed
+// (sorted in memory) and,
 // with validation off, streamed through the external sort, whose 64-token
 // budget makes every version several runs.
 func TestEngineParityReopened(t *testing.T) {
@@ -229,10 +229,9 @@ func TestEngineParityReopened(t *testing.T) {
 		}
 	}
 
-	for _, mode := range []struct{ compress, stream bool }{{false, false}, {true, false}, {false, true}} {
-		compress := mode.compress
+	for _, stream := range []bool{false, true} {
 		dir := t.TempDir()
-		opts := []Option{WithMemoryBudget(64), WithSegmentCompression(compress), WithValidation(!mode.stream)}
+		opts := []Option{WithMemoryBudget(64), WithValidation(!stream)}
 		ext, err := OpenStore(dir, mustSpec(t), opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -240,8 +239,8 @@ func TestEngineParityReopened(t *testing.T) {
 		for n := 1; n <= 4; n++ {
 			addString(t, ext, deptVersion(n))
 		}
-		if runs := ext.SortRuns(); (runs > 1) != mode.stream {
-			t.Errorf("stream=%v: last add formed %d sorted runs", mode.stream, runs)
+		if runs := ext.SortRuns(); (runs > 1) != stream {
+			t.Errorf("stream=%v: last add formed %d sorted runs", stream, runs)
 		}
 		if err := ext.Close(); err != nil {
 			t.Fatal(err)
@@ -252,7 +251,7 @@ func TestEngineParityReopened(t *testing.T) {
 		}
 		sameAsMem(t, ext)
 		if n, err := ext.CompressedSize(); err != nil || n <= 0 {
-			t.Errorf("CompressedSize on reopened store (compression=%v): %d, %v", compress, n, err)
+			t.Errorf("CompressedSize on reopened store (stream=%v): %d, %v", stream, n, err)
 		}
 		ext.Close()
 	}
