@@ -21,10 +21,11 @@ import (
 // Queries stream too: Version, WriteVersion, History, ContentHistory and
 // Stats never materialize an in-memory archive, so peak query memory is
 // O(document depth + dictionary + one frontier record) — independent of
-// archive and version count. Selective keyed selectors resolve through
-// the key directory and seek straight to the matching subtrees (History
-// on a fully keyed selector reads no archive bytes at all); full scans
-// read the segments in key order as one token stream.
+// archive and version count. Every query reads through the key directory:
+// Version reads only the entries alive at the version asked for, Stats and
+// Snapshot each root's segments in key order, and selective keyed
+// selectors seek straight to the matching subtrees (History on a fully
+// keyed selector reads no archive bytes at all).
 //
 // Readers never wait for a writer. Every committed state is one immutable
 // generation — key directory, the dictionary's name table as of that
@@ -62,7 +63,6 @@ func OpenStore(dir string, spec *KeySpec, opts ...Option) (*ExtStore, error) {
 	ar, err := extmem.Open(dir, spec, extmem.Config{
 		Budget:           cfg.budget,
 		SegmentTarget:    cfg.segTarget,
-		NoDirectorySeek:  cfg.noSeek,
 		CompactionBudget: cfg.compBudget,
 		NoAttrIndex:      cfg.noQueryIdx,
 		FS:               cfg.fs,
@@ -166,8 +166,8 @@ func (s *ExtStore) Versions() int {
 	return s.ar.Versions()
 }
 
-// Version reconstructs version n with one streaming scan of the segment
-// files (only version n's content is ever materialized).
+// Version reconstructs version n from one stream over the segment bytes
+// alive at n (only version n's content is ever materialized).
 func (s *ExtStore) Version(n int) (*Document, error) {
 	q, err := s.query()
 	if err != nil {
@@ -190,7 +190,7 @@ func (s *ExtStore) WriteVersion(n int, w io.Writer) error {
 }
 
 // History returns the versions in which the selected element exists,
-// resolving the selector against per-node timestamps during one scan.
+// resolving the selector through the key directory.
 func (s *ExtStore) History(selector string) (*VersionSet, error) {
 	q, err := s.query()
 	if err != nil {
@@ -230,7 +230,7 @@ func (s *ExtStore) Select(expr string) ([]SelectResult, error) {
 	return q.Select(e)
 }
 
-// Stats summarizes the archive's structure with streaming scans.
+// Stats summarizes the archive's structure in one pass over the segments.
 func (s *ExtStore) Stats() (Stats, error) {
 	q, err := s.query()
 	if err != nil {

@@ -105,18 +105,14 @@ type Config struct {
 	// in bytes. Smaller targets mean more segments: finer-grained merge
 	// reuse and more selective seeks, at more files. Default 256 KiB.
 	SegmentTarget int
-	// NoDirectorySeek makes every query scan the full archive stream
-	// instead of seeking through the key directory (diagnostic knob; the
-	// two paths answer byte-identically).
-	NoDirectorySeek bool
 	// CompactionBudget caps the payload bytes an opportunistic post-Add
 	// compaction pass may rewrite. 0 (the default) disables the
 	// opportunistic pass; explicit Compact calls are never budgeted.
 	CompactionBudget int
 	// NoAttrIndex disables the attr.idx secondary-index sidecar: segment
 	// writes skip fact capture, commits skip the sidecar rebuild, and
-	// Select queries always run the exact streaming scan (diagnostic
-	// knob; the indexed and scan paths answer identically).
+	// Select evaluates every record its path spine leaves by reading it
+	// (diagnostic knob; the two answer identically).
 	NoAttrIndex bool
 	// RebuildAttrIndex forces a sidecar rebuild at Open even when no
 	// version is added — fsck -repair uses it to restore a deleted or
@@ -276,7 +272,6 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 			}
 		}
 	}
-	d.resolveTags(ar.dict)
 	ar.finishOpen(d)
 	return ar, nil
 }

@@ -562,11 +562,9 @@ func (ar *Archiver) buildAttrIndex(g *generation, old *attrIndex) (*attrIndex, e
 					continue
 				}
 			}
-			ds := &dirStream{fs: ar.fs, dir: ar.dir, parts: rootParts(r), dicts: ar.segDicts, counter: &ar.bytesRead}
-			tr := newDirTokenReader(ds)
+			tr := ar.readParts(rootParts(r))
 			e, err := captureStored(tr, r.name, false, ar.dict)
 			tr.release()
-			ds.Close()
 			if err != nil {
 				return nil, err
 			}

@@ -204,7 +204,7 @@ func (ar *Archiver) compact(budget int64) (CompactStats, error) {
 			continue
 		}
 		nr := &rootRecord{
-			name: r.name, tag: r.tag, key: r.key, timeStr: r.timeStr, time: r.time,
+			name: r.name, key: r.key, timeStr: r.timeStr, time: r.time,
 			attrs: r.attrs, raw: r.raw,
 		}
 		next := 0
@@ -253,36 +253,14 @@ func (ar *Archiver) coalesceRun(newRoot, old *rootRecord, lo, hi int, onCreate f
 	var copied int64
 	for si := lo; si < hi; si++ {
 		seg := old.segs[si]
-		ds := &dirStream{fs: ar.fs, dir: ar.dir, parts: []streamPart{{seg: seg, off: 0, n: seg.payload}}, dicts: ar.segDicts, counter: &ar.bytesRead}
-		tr := newDirTokenReader(ds)
-		for ei := range seg.entries {
-			e := &seg.entries[ei]
-			t, ok := tr.take()
-			if !ok || t.op != tokOpen {
-				err := tr.err
-				if err == nil {
-					err = corruptf("compact %s: entry %d has no open token", seg.file, ei)
-				}
-				sw.fail(err)
-				break
-			}
-			sw.beginChild(e.name, e.tag, e.key, e.timeStr, e.time)
-			if sw.err != nil {
-				break
-			}
-			sw.out.open(t.tag, t.key, t.data)
-			if err := copyBalancedTo(tr, sw.out, true); err != nil {
-				sw.fail(fmt.Errorf("extmem: compact %s: %w", seg.file, err))
-				break
-			}
-			copied += e.size
-			sw.endChild()
-		}
+		tr := ar.readParts([]streamPart{segPart(seg)})
+		err := copyChildrenVerbatim(sw, ar.dict, tr, len(seg.entries))
 		tr.release()
-		ds.Close()
-		if sw.err != nil {
+		if err != nil {
+			sw.fail(fmt.Errorf("extmem: compact %s: %w", seg.file, err))
 			break
 		}
+		copied += seg.payload
 	}
 	if err := sw.finish(); err != nil {
 		return nil, copied, err

@@ -25,7 +25,7 @@ import (
 // and an unsorted directory (which a healthy archive never produces)
 // disables the index entirely — both fallbacks reproduce the exact
 // scan semantics, ambiguity detection included, which the randomized
-// seek-vs-scan property test pins.
+// differential against the in-memory engine pins.
 //
 // The index holds positions only: names and display keys are read from the
 // segments' shared identity tables (segmentRecord.idents). It belongs to an

@@ -94,33 +94,77 @@ func (q *QueryView) writeArchiveIndented(w io.Writer, stats *core.Stats) error {
 	bw, done := pooledWriter(w)
 	defer done()
 	out := &xmlSink{w: bw, opts: xmltree.WriteOptions{Indent: true, IndentString: "  "}}
-	tr, err := q.reader()
-	if err != nil {
-		return err
-	}
-	defer tr.release()
-
 	out.open("T", false)
 	out.attr("t", q.d.rootTime.String())
 	out.open("root", false)
+	for _, r := range q.d.roots {
+		if err := q.writeArchiveRoot(r, out, stats); err != nil {
+			return err
+		}
+	}
+	out.close()
+	out.close()
+	return bw.Flush()
+}
+
+// writeArchiveRoot emits one root from one stream over its segments. A raw
+// root's stored subtree is emitted as it stands; any other root's wrapper,
+// start tag and attributes come from its record, and its entries from the
+// stream.
+func (q *QueryView) writeArchiveRoot(r *rootRecord, out *xmlSink, stats *core.Stats) error {
+	tr := q.ar.readParts(rootParts(r))
+	defer tr.release()
+	up := q.spec.Cursor()
+	if !r.raw {
+		if err := openArchiveNode(token{key: r.key, data: r.timeStr, time: r.time}, out, stats); err != nil {
+			return err
+		}
+		out.open(r.name, false)
+		for _, a := range r.attrs {
+			if stats != nil {
+				stats.Attributes++
+			}
+			out.attr(a.name, a.value)
+		}
+		up = up.Child(r.name)
+	}
 	for {
 		t, ok := tr.take()
 		if !ok {
 			break
 		}
 		if t.op != tokOpen {
-			return corruptf("unexpected token %#x at archive root", t.op)
+			return corruptf("unexpected token %#x at the head of a subtree of %s", t.op, r.name)
 		}
-		if err := q.writeArchiveNode(tr, t, out, q.spec.Cursor(), stats); err != nil {
+		if err := q.writeArchiveNode(tr, t, out, up, stats); err != nil {
 			return err
 		}
 	}
 	if tr.err != nil {
 		return tr.err
 	}
-	out.close()
-	out.close()
-	return bw.Flush()
+	if !r.raw {
+		out.close()
+		if r.timeStr != "" {
+			out.close()
+		}
+	}
+	return nil
+}
+
+// openArchiveNode counts a keyed-level node whose open token, or directory
+// record, is t, and writes its <T> wrapper when it carries a timestamp.
+func openArchiveNode(t token, out *xmlSink, stats *core.Stats) error {
+	if stats != nil {
+		if err := countNodeOpen(t, stats); err != nil {
+			return err
+		}
+	}
+	if t.data != "" {
+		out.open("T", false)
+		out.attr("t", t.data)
+	}
+	return nil
 }
 
 // writeArchiveNode emits one keyed-level node (whose open token t has been
@@ -131,16 +175,10 @@ func (q *QueryView) writeArchiveNode(tr *tokenReader, t token, out *xmlSink, up 
 	if err != nil {
 		return err
 	}
-	if stats != nil {
-		if err := countNodeOpen(t, stats); err != nil {
-			return err
-		}
+	if err := openArchiveNode(t, out, stats); err != nil {
+		return err
 	}
 	cur := up.Child(name)
-	if t.data != "" {
-		out.open("T", false)
-		out.attr("t", t.data)
-	}
 	if cur.Frontier() {
 		body, err := readFrontierBody(tr)
 		if err != nil {

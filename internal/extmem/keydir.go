@@ -37,12 +37,12 @@ const (
 	keydirFormat = 2 // format 1 (pre-dictionary segments) is rejected with ErrLegacyFormat
 )
 
-// attrRec is one attribute of a top-level subtree, held in the directory
-// so query scans can synthesize the root's token prefix without touching
-// any segment.
+// attrRec is one attribute of a non-raw top-level subtree. The directory
+// holds it because no segment does: a version or an export writes the
+// root's start tag from the record, and the merge checks a version's root
+// attributes against it.
 type attrRec struct {
 	name  string
-	tag   int // dictionary id, resolved in memory
 	value string
 }
 
@@ -55,7 +55,6 @@ type attrRec struct {
 // shared by every reader of the generation and must not be mutated.
 type childEntry struct {
 	name    string
-	tag     int // dictionary id, resolved in memory
 	key     *tkey
 	timeStr string
 	time    *intervals.Set // parsed timeStr; shared, read-only
@@ -87,15 +86,14 @@ func (sr *segmentRecord) firstLabel() (string, *tkey) {
 }
 
 // rootRecord describes one top-level subtree of the archive. For
-// non-frontier roots the segments hold the children and the open/attrs
-// are synthesized from this record; a raw root (the degenerate case of a
-// frontier at depth 1) stores its whole subtree verbatim in one segment.
-// A record is immutable once its directory is installed; the lazily
-// built entry index (dirindex.go) is therefore shared by every query
-// view of the generation.
+// non-frontier roots the segments hold the children and this record the
+// root's own name, key, timestamp and attributes; a raw root (the
+// degenerate case of a frontier at depth 1) stores its whole subtree
+// verbatim in one segment. A record is immutable once its directory is
+// installed; the lazily built entry index (dirindex.go) is therefore
+// shared by every query view of the generation.
 type rootRecord struct {
 	name    string
-	tag     int // dictionary id, resolved in memory
 	key     *tkey
 	timeStr string         // "" = inherited from the archive root timestamp
 	time    *intervals.Set // parsed timeStr, nil exactly when it is ""; shared, read-only
@@ -155,22 +153,6 @@ func compareLabels(an string, ak *tkey, bn string, bk *tkey) int {
 		return c
 	}
 	return compareKeys(ak, bk)
-}
-
-// resolveTags fills the in-memory dictionary ids of every record so query
-// scans can synthesize tokens without name lookups.
-func (d *keyDirectory) resolveTags(dict *dictionary) {
-	for _, r := range d.roots {
-		r.tag = dict.id(r.name)
-		for i := range r.attrs {
-			r.attrs[i].tag = dict.id(r.attrs[i].name)
-		}
-		for _, s := range r.segs {
-			for i := range s.entries {
-				s.entries[i].tag = dict.id(s.entries[i].name)
-			}
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------

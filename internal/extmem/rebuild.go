@@ -45,7 +45,7 @@ func walkSegment(fs fsio.FS, path string, dict *dictionary) (*segmentHeader, []c
 			_, ok = tr.take()
 		}
 		err = tr.err
-	} else if entries, err = scanEntries(tr); err == nil && len(entries) == 0 {
+	} else if entries, err = scanEntries(tr, dict); err == nil && len(entries) == 0 {
 		err = corruptf("segment has no entries")
 	}
 	if err != nil {
@@ -54,19 +54,13 @@ func walkSegment(fs fsio.FS, path string, dict *dictionary) (*segmentHeader, []c
 	if crc.Sum32() != h.crc {
 		return nil, nil, corruptf("payload checksum mismatch")
 	}
-	if dict != nil {
-		for i := range entries {
-			if entries[i].name, err = dict.name(entries[i].tag); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
 	return h, entries, nil
 }
 
 // scanEntries reads a payload to its end, recording each top-level
-// subtree's label, timestamp, offset and size.
-func scanEntries(tr *tokenReader) ([]childEntry, error) {
+// subtree's label (its name only when dict is given), timestamp, offset
+// and size.
+func scanEntries(tr *tokenReader, dict *dictionary) ([]childEntry, error) {
 	var entries []childEntry
 	depth := 0
 	for {
@@ -78,7 +72,14 @@ func scanEntries(tr *tokenReader) ([]childEntry, error) {
 		switch t.op {
 		case tokOpen:
 			if depth == 0 {
-				entries = append(entries, childEntry{tag: t.tag, key: t.key, timeStr: t.data, offset: at})
+				e := childEntry{key: t.key, timeStr: t.data, offset: at}
+				if dict != nil {
+					var err error
+					if e.name, err = dict.name(t.tag); err != nil {
+						return nil, corruptf("entry at offset %d: tag id %d outside the dictionary", at, t.tag)
+					}
+				}
+				entries = append(entries, e)
 			}
 			depth++
 		case tokClose:

@@ -23,7 +23,7 @@ type resolved struct {
 }
 
 // History returns the versions in which the selected element exists,
-// resolving the selector with one scan of the token file.
+// resolving the selector through the key directory.
 func (q *QueryView) History(selector string) (*intervals.Set, error) {
 	steps, err := core.ParseSelector(selector)
 	if err != nil {
@@ -51,13 +51,7 @@ func (q *QueryView) ContentHistory(selector string) ([]int, error) {
 }
 
 func (q *QueryView) resolveSelector(steps []core.SelectorStep, wantBody bool) (*resolved, error) {
-	var res *resolved
-	var err error
-	if q.seek {
-		res, err = q.resolveViaDirectory(steps, wantBody)
-	} else {
-		res, err = q.resolveViaScan(steps, wantBody)
-	}
+	res, err := q.resolveViaDirectory(steps, wantBody)
 	if err != nil {
 		return nil, err
 	}
@@ -67,22 +61,11 @@ func (q *QueryView) resolveSelector(steps []core.SelectorStep, wantBody bool) (*
 	return res, nil
 }
 
-// resolveViaScan resolves the selector with one scan of the whole
-// archive stream (the directory-free path).
-func (q *QueryView) resolveViaScan(steps []core.SelectorStep, wantBody bool) (*resolved, error) {
-	tr, err := q.reader()
-	if err != nil {
-		return nil, err
-	}
-	defer tr.release()
-	return q.resolveLevel(tr, steps, q.d.rootTime, "", q.spec.Cursor(), wantBody)
-}
-
 // resolveViaDirectory resolves the top two selector steps against the
 // in-memory key directory — no I/O at all — and descends into at most
 // one matched subtree by seeking straight to its bytes. Match order,
-// ambiguity handling and error texts mirror resolveLevel exactly, so the
-// two paths are indistinguishable to callers.
+// ambiguity handling and error texts mirror the in-memory resolver's
+// (core.ResolveFrom), and resolveLevel's below the kid index.
 func (q *QueryView) resolveViaDirectory(steps []core.SelectorStep, wantBody bool) (*resolved, error) {
 	step := &steps[0]
 	stepPath := "/" + step.Tag

@@ -22,7 +22,7 @@ import (
 // values and attribute values), a timestamp table, and whole key
 // tuples — and the stream references them by varint id. Ids are
 // assigned in sorted order, so within one segment comparing ids is
-// comparing strings: the merge planner and query scans compare
+// comparing strings: the merge planner and queries compare
 // integers, and share one decoded string/interval/key object per
 // distinct value.
 
@@ -56,7 +56,7 @@ func (d *segDict) timeSet(id int) (*intervals.Set, error) {
 	}
 	s, err := intervals.Parse(d.times[id])
 	if err != nil {
-		return nil, fmt.Errorf("extmem: segment dictionary timestamp %q: %w", d.times[id], err)
+		return nil, corruptf("segment dictionary timestamp %q: %v", d.times[id], err)
 	}
 	if !d.sets[id].CompareAndSwap(nil, s) {
 		s = d.sets[id].Load()
@@ -125,69 +125,26 @@ func encodeSegDict(w *kdWriter, paths, values, times []string, keys []*tkey, pat
 	}
 }
 
-// dictScanner walks the dictionary bytes as one immutable string, so
-// every table entry is a substring of a single backing allocation.
-type dictScanner struct {
-	s   string
-	pos int
-	err error
-}
-
-func (sc *dictScanner) varint() uint64 {
-	var v uint64
-	var shift uint
-	for {
-		if sc.pos >= len(sc.s) {
-			sc.err = io.ErrUnexpectedEOF
-			return 0
-		}
-		b := sc.s[sc.pos]
-		sc.pos++
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v
-		}
-		shift += 7
-		if shift > 63 {
-			sc.err = fmt.Errorf("varint overflow")
-			return 0
-		}
-	}
-}
-
-func (sc *dictScanner) str() string {
-	n := sc.varint()
-	if sc.err != nil {
-		return ""
-	}
-	if n > uint64(len(sc.s)-sc.pos) {
-		sc.err = io.ErrUnexpectedEOF
-		return ""
-	}
-	s := sc.s[sc.pos : sc.pos+int(n)]
-	sc.pos += int(n)
-	return s
-}
-
-// decodeSegDict parses a dictionary section. Every string is a
-// substring of one backing copy of the section and the key table is
-// kept as validated flat id pairs, so decoding allocates a handful of
-// objects however large the tables are; per-id interval sets and key
-// tuples materialize lazily on first reference.
+// decodeSegDict parses a dictionary section, which a replication peer may
+// have supplied: whatever the bytes, a section that does not decode is a
+// corrupt archive. It reads with kdReader, so every string is a substring
+// of one backing copy of the section, and the key table is kept as
+// validated flat id pairs: decoding allocates a handful of objects however
+// large the tables are; per-id interval sets and key tuples materialize
+// lazily on first reference.
 func decodeSegDict(data []byte) (*segDict, error) {
-	sc := &dictScanner{s: string(data)}
+	r := &kdReader{s: string(data)}
 	readTable := func(what string) []string {
-		n := sc.varint()
-		if sc.err != nil {
-			return nil
+		n := r.varint()
+		if r.err == nil && n > uint64(len(r.s)) { // every entry takes ≥1 byte
+			r.err = fmt.Errorf("%s table count %d exceeds section size", what, n)
 		}
-		if n > uint64(len(sc.s)-sc.pos) { // every entry takes ≥1 byte
-			sc.err = fmt.Errorf("%s table count %d exceeds section size", what, n)
+		if r.err != nil {
 			return nil
 		}
 		list := make([]string, 0, n)
-		for i := uint64(0); i < n && sc.err == nil; i++ {
-			list = append(list, sc.str())
+		for i := uint64(0); i < n && r.err == nil; i++ {
+			list = append(list, r.str())
 		}
 		return list
 	}
@@ -195,42 +152,38 @@ func decodeSegDict(data []byte) (*segDict, error) {
 	d.paths = readTable("path")
 	d.values = readTable("value")
 	d.times = readTable("timestamp")
-	if sc.err == nil {
-		d.sets = make([]atomic.Pointer[intervals.Set], len(d.times))
+	d.sets = make([]atomic.Pointer[intervals.Set], len(d.times))
+	nKeys := r.varint()
+	if r.err == nil && nKeys > uint64(len(r.s))+1 {
+		r.err = fmt.Errorf("key table count %d exceeds section size", nKeys)
 	}
-	nKeys := sc.varint()
-	if sc.err == nil && nKeys > uint64(len(sc.s)-sc.pos)+1 {
-		sc.err = fmt.Errorf("key table count %d exceeds section size", nKeys)
-	}
-	if sc.err == nil {
+	if r.err == nil {
 		d.keys = make([]atomic.Pointer[tkey], nKeys)
 		d.keyStart = make([]uint32, 1, nKeys+1)
 		// Most keys are single-pair; sizing for that makes the append
 		// below grow at most once however large the table is.
 		d.keyPairs = make([]uint32, 0, 2*nKeys)
 	}
-	for i := uint64(0); i < nKeys && sc.err == nil; i++ {
-		nPairs := sc.varint()
-		for j := uint64(0); j < nPairs && sc.err == nil; j++ {
-			p, v := sc.varint(), sc.varint()
-			if sc.err != nil {
-				break
+	for i := uint64(0); i < nKeys && r.err == nil; i++ {
+		nPairs := r.varint()
+		for j := uint64(0); j < nPairs && r.err == nil; j++ {
+			switch p, v := r.varint(), r.varint(); {
+			case r.err != nil:
+			case p >= uint64(len(d.paths)):
+				r.err = fmt.Errorf("dangling path id %d (table has %d)", p, len(d.paths))
+			case v >= uint64(len(d.values)):
+				r.err = fmt.Errorf("dangling value id %d (table has %d)", v, len(d.values))
+			default:
+				d.keyPairs = append(d.keyPairs, uint32(p), uint32(v))
 			}
-			if p >= uint64(len(d.paths)) {
-				return nil, fmt.Errorf("extmem: segment dictionary: dangling path id %d (table has %d)", p, len(d.paths))
-			}
-			if v >= uint64(len(d.values)) {
-				return nil, fmt.Errorf("extmem: segment dictionary: dangling value id %d (table has %d)", v, len(d.values))
-			}
-			d.keyPairs = append(d.keyPairs, uint32(p), uint32(v))
 		}
 		d.keyStart = append(d.keyStart, uint32(len(d.keyPairs)))
 	}
-	if sc.err != nil {
-		return nil, fmt.Errorf("extmem: segment dictionary: %w", sc.err)
+	if r.err == nil && len(r.s) > 0 {
+		r.err = fmt.Errorf("%d trailing bytes", len(r.s))
 	}
-	if sc.pos != len(sc.s) {
-		return nil, fmt.Errorf("extmem: segment dictionary: %d trailing bytes", len(sc.s)-sc.pos)
+	if r.err != nil {
+		return nil, corruptf("segment dictionary: %v", r.err)
 	}
 	return d, nil
 }
@@ -265,7 +218,9 @@ func (c *dictCache) get(seg *segmentRecord) (*segDict, error) {
 	}
 	defer f.Close()
 	buf := make([]byte, seg.dictLen)
-	if _, err := f.ReadAt(buf, seg.dataOff-seg.dictLen); err != nil {
+	if _, err := f.ReadAt(buf, seg.dataOff-seg.dictLen); err == io.EOF {
+		return nil, corruptf("segment %s: dictionary section past the end of the file", seg.file)
+	} else if err != nil {
 		return nil, fmt.Errorf("extmem: segment dictionary: %w", err)
 	}
 	d, err := decodeSegDict(buf)
@@ -281,20 +236,6 @@ func (c *dictCache) get(seg *segmentRecord) (*segDict, error) {
 
 // evict drops the cached dictionary of a swept segment file.
 func (c *dictCache) evict(name string) { c.m.Delete(name) }
-
-// countReader counts bytes read through it into an atomic counter.
-type countReader struct {
-	r io.Reader
-	c *atomic.Int64
-}
-
-func (cr *countReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	if cr.c != nil && n > 0 {
-		cr.c.Add(int64(n))
-	}
-	return n, err
-}
 
 // ---------------------------------------------------------------------------
 // Segment encoding (write side)

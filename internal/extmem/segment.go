@@ -2,7 +2,6 @@ package extmem
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -98,9 +97,10 @@ func checkSegmentEncoding(fs fsio.FS, path string) error {
 // files arrive from replication peers, so every length prefix that
 // sizes an allocation is checked against the file's size first: a
 // hostile header fails with ErrCorruptArchive instead of panicking or
-// allocating beyond the bytes actually supplied. The returned reader
-// serves the payload on from where the header ends, so a caller reading
-// the whole file reads each byte once.
+// allocating beyond the bytes actually supplied. Bytes that end early or
+// do not parse are a corrupt segment; a read that fails is reported as
+// itself. The returned reader serves the payload on from where the header
+// ends, so a caller reading the whole file reads each byte once.
 func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, io.Reader, error) {
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
@@ -109,18 +109,25 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, io.Reader, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, nil, fmt.Errorf("extmem: %w", err)
 	}
+	src := &readFault{r: f}
+	bad := func(what string, err error) error {
+		if src.err != nil {
+			return fmt.Errorf("extmem: %s: %w", what, src.err)
+		}
+		return corruptf("%s: %v", what, err)
+	}
 	fixed := make([]byte, segFixedOff+12)
-	if _, err := io.ReadFull(f, fixed); err != nil {
-		return nil, nil, fmt.Errorf("extmem: not a segment file: %w", err)
+	if _, err := io.ReadFull(src, fixed); err != nil {
+		return nil, nil, bad("not a segment file", err)
 	}
 	if string(fixed[:len(segMagic)]) != segMagic {
-		return nil, nil, fmt.Errorf("extmem: not a segment file")
+		return nil, nil, corruptf("not a segment file")
 	}
 	if err := segmentLegacy(fixed); err != nil {
 		return nil, nil, err
 	}
 	if format := fixed[len(segMagic)]; format != segFormatV2 {
-		return nil, nil, fmt.Errorf("extmem: segment format %d not supported", format)
+		return nil, nil, corruptf("segment format %d not supported", format)
 	}
 	h := &segmentHeader{raw: fixed[len(segMagic)+1]&segFlagRaw != 0}
 	h.payload = int64(binary.LittleEndian.Uint64(fixed[segFixedOff : segFixedOff+8]))
@@ -128,13 +135,13 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, io.Reader, error) {
 	if h.payload < 0 {
 		return nil, nil, corruptf("segment header: payload length out of range")
 	}
-	in := &offsetReader{r: f, n: int64(len(fixed))}
+	in := &offsetReader{r: src, n: int64(len(fixed))}
 	br := bufio.NewReaderSize(in, 4096)
 	// sized reads a length prefix that is about to size an allocation.
 	sized := func(what string) (uint64, error) {
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
-			return 0, fmt.Errorf("extmem: segment header: %w", err)
+			return 0, bad("segment header", err)
 		}
 		if n > uint64(size) {
 			return 0, corruptf("segment header: %s %d exceeds the %d-byte file", what, n, size)
@@ -148,7 +155,7 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, io.Reader, error) {
 		}
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", fmt.Errorf("extmem: segment header: %w", err)
+			return "", bad("segment header", err)
 		}
 		return string(buf), nil
 	}
@@ -157,13 +164,13 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, io.Reader, error) {
 	}
 	hasKey, err := br.ReadByte()
 	if err != nil {
-		return nil, nil, fmt.Errorf("extmem: segment header: %w", err)
+		return nil, nil, bad("segment header", err)
 	}
 	if hasKey != 0 {
 		k := &tkey{}
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, nil, fmt.Errorf("extmem: segment header: %w", err)
+			return nil, nil, bad("segment header", err)
 		}
 		for i := uint64(0); i < n; i++ {
 			kp, err := str()
@@ -192,7 +199,7 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, io.Reader, error) {
 		blockLen, err = binary.ReadUvarint(br)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("extmem: segment header: %w", err)
+		return nil, nil, bad("segment header", err)
 	}
 	if stored != uint64(h.payload) || binary.LittleEndian.Uint32(slots[:]) != h.crc || blockLen != 0 {
 		return nil, nil, corruptf("segment header: stored payload slots disagree with the payload")
@@ -204,7 +211,7 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, io.Reader, error) {
 	h.dictLen = int64(dictLen)
 	dictBytes := make([]byte, dictLen)
 	if _, err := io.ReadFull(br, dictBytes); err != nil {
-		return nil, nil, fmt.Errorf("extmem: segment dictionary: %w", err)
+		return nil, nil, bad("segment dictionary", err)
 	}
 	dict, err := decodeSegDict(dictBytes)
 	if err != nil {
@@ -213,6 +220,21 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, io.Reader, error) {
 	h.dataOff = in.n - int64(br.Buffered())
 	h.dict = dict
 	return h, io.LimitReader(br, h.payload), nil
+}
+
+// readFault passes reads through and keeps the first one that failed
+// other than by reaching the end of the bytes.
+type readFault struct {
+	r   io.Reader
+	err error
+}
+
+func (rf *readFault) Read(p []byte) (int, error) {
+	n, err := rf.r.Read(p)
+	if err != nil && err != io.EOF && rf.err == nil {
+		rf.err = err
+	}
+	return n, err
 }
 
 // ---------------------------------------------------------------------------
@@ -357,7 +379,7 @@ func (sw *segmentSetWriter) closeCurrent() {
 // the set the caller holds for it, the node's effective timestamp, kept as
 // the entry's parsed time when the stamp is explicit. The entry is
 // completed by endChild. For raw roots the entry metadata is ignored.
-func (sw *segmentSetWriter) beginChild(name string, tag int, key *tkey, timeStr string, eff *intervals.Set) {
+func (sw *segmentSetWriter) beginChild(name string, key *tkey, timeStr string, eff *intervals.Set) {
 	if sw.err != nil {
 		return
 	}
@@ -365,7 +387,7 @@ func (sw *segmentSetWriter) beginChild(name string, tag int, key *tkey, timeStr 
 		sw.open()
 	}
 	sw.markStart = len(sw.out.toks)
-	sw.pending = childEntry{name: name, tag: tag, key: key, timeStr: timeStr}
+	sw.pending = childEntry{name: name, key: key, timeStr: timeStr}
 	if timeStr != "" {
 		sw.pending.time = eff
 	}
@@ -397,36 +419,28 @@ func (sw *segmentSetWriter) finish() error {
 }
 
 // ---------------------------------------------------------------------------
-// Reading: the concatenated archive stream and per-entry sections
+// Reading: byte ranges of segment payloads
 
-// streamPart is one piece of a dirStream: either literal bytes
-// (synthesized tokens) or a byte range of a segment payload.
+// streamPart is one piece of a dirStream: a byte range of a segment
+// payload.
 type streamPart struct {
-	data []byte
-	seg  *segmentRecord
-	off  int64
-	n    int64
+	seg *segmentRecord
+	off int64
+	n   int64
 }
 
-// dirStream serves the segmented archive as a sequence of token-aligned
-// parts — logically one contiguous token stream, but handed out part by
-// part so the token reader can switch each part's segment dictionary in
-// (literal parts use the inline grammar). At most one segment file is
-// open at a time; the bytes read from disk are counted into the
+// dirStream serves token-aligned byte ranges of an archiver's segment
+// payloads as one token stream, handed out part by part so the token
+// reader can switch each part's segment dictionary in. At most one segment
+// file is open at a time; the bytes read from disk are counted into the
 // archiver's telemetry.
 type dirStream struct {
-	fs      fsio.FS
-	dir     string
-	parts   []streamPart
-	dicts   *dictCache // resolves segment dictionaries
-	i       int
-	f       fsio.File      // the open file of seg, if any
-	seg     *segmentRecord // the segment the last segment part read
-	counter *atomic.Int64
-
-	lit bytes.Reader
-	cnt countReader
-	sec partReader
+	ar    *Archiver
+	parts []streamPart
+	i     int
+	f     fsio.File      // the open file of seg, if any
+	seg   *segmentRecord // the segment the last part read
+	sec   partReader
 }
 
 // partReader serves one section of an open segment file's payload,
@@ -466,9 +480,9 @@ func (pr *partReader) Read(p []byte) (int, error) {
 }
 
 // nextPart opens the next part, returning its reader and segment
-// dictionary (nil for literal parts, which use the inline grammar). A part
-// of the segment the part before it read keeps that segment's open file.
-// A nil reader with nil error means the stream is exhausted.
+// dictionary. A part of the segment the part before it read keeps that
+// segment's open file. A nil reader with nil error means the stream is
+// exhausted.
 func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 	if s.i >= len(s.parts) {
 		s.closeFile()
@@ -476,40 +490,25 @@ func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 	}
 	part := &s.parts[s.i]
 	s.i++
-	if part.seg == nil {
-		s.lit.Reset(part.data)
-		s.cnt = countReader{r: &s.lit, c: s.counter}
-		return &s.cnt, nil, nil
-	}
 	seg := part.seg
 	if s.f == nil || s.seg != seg {
 		s.closeFile()
-		f, err := s.openPart(filepath.Join(s.dir, seg.file))
+		f, err := s.ar.fs.Open(filepath.Join(s.ar.dir, seg.file))
 		if err != nil {
 			return nil, nil, fmt.Errorf("extmem: %w", err)
 		}
 		s.f, s.seg = f, seg
 	}
-	dict, err := s.dicts.get(seg)
+	dict, err := s.ar.segDicts.get(seg)
 	if err != nil {
 		s.closeFile()
 		return nil, nil, err
 	}
-	if err := s.sec.aim(s.f, seg, part.off, part.n, s.counter); err != nil {
+	if err := s.sec.aim(s.f, seg, part.off, part.n, &s.ar.bytesRead); err != nil {
 		s.closeFile()
 		return nil, nil, err
 	}
 	return &s.sec, dict, nil
-}
-
-// openPart opens one segment file through the stream's FS; a stream
-// built without one (tests, ad-hoc scans) falls back to the plain OS.
-func (s *dirStream) openPart(path string) (fsio.File, error) {
-	fs := s.fs
-	if fs == nil {
-		fs = fsio.OS
-	}
-	return fs.Open(path)
 }
 
 // Close releases the stream's open file, if any.
@@ -526,46 +525,20 @@ func (s *dirStream) closeFile() {
 	}
 }
 
-// synthRootPrefix renders the open token (with key and timestamp) and
-// attribute tokens of a non-raw root in the inline grammar.
-func synthRootPrefix(r *rootRecord) []byte {
-	var b bytes.Buffer
-	tw := newTokenWriter(&b)
-	tw.open(r.tag, r.key, r.timeStr)
-	for _, a := range r.attrs {
-		tw.attr(a.tag, a.value)
-	}
-	tw.flush()
-	tw.release()
-	return b.Bytes()
-}
-
-// archiveParts lays out the whole archive as stream parts.
-func archiveParts(d *keyDirectory) []streamPart {
-	var parts []streamPart
-	for _, r := range d.roots {
-		parts = append(parts, rootParts(r)...)
-	}
-	return parts
-}
-
-// rootParts lays out one root subtree as stream parts. Offsets are in
-// payload space; the stream resolves them to file offsets.
+// rootParts lays out a root's segments whole, as stream parts: a raw
+// root's subtree, or the entries of any other root (its open tag and
+// attributes live in its record). Offsets are in payload space; the
+// stream resolves them to file offsets.
 func rootParts(r *rootRecord) []streamPart {
-	var parts []streamPart
-	if r.raw {
-		for _, s := range r.segs {
-			parts = append(parts, streamPart{seg: s, off: 0, n: s.payload})
-		}
-		return parts
+	parts := make([]streamPart, len(r.segs))
+	for i, s := range r.segs {
+		parts[i] = segPart(s)
 	}
-	parts = append(parts, streamPart{data: synthRootPrefix(r)})
-	for _, s := range r.segs {
-		parts = append(parts, streamPart{seg: s, off: 0, n: s.payload})
-	}
-	parts = append(parts, streamPart{data: []byte{tokClose}})
 	return parts
 }
+
+// segPart is the whole payload of s, as a stream part.
+func segPart(s *segmentRecord) streamPart { return streamPart{seg: s, n: s.payload} }
 
 // entryParts lays out one second-level subtree as stream parts.
 func entryParts(s *segmentRecord, e *childEntry) []streamPart {

@@ -6,11 +6,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -21,27 +21,38 @@ import (
 	"xarch/internal/xmltree"
 )
 
-// archiveStreamBytes reads the whole concatenated archive token stream,
-// re-rendered in the inline grammar so streams compare byte for byte
+// archiveStreamBytes renders the whole archive as one token stream in the
+// inline grammar — each non-raw root's open and attribute tokens from its
+// record, then its segments' tokens — so archives compare byte for byte
 // whatever each segment's dictionary or file layout.
 func archiveStreamBytes(t *testing.T, ar *Archiver) []byte {
 	t.Helper()
-	ds := &dirStream{fs: ar.fs, dir: ar.dir, parts: archiveParts(ar.current().d), dicts: ar.segDicts, counter: &ar.bytesRead}
-	defer ds.Close()
-	tr := newDirTokenReader(ds)
-	defer tr.release()
 	var buf bytes.Buffer
 	tw := newTokenWriter(&buf)
 	defer tw.release()
-	for {
-		tok, ok := tr.take()
-		if !ok {
-			break
+	for _, r := range ar.current().d.roots {
+		if !r.raw {
+			tw.open(ar.dict.id(r.name), r.key, r.timeStr)
+			for _, a := range r.attrs {
+				tw.attr(ar.dict.id(a.name), a.value)
+			}
 		}
-		tw.writeToken(tok)
-	}
-	if tr.err != nil {
-		t.Fatalf("read archive stream: %v", tr.err)
+		tr := ar.readParts(rootParts(r))
+		for {
+			tok, ok := tr.take()
+			if !ok {
+				break
+			}
+			tw.writeToken(tok)
+		}
+		err := tr.err
+		tr.release()
+		if err != nil {
+			t.Fatalf("read root %s: %v", r.name, err)
+		}
+		if !r.raw {
+			tw.close()
+		}
 	}
 	if err := tw.flush(); err != nil {
 		t.Fatal(err)
@@ -279,13 +290,13 @@ func readFileString(t *testing.T, path string) string {
 	return string(data)
 }
 
-// TestDirectorySeekParityRandomized is the randomized property test:
-// directory-seek answers must be byte-identical to full-scan answers —
-// History sets, ContentHistory change lists, WriteVersion bytes and
-// error texts — on archives with random change histories.
+// TestDirectorySeekParityRandomized is the randomized property test of the
+// directory path against the in-memory engine fed the same versions:
+// History sets, ContentHistory change lists, error classes and texts, and
+// WriteVersion bytes must agree on archives with random change histories.
 func TestDirectorySeekParityRandomized(t *testing.T) {
 	// Force the entry index on even for these small fixtures, so the
-	// binary-search lookup path is what parity pins against the scan.
+	// binary-search lookup path is what the in-memory resolver judges.
 	old := dirIndexMinEntries
 	dirIndexMinEntries = 0
 	defer func() { dirIndexMinEntries = old }()
@@ -300,6 +311,7 @@ func TestDirectorySeekParityRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		mem := core.New(datagen.OMIMSpec(), core.Options{})
 		versions := 2 + trial
 		var nums []string
 		for v := 0; v < versions; v++ {
@@ -307,22 +319,21 @@ func TestDirectorySeekParityRandomized(t *testing.T) {
 			for _, rec := range doc.ChildrenNamed("Record") {
 				nums = append(nums, rec.ChildText("Num"))
 			}
-			if err := addVersion(ar, strings.NewReader(doc.IndentedXML())); err != nil {
+			text := doc.IndentedXML()
+			if err := addVersion(ar, strings.NewReader(text)); err != nil {
+				t.Fatal(err)
+			}
+			if err := mem.Add(xmltree.MustParseString(text)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		sort.Strings(nums)
 		nums = dedup(nums)
 
-		qSeek, err := ar.OpenQuery()
+		q, err := ar.OpenQuery()
 		if err != nil {
 			t.Fatal(err)
 		}
-		qScan, err := ar.OpenQuery()
-		if err != nil {
-			t.Fatal(err)
-		}
-		qScan.seek = false
 
 		var selectors []string
 		for i := 0; i < 10 && len(nums) > 0; i++ {
@@ -338,42 +349,46 @@ func TestDirectorySeekParityRandomized(t *testing.T) {
 		if len(nums) > 0 {
 			selectors = append(selectors, "/ROOT/Record[Num="+nums[0]+"]/Title")
 		}
-		for _, sel := range selectors {
-			hSeek, eSeek := qSeek.History(sel)
-			hScan, eScan := qScan.History(sel)
-			if (eSeek == nil) != (eScan == nil) {
-				t.Fatalf("History(%s): seek err %v, scan err %v", sel, eSeek, eScan)
-			}
-			if eSeek != nil {
-				if eSeek.Error() != eScan.Error() {
-					t.Errorf("History(%s) error text differs:\n  seek: %v\n  scan: %v", sel, eSeek, eScan)
+		// sameErr reports whether two errors are of one class and text.
+		sameErr := func(a, b error) bool {
+			for _, class := range []error{core.ErrNoSuchElement, core.ErrAmbiguousSelector, core.ErrBadSelector, core.ErrCorruptArchive} {
+				if errors.Is(a, class) != errors.Is(b, class) {
+					return false
 				}
-			} else if !hSeek.Equal(hScan) {
-				t.Errorf("History(%s): seek %q, scan %q", sel, hSeek, hScan)
 			}
-			cSeek, eSeek := qSeek.ContentHistory(sel)
-			cScan, eScan := qScan.ContentHistory(sel)
-			if (eSeek == nil) != (eScan == nil) {
-				t.Fatalf("ContentHistory(%s): seek err %v, scan err %v", sel, eSeek, eScan)
+			return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
+		}
+		for _, sel := range selectors {
+			got, gerr := q.History(sel)
+			want, werr := mem.History(sel)
+			if !sameErr(gerr, werr) {
+				t.Errorf("History(%s): err %v, in-memory err %v", sel, gerr, werr)
+			} else if gerr == nil && !got.Equal(want) {
+				t.Errorf("History(%s): %q, in-memory %q", sel, got, want)
 			}
-			if eSeek == nil && fmt.Sprint(cSeek) != fmt.Sprint(cScan) {
-				t.Errorf("ContentHistory(%s): seek %v, scan %v", sel, cSeek, cScan)
+			cGot, gerr := q.ContentHistory(sel)
+			cWant, werr := mem.ContentHistory(sel)
+			if !sameErr(gerr, werr) {
+				t.Errorf("ContentHistory(%s): err %v, in-memory err %v", sel, gerr, werr)
+			} else if gerr == nil && fmt.Sprint(cGot) != fmt.Sprint(cWant) {
+				t.Errorf("ContentHistory(%s): %v, in-memory %v", sel, cGot, cWant)
 			}
 		}
 		for v := 1; v <= versions; v++ {
-			var a, b strings.Builder
-			if err := qSeek.WriteVersion(v, &a, xmltree.WriteOptions{Indent: true}); err != nil {
+			var got, want strings.Builder
+			if err := q.WriteVersion(v, &got, xmltree.WriteOptions{Indent: true}); err != nil {
 				t.Fatal(err)
 			}
-			if err := qScan.WriteVersion(v, &b, xmltree.WriteOptions{Indent: true}); err != nil {
+			if doc, err := mem.Version(v); err != nil {
 				t.Fatal(err)
+			} else if doc != nil {
+				doc.Write(&want, xmltree.WriteOptions{Indent: true})
 			}
-			if a.String() != b.String() {
-				t.Errorf("WriteVersion(%d): seek and scan bytes differ", v)
+			if got.String() != want.String() {
+				t.Errorf("WriteVersion(%d) differs from the in-memory archive", v)
 			}
 		}
-		qSeek.Close()
-		qScan.Close()
+		q.Close()
 		ar.Close()
 	}
 }
@@ -577,6 +592,9 @@ func TestRootAttributesAndEmptyFirstVersion(t *testing.T) {
 	if !strings.Contains(out.String(), `org="acme"`) {
 		t.Errorf("root attribute lost: %s", out.String())
 	}
+	if s := snapshotXML(t, ar); !strings.Contains(s, `<db org="acme">`) {
+		t.Errorf("root attribute lost from the export: %s", s)
+	}
 	h, err := q.History("/db/dept[name=finance]")
 	if err != nil {
 		t.Fatal(err)
@@ -687,13 +705,55 @@ func TestLegacySegmentHeaderRejected(t *testing.T) {
 	}
 }
 
+// TestDamagedSegmentDictionaryIsCorrupt: a segment whose dictionary section
+// or header is damaged is a corrupt archive, for the query that meets it
+// and for the header reader alike — not a bare decode error that keeps the
+// operator from running fsck -repair.
+func TestDamagedSegmentDictionaryIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Budget: 1 << 16, SegmentTarget: 2048}
+	ar := buildOMIMArchive(t, dir, cfg, 1)
+	seg := ar.current().d.roots[0].segs[0]
+	if err := ar.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, seg.file)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[seg.dataOff-seg.dictLen] = 0x7f // the path table's count
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ar2, err := Open(dir, datagen.OMIMSpec(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ar2.Close()
+	q, err := ar2.OpenQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if err := q.WriteVersion(1, io.Discard, xmltree.WriteOptions{Indent: true}); !errors.Is(err, core.ErrCorruptArchive) {
+		t.Errorf("WriteVersion over a damaged dictionary: %v, want a corrupt archive", err)
+	}
+	for name, b := range map[string][]byte{"damaged dictionary": data, "10-byte file": data[:10]} {
+		if _, _, err := readSegmentHeader(bytes.NewReader(b)); !errors.Is(err, core.ErrCorruptArchive) {
+			t.Errorf("readSegmentHeader of a %s: %v, want a corrupt archive", name, err)
+		}
+	}
+}
+
 // FuzzSegmentHeader feeds readSegmentHeader hostile bytes — what a
-// replication peer can hand us. It must never panic and never allocate
-// beyond a small multiple of the bytes actually supplied: every length
-// prefix is capped by the input size before it sizes a make. The seeds
-// include what a block-compressing build left behind — the compression
-// flag on a header — and a block length without the flag, which are
-// ErrLegacyFormat and ErrCorruptArchive.
+// replication peer can hand us — and holds it to checkHostile's contract:
+// no panic, no allocation beyond a small multiple of the bytes actually
+// supplied (every length prefix is capped by the input size before it
+// sizes a make), and an error that is ErrCorruptArchive or
+// ErrLegacyFormat. The seeds include what a block-compressing build left
+// behind — the compression flag on a header — and a block length without
+// the flag, which are ErrLegacyFormat and ErrCorruptArchive.
 func FuzzSegmentHeader(f *testing.F) {
 	dir := f.TempDir()
 	ar := buildOMIMArchive(f, dir, Config{Budget: 1 << 16, SegmentTarget: 2048}, 1)
@@ -725,15 +785,11 @@ func FuzzSegmentHeader(f *testing.F) {
 	}
 	f.Add(legacySegHeader)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		h, _, err := readSegmentHeader(bytes.NewReader(data))
-		runtime.ReadMemStats(&after)
-		// Slack: string headers of dictionary tables cost 16 bytes per
-		// input byte at worst; the constant covers the fixed buffers.
-		if grown, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(data))+1<<20; grown > limit {
-			t.Fatalf("header of %d bytes allocated %d bytes (limit %d)", len(data), grown, limit)
-		}
+		var h *segmentHeader
+		err := checkHostile(t, len(data), func() (err error) {
+			h, _, err = readSegmentHeader(bytes.NewReader(data))
+			return err
+		})
 		if err == nil && (h.dataOff > int64(len(data)) || h.dictLen > int64(len(data))) {
 			t.Fatalf("accepted header claims dataOff %d, dictLen %d in %d bytes", h.dataOff, h.dictLen, len(data))
 		}

@@ -159,7 +159,7 @@ func (m *segMerge) newWriter(rec *rootRecord, raw bool) *segmentSetWriter {
 // root with an inherited timestamp must be rewritten because its open
 // token (and timestamp) live in the segment bytes.
 func (m *segMerge) terminateRoot(r *rootRecord) (*rootRecord, error) {
-	out := &rootRecord{name: r.name, tag: r.tag, key: r.key, timeStr: r.timeStr, time: r.time, attrs: r.attrs, raw: r.raw}
+	out := &rootRecord{name: r.name, key: r.key, timeStr: r.timeStr, time: r.time, attrs: r.attrs, raw: r.raw}
 	if r.timeStr == "" {
 		out.time = m.newRoot.Without(m.i)
 		out.timeStr = out.time.String()
@@ -171,9 +171,7 @@ func (m *segMerge) terminateRoot(r *rootRecord) (*rootRecord, error) {
 	}
 	// Raw root gaining an explicit timestamp: re-emit the stored subtree
 	// with the new open token.
-	ds := &dirStream{fs: m.ar.fs, dir: m.ar.dir, parts: rootParts(r), dicts: m.ar.segDicts, counter: &m.ar.bytesRead}
-	defer ds.Close()
-	a := newDirTokenReader(ds)
+	a := m.ar.readParts(rootParts(r))
 	defer a.release()
 	at, ok := a.take()
 	if !ok || at.op != tokOpen {
@@ -197,7 +195,7 @@ func (m *segMerge) terminateRoot(r *rootRecord) (*rootRecord, error) {
 // {i}, its children are copied verbatim (inheriting it).
 func (m *segMerge) newRootFromVersion(d *tokenReader, dn string, dt token) (*rootRecord, error) {
 	out := &rootRecord{
-		name: dn, tag: dt.tag, key: dt.key,
+		name: dn, key: dt.key,
 		timeStr: m.only.String(), time: m.only,
 		raw: m.ar.spec.IsFrontier(keys.Path([]string{dn})),
 	}
@@ -217,10 +215,10 @@ func (m *segMerge) newRootFromVersion(d *tokenReader, dn string, dt token) (*roo
 		if err != nil {
 			return nil, err
 		}
-		out.attrs = append(out.attrs, attrRec{name: an, tag: t.tag, value: t.data})
+		out.attrs = append(out.attrs, attrRec{name: an, value: t.data})
 	}
 	sw := m.newWriter(out, false)
-	if err := m.copyChildrenVerbatim(sw, d, -1); err != nil {
+	if err := copyChildrenVerbatim(sw, m.ar.dict, d, -1); err != nil {
 		sw.finish()
 		return nil, err
 	}
@@ -235,8 +233,9 @@ func (m *segMerge) newRootFromVersion(d *tokenReader, dn string, dt token) (*roo
 
 // copyChildrenVerbatim copies the first n sibling subtrees at the cursor
 // (all of them when n < 0, stopping at the balancing close, which it does
-// not consume) into sw unchanged, recording one entry per subtree.
-func (m *segMerge) copyChildrenVerbatim(sw *segmentSetWriter, tr *tokenReader, n int) error {
+// not consume) into sw unchanged, recording one entry per subtree, named
+// through dict.
+func copyChildrenVerbatim(sw *segmentSetWriter, dict *dictionary, tr *tokenReader, n int) error {
 	for ; n != 0; n-- {
 		t, ok := tr.peek()
 		if !ok || t.op == tokClose {
@@ -249,11 +248,11 @@ func (m *segMerge) copyChildrenVerbatim(sw *segmentSetWriter, tr *tokenReader, n
 			return corruptf("unexpected token %#x at keyed level", t.op)
 		}
 		tr.take()
-		name, err := m.ar.dict.name(t.tag)
+		name, err := dict.name(t.tag)
 		if err != nil {
 			return err
 		}
-		sw.beginChild(name, t.tag, t.key, t.data, t.time)
+		sw.beginChild(name, t.key, t.data, t.time)
 		sw.out.open(t.tag, t.key, t.data)
 		if err := copyBalancedTo(tr, sw.out, true); err != nil {
 			return err
@@ -272,7 +271,7 @@ func (m *segMerge) mergeRoot(r *rootRecord, d *tokenReader) (*rootRecord, error)
 	if err != nil {
 		return nil, err
 	}
-	out := &rootRecord{name: r.name, tag: r.tag, key: r.key, timeStr: timeStr, attrs: r.attrs, raw: r.raw}
+	out := &rootRecord{name: r.name, key: r.key, timeStr: timeStr, attrs: r.attrs, raw: r.raw}
 	if timeStr != "" {
 		out.time = eff
 	}
@@ -281,9 +280,7 @@ func (m *segMerge) mergeRoot(r *rootRecord, d *tokenReader) (*rootRecord, error)
 	if r.raw {
 		// Frontier root: record-sized by the §6 contract — merge the two
 		// bodies with the standard frontier rules into one fresh segment.
-		ds := &dirStream{fs: m.ar.fs, dir: m.ar.dir, parts: rootParts(r), dicts: m.ar.segDicts, counter: &m.ar.bytesRead}
-		defer ds.Close()
-		a := newDirTokenReader(ds)
+		a := m.ar.readParts(rootParts(r))
 		defer a.release()
 		sw := m.newWriter(out, true)
 		sw.open()
@@ -298,7 +295,7 @@ func (m *segMerge) mergeRoot(r *rootRecord, d *tokenReader) (*rootRecord, error)
 
 	d.take() // the version root open
 	dAttrs := drainAttrs(d)
-	if !attrRecsEqual(r.attrs, dAttrs) {
+	if !attrRecsEqual(r.attrs, dAttrs, m.ar.dict) {
 		return nil, fmt.Errorf("extmem: attributes of /%s differ between archive and version %d", r.name, m.i)
 	}
 	sw := m.newWriter(out, false)
@@ -358,13 +355,11 @@ func (m *segMerge) mergeChildren(sw *segmentSetWriter, sm *streamMerger, r, out 
 			d.reset(m.src, nil, resume)
 		}
 		m.stats.SegmentsRewritten++
-		ds := &dirStream{fs: m.ar.fs, dir: m.ar.dir, parts: []streamPart{{seg: seg, off: 0, n: seg.payload}}, dicts: m.ar.segDicts, counter: &m.ar.bytesRead}
-		a := newDirTokenReader(ds)
-		if err = m.copyChildrenVerbatim(sw, a, same); err == nil {
+		a := m.ar.readParts([]streamPart{segPart(seg)})
+		if err = copyChildrenVerbatim(sw, m.ar.dict, a, same); err == nil {
 			err = m.mergeChildLevel(sw, sm, a, d, inRange, eff, path)
 		}
 		a.release()
-		ds.Close()
 		if err != nil {
 			return err
 		}
@@ -567,18 +562,18 @@ func (m *segMerge) mergeChildLevel(sw *segmentSetWriter, sm *streamMerger, a, d 
 				if terr != nil {
 					return terr
 				}
-				sw.beginChild(an, at.tag, at.key, ts, teff)
+				sw.beginChild(an, at.key, ts, teff)
 				err = sm.mergeEqual(a, d, eff, append(path, an))
 			case cmp < 0:
 				err = m.copyArchiveChildEntry(sw, sm, a, at, an, eff)
 			default:
-				sw.beginChild(dn, dt.tag, dt.key, m.only.String(), m.only)
+				sw.beginChild(dn, dt.key, m.only.String(), m.only)
 				err = sm.copyVersionChild(d)
 			}
 		case aOK:
 			err = m.copyArchiveChildEntry(sw, sm, a, at, an, eff)
 		case dOK:
-			sw.beginChild(dn, dt.tag, dt.key, m.only.String(), m.only)
+			sw.beginChild(dn, dt.key, m.only.String(), m.only)
 			err = sm.copyVersionChild(d)
 		default:
 			return nil
@@ -599,18 +594,18 @@ func (m *segMerge) copyArchiveChildEntry(sw *segmentSetWriter, sm *streamMerger,
 		t = eff.Without(m.i)
 		ts = t.String()
 	}
-	sw.beginChild(an, at.tag, at.key, ts, t)
+	sw.beginChild(an, at.key, ts, t)
 	return sm.copyArchiveChild(a, eff)
 }
 
 // attrRecsEqual compares the root's recorded attributes with the
-// version's attribute tokens.
-func attrRecsEqual(a []attrRec, b []token) bool {
+// version's attribute tokens, by name and value.
+func attrRecsEqual(a []attrRec, b []token, dict *dictionary) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].tag != b[i].tag || a[i].value != b[i].data {
+		if name, err := dict.name(b[i].tag); err != nil || a[i].name != name || a[i].value != b[i].data {
 			return false
 		}
 	}

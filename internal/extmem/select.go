@@ -15,8 +15,8 @@ import (
 // evaluates the survivors exactly: attribute, changed and shallow path
 // predicates from the sidecar's facts alone, deeper path predicates by
 // seeking the matched child subtree through the per-entry mini-index.
-// Without a sidecar, or with directory seeks off, every record is scanned
-// and materialized; the paths answer identically.
+// Without a sidecar every record the path spine leaves is read and
+// materialized; the two answer identically.
 func (q *QueryView) Select(e qlang.Expr) ([]qlang.Result, error) {
 	return qlang.EvalAll(e, q.selectRecords(e))
 }
@@ -59,14 +59,12 @@ func (q *QueryView) posting(s *segmentRecord, i int) *idxEntry {
 
 // selectRecords enumerates the view's records in directory order, skipping
 // those the expression's conjunctive spine rules out: with an index, records
-// lacking a required attribute; with directory seeks on, records whose root
-// fails step 0, or whose own element fails step 1, of a required path of two
-// or more steps — by binary search where such a step is fully keyed
-// (dirIndex.seek), by a compare against the decoded identity otherwise. Both
-// are superset filters, evaluation stays exact, and the seek-less,
-// index-less store narrows nothing: it remains an independent oracle.
-// Ordinals must match attrIndex.buildInv: a raw root is one, any other root
-// one per segment entry (base + flat position).
+// lacking a required attribute; always, records whose root fails step 0, or
+// whose own element fails step 1, of a required path of two or more steps —
+// by binary search where such a step is fully keyed (dirIndex.seek), by a
+// compare against the decoded identity otherwise. Both are superset filters
+// and evaluation stays exact. Ordinals must match attrIndex.buildInv: a raw
+// root is one, any other root one per segment entry (base + flat position).
 func (q *QueryView) selectRecords(e qlang.Expr) []qlang.Record {
 	var cand []int // sorted ordinals; nil: every record is a candidate
 	if q.aidx != nil {
@@ -75,11 +73,9 @@ func (q *QueryView) selectRecords(e qlang.Expr) []qlang.Record {
 		}
 	}
 	var spine []*qlang.PathPred
-	if q.seek {
-		for _, p := range qlang.RequiredPaths(e) {
-			if len(p.Steps) >= 2 {
-				spine = append(spine, p)
-			}
+	for _, p := range qlang.RequiredPaths(e) {
+		if len(p.Steps) >= 2 {
+			spine = append(spine, p)
 		}
 	}
 	hint := len(cand) // with neither filter, every record: one slab each
@@ -219,7 +215,7 @@ func (q *QueryView) recordNode(r *rootRecord, s *segmentRecord, e *childEntry) (
 // and consumes its open token, returning the token's key. A failed read is
 // reported as itself, not as corruption.
 func (q *QueryView) openSubtree(parts []streamPart, name string) (*tokenReader, *tkey, error) {
-	tr := q.stream(parts)
+	tr := q.ar.readParts(parts)
 	t, err := tr.mustTake(name)
 	if err == nil && t.op != tokOpen {
 		err = corruptf("%s has no open token", name)

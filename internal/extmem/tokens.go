@@ -126,8 +126,8 @@ func compareKeys(a, b *tkey) int {
 }
 
 // tokenWriter writes a token stream in the inline grammar (strings
-// carried in the tokens): sorted runs, version scratch files and the
-// synthesized root prefixes of query streams.
+// carried in the tokens): the external sort's runs and version scratch
+// files.
 type tokenWriter struct {
 	w *bufio.Writer
 }
@@ -250,9 +250,8 @@ func (tw *tokenWriter) writeToken(t token) {
 // attr tokens reference interned strings, key tuples, and pre-parsed
 // interval sets instead of allocating them per token. A reader fed by a
 // dirStream advances across stream parts at token boundaries, switching
-// dictionaries per part (literal parts, like scratch files, use the
-// inline grammar and carry none). In slice mode (r nil) it reads a sorted
-// version held in memory.
+// dictionaries per part. Scratch files use the inline grammar and carry
+// none. In slice mode (r nil) it reads a sorted version held in memory.
 type tokenReader struct {
 	r    *bufio.Reader
 	in   offsetReader // what r reads, when that is one fixed stream
@@ -304,22 +303,26 @@ func (tr *tokenReader) reset(r io.Reader, dict *segDict, at int64) {
 	tr.next()
 }
 
-// newDirTokenReader reads the concatenation of a dirStream's parts as
-// one token stream, switching per-part dictionaries as it goes. Its pos
-// means nothing: offsets belong to one stream.
-func newDirTokenReader(s *dirStream) *tokenReader {
+// readParts returns a pooled token reader over parts of the archiver's
+// segments: one token stream across them, switching per-part dictionaries
+// as it goes. Its pos means nothing: offsets belong to one part. Releasing
+// the reader closes the file its stream holds open.
+func (ar *Archiver) readParts(parts []streamPart) *tokenReader {
 	br := tokenReaderPool.Get().(*bufio.Reader)
 	br.Reset(strings.NewReader(""))
-	tr := &tokenReader{r: br, src: s}
+	tr := &tokenReader{r: br, src: &dirStream{ar: ar, parts: parts}}
 	tr.next()
 	return tr
 }
 
-// release returns the reader's buffer to the pool; the tokenReader must
-// not be used afterwards.
+// release returns the reader's buffer to the pool and closes its dirStream,
+// if any; the tokenReader must not be used afterwards.
 func (tr *tokenReader) release() {
 	if tr.r == nil {
 		return
+	}
+	if tr.src != nil {
+		tr.src.Close()
 	}
 	tr.r.Reset(strings.NewReader(""))
 	tokenReaderPool.Put(tr.r)

@@ -41,33 +41,23 @@ type versionWalk struct {
 	stack   []int
 }
 
-// streamVersion projects version v into the sink: dead subtrees are
-// skipped, live ones are emitted. With the key directory available,
-// top-level children whose interval summary excludes v are skipped without
-// reading a single byte of them; the output is byte-identical to the full
-// scan.
+// streamVersion projects version v into the sink, walking the key
+// directory: roots and level-2 entries whose interval summary excludes v
+// are skipped without reading a byte of them, dead subtrees below are
+// skipped undecoded, and live ones are emitted.
 func (q *QueryView) streamVersion(v int, sink versionSink) error {
 	if v < 1 || v > q.versions {
 		return fmt.Errorf("extmem: version %d out of range 1..%d: %w", v, q.versions, core.ErrNoSuchVersion)
 	}
 	w := &versionWalk{q: q, v: v, sink: sink}
-	if q.seek {
-		return w.streamVersionSeek()
-	}
-	return w.streamVersionScan()
-}
-
-// streamVersionSeek walks the key directory, reading only the subtrees
-// alive at v.
-func (w *versionWalk) streamVersionSeek() error {
 	emitted := false
-	for _, r := range w.q.d.roots {
-		eff := w.q.rootEff(r)
-		if !eff.Contains(w.v) {
+	for _, r := range q.d.roots {
+		eff := q.rootEff(r)
+		if !eff.Contains(v) {
 			continue
 		}
 		if emitted {
-			return fmt.Errorf("extmem: multiple roots at version %d: %w", w.v, core.ErrCorruptArchive)
+			return fmt.Errorf("extmem: multiple roots at version %d: %w", v, core.ErrCorruptArchive)
 		}
 		emitted = true
 		if err := w.emitRoot(r, eff); err != nil {
@@ -107,7 +97,7 @@ func (w *versionWalk) emitRoot(r *rootRecord, eff *intervals.Set) error {
 			w.sink.attr(a.name, a.value)
 		}
 	}
-	w.tr = w.q.stream(parts)
+	w.tr = w.q.ar.readParts(parts)
 	defer w.tr.release()
 	for {
 		t, ok := w.tr.take()
@@ -128,47 +118,6 @@ func (w *versionWalk) emitRoot(r *rootRecord, eff *intervals.Set) error {
 		w.sink.close()
 	}
 	return nil
-}
-
-// streamVersionScan is the directory-free path: one scan of the whole
-// archive stream.
-func (w *versionWalk) streamVersionScan() error {
-	tr, err := w.q.reader()
-	if err != nil {
-		return err
-	}
-	defer tr.release()
-	w.tr = tr
-	emitted := false
-	for {
-		t, ok := tr.take()
-		if !ok {
-			break
-		}
-		if t.op != tokOpen {
-			return corruptf("unexpected token %#x at archive root", t.op)
-		}
-		dead := !w.q.d.rootTime.Contains(w.v)
-		if t.data != "" {
-			if dead, err = w.dead(t); err != nil {
-				return err
-			}
-		}
-		if dead {
-			if err := tr.discardSubtree(); err != nil {
-				return err
-			}
-			continue
-		}
-		if emitted {
-			return fmt.Errorf("extmem: multiple roots at version %d: %w", w.v, core.ErrCorruptArchive)
-		}
-		emitted = true
-		if err := w.emitNode(t, w.q.spec.Cursor()); err != nil {
-			return err
-		}
-	}
-	return tr.err
 }
 
 // dead reports whether the timestamp of an open or group-open token
@@ -331,7 +280,7 @@ func (s *treeSink) text(data string) { s.place(xmltree.TextNode(data)) }
 
 func (s *treeSink) close() { s.stack = s.stack[:len(s.stack)-1] }
 
-// Version reconstructs version v as a document tree with one scan. It
+// Version reconstructs version v as a document tree from one stream. It
 // returns (nil, nil) when version v was archived as an empty database.
 func (q *QueryView) Version(v int) (*xmltree.Node, error) {
 	var s treeSink

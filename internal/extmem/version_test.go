@@ -81,16 +81,15 @@ func layoutDocs() []*xmltree.Node {
 	return []*xmltree.Node{v1, v2, v3, nil, v1.Clone()}
 }
 
-// checkLayouts archives docs under cfg and compares, version by version and
-// for both option sets, the streamed XML, the streamed tree and the
-// in-memory archive's tree.
-func checkLayouts(t *testing.T, spec *keys.Spec, docs []*xmltree.Node, cfg Config) {
+// layoutArchives archives docs in 4 KiB segments and in the in-memory
+// engine, and returns a view of the first and the second.
+func layoutArchives(t *testing.T, spec *keys.Spec, docs []*xmltree.Node) (*QueryView, *core.Archive) {
 	t.Helper()
-	ar, err := Open(t.TempDir(), spec, cfg)
+	ar, err := Open(t.TempDir(), spec, Config{SegmentTarget: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ar.Close()
+	t.Cleanup(func() { ar.Close() })
 	mem := core.New(spec, core.Options{SkipValidation: true})
 	for i, d := range docs {
 		if d == nil {
@@ -112,7 +111,16 @@ func checkLayouts(t *testing.T, spec *keys.Spec, docs []*xmltree.Node, cfg Confi
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer q.Close()
+	t.Cleanup(func() { q.Close() })
+	return q, mem
+}
+
+// checkLayouts compares, version by version and for both write option
+// sets, the streamed XML, the streamed tree and the in-memory archive's
+// tree.
+func checkLayouts(t *testing.T, spec *keys.Spec, docs []*xmltree.Node) {
+	t.Helper()
+	q, mem := layoutArchives(t, spec, docs)
 	for v := 1; v <= len(docs); v++ {
 		for _, opts := range []xmltree.WriteOptions{{Indent: true}, {}} {
 			var want, streamed, tree bytes.Buffer
@@ -136,6 +144,29 @@ func checkLayouts(t *testing.T, spec *keys.Spec, docs []*xmltree.Node, cfg Confi
 				t.Fatalf("v%d %+v: Version().Write differs from the in-memory archive:\n%s\n--- want\n%s", v, opts, clip(tree.String()), clip(want.String()))
 			}
 		}
+	}
+}
+
+// checkArchiveScans compares the two reads of the whole archive, the export
+// and Stats, with the in-memory archive's: they walk the key directory one
+// root at a time, a root's start tag and attributes from its record and a
+// raw root from its segment.
+func checkArchiveScans(t *testing.T, spec *keys.Spec, docs []*xmltree.Node) {
+	t.Helper()
+	q, mem := layoutArchives(t, spec, docs)
+	var got strings.Builder
+	if err := q.WriteArchiveXML(&got); err != nil {
+		t.Fatal(err)
+	}
+	if want := mem.XML(); got.String() != want {
+		t.Fatalf("WriteArchiveXML differs from the in-memory archive:\n%s\n--- want\n%s", clip(got.String()), clip(want))
+	}
+	st, err := q.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mem.Stats(); st != want {
+		t.Errorf("Stats %+v, in-memory %+v", st, want)
 	}
 }
 
@@ -169,15 +200,8 @@ func TestVersionLayoutDifferential(t *testing.T) {
 		{"swissprot", sp.Spec(), spDocs},
 		{"xmark", xm.Spec(), xmDocs},
 	} {
-		for _, cfg := range []struct {
-			name string
-			cfg  Config
-		}{
-			{"plain", Config{SegmentTarget: 4096}},
-			{"scan", Config{SegmentTarget: 4096, NoDirectorySeek: true}},
-		} {
-			t.Run(tc.name+"/"+cfg.name, func(t *testing.T) { checkLayouts(t, tc.spec, tc.docs, cfg.cfg) })
-		}
+		t.Run(tc.name+"/plain", func(t *testing.T) { checkLayouts(t, tc.spec, tc.docs) })
+		t.Run(tc.name+"/scan", func(t *testing.T) { checkArchiveScans(t, tc.spec, tc.docs) })
 	}
 }
 
@@ -291,6 +315,47 @@ func TestVersionIOBudget(t *testing.T) {
 		}
 		if v == q.Versions() && ranges <= liveSegs {
 			t.Errorf("fixture: v%d reads %d ranges of %d segments; want dead entries between live ones", v, ranges, liveSegs)
+		}
+	}
+}
+
+// TestExportReadsEachSegmentOnce pins what Stats and the archive export
+// (Snapshot) cost once the dictionaries are loaded: one open per live
+// segment, and exactly the segments' payload bytes.
+func TestExportReadsEachSegmentOnce(t *testing.T) {
+	cfs := &countingFS{FS: fsio.OS}
+	ar := omimFixture(t, cfs, 16<<10)
+	q, err := ar.OpenQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	var segs, payload int64
+	for _, r := range q.d.roots {
+		for _, s := range r.segs {
+			segs, payload = segs+1, payload+s.payload
+		}
+	}
+	if segs < 4 {
+		t.Fatalf("fixture: %d segments, want several", segs)
+	}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Stats", func() error { _, err := q.Stats(); return err }},
+		{"Snapshot", func() error { return q.WriteArchiveXML(io.Discard) }},
+	} {
+		if err := c.run(); err != nil {
+			t.Fatal(err) // also loads every segment dictionary, once
+		}
+		opens, read := cfs.opens.Load(), cfs.read.Load()
+		if err := c.run(); err != nil {
+			t.Fatal(err)
+		}
+		opens, read = cfs.opens.Load()-opens, cfs.read.Load()-read
+		if opens != segs || read != payload {
+			t.Errorf("%s: %d opens, %d bytes read; the %d segments hold %d payload bytes", c.name, opens, read, segs, payload)
 		}
 	}
 }
@@ -472,7 +537,7 @@ func hostileStreams(dict *dictionary) []hostileStream {
 
 // drainVersion drives the version emitter, into both sinks, over a token
 // stream that holds sibling subtrees of the element at path up: what a
-// segment's payload is to streamVersionSeek.
+// segment's payload is to emitRoot.
 func drainVersion(data []byte, dict *segDict, names []string, spec *keys.Spec, up []string, v int) error {
 	cur := spec.Cursor()
 	for _, name := range up {

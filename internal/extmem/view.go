@@ -125,11 +125,13 @@ func (ar *Archiver) removeSegments(files []string) {
 // + dictionary + one frontier record), independent of how many versions
 // the archive holds.
 //
-// Full scans read the key directory's segments in order, a stream that is
-// byte-identical to the former monolithic token file. Selective queries
-// resolve keyed selector steps against the in-memory key directory and
-// seek straight to the matching subtree, reading O(matched bytes) instead
-// of the whole archive.
+// Every query reads through the key directory: what it needs of the
+// segments is a list of byte ranges, each decoded against its own
+// segment's dictionary. A version reads the level-2 entries alive at it,
+// an export each root's segments whole, and a selective query resolves
+// keyed selector steps against the in-memory directory and seeks straight
+// to the matching subtree, reading O(matched bytes). A root's own open tag
+// and attributes come from its directory record.
 //
 // A view is one pinned generation: it stays valid while later Adds and
 // Compacts run (its segment files are not deleted underneath it) and sees
@@ -142,9 +144,7 @@ type QueryView struct {
 	names    []string
 	spec     *keys.Spec
 	versions int
-	seek     bool
 	aidx     *attrIndex // attribute index bound to d, nil when absent
-	cur      *dirStream // the live stream of the current query, if any
 }
 
 // OpenQuery opens a consistent read view of the published generation. The
@@ -160,19 +160,13 @@ func (ar *Archiver) OpenQuery() (*QueryView, error) {
 		names:    g.names,
 		spec:     ar.spec,
 		versions: g.d.versions,
-		seek:     !ar.cfg.NoDirectorySeek,
 		aidx:     g.aidx,
 	}, nil
 }
 
-// Close releases the view: any open segment stream is closed and the
-// pinned generation is unpinned (letting a superseded generation's
-// segment files be deleted).
+// Close releases the view: the pinned generation is unpinned (letting a
+// superseded generation's segment files be deleted).
 func (q *QueryView) Close() error {
-	if q.cur != nil {
-		q.cur.Close()
-		q.cur = nil
-	}
 	if q.g != nil {
 		q.ar.unpin(q.g)
 		q.g = nil
@@ -188,20 +182,4 @@ func (q *QueryView) name(id int) (string, error) {
 		return "", fmt.Errorf("extmem: tag id %d outside dictionary: %w", id, core.ErrCorruptArchive)
 	}
 	return q.names[id], nil
-}
-
-// stream opens a pooled token reader over the given stream parts,
-// closing the previous query's stream if one is still open.
-func (q *QueryView) stream(parts []streamPart) *tokenReader {
-	if q.cur != nil {
-		q.cur.Close()
-	}
-	q.cur = &dirStream{fs: q.ar.fs, dir: q.ar.dir, parts: parts, dicts: q.ar.segDicts, counter: &q.ar.bytesRead}
-	return newDirTokenReader(q.cur)
-}
-
-// reader returns a pooled token reader over the whole archive stream —
-// byte-identical to the former monolithic token file.
-func (q *QueryView) reader() (*tokenReader, error) {
-	return q.stream(archiveParts(q.d)), nil
 }

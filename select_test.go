@@ -135,7 +135,7 @@ func TestSelectIndexBytesRead(t *testing.T) {
 		return out.String(), s.BytesRead() - start
 	}
 	idxOut, idxBytes := measure()
-	scanOut, scanBytes := measure(WithQueryIndex(false), WithDirectorySeek(false))
+	scanOut, scanBytes := measure(WithQueryIndex(false))
 	if idxOut != scanOut {
 		t.Fatalf("indexed and scan answers disagree:\nindexed:\n%s\nscan:\n%s", idxOut, scanOut)
 	}
@@ -265,7 +265,7 @@ func TestSelectDifferential(t *testing.T) {
 			}
 			exts := map[string]*ExtStore{
 				"indexed":   open(dirs["indexed"]),
-				"scan":      open(dirs["scan"], WithQueryIndex(false), WithDirectorySeek(false)),
+				"scan":      open(dirs["scan"], WithQueryIndex(false)),
 				"compacted": open(dirs["compacted"], fragment),
 			}
 			defer func() {
@@ -390,10 +390,10 @@ func narrowLib(name string, books, drop, rev int) string {
 }
 
 // TestSelectPathNarrowing holds the Select plan's path narrowing to the
-// in-memory engine and to the store that narrows nothing: every query here
-// puts a path predicate where the planner must use it (the conjunctive
-// spine) or must not (beside OR, under NOT, one step long), and the three
-// answers must agree.
+// in-memory engine, with the attribute sidecar and without it: every query
+// here puts a path predicate where the planner must use it (the
+// conjunctive spine) or must not (beside OR, under NOT, one step long), and
+// the three answers must agree.
 func TestSelectPathNarrowing(t *testing.T) {
 	spec := func() *KeySpec {
 		s, err := ParseKeySpec(narrowSpec)
@@ -412,7 +412,7 @@ func TestSelectPathNarrowing(t *testing.T) {
 	}
 	mem := NewStore(spec())
 	defer mem.Close()
-	planned, scan := open(), open(WithQueryIndex(false), WithDirectorySeek(false))
+	planned, unindexed := open(), open(WithQueryIndex(false))
 	for _, src := range []string{
 		narrowLib("main", 70, -1, 0),
 		narrowLib("main", 70, 8, 1),
@@ -421,7 +421,7 @@ func TestSelectPathNarrowing(t *testing.T) {
 		`<memo priority="high"><x>ship it</x></memo>`,
 		narrowLib("main", 70, 8, 2),
 	} {
-		for _, s := range []Store{mem, planned, scan} {
+		for _, s := range []Store{mem, planned, unindexed} {
 			addString(t, s, src)
 		}
 	}
@@ -455,8 +455,8 @@ func TestSelectPathNarrowing(t *testing.T) {
 		{`/nosuch/book[isbn=b007] AND in 1..`, "no such root"},
 	} {
 		want := mustSelect(t, mem, c.expr)
-		if got := mustSelect(t, scan, c.expr); got != want {
-			t.Errorf("%s (%s): the scan-only store disagrees with mem:\nmem:\n%s\nscan:\n%s", c.expr, c.why, want, got)
+		if got := mustSelect(t, unindexed, c.expr); got != want {
+			t.Errorf("%s (%s): the store without a sidecar disagrees with mem:\nmem:\n%s\nunindexed:\n%s", c.expr, c.why, want, got)
 		}
 		if got := mustSelect(t, planned, c.expr); got != want {
 			t.Errorf("%s (%s): the planned store disagrees with mem:\nmem:\n%s\nplanned:\n%s", c.expr, c.why, want, got)

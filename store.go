@@ -120,7 +120,6 @@ type config struct {
 	validation  bool
 	budget      int     // external-sort memory budget, in tokens
 	segTarget   int     // external engine segment payload target, in bytes
-	noSeek      bool    // external engine: disable key-directory seeks
 	compBudget  int     // external engine: opportunistic compaction budget per Add, in bytes
 	noQueryIdx  bool    // external engine: disable the attr.idx query sidecar
 	fs          fsio.FS // external engine filesystem (nil = the real one)
@@ -159,7 +158,7 @@ func WithCompaction(on bool) Option {
 // ingest. Turn them off to make every query a direct archive scan.
 // In-memory engine only; the external engine streams every query from
 // its segment files through the key directory and the attr.idx sidecar
-// (see WithDirectorySeek and WithQueryIndex).
+// (see WithQueryIndex).
 func WithIndexes(on bool) Option {
 	return func(c *config) { c.indexes = on }
 }
@@ -202,21 +201,19 @@ func WithCompactionBudget(bytes int) Option {
 	return func(c *config) { c.compBudget = bytes }
 }
 
-// WithDirectorySeek toggles the external engine's key-directory seeks:
-// on (the default), selective keyed queries resolve through the
-// persistent key directory and read only the matching subtrees; off,
-// every query scans the full archive stream. The two paths answer
-// byte-identically — turning seeks off is a diagnostic/benchmark knob.
-// External engine only.
+// WithDirectorySeek has no effect: every query of the external engine
+// reads through its key directory.
+//
+// Deprecated: there is no other query path to select.
 func WithDirectorySeek(on bool) Option {
-	return func(c *config) { c.noSeek = !on }
+	return func(*config) {}
 }
 
 // WithQueryIndex toggles the external engine's query-index sidecar
 // (attr.idx): on (the default), commits maintain an inverted
 // attribute/change/subtree index next to the key directory and Select
 // plans index seeks through it; off, the sidecar is neither written nor
-// read and every Select evaluates by exact streaming scan. The two paths
+// read and Select reads every record its path predicates leave. The two
 // answer identically — the sidecar is advisory, never authoritative.
 // External engine only.
 func WithQueryIndex(on bool) Option {
