@@ -209,8 +209,12 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 
 	metaData, metaErr := ar.fs.ReadFile(filepath.Join(dir, metaFile))
 	kdData, kdErr := ar.fs.ReadFile(filepath.Join(dir, keydirFile))
-	if errors.Is(metaErr, iofs.ErrNotExist) && errors.Is(kdErr, iofs.ErrNotExist) {
-		// Fresh archive.
+	_, dictErr := ar.fs.Stat(filepath.Join(dir, dictFile))
+	if errors.Is(kdErr, iofs.ErrNotExist) && (errors.Is(metaErr, iofs.ErrNotExist) || errors.Is(dictErr, iofs.ErrNotExist)) {
+		// Fresh archive, or a first commit cut off before its commit point:
+		// the barrier makes dict.txt durable before any keydir.idx, so a
+		// directory with neither holds at most that commit's meta.txt and
+		// segments, which the new commit and the sweep replace.
 		d := &keyDirectory{rootTime: intervals.New()}
 		if err := ar.commitState(d); err != nil {
 			return nil, err
@@ -267,7 +271,7 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 		ar.savedDir = d
 		if metaErr != nil || !metaMatches(metaData, d) {
 			// Self-heal a stale or missing meta backup from the directory.
-			if err := writeFileAtomic(ar.fs, filepath.Join(ar.dir, metaFile), encodeMeta(d)); err != nil {
+			if err := CommitFiles(ar.fs, ar.dir, []StateFile{{metaFile, encodeMeta(d)}}); err != nil {
 				return nil, err
 			}
 		}
@@ -345,9 +349,8 @@ func listTransient(fs fsio.FS, dir string) []string {
 	}
 	var names []string
 	for _, e := range ents {
-		n := e.Name()
-		if strings.HasPrefix(n, "tmp-") || strings.HasSuffix(n, ".tmp") || strings.HasSuffix(n, ".part") {
-			names = append(names, n)
+		if fsio.Transient(e.Name()) {
+			names = append(names, e.Name())
 		}
 	}
 	return names
@@ -381,73 +384,26 @@ func (ar *Archiver) maxSegID() int {
 	return max
 }
 
-// commitState persists the archive state as one staged commit. It pays
-// for exactly what must be durable, in the order recovery relies on:
-//
-//  1. stage: dict.txt (only when the dictionary grew since it was last
-//     written — it is append-only by id), meta.txt and keydir.idx are
-//     written under their ".tmp" names and fsynced, so no rename below can
-//     expose bytes that are not on disk;
-//  2. dict.txt and meta.txt take their names;
-//  3. barrier SyncDir: the new segment files' names, dict.txt and meta.txt
-//     are durable before anything durable can refer to them;
-//  4. keydir.idx takes its name — the commit point;
-//  5. ack SyncDir: the commit is durable before the caller hears of it.
-//
-// A crash before 4 reopens as the previous generation (Open trusts
-// keydir.idx, re-derives a disagreeing meta.txt from it, and sweeps the
-// orphan segments and ".tmp" files); one after it as the new generation.
-// Every failed fsync, close, rename or SyncDir is a commit fault.
-func (ar *Archiver) commitState(d *keyDirectory) (err error) {
+// commitState persists the archive state as one staged commit
+// (CommitFiles): dict.txt when the dictionary grew since it was last
+// written (it is append-only by id), meta.txt, and keydir.idx last. Open
+// trusts keydir.idx, re-derives a disagreeing meta.txt from it and sweeps
+// orphan segments and ".tmp" files.
+func (ar *Archiver) commitState(d *keyDirectory) error {
 	if err := ar.writable(); err != nil {
 		return err
 	}
-	type stateFile struct {
-		path string
-		data []byte
-	}
-	var files []stateFile
+	var files []StateFile
 	dictLen := len(ar.dict.snapshot())
 	if dictLen != ar.savedDict {
 		var db bytes.Buffer
 		if err := ar.dict.save(&db); err != nil {
 			return err
 		}
-		files = append(files, stateFile{filepath.Join(ar.dir, dictFile), db.Bytes()})
+		files = append(files, StateFile{dictFile, db.Bytes()})
 	}
-	files = append(files,
-		stateFile{filepath.Join(ar.dir, metaFile), encodeMeta(d)},
-		stateFile{filepath.Join(ar.dir, keydirFile), d.encode()})
-
-	staged, renamed := 0, 0
-	defer func() {
-		if err != nil {
-			// Best-effort: whatever a dead disk keeps is swept by Open.
-			for _, f := range files[renamed:staged] {
-				ar.fs.Remove(f.path + ".tmp")
-			}
-		}
-	}()
-	for _, f := range files {
-		if err := stageFile(ar.fs, f.path, f.data); err != nil {
-			return err
-		}
-		staged++
-	}
-	for _, f := range files[:len(files)-1] {
-		if err := renameStaged(ar.fs, f.path); err != nil {
-			return err
-		}
-		renamed++
-	}
-	if err := syncDir(ar.fs, ar.dir); err != nil {
-		return err
-	}
-	if err := renameStaged(ar.fs, files[renamed].path); err != nil {
-		return err
-	}
-	renamed++
-	if err := syncDir(ar.fs, ar.dir); err != nil {
+	files = append(files, StateFile{metaFile, encodeMeta(d)}, StateFile{keydirFile, d.encode()})
+	if err := CommitFiles(ar.fs, ar.dir, files); err != nil {
 		return err
 	}
 	ar.commits.Add(1)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"xarch/internal/datagen"
+	"xarch/internal/faulttest"
 	"xarch/internal/fsio"
 	"xarch/internal/keys"
 	"xarch/internal/xmltree"
@@ -196,7 +197,7 @@ func TestDegradedOnBarrierSyncDirFault(t *testing.T) {
 	if got := archiveStreamBytes(t, ar2); ar2.Versions() != 1 || string(got) != string(stream) {
 		t.Errorf("reopen: %d versions, stream equal = %v; want the committed generation", ar2.Versions(), string(got) == string(stream))
 	}
-	if tr := listTransient(fsio.OS, dir); len(tr) != 0 {
+	if tr := faulttest.Transient(t, dir); len(tr) != 0 {
 		t.Errorf("staged files survived the reopen: %v", tr)
 	}
 	if segs := diskSegments(t, dir); len(segs) != len(ar2.current().d.files()) {

@@ -2,7 +2,6 @@ package extmem
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -10,57 +9,99 @@ import (
 	"testing"
 
 	"xarch/internal/datagen"
+	"xarch/internal/faulttest"
 	"xarch/internal/fsio"
 	"xarch/internal/qlang"
 	"xarch/internal/xmltree"
 )
 
-// The crash matrix: record the I/O trace of one archive operation on a
-// fault-injecting filesystem, then replay the operation from the same
-// starting snapshot with a simulated crash after op k — for every k —
-// and assert the recovery invariants on reopen:
+// The outage matrix: one archive operation replayed through
+// faulttest.Matrix, killed after every op k of its I/O trace (and torn at
+// every write), with the directory each run leaves checked under outage
+// modes:
+//
+//   - process kill (TestCrashMatrix*): the directory as the kernel held
+//     it, synced or not. It proves the ordering of the protocol and the
+//     sweep, and would pass with no fsync at all;
+//   - the three power-loss modes (TestPowerLossMatrix*): strict (names as
+//     of the last SyncDir, bytes as of each file's last Sync — catches a
+//     commit that relies on something it never forced out, and an
+//     acknowledgement given before the ack SyncDir), names-ahead (every
+//     name change made it, only synced bytes did — catches a rename that
+//     exposes a file whose data was never fsynced) and last-name-only
+//     (strict plus the one most recent name change — catches a keydir.idx
+//     rename not fenced by the barrier SyncDir from the names it depends
+//     on).
+//
+// In every mode the directory must open as exactly the pre- or the
+// post-operation generation (assertRecovered), and once the operation has
+// returned nil as the post-operation one: an acknowledged commit is
+// durable.
+
+// outageMatrix runs op against copies of base, whose archive holds preV
+// versions and the stream wantPre, and checks every outage under modes.
+// inspect, when set, sees each outage's directory before the reopen sweeps
+// it. It returns the post-operation stream.
+func outageMatrix(t *testing.T, cfg Config, base string, preV int, wantPre []byte, modes []fsio.PowerLossMode,
+	op func(*Archiver) error, inspect func(faulttest.Point, string)) []byte {
+	t.Helper()
+	open := func(t *testing.T) (*Archiver, *fsio.FaultFS) {
+		dir := t.TempDir()
+		faulttest.CopyDir(t, base, dir)
+		ffs := faulttest.Tracked(t, dir)
+		c := cfg
+		c.FS = ffs
+		ar, err := Open(dir, datagen.OMIMSpec(), c)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		return ar, ffs
+	}
+
+	// The post-operation generation, from a run of its own.
+	ar, _ := open(t)
+	if err := op(ar); err != nil {
+		t.Fatal(err)
+	}
+	postV, wantPost, postFiles := ar.Versions(), archiveStreamBytes(t, ar), segmentFiles(t, ar)
+
+	res := faulttest.Matrix{
+		Setup: func(t *testing.T) faulttest.Run {
+			ar, ffs := open(t)
+			return faulttest.Run{Faults: ffs, Disk: ffs, Op: func() error { return op(ar) }}
+		},
+		Modes: modes,
+		Check: func(t *testing.T, p faulttest.Point, dir string) bool {
+			if inspect != nil {
+				inspect(p, dir)
+			}
+			v, files := assertRecovered(t, dir, cfg, p.String(), preV, postV, wantPre, wantPost)
+			return v == postV && slices.Equal(files, postFiles)
+		},
+		MinOps: 5,
+	}.Run(t)
+	// Besides the clean run, some crash lands after the commit, in the
+	// cleanup whose errors are ignored by design.
+	if res.Acked < 2 {
+		t.Errorf("only %d runs were acknowledged; the matrix does not reach the post-commit tail", res.Acked)
+	}
+	if res.Pre == 0 || res.Post == 0 {
+		t.Errorf("recovered %d times to the old generation and %d times to the new; want both", res.Pre, res.Post)
+	}
+	t.Logf("%d runs: %d recoveries to the old generation, %d to the new", res.Runs, res.Pre, res.Post)
+	return wantPost
+}
+
+// assertRecovered reopens a crashed directory with a clean filesystem
+// and checks every recovery invariant:
 //
 //   - the store opens;
 //   - the archive stream is byte-identical to either the pre-commit or
 //     the post-commit generation (never a hybrid);
-//   - the key directory checksum is valid (or the directory was rebuilt
-//     and re-persisted);
-//   - transient files and orphan segments are swept.
+//   - transient files and orphan segments are swept;
+//   - the sidecar it kept agrees with the scan, and fsck is clean.
 //
-// Each matrix runs twice, with the crashing write applied in full and
-// torn (half its bytes), covering partial final writes.
-//
-// An add runs on one goroutine, so the replay repeats the traced run op
-// for op up to the crash; the traced run's length sizes the matrix so the
-// whole operation — through the commit renames and the post-commit
-// cleanup — is covered.
-
-// copyDir snapshots the regular files of src into dst.
-func copyDir(t *testing.T, src, dst string) {
-	t.Helper()
-	ents, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if !e.Type().IsRegular() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// assertRecovered reopens a crashed directory with a clean filesystem
-// and checks every recovery invariant. wantPre/wantPost are the archive
-// streams of the two committed generations the crash may resolve to
-// (identical for stream-preserving operations like compaction). It
-// returns the version count and segment files recovered to.
+// It returns the version count and segment files recovered to.
 func assertRecovered(t *testing.T, dir string, cfg Config, label string,
 	preV, postV int, wantPre, wantPost []byte) (versions int, files []string) {
 	t.Helper()
@@ -84,7 +125,7 @@ func assertRecovered(t *testing.T, dir string, cfg Config, label string,
 	default:
 		t.Errorf("%s: recovered to %d versions, want %d or %d", label, v, preV, postV)
 	}
-	if tr := listTransient(fsio.OS, dir); len(tr) != 0 {
+	if tr := faulttest.Transient(t, dir); len(tr) != 0 {
 		t.Errorf("%s: transient files survived reopen: %v", label, tr)
 	}
 	live := ar.current().d.files()
@@ -151,182 +192,186 @@ func assertSidecarAgreesWithScan(t *testing.T, ar *Archiver, label string) {
 	}
 }
 
-// TestCrashMatrixAdd crashes an add after every op k of its I/O trace:
-// recovery must land on exactly the 2-version or the 3-version archive.
-// It runs once per source kind: a parsed tree (whose only scratch file is
-// the sorted version) and streamed XML (which also leaves the token file,
-// the tmp-keys-* key files and the runs for the sweep).
-func TestCrashMatrixAdd(t *testing.T) {
-	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 91, Records: 12, DeleteFrac: 0.05, InsertFrac: 0.1, ModifyFrac: 0.1})
-	docs := []*xmltree.Node{g.Next(), g.Next(), g.Next()}
-	t.Run("tree", func(t *testing.T) {
-		crashMatrixAdd(t, docs, false, func(ar *Archiver, doc *xmltree.Node) error {
-			items, err := ar.AddVersionBatch([]Source{{Doc: doc}})
-			if err != nil {
-				return err
+func addTree(docs ...*xmltree.Node) func(*Archiver) error {
+	return func(ar *Archiver) error {
+		srcs := make([]Source, len(docs))
+		for i, d := range docs {
+			srcs[i] = Source{Doc: d}
+		}
+		items, err := ar.AddVersionBatch(srcs)
+		if err != nil {
+			return err
+		}
+		for _, it := range items {
+			if it.Err != nil {
+				return it.Err
 			}
-			return items[0].Err
-		})
-	})
-	t.Run("stream", func(t *testing.T) {
-		crashMatrixAdd(t, docs, true, func(ar *Archiver, doc *xmltree.Node) error {
-			return addVersion(ar, strings.NewReader(doc.IndentedXML()))
-		})
-	})
+		}
+		return nil
+	}
 }
 
-func crashMatrixAdd(t *testing.T, docs []*xmltree.Node, wantKeyFiles bool, add func(*Archiver, *xmltree.Node) error) {
-	// A small budget makes the streamed add form several run files, so the
-	// matrix covers the scratch-file phase.
-	cfg := Config{Budget: 512, SegmentTarget: 1024}
+func addStream(doc *xmltree.Node) func(*Archiver) error {
+	return func(ar *Archiver) error {
+		return addVersion(ar, strings.NewReader(doc.IndentedXML()))
+	}
+}
 
-	base := t.TempDir()
-	ar, err := Open(base, datagen.OMIMSpec(), cfg)
+func compact(ar *Archiver) error {
+	_, err := ar.Compact()
+	return err
+}
+
+// omimBase archives docs into a fresh directory and returns it with the
+// archive's version count and stream.
+func omimBase(t *testing.T, cfg Config, docs ...*xmltree.Node) (dir string, versions int, stream []byte) {
+	t.Helper()
+	dir = t.TempDir()
+	ar, err := Open(dir, datagen.OMIMSpec(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range docs[:2] {
-		if err := add(ar, doc); err != nil {
+	for _, doc := range docs {
+		if err := addTree(doc)(ar); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wantPre := archiveStreamBytes(t, ar)
+	versions, stream = ar.Versions(), archiveStreamBytes(t, ar)
 	if err := ar.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return dir, versions, stream
+}
 
-	// Clean traced run: how many mutating ops is one Add, and what does
-	// the post-commit generation look like?
-	traceDir := t.TempDir()
-	copyDir(t, base, traceDir)
-	ffs := fsio.NewFaultFS(nil)
-	tcfg := cfg
-	tcfg.FS = ffs
-	tar, err := Open(traceDir, datagen.OMIMSpec(), tcfg)
-	if err != nil {
+// fragmentedBase is omimBase for compaction: an archive whose layout has
+// something to compact.
+func fragmentedBase(t *testing.T, cfg Config, adds int) (dir string, versions int, stream []byte) {
+	t.Helper()
+	dir = t.TempDir()
+	ar := fragmentedArchive(t, dir, cfg, adds)
+	versions, stream = ar.Versions(), archiveStreamBytes(t, ar)
+	if len(ar.CompactionPlan()) == 0 {
+		t.Fatal("nothing planned; fixture too small")
+	}
+	if err := ar.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ffs.ResetTrace()
-	if err := add(tar, docs[2]); err != nil {
-		t.Fatal(err)
-	}
-	n := ffs.OpCount()
-	wantPost := archiveStreamBytes(t, tar)
-	tar.Close()
-	if n < 10 {
-		t.Fatalf("suspiciously short Add trace (%d ops); seam not routing I/O?", n)
-	}
-	t.Logf("Add trace: %d mutating ops", n)
+	return dir, versions, stream
+}
 
-	sawTransient, sawKeyFile := false, false
-	committedLate := 0
-	for _, torn := range []bool{false, true} {
-		for k := 0; k < n; k++ {
-			label := fmt.Sprintf("k=%d torn=%v", k, torn)
-			dir := t.TempDir()
-			copyDir(t, base, dir)
-			cfs := fsio.NewFaultFS(nil)
-			ccfg := cfg
-			ccfg.FS = cfs
-			car, err := Open(dir, datagen.OMIMSpec(), ccfg)
-			if err != nil {
-				t.Fatalf("%s: open: %v", label, err)
-			}
-			// Offset by the ops Open itself consumed so k indexes into
-			// the Add. A nil return is legal for late k: the crash then
-			// landed in post-commit cleanup, whose errors are ignored by
-			// design — the version is already durable.
-			cfs.CrashAfter(cfs.OpCount()+k, torn)
-			if err := add(car, docs[2]); err == nil {
-				committedLate++
-			}
-			if !cfs.Crashed() {
-				t.Fatalf("%s: crash point never hit; matrix does not cover the operation", label)
-			}
-			for _, name := range listTransient(fsio.OS, dir) {
-				sawTransient = true
-				if strings.HasPrefix(name, "tmp-keys-") {
-					sawKeyFile = true
+// addDocs are the add matrices' versions: two in the base, one or two
+// added under the matrix.
+func addDocs(seed int64, n int) []*xmltree.Node {
+	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: seed, Records: 12, DeleteFrac: 0.05, InsertFrac: 0.1, ModifyFrac: 0.1})
+	docs := make([]*xmltree.Node, n)
+	for i := range docs {
+		docs[i] = g.Next()
+	}
+	return docs
+}
+
+// TestCrashMatrixAdd kills an add after every op k of its I/O trace:
+// recovery must land on exactly the 2-version or the 3-version archive.
+// It runs once per source kind: a parsed tree (whose only scratch file is
+// the sorted version) and streamed XML (which also leaves the token file,
+// the tmp-keys-* key files and the runs for the sweep). A small budget
+// makes the streamed add form several run files, so the matrix covers the
+// scratch-file phase.
+func TestCrashMatrixAdd(t *testing.T) {
+	docs := addDocs(91, 3)
+	cfg := Config{Budget: 512, SegmentTarget: 1024}
+	base, preV, wantPre := omimBase(t, cfg, docs[:2]...)
+	for _, tc := range []struct {
+		name         string
+		op           func(*Archiver) error
+		wantKeyFiles bool
+	}{
+		{"tree", addTree(docs[2]), false},
+		{"stream", addStream(docs[2]), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sawTransient, sawKeyFile := false, false
+			outageMatrix(t, cfg, base, preV, wantPre, faulttest.Kill, tc.op, func(p faulttest.Point, dir string) {
+				for _, name := range faulttest.Transient(t, dir) {
+					sawTransient = true
+					sawKeyFile = sawKeyFile || strings.HasPrefix(name, "tmp-keys-")
+					if strings.HasPrefix(name, "tmp-w") {
+						t.Errorf("%v: per-worker run file %s; run forming is sequential", p, name)
+					}
 				}
-				if strings.HasPrefix(name, "tmp-w") {
-					t.Errorf("%s: per-worker run file %s; run forming is sequential", label, name)
-				}
+			})
+			if !sawTransient {
+				t.Error("no crash point left transient files behind; the sweep path was never exercised")
 			}
-			assertRecovered(t, dir, cfg, label, 2, 3, wantPre, wantPost)
-		}
-	}
-	if !sawTransient {
-		t.Error("no crash point left transient files behind; the sweep path was never exercised")
-	}
-	if sawKeyFile != wantKeyFiles {
-		t.Errorf("crash points left key files behind: %v, want %v", sawKeyFile, wantKeyFiles)
-	}
-	if committedLate == 0 {
-		t.Error("no crash point landed after the commit; matrix does not reach the cleanup tail")
+			if sawKeyFile != tc.wantKeyFiles {
+				t.Errorf("crash points left key files behind: %v, want %v", sawKeyFile, tc.wantKeyFiles)
+			}
+		})
 	}
 }
 
-// TestCrashMatrixCompact crashes a compaction pass after every op k:
+// TestCrashMatrixCompact kills a compaction pass after every op k:
 // compaction preserves the archive stream byte for byte, so recovery
 // must always read back the same stream, whichever layout committed.
 func TestCrashMatrixCompact(t *testing.T) {
 	rawSegments(t, func(t *testing.T, cfg Config) {
-		base := t.TempDir()
-		ar := fragmentedArchive(t, base, cfg, 12)
-		want := archiveStreamBytes(t, ar)
-		versions := ar.Versions()
-		if len(ar.CompactionPlan()) == 0 {
-			t.Fatal("nothing planned; fixture too small")
-		}
-		if err := ar.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		traceDir := t.TempDir()
-		copyDir(t, base, traceDir)
-		ffs := fsio.NewFaultFS(nil)
-		tcfg := cfg
-		tcfg.FS = ffs
-		tar, err := Open(traceDir, datagen.OMIMSpec(), tcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ffs.ResetTrace()
-		if _, err := tar.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		n := ffs.OpCount()
-		if got := archiveStreamBytes(t, tar); !bytes.Equal(got, want) {
-			t.Fatal("compaction changed the archive stream; fixture broken")
-		}
-		tar.Close()
-		if n < 5 {
-			t.Fatalf("suspiciously short Compact trace (%d ops)", n)
-		}
-		t.Logf("Compact trace: %d mutating ops", n)
-
-		for _, torn := range []bool{false, true} {
-			for k := 0; k < n; k++ {
-				label := fmt.Sprintf("k=%d torn=%v", k, torn)
-				dir := t.TempDir()
-				copyDir(t, base, dir)
-				cfs := fsio.NewFaultFS(nil)
-				ccfg := cfg
-				ccfg.FS = cfs
-				car, err := Open(dir, datagen.OMIMSpec(), ccfg)
-				if err != nil {
-					t.Fatalf("%s: open: %v", label, err)
-				}
-				// As in the Add matrix: offset k past Open's own ops, and
-				// accept a nil return when the crash lands in the ignored
-				// post-commit removal of superseded segments.
-				cfs.CrashAfter(cfs.OpCount()+k, torn)
-				car.Compact()
-				if !cfs.Crashed() {
-					t.Fatalf("%s: crash point never hit; matrix does not cover the operation", label)
-				}
-				assertRecovered(t, dir, cfg, label, versions, versions, want, want)
-			}
+		base, versions, want := fragmentedBase(t, cfg, 12)
+		if post := outageMatrix(t, cfg, base, versions, want, faulttest.Kill, compact, nil); !bytes.Equal(post, want) {
+			t.Error("compaction changed the archive stream; fixture broken")
 		}
 	})
+}
+
+func TestPowerLossMatrixAdd(t *testing.T) {
+	docs := addDocs(91, 3)
+	cfg := Config{Budget: 512, SegmentTarget: 1024}
+	base, preV, wantPre := omimBase(t, cfg, docs[:2]...)
+	t.Run("tree", func(t *testing.T) {
+		outageMatrix(t, cfg, base, preV, wantPre, faulttest.PowerLoss, addTree(docs[2]), nil)
+	})
+	t.Run("stream", func(t *testing.T) {
+		outageMatrix(t, cfg, base, preV, wantPre, faulttest.PowerLoss, addStream(docs[2]), nil)
+	})
+}
+
+// A batch writes segments for every member and commits once: segments of
+// early members that later members supersede exist on disk, synced, when
+// the crash comes, and must never be taken for committed ones.
+func TestPowerLossMatrixBatch(t *testing.T) {
+	docs := addDocs(92, 4)
+	cfg := Config{SegmentTarget: 1024}
+	base, preV, wantPre := omimBase(t, cfg, docs[:2]...)
+	outageMatrix(t, cfg, base, preV, wantPre, faulttest.PowerLoss, addTree(docs[2], docs[3]), nil)
+}
+
+// Compaction keeps the archive stream and the version count: the two
+// generations differ only in their segment files.
+func TestPowerLossMatrixCompact(t *testing.T) {
+	cfg := Config{Budget: 1 << 16, SegmentTarget: fragTarget}
+	base, versions, want := fragmentedBase(t, cfg, 8)
+	outageMatrix(t, cfg, base, versions, want, faulttest.PowerLoss, compact, nil)
+}
+
+// The very first commit, Open's of an empty directory, under every outage:
+// a last-name-only outage can keep meta.txt alone, a commit that never
+// reached its commit point, and the directory must open as a fresh archive
+// all the same.
+func TestPowerLossMatrixOpen(t *testing.T) {
+	faulttest.Matrix{
+		Setup: func(t *testing.T) faulttest.Run {
+			dir := t.TempDir()
+			ffs := faulttest.Tracked(t, dir)
+			return faulttest.Run{Faults: ffs, Disk: ffs, Op: func() error {
+				_, err := Open(dir, datagen.OMIMSpec(), Config{FS: ffs})
+				return err
+			}}
+		},
+		Modes: faulttest.AllModes,
+		Check: func(t *testing.T, p faulttest.Point, dir string) bool {
+			_, committed := faulttest.Files(t, dir)[keydirFile]
+			assertRecovered(t, dir, Config{}, p.String(), 0, 0, nil, nil)
+			return committed
+		},
+		MinOps: 5,
+	}.Run(t)
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -58,25 +59,31 @@ func (d *dictionary) save(w io.Writer) error {
 	return bw.Flush()
 }
 
+// loadDictionary reads what save wrote: line i is "i<TAB>name". Any other
+// line — blank, unscannable, out of order, a repeated name, a last line
+// without its newline — is corruption. A dictionary that stopped at such a
+// line would load short, and the next add would give its names ids the
+// stored tokens already use.
 func loadDictionary(r io.Reader) (*dictionary, error) {
 	d := newDictionary()
 	br := bufio.NewReaderSize(r, 32*1024)
-	var id int
-	var name string
 	for {
-		n, err := fmt.Fscanf(br, "%d\t%s\n", &id, &name)
-		if err == io.EOF || n == 0 {
-			break
+		line, err := br.ReadString('\n')
+		if err == io.EOF && line == "" {
+			return d, nil
 		}
-		if err != nil {
+		if err != nil && err != io.EOF {
 			return nil, fmt.Errorf("extmem: dictionary: %w", err)
 		}
-		got := d.id(unescapeNL(name))
-		if got != id {
-			return nil, fmt.Errorf("extmem: dictionary ids out of order: %d != %d", got, id)
+		id := len(d.names)
+		idStr, name, ok := strings.Cut(strings.TrimSuffix(line, "\n"), "\t")
+		if err == io.EOF || !ok || idStr != strconv.Itoa(id) || name == "" || strings.Contains(name, "\t") {
+			return nil, corruptf("dictionary line %d is not \"%d<TAB>name\": %.40q", id+1, id, line)
+		}
+		if d.id(unescapeNL(name)) != id {
+			return nil, corruptf("dictionary line %d repeats the name %.40q", id+1, name)
 		}
 	}
-	return d, nil
 }
 
 func escapeNL(s string) string {

@@ -193,7 +193,7 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 	for _, e := range ents {
 		n := e.Name()
 		switch {
-		case strings.HasPrefix(n, "tmp-") || strings.HasSuffix(n, ".tmp") || strings.HasSuffix(n, ".part"):
+		case fsio.Transient(n):
 			r.add(n, "transient", false, "crash leftover (swept on open)")
 		case strings.HasPrefix(n, "seg-") && strings.HasSuffix(n, ".tok"):
 			if (d != nil || meta != nil) && !live[n] {

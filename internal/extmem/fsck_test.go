@@ -9,6 +9,7 @@ import (
 	"syscall"
 	"testing"
 
+	"xarch/internal/core"
 	"xarch/internal/datagen"
 	"xarch/internal/fsio"
 )
@@ -303,5 +304,58 @@ func TestFsckRepairClearsDegradedMarker(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, degradedMarker)); err == nil {
 		t.Fatal("DEGRADED marker survived repair")
+	}
+}
+
+// TestDamagedDictionaryIsCorrupt: a dict.txt that loads short lets the next
+// add give new names the ids stored tokens already use, and every version
+// before it reads wrong for good. A line that is not "id<TAB>name" —
+// garbage, or blank — is corruption to loadDictionary, fsck and Open; a
+// dictionary cut at a line boundary still loads, and fsck finds the tokens
+// whose names it lost.
+func TestDamagedDictionaryIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	ar := buildOMIMArchive(t, dir, Config{}, 1)
+	if err := ar.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, dictFile)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(good), "\n")
+	if len(lines) < 10 {
+		t.Fatalf("fixture dictionary holds %d names", len(lines)-1)
+	}
+	head, tail := strings.Join(lines[:3], ""), strings.Join(lines[3:], "")
+	plant := func(data string) *CheckReport {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := CheckArchive(nil, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for _, bad := range []string{"GARBAGE\n", "\n"} {
+		damaged := head + bad + tail
+		if _, err := loadDictionary(strings.NewReader(damaged)); !errors.Is(err, core.ErrCorruptArchive) {
+			t.Errorf("%q after three names: loadDictionary = %v, want ErrCorruptArchive", bad, err)
+		}
+		if r := plant(damaged); r.Clean || checkKinds(r)["dict"] != 1 {
+			t.Errorf("%q after three names: fsck problems %v, want the dictionary", bad, r.Problems())
+		}
+		if _, err := Open(dir, datagen.OMIMSpec(), Config{}); !errors.Is(err, core.ErrCorruptArchive) {
+			t.Errorf("%q after three names: Open = %v, want ErrCorruptArchive", bad, err)
+		}
+	}
+	if r := plant(head); r.Clean || checkKinds(r)["segment"] == 0 {
+		t.Errorf("dictionary cut after three names: fsck problems %v, want the segments", r.Problems())
+	}
+	if r := plant(string(good)); !r.Clean {
+		t.Fatalf("restored dictionary: %v", r.Problems())
 	}
 }

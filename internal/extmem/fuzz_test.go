@@ -270,7 +270,9 @@ func FuzzDictionary(f *testing.F) {
 	}
 	f.Add(data)
 	f.Add([]byte("0\ta\\nb\\tc\\\\d\n1\t" + strings.Repeat("n", 70000) + "\n"))
-	f.Add([]byte("1\tdb\n")) // ids out of order
+	f.Add([]byte("1\tdb\n"))                              // ids out of order
+	f.Add([]byte("0\tdb\n1\trecord\nGARBAGE\n2\tname\n")) // loads short unless refused
+	f.Add([]byte("0\tdb\n\n1\trecord\n"))                 // a blank line
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var d *dictionary
 		if err := hostile.Check(t, len(data), func() (err error) {

@@ -432,70 +432,80 @@ func (d *keyDirectory) parseTimes() error {
 }
 
 // ---------------------------------------------------------------------------
-// Crash-safe file replacement
+// The staged commit
 
-// stageFile writes data to path's ".tmp" sibling and fsyncs it, so the
-// bytes are durable before any rename gives them a committed name. A
-// failed create or write is an ordinary error; a failed fsync or close is
-// a commit fault: after one of those the state of the page cache is
-// unknowable, so the caller must poison the writer rather than silently
-// retry (the fsyncgate lesson). A failed stageFile leaves no sibling.
-func stageFile(fs fsio.FS, path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("extmem: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return fmt.Errorf("extmem: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return commitFaultf("fsync "+filepath.Base(tmp), err)
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return commitFaultf("close "+filepath.Base(tmp), err)
-	}
-	return nil
+// StateFile is one file of a staged commit: its name in the directory and
+// the bytes it is to hold.
+type StateFile struct {
+	Name string
+	Data []byte
 }
 
-// renameStaged gives a staged file its committed name. The rename is
-// durable only after the next SyncDir of the directory; on failure the
-// sibling is still there, for the caller to remove.
-func renameStaged(fs fsio.FS, path string) error {
-	if err := fs.Rename(path+".tmp", path); err != nil {
-		return commitFaultf("rename "+filepath.Base(path), err)
+// CommitFiles replaces files in dir as one staged commit whose commit point
+// is the last file's rename, paying for exactly what must be durable, in
+// the order recovery relies on:
+//
+//  1. stage: every file is written under its ".tmp" name and fsynced, so
+//     no rename below can expose bytes that are not on disk;
+//  2. every file but the last takes its name;
+//  3. barrier SyncDir: those names, and every name made in dir before the
+//     call (new segment files), are durable before anything durable can
+//     refer to them;
+//  4. the last file takes its name — the commit point;
+//  5. ack SyncDir: the commit is durable before the caller hears of it.
+//
+// A failed create or write is an ordinary error; a failed fsync, close,
+// rename or SyncDir is a commit fault: after one of those the state of the
+// page cache is unknowable, so the caller must poison the writer rather
+// than silently retry (the fsyncgate lesson). On failure the staged files
+// not yet renamed are removed, best effort; whatever a dead disk keeps,
+// Open sweeps.
+func CommitFiles(fs fsio.FS, dir string, files []StateFile) (err error) {
+	staged, renamed := 0, 0
+	defer func() {
+		if err != nil {
+			for _, f := range files[renamed:staged] {
+				fs.Remove(filepath.Join(dir, f.Name+".tmp"))
+			}
+		}
+	}()
+	for _, f := range files {
+		staged++ // before the create: a failed stage is removed too
+		tmp, err := fs.Create(filepath.Join(dir, f.Name+".tmp"))
+		if err != nil {
+			return fmt.Errorf("extmem: %w", err)
+		}
+		if _, err := tmp.Write(f.Data); err != nil {
+			tmp.Close()
+			return fmt.Errorf("extmem: %w", err)
+		}
+		if err := tmp.Sync(); err != nil {
+			tmp.Close()
+			return commitFaultf("fsync "+f.Name+".tmp", err)
+		}
+		if err := tmp.Close(); err != nil {
+			return commitFaultf("close "+f.Name+".tmp", err)
+		}
 	}
-	return nil
-}
-
-// syncDir is fs.SyncDir as a commit step. fs.SyncDir itself tolerates
-// only the benign "directory fsync unsupported" errors; everything else
-// surfaces here as a commit fault.
-func syncDir(fs fsio.FS, dir string) error {
-	if err := fs.SyncDir(dir); err != nil {
-		return commitFaultf("fsync dir", err)
+	syncDir := func() error {
+		if err := fs.SyncDir(dir); err != nil {
+			return commitFaultf("fsync dir", err)
+		}
+		return nil
 	}
-	return nil
-}
-
-// writeFileAtomic replaces one file durably on its own: stage, rename,
-// fsync the directory. Only Open's meta self-heal replaces a single file;
-// a commit stages all of its files and shares two directory fsyncs
-// between them (commitState).
-func writeFileAtomic(fs fsio.FS, path string, data []byte) error {
-	if err := stageFile(fs, path, data); err != nil {
-		return err
+	for i, f := range files {
+		if i == len(files)-1 {
+			if err := syncDir(); err != nil { // the barrier
+				return err
+			}
+		}
+		path := filepath.Join(dir, f.Name)
+		if err := fs.Rename(path+".tmp", path); err != nil {
+			return commitFaultf("rename "+f.Name, err)
+		}
+		renamed++
 	}
-	if err := renameStaged(fs, path); err != nil {
-		fs.Remove(path + ".tmp")
-		return err
-	}
-	return syncDir(fs, filepath.Dir(path))
+	return syncDir() // the ack
 }
 
 // ---------------------------------------------------------------------------

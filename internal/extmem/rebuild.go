@@ -19,7 +19,8 @@ import (
 // interned id is corruption just like a bad checksum. It returns the header
 // and, for a non-raw segment, the entry table re-derived from the payload
 // tokens: labels, timestamps, offsets and sizes, names resolved through
-// dict when one is given.
+// dict when one is given. With dict, every element and attribute name id of
+// the payload must be in it.
 func walkSegment(fs fsio.FS, path string, dict *dictionary) (*segmentHeader, []childEntry, error) {
 	f, err := fs.Open(path)
 	if err != nil {
@@ -41,10 +42,15 @@ func walkSegment(fs fsio.FS, path string, dict *dictionary) (*segmentHeader, []c
 	var entries []childEntry
 	if h.raw {
 		// A verbatim slice of the root's subtree: tokens, no entries.
-		for ok := true; ok; {
-			_, ok = tr.take()
+		for err == nil {
+			at := tr.pos
+			t, ok := tr.take()
+			if !ok {
+				err = tr.err
+				break
+			}
+			err = checkNameID(dict, t, at)
 		}
-		err = tr.err
 	} else if entries, err = scanEntries(tr, dict); err == nil && len(entries) == 0 {
 		err = corruptf("segment has no entries")
 	}
@@ -69,15 +75,15 @@ func scanEntries(tr *tokenReader, dict *dictionary) ([]childEntry, error) {
 		if !ok {
 			break
 		}
+		if err := checkNameID(dict, t, at); err != nil {
+			return nil, err
+		}
 		switch t.op {
 		case tokOpen:
 			if depth == 0 {
 				e := childEntry{key: t.key, timeStr: t.data, offset: at}
 				if dict != nil {
-					var err error
-					if e.name, err = dict.name(t.tag); err != nil {
-						return nil, corruptf("entry at offset %d: tag id %d outside the dictionary", at, t.tag)
-					}
+					e.name = dict.names[t.tag]
 				}
 				entries = append(entries, e)
 			}
@@ -100,6 +106,16 @@ func scanEntries(tr *tokenReader, dict *dictionary) ([]childEntry, error) {
 		return nil, corruptf("unbalanced segment payload")
 	}
 	return entries, nil
+}
+
+// checkNameID fails an element or attribute token whose name id dict does
+// not hold — a dictionary that lost names — and passes everything when
+// dict is nil.
+func checkNameID(dict *dictionary, t token, at int64) error {
+	if dict != nil && (t.op == tokOpen || t.op == tokAttr) && uint(t.tag) >= uint(len(dict.names)) {
+		return corruptf("token at payload offset %d: name id %d outside the dictionary", at, t.tag)
+	}
+	return nil
 }
 
 // verifySegment checks a segment file against itself (walkSegment) and

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"xarch/internal/datagen"
+	"xarch/internal/faulttest"
 	"xarch/internal/fsio"
 	"xarch/internal/keys"
 	"xarch/internal/xmltree"
@@ -97,23 +98,6 @@ func edgeTexts() []string {
 `
 	v2 := strings.Replace(strings.Replace(v1, "<item id=\"2\"/>", "", 1), "text<!-- split -->run", "<![CDATA[changed]]>", 1)
 	return []string{v1, v2, strings.ReplaceAll(v1, "\n", "\r\n")}
-}
-
-func dirFiles(t *testing.T, dir string) map[string][]byte {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string][]byte{}
-	for _, e := range ents {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[e.Name()] = data
-	}
-	return out
 }
 
 // sortedStream sorts one source and returns the sorted version in the
@@ -246,7 +230,7 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 				if st := stream.Last().Merge; tc.mixed && v > 0 && (st.SegmentsReused == 0 || st.SegmentsRewritten == 0) {
 					t.Errorf("v%d: merge %+v neither links nor rewrites", v+1, st)
 				}
-				got, want := dirFiles(t, treeDir), dirFiles(t, streamDir)
+				got, want := faulttest.Files(t, treeDir), faulttest.Files(t, streamDir)
 				if len(got) != len(want) {
 					t.Fatalf("v%d: directories hold %d vs %d files", v+1, len(got), len(want))
 				}
@@ -363,7 +347,7 @@ func TestDuplicateSiblingKeysRejected(t *testing.T) {
 			} else if !strings.Contains(err.Error(), "/db: more than one child item{id=1}") {
 				t.Errorf("error does not name path and key: %v", err)
 			}
-			if tr := listTransient(fsio.OS, ar.dir); len(tr) != 0 {
+			if tr := faulttest.Transient(t, ar.dir); len(tr) != 0 {
 				t.Errorf("scratch files left behind: %v", tr)
 			}
 			if tc.runs > 0 {

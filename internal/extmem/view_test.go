@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"xarch/internal/datagen"
+	"xarch/internal/faulttest"
 	"xarch/internal/intervals"
 	"xarch/internal/qlang"
 	"xarch/internal/xmltree"
@@ -102,7 +103,7 @@ func TestViewsBesideWriter(t *testing.T) {
 			t.Errorf("superseded segment %s survived the last Close", f)
 		}
 	}
-	if tr := listTransient(ar.fs, dir); len(tr) != 0 {
+	if tr := faulttest.Transient(t, dir); len(tr) != 0 {
 		t.Errorf("transient files left: %v", tr)
 	}
 }

@@ -187,6 +187,15 @@ func (f *FaultFS) OpCount() int {
 	return f.mutations
 }
 
+// Tears reports whether a torn crash at mutating op i (numbered as
+// CrashAfter numbers them) would cut bytes short: only a write with a
+// payload can be torn; a torn crash anywhere else is the untorn one.
+func (f *FaultFS) Tears(i int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return i >= 0 && i < len(f.trace) && f.trace[i].Bytes > 0
+}
+
 // ResetTrace clears the mutation trace and counter (faults and crash
 // arming are untouched).
 func (f *FaultFS) ResetTrace() {

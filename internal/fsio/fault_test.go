@@ -423,3 +423,39 @@ func TestPowerLossMissingBarrier(t *testing.T) {
 		t.Errorf("last-name-only after a barrier: got %q", got)
 	}
 }
+
+// A process kill loses nothing the kernel held: bytes never synced, and
+// names made and removed since the last SyncDir, all survive it.
+func TestProcessKillKeepsWhatTheKernelHeld(t *testing.T) {
+	ffs, dir := trackedDir(t, map[string]string{"a": "old", "b": "removed"})
+	replaceFile(t, ffs, dir, "a", "new", false, false)
+	if err := ffs.Remove(filepath.Join(dir, "b")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ffs.WriteFile(filepath.Join(dir, "c"), []byte("unsynced"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := powerLoss(t, ffs, ProcessKill); len(got) != 2 || got["a"] != "new" || got["c"] != "unsynced" {
+		t.Errorf("process kill: got %q, want a=new c=unsynced", got)
+	}
+	// The same moment as a power failure keeps none of it.
+	if got := powerLoss(t, ffs, PowerLossStrict); len(got) != 2 || got["a"] != "old" || got["b"] != "removed" {
+		t.Errorf("strict: got %q, want a=old b=removed", got)
+	}
+}
+
+// Only an operation that moves bytes can be torn.
+func TestTearsOnlyWrites(t *testing.T) {
+	dir := t.TempDir()
+	ffs := NewFaultFS(nil)
+	p := filepath.Join(dir, "seg-000001.tok")
+	if err := ffs.WriteFile(p, []byte("abc"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := ffs.Remove(p); err != nil {
+		t.Fatal(err)
+	}
+	if !ffs.Tears(0) || ffs.Tears(1) || ffs.Tears(2) {
+		t.Errorf("Tears = %v %v %v, want the write only", ffs.Tears(0), ffs.Tears(1), ffs.Tears(2))
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"strings"
 	"syscall"
 )
 
@@ -101,4 +102,11 @@ func (osFS) SyncDir(dir string) error {
 func benignSyncDirErr(err error) bool {
 	return errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) ||
 		errors.Is(err, syscall.ENOTTY)
+}
+
+// Transient reports whether name is a file an interrupted operation can
+// strand and a reopen sweeps: a "tmp-*" scratch file, a "*.tmp" staged
+// sibling of a state file, or a "*.part" replication staging file.
+func Transient(name string) bool {
+	return strings.HasPrefix(name, "tmp-") || strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, ".part")
 }

@@ -7,7 +7,7 @@ import (
 	"path/filepath"
 )
 
-// The power-loss model. CrashAfter kills the process: everything the
+// The outage model. CrashAfter kills the process: everything the
 // operations before the crash point wrote is still there, synced or not,
 // so a protocol with no fsync at all survives it. A power failure is
 // harsher — it is sure to keep of a file only what its last fsync covered,
@@ -15,7 +15,8 @@ import (
 // a FaultFS remember exactly that for one directory, and PowerLoss writes
 // out the directory an outage would leave, so a test can reopen it.
 
-// PowerLossMode selects which names survive the outage.
+// PowerLossMode selects what survives the outage: the three power-failure
+// modes, or ProcessKill, which loses nothing the kernel held.
 type PowerLossMode int
 
 const (
@@ -36,10 +37,14 @@ const (
 	// between them, a commit-point rename can survive an outage that the
 	// names it depends on did not.
 	PowerLossLastNameOnly
+	// ProcessKill keeps the tracked directory exactly as the kernel held
+	// it — every name and every byte written, synced or not: what a killed
+	// process leaves behind while the machine stays up.
+	ProcessKill
 )
 
 func (m PowerLossMode) String() string {
-	return [...]string{"strict", "names-ahead", "last-name-only"}[m]
+	return [...]string{"strict", "names-ahead", "last-name-only", "process-kill"}[m]
 }
 
 // durFile is one file identity: it follows the file across renames and
@@ -92,6 +97,9 @@ func (f *FaultFS) PowerLoss(dst string, mode PowerLossMode) error {
 	if f.dur == nil {
 		return fmt.Errorf("fsio: PowerLoss without TrackDurability")
 	}
+	if mode == ProcessKill {
+		return f.copyLive(dst)
+	}
 	names := f.dur.durable
 	switch mode {
 	case PowerLossNamesAhead:
@@ -105,6 +113,28 @@ func (f *FaultFS) PowerLoss(dst string, mode PowerLossMode) error {
 			continue
 		}
 		if err := os.WriteFile(filepath.Join(dst, name), file.synced, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// copyLive copies the tracked directory's regular files, as they are now,
+// into dst. Callers hold f.mu.
+func (f *FaultFS) copyLive(dst string) error {
+	ents, err := f.inner.ReadDir(f.dur.dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		data, err := f.inner.ReadFile(filepath.Join(f.dur.dir, e.Name()))
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
 			return err
 		}
 	}

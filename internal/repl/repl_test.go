@@ -10,30 +10,30 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"xarch/internal/datagen"
 	"xarch/internal/extmem"
+	"xarch/internal/faulttest"
 	"xarch/internal/fsio"
 	"xarch/internal/segstore"
 	"xarch/internal/server"
 )
 
-// The replication fault matrix, in the style of the engine's crash
-// matrix (extmem/crash_test.go): trace one clean sync to count its
-// transport (or filesystem) operations, then replay it from the same
-// starting snapshot with a simulated kill after op k — for every k,
-// with the op at the kill point applied in full and torn — and assert
-// on the replica:
+// The replication fault matrices replay a sync through faulttest.Matrix:
+// killed after every transport (or replica filesystem) op k, torn where
+// the op moves bytes. Every directory the kill — and, for the replica's
+// own filesystem, every power-loss mode — leaves must:
 //
-//   - it reopens, fsck-clean, with zero stranded *.part files;
-//   - its archive stream is byte-identical to a committed source
-//     generation — the previous one or the pushed one, never a hybrid;
-//   - re-running the sync on the un-reopened crashed directory
-//     converges to a replica whose files are byte-identical to the
-//     source's, resuming from (not re-transferring) staged blobs.
+//   - reopen fsck-clean, with zero stranded *.part files;
+//   - hold an archive stream byte-identical to a committed source
+//     generation — the previous one or the synced one, never a hybrid;
+//   - converge, when the sync is re-run on it un-reopened, to a replica
+//     whose files are byte-identical to the source's, resuming from (not
+//     re-transferring) staged blobs.
 
 var ctx = context.Background()
 
@@ -66,56 +66,12 @@ func addVersions(t *testing.T, dir string, g *datagen.OMIM, n int) []byte {
 	return buf.Bytes()
 }
 
-func copyDir(t *testing.T, src, dst string) {
-	t.Helper()
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if !e.Type().IsRegular() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// dirFiles maps every regular file in dir to its bytes.
-func dirFiles(t *testing.T, dir string) map[string][]byte {
-	t.Helper()
-	out := map[string][]byte{}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if !e.Type().IsRegular() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[e.Name()] = data
-	}
-	return out
-}
-
 // assertDirsEqual demands the replica holds byte-identical copies of
 // exactly the source's files — the raw bar a completed, un-reopened
 // sync must clear.
 func assertDirsEqual(t *testing.T, label, srcDir, dstDir string) {
 	t.Helper()
-	src, dst := dirFiles(t, srcDir), dirFiles(t, dstDir)
+	src, dst := faulttest.Files(t, srcDir), faulttest.Files(t, dstDir)
 	for name, want := range src {
 		got, ok := dst[name]
 		if !ok {
@@ -133,23 +89,6 @@ func assertDirsEqual(t *testing.T, label, srcDir, dstDir string) {
 	}
 }
 
-// transientFiles lists staging/scratch leftovers in dir.
-func transientFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	var out []string
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		n := e.Name()
-		if strings.HasSuffix(n, ".part") || strings.HasSuffix(n, ".tmp") || strings.HasPrefix(n, "tmp-") {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // assertRecovered reopens a crashed replica directory (a copy of it —
 // the caller's resume path needs the original un-swept) and checks the
 // recovery invariants: opens clean, stream equals one of the two
@@ -158,7 +97,7 @@ func transientFiles(t *testing.T, dir string) []string {
 func assertRecovered(t *testing.T, label, dir string, preV, postV int, wantPre, wantPost []byte) int {
 	t.Helper()
 	reopen := filepath.Join(t.TempDir(), "reopen")
-	copyDir(t, dir, reopen)
+	faulttest.CopyDir(t, dir, reopen)
 	ar, err := extmem.Open(reopen, datagen.OMIMSpec(), srcCfg)
 	if err != nil {
 		t.Fatalf("%s: reopen after crash: %v", label, err)
@@ -183,7 +122,7 @@ func assertRecovered(t *testing.T, label, dir string, preV, postV int, wantPre, 
 	if err := ar.Close(); err != nil {
 		t.Fatalf("%s: close: %v", label, err)
 	}
-	if tr := transientFiles(t, reopen); len(tr) != 0 {
+	if tr := faulttest.Transient(t, reopen); len(tr) != 0 {
 		t.Errorf("%s: stranded staging files survived reopen: %v", label, tr)
 	}
 	report, err := extmem.CheckArchive(nil, reopen)
@@ -204,15 +143,11 @@ func fastRetry(attempts int) segstore.RetryPolicy {
 	}
 }
 
-// replicaServer serves dir through the replica blob API, optionally
-// through a fault transport on the client side.
-func replicaServer(t *testing.T, dir string) *httptest.Server {
+// replicaServer serves dir, through fs (the real filesystem when nil),
+// with the replica blob API.
+func replicaServer(t *testing.T, dir string, fs fsio.FS) *httptest.Server {
 	t.Helper()
-	st, err := segstore.NewLocal(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(server.NewReplicaHandler(st, nil))
+	ts := httptest.NewServer(server.NewReplicaHandler(localStore(t, dir, fs), nil))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -291,23 +226,60 @@ func TestSyncLocalIncremental(t *testing.T) {
 	assertDirsEqual(t, "incremental sync", srcDir, dstDir)
 }
 
+// replicaDir creates an empty replica directory and returns it with a
+// FaultFS tracking it.
+func replicaDir(t *testing.T) (string, *fsio.FaultFS) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "replica")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return dir, faulttest.Tracked(t, dir)
+}
+
+// syncCheck is the Check of a sync's matrix. It holds each outage's
+// directory to the source generations before (preV versions, stream
+// wantPre) and after the sync, then re-runs the sync on the directory
+// through resume and requires it to converge on srcDir. It counts the
+// resumes that found staged blobs in *resumed.
+func syncCheck(srcDir string, preV, postV int, wantPre, wantPost []byte, resumed *int,
+	resume func(t *testing.T, dir string) (*Stats, error)) func(*testing.T, faulttest.Point, string) bool {
+	return func(t *testing.T, p faulttest.Point, dir string) bool {
+		if p.K >= 0 && p.Err == nil {
+			t.Fatalf("%v: sync succeeded through a crash", p)
+		}
+		post := assertRecovered(t, p.String(), dir, preV, postV, wantPre, wantPost) == postV
+		rst, err := resume(t, dir)
+		if err != nil {
+			t.Fatalf("%v: resumed sync: %v", p, err)
+		}
+		if rst.Resumed > 0 {
+			*resumed++
+		}
+		assertDirsEqual(t, p.String()+" resumed", srcDir, dir)
+		if tr := faulttest.Transient(t, dir); len(tr) != 0 {
+			t.Errorf("%v: resumed sync left staging files: %v", p, tr)
+		}
+		return post
+	}
+}
+
 // TestPushFaultMatrix kills the network after every transport op of an
-// incremental push (torn and untorn), asserting the replica recovers to
-// a committed generation and a resumed push converges byte-identically.
+// incremental push, asserting the replica recovers to a committed
+// generation and a resumed push converges byte-identically.
 func TestPushFaultMatrix(t *testing.T) {
 	srcDir := t.TempDir()
 	g := gen(23)
 	wantPre := addVersions(t, srcDir, g, 2)
 	replicaBase := filepath.Join(t.TempDir(), "replica")
-	copyDir(t, srcDir, replicaBase) // replica already synced at generation A
+	faulttest.CopyDir(t, srcDir, replicaBase) // replica already synced at generation A
 	wantPost := addVersions(t, srcDir, g, 1)
 	src := localStore(t, srcDir, nil)
 
 	// Plant a stray blob the new generation never referenced, so every
 	// matrix run provably covers the sweep path: the archive itself is
 	// append-only and may supersede nothing between two generations.
-	strayFrom := dirFiles(t, replicaBase)
-	for name, data := range strayFrom {
+	for name, data := range faulttest.Files(t, replicaBase) {
 		if strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".tok") {
 			if err := os.WriteFile(filepath.Join(replicaBase, "seg-99990000.tok"), data, 0o644); err != nil {
 				t.Fatal(err)
@@ -316,63 +288,40 @@ func TestPushFaultMatrix(t *testing.T) {
 		}
 	}
 
-	// Clean traced run on a scratch replica: how many transport ops is
-	// one push, and does the fixture exercise skip, copy and sweep?
-	traceDir := filepath.Join(t.TempDir(), "trace")
-	copyDir(t, replicaBase, traceDir)
-	ts := replicaServer(t, traceDir)
-	ft := segstore.NewFaultTransport(nil)
-	dst := segstore.NewHTTP(ts.URL, &http.Client{Transport: ft}, fastRetry(2))
-	st, err := Sync(ctx, src, dst, Options{Retry: fastRetry(2)})
-	if err != nil {
-		t.Fatalf("clean push: %v", err)
-	}
-	if st.Copied == 0 || st.Skipped == 0 || st.Deleted == 0 {
-		t.Fatalf("fixture too small — want copies, skips and sweeps in one push: %+v", st)
-	}
-	assertDirsEqual(t, "clean push", srcDir, traceDir)
-	n := ft.OpCount()
-	t.Logf("push trace: %d transport ops (%d copied, %d skipped, %d swept)", n, st.Copied, st.Skipped, st.Deleted)
-
-	recoveredPost, resumed := 0, 0
-	for _, torn := range []bool{false, true} {
-		for k := 0; k < n; k++ {
-			label := fmt.Sprintf("k=%d torn=%v", k, torn)
+	var last *Stats
+	resumed := 0
+	check := syncCheck(srcDir, 2, 3, wantPre, wantPost, &resumed, func(t *testing.T, dir string) (*Stats, error) {
+		rts := replicaServer(t, dir, nil)
+		return Sync(ctx, src, segstore.NewHTTP(rts.URL, nil, fastRetry(2)), Options{Retry: fastRetry(2)})
+	})
+	res := faulttest.Matrix{
+		Setup: func(t *testing.T) faulttest.Run {
 			dir := filepath.Join(t.TempDir(), "replica")
-			copyDir(t, replicaBase, dir)
-			ts := replicaServer(t, dir)
+			faulttest.CopyDir(t, replicaBase, dir)
+			disk := faulttest.Tracked(t, dir)
+			ts := replicaServer(t, dir, disk)
 			ft := segstore.NewFaultTransport(nil)
-			ft.CrashAfter(k, torn)
 			dst := segstore.NewHTTP(ts.URL, &http.Client{Transport: ft}, fastRetry(2))
-			if _, err := Sync(ctx, src, dst, Options{Retry: fastRetry(2)}); err == nil {
-				t.Fatalf("%s: push succeeded through a network kill", label)
+			return faulttest.Run{Faults: ft, Disk: disk, Op: func() (err error) {
+				last, err = Sync(ctx, src, dst, Options{Retry: fastRetry(2)})
+				// Quiesce the replica before its directory is looked at:
+				// the handler of a killed PUT may still be aborting,
+				// removing its staged .part. Close returns once every
+				// handler has.
+				ts.Close()
+				return err
+			}}
+		},
+		Modes: faulttest.Kill,
+		Check: func(t *testing.T, p faulttest.Point, dir string) bool {
+			if p.K < 0 && (last.Copied == 0 || last.Skipped == 0 || last.Deleted == 0) {
+				t.Fatalf("fixture too small — want copies, skips and sweeps in one push: %+v", last)
 			}
-			if !ft.Crashed() {
-				t.Fatalf("%s: kill point never hit; matrix does not cover the push", label)
-			}
-			// Quiesce the replica before looking at its directory: the
-			// handler of the killed PUT may still be aborting, removing
-			// its staged .part. Close returns once every handler has.
-			ts.Close()
-			if v := assertRecovered(t, label, dir, 2, 3, wantPre, wantPost); v == 3 {
-				recoveredPost++
-			}
-
-			// Resume on the original, un-reopened directory: a fresh
-			// connection, same replica state.
-			rts := replicaServer(t, dir)
-			rdst := segstore.NewHTTP(rts.URL, nil, fastRetry(2))
-			rst, err := Sync(ctx, src, rdst, Options{Retry: fastRetry(2)})
-			if err != nil {
-				t.Fatalf("%s: resumed push: %v", label, err)
-			}
-			if rst.Resumed > 0 {
-				resumed++
-			}
-			assertDirsEqual(t, label+" resumed", srcDir, dir)
-		}
-	}
-	if recoveredPost == 0 {
+			return check(t, p, dir)
+		},
+		MinOps: 5,
+	}.Run(t)
+	if res.Post < 2 {
 		t.Error("no kill point recovered to the pushed generation; matrix never reached the commit tail")
 	}
 	if resumed == 0 {
@@ -381,120 +330,103 @@ func TestPushFaultMatrix(t *testing.T) {
 }
 
 // TestPullFaultMatrix kills the network after every transport op of a
-// fresh pull (torn and untorn — torn cuts the segment download
-// mid-body), asserting the replica directory recovers empty or complete
-// and a resumed pull converges.
+// fresh pull (torn cuts a download mid-body), asserting the replica
+// directory recovers empty or complete and a resumed pull converges.
 func TestPullFaultMatrix(t *testing.T) {
 	srcDir := t.TempDir()
 	wantPost := addVersions(t, srcDir, gen(24), 3)
-	emptyDir := t.TempDir()
-	wantPre := addVersions(t, emptyDir, gen(99), 0) // the empty archive's stream
-	ts := replicaServer(t, srcDir)                  // a committed dir serves as a pull source
+	wantPre := addVersions(t, t.TempDir(), gen(99), 0) // the empty archive's stream
+	ts := replicaServer(t, srcDir, nil)                // a committed dir serves as a pull source
 
-	traceDst := filepath.Join(t.TempDir(), "replica")
-	ft := segstore.NewFaultTransport(nil)
-	src := segstore.NewHTTP(ts.URL, &http.Client{Transport: ft}, fastRetry(2))
-	st, err := Sync(ctx, src, localStore(t, traceDst, nil), Options{Retry: fastRetry(2)})
-	if err != nil {
-		t.Fatalf("clean pull: %v", err)
-	}
-	if st.Copied < 2 {
-		t.Fatalf("fixture too small (%d segments copied)", st.Copied)
-	}
-	assertDirsEqual(t, "clean pull", srcDir, traceDst)
-	n := ft.OpCount()
-	t.Logf("pull trace: %d transport ops (%d copied)", n, st.Copied)
-
+	var last *Stats
 	resumed := 0
-	for _, torn := range []bool{false, true} {
-		for k := 0; k < n; k++ {
-			label := fmt.Sprintf("k=%d torn=%v", k, torn)
-			dir := filepath.Join(t.TempDir(), "replica")
+	check := syncCheck(srcDir, 0, 3, wantPre, wantPost, &resumed, func(t *testing.T, dir string) (*Stats, error) {
+		return Sync(ctx, segstore.NewHTTP(ts.URL, nil, fastRetry(2)), localStore(t, dir, nil), Options{Retry: fastRetry(2)})
+	})
+	faulttest.Matrix{
+		Setup: func(t *testing.T) faulttest.Run {
+			dir, disk := replicaDir(t)
 			ft := segstore.NewFaultTransport(nil)
-			ft.CrashAfter(k, torn)
 			src := segstore.NewHTTP(ts.URL, &http.Client{Transport: ft}, fastRetry(2))
-			if _, err := Sync(ctx, src, localStore(t, dir, nil), Options{Retry: fastRetry(2)}); err == nil {
-				t.Fatalf("%s: pull succeeded through a network kill", label)
+			dst := localStore(t, dir, disk)
+			return faulttest.Run{Faults: ft, Disk: disk, Op: func() (err error) {
+				last, err = Sync(ctx, src, dst, Options{Retry: fastRetry(2)})
+				return err
+			}}
+		},
+		Modes: faulttest.Kill,
+		Check: func(t *testing.T, p faulttest.Point, dir string) bool {
+			if p.K < 0 && last.Copied < 2 {
+				t.Fatalf("fixture too small (%d segments copied)", last.Copied)
 			}
-			if !ft.Crashed() {
-				t.Fatalf("%s: kill point never hit", label)
-			}
-			assertRecovered(t, label, dir, 0, 3, wantPre, wantPost)
-
-			rsrc := segstore.NewHTTP(ts.URL, nil, fastRetry(2))
-			rst, err := Sync(ctx, rsrc, localStore(t, dir, nil), Options{Retry: fastRetry(2)})
-			if err != nil {
-				t.Fatalf("%s: resumed pull: %v", label, err)
-			}
-			if rst.Resumed > 0 {
-				resumed++
-			}
-			assertDirsEqual(t, label+" resumed", srcDir, dir)
-		}
-	}
+			return check(t, p, dir)
+		},
+		MinOps: 5,
+	}.Run(t)
 	if resumed == 0 {
 		t.Error("no resumed pull found staged blobs to skip")
 	}
 }
 
-// TestPullLocalCrashMatrix kills the replica's own filesystem after
-// every mutating op of a pull — the staging writes, fsyncs, renames and
-// the keydir commit — covering stranded *.part files and the local half
-// of the protocol. The engine's open-time sweep must clean what the
-// resumed sync does not consume.
+// TestPullLocalCrashMatrix kills the replica's own filesystem after every
+// mutating op of a pull — the staging writes, fsyncs, renames and the
+// commit — and checks what a kill and each power-loss mode leave:
+// stranded *.part files, the local half of the protocol, and the
+// replica's commit, which is the primary's. The engine's open-time sweep
+// must clean what the resumed sync does not consume.
 func TestPullLocalCrashMatrix(t *testing.T) {
 	srcDir := t.TempDir()
 	wantPost := addVersions(t, srcDir, gen(25), 3)
-	emptyDir := t.TempDir()
-	wantPre := addVersions(t, emptyDir, gen(98), 0)
+	wantPre := addVersions(t, t.TempDir(), gen(98), 0)
 	src := localStore(t, srcDir, nil)
 
-	traceDst := filepath.Join(t.TempDir(), "replica")
-	ffs := fsio.NewFaultFS(nil)
-	dst := localStore(t, traceDst, ffs)
-	ffs.ResetTrace()
-	if _, err := Sync(ctx, src, dst, Options{Retry: fastRetry(2)}); err != nil {
-		t.Fatalf("clean pull: %v", err)
-	}
-	n := ffs.OpCount()
-	if n < 10 {
-		t.Fatalf("suspiciously short pull trace (%d ops); fsio seam not routing?", n)
-	}
-	t.Logf("local pull trace: %d mutating fs ops", n)
-
+	resumed := 0
+	check := syncCheck(srcDir, 0, 3, wantPre, wantPost, &resumed, func(t *testing.T, dir string) (*Stats, error) {
+		return Sync(ctx, src, localStore(t, dir, nil), Options{Retry: fastRetry(2)})
+	})
 	sawPart := false
-	for _, torn := range []bool{false, true} {
-		for k := 0; k < n; k++ {
-			label := fmt.Sprintf("k=%d torn=%v", k, torn)
-			dir := filepath.Join(t.TempDir(), "replica")
-			ffs := fsio.NewFaultFS(nil)
-			dst := localStore(t, dir, ffs) // NewLocal's MkdirAll is traced; offset past it
-			ffs.CrashAfter(ffs.OpCount()+k, torn)
-			if _, err := Sync(ctx, src, dst, Options{Retry: fastRetry(2)}); err == nil {
-				t.Fatalf("%s: pull succeeded through a filesystem crash", label)
-			}
-			if !ffs.Crashed() {
-				t.Fatalf("%s: crash point never hit", label)
-			}
-			if len(transientFiles(t, dir)) > 0 {
-				sawPart = true
-			}
-			assertRecovered(t, label, dir, 0, 3, wantPre, wantPost)
-
-			// Resume with a healthy filesystem, no reopen in between.
-			rst, err := Sync(ctx, src, localStore(t, dir, nil), Options{Retry: fastRetry(2)})
-			if err != nil {
-				t.Fatalf("%s: resumed pull: %v", label, err)
-			}
-			_ = rst
-			assertDirsEqual(t, label+" resumed", srcDir, dir)
-			if tr := transientFiles(t, dir); len(tr) != 0 {
-				t.Errorf("%s: resumed sync left staging files: %v", label, tr)
-			}
-		}
-	}
+	res := faulttest.Matrix{
+		Setup: func(t *testing.T) faulttest.Run {
+			dir, disk := replicaDir(t)
+			dst := localStore(t, dir, disk)
+			return faulttest.Run{Faults: disk, Disk: disk, Op: func() error {
+				_, err := Sync(ctx, src, dst, Options{Retry: fastRetry(2)})
+				return err
+			}}
+		},
+		Modes: faulttest.AllModes,
+		Check: func(t *testing.T, p faulttest.Point, dir string) bool {
+			sawPart = sawPart || len(faulttest.Transient(t, dir)) > 0
+			return check(t, p, dir)
+		},
+		MinOps: 10,
+	}.Run(t)
+	t.Logf("%d runs: %d recoveries to the old generation, %d to the new", res.Runs, res.Pre, res.Post)
 	if !sawPart {
 		t.Error("no crash point stranded a staging file; the *.part recovery path was never exercised")
+	}
+}
+
+// TestPullSyncsTheDirectoryTwice: a pull's blob names are made durable by
+// the commit's barrier directory fsync, as a primary's segment names are —
+// not by one directory fsync per blob — so its trace holds the commit's
+// two directory fsyncs and no other.
+func TestPullSyncsTheDirectoryTwice(t *testing.T) {
+	srcDir := t.TempDir()
+	addVersions(t, srcDir, gen(25), 3)
+	ffs := fsio.NewFaultFS(nil)
+	dst := localStore(t, filepath.Join(t.TempDir(), "replica"), ffs)
+	if st, err := Sync(ctx, localStore(t, srcDir, nil), dst, Options{Retry: fastRetry(2)}); err != nil || st.Copied < 2 {
+		t.Fatalf("pull: %+v, %v", st, err)
+	}
+	var points []string
+	for _, op := range ffs.Ops() {
+		if op.Point == "dir.sync" || op.Point == "keydir.rename" {
+			points = append(points, op.Point)
+		}
+	}
+	if want := []string{"dir.sync", "keydir.rename", "dir.sync"}; !slices.Equal(points, want) {
+		t.Errorf("directory fsyncs around the commit point: %v, want %v", points, want)
 	}
 }
 
@@ -503,7 +435,7 @@ func TestPullLocalCrashMatrix(t *testing.T) {
 func TestSyncResumeSkipsTransferred(t *testing.T) {
 	srcDir := t.TempDir()
 	addVersions(t, srcDir, gen(26), 3)
-	ts := replicaServer(t, srcDir)
+	ts := replicaServer(t, srcDir, nil)
 	dir := filepath.Join(t.TempDir(), "replica")
 
 	// Count segment downloads of a clean pull.
@@ -656,7 +588,7 @@ func TestSyncSourceChanged(t *testing.T) {
 func TestSyncRidesOutInjectedFaults(t *testing.T) {
 	srcDir := t.TempDir()
 	addVersions(t, srcDir, gen(29), 3)
-	ts := replicaServer(t, srcDir)
+	ts := replicaServer(t, srcDir, nil)
 	dir := filepath.Join(t.TempDir(), "replica")
 
 	ft := segstore.NewFaultTransport(nil)

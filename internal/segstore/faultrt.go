@@ -160,6 +160,18 @@ func (t *FaultTransport) OpCount() int {
 	return t.ops
 }
 
+// Tears reports whether a torn crash at request i would cut a transfer
+// short: an upload or a download; a HEAD or DELETE moves no body.
+func (t *FaultTransport) Tears(i int) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if i < 0 || i >= len(t.trace) {
+		return false
+	}
+	m := t.trace[i].Method
+	return m == http.MethodGet || m == http.MethodPut
+}
+
 // ResetTrace clears the trace and counter (faults and crash arming are
 // untouched).
 func (t *FaultTransport) ResetTrace() {

@@ -8,7 +8,6 @@ import (
 	"io"
 	iofs "io/fs"
 	"path/filepath"
-	"strings"
 
 	"xarch/internal/extmem"
 	"xarch/internal/fsio"
@@ -67,7 +66,9 @@ func (p *payloadCRC) mismatch(name string) error {
 }
 
 // Put stages the blob to name+".part", verifying size and payload CRC
-// while the bytes stream, then fsyncs and renames it into place. A
+// while the bytes stream, then fsyncs and renames it into place. The name
+// is made durable by the next CommitKeydir's barrier directory fsync,
+// before any keydir can refer to it — the engine's rule for segments. A
 // failed or mismatched transfer removes the staging file and returns a
 // transient error (source hiccups re-stream on retry); a crash leaves
 // the ".part" for the engine's open-time sweep or a resumed sync.
@@ -127,9 +128,6 @@ func (l *Local) Put(ctx context.Context, name string, c Check, open func() (io.R
 	if err := l.fs.Rename(part, filepath.Join(l.dir, name)); err != nil {
 		l.fs.Remove(part)
 		return fmt.Errorf("segstore: install %s: %w", name, err)
-	}
-	if err := l.fs.SyncDir(l.dir); err != nil {
-		return fmt.Errorf("segstore: fsync dir: %w", err)
 	}
 	return nil
 }
@@ -200,8 +198,7 @@ func (l *Local) List(ctx context.Context) ([]string, error) {
 	var names []string
 	for _, e := range ents {
 		n := e.Name()
-		if e.IsDir() || isStateFile(n) ||
-			strings.HasSuffix(n, ".part") || strings.HasSuffix(n, ".tmp") || strings.HasPrefix(n, "tmp-") {
+		if e.IsDir() || isStateFile(n) || fsio.Transient(n) {
 			continue
 		}
 		names = append(names, n)
@@ -261,11 +258,14 @@ func (l *Local) Keydir(ctx context.Context) (*Bundle, error) {
 	return b, nil
 }
 
-// CommitKeydir installs the state bundle: dict and meta first, then the
-// keydir — whose atomic rename is the replica's commit point, exactly
-// mirroring the engine's own commitState ordering. A crash between the
-// writes leaves the old keydir authoritative; the engine's open-time
-// self-heal reconciles a newer dict/meta against it.
+// CommitKeydir installs the state bundle as one staged commit, the
+// engine's own (extmem.CommitFiles): dict, meta and the attr.idx sidecar
+// when the bundle carries one are staged, fsynced and take their names;
+// the barrier directory fsync makes them — and the names of the blobs Put
+// installed — durable; then the keydir's rename, the replica's commit
+// point, and the ack directory fsync. A crash before the keydir rename
+// leaves the old keydir authoritative; the engine's open-time self-heal
+// reconciles a newer dict/meta against it.
 func (l *Local) CommitKeydir(ctx context.Context, b *Bundle) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -273,55 +273,19 @@ func (l *Local) CommitKeydir(ctx context.Context, b *Bundle) error {
 	if b == nil || len(b.Keydir) == 0 {
 		return fmt.Errorf("segstore: refusing to commit an empty key directory")
 	}
-	if err := l.writeAtomic(extmem.DictFileName, b.Dict); err != nil {
-		return err
+	files := []extmem.StateFile{
+		{Name: extmem.DictFileName, Data: b.Dict},
+		{Name: extmem.MetaFileName, Data: b.Meta},
 	}
-	if err := l.writeAtomic(extmem.MetaFileName, b.Meta); err != nil {
-		return err
-	}
-	// The sidecar lands (or a stale predecessor is removed) before the
-	// keydir rename: it is bound to the incoming generation, and a crash
-	// in between leaves the old keydir with at worst a missing sidecar,
-	// which queries bypass and the next writable open rebuilds.
+	// The sidecar is bound to the incoming generation, so it lands (or a
+	// stale predecessor is removed) before the keydir rename: a crash in
+	// between leaves the old keydir with at worst a missing or foreign
+	// sidecar, which queries bypass and the next writable open rebuilds.
 	if len(b.AttrIdx) > 0 {
-		if err := l.writeAtomic(extmem.AttrIdxFileName, b.AttrIdx); err != nil {
-			return err
-		}
+		files = append(files, extmem.StateFile{Name: extmem.AttrIdxFileName, Data: b.AttrIdx})
 	} else if err := l.fs.Remove(filepath.Join(l.dir, extmem.AttrIdxFileName)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
 		return fmt.Errorf("segstore: %w", err)
 	}
-	return l.writeAtomic(extmem.KeydirFileName, b.Keydir)
-}
-
-// writeAtomic replaces one state file durably: sibling temp file,
-// fsync, rename, directory fsync.
-func (l *Local) writeAtomic(name string, data []byte) error {
-	path := filepath.Join(l.dir, name)
-	tmp := path + ".tmp"
-	f, err := l.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("segstore: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		l.fs.Remove(tmp)
-		return fmt.Errorf("segstore: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		l.fs.Remove(tmp)
-		return fmt.Errorf("segstore: fsync %s: %w", name, err)
-	}
-	if err := f.Close(); err != nil {
-		l.fs.Remove(tmp)
-		return fmt.Errorf("segstore: close %s: %w", name, err)
-	}
-	if err := l.fs.Rename(tmp, path); err != nil {
-		l.fs.Remove(tmp)
-		return fmt.Errorf("segstore: rename %s: %w", name, err)
-	}
-	if err := l.fs.SyncDir(l.dir); err != nil {
-		return fmt.Errorf("segstore: fsync dir: %w", err)
-	}
-	return nil
+	files = append(files, extmem.StateFile{Name: extmem.KeydirFileName, Data: b.Keydir})
+	return extmem.CommitFiles(l.fs, l.dir, files)
 }

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"xarch/internal/extmem"
+	"xarch/internal/faulttest"
 	"xarch/internal/fsio"
 )
 
@@ -156,63 +158,61 @@ func TestLocalCommitOrdering(t *testing.T) {
 	if fmt.Sprint(renames) != fmt.Sprint(want) {
 		t.Fatalf("commit renames = %v, want %v", renames, want)
 	}
-	// The keydir rename must be followed only by the directory fsync.
-	ops := ffs.Ops()
-	last := ops[len(ops)-1]
-	prev := ops[len(ops)-2]
-	if prev.Point != "keydir.rename" || last.Point != "dir.sync" {
-		t.Fatalf("trace tail = %s, %s; want keydir.rename, dir.sync", prev.Point, last.Point)
+	// The engine's staged commit: a barrier directory fsync before the
+	// keydir rename, the ack after it, and no other.
+	var tail []string
+	for _, op := range ffs.Ops() {
+		if op.Point == "dir.sync" || op.Point == "keydir.rename" {
+			tail = append(tail, op.Point)
+		}
+	}
+	if want := []string{"dir.sync", "keydir.rename", "dir.sync"}; fmt.Sprint(tail) != fmt.Sprint(want) {
+		t.Fatalf("directory fsyncs around the commit point = %v, want %v", tail, want)
+	}
+	if ops := ffs.Ops(); ops[len(ops)-1].Point != "dir.sync" {
+		t.Fatalf("the ack directory fsync is not the last op: %v", ops[len(ops)-1])
 	}
 }
 
 // TestLocalCommitCrashMatrix crashes CommitKeydir after every mutating
-// op: the keydir on disk must afterwards hold exactly the old or the
-// new bytes — never a torn hybrid — because the commit is an atomic
-// rename.
+// op and checks the directory under every outage mode: the keydir must
+// hold exactly the old or the new bytes — never a torn hybrid — and a new
+// keydir only beside the dict and meta it was committed with.
 func TestLocalCommitCrashMatrix(t *testing.T) {
 	oldB := &Bundle{Keydir: []byte("OLD-KEYDIR"), Dict: []byte("OLD-DICT"), Meta: []byte("OLD-META")}
 	newB := &Bundle{Keydir: []byte("NEW-KEYDIR-LONGER"), Dict: []byte("NEW-DICT"), Meta: []byte("NEW-META")}
-
-	// Trace a clean commit to size the matrix.
-	traceFS := fsio.NewFaultFS(nil)
-	tl, err := NewLocal(traceFS, filepath.Join(t.TempDir(), "s"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tl.CommitKeydir(ctx, oldB); err != nil {
-		t.Fatal(err)
-	}
-	traceFS.ResetTrace()
-	if err := tl.CommitKeydir(ctx, newB); err != nil {
-		t.Fatal(err)
-	}
-	n := traceFS.OpCount()
-
-	for _, torn := range []bool{false, true} {
-		for k := 0; k < n; k++ {
-			label := fmt.Sprintf("k=%d torn=%v", k, torn)
+	faulttest.Matrix{
+		Setup: func(t *testing.T) faulttest.Run {
 			dir := filepath.Join(t.TempDir(), "s")
-			ffs := fsio.NewFaultFS(nil)
-			l, err := NewLocal(ffs, dir)
+			l, err := NewLocal(nil, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := l.CommitKeydir(ctx, oldB); err != nil {
 				t.Fatal(err)
 			}
-			ffs.CrashAfter(ffs.OpCount()+k, torn)
-			if err := l.CommitKeydir(ctx, newB); err == nil {
-				t.Fatalf("%s: commit succeeded through a crash", label)
+			ffs := faulttest.Tracked(t, dir)
+			l = &Local{fs: ffs, dir: dir}
+			return faulttest.Run{Faults: ffs, Disk: ffs, Op: func() error { return l.CommitKeydir(ctx, newB) }}
+		},
+		Modes: faulttest.AllModes,
+		Check: func(t *testing.T, p faulttest.Point, dir string) bool {
+			if p.K >= 0 && p.Err == nil {
+				t.Errorf("%v: commit succeeded through a crash", p)
 			}
-			kd, err := os.ReadFile(filepath.Join(dir, "keydir.idx"))
-			if err != nil {
-				t.Fatalf("%s: keydir unreadable after crash: %v", label, err)
+			files := faulttest.Files(t, dir)
+			switch kd := files[extmem.KeydirFileName]; {
+			case bytes.Equal(kd, oldB.Keydir):
+				return false
+			case !bytes.Equal(kd, newB.Keydir):
+				t.Errorf("%v: keydir is neither the old nor the new bytes: %q", p, kd)
+			case !bytes.Equal(files[extmem.DictFileName], newB.Dict) || !bytes.Equal(files[extmem.MetaFileName], newB.Meta):
+				t.Errorf("%v: the new keydir committed beside dict %q and meta %q", p, files[extmem.DictFileName], files[extmem.MetaFileName])
 			}
-			if !bytes.Equal(kd, oldB.Keydir) && !bytes.Equal(kd, newB.Keydir) {
-				t.Errorf("%s: keydir is neither the old nor the new bytes: %q", label, kd)
-			}
-		}
-	}
+			return true
+		},
+		MinOps: 10,
+	}.Run(t)
 }
 
 func TestValidBlobName(t *testing.T) {
