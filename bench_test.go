@@ -313,6 +313,59 @@ func BenchmarkExtStoreSelect(b *testing.B) {
 	}
 }
 
+// BenchmarkExtStoreKidLookup: a three-step History and a kid-path Select
+// on the benchmark's query-mix shape — an XMark site at 60% of the default
+// size, 9 versions alternating 10% random and key-modifying changes — whose
+// person step is looked up in the people entry's kid mini-index.
+func BenchmarkExtStoreKidLookup(b *testing.B) {
+	def := datagen.DefaultXMark()
+	pc := func(n int) int { return n * 60 / 100 }
+	g := datagen.NewXMark(datagen.XMarkConfig{Seed: 1, Items: pc(def.Items), People: pc(def.People),
+		Categories: pc(def.Categories), OpenAucts: pc(def.OpenAucts), ClosedAucts: pc(def.ClosedAucts)})
+	st, err := OpenStore(b.TempDir(), g.Spec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	doc := g.Document()
+	var ids []string
+	for _, p := range doc.Child("people").ChildrenNamed("person") {
+		id, _ := p.Attr("id")
+		ids = append(ids, id)
+	}
+	for v := 0; v < 9; v++ {
+		if err := st.Add(doc); err != nil {
+			b.Fatal(err)
+		}
+		if v%2 == 0 {
+			doc = g.RandomChanges(doc, 0.10)
+		} else {
+			doc = g.KeyModChanges(doc, 0.10)
+		}
+	}
+	selectors, exprs := make([]string, len(ids)), make([]string, len(ids))
+	for i, id := range ids {
+		selectors[i] = "/site/people/person[id=" + id + "]"
+		exprs[i] = fmt.Sprintf("%s AND in %d..9", selectors[i], 1+i%9)
+	}
+	b.Run("history", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := st.History(selectors[i%len(selectors)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("select", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := st.Select(exprs[i%len(exprs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkExtStoreAddReader: the validated AddReader on the benchmark's
 // ingest-accrete shape — a 450-record OMIM archive, each iteration adding
 // the next of versions 2–6 again (TestAddAllocations holds its budget).

@@ -50,7 +50,8 @@ type idxKid struct {
 // idxEntry is the indexed form of one record. Its facts are held in the
 // form the shared qlang evaluators read — timestamps parsed — from the
 // moment the sidecar is loaded or built, so a query decodes nothing; the
-// kids' identities are derived on first use, like a segment's entries'.
+// kids' identities and their index are derived on first use, like a
+// segment's entries' and a root's.
 // attrTimes[i] is facts.Attrs[i].Time as stored ("" inherits the record
 // lifespan), kept so that encode writes the bytes decode read. Immutable
 // once built, and shared by every generation whose segment file is unchanged.
@@ -60,8 +61,8 @@ type idxEntry struct {
 	attrTimes []string
 	kids      []idxKid
 
-	kidOnce  sync.Once
-	kidIdent []entryIdent
+	kidOnce sync.Once
+	kidIdx  *dirIndex // kidIndex(): the kids' identities, derived on first query
 }
 
 func (e *idxEntry) addAttr(name, value, timeStr string, time *intervals.Set) {

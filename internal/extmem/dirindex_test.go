@@ -2,9 +2,12 @@ package extmem
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"xarch/internal/core"
+	"xarch/internal/datagen"
 )
 
 // mkEntry builds a child entry keyed by one {num} path with canonical
@@ -42,6 +45,17 @@ func refLookup(r *rootRecord, step *core.SelectorStep) []segEntry {
 	return out
 }
 
+// lookup is what History takes from the root's index: the entries of the
+// first two matches.
+func lookup(r *rootRecord, step *core.SelectorStep) []segEntry {
+	var out []segEntry
+	hits, n := r.index().firstTwo(step)
+	for _, p := range hits[:n] {
+		out = append(out, r.at(p))
+	}
+	return out
+}
+
 func stepOf(tag string, preds ...core.Predicate) *core.SelectorStep {
 	return &core.SelectorStep{Tag: tag, Preds: preds}
 }
@@ -57,7 +71,7 @@ func forceIndex(t *testing.T) {
 
 func checkLookup(t *testing.T, r *rootRecord, step *core.SelectorStep) {
 	t.Helper()
-	got := r.lookup(step)
+	got := lookup(r, step)
 	want := refLookup(r, step)
 	if len(got) != len(want) {
 		t.Fatalf("lookup(%s%v): %d matches, want %d", step.Tag, step.Preds, len(got), len(want))
@@ -168,9 +182,166 @@ func TestDirIndexLookupCost(t *testing.T) {
 	r.index() // build outside the measurement
 	for _, probe := range []int{0, 1, n / 2, n - 1} {
 		step := stepOf("rec", core.Predicate{Path: "id", Value: fmt.Sprintf("k%06d", probe)})
-		got := r.lookup(step)
+		got := lookup(r, step)
 		if len(got) != 1 || got[0].e() != &r.segs[0].entries[probe] {
 			t.Fatalf("lookup k%06d: %v", probe, got)
 		}
 	}
+}
+
+// mkKids builds a sidecar posting whose kid mini-index lists entries.
+func mkKids(entries []childEntry) *idxEntry {
+	ent := &idxEntry{hasKids: true}
+	for _, e := range entries {
+		ent.kids = append(ent.kids, idxKid{name: e.name, key: e.key})
+	}
+	return ent
+}
+
+// checkKidMatch holds the kid index to the linear reference over the kid
+// list: every match in physical order, and the first two a History takes.
+func checkKidMatch(t *testing.T, ent *idxEntry, step *core.SelectorStep) {
+	t.Helper()
+	var want []int32
+	for i, k := range ent.kids {
+		if k.name == step.Tag && (k.key != nil || len(step.Preds) == 0) && step.MatchesKey(keyDisplay(k.key)) {
+			want = append(want, int32(i))
+		}
+	}
+	ix := ent.kidIndex()
+	if got := slices.Collect(ix.matches(step)); !slices.Equal(got, want) {
+		t.Errorf("matches(%s%v): %v, want %v", step.Tag, step.Preds, got, want)
+	}
+	if hits, n := ix.firstTwo(step); !slices.Equal(hits[:n], want[:min(len(want), 2)]) {
+		t.Errorf("firstTwo(%s%v): %v, want %v", step.Tag, step.Preds, hits[:n], want[:min(len(want), 2)])
+	}
+}
+
+// TestDirIndexKidLookup drives the kid mini-index through the same index
+// as a root's entries, against the linear reference: keyless, fully keyed
+// (hit, miss, duplicate display), under-specified, unknown names, mixed
+// shapes, and an unsorted list falling back to the scan.
+func TestDirIndexKidLookup(t *testing.T) {
+	forceIndex(t)
+	var kids []childEntry
+	kids = append(kids, childEntry{name: "address"}) // keyless
+	for i := 0; i < 30; i++ {
+		kids = append(kids, mkEntry("person", "id", fmt.Sprintf("p%03d", i)))
+	}
+	kids = append(kids,
+		childEntry{name: "watch", key: &tkey{paths: []string{"id"}, canon: []string{"t(w)"}}},
+		childEntry{name: "watch", key: &tkey{paths: []string{"id"}, canon: []string{"t(w)"}}}, // duplicate display
+		mkEntry("zone", "a", "1"),
+		mkEntry("zone", "a", "3"),
+		childEntry{name: "zone", key: &tkey{paths: []string{"a", "b"}, canon: []string{"t(1)", "t(2)"}}}, // mixed shape: longer keys sort last
+	)
+	ent := mkKids(kids)
+	ix := ent.kidIndex()
+	if ix.small || !ix.sorted {
+		t.Fatalf("kid index small=%v sorted=%v, want a built, sorted index", ix.small, ix.sorted)
+	}
+	if _, ok := ix.seek(stepOf("person", core.Predicate{Path: "id", Value: "p007"})); !ok {
+		t.Error("a fully keyed kid step did not take the binary search")
+	}
+	steps := []*core.SelectorStep{
+		stepOf("address"),
+		stepOf("address", core.Predicate{Path: "id", Value: "x"}), // keyless kid, keyed step
+		stepOf("person", core.Predicate{Path: "id", Value: "p000"}),
+		stepOf("person", core.Predicate{Path: "id", Value: "p017"}),
+		stepOf("person", core.Predicate{Path: "id", Value: "p029"}),
+		stepOf("person", core.Predicate{Path: "id", Value: "nosuch"}),
+		stepOf("person", core.Predicate{Path: "wrongpath", Value: "p000"}),
+		stepOf("person"), // under-specified: every person
+		stepOf("watch", core.Predicate{Path: "id", Value: "w"}),
+		stepOf("zone", core.Predicate{Path: "a", Value: "1"}),
+		stepOf("zone", core.Predicate{Path: "a", Value: "1"}, core.Predicate{Path: "b", Value: "2"}),
+		stepOf("zone", core.Predicate{Path: "b", Value: "2"}),
+		stepOf("nosuch"),
+		stepOf("aaaa"),
+		stepOf("zzzz"),
+	}
+	for _, step := range steps {
+		checkKidMatch(t, ent, step)
+	}
+
+	// An unsorted kid list (never stored by a healthy archive) scans.
+	unsorted := mkKids([]childEntry{mkEntry("z", "id", "1"), mkEntry("a", "id", "2"), mkEntry("z", "id", "3")})
+	if unsorted.kidIndex().sorted {
+		t.Fatal("kid index did not detect the unsorted list")
+	}
+	for _, step := range []*core.SelectorStep{
+		stepOf("a", core.Predicate{Path: "id", Value: "2"}),
+		stepOf("z", core.Predicate{Path: "id", Value: "3"}),
+		stepOf("z"),
+	} {
+		checkKidMatch(t, unsorted, step)
+	}
+}
+
+// TestKidIndexSharedByReaders: a posting's kid index is built by whichever
+// reader asks first and shared by every view of the generation, so the
+// first kid lookups arrive from several readers at once; each must answer
+// what a lone reader of the same versions answers.
+func TestKidIndexSharedByReaders(t *testing.T) {
+	xm := datagen.NewXMark(datagen.XMarkConfig{Seed: 5, Items: 30, People: 80, Categories: 4, OpenAucts: 10, ClosedAucts: 6})
+	c := sidecarCorpus{spec: xm.Spec()}
+	doc := xm.Document()
+	for v := 0; v < 3; v++ {
+		c.docs = append(c.docs, doc)
+		doc = xm.KeyModChanges(doc, 0.1)
+	}
+	var selectors []string
+	for _, p := range c.docs[0].Child("people").ChildrenNamed("person") {
+		id, _ := p.Attr("id")
+		selectors = append(selectors, "/site/people/person[id="+id+"]")
+	}
+	selectors = append(selectors, "/site/people/person", "/site/people/person[id=nosuch]")
+	open := func() *Archiver {
+		dir := t.TempDir()
+		c.build(t, dir)
+		ar, err := Open(dir, c.spec, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ar.Close() })
+		return ar
+	}
+	answer := func(q *QueryView, sel string) string {
+		h, err := q.History(sel)
+		if err != nil {
+			return err.Error()
+		}
+		return h.String()
+	}
+	lone, err := open().OpenQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, sel := range selectors {
+		want[sel] = answer(lone, sel)
+	}
+	lone.Close()
+
+	ar := open()
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			q, err := ar.OpenQuery()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer q.Close()
+			for i := range selectors {
+				sel := selectors[(i+r*len(selectors)/4)%len(selectors)]
+				if got := answer(q, sel); got != want[sel] {
+					t.Errorf("reader %d: History(%s) = %s, a lone reader says %s", r, sel, got, want[sel])
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
 }

@@ -102,7 +102,8 @@ type rootRecord struct {
 	segs    []*segmentRecord
 
 	idxOnce sync.Once
-	idx     *dirIndex
+	idx     *dirIndex // index(): built on first lookup
+	cum     []int     // cum[i] = entries before segs[i]; len(segs)+1, set with idx
 
 	identOnce sync.Once
 	id        entryIdent

@@ -133,6 +133,7 @@ type entryIdent struct {
 	label  string         // "emp{fn=John,ln=Doe}"
 	key    *qlang.KeyInfo // nil for an unkeyed node; Paths alias the tkey's
 	joined string         // the display values joined by NUL: dirIndex's sort key
+	canon  *tkey          // the key as stored: the list order dirIndex verifies
 }
 
 func identOf(name string, k *tkey) entryIdent {
@@ -140,7 +141,7 @@ func identOf(name string, k *tkey) entryIdent {
 		return entryIdent{name: name, label: name}
 	}
 	paths, disp := keyDisplay(k)
-	id := entryIdent{name: name, label: labelOf(name, paths, disp), key: &qlang.KeyInfo{Paths: paths, Disp: disp}}
+	id := entryIdent{name: name, label: labelOf(name, paths, disp), key: &qlang.KeyInfo{Paths: paths, Disp: disp}, canon: k}
 	id.joined = strings.Join(disp, "\x00") // XML text cannot contain NUL
 	return id
 }
@@ -159,17 +160,6 @@ func (s *segmentRecord) idents() []entryIdent {
 func (r *rootRecord) ident() *entryIdent {
 	r.identOnce.Do(func() { r.id = identOf(r.name, r.key) })
 	return &r.id
-}
-
-// kidIdents returns the kids' identities, index-aligned with kids.
-func (e *idxEntry) kidIdents() []entryIdent {
-	e.kidOnce.Do(func() {
-		e.kidIdent = make([]entryIdent, len(e.kids))
-		for i := range e.kids {
-			e.kidIdent[i] = identOf(e.kids[i].name, e.kids[i].key)
-		}
-	})
-	return e.kidIdent
 }
 
 // entryMatches evaluates a selector step's predicates against a decoded

@@ -119,18 +119,18 @@ func (q *QueryView) resolveRoot(r *rootRecord, eff *intervals.Set, steps []core.
 	// ambiguity error, exactly like the linear scan it replaces.
 	step := &steps[1]
 	childPath := stepPath + "/" + step.Tag
-	matches := r.lookup(step)
-	if len(matches) == 0 {
+	ix := r.index()
+	hits, n := ix.firstTwo(step)
+	if n == 0 {
 		return &resolved{err: core.NoSuchElementError(childPath)}, nil
 	}
-	m := matches[0]
+	m := r.at(hits[0])
 	res, err := q.resolveEntry(r, m, entryEff(m.e(), eff), steps[1:], childPath, wantBody)
 	if err != nil {
 		return nil, err
 	}
-	if len(matches) > 1 {
-		m2 := matches[1]
-		res = &resolved{err: core.AmbiguousSelectorError(childPath, m.seg.idents()[m.i].label, m2.seg.idents()[m2.i].label)}
+	if n > 1 {
+		res = &resolved{err: core.AmbiguousSelectorError(childPath, ix.ids[hits[0]].label, ix.ids[hits[1]].label)}
 	}
 	return res, nil
 }
@@ -169,12 +169,13 @@ func (q *QueryView) resolveEntry(r *rootRecord, m segEntry, eff *intervals.Set, 
 }
 
 // resolveViaKids resolves steps[1] against the attribute index's kid
-// mini-index of the entry, seeking to the single matched child subtree —
-// or, when the kid is the last step and no body is wanted, answering from
-// its recorded lifespan without opening the segment. ok=false means no
-// usable index (absent sidecar, or a posting an older build stored without
-// spans) and the caller falls back to streaming the entry. Match order,
-// ambiguity handling and error texts mirror resolveLevel exactly.
+// mini-index of the entry — by the same dirIndex lookup as a level-2 step —
+// seeking to the single matched child subtree, or, when the kid is the last
+// step and no body is wanted, answering from its recorded lifespan without
+// opening the segment. ok=false means no usable index (absent sidecar, or a
+// posting an older build stored without spans) and the caller falls back to
+// streaming the entry. Match order, ambiguity handling and error texts
+// mirror resolveLevel exactly.
 func (q *QueryView) resolveViaKids(r *rootRecord, m segEntry, eff *intervals.Set, steps []core.SelectorStep, stepPath string, wantBody bool) (*resolved, bool, error) {
 	ent := q.posting(m.seg, m.i)
 	if ent == nil || !ent.hasKids {
@@ -182,22 +183,15 @@ func (q *QueryView) resolveViaKids(r *rootRecord, m segEntry, eff *intervals.Set
 	}
 	step := &steps[1]
 	kidPath := stepPath + "/" + step.Tag
-	ids := ent.kidIdents()
-	var first *idxKid
-	var foundLabel string
-	for ki := range ent.kids {
-		if !entryMatches(step, &ids[ki]) {
-			continue
-		}
-		if first != nil {
-			return &resolved{err: core.AmbiguousSelectorError(kidPath, foundLabel, ids[ki].label)}, true, nil
-		}
-		first = &ent.kids[ki]
-		foundLabel = ids[ki].label
-	}
-	if first == nil {
+	ix := ent.kidIndex()
+	hits, n := ix.firstTwo(step)
+	if n == 0 {
 		return &resolved{err: core.NoSuchElementError(kidPath)}, true, nil
 	}
+	if n > 1 {
+		return &resolved{err: core.AmbiguousSelectorError(kidPath, ix.ids[hits[0]].label, ix.ids[hits[1]].label)}, true, nil
+	}
+	first := &ent.kids[hits[0]]
 	keff := eff
 	if first.time != nil {
 		keff = first.time

@@ -136,7 +136,7 @@ nextRoot:
 		for _, p := range spine {
 			if flats, ok := r.index().seek(&p.Steps[1]); ok {
 				for _, flat := range flats {
-					m := r.index().at(int(flat))
+					m := r.at(flat)
 					add(r, rootEff, m.seg, m.i, base+int(flat))
 				}
 				continue nextRoot
@@ -156,22 +156,19 @@ nextRoot:
 }
 
 // PathSet evaluates a path predicate (steps relative to the record's
-// children) through the entry's kid mini-index: one-step predicates are
-// answered from kid metadata alone; deeper ones seek each matching kid's
-// subtree through the segment directory and walk only those bytes.
+// children) through the entry's kid mini-index, whose dirIndex finds the
+// matching kids: one-step predicates are answered from kid metadata alone;
+// deeper ones seek each matching kid's subtree through the segment
+// directory and walk only those bytes.
 func (src *recordSource) PathSet(steps []core.SelectorStep, eff *intervals.Set) (*intervals.Set, bool, error) {
 	ent := src.ent
 	if ent == nil || !ent.hasKids {
 		return nil, false, nil
 	}
-	q, step := src.q, &steps[0]
+	q := src.q
 	en := &src.s.entries[src.i]
-	ids := ent.kidIdents()
 	acc := intervals.New()
-	for ki := range ent.kids {
-		if !entryMatches(step, &ids[ki]) {
-			continue
-		}
+	for ki := range ent.kidIndex().matches(&steps[0]) {
 		k := &ent.kids[ki]
 		keff := eff
 		if k.time != nil {

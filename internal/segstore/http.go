@@ -45,7 +45,10 @@ func CheckHeaders(h http.Header, c Check) {
 	h.Set(HeaderCRC, strconv.FormatUint(uint64(c.CRC), 16))
 }
 
-// ParseCheckHeaders reads a Check back out of h.
+// ParseCheckHeaders reads a Check back out of h. It refuses a Check no blob
+// can pass — a negative size, offset or payload, or a payload range that
+// runs past the blob's end — so the server answers 400 before staging the
+// body, instead of a 422 the client would retry forever.
 func ParseCheckHeaders(h http.Header) (Check, error) {
 	var c Check
 	var err error
@@ -62,6 +65,9 @@ func ParseCheckHeaders(h http.Header) (Check, error) {
 		err = fmt.Errorf("segstore: bad %s header %q", HeaderCRC, h.Get(HeaderCRC))
 	}
 	c.CRC = uint32(crc)
+	if err == nil {
+		err = c.validate()
+	}
 	return c, err
 }
 
@@ -126,10 +132,14 @@ func drain(resp *http.Response) {
 }
 
 // Put uploads the blob with its Check in headers; the server stages,
-// verifies and installs it. Each retry re-opens the source stream.
+// verifies and installs it. Each retry re-opens the source stream; a Check
+// no blob can pass is refused before anything is sent.
 func (h *HTTP) Put(ctx context.Context, name string, c Check, open func() (io.ReadCloser, error)) error {
 	if !ValidBlobName(name) {
 		return fmt.Errorf("segstore: invalid blob name %q", name)
+	}
+	if err := c.validate(); err != nil {
+		return err
 	}
 	op := "put " + name
 	return h.retry.Do(ctx, op, func(octx context.Context) error {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -264,5 +265,68 @@ func TestHTTPCrashedTransport(t *testing.T) {
 	}
 	if _, err := h.List(ctx); !errors.Is(err, segstore.ErrNetCrashed) {
 		t.Fatalf("list after crash = %v, want ErrNetCrashed", err)
+	}
+}
+
+// TestImpossibleCheckRejected: a Check no blob can pass — a negative size,
+// offset or payload, or a payload range past the blob's end — is refused
+// as it is parsed, so the server answers 400 without staging the body and
+// the client gives up at once instead of re-streaming into a 422 forever.
+func TestImpossibleCheckRejected(t *testing.T) {
+	for _, c := range []segstore.Check{
+		{Size: 10, DataOff: 2, Payload: 8},
+		{Size: 10, DataOff: 10, Payload: 0},
+		{},
+	} {
+		h := http.Header{}
+		segstore.CheckHeaders(h, c)
+		if got, err := segstore.ParseCheckHeaders(h); err != nil || got != c {
+			t.Errorf("possible check %+v parsed as %+v, %v", c, got, err)
+		}
+	}
+	impossible := []segstore.Check{
+		{Size: -1},
+		{Size: 10, DataOff: -1, Payload: 4},
+		{Size: 10, DataOff: 2, Payload: -1},
+		{Size: 10, DataOff: 11},
+		{Size: 10, DataOff: 2, Payload: 9},
+		{Size: 1 << 62, DataOff: 1 << 62, Payload: 1 << 62}, // the sum overflows
+	}
+	for _, c := range impossible {
+		h := http.Header{}
+		segstore.CheckHeaders(h, c)
+		if _, err := segstore.ParseCheckHeaders(h); err == nil {
+			t.Errorf("impossible check %+v parsed", c)
+		}
+	}
+
+	dir := t.TempDir()
+	ts := replicaServer(t, dir)
+	var delays []time.Duration
+	h := segstore.NewHTTP(ts.URL, nil, fastRetry(5, &delays))
+	const body = "0123456789"
+	for _, c := range impossible {
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/segments/seg-00000001.tok", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		segstore.CheckHeaders(req.Header, c)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("PUT with %+v: status %d, want 400", c, resp.StatusCode)
+		}
+		delays = nil
+		err = h.Put(ctx, "seg-00000001.tok", c, func() (io.ReadCloser, error) { return io.NopCloser(strings.NewReader(body)), nil })
+		if err == nil || len(delays) != 0 {
+			t.Errorf("client put with %+v: %v after %d retries, want an error and none", c, err, len(delays))
+		}
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Errorf("the replica directory holds %d files (%v), want none", len(files), err)
 	}
 }

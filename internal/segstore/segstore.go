@@ -19,6 +19,7 @@ package segstore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 
@@ -50,6 +51,15 @@ type Check struct {
 	DataOff int64
 	Payload int64
 	CRC     uint32
+}
+
+// validate reports an error for a Check no blob can pass: a negative size,
+// offset or payload, or a payload range that runs past the blob's end.
+func (c Check) validate() error {
+	if c.Size < 0 || c.DataOff < 0 || c.Payload < 0 || c.DataOff > c.Size || c.Payload > c.Size-c.DataOff {
+		return fmt.Errorf("segstore: impossible check: size %d, payload [%d, +%d)", c.Size, c.DataOff, c.Payload)
+	}
+	return nil
 }
 
 // Bundle is the replica's commit unit: the exact bytes of the three
