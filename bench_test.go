@@ -369,9 +369,19 @@ func BenchmarkExtStoreKidLookup(b *testing.B) {
 // BenchmarkExtStoreAddReader: the validated AddReader on the benchmark's
 // ingest-accrete shape — a 450-record OMIM archive, each iteration adding
 // the next of versions 2–6 again (TestAddAllocations holds its budget).
-func BenchmarkExtStoreAddReader(b *testing.B) {
+func BenchmarkExtStoreAddReader(b *testing.B) { benchAddReader(b) }
+
+// BenchmarkExtStoreAddStream: the same adds streamed, on a store opened
+// WithValidation(false): at the default memory budget each version is
+// sorted in one piece, at 4,096 nodes in runs that one merge joins.
+func BenchmarkExtStoreAddStream(b *testing.B) {
+	b.Run("default", func(b *testing.B) { benchAddReader(b, WithValidation(false)) })
+	b.Run("budget4096", func(b *testing.B) { benchAddReader(b, WithValidation(false), WithMemoryBudget(4096)) })
+}
+
+func benchAddReader(b *testing.B, opts ...Option) {
 	spec, texts := omimTexts(b, 450, 6, 1)
-	st, err := OpenStore(b.TempDir(), spec)
+	st, err := OpenStore(b.TempDir(), spec, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -387,6 +397,7 @@ func BenchmarkExtStoreAddReader(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(st.SortRuns()), "runs")
 }
 
 // BenchmarkHistoryScan and BenchmarkHistoryIndex: temporal history by

@@ -152,7 +152,7 @@ func addStoreFlags(fs *flag.FlagSet) *storeFlags {
 		engine:        fs.String("engine", "mem", "archiver engine: mem (in-memory) or ext (external-memory)"),
 		spec:          fs.String("spec", "", "key specification file"),
 		archive:       fs.String("archive", "", "archive XML file (mem) or archive directory (ext)"),
-		budget:        fs.Int("budget", 1<<20, "external-sort memory budget in tokens (ext engine)"),
+		budget:        fs.Int("budget", 1<<20, "memory budget of a -novalidate add, in document nodes: a larger version is sorted in runs (ext engine)"),
 		compact:       fs.Bool("compact", false, "further compaction below frontier nodes (mem engine)"),
 		novalidate:    fs.Bool("novalidate", false, "skip the key-specification check on add; with -engine ext the version streams without being parsed into a tree"),
 		compactBudget: fs.Int("compactbudget", 0, "segment-compaction byte budget after each add; 0 disables (ext engine)"),

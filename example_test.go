@@ -80,9 +80,10 @@ func ExampleOpenStore() {
 		`<db><dept><name>finance</name></dept></db>`,
 		`<db><dept><name>finance</name><emp><fn>Jane</fn><ln>Smith</ln><sal>90K</sal></emp></dept></db>`,
 	} {
-		// AddReader validates the version (the default), then feeds it
-		// through decompose, external sort and merge; with
-		// WithValidation(false) it streams without building a tree.
+		// AddReader tokenizes the version into the store's document slab,
+		// validates it (the default), sorts it there and merges it; with
+		// WithValidation(false) a version over the memory budget is sorted
+		// in runs instead of held whole.
 		if err := store.AddReader(strings.NewReader(src)); err != nil {
 			log.Fatal(err)
 		}

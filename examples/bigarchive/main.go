@@ -2,8 +2,8 @@
 //
 // Swiss-Prot versions reach hundreds of megabytes — far beyond the
 // archiver's in-memory reach on the paper's 256 MB machine. This example
-// archives Swiss-Prot-like releases through the external sort (decompose
-// → bounded-memory sorted runs → run merge) and the streaming segment
+// archives Swiss-Prot-like releases through the external sort (pieces of
+// the release sorted into runs → run merge) and the streaming segment
 // merge, with an artificially tiny memory budget, so the multi-run
 // machinery is visible.
 //
@@ -36,13 +36,13 @@ func main() {
 	g := datagen.NewSwissProt(cfg)
 	spec := datagen.SwissProtSpec()
 
-	// A 500-token budget forces the run former to spill constantly — a
-	// stand-in for a document 1000x larger than memory.
+	// A 500-node budget cuts every release into many pieces, one run
+	// each — a stand-in for a document 1000x larger than memory.
 	const budget = 500
-	// WithValidation(false) is what selects the external sort: the
-	// releases come from a trusted generator, so AddReader streams each
-	// one through it instead of parsing the release into a tree first
-	// (a tree is sorted in memory, and the budget would not apply).
+	// WithValidation(false) is what lets the budget apply: the releases
+	// come from a trusted generator, so AddReader reads each in pieces of
+	// whole records instead of whole (a validation report needs the whole
+	// release, and a tree is sorted in memory).
 	ar, err := xarch.OpenStore(dir, spec,
 		xarch.WithMemoryBudget(budget), xarch.WithValidation(false))
 	if err != nil {
@@ -50,14 +50,14 @@ func main() {
 	}
 	defer ar.Close()
 
-	fmt.Printf("== External store in %s (budget: %d tokens) ==\n", dir, budget)
+	fmt.Printf("== External store in %s (budget: %d nodes) ==\n", dir, budget)
 	var releases []string
 	for rel := 1; rel <= 4; rel++ {
 		doc := g.Next()
 		text := doc.IndentedXML()
 		releases = append(releases, text)
-		// AddReader streams the release through the external sort; the
-		// document is never held in memory as a tree.
+		// AddReader sorts the release piece by piece into runs and merges
+		// them; the release is never held in memory whole.
 		if err := ar.AddReader(strings.NewReader(text)); err != nil {
 			log.Fatal(err)
 		}

@@ -14,8 +14,9 @@ import (
 // ExtStore is the external-memory engine of the Store interface: the
 // archiver of §6, maintaining the archive on disk as key-range-
 // partitioned segment files plus a persistent key directory, and adding
-// versions with bounded memory (a parsed document is sorted in memory, a
-// streamed one by the external sort; then a segment-local streaming merge
+// versions with bounded memory (a version is sorted in the writer's
+// document slab — a streamed one larger than the memory budget in pieces,
+// into runs that one merge joins; then a segment-local streaming merge
 // rewrites only the segments whose key ranges the version touches).
 //
 // Queries stream too: Version, WriteVersion, History, ContentHistory and
@@ -85,7 +86,7 @@ func (s *ExtStore) Add(doc *Document) error {
 // AddBatch archives docs as consecutive versions with ONE durable commit
 // for the whole group: every document is loaded once into the writer's
 // document slab, validated there (with validation on) and sorted there —
-// no serialization or re-parse, no key files, no runs — and merged
+// no serialization or re-parse, no runs — and merged
 // against the uncommitted result of its predecessor, and only the final
 // key directory goes
 // through the staged commit (stage and fsync the state files, two
@@ -131,13 +132,15 @@ func (s *ExtStore) CommitCount() int64 {
 }
 
 // AddReader archives the XML document read from r as the next version.
-// With validation on (the default) the document is tokenized straight into
-// the writer's reused document slab — no tree is built — checked against
-// the key specification exactly like the in-memory engine, and sorted
-// there. Construct the store with WithValidation(false) to stream a
-// document larger than memory through the streaming decomposer, external
-// sort and merge without ever holding it; key violations then surface as
-// decompose or merge errors rather than a full validation report.
+// The document is tokenized straight into the writer's reused document
+// slab — no tree is built — and sorted there. With validation on (the
+// default) it is read whole and checked against the key specification
+// exactly like the in-memory engine. Construct the store with
+// WithValidation(false) to archive a document larger than memory: it is
+// read in pieces of at most the memory budget, cut between children of
+// the root, each sorted into a run, and one merge of the runs feeds the
+// archive merge. Key violations then surface as the sort's or the merge's
+// errors rather than a full validation report.
 func (s *ExtStore) AddReader(r io.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -287,9 +290,10 @@ func (s *ExtStore) SameVersion(doc, other *Document) (bool, error) {
 	return core.New(s.ar.Spec(), s.cfg.coreOptions()).SameVersion(doc, other)
 }
 
-// SortRuns reports how many sorted runs the external sort of the most
-// recent add formed (§6): one means the version fit the memory budget,
-// zero that it was added as a tree and sorted in memory.
+// SortRuns reports how many sorted runs the most recent add wrote (§6.2):
+// zero when the version was sorted in memory in one piece — a tree, a
+// validated document, or a streamed one within the memory budget — and
+// otherwise one per piece of a streamed version.
 func (s *ExtStore) SortRuns() int {
 	return s.ar.Last().Sort.Runs
 }

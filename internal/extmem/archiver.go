@@ -96,10 +96,14 @@ type Archiver struct {
 
 // Config collects the archiver's tuning knobs.
 type Config struct {
-	// Budget caps the in-memory partial trees of the external sort, in
-	// tokens; small budgets force many sorted runs. It bounds streamed
-	// versions (a Source.Reader without Validate) only: any other version
-	// is sorted in memory. Default 1<<20.
+	// Budget caps the document slab of a streamed version (a Source.Reader
+	// without Validate), in nodes — about one token each: such a version is
+	// read in pieces that end between two children of the root once they
+	// hold Budget nodes, and one that takes more than one piece is sorted in
+	// runs. A child of the root always comes whole, and so does a root that
+	// is at the frontier or whose key has key paths. That loses nothing:
+	// the segment writer buffers every child of the root whole anyway. Any
+	// other version is sorted in memory in one piece. Default 1<<20.
 	Budget int
 	// SegmentTarget is the segment file payload size the merge aims for,
 	// in bytes. Smaller targets mean more segments: finer-grained merge
@@ -324,7 +328,7 @@ func (ar *Archiver) preloadDicts(d *keyDirectory) {
 }
 
 // sweepTmp removes the transient files a crashed operation can strand:
-// "tmp-*" scratch files (version/key/run/sorted files of a streamed Add),
+// "tmp-*" scratch files (the run and sorted files of a streamed Add),
 // "*.tmp" staged siblings (a commit killed between staging and rename),
 // and "*.part" replication staging files (a pull killed mid-transfer). Only committed state survives a reopen, so anything
 // matching these patterns is garbage by construction. It returns what
@@ -562,17 +566,20 @@ func (ar *Archiver) Segments() []SegmentInfo {
 }
 
 // Source is one version handed to AddVersionBatch: a parsed document, or
-// XML, or — the zero Source — an empty version. A Doc is loaded into the
-// writer's slab and sorted there (sortInMemory); so is a Reader with
-// Validate set, tokenized straight into the slab. A Reader without it goes
-// through the external sort (decompose, key files, runs, run merge), which
-// never holds the version in memory.
+// XML, or — the zero Source — an empty version. Either way the version is
+// sorted in the writer's slab (sortSlab): a Doc is loaded into it, a Reader
+// tokenized straight into it. A Reader without Validate is read in pieces
+// of at most Config.Budget nodes, cut only between children of the root,
+// and a version that takes more than one piece is sorted in runs
+// (sortRuns), so it is never held in memory whole.
 type Source struct {
 	Doc    *xmltree.Node
 	Reader io.Reader
 	// Validate checks the version against the key specification before it
 	// is sorted: a violation fails it with a *keys.ViolationsError that
-	// names every violation.
+	// names every violation. The report needs the whole version, so a
+	// validated Reader is read in one piece, whatever the budget; without
+	// Validate only what the sort cannot place fails the version.
 	Validate bool
 }
 
@@ -582,7 +589,7 @@ type BatchItem struct {
 	// Version is the version number assigned to the document; valid only
 	// when Err is nil and the batch call itself returned no error.
 	Version int
-	// Err is the document's own failure (a parse, decompose or merge
+	// Err is the document's own failure (a parse, sort or merge
 	// error). A document that fails is skipped — it consumes no version
 	// number — and the rest of the batch still commits.
 	Err error
@@ -668,7 +675,7 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 		staged = newDir
 		stagedFiles = append(stagedFiles, newFiles...)
 		items[k].Version = vnum
-		ar.last.Merge = stats
+		ar.last.Sort, ar.last.Merge = SortStats{Runs: sorted.runs}, stats
 	}
 	if staged == base {
 		// Every document failed its own pipeline: nothing to commit.
@@ -721,44 +728,38 @@ func removePaths(fs fsio.FS, paths []string) {
 type sortedVersion struct {
 	toks []token
 	path string // "" means toks
+	runs int    // run files the sort wrote (SortStats.Runs)
 }
 
-// prepareSorted brings one version into §6.2's sorted form — a document
-// held in memory by sortInMemory, which touches no file, streamed XML by
-// the external sort — and returns it with every scratch file created,
-// which the caller removes when done with the version.
-func (ar *Archiver) prepareSorted(src Source) (sorted sortedVersion, scratch []string, err error) {
-	var stats SortStats
+// prepareSorted brings one version into §6.2's sorted form — in the
+// writer's slab, which touches no file, or, for a streamed version that
+// does not fit one piece, in runs (sortRuns) — and returns it with every
+// scratch file created, which the caller removes when done with the
+// version.
+func (ar *Archiver) prepareSorted(src Source) (sortedVersion, []string, error) {
 	switch {
-	case src.Doc != nil || src.Reader != nil && src.Validate:
-		sorted.toks, err = ar.sortInMemory(src)
+	case src.Doc != nil:
+		ar.flat.Load(src.Doc)
 	case src.Reader != nil:
-		sorted.path = ar.tmpPath("sorted.tok")
-		stats, scratch, err = ar.externalSort(src.Reader, sorted.path)
+		cut := ar.cut
+		if src.Validate {
+			cut = nil // the report names every violation: one piece
+		}
+		pieces := xmltree.NewFlatReader(src.Reader)
+		if more, err := pieces.Next(&ar.flat, cut); err != nil {
+			return sortedVersion{}, nil, err
+		} else if more {
+			return ar.sortRuns(pieces)
+		}
+	default:
+		return sortedVersion{}, nil, nil
 	}
-	if err != nil {
-		return sortedVersion{}, scratch, err
-	}
-	ar.last.Sort = stats
-	return sorted, scratch, nil
+	toks, err := ar.sortSlab(src.Validate)
+	return sortedVersion{toks: toks}, nil, err
 }
 
 func (ar *Archiver) tmpPath(name string) string {
 	return filepath.Join(ar.dir, "tmp-"+name)
-}
-
-func sanitize(s string) string {
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
-			b.WriteByte(c)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
 }
 
 // WriteArchiveXML streams the current generation's archive in the paper's

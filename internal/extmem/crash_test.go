@@ -272,29 +272,28 @@ func addDocs(seed int64, n int) []*xmltree.Node {
 
 // TestCrashMatrixAdd kills an add after every op k of its I/O trace:
 // recovery must land on exactly the 2-version or the 3-version archive.
-// It runs once per source kind: a parsed tree (whose only scratch file is
-// the sorted version) and streamed XML (which also leaves the token file,
-// the tmp-keys-* key files and the runs for the sweep). A small budget
-// makes the streamed add form several run files, so the matrix covers the
-// scratch-file phase.
+// It runs once per source kind: a parsed tree (sorted in memory: its only
+// transient files are the commit's staged ones) and streamed XML, which a
+// small budget makes form several run files, so the matrix covers the
+// scratch-file phase: runs and the sorted version left for the sweep.
 func TestCrashMatrixAdd(t *testing.T) {
 	docs := addDocs(91, 3)
 	cfg := Config{Budget: 512, SegmentTarget: 1024}
 	base, preV, wantPre := omimBase(t, cfg, docs[:2]...)
 	for _, tc := range []struct {
-		name         string
-		op           func(*Archiver) error
-		wantKeyFiles bool
+		name     string
+		op       func(*Archiver) error
+		wantRuns bool
 	}{
 		{"tree", addTree(docs[2]), false},
 		{"stream", addStream(docs[2]), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sawTransient, sawKeyFile := false, false
+			sawTransient, sawRuns := false, false
 			outageMatrix(t, cfg, base, preV, wantPre, faulttest.Kill, tc.op, func(p faulttest.Point, dir string) {
 				for _, name := range faulttest.Transient(t, dir) {
 					sawTransient = true
-					sawKeyFile = sawKeyFile || strings.HasPrefix(name, "tmp-keys-")
+					sawRuns = sawRuns || strings.HasPrefix(name, "tmp-run0001")
 					if strings.HasPrefix(name, "tmp-w") {
 						t.Errorf("%v: per-worker run file %s; run forming is sequential", p, name)
 					}
@@ -303,8 +302,8 @@ func TestCrashMatrixAdd(t *testing.T) {
 			if !sawTransient {
 				t.Error("no crash point left transient files behind; the sweep path was never exercised")
 			}
-			if sawKeyFile != tc.wantKeyFiles {
-				t.Errorf("crash points left key files behind: %v, want %v", sawKeyFile, tc.wantKeyFiles)
+			if sawRuns != tc.wantRuns {
+				t.Errorf("crash points left a second run behind: %v, want %v", sawRuns, tc.wantRuns)
 			}
 		})
 	}

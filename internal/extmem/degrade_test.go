@@ -114,11 +114,12 @@ func TestDegradedOnCommitRenameFault(t *testing.T) {
 }
 
 // A plain write error on a scratch file is NOT durability-critical: the
-// Add rolls back, nothing is poisoned, and a retry succeeds.
+// Add rolls back, nothing is poisoned, and a retry succeeds. The budget
+// makes the streamed add sort in runs, so it writes scratch files.
 func TestScratchWriteErrorDoesNotDegrade(t *testing.T) {
 	dir := t.TempDir()
 	ffs := fsio.NewFaultFS(nil)
-	ar, err := Open(dir, datagen.OMIMSpec(), Config{Budget: 1 << 16, SegmentTarget: 2048, FS: ffs})
+	ar, err := Open(dir, datagen.OMIMSpec(), Config{Budget: 64, SegmentTarget: 2048, FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}

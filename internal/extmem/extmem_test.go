@@ -207,7 +207,7 @@ func TestRunsFormedUnderBudget(t *testing.T) {
 	if ar.Last().Sort.Runs < 2 {
 		t.Errorf("tiny budget produced %d runs, expected several", ar.Last().Sort.Runs)
 	}
-	t.Logf("budget=64: runs=%d tokens=%d", ar.Last().Sort.Runs, ar.Last().Sort.RunTokens)
+	t.Logf("budget=64: runs=%d", ar.Last().Sort.Runs)
 
 	dir2 := t.TempDir()
 	ar2, err := Open(dir2, datagen.OMIMSpec(), Config{Budget: 1 << 20})
@@ -217,9 +217,47 @@ func TestRunsFormedUnderBudget(t *testing.T) {
 	if err := addVersion(ar2, strings.NewReader(doc.IndentedXML())); err != nil {
 		t.Fatal(err)
 	}
-	if ar2.Last().Sort.Runs != 1 {
-		t.Errorf("huge budget produced %d runs, want 1", ar2.Last().Sort.Runs)
+	if ar2.Last().Sort.Runs != 0 {
+		t.Errorf("huge budget produced %d runs, want 0", ar2.Last().Sort.Runs)
 	}
+
+	// A batch member that fails leaves the stats of the last version that
+	// made it: its runs and its merge.
+	merge := ar.Last().Merge
+	items, err := ar.AddVersionBatch([]Source{{Reader: strings.NewReader(doc.XML())}, {Reader: strings.NewReader("<db/>")}})
+	if err != nil || items[0].Err != nil || items[1].Err == nil {
+		t.Fatalf("batch of a good and a bad version: %v %+v", err, items)
+	}
+	if ar.Last().Sort.Runs < 2 || ar.Last().Merge == merge {
+		t.Errorf("after a failed batch member: %d runs, merge %+v", ar.Last().Sort.Runs, ar.Last().Merge)
+	}
+
+	// A root the specification does not know fails in its first piece,
+	// read no further than the budget needs, not the whole document.
+	var wrong strings.Builder
+	wrong.WriteString("<notomim>")
+	for wrong.Len() < 1<<20 {
+		wrong.WriteString(`<Record><Num>1</Num><Title>t</Title></Record>`)
+	}
+	wrong.WriteString("</notomim>")
+	r := &countingReader{r: strings.NewReader(wrong.String())}
+	if err := addVersion(ar, r); err == nil {
+		t.Error("a document with an unknown root was archived")
+	} else if r.n > 64<<10 {
+		t.Errorf("an unknown root read %d of %d bytes before failing", r.n, wrong.Len())
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
 }
 
 func TestReopenAndExtend(t *testing.T) {

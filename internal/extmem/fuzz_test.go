@@ -318,11 +318,12 @@ func FuzzMeta(f *testing.F) {
 }
 
 // FuzzFlatVsTree holds the validated add's document slab to the tree and
-// to the external sort, for whatever XML it is handed: the slab the
+// to the sort in runs, for whatever XML it is handed: the slab the
 // tokenizer fills equals the tree the parser builds, flattened; the
 // validator's report over it equals the pattern-loop reference's over the
-// tree; and a valid document sorts in the slab to the bytes the external
-// sort writes (at a budget that forces several runs).
+// tree; and a valid document sorted in the slab in one piece is, byte for
+// byte, what the run merge writes of it sorted in pieces at a budget of 16
+// nodes.
 func FuzzFlatVsTree(f *testing.F) {
 	spec := keys.MustParseSpec(edgeSpec)
 	for _, text := range edgeTexts() {
@@ -354,19 +355,22 @@ func FuzzFlatVsTree(f *testing.F) {
 		if len(report) > 0 {
 			return
 		}
-		toks, err := (&Archiver{spec: spec, dict: newDictionary()}).sortInMemory(Source{Reader: bytes.NewReader(text), Validate: true})
+		whole, _, err := (&Archiver{spec: spec, dict: newDictionary()}).prepareSorted(Source{Reader: bytes.NewReader(text), Validate: true})
 		if err != nil {
 			t.Fatalf("a valid document does not sort: %v", err)
 		}
 		ext := &Archiver{dir: dir, fs: fsio.OS, spec: spec, dict: newDictionary(), cfg: Config{Budget: 16}}
-		path := ext.tmpPath("sorted.tok")
-		_, scratch, err := ext.externalSort(bytes.NewReader(text), path)
-		defer removePaths(fsio.OS, append(scratch, path))
+		runs, scratch, err := ext.prepareSorted(Source{Reader: bytes.NewReader(text)})
+		defer removePaths(fsio.OS, scratch)
 		if err != nil {
-			t.Fatalf("the external sort refuses a valid document: %v", err)
+			t.Fatalf("the sort in runs refuses a valid document: %v", err)
 		}
-		if want, err := os.ReadFile(path); err != nil || !bytes.Equal(encodeTokens(toks), want) {
-			t.Fatalf("slab and external sort disagree (%v)", err)
+		want := encodeTokens(runs.toks)
+		if runs.path != "" {
+			want, err = os.ReadFile(runs.path)
+		}
+		if err != nil || !bytes.Equal(encodeTokens(whole.toks), want) {
+			t.Fatalf("the sort in one piece and in runs disagree (%v)", err)
 		}
 	})
 }

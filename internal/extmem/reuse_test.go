@@ -280,7 +280,8 @@ func (f *countedFile) Read(p []byte) (int, error) {
 // sorted version is read again only from that child on. The whole archive
 // is one segment here and the second version appends an item after the last
 // label: a merge that went back to the start of the segment's range would
-// read the version twice.
+// read the version twice. The budget makes the streamed add sort in runs,
+// so the sorted version is a file whose reads can be counted.
 func TestDirtySegmentResumesAtDirtyChild(t *testing.T) {
 	base := xmltree.Elem("db")
 	for id := 0; id < 900; id++ {
@@ -290,7 +291,7 @@ func TestDirtySegmentResumesAtDirtyChild(t *testing.T) {
 	next.Append(reuseItem(999, "appended after the last label"))
 
 	fs := &sortedReads{FS: fsio.OS}
-	ar, err := Open(t.TempDir(), keys.MustParseSpec(reuseSpec), Config{SegmentTarget: 1 << 20, FS: fs})
+	ar, err := Open(t.TempDir(), keys.MustParseSpec(reuseSpec), Config{Budget: 1024, SegmentTarget: 1 << 20, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

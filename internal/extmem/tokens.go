@@ -1,23 +1,24 @@
 // Package extmem implements the external-memory archiver of §6 of Buneman
 // et al., "Archiving Scientific Data", for documents larger than memory:
 //
-//  1. Decompose (§6.1): a streaming pass splits the XML into an internal
-//     token representation (tag names replaced by dictionary numbers),
-//     a tag dictionary, and per-key-path files of key values — the
-//     streaming realization of Annotate Keys (§4.1).
-//  2. Sort (§6.2): bounded-memory sorted runs over the token stream (keyed
-//     levels sorted by key value; stems duplicated across runs), then a
-//     multi-way merge of the runs into one sorted document.
+//  1. Decompose (§6.1): the XML is tokenized into a document slab
+//     (xmltree.Flat) — tag names numbered in a dictionary as they are met
+//     — and the key specification stores every keyed node's key value
+//     there, the slab's realization of Annotate Keys (§4.1).
+//  2. Sort (§6.2): the slab is sorted in memory (keyed levels sorted by
+//     key value). A streamed version larger than the memory budget is
+//     read in pieces, each the root and whole children of the root; each
+//     piece is sorted into a run file and one multi-way merge of the runs
+//     writes the sorted document.
 //  3. Merge (§6.3): a single streaming pass merges the sorted archive and
 //     the sorted version by the Nested Merge rules.
 //
-// Steps 1 and 2 are for a version that is streamed in (decompose.go,
-// sort.go); a tree, or validated XML, is held in a document slab and
-// sorted there into the same sorted document (treesort.go).
+// A tree is loaded into the same slab and takes the same sort
+// (treesort.go); only a streamed version forms runs (sort.go).
 //
-// Only O(height + frontier-subtree) state is held in memory at any point
-// outside the run former, whose memory use is capped by an explicit node
-// budget.
+// A streamed version's memory is bounded by the budget at the granularity
+// of a child of the root, the unit the segment writer buffers anyway; any
+// other version is held whole.
 package extmem
 
 import (
@@ -33,7 +34,7 @@ import (
 
 // tokenBufSize is the buffer size of every token-file reader and writer;
 // the buffers themselves are pooled so the many short-lived readers and
-// writers of one Add (runs, merges, key files) or query scan reuse a
+// writers of one Add (runs, the run merge) or query scan reuse a
 // handful of 64 KiB buffers instead of allocating fresh ones.
 const tokenBufSize = 64 * 1024
 
@@ -52,13 +53,10 @@ const (
 	tokTSClose = 0x06 // group close
 )
 
-// Open flags. flagStem exists in the external sort's run files only: it
-// marks an open token that repeats, at the head of a run, a node an earlier
-// run left open, as against a node met in the document (sort.go).
+// Open flags.
 const (
 	flagHasKey  = 0x01
 	flagHasTime = 0x02
-	flagStem    = 0x04
 )
 
 // token is one decoded token. Tokens decoded from a segment carry
@@ -68,7 +66,6 @@ const (
 // needs to mutate the set must clone it first.
 type token struct {
 	op   byte
-	stem bool           // tokOpen read from a run file: flagStem
 	tag  int            // tokOpen: dictionary id; tokAttr: name id
 	data string         // tokText: text; tokAttr: value; tokTSOpen/tokOpen: time
 	key  *tkey          // tokOpen with flagHasKey
@@ -126,8 +123,8 @@ func compareKeys(a, b *tkey) int {
 }
 
 // tokenWriter writes a token stream in the inline grammar (strings
-// carried in the tokens): the external sort's runs and version scratch
-// files.
+// carried in the tokens): the external sort's run files and the sorted
+// version it merges them into.
 type tokenWriter struct {
 	w *bufio.Writer
 }
@@ -166,19 +163,9 @@ func (tw *tokenWriter) str(s string) {
 }
 
 func (tw *tokenWriter) open(tagID int, key *tkey, time string) {
-	tw.openFlags(tagID, key, time, 0)
-}
-
-// openStem writes the open token of a node a run repeats from the run
-// before it. Only run files carry the flag: writeToken, which every other
-// stream is written through, goes through open and drops it.
-func (tw *tokenWriter) openStem(tagID int, key *tkey) {
-	tw.openFlags(tagID, key, "", flagStem)
-}
-
-func (tw *tokenWriter) openFlags(tagID int, key *tkey, time string, flags byte) {
 	tw.w.WriteByte(tokOpen)
 	tw.varint(uint64(tagID))
+	var flags byte
 	if key != nil {
 		flags |= flagHasKey
 	}
@@ -562,7 +549,6 @@ func (tr *tokenReader) next() {
 		if flags&flagHasTime != 0 {
 			t.data, t.time = tr.time()
 		}
-		t.stem = flags&flagStem != 0
 	case tokText:
 		t.data = tr.str()
 	case tokAttr:

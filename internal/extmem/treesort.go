@@ -11,30 +11,24 @@ import (
 	"xarch/internal/xmltree"
 )
 
-// sortInMemory loads a tree, or tokenizes XML, into the writer's slab, has
-// the specification check it and store its keys, and turns it into the
-// §6.2 sorted token stream, in the writer's token buffer: one walk in
-// lockstep with the specification's compiled trie that at every keyed
-// level orders the element children by (name, key) over a stack of node
-// indexes and descends in that order. The tokens are the ones the external
-// sort (decompose.go, sort.go) makes of the document's serialization —
-// adjacent text joined, whitespace-only text and namespace declarations
-// dropped, attributes in canonical order, dictionary ids assigned in
-// document order — and the merge reads them where they are. The caller
-// zeroes the buffer once it is done with them.
+// sortSlab has the specification check the document in the writer's slab
+// and store its keys, and turns it into the §6.2 sorted token stream, in the
+// writer's token buffer: one walk in lockstep with the specification's
+// compiled trie that at every keyed level orders the element children by
+// (name, key) over a stack of node indexes and descends in that order. The
+// tokens are the document's serialization's — adjacent text joined,
+// whitespace-only text and namespace declarations dropped, attributes in
+// canonical order, dictionary ids assigned in document order — and the
+// merge reads them where they are, or a run file takes them (sort.go). The
+// caller zeroes the buffer once it is done with them.
 //
-// Violations fail the version when the source asks for validation;
-// otherwise only what the sort cannot place does, as the first violation
-// or the sort's own error.
-func (ar *Archiver) sortInMemory(src Source) ([]token, error) {
+// Violations fail the version when validate is set; otherwise only what
+// the sort cannot place does, as the first violation or the sort's own
+// error.
+func (ar *Archiver) sortSlab(validate bool) ([]token, error) {
 	d := &ar.flat
-	if src.Doc != nil {
-		d.Load(src.Doc)
-	} else if err := d.Read(src.Reader); err != nil {
-		return nil, err
-	}
 	errs := ar.spec.Check(d)
-	if src.Validate && len(errs) > 0 {
+	if validate && len(errs) > 0 {
 		return nil, &keys.ViolationsError{Violations: errs}
 	} else if len(d.Nodes) == 0 {
 		return ar.toks[:0], nil

@@ -16,12 +16,12 @@ import (
 	"xarch/internal/xmltree"
 )
 
-// The two ways a version is sorted — sortInMemory over the document slab, in
-// memory, and the external sort (decompose, run forming, run merge) over
-// XML text — share no code and must be one sort in effect: the same sorted
+// A version is sorted in the document slab in one piece — a tree (Add), or
+// XML a validated AddReader tokenizes — or, streamed without validation,
+// in pieces cut between children of the root, each sorted into a run and
+// the runs merged. Both shapes must be one sort in effect: the same sorted
 // token stream, and after the merge the same bytes in every file of the
-// archive directory. The slab is filled from a tree (Add) or straight from
-// the tokenizer (a validated AddReader); the text case takes the second.
+// archive directory.
 
 // edgeSpec exercises what the generators' specifications do not: a
 // wildcard context, a key path that ends at an attribute, a whole-value
@@ -101,8 +101,8 @@ func edgeTexts() []string {
 }
 
 // sortedStream sorts one source and returns the sorted version in the
-// inline grammar: a document's tokens encoded as a scratch file holds
-// them, a streamed version's scratch file as the external sort left it.
+// inline grammar: tokens sorted in memory encoded as a scratch file holds
+// them, a version sorted in runs as the run merge wrote it.
 func sortedStream(t *testing.T, ar *Archiver, src Source) []byte {
 	t.Helper()
 	sorted, scratch, err := ar.prepareSorted(src)
@@ -110,7 +110,7 @@ func sortedStream(t *testing.T, ar *Archiver, src Source) []byte {
 	if err != nil {
 		t.Fatalf("prepareSorted: %v", err)
 	}
-	if inMemory := src.Doc != nil || src.Validate; inMemory != (sorted.path == "") {
+	if (src.Doc != nil || src.Validate) && sorted.path != "" {
 		t.Fatalf("sorted version of %+v left at path %q", src, sorted.path)
 	}
 	if sorted.path == "" {
@@ -138,11 +138,21 @@ func encodeTokens(toks []token) []byte {
 func sortDoc(tb testing.TB, spec *keys.Spec, dict *dictionary, doc *xmltree.Node) []byte {
 	tb.Helper()
 	ar := &Archiver{spec: spec, dict: dict}
-	toks, err := ar.sortInMemory(Source{Doc: doc})
+	sorted, _, err := ar.prepareSorted(Source{Doc: doc})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return encodeTokens(toks)
+	return encodeTokens(sorted.toks)
+}
+
+// manyItems returns n items under edgeSpec, ids from first on.
+func manyItems(first, n int) []*xmltree.Node {
+	items := make([]*xmltree.Node, n)
+	for i := range items {
+		items[i] = xmltree.Elem("item", xmltree.AttrNode("id", fmt.Sprint(first+i)),
+			xmltree.Elem("body", xmltree.TextNode(fmt.Sprintf("body of %d", first+i))))
+	}
+	return items
 }
 
 func TestTreeSourceMatchesStream(t *testing.T) {
@@ -152,8 +162,8 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 	xdoc := xm.Document()
 	// mixed: over five segments, v2 edits one in the middle and v3 the
 	// first and the last, so every add links some segments and re-aims the
-	// version reader — a Seek in tmp-sorted.tok on the streamed side — for
-	// the others.
+	// version reader — a Seek in tmp-sorted.tok, which the run merge wrote,
+	// on the streamed side — for the others.
 	mixed := []*xmltree.Node{reuseBase()}
 	for _, ids := range [][]int{{200}, {10, 400}} {
 		db := mixed[len(mixed)-1].Clone()
@@ -162,6 +172,43 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 		}
 		mixed = append(mixed, db)
 	}
+	// attrs: the root carries attributes, which every piece repeats and the
+	// run merge writes once. (Versions may not change them: the root's
+	// attributes are key-covered.)
+	var attrs []*xmltree.Node
+	for _, doc := range []*xmltree.Node{omim.Next(), omim.Next()} {
+		doc.SetAttr("release", "7")
+		doc.SetAttr("db", "omim")
+		attrs = append(attrs, doc)
+	}
+	// lib: a root keyed by its content, whose key is complete only at its
+	// close, where the root's name comes last.
+	seq := func(lo, hi int) (s []int) {
+		for i := lo; i < hi; i++ {
+			s = append(s, i)
+		}
+		return s
+	}
+	lib := func(books ...int) *xmltree.Node {
+		db := xmltree.Elem("lib")
+		for _, b := range books {
+			db.Append(xmltree.Elem("book", xmltree.ElemText("isbn", fmt.Sprint(b)), xmltree.ElemText("title", fmt.Sprint("title ", b))))
+		}
+		db.Append(xmltree.ElemText("name", "main"))
+		return db
+	}
+	// frontier: a root at the frontier, whose content is one value.
+	frontier := func(n int) *xmltree.Node {
+		db := xmltree.Elem("db")
+		for i := range n {
+			db.Append(xmltree.Elem("rec", xmltree.AttrNode("n", fmt.Sprint(i)), xmltree.ElemText("v", fmt.Sprint("value ", i))))
+		}
+		return db
+	}
+	// big: one child of the root, north, larger than the budget.
+	big := func(south int) *xmltree.Node {
+		return xmltree.Elem("db", xmltree.Elem("north", manyItems(0, 100)...), xmltree.Elem("south", manyItems(south, 3)...))
+	}
 	cases := []struct {
 		name      string
 		spec      *keys.Spec
@@ -169,6 +216,9 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 		texts     []string // the versions as XML text; docs is parsed from it
 		segTarget int
 		mixed     bool // every add after the first both links and rewrites segments
+		// The streamed side sorts every version in one piece; otherwise it
+		// sorts every version in runs.
+		onePiece bool
 	}{
 		{name: "omim", spec: datagen.OMIMSpec(), docs: []*xmltree.Node{omim.Next(), omim.Next(), omim.Next()}},
 		{name: "swissprot", spec: datagen.SwissProtSpec(), docs: []*xmltree.Node{sp.Next(), sp.Next(), sp.Next()}},
@@ -176,13 +226,25 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 		{name: "edge", spec: keys.MustParseSpec(edgeSpec), docs: edgeDocs()},
 		{name: "text", spec: keys.MustParseSpec(edgeSpec), texts: edgeTexts()},
 		{name: "mixed", spec: keys.MustParseSpec(reuseSpec), docs: mixed, segTarget: 512, mixed: true},
+		// Two key paths whose patterns differ only in '/' against '_' are
+		// two patterns: their keys must not be mixed.
+		{name: "similar-patterns", spec: keys.MustParseSpec("(/, (db, {}))\n(/db, (a_b, {id}))\n(/db, (a, {}))\n(/db/a, (b, {id}))"),
+			docs: []*xmltree.Node{xmltree.MustParseString(`<db><a><b><id>1</id></b><b><id>2</id></b></a><a_b><id>x</id></a_b><a_b><id>y</id></a_b></db>`)}, onePiece: true},
+		{name: "root-attrs", spec: datagen.OMIMSpec(), docs: attrs},
+		{name: "root-content-key", spec: keys.MustParseSpec("(/, (lib, {name}))\n(/lib, (name, {}))\n(/lib, (book, {isbn}))\n(/lib/book, (title, {}))"),
+			docs: []*xmltree.Node{lib(1, 2, 3), lib(seq(0, 100)...), lib(seq(50, 150)...)}, onePiece: true},
+		{name: "frontier-root", spec: keys.MustParseSpec("(/, (db, {}))"), docs: []*xmltree.Node{frontier(100), frontier(120)}, onePiece: true},
+		{name: "child-over-budget", spec: keys.MustParseSpec(edgeSpec), docs: []*xmltree.Node{big(1000), big(2000)}},
+		{name: "root-only", spec: keys.MustParseSpec(edgeSpec), docs: []*xmltree.Node{xmltree.MustParseString("<db/>")}, onePiece: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// A small budget and segment target force several runs and
-			// several segments on the streamed side, so stems, run merge
-			// and segment splits are all held against the in-memory sort.
-			cfg := Config{Budget: 300, SegmentTarget: 2048}
+			// several segments on the streamed side, so pieces, run merge
+			// and segment splits are all held against the one-piece sort.
+			// 16 nodes cuts the edge documents between north and south, and
+			// the generators' versions into runs of one record or a few.
+			cfg := Config{Budget: 16, SegmentTarget: 2048}
 			if tc.segTarget != 0 {
 				cfg.SegmentTarget = tc.segTarget
 			}
@@ -224,6 +286,10 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 				if err := addVersion(stream, strings.NewReader(indented)); err != nil {
 					t.Fatalf("v%d: stream add: %v", v+1, err)
 				}
+				t.Logf("v%d runs=%d", v+1, stream.Last().Sort.Runs)
+				if runs := stream.Last().Sort.Runs; (runs == 0) != tc.onePiece {
+					t.Errorf("v%d: the streamed add sorted in %d runs", v+1, runs)
+				}
 				if tree.Last().Merge != stream.Last().Merge {
 					t.Errorf("v%d: tree-sourced merge %+v, streamed %+v", v+1, tree.Last().Merge, stream.Last().Merge)
 				}
@@ -245,17 +311,16 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 }
 
 // TestTreeSourceNeedsNoScratchFiles pins what each sort leaves in the
-// directory: an add from a parsed document or validated XML creates no
-// scratch file at all — the sorted version stays in memory — while an
-// unvalidated streamed add creates the token file, runs, the sorted
-// version file, and a key file for each keyed-path pattern that occurs in
-// the document, not for every pattern of the specification.
+// directory: an add from a parsed document, validated XML, or streamed XML
+// that fits one piece creates no scratch file at all — the sorted version
+// stays in memory — while a streamed add that takes more pieces creates a
+// run per piece and the sorted version file, and nothing else.
 func TestTreeSourceNeedsNoScratchFiles(t *testing.T) {
 	spec := keys.MustParseSpec(edgeSpec)
-	doc := xmltree.MustParseString(`<db><north><item id="1"><body>x</body></item><item id="2"/></north></db>`)
-	created := func(src Source) (scratch []string) {
+	doc := xmltree.MustParseString(`<db><north><item id="1"><body>x</body></item><item id="2"/></north><south><item id="3"/></south></db>`)
+	created := func(src Source, budget int) (scratch []string) {
 		ffs := fsio.NewFaultFS(nil)
-		ar, err := Open(t.TempDir(), spec, Config{FS: ffs})
+		ar, err := Open(t.TempDir(), spec, Config{FS: ffs, Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,31 +336,30 @@ func TestTreeSourceNeedsNoScratchFiles(t *testing.T) {
 		slices.Sort(scratch)
 		return scratch
 	}
-	if got := created(Source{Doc: doc}); len(got) != 0 {
+	if got := created(Source{Doc: doc}, 1); len(got) != 0 {
 		t.Errorf("tree-sourced add created scratch files %v, want none", got)
 	}
-	if got := created(Source{Reader: strings.NewReader(doc.XML()), Validate: true}); len(got) != 0 {
+	if got := created(Source{Reader: strings.NewReader(doc.XML()), Validate: true}, 1); len(got) != 0 {
 		t.Errorf("validated streamed add created scratch files %v, want none", got)
 	}
-	if got := created(Source{}); len(got) != 0 {
+	if got := created(Source{}, 1); len(got) != 0 {
 		t.Errorf("empty version created scratch files %v, want none", got)
 	}
-	want := []string{"tmp-run0000.tok", "tmp-sorted.tok", "tmp-version.tok"}
-	for _, pattern := range []string{"/db", "/db/north", "/db/_/item", "/db/_/item/body"} {
-		want = append(want, "tmp-keys-"+sanitize(pattern)+".key")
+	if got := created(Source{Reader: strings.NewReader(doc.XML())}, 0); len(got) != 0 {
+		t.Errorf("streamed add that fits one piece created scratch files %v, want none", got)
 	}
-	slices.Sort(want)
-	if got := created(Source{Reader: strings.NewReader(doc.XML())}); !slices.Equal(got, want) {
-		t.Errorf("streamed add created scratch files\n%v, want\n%v", got, want)
+	want := []string{"tmp-run0000.tok", "tmp-run0001.tok", "tmp-sorted.tok"}
+	if got := created(Source{Reader: strings.NewReader(doc.XML())}, 1); !slices.Equal(got, want) {
+		t.Errorf("streamed add in two pieces created scratch files\n%v, want\n%v", got, want)
 	}
 }
 
 // TestDuplicateSiblingKeysRejected: two siblings with one key are a key
-// violation that nothing upstream has caught when validation is off. Both
-// sorts must refuse the version — failing that document alone — wherever
-// the twins fall: in one run they sort adjacent; in different runs, however
-// far apart, the second is an open token that is not a stem, where the run
-// merge used to fuse the two into one node.
+// violation that nothing upstream has caught when validation is off. The
+// sort must refuse the version — failing that document alone — wherever
+// the twins fall: in one piece they sort adjacent; in different runs,
+// however far apart, they meet at the heads of two runs in the run merge,
+// which must not fuse them into one node.
 func TestDuplicateSiblingKeysRejected(t *testing.T) {
 	spec := keys.MustParseSpec(`
 (/, (db, {}))
@@ -319,14 +383,16 @@ func TestDuplicateSiblingKeysRejected(t *testing.T) {
 	cases := []struct {
 		name    string
 		src     func(string) Source
-		budget  int // 0: the default, one run
+		budget  int // 0: the default, one piece
 		fillers int
-		runs    int // runs the external sort forms of dup without its second twin
+		// runs the sort forms of dup with its second twin renamed: the first
+		// twin is in the first run and the second in the last.
+		runs int
 	}{
 		{name: "tree", src: tree},
-		{name: "stream", src: stream, runs: 1},
-		{name: "stream-adjacent-runs", src: stream, budget: 16, fillers: 1, runs: 2},
-		{name: "stream-distant-runs", src: stream, budget: 16, fillers: 38, runs: 23},
+		{name: "stream", src: stream},
+		{name: "stream-adjacent-runs", src: stream, budget: 16, fillers: 2, runs: 2},
+		{name: "stream-distant-runs", src: stream, budget: 16, fillers: 38, runs: 14},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -350,14 +416,14 @@ func TestDuplicateSiblingKeysRejected(t *testing.T) {
 			if tr := faulttest.Transient(t, ar.dir); len(tr) != 0 {
 				t.Errorf("scratch files left behind: %v", tr)
 			}
-			if tc.runs > 0 {
-				// Where the twins fell: the document up to the second twin.
-				upTo := strings.TrimSuffix(doc, `<item><id>1</id><body>second</body></item></db>`) + `</db>`
-				if err := addVersion(ar, strings.NewReader(upTo)); err != nil {
+			if tc.src(good).Reader != nil {
+				// Where the twins fell: the document with its second twin renamed.
+				renamed := strings.Replace(doc, `<id>1</id><body>second`, `<id>z</id><body>second`, 1)
+				if err := addVersion(ar, strings.NewReader(renamed)); err != nil {
 					t.Fatal(err)
 				}
 				if ar.Last().Sort.Runs != tc.runs {
-					t.Errorf("the document before its second twin sorts in %d runs, want %d", ar.Last().Sort.Runs, tc.runs)
+					t.Errorf("the document with its second twin renamed sorts in %d runs, want %d", ar.Last().Sort.Runs, tc.runs)
 				}
 			}
 		})

@@ -113,20 +113,65 @@ func (d *Flat) load(n *Node) {
 // Read makes d the document r holds, tokenized (see Tokenizer) straight
 // into the slab. A malformed document fails like Parse, leaving d empty.
 func (d *Flat) Read(r io.Reader) error {
-	d.reset()
+	_, err := NewFlatReader(r).Next(d, nil)
+	return err
+}
+
+// FlatReader tokenizes one document into a Flat, whole or in pieces. Every
+// piece holds the root element with its attributes and a run of whole
+// children of the root: the pieces' children, in order, are the root's.
+type FlatReader struct {
+	t     *Tokenizer
+	root  string
+	attrs []Attribute
+	held  bool // t holds the start of a root child that begins the next piece
+}
+
+// NewFlatReader returns a reader of the document r holds.
+func NewFlatReader(r io.Reader) *FlatReader {
 	t := NewTokenizer(r)
 	t.rawText = true
+	return &FlatReader{t: t}
+}
+
+// Next makes d the next piece of the document and reports whether another
+// follows. A piece ends with the document, or before a child of the root
+// when it holds one already and cut(d) holds; a nil cut never ends one
+// early, so the first piece is the whole document. A malformed document
+// fails like Parse, leaving d empty.
+func (fr *FlatReader) Next(d *Flat, cut func(*Flat) bool) (more bool, err error) {
+	d.reset()
+	t, held, kids := fr.t, fr.held, false
+	if held {
+		d.start(fr.root)
+		for _, a := range fr.attrs {
+			d.attr(a.Name, a.Value)
+		}
+	}
+	fr.held = false
 	for {
-		ev, err := t.Next()
-		if err == io.EOF {
-			return nil
+		ev := StartEvent
+		if !held {
+			if ev, err = t.Next(); err == io.EOF {
+				return false, nil
+			} else if err != nil {
+				d.reset()
+				return false, fmt.Errorf("xmltree: parse: %w", err)
+			}
 		}
-		if err != nil {
-			d.reset()
-			return fmt.Errorf("xmltree: parse: %w", err)
-		}
+		held = false
 		switch ev {
 		case StartEvent:
+			switch len(d.open) {
+			case 0:
+				fr.root, fr.attrs = t.Name, append(fr.attrs[:0], t.Attrs...)
+			case 1:
+				if kids && cut != nil && cut(d) {
+					fr.held = true
+					return true, nil
+				}
+				kids = true
+			}
 			d.start(t.Name)
 			for _, a := range t.Attrs {
 				d.attr(a.Name, a.Value)
@@ -302,7 +347,7 @@ func (d *Flat) compareAttrs(a, b int32) int {
 // AppendCanonical appends the canonical form (§4.3) of node i to dst and
 // returns the extended buffer. Plain, it is the form Canonical gives the
 // tree d was loaded from; normalized, the form of the data model the
-// archiver stores, which the external sort also computes: namespace
+// archiver stores, which its keys are computed over: namespace
 // declarations left out, adjacent text joined, and text that is white
 // space only dropped. The two differ only where d is not Normalized.
 func (d *Flat) AppendCanonical(dst []byte, i int32, normalized bool) []byte {

@@ -10,11 +10,14 @@ import (
 	"xarch/internal/xmltree"
 )
 
-// TestAddLimits takes the edges of a document's shape through the three
-// ways a version enters a store — ExtStore.AddReader, which tokenizes it
-// into the writer's document slab; ExtStore.Add of the parsed tree, which
-// flattens it there; and MemStore — and demands one outcome of all three:
-// the same version back, or the same *KeyViolationError.
+// TestAddLimits takes the edges of a document's shape through the ways a
+// version enters a store — ExtStore.AddReader, which tokenizes it into the
+// writer's document slab; ExtStore.Add of the parsed tree, which flattens
+// it there; AddReader on stores opened WithValidation(false), at a 16-node
+// memory budget and at the default, which may sort it in runs; and
+// MemStore — and demands one outcome: the same version back, or the same
+// *KeyViolationError (from a store that does not validate, the sort's
+// error naming the path).
 func TestAddLimits(t *testing.T) {
 	deep := func(levels int) string {
 		return "<db><dept><name>d</name><emp><fn>a</fn><ln>b</ln><sal>" +
@@ -37,42 +40,61 @@ func TestAddLimits(t *testing.T) {
 			mem := NewStore(mustSpec(t))
 			defer mem.Close()
 			stores := []Store{mem}
-			for range 2 {
-				ext, err := OpenStore(t.TempDir(), mustSpec(t))
+			// stores[2] takes the parsed tree; stores[3:] do not validate.
+			for _, opts := range [][]Option{nil, nil, {WithValidation(false), WithMemoryBudget(16)}, {WithValidation(false)}} {
+				ext, err := OpenStore(t.TempDir(), mustSpec(t), opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer ext.Close()
 				stores = append(stores, ext)
 			}
-			errs := []error{mem.AddReader(strings.NewReader(c.doc)), stores[1].AddReader(strings.NewReader(c.doc))}
+			errs := make([]error, len(stores))
+			for i, s := range stores {
+				if i != 2 {
+					errs[i] = s.AddReader(strings.NewReader(c.doc))
+				}
+			}
 			if tree, err := ParseXMLString(c.doc); err != nil {
-				errs = append(errs, stores[2].Add(nil)) // no tree to hand over: the empty version
+				errs[2] = stores[2].Add(nil) // no tree to hand over: the empty version
 			} else {
-				errs = append(errs, stores[2].Add(tree))
+				errs[2] = stores[2].Add(tree)
 			}
 			var want *KeyViolationError
 			if errors.As(errs[0], &want) {
-				for i, err := range errs[1:] {
+				for i, err := range errs[1:3] {
 					var got *KeyViolationError
 					if !errors.As(err, &got) || !reflect.DeepEqual(got.Violations, want.Violations) {
 						t.Errorf("store %d: %v, want %v", i+1, err, want)
 					}
 				}
+				for i, err := range errs[3:] {
+					if err == nil || !strings.Contains(err.Error(), "/db") || !strings.Contains(err.Error(), "more than one child") {
+						t.Errorf("store %d: %v, want the sort's error naming the path", i+3, err)
+					}
+				}
 				return
 			}
 			if c.doc == "" {
-				if errs[0] == nil || errs[1] == nil || errs[0].Error() != errs[1].Error() || errs[2] != nil {
-					t.Fatalf("empty input: %v", errs)
+				for i, err := range errs {
+					if i != 2 && (err == nil || err.Error() != errs[0].Error()) || i == 2 && err != nil {
+						t.Fatalf("empty input: %v", errs)
+					}
 				}
-				if err := mem.Add(nil); err != nil {
-					t.Fatal(err)
+				for i, s := range stores {
+					if i == 2 {
+						continue
+					}
+					if err := s.Add(nil); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if err := stores[1].Add(nil); err != nil {
-					t.Fatal(err)
+			} else {
+				for _, err := range errs {
+					if err != nil {
+						t.Fatalf("adds: %v", errs)
+					}
 				}
-			} else if errs[0] != nil || errs[1] != nil || errs[2] != nil {
-				t.Fatalf("adds: %v", errs)
 			}
 			wantDoc, err := mem.Version(1)
 			if err != nil {

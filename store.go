@@ -171,11 +171,15 @@ func WithValidation(on bool) Option {
 	return func(c *config) { c.validation = on }
 }
 
-// WithMemoryBudget caps the memory of the external sort's partial trees,
-// in tokens (§6): small budgets force many sorted runs. Only a streamed
-// add — AddReader on an external store opened WithValidation(false) — is
-// sorted externally; a parsed document is already in memory and is sorted
-// there, whatever the budget. The default is 1<<20.
+// WithMemoryBudget caps the document slab of a streamed add — AddReader
+// on an external store opened WithValidation(false) — in nodes, about one
+// token each (§6): such a version is read in pieces cut between children
+// of the root once they hold the budget, and one that takes more than one
+// piece is sorted in runs that one merge joins. A child of the root always
+// comes whole, so an add's peak memory is at least its largest root child
+// — as it always was: the segment writer buffers each one whole. A parsed
+// document, or a validated one, is sorted in memory in one piece, whatever
+// the budget. The default is 1<<20.
 func WithMemoryBudget(tokens int) Option {
 	return func(c *config) { c.budget = tokens }
 }

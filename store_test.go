@@ -156,8 +156,8 @@ func TestEngineParity(t *testing.T) {
 // through a close and reopen: what is on disk, not what the writing
 // session had in memory, answers every query. The versions go in parsed
 // (sorted in memory) and,
-// with validation off, streamed through the external sort, whose 64-token
-// budget makes every version several runs.
+// with validation off, streamed at a 16-node memory budget, which sorts
+// every version but the first in several runs.
 func TestEngineParityReopened(t *testing.T) {
 	mem := NewStore(mustSpec(t))
 	defer mem.Close()
@@ -231,7 +231,7 @@ func TestEngineParityReopened(t *testing.T) {
 
 	for _, stream := range []bool{false, true} {
 		dir := t.TempDir()
-		opts := []Option{WithMemoryBudget(64), WithValidation(!stream)}
+		opts := []Option{WithMemoryBudget(16), WithValidation(!stream)}
 		ext, err := OpenStore(dir, mustSpec(t), opts...)
 		if err != nil {
 			t.Fatal(err)
