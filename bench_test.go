@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -18,6 +19,7 @@ import (
 	"xarch/internal/bench"
 	"xarch/internal/core"
 	"xarch/internal/datagen"
+	"xarch/internal/fsio"
 	"xarch/internal/keyindex"
 	"xarch/internal/repo"
 	"xarch/internal/tstree"
@@ -373,15 +375,45 @@ func BenchmarkExtStoreAddReader(b *testing.B) { benchAddReader(b) }
 
 // BenchmarkExtStoreAddStream: the same adds streamed, on a store opened
 // WithValidation(false): at the default memory budget each version is
-// sorted in one piece, at 4,096 nodes in runs that one merge joins.
+// sorted in one piece, at 4,096 nodes in runs that the merge reads
+// directly.
 func BenchmarkExtStoreAddStream(b *testing.B) {
 	b.Run("default", func(b *testing.B) { benchAddReader(b, WithValidation(false)) })
 	b.Run("budget4096", func(b *testing.B) { benchAddReader(b, WithValidation(false), WithMemoryBudget(4096)) })
 }
 
+// scratchBytes counts the bytes written to scratch (tmp-*) files.
+type scratchBytes struct {
+	fsio.FS
+	n int64
+}
+
+type scratchFile struct {
+	fsio.File
+	n *int64
+}
+
+func (s *scratchBytes) Create(name string) (fsio.File, error) {
+	f, err := s.FS.Create(name)
+	if err != nil || !strings.HasPrefix(filepath.Base(name), "tmp-") {
+		return f, err
+	}
+	return &scratchFile{File: f, n: &s.n}, nil
+}
+
+func (f *scratchFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	*f.n += int64(n)
+	return n, err
+}
+
+// benchAddReader reports, beside the time per add, the runs the last add
+// sorted in and scratch-B/op, what an add writes to scratch (tmp-*) files:
+// a version sorted in runs writes them once, and nothing else.
 func benchAddReader(b *testing.B, opts ...Option) {
 	spec, texts := omimTexts(b, 450, 6, 1)
-	st, err := OpenStore(b.TempDir(), spec, opts...)
+	scratch := &scratchBytes{FS: fsio.OS}
+	st, err := OpenStore(b.TempDir(), spec, append(opts, WithFS(scratch))...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -389,6 +421,7 @@ func benchAddReader(b *testing.B, opts ...Option) {
 	if err := st.AddReader(bytes.NewReader(texts[0])); err != nil {
 		b.Fatal(err)
 	}
+	scratch.n = 0
 	b.SetBytes(int64(len(texts[1])))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -398,6 +431,7 @@ func benchAddReader(b *testing.B, opts ...Option) {
 		}
 	}
 	b.ReportMetric(float64(st.SortRuns()), "runs")
+	b.ReportMetric(float64(scratch.n)/float64(b.N), "scratch-B/op")
 }
 
 // BenchmarkHistoryScan and BenchmarkHistoryIndex: temporal history by

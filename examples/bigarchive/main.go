@@ -3,9 +3,9 @@
 // Swiss-Prot versions reach hundreds of megabytes — far beyond the
 // archiver's in-memory reach on the paper's 256 MB machine. This example
 // archives Swiss-Prot-like releases through the external sort (pieces of
-// the release sorted into runs → run merge) and the streaming segment
-// merge, with an artificially tiny memory budget, so the multi-run
-// machinery is visible.
+// the release sorted into runs) and the streaming segment merge, which
+// reads the runs directly, with an artificially tiny memory budget, so the
+// multi-run machinery is visible.
 //
 // Both engines implement the same xarch.Store interface, so retrieval and
 // history queries run directly against the external store — no manual

@@ -16,8 +16,8 @@ import (
 // partitioned segment files plus a persistent key directory, and adding
 // versions with bounded memory (a version is sorted in the writer's
 // document slab — a streamed one larger than the memory budget in pieces,
-// into runs that one merge joins; then a segment-local streaming merge
-// rewrites only the segments whose key ranges the version touches).
+// into runs that the merge reads directly; then a segment-local streaming
+// merge rewrites only the segments whose key ranges the version touches).
 //
 // Queries stream too: Version, WriteVersion, History, ContentHistory and
 // Stats never materialize an in-memory archive, so peak query memory is
@@ -138,9 +138,9 @@ func (s *ExtStore) CommitCount() int64 {
 // exactly like the in-memory engine. Construct the store with
 // WithValidation(false) to archive a document larger than memory: it is
 // read in pieces of at most the memory budget, cut between children of
-// the root, each sorted into a run, and one merge of the runs feeds the
-// archive merge. Key violations then surface as the sort's or the merge's
-// errors rather than a full validation report.
+// the root, each sorted into a run, and the archive merge reads the runs'
+// children in label order. Key violations then surface as the sort's or
+// the merge's errors rather than a full validation report.
 func (s *ExtStore) AddReader(r io.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -328,11 +328,11 @@ func (ar *Archiver) preloadDicts(d *keyDirectory) {
 }
 
 // sweepTmp removes the transient files a crashed operation can strand:
-// "tmp-*" scratch files (the run and sorted files of a streamed Add),
-// "*.tmp" staged siblings (a commit killed between staging and rename),
-// and "*.part" replication staging files (a pull killed mid-transfer). Only committed state survives a reopen, so anything
-// matching these patterns is garbage by construction. It returns what
-// it removed (for fsck reporting).
+// "tmp-*" scratch files (the run files of a streamed Add), "*.tmp" staged
+// siblings (a commit killed between staging and rename), and "*.part"
+// replication staging files (a pull killed mid-transfer). Only committed
+// state survives a reopen, so anything matching these patterns is garbage
+// by construction. It returns what it removed (for fsck reporting).
 func (ar *Archiver) sweepTmp() []string {
 	var removed []string
 	for _, name := range listTransient(ar.fs, ar.dir) {
@@ -660,7 +660,7 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 		}
 		vnum := staged.versions + 1
 		newDir, stats, newFiles, err := ar.mergeIntoSegments(staged, sorted, vnum)
-		clear(sorted.toks)
+		sorted.release()
 		removePaths(ar.fs, scratch)
 		if err != nil {
 			for _, f := range newFiles {
@@ -675,7 +675,7 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 		staged = newDir
 		stagedFiles = append(stagedFiles, newFiles...)
 		items[k].Version = vnum
-		ar.last.Sort, ar.last.Merge = SortStats{Runs: sorted.runs}, stats
+		ar.last.Sort, ar.last.Merge = SortStats{Runs: len(scratch)}, stats
 	}
 	if staged == base {
 		// Every document failed its own pipeline: nothing to commit.
@@ -723,19 +723,38 @@ func removePaths(fs fsio.FS, paths []string) {
 }
 
 // sortedVersion is one version in §6.2's sorted form: tokens in the
-// writer's buffer (none: the empty version), or the scratch file the
-// external sort wrote for a streamed version, which need not fit in memory.
+// writer's buffer (none: the empty version), or, for a version sorted in
+// runs, which need not fit in memory, the root's open token and attributes,
+// after which the run merge supplies the rest, one child at a time.
 type sortedVersion struct {
 	toks []token
-	path string // "" means toks
-	runs int    // run files the sort wrote (SortStats.Runs)
+	runs *runMerge // nil: toks is the whole version
+}
+
+// reader returns a slice-mode token reader over the sorted version.
+func (s sortedVersion) reader() *tokenReader {
+	d := &tokenReader{toks: s.toks}
+	if s.runs != nil {
+		d.more = s.runs.next
+	}
+	d.reset(nil, nil, 0)
+	return d
+}
+
+// release zeroes the tokens, which hold the version's strings, and closes
+// the runs.
+func (s sortedVersion) release() {
+	clear(s.toks)
+	if s.runs != nil {
+		s.runs.close()
+	}
 }
 
 // prepareSorted brings one version into §6.2's sorted form — in the
 // writer's slab, which touches no file, or, for a streamed version that
 // does not fit one piece, in runs (sortRuns) — and returns it with every
-// scratch file created, which the caller removes when done with the
-// version.
+// scratch file created: its runs, which the caller removes when done with
+// the version.
 func (ar *Archiver) prepareSorted(src Source) (sortedVersion, []string, error) {
 	switch {
 	case src.Doc != nil:

@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -408,21 +409,13 @@ func TestDictionaryRoundTrip(t *testing.T) {
 }
 
 func TestTokenStreamRoundTrip(t *testing.T) {
-	var b strings.Builder
-	tw := newTokenWriter(&stringWriter{&b})
 	k := &tkey{paths: []string{"fn", "ln"}, canon: []string{"e(fnt(John))", "e(lnt(Doe))"}}
-	tw.open(3, k, "1-4")
-	tw.attr(5, "value")
-	tw.text("hello")
-	tw.tsOpen("2,4")
-	tw.text("group")
-	tw.tsClose()
-	tw.close()
-	if err := tw.flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	tr := newTokenReader(strings.NewReader(b.String()))
+	dict, pay := encodeStreams(t, []token{
+		{op: tokOpen, tag: 3, key: k, data: "1-4"}, {op: tokAttr, tag: 5, data: "value"}, {op: tokText, data: "hello"},
+		{op: tokTSOpen, data: "2,4"}, {op: tokText, data: "group"}, {op: tokTSClose}, {op: tokClose},
+	})
+	tr := newTokenReaderDict(bytes.NewReader(pay[0]), dict, 0)
+	defer tr.release()
 	expect := []struct {
 		op   byte
 		data string
@@ -448,10 +441,6 @@ func TestTokenStreamRoundTrip(t *testing.T) {
 		t.Fatal("extra tokens")
 	}
 }
-
-type stringWriter struct{ b *strings.Builder }
-
-func (w *stringWriter) Write(p []byte) (int, error) { return w.b.Write(p) }
 
 func TestCompareKeys(t *testing.T) {
 	a := &tkey{paths: []string{"fn"}, canon: []string{"x"}}

@@ -69,10 +69,8 @@ func TestHostileLengthPrefixes(t *testing.T) {
 	}); err == nil {
 		t.Error("manifest with a 1<<62-byte string decoded")
 	}
-	for _, dict := range []*segDict{nil, {}} {
-		if err := checkHostile(t, len(hugeTextToken), func() error { return drainTokens(t, hugeTextToken, dict) }); err == nil {
-			t.Errorf("text token of 1<<33 bytes decoded (interned grammar: %v)", dict != nil)
-		}
+	if err := checkHostile(t, len(hugeTextToken), func() error { return drainTokens(t, hugeTextToken, &segDict{}) }); err == nil {
+		t.Error("text token of 1<<33 bytes decoded")
 	}
 }
 
@@ -207,8 +205,8 @@ func FuzzAttrIndex(f *testing.F) {
 }
 
 func FuzzTokenStream(f *testing.F) {
-	// Interned grammar: a real segment's payload, decoded against that
-	// segment's dictionary (the fuzzed bytes' ids index its tables).
+	// A real segment's payload, decoded against that segment's dictionary
+	// (the fuzzed bytes' ids index its tables).
 	dir, ar := fuzzSeedArchive(f)
 	seg := ar.current().d.roots[0].segs[0]
 	file, err := os.ReadFile(filepath.Join(dir, seg.file))
@@ -220,41 +218,39 @@ func FuzzTokenStream(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(file[h.dataOff:], true)
-	// Inline grammar: a sorted version, as the tree sort writes it, and
-	// what no writer writes.
+	// A sorted version, as the tree sort writes it, and what no writer
+	// writes, encoded against one dictionary of their own.
 	doc := xmltree.MustParseString(`<db><north><item id="1"><body>x<b q="v">y</b></body><note>whole</note></item></north></db>`)
-	inlineSpec, inlineDict := keys.MustParseSpec(edgeSpec), newDictionary()
-	sorted := sortDoc(f, inlineSpec, inlineDict, doc)
-	f.Add(sorted, false)
-	for _, hs := range hostileStreams(inlineDict) {
-		f.Add(tokenBytes(func(tw *tokenWriter) {
-			tw.open(inlineDict.id("db"), nil, "")
-			tw.open(inlineDict.id("north"), nil, "")
-			tw.w.Write(hs.item)
-			tw.close()
-			tw.close()
-		}), false)
+	edge, names := keys.MustParseSpec(edgeSpec), newDictionary()
+	streams := [][]token{sortDoc(f, edge, names, doc)}
+	for _, hs := range hostileStreams(names) {
+		up := []token{{op: tokOpen, tag: names.id("db")}, {op: tokOpen, tag: names.id("north")}}
+		streams = append(streams, slices.Concat(up, hs.item, []token{{op: tokClose}, {op: tokClose}}))
+	}
+	edgeDict, payloads := encodeStreams(f, streams...)
+	for _, p := range payloads {
+		f.Add(p, false)
 	}
 	f.Add(hugeTextToken, true)
 	f.Add(hugeTextToken, false)
 	// The version emitter takes the bytes for the subtrees under an element:
-	// a segment's entries under their root, or the inline document itself.
-	drain := func(data []byte, interned bool) error {
-		if interned {
+	// a segment's entries under their root, or the edge document itself.
+	drain := func(data []byte, fromArchive bool) error {
+		if fromArchive {
 			return drainVersion(data, h.dict, ar.current().names, ar.spec, []string{ar.current().d.roots[0].name}, 1+len(data)%4)
 		}
-		return drainVersion(data, nil, inlineDict.snapshot(), inlineSpec, nil, 1)
+		return drainVersion(data, edgeDict, names.snapshot(), edge, nil, 1)
 	}
-	if err := errors.Join(drain(file[h.dataOff:], true), drain(sorted, false)); err != nil {
+	if err := errors.Join(drain(file[h.dataOff:], true), drain(payloads[0], false)); err != nil {
 		f.Fatalf("the version emitter refuses a writer's own bytes: %v", err)
 	}
-	f.Fuzz(func(t *testing.T, data []byte, interned bool) {
-		var dict *segDict
-		if interned {
+	f.Fuzz(func(t *testing.T, data []byte, fromArchive bool) {
+		dict := edgeDict
+		if fromArchive {
 			dict = h.dict
 		}
 		checkHostile(t, len(data), func() error { return drainTokens(t, data, dict) })
-		checkHostile(t, len(data), func() error { return drain(data, interned) })
+		checkHostile(t, len(data), func() error { return drain(data, fromArchive) })
 	})
 }
 
@@ -321,9 +317,9 @@ func FuzzMeta(f *testing.F) {
 // to the sort in runs, for whatever XML it is handed: the slab the
 // tokenizer fills equals the tree the parser builds, flattened; the
 // validator's report over it equals the pattern-loop reference's over the
-// tree; and a valid document sorted in the slab in one piece is, byte for
-// byte, what the run merge writes of it sorted in pieces at a budget of 16
-// nodes.
+// tree; and a valid document sorted in the slab in one piece is, token for
+// token, what the run merge hands the merge of it sorted in pieces at a
+// budget of 16 nodes.
 func FuzzFlatVsTree(f *testing.F) {
 	spec := keys.MustParseSpec(edgeSpec)
 	for _, text := range edgeTexts() {
@@ -365,11 +361,8 @@ func FuzzFlatVsTree(f *testing.F) {
 		if err != nil {
 			t.Fatalf("the sort in runs refuses a valid document: %v", err)
 		}
-		want := encodeTokens(runs.toks)
-		if runs.path != "" {
-			want, err = os.ReadFile(runs.path)
-		}
-		if err != nil || !bytes.Equal(encodeTokens(whole.toks), want) {
+		got, err := sortedTokens(runs)
+		if err != nil || !bytes.Equal(encodeTokens(t, whole.toks), encodeTokens(t, got)) {
 			t.Fatalf("the sort in one piece and in runs disagree (%v)", err)
 		}
 	})

@@ -38,11 +38,11 @@ func corruptf(format string, args ...any) error {
 // pooledWriter borrows a pooled buffered writer over w; call done (after
 // the final Flush) to return the buffer.
 func pooledWriter(w io.Writer) (bw *bufio.Writer, done func()) {
-	bw = tokenWriterPool.Get().(*bufio.Writer)
+	bw = writerPool.Get().(*bufio.Writer)
 	bw.Reset(w)
 	return bw, func() {
 		bw.Reset(io.Discard)
-		tokenWriterPool.Put(bw)
+		writerPool.Put(bw)
 	}
 }
 

@@ -245,9 +245,9 @@ func TestReuseDecisions(t *testing.T) {
 	}
 }
 
-// sortedReads counts what is read from the sorted version's scratch file,
-// and notes the file's size when it is opened.
-type sortedReads struct {
+// runReads counts what is read from run files, and notes their sizes when
+// they are opened.
+type runReads struct {
 	fsio.FS
 	read, size int64
 }
@@ -257,13 +257,13 @@ type countedFile struct {
 	n *int64
 }
 
-func (c *sortedReads) Open(name string) (fsio.File, error) {
+func (c *runReads) Open(name string) (fsio.File, error) {
 	f, err := c.FS.Open(name)
-	if err != nil || filepath.Base(name) != "tmp-sorted.tok" {
+	if err != nil || !strings.HasPrefix(filepath.Base(name), "tmp-run") {
 		return f, err
 	}
 	if st, err := c.FS.Stat(name); err == nil {
-		c.size = st.Size()
+		c.size += st.Size()
 	}
 	return &countedFile{File: f, n: &c.read}, nil
 }
@@ -277,11 +277,12 @@ func (f *countedFile) Read(p []byte) (int, error) {
 // TestDirtySegmentResumesAtDirtyChild pins what a dirty segment costs the
 // version side: the children before its first dirty one were compared once,
 // by segmentClean, and come out of the stored segment as they stand, so the
-// sorted version is read again only from that child on. The whole archive
-// is one segment here and the second version appends an item after the last
-// label: a merge that went back to the start of the segment's range would
-// read the version twice. The budget makes the streamed add sort in runs,
-// so the sorted version is a file whose reads can be counted.
+// merge takes over at that child without reading any part of the version
+// again. The whole archive is one segment here and the second version
+// appends an item after the last label: a merge that went back to the start
+// of the segment's range would read the version twice. The budget makes the
+// streamed add sort in runs, which the merge reads directly: every run byte
+// must be read exactly once.
 func TestDirtySegmentResumesAtDirtyChild(t *testing.T) {
 	base := xmltree.Elem("db")
 	for id := 0; id < 900; id++ {
@@ -290,7 +291,7 @@ func TestDirtySegmentResumesAtDirtyChild(t *testing.T) {
 	next := base.Clone()
 	next.Append(reuseItem(999, "appended after the last label"))
 
-	fs := &sortedReads{FS: fsio.OS}
+	fs := &runReads{FS: fsio.OS}
 	ar, err := Open(t.TempDir(), keys.MustParseSpec(reuseSpec), Config{Budget: 1024, SegmentTarget: 1 << 20, FS: fs})
 	if err != nil {
 		t.Fatal(err)
@@ -299,17 +300,20 @@ func TestDirtySegmentResumesAtDirtyChild(t *testing.T) {
 	if err := addVersion(ar, strings.NewReader(base.XML())); err != nil {
 		t.Fatal(err)
 	}
-	fs.read = 0
+	fs.read, fs.size = 0, 0
 	if err := addVersion(ar, strings.NewReader(next.XML())); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := ar.Last().Merge, (MergeStats{SegmentsRewritten: 1, SegmentsCreated: 1}); got != want {
 		t.Fatalf("merge stats %+v, want %+v: the test needs exactly one dirty segment", got, want)
 	}
-	if fs.size < 4*tokenBufSize {
-		t.Fatalf("a sorted version of %d bytes cannot tell one read from two", fs.size)
+	if runs := ar.Last().Sort.Runs; runs < 2 {
+		t.Fatalf("the version sorted in %d runs", runs)
 	}
-	if limit := fs.size + 2*tokenBufSize; fs.read > limit {
-		t.Errorf("%d bytes read from a sorted version of %d (limit %d): the dirty segment's unchanged children were read again", fs.read, fs.size, limit)
+	if fs.size < 4*tokenBufSize {
+		t.Fatalf("runs of %d bytes cannot tell one read from two", fs.size)
+	}
+	if fs.read != fs.size {
+		t.Errorf("%d bytes read from runs of %d: every run byte is to be read once", fs.read, fs.size)
 	}
 }

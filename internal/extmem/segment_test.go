@@ -23,29 +23,23 @@ import (
 	"xarch/internal/xmltree"
 )
 
-// archiveStreamBytes renders the whole archive as one token stream in the
-// inline grammar — each non-raw root's open and attribute tokens from its
+// archiveStreamBytes renders the whole archive as one token stream, by
+// encodeTokens — each non-raw root's open and attribute tokens from its
 // record, then its segments' tokens — so archives compare byte for byte
 // whatever each segment's dictionary or file layout.
 func archiveStreamBytes(t *testing.T, ar *Archiver) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	tw := newTokenWriter(&buf)
-	defer tw.release()
+	var toks []token
 	for _, r := range ar.current().d.roots {
 		if !r.raw {
-			tw.open(ar.dict.id(r.name), r.key, r.timeStr)
+			toks = append(toks, token{op: tokOpen, tag: ar.dict.id(r.name), key: r.key, data: r.timeStr})
 			for _, a := range r.attrs {
-				tw.attr(ar.dict.id(a.name), a.value)
+				toks = append(toks, token{op: tokAttr, tag: ar.dict.id(a.name), data: a.value})
 			}
 		}
 		tr := ar.readParts(rootParts(r))
-		for {
-			tok, ok := tr.take()
-			if !ok {
-				break
-			}
-			tw.writeToken(tok)
+		for tok, ok := tr.take(); ok; tok, ok = tr.take() {
+			toks = append(toks, tok)
 		}
 		err := tr.err
 		tr.release()
@@ -53,13 +47,10 @@ func archiveStreamBytes(t *testing.T, ar *Archiver) []byte {
 			t.Fatalf("read root %s: %v", r.name, err)
 		}
 		if !r.raw {
-			tw.close()
+			toks = append(toks, token{op: tokClose})
 		}
 	}
-	if err := tw.flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encodeTokens(t, toks)
 }
 
 func buildOMIMArchive(t testing.TB, dir string, cfg Config, versions int) *Archiver {

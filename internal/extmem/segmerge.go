@@ -1,9 +1,7 @@
 package extmem
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"path/filepath"
 
 	"xarch/internal/fsio"
@@ -35,9 +33,6 @@ type segMerge struct {
 	only     *intervals.Set // {i}, the stamp of a node only the version has; shared, read-only
 	stats    MergeStats
 	newFiles []string
-	// src is the streamed version's scratch file under the version reader
-	// (nil in slice mode), which a dirty segment re-aims at its first dirty child.
-	src io.ReadSeeker
 }
 
 // mergedTimeTok applies the §4.2 timestamp rule to the archive token of a
@@ -74,17 +69,7 @@ func (ar *Archiver) mergeIntoSegments(base *keyDirectory, sorted sortedVersion, 
 	newRoot := old.rootTime.Clone()
 	newRoot.Add(i)
 	m := &segMerge{ar: ar, i: i, newRoot: newRoot, only: intervals.New(i)}
-	d := &tokenReader{toks: sorted.toks} // slice mode, unless streamed
-	if sorted.path != "" {
-		f, err := ar.fs.Open(sorted.path)
-		if err != nil {
-			return nil, MergeStats{}, nil, fmt.Errorf("extmem: %w", err)
-		}
-		defer f.Close()
-		m.src, d.r = f, tokenReaderPool.Get().(*bufio.Reader)
-	}
-	d.reset(m.src, nil, 0)
-	defer d.release()
+	d := sorted.reader()
 
 	out := &keyDirectory{versions: i, rootTime: newRoot}
 	oi := 0
@@ -347,12 +332,7 @@ func (m *segMerge) mergeChildren(sw *segmentSetWriter, sm *streamMerger, r, out 
 			continue
 		}
 		if d.pos != resume {
-			if m.src != nil {
-				if _, err := m.src.Seek(resume, io.SeekStart); err != nil {
-					return fmt.Errorf("extmem: %w", err)
-				}
-			}
-			d.reset(m.src, nil, resume)
+			d.reset(nil, nil, resume)
 		}
 		m.stats.SegmentsRewritten++
 		a := m.ar.readParts([]streamPart{segPart(seg)})
@@ -377,10 +357,11 @@ func (m *segMerge) mergeChildren(sw *segmentSetWriter, sm *streamMerger, r, out 
 // version does not mention already has an explicit timestamp (an inherited
 // one would have to be terminated). When it returns true it has consumed
 // the children of the range. It stops at the first thing that makes the
-// segment dirty, leaving d somewhere inside the range, and says where the
-// merge has to start: the first same entries come out of it as they are
-// stored, and resume is the offset in the version of the child that meets
-// the next one.
+// segment dirty, leaving d inside the child it was comparing (or before
+// it), and says where the merge has to start: the first same entries come
+// out of it as they are stored, and resume is the index in d of the open
+// token of the child that meets the next one. A version sorted in runs
+// holds one child at a time, so d must not have left that child.
 func (m *segMerge) segmentClean(seg *segmentRecord, stored *segCursor, d *tokenReader, inRange func(string, *tkey) bool) (clean bool, same int, resume int64, err error) {
 	entries := seg.entries
 	for {
@@ -439,7 +420,9 @@ func noneInherited(entries []childEntry) bool {
 // tag, key tuple (nil is not the empty tuple), and data — that is, whether
 // the two would be byte-equal written in one grammar. The comparison is
 // exact, never a fingerprint, and holds one token of each side at a time.
-// On a difference it stops where it stands.
+// On a difference it stops where it stands, and it takes a version token
+// only once it matches: d never passes the close of a child that differs,
+// so the merge can go back to that child's start.
 func sameSubtree(a, d *tokenReader) (bool, error) {
 	for depth := 0; ; {
 		at, aOK := a.take()
@@ -449,7 +432,7 @@ func sameSubtree(a, d *tokenReader) (bool, error) {
 			}
 			return false, corruptf("segment ends inside a subtree")
 		}
-		dt, dOK := d.take()
+		dt, dOK := d.peek()
 		if !dOK {
 			return false, d.err // a truncated version is the merge's to report
 		}
@@ -457,6 +440,7 @@ func sameSubtree(a, d *tokenReader) (bool, error) {
 			(at.key == nil) != (dt.key == nil) || compareKeys(at.key, dt.key) != 0 {
 			return false, nil
 		}
+		d.next()
 		switch at.op {
 		case tokOpen:
 			depth++

@@ -5,13 +5,20 @@ package extmem
 // and a run of whole children of the root, no larger than the budget
 // allows (a child that is larger still comes whole); each piece is sorted
 // in the slab like any other version (treesort.go) and its sorted children
-// are written to a run file; one multi-way merge of the runs at level 2
-// writes the sorted version. Sequential: read, sort and write one piece,
+// go to a run file, one record per child in the segment encoding: a head —
+// its length, then the child's label (tag id and key) and the lengths of
+// the rest — the child's own dictionary section, and its payload. The
+// segment merge reads the runs directly, one child at a time (runMerge), so
+// every run byte is read once. Sequential: read, sort and write one piece,
 // then the next, then the merge.
 
 import (
+	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"slices"
+	"strings"
 
 	"xarch/internal/fsio"
 	"xarch/internal/xmltree"
@@ -20,30 +27,6 @@ import (
 // SortStats reports the work of one external sort (§6.2).
 type SortStats struct {
 	Runs int // run files written; 0 for a version sorted in memory in one piece
-}
-
-// scratchWriter is a scratch file being written as a token stream.
-type scratchWriter struct {
-	*tokenWriter
-	f fsio.File
-}
-
-func createScratch(fs fsio.FS, path string) (*scratchWriter, error) {
-	f, err := fs.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("extmem: %w", err)
-	}
-	return &scratchWriter{newTokenWriter(f), f}, nil
-}
-
-// finish flushes the stream and closes the file.
-func (w *scratchWriter) finish() error {
-	err := w.flush()
-	w.release()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // cut reports whether a streamed version's piece in the slab is to end
@@ -62,9 +45,9 @@ func (ar *Archiver) cut(d *xmltree.Flat) bool {
 }
 
 // sortRuns sorts the rest of a streamed version whose first piece is in the
-// slab: every piece's sorted children go to a run file, and mergeRuns
-// writes the sorted version to tmp-sorted.tok. It returns every scratch
-// file it created, also on failure.
+// slab: every piece's sorted children go to a run file, and the sorted
+// version is the root's open token and attributes with the run merge
+// behind them. It returns every run file it created, also on failure.
 func (ar *Archiver) sortRuns(pieces *xmltree.FlatReader) (sortedVersion, []string, error) {
 	var head []token // the root's open token and attributes
 	var scratch []string
@@ -82,13 +65,7 @@ func (ar *Archiver) sortRuns(pieces *xmltree.FlatReader) (sortedVersion, []strin
 		}
 		path := ar.tmpPath(fmt.Sprintf("run%04d.tok", len(scratch)))
 		scratch = append(scratch, path)
-		w, err := createScratch(ar.fs, path)
-		if err == nil {
-			for _, t := range toks[len(head) : len(toks)-1] {
-				w.writeToken(t)
-			}
-			err = w.finish()
-		}
+		err = ar.writeRun(path, toks[len(head):len(toks)-1])
 		clear(toks)
 		if err != nil {
 			return sortedVersion{}, scratch, err
@@ -100,97 +77,198 @@ func (ar *Archiver) sortRuns(pieces *xmltree.FlatReader) (sortedVersion, []strin
 			return sortedVersion{}, scratch, err
 		}
 	}
-	sorted := sortedVersion{path: ar.tmpPath("sorted.tok"), runs: len(scratch)}
-	return sorted, append(scratch, sorted.path), mergeRuns(ar.fs, ar.dict, head, scratch, sorted.path)
+	root, err := ar.dict.name(head[0].tag)
+	m := &runMerge{ar: ar, root: root, toks: ar.toks[:0]}
+	for _, path := range scratch {
+		if err == nil {
+			err = m.open(path)
+		}
+	}
+	if err != nil {
+		m.close()
+		return sortedVersion{}, scratch, err
+	}
+	return sortedVersion{toks: head, runs: m}, scratch, nil
 }
 
-// mergeRuns writes the sorted version of a document sorted in runs to
-// outPath: head, the root's open token and attributes, once; the root's
-// children merged from the runs by (name, key), §6.2's multi-way merge in
-// one pass; the root's close. A run never splits a child of the root, so
-// the merge is at level 2 only, and one label at the head of two runs is
-// two children with one key.
-func mergeRuns(fs fsio.FS, dict *dictionary, head []token, runPaths []string, outPath string) error {
-	root, err := dict.name(head[0].tag)
+// writeRun writes toks, sorted children of the root, to a run file at path.
+func (ar *Archiver) writeRun(path string, toks []token) error {
+	f, err := ar.fs.Create(path)
 	if err != nil {
-		return err
+		return fmt.Errorf("extmem: %w", err)
 	}
-	runs := make([]*tokenReader, 0, len(runPaths))
-	defer func() {
-		for _, r := range runs {
-			r.release()
+	bw, done := pooledWriter(f)
+	// Not the segment writer's encoder: encode clears its tables per call,
+	// at a cost that grows with the largest segment they ever held.
+	enc := newSegEncoder()
+	var head kdWriter
+	var n []byte
+	for start, end := 0, 0; start < len(toks) && err == nil; start = end {
+		for depth := 0; end == start || depth > 0; end++ {
+			if op := toks[end].op; op == tokOpen {
+				depth++
+			} else if op == tokClose {
+				depth--
+			}
 		}
-	}()
-	for _, p := range runPaths {
-		f, err := fs.Open(p)
-		if err != nil {
-			return fmt.Errorf("extmem: open run: %w", err)
+		child := toks[start:end]
+		var seg *encodedSegment
+		if seg, err = enc.encode(false, "", nil, child, nil); err != nil {
+			break
 		}
-		defer f.Close()
-		runs = append(runs, newTokenReader(f))
+		dict := seg.head[len(seg.head)-int(seg.dictLen):]
+		head.b.Reset()
+		head.varint(uint64(child[0].tag))
+		head.key(child[0].key)
+		head.varint(uint64(len(dict)))
+		head.varint(uint64(len(seg.pay)))
+		n = binary.AppendUvarint(n[:0], uint64(head.b.Len()))
+		bw.Write(n)
+		bw.Write(head.b.Bytes())
+		bw.Write(dict)
+		bw.Write(seg.pay)
 	}
-	out, err := createScratch(fs, outPath)
-	if err != nil {
-		return err
+	if err == nil {
+		err = bw.Flush()
 	}
-	for _, t := range head {
-		out.writeToken(t)
-	}
-	err = mergeChildren(out.tokenWriter, dict, root, runs)
-	for _, r := range runs {
-		if err == nil {
-			err = r.err
-		}
-	}
-	out.close()
-	if ferr := out.finish(); err == nil {
-		err = ferr
+	done()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
 
-// mergeChildren copies the children at the head of the runs to out,
-// smallest label first, until every run is drained.
-func mergeChildren(out *tokenWriter, dict *dictionary, root string, runs []*tokenReader) error {
-	for {
-		var next *tokenReader
-		var nextName string
-		var nextKey *tkey
-		for _, r := range runs {
-			t, ok := r.peek()
-			if !ok {
+// runMerge is §6.2's multi-way merge of the runs, at level 2: it hands the
+// segment merge the children of the root, smallest label first, and then
+// the root's close. A run never splits a child of the root, so one label at
+// the head of two runs is two children with one key. Per run it holds a
+// read buffer and the label of the child at the run's head; beyond that,
+// the one child being merged, decoded: its tokens and its dictionary.
+type runMerge struct {
+	ar    *Archiver
+	root  string
+	runs  []*run
+	dec   *tokenReader     // decodes the chosen child's payload
+	lim   io.LimitedReader // the payload under dec
+	buf   []byte           // record heads and dictionary sections
+	toks  []token          // the child being merged
+	ended bool             // the root's close is handed out
+}
+
+// run is one run file being read, and the label of the record at its head.
+type run struct {
+	f         fsio.File
+	br        *bufio.Reader
+	head      bool // a record is at the head; false once the run is drained
+	name      string
+	key       *tkey
+	dict, pay int64 // the head record's section lengths
+}
+
+// open opens the run file at path and reads the label at its head.
+func (m *runMerge) open(path string) error {
+	f, err := m.ar.fs.Open(path)
+	if err != nil {
+		return fmt.Errorf("extmem: open run: %w", err)
+	}
+	r := &run{f: f, br: readerPool.Get().(*bufio.Reader)}
+	r.br.Reset(f)
+	m.runs = append(m.runs, r)
+	return m.advance(r)
+}
+
+// read reads the next n bytes of r into m.buf.
+func (m *runMerge) read(r *run, n int64) error {
+	m.buf = slices.Grow(m.buf[:0], int(n))[:n]
+	if _, err := io.ReadFull(r.br, m.buf); err != nil {
+		return fmt.Errorf("extmem: read run: %w", err)
+	}
+	return nil
+}
+
+// advance reads the label of r's next record, if any.
+func (m *runMerge) advance(r *run) error {
+	n, err := binary.ReadUvarint(r.br)
+	if r.head = err != io.EOF; !r.head {
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("extmem: read run: %w", err)
+	} else if err := m.read(r, int64(n)); err != nil {
+		return err
+	}
+	h := &kdReader{s: string(m.buf)}
+	tag := h.varint()
+	r.key = h.key()
+	r.dict, r.pay = int64(h.varint()), int64(h.varint())
+	if h.err != nil {
+		return fmt.Errorf("extmem: run record: %w", h.err)
+	}
+	r.name, err = m.ar.dict.name(int(tag))
+	return err
+}
+
+// next returns the tokens of the next child of the root, then the root's
+// close, then none. They are valid until the next call.
+func (m *runMerge) next() ([]token, error) {
+	clear(m.toks)
+	m.toks = m.toks[:0]
+	var r *run
+	for _, c := range m.runs {
+		if !c.head {
+			continue
+		}
+		if r != nil {
+			if cmp := compareLabels(c.name, c.key, r.name, r.key); cmp == 0 {
+				return nil, fmt.Errorf("extmem: /%s: more than one child %s", m.root, keyLabel(c.name, c.key))
+			} else if cmp > 0 {
 				continue
 			}
-			name, err := dict.name(t.tag)
-			if err != nil {
-				return err
-			}
-			if next != nil {
-				c := compareLabels(name, t.key, nextName, nextKey)
-				if c == 0 {
-					return fmt.Errorf("extmem: /%s: more than one child %s", root, keyLabel(name, t.key))
-				} else if c > 0 {
-					continue
-				}
-			}
-			next, nextName, nextKey = r, name, t.key
 		}
-		if next == nil {
-			return nil
-		}
-		for depth := 0; ; {
-			t, ok := next.take()
-			if !ok {
-				return fmt.Errorf("extmem: run ends inside a child of /%s: %v", root, next.err)
-			}
-			out.writeToken(t)
-			if t.op == tokOpen {
-				depth++
-			} else if t.op == tokClose {
-				if depth--; depth == 0 {
-					break
-				}
-			}
-		}
+		r = c
 	}
+	if r == nil {
+		if !m.ended {
+			m.ended = true
+			m.toks = append(m.toks, token{op: tokClose})
+		}
+		return m.toks, nil
+	}
+	if err := m.read(r, r.dict); err != nil {
+		return nil, err
+	}
+	dict, err := decodeSegDict(m.buf)
+	if err != nil {
+		return nil, err
+	}
+	m.lim = io.LimitedReader{R: r.br, N: r.pay}
+	if m.dec == nil {
+		m.dec = newTokenReaderDict(&m.lim, dict, 0)
+	} else {
+		m.dec.reset(&m.lim, dict, 0)
+	}
+	for t, ok := m.dec.take(); ok; t, ok = m.dec.take() {
+		m.toks = append(m.toks, t)
+	}
+	if m.dec.err != nil {
+		return nil, m.dec.err
+	} else if m.lim.N != 0 {
+		return nil, fmt.Errorf("extmem: run %s ends inside a child of /%s", r.f.Name(), m.root)
+	}
+	return m.toks, m.advance(r)
+}
+
+// close closes the run files and zeroes the child's tokens, which hold its
+// strings.
+func (m *runMerge) close() {
+	for _, r := range m.runs {
+		r.f.Close()
+		r.br.Reset(strings.NewReader(""))
+		readerPool.Put(r.br)
+	}
+	m.runs = nil
+	if m.dec != nil {
+		m.dec.release()
+		m.dec = nil
+	}
+	clear(m.toks)
 }

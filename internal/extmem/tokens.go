@@ -8,13 +8,14 @@
 //  2. Sort (§6.2): the slab is sorted in memory (keyed levels sorted by
 //     key value). A streamed version larger than the memory budget is
 //     read in pieces, each the root and whole children of the root; each
-//     piece is sorted into a run file and one multi-way merge of the runs
-//     writes the sorted document.
+//     piece's sorted children go to a run file.
 //  3. Merge (§6.3): a single streaming pass merges the sorted archive and
-//     the sorted version by the Nested Merge rules.
+//     the sorted version — from the runs, one child of the root at a time
+//     — by the Nested Merge rules.
 //
 // A tree is loaded into the same slab and takes the same sort
-// (treesort.go); only a streamed version forms runs (sort.go).
+// (treesort.go); only a streamed version forms runs (sort.go). Segments and
+// runs hold tokens in one grammar, their strings interned (segdict.go).
 //
 // A streamed version's memory is bounded by the budget at the granularity
 // of a child of the root, the unit the segment writer buffers anyway; any
@@ -39,8 +40,8 @@ import (
 const tokenBufSize = 64 * 1024
 
 var (
-	tokenWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, tokenBufSize) }}
-	tokenReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(strings.NewReader(""), tokenBufSize) }}
+	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, tokenBufSize) }}
+	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(strings.NewReader(""), tokenBufSize) }}
 )
 
 // Token opcodes of the internal representation.
@@ -82,8 +83,8 @@ func tokenEff(t token) (*intervals.Set, error) {
 	return intervals.Parse(t.data)
 }
 
-// tkey is the key annotation carried inline by annotated token streams:
-// key-path names and canonical values, sorted by path name (§4.2).
+// tkey is a key annotation: key-path names and canonical values, sorted by
+// path name (§4.2).
 type tkey struct {
 	paths []string
 	canon []string
@@ -122,130 +123,31 @@ func compareKeys(a, b *tkey) int {
 	return 0
 }
 
-// tokenWriter writes a token stream in the inline grammar (strings
-// carried in the tokens): the external sort's run files and the sorted
-// version it merges them into.
-type tokenWriter struct {
-	w *bufio.Writer
-}
-
-func newTokenWriter(w io.Writer) *tokenWriter {
-	bw := tokenWriterPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	return &tokenWriter{w: bw}
-}
-
-// release returns the writer's buffer to the pool. The caller must flush
-// first and must not use the tokenWriter afterwards.
-func (tw *tokenWriter) release() {
-	if tw.w == nil {
-		return
-	}
-	tw.w.Reset(io.Discard)
-	tokenWriterPool.Put(tw.w)
-	tw.w = nil
-}
-
-// varint encodes byte-at-a-time: a stack buffer passed to Write would
-// be forced to the heap (bufio may hand large writes to the underlying
-// io.Writer interface), and this runs once per token on the ingest path.
-func (tw *tokenWriter) varint(v uint64) {
-	for v >= 0x80 {
-		tw.w.WriteByte(byte(v) | 0x80)
-		v >>= 7
-	}
-	tw.w.WriteByte(byte(v))
-}
-
-func (tw *tokenWriter) str(s string) {
-	tw.varint(uint64(len(s)))
-	tw.w.WriteString(s)
-}
-
-func (tw *tokenWriter) open(tagID int, key *tkey, time string) {
-	tw.w.WriteByte(tokOpen)
-	tw.varint(uint64(tagID))
-	var flags byte
-	if key != nil {
-		flags |= flagHasKey
-	}
-	if time != "" {
-		flags |= flagHasTime
-	}
-	tw.w.WriteByte(flags)
-	if key != nil {
-		tw.varint(uint64(len(key.paths)))
-		for i := range key.paths {
-			tw.str(key.paths[i])
-			tw.str(key.canon[i])
-		}
-	}
-	if time != "" {
-		tw.str(time)
-	}
-}
-
-func (tw *tokenWriter) text(s string) {
-	tw.w.WriteByte(tokText)
-	tw.str(s)
-}
-
-func (tw *tokenWriter) attr(nameID int, value string) {
-	tw.w.WriteByte(tokAttr)
-	tw.varint(uint64(nameID))
-	tw.str(value)
-}
-
-func (tw *tokenWriter) close() { tw.w.WriteByte(tokClose) }
-
-func (tw *tokenWriter) tsOpen(time string) {
-	tw.w.WriteByte(tokTSOpen)
-	tw.str(time)
-}
-
-func (tw *tokenWriter) tsClose() { tw.w.WriteByte(tokTSClose) }
-
-func (tw *tokenWriter) flush() error { return tw.w.Flush() }
-
-// writeToken re-emits a decoded token.
-func (tw *tokenWriter) writeToken(t token) {
-	switch t.op {
-	case tokOpen:
-		tw.open(t.tag, t.key, t.data)
-	case tokText:
-		tw.text(t.data)
-	case tokAttr:
-		tw.attr(t.tag, t.data)
-	case tokClose:
-		tw.close()
-	case tokTSOpen:
-		tw.tsOpen(t.data)
-	case tokTSClose:
-		tw.tsClose()
-	}
-}
-
 // tokenReader reads a token stream with one token of lookahead. It is
-// the one decoder of both token grammars, and it reads bytes this process
+// the one decoder of the token grammar, and it reads bytes this process
 // did not write (a peer's segment payload): whatever it is handed, it
 // never panics, never allocates more than a small multiple of the bytes
 // the stream actually supplied, and reports anything that is not a token
 // stream — an unknown opcode, a dangling id, a stream that ends inside a
 // token — as an error matching ErrCorruptArchive.
 //
-// A reader over a segment carries the segment's dictionary: open and
-// attr tokens reference interned strings, key tuples, and pre-parsed
-// interval sets instead of allocating them per token. A reader fed by a
-// dirStream advances across stream parts at token boundaries, switching
-// dictionaries per part. Scratch files use the inline grammar and carry
-// none. In slice mode (r nil) it reads a sorted version held in memory.
+// A stream is read against a segment dictionary: open and attr tokens
+// reference interned strings, key tuples, and pre-parsed interval sets
+// instead of allocating them per token. A reader fed by a dirStream
+// advances across stream parts at token boundaries, switching
+// dictionaries per part.
+//
+// In slice mode (r nil) it reads a sorted version held in memory: toks,
+// then each slice more returns (runMerge's, one child of the root at a
+// time) until one is empty; pos is an index into the slice at hand.
 type tokenReader struct {
 	r    *bufio.Reader
 	in   offsetReader // what r reads, when that is one fixed stream
-	dict *segDict     // current part's dictionary; nil = inline grammar
+	dict *segDict     // current part's dictionary
 	src  *dirStream   // nil = single fixed reader
 	toks []token      // slice mode: the tokens, toks[at] the one after cur
 	at   int
+	more func() ([]token, error) // slice mode: the tokens after toks; nil = none
 	cur  token
 	pos  int64 // stream offset (in slice mode, index) of cur, or of the end
 	err  error
@@ -266,12 +168,10 @@ func (o *offsetReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func newTokenReader(r io.Reader) *tokenReader { return newTokenReaderDict(r, nil, 0) }
-
 // newTokenReaderDict reads a single stream, which starts at offset at,
 // encoded against a fixed segment dictionary.
 func newTokenReaderDict(r io.Reader, dict *segDict, at int64) *tokenReader {
-	tr := &tokenReader{r: tokenReaderPool.Get().(*bufio.Reader)}
+	tr := &tokenReader{r: readerPool.Get().(*bufio.Reader)}
 	tr.reset(r, dict, at)
 	return tr
 }
@@ -280,9 +180,12 @@ func newTokenReaderDict(r io.Reader, dict *segDict, at int64) *tokenReader {
 // dropping the lookahead and any end-of-stream or error state, so one
 // reader (and its buffer) can visit several places in a file. at is the
 // offset r starts at in whatever the caller measures pos in; in slice mode
-// it is the index to read on from, and r is nil.
+// it is the index in the slice at hand to read on from; r and dict are nil.
 func (tr *tokenReader) reset(r io.Reader, dict *segDict, at int64) {
 	if tr.at = int(at); tr.r != nil {
+		if dict == nil {
+			panic("extmem: a token stream is read against its segment dictionary")
+		}
 		tr.in = offsetReader{r: r, n: at}
 		tr.r.Reset(&tr.in)
 	}
@@ -295,7 +198,7 @@ func (tr *tokenReader) reset(r io.Reader, dict *segDict, at int64) {
 // as it goes. Its pos means nothing: offsets belong to one part. Releasing
 // the reader closes the file its stream holds open.
 func (ar *Archiver) readParts(parts []streamPart) *tokenReader {
-	br := tokenReaderPool.Get().(*bufio.Reader)
+	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(strings.NewReader(""))
 	tr := &tokenReader{r: br, src: &dirStream{ar: ar, parts: parts}}
 	tr.next()
@@ -312,7 +215,7 @@ func (tr *tokenReader) release() {
 		tr.src.Close()
 	}
 	tr.r.Reset(strings.NewReader(""))
-	tokenReaderPool.Put(tr.r)
+	readerPool.Put(tr.r)
 	tr.r = nil
 	tr.in.r = nil
 	tr.src = nil
@@ -408,29 +311,6 @@ func (tr *tokenReader) skipStr() {
 	}
 }
 
-// skipField discards a timestamp or an attribute value: one id in the
-// interned grammar, a string inline.
-func (tr *tokenReader) skipField() {
-	if tr.dict != nil {
-		tr.varint()
-	} else {
-		tr.skipStr()
-	}
-}
-
-// skipKey discards a key annotation: one id, or the inline tuple.
-func (tr *tokenReader) skipKey() {
-	if tr.dict != nil {
-		tr.varint()
-		return
-	}
-	n := tr.varint()
-	for i := uint64(0); i < n && !tr.done; i++ {
-		tr.skipStr()
-		tr.skipStr()
-	}
-}
-
 // readOp reads the next opcode byte. Parts of a dirStream are always
 // token-aligned, so EOF here (and only here) may mean "current part
 // exhausted": advance to the next part — switching its dictionary in —
@@ -469,31 +349,9 @@ func (tr *tokenReader) dictID(what string, size int) (int, bool) {
 	return int(id), true
 }
 
-// key reads an open token's key annotation: an id into the segment
-// dictionary's shared key table, or the tuple itself in the inline
-// grammar.
-func (tr *tokenReader) key() *tkey {
-	if tr.dict != nil {
-		if id, ok := tr.dictID("key", len(tr.dict.keys)); ok {
-			return tr.dict.key(id)
-		}
-		return nil
-	}
-	k := &tkey{}
-	n := tr.varint()
-	for i := uint64(0); i < n && !tr.done; i++ {
-		k.paths = append(k.paths, tr.str())
-		k.canon = append(k.canon, tr.str())
-	}
-	return k
-}
-
-// time reads a timestamp: interned, with the dictionary's shared
-// pre-parsed interval set, or inline.
+// time reads a timestamp id, with the dictionary's shared pre-parsed
+// interval set.
 func (tr *tokenReader) time() (string, *intervals.Set) {
-	if tr.dict == nil {
-		return tr.str(), nil
-	}
 	id, ok := tr.dictID("timestamp", len(tr.dict.times))
 	if !ok {
 		return "", nil
@@ -506,23 +364,20 @@ func (tr *tokenReader) time() (string, *intervals.Set) {
 	return tr.dict.times[id], set
 }
 
-// value reads an attribute value: a spilled-value id, or inline.
-func (tr *tokenReader) value() string {
-	if tr.dict == nil {
-		return tr.str()
-	}
-	if id, ok := tr.dictID("value", len(tr.dict.values)); ok {
-		return tr.dict.values[id]
-	}
-	return ""
-}
-
 // next advances to the next token; peek() then returns it.
 func (tr *tokenReader) next() {
 	if tr.done {
 		return
 	}
 	if tr.r == nil {
+		if tr.at == len(tr.toks) && tr.more != nil {
+			toks, err := tr.more()
+			if err != nil {
+				tr.fail(err)
+				return
+			}
+			tr.toks, tr.at = toks, 0
+		}
 		if tr.pos = int64(tr.at); tr.at == len(tr.toks) {
 			tr.fail(io.EOF)
 		} else if t := tr.toks[tr.at]; t.op == tokAttr && !attrFollows(tr.cur.op) {
@@ -544,7 +399,9 @@ func (tr *tokenReader) next() {
 		t.tag = int(tr.varint())
 		flags := tr.byte()
 		if flags&flagHasKey != 0 {
-			t.key = tr.key()
+			if id, ok := tr.dictID("key", len(tr.dict.keys)); ok {
+				t.key = tr.dict.key(id)
+			}
 		}
 		if flags&flagHasTime != 0 {
 			t.data, t.time = tr.time()
@@ -557,7 +414,9 @@ func (tr *tokenReader) next() {
 			return
 		}
 		t.tag = int(tr.varint())
-		t.data = tr.value()
+		if id, ok := tr.dictID("value", len(tr.dict.values)); ok {
+			t.data = tr.dict.values[id]
+		}
 	case tokClose, tokTSClose:
 	case tokTSOpen:
 		t.data, t.time = tr.time()
@@ -605,19 +464,19 @@ func (tr *tokenReader) discardSubtree() error {
 			tr.varint() // tag id
 			flags := tr.byte()
 			if flags&flagHasKey != 0 {
-				tr.skipKey()
+				tr.varint() // key id
 			}
 			if flags&flagHasTime != 0 {
-				tr.skipField()
+				tr.varint() // timestamp id
 			}
 		case tokText:
 			tr.skipStr()
 		case tokTSOpen:
 			depth++
-			tr.skipField()
+			tr.varint() // timestamp id
 		case tokAttr:
-			tr.varint()
-			tr.skipField()
+			tr.varint() // name id
+			tr.varint() // value id
 		case tokClose, tokTSClose:
 			depth--
 		default:

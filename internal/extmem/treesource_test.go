@@ -3,7 +3,6 @@ package extmem
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -100,49 +99,63 @@ func edgeTexts() []string {
 	return []string{v1, v2, strings.ReplaceAll(v1, "\n", "\r\n")}
 }
 
-// sortedStream sorts one source and returns the sorted version in the
-// inline grammar: tokens sorted in memory encoded as a scratch file holds
-// them, a version sorted in runs as the run merge wrote it.
-func sortedStream(t *testing.T, ar *Archiver, src Source) []byte {
+// sortedStream sorts one source and returns the sorted version encoded by
+// encodeTokens, with the number of its tokens: as the merge reads it, from
+// memory or from the run merge.
+func sortedStream(t *testing.T, ar *Archiver, src Source) ([]byte, int) {
 	t.Helper()
 	sorted, scratch, err := ar.prepareSorted(src)
 	defer removePaths(ar.fs, scratch)
 	if err != nil {
 		t.Fatalf("prepareSorted: %v", err)
 	}
-	if (src.Doc != nil || src.Validate) && sorted.path != "" {
-		t.Fatalf("sorted version of %+v left at path %q", src, sorted.path)
+	if (src.Doc != nil || src.Validate) && sorted.runs != nil {
+		t.Fatalf("sorted version of %+v left in runs", src)
 	}
-	if sorted.path == "" {
-		defer clear(sorted.toks)
-		return encodeTokens(sorted.toks)
-	}
-	data, err := os.ReadFile(sorted.path)
+	toks, err := sortedTokens(sorted)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reading the sorted version: %v", err)
 	}
-	return data
+	return encodeTokens(t, toks), len(toks)
 }
 
-// encodeTokens writes tokens in the inline grammar.
-func encodeTokens(toks []token) []byte {
-	return tokenBytes(func(tw *tokenWriter) {
-		for _, tok := range toks {
-			tw.writeToken(tok)
-		}
-	})
+// sortedTokens reads a sorted version to its end, the tokens copied out,
+// and releases it.
+func sortedTokens(sorted sortedVersion) ([]token, error) {
+	defer sorted.release()
+	d := sorted.reader()
+	var toks []token
+	for t, ok := d.take(); ok; t, ok = d.take() {
+		toks = append(toks, t)
+	}
+	return toks, d.err
 }
 
-// sortDoc sorts doc in memory, as an add of it would, into the inline
-// grammar.
-func sortDoc(tb testing.TB, spec *keys.Spec, dict *dictionary, doc *xmltree.Node) []byte {
+// encodeTokens renders tokens in the segment encoding, the dictionary
+// section and then the payload, and no tokens as nothing. Ids are assigned
+// in sorted order, so two token sequences are equal exactly when their
+// renderings are.
+func encodeTokens(tb testing.TB, toks []token) []byte {
+	tb.Helper()
+	if len(toks) == 0 {
+		return nil
+	}
+	enc, err := newSegEncoder().encode(false, "", nil, toks, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return slices.Concat(enc.head[len(enc.head)-int(enc.dictLen):], enc.pay)
+}
+
+// sortDoc sorts doc in memory, as an add of it would.
+func sortDoc(tb testing.TB, spec *keys.Spec, dict *dictionary, doc *xmltree.Node) []token {
 	tb.Helper()
 	ar := &Archiver{spec: spec, dict: dict}
 	sorted, _, err := ar.prepareSorted(Source{Doc: doc})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return encodeTokens(sorted.toks)
+	return sorted.toks
 }
 
 // manyItems returns n items under edgeSpec, ids from first on.
@@ -162,8 +175,8 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 	xdoc := xm.Document()
 	// mixed: over five segments, v2 edits one in the middle and v3 the
 	// first and the last, so every add links some segments and re-aims the
-	// version reader — a Seek in tmp-sorted.tok, which the run merge wrote,
-	// on the streamed side — for the others.
+	// version reader — within the child the run merge handed it, on the
+	// streamed side — for the others.
 	mixed := []*xmltree.Node{reuseBase()}
 	for _, ids := range [][]int{{200}, {10, 400}} {
 		db := mixed[len(mixed)-1].Clone()
@@ -172,8 +185,16 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 		}
 		mixed = append(mixed, db)
 	}
+	// short: v2 drops the note, the last keyed child in sorted order, of
+	// an item in the middle of a segment. The stored item has one subtree
+	// more than the version's, so the comparison meets the version item's
+	// close where the stored note opens, and the merge must go back to the
+	// start of an item the run merge has handed over whole.
+	short := []*xmltree.Node{reuseBase(), reuseBase()}
+	item := short[1].Children[reuseFind(short[1], 220)]
+	item.Children = item.Children[:len(item.Children)-1]
 	// attrs: the root carries attributes, which every piece repeats and the
-	// run merge writes once. (Versions may not change them: the root's
+	// sorted version holds once. (Versions may not change them: the root's
 	// attributes are key-covered.)
 	var attrs []*xmltree.Node
 	for _, doc := range []*xmltree.Node{omim.Next(), omim.Next()} {
@@ -226,6 +247,7 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 		{name: "edge", spec: keys.MustParseSpec(edgeSpec), docs: edgeDocs()},
 		{name: "text", spec: keys.MustParseSpec(edgeSpec), texts: edgeTexts()},
 		{name: "mixed", spec: keys.MustParseSpec(reuseSpec), docs: mixed, segTarget: 512, mixed: true},
+		{name: "dirty-child-ends-early", spec: keys.MustParseSpec(reuseSpec), docs: short, segTarget: 512, mixed: true},
 		// Two key paths whose patterns differ only in '/' against '_' are
 		// two patterns: their keys must not be mixed.
 		{name: "similar-patterns", spec: keys.MustParseSpec("(/, (db, {}))\n(/db, (a_b, {id}))\n(/db, (a, {}))\n(/db/a, (b, {id}))"),
@@ -269,12 +291,12 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 				if tc.texts != nil {
 					src = Source{Reader: strings.NewReader(tc.texts[v]), Validate: true}
 				}
-				fromTree := sortedStream(t, tree, src)
-				fromStream := sortedStream(t, stream, Source{Reader: strings.NewReader(compact)})
+				fromTree, n := sortedStream(t, tree, src)
+				fromStream, _ := sortedStream(t, stream, Source{Reader: strings.NewReader(compact)})
 				if !bytes.Equal(fromTree, fromStream) {
 					t.Fatalf("v%d: sorted token streams differ (%d vs %d bytes)", v+1, len(fromTree), len(fromStream))
 				}
-				if len(fromTree) == 0 {
+				if n == 0 {
 					t.Fatalf("v%d: empty sorted stream", v+1)
 				}
 				if tc.texts != nil {
@@ -314,7 +336,7 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 // directory: an add from a parsed document, validated XML, or streamed XML
 // that fits one piece creates no scratch file at all — the sorted version
 // stays in memory — while a streamed add that takes more pieces creates a
-// run per piece and the sorted version file, and nothing else.
+// run per piece, and nothing else: the merge reads the runs.
 func TestTreeSourceNeedsNoScratchFiles(t *testing.T) {
 	spec := keys.MustParseSpec(edgeSpec)
 	doc := xmltree.MustParseString(`<db><north><item id="1"><body>x</body></item><item id="2"/></north><south><item id="3"/></south></db>`)
@@ -348,7 +370,7 @@ func TestTreeSourceNeedsNoScratchFiles(t *testing.T) {
 	if got := created(Source{Reader: strings.NewReader(doc.XML())}, 0); len(got) != 0 {
 		t.Errorf("streamed add that fits one piece created scratch files %v, want none", got)
 	}
-	want := []string{"tmp-run0000.tok", "tmp-run0001.tok", "tmp-sorted.tok"}
+	want := []string{"tmp-run0000.tok", "tmp-run0001.tok"}
 	if got := created(Source{Reader: strings.NewReader(doc.XML())}, 1); !slices.Equal(got, want) {
 		t.Errorf("streamed add in two pieces created scratch files\n%v, want\n%v", got, want)
 	}

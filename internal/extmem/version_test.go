@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -428,10 +429,11 @@ func TestVersionReadFaultIsNotCorruption(t *testing.T) {
 // corrupt archive, for the reason given, not with a bare error and not by
 // guessing what was meant.
 func TestMalformedFrontierIsCorruption(t *testing.T) {
-	dict := newDictionary()
-	for _, h := range hostileStreams(dict) {
+	names := newDictionary()
+	for _, h := range hostileStreams(names) {
 		if h.body != nil {
-			tr := newTokenReader(bytes.NewReader(h.body))
+			dict, body := encodeStreams(t, h.body)
+			tr := newTokenReaderDict(bytes.NewReader(body[0]), dict, 0)
 			tr.take() // the record's open
 			_, err := readFrontierBody(tr)
 			tr.release()
@@ -439,99 +441,77 @@ func TestMalformedFrontierIsCorruption(t *testing.T) {
 				t.Errorf("%s: readFrontierBody: %v, want corruption: %s", h.name, err, h.want)
 			}
 		}
-		err := drainVersion(h.item, nil, dict.snapshot(), keys.MustParseSpec(edgeSpec), []string{"db", "north"}, 1)
+		dict, item := encodeStreams(t, h.item)
+		err := drainVersion(item[0], dict, names.snapshot(), keys.MustParseSpec(edgeSpec), []string{"db", "north"}, 1)
 		if !errors.Is(err, core.ErrCorruptArchive) || !strings.Contains(err.Error(), h.want) {
 			t.Errorf("%s: version path: %v, want corruption: %s", h.name, err, h.want)
 		}
 	}
 }
 
-// tokenBytes returns what write writes, in the inline grammar.
-func tokenBytes(write func(tw *tokenWriter)) []byte {
-	var b bytes.Buffer
-	tw := newTokenWriter(&b)
-	write(tw)
-	tw.flush()
-	tw.release()
-	return b.Bytes()
+// encodeStreams encodes token sequences, none of them empty, as the
+// segment writer would: against one dictionary, which it returns with each
+// sequence's payload. The encoder writes whatever it is handed, malformed
+// structure included.
+func encodeStreams(tb testing.TB, streams ...[]token) (*segDict, [][]byte) {
+	tb.Helper()
+	var all []token
+	var marks []entryMark
+	for _, s := range streams {
+		marks = append(marks, entryMark{start: len(all), end: len(all) + len(s)})
+		all = append(all, s...)
+	}
+	enc, err := newSegEncoder().encode(false, "", nil, all, marks)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dict, err := decodeSegDict(enc.head[len(enc.head)-int(enc.dictLen):])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := make([][]byte, len(streams))
+	for i, span := range enc.offs {
+		out[i] = bytes.Clone(enc.pay[span.off : span.off+span.size])
+	}
+	return dict, out
 }
 
 type hostileStream struct {
 	name, want string
-	item       []byte // an <item> of /db/north under edgeSpec, inline grammar
-	body       []byte // its malformed record alone, from the record's open token; nil when the merge has no quarrel with it
+	item       []token // an <item> of /db/north under edgeSpec
+	body       []token // its malformed record alone, from the record's open token; nil when the merge has no quarrel with it
 }
 
 // hostileStreams are items whose record <body> — or, for the last, the item
-// itself — no writer could have produced.
-func hostileStreams(dict *dictionary) []hostileStream {
-	stream, id := tokenBytes, dict.id
+// itself — no writer could have produced, their tag and attribute names
+// numbered in names.
+func hostileStreams(names *dictionary) []hostileStream {
+	open := func(name string) token { return token{op: tokOpen, tag: names.id(name)} }
+	attr := func(name, value string) token { return token{op: tokAttr, tag: names.id(name), data: value} }
+	text := func(s string) token { return token{op: tokText, data: s} }
+	group := func(time string) token { return token{op: tokTSOpen, data: time} }
+	end, endGroup := token{op: tokClose}, token{op: tokTSClose}
 	var out []hostileStream
-	record := func(name, want string, merge bool, content func(tw *tokenWriter)) {
-		h := hostileStream{name: name, want: want, item: stream(func(tw *tokenWriter) {
-			tw.open(id("item"), nil, "")
-			tw.attr(id("id"), "1")
-			tw.open(id("body"), nil, "")
-			content(tw)
-			tw.close()
-		})}
+	record := func(name, want string, merge bool, content ...token) {
+		h := hostileStream{name: name, want: want,
+			item: slices.Concat([]token{open("item"), attr("id", "1"), open("body")}, content, []token{end})}
 		if merge {
-			h.body = stream(func(tw *tokenWriter) {
-				tw.open(id("body"), nil, "")
-				content(tw)
-			})
+			h.body = slices.Concat([]token{open("body")}, content)
 		}
 		out = append(out, h)
 	}
-	record("late attribute", "attribute after content", true, func(tw *tokenWriter) {
-		tw.text("content")
-		tw.attr(id("a"), "late")
-		tw.close()
-	})
-	record("nested group", "nested timestamp group", true, func(tw *tokenWriter) {
-		tw.tsOpen("1")
-		tw.tsOpen("1")
-		tw.tsClose()
-		tw.tsClose()
-		tw.close()
-	})
-	record("group left open", "unterminated timestamp group", true, func(tw *tokenWriter) {
-		tw.tsOpen("1")
-		tw.text("content")
-		tw.close()
-	})
-	record("stray group close", "unbalanced timestamp group", true, func(tw *tokenWriter) {
-		tw.tsClose()
-		tw.close()
-	})
-	record("group inside an element", "nested timestamp group", true, func(tw *tokenWriter) {
-		tw.open(id("b"), nil, "")
-		tw.tsOpen("1")
-		tw.tsClose()
-		tw.close()
-		tw.close()
-	})
-	record("two live groups", "attribute after content", false, func(tw *tokenWriter) {
-		tw.tsOpen("1")
-		tw.text("content")
-		tw.tsClose()
-		tw.tsOpen("1-2")
-		tw.attr(id("a"), "would be hoisted")
-		tw.tsClose()
-		tw.close()
-	})
-	trunc := stream(func(tw *tokenWriter) {
-		tw.open(id("body"), nil, "")
-		tw.tsOpen("1")
-		tw.text("content")
-	})
+	record("late attribute", "attribute after content", true, text("content"), attr("a", "late"), end)
+	record("nested group", "nested timestamp group", true, group("1"), group("1"), endGroup, endGroup, end)
+	record("group left open", "unterminated timestamp group", true, group("1"), text("content"), end)
+	record("stray group close", "unbalanced timestamp group", true, endGroup, end)
+	record("group inside an element", "nested timestamp group", true, open("b"), group("1"), endGroup, end, end)
+	record("two live groups", "attribute after content", false,
+		group("1"), text("content"), endGroup, group("1-2"), attr("a", "would be hoisted"), endGroup, end)
+	trunc := []token{open("body"), group("1"), text("content")}
 	out = append(out, hostileStream{name: "ends in a group", want: "truncated", body: trunc,
-		item: append(stream(func(tw *tokenWriter) { tw.open(id("item"), nil, "") }), trunc...)})
-	out = append(out, hostileStream{name: "text above the frontier", want: "above the frontier", item: stream(func(tw *tokenWriter) {
-		tw.open(id("item"), nil, "")
-		tw.text("content")
-		tw.close()
-	})})
+		item: slices.Concat([]token{open("item")}, trunc)})
+	out = append(out, hostileStream{name: "text above the frontier", want: "above the frontier",
+		item: []token{open("item"), text("content"), end}})
 	return out
 }
 

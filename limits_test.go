@@ -27,14 +27,28 @@ func TestAddLimits(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		fmt.Fprintf(&attrs, ` a%03d="%d"`, 999-i, i) // out of canonical order
 	}
-	for _, c := range []struct{ name, doc string }{
-		{"empty input", ""},
-		{"root only", "<db/>"},
-		{"100,000 levels below the frontier", deep(100_000)},
-		{"key value over 64 KiB", "<db><dept><name>" + strings.Repeat("k", 70<<10) + "</name></dept></db>"},
-		{"1,000 attributes", "<db><dept><name>d</name><emp><fn>a</fn><ln>b</ln><sal" + attrs.String() + ">1K</sal></emp></dept></db>"},
+	// inRuns puts sal in a second department after a first one of more
+	// than 16 nodes, so that the budgeted store sorts the document in two
+	// runs and sal's strings go through a run record.
+	inRuns := func(sal string) string {
+		return "<db><dept><name>a</name><emp><fn>a</fn><ln>b</ln></emp><emp><fn>c</fn><ln>d</ln></emp>" +
+			"<emp><fn>e</fn><ln>f</ln></emp><emp><fn>g</fn><ln>h</ln></emp></dept>" +
+			"<dept><name>d</name><emp><fn>a</fn><ln>b</ln>" + sal + "</emp></dept></db>"
+	}
+	big := strings.Repeat("v", 70<<10)
+	for _, c := range []struct {
+		name, doc string
+		runs      int // what the 16-node store sorts a valid doc in
+	}{
+		{"empty input", "", 0},
+		{"root only", "<db/>", 0},
+		{"100,000 levels below the frontier", deep(100_000), 0},
+		{"key value over 64 KiB", "<db><dept><name>" + strings.Repeat("k", 70<<10) + "</name></dept></db>", 0},
+		{"attribute value over 64 KiB", inRuns(`<sal a="` + big + `">1</sal>`), 2},
+		{"text over 64 KiB below the frontier", inRuns("<sal>" + big + "</sal>"), 2},
+		{"1,000 attributes", "<db><dept><name>d</name><emp><fn>a</fn><ln>b</ln><sal" + attrs.String() + ">1K</sal></emp></dept></db>", 0},
 		{"duplicate keys at two levels", "<db><dept><name>d</name><emp><fn>a</fn><ln>b</ln></emp>" +
-			"<emp><fn>a</fn><ln>b</ln></emp></dept><dept><name>d</name></dept></db>"},
+			"<emp><fn>a</fn><ln>b</ln></emp></dept><dept><name>d</name></dept></db>", 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			mem := NewStore(mustSpec(t))
@@ -95,6 +109,9 @@ func TestAddLimits(t *testing.T) {
 						t.Fatalf("adds: %v", errs)
 					}
 				}
+			}
+			if runs := stores[3].(*ExtStore).SortRuns(); runs != c.runs {
+				t.Errorf("the 16-node store sorted the document in %d runs, want %d", runs, c.runs)
 			}
 			wantDoc, err := mem.Version(1)
 			if err != nil {

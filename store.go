@@ -118,7 +118,7 @@ type config struct {
 	compaction  bool
 	indexes     bool
 	validation  bool
-	budget      int     // external-sort memory budget, in tokens
+	budget      int     // external-sort memory budget, in slab nodes
 	segTarget   int     // external engine segment payload target, in bytes
 	compBudget  int     // external engine: opportunistic compaction budget per Add, in bytes
 	noQueryIdx  bool    // external engine: disable the attr.idx query sidecar
@@ -175,13 +175,13 @@ func WithValidation(on bool) Option {
 // on an external store opened WithValidation(false) — in nodes, about one
 // token each (§6): such a version is read in pieces cut between children
 // of the root once they hold the budget, and one that takes more than one
-// piece is sorted in runs that one merge joins. A child of the root always
+// piece is sorted in runs that the merge reads. A child of the root always
 // comes whole, so an add's peak memory is at least its largest root child
 // — as it always was: the segment writer buffers each one whole. A parsed
 // document, or a validated one, is sorted in memory in one piece, whatever
 // the budget. The default is 1<<20.
-func WithMemoryBudget(tokens int) Option {
-	return func(c *config) { c.budget = tokens }
+func WithMemoryBudget(nodes int) Option {
+	return func(c *config) { c.budget = nodes }
 }
 
 // WithSegmentTargetSize sets the payload size, in bytes, that the
