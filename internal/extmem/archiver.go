@@ -632,21 +632,20 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 	staged := base
 	var stagedFiles []string // segments written by the batch, uncommitted
 	committed := false
+	var fault error // what aborted the batch
 	defer func() {
-		if !committed {
+		if !committed && !isCommitFault(fault) {
 			for _, f := range stagedFiles {
 				ar.fs.Remove(filepath.Join(ar.dir, f))
 			}
 		}
 	}()
 	// fatal aborts the whole batch: poison the writer if the error was a
-	// commit fault; the deferred sweep removes every staged segment.
+	// commit fault; otherwise the deferred sweep removes every staged
+	// segment.
 	fatal := func(err error) ([]BatchItem, error) {
+		fault = err
 		return items, ar.noteFatal(err)
-	}
-	isCommitFault := func(err error) bool {
-		var cf *commitFault
-		return errors.As(err, &cf)
 	}
 	for k, src := range srcs {
 		sorted, scratch, err := ar.prepareSorted(src)
@@ -662,10 +661,10 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 		newDir, stats, newFiles, err := ar.mergeIntoSegments(staged, sorted, vnum)
 		sorted.release()
 		removePaths(ar.fs, scratch)
+		// A failed merge's segments too: no directory names them, and the
+		// sweeps below remove them with the rest.
+		stagedFiles = append(stagedFiles, newFiles...)
 		if err != nil {
-			for _, f := range newFiles {
-				ar.fs.Remove(filepath.Join(ar.dir, f))
-			}
 			items[k].Err = err
 			if isCommitFault(err) {
 				return fatal(err)
@@ -673,7 +672,6 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 			continue
 		}
 		staged = newDir
-		stagedFiles = append(stagedFiles, newFiles...)
 		items[k].Version = vnum
 		ar.last.Sort, ar.last.Merge = SortStats{Runs: len(scratch)}, stats
 	}

@@ -187,8 +187,10 @@ func (ar *Archiver) compact(budget int64) (CompactStats, error) {
 	var newFiles []string
 	onCreate := func(name string) { newFiles = append(newFiles, name) }
 	fail := func(err error) (CompactStats, error) {
-		for _, f := range newFiles {
-			ar.fs.Remove(filepath.Join(ar.dir, f))
+		if !isCommitFault(err) { // after one, the key directory may name them
+			for _, f := range newFiles {
+				ar.fs.Remove(filepath.Join(ar.dir, f))
+			}
 		}
 		return st, err
 	}

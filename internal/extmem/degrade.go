@@ -60,6 +60,16 @@ func commitFaultf(op string, err error) error {
 	return fmt.Errorf("extmem: %w", &commitFault{op: op, err: err})
 }
 
+// isCommitFault reports whether err is a commit fault. A commit that failed
+// with one may have passed its commit point — the ack directory fsync
+// comes after the key directory's rename — so the segment files it wrote
+// may be what the key directory on disk names: they are left for the
+// next open's sweep, which knows, instead of being removed.
+func isCommitFault(err error) bool {
+	var cf *commitFault
+	return errors.As(err, &cf)
+}
+
 // degradedState is the atomic poisoned-writer flag on the Archiver.
 type degradedState struct {
 	p atomic.Pointer[DegradedError]

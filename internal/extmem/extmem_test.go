@@ -291,72 +291,6 @@ func TestReopenAndExtend(t *testing.T) {
 	}
 }
 
-// TestStreamingHistoryParity compares the streaming History/ContentHistory
-// resolution against the in-memory resolver over the same archive,
-// including error semantics (ambiguity, no match) and selectors that
-// descend below the frontier.
-func TestStreamingHistoryParity(t *testing.T) {
-	spec := datagen.CompanySpec()
-	docs := datagen.CompanyVersions()
-	dir := t.TempDir()
-	ar, err := Open(dir, spec, Config{Budget: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addAll(t, ar, docs)
-	ext := loadExternal(t, ar, spec)
-	q, err := ar.OpenQuery()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-
-	selectors := []string{
-		"/db/dept[name=finance]",
-		"/db/dept[name=finance]/emp[fn=Jane,ln=Smith]",
-		"/db/dept[name=research]",
-		"/db/dept[name=nosuch]",
-		"/db/dept",                                        // ambiguous
-		"/nosuch",                                         // no match at root
-		"/db/dept[name=finance]/emp[fn=Jane,ln=Smith]/fn", // below the frontier
-		// Both the dept level and (inside the first dept) the emp level
-		// are ambiguous: the in-memory resolver reports the shallower
-		// level, and the streaming resolver must agree even though it
-		// discovers the deeper ambiguity first.
-		"/db/dept/emp",
-		// Unique dept, ambiguous emp level below it: the deeper error
-		// must surface once the enclosing level proves unique.
-		"/db/dept[name=finance]/emp",
-	}
-	for _, sel := range selectors {
-		wantH, wantErr := ext.History(sel)
-		gotH, gotErr := q.History(sel)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Errorf("History(%s): view err %v, streaming err %v", sel, wantErr, gotErr)
-			continue
-		}
-		if wantErr != nil {
-			if wantErr.Error() != gotErr.Error() {
-				t.Errorf("History(%s) error text differs:\n  view:      %v\n  streaming: %v", sel, wantErr, gotErr)
-			}
-			continue
-		}
-		if !wantH.Equal(gotH) {
-			t.Errorf("History(%s): view %q, streaming %q", sel, wantH, gotH)
-		}
-
-		wantC, wantErr := ext.ContentHistory(sel)
-		gotC, gotErr := q.ContentHistory(sel)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Errorf("ContentHistory(%s): view err %v, streaming err %v", sel, wantErr, gotErr)
-			continue
-		}
-		if wantErr == nil && fmt.Sprint(wantC) != fmt.Sprint(gotC) {
-			t.Errorf("ContentHistory(%s): view %v, streaming %v", sel, wantC, gotC)
-		}
-	}
-}
-
 func TestDecomposeErrors(t *testing.T) {
 	spec := datagen.CompanySpec()
 	dir := t.TempDir()

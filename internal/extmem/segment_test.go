@@ -7,19 +7,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
-	"xarch/internal/anode"
 	"xarch/internal/core"
 	"xarch/internal/datagen"
 	"xarch/internal/keys"
-	"xarch/internal/qlang"
 	"xarch/internal/xmltree"
 )
 
@@ -281,240 +277,6 @@ func readFileString(t *testing.T, path string) string {
 		t.Fatal(err)
 	}
 	return string(data)
-}
-
-// TestDirectorySeekParityRandomized is the randomized property test of the
-// directory path against the in-memory engine fed the same versions:
-// History sets, ContentHistory change lists, error classes and texts, and
-// WriteVersion bytes must agree on archives with random change histories.
-// The XMark trial resolves its third step through the sidecar's kid
-// mini-index, and checks kid-path Selects too.
-func TestDirectorySeekParityRandomized(t *testing.T) {
-	// Force the entry index on even for these small fixtures, so the
-	// binary-search lookup path is what the in-memory resolver judges.
-	forceIndex(t)
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 3; trial++ {
-		g := datagen.NewOMIM(datagen.OMIMConfig{
-			Seed: int64(100 + trial), Records: 12 + trial*7,
-			DeleteFrac: 0.1, InsertFrac: 0.15, ModifyFrac: 0.15,
-		})
-		var docs []*xmltree.Node
-		var nums []string
-		for v := 0; v < 2+trial; v++ {
-			doc := g.Next()
-			for _, rec := range doc.ChildrenNamed("Record") {
-				nums = append(nums, rec.ChildText("Num"))
-			}
-			docs = append(docs, doc)
-		}
-		sort.Strings(nums)
-		nums = dedup(nums)
-		var selectors []string
-		for i := 0; i < 10 && len(nums) > 0; i++ {
-			selectors = append(selectors, "/ROOT/Record[Num="+nums[rng.Intn(len(nums))]+"]")
-		}
-		selectors = append(selectors,
-			"/ROOT",
-			"/ROOT/Record",                  // ambiguous
-			"/ROOT/Record[Num=nosuch]",      // no match
-			"/nosuch",                       // no root match
-			"/ROOT/Record[Num=nosuch]/deep", // miss below a miss
-		)
-		if len(nums) > 0 {
-			selectors = append(selectors, "/ROOT/Record[Num="+nums[0]+"]/Title")
-		}
-		checkDirectoryParity(t, datagen.OMIMSpec(), docs, selectors, nil, nil)
-	}
-
-	xm := datagen.NewXMark(datagen.XMarkConfig{Seed: 11, Items: 30, People: 24, Categories: 5, OpenAucts: 8, ClosedAucts: 6})
-	doc := xm.Document()
-	var docs []*xmltree.Node
-	var people []string
-	for v := 0; v < 5; v++ {
-		docs = append(docs, doc)
-		for _, p := range doc.Child("people").ChildrenNamed("person") {
-			id, _ := p.Attr("id")
-			people = append(people, id)
-		}
-		if v%2 == 0 {
-			doc = xm.RandomChanges(doc, 0.2)
-		} else {
-			doc = xm.KeyModChanges(doc, 0.2)
-		}
-	}
-	sort.Strings(people)
-	people = dedup(people)
-	selectors := []string{
-		"/site/people/person",                 // ambiguous among the kids
-		"/site/people/person[id=nosuch]",      // a miss
-		"/site/people/nosuch",                 // an unknown kid name
-		"/site/people/person[nosuch=x]",       // a path no kid is keyed by
-		"/site/regions/africa/item",           // ambiguous, or a single item
-		"/site/people/person[id=nosuch]/name", // miss below a miss
-	}
-	var exprs []string
-	for i := 0; i < 8; i++ {
-		id := people[rng.Intn(len(people))]
-		selectors = append(selectors, "/site/people/person[id="+id+"]")
-		exprs = append(exprs, fmt.Sprintf("/site/people/person[id=%s] AND in %d..5", id, 1+i%5))
-	}
-	selectors = append(selectors, "/site/people/person[id="+people[0]+"]/name")
-	exprs = append(exprs, "/site/people/person", "/site/people/person[id=nosuch]", "/site/people/person[id="+people[1]+"]/name AND changed")
-	// The kid steps must take the binary search, not its fallback.
-	kidIndexUsed := func(q *QueryView) {
-		entries := lookup(q.d.roots[0], stepOf("people"))
-		if len(entries) != 1 {
-			t.Fatalf("people: %d entries", len(entries))
-		}
-		ent := q.posting(entries[0].seg, entries[0].i)
-		if ent == nil || !ent.hasKids {
-			t.Fatal("people has no kid mini-index")
-		}
-		step := stepOf("person", core.Predicate{Path: "id", Value: people[0]})
-		if pos, ok := ent.kidIndex().seek(step); !ok || len(pos) != 1 {
-			t.Fatalf("seek(person[id=%s]) = %v, %v; want one binary-searched match", people[0], pos, ok)
-		}
-	}
-	checkDirectoryParity(t, datagen.XMarkSpec(), docs, selectors, exprs, kidIndexUsed)
-}
-
-// checkDirectoryParity archives docs with both engines and requires the
-// external one, through its key directory and sidecar, to answer every
-// selector's History and ContentHistory, every Select expression and every
-// WriteVersion as the in-memory engine does. probe, when set, inspects the
-// query view first.
-func checkDirectoryParity(t *testing.T, spec *keys.Spec, docs []*xmltree.Node, selectors, exprs []string, probe func(*QueryView)) {
-	t.Helper()
-	ar, err := Open(t.TempDir(), spec, Config{Budget: 200, SegmentTarget: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ar.Close()
-	mem := core.New(spec, core.Options{})
-	for _, doc := range docs {
-		text := doc.IndentedXML()
-		if err := addVersion(ar, strings.NewReader(text)); err != nil {
-			t.Fatal(err)
-		}
-		if err := mem.Add(xmltree.MustParseString(text)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q, err := ar.OpenQuery()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	if probe != nil {
-		probe(q)
-	}
-	// sameErr reports whether two errors are of one class and text.
-	sameErr := func(a, b error) bool {
-		for _, class := range []error{core.ErrNoSuchElement, core.ErrAmbiguousSelector, core.ErrBadSelector, core.ErrCorruptArchive} {
-			if errors.Is(a, class) != errors.Is(b, class) {
-				return false
-			}
-		}
-		return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
-	}
-	for _, sel := range selectors {
-		got, gerr := q.History(sel)
-		want, werr := mem.History(sel)
-		if !sameErr(gerr, werr) {
-			t.Errorf("History(%s): err %v, in-memory err %v", sel, gerr, werr)
-		} else if gerr == nil && !got.Equal(want) {
-			t.Errorf("History(%s): %q, in-memory %q", sel, got, want)
-		}
-		cGot, gerr := q.ContentHistory(sel)
-		cWant, werr := mem.ContentHistory(sel)
-		if !sameErr(gerr, werr) {
-			t.Errorf("ContentHistory(%s): err %v, in-memory err %v", sel, gerr, werr)
-		} else if gerr == nil && fmt.Sprint(cGot) != fmt.Sprint(cWant) {
-			t.Errorf("ContentHistory(%s): %v, in-memory %v", sel, cGot, cWant)
-		}
-	}
-	for _, expr := range exprs {
-		e, err := qlang.Parse(expr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := q.Select(e)
-		if err != nil {
-			t.Fatalf("Select(%s): %v", expr, err)
-		}
-		want, err := qlang.EvalAll(e, memRecordsOf(mem))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Select(%s): %v, in-memory %v", expr, got, want)
-		}
-	}
-	for v := 1; v <= len(docs); v++ {
-		var got, want strings.Builder
-		if err := q.WriteVersion(v, &got, xmltree.WriteOptions{Indent: true}); err != nil {
-			t.Fatal(err)
-		}
-		if doc, err := mem.Version(v); err != nil {
-			t.Fatal(err)
-		} else if doc != nil {
-			doc.Write(&want, xmltree.WriteOptions{Indent: true})
-		}
-		if got.String() != want.String() {
-			t.Errorf("WriteVersion(%d) differs from the in-memory archive", v)
-		}
-	}
-}
-
-// memRecordsOf enumerates the in-memory archive's Select records the way
-// the external engine does: a raw root itself, every other root's level-2
-// children.
-func memRecordsOf(mem *core.Archive) []qlang.Record {
-	keyInfo := func(kv *anode.KeyValue) *qlang.KeyInfo {
-		if kv == nil {
-			return nil
-		}
-		return &qlang.KeyInfo{Paths: kv.Paths, Disp: kv.Disp}
-	}
-	root := mem.Root()
-	var recs []qlang.Record
-	for _, rc := range root.Children {
-		if rc.Kind != xmltree.Element {
-			continue
-		}
-		rootEff := root.Time
-		if rc.Time != nil {
-			rootEff = rc.Time
-		}
-		rec := qlang.Record{RootName: rc.Name, RootKey: keyInfo(rc.Key), RootLabel: rc.Label(), Versions: mem.Versions()}
-		if rc.Frontier {
-			rec.Raw, rec.Life, rec.Src = true, rootEff, (*qlang.NodeSource)(rc)
-			recs = append(recs, rec)
-			continue
-		}
-		for _, e := range rc.Children {
-			if e.Kind != xmltree.Element {
-				continue
-			}
-			rec.Name, rec.Key, rec.Label, rec.Life, rec.Src = e.Name, keyInfo(e.Key), e.Label(), rootEff, (*qlang.NodeSource)(e)
-			if e.Time != nil {
-				rec.Life = e.Time
-			}
-			recs = append(recs, rec)
-		}
-	}
-	return recs
-}
-
-func dedup(s []string) []string {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || s[i-1] != v {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // TestSelectorSpecialCharacterKeys: key values containing the selector

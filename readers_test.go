@@ -52,8 +52,8 @@ func readsAnswerAs(t *testing.T, ext *ExtStore, mem Store, n int) {
 	if ss, err := ext.StorageStats(); err != nil || ss.Segments == 0 {
 		t.Errorf("StorageStats() = %+v, %v", ss, err)
 	}
-	if _, err := ext.CompressedSize(); err != nil {
-		t.Errorf("CompressedSize(): %v", err)
+	if size, err := ext.CompressedSize(); err != nil || size <= 0 {
+		t.Errorf("CompressedSize() = %d, %v", size, err)
 	}
 	if _, err := ext.CompactionPlan(); err != nil {
 		t.Errorf("CompactionPlan(): %v", err)

@@ -228,122 +228,6 @@ var selectDepth3 = []string{
 	"/db/dept[name=d1]/emp/sal",
 }
 
-// TestSelectDifferential archives identical random version sequences into
-// the in-memory engine and three external-engine configurations
-// (indexed, forced streaming scan, and a fragmented layout that is then
-// compacted) and requires every random boolean query to answer
-// byte-identically everywhere — before
-// compaction, after compaction, and after a close/reopen that reloads
-// the persistent sidecar. Compaction must also keep the index path:
-// depth-≥3 selects read no more bytes from the compacted store than they
-// did from the fragmented one.
-func TestSelectDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 3; trial++ {
-		trial := trial
-		seed := rng.Int63()
-		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
-			trng := rand.New(rand.NewSource(seed))
-			mem := NewStore(mustSelectSpec(t))
-			defer mem.Close()
-			open := func(dir string, opts ...Option) *ExtStore {
-				t.Helper()
-				s, err := OpenStore(dir, mustSelectSpec(t), append([]Option{WithMemoryBudget(64)}, opts...)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
-			}
-			// The compacted variant ingests under a segment target smaller
-			// than any department, so every level-2 record lands in its
-			// own file; reopened under the default target the whole layout
-			// is one coalesce run.
-			fragment := WithSegmentTargetSize(64)
-			dirs := map[string]string{}
-			for _, name := range []string{"indexed", "scan", "compacted"} {
-				dirs[name] = t.TempDir()
-			}
-			exts := map[string]*ExtStore{
-				"indexed":   open(dirs["indexed"]),
-				"scan":      open(dirs["scan"], WithQueryIndex(false)),
-				"compacted": open(dirs["compacted"], fragment),
-			}
-			defer func() {
-				for _, s := range exts {
-					s.Close()
-				}
-			}()
-			reopen := func(name string) {
-				t.Helper()
-				if err := exts[name].Close(); err != nil {
-					t.Fatal(err)
-				}
-				exts[name] = open(dirs[name])
-			}
-
-			nv := 3 + trng.Intn(3)
-			for v := 0; v < nv; v++ {
-				src := selectVersion(trng)
-				addString(t, mem, src)
-				for name, s := range exts {
-					if err := s.AddReader(strings.NewReader(src)); err != nil {
-						t.Fatalf("%s add v%d: %v", name, v+1, err)
-					}
-				}
-			}
-
-			exprs := make([]string, 0, 24)
-			exprs = append(exprs, selectLeaves[:8]...)
-			for i := 0; i < 16; i++ {
-				exprs = append(exprs, randExpr(trng, 2))
-			}
-
-			check := func(phase string) {
-				t.Helper()
-				for _, expr := range exprs {
-					want := mustSelect(t, mem, expr)
-					for name, s := range exts {
-						if got := mustSelect(t, s, expr); got != want {
-							t.Fatalf("%s: %s disagrees on %q:\nmem:\n%s\n%s:\n%s", phase, name, expr, want, name, got)
-						}
-					}
-				}
-			}
-			depth3Bytes := func(s *ExtStore) int64 {
-				t.Helper()
-				start := s.BytesRead()
-				for _, expr := range selectDepth3 {
-					mustSelect(t, s, expr)
-				}
-				return s.BytesRead() - start
-			}
-			check("fresh")
-			fragmentedBytes := depth3Bytes(exts["compacted"])
-
-			reopen("compacted")
-			for _, name := range []string{"indexed", "compacted"} {
-				st, err := exts[name].Compact()
-				if err != nil {
-					t.Fatalf("%s compact: %v", name, err)
-				}
-				if name == "compacted" && (st.Executed == 0 || st.Created >= st.Coalesced) {
-					t.Fatalf("%s: compaction coalesced nothing: %+v", name, st)
-				}
-			}
-			check("compacted")
-
-			// Reopen so segment dictionaries are warm again, as they were
-			// for the fragmented measurement.
-			reopen("indexed")
-			reopen("compacted")
-			check("reopened")
-			if got := depth3Bytes(exts["compacted"]); got > fragmentedBytes {
-				t.Errorf("depth-3 selects read %d bytes after compaction, %d before: compacted segments lost the index path", got, fragmentedBytes)
-			}
-		})
-	}
-}
-
 // narrowSpec archives three kinds of root across versions — two keyed
 // libraries, an unkeyed db that reuses the tag `book` under another key
 // shape, and raw memos — so a path predicate can miss at the root, at the

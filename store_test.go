@@ -55,208 +55,6 @@ func bothEngines(t *testing.T, fn func(t *testing.T, s Store)) {
 	})
 }
 
-// TestEngineParity archives the same versions into both engines and
-// checks that every query answers identically — byte-identically where
-// the answer is serialized: both engines order keyed siblings by the same
-// canonical key order, so the external engine's streaming scans must
-// reproduce the in-memory engine's output exactly.
-func TestEngineParity(t *testing.T) {
-	spec := mustSpec(t)
-	mem := NewStore(spec)
-	ext, err := OpenStore(t.TempDir(), mustSpec(t), WithMemoryBudget(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores := []Store{mem, ext}
-	for n := 1; n <= 4; n++ {
-		for _, s := range stores {
-			addString(t, s, deptVersion(n))
-		}
-	}
-	if mem.Versions() != ext.Versions() {
-		t.Fatalf("versions: mem %d, ext %d", mem.Versions(), ext.Versions())
-	}
-	for n := 1; n <= 4; n++ {
-		mv, err := mem.Version(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev, err := ext.Version(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mv.IndentedXML() != ev.IndentedXML() {
-			t.Errorf("version %d trees differ across engines:\n%s\nvs\n%s", n, mv.IndentedXML(), ev.IndentedXML())
-		}
-		var mw, ew strings.Builder
-		if err := mem.WriteVersion(n, &mw); err != nil {
-			t.Fatal(err)
-		}
-		if err := ext.WriteVersion(n, &ew); err != nil {
-			t.Fatal(err)
-		}
-		if mw.String() != ew.String() {
-			t.Errorf("WriteVersion(%d) bytes differ across engines", n)
-		}
-		if ew.String() != ev.IndentedXML() {
-			t.Errorf("ext WriteVersion(%d) disagrees with ext Version", n)
-		}
-	}
-	for _, sel := range []string{"/db/dept[name=d1]", "/db/dept[name=d3]", "/db/dept[name=d2]/emp[fn=F2,ln=L2]"} {
-		mh, err := mem.History(sel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eh, err := ext.History(sel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !mh.Equal(eh) {
-			t.Errorf("history %s: mem %q, ext %q", sel, mh, eh)
-		}
-	}
-	// Content history on frontier elements (sal is a frontier node).
-	for _, sel := range []string{"/db/dept[name=d1]/emp[fn=F1,ln=L1]/sal", "/db/dept[name=d2]/emp[fn=F2,ln=L2]"} {
-		mc, merr := mem.ContentHistory(sel)
-		ec, eerr := ext.ContentHistory(sel)
-		if (merr == nil) != (eerr == nil) {
-			t.Fatalf("ContentHistory(%s): mem err %v, ext err %v", sel, merr, eerr)
-		}
-		if fmt.Sprint(mc) != fmt.Sprint(ec) {
-			t.Errorf("ContentHistory(%s): mem %v, ext %v", sel, mc, ec)
-		}
-	}
-	// Full stats equality, including the serialized archive size.
-	ms, err := mem.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	es, err := ext.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms != es {
-		t.Errorf("stats differ:\nmem %+v\next %+v", ms, es)
-	}
-	// Snapshots are byte-identical: same archive, same serialization.
-	var msnap, esnap strings.Builder
-	if err := mem.Snapshot(&msnap); err != nil {
-		t.Fatal(err)
-	}
-	if err := ext.Snapshot(&esnap); err != nil {
-		t.Fatal(err)
-	}
-	if msnap.String() != esnap.String() {
-		t.Errorf("snapshots differ across engines (%d vs %d bytes)", msnap.Len(), esnap.Len())
-	}
-}
-
-// TestEngineParityReopened pins byte-identical query output between the
-// in-memory engine and external archives of the same versions that went
-// through a close and reopen: what is on disk, not what the writing
-// session had in memory, answers every query. The versions go in parsed
-// (sorted in memory) and,
-// with validation off, streamed at a 16-node memory budget, which sorts
-// every version but the first in several runs.
-func TestEngineParityReopened(t *testing.T) {
-	mem := NewStore(mustSpec(t))
-	defer mem.Close()
-	for n := 1; n <= 4; n++ {
-		addString(t, mem, deptVersion(n))
-	}
-
-	sameAsMem := func(t *testing.T, s Store) {
-		t.Helper()
-		if mem.Versions() != s.Versions() {
-			t.Fatalf("versions: mem %d, got %d", mem.Versions(), s.Versions())
-		}
-		for n := 1; n <= 4; n++ {
-			var mw, sw strings.Builder
-			if err := mem.WriteVersion(n, &mw); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.WriteVersion(n, &sw); err != nil {
-				t.Fatal(err)
-			}
-			if mw.String() != sw.String() {
-				t.Errorf("WriteVersion(%d) bytes differ from mem engine", n)
-			}
-		}
-		for _, sel := range []string{"/db/dept[name=d1]", "/db/dept[name=d2]/emp[fn=F2,ln=L2]"} {
-			mh, err := mem.History(sel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sh, err := s.History(sel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !mh.Equal(sh) {
-				t.Errorf("history %s: mem %q, got %q", sel, mh, sh)
-			}
-			mc, err := mem.ContentHistory(sel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := s.ContentHistory(sel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(mc) != fmt.Sprint(sc) {
-				t.Errorf("ContentHistory(%s): mem %v, got %v", sel, mc, sc)
-			}
-		}
-		ms, err := mem.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss, err := s.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ms != ss {
-			t.Errorf("stats differ:\nmem %+v\ngot %+v", ms, ss)
-		}
-		var msnap, ssnap strings.Builder
-		if err := mem.Snapshot(&msnap); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Snapshot(&ssnap); err != nil {
-			t.Fatal(err)
-		}
-		if msnap.String() != ssnap.String() {
-			t.Errorf("snapshots differ (%d vs %d bytes)", msnap.Len(), ssnap.Len())
-		}
-	}
-
-	for _, stream := range []bool{false, true} {
-		dir := t.TempDir()
-		opts := []Option{WithMemoryBudget(16), WithValidation(!stream)}
-		ext, err := OpenStore(dir, mustSpec(t), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n := 1; n <= 4; n++ {
-			addString(t, ext, deptVersion(n))
-		}
-		if runs := ext.SortRuns(); (runs > 1) != stream {
-			t.Errorf("stream=%v: last add formed %d sorted runs", stream, runs)
-		}
-		if err := ext.Close(); err != nil {
-			t.Fatal(err)
-		}
-		ext, err = OpenStore(dir, mustSpec(t), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAsMem(t, ext)
-		if n, err := ext.CompressedSize(); err != nil || n <= 0 {
-			t.Errorf("CompressedSize on reopened store (stream=%v): %d, %v", stream, n, err)
-		}
-		ext.Close()
-	}
-}
-
 // TestTreeAddKeepsWhatReparsingLost adds hand-built documents whose
 // values do not survive a serialize-and-parse round trip (an XML parser
 // turns a carriage return into a line feed). The external engine ingests
@@ -355,70 +153,6 @@ func TestCarriageReturnSurvivesRetrieval(t *testing.T) {
 			}
 			got, err = ParseXMLString(plain.String())
 			same("plain WriteVersion", got, err)
-		}
-	})
-}
-
-// TestStreamingQueryAfterAdd pins the ingest/query interleaving contract
-// on the streaming path: a query issued immediately after every Add sees
-// the new version, byte-identical to the in-memory engine.
-func TestStreamingQueryAfterAdd(t *testing.T) {
-	mem := NewStore(mustSpec(t))
-	defer mem.Close()
-	ext, err := OpenStore(t.TempDir(), mustSpec(t), WithMemoryBudget(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ext.Close()
-	for n := 1; n <= 5; n++ {
-		addString(t, mem, deptVersion(n))
-		addString(t, ext, deptVersion(n))
-		var mw, ew strings.Builder
-		if err := mem.WriteVersion(n, &mw); err != nil {
-			t.Fatal(err)
-		}
-		if err := ext.WriteVersion(n, &ew); err != nil {
-			t.Fatalf("streaming WriteVersion right after Add %d: %v", n, err)
-		}
-		if mw.String() != ew.String() {
-			t.Fatalf("version %d bytes differ right after Add", n)
-		}
-		sel := fmt.Sprintf("/db/dept[name=d%d]", n)
-		h, err := ext.History(sel)
-		if err != nil {
-			t.Fatalf("History(%s) right after Add: %v", sel, err)
-		}
-		if h.String() != fmt.Sprint(n) {
-			t.Fatalf("History(%s) = %q right after Add, want %d", sel, h, n)
-		}
-	}
-}
-
-// TestIndexFreshness checks that a query issued right after an Add sees
-// the new version without any manual index rebuild — the indexes belong
-// to the store.
-func TestIndexFreshness(t *testing.T) {
-	bothEngines(t, func(t *testing.T, s Store) {
-		for n := 1; n <= 3; n++ {
-			addString(t, s, deptVersion(n))
-			// History of the department introduced by this very Add.
-			sel := fmt.Sprintf("/db/dept[name=d%d]", n)
-			h, err := s.History(sel)
-			if err != nil {
-				t.Fatalf("after add %d: %v", n, err)
-			}
-			want := fmt.Sprintf("%d", n)
-			if h.String() != want {
-				t.Errorf("after add %d: history %s = %q, want %q", n, sel, h, want)
-			}
-			// Retrieval of the version added a moment ago.
-			v, err := s.Version(n)
-			if err != nil {
-				t.Fatalf("after add %d: %v", n, err)
-			}
-			if got := len(v.ChildrenNamed("dept")); got != n {
-				t.Errorf("after add %d: version has %d departments, want %d", n, got, n)
-			}
 		}
 	})
 }
@@ -622,49 +356,6 @@ func TestEmptyVersions(t *testing.T) {
 			t.Errorf("history around empty version = %q, want 1,3", h)
 		}
 	})
-}
-
-// TestWithIndexesOff checks that the unindexed fallback answers the same
-// queries.
-func TestWithIndexesOff(t *testing.T) {
-	spec := mustSpec(t)
-	plain := NewStore(spec, WithIndexes(false))
-	indexed := NewStore(mustSpec(t))
-	for n := 1; n <= 3; n++ {
-		addString(t, plain, deptVersion(n))
-		addString(t, indexed, deptVersion(n))
-	}
-	for n := 1; n <= 3; n++ {
-		pv, err := plain.Version(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		iv, err := indexed.Version(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		same, err := plain.SameVersion(pv, iv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !same {
-			t.Errorf("version %d differs with indexes off", n)
-		}
-	}
-	ph, err := plain.History("/db/dept[name=d2]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ih, err := indexed.History("/db/dept[name=d2]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ph.Equal(ih) {
-		t.Errorf("history differs with indexes off: %q vs %q", ph, ih)
-	}
-	if p, n := plain.ProbeStats(); p != 0 || n != 0 {
-		t.Errorf("ProbeStats with indexes off = %d/%d, want zeros", p, n)
-	}
 }
 
 // TestStoreOptions exercises the remaining construction options through
