@@ -35,6 +35,11 @@ const legacySegment = "XSG1\x01\x00" + "\x00\x00\x00\x00\x00\x00\x00\x00" + "\x0
 // CRC, root label "db" without a key.
 const compressedSegment = "XSG1\x02\x02" + "\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" + "\x02db\x00"
 
+// format2Segment is a format-2 segment header, the last format before the
+// postings moved into the segments: no flags, zero payload length and CRC,
+// root label "db" without a key.
+const format2Segment = "XSG1\x02\x00" + "\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" + "\x02db\x00"
+
 // compressedMeta is the meta.txt of a one-version archive whose one root
 // db has one segment file.
 const compressedMeta = "xarch-ext 2\nversions 1\nroottime \"1\"\nroots 1\nroot \"db\" \"\" 0 0 0 0 1\nseg \"seg-00000000.tok\"\n"
@@ -55,7 +60,7 @@ var legacyShapes = map[string]map[string]string{
 	},
 	// A format-2 key directory whose first segment record says format 1
 	// — a mixed archive that was never migrated — next to that segment.
-	// Decoding stops at the format field, so the record ends there.
+	// Decoding stops at a format field, so the record ends there.
 	"segment-v1": {
 		"meta.txt": "xarch-ext 2\nversions 1\nroottime \"1\"\nroots 1\nroot \"db\" \"\" 0 0 0 0 1\nseg \"seg-00000000.tok\"\n",
 		"dict.txt": "0\tdb\n",
@@ -63,6 +68,20 @@ var legacyShapes = map[string]map[string]string{
 			"\x02db" + "\x00" + "\x00" + "\x00" + "\x00" + "\x01" + // name, no key, inherited time, no attrs, not raw, one segment
 			"\x10seg-00000000.tok" + "\x01"), // file, segment format 1
 		"seg-00000000.tok": legacySegment,
+	},
+	// A format-2 key directory (one version, root time "1", no roots)
+	// beside the attr.idx sidecar that held its postings.
+	"keydir-v2": {
+		"meta.txt":   "xarch-ext 2\nversions 1\nroottime \"1\"\nroots 0\n",
+		"dict.txt":   "0\tdb\n",
+		"keydir.idx": keydirFile("\x02" + "\x01" + "\x011" + "\x00"),
+		"attr.idx":   "XAI1",
+	},
+	// A format-2 segment with no key directory to say so.
+	"segment-v2": {
+		"meta.txt":         compressedMeta,
+		"dict.txt":         "0\tdb\n",
+		"seg-00000000.tok": format2Segment,
 	},
 	// A block-compressed segment with no key directory to say so: the
 	// readers fall back to the files meta.txt lists.

@@ -21,7 +21,9 @@
 // Every subcommand works against either engine of the xarch.Store
 // interface: with -engine mem (the default) PATH is an archive XML file,
 // with -engine ext PATH is the directory of an external-memory archive
-// (§6). "add" creates a fresh archive when PATH does not exist; with
+// (§6). "add" creates a fresh archive when PATH does not exist, and
+// archives an empty version from an input without a byte (what "get"
+// prints for one); with
 // -novalidate the ext engine streams the version through the
 // bounded-memory pipeline without ever parsing it into a tree, so
 // documents larger than RAM can be archived. Selectors
@@ -61,10 +63,12 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"xarch"
@@ -255,7 +259,16 @@ func cmdAdd(args []string) error {
 	if err != nil {
 		return err
 	}
-	err = store.AddReader(f)
+	// An input with no bytes at all is what `xarch get` writes for an
+	// empty version: archive one, so that every version an archive holds
+	// can be moved to another. Decided from the content, not the file's
+	// size, which a pipe or a device reports as 0 too.
+	br := bufio.NewReader(f)
+	if _, perr := br.Peek(1); perr == io.EOF {
+		err = store.Add(nil)
+	} else {
+		err = store.AddReader(br)
+	}
 	f.Close()
 	if err != nil {
 		var kv *xarch.KeyViolationError
@@ -439,6 +452,7 @@ func cmdStats(args []string) error {
 		fmt.Printf("segment files         %d\n", ss.Segments)
 		fmt.Printf("segment bytes         %d\n", ss.SegmentBytes)
 		fmt.Printf("stored bytes          %d\n", ss.StoredBytes)
+		fmt.Printf("posting bytes         %d\n", ss.PostingBytes)
 		fmt.Printf("directory entries     %d\n", ss.DirectoryEntries)
 		fmt.Printf("directory bytes       %d\n", ss.DirectoryBytes)
 	}

@@ -215,11 +215,10 @@ func (s *ExtStore) ContentHistory(selector string) ([]int, error) {
 }
 
 // Select evaluates a boolean query expression against the archive's
-// records; see Store.Select. With the attribute-index sidecar present
-// (the default) selective predicates answer from the index and read only
-// the matched subtrees' bytes; without it (WithQueryIndex(false) or a
-// stale sidecar) the same expression streams the records and answers
-// identically.
+// records; see Store.Select. Through the segments' postings (the default)
+// selective predicates answer from the index and read only the matched
+// subtrees' bytes; with WithQueryIndex(false) the same expression streams
+// the records and answers identically.
 func (s *ExtStore) Select(expr string) ([]SelectResult, error) {
 	e, err := qlang.Parse(expr)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"xarch/internal/compressutil"
@@ -37,7 +38,7 @@ type Lines struct {
 	GzipCumu     []int // gzip(V1 + cumulative diffs)
 	XMillArchive []int // xmill(archive)
 	XMillConcat  []int // xmill(V1 + ... + Vi)
-	GzipExt      []int // gzip of each external-engine segment file, summed
+	GzipExt      []int // gzip of each external-engine segment file without its postings, summed
 }
 
 // Config controls which lines are computed.
@@ -109,7 +110,7 @@ func Run(spec *keys.Spec, versions []*xmltree.Node, cfg Config) (*Lines, error) 
 			} else {
 				out.XMillConcat = append(out.XMillConcat, -1)
 			}
-			gz, err := gzipSegments(dir)
+			gz, err := gzipSegments(ext, dir)
 			if err != nil {
 				return nil, err
 			}
@@ -125,21 +126,19 @@ func Run(spec *keys.Spec, versions []*xmltree.Node, cfg Config) (*Lines, error) 
 	return out, nil
 }
 
-// gzipSegments sums the gzip size of every segment file in dir: what a
-// filesystem or object store compressing whole files would keep of the
-// external engine's archive.
-func gzipSegments(dir string) (int, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.tok"))
-	if err != nil {
-		return 0, fmt.Errorf("bench: %w", err)
-	}
+// gzipSegments sums the gzip size of every segment file of ar, in dir,
+// without its postings section: what a filesystem or object store
+// compressing whole files would keep of the external engine's archive,
+// its index left out as ExtArchive leaves it out.
+func gzipSegments(ar *extmem.Archiver, dir string) (int, error) {
 	n := 0
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
+	for _, s := range ar.Segments() {
+		data, err := os.ReadFile(filepath.Join(dir, s.File))
 		if err != nil {
 			return 0, fmt.Errorf("bench: %w", err)
 		}
-		n += compressutil.GzipSize(data)
+		payload := len(data) - int(s.Bytes)
+		n += compressutil.GzipSize(slices.Concat(data[:payload-int(s.PostingBytes)], data[payload:]))
 	}
 	return n, nil
 }

@@ -33,7 +33,7 @@ type Archiver struct {
 	// harness.
 	fs fsio.FS
 
-	// dict and everything down to pendingIdx is the writer's working
+	// dict and everything down to last is the writer's working
 	// state: only the goroutine running an add, a compaction or Close
 	// touches it (the store layer's mutex admits one at a time). Readers
 	// see none of it; they read the published generation.
@@ -48,17 +48,9 @@ type Archiver struct {
 	savedDict int
 	// last collects the diagnostics the next generation will carry.
 	last Diagnostics
-	// IdxErr holds the error of the last attribute-index sidecar rebuild,
-	// if any. The sidecar is advisory (see attridx.go): a failed rebuild
-	// only costs query speed, never correctness, so the commit that
-	// triggered it still succeeds.
-	IdxErr error
-	// pendingIdx parks per-file facts captured during segment writes
-	// until the next generation's index build consumes them.
-	pendingIdx map[string]*fileIdx
 
-	// segDicts caches decoded segment dictionaries per segment file;
-	// entries are evicted when the file is swept.
+	// segDicts caches decoded segment dictionaries and postings per segment
+	// file; entries are evicted when the file is swept.
 	segDicts *dictCache
 	// segOut and segEnc are the segment writer's token buffer and encoder.
 	// Segment writers work one after the other, so each borrows these two
@@ -113,15 +105,12 @@ type Config struct {
 	// compaction pass may rewrite. 0 (the default) disables the
 	// opportunistic pass; explicit Compact calls are never budgeted.
 	CompactionBudget int
-	// NoAttrIndex disables the attr.idx secondary-index sidecar: segment
-	// writes skip fact capture, commits skip the sidecar rebuild, and
-	// Select evaluates every record its path spine leaves by reading it
-	// (diagnostic knob; the two answer identically).
+	// NoAttrIndex makes Select and History ignore the segments' postings:
+	// Select evaluates every record its path spine leaves by reading it, and
+	// History streams an entry instead of seeking its kid (diagnostic knob;
+	// the two answer identically). It is read-side only: postings are
+	// always written, so it changes no byte on disk.
 	NoAttrIndex bool
-	// RebuildAttrIndex forces a sidecar rebuild at Open even when no
-	// version is added — fsck -repair uses it to restore a deleted or
-	// stale attr.idx.
-	RebuildAttrIndex bool
 	// FS is the filesystem all archive I/O goes through. Nil means the
 	// real filesystem (fsio.OS); the crash-consistency harness injects a
 	// fsio.FaultFS here.
@@ -151,9 +140,10 @@ const (
 )
 
 // ErrLegacyFormat reports an archive directory in an on-disk layout
-// this build no longer reads: the monolithic archive.tok, a format-1
-// key directory, format-1 (pre-dictionary) segment files, or
-// block-compressed segment files. The wrapping error names the layout
+// this build no longer reads: the monolithic archive.tok, a format-1 or
+// format-2 key directory, format-1 (pre-dictionary) or format-2
+// (postings in a separate file) segment files, or block-compressed
+// segment files. The wrapping error names the layout
 // and the build that still reads it. Open, CheckArchive and a
 // replication sync return it before touching the directory.
 var ErrLegacyFormat = errors.New("extmem: legacy archive layout is no longer supported")
@@ -170,6 +160,15 @@ func legacyf(format string, args ...any) error {
 func compressedf(format string, args ...any) error {
 	return fmt.Errorf("%w (%s is block-compressed); the build at commit 07f536d still reads it",
 		ErrLegacyFormat, fmt.Sprintf(format, args...))
+}
+
+// format2f wraps ErrLegacyFormat for a format-2 key directory or segment,
+// whose postings lived in a file of their own. The build at commit
+// 8fc1dc5 still reads it; moving an archive means getting each version
+// with that build and adding it to a fresh archive with this one.
+func format2f(what string) error {
+	return fmt.Errorf("%w (%s); the build at commit 8fc1dc5 still reads it: `xarch get` every version with it and `xarch add` them to a fresh archive",
+		ErrLegacyFormat, what)
 }
 
 // CheckLegacyLayout returns ErrLegacyFormat when dir still holds the
@@ -255,6 +254,9 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 		return nil, err
 	}
 	ar.savedDict = len(ar.dict.snapshot())
+	if d != nil && ar.savedDict < d.names {
+		return nil, shortDictf(ar.savedDict, d.names)
+	}
 
 	if d == nil {
 		// Corrupt, truncated or missing key directory: fall back to
@@ -294,8 +296,7 @@ func metaMatches(metaData []byte, d *keyDirectory) bool {
 }
 
 // finishOpen garbage-collects files no committed state references (crash
-// leftovers: orphan segments, temp files) and publishes d, with the
-// sidecar found beside it or rebuilt on request, as generation 0.
+// leftovers: orphan segments, temp files) and publishes d as generation 0.
 func (ar *Archiver) finishOpen(d *keyDirectory) {
 	g := &generation{d: d, names: ar.dict.snapshot(), files: d.files()}
 	for _, p := range globSegments(ar.fs, ar.dir) {
@@ -305,18 +306,14 @@ func (ar *Archiver) finishOpen(d *keyDirectory) {
 	}
 	ar.sweepTmp()
 	ar.preloadDicts(d)
-	g.aidx = ar.loadAttrIndex(d)
-	if g.aidx == nil && ar.cfg.RebuildAttrIndex {
-		ar.indexGeneration(g)
-		ar.saveAttrIndex(g)
-	}
 	ar.publish(g)
 }
 
 // preloadDicts warms the dictionary cache for every committed
-// segment. The dictionaries are immutable per-segment metadata — the
-// same class of state as the key directory loaded above — so paying
-// their decode once at open keeps it off every query's first token.
+// segment. The dictionaries and postings are immutable per-segment
+// metadata — the same class of state as the key directory loaded above —
+// so paying their decode once at open keeps it off every query's first
+// token.
 // Best-effort: a segment that fails to load here surfaces its error on
 // the query that actually touches it, exactly as without preloading.
 func (ar *Archiver) preloadDicts(d *keyDirectory) {
@@ -406,7 +403,7 @@ func (ar *Archiver) commitState(d *keyDirectory) error {
 		}
 		files = append(files, StateFile{dictFile, db.Bytes()})
 	}
-	files = append(files, StateFile{metaFile, encodeMeta(d)}, StateFile{keydirFile, d.encode()})
+	files = append(files, StateFile{metaFile, encodeMeta(d)}, StateFile{keydirFile, d.encode(dictLen)})
 	if err := CommitFiles(ar.fs, ar.dir, files); err != nil {
 		return err
 	}
@@ -416,13 +413,10 @@ func (ar *Archiver) commitState(d *keyDirectory) error {
 }
 
 // newGeneration wraps a directory the commit has just made durable as the
-// next generation to publish: the dictionary's names as of now, the
-// writer's diagnostics, and the attribute index, built in memory — so no
-// view ever sees a directory whose index is still on its way.
+// next generation to publish: the dictionary's names as of now and the
+// writer's diagnostics.
 func (ar *Archiver) newGeneration(d *keyDirectory) *generation {
-	g := &generation{d: d, names: ar.dict.snapshot(), files: d.files(), last: ar.last}
-	ar.indexGeneration(g)
-	return g
+	return &generation{d: d, names: ar.dict.snapshot(), files: d.files(), last: ar.last}
 }
 
 // Versions returns the number of archived versions.
@@ -460,6 +454,7 @@ type StorageStats struct {
 	Segments         int
 	SegmentBytes     int64 // payload bytes across segments
 	StoredBytes      int64 // on-disk bytes (payloads + dictionaries)
+	PostingBytes     int64 // postings sections, not in StoredBytes
 	DirectoryEntries int   // child entries in the key directory
 	DirectoryBytes   int   // encoded keydir.idx size
 	LastAddReused    int   // segments the last Add linked unchanged
@@ -497,6 +492,7 @@ func (ar *Archiver) StorageStats() StorageStats {
 			st.Segments++
 			st.SegmentBytes += s.payload
 			st.StoredBytes += s.payload + s.dictLen
+			st.PostingBytes += s.postLen
 		}
 	}
 	return st
@@ -512,16 +508,19 @@ func (ar *Archiver) CompressedSize() int64 {
 
 // SegmentInfo describes one segment file for inspection tooling.
 type SegmentInfo struct {
-	Root       string // label of the owning top-level subtree
-	File       string
-	Bytes      int64   // payload bytes
-	DictBytes  int64   // encoded dictionary section size
-	Fill       float64 // payload bytes / segment target size
-	Entries    int
-	FirstLabel string
-	LastLabel  string
-	Raw        bool
-	CRCOK      bool
+	Root      string // label of the owning top-level subtree
+	File      string
+	Bytes     int64 // payload bytes
+	DictBytes int64 // encoded dictionary section size
+	// PostingBytes is the postings section's size; the section lies just
+	// before the payload, which ends the file.
+	PostingBytes int64
+	Fill         float64 // payload bytes / segment target size
+	Entries      int
+	FirstLabel   string
+	LastLabel    string
+	Raw          bool
+	CRCOK        bool
 	// Compactable marks a segment that sits inside a planned coalesce
 	// run: undersized (below the compaction target) with at least one
 	// undersized neighbor in the same root.
@@ -529,8 +528,8 @@ type SegmentInfo struct {
 }
 
 // Segments lists every segment with its key range and fill ratio,
-// verifying each payload checksum (an O(archive) read; meant for the
-// inspect tooling). Segments a compaction pass would coalesce are
+// verifying each one — checksums, entries and postings — (an O(archive)
+// read; meant for the inspect tooling). Segments a compaction pass would coalesce are
 // flagged. It pins the generation it lists, like any other scan, so it
 // neither blocks nor races a concurrent Add.
 func (ar *Archiver) Segments() []SegmentInfo {
@@ -548,7 +547,7 @@ func (ar *Archiver) Segments() []SegmentInfo {
 		for _, s := range r.segs {
 			info := SegmentInfo{
 				Root: keyLabel(r.name, r.key), File: s.file,
-				Bytes: s.payload, DictBytes: s.dictLen,
+				Bytes: s.payload, DictBytes: s.dictLen, PostingBytes: s.postLen,
 				Entries: len(s.entries), Raw: r.raw,
 				Fill:        float64(s.payload) / float64(ar.cfg.SegmentTarget),
 				Compactable: candidates[s.file],
@@ -558,7 +557,7 @@ func (ar *Archiver) Segments() []SegmentInfo {
 				info.FirstLabel = keyLabel(first.name, first.key)
 				info.LastLabel = keyLabel(last.name, last.key)
 			}
-			info.CRCOK = verifySegment(ar.fs, filepath.Join(ar.dir, s.file), s, names) == nil
+			info.CRCOK = verifySegment(ar.fs, filepath.Join(ar.dir, s.file), g.d, r, s, names) == nil
 			out = append(out, info)
 		}
 	}
@@ -635,9 +634,7 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 	var fault error // what aborted the batch
 	defer func() {
 		if !committed && !isCommitFault(fault) {
-			for _, f := range stagedFiles {
-				ar.fs.Remove(filepath.Join(ar.dir, f))
-			}
+			ar.removeSegments(stagedFiles)
 		}
 	}()
 	// fatal aborts the whole batch: poison the writer if the error was a
@@ -683,22 +680,22 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 		return fatal(err)
 	}
 	committed = true
-	// The visibility order: durable, the attribute index built in memory,
-	// published — from here every new view sees the batch, with its index —
-	// then the superseded files swept and the sidecar file written, and
-	// only then acknowledged.
+	// The visibility order: durable, published — from here every new view
+	// sees the batch — then the superseded files swept, and only then
+	// acknowledged.
 	ar.last.CompactErr = nil
 	g := ar.newGeneration(staged)
 	ar.publish(g)
 	// Segments written for early batch members and already superseded
 	// within the same batch belong to no committed generation (the batch
 	// commits only its final directory): delete them now.
+	var superseded []string
 	for _, f := range stagedFiles {
 		if !g.files[f] {
-			ar.fs.Remove(filepath.Join(ar.dir, f))
+			superseded = append(superseded, f)
 		}
 	}
-	ar.saveAttrIndex(g)
+	ar.removeSegments(superseded)
 	// Opportunistic maintenance: coalesce undersized neighbor segments
 	// under the configured byte budget. The batch is already durable; a
 	// compaction failure leaves the committed layout intact and is
@@ -707,7 +704,7 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 	if ar.cfg.CompactionBudget > 0 {
 		if _, cerr := ar.compact(int64(ar.cfg.CompactionBudget)); cerr != nil {
 			ar.last.CompactErr = ar.noteFatal(cerr)
-			ar.publish(&generation{d: g.d, names: g.names, aidx: g.aidx, files: g.files, last: ar.last})
+			ar.publish(&generation{d: g.d, names: g.names, files: g.files, last: ar.last})
 		}
 	}
 	return items, nil

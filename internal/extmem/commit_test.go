@@ -30,9 +30,8 @@ func mutatingTrace(ffs *fsio.FaultFS) []string {
 // mutating filesystem operations: one fsynced segment, the two state files
 // that change with every commit staged and fsynced, two renames with the
 // barrier SyncDir between them and the ack SyncDir after, then the
-// post-commit tail — the superseded segment's removal and the advisory
-// sidecar, which pays no sync at all. No scratch file; dict.txt only when
-// the add brings a name the dictionary has not seen.
+// post-commit tail — the superseded segment's removal. No scratch file;
+// dict.txt only when the add brings a name the dictionary has not seen.
 func TestCommitSyncBudget(t *testing.T) {
 	spec := keys.MustParseSpec(edgeSpec)
 	ffs := fsio.NewFaultFS(nil)
@@ -56,7 +55,7 @@ func TestCommitSyncBudget(t *testing.T) {
 		"keydir.create", "keydir.write", "keydir.sync",
 	}
 	commit := []string{"meta.rename", "dir.sync", "keydir.rename", "dir.sync"}
-	tail := []string{"segment.remove", "attr.create", "attr.write", "attr.rename"}
+	tail := []string{"segment.remove"}
 	segment := []string{"segment.create", "segment.write", "segment.sync"}
 
 	steady := slices.Concat(segment, state, commit, tail)

@@ -2,7 +2,6 @@ package extmem
 
 import (
 	"fmt"
-	"path/filepath"
 )
 
 // Segment compaction: repeated small Adds leave runs of undersized
@@ -188,9 +187,7 @@ func (ar *Archiver) compact(budget int64) (CompactStats, error) {
 	onCreate := func(name string) { newFiles = append(newFiles, name) }
 	fail := func(err error) (CompactStats, error) {
 		if !isCommitFault(err) { // after one, the key directory may name them
-			for _, f := range newFiles {
-				ar.fs.Remove(filepath.Join(ar.dir, f))
-			}
+			ar.removeSegments(newFiles)
 		}
 		return st, err
 	}
@@ -231,9 +228,7 @@ func (ar *Archiver) compact(budget int64) (CompactStats, error) {
 		return fail(err)
 	}
 	ar.last.Compact = st
-	g := ar.newGeneration(out)
-	ar.publish(g)
-	ar.saveAttrIndex(g)
+	ar.publish(ar.newGeneration(out))
 	return st, nil
 }
 
@@ -242,8 +237,8 @@ func (ar *Archiver) compact(budget int64) (CompactStats, error) {
 // entry table with rebased offsets. The token stream is unchanged — the
 // concatenated archive stream, and every query answer, is identical
 // before and after. Going through the segment writer re-interns the run
-// into fresh per-file dictionaries and captures the attr.idx facts and
-// kid spans of every output segment, exactly like a merge.
+// into fresh per-file dictionaries and captures the postings of every
+// output segment, exactly like a merge.
 func (ar *Archiver) coalesceRun(newRoot, old *rootRecord, lo, hi int, onCreate func(string)) ([]*segmentRecord, int64, error) {
 	var out []*segmentRecord
 	sw := newSegmentSetWriter(ar, newRoot, false,

@@ -466,9 +466,9 @@ func TestOpportunisticCompactionPreservesQueries(t *testing.T) {
 // TestCompactKeepsKidSpans: the compactor writes through the segment
 // writer, so the segments it creates carry captured postings — every
 // non-frontier entry keeps its kid spans (the depth-3 seek path) through a
-// compaction and through the reopen that reloads attr.idx. Run over the
-// churn generator's seeds 1–10 and an accretive OMIM history, because a
-// shrinking sidecar was once seen on some seeds and never explained.
+// compaction and through the reopen that loads the postings back. Run over
+// the churn generator's seeds 1–10 and an accretive OMIM history, because
+// shrinking postings were once seen on some seeds and never explained.
 func TestCompactKeepsKidSpans(t *testing.T) {
 	type history struct {
 		name string
@@ -508,31 +508,28 @@ func TestCompactKeepsKidSpans(t *testing.T) {
 				}
 				return ar
 			}
-			// check returns the sidecar's size on disk.
+			// check returns the postings' size on disk.
 			check := func(ar *Archiver, phase string) int64 {
 				t.Helper()
-				g := ar.current()
-				if g.aidx == nil {
-					t.Fatalf("%s: no attribute index", phase)
+				q, err := ar.OpenQuery()
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, r := range g.d.roots {
+				defer q.Close()
+				for _, r := range q.d.roots {
 					for _, s := range r.segs {
 						for i := range s.entries {
 							e := &s.entries[i]
 							if r.raw || h.spec.IsFrontier(keys.Path([]string{r.name, e.name})) {
 								continue
 							}
-							if ent := g.aidx.files[s.file].entries[i]; !ent.hasKids {
-								t.Errorf("%s: %s entry %s has no kid spans", phase, s.file, keyLabel(e.name, e.key))
+							if ent, err := q.posting(s, i); err != nil || !ent.hasKids {
+								t.Errorf("%s: %s entry %s has no kid spans (%v)", phase, s.file, keyLabel(e.name, e.key), err)
 							}
 						}
 					}
 				}
-				fi, err := os.Stat(filepath.Join(dir, attrIdxFile))
-				if err != nil {
-					t.Fatalf("%s: %v", phase, err)
-				}
-				return fi.Size()
+				return ar.StorageStats().PostingBytes
 			}
 			// One level-2 entry per file, so that under the default target the
 			// whole layout is one coalesce run.
@@ -559,13 +556,13 @@ func TestCompactKeepsKidSpans(t *testing.T) {
 			ar = open(Config{})
 			defer ar.Close()
 			if got := check(ar, "reopened after compaction"); got != after {
-				t.Errorf("attr.idx is %d bytes after the reopen, %d before it", got, after)
+				t.Errorf("postings are %d bytes after the reopen, %d before it", got, after)
 			}
-			// Fewer files means fewer file names and CRCs, nothing else.
+			// Fewer files means fewer section counts and CRCs, nothing else.
 			if after < before*9/10 {
-				t.Errorf("attr.idx shrank from %d to %d bytes across Compact", before, after)
+				t.Errorf("postings shrank from %d to %d bytes across Compact", before, after)
 			}
-			t.Logf("attr.idx %d -> %d bytes, %d segments coalesced into %d", before, after, st.Coalesced, st.Created)
+			t.Logf("postings %d -> %d bytes, %d segments coalesced into %d", before, after, st.Coalesced, st.Created)
 		})
 	}
 }

@@ -2,7 +2,6 @@ package extmem
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -99,7 +98,7 @@ func outageMatrix(t *testing.T, cfg Config, base string, preV int, wantPre []byt
 //   - the archive stream is byte-identical to either the pre-commit or
 //     the post-commit generation (never a hybrid);
 //   - transient files and orphan segments are swept;
-//   - the sidecar it kept agrees with the scan, and fsck is clean.
+//   - Select through the postings agrees with the scan, and fsck is clean.
 //
 // It returns the version count and segment files recovered to.
 func assertRecovered(t *testing.T, dir string, cfg Config, label string,
@@ -111,7 +110,7 @@ func assertRecovered(t *testing.T, dir string, cfg Config, label string,
 		t.Fatalf("%s: reopen after crash: %v", label, err)
 	}
 	versions, files = ar.Versions(), segmentFiles(t, ar)
-	assertSidecarAgreesWithScan(t, ar, label)
+	assertPostingsAgreeWithScan(t, ar, label)
 	got := archiveStreamBytes(t, ar)
 	switch v := ar.Versions(); v {
 	case preV:
@@ -134,21 +133,8 @@ func assertRecovered(t *testing.T, dir string, cfg Config, label string,
 			t.Errorf("%s: orphan segment %s survived reopen", label, filepath.Base(p))
 		}
 	}
-	dirCRC := ar.current().d.crc
 	if err := ar.Close(); err != nil {
 		t.Fatalf("%s: close recovered archive: %v", label, err)
-	}
-	// The advisory attr.idx sidecar must never survive a crash in a
-	// state a reader could misuse: after the writable reopen it is
-	// either absent (dropped, to be rebuilt by the next commit) or
-	// decodes cleanly and is bound to the recovered key directory.
-	if data, err := os.ReadFile(filepath.Join(dir, attrIdxFile)); err == nil {
-		x, derr := decodeAttrIndex(data)
-		if derr != nil {
-			t.Errorf("%s: attr.idx corrupt after recovery: %v", label, derr)
-		} else if x.keydirCRC != dirCRC {
-			t.Errorf("%s: stale attr.idx survived the writable reopen", label)
-		}
 	}
 	report, err := CheckArchive(nil, dir)
 	if err != nil {
@@ -160,34 +146,33 @@ func assertRecovered(t *testing.T, dir string, cfg Config, label string,
 	return versions, files
 }
 
-// assertSidecarAgreesWithScan: whatever attr.idx the reopen kept — it is
-// written without any fsync, so a crash may leave it whole, stale, torn
-// or empty — Select through it answers what the exact scan answers.
-func assertSidecarAgreesWithScan(t *testing.T, ar *Archiver, label string) {
+// assertPostingsAgreeWithScan: Select through the postings of the
+// recovered segments answers what the exact scan (NoAttrIndex) answers.
+func assertPostingsAgreeWithScan(t *testing.T, ar *Archiver, label string) {
 	t.Helper()
 	q, err := ar.OpenQuery()
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	defer q.Close()
-	kept := q.aidx
+	defer func() { ar.cfg.NoAttrIndex = false }()
 	for _, expr := range []string{"changed 2..", "in ..2 AND NOT at 3", "/ROOT/Record"} {
 		e, err := qlang.Parse(expr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q.aidx = kept
+		ar.cfg.NoAttrIndex = false
 		indexed, err := q.Select(e)
 		if err != nil {
 			t.Fatalf("%s: Select(%q): %v", label, expr, err)
 		}
-		q.aidx = nil
+		ar.cfg.NoAttrIndex = true
 		scanned, err := q.Select(e)
 		if err != nil {
 			t.Fatalf("%s: scan Select(%q): %v", label, expr, err)
 		}
 		if !slices.Equal(indexed, scanned) {
-			t.Errorf("%s: Select(%q) through the recovered sidecar differs from the scan", label, expr)
+			t.Errorf("%s: Select(%q) through the recovered postings differs from the scan", label, expr)
 		}
 	}
 }

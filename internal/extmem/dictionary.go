@@ -40,6 +40,13 @@ func (d *dictionary) name(id int) (string, error) {
 	return d.names[id], nil
 }
 
+// shortDictf reports a dict.txt that holds fewer names than the key
+// directory records: the segments may reference ids it lost, and the next
+// add would hand them out again to other names.
+func shortDictf(have, want int) error {
+	return corruptf("dict.txt holds %d names, the key directory records %d", have, want)
+}
+
 // snapshot returns the current name table. Entries are immutable and the
 // table is append-only, so the returned slice is a consistent point-in-time
 // view that later id() calls never mutate (its capacity is clipped: an

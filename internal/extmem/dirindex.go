@@ -10,7 +10,7 @@ import (
 
 // dirIndex is the lazily-built lookup index over one ordered list of
 // identities: a root's level-2 entries across its segments, or the kids of
-// one sidecar posting (the attr.idx kid mini-index). Both lists are kept
+// one record's posting (its kid mini-index). Both lists are kept
 // sorted by (name, canonical key) — the merge emits siblings in that order,
 // the rebuild re-derives it from the payloads, and a posting records its
 // kids in stored order — so the index binary-searches instead of walking

@@ -189,7 +189,7 @@ func TestDirIndexLookupCost(t *testing.T) {
 	}
 }
 
-// mkKids builds a sidecar posting whose kid mini-index lists entries.
+// mkKids builds a posting whose kid mini-index lists entries.
 func mkKids(entries []childEntry) *idxEntry {
 	ent := &idxEntry{hasKids: true}
 	for _, e := range entries {
@@ -284,7 +284,7 @@ func TestDirIndexKidLookup(t *testing.T) {
 // what a lone reader of the same versions answers.
 func TestKidIndexSharedByReaders(t *testing.T) {
 	xm := datagen.NewXMark(datagen.XMarkConfig{Seed: 5, Items: 30, People: 80, Categories: 4, OpenAucts: 10, ClosedAucts: 6})
-	c := sidecarCorpus{spec: xm.Spec()}
+	c := postingCorpus{spec: xm.Spec()}
 	doc := xm.Document()
 	for v := 0; v < 3; v++ {
 		c.docs = append(c.docs, doc)
@@ -298,7 +298,9 @@ func TestKidIndexSharedByReaders(t *testing.T) {
 	selectors = append(selectors, "/site/people/person", "/site/people/person[id=nosuch]")
 	open := func() *Archiver {
 		dir := t.TempDir()
-		c.build(t, dir)
+		if err := c.build(t, dir, 2048).Close(); err != nil {
+			t.Fatal(err)
+		}
 		ar, err := Open(dir, c.spec, Config{})
 		if err != nil {
 			t.Fatal(err)

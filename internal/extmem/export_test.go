@@ -18,8 +18,8 @@ func KidIndexSeeks(t *testing.T, spec *keys.Spec, docs []*xmltree.Node, parent, 
 	if len(entries) != 1 {
 		t.Fatalf("%s: %d entries", parent, len(entries))
 	}
-	ent := q.posting(entries[0].seg, entries[0].i)
-	if ent == nil || !ent.hasKids || ent.kidIndex().small {
+	ent, err := q.posting(entries[0].seg, entries[0].i)
+	if err != nil || ent == nil || !ent.hasKids || ent.kidIndex().small {
 		t.Fatalf("%s has no kid index over %d or more kids", parent, dirIndexMinEntries)
 	}
 	if pos, ok := ent.kidIndex().seek(stepOf(kid, core.Predicate{Path: key, Value: value})); !ok || len(pos) != 1 {

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"xarch/internal/fsio"
-	"xarch/internal/intervals"
 	"xarch/internal/keys"
 )
 
@@ -27,7 +26,7 @@ import (
 // relation between files).
 type CheckItem struct {
 	File   string // base name within the archive directory
-	Kind   string // keydir | meta | dict | segment | attridx | orphan | transient | marker
+	Kind   string // keydir | meta | dict | segment | orphan | transient | marker
 	OK     bool   // the item verifies; false items carry a Detail
 	Detail string // what is wrong, or a short status for OK items
 }
@@ -78,39 +77,45 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 		return nil, err
 	}
 
+	// Key directory: authoritative when its whole-file checksum holds.
+	var d *keyDirectory
+	var decErr error
+	kdData, kdErr := fs.ReadFile(filepath.Join(dir, keydirFile))
+	if kdErr == nil {
+		if d, decErr = decodeKeyDirectory(kdData); errors.Is(decErr, ErrLegacyFormat) {
+			return nil, decErr
+		}
+	}
+
 	// Dictionary: segment payloads reference names by id, so a dead
-	// dictionary makes every deeper check impossible.
+	// dictionary makes every deeper check impossible, and one shorter than
+	// the key directory records has lost names the segments may use.
 	var dict *dictionary
 	if df, err := fs.Open(filepath.Join(dir, dictFile)); err != nil {
 		r.add(dictFile, "dict", false, fmt.Sprintf("unreadable: %v", err))
 	} else {
 		dict, err = loadDictionary(df)
 		df.Close()
-		if err != nil {
+		switch {
+		case err != nil:
 			dict = nil
 			r.add(dictFile, "dict", false, fmt.Sprintf("corrupt: %v", err))
-		} else {
+		case d != nil && len(dict.names) < d.names:
+			r.add(dictFile, "dict", false, shortDictf(len(dict.names), d.names).Error())
+		default:
 			r.add(dictFile, "dict", true, "loads")
 		}
 	}
 
-	// Key directory: authoritative when its whole-file checksum holds.
-	var d *keyDirectory
-	kdData, kdErr := fs.ReadFile(filepath.Join(dir, keydirFile))
 	switch {
 	case errors.Is(kdErr, iofs.ErrNotExist):
 		r.add(keydirFile, "keydir", false, "missing (rebuilt from meta.txt on open)")
 	case kdErr != nil:
 		r.add(keydirFile, "keydir", false, fmt.Sprintf("unreadable: %v", kdErr))
+	case decErr != nil:
+		r.add(keydirFile, "keydir", false, fmt.Sprintf("%v (rebuilt from meta.txt on open)", decErr))
 	default:
-		var err error
-		if d, err = decodeKeyDirectory(kdData); errors.Is(err, ErrLegacyFormat) {
-			return nil, err
-		} else if err != nil {
-			r.add(keydirFile, "keydir", false, fmt.Sprintf("%v (rebuilt from meta.txt on open)", err))
-		} else {
-			r.add(keydirFile, "keydir", true, "checksum valid")
-		}
+		r.add(keydirFile, "keydir", true, "checksum valid")
 	}
 
 	// Meta backup: the recovery source when the key directory is dead,
@@ -146,13 +151,13 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 			for _, seg := range root.segs {
 				live[seg.file] = true
 				// verifySegment also decodes the dictionary and walks
-				// every token, so a dangling dictionary id or a directory
-				// entry that points beside its subtree fails here like a
-				// bad checksum.
-				if err := verifySegment(fs, filepath.Join(dir, seg.file), seg, dict); err != nil {
+				// every token, so a dangling dictionary id, a directory
+				// entry that points beside its subtree or a posting that
+				// disagrees with its record fails here like a bad checksum.
+				if err := verifySegment(fs, filepath.Join(dir, seg.file), d, root, seg, dict); err != nil {
 					r.add(seg.file, "segment", false, err.Error())
 				} else {
-					r.add(seg.file, "segment", true, "checksums, dictionary ids and directory entries valid")
+					r.add(seg.file, "segment", true, "checksums, dictionary ids, directory entries and postings valid")
 				}
 			}
 		}
@@ -165,9 +170,13 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 					r.add(seg.file, "segment", false, "unverifiable: dictionary unavailable")
 					continue
 				}
-				if _, _, err := walkSegment(fs, filepath.Join(dir, seg.file), dict); errors.Is(err, ErrLegacyFormat) {
+				h, _, err := walkSegment(fs, filepath.Join(dir, seg.file), dict)
+				if errors.Is(err, ErrLegacyFormat) {
 					return nil, err
-				} else if err != nil {
+				} else if err == nil {
+					err = h.postErr
+				}
+				if err != nil {
 					r.add(seg.file, "segment", false, err.Error())
 				} else {
 					r.add(seg.file, "segment", true, "self-checksum valid")
@@ -175,13 +184,6 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 			}
 		}
 	}
-
-	// Attribute-index sidecar: advisory, so a missing file is not a
-	// finding at all and a stale one (left by a crash between a commit
-	// and its sidecar refresh) only warrants a note — queries bypass it
-	// and a writable open deletes it. A fresh sidecar, though, must agree
-	// with the key directory in every particular it indexes.
-	checkAttrIndex(fs, dir, d, r)
 
 	// Crash leftovers on disk: orphan segments no committed state
 	// references, transient scratch/rename files, and the degraded
@@ -207,106 +209,6 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 	return r, nil
 }
 
-// checkAttrIndex verifies the attr.idx sidecar against the decoded key
-// directory: whole-file checksum, binding CRC, coverage of every live
-// segment file and raw root, timestamp parseability and containment in
-// each record's lifespan, change versions within 1..versions, and kid
-// spans within their entry's payload span.
-func checkAttrIndex(fs fsio.FS, dir string, d *keyDirectory, r *CheckReport) {
-	data, err := fs.ReadFile(filepath.Join(dir, attrIdxFile))
-	if errors.Is(err, iofs.ErrNotExist) {
-		return
-	}
-	if err != nil {
-		r.add(attrIdxFile, "attridx", false, fmt.Sprintf("unreadable: %v", err))
-		return
-	}
-	x, derr := decodeAttrIndex(data)
-	if derr != nil {
-		r.add(attrIdxFile, "attridx", false, fmt.Sprintf("%v (deleted and rebuilt on open)", derr))
-		return
-	}
-	if d == nil {
-		r.add(attrIdxFile, "attridx", true, "decodes; keydir.idx unavailable for cross-check")
-		return
-	}
-	if x.keydirCRC != d.crc {
-		r.add(attrIdxFile, "attridx", true, "stale (advisory: bypassed by queries, deleted on writable open)")
-		return
-	}
-	checkEntry := func(e *idxEntry, eff *intervals.Set, where string) string {
-		for _, c := range e.facts.Changes {
-			if c.Explicit && (c.V < 1 || c.V > x.versions) {
-				return fmt.Sprintf("%s: change version %d outside 1..%d", where, c.V, x.versions)
-			}
-		}
-		// A timestamp that does not parse has already failed the decode.
-		for _, a := range e.facts.Attrs {
-			if a.Time != nil && !a.Time.Minus(eff).Empty() {
-				return fmt.Sprintf("%s: attr %s lifespan %s outside record lifespan %s", where, a.Name, a.Time, eff)
-			}
-		}
-		return ""
-	}
-	if x.versions != d.versions {
-		r.add(attrIdxFile, "attridx", false, fmt.Sprintf("version count %d disagrees with key directory %d", x.versions, d.versions))
-		return
-	}
-	for _, rr := range d.roots {
-		rootEff := d.rootTime
-		if rr.time != nil {
-			rootEff = rr.time
-		}
-		if rr.raw {
-			label := keyLabel(rr.name, rr.key)
-			ri := x.raws[label]
-			if ri == nil {
-				r.add(attrIdxFile, "attridx", false, fmt.Sprintf("raw root %s not indexed", label))
-				return
-			}
-			if ri.sig != rawSig(rr) {
-				r.add(attrIdxFile, "attridx", false, fmt.Sprintf("raw root %s indexed against different segment bytes", label))
-				return
-			}
-			if msg := checkEntry(ri.e, rootEff, "raw root "+label); msg != "" {
-				r.add(attrIdxFile, "attridx", false, msg)
-				return
-			}
-			continue
-		}
-		for _, s := range rr.segs {
-			f := x.files[s.file]
-			if f == nil {
-				r.add(attrIdxFile, "attridx", false, fmt.Sprintf("segment %s not indexed", s.file))
-				return
-			}
-			if f.crc != s.crc || len(f.entries) != len(s.entries) {
-				r.add(attrIdxFile, "attridx", false, fmt.Sprintf("segment %s postings disagree with directory record", s.file))
-				return
-			}
-			for i, e := range f.entries {
-				de := &s.entries[i]
-				eff := rootEff
-				if de.time != nil {
-					eff = de.time
-				}
-				where := fmt.Sprintf("%s entry %s", s.file, keyLabel(de.name, de.key))
-				if msg := checkEntry(e, eff, where); msg != "" {
-					r.add(attrIdxFile, "attridx", false, msg)
-					return
-				}
-				for _, k := range e.kids {
-					if k.off < 0 || k.size < 0 || de.offset+k.off+k.size > s.payload {
-						r.add(attrIdxFile, "attridx", false, fmt.Sprintf("%s: kid %s span outside segment payload", where, k.name))
-						return
-					}
-				}
-			}
-		}
-	}
-	r.add(attrIdxFile, "attridx", true, "checksum valid, agrees with key directory")
-}
-
 // RepairArchive restores an archive directory to a clean state: opening
 // it runs the recovery machinery (key directory rebuild from the meta
 // backup, meta self-heal, sweep of orphan segments and transient
@@ -318,11 +220,6 @@ func RepairArchive(fs fsio.FS, dir string, spec *keys.Spec, cfg Config) (*CheckR
 		fs = fsio.OS
 	}
 	cfg.FS = fs
-	// Repair also restores the advisory attr.idx sidecar: the open below
-	// deletes a stale or corrupt one, and this flag rebuilds it.
-	if !cfg.NoAttrIndex {
-		cfg.RebuildAttrIndex = true
-	}
 	ar, err := Open(dir, spec, cfg)
 	if err != nil {
 		return nil, err

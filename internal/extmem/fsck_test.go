@@ -177,10 +177,10 @@ func TestFsckDetectsMisaimedDirectoryEntry(t *testing.T) {
 		t.Fatalf("segment %s has %d entries, want several", seg.file, len(seg.entries))
 	}
 	seg.entries[1].offset++ // one byte into the subtree; encode re-seals
-	if err := os.WriteFile(p, d.encode(), 0o644); err != nil {
+	if err := os.WriteFile(p, d.encode(d.names), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeKeyDirectory(d.encode()); err != nil {
+	if _, err := decodeKeyDirectory(d.encode(d.names)); err != nil {
 		t.Fatalf("altered directory does not decode: %v", err)
 	}
 	r, err := CheckArchive(nil, dir)
@@ -357,5 +357,41 @@ func TestDamagedDictionaryIsCorrupt(t *testing.T) {
 	}
 	if r := plant(string(good)); !r.Clean {
 		t.Fatalf("restored dictionary: %v", r.Problems())
+	}
+}
+
+// TestShortDictionaryRefused: the key directory records how many names
+// dict.txt held when it committed. A dict.txt cut cleanly at a line
+// boundary still parses, but it has lost names the segments use, and the
+// next add would hand their ids out again to other names: Open refuses it
+// as a corrupt archive, and fsck reports the dictionary.
+func TestShortDictionaryRefused(t *testing.T) {
+	dir := t.TempDir()
+	ar := buildOMIMArchive(t, dir, Config{}, 1)
+	if err := ar.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, dictFile)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(good), "\n")
+	short := strings.Join(lines[:len(lines)-3], "") // the last two names gone
+	if err := os.WriteFile(path, []byte(short), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadDictionary(strings.NewReader(short)); err != nil {
+		t.Fatalf("the cut dictionary does not parse: %v", err)
+	}
+	if _, err := Open(dir, datagen.OMIMSpec(), Config{}); !errors.Is(err, core.ErrCorruptArchive) {
+		t.Errorf("Open over a short dict.txt = %v, want ErrCorruptArchive", err)
+	}
+	r, err := CheckArchive(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Clean || checkKinds(r)["dict"] != 1 {
+		t.Errorf("fsck problems %v, want the dictionary", r.Problems())
 	}
 }

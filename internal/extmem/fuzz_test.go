@@ -22,12 +22,13 @@ import (
 	"xarch/internal/xmltree"
 )
 
-// The decoders of bytes a replication peer supplies — keydir.idx, attr.idx
-// and segment payloads (the segment header has FuzzSegmentHeader; dict.txt
+// The decoders of bytes a replication peer supplies — keydir.idx, a
+// segment's postings section and segment payloads (the segment header has FuzzSegmentHeader; dict.txt
 // and meta.txt, text, have their own round trips below) — share
 // one contract: whatever the bytes, no panic, no allocation beyond a small
 // multiple of the bytes actually supplied, and an error that matches
-// ErrCorruptArchive (ErrLegacyFormat for a format-1 key directory).
+// ErrCorruptArchive (ErrLegacyFormat for a format-1 or format-2 key
+// directory).
 
 // checkHostile holds decode, run over n input bytes, to that contract.
 func checkHostile(t *testing.T, n int, decode func() error) error {
@@ -39,23 +40,23 @@ func checkHostile(t *testing.T, n int, decode func() error) error {
 	return err
 }
 
-// seal appends the whole-file CRC32 trailer keydir.idx and attr.idx end
+// seal appends the CRC32 trailer keydir.idx and a postings section end
 // with, so the fuzzer's mutations reach the decoder behind the checksum.
 func seal(body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
 }
 
-// hugeStringKeydir is a CRC-valid keydir.idx of 19 bytes whose root
+// hugeStringKeydir is a CRC-valid keydir.idx of 20 bytes whose root
 // timestamp claims 1<<62 bytes; hugeTextToken is a text token claiming
 // 1<<33. Each used to size a make with the claim.
 var (
-	hugeStringKeydir = seal(binary.AppendUvarint(append([]byte(keydirMagic), keydirFormat, 1), 1<<62))
+	hugeStringKeydir = seal(binary.AppendUvarint(append([]byte(keydirMagic), keydirFormat, 1, 0), 1<<62))
 	hugeTextToken    = binary.AppendUvarint([]byte{tokText}, 1<<33)
 )
 
 func TestHostileLengthPrefixes(t *testing.T) {
-	if len(hugeStringKeydir) != 19 {
-		t.Fatalf("repro is %d bytes, want 19", len(hugeStringKeydir))
+	if len(hugeStringKeydir) != 20 {
+		t.Fatalf("repro is %d bytes, want 20", len(hugeStringKeydir))
 	}
 	if err := checkHostile(t, len(hugeStringKeydir), func() error {
 		_, err := decodeKeyDirectory(hugeStringKeydir)
@@ -166,6 +167,7 @@ func FuzzKeyDirectory(f *testing.F) {
 	f.Add(data[:len(data)-4])
 	f.Add(hugeStringKeydir[:len(hugeStringKeydir)-4])
 	f.Add(append([]byte(keydirMagic), 1)) // format 1: ErrLegacyFormat
+	f.Add(append([]byte(keydirMagic), 2)) // format 2: ErrLegacyFormat
 	f.Fuzz(func(t *testing.T, body []byte) {
 		sealed := seal(body)
 		var d *keyDirectory
@@ -175,8 +177,8 @@ func FuzzKeyDirectory(f *testing.F) {
 		})
 		if err == nil {
 			// What decodes must encode and decode again to the same thing.
-			again, err := decodeKeyDirectory(d.encode())
-			if err != nil || again.versions != d.versions || again.entryCount() != d.entryCount() {
+			again, err := decodeKeyDirectory(d.encode(d.names))
+			if err != nil || again.versions != d.versions || again.names != d.names || again.entryCount() != d.entryCount() {
 				t.Fatalf("decoded directory does not survive a round trip: %v", err)
 			}
 		}
@@ -187,18 +189,21 @@ func FuzzKeyDirectory(f *testing.F) {
 	})
 }
 
+// FuzzAttrIndex fuzzes the decoder of a segment's postings section, the
+// attribute index's one home.
 func FuzzAttrIndex(f *testing.F) {
-	dir, _ := fuzzSeedArchive(f)
-	data, err := os.ReadFile(filepath.Join(dir, attrIdxFile))
+	dir, ar := fuzzSeedArchive(f)
+	seg := ar.current().d.roots[0].segs[0]
+	file, err := os.ReadFile(filepath.Join(dir, seg.file))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(data[:len(data)-4])
-	f.Add(binary.AppendUvarint(append([]byte(attrIdxMagic), attrIdxFormat, 0, 1, 1), 1<<62)) // one file, its name 1<<62 bytes
+	f.Add(file[seg.dataOff-seg.postLen : seg.dataOff-4])
+	f.Add(binary.AppendUvarint([]byte{1, 0, 0, 1}, 1<<62)) // one posting, its first attribute's name 1<<62 bytes
 	f.Fuzz(func(t *testing.T, body []byte) {
 		sealed := seal(body)
 		checkHostile(t, len(sealed), func() error {
-			_, err := decodeAttrIndex(sealed)
+			_, err := decodePostings(sealed)
 			return err
 		})
 	})
@@ -251,7 +256,25 @@ func FuzzTokenStream(f *testing.F) {
 		}
 		checkHostile(t, len(data), func() error { return drainTokens(t, data, dict) })
 		checkHostile(t, len(data), func() error { return drain(data, fromArchive) })
+		names := names.snapshot()
+		if fromArchive {
+			names = ar.current().names
+		}
+		checkHostile(t, len(data), func() error { return walkRecords(data, dict, names) })
 	})
+}
+
+// walkRecords runs fsck's walk of a payload over data, re-deriving a
+// posting from every record as checkPosting does.
+func walkRecords(data []byte, dict *segDict, names []string) error {
+	tr := newTokenReaderDict(bytes.NewReader(data), dict, 0)
+	defer tr.release()
+	posts := make([]*idxEntry, 8)
+	for i := range posts {
+		posts[i] = &idxEntry{hasKids: true}
+	}
+	_, err := scanRecords(tr, &segmentHeader{posts: posts}, &dictionary{names: names})
+	return err
 }
 
 // FuzzDictionary and FuzzMeta hold the two text state files a replication

@@ -34,7 +34,7 @@ import (
 const (
 	keydirFile   = "keydir.idx"
 	keydirMagic  = "XKD1"
-	keydirFormat = 2 // format 1 (pre-dictionary segments) is rejected with ErrLegacyFormat
+	keydirFormat = 3 // formats 1 and 2 are rejected with ErrLegacyFormat
 )
 
 // attrRec is one attribute of a non-raw top-level subtree. The directory
@@ -66,13 +66,15 @@ type childEntry struct {
 // second-level subtrees (or, for a raw root, a verbatim slice of the
 // root's whole subtree). The payload runs from dataOff to the end of the
 // file, so replication can verify a transferred blob by its payload CRC
-// without decoding it.
+// without decoding it; the dictionary and postings sections end at
+// dataOff, in that order.
 type segmentRecord struct {
 	file    string // base name within the archive directory
-	dataOff int64  // payload start (after header incl. the dictionary)
+	dataOff int64  // payload start (after the header and its sections)
 	payload int64  // payload bytes
 	crc     uint32 // CRC32 (IEEE) of the payload
 	dictLen int64  // dictionary section bytes
+	postLen int64  // postings section bytes
 	entries []childEntry
 
 	identOnce sync.Once
@@ -115,8 +117,11 @@ type keyDirectory struct {
 	versions   int
 	rootTime   *intervals.Set
 	roots      []*rootRecord
-	encodedLen int    // size of the persisted form; set at encode/decode
-	crc        uint32 // whole-file CRC of the persisted form; set at encode/decode
+	encodedLen int // size of the persisted form; set at encode/decode
+	// names is the dictionary name count the persisted form records: the
+	// names the segments may reference, which dict.txt must hold. Set at
+	// decode only.
+	names int
 }
 
 // files returns the set of segment files the directory references.
@@ -187,12 +192,14 @@ func (w *kdWriter) key(k *tkey) {
 	}
 }
 
-// encode renders the directory with a trailing whole-file CRC32.
-func (d *keyDirectory) encode() []byte {
+// encode renders the directory, recording that the dictionary holds names
+// names, with a trailing whole-file CRC32.
+func (d *keyDirectory) encode(names int) []byte {
 	var w kdWriter
 	w.b.WriteString(keydirMagic)
 	w.varint(keydirFormat)
 	w.varint(uint64(d.versions))
+	w.varint(uint64(names))
 	w.str(d.rootTime.String())
 	w.varint(uint64(len(d.roots)))
 	for _, r := range d.roots {
@@ -212,15 +219,11 @@ func (d *keyDirectory) encode() []byte {
 		w.varint(uint64(len(r.segs)))
 		for _, s := range r.segs {
 			w.str(s.file)
-			w.varint(segFormatV2)
 			w.varint(uint64(s.dataOff))
-			// Payload and CRC, then the stored-payload slots, which repeat
-			// them since the one segment encoding.
-			for range 2 {
-				w.varint(uint64(s.payload))
-				w.varint(uint64(s.crc))
-			}
+			w.varint(uint64(s.payload))
+			w.varint(uint64(s.crc))
 			w.varint(uint64(s.dictLen))
+			w.varint(uint64(s.postLen))
 			w.varint(uint64(len(s.entries)))
 			for i := range s.entries {
 				e := &s.entries[i]
@@ -237,19 +240,18 @@ func (d *keyDirectory) encode() []byte {
 	var tail [4]byte
 	binary.LittleEndian.PutUint32(tail[:], sum)
 	out := append(body, tail[:]...)
-	// A published directory is re-encoded by Close beside readers of these
-	// two fields; the bytes are a function of the directory, so store only
-	// what is not there yet.
-	if d.encodedLen != len(out) || d.crc != sum {
-		d.encodedLen, d.crc = len(out), sum
+	// A published directory is re-encoded by Close beside readers of this
+	// field, so store only what is not there yet.
+	if d.encodedLen != len(out) {
+		d.encodedLen = len(out)
 	}
 	return out
 }
 
-// kdReader decodes keydir.idx and attr.idx, files a replication peer
-// supplies, over one string copy of the checked body: every decoded string
-// is a substring of it (one allocation for the file, none per field), and a
-// length prefix is honoured only once it is known to fit in what remains.
+// kdReader decodes keydir.idx and a segment header's sections — bytes a
+// replication peer supplies — over one string copy of the checked body:
+// every decoded string is a substring of it (one allocation, none per
+// field), and a length prefix is honoured only once it fits what remains.
 type kdReader struct {
 	s   string // the body, or what is left of it
 	err error
@@ -337,11 +339,14 @@ func decodeKeyDirectory(data []byte) (*keyDirectory, error) {
 		return nil, corruptf("key directory: %v", r.err)
 	case format == 1:
 		return nil, legacyf("format-1 key directory")
+	case format == 2:
+		return nil, format2f("format-2 key directory")
 	case format != keydirFormat:
 		return nil, corruptf("key directory format %d not supported", format)
 	}
 	d := &keyDirectory{}
 	d.versions = int(r.varint())
+	d.names = int(r.varint())
 	ts, err := intervals.Parse(r.str())
 	if err != nil {
 		return nil, corruptf("key directory root timestamp: %v", err)
@@ -362,21 +367,11 @@ func decodeKeyDirectory(data []byte) (*keyDirectory, error) {
 		for j := uint64(0); j < nSegs && r.err == nil; j++ {
 			s := &segmentRecord{}
 			s.file = r.str()
-			if segFmt := r.varint(); r.err == nil && segFmt != segFormatV2 {
-				if segFmt == 1 {
-					return nil, legacyf("key directory lists format-1 segment %s", s.file)
-				}
-				return nil, corruptf("key directory: segment %s format %d not supported", s.file, segFmt)
-			}
 			s.dataOff = int64(r.varint())
-			payload, crc := r.varint(), r.varint()
-			s.payload, s.crc = int64(payload), uint32(crc)
-			// Stored-payload slots that differ from the payload's were
-			// written by a block-compressing build.
-			if stored, storedCRC := r.varint(), r.varint(); r.err == nil && (stored != payload || storedCRC != crc) {
-				return nil, compressedf("key directory lists segment %s, which", s.file)
-			}
+			s.payload = int64(r.varint())
+			s.crc = uint32(r.varint())
 			s.dictLen = int64(r.varint())
+			s.postLen = int64(r.varint())
 			nEnt := r.varint()
 			for k := uint64(0); k < nEnt && r.err == nil; k++ {
 				e := childEntry{}
@@ -398,7 +393,6 @@ func decodeKeyDirectory(data []byte) (*keyDirectory, error) {
 		return nil, err
 	}
 	d.encodedLen = len(data)
-	d.crc = binary.LittleEndian.Uint32(tail)
 	return d, nil
 }
 

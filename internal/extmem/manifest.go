@@ -11,8 +11,7 @@ import (
 // The replication manifest is the read side of ROADMAP item 3: one
 // committed key-directory generation described as a flat list of named
 // immutable segment blobs plus the exact bytes of the three state files
-// (keydir.idx, dict.txt, meta.txt) and, when the generation has one,
-// the attr.idx secondary-index sidecar. A replica is byte-identical to the
+// (keydir.idx, dict.txt, meta.txt). A replica is byte-identical to the
 // source exactly when it holds the same blobs and the same state-file
 // bytes, so the sync engine never needs to understand the segment
 // format — it moves blobs whose size and payload CRC the manifest
@@ -23,10 +22,9 @@ import (
 // list-excluding them from the blob namespace, committing them as a
 // bundle — without ever decoding them.
 const (
-	KeydirFileName  = keydirFile
-	DictFileName    = dictFile
-	MetaFileName    = metaFile
-	AttrIdxFileName = attrIdxFile
+	KeydirFileName = keydirFile
+	DictFileName   = dictFile
+	MetaFileName   = metaFile
 )
 
 // SegmentMeta pins one committed segment blob: its base name, total
@@ -93,14 +91,13 @@ func DecodeManifest(keydir []byte) (*Manifest, error) {
 // until Close even if later Adds supersede them — a puller streaming
 // from the view never observes a half-installed generation.
 type ReplicaView struct {
-	ar      *Archiver
-	g       *generation
-	man     *Manifest
-	keydir  []byte
-	dict    []byte
-	meta    []byte
-	attrIdx []byte
-	names   map[string]bool
+	ar     *Archiver
+	g      *generation
+	man    *Manifest
+	keydir []byte
+	dict   []byte
+	meta   []byte
+	names  map[string]bool
 
 	closeOnce sync.Once
 }
@@ -126,19 +123,9 @@ func (ar *Archiver) OpenReplicaView() (*ReplicaView, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The attr.idx sidecar rides along when it belongs to this exact
-	// generation; a missing or stale one (a best-effort update that
-	// failed) is simply omitted — the replica rebuilds on demand.
-	var aidx []byte
-	if data, err := ar.fs.ReadFile(filepath.Join(ar.dir, attrIdxFile)); err == nil {
-		kdCRC := crc32.ChecksumIEEE(kd[:len(kd)-crc32.Size])
-		if x, derr := decodeAttrIndex(data); derr == nil && x.keydirCRC == kdCRC {
-			aidx = data
-		}
-	}
 	v := &ReplicaView{
 		ar: ar, g: ar.pin(), man: man,
-		keydir: kd, dict: dict, meta: meta, attrIdx: aidx,
+		keydir: kd, dict: dict, meta: meta,
 		names: map[string]bool{},
 	}
 	for _, s := range man.Segments {
@@ -155,11 +142,6 @@ func (v *ReplicaView) Manifest() *Manifest { return v.man }
 func (v *ReplicaView) Bundle() (keydir, dict, meta []byte) {
 	return v.keydir, v.dict, v.meta
 }
-
-// AttrIdx returns the exact bytes of the generation's attr.idx
-// secondary-index sidecar, or nil when the source has none for this
-// generation (the sidecar is advisory; replicas rebuild on demand).
-func (v *ReplicaView) AttrIdx() []byte { return v.attrIdx }
 
 // HasSegment reports whether name is a segment of the pinned
 // generation.

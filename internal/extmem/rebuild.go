@@ -1,12 +1,14 @@
 package extmem
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"path/filepath"
 
 	"xarch/internal/fsio"
+	"xarch/internal/intervals"
 )
 
 // The one end-to-end reader of a segment file, and its two users: the
@@ -15,12 +17,16 @@ import (
 
 // walkSegment reads one segment file end to end, once, and checks
 // everything the file says about itself: the header, the payload against
-// its CRC, every dictionary entry, and every token — so a dangling
-// interned id is corruption just like a bad checksum. It returns the header
-// and, for a non-raw segment, the entry table re-derived from the payload
-// tokens: labels, timestamps, offsets and sizes, names resolved through
-// dict when one is given. With dict, every element and attribute name id of
-// the payload must be in it.
+// its CRC, every dictionary entry, every token — so a dangling interned id
+// is corruption just like a bad checksum — and the postings section: its
+// checksum, one posting per record, kid spans inside their record, and,
+// with dict, each posting equal to the one captureEntryFacts derives from
+// the record's tokens. It returns the header and, for a non-raw segment,
+// the entry table re-derived from the payload tokens: labels, timestamps,
+// offsets and sizes, names resolved through dict when one is given. With
+// dict, every element and attribute name id of the payload must be in it.
+// A fault of the postings alone is the header's postErr, not an error: the
+// payload they describe stays readable, and the rebuild only needs that.
 func walkSegment(fs fsio.FS, path string, dict *dictionary) (*segmentHeader, []childEntry, error) {
 	f, err := fs.Open(path)
 	if err != nil {
@@ -39,21 +45,7 @@ func walkSegment(fs fsio.FS, path string, dict *dictionary) (*segmentHeader, []c
 	crc := crc32.NewIEEE()
 	tr := newTokenReaderDict(io.TeeReader(payload, crc), h.dict, 0)
 	defer tr.release()
-	var entries []childEntry
-	if h.raw {
-		// A verbatim slice of the root's subtree: tokens, no entries.
-		for err == nil {
-			at := tr.pos
-			t, ok := tr.take()
-			if !ok {
-				err = tr.err
-				break
-			}
-			err = checkNameID(dict, t, at)
-		}
-	} else if entries, err = scanEntries(tr, dict); err == nil && len(entries) == 0 {
-		err = corruptf("segment has no entries")
-	}
+	entries, err := scanRecords(tr, h, dict)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -63,12 +55,16 @@ func walkSegment(fs fsio.FS, path string, dict *dictionary) (*segmentHeader, []c
 	return h, entries, nil
 }
 
-// scanEntries reads a payload to its end, recording each top-level
-// subtree's label (its name only when dict is given), timestamp, offset
-// and size.
-func scanEntries(tr *tokenReader, dict *dictionary) ([]childEntry, error) {
+// scanRecords reads a payload to its end. A non-raw payload is a run of
+// records, one per directory entry, and scanRecords returns the entry of
+// each: its label (its name only when dict is given), timestamp, offset
+// and size. A raw payload is one record, the root's subtree. Every record
+// is held to its posting (checkPosting).
+func scanRecords(tr *tokenReader, h *segmentHeader, dict *dictionary) ([]childEntry, error) {
 	var entries []childEntry
-	depth := 0
+	var toks []token // the record being read
+	var offs []int64 // their payload offsets
+	records, depth := 0, 0
 	for {
 		at := tr.pos
 		t, ok := tr.take()
@@ -78,9 +74,13 @@ func scanEntries(tr *tokenReader, dict *dictionary) ([]childEntry, error) {
 		if err := checkNameID(dict, t, at); err != nil {
 			return nil, err
 		}
+		if depth == 0 && t.op != tokOpen {
+			return nil, corruptf("token at payload offset %d lies outside every record", at)
+		}
+		toks, offs = append(toks, t), append(offs, at)
 		switch t.op {
 		case tokOpen:
-			if depth == 0 {
+			if depth == 0 && !h.raw {
 				e := childEntry{key: t.key, timeStr: t.data, offset: at}
 				if dict != nil {
 					e.name = dict.names[t.tag]
@@ -89,23 +89,65 @@ func scanEntries(tr *tokenReader, dict *dictionary) ([]childEntry, error) {
 			}
 			depth++
 		case tokClose:
-			depth--
-			if depth < 0 {
-				return nil, corruptf("unbalanced segment payload")
+			if depth--; depth > 0 {
+				continue
 			}
-			if depth == 0 {
+			if !h.raw {
 				e := &entries[len(entries)-1]
 				e.size = tr.pos - e.offset
 			}
+			if h.postErr == nil {
+				h.postErr = checkPosting(h, records, toks, append(offs, tr.pos), dict)
+			}
+			records++
+			toks, offs = toks[:0], offs[:0]
 		}
 	}
-	if tr.err != nil {
+	switch {
+	case tr.err != nil:
 		return nil, tr.err
-	}
-	if depth != 0 {
+	case depth != 0:
 		return nil, corruptf("unbalanced segment payload")
+	case records == 0 || (h.raw && records != 1):
+		return nil, corruptf("segment holds %d records", records)
+	case h.postErr == nil && records != len(h.posts):
+		h.postErr = corruptf("segment holds %d postings for %d records", len(h.posts), records)
 	}
 	return entries, nil
+}
+
+// checkPosting holds the posting of record i to the record: toks are its
+// tokens and offs their payload offsets plus its end. Its kid spans must
+// lie inside the record, and with dict, captureEntryFacts over the tokens
+// must derive it byte for byte.
+func checkPosting(h *segmentHeader, i int, toks []token, offs []int64, dict *dictionary) error {
+	if i >= len(h.posts) {
+		return corruptf("record %d has no posting", i)
+	}
+	p := h.posts[i]
+	size := offs[len(offs)-1] - offs[0]
+	for _, k := range p.kids {
+		if k.off < 0 || k.size < 0 || k.off+k.size > size {
+			return corruptf("record %d: kid %s span outside the record", i, k.name)
+		}
+	}
+	if dict == nil {
+		return nil
+	}
+	if !p.hasKids {
+		offs = nil
+	}
+	got, err := captureEntryFacts(toks, entryMark{start: 0, end: len(toks)}, offs, dict)
+	if err != nil {
+		return corruptf("record %d: %v", i, err)
+	}
+	var want, derived kdWriter
+	encodeIdxEntry(&want, p)
+	encodeIdxEntry(&derived, got)
+	if !bytes.Equal(want.b.Bytes(), derived.b.Bytes()) {
+		return corruptf("record %d (%s): posting disagrees with its payload", i, keyLabel(dict.names[toks[0].tag], toks[0].key))
+	}
+	return nil
 }
 
 // checkNameID fails an element or attribute token whose name id dict does
@@ -118,21 +160,20 @@ func checkNameID(dict *dictionary, t token, at int64) error {
 	return nil
 }
 
-// verifySegment checks a segment file against itself (walkSegment) and
-// against its directory record: the header's geometry and checksums, and
-// the entry table — a directory whose offsets point anywhere but at the
-// subtrees the payload holds is reported even though its own checksum is
-// valid. Entry names are compared when dict is given.
-func verifySegment(fs fsio.FS, path string, sr *segmentRecord, dict *dictionary) error {
+// verifySegment checks a segment file of root r in directory d against
+// itself (walkSegment) and against its directory record: the header's
+// geometry and checksums, and the entry table — a directory whose offsets
+// point anywhere but at the subtrees the payload holds is reported even
+// though its own checksum is valid. Entry names are compared when dict is
+// given. Each posting's facts must fit the directory too: change versions
+// within 1..versions, attribute lifespans inside the record's.
+func verifySegment(fs fsio.FS, path string, d *keyDirectory, r *rootRecord, sr *segmentRecord, dict *dictionary) error {
 	h, entries, err := walkSegment(fs, path, dict)
 	if err != nil {
 		return fmt.Errorf("segment %s: %w", sr.file, err)
 	}
-	if h.payload != sr.payload || h.crc != sr.crc || h.dataOff != sr.dataOff || h.dictLen != sr.dictLen {
+	if h.payload != sr.payload || h.crc != sr.crc || h.dataOff != sr.dataOff || h.dictLen != sr.dictLen || h.postLen != sr.postLen {
 		return corruptf("segment %s header disagrees with directory", sr.file)
-	}
-	if h.raw {
-		return nil
 	}
 	if len(entries) != len(sr.entries) {
 		return corruptf("segment %s holds %d entries, the directory lists %d", sr.file, len(entries), len(sr.entries))
@@ -143,6 +184,39 @@ func verifySegment(fs fsio.FS, path string, sr *segmentRecord, dict *dictionary)
 			(dict != nil && e.name != de.name) || (e.key == nil) != (de.key == nil) || compareKeys(e.key, de.key) != 0 {
 			return corruptf("segment %s entry %d (%s) disagrees with directory entry %s at offset %d",
 				sr.file, i, keyLabel(e.name, e.key), keyLabel(de.name, de.key), de.offset)
+		}
+	}
+	if h.postErr != nil {
+		return fmt.Errorf("segment %s: %w", sr.file, h.postErr)
+	}
+	rootEff := d.rootTime
+	if r.time != nil {
+		rootEff = r.time
+	}
+	if h.raw {
+		return checkFacts(sr, "raw root "+keyLabel(r.name, r.key), h.posts[0], rootEff, d.versions)
+	}
+	for i := range entries {
+		de := &sr.entries[i]
+		if err := checkFacts(sr, "entry "+keyLabel(de.name, de.key), h.posts[i], entryEff(de, rootEff), d.versions); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkFacts holds the posting of one record of sr to the directory:
+// explicit change versions within 1..versions, attribute lifespans inside
+// the record's lifespan eff.
+func checkFacts(sr *segmentRecord, what string, p *idxEntry, eff *intervals.Set, versions int) error {
+	for _, c := range p.facts.Changes {
+		if c.Explicit && (c.V < 1 || c.V > versions) {
+			return corruptf("segment %s %s: change version %d outside 1..%d", sr.file, what, c.V, versions)
+		}
+	}
+	for _, a := range p.facts.Attrs {
+		if a.Time != nil && !a.Time.Minus(eff).Empty() {
+			return corruptf("segment %s %s: attribute %s lifespan %s outside the record's %s", sr.file, what, a.Name, a.Time, eff)
 		}
 	}
 	return nil
@@ -169,7 +243,7 @@ func (ar *Archiver) rebuildDirectory(meta *keyDirectory) (*keyDirectory, error) 
 			}
 			rec.segs = append(rec.segs, &segmentRecord{
 				file: skel.file, dataOff: h.dataOff,
-				payload: h.payload, crc: h.crc, dictLen: h.dictLen,
+				payload: h.payload, crc: h.crc, dictLen: h.dictLen, postLen: h.postLen,
 				entries: entries,
 			})
 		}

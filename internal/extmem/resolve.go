@@ -168,18 +168,18 @@ func (q *QueryView) resolveEntry(r *rootRecord, m segEntry, eff *intervals.Set, 
 	return q.resolveInto(tr, e.name, key, eff, steps, stepPath, cur, wantBody)
 }
 
-// resolveViaKids resolves steps[1] against the attribute index's kid
-// mini-index of the entry — by the same dirIndex lookup as a level-2 step —
+// resolveViaKids resolves steps[1] against the kid mini-index of the
+// entry's posting — by the same dirIndex lookup as a level-2 step —
 // seeking to the single matched child subtree, or, when the kid is the last
 // step and no body is wanted, answering from its recorded lifespan without
-// opening the segment. ok=false means no usable index (absent sidecar, or a
-// posting an older build stored without spans) and the caller falls back to
-// streaming the entry. Match order, ambiguity handling and error texts
+// opening the segment. ok=false means no usable index (NoAttrIndex, or a
+// frontier entry's posting, which records no kids) and the caller falls
+// back to streaming the entry. Match order, ambiguity handling and error texts
 // mirror resolveLevel exactly.
 func (q *QueryView) resolveViaKids(r *rootRecord, m segEntry, eff *intervals.Set, steps []core.SelectorStep, stepPath string, wantBody bool) (*resolved, bool, error) {
-	ent := q.posting(m.seg, m.i)
+	ent, err := q.posting(m.seg, m.i)
 	if ent == nil || !ent.hasKids {
-		return nil, false, nil
+		return nil, false, err
 	}
 	step := &steps[1]
 	kidPath := stepPath + "/" + step.Tag

@@ -15,10 +15,9 @@ import (
 	"xarch/internal/intervals"
 )
 
-// The segment format (format byte 2): the payload token stream does not
+// The segment format (format byte 3): the payload token stream does not
 // carry key annotations, timestamps, or attribute values as inline
-// strings. A per-segment dictionary section between the header and the
-// payload interns them — key-path names, spilled string values (canonical key
+// strings. A per-segment dictionary section in the header interns them — key-path names, spilled string values (canonical key
 // values and attribute values), a timestamp table, and whole key
 // tuples — and the stream references them by varint id. Ids are
 // assigned in sorted order, so within one segment comparing ids is
@@ -188,53 +187,99 @@ func decodeSegDict(data []byte) (*segDict, error) {
 	return d, nil
 }
 
-// dictCache shares decoded segment dictionaries across every reader of
-// a generation. Segments are immutable, so a cached dictionary never
-// goes stale; entries are evicted when the file itself is swept.
+// dictCache shares the decoded dictionaries and postings of segments
+// across every reader of a generation. Segments are immutable, so a
+// cached entry never goes stale; entries are evicted when the file itself
+// is swept.
 type dictCache struct {
 	fs      fsio.FS
 	dir     string
 	counter *atomic.Int64
-	m       sync.Map // segment file name -> *segDict
+	m       sync.Map // segment file name -> *segSections
 }
 
-// get returns the decoded dictionary of a segment, loading and
-// caching it on first use. The header+dictionary bytes read on a miss
-// are counted into the bytes-read telemetry.
-//
-// The directory record pins the dictionary's exact location
-// (dataOff-dictLen), so a segment loads with one positioned read of just
-// the section instead of re-parsing the whole header.
+// segSections is what a segment says about its payload: the dictionary
+// its tokens reference and the postings of its records. The postings are
+// derived from the payload, so damage to their section is kept apart and
+// fails only their readers.
+type segSections struct {
+	dict    *segDict
+	posts   []*idxEntry
+	postErr error
+}
+
+// get returns the decoded dictionary of a segment, loading and caching
+// its sections on first use.
 func (c *dictCache) get(seg *segmentRecord) (*segDict, error) {
-	if v, ok := c.m.Load(seg.file); ok {
-		return v.(*segDict), nil
+	ss, err := c.load(seg)
+	if err != nil {
+		return nil, err
 	}
-	if seg.dictLen <= 0 || seg.dictLen > seg.dataOff {
-		return nil, corruptf("segment %s: dictionary section out of range", seg.file)
+	return ss.dict, nil
+}
+
+// postings returns the postings of a segment: one per directory entry, one
+// for a raw segment. A damaged postings section fails Select and History
+// here, never a reader of the payload.
+func (c *dictCache) postings(seg *segmentRecord) ([]*idxEntry, error) {
+	ss, err := c.load(seg)
+	if err != nil {
+		return nil, err
+	}
+	return ss.posts, ss.postErr
+}
+
+// load returns the decoded sections of a segment. The section bytes read
+// on a miss are counted into the bytes-read telemetry; a failed read is
+// not cached, so the next reader retries it.
+//
+// The directory record pins the sections' exact location (they end at
+// dataOff, the postings last), so a segment loads with one positioned read
+// of just the two sections instead of re-parsing the whole header.
+func (c *dictCache) load(seg *segmentRecord) (*segSections, error) {
+	if v, ok := c.m.Load(seg.file); ok {
+		return v.(*segSections), nil
+	}
+	n := seg.dictLen + seg.postLen
+	if seg.dictLen <= 0 || seg.postLen <= 0 || n > seg.dataOff {
+		return nil, corruptf("segment %s: dictionary or postings section out of range", seg.file)
 	}
 	f, err := c.fs.Open(filepath.Join(c.dir, seg.file))
 	if err != nil {
 		return nil, fmt.Errorf("extmem: %w", err)
 	}
 	defer f.Close()
-	buf := make([]byte, seg.dictLen)
-	if _, err := f.ReadAt(buf, seg.dataOff-seg.dictLen); err == io.EOF {
-		return nil, corruptf("segment %s: dictionary section past the end of the file", seg.file)
+	buf := make([]byte, n)
+	if _, err := f.ReadAt(buf, seg.dataOff-n); err == io.EOF {
+		return nil, corruptf("segment %s: sections past the end of the file", seg.file)
 	} else if err != nil {
-		return nil, fmt.Errorf("extmem: segment dictionary: %w", err)
+		return nil, fmt.Errorf("extmem: segment sections: %w", err)
 	}
-	d, err := decodeSegDict(buf)
+	d, err := decodeSegDict(buf[:seg.dictLen])
 	if err != nil {
 		return nil, err
 	}
-	if c.counter != nil {
-		c.counter.Add(seg.dictLen)
+	ss := &segSections{dict: d}
+	ss.posts, ss.postErr = decodePostings(buf[seg.dictLen:])
+	if want := max(len(seg.entries), 1); ss.postErr == nil && len(ss.posts) != want {
+		ss.postErr = corruptf("%d postings for %d records", len(ss.posts), want)
 	}
-	v, _ := c.m.LoadOrStore(seg.file, d)
-	return v.(*segDict), nil
+	if ss.postErr != nil {
+		ss.posts, ss.postErr = nil, fmt.Errorf("segment %s: %w", seg.file, ss.postErr)
+	}
+	if c.counter != nil {
+		c.counter.Add(n)
+	}
+	v, _ := c.m.LoadOrStore(seg.file, ss)
+	return v.(*segSections), nil
 }
 
-// evict drops the cached dictionary of a swept segment file.
+// put caches the sections of a segment just written.
+func (c *dictCache) put(name string, dict *segDict, posts []*idxEntry) {
+	c.m.Store(name, &segSections{dict: dict, posts: posts})
+}
+
+// evict drops the cached sections of a swept segment file.
 func (c *dictCache) evict(name string) { c.m.Delete(name) }
 
 // ---------------------------------------------------------------------------
@@ -313,17 +358,15 @@ type entryMark struct{ start, end int }
 // entrySpan is the byte range of one entry in the encoded payload.
 type entrySpan struct{ off, size int64 }
 
-// encodedSegment is the rendered form of one segment. The byte
-// slices alias the encoder's internal buffers and are valid until the
-// next encode.
+// encodedSegment is one segment's encoded payload and dictionary section.
+// The byte slices alias the encoder's internal buffers and are valid until
+// the next encode.
 type encodedSegment struct {
-	head    []byte // header including the dictionary section
-	pay     []byte // the payload
-	payload int64
-	crc     uint32 // CRC32 of the payload
-	dictLen int64
+	dict    []byte      // the dictionary section
+	pay     []byte      // the payload
+	crc     uint32      // CRC32 of the payload
 	offs    []entrySpan // per entryMark
-	tokOffs []int64     // optional: byte offset of every token plus a final total
+	tokOffs []int64     // byte offset of every token plus a final total
 }
 
 // segEncoder turns a captured token run into a segment: it builds
@@ -337,14 +380,12 @@ type segEncoder struct {
 	timeList                []string
 	keyPtrs, keyReps        []*tkey
 
-	dict, head kdWriter
-	pay        bytes.Buffer
-	offs       []entrySpan
-
-	// wantOffs asks encode to record the payload byte offset of every
-	// token (plus a final total), for the attribute index's child spans.
-	wantOffs bool
-	tokOffs  []int64
+	dict, posts, head kdWriter
+	pay               bytes.Buffer
+	offs              []entrySpan
+	// tokOffs records the payload byte offset of every token (plus a final
+	// total), for the postings' kid spans.
+	tokOffs []int64
 }
 
 func newSegEncoder() *segEncoder {
@@ -364,10 +405,11 @@ func (enc *segEncoder) addString(m map[string]int, list []string, s string) []st
 	return list
 }
 
-// encode renders one segment from the captured tokens. marks gives the
-// token range of each directory entry (empty for raw segments); the
-// resulting byte spans come back in offs, index-aligned with marks.
-func (enc *segEncoder) encode(raw bool, rootName string, rootKey *tkey, toks []token, marks []entryMark) (*encodedSegment, error) {
+// encode renders the payload and dictionary of one segment from the
+// captured tokens. marks gives the token range of each directory entry
+// (empty for raw segments); the resulting byte spans come back in offs,
+// index-aligned with marks.
+func (enc *segEncoder) encode(toks []token, marks []entryMark) (*encodedSegment, error) {
 	clear(enc.pathID)
 	clear(enc.valueID)
 	clear(enc.timeID)
@@ -378,7 +420,6 @@ func (enc *segEncoder) encode(raw bool, rootName string, rootKey *tkey, toks []t
 	enc.keyPtrs = enc.keyPtrs[:0]
 	enc.keyReps = enc.keyReps[:0]
 	enc.dict.b.Reset()
-	enc.head.b.Reset()
 	enc.pay.Reset()
 	enc.offs = enc.offs[:0]
 	enc.tokOffs = enc.tokOffs[:0]
@@ -446,9 +487,7 @@ func (enc *segEncoder) encode(raw bool, rootName string, rootKey *tkey, toks []t
 		if mi < len(marks) && marks[mi].start == i {
 			enc.offs = append(enc.offs, entrySpan{off: int64(enc.pay.Len())})
 		}
-		if enc.wantOffs {
-			enc.tokOffs = append(enc.tokOffs, int64(enc.pay.Len()))
-		}
+		enc.tokOffs = append(enc.tokOffs, int64(enc.pay.Len()))
 		enc.writeTok(&toks[i])
 	}
 	if mi < len(enc.offs) && marks[mi].end == len(toks) {
@@ -459,46 +498,44 @@ func (enc *segEncoder) encode(raw bool, rootName string, rootKey *tkey, toks []t
 		return nil, fmt.Errorf("extmem: internal: %d of %d entry marks unresolved", len(marks)-mi, len(marks))
 	}
 
-	res := &encodedSegment{
+	enc.tokOffs = append(enc.tokOffs, int64(enc.pay.Len()))
+	return &encodedSegment{
+		dict:    enc.dict.b.Bytes(),
 		pay:     enc.pay.Bytes(),
 		crc:     crc32.ChecksumIEEE(enc.pay.Bytes()),
-		dictLen: int64(enc.dict.b.Len()),
 		offs:    enc.offs,
-	}
-	if enc.wantOffs {
-		enc.tokOffs = append(enc.tokOffs, int64(enc.pay.Len()))
-		res.tokOffs = enc.tokOffs
-	}
-	renderSegHead(&enc.head, raw, int64(len(res.pay)), res.crc, rootName, rootKey, enc.dict.b.Bytes())
-	res.head = enc.head.b.Bytes()
-	return res, nil
+		tokOffs: enc.tokOffs,
+	}, nil
 }
 
-// renderSegHead renders a complete segment header into w: magic, format,
-// flags, fixed payload/CRC and root label, then the stored-payload slots
-// and the dictionary section.
-func renderSegHead(w *kdWriter, raw bool, payload int64, crc uint32, rootName string, rootKey *tkey, dict []byte) {
+// renderHead renders the complete header of an encoded segment — magic,
+// format, flags, fixed payload length and CRC, root label, the two section
+// lengths, the dictionary section and the postings section — and returns
+// it with the postings section's length. The header aliases the encoder's
+// buffer and is valid until the next renderHead.
+func (enc *segEncoder) renderHead(raw bool, rootName string, rootKey *tkey, res *encodedSegment, posts []*idxEntry) ([]byte, int64) {
+	enc.posts.b.Reset()
+	encodePostings(&enc.posts, posts)
+	w := &enc.head
+	w.b.Reset()
 	w.b.WriteString(segMagic)
-	w.b.WriteByte(segFormatV2)
+	w.b.WriteByte(segFormat)
 	var flags byte
 	if raw {
 		flags |= segFlagRaw
 	}
 	w.b.WriteByte(flags)
 	var fixed [12]byte
-	binary.LittleEndian.PutUint64(fixed[:8], uint64(payload))
-	binary.LittleEndian.PutUint32(fixed[8:], crc)
+	binary.LittleEndian.PutUint64(fixed[:8], uint64(len(res.pay)))
+	binary.LittleEndian.PutUint32(fixed[8:], res.crc)
 	w.b.Write(fixed[:])
 	w.str(rootName)
 	w.key(rootKey)
-	// The stored-payload slots, kept so the bytes on disk stay those of
-	// format 2: stored length and CRC repeat the payload's, and the block
-	// length is 0.
-	w.varint(uint64(payload))
-	w.b.Write(fixed[8:])
-	w.varint(0)
-	w.varint(uint64(len(dict)))
-	w.b.Write(dict)
+	w.varint(uint64(len(res.dict)))
+	w.varint(uint64(enc.posts.b.Len()))
+	w.b.Write(res.dict)
+	w.b.Write(enc.posts.b.Bytes())
+	return w.b.Bytes(), int64(enc.posts.b.Len())
 }
 
 func (enc *segEncoder) writeTok(t *token) {

@@ -14,11 +14,13 @@ import (
 
 // Segment files hold the archive body. Each file starts with a versioned
 // header (magic, format, flags, payload length, payload CRC32, and the
-// owning root's immutable label) followed by the payload: a contiguous
-// run of second-level subtree token streams, or — for a raw root — a
-// verbatim slice of the root's whole subtree. The root label in the
-// header lets a directory rebuild cross-check that each file meta.txt
-// lists really belongs to the root it is listed under.
+// owning root's immutable label), then the dictionary section and the
+// postings section, then the payload: a contiguous run of second-level
+// subtree token streams, or — for a raw root — a verbatim slice of the
+// root's whole subtree. The root label in the header lets a directory
+// rebuild cross-check that each file meta.txt lists really belongs to the
+// root it is listed under; the postings (postings.go) index the records
+// the payload holds.
 //
 // Segment files are never modified in place: rewrites produce fresh
 // files (monotonic ids) and the key directory rename is the commit
@@ -27,10 +29,10 @@ import (
 
 const (
 	segMagic = "XSG1"
-	// segFormatV2 is the one segment format: interned per-segment
-	// dictionary (see segdict.go). The pre-dictionary format 1 is
-	// rejected with ErrLegacyFormat.
-	segFormatV2 = 2
+	// segFormat is the one segment format: interned per-segment dictionary
+	// (see segdict.go) and postings section. Formats 1 and 2 are rejected
+	// with ErrLegacyFormat.
+	segFormat = 3
 )
 
 const (
@@ -42,7 +44,7 @@ const (
 
 // segmentHeader is the decoded fixed+variable header of one segment
 // file: the payload length and CRC, the root label, and past it the
-// dictionary section.
+// dictionary and postings sections.
 type segmentHeader struct {
 	raw      bool
 	payload  int64
@@ -51,14 +53,18 @@ type segmentHeader struct {
 	rootKey  *tkey
 	dataOff  int64
 	dictLen  int64
+	postLen  int64
 	dict     *segDict
+	posts    []*idxEntry
+	postErr  error // the postings section's damage; the payload stays readable
 }
 
 // fixedOff is the offset of the payload-length/CRC fields in the header.
 const segFixedOff = len(segMagic) + 2
 
 // segmentLegacy reports the legacy encoding a segment file's first bytes
-// (magic, format, flags) name, if any: format 1, or block compression.
+// (magic, format, flags) name, if any: format 1, block compression, or
+// format 2 (postings in a file of their own).
 func segmentLegacy(head []byte) error {
 	if len(head) < segFixedOff || string(head[:len(segMagic)]) != segMagic {
 		return nil
@@ -68,6 +74,8 @@ func segmentLegacy(head []byte) error {
 		return legacyf("format-1 segment header")
 	case head[len(segMagic)+1]&segFlagCompressed != 0:
 		return compressedf("segment")
+	case head[len(segMagic)] == 2:
+		return format2f("format-2 segment")
 	}
 	return nil
 }
@@ -126,7 +134,7 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, io.Reader, error) {
 	if err := segmentLegacy(fixed); err != nil {
 		return nil, nil, err
 	}
-	if format := fixed[len(segMagic)]; format != segFormatV2 {
+	if format := fixed[len(segMagic)]; format != segFormat {
 		return nil, nil, corruptf("segment format %d not supported", format)
 	}
 	h := &segmentHeader{raw: fixed[len(segMagic)+1]&segFlagRaw != 0}
@@ -186,39 +194,27 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, io.Reader, error) {
 		}
 		h.rootKey = k
 	}
-	// The stored-payload slots (length, CRC, block length) repeat the
-	// payload's since the one encoding; anything else is damage, as the
-	// compression flag was checked above.
-	var slots [4]byte
-	stored, err := binary.ReadUvarint(br)
-	if err == nil {
-		_, err = io.ReadFull(br, slots[:])
-	}
-	var blockLen uint64
-	if err == nil {
-		blockLen, err = binary.ReadUvarint(br)
-	}
-	if err != nil {
-		return nil, nil, bad("segment header", err)
-	}
-	if stored != uint64(h.payload) || binary.LittleEndian.Uint32(slots[:]) != h.crc || blockLen != 0 {
-		return nil, nil, corruptf("segment header: stored payload slots disagree with the payload")
-	}
 	dictLen, err := sized("dictionary length")
 	if err != nil {
 		return nil, nil, err
 	}
-	h.dictLen = int64(dictLen)
-	dictBytes := make([]byte, dictLen)
-	if _, err := io.ReadFull(br, dictBytes); err != nil {
-		return nil, nil, bad("segment dictionary", err)
-	}
-	dict, err := decodeSegDict(dictBytes)
+	postLen, err := sized("postings length")
 	if err != nil {
 		return nil, nil, err
 	}
+	if dictLen+postLen > uint64(size) {
+		return nil, nil, corruptf("segment header: sections of %d bytes exceed the %d-byte file", dictLen+postLen, size)
+	}
+	h.dictLen, h.postLen = int64(dictLen), int64(postLen)
+	section := make([]byte, dictLen+postLen)
+	if _, err := io.ReadFull(br, section); err != nil {
+		return nil, nil, bad("segment dictionary and postings", err)
+	}
+	if h.dict, err = decodeSegDict(section[:dictLen]); err != nil {
+		return nil, nil, err
+	}
+	h.posts, h.postErr = decodePostings(section[dictLen:])
 	h.dataOff = in.n - int64(br.Buffered())
-	h.dict = dict
 	return h, io.LimitReader(br, h.payload), nil
 }
 
@@ -292,7 +288,6 @@ func newSegmentSetWriter(ar *Archiver, root *rootRecord, raw bool, emit func(*se
 		emit: emit, onCreate: onCreate,
 	}
 	sw.out.reset()
-	sw.enc.wantOffs = !raw && !ar.cfg.NoAttrIndex
 	return sw
 }
 
@@ -314,20 +309,21 @@ func (sw *segmentSetWriter) open() {
 	sw.cur = &segmentRecord{}
 }
 
-// closeCurrent encodes the captured tokens (dictionary, payload) and
-// writes them as a complete file. Until here
-// nothing of this segment exists on disk, so an encode or create failure
-// leaves no file to clean up. A failed segment fsync or close is
-// durability-critical: the file may be referenced by the directory about
-// to be committed while its pages were silently dropped (fsyncgate), so
-// it must poison the writer rather than be retried.
+// closeCurrent encodes the captured tokens (dictionary, postings,
+// payload) and writes them as a complete file. Until here nothing of this
+// segment exists on disk, so an encode or create failure leaves no file
+// to clean up. A failed segment fsync or close is durability-critical:
+// the file may be referenced by the directory about to be committed while
+// its pages were silently dropped (fsyncgate), so it must poison the
+// writer rather than be retried. The written segment's dictionary and
+// postings go into the archiver's cache, so no query reads them back.
 func (sw *segmentSetWriter) closeCurrent() {
 	rec := sw.cur
 	sw.cur = nil
 	if rec == nil || sw.err != nil {
 		return
 	}
-	res, err := sw.enc.encode(sw.raw, sw.root.name, sw.root.key, sw.out.toks, sw.marks)
+	res, err := sw.enc.encode(sw.out.toks, sw.marks)
 	if err != nil {
 		sw.fail(err)
 		return
@@ -336,10 +332,22 @@ func (sw *segmentSetWriter) closeCurrent() {
 		rec.entries[i].offset = res.offs[i].off
 		rec.entries[i].size = res.offs[i].size
 	}
-	rec.dataOff = int64(len(res.head))
+	posts, err := sw.capturePostings(rec, res.tokOffs)
+	if err != nil {
+		sw.fail(err)
+		return
+	}
+	dict, err := decodeSegDict(res.dict)
+	if err != nil {
+		sw.fail(err)
+		return
+	}
+	head, postLen := sw.enc.renderHead(sw.raw, sw.root.name, sw.root.key, res, posts)
+	rec.dataOff = int64(len(head))
 	rec.payload = int64(len(res.pay))
 	rec.crc = res.crc
-	rec.dictLen = res.dictLen
+	rec.dictLen = int64(len(res.dict))
+	rec.postLen = postLen
 	name := fmt.Sprintf("seg-%08d.tok", sw.ar.nextSeg)
 	sw.ar.nextSeg++
 	rec.file = name
@@ -351,7 +359,7 @@ func (sw *segmentSetWriter) closeCurrent() {
 	if sw.onCreate != nil {
 		sw.onCreate(name)
 	}
-	if _, err := f.Write(res.head); err != nil {
+	if _, err := f.Write(head); err != nil {
 		f.Close()
 		sw.fail(fmt.Errorf("extmem: %w", err))
 		return
@@ -371,7 +379,7 @@ func (sw *segmentSetWriter) closeCurrent() {
 		return
 	}
 	sw.written += rec.payload
-	sw.captureIdx(rec, res)
+	sw.ar.segDicts.put(name, dict, posts)
 	sw.emit(rec)
 }
 

@@ -3,7 +3,6 @@ package extmem
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -531,9 +530,14 @@ func TestSegmentsVerify(t *testing.T) {
 // legacySegHeader is a hand-built format-1 segment header: magic, format
 // byte 1, no flags, zero payload length and CRC, root label ROOT with no
 // key. No format-1 writer exists any more; these bytes are all a reader
-// needs to recognise the generation.
-var legacySegHeader = []byte("XSG1\x01\x00" +
-	"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" + "\x04ROOT\x00")
+// needs to recognise the generation. format2SegHeader is the same header
+// with format byte 2, the last format before postings moved into segments.
+var (
+	legacySegHeader = []byte("XSG1\x01\x00" +
+		"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" + "\x04ROOT\x00")
+	format2SegHeader = []byte("XSG1\x02\x00" +
+		"\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00" + "\x04ROOT\x00")
+)
 
 // dirContents snapshots every file of dir by name.
 func dirContents(t *testing.T, dir string) map[string]string {
@@ -551,33 +555,35 @@ func dirContents(t *testing.T, dir string) map[string]string {
 
 // TestLegacySegmentHeaderRejected covers the one legacy shape only the
 // segment header reveals: the key directory is gone, so Open and fsck
-// fall back to the files meta.txt lists — and meet a format-1 header.
-// Both must report ErrLegacyFormat and leave the directory untouched.
+// fall back to the files meta.txt lists — and meet a format-1 or format-2
+// header. Both must report ErrLegacyFormat and leave the directory
+// untouched.
 func TestLegacySegmentHeaderRejected(t *testing.T) {
-	if _, _, err := readSegmentHeader(bytes.NewReader(legacySegHeader)); !errors.Is(err, ErrLegacyFormat) {
-		t.Fatalf("readSegmentHeader(format-1 header) = %v, want ErrLegacyFormat", err)
-	}
-	dir := t.TempDir()
-	cfg := Config{Budget: 1 << 16, SegmentTarget: 2048}
-	ar := buildOMIMArchive(t, dir, cfg, 1)
-	files := segmentFiles(t, ar)
-	if err := ar.Close(); err != nil {
-		t.Fatal(err)
-	}
-	os.Remove(filepath.Join(dir, keydirFile))
-	os.Remove(filepath.Join(dir, attrIdxFile))
-	if err := os.WriteFile(filepath.Join(dir, files[0]), legacySegHeader, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before := dirContents(t, dir)
-	if _, err := Open(dir, datagen.OMIMSpec(), cfg); !errors.Is(err, ErrLegacyFormat) {
-		t.Errorf("Open = %v, want ErrLegacyFormat", err)
-	}
-	if _, err := CheckArchive(nil, dir); !errors.Is(err, ErrLegacyFormat) {
-		t.Errorf("CheckArchive = %v, want ErrLegacyFormat", err)
-	}
-	if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
-		t.Errorf("rejected legacy directory was modified")
+	for _, header := range [][]byte{legacySegHeader, format2SegHeader} {
+		if _, _, err := readSegmentHeader(bytes.NewReader(header)); !errors.Is(err, ErrLegacyFormat) {
+			t.Fatalf("readSegmentHeader(format-%d header) = %v, want ErrLegacyFormat", header[4], err)
+		}
+		dir := t.TempDir()
+		cfg := Config{Budget: 1 << 16, SegmentTarget: 2048}
+		ar := buildOMIMArchive(t, dir, cfg, 1)
+		files := segmentFiles(t, ar)
+		if err := ar.Close(); err != nil {
+			t.Fatal(err)
+		}
+		os.Remove(filepath.Join(dir, keydirFile))
+		if err := os.WriteFile(filepath.Join(dir, files[0]), header, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirContents(t, dir)
+		if _, err := Open(dir, datagen.OMIMSpec(), cfg); !errors.Is(err, ErrLegacyFormat) {
+			t.Errorf("format %d: Open = %v, want ErrLegacyFormat", header[4], err)
+		}
+		if _, err := CheckArchive(nil, dir); !errors.Is(err, ErrLegacyFormat) {
+			t.Errorf("format %d: CheckArchive = %v, want ErrLegacyFormat", header[4], err)
+		}
+		if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
+			t.Errorf("format %d: rejected legacy directory was modified", header[4])
+		}
 	}
 }
 
@@ -598,7 +604,7 @@ func TestDamagedSegmentDictionaryIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[seg.dataOff-seg.dictLen] = 0x7f // the path table's count
+	data[seg.dataOff-seg.postLen-seg.dictLen] = 0x7f // the path table's count
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -628,8 +634,8 @@ func TestDamagedSegmentDictionaryIsCorrupt(t *testing.T) {
 // supplied (every length prefix is capped by the input size before it
 // sizes a make), and an error that is ErrCorruptArchive or
 // ErrLegacyFormat. The seeds include what a block-compressing build left
-// behind — the compression flag on a header — and a block length without
-// the flag, which are ErrLegacyFormat and ErrCorruptArchive.
+// behind — the compression flag on a header — and a postings section whose
+// checksum fails, which are ErrLegacyFormat and ErrCorruptArchive.
 func FuzzSegmentHeader(f *testing.F) {
 	dir := f.TempDir()
 	ar := buildOMIMArchive(f, dir, Config{Budget: 1 << 16, SegmentTarget: 2048}, 1)
@@ -642,32 +648,36 @@ func FuzzSegmentHeader(f *testing.F) {
 	f.Add(data)
 	flagged := bytes.Clone(data)
 	flagged[len(segMagic)+1] |= segFlagCompressed
-	// The block length is the byte before the dictionary length.
-	blocked := bytes.Clone(data)
-	at := seg.dataOff - seg.dictLen - int64(len(binary.AppendUvarint(nil, uint64(seg.dictLen)))) - 1
-	if blocked[at] != 0 {
-		f.Fatalf("byte %d of the seed header is %#x, not the block length 0", at, blocked[at])
-	}
-	blocked[at] = 1
+	// The postings' first byte is their count.
+	miscounted := bytes.Clone(data)
+	miscounted[seg.dataOff-seg.postLen]++
 	for _, c := range []struct {
 		name string
 		data []byte
 		want error
-	}{{"compression flag", flagged, ErrLegacyFormat}, {"block length", blocked, core.ErrCorruptArchive}} {
-		if _, _, err := readSegmentHeader(bytes.NewReader(c.data)); !errors.Is(err, c.want) {
+	}{{"compression flag", flagged, ErrLegacyFormat}, {"miscounted postings section", miscounted, core.ErrCorruptArchive}} {
+		h, _, err := readSegmentHeader(bytes.NewReader(c.data))
+		if err == nil {
+			err = h.postErr
+		}
+		if !errors.Is(err, c.want) {
 			f.Fatalf("header with a %s: %v, want %v", c.name, err, c.want)
 		}
 		f.Add(c.data)
 	}
 	f.Add(legacySegHeader)
+	f.Add(format2SegHeader)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var h *segmentHeader
-		err := checkHostile(t, len(data), func() (err error) {
-			h, _, err = readSegmentHeader(bytes.NewReader(data))
+		checkHostile(t, len(data), func() (err error) {
+			// A damaged postings section leaves the header readable.
+			if h, _, err = readSegmentHeader(bytes.NewReader(data)); err == nil {
+				err = h.postErr
+			}
 			return err
 		})
-		if err == nil && (h.dataOff > int64(len(data)) || h.dictLen > int64(len(data))) {
-			t.Fatalf("accepted header claims dataOff %d, dictLen %d in %d bytes", h.dataOff, h.dictLen, len(data))
+		if h != nil && (h.dataOff > int64(len(data)) || h.dictLen+h.postLen > int64(len(data))) {
+			t.Fatalf("accepted header claims dataOff %d, dictLen %d, postLen %d in %d bytes", h.dataOff, h.dictLen, h.postLen, len(data))
 		}
 	})
 }

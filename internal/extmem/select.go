@@ -13,16 +13,20 @@ import (
 // (level-2 entries and raw roots), returning the non-empty matches sorted
 // by path. The plan narrows before any record is built (selectRecords), then
 // evaluates the survivors exactly: attribute, changed and shallow path
-// predicates from the sidecar's facts alone, deeper path predicates by
+// predicates from the postings' facts alone, deeper path predicates by
 // seeking the matched child subtree through the per-entry mini-index.
-// Without a sidecar every record the path spine leaves is read and
+// With NoAttrIndex every record the path spine leaves is read and
 // materialized; the two answer identically.
 func (q *QueryView) Select(e qlang.Expr) ([]qlang.Result, error) {
-	return qlang.EvalAll(e, q.selectRecords(e))
+	recs, err := q.selectRecords(e)
+	if err != nil {
+		return nil, err
+	}
+	return qlang.EvalAll(e, recs)
 }
 
 // recordSource is the qlang.Source of one record: where its subtree and its
-// indexed facts are. s is nil for a raw root, ent without a sidecar.
+// posting are. s is nil for a raw root, ent with NoAttrIndex.
 type recordSource struct {
 	q   *QueryView
 	r   *rootRecord
@@ -46,30 +50,35 @@ func (src *recordSource) Facts() (*qlang.RecordFacts, error) {
 	return &src.ent.facts, nil
 }
 
-// posting returns the sidecar's facts for entry i of s, nil when the view
-// has none.
-func (q *QueryView) posting(s *segmentRecord, i int) *idxEntry {
-	if q.aidx != nil {
-		if fi := q.aidx.files[s.file]; fi != nil && i < len(fi.entries) {
-			return fi.entries[i]
-		}
+// posting returns the posting of entry i of s, nil with NoAttrIndex.
+func (q *QueryView) posting(s *segmentRecord, i int) (*idxEntry, error) {
+	if q.ar.cfg.NoAttrIndex {
+		return nil, nil
 	}
-	return nil
+	posts, err := q.ar.segDicts.postings(s)
+	if err != nil {
+		return nil, err
+	}
+	return posts[i], nil
 }
 
 // selectRecords enumerates the view's records in directory order, skipping
-// those the expression's conjunctive spine rules out: with an index, records
-// lacking a required attribute; always, records whose root fails step 0, or
-// whose own element fails step 1, of a required path of two or more steps —
-// by binary search where such a step is fully keyed (dirIndex.seek), by a
-// compare against the decoded identity otherwise. Both are superset filters
-// and evaluation stays exact. Ordinals must match attrIndex.buildInv: a raw
-// root is one, any other root one per segment entry (base + flat position).
-func (q *QueryView) selectRecords(e qlang.Expr) []qlang.Record {
+// those the expression's conjunctive spine rules out: unless NoAttrIndex,
+// records lacking a required attribute; always, records whose root fails
+// step 0, or whose own element fails step 1, of a required path of two or
+// more steps — by binary search where such a step is fully keyed
+// (dirIndex.seek), by a compare against the decoded identity otherwise.
+// Both are superset filters and evaluation stays exact. Ordinals must
+// match buildInv: a raw root is one, any other root one per segment entry
+// (base + flat position).
+func (q *QueryView) selectRecords(e qlang.Expr) ([]qlang.Record, error) {
 	var cand []int // sorted ordinals; nil: every record is a candidate
-	if q.aidx != nil {
+	if !q.ar.cfg.NoAttrIndex {
 		if preds := qlang.RequiredAttrs(e); len(preds) > 0 {
-			cand = q.aidx.candidates(q.d, preds)
+			var err error
+			if cand, err = q.candidates(preds); err != nil {
+				return nil, err
+			}
 		}
 	}
 	var spine []*qlang.PathPred
@@ -86,6 +95,7 @@ func (q *QueryView) selectRecords(e qlang.Expr) []qlang.Record {
 	// add appends the record at ordinal ord (entry i of s, or the raw root r
 	// itself when s is nil) unless the plan rules it out. Ordinals arrive
 	// ascending, so cand is consumed from its head.
+	var err error
 	add := func(r *rootRecord, rootEff *intervals.Set, s *segmentRecord, i, ord int) {
 		if cand != nil {
 			for len(cand) > 0 && cand[0] < ord {
@@ -95,6 +105,7 @@ func (q *QueryView) selectRecords(e qlang.Expr) []qlang.Record {
 				return
 			}
 		}
+		var perr error
 		rid := r.ident()
 		rec := qlang.Record{RootName: r.name, RootKey: rid.key, RootLabel: rid.label, Raw: s == nil, Life: rootEff, Versions: q.versions}
 		src := recordSource{q: q, r: r, s: s, i: i}
@@ -106,11 +117,12 @@ func (q *QueryView) selectRecords(e qlang.Expr) []qlang.Record {
 				}
 			}
 			rec.Name, rec.Key, rec.Label, rec.Life = id.name, id.key, id.label, entryEff(&s.entries[i], rootEff)
-			src.ent = q.posting(s, i)
-		} else if q.aidx != nil {
-			if ri := q.aidx.raws[rid.label]; ri != nil {
-				src.ent = ri.e
-			}
+			src.ent, perr = q.posting(s, i)
+		} else if !q.ar.cfg.NoAttrIndex {
+			src.ent, perr = q.ar.rootPosting(r)
+		}
+		if perr != nil && err == nil {
+			err = perr
 		}
 		recs, srcs = append(recs, rec), append(srcs, src)
 	}
@@ -149,10 +161,13 @@ nextRoot:
 			}
 		}
 	}
+	if err != nil {
+		return nil, err
+	}
 	for i := range recs {
 		recs[i].Src = &srcs[i]
 	}
-	return recs
+	return recs, nil
 }
 
 // PathSet evaluates a path predicate (steps relative to the record's

@@ -113,19 +113,18 @@ func (ar *Archiver) writeRun(path string, toks []token) error {
 		}
 		child := toks[start:end]
 		var seg *encodedSegment
-		if seg, err = enc.encode(false, "", nil, child, nil); err != nil {
+		if seg, err = enc.encode(child, nil); err != nil {
 			break
 		}
-		dict := seg.head[len(seg.head)-int(seg.dictLen):]
 		head.b.Reset()
 		head.varint(uint64(child[0].tag))
 		head.key(child[0].key)
-		head.varint(uint64(len(dict)))
+		head.varint(uint64(len(seg.dict)))
 		head.varint(uint64(len(seg.pay)))
 		n = binary.AppendUvarint(n[:0], uint64(head.b.Len()))
 		bw.Write(n)
 		bw.Write(head.b.Bytes())
-		bw.Write(dict)
+		bw.Write(seg.dict)
 		bw.Write(seg.pay)
 	}
 	if err == nil {

@@ -140,11 +140,11 @@ func encodeTokens(tb testing.TB, toks []token) []byte {
 	if len(toks) == 0 {
 		return nil
 	}
-	enc, err := newSegEncoder().encode(false, "", nil, toks, nil)
+	enc, err := newSegEncoder().encode(toks, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return slices.Concat(enc.head[len(enc.head)-int(enc.dictLen):], enc.pay)
+	return slices.Concat(enc.dict, enc.pay)
 }
 
 // sortDoc sorts doc in memory, as an add of it would.

@@ -461,11 +461,11 @@ func encodeStreams(tb testing.TB, streams ...[]token) (*segDict, [][]byte) {
 		marks = append(marks, entryMark{start: len(all), end: len(all) + len(s)})
 		all = append(all, s...)
 	}
-	enc, err := newSegEncoder().encode(false, "", nil, all, marks)
+	enc, err := newSegEncoder().encode(all, marks)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	dict, err := decodeSegDict(enc.head[len(enc.head)-int(enc.dictLen):])
+	dict, err := decodeSegDict(enc.dict)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package extmem
 import (
 	"fmt"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 
 	"xarch/internal/core"
 	"xarch/internal/keys"
@@ -16,11 +18,16 @@ import (
 type generation struct {
 	id    int
 	d     *keyDirectory
-	names []string   // the dictionary's name table as of this commit
-	aidx  *attrIndex // built for d (keydirCRC == d.crc); nil when absent or disabled
+	names []string // the dictionary's name table as of this commit
 	files map[string]bool
 	refs  int         // open views pinning the segment files; guarded by genMu
 	last  Diagnostics // the writer's reports as of this commit
+
+	// inv is the inverted attribute map over the postings of d's segments
+	// (candidates), built by the first Select that needs it. Only a built
+	// map is kept: after a failed build the next Select tries again.
+	invMu sync.Mutex
+	inv   atomic.Pointer[map[string][]int]
 }
 
 // Diagnostics are the writer's reports on its most recent operations.
@@ -144,7 +151,6 @@ type QueryView struct {
 	names    []string
 	spec     *keys.Spec
 	versions int
-	aidx     *attrIndex // attribute index bound to d, nil when absent
 }
 
 // OpenQuery opens a consistent read view of the published generation. The
@@ -160,7 +166,6 @@ func (ar *Archiver) OpenQuery() (*QueryView, error) {
 		names:    g.names,
 		spec:     ar.spec,
 		versions: g.d.versions,
-		aidx:     g.aidx,
 	}, nil
 }
 

@@ -16,9 +16,9 @@ import (
 )
 
 // TestViewsBesideWriter: views opened at any moment of 30 adds and a
-// compaction are whole generations — the attribute index is there and is
-// the one built for that view's directory (no window in which a view falls
-// back to the scan), every version reads back byte-identical — and once
+// compaction are whole generations — every segment of the view's directory
+// has its postings, one per record (no window in which a view falls back to
+// the scan), every version reads back byte-identical — and once
 // the last view closes nothing is left pinned: one generation in the
 // table, exactly the live files in the directory.
 func TestViewsBesideWriter(t *testing.T) {
@@ -62,8 +62,12 @@ func TestViewsBesideWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop := readersBeside(t, ar, 4, func(r, i int, q *QueryView) {
-		if q.aidx == nil || q.aidx.keydirCRC != q.d.crc {
-			t.Errorf("reader %d: view of %d versions has no attribute index of its own directory (%v)", r, q.versions, q.aidx)
+		for _, root := range q.d.roots {
+			for _, s := range root.segs {
+				if posts, err := ar.segDicts.postings(s); err != nil || len(posts) != max(len(s.entries), 1) {
+					t.Errorf("reader %d: segment %s of the view of %d versions has %d postings (%v)", r, s.file, q.versions, len(posts), err)
+				}
+			}
 		}
 		v := 1 + i%q.Versions()
 		var b strings.Builder

@@ -56,7 +56,7 @@ type ChangeItem struct {
 
 // RecordFacts are the attribute and change facts of one record, sufficient to
 // evaluate @name[=value] and changed predicates. They are derivable either
-// from a materialized annotated subtree (FactsOf) or from an index sidecar.
+// from a materialized annotated subtree (FactsOf) or from an index's postings.
 type RecordFacts struct {
 	HasGroups bool
 	Changes   []ChangeItem

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -19,6 +20,8 @@ import (
 	"xarch/internal/extmem"
 	"xarch/internal/faulttest"
 	"xarch/internal/fsio"
+	"xarch/internal/keys"
+	"xarch/internal/qlang"
 	"xarch/internal/segstore"
 	"xarch/internal/server"
 )
@@ -192,6 +195,69 @@ func TestSyncLocalFreshAndUpToDate(t *testing.T) {
 	}
 	if !st.UpToDate || st.Copied != 0 || st.Committed {
 		t.Fatalf("up-to-date sync stats off: %+v", st)
+	}
+}
+
+// TestPulledReplicaSelectsFromPostings: a replica pulled through two Locals
+// answers an attribute Select from the postings its segments carry,
+// reading no segment byte. The source holds no attr.idx: a build that kept
+// the postings in that sidecar wrote it after the commit, so a crash in
+// between left exactly this source, and its replicas could only scan.
+func TestPulledReplicaSelectsFromPostings(t *testing.T) {
+	spec := keys.MustParseSpec("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (grade, {.}))\n(/db/rec, (v, {}))\n")
+	srcDir, dstDir := t.TempDir(), filepath.Join(t.TempDir(), "replica")
+	ar, err := extmem.Open(srcDir, spec, srcCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v <= 3; v++ {
+		var b strings.Builder
+		b.WriteString("<db>")
+		for id := 0; id < 40; id++ {
+			fmt.Fprintf(&b, `<rec grade="g%d"><id>r%02d</id><v>%d</v></rec>`, id%4, id, v*(id%3))
+		}
+		b.WriteString("</db>")
+		if items, err := ar.AddVersionBatch([]extmem.Source{{Reader: strings.NewReader(b.String())}}); err != nil || items[0].Err != nil {
+			t.Fatal(err, items)
+		}
+	}
+	if err := ar.Close(); err != nil {
+		t.Fatal(err)
+	}
+	os.Remove(filepath.Join(srcDir, "attr.idx"))
+	if _, err := Sync(ctx, localStore(t, srcDir, nil), localStore(t, dstDir, nil), Options{Retry: fastRetry(2)}); err != nil {
+		t.Fatal(err)
+	}
+	sel := func(dir string) ([]qlang.Result, int64) {
+		t.Helper()
+		ar, err := extmem.Open(dir, spec, srcCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ar.Close()
+		q, err := ar.OpenQuery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer q.Close()
+		e, err := qlang.Parse("@grade=g2 AND changed 2..")
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ar.BytesRead()
+		res, err := q.Select(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, ar.BytesRead() - before
+	}
+	want, _ := sel(srcDir)
+	got, n := sel(dstDir)
+	if len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("replica Select = %v, source %v", got, want)
+	}
+	if n != 0 {
+		t.Fatalf("replica Select read %d segment bytes, want 0: it scanned instead of using the postings", n)
 	}
 }
 

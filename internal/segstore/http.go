@@ -34,7 +34,6 @@ type WireBundle struct {
 	Keydir     []byte `json:"keydir"`
 	Dict       []byte `json:"dict"`
 	Meta       []byte `json:"meta"`
-	AttrIdx    []byte `json:"attridx,omitempty"`
 }
 
 // CheckHeaders renders c into h.
@@ -309,7 +308,7 @@ func (h *HTTP) Keydir(ctx context.Context) (*Bundle, error) {
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 256<<20)).Decode(&wb); err != nil {
 			return MarkTransient(fmt.Errorf("segstore: get keydir: %w", err), 0)
 		}
-		b = &Bundle{Keydir: wb.Keydir, Dict: wb.Dict, Meta: wb.Meta, AttrIdx: wb.AttrIdx}
+		b = &Bundle{Keydir: wb.Keydir, Dict: wb.Dict, Meta: wb.Meta}
 		return nil
 	})
 	return b, err
@@ -321,7 +320,7 @@ func (h *HTTP) CommitKeydir(ctx context.Context, b *Bundle) error {
 	if b == nil || len(b.Keydir) == 0 {
 		return fmt.Errorf("segstore: refusing to commit an empty key directory")
 	}
-	payload, err := json.Marshal(WireBundle{Keydir: b.Keydir, Dict: b.Dict, Meta: b.Meta, AttrIdx: b.AttrIdx})
+	payload, err := json.Marshal(WireBundle{Keydir: b.Keydir, Dict: b.Dict, Meta: b.Meta})
 	if err != nil {
 		return err
 	}

@@ -247,20 +247,12 @@ func (l *Local) Keydir(ctx context.Context) (*Bundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segstore: state bundle incomplete: %w", err)
 	}
-	b := &Bundle{Keydir: kd, Dict: dict, Meta: meta}
-	// The advisory attr.idx sidecar rides along when present; a store
-	// without one is complete, not corrupt.
-	if aidx, err := l.fs.ReadFile(filepath.Join(l.dir, extmem.AttrIdxFileName)); err == nil {
-		b.AttrIdx = aidx
-	} else if !errors.Is(err, iofs.ErrNotExist) {
-		return nil, fmt.Errorf("segstore: %w", err)
-	}
-	return b, nil
+	return &Bundle{Keydir: kd, Dict: dict, Meta: meta}, nil
 }
 
 // CommitKeydir installs the state bundle as one staged commit, the
-// engine's own (extmem.CommitFiles): dict, meta and the attr.idx sidecar
-// when the bundle carries one are staged, fsynced and take their names;
+// engine's own (extmem.CommitFiles): dict and meta are staged, fsynced
+// and take their names;
 // the barrier directory fsync makes them — and the names of the blobs Put
 // installed — durable; then the keydir's rename, the replica's commit
 // point, and the ack directory fsync. A crash before the keydir rename
@@ -273,19 +265,9 @@ func (l *Local) CommitKeydir(ctx context.Context, b *Bundle) error {
 	if b == nil || len(b.Keydir) == 0 {
 		return fmt.Errorf("segstore: refusing to commit an empty key directory")
 	}
-	files := []extmem.StateFile{
+	return extmem.CommitFiles(l.fs, l.dir, []extmem.StateFile{
 		{Name: extmem.DictFileName, Data: b.Dict},
 		{Name: extmem.MetaFileName, Data: b.Meta},
-	}
-	// The sidecar is bound to the incoming generation, so it lands (or a
-	// stale predecessor is removed) before the keydir rename: a crash in
-	// between leaves the old keydir with at worst a missing or foreign
-	// sidecar, which queries bypass and the next writable open rebuilds.
-	if len(b.AttrIdx) > 0 {
-		files = append(files, extmem.StateFile{Name: extmem.AttrIdxFileName, Data: b.AttrIdx})
-	} else if err := l.fs.Remove(filepath.Join(l.dir, extmem.AttrIdxFileName)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
-		return fmt.Errorf("segstore: %w", err)
-	}
-	files = append(files, extmem.StateFile{Name: extmem.KeydirFileName, Data: b.Keydir})
-	return extmem.CommitFiles(l.fs, l.dir, files)
+		{Name: extmem.KeydirFileName, Data: b.Keydir},
+	})
 }

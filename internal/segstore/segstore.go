@@ -63,14 +63,11 @@ func (c Check) validate() error {
 }
 
 // Bundle is the replica's commit unit: the exact bytes of the three
-// archive state files of one committed generation, plus the optional
-// attr.idx secondary-index sidecar (nil when the source generation has
-// none — the sidecar is advisory and replicas rebuild on demand).
+// archive state files of one committed generation.
 type Bundle struct {
-	Keydir  []byte
-	Dict    []byte
-	Meta    []byte
-	AttrIdx []byte
+	Keydir []byte
+	Dict   []byte
+	Meta   []byte
 }
 
 // Store is named immutable blob storage with a keydir commit step —
@@ -117,7 +114,7 @@ func ValidBlobName(name string) bool {
 		return false
 	}
 	switch name {
-	case extmem.KeydirFileName, extmem.DictFileName, extmem.MetaFileName, extmem.AttrIdxFileName:
+	case extmem.KeydirFileName, extmem.DictFileName, extmem.MetaFileName:
 		return false
 	}
 	return true
@@ -126,7 +123,7 @@ func ValidBlobName(name string) bool {
 // isStateFile reports whether name is one of the bundle's state files.
 func isStateFile(name string) bool {
 	switch name {
-	case extmem.KeydirFileName, extmem.DictFileName, extmem.MetaFileName, extmem.AttrIdxFileName:
+	case extmem.KeydirFileName, extmem.DictFileName, extmem.MetaFileName:
 		return true
 	}
 	return false

@@ -67,7 +67,7 @@ func (h *replicaHandler) getKeydir(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusInternalServerError, "keydir: %v", err)
 		return
 	}
-	wb := segstore.WireBundle{Keydir: b.Keydir, Dict: b.Dict, Meta: b.Meta, AttrIdx: b.AttrIdx}
+	wb := segstore.WireBundle{Keydir: b.Keydir, Dict: b.Dict, Meta: b.Meta}
 	if man, err := extmem.DecodeManifest(b.Keydir); err == nil {
 		wb.Generation, wb.Versions = man.Generation, man.Versions
 	}
@@ -109,7 +109,7 @@ func (h *replicaHandler) putKeydir(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	b := &segstore.Bundle{Keydir: wb.Keydir, Dict: wb.Dict, Meta: wb.Meta, AttrIdx: wb.AttrIdx}
+	b := &segstore.Bundle{Keydir: wb.Keydir, Dict: wb.Dict, Meta: wb.Meta}
 	if err := h.st.CommitKeydir(r.Context(), b); err != nil {
 		jsonError(w, http.StatusInternalServerError, "commit: %v", err)
 		return

@@ -488,7 +488,7 @@ func (s *Server) handleReplKeydir(w http.ResponseWriter, r *http.Request) {
 	man := v.Manifest()
 	writeJSON(w, segstore.WireBundle{
 		Generation: man.Generation, Versions: man.Versions,
-		Keydir: kd, Dict: dict, Meta: meta, AttrIdx: v.AttrIdx(),
+		Keydir: kd, Dict: dict, Meta: meta,
 	})
 }
 

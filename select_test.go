@@ -1,6 +1,7 @@
 package xarch
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"xarch/internal/datagen"
+	"xarch/internal/faulttest"
 	"xarch/internal/xmltree"
 )
 
@@ -80,15 +82,15 @@ func selectDoc(rng *rand.Rand, depts, emps int) string {
 }
 
 // buildSelectArchive writes a deterministic attribute-rich department
-// archive (depts×emps elements per version, nv versions) into dir and
-// closes it, ready for index-vs-scan reopens.
-func buildSelectArchive(tb testing.TB, dir string, depts, emps, nv int) {
+// archive (depts×emps elements per version, nv versions) into dir, through
+// a store opened with opts, and closes it, ready for index-vs-scan reopens.
+func buildSelectArchive(tb testing.TB, dir string, depts, emps, nv int, opts ...Option) {
 	tb.Helper()
 	spec, err := ParseKeySpec(selectSpec)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s, err := OpenStore(dir, spec, WithValidation(false))
+	s, err := OpenStore(dir, spec, append([]Option{WithValidation(false)}, opts...)...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -113,7 +115,7 @@ var selectBenchExprs = []string{
 	"changed 3..",
 }
 
-// TestSelectIndexBytesRead pins the sidecar's reason to exist: the
+// TestSelectIndexBytesRead pins the postings' reason to exist: the
 // indexed Select path must answer the benchmark queries identically to
 // the forced streaming scan while reading at least 10x fewer archive
 // bytes.
@@ -146,6 +148,29 @@ func TestSelectIndexBytesRead(t *testing.T) {
 		t.Fatalf("indexed Select read %d bytes vs %d scanned: less than the promised 10x win", idxBytes, scanBytes)
 	}
 	t.Logf("indexed=%d bytes scan=%d bytes (%.1fx)", idxBytes, scanBytes, float64(scanBytes)/float64(max(idxBytes, 1)))
+}
+
+// TestQueryIndexOptionChangesNoByte: WithQueryIndex is read-side only. The
+// postings are written whatever it says, so a store with it off leaves
+// every file byte-identical to a default store's.
+func TestQueryIndexOptionChangesNoByte(t *testing.T) {
+	on, off := t.TempDir(), t.TempDir()
+	buildSelectArchive(t, on, 12, 6, 4)
+	buildSelectArchive(t, off, 12, 6, 4, WithQueryIndex(false))
+	a, b := faulttest.Files(t, on), faulttest.Files(t, off)
+	for name, data := range a {
+		if other, ok := b[name]; !ok || !bytes.Equal(data, other) {
+			t.Errorf("%s differs between the default store and WithQueryIndex(false)", name)
+		}
+	}
+	for name := range b {
+		if _, ok := a[name]; !ok {
+			t.Errorf("WithQueryIndex(false) wrote %s, the default store did not", name)
+		}
+	}
+	if len(a) < 4 {
+		t.Fatalf("the default store wrote %d files", len(a))
+	}
 }
 
 // selectLeaves is the pool of leaf predicates the random expression
@@ -221,7 +246,7 @@ func mustSelect(t *testing.T, s Store, expr string) string {
 }
 
 // selectDepth3 are selectors that descend below the level-2 records: on
-// an indexed store they seek through the sidecar's kid spans instead of
+// an indexed store they seek through the postings' kid spans instead of
 // streaming the records.
 var selectDepth3 = []string{
 	"/db/dept/emp[fn=F2,ln=L2]",
@@ -274,7 +299,7 @@ func narrowLib(name string, books, drop, rev int) string {
 }
 
 // TestSelectPathNarrowing holds the Select plan's path narrowing to the
-// in-memory engine, with the attribute sidecar and without it: every query
+// in-memory engine, with the postings and without them: every query
 // here puts a path predicate where the planner must use it (the
 // conjunctive spine) or must not (beside OR, under NOT, one step long), and
 // the three answers must agree.
@@ -340,7 +365,7 @@ func TestSelectPathNarrowing(t *testing.T) {
 	} {
 		want := mustSelect(t, mem, c.expr)
 		if got := mustSelect(t, unindexed, c.expr); got != want {
-			t.Errorf("%s (%s): the store without a sidecar disagrees with mem:\nmem:\n%s\nunindexed:\n%s", c.expr, c.why, want, got)
+			t.Errorf("%s (%s): the store without postings disagrees with mem:\nmem:\n%s\nunindexed:\n%s", c.expr, c.why, want, got)
 		}
 		if got := mustSelect(t, planned, c.expr); got != want {
 			t.Errorf("%s (%s): the planned store disagrees with mem:\nmem:\n%s\nplanned:\n%s", c.expr, c.why, want, got)
@@ -385,7 +410,7 @@ func buildOMIMStore(tb testing.TB, records, nv int) (*ExtStore, []string) {
 
 // omimSelects are the three shapes of Select over that store: a keyed
 // record (narrowed by the path spine to a lookup), an attribute (narrowed by
-// the sidecar's postings to one record in sixteen), and one that nothing
+// the postings to one record in sixteen), and one that nothing
 // narrows, so every record is evaluated.
 func omimSelects(num string) map[string]string {
 	return map[string]string{

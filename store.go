@@ -76,10 +76,10 @@ type Store interface {
 	// records with the version sets at which they match, sorted by path.
 	// A record with an empty result set is omitted; an expression that
 	// matches nothing returns an empty slice and no error. Parse errors
-	// wrap ErrBadQuery. The external engine answers through its attr.idx
-	// sidecar and key directory when they are fresh, and by exact
-	// streaming scan otherwise; both routes, and the in-memory engine,
-	// return identical results.
+	// wrap ErrBadQuery. The external engine answers through the key
+	// directory and the postings each segment carries, and by exact
+	// streaming scan with WithQueryIndex(false); both routes, and the
+	// in-memory engine, return identical results.
 	Select(expr string) ([]SelectResult, error)
 	// Stats summarizes the archive's structure (timestamp inheritance,
 	// interval fragmentation, XML size).
@@ -121,7 +121,7 @@ type config struct {
 	budget      int     // external-sort memory budget, in slab nodes
 	segTarget   int     // external engine segment payload target, in bytes
 	compBudget  int     // external engine: opportunistic compaction budget per Add, in bytes
-	noQueryIdx  bool    // external engine: disable the attr.idx query sidecar
+	noQueryIdx  bool    // external engine: Select and History ignore the segments' postings
 	fs          fsio.FS // external engine filesystem (nil = the real one)
 }
 
@@ -157,8 +157,8 @@ func WithCompaction(on bool) Option {
 // rebuilds them, so they are never stale and cost nothing during bulk
 // ingest. Turn them off to make every query a direct archive scan.
 // In-memory engine only; the external engine streams every query from
-// its segment files through the key directory and the attr.idx sidecar
-// (see WithQueryIndex).
+// its segment files through the key directory and the postings each
+// segment carries (see WithQueryIndex).
 func WithIndexes(on bool) Option {
 	return func(c *config) { c.indexes = on }
 }
@@ -213,12 +213,13 @@ func WithDirectorySeek(on bool) Option {
 	return func(*config) {}
 }
 
-// WithQueryIndex toggles the external engine's query-index sidecar
-// (attr.idx): on (the default), commits maintain an inverted
-// attribute/change/subtree index next to the key directory and Select
-// plans index seeks through it; off, the sidecar is neither written nor
-// read and Select reads every record its path predicates leave. The two
-// answer identically — the sidecar is advisory, never authoritative.
+// WithQueryIndex toggles whether the external engine's queries use the
+// postings every segment carries — each record's attribute and change
+// facts and its children's byte spans: on (the default), Select plans
+// index seeks through them and a deep History step seeks the one child it
+// names; off, Select reads every record its path predicates leave and
+// History streams the record. The two answer identically. It is read side
+// only: the postings are always written, so it changes no byte on disk.
 // External engine only.
 func WithQueryIndex(on bool) Option {
 	return func(c *config) { c.noQueryIdx = !on }
