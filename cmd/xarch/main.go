@@ -294,20 +294,34 @@ func cmdGet(args []string) error {
 		return err
 	}
 	defer store.Close()
-	doc, err := store.Version(*version)
-	if err != nil {
+	// Streamed, so that the external engine holds no more of the version
+	// than its depth and one record.
+	out := bufio.NewWriter(os.Stdout)
+	cw := &countingWriter{w: out}
+	if err := store.WriteVersion(*version, cw); err != nil {
 		if errors.Is(err, xarch.ErrNoSuchVersion) {
 			// %w keeps the sentinel, so exitCode still answers 4.
 			return fmt.Errorf("version %d does not exist (archive has %d): %w", *version, store.Versions(), xarch.ErrNoSuchVersion)
 		}
 		return err
 	}
-	if doc == nil {
+	if cw.n == 0 {
 		fmt.Fprintf(os.Stderr, "version %d is an empty database\n", *version)
 		return nil
 	}
-	_, err = os.Stdout.WriteString(doc.IndentedXML())
-	return err
+	return out.Flush()
+}
+
+// countingWriter counts the bytes written through it to w.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 func cmdHistory(args []string) error {

@@ -29,10 +29,9 @@ import (
 // keyed selector reads no archive bytes at all).
 //
 // Readers never wait for a writer. Every committed state is one immutable
-// generation — key directory, the dictionary's name table as of that
-// commit, attribute index — which the writer publishes in one step once
-// the commit is durable and its index is built, before the call that made
-// it returns. A read loads the published generation, pins its segment
+// generation — key directory and the dictionary's name table as of that
+// commit — which the writer publishes in one step once the commit is
+// durable, before the call that made it returns. A read loads the published generation, pins its segment
 // files against deletion for as long as it scans them, and takes no lock
 // that is ever held across a filesystem call or a merge: beside an Add or
 // a Compact of any length it answers from the generation committed before

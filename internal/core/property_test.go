@@ -155,6 +155,11 @@ func runEvolution(t *testing.T, seed int64, nVersions int, opts Options) {
 				seed, i+1, xmlOrEmpty(want), xmlOrEmpty(got))
 		}
 	}
+	// The archive form comes out the same written straight from the
+	// archive as from the tree the same walk builds.
+	if got, want := a.XML(), a.ToXMLTree().IndentedXML(); got != want {
+		t.Fatalf("seed %d: WriteXML differs from ToXMLTree().Write:\n%s\n--- want\n%s", seed, got, want)
+	}
 	// Reload from XML and re-verify a sample of versions.
 	reparsed, err := xmltree.ParseString(a.XML())
 	if err != nil {

@@ -76,7 +76,7 @@ func (a *Archive) ContentHistory(selector string) ([]int, error) {
 // content changed: the earliest version of each distinct timestamped
 // content alternative, or just the node's first version when the content
 // never diverged. Shared with the external engine's streaming query path,
-// which builds the node's groups from the token file.
+// which builds the node's groups from its segments' tokens.
 func ContentChangeVersions(n *anode.Node, eff *intervals.Set) []int {
 	if n.Groups == nil {
 		if eff.Empty() {
@@ -112,7 +112,7 @@ func (a *Archive) resolveSteps(steps []SelectorStep) (*anode.Node, *intervals.Se
 // timestamp is eff), returning the matched node and its effective
 // timestamp. pathPrefix seeds error messages with the already-resolved
 // selector prefix. The external engine reuses it to resolve selector tails
-// that descend below the frontier of its token file.
+// that descend below the frontier of its segments.
 func ResolveFrom(cur *anode.Node, eff *intervals.Set, steps []SelectorStep, pathPrefix string) (*anode.Node, *intervals.Set, error) {
 	path := pathPrefix
 	for _, step := range steps {

@@ -196,3 +196,24 @@ func TestAttrItemSerialization(t *testing.T) {
 		}
 	}
 }
+
+// TestWeaveSharedAttrAfterGroup: in a weave, an attribute every version
+// shares can sit in an untimed group after a timestamped one. It is still
+// written in its element's start tag, where the tree form has it.
+func TestWeaveSharedAttrAfterGroup(t *testing.T) {
+	spec := keys.MustParseSpec("(/, (db, {}))\n(/db, (ref, {}))")
+	a := New(spec, Options{FurtherCompaction: true})
+	for _, v := range []string{`<db><ref a="0" b="1">note</ref></db>`, `<db><ref b="1">note</ref></db>`} {
+		if err := a.Add(xmltree.MustParseString(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var compact strings.Builder
+	if err := a.WriteXML(&compact, false); err != nil {
+		t.Fatal(err)
+	}
+	const want = `<T t="1-2"><root><db><ref b="1"><T t="1"><_attr n="a">0</_attr></T>note</ref></db></root></T>`
+	if compact.String() != want || a.ToXMLTree().XML() != want {
+		t.Errorf("archive form\n%s\ntree form\n%s\nwant\n%s", compact.String(), a.ToXMLTree().XML(), want)
+	}
+}

@@ -93,17 +93,17 @@ func (q *QueryView) WriteArchiveXML(w io.Writer) error {
 func (q *QueryView) writeArchiveIndented(w io.Writer, stats *core.Stats) error {
 	bw, done := pooledWriter(w)
 	defer done()
-	out := &xmlSink{w: bw, opts: xmltree.WriteOptions{Indent: true, IndentString: "  "}}
-	out.open("T", false)
-	out.attr("t", q.d.rootTime.String())
-	out.open("root", false)
+	out := xmltree.NewWriter(bw, xmltree.WriteOptions{Indent: true})
+	out.Open("T", false)
+	out.Attr("t", q.d.rootTime.String())
+	out.Open("root", false)
 	for _, r := range q.d.roots {
 		if err := q.writeArchiveRoot(r, out, stats); err != nil {
 			return err
 		}
 	}
-	out.close()
-	out.close()
+	out.Close()
+	out.Close()
 	return bw.Flush()
 }
 
@@ -111,7 +111,7 @@ func (q *QueryView) writeArchiveIndented(w io.Writer, stats *core.Stats) error {
 // root's stored subtree is emitted as it stands; any other root's wrapper,
 // start tag and attributes come from its record, and its entries from the
 // stream.
-func (q *QueryView) writeArchiveRoot(r *rootRecord, out *xmlSink, stats *core.Stats) error {
+func (q *QueryView) writeArchiveRoot(r *rootRecord, out *xmltree.Writer, stats *core.Stats) error {
 	tr := q.ar.readParts(rootParts(r))
 	defer tr.release()
 	up := q.spec.Cursor()
@@ -119,12 +119,12 @@ func (q *QueryView) writeArchiveRoot(r *rootRecord, out *xmlSink, stats *core.St
 		if err := openArchiveNode(token{key: r.key, data: r.timeStr, time: r.time}, out, stats); err != nil {
 			return err
 		}
-		out.open(r.name, false)
+		out.Open(r.name, false)
 		for _, a := range r.attrs {
 			if stats != nil {
 				stats.Attributes++
 			}
-			out.attr(a.name, a.value)
+			out.Attr(a.name, a.value)
 		}
 		up = up.Child(r.name)
 	}
@@ -144,9 +144,9 @@ func (q *QueryView) writeArchiveRoot(r *rootRecord, out *xmlSink, stats *core.St
 		return tr.err
 	}
 	if !r.raw {
-		out.close()
+		out.Close()
 		if r.timeStr != "" {
-			out.close()
+			out.Close()
 		}
 	}
 	return nil
@@ -154,15 +154,15 @@ func (q *QueryView) writeArchiveRoot(r *rootRecord, out *xmlSink, stats *core.St
 
 // openArchiveNode counts a keyed-level node whose open token, or directory
 // record, is t, and writes its <T> wrapper when it carries a timestamp.
-func openArchiveNode(t token, out *xmlSink, stats *core.Stats) error {
+func openArchiveNode(t token, out *xmltree.Writer, stats *core.Stats) error {
 	if stats != nil {
 		if err := countNodeOpen(t, stats); err != nil {
 			return err
 		}
 	}
 	if t.data != "" {
-		out.open("T", false)
-		out.attr("t", t.data)
+		out.Open("T", false)
+		out.Attr("t", t.data)
 	}
 	return nil
 }
@@ -170,7 +170,7 @@ func openArchiveNode(t token, out *xmlSink, stats *core.Stats) error {
 // writeArchiveNode emits one keyed-level node (whose open token t has been
 // consumed) in the indented archive form; up is the key spec's position at
 // its parent.
-func (q *QueryView) writeArchiveNode(tr *tokenReader, t token, out *xmlSink, up keys.Cursor, stats *core.Stats) error {
+func (q *QueryView) writeArchiveNode(tr *tokenReader, t token, out *xmltree.Writer, up keys.Cursor, stats *core.Stats) error {
 	name, err := q.name(t.tag)
 	if err != nil {
 		return err
@@ -192,10 +192,9 @@ func (q *QueryView) writeArchiveNode(tr *tokenReader, t token, out *xmlSink, up 
 		if err != nil {
 			return err
 		}
-		out.closeStart()
-		core.NodeXML(n).WriteDepth(out.w, out.opts, len(out.stack))
+		core.EmitNode(out, n)
 	} else {
-		out.open(name, false)
+		out.Open(name, false)
 		for closed := false; !closed; {
 			ct, err := tr.mustTake(name)
 			if err != nil {
@@ -210,9 +209,9 @@ func (q *QueryView) writeArchiveNode(tr *tokenReader, t token, out *xmlSink, up 
 				if err != nil {
 					return err
 				}
-				out.attr(an, ct.data)
+				out.Attr(an, ct.data)
 			case tokClose:
-				out.close()
+				out.Close()
 				closed = true
 			case tokOpen:
 				if err := q.writeArchiveNode(tr, ct, out, cur, stats); err != nil {
@@ -224,7 +223,7 @@ func (q *QueryView) writeArchiveNode(tr *tokenReader, t token, out *xmlSink, up 
 		}
 	}
 	if t.data != "" {
-		out.close()
+		out.Close()
 	}
 	return nil
 }

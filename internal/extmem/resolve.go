@@ -152,8 +152,8 @@ func (q *QueryView) resolveEntry(r *rootRecord, m segEntry, eff *intervals.Set, 
 			// reports their first version.
 			return &resolved{eff: eff, node: &anode.Node{Kind: xmltree.Element, Name: e.name}}, nil
 		}
-		// With the attribute index the entry's direct children carry byte
-		// spans: resolve the next step against that mini-index and seek
+		// With its segment's postings the entry's direct children carry
+		// byte spans: resolve the next step against that mini-index and seek
 		// straight to the one matched child subtree, instead of streaming
 		// every sibling of the entry.
 		if res, ok, err := q.resolveViaKids(r, m, eff, steps, stepPath, wantBody); ok || err != nil {

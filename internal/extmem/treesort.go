@@ -131,8 +131,8 @@ func (s *flatSorter) key(n int32, k *keys.Key) *tkey {
 // enter makes the nodes from c up to end the ones being emitted: one
 // string for their text and attribute values, one for their keys, and the
 // room for their annotations. Per child of the root, so that what the
-// archive keeps past the add — directory keys, the attribute index's
-// facts — keeps that child's bytes alive, never the whole version's.
+// archive keeps past the add — directory keys, the postings' facts —
+// keeps that child's bytes alive, never the whole version's.
 func (s *flatSorter) enter(c, end int32) {
 	d := s.d
 	s.ca, s.cb = d.ArenaAt(c), d.ArenaAt(end)

@@ -1,7 +1,6 @@
 package extmem
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 
@@ -14,23 +13,13 @@ import (
 // ---------------------------------------------------------------------------
 // Version retrieval (§7.1, streaming)
 
-// versionSink receives the projection of one version as events in document
-// order. hasText says the element has a text child at that version: what
-// decides its layout in indented XML, before its first child arrives.
-type versionSink interface {
-	open(name string, hasText bool)
-	attr(name, value string)
-	text(data string)
-	close()
-}
-
 // versionWalk is one projection of version v onto a sink: a single pass of
 // one token reader over the bytes alive at v, building nothing. Memory is
 // O(depth + one frontier record's tokens).
 type versionWalk struct {
 	q    *QueryView
 	v    int
-	sink versionSink
+	sink xmltree.Sink
 	tr   *tokenReader
 
 	// The tokens of one frontier record that are alive at v (emitFrontier).
@@ -45,7 +34,7 @@ type versionWalk struct {
 // directory: roots and level-2 entries whose interval summary excludes v
 // are skipped without reading a byte of them, dead subtrees below are
 // skipped undecoded, and live ones are emitted.
-func (q *QueryView) streamVersion(v int, sink versionSink) error {
+func (q *QueryView) streamVersion(v int, sink xmltree.Sink) error {
 	if v < 1 || v > q.versions {
 		return fmt.Errorf("extmem: version %d out of range 1..%d: %w", v, q.versions, core.ErrNoSuchVersion)
 	}
@@ -92,9 +81,9 @@ func (w *versionWalk) emitRoot(r *rootRecord, eff *intervals.Set) error {
 			}
 		}
 		up = up.Child(r.name)
-		w.sink.open(r.name, false)
+		w.sink.Open(r.name, false)
 		for _, a := range r.attrs {
-			w.sink.attr(a.name, a.value)
+			w.sink.Attr(a.name, a.value)
 		}
 	}
 	w.tr = w.q.ar.readParts(parts)
@@ -115,7 +104,7 @@ func (w *versionWalk) emitRoot(r *rootRecord, eff *intervals.Set) error {
 		return w.tr.err
 	}
 	if !r.raw {
-		w.sink.close()
+		w.sink.Close()
 	}
 	return nil
 }
@@ -144,7 +133,7 @@ func (w *versionWalk) emitNode(t token, up keys.Cursor) error {
 	if cur.Frontier() {
 		return w.emitFrontier(t)
 	}
-	w.sink.open(name, false)
+	w.sink.Open(name, false)
 	for {
 		t, err := w.tr.mustTake(name)
 		if err != nil {
@@ -156,7 +145,7 @@ func (w *versionWalk) emitNode(t token, up keys.Cursor) error {
 			if err != nil {
 				return err
 			}
-			w.sink.attr(an, t.data)
+			w.sink.Attr(an, t.data)
 		case tokOpen:
 			dead, err := w.dead(t)
 			if err != nil {
@@ -171,7 +160,7 @@ func (w *versionWalk) emitNode(t token, up keys.Cursor) error {
 				return err
 			}
 		case tokClose:
-			w.sink.close()
+			w.sink.Close()
 			return nil
 		default:
 			return corruptf("unexpected token %#x above the frontier", t.op)
@@ -241,152 +230,36 @@ func (w *versionWalk) emitFrontier(t token) error {
 				return err
 			}
 			if t.op == tokOpen {
-				w.sink.open(name, w.hasText[i])
+				w.sink.Open(name, w.hasText[i])
 			} else {
-				w.sink.attr(name, t.data)
+				w.sink.Attr(name, t.data)
 			}
 		case tokText:
-			w.sink.text(t.data)
+			w.sink.Text(t.data)
 		case tokClose:
-			w.sink.close()
+			w.sink.Close()
 		}
 	}
 	return nil
 }
 
-// treeSink assembles the projected version as an xmltree document.
-type treeSink struct {
-	stack []*xmltree.Node
-	root  *xmltree.Node
-}
-
-func (s *treeSink) place(n *xmltree.Node) {
-	if len(s.stack) == 0 {
-		s.root = n
-	} else {
-		s.stack[len(s.stack)-1].Append(n)
-	}
-}
-
-func (s *treeSink) open(name string, _ bool) {
-	e := xmltree.Elem(name)
-	s.place(e)
-	s.stack = append(s.stack, e)
-}
-
-func (s *treeSink) attr(name, value string) { s.place(xmltree.AttrNode(name, value)) }
-
-func (s *treeSink) text(data string) { s.place(xmltree.TextNode(data)) }
-
-func (s *treeSink) close() { s.stack = s.stack[:len(s.stack)-1] }
-
 // Version reconstructs version v as a document tree from one stream. It
 // returns (nil, nil) when version v was archived as an empty database.
 func (q *QueryView) Version(v int) (*xmltree.Node, error) {
-	var s treeSink
-	if err := q.streamVersion(v, &s); err != nil {
+	var b xmltree.Builder
+	if err := q.streamVersion(v, &b); err != nil {
 		return nil, err
 	}
-	return s.root, nil
-}
-
-// xmlSink streams the projected version as XML, writing byte-identically
-// to xmltree's serializer without holding the version in memory: only a
-// stack of the open elements is kept.
-type xmlSink struct {
-	w     *bufio.Writer
-	opts  xmltree.WriteOptions
-	stack []xmlFrame
-}
-
-type xmlFrame struct {
-	name    string
-	started bool // the start tag is closed: a child has been written
-	flat    bool // the content is written without line breaks or indentation
-}
-
-// flat reports whether what comes next, under the innermost open element,
-// is written without line breaks: everything is when Indent is off, and
-// with it on everything inside an element that has a text child — so
-// indented output round-trips exactly, as xmltree's serializer has it.
-func (s *xmlSink) flat() bool {
-	if n := len(s.stack); n > 0 {
-		return s.stack[n-1].flat
-	}
-	return !s.opts.Indent
-}
-
-// closeStart finishes the enclosing element's start tag before its first
-// child is written.
-func (s *xmlSink) closeStart() {
-	if n := len(s.stack); n > 0 && !s.stack[n-1].started {
-		s.stack[n-1].started = true
-		s.w.WriteByte('>')
-		if !s.flat() {
-			s.w.WriteByte('\n')
-		}
-	}
-}
-
-func (s *xmlSink) indent(depth int) {
-	for i := 0; i < depth; i++ {
-		s.w.WriteString(s.opts.IndentString)
-	}
-}
-
-func (s *xmlSink) open(name string, hasText bool) {
-	s.closeStart()
-	if !s.flat() {
-		s.indent(len(s.stack))
-	}
-	s.w.WriteByte('<')
-	s.w.WriteString(name)
-	s.stack = append(s.stack, xmlFrame{name: name, flat: hasText || s.flat()})
-}
-
-func (s *xmlSink) attr(name, value string) {
-	s.w.WriteByte(' ')
-	s.w.WriteString(name)
-	s.w.WriteString(`="`)
-	xmltree.EscapeAttr(s.w, value)
-	s.w.WriteByte('"')
-}
-
-func (s *xmlSink) text(data string) {
-	s.closeStart()
-	xmltree.EscapeText(s.w, data)
-}
-
-func (s *xmlSink) close() {
-	n := len(s.stack) - 1
-	fr := s.stack[n]
-	s.stack = s.stack[:n]
-	if !fr.started {
-		s.w.WriteString("/>")
-	} else {
-		if !fr.flat {
-			s.indent(n)
-		}
-		s.w.WriteString("</")
-		s.w.WriteString(fr.name)
-		s.w.WriteByte('>')
-	}
-	if !s.flat() {
-		s.w.WriteByte('\n')
-	}
+	return b.Root, nil
 }
 
 // WriteVersion streams the XML of version v directly to w — the bytes are
 // identical to serializing Version(v), but no version tree is built. An
 // empty version writes nothing.
 func (q *QueryView) WriteVersion(v int, w io.Writer, opts xmltree.WriteOptions) error {
-	if opts.IndentString == "" {
-		opts.IndentString = "  "
-	}
 	bw, done := pooledWriter(w)
 	defer done()
-	sink := &xmlSink{w: bw, opts: opts}
-	if err := q.streamVersion(v, sink); err != nil {
+	if err := q.streamVersion(v, xmltree.NewWriter(bw, opts)); err != nil {
 		return err
 	}
 	return bw.Flush()

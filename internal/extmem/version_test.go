@@ -17,12 +17,14 @@ import (
 	"xarch/internal/xmltree"
 )
 
-// The version path writes XML itself, from tokens, and xmltree's serializer
-// is its reference: a version must come out byte for byte as the in-memory
-// archive's tree serializes, with and without indentation, as a stream and
-// as a tree.
+// Both engines write through xmltree's one Writer, but feed it from two
+// producers: the in-memory engine walks a version tree, the external one
+// its tokens, where an element's text child is marked (hasText) before
+// the element is replayed. A version must come out byte for byte the same
+// from both, with and without indentation, as a stream and as a tree: the
+// token walk's hasText marks must agree with the tree walk's.
 
-// layoutDocs hits every branch of xmltree's writeNode inside frontier
+// layoutDocs hits every layout branch of xmltree's Writer inside frontier
 // records (body, note, x:meta under edgeSpec), with enough items that a
 // segment of 4 KiB holds several and versions that kill some in the middle
 // of a segment, so a file is read as more than one range.
@@ -526,10 +528,10 @@ func drainVersion(data []byte, dict *segDict, names []string, spec *keys.Spec, u
 	bw, done := pooledWriter(io.Discard)
 	defer done()
 	var errs []error
-	for _, sink := range []versionSink{&xmlSink{w: bw, opts: xmltree.WriteOptions{Indent: true, IndentString: "  "}}, &treeSink{}} {
+	for _, sink := range []xmltree.Sink{xmltree.NewWriter(bw, xmltree.WriteOptions{Indent: true}), &xmltree.Builder{}} {
 		tr := newTokenReaderDict(bytes.NewReader(data), dict, 0)
 		w := &versionWalk{q: &QueryView{names: names, spec: spec}, v: v, sink: sink, tr: tr}
-		sink.open("up", false)
+		sink.Open("up", false)
 		var err error
 		for err == nil {
 			t, ok := tr.take()

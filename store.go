@@ -15,8 +15,8 @@ import (
 //
 // A Store keeps its query structures fresh itself: the in-memory engine
 // invalidates its §7 indexes on Add and rebuilds them on the next query;
-// the external engine scans its token file directly, so every query sees
-// the archive as of the moment it started. A query issued right after an
+// the external engine reads the segments of the generation committed when
+// the query started, so every query sees the archive as of that moment. A query issued right after an
 // Add therefore sees the new version without any manual rebuild step.
 // All query methods are safe for concurrent use with each other and with
 // a concurrent Add.
@@ -55,7 +55,7 @@ type Store interface {
 	// WriteVersion writes the indented XML of version n to w, byte-
 	// identical across engines. The in-memory engine reconstructs the
 	// version and serializes it; the external engine streams it straight
-	// from the archive token file without building it in memory. An empty
+	// from its segment files without building it in memory. An empty
 	// version writes nothing.
 	WriteVersion(n int, w io.Writer) error
 	// History returns the set of versions in which the element denoted by
