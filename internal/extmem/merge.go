@@ -3,7 +3,6 @@ package extmem
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"xarch/internal/intervals"
 	"xarch/internal/keys"
@@ -11,12 +10,14 @@ import (
 
 // streamMerger implements the single-pass merge of the sorted archive and
 // sorted version (§6.3), applying the Nested Merge rules (§4.2) over token
-// streams.
+// streams, one level at a time through mergeLevel.
 type streamMerger struct {
-	dict *dictionary
-	spec *keys.Spec
-	out  *captureWriter
-	i    int // the new version number
+	dict    *dictionary
+	spec    *keys.Spec
+	out     *captureWriter
+	i       int            // the new version number
+	only    *intervals.Set // {i}, the stamp of a node only the version has; shared, read-only
+	onlyStr string         // only, as written
 	// The two sides of the frontier node being merged: their tokens are
 	// copied out before the next node is read, so one pair serves them all.
 	aBody, dBody fbody
@@ -35,69 +36,89 @@ func (sm *streamMerger) isFrontier(path []string) bool {
 	return sm.lastFrontier
 }
 
-// mergeLevel merges the sibling sequences at the heads of a (archive) and
-// d (version); both stop at a close tag or end of stream. parentEff is the
-// parent's effective timestamp, already including version i.
-func (sm *streamMerger) mergeLevel(a, d *tokenReader, parentEff *intervals.Set, path []string) error {
+// mergeLevel merges the sibling sequences at the heads of a (archive; nil
+// for none) and d (version), children of the node at path: every child
+// takes one of the three §4.2 cases — in both, archive only, version only.
+// Both sides stop at a close tag or the end of their stream; inRange (nil:
+// every child) limits the version children this level takes. parentEff is
+// the parent's effective timestamp, already including version i. With sw
+// set, every child is a directory entry, which sw brackets. A reader that
+// ends on a failed read reports that error, not a malformed merge.
+func (sm *streamMerger) mergeLevel(a, d *tokenReader, parentEff *intervals.Set, path []string, sw *segmentSetWriter, inRange func(string, *tkey) bool) error {
 	for {
-		at, aOK := a.peek()
-		if aOK && at.op != tokOpen {
-			aOK = false
+		var at token
+		aOK := false
+		if a != nil {
+			if at, aOK = a.peek(); !aOK && a.err != nil {
+				return a.err
+			}
+			aOK = aOK && at.op == tokOpen
 		}
 		dt, dOK := d.peek()
-		if dOK && dt.op != tokOpen {
-			dOK = false
+		if !dOK && d.err != nil {
+			return d.err
 		}
+		dOK = dOK && dt.op == tokOpen
+		if dOK && inRange != nil {
+			dn, err := sm.dict.name(dt.tag)
+			if err != nil {
+				return err
+			}
+			dOK = inRange(dn, dt.key)
+		}
+		var an string
+		var cmp int
+		var err error
 		switch {
 		case aOK && dOK:
-			an, err := sm.dict.name(at.tag)
-			if err != nil {
+			if an, err = sm.dict.name(at.tag); err != nil {
 				return err
 			}
 			dn, err := sm.dict.name(dt.tag)
 			if err != nil {
 				return err
 			}
-			cmp := strings.Compare(an, dn)
-			if cmp == 0 {
-				cmp = compareKeys(at.key, dt.key)
-			}
-			switch {
-			case cmp == 0:
-				if err := sm.mergeEqual(a, d, parentEff, append(path, an)); err != nil {
-					return err
-				}
-			case cmp < 0:
-				if err := sm.copyArchiveChild(a, parentEff); err != nil {
-					return err
-				}
-			default:
-				if err := sm.copyVersionChild(d); err != nil {
-					return err
-				}
-			}
+			cmp = compareLabels(an, at.key, dn, dt.key)
 		case aOK:
-			if err := sm.copyArchiveChild(a, parentEff); err != nil {
-				return err
-			}
+			cmp = -1
 		case dOK:
-			if err := sm.copyVersionChild(d); err != nil {
-				return err
-			}
+			cmp = 1
 		default:
 			return nil
+		}
+		switch {
+		case cmp == 0:
+			err = sm.mergeEqual(a, d, parentEff, append(path, an), sw)
+		case cmp < 0:
+			// §4.2 step (b): an inherited timestamp becomes explicit at
+			// parentEff − {i}.
+			ts, eff := at.data, at.time
+			if ts == "" {
+				eff = parentEff.Without(sm.i)
+				ts = eff.String()
+			}
+			err = sm.copyChild(a, ts, eff, sw)
+		default:
+			err = sm.copyChild(d, sm.onlyStr, sm.only, sw)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
-// mergeEqual merges two same-label nodes.
-func (sm *streamMerger) mergeEqual(a, d *tokenReader, parentEff *intervals.Set, path []string) error {
+// mergeEqual merges the same-label nodes at the heads of a (archive) and d
+// (version), children of a node whose effective timestamp is parentEff;
+// path ends with their name. With sw set, the node is a directory entry.
+func (sm *streamMerger) mergeEqual(a, d *tokenReader, parentEff *intervals.Set, path []string, sw *segmentSetWriter) error {
 	at, _ := a.take()
-	dt, _ := d.take()
-
+	d.take()
 	eff, timeStr, err := mergedTimeTok(at, parentEff, sm.i)
 	if err != nil {
 		return err
+	}
+	if sw != nil {
+		sw.beginChild(path[len(path)-1], at.key, timeStr, eff)
 	}
 	sm.out.open(at.tag, at.key, timeStr)
 
@@ -113,57 +134,73 @@ func (sm *streamMerger) mergeEqual(a, d *tokenReader, parentEff *intervals.Set, 
 		}
 		sm.emitMergedFrontier(&sm.aBody, sm.dBody.shared, eff)
 		sm.out.close()
-		_ = dt
-		return nil
+		return endChild(sw)
 	}
 
 	// Above the frontier: attributes are key-covered; emit the archive's
 	// and check the version agrees.
 	aAttrs := drainAttrs(a)
 	dAttrs := drainAttrs(d)
+	if a.err != nil {
+		return a.err
+	}
+	if d.err != nil {
+		return d.err
+	}
 	if !attrTokensEqual(aAttrs, dAttrs) {
 		return fmt.Errorf("extmem: attributes of %s differ between archive and version %d", pathString(path), sm.i)
 	}
 	for _, t := range aAttrs {
 		sm.out.writeToken(t)
 	}
-	if err := sm.mergeLevel(a, d, eff, path); err != nil {
+	if err := sm.mergeLevel(a, d, eff, path, nil, nil); err != nil {
 		return err
 	}
 	if t, ok := a.take(); !ok || t.op != tokClose {
-		return fmt.Errorf("extmem: archive stream missing close at %s", pathString(path))
+		return missingClose(a, "archive", path)
 	}
 	if t, ok := d.take(); !ok || t.op != tokClose {
-		return fmt.Errorf("extmem: version stream missing close at %s", pathString(path))
+		return missingClose(d, "version", path)
 	}
 	sm.out.close()
-	return nil
+	return endChild(sw)
 }
 
-// copyArchiveChild copies an archive-only subtree, terminating its
-// timestamp: a node with an inherited timestamp becomes explicit at
-// parentEff − {i} (§4.2 step (b)).
-func (sm *streamMerger) copyArchiveChild(a *tokenReader, parentEff *intervals.Set) error {
-	at, _ := a.take()
-	timeStr := at.data
-	if timeStr == "" {
-		timeStr = parentEff.Without(sm.i).String()
+// missingClose reports a node whose close r did not hold: the error that
+// ended r, if a read failed.
+func missingClose(r *tokenReader, side string, path []string) error {
+	if r.err != nil {
+		return r.err
 	}
-	sm.out.open(at.tag, at.key, timeStr)
-	return sm.copyBalanced(a, true)
+	return fmt.Errorf("extmem: %s stream missing close at %s", side, pathString(path))
 }
 
-// copyVersionChild copies a version-only subtree with timestamp {i}.
-func (sm *streamMerger) copyVersionChild(d *tokenReader) error {
-	dt, _ := d.take()
-	sm.out.open(dt.tag, dt.key, intervals.New(sm.i).String())
-	return sm.copyBalanced(d, true)
+// copyChild copies the subtree at r's head whole, its open token stamped
+// timeStr (eff parsed), into the merge's output; with sw set it is a
+// directory entry.
+func (sm *streamMerger) copyChild(r *tokenReader, timeStr string, eff *intervals.Set, sw *segmentSetWriter) error {
+	t, _ := r.take()
+	if sw != nil {
+		name, err := sm.dict.name(t.tag)
+		if err != nil {
+			return err
+		}
+		sw.beginChild(name, t.key, timeStr, eff)
+	}
+	sm.out.open(t.tag, t.key, timeStr)
+	if err := copyBalancedTo(r, sm.out); err != nil {
+		return err
+	}
+	return endChild(sw)
 }
 
-// copyBalanced copies tokens verbatim until the close that balances the
-// already-consumed open; the close is emitted when emitClose is set.
-func (sm *streamMerger) copyBalanced(r *tokenReader, emitClose bool) error {
-	return copyBalancedTo(r, sm.out, emitClose)
+// endChild completes the directory entry sw (nil for none) brackets.
+func endChild(sw *segmentSetWriter) error {
+	if sw == nil {
+		return nil
+	}
+	sw.endChild()
+	return sw.err
 }
 
 // fgroup is one timestamped content group of a frontier node.

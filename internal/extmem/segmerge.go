@@ -25,12 +25,12 @@ type MergeStats struct {
 	SegmentsCreated   int // new segment files written
 }
 
-// segMerge carries the state of one segmented merge pass.
+// segMerge carries the state of one segmented merge pass: below the root,
+// every level merges through its streamMerger.
 type segMerge struct {
+	streamMerger
 	ar       *Archiver
-	i        int
 	newRoot  *intervals.Set
-	only     *intervals.Set // {i}, the stamp of a node only the version has; shared, read-only
 	stats    MergeStats
 	newFiles []string
 }
@@ -68,54 +68,51 @@ func (ar *Archiver) mergeIntoSegments(base *keyDirectory, sorted sortedVersion, 
 	old := base
 	newRoot := old.rootTime.Clone()
 	newRoot.Add(i)
-	m := &segMerge{ar: ar, i: i, newRoot: newRoot, only: intervals.New(i)}
+	only := intervals.New(i)
+	m := &segMerge{
+		streamMerger: streamMerger{dict: ar.dict, spec: ar.spec, out: &ar.segOut, i: i, only: only, onlyStr: only.String()},
+		ar:           ar, newRoot: newRoot,
+	}
 	d := sorted.reader()
 
 	out := &keyDirectory{versions: i, rootTime: newRoot}
-	oi := 0
-	for {
-		var dt token
-		dOK := false
-		if t, ok := d.peek(); ok {
-			if t.op != tokOpen {
-				return nil, m.stats, m.newFiles, fmt.Errorf("extmem: unexpected token %#x at version root", t.op)
-			}
-			dt, dOK = t, true
+	for oi := 0; ; {
+		dt, dOK := d.peek()
+		if !dOK && d.err != nil {
+			return nil, m.stats, m.newFiles, d.err
 		}
-		aOK := oi < len(old.roots)
+		if dOK && dt.op != tokOpen {
+			return nil, m.stats, m.newFiles, fmt.Errorf("extmem: unexpected token %#x at version root", dt.op)
+		}
+		var dn string
+		if dOK {
+			var err error
+			if dn, err = ar.dict.name(dt.tag); err != nil {
+				return nil, m.stats, m.newFiles, err
+			}
+		}
+		var cmp int
+		switch aOK := oi < len(old.roots); {
+		case aOK && dOK:
+			cmp = compareLabels(old.roots[oi].name, old.roots[oi].key, dn, dt.key)
+		case aOK:
+			cmp = -1
+		case dOK:
+			cmp = 1
+		default:
+			return out, m.stats, m.newFiles, nil
+		}
 		var rec *rootRecord
 		var err error
 		switch {
-		case aOK && dOK:
-			r := old.roots[oi]
-			dn, nerr := ar.dict.name(dt.tag)
-			if nerr != nil {
-				return nil, m.stats, m.newFiles, nerr
-			}
-			switch cmp := compareLabels(r.name, r.key, dn, dt.key); {
-			case cmp == 0:
-				rec, err = m.mergeRoot(r, d)
-				oi++
-			case cmp < 0:
-				rec, err = m.terminateRoot(r)
-				oi++
-			default:
-				rec, err = m.newRootFromVersion(d, dn, dt)
-			}
-		case aOK:
-			rec, err = m.terminateRoot(old.roots[oi])
+		case cmp == 0:
+			rec, err = m.mergeRoot(old.roots[oi], d)
 			oi++
-		case dOK:
-			dn, nerr := ar.dict.name(dt.tag)
-			if nerr != nil {
-				return nil, m.stats, m.newFiles, nerr
-			}
-			rec, err = m.newRootFromVersion(d, dn, dt)
+		case cmp < 0:
+			rec, err = m.terminateRoot(old.roots[oi], d)
+			oi++
 		default:
-			if d.err != nil {
-				return nil, m.stats, m.newFiles, d.err
-			}
-			return out, m.stats, m.newFiles, nil
+			rec, err = m.newRootFromVersion(d, dn, dt)
 		}
 		if err != nil {
 			return nil, m.stats, m.newFiles, err
@@ -143,67 +140,37 @@ func (m *segMerge) newWriter(rec *rootRecord, raw bool) *segmentSetWriter {
 // roots change only in the directory — every segment is reused; a raw
 // root with an inherited timestamp must be rewritten because its open
 // token (and timestamp) live in the segment bytes.
-func (m *segMerge) terminateRoot(r *rootRecord) (*rootRecord, error) {
+func (m *segMerge) terminateRoot(r *rootRecord, d *tokenReader) (*rootRecord, error) {
 	out := &rootRecord{name: r.name, key: r.key, timeStr: r.timeStr, time: r.time, attrs: r.attrs, raw: r.raw}
+	if r.raw && r.timeStr == "" {
+		return out, m.rawRoot(r, out, d)
+	}
 	if r.timeStr == "" {
 		out.time = m.newRoot.Without(m.i)
 		out.timeStr = out.time.String()
 	}
-	if !r.raw || r.timeStr != "" {
-		out.segs = r.segs
-		m.stats.SegmentsReused += len(r.segs)
-		return out, nil
-	}
-	// Raw root gaining an explicit timestamp: re-emit the stored subtree
-	// with the new open token.
-	a := m.ar.readParts(rootParts(r))
-	defer a.release()
-	at, ok := a.take()
-	if !ok || at.op != tokOpen {
-		return nil, corruptf("raw root %s has no open token", r.name)
-	}
-	sw := m.newWriter(out, true)
-	sw.open()
-	sw.out.open(at.tag, at.key, out.timeStr)
-	if err := copyBalancedTo(a, sw.out, true); err != nil {
-		sw.finish()
-		return nil, err
-	}
-	m.stats.SegmentsRewritten += len(r.segs)
-	if err := sw.finish(); err != nil {
-		return nil, err
-	}
+	out.segs = r.segs
+	m.stats.SegmentsReused += len(r.segs)
 	return out, nil
 }
 
 // newRootFromVersion copies a version-only root: the root's timestamp is
 // {i}, its children are copied verbatim (inheriting it).
 func (m *segMerge) newRootFromVersion(d *tokenReader, dn string, dt token) (*rootRecord, error) {
-	out := &rootRecord{
-		name: dn, key: dt.key,
-		timeStr: m.only.String(), time: m.only,
-		raw: m.ar.spec.IsFrontier(keys.Path([]string{dn})),
+	out := &rootRecord{name: dn, key: dt.key, timeStr: m.onlyStr, time: m.only}
+	if out.raw = m.spec.IsFrontier(keys.Path([]string{dn})); out.raw {
+		return out, m.rawRoot(nil, out, d)
 	}
 	d.take() // the root open
-	if out.raw {
-		sw := m.newWriter(out, true)
-		sw.open()
-		sw.out.open(dt.tag, dt.key, out.timeStr)
-		if err := copyBalancedTo(d, sw.out, true); err != nil {
-			sw.finish()
-			return nil, err
-		}
-		return out, sw.finish()
-	}
 	for _, t := range drainAttrs(d) {
-		an, err := m.ar.dict.name(t.tag)
+		an, err := m.dict.name(t.tag)
 		if err != nil {
 			return nil, err
 		}
 		out.attrs = append(out.attrs, attrRec{name: an, value: t.data})
 	}
 	sw := m.newWriter(out, false)
-	if err := copyChildrenVerbatim(sw, m.ar.dict, d, -1); err != nil {
+	if err := copyChildrenVerbatim(sw, m.dict, d, -1); err != nil {
 		sw.finish()
 		return nil, err
 	}
@@ -211,9 +178,42 @@ func (m *segMerge) newRootFromVersion(d *tokenReader, dn string, dt token) (*roo
 		return nil, err
 	}
 	if t, ok := d.take(); !ok || t.op != tokClose {
-		return nil, fmt.Errorf("extmem: version stream missing close at /%s", dn)
+		return nil, missingClose(d, "version", []string{dn})
 	}
 	return out, nil
+}
+
+// rawRoot writes the raw (frontier) root out into one fresh segment, as a
+// single node merged through mergeLevel: r is the stored root (nil when
+// the version brings it), and d's head is the version's root of that
+// label, if the version has one. out takes the stamp the merge gave the
+// root's open token.
+func (m *segMerge) rawRoot(r, out *rootRecord, d *tokenReader) error {
+	var a *tokenReader
+	if r != nil {
+		a = m.ar.readParts(rootParts(r))
+		defer a.release()
+		if t, ok := a.peek(); !ok || t.op != tokOpen {
+			if a.err != nil {
+				return a.err
+			}
+			return corruptf("raw root %s has no open token", r.name)
+		}
+		m.stats.SegmentsRewritten += len(r.segs)
+	}
+	sw := m.newWriter(out, true)
+	sw.open()
+	isRoot := func(n string, k *tkey) bool { return compareLabels(n, k, out.name, out.key) == 0 }
+	err := m.mergeLevel(a, d, m.newRoot, nil, nil, isRoot)
+	if err == nil {
+		if out.timeStr, out.time = sw.out.toks[0].data, nil; out.timeStr != "" {
+			out.time, err = intervals.Parse(out.timeStr)
+		}
+	}
+	if ferr := sw.finish(); err == nil {
+		err = ferr
+	}
+	return err
 }
 
 // copyChildrenVerbatim copies the first n sibling subtrees at the cursor
@@ -239,12 +239,11 @@ func copyChildrenVerbatim(sw *segmentSetWriter, dict *dictionary, tr *tokenReade
 		}
 		sw.beginChild(name, t.key, t.data, t.time)
 		sw.out.open(t.tag, t.key, t.data)
-		if err := copyBalancedTo(tr, sw.out, true); err != nil {
+		if err := copyBalancedTo(tr, sw.out); err != nil {
 			return err
 		}
-		sw.endChild()
-		if sw.err != nil {
-			return sw.err
+		if err := endChild(sw); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -252,40 +251,25 @@ func copyChildrenVerbatim(sw *segmentSetWriter, dict *dictionary, tr *tokenReade
 
 // mergeRoot merges a root present in both archive and version.
 func (m *segMerge) mergeRoot(r *rootRecord, d *tokenReader) (*rootRecord, error) {
+	out := &rootRecord{name: r.name, key: r.key, attrs: r.attrs, raw: r.raw}
+	if r.raw {
+		// Frontier root: record-sized by the §6 contract.
+		return out, m.rawRoot(r, out, d)
+	}
 	eff, timeStr, err := mergedTimeTok(token{data: r.timeStr, time: r.time}, m.newRoot, m.i)
 	if err != nil {
 		return nil, err
 	}
-	out := &rootRecord{name: r.name, key: r.key, timeStr: timeStr, attrs: r.attrs, raw: r.raw}
-	if timeStr != "" {
+	if out.timeStr = timeStr; timeStr != "" {
 		out.time = eff
 	}
-	sm := &streamMerger{dict: m.ar.dict, spec: m.ar.spec, i: m.i}
-
-	if r.raw {
-		// Frontier root: record-sized by the §6 contract — merge the two
-		// bodies with the standard frontier rules into one fresh segment.
-		a := m.ar.readParts(rootParts(r))
-		defer a.release()
-		sw := m.newWriter(out, true)
-		sw.open()
-		sm.out = sw.out
-		if err := sm.mergeEqual(a, d, m.newRoot, []string{r.name}); err != nil {
-			sw.finish()
-			return nil, err
-		}
-		m.stats.SegmentsRewritten += len(r.segs)
-		return out, sw.finish()
-	}
-
 	d.take() // the version root open
 	dAttrs := drainAttrs(d)
-	if !attrRecsEqual(r.attrs, dAttrs, m.ar.dict) {
+	if !attrRecsEqual(r.attrs, dAttrs, m.dict) {
 		return nil, fmt.Errorf("extmem: attributes of /%s differ between archive and version %d", r.name, m.i)
 	}
 	sw := m.newWriter(out, false)
-	sm.out = sw.out
-	if err := m.mergeChildren(sw, sm, r, out, d, eff); err != nil {
+	if err := m.mergeChildren(sw, r, out, d, eff); err != nil {
 		sw.finish()
 		return nil, err
 	}
@@ -293,7 +277,7 @@ func (m *segMerge) mergeRoot(r *rootRecord, d *tokenReader) (*rootRecord, error)
 		return nil, err
 	}
 	if t, ok := d.take(); !ok || t.op != tokClose {
-		return nil, fmt.Errorf("extmem: version stream missing close at /%s", r.name)
+		return nil, missingClose(d, "version", []string{r.name})
 	}
 	return out, nil
 }
@@ -304,12 +288,12 @@ func (m *segMerge) mergeRoot(r *rootRecord, d *tokenReader) (*rootRecord, error)
 // of each segment that turns out dirty: the entries segmentClean found
 // unchanged before it are copied from the segment as they stand, and the
 // merge takes over at that child.
-func (m *segMerge) mergeChildren(sw *segmentSetWriter, sm *streamMerger, r, out *rootRecord, d *tokenReader, eff *intervals.Set) error {
+func (m *segMerge) mergeChildren(sw *segmentSetWriter, r, out *rootRecord, d *tokenReader, eff *intervals.Set) error {
 	path := []string{out.name}
 	stored := segCursor{ar: m.ar}
 	defer stored.close()
 	for si, seg := range r.segs {
-		inRange := func(string, *tkey) bool { return true }
+		var inRange func(string, *tkey) bool // nil: the last segment takes the rest
 		if si+1 < len(r.segs) {
 			hiName, hiKey := r.segs[si+1].firstLabel()
 			inRange = func(n string, k *tkey) bool { return compareLabels(n, k, hiName, hiKey) < 0 }
@@ -336,8 +320,8 @@ func (m *segMerge) mergeChildren(sw *segmentSetWriter, sm *streamMerger, r, out 
 		}
 		m.stats.SegmentsRewritten++
 		a := m.ar.readParts([]streamPart{segPart(seg)})
-		if err = copyChildrenVerbatim(sw, m.ar.dict, a, same); err == nil {
-			err = m.mergeChildLevel(sw, sm, a, d, inRange, eff, path)
+		if err = copyChildrenVerbatim(sw, m.dict, a, same); err == nil {
+			err = m.mergeLevel(a, d, eff, path, sw, inRange)
 		}
 		a.release()
 		if err != nil {
@@ -346,7 +330,7 @@ func (m *segMerge) mergeChildren(sw *segmentSetWriter, sm *streamMerger, r, out 
 	}
 	// Children arriving after the last segment's range (only possible
 	// when the root had no segments at all).
-	return m.mergeChildLevel(sw, sm, nil, d, func(string, *tkey) bool { return true }, eff, path)
+	return m.mergeLevel(nil, d, eff, path, sw, nil)
 }
 
 // segmentClean walks seg's directory entries in lockstep with the version
@@ -373,10 +357,10 @@ func (m *segMerge) segmentClean(seg *segmentRecord, stored *segCursor, d *tokenR
 		var dn string
 		child := ok && dt.op == tokOpen
 		if child {
-			if dn, err = m.ar.dict.name(dt.tag); err != nil {
+			if dn, err = m.dict.name(dt.tag); err != nil {
 				return false, same, resume, err
 			}
-			child = inRange(dn, dt.key)
+			child = inRange == nil || inRange(dn, dt.key)
 		}
 		if !child {
 			// The range is exhausted: what is left is not in the version.
@@ -504,84 +488,6 @@ func (c *segCursor) at(seg *segmentRecord, e *childEntry) (*tokenReader, error) 
 	return c.tr, nil
 }
 
-// mergeChildLevel is the bounded sibling merge of one segment's subtrees
-// (a; nil for none) with the version children d accepts by inRange. It
-// brackets every emitted child with entry recording on sw.
-func (m *segMerge) mergeChildLevel(sw *segmentSetWriter, sm *streamMerger, a, d *tokenReader, inRange func(string, *tkey) bool, eff *intervals.Set, path []string) error {
-	for {
-		var at token
-		aOK := false
-		var an string
-		if a != nil {
-			if t, ok := a.peek(); ok && t.op == tokOpen {
-				n, err := m.ar.dict.name(t.tag)
-				if err != nil {
-					return err
-				}
-				at, an, aOK = t, n, true
-			} else if a.err != nil {
-				return a.err
-			}
-		}
-		var dt token
-		dOK := false
-		var dn string
-		if t, ok := d.peek(); ok && t.op == tokOpen {
-			n, err := m.ar.dict.name(t.tag)
-			if err != nil {
-				return err
-			}
-			if inRange(n, t.key) {
-				dt, dn, dOK = t, n, true
-			}
-		} else if d.err != nil {
-			return d.err
-		}
-		var err error
-		switch {
-		case aOK && dOK:
-			switch cmp := compareLabels(an, at.key, dn, dt.key); {
-			case cmp == 0:
-				teff, ts, terr := mergedTimeTok(at, eff, m.i)
-				if terr != nil {
-					return terr
-				}
-				sw.beginChild(an, at.key, ts, teff)
-				err = sm.mergeEqual(a, d, eff, append(path, an))
-			case cmp < 0:
-				err = m.copyArchiveChildEntry(sw, sm, a, at, an, eff)
-			default:
-				sw.beginChild(dn, dt.key, m.only.String(), m.only)
-				err = sm.copyVersionChild(d)
-			}
-		case aOK:
-			err = m.copyArchiveChildEntry(sw, sm, a, at, an, eff)
-		case dOK:
-			sw.beginChild(dn, dt.key, m.only.String(), m.only)
-			err = sm.copyVersionChild(d)
-		default:
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		sw.endChild()
-		if sw.err != nil {
-			return sw.err
-		}
-	}
-}
-
-func (m *segMerge) copyArchiveChildEntry(sw *segmentSetWriter, sm *streamMerger, a *tokenReader, at token, an string, eff *intervals.Set) error {
-	ts, t := at.data, at.time
-	if ts == "" {
-		t = eff.Without(m.i)
-		ts = t.String()
-	}
-	sw.beginChild(an, at.key, ts, t)
-	return sm.copyArchiveChild(a, eff)
-}
-
 // attrRecsEqual compares the root's recorded attributes with the
 // version's attribute tokens, by name and value.
 func attrRecsEqual(a []attrRec, b []token, dict *dictionary) bool {
@@ -597,23 +503,24 @@ func attrRecsEqual(a []attrRec, b []token, dict *dictionary) bool {
 }
 
 // copyBalancedTo copies tokens verbatim until the close balancing the
-// already-consumed open; the close is emitted when emitClose is set.
-func copyBalancedTo(r *tokenReader, tw *captureWriter, emitClose bool) error {
+// already-consumed open, and that close. A stream that ends before it
+// reports the error that ended it, or is corrupt.
+func copyBalancedTo(r *tokenReader, tw *captureWriter) error {
 	depth := 1
 	for {
 		t, ok := r.take()
 		if !ok {
-			return fmt.Errorf("extmem: truncated subtree")
+			if r.err != nil {
+				return r.err
+			}
+			return corruptf("truncated subtree")
 		}
 		switch t.op {
 		case tokOpen:
 			depth++
 		case tokClose:
-			depth--
-			if depth == 0 {
-				if emitClose {
-					tw.close()
-				}
+			if depth--; depth == 0 {
+				tw.close()
 				return nil
 			}
 		}

@@ -109,6 +109,15 @@ func (ix *Index) History(selector string) (*intervals.Set, error) {
 		if err != nil {
 			return nil, err
 		}
+		if found.node.Frontier && si+1 < len(steps) {
+			// The sorted lists stop at the frontier (§7.2 indexes keyed
+			// nodes): resolve the rest as the scan does.
+			_, eff, err := core.ResolveFrom(found.node, found.time, steps[si+1:], path)
+			if err != nil {
+				return nil, err
+			}
+			return eff.Clone(), nil
+		}
 		cur = found
 		list = found.children
 	}

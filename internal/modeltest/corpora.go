@@ -5,11 +5,14 @@ import (
 	"math/rand"
 
 	"xarch/internal/datagen"
+	"xarch/internal/keys"
 )
 
 // builtin are the datagen corpora: OMIM with 70 records, so that a root's
-// entries binary-search; XMark with 80 people, so that the kid index does;
-// and the company history, with its nested ambiguities.
+// entries binary-search; the same records under a spec that keys only the
+// root, which is then at the frontier, stored raw and read in one piece;
+// XMark with 80 people, so that the kid index does; and the company
+// history, with its nested ambiguities.
 var builtin = []Corpus{
 	{"omim", func(seed int64) Fixture {
 		g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 100 + seed, Records: 70, DeleteFrac: 0.1, InsertFrac: 0.15, ModifyFrac: 0.15})
@@ -29,6 +32,16 @@ var builtin = []Corpus{
 			num := nums[rng.Intn(len(nums))]
 			fx.Selectors = append(fx.Selectors, "/ROOT/Record[Num="+num+"]")
 			fx.Exprs = append(fx.Exprs, fmt.Sprintf("/ROOT/Record[Num=%s] AND in %d..", num, 1+i%4))
+		}
+		return fx
+	}},
+	{"rawomim", func(seed int64) Fixture {
+		g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 200 + seed, Records: 30, DeleteFrac: 0.1, InsertFrac: 0.15, ModifyFrac: 0.15})
+		fx := Fixture{Spec: keys.MustParseSpec("(/, (ROOT, {}))"),
+			Selectors: []string{"/ROOT", "/ROOT/Record", "/ROOT/Record/Num", "/ROOT/Record[Num=x]", "/ROOT/nosuch", "/nosuch"},
+			Exprs:     []string{"changed 2..3", "/ROOT AND in 2..", "NOT /ROOT"}}
+		for range 6 {
+			fx.Docs = append(fx.Docs, g.Next())
 		}
 		return fx
 	}},

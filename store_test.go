@@ -298,6 +298,45 @@ func TestStructuredErrors(t *testing.T) {
 	})
 }
 
+// TestHistoryBelowFrontier: a selector that goes below a frontier node
+// resolves the same on the indexed MemStore, the scanning one and the
+// ExtStore. The §7.2 key index gave a frontier node no children, so the
+// indexed store answered "no such element" for an element the other two
+// found. Both versions hold the same content: content that changed is
+// kept in timestamped groups, below which no engine resolves a selector.
+func TestHistoryBelowFrontier(t *testing.T) {
+	spec, err := ParseKeySpec(`(/, (db, {}))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := OpenStore(t.TempDir(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ext.Close()
+	stores := map[string]Store{"indexed": NewStore(spec), "scan": NewStore(spec, WithIndexes(false)), "ext": ext}
+	for v := 1; v <= 2; v++ {
+		for name, s := range stores {
+			if err := s.AddReader(strings.NewReader(`<db><dept><name>a</name><emp>x</emp></dept></db>`)); err != nil {
+				t.Fatalf("%s: add %d: %v", name, v, err)
+			}
+		}
+	}
+	for _, sel := range []string{"/db/dept", "/db/dept/name", "/db/dept/emp"} {
+		for name, s := range stores {
+			got, err := s.History(sel)
+			if err != nil || got.String() != "1-2" {
+				t.Errorf("%s: History(%s) = %v, %v; want 1-2", name, sel, got, err)
+			}
+		}
+	}
+	for name, s := range stores {
+		if _, err := s.History("/db/dept/nosuch"); !errors.Is(err, ErrNoSuchElement) {
+			t.Errorf("%s: History(/db/dept/nosuch) = %v, want ErrNoSuchElement", name, err)
+		}
+	}
+}
+
 // TestValidateDocumentStructured checks the standalone validator's error
 // shape.
 func TestValidateDocumentStructured(t *testing.T) {
