@@ -64,14 +64,18 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"xarch"
+	"xarch/internal/extmem"
+	"xarch/internal/fsio"
 )
 
 func main() {
@@ -223,19 +227,11 @@ func openStore(sf *storeFlags, create bool) (xarch.Store, func() error, error) {
 			return nil, nil, err
 		}
 		save := func() error {
-			tmp := path + ".tmp"
-			f, err := os.Create(tmp)
-			if err != nil {
+			var buf bytes.Buffer
+			if err := store.Snapshot(&buf); err != nil {
 				return err
 			}
-			if err := store.Snapshot(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			return os.Rename(tmp, path)
+			return extmem.CommitFiles(fsio.OS, filepath.Dir(path), []extmem.StateFile{{Name: filepath.Base(path), Data: buf.Bytes()}})
 		}
 		return store, save, nil
 	default:

@@ -86,6 +86,51 @@ func TestAddFromPipeArchivesItsDocument(t *testing.T) {
 	}
 }
 
+// TestMemAddSavesTheSnapshot: the in-memory engine's archive file is saved
+// by the staged commit, so after each add it holds exactly what Snapshot
+// writes and no staged ".tmp" is left beside it.
+func TestMemAddSavesTheSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, data string) string {
+		t.Helper()
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	keys := write("keys.txt", "(/, (db, {}))\n(/db, (r, {id}))\n")
+	archive := filepath.Join(dir, "arch.xml")
+	flags := []string{"-engine", "mem", "-spec", keys, "-archive", archive}
+	for i, v := range []string{"<db><r><id>1</id></r></db>", "<db><r><id>1</id></r><r><id>2</id></r></db>"} {
+		if err := cmdAdd(append(flags, write(fmt.Sprintf("v%d.xml", i+1), v))); err != nil {
+			t.Fatal(err)
+		}
+		fs := flag.NewFlagSet("snapshot", flag.ContinueOnError)
+		sf := addStoreFlags(fs)
+		if err := fs.Parse(flags); err != nil {
+			t.Fatal(err)
+		}
+		store, _, err := openStore(sf, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		err = store.Snapshot(&want)
+		n := store.Versions()
+		store.Close()
+		if err != nil || n != i+1 {
+			t.Fatalf("add %d: %d versions, %v", i+1, n, err)
+		}
+		if got, err := os.ReadFile(archive); err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("add %d: saved file (%v) differs from Snapshot's %d bytes", i+1, err, want.Len())
+		}
+		if _, err := os.Stat(archive + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("add %d left a staged file: %v", i+1, err)
+		}
+	}
+}
+
 // TestGetStreamsVersion: on both engines `xarch get` prints what
 // WriteVersion writes, an empty version as a line on stderr, and a
 // version the archive lacks as exit code 4.

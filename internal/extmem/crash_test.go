@@ -67,7 +67,7 @@ func outageMatrix(t *testing.T, cfg Config, base string, preV int, wantPre []byt
 	res := faulttest.Matrix{
 		Setup: func(t *testing.T) faulttest.Run {
 			ar, ffs := open(t)
-			return faulttest.Run{Faults: ffs, Disk: ffs, Op: func() error { return op(ar) }}
+			return faulttest.Run{Faults: &ffs.Failpoints, Disk: ffs, Op: func() error { return op(ar) }}
 		},
 		Modes: modes,
 		Check: func(t *testing.T, p faulttest.Point, dir string) bool {
@@ -345,7 +345,7 @@ func TestPowerLossMatrixOpen(t *testing.T) {
 		Setup: func(t *testing.T) faulttest.Run {
 			dir := t.TempDir()
 			ffs := faulttest.Tracked(t, dir)
-			return faulttest.Run{Faults: ffs, Disk: ffs, Op: func() error {
+			return faulttest.Run{Faults: &ffs.Failpoints, Disk: ffs, Op: func() error {
 				_, err := Open(dir, datagen.OMIMSpec(), Config{FS: ffs})
 				return err
 			}}

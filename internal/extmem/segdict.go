@@ -304,30 +304,14 @@ func (c *captureWriter) reset() {
 }
 
 func (c *captureWriter) open(tagID int, key *tkey, time string) {
-	c.toks = append(c.toks, token{op: tokOpen, tag: tagID, key: key, data: time})
-	c.est += 4
-	if key != nil {
-		c.est += 2
-	}
-	if time != "" {
-		c.est += 2
-	}
+	c.writeToken(token{op: tokOpen, tag: tagID, key: key, data: time})
 }
 
-func (c *captureWriter) close() {
-	c.toks = append(c.toks, token{op: tokClose})
-	c.est++
-}
+func (c *captureWriter) close() { c.writeToken(token{op: tokClose}) }
 
-func (c *captureWriter) tsOpen(time string) {
-	c.toks = append(c.toks, token{op: tokTSOpen, data: time})
-	c.est += 3
-}
+func (c *captureWriter) tsOpen(time string) { c.writeToken(token{op: tokTSOpen, data: time}) }
 
-func (c *captureWriter) tsClose() {
-	c.toks = append(c.toks, token{op: tokTSClose})
-	c.est++
-}
+func (c *captureWriter) tsClose() { c.writeToken(token{op: tokTSClose}) }
 
 func (c *captureWriter) writeToken(t token) {
 	c.toks = append(c.toks, t)

@@ -4,7 +4,10 @@
 // point — the process killed, or the network cut, after its k-th operation
 // — and hands what each outage mode leaves of the directory under test to
 // the caller's check, which reopens it and says which generation it holds.
-// It exists for tests; nothing outside a _test.go file imports it.
+// The crash point is armed on an fsio.Failpoints — a FaultFS's to kill the
+// process, a segstore.FaultTransport's to cut the network — and the outage
+// is read off the FaultFS that tracks the directory. It exists for tests;
+// nothing outside a _test.go file imports it.
 package faulttest
 
 import (
@@ -15,19 +18,6 @@ import (
 
 	"xarch/internal/fsio"
 )
-
-// Injector kills the process after its k-th operation: fsio.FaultFS counts
-// mutating filesystem operations, segstore.FaultTransport requests.
-type Injector interface {
-	// CrashAfter applies the first k operations and fails the k-th and
-	// every later one; torn cuts the k-th short first.
-	CrashAfter(k int, torn bool)
-	Crashed() bool
-	OpCount() int
-	// Tears reports whether a torn crash at operation i moves fewer bytes
-	// than the untorn one, which holds only for operations that move bytes.
-	Tears(i int) bool
-}
 
 // The outage modes a matrix checks each crashed directory under.
 var (
@@ -41,9 +31,9 @@ var (
 
 // Run is one fresh copy of the operation, set up and ready to go.
 type Run struct {
-	Faults Injector      // where the crash point is armed
-	Disk   *fsio.FaultFS // tracks the directory under test (TrackDurability)
-	Op     func() error  // the operation
+	Faults *fsio.Failpoints // where the crash point is armed: a FaultFS's or a FaultTransport's
+	Disk   *fsio.FaultFS    // tracks the directory under test (TrackDurability)
+	Op     func() error     // the operation
 }
 
 // Point names one check of a matrix: the crash point, whether the write

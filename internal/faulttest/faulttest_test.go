@@ -16,7 +16,7 @@ func TestMatrixReplaysEveryCrashPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			ffs := Tracked(t, dir)
-			return Run{Faults: ffs, Disk: ffs, Op: func() error {
+			return Run{Faults: &ffs.Failpoints, Disk: ffs, Op: func() error {
 				f, err := ffs.Create(filepath.Join(dir, "a.tmp"))
 				if err != nil {
 					return err

@@ -1,10 +1,15 @@
 // Package fsio is the filesystem seam under the external-memory engine:
 // a small FS interface whose default implementation is the plain os
-// package, plus a fault-injecting wrapper (FaultFS) with a failpoint
-// registry and an operation-trace recorder for crash-consistency
+// package, plus a fault-injecting wrapper (FaultFS) for crash-consistency
 // testing. Everything the archiver does to disk goes through an FS, so
 // a test can observe the exact I/O sequence of an operation and replay
 // it with a simulated crash after any step.
+//
+// The failpoint registry, Failpoints, is the one both fault seams embed:
+// FaultFS here, and segstore.FaultTransport on the replication link. It
+// owns the points and their firing rule, the crash switch and the
+// operation trace; each seam names its operations' points and keeps what
+// is its own.
 package fsio
 
 import (

@@ -368,7 +368,7 @@ func TestPushFaultMatrix(t *testing.T) {
 			ts := replicaServer(t, dir, disk)
 			ft := segstore.NewFaultTransport(nil)
 			dst := segstore.NewHTTP(ts.URL, &http.Client{Transport: ft}, fastRetry(2))
-			return faulttest.Run{Faults: ft, Disk: disk, Op: func() (err error) {
+			return faulttest.Run{Faults: &ft.Failpoints, Disk: disk, Op: func() (err error) {
 				last, err = Sync(ctx, src, dst, Options{Retry: fastRetry(2)})
 				// Quiesce the replica before its directory is looked at:
 				// the handler of a killed PUT may still be aborting,
@@ -415,7 +415,7 @@ func TestPullFaultMatrix(t *testing.T) {
 			ft := segstore.NewFaultTransport(nil)
 			src := segstore.NewHTTP(ts.URL, &http.Client{Transport: ft}, fastRetry(2))
 			dst := localStore(t, dir, disk)
-			return faulttest.Run{Faults: ft, Disk: disk, Op: func() (err error) {
+			return faulttest.Run{Faults: &ft.Failpoints, Disk: disk, Op: func() (err error) {
 				last, err = Sync(ctx, src, dst, Options{Retry: fastRetry(2)})
 				return err
 			}}
@@ -455,7 +455,7 @@ func TestPullLocalCrashMatrix(t *testing.T) {
 		Setup: func(t *testing.T) faulttest.Run {
 			dir, disk := replicaDir(t)
 			dst := localStore(t, dir, disk)
-			return faulttest.Run{Faults: disk, Disk: disk, Op: func() error {
+			return faulttest.Run{Faults: &disk.Failpoints, Disk: disk, Op: func() error {
 				_, err := Sync(ctx, src, dst, Options{Retry: fastRetry(2)})
 				return err
 			}}
@@ -658,8 +658,8 @@ func TestSyncRidesOutInjectedFaults(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "replica")
 
 	ft := segstore.NewFaultTransport(nil)
-	ft.SetFault("keydir.get", segstore.NetFault{Status: 503, Count: 2})
-	ft.SetFault("segment.get", segstore.NetFault{Err: segstore.ErrNetInjected, After: 1, Count: 2})
+	ft.SetFault("keydir.get", fsio.Fault{Status: 503, Count: 2})
+	ft.SetFault("segment.get", fsio.Fault{Err: fsio.ErrInjected, After: 1, Count: 2})
 	src := segstore.NewHTTP(ts.URL, &http.Client{Transport: ft}, fastRetry(5))
 	st, err := Sync(ctx, src, localStore(t, dir, nil), Options{Retry: fastRetry(5)})
 	if err != nil {
@@ -674,7 +674,7 @@ func TestSyncRidesOutInjectedFaults(t *testing.T) {
 	// retry re-streams it.
 	dir2 := filepath.Join(t.TempDir(), "replica2")
 	ft2 := segstore.NewFaultTransport(nil)
-	ft2.SetFault("segment.get", segstore.NetFault{Torn: true, Count: 2})
+	ft2.SetFault("segment.get", fsio.Fault{Torn: true, Count: 2})
 	src2 := segstore.NewHTTP(ts.URL, &http.Client{Transport: ft2}, fastRetry(5))
 	st2, err := Sync(ctx, src2, localStore(t, dir2, nil), Options{Retry: fastRetry(5)})
 	if err != nil {

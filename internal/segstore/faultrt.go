@@ -1,90 +1,33 @@
 package segstore
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
+
+	"xarch/internal/fsio"
 )
 
-// ErrNetCrashed is returned by every request of a FaultTransport that
-// has hit its crash point: from then on the network behaves as if the
-// process had been killed or the link partitioned — nothing further
-// gets through.
-var ErrNetCrashed = errors.New("segstore: simulated network kill")
-
-// ErrNetInjected is the default error of a triggered network failpoint
-// (a connection reset, from the client's point of view).
-var ErrNetInjected = errors.New("segstore: injected network fault")
-
-// NetFault configures one network failpoint, mirroring fsio.Fault for
-// the transport leg. The zero value injects ErrNetInjected (a reset)
-// on the first hit and every hit after.
-type NetFault struct {
-	// Err fails the request with this error instead of sending it.
-	// Defaults to ErrNetInjected when nothing else is set.
-	Err error
-	// Status, when non-zero, answers the request with this status
-	// (5xx bursts, 429 backpressure) without reaching the server.
-	Status int
-	// RetryAfter attaches a Retry-After header to a Status answer.
-	RetryAfter time.Duration
-	// Torn truncates the stream mid-body — the request body of an
-	// upload (the server sees a partial blob), the response body of a
-	// download (the client stages a partial blob) — and then fails.
-	Torn bool
-	// Crash switches the whole transport into the crashed state when
-	// the point triggers: this and every later request fails
-	// ErrNetCrashed.
-	Crash bool
-	// Delay is injected latency before the request proceeds. With
-	// nothing else set the request then succeeds normally.
-	Delay time.Duration
-	// After skips the first After hits of the point before triggering.
-	After int
-	// Count caps how many times the point triggers; 0 = every hit once
-	// triggering starts.
-	Count int
-}
-
-// NetOp is one recorded transport operation.
-type NetOp struct {
-	Index  int    // position in the trace, 0-based
-	Point  string // failpoint name, e.g. "segment.put", "keydir.get"
-	Method string
-	Path   string
-}
-
-// FaultTransport wraps an http.RoundTripper with a failpoint registry,
-// a crash-after-op-k switch, and a trace of every request — the network
-// mirror of fsio.FaultFS, for the replication fault matrix. It is safe
-// for concurrent use.
+// FaultTransport wraps an http.RoundTripper with the failpoint registry
+// fsio.FaultFS embeds too — the same fsio.Fault, firing rule, crash
+// switch and trace, with every request a counted operation — for the
+// replication fault matrix. What is the network's own is decided here:
+// which point a URL names, the injected statuses with their Retry-After,
+// and the torn bodies. It is safe for concurrent use.
 //
 // Failpoints are named "<class>.<method>": the class comes from the URL
 // path ("/v1/keydir" → "keydir", "/v1/segments" → "segments",
 // "/v1/segments/{name}" → "segment"), the method is lowercased. A fault
 // registered under a bare lowercase method (e.g. "get") matches that
-// method on every class.
+// method on every class. A crashed transport fails every request with
+// fsio.ErrCrashed, a triggered fault with fsio.ErrInjected (a reset, to
+// the client) unless it names its own Err.
 type FaultTransport struct {
+	fsio.Failpoints
 	inner http.RoundTripper
-
-	mu         sync.Mutex
-	faults     map[string]*netFaultState
-	trace      []NetOp
-	ops        int
-	crashAfter int // crash once this many requests performed; -1 = off
-	crashTorn  bool
-	crashed    bool
-}
-
-type netFaultState struct {
-	f    NetFault
-	hits int
-	done int
 }
 
 // NewFaultTransport wraps inner (http.DefaultTransport when nil).
@@ -92,11 +35,7 @@ func NewFaultTransport(inner http.RoundTripper) *FaultTransport {
 	if inner == nil {
 		inner = http.DefaultTransport
 	}
-	return &FaultTransport{
-		inner:      inner,
-		faults:     map[string]*netFaultState{},
-		crashAfter: -1,
-	}
+	return &FaultTransport{inner: inner}
 }
 
 // classifyPath maps a request path to its failpoint class.
@@ -113,135 +52,6 @@ func classifyPath(path string) string {
 	return "other"
 }
 
-// SetFault registers (or replaces) the fault at a point.
-func (t *FaultTransport) SetFault(point string, f NetFault) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.faults[point] = &netFaultState{f: f}
-}
-
-// ClearFaults removes every registered fault (crash state persists).
-func (t *FaultTransport) ClearFaults() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.faults = map[string]*netFaultState{}
-}
-
-// CrashAfter arms the crash switch: the first k requests go through,
-// the k-th (0-based) and everything after fail with ErrNetCrashed.
-// With torn set, the request at the crash point goes out with its
-// stream cut mid-body first — a partial transfer followed by the kill.
-func (t *FaultTransport) CrashAfter(k int, torn bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.crashAfter = k
-	t.crashTorn = torn
-	t.crashed = false
-}
-
-// Crashed reports whether the crash point has been hit.
-func (t *FaultTransport) Crashed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.crashed
-}
-
-// Ops returns a copy of the request trace so far.
-func (t *FaultTransport) Ops() []NetOp {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]NetOp(nil), t.trace...)
-}
-
-// OpCount returns the number of requests performed so far.
-func (t *FaultTransport) OpCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ops
-}
-
-// Tears reports whether a torn crash at request i would cut a transfer
-// short: an upload or a download; a HEAD or DELETE moves no body.
-func (t *FaultTransport) Tears(i int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i < 0 || i >= len(t.trace) {
-		return false
-	}
-	m := t.trace[i].Method
-	return m == http.MethodGet || m == http.MethodPut
-}
-
-// ResetTrace clears the trace and counter (faults and crash arming are
-// untouched).
-func (t *FaultTransport) ResetTrace() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.trace = nil
-	t.ops = 0
-}
-
-// netDecision is the fate of one request.
-type netDecision struct {
-	err    error
-	status int
-	hint   time.Duration
-	torn   bool
-	delay  time.Duration
-}
-
-func (t *FaultTransport) gate(method, path string) netDecision {
-	point := classifyPath(path) + "." + strings.ToLower(method)
-	t.mu.Lock()
-	d := netDecision{}
-	if t.crashed {
-		t.mu.Unlock()
-		return netDecision{err: ErrNetCrashed}
-	}
-	st := t.faults[point]
-	if st == nil {
-		st = t.faults[strings.ToLower(method)]
-	}
-	if st != nil {
-		st.hits++
-		if st.hits > st.f.After && (st.f.Count == 0 || st.done < st.f.Count) {
-			st.done++
-			d.delay = st.f.Delay
-			switch {
-			case st.f.Crash:
-				t.crashed = true
-				d.err = ErrNetCrashed
-				d.torn = st.f.Torn
-			case st.f.Status != 0:
-				d.status = st.f.Status
-				d.hint = st.f.RetryAfter
-			case st.f.Torn:
-				d.err = ErrNetInjected
-				d.torn = true
-			case st.f.Err != nil:
-				d.err = st.f.Err
-			case st.f.Delay == 0:
-				d.err = ErrNetInjected
-			}
-		}
-	}
-	if d.err == nil && d.status == 0 {
-		if t.crashAfter >= 0 && t.ops >= t.crashAfter {
-			t.crashed = true
-			d.err = ErrNetCrashed
-			d.torn = t.crashTorn
-		} else {
-			t.trace = append(t.trace, NetOp{Index: t.ops, Point: point, Method: method, Path: path})
-			t.ops++
-		}
-	}
-	t.mu.Unlock()
-	if d.delay > 0 {
-		time.Sleep(d.delay)
-	}
-	return d
-}
-
 // RoundTrip applies the gate, then the real request. A torn failure
 // still moves a truncated stream — the request body of an upload goes
 // out cut in half (the server observes a partial transfer), and a torn
@@ -249,46 +59,54 @@ func (t *FaultTransport) gate(method, path string) netDecision {
 // matrix covers partially-applied transport ops exactly like FaultFS's
 // torn writes.
 func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	d := t.gate(req.Method, req.URL.Path)
+	method := strings.ToLower(req.Method)
+	op := fsio.Op{Point: classifyPath(req.URL.Path) + "." + method, Path: req.URL.Path}
 	switch {
-	case d.err != nil && d.torn && req.Body != nil && req.ContentLength > 0:
+	case req.Method == http.MethodGet:
+		op.Bytes = -1
+	case req.Body != nil && req.ContentLength > 0:
+		op.Bytes = int(req.ContentLength)
+	}
+	d := t.Gate(method, op, true)
+	switch {
+	case d.Torn && op.Bytes > 0:
 		// Partial upload, then the failure: the server sees the bytes
 		// that "made it onto the wire" before the kill.
 		creq := req.Clone(req.Context())
-		creq.Body = &tornReader{rc: req.Body, n: req.ContentLength / 2, err: d.err}
+		creq.Body = &tornReader{rc: req.Body, n: req.ContentLength / 2, err: d.Err}
 		if resp, rerr := t.inner.RoundTrip(creq); rerr == nil {
 			drain(resp)
 		}
-		return nil, d.err
-	case d.err != nil && d.torn && req.Method == http.MethodGet:
-		// Torn download at the kill point: the response streams half
-		// its body before the connection dies.
+		return nil, d.Err
+	case d.Torn:
+		// Torn download: the response streams half its body before the
+		// connection dies.
 		resp, rerr := t.inner.RoundTrip(req)
 		if rerr != nil {
-			return nil, d.err
+			return nil, d.Err
 		}
 		if resp.ContentLength > 0 {
-			resp.Body = &tornReader{rc: resp.Body, n: resp.ContentLength / 2, err: d.err}
+			resp.Body = &tornReader{rc: resp.Body, n: resp.ContentLength / 2, err: d.Err}
 		}
 		return resp, nil
-	case d.err != nil:
+	case d.Err != nil:
 		if req.Body != nil {
 			req.Body.Close()
 		}
-		return nil, d.err
-	case d.status != 0:
+		return nil, d.Err
+	case d.Status != 0:
 		if req.Body != nil {
 			io.Copy(io.Discard, req.Body)
 			req.Body.Close()
 		}
 		h := http.Header{"Content-Type": []string{"text/plain"}}
-		if d.hint > 0 {
-			h.Set("Retry-After", strconv.Itoa(int(d.hint/time.Second)))
+		if d.RetryAfter > 0 {
+			h.Set("Retry-After", strconv.Itoa(int(d.RetryAfter/time.Second)))
 		}
-		body := fmt.Sprintf("injected status %d", d.status)
+		body := fmt.Sprintf("injected status %d", d.Status)
 		return &http.Response{
-			StatusCode:    d.status,
-			Status:        fmt.Sprintf("%d %s", d.status, http.StatusText(d.status)),
+			StatusCode:    d.Status,
+			Status:        fmt.Sprintf("%d %s", d.Status, http.StatusText(d.Status)),
 			Proto:         "HTTP/1.1",
 			ProtoMajor:    1,
 			ProtoMinor:    1,
@@ -298,12 +116,7 @@ func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			Request:       req,
 		}, nil
 	}
-	resp, err := t.inner.RoundTrip(req)
-	if err == nil && d.torn && resp.Body != nil && resp.ContentLength > 0 {
-		// Torn download: half the body, then the injected failure.
-		resp.Body = &tornReader{rc: resp.Body, n: resp.ContentLength / 2, err: ErrNetInjected}
-	}
-	return resp, err
+	return t.inner.RoundTrip(req)
 }
 
 // tornReader delivers the first n bytes of rc, then fails with err.

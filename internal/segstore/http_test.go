@@ -15,6 +15,7 @@ import (
 
 	"xarch/internal/datagen"
 	"xarch/internal/extmem"
+	"xarch/internal/fsio"
 	"xarch/internal/segstore"
 	"xarch/internal/server"
 )
@@ -191,7 +192,7 @@ func TestHTTPRetriesTransientStatuses(t *testing.T) {
 	}
 
 	// Two 500s, then through.
-	ft.SetFault("segment.put", segstore.NetFault{Status: 500, Count: 2})
+	ft.SetFault("segment.put", fsio.Fault{Status: 500, Count: 2})
 	if err := h.Put(ctx, seg.Name, c, openSeg); err != nil {
 		t.Fatalf("put through a 5xx burst: %v", err)
 	}
@@ -203,7 +204,7 @@ func TestHTTPRetriesTransientStatuses(t *testing.T) {
 	ft.ClearFaults()
 	delays = nil
 	hint := 2 * time.Second
-	ft.SetFault("keydir.get", segstore.NetFault{Status: 429, RetryAfter: hint, Count: 1})
+	ft.SetFault("keydir.get", fsio.Fault{Status: 429, RetryAfter: hint, Count: 1})
 	if _, err := h.Keydir(ctx); !errors.Is(err, segstore.ErrNoKeydir) {
 		t.Fatalf("keydir through 429 = %v, want ErrNoKeydir (fresh replica)", err)
 	}
@@ -213,7 +214,7 @@ func TestHTTPRetriesTransientStatuses(t *testing.T) {
 
 	// An unbounded fault exhausts the policy, Is-ably.
 	ft.ClearFaults()
-	ft.SetFault("keydir.put", segstore.NetFault{Err: segstore.ErrNetInjected})
+	ft.SetFault("keydir.put", fsio.Fault{Err: fsio.ErrInjected})
 	err := h.CommitKeydir(ctx, bundle)
 	if !errors.Is(err, segstore.ErrRetriesExhausted) {
 		t.Fatalf("commit against a dead endpoint = %v, want ErrRetriesExhausted", err)
@@ -230,7 +231,7 @@ func TestHTTPTornDownload(t *testing.T) {
 
 	ft := segstore.NewFaultTransport(nil)
 	h := segstore.NewHTTP(ts.URL, &http.Client{Transport: ft}, fastRetry(2, nil))
-	ft.SetFault("segment.get", segstore.NetFault{Torn: true, Count: 1})
+	ft.SetFault("segment.get", fsio.Fault{Torn: true, Count: 1})
 
 	seg := man.Segments[0]
 	rc, _, err := h.Get(ctx, seg.Name)
@@ -257,14 +258,14 @@ func TestHTTPCrashedTransport(t *testing.T) {
 
 	ft.CrashAfter(0, false)
 	_, err := h.Keydir(ctx)
-	if !errors.Is(err, segstore.ErrRetriesExhausted) || !errors.Is(err, segstore.ErrNetCrashed) {
-		t.Fatalf("err = %v; want ErrRetriesExhausted wrapping ErrNetCrashed", err)
+	if !errors.Is(err, segstore.ErrRetriesExhausted) || !errors.Is(err, fsio.ErrCrashed) {
+		t.Fatalf("err = %v; want ErrRetriesExhausted wrapping ErrCrashed", err)
 	}
 	if !ft.Crashed() {
 		t.Fatal("transport never recorded the crash")
 	}
-	if _, err := h.List(ctx); !errors.Is(err, segstore.ErrNetCrashed) {
-		t.Fatalf("list after crash = %v, want ErrNetCrashed", err)
+	if _, err := h.List(ctx); !errors.Is(err, fsio.ErrCrashed) {
+		t.Fatalf("list after crash = %v, want ErrCrashed", err)
 	}
 }
 

@@ -193,7 +193,7 @@ func TestLocalCommitCrashMatrix(t *testing.T) {
 			}
 			ffs := faulttest.Tracked(t, dir)
 			l = &Local{fs: ffs, dir: dir}
-			return faulttest.Run{Faults: ffs, Disk: ffs, Op: func() error { return l.CommitKeydir(ctx, newB) }}
+			return faulttest.Run{Faults: &ffs.Failpoints, Disk: ffs, Op: func() error { return l.CommitKeydir(ctx, newB) }}
 		},
 		Modes: faulttest.AllModes,
 		Check: func(t *testing.T, p faulttest.Point, dir string) bool {
