@@ -119,7 +119,7 @@ func ResolveFrom(cur *anode.Node, eff *intervals.Set, steps []SelectorStep, path
 		path += "/" + step.Tag
 		var found *anode.Node
 		for _, c := range cur.Children {
-			if c.Name != step.Tag || !step.matches(c.Key) {
+			if !step.Matches(c.Name, c.Key) {
 				continue
 			}
 			if found != nil {

@@ -20,16 +20,21 @@ type Predicate struct {
 	Value string
 }
 
-// MatchesKey reports whether a key annotation — given as parallel slices
-// of key-path names and display values — satisfies all predicates. It is
-// the one selector-matching implementation, shared by the archive walk,
-// the §7.2 key index and the external engine's streaming query scan.
-func (s *SelectorStep) MatchesKey(paths, disp []string) bool {
+// Matches reports whether an element named name whose key is k (nil for
+// an unkeyed element) satisfies the step: the tag names it, and every
+// predicate names one of the key's paths with that path's display value.
+// It is the one selector-matching rule, shared by the archive walk, the
+// §7.2 key lists, both engines' Select and the external engine's
+// streaming scan.
+func (s *SelectorStep) Matches(name string, k *anode.KeyValue) bool {
+	if name != s.Tag {
+		return false
+	}
 	for _, p := range s.Preds {
 		ok := false
-		for i := range paths {
-			if paths[i] == p.Path {
-				ok = disp[i] == p.Value
+		for i := 0; i < k.Len(); i++ {
+			if k.Paths[i] == p.Path {
+				ok = k.Disp[i] == p.Value
 				break
 			}
 		}
@@ -38,14 +43,6 @@ func (s *SelectorStep) MatchesKey(paths, disp []string) bool {
 		}
 	}
 	return true
-}
-
-// matches reports whether a node's key value satisfies all predicates.
-func (s *SelectorStep) matches(kv *anode.KeyValue) bool {
-	if kv == nil {
-		return len(s.Preds) == 0
-	}
-	return s.MatchesKey(kv.Paths, kv.Disp)
 }
 
 // AmbiguousSelectorError reports that two elements match a selector step;

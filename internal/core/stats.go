@@ -31,13 +31,22 @@ type Stats struct {
 	XMLBytes int
 }
 
-// Stats computes archive statistics in one pass plus one serialization.
+// Stats computes archive statistics in one pass plus one serialization,
+// which is counted and not kept.
 func (a *Archive) Stats() Stats {
 	s := Stats{Versions: a.versions}
 	statsNode(a.root, &s)
-	s.XMLBytes = len(a.XML())
+	var cw CountWriter
+	_ = a.WriteXML(&cw, true) // a CountWriter never fails
+	s.XMLBytes = cw.N
 	return s
 }
+
+// CountWriter counts the bytes written through it: both engines' Stats
+// take XMLBytes from one.
+type CountWriter struct{ N int }
+
+func (w *CountWriter) Write(p []byte) (int, error) { w.N += len(p); return len(p), nil }
 
 func statsNode(n *anode.Node, s *Stats) {
 	switch n.Kind {

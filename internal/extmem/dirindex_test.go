@@ -37,7 +37,7 @@ func refLookup(r *rootRecord, step *core.SelectorStep) []segEntry {
 	for _, s := range r.segs {
 		for i := range s.entries {
 			e := &s.entries[i]
-			if len(out) < 2 && e.name == step.Tag && (e.key != nil || len(step.Preds) == 0) && step.MatchesKey(keyDisplay(e.key)) {
+			if len(out) < 2 && step.Matches(e.name, keyValue(e.key)) {
 				out = append(out, segEntry{seg: s, i: i})
 			}
 		}
@@ -45,28 +45,20 @@ func refLookup(r *rootRecord, step *core.SelectorStep) []segEntry {
 	return out
 }
 
-// lookup is what History takes from the root's index: the entries of the
-// first two matches.
+// lookup is what History takes from the root's list: the entries of the
+// first two matches, in stored order.
 func lookup(r *rootRecord, step *core.SelectorStep) []segEntry {
 	var out []segEntry
-	hits, n := r.index().firstTwo(step)
-	for _, p := range hits[:n] {
-		out = append(out, r.at(p))
+	for p := range r.index().Matches(step) {
+		if out = append(out, r.at(p)); len(out) == 2 {
+			break
+		}
 	}
 	return out
 }
 
 func stepOf(tag string, preds ...core.Predicate) *core.SelectorStep {
 	return &core.SelectorStep{Tag: tag, Preds: preds}
-}
-
-// forceIndex drops the small-root threshold so the fixtures below
-// exercise the indexed path.
-func forceIndex(t *testing.T) {
-	t.Helper()
-	old := dirIndexMinEntries
-	dirIndexMinEntries = 0
-	t.Cleanup(func() { dirIndexMinEntries = old })
 }
 
 func checkLookup(t *testing.T, r *rootRecord, step *core.SelectorStep) {
@@ -84,28 +76,29 @@ func checkLookup(t *testing.T, r *rootRecord, step *core.SelectorStep) {
 	}
 }
 
-// TestDirIndexLookup drives the binary-search lookup against the linear
-// reference over every step shape: keyless, fully keyed (hit, miss,
-// duplicate display), under-specified, and unknown names.
+// TestDirIndexLookup drives the root's list, across its segments, against
+// the linear reference over every step shape: keyless, fully keyed (hit,
+// miss, duplicate display), under-specified, and unknown names. It holds
+// enough entries for the list to binary-search.
 func TestDirIndexLookup(t *testing.T) {
-	forceIndex(t)
 	var entries []childEntry
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 70; i++ {
 		entries = append(entries, mkEntry("emp", "id", fmt.Sprintf("e%03d", i)))
 	}
-	// Two entries with distinct canonical keys but equal display values
-	// (t(x) vs e(v(t(x))) both display differently — use two key paths
-	// colliding on the joined display instead).
+	// Two entries with equal keys, hence equal display values.
 	entries = append(entries,
 		childEntry{name: "item", key: &tkey{paths: []string{"id"}, canon: []string{"t(zz)"}}},
 		childEntry{name: "item", key: &tkey{paths: []string{"id"}, canon: []string{"t(zz)"}}},
 	)
 	entries = append(entries, childEntry{name: "plain"}) // keyless entry
-	r := mkRoot([]int{7, 13, 20, 2, 1}, entries)
+	r := mkRoot([]int{7, 13, 50, 2, 1}, entries)
+	if _, cmps, _ := r.index().Find(stepOf("emp", core.Predicate{Path: "id", Value: "e000"}), "/db/emp"); cmps > 10 {
+		t.Fatalf("a fully keyed step compared %d entries, not a binary search", cmps)
+	}
 
 	checkLookup(t, r, stepOf("emp", core.Predicate{Path: "id", Value: "e000"}))
 	checkLookup(t, r, stepOf("emp", core.Predicate{Path: "id", Value: "e021"}))
-	checkLookup(t, r, stepOf("emp", core.Predicate{Path: "id", Value: "e039"}))
+	checkLookup(t, r, stepOf("emp", core.Predicate{Path: "id", Value: "e069"}))
 	checkLookup(t, r, stepOf("emp", core.Predicate{Path: "id", Value: "nosuch"}))
 	checkLookup(t, r, stepOf("emp", core.Predicate{Path: "wrongpath", Value: "e000"}))
 	checkLookup(t, r, stepOf("emp"))                                           // ambiguous: first two in physical order
@@ -115,57 +108,6 @@ func TestDirIndexLookup(t *testing.T) {
 	checkLookup(t, r, stepOf("nosuch"))
 	checkLookup(t, r, stepOf("aaaa")) // before every name
 	checkLookup(t, r, stepOf("zzzz")) // after every name
-}
-
-// TestDirIndexMixedShapes: a name whose entries disagree on key-path
-// shape disables the display fast path for that name but stays exact.
-func TestDirIndexMixedShapes(t *testing.T) {
-	forceIndex(t)
-	entries := []childEntry{
-		mkEntry("n", "a", "1"),
-		{name: "n", key: &tkey{paths: []string{"a", "b"}, canon: []string{"t(1)", "t(2)"}}},
-		mkEntry("n", "a", "3"),
-	}
-	r := mkRoot([]int{3}, entries)
-	if tgt, ok := r.index().exactTarget(stepOf("n", core.Predicate{Path: "a", Value: "1"})); ok {
-		t.Fatalf("mixed-shape name offered a fast path (target %q)", tgt)
-	}
-	checkLookup(t, r, stepOf("n", core.Predicate{Path: "a", Value: "1"}))
-	checkLookup(t, r, stepOf("n", core.Predicate{Path: "a", Value: "1"}, core.Predicate{Path: "b", Value: "2"}))
-	checkLookup(t, r, stepOf("n", core.Predicate{Path: "b", Value: "2"}))
-}
-
-// TestDirIndexUnsortedFallback: a directory violating the sort
-// invariant (never produced by a healthy archive) falls back to the
-// plain scan rather than missing matches.
-func TestDirIndexUnsortedFallback(t *testing.T) {
-	forceIndex(t)
-	entries := []childEntry{
-		mkEntry("z", "id", "1"),
-		mkEntry("a", "id", "2"), // out of order
-	}
-	r := mkRoot([]int{2}, entries)
-	if r.index().sorted {
-		t.Fatal("index did not detect the unsorted directory")
-	}
-	checkLookup(t, r, stepOf("a", core.Predicate{Path: "id", Value: "2"}))
-	checkLookup(t, r, stepOf("z"))
-}
-
-// TestDirIndexSmallRootLinear: below the build threshold no index is
-// constructed and lookups run the original linear scan.
-func TestDirIndexSmallRootLinear(t *testing.T) {
-	entries := []childEntry{
-		mkEntry("emp", "id", "a"),
-		mkEntry("emp", "id", "b"),
-	}
-	r := mkRoot([]int{2}, entries)
-	if !r.index().small {
-		t.Fatal("small root built an index")
-	}
-	checkLookup(t, r, stepOf("emp", core.Predicate{Path: "id", Value: "b"}))
-	checkLookup(t, r, stepOf("emp"))
-	checkLookup(t, r, stepOf("nosuch"))
 }
 
 // TestDirIndexLookupCost: a fully-keyed lookup over a wide root touches
@@ -204,28 +146,24 @@ func checkKidMatch(t *testing.T, ent *idxEntry, step *core.SelectorStep) {
 	t.Helper()
 	var want []int32
 	for i, k := range ent.kids {
-		if k.name == step.Tag && (k.key != nil || len(step.Preds) == 0) && step.MatchesKey(keyDisplay(k.key)) {
+		if step.Matches(k.name, keyValue(k.key)) {
 			want = append(want, int32(i))
 		}
 	}
-	ix := ent.kidIndex()
-	if got := slices.Collect(ix.matches(step)); !slices.Equal(got, want) {
-		t.Errorf("matches(%s%v): %v, want %v", step.Tag, step.Preds, got, want)
-	}
-	if hits, n := ix.firstTwo(step); !slices.Equal(hits[:n], want[:min(len(want), 2)]) {
-		t.Errorf("firstTwo(%s%v): %v, want %v", step.Tag, step.Preds, hits[:n], want[:min(len(want), 2)])
+	if got := slices.Collect(ent.kidIndex().Matches(step)); !slices.Equal(got, want) {
+		t.Errorf("Matches(%s%v): %v, want %v", step.Tag, step.Preds, got, want)
 	}
 }
 
 // TestDirIndexKidLookup drives the kid mini-index through the same index
 // as a root's entries, against the linear reference: keyless, fully keyed
 // (hit, miss, duplicate display), under-specified, unknown names, mixed
-// shapes, and an unsorted list falling back to the scan.
+// shapes, and an unsorted list falling back to the scan. Both lists are
+// long enough for the list to binary-search.
 func TestDirIndexKidLookup(t *testing.T) {
-	forceIndex(t)
 	var kids []childEntry
 	kids = append(kids, childEntry{name: "address"}) // keyless
-	for i := 0; i < 30; i++ {
+	for i := 0; i < 60; i++ {
 		kids = append(kids, mkEntry("person", "id", fmt.Sprintf("p%03d", i)))
 	}
 	kids = append(kids,
@@ -236,12 +174,8 @@ func TestDirIndexKidLookup(t *testing.T) {
 		childEntry{name: "zone", key: &tkey{paths: []string{"a", "b"}, canon: []string{"t(1)", "t(2)"}}}, // mixed shape: longer keys sort last
 	)
 	ent := mkKids(kids)
-	ix := ent.kidIndex()
-	if ix.small || !ix.sorted {
-		t.Fatalf("kid index small=%v sorted=%v, want a built, sorted index", ix.small, ix.sorted)
-	}
-	if _, ok := ix.seek(stepOf("person", core.Predicate{Path: "id", Value: "p007"})); !ok {
-		t.Error("a fully keyed kid step did not take the binary search")
+	if _, cmps, _ := ent.kidIndex().Find(stepOf("person", core.Predicate{Path: "id", Value: "p007"}), "/person"); cmps > 10 {
+		t.Errorf("a fully keyed kid step compared %d kids, not a binary search", cmps)
 	}
 	steps := []*core.SelectorStep{
 		stepOf("address"),
@@ -249,6 +183,7 @@ func TestDirIndexKidLookup(t *testing.T) {
 		stepOf("person", core.Predicate{Path: "id", Value: "p000"}),
 		stepOf("person", core.Predicate{Path: "id", Value: "p017"}),
 		stepOf("person", core.Predicate{Path: "id", Value: "p029"}),
+		stepOf("person", core.Predicate{Path: "id", Value: "p059"}),
 		stepOf("person", core.Predicate{Path: "id", Value: "nosuch"}),
 		stepOf("person", core.Predicate{Path: "wrongpath", Value: "p000"}),
 		stepOf("person"), // under-specified: every person
@@ -265,14 +200,19 @@ func TestDirIndexKidLookup(t *testing.T) {
 	}
 
 	// An unsorted kid list (never stored by a healthy archive) scans.
-	unsorted := mkKids([]childEntry{mkEntry("z", "id", "1"), mkEntry("a", "id", "2"), mkEntry("z", "id", "3")})
-	if unsorted.kidIndex().sorted {
-		t.Fatal("kid index did not detect the unsorted list")
+	var shuffled []childEntry
+	for i := 0; i < 70; i++ {
+		shuffled = append(shuffled, mkEntry([]string{"z", "a"}[i%2], "id", fmt.Sprint(i)))
+	}
+	unsorted := mkKids(shuffled)
+	if _, cmps, _ := unsorted.kidIndex().Find(stepOf("a", core.Predicate{Path: "id", Value: "3"}), "/a"); cmps < len(shuffled) {
+		t.Fatalf("kid index searched the unsorted list (%d comparisons), did not scan it", cmps)
 	}
 	for _, step := range []*core.SelectorStep{
-		stepOf("a", core.Predicate{Path: "id", Value: "2"}),
-		stepOf("z", core.Predicate{Path: "id", Value: "3"}),
+		stepOf("a", core.Predicate{Path: "id", Value: "3"}),
+		stepOf("z", core.Predicate{Path: "id", Value: "4"}),
 		stepOf("z"),
+		stepOf("a"),
 	} {
 		checkKidMatch(t, unsorted, step)
 	}

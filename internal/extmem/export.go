@@ -11,11 +11,6 @@ import (
 // ---------------------------------------------------------------------------
 // Stats (streaming)
 
-// countWriter counts bytes written through it.
-type countWriter struct{ n int }
-
-func (w *countWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
-
 // Stats summarizes the archive's structure with one streaming pass: the
 // indented archive emitter runs over a counting writer (yielding the
 // serialized XML size) while the structural counters ride along on the
@@ -23,11 +18,11 @@ func (w *countWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p
 // and never scanning the archive twice.
 func (q *QueryView) Stats() (core.Stats, error) {
 	s := core.Stats{Versions: q.versions, Elements: 1} // the synthetic root
-	var cw countWriter
+	var cw core.CountWriter
 	if err := q.writeArchiveIndented(&cw, &s); err != nil {
 		return core.Stats{}, err
 	}
-	s.XMLBytes = cw.n
+	s.XMLBytes = cw.N
 	return s, nil
 }
 

@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"math/bits"
 	"testing"
 
 	"xarch/internal/core"
@@ -10,7 +11,7 @@ import (
 
 // KidIndexSeeks archives docs and fails t unless the step kid[key=value]
 // below the first root's entry parent takes the kid index's binary search,
-// not its linear fallback below dirIndexMinEntries kids.
+// not its linear fallback.
 func KidIndexSeeks(t *testing.T, spec *keys.Spec, docs []*xmltree.Node, parent, kid, key, value string) {
 	t.Helper()
 	q, _ := layoutArchives(t, spec, docs)
@@ -19,10 +20,12 @@ func KidIndexSeeks(t *testing.T, spec *keys.Spec, docs []*xmltree.Node, parent, 
 		t.Fatalf("%s: %d entries", parent, len(entries))
 	}
 	ent, err := q.posting(entries[0].seg, entries[0].i)
-	if err != nil || ent == nil || !ent.hasKids || ent.kidIndex().small {
-		t.Fatalf("%s has no kid index over %d or more kids", parent, dirIndexMinEntries)
+	if err != nil || ent == nil || !ent.hasKids {
+		t.Fatalf("%s has no kid index (%v)", parent, err)
 	}
-	if pos, ok := ent.kidIndex().seek(stepOf(kid, core.Predicate{Path: key, Value: value})); !ok || len(pos) != 1 {
-		t.Errorf("seek(%s[%s=%s]) = %v, %v; want one binary-searched match", kid, key, value, pos, ok)
+	// A binary search over n kids compares about log2(n) of them; the scan
+	// compares every kid of the name.
+	if _, cmps, err := ent.kidIndex().Find(stepOf(kid, core.Predicate{Path: key, Value: value}), "/"+kid); err != nil || cmps > 2*bits.Len(uint(len(ent.kids))) {
+		t.Errorf("Find(%s[%s=%s]) compared %d of %d kids (%v); want one binary-searched match", kid, key, value, cmps, len(ent.kids), err)
 	}
 }

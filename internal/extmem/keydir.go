@@ -13,6 +13,7 @@ import (
 
 	"xarch/internal/fsio"
 	"xarch/internal/intervals"
+	"xarch/internal/keyindex"
 )
 
 // The persistent key directory is the index of the segmented archive
@@ -78,7 +79,7 @@ type segmentRecord struct {
 	entries []childEntry
 
 	identOnce sync.Once
-	ident     []entryIdent // idents(): derived on first query, index-aligned with entries
+	ident     []keyindex.Ident // idents(): derived on first query, index-aligned with entries
 }
 
 // firstLabel returns the label of the segment's first entry.
@@ -104,11 +105,11 @@ type rootRecord struct {
 	segs    []*segmentRecord
 
 	idxOnce sync.Once
-	idx     *dirIndex // index(): built on first lookup
-	cum     []int     // cum[i] = entries before segs[i]; len(segs)+1, set with idx
+	idx     *keyindex.List // index(): built on first lookup
+	cum     []int          // cum[i] = entries before segs[i]; len(segs)+1, set with idx
 
 	identOnce sync.Once
-	id        entryIdent
+	id        keyindex.Ident
 }
 
 // keyDirectory is one immutable snapshot of the segmented layout plus
@@ -122,6 +123,9 @@ type keyDirectory struct {
 	// names the segments may reference, which dict.txt must hold. Set at
 	// decode only.
 	names int
+
+	rootOnce sync.Once
+	rootIdx  *keyindex.List // rootList(): built on first lookup
 }
 
 // files returns the set of segment files the directory references.

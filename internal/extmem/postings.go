@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"xarch/internal/intervals"
+	"xarch/internal/keyindex"
 	"xarch/internal/keys"
 	"xarch/internal/qlang"
 )
@@ -51,7 +52,7 @@ type idxEntry struct {
 	kids      []idxKid
 
 	kidOnce sync.Once
-	kidIdx  *dirIndex // kidIndex(): the kids' identities, derived on first query
+	kidIdx  *keyindex.List // kidIndex(): the kids' identities, derived on first query
 }
 
 func (e *idxEntry) addAttr(name, value, timeStr string, time *intervals.Set) {

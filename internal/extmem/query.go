@@ -4,12 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 
 	"xarch/internal/anode"
 	"xarch/internal/core"
 	"xarch/internal/intervals"
-	"xarch/internal/qlang"
 	"xarch/internal/xmltree"
 )
 
@@ -119,90 +117,4 @@ func (q *QueryView) tokensToANodes(toks []token) ([]*anode.Node, error) {
 		return nil, corruptf("unbalanced frontier content")
 	}
 	return items, nil
-}
-
-// entryIdent is what History and Select derive from the name and key of a
-// directory entry, a root or an indexed kid: the display values selector
-// predicates compare, the label results and errors print, the KeyInfo a
-// Record carries. A function of the immutable name and key alone, it is
-// derived by the first query that asks — never at open or commit — and lives
-// with what it describes: a segmentRecord's table is shared by every
-// generation that re-links the segment, an idxEntry's kid table likewise.
-type entryIdent struct {
-	name   string
-	label  string         // "emp{fn=John,ln=Doe}"
-	key    *qlang.KeyInfo // nil for an unkeyed node; Paths alias the tkey's
-	joined string         // the display values joined by NUL: dirIndex's sort key
-	canon  *tkey          // the key as stored: the list order dirIndex verifies
-}
-
-func identOf(name string, k *tkey) entryIdent {
-	if k == nil {
-		return entryIdent{name: name, label: name}
-	}
-	paths, disp := keyDisplay(k)
-	id := entryIdent{name: name, label: labelOf(name, paths, disp), key: &qlang.KeyInfo{Paths: paths, Disp: disp}, canon: k}
-	id.joined = strings.Join(disp, "\x00") // XML text cannot contain NUL
-	return id
-}
-
-// idents returns the entries' identities, index-aligned with entries.
-func (s *segmentRecord) idents() []entryIdent {
-	s.identOnce.Do(func() {
-		s.ident = make([]entryIdent, len(s.entries))
-		for i := range s.entries {
-			s.ident[i] = identOf(s.entries[i].name, s.entries[i].key)
-		}
-	})
-	return s.ident
-}
-
-func (r *rootRecord) ident() *entryIdent {
-	r.identOnce.Do(func() { r.id = identOf(r.name, r.key) })
-	return &r.id
-}
-
-// entryMatches evaluates a selector step's predicates against a decoded
-// identity: core's one matching rule, with nothing derived per call.
-func entryMatches(step *core.SelectorStep, id *entryIdent) bool {
-	if id.name != step.Tag {
-		return false
-	}
-	if id.key == nil {
-		return len(step.Preds) == 0
-	}
-	return step.MatchesKey(id.key.Paths, id.key.Disp)
-}
-
-// keyDisplay derives the key annotation's path names and display values
-// from the canonical forms carried in the token stream, using the same
-// derivation the in-memory annotator applies, so selectors match
-// identically on both engines.
-func keyDisplay(k *tkey) (paths, disp []string) {
-	if k == nil {
-		return nil, nil
-	}
-	disp = make([]string, len(k.canon))
-	for i, c := range k.canon {
-		disp[i] = xmltree.DisplayFromCanonical(c)
-	}
-	return k.paths, disp
-}
-
-// keyLabel renders "emp{fn=John,ln=Doe}" for error messages, matching the
-// annotated-node Label format.
-func keyLabel(name string, k *tkey) string {
-	paths, disp := keyDisplay(k)
-	return labelOf(name, paths, disp)
-}
-
-func labelOf(name string, paths, disp []string) string {
-	if len(paths) == 0 {
-		return name
-	}
-	parts := make([]string, len(paths))
-	for i := range paths {
-		parts[i] = paths[i] + "=" + disp[i]
-	}
-	return name + "{" + strings.Join(parts, ",") + "}"
 }

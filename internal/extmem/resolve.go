@@ -50,46 +50,25 @@ func (q *QueryView) ContentHistory(selector string) ([]int, error) {
 	return core.ContentChangeVersions(r.node, r.eff), nil
 }
 
+// resolveSelector resolves the top two selector steps against the lists
+// of the in-memory key directory — no I/O at all — and descends into at
+// most one matched subtree by seeking straight to its bytes. A list lookup
+// finds every match of its step before anything descends, as the in-memory
+// resolver (core.ResolveFrom) does; resolveLevel's streaming scan below
+// the kid index cannot, and defers its outcome in resolved.err.
 func (q *QueryView) resolveSelector(steps []core.SelectorStep, wantBody bool) (*resolved, error) {
-	res, err := q.resolveViaDirectory(steps, wantBody)
+	path := "/" + steps[0].Tag
+	pos, _, err := q.d.rootList().Find(&steps[0], path)
+	if err != nil {
+		return nil, err
+	}
+	r := q.d.roots[pos]
+	res, err := q.resolveRoot(r, q.rootEff(r), steps, path, wantBody)
 	if err != nil {
 		return nil, err
 	}
 	if res.err != nil {
 		return nil, res.err
-	}
-	return res, nil
-}
-
-// resolveViaDirectory resolves the top two selector steps against the
-// in-memory key directory — no I/O at all — and descends into at most
-// one matched subtree by seeking straight to its bytes. Match order,
-// ambiguity handling and error texts mirror the in-memory resolver's
-// (core.ResolveFrom), and resolveLevel's below the kid index.
-func (q *QueryView) resolveViaDirectory(steps []core.SelectorStep, wantBody bool) (*resolved, error) {
-	step := &steps[0]
-	stepPath := "/" + step.Tag
-	var res *resolved
-	var foundLabel string
-	ambiguous := false
-	for _, r := range q.d.roots {
-		if ambiguous || !entryMatches(step, r.ident()) {
-			continue
-		}
-		label := r.ident().label
-		if res != nil {
-			res = &resolved{err: core.AmbiguousSelectorError(stepPath, foundLabel, label)}
-			ambiguous = true
-			continue
-		}
-		foundLabel = label
-		var err error
-		if res, err = q.resolveRoot(r, q.rootEff(r), steps, stepPath, wantBody); err != nil {
-			return nil, err
-		}
-	}
-	if res == nil {
-		return &resolved{err: core.NoSuchElementError(stepPath)}, nil
 	}
 	return res, nil
 }
@@ -112,27 +91,16 @@ func (q *QueryView) resolveRoot(r *rootRecord, eff *intervals.Set, steps []core.
 	if last {
 		return &resolved{eff: eff, node: &anode.Node{Kind: xmltree.Element, Name: r.name}}, nil
 	}
-	// Level 2: look the step up in the key directory. The entries are
-	// sorted by (name, canonical key) across the root's segments, so the
-	// lookup binary-searches instead of walking every entry; the first
-	// match is resolved and a second match overrides the outcome with an
-	// ambiguity error, exactly like the linear scan it replaces.
+	// Level 2: look the step up in the list over the root's entries, which
+	// binary-searches them across the root's segments.
 	step := &steps[1]
 	childPath := stepPath + "/" + step.Tag
-	ix := r.index()
-	hits, n := ix.firstTwo(step)
-	if n == 0 {
-		return &resolved{err: core.NoSuchElementError(childPath)}, nil
-	}
-	m := r.at(hits[0])
-	res, err := q.resolveEntry(r, m, entryEff(m.e(), eff), steps[1:], childPath, wantBody)
+	pos, _, err := r.index().Find(step, childPath)
 	if err != nil {
 		return nil, err
 	}
-	if n > 1 {
-		res = &resolved{err: core.AmbiguousSelectorError(childPath, ix.ids[hits[0]].label, ix.ids[hits[1]].label)}
-	}
-	return res, nil
+	m := r.at(pos)
+	return q.resolveEntry(r, m, entryEff(m.e(), eff), steps[1:], childPath, wantBody)
 }
 
 // resolveEntry resolves the remaining steps inside one matched child
@@ -169,13 +137,12 @@ func (q *QueryView) resolveEntry(r *rootRecord, m segEntry, eff *intervals.Set, 
 }
 
 // resolveViaKids resolves steps[1] against the kid mini-index of the
-// entry's posting — by the same dirIndex lookup as a level-2 step —
+// entry's posting — by the same list lookup as a level-2 step —
 // seeking to the single matched child subtree, or, when the kid is the last
 // step and no body is wanted, answering from its recorded lifespan without
 // opening the segment. ok=false means no usable index (NoAttrIndex, or a
 // frontier entry's posting, which records no kids) and the caller falls
-// back to streaming the entry. Match order, ambiguity handling and error texts
-// mirror resolveLevel exactly.
+// back to streaming the entry.
 func (q *QueryView) resolveViaKids(r *rootRecord, m segEntry, eff *intervals.Set, steps []core.SelectorStep, stepPath string, wantBody bool) (*resolved, bool, error) {
 	ent, err := q.posting(m.seg, m.i)
 	if ent == nil || !ent.hasKids {
@@ -183,15 +150,11 @@ func (q *QueryView) resolveViaKids(r *rootRecord, m segEntry, eff *intervals.Set
 	}
 	step := &steps[1]
 	kidPath := stepPath + "/" + step.Tag
-	ix := ent.kidIndex()
-	hits, n := ix.firstTwo(step)
-	if n == 0 {
-		return &resolved{err: core.NoSuchElementError(kidPath)}, true, nil
+	pos, _, err := ent.kidIndex().Find(step, kidPath)
+	if err != nil {
+		return nil, true, err
 	}
-	if n > 1 {
-		return &resolved{err: core.AmbiguousSelectorError(kidPath, ix.ids[hits[0]].label, ix.ids[hits[1]].label)}, true, nil
-	}
-	first := &ent.kids[hits[0]]
+	first := &ent.kids[pos]
 	keff := eff
 	if first.time != nil {
 		keff = first.time
@@ -237,7 +200,8 @@ func (q *QueryView) resolveLevel(tr *tokenReader, steps []core.SelectorStep, par
 		if err != nil {
 			return nil, err
 		}
-		if ambiguous || name != step.Tag || !step.MatchesKey(keyDisplay(t.key)) {
+		// The name first: deriving a key's display values allocates.
+		if ambiguous || name != step.Tag || !step.Matches(name, keyValue(t.key)) {
 			if err := tr.discardSubtree(); err != nil {
 				return nil, err
 			}

@@ -66,11 +66,11 @@ func (q *QueryView) posting(s *segmentRecord, i int) (*idxEntry, error) {
 // those the expression's conjunctive spine rules out: unless NoAttrIndex,
 // records lacking a required attribute; always, records whose root fails
 // step 0, or whose own element fails step 1, of a required path of two or
-// more steps — by binary search where such a step is fully keyed
-// (dirIndex.seek), by a compare against the decoded identity otherwise.
-// Both are superset filters and evaluation stays exact. Ordinals must
-// match buildInv: a raw root is one, any other root one per segment entry
-// (base + flat position).
+// more steps. The root's list finds the entries the first such path's step
+// 1 selects — by binary search where the step is fully keyed — and each is
+// compared against the others. Both are superset filters and evaluation
+// stays exact. Ordinals must match buildInv: a raw root is one, any other
+// root one per segment entry (base + flat position).
 func (q *QueryView) selectRecords(e qlang.Expr) ([]qlang.Record, error) {
 	var cand []int // sorted ordinals; nil: every record is a candidate
 	if !q.ar.cfg.NoAttrIndex {
@@ -107,16 +107,16 @@ func (q *QueryView) selectRecords(e qlang.Expr) ([]qlang.Record, error) {
 		}
 		var perr error
 		rid := r.ident()
-		rec := qlang.Record{RootName: r.name, RootKey: rid.key, RootLabel: rid.label, Raw: s == nil, Life: rootEff, Versions: q.versions}
+		rec := qlang.Record{RootName: r.name, RootKey: rid.Key, RootLabel: rid.Label, Raw: s == nil, Life: rootEff, Versions: q.versions}
 		src := recordSource{q: q, r: r, s: s, i: i}
 		if s != nil {
 			id := &s.idents()[i]
 			for _, p := range spine {
-				if !entryMatches(&p.Steps[1], id) {
+				if !p.Steps[1].Matches(id.Name, id.Key) {
 					return
 				}
 			}
-			rec.Name, rec.Key, rec.Label, rec.Life = id.name, id.key, id.label, entryEff(&s.entries[i], rootEff)
+			rec.Name, rec.Key, rec.Label, rec.Life = id.Name, id.Key, id.Label, entryEff(&s.entries[i], rootEff)
 			src.ent, perr = q.posting(s, i)
 		} else if !q.ar.cfg.NoAttrIndex {
 			src.ent, perr = q.ar.rootPosting(r)
@@ -136,7 +136,7 @@ nextRoot:
 			ord += r.entryCount()
 		}
 		for _, p := range spine {
-			if !entryMatches(&p.Steps[0], r.ident()) {
+			if rid := r.ident(); !p.Steps[0].Matches(rid.Name, rid.Key) {
 				continue nextRoot
 			}
 		}
@@ -145,14 +145,12 @@ nextRoot:
 			add(r, rootEff, nil, 0, base)
 			continue
 		}
-		for _, p := range spine {
-			if flats, ok := r.index().seek(&p.Steps[1]); ok {
-				for _, flat := range flats {
-					m := r.at(flat)
-					add(r, rootEff, m.seg, m.i, base+int(flat))
-				}
-				continue nextRoot
+		if len(spine) > 0 {
+			for flat := range r.index().Matches(&spine[0].Steps[1]) {
+				m := r.at(flat)
+				add(r, rootEff, m.seg, m.i, base+int(flat))
 			}
+			continue
 		}
 		for _, s := range r.segs {
 			for i := range s.entries {
@@ -171,7 +169,7 @@ nextRoot:
 }
 
 // PathSet evaluates a path predicate (steps relative to the record's
-// children) through the entry's kid mini-index, whose dirIndex finds the
+// children) through the entry's kid mini-index, whose list finds the
 // matching kids: one-step predicates are answered from kid metadata alone;
 // deeper ones seek each matching kid's subtree through the segment
 // directory and walk only those bytes.
@@ -183,7 +181,7 @@ func (src *recordSource) PathSet(steps []core.SelectorStep, eff *intervals.Set) 
 	q := src.q
 	en := &src.s.entries[src.i]
 	acc := intervals.New()
-	for ki := range ent.kidIndex().matches(&steps[0]) {
+	for ki := range ent.kidIndex().Matches(&steps[0]) {
 		k := &ent.kids[ki]
 		keff := eff
 		if k.time != nil {
@@ -255,10 +253,10 @@ func (q *QueryView) subtreeANode(tr *tokenReader, name string, key *tkey, cur ke
 		if err != nil {
 			return nil, err
 		}
-		n.Key = tkeyValue(key)
+		n.Key = keyValue(key)
 		return n, nil
 	}
-	n := &anode.Node{Kind: xmltree.Element, Name: name, Key: tkeyValue(key)}
+	n := &anode.Node{Kind: xmltree.Element, Name: name, Key: keyValue(key)}
 	for _, at := range drainAttrs(tr) {
 		an, err := q.name(at.tag)
 		if err != nil {
@@ -299,12 +297,4 @@ func (q *QueryView) subtreeANode(tr *tokenReader, name string, key *tkey, cur ke
 		}
 		n.Children = append(n.Children, child)
 	}
-}
-
-func tkeyValue(k *tkey) *anode.KeyValue {
-	if k == nil {
-		return nil
-	}
-	paths, disp := keyDisplay(k)
-	return &anode.KeyValue{Paths: paths, Canon: append([]string(nil), k.canon...), Disp: disp}
 }

@@ -1,14 +1,20 @@
 // Package keyindex implements the temporal-history index of §7.2 of
 // Buneman et al., "Archiving Scientific Data": for each keyed node, a
-// sorted list of its children's key values, each entry carrying the
-// child's effective timestamp and a link to its own sorted list. The
-// history of an element identified by a key path of length l resolves with
-// one binary search per step — O(l log d) for maximum degree d.
+// sorted list of its children's keys, each entry carrying the child's
+// effective timestamp and a link to its own sorted list. The history of an
+// element identified by a key path of length l resolves with one binary
+// search per step — O(l log d) for maximum degree d.
+//
+// List is that sorted list, and it is the only one: the in-memory engine
+// keeps one per non-frontier node of its annotated tree (Index), and the
+// external engine keeps one over its roots, one over each root's level-2
+// entries and one over each posting's kids. Both match a selector step
+// with core.SelectorStep.Matches, and both report no match and ambiguity
+// through List.Find.
 package keyindex
 
 import (
-	"sort"
-	"strings"
+	"sync"
 	"sync/atomic"
 
 	"xarch/internal/anode"
@@ -16,23 +22,23 @@ import (
 	"xarch/internal/intervals"
 )
 
-// entry is one record of a sorted child list: the child's search label,
-// its effective timestamp ("timestamp offset") and its own sorted list
-// ("index offset").
-type entry struct {
-	tag      string
-	dispKey  string // key-path display values joined; the search key
-	time     *intervals.Set
-	node     *anode.Node
-	children []entry
+// level is the list of one non-frontier node's children ("index offset"),
+// built by the first lookup that reaches the node, with its effective
+// timestamp ("timestamp offset"), which children without one inherit.
+type level struct {
+	node  *anode.Node
+	eff   *intervals.Set
+	once  sync.Once
+	list  *List
+	below []*level // a child's own level; nil for a frontier child
 }
 
-// Index is the sorted-list history index of an archive. An Index is
-// immutable after Build and safe for concurrent History calls.
+// Index is the sorted-list history index of an in-memory archive. An
+// Index is safe for concurrent History calls; the archive must not change
+// under it.
 type Index struct {
-	archive *core.Archive
-	top     []entry
-	// searches counts binary-search comparisons, for the O(l log d) bench.
+	top *level
+	// searches counts list comparisons, for the O(l log d) bench.
 	searches atomic.Int64
 }
 
@@ -43,159 +49,75 @@ func (ix *Index) SearchCount() int { return int(ix.searches.Load()) }
 // ResetSearches zeroes the comparison counter.
 func (ix *Index) ResetSearches() { ix.searches.Store(0) }
 
-// Build constructs the index with a single scan through the archive
-// (§7.2): archive children are already label-sorted, but the search order
-// here is by display value, so each list is re-sorted once at build time.
+// Build returns the index of the archive. A level's list is built when a
+// lookup first reaches its node, so the first History after an Add pays
+// for the lists on its path, not for the whole archive. Archive children
+// are already in (name, canonical key) order
+// (anode.Node.SortChildrenByLabel), which is the order a List searches.
 func Build(a *core.Archive) *Index {
-	ix := &Index{archive: a}
 	root := a.Root()
-	ix.top = buildEntries(root, root.Time)
-	return ix
+	return &Index{top: &level{node: root, eff: root.Time}}
 }
 
-func buildEntries(n *anode.Node, eff *intervals.Set) []entry {
-	if n.Frontier {
-		return nil
-	}
-	out := make([]entry, 0, len(n.Children))
-	for _, c := range n.Children {
-		t := c.Time
-		if t == nil {
-			t = eff
+// build builds the level's list on first use and returns the level.
+func (lv *level) build() *level {
+	lv.once.Do(func() {
+		kids := lv.node.Children
+		idents := make([]Ident, len(kids))
+		ids := make([]*Ident, len(kids))
+		lv.below = make([]*level, len(kids))
+		for i, c := range kids {
+			idents[i] = IdentOf(c.Name, c.Key)
+			ids[i] = &idents[i]
+			if !c.Frontier {
+				lv.below[i] = &level{node: c, eff: effOf(c, lv.eff)}
+			}
 		}
-		e := entry{
-			tag:     c.Name,
-			dispKey: dispKey(c),
-			time:    t,
-			node:    c,
-		}
-		e.children = buildEntries(c, t)
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].tag != out[j].tag {
-			return out[i].tag < out[j].tag
-		}
-		return out[i].dispKey < out[j].dispKey
+		lv.list = NewList(ids)
 	})
-	return out
+	return lv
 }
 
-func dispKey(n *anode.Node) string {
-	if n.Key == nil {
-		return ""
+// effOf is a node's effective timestamp under its parent's.
+func effOf(n *anode.Node, parent *intervals.Set) *intervals.Set {
+	if n.Time != nil {
+		return n.Time
 	}
-	return strings.Join(n.Key.Disp, "\x00")
+	return parent
 }
 
 // History resolves a selector (the same syntax as core.Archive.History)
-// with one binary search per step when the selector specifies every key
-// path; under-specified steps fall back to a linear scan of that list.
-// It is safe to call concurrently.
+// with one list lookup per step: a binary search when the step names every
+// key path, a scan of the name's run otherwise. Steps below a frontier
+// node resolve as the scan does. It is safe to call concurrently.
 func (ix *Index) History(selector string) (*intervals.Set, error) {
 	steps, err := core.ParseSelector(selector)
 	if err != nil {
 		return nil, err
 	}
-	list := ix.top
-	var cur *entry
+	lv := ix.top
+	var eff *intervals.Set
 	path := ""
 	searches := 0
 	defer func() { ix.searches.Add(int64(searches)) }()
 	for si := range steps {
-		step := &steps[si]
-		path += "/" + step.Tag
-		found, err := ix.find(list, step, path, &searches)
+		path += "/" + steps[si].Tag
+		pos, cmps, err := lv.build().list.Find(&steps[si], path)
+		searches += cmps
 		if err != nil {
 			return nil, err
 		}
-		if found.node.Frontier && si+1 < len(steps) {
+		c := lv.node.Children[pos]
+		eff = effOf(c, lv.eff)
+		if lv.below[pos] == nil && si+1 < len(steps) {
 			// The sorted lists stop at the frontier (§7.2 indexes keyed
 			// nodes): resolve the rest as the scan does.
-			_, eff, err := core.ResolveFrom(found.node, found.time, steps[si+1:], path)
-			if err != nil {
+			if _, eff, err = core.ResolveFrom(c, eff, steps[si+1:], path); err != nil {
 				return nil, err
 			}
-			return eff.Clone(), nil
+			break
 		}
-		cur = found
-		list = found.children
+		lv = lv.below[pos]
 	}
-	return cur.time.Clone(), nil
-}
-
-// find locates the entry matching the step in the sorted list,
-// accumulating comparison counts into searches (one atomic update per
-// History call, not per comparison).
-func (ix *Index) find(list []entry, step *core.SelectorStep, path string, searches *int) (*entry, error) {
-	if target, ok := exactKey(step); ok {
-		// Fully-specified key: binary search by (tag, dispKey).
-		lo, hi := 0, len(list)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			*searches++
-			if less(list[mid].tag, list[mid].dispKey, step.Tag, target) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(list) && list[lo].tag == step.Tag && list[lo].dispKey == target &&
-			matchesNode(list[lo].node, step) {
-			return &list[lo], nil
-		}
-		// A miss may mean the step named only some of the key paths (the
-		// joined key then differs); fall through to the linear scan.
-	}
-	// Under-specified predicates: linear scan with ambiguity detection.
-	var found *entry
-	for i := range list {
-		*searches++
-		if list[i].tag != step.Tag || !matchesNode(list[i].node, step) {
-			continue
-		}
-		if found != nil {
-			return nil, core.AmbiguousSelectorError(path, found.node.Label(), list[i].node.Label())
-		}
-		found = &list[i]
-	}
-	if found == nil {
-		return nil, core.NoSuchElementError(path)
-	}
-	return found, nil
-}
-
-// exactKey reports whether the step pins down every key path of the
-// target's key, returning the joined display key. It must check against
-// the actual key shape, which it can only do per candidate; the fast path
-// applies when predicate count equals the key-path count of a candidate,
-// verified in find via matchesNode.
-func exactKey(step *core.SelectorStep) (string, bool) {
-	if len(step.Preds) == 0 {
-		return "", false
-	}
-	// Predicates sorted by path, mirroring KeyValue's canonical order.
-	preds := append([]core.Predicate{}, step.Preds...)
-	sort.Slice(preds, func(i, j int) bool { return preds[i].Path < preds[j].Path })
-	vals := make([]string, len(preds))
-	for i, p := range preds {
-		vals[i] = p.Value
-	}
-	return strings.Join(vals, "\x00"), true
-}
-
-// matchesNode defers to the shared selector matcher in core, so the
-// indexed and scan paths can never disagree on predicate semantics.
-func matchesNode(n *anode.Node, step *core.SelectorStep) bool {
-	if n.Key == nil {
-		return len(step.Preds) == 0
-	}
-	return step.MatchesKey(n.Key.Paths, n.Key.Disp)
-}
-
-func less(tagA, keyA, tagB, keyB string) bool {
-	if tagA != tagB {
-		return tagA < tagB
-	}
-	return keyA < keyB
+	return eff.Clone(), nil
 }

@@ -1,11 +1,14 @@
 package keyindex
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"xarch/internal/core"
 	"xarch/internal/datagen"
+	"xarch/internal/keys"
+	"xarch/internal/xmltree"
 )
 
 func companyArchive(t *testing.T) *core.Archive {
@@ -108,5 +111,42 @@ func TestHistoryAfterEvolution(t *testing.T) {
 	}
 	if h.String() != "3" {
 		t.Errorf("marketing John = %q, want 3", h)
+	}
+}
+
+// TestHistoryMatchesScanOnKeyOrder: over 70 records whose keys display in
+// another order than they are stored in, and a structured key whose
+// display is another record's text, the index answers what the archive
+// scan answers, error texts included.
+func TestHistoryMatchesScanOnKeyOrder(t *testing.T) {
+	spec, err := keys.ParseSpecString("(/, (db, {}))\n(/db, (rec, {id}))\n(/db/rec, (v, {}))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString("<db><rec><id><b/></id><v>s</v></rec>")
+	for _, id := range []string{"a(", "aB", "x=y", `p\q`, "e(ide(b))"} {
+		fmt.Fprintf(&b, "<rec><id>%s</id><v>%s</v></rec>", id, id)
+	}
+	for i := range 64 {
+		fmt.Fprintf(&b, "<rec><id>r%02d</id><v>%d</v></rec>", i, i)
+	}
+	b.WriteString("</db>")
+	doc, err := xmltree.ParseString(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := core.New(spec, core.Options{})
+	if err := a.Add(doc); err != nil {
+		t.Fatal(err)
+	}
+	ix := Build(a)
+	for _, sel := range []string{"/db/rec", `/db/rec[id="e(ide(b))"]`, `/db/rec[id="e(ide(b))"]/v`, "/db/rec[id=a(]",
+		"/db/rec[id=aB]", `/db/rec[id="x=y"]`, `/db/rec[id=p\q]`, "/db/rec[id=r07]/v", "/db/rec[id=nosuch]", "/db/rec[nosuch=x]"} {
+		want, werr := a.History(sel)
+		got, gerr := ix.History(sel)
+		if fmt.Sprint(got, gerr) != fmt.Sprint(want, werr) {
+			t.Errorf("History(%s): index %v %v, scan %v %v", sel, got, gerr, want, werr)
+		}
 	}
 }

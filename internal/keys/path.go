@@ -101,19 +101,6 @@ func (p Path) Matches(q Path) bool {
 	return true
 }
 
-// MatchesPrefix reports whether p matches a proper or improper prefix of q.
-func (p Path) MatchesPrefix(q Path) bool {
-	if len(p) > len(q) {
-		return false
-	}
-	for i := range p {
-		if !segMatch(p[i], q[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // CompatiblePrefixOf reports whether pattern p could be a proper prefix of
 // pattern q, i.e. some concrete path matched by q has a prefix matched by p.
 func (p Path) CompatiblePrefixOf(q Path) bool {

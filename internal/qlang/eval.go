@@ -16,25 +16,6 @@ type Result struct {
 	Versions string `json:"versions"` // interval-set string of matching versions
 }
 
-// KeyInfo is the predicate-relevant part of a node key: key-path names and
-// display values, parallel slices. A nil *KeyInfo means the node is unkeyed.
-type KeyInfo struct {
-	Paths []string
-	Disp  []string
-}
-
-// matchesStep mirrors core's selector-step matching: an unkeyed node matches
-// only a predicate-free step; a keyed node matches via MatchesKey.
-func matchesStep(step *core.SelectorStep, name string, k *KeyInfo) bool {
-	if name != step.Tag {
-		return false
-	}
-	if k == nil || len(k.Paths) == 0 {
-		return len(step.Preds) == 0
-	}
-	return step.MatchesKey(k.Paths, k.Disp)
-}
-
 // AttrFact is one XML attribute occurrence inside a record subtree. Time is
 // the effective lifespan of the attribute's element; nil means it inherits
 // the record lifespan.
@@ -222,11 +203,7 @@ func EvalPath(n *anode.Node, eff *intervals.Set, steps []core.SelectorStep) *int
 		if c.Kind != xmltree.Element {
 			continue
 		}
-		var k *KeyInfo
-		if c.Key != nil {
-			k = &KeyInfo{Paths: c.Key.Paths, Disp: c.Key.Disp}
-		}
-		if !matchesStep(step, c.Name, k) {
+		if !step.Matches(c.Name, c.Key) {
 			continue
 		}
 		ceff := eff
@@ -266,10 +243,10 @@ func (n *NodeSource) PathSet([]core.SelectorStep, *intervals.Set) (*intervals.Se
 // a raw (frontier-at-depth-1) root itself.
 type Record struct {
 	RootName  string
-	RootKey   *KeyInfo
+	RootKey   *anode.KeyValue
 	RootLabel string // display label of the root, e.g. `gene{name=BRCA2}`
 	Name      string // record element name; empty for raw roots
-	Key       *KeyInfo
+	Key       *anode.KeyValue
 	Label     string // display label of the record element
 	Raw       bool   // record is the root itself (no level-2 step)
 	Life      *intervals.Set
@@ -321,7 +298,7 @@ func (r *Record) spanSet(sp Span) *intervals.Set {
 // remaining steps walk the materialized subtree.
 func (r *Record) evalPathPred(p *PathPred) (*intervals.Set, error) {
 	steps := p.Steps
-	if len(steps) == 0 || !matchesStep(&steps[0], r.RootName, r.RootKey) {
+	if len(steps) == 0 || !steps[0].Matches(r.RootName, r.RootKey) {
 		return intervals.New(), nil
 	}
 	steps = steps[1:]
@@ -329,7 +306,7 @@ func (r *Record) evalPathPred(p *PathPred) (*intervals.Set, error) {
 		if len(steps) == 0 {
 			return r.Life.Clone(), nil
 		}
-		if !matchesStep(&steps[0], r.Name, r.Key) {
+		if !steps[0].Matches(r.Name, r.Key) {
 			return intervals.New(), nil
 		}
 		steps = steps[1:]

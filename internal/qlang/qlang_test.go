@@ -146,7 +146,7 @@ func testRecord() *Record {
 		RootName:  "db",
 		RootLabel: "db",
 		Name:      "emp",
-		Key:       &KeyInfo{Paths: []string{"id"}, Disp: []string{"7"}},
+		Key:       &anode.KeyValue{Paths: []string{"id"}, Disp: []string{"7"}},
 		Label:     "emp{id=7}",
 		Life:      intervals.FromRange(1, 10),
 		Versions:  10,

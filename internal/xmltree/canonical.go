@@ -1,10 +1,8 @@
 package xmltree
 
 import (
-	"bufio"
 	"io"
 	"strings"
-	"sync"
 )
 
 // CanonWriter is the sink of streaming canonicalization: anything that can
@@ -32,16 +30,6 @@ func Canonical(n *Node) string {
 	return b.String()
 }
 
-// CanonicalList returns the canonical form of an ordered list of values,
-// used for the content of frontier nodes (the list of E/T children).
-func CanonicalList(ns []*Node) string {
-	var b strings.Builder
-	for _, n := range ns {
-		WriteCanonicalTo(&b, n)
-	}
-	return b.String()
-}
-
 // AppendBuffer adapts an append-style byte buffer to CanonWriter. Hot
 // paths keep one per worker and Reset it between values, so streaming a
 // canonical form costs no allocation beyond the buffer's steady state.
@@ -66,33 +54,6 @@ func (w *AppendBuffer) WriteByte(b byte) error {
 func (w *AppendBuffer) WriteString(s string) (int, error) {
 	w.Buf = append(w.Buf, s...)
 	return len(s), nil
-}
-
-// CanonicalAppend appends the canonical form of n to dst and returns the
-// extended buffer, letting callers amortize allocation across many values.
-func CanonicalAppend(dst []byte, n *Node) []byte {
-	w := AppendBuffer{Buf: dst}
-	WriteCanonicalTo(&w, n)
-	return w.Buf
-}
-
-// bufioPool recycles the buffered writers used when streaming to a plain
-// io.Writer; callers that implement CanonWriter never touch it.
-var bufioPool = sync.Pool{New: func() any { return bufio.NewWriter(io.Discard) }}
-
-// WriteCanonical streams the canonical form of n to w.
-func WriteCanonical(w io.Writer, n *Node) error {
-	if cw, ok := w.(CanonWriter); ok {
-		WriteCanonicalTo(cw, n)
-		return nil
-	}
-	bw := bufioPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	WriteCanonicalTo(bw, n)
-	err := bw.Flush()
-	bw.Reset(io.Discard) // drop the reference to w before pooling
-	bufioPool.Put(bw)
-	return err
 }
 
 // WriteCanonicalTo streams the canonical form of n into w with no

@@ -15,13 +15,6 @@ type SelectResult = qlang.Result
 // that want early validation. Errors wrap ErrBadQuery.
 func ParseQuery(expr string) (qlang.Expr, error) { return qlang.Parse(expr) }
 
-func keyInfo(kv *anode.KeyValue) *qlang.KeyInfo {
-	if kv == nil {
-		return nil
-	}
-	return &qlang.KeyInfo{Paths: kv.Paths, Disp: kv.Disp}
-}
-
 // memRecords enumerates the archive records of an annotated tree: raw
 // (depth-1 frontier) roots themselves, and the level-2 children of every
 // other root. Effective lifespans follow core.ResolveFrom — an explicit
@@ -36,7 +29,7 @@ func memRecords(root *anode.Node, versions int) []qlang.Record {
 		if rc.Time != nil {
 			rootEff = rc.Time
 		}
-		rec := qlang.Record{RootName: rc.Name, RootKey: keyInfo(rc.Key), RootLabel: rc.Label(), Versions: versions}
+		rec := qlang.Record{RootName: rc.Name, RootKey: rc.Key, RootLabel: rc.Label(), Versions: versions}
 		if rc.Frontier {
 			rec.Raw, rec.Life, rec.Src = true, rootEff, (*qlang.NodeSource)(rc)
 			recs = append(recs, rec)
@@ -46,7 +39,7 @@ func memRecords(root *anode.Node, versions int) []qlang.Record {
 			if e.Kind != xmltree.Element {
 				continue
 			}
-			rec.Name, rec.Key, rec.Label = e.Name, keyInfo(e.Key), e.Label()
+			rec.Name, rec.Key, rec.Label = e.Name, e.Key, e.Label()
 			rec.Life, rec.Src = rootEff, (*qlang.NodeSource)(e)
 			if e.Time != nil {
 				rec.Life = e.Time

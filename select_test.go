@@ -270,9 +270,9 @@ const narrowSpec = `
 (/, (memo, {.}))
 `
 
-// narrowLib renders one library version: books b000.. (more than
-// dirIndexMinEntries of them in the main library, so a keyed step is a
-// binary search there and a compare in the annex), one whose key needs
+// narrowLib renders one library version: books b000.. (at least the 64 a
+// key list needs to build its search, in the main library, so a keyed step
+// is a binary search there and a compare in the annex), one whose key needs
 // escaping in its canonical form, a 2x2 grid of shelves and one unkeyed
 // entry. drop names a book left out; rev varies the titles.
 func narrowLib(name string, books, drop, rev int) string {
