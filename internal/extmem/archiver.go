@@ -52,13 +52,13 @@ type Archiver struct {
 	// segDicts caches decoded segment dictionaries and postings per segment
 	// file; entries are evicted when the file is swept.
 	segDicts *dictCache
-	// segOut and segEnc are the segment writer's token buffer and encoder.
+	// segOut and segEnc are the segment writer's capture and encoder.
 	// Segment writers work one after the other, so each borrows these two
 	// and only the first segments of a store pay for growing them: grown
 	// afresh, they are the larger part of what rewriting a segment
-	// allocates. Between writers segOut holds no token.
+	// allocates. Between writers segOut holds no string or key.
 	segOut captureWriter
-	segEnc *segEncoder
+	segEnc segEncoder
 	// flat and toks are where a version sorted in memory is held: the
 	// document slab, reused by every such add, and the sorted tokens, sized
 	// to the version and zeroed once the merge has read them, as they

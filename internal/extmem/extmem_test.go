@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -418,6 +420,71 @@ func BenchmarkExternalAdd(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAddAfterOpen is the add of the benchmark's query-mix workload:
+// an XMark site at 60% of the default size, archived as 8 versions that
+// alternate 10% random and key-modifying changes, is reopened and given
+// version 9. The add rewrites the archive's one segment through a freshly
+// opened archiver's capture and encoder.
+func BenchmarkAddAfterOpen(b *testing.B) {
+	def := datagen.DefaultXMark()
+	pc := func(n int) int { return n * 60 / 100 }
+	g := datagen.NewXMark(datagen.XMarkConfig{Seed: 1, Items: pc(def.Items), People: pc(def.People),
+		Categories: pc(def.Categories), OpenAucts: pc(def.OpenAucts), ClosedAucts: pc(def.ClosedAucts)})
+	docs := []*xmltree.Node{g.Document()}
+	for len(docs) < 9 {
+		if len(docs)%2 == 1 {
+			docs = append(docs, g.RandomChanges(docs[len(docs)-1], 0.10))
+		} else {
+			docs = append(docs, g.KeyModChanges(docs[len(docs)-1], 0.10))
+		}
+	}
+	cfg := Config{Budget: 1 << 20}
+	base := b.TempDir()
+	ar, err := Open(base, g.Spec(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, d := range docs[:8] {
+		if err := addDoc(ar, d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := ar.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "a")
+		if err := os.CopyFS(dir, os.DirFS(base)); err != nil {
+			b.Fatal(err)
+		}
+		ar, err := Open(dir, g.Spec(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		err = addDoc(ar, docs[8])
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		ar.Close()
+		os.RemoveAll(dir)
+	}
+}
+
+// addDoc archives doc, validated, as the next version, as the store adds a
+// tree.
+func addDoc(ar *Archiver, doc *xmltree.Node) error {
+	items, err := ar.AddVersionBatch([]Source{{Doc: doc, Validate: true}})
+	if err != nil {
+		return err
+	}
+	return items[0].Err
 }
 
 func TestArchiveXMLWellFormed(t *testing.T) {

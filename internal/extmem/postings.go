@@ -203,10 +203,10 @@ func decodePostings(data []byte) ([]*idxEntry, error) {
 // ---------------------------------------------------------------------------
 // Write-time capture
 
-// captureEntryFacts walks one entry's captured tokens and derives its
-// facts. m is the entry's token range (open token through balancing
-// close); tokOffs, when non-nil, holds the payload byte offset of every
-// token plus a final total, enabling kid spans.
+// captureEntryFacts walks one entry's ntok tokens, open token through
+// balancing close, which next hands out in order, and derives its facts.
+// offs, when non-nil, holds the payload byte offset of each of the tokens
+// plus the entry's end, enabling kid spans.
 // Effective timestamps follow the same replacement rule as
 // core.ResolveFrom; group content inherits the group time.
 //
@@ -215,8 +215,8 @@ func decodePostings(data []byte) ([]*idxEntry, error) {
 // time's minimum; an element holding both groups and plain content has a
 // shared nil-time group, which changed at the element's effective
 // minimum — an inherit marker when that is the record lifespan.
-func captureEntryFacts(toks []token, m entryMark, tokOffs []int64, dict *dictionary) (*idxEntry, error) {
-	e := &idxEntry{hasKids: tokOffs != nil}
+func captureEntryFacts(next func() token, ntok int, offs []int64, dict *dictionary) (*idxEntry, error) {
+	e := &idxEntry{hasKids: offs != nil}
 	var stamps stampParser
 	changed := func(c qlang.ChangeItem) { e.facts.Changes = append(e.facts.Changes, c) }
 	eff := []string{""}
@@ -225,17 +225,13 @@ func captureEntryFacts(toks []token, m entryMark, tokOffs []int64, dict *diction
 	// Per open element (the entry itself at depth 1): whether it holds
 	// group and plain content directly, for shared-group change facts.
 	var sawTS, sawPlain []bool
-	var entryOff int64
-	if tokOffs != nil {
-		entryOff = tokOffs[m.start]
-	}
 	markPlain := func() {
 		if groupDepth == 0 && len(sawPlain) > 0 {
 			sawPlain[len(sawPlain)-1] = true
 		}
 	}
-	for i := m.start; i < m.end; i++ {
-		t := &toks[i]
+	for i := range ntok {
+		t := next()
 		switch t.op {
 		case tokOpen:
 			markPlain()
@@ -247,7 +243,7 @@ func captureEntryFacts(toks []token, m entryMark, tokOffs []int64, dict *diction
 				if t.data != "" {
 					ne = t.data
 				}
-				if depth == 2 && groupDepth == 0 && tokOffs != nil {
+				if depth == 2 && groupDepth == 0 && offs != nil {
 					n, err := dict.name(t.tag)
 					if err != nil {
 						return nil, err
@@ -256,16 +252,16 @@ func captureEntryFacts(toks []token, m entryMark, tokOffs []int64, dict *diction
 					if err != nil {
 						return nil, err
 					}
-					e.kids = append(e.kids, idxKid{name: n, key: t.key, timeStr: t.data, time: ts, off: tokOffs[i] - entryOff})
+					e.kids = append(e.kids, idxKid{name: n, key: t.key, timeStr: t.data, time: ts, off: offs[i] - offs[0]})
 				}
 			}
 			eff = append(eff, ne)
 			sawTS = append(sawTS, false)
 			sawPlain = append(sawPlain, false)
 		case tokClose:
-			if depth == 2 && groupDepth == 0 && tokOffs != nil && len(e.kids) > 0 {
+			if depth == 2 && groupDepth == 0 && offs != nil && len(e.kids) > 0 {
 				kk := &e.kids[len(e.kids)-1]
-				kk.size = tokOffs[i+1] - entryOff - kk.off
+				kk.size = offs[i+1] - offs[0] - kk.off
 			}
 			if sawTS[len(sawTS)-1] && sawPlain[len(sawPlain)-1] {
 				// The closing element mixes groups and shared content:
@@ -321,23 +317,25 @@ func captureEntryFacts(toks []token, m entryMark, tokOffs []int64, dict *diction
 }
 
 // capturePostings derives the postings of the segment just encoded, whose
-// tokens are still in sw.out: one per directory entry — names resolved,
-// timestamps parsed, kid spans for every entry above the frontier (a
-// frontier entry's content is group-structured, not seekable by child) —
-// or, for a raw segment, one over its whole token range, without kids.
+// tokens are still in sw.out, read once in order (the entries tile the
+// capture): one per directory entry — names resolved, timestamps parsed,
+// kid spans for every entry above the frontier (a frontier entry's content
+// is group-structured, not seekable by child) — or, for a raw segment, one
+// over its whole token range, without kids.
 func (sw *segmentSetWriter) capturePostings(rec *segmentRecord, tokOffs []int64) ([]*idxEntry, error) {
 	marks := sw.marks
 	if sw.raw {
-		marks = []entryMark{{start: 0, end: len(sw.out.toks)}}
+		marks = []entryMark{{start: 0, end: sw.out.n}}
 	}
 	posts := make([]*idxEntry, len(marks))
+	cur := capCursor{c: sw.out}
 	for i, m := range marks {
-		offs := tokOffs
+		offs := tokOffs[m.start : m.end+1]
 		if sw.raw || sw.ar.spec.IsFrontier(keys.Path([]string{sw.root.name, rec.entries[i].name})) {
 			offs = nil
 		}
 		var err error
-		if posts[i], err = captureEntryFacts(sw.out.toks, m, offs, sw.ar.dict); err != nil {
+		if posts[i], err = captureEntryFacts(cur.token, m.end-m.start, offs, sw.ar.dict); err != nil {
 			return nil, err
 		}
 	}

@@ -137,7 +137,8 @@ func checkPosting(h *segmentHeader, i int, toks []token, offs []int64, dict *dic
 	if !p.hasKids {
 		offs = nil
 	}
-	got, err := captureEntryFacts(toks, entryMark{start: 0, end: len(toks)}, offs, dict)
+	at := 0
+	got, err := captureEntryFacts(func() token { at++; return toks[at-1] }, len(toks), offs, dict)
 	if err != nil {
 		return corruptf("record %d: %v", i, err)
 	}

@@ -1,13 +1,13 @@
 package extmem
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -97,31 +97,6 @@ func (d *segDict) validate() error {
 		d.key(i)
 	}
 	return nil
-}
-
-// encodeSegDict renders the dictionary section. All tables are sorted,
-// so the ids the encoder assigned are the positions here.
-func encodeSegDict(w *kdWriter, paths, values, times []string, keys []*tkey, pathID, valueID map[string]int) {
-	w.varint(uint64(len(paths)))
-	for _, s := range paths {
-		w.str(s)
-	}
-	w.varint(uint64(len(values)))
-	for _, s := range values {
-		w.str(s)
-	}
-	w.varint(uint64(len(times)))
-	for _, s := range times {
-		w.str(s)
-	}
-	w.varint(uint64(len(keys)))
-	for _, k := range keys {
-		w.varint(uint64(len(k.paths)))
-		for i := range k.paths {
-			w.varint(uint64(pathID[k.paths[i]]))
-			w.varint(uint64(valueID[k.canon[i]]))
-		}
-	}
 }
 
 // decodeSegDict parses a dictionary section, which a replication peer may
@@ -285,22 +260,70 @@ func (c *dictCache) evict(name string) { c.m.Delete(name) }
 // ---------------------------------------------------------------------------
 // Segment encoding (write side)
 
-// captureWriter is the token sink of the segment writer: tokens are
-// buffered in decoded form (dictionary tables need the whole segment's
-// token population before ids can be assigned in sorted order), and est
-// tracks an approximate encoded size for the roll decision at child
-// boundaries.
+// captureWriter is the token sink of the segment writer. Each token is
+// encoded on arrival in the segment grammar, against ids numbered in
+// arrival order: sorted ids need the whole segment's population, so encode
+// renumbers the buffer once, when the segment closes. The buffer holds
+// bytes; only the tables, one entry per distinct value, hold strings and
+// keys. est tracks an approximate encoded size for the roll decision at
+// child boundaries.
 type captureWriter struct {
-	toks []token
-	est  int64
+	buf []byte
+	n   int // tokens captured
+	est int64
+
+	paths, values, times interner[string]
+	keys                 interner[*tkey] // by pointer; encode merges equal tuples
+	keyAt                []int32         // per key, where its pairs start in keyPairs
+	keyPairs             []int32         // alternating path id, value id
 }
 
-// reset empties the buffer and keeps its room. The tokens are zeroed, not
-// only cut off: the buffer outlives the version whose strings they hold.
+// interner numbers distinct values in arrival order.
+type interner[T comparable] struct {
+	id   map[T]int32
+	list []T
+}
+
+func (t *interner[T]) intern(v T) int32 {
+	if id, ok := t.id[v]; ok {
+		return id
+	}
+	if t.id == nil {
+		t.id = map[T]int32{}
+	}
+	t.id[v] = int32(len(t.list))
+	t.list = append(t.list, v)
+	return int32(len(t.list) - 1)
+}
+
+func (t *interner[T]) reset() {
+	clear(t.id)
+	clear(t.list)
+	t.list = t.list[:0]
+}
+
+// reset empties the capture and keeps its room. The tables are zeroed, not
+// only cut off: they outlive the version whose strings and keys they hold.
 func (c *captureWriter) reset() {
-	clear(c.toks)
-	c.toks = c.toks[:0]
-	c.est = 0
+	c.buf, c.n, c.est = c.buf[:0], 0, 0
+	c.paths.reset()
+	c.values.reset()
+	c.times.reset()
+	c.keys.reset()
+	c.keyAt, c.keyPairs = c.keyAt[:0], c.keyPairs[:0]
+}
+
+// key interns key tuple k, and the paths and values of a tuple not seen
+// before.
+func (c *captureWriter) key(k *tkey) int32 {
+	id := c.keys.intern(k)
+	if int(id) == len(c.keyAt) {
+		c.keyAt = append(c.keyAt, int32(len(c.keyPairs)))
+		for i := range k.paths {
+			c.keyPairs = append(c.keyPairs, c.paths.intern(k.paths[i]), c.values.intern(k.canon[i]))
+		}
+	}
+	return id
 }
 
 func (c *captureWriter) open(tagID int, key *tkey, time string) {
@@ -314,190 +337,209 @@ func (c *captureWriter) tsOpen(time string) { c.writeToken(token{op: tokTSOpen, 
 func (c *captureWriter) tsClose() { c.writeToken(token{op: tokTSClose}) }
 
 func (c *captureWriter) writeToken(t token) {
-	c.toks = append(c.toks, t)
+	c.n++
+	b := append(c.buf, t.op)
 	switch t.op {
 	case tokOpen:
 		c.est += 4
+		b = append(binary.AppendUvarint(b, uint64(t.tag)), 0)
+		flags := len(b) - 1
 		if t.key != nil {
 			c.est += 2
+			b[flags] |= flagHasKey
+			b = binary.AppendUvarint(b, uint64(c.key(t.key)))
 		}
 		if t.data != "" {
 			c.est += 2
+			b[flags] |= flagHasTime
+			b = binary.AppendUvarint(b, uint64(c.times.intern(t.data)))
 		}
 	case tokText:
 		c.est += int64(len(t.data)) + 3
+		b = append(binary.AppendUvarint(b, uint64(len(t.data))), t.data...)
 	case tokAttr:
 		c.est += 4
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(t.tag)), uint64(c.values.intern(t.data)))
 	case tokTSOpen:
 		c.est += 3
+		b = binary.AppendUvarint(b, uint64(c.times.intern(t.data)))
 	default:
 		c.est++
 	}
+	c.buf = b
 }
 
-// entryMark is the token range [start, end) of one directory entry in a
-// captured segment.
-type entryMark struct{ start, end int }
-
-// entrySpan is the byte range of one entry in the encoded payload.
-type entrySpan struct{ off, size int64 }
-
-// encodedSegment is one segment's encoded payload and dictionary section.
-// The byte slices alias the encoder's internal buffers and are valid until
-// the next encode.
-type encodedSegment struct {
-	dict    []byte      // the dictionary section
-	pay     []byte      // the payload
-	crc     uint32      // CRC32 of the payload
-	offs    []entrySpan // per entryMark
-	tokOffs []int64     // byte offset of every token plus a final total
+// capToken is one captured token with its arrival-order ids; a text
+// token's bytes alias the capture's buffer.
+type capToken struct {
+	op, flags             byte
+	tag, key, time, value int
+	text                  []byte
 }
 
-// segEncoder turns a captured token run into a segment: it builds
-// the sorted dictionary tables, encodes the payload with ids, and renders
-// the full header. All scratch state is reused across segments of one
-// write pass.
+// capCursor is the one decoder of a capture's buffer, reading its tokens
+// in order: for the renumbering and for the postings.
+type capCursor struct {
+	c  *captureWriter
+	at int
+}
+
+func (r *capCursor) uvarint() int {
+	v, n := binary.Uvarint(r.c.buf[r.at:])
+	r.at += n
+	return int(v)
+}
+
+func (r *capCursor) next(t *capToken) {
+	*t = capToken{op: r.c.buf[r.at]}
+	r.at++
+	switch t.op {
+	case tokOpen:
+		t.tag = r.uvarint()
+		t.flags = r.c.buf[r.at]
+		r.at++
+		if t.flags&flagHasKey != 0 {
+			t.key = r.uvarint()
+		}
+		if t.flags&flagHasTime != 0 {
+			t.time = r.uvarint()
+		}
+	case tokText:
+		n := r.uvarint()
+		t.text = r.c.buf[r.at : r.at+n]
+		r.at += n
+	case tokAttr:
+		t.tag, t.value = r.uvarint(), r.uvarint()
+	case tokTSOpen:
+		t.time = r.uvarint()
+	}
+}
+
+// token decodes the next token as the writer was handed it, its strings
+// and key from the capture's tables, but a text token without its text,
+// which no posting reads.
+func (r *capCursor) token() token {
+	var ct capToken
+	r.next(&ct)
+	t := token{op: ct.op, tag: ct.tag}
+	switch {
+	case ct.op == tokAttr:
+		t.data = r.c.values.list[ct.value]
+	case ct.op == tokTSOpen || ct.flags&flagHasTime != 0:
+		t.data = r.c.times.list[ct.time]
+	}
+	if ct.flags&flagHasKey != 0 {
+		t.key = r.c.keys.list[ct.key]
+	}
+	return t
+}
+
+// ranks are one capture table in sorted order: order lists arrival ids by
+// position, and remap maps an arrival id to its segment id.
+type ranks struct{ order, remap []int32 }
+
+// rank sorts list's arrival ids by cmp.
+func rank[T any](r *ranks, list []T, cmp func(a, b T) int) {
+	r.order = r.order[:0]
+	for id := range int32(len(list)) {
+		r.order = append(r.order, id)
+	}
+	slices.SortFunc(r.order, func(a, b int32) int { return cmp(list[a], list[b]) })
+	r.remap = slices.Grow(r.remap[:0], len(list))[:len(list)]
+	for pos, id := range r.order {
+		r.remap[id] = int32(pos)
+	}
+}
+
+// segEncoder turns a capture into a segment: dictionary section, payload
+// and header, in buffers reused across the segments of one write pass. The
+// zero value is ready.
 type segEncoder struct {
-	pathID, valueID, timeID map[string]int
-	keyID                   map[*tkey]int
-	pathList, valueList     []string
-	timeList                []string
-	keyPtrs, keyReps        []*tkey
+	paths, values, times, keys ranks
 
 	dict, posts, head kdWriter
-	pay               bytes.Buffer
-	offs              []entrySpan
-	// tokOffs records the payload byte offset of every token (plus a final
-	// total), for the postings' kid spans.
+	pay               []byte
+	crc               uint32 // of pay
+	// tokOffs holds the payload byte offset of every token plus a final
+	// total, for the directory's entry spans and the postings' kid spans.
 	tokOffs []int64
 }
 
-func newSegEncoder() *segEncoder {
-	return &segEncoder{
-		pathID:  map[string]int{},
-		valueID: map[string]int{},
-		timeID:  map[string]int{},
-		keyID:   map[*tkey]int{},
+// encode renders the segment captured in c into the encoder's dict, pay,
+// crc and tokOffs, valid until the next encode.
+func (enc *segEncoder) encode(c *captureWriter) {
+	// Ids in sorted order, so id comparison is string comparison.
+	rank(&enc.paths, c.paths.list, strings.Compare)
+	rank(&enc.values, c.values.list, strings.Compare)
+	rank(&enc.times, c.times.list, strings.Compare)
+	// Distinct key pointers may carry equal tuples, which must share one
+	// id for id equality to mean key equality: order keeps one of each.
+	k := &enc.keys
+	rank(k, c.keys.list, compareKeys)
+	reps := k.order[:0]
+	for _, id := range k.order {
+		if len(reps) == 0 || compareKeys(c.keys.list[reps[len(reps)-1]], c.keys.list[id]) != 0 {
+			reps = append(reps, id)
+		}
+		k.remap[id] = int32(len(reps) - 1)
 	}
-}
+	k.order = reps
 
-func (enc *segEncoder) addString(m map[string]int, list []string, s string) []string {
-	if _, ok := m[s]; !ok {
-		m[s] = 0
-		list = append(list, s)
+	w := &enc.dict
+	w.b.Reset()
+	table := func(r *ranks, list []string) {
+		w.varint(uint64(len(r.order)))
+		for _, id := range r.order {
+			w.str(list[id])
+		}
 	}
-	return list
-}
+	table(&enc.paths, c.paths.list)
+	table(&enc.values, c.values.list)
+	table(&enc.times, c.times.list)
+	w.varint(uint64(len(k.order)))
+	for _, id := range k.order {
+		pairs := c.keyPairs[c.keyAt[id]:][:2*len(c.keys.list[id].paths)]
+		w.varint(uint64(len(pairs) / 2))
+		for i := 0; i < len(pairs); i += 2 {
+			w.varint(uint64(enc.paths.remap[pairs[i]]))
+			w.varint(uint64(enc.values.remap[pairs[i+1]]))
+		}
+	}
 
-// encode renders the payload and dictionary of one segment from the
-// captured tokens. marks gives the token range of each directory entry
-// (empty for raw segments); the resulting byte spans come back in offs,
-// index-aligned with marks.
-func (enc *segEncoder) encode(toks []token, marks []entryMark) (*encodedSegment, error) {
-	clear(enc.pathID)
-	clear(enc.valueID)
-	clear(enc.timeID)
-	clear(enc.keyID)
-	enc.pathList = enc.pathList[:0]
-	enc.valueList = enc.valueList[:0]
-	enc.timeList = enc.timeList[:0]
-	enc.keyPtrs = enc.keyPtrs[:0]
-	enc.keyReps = enc.keyReps[:0]
-	enc.dict.b.Reset()
-	enc.pay.Reset()
-	enc.offs = enc.offs[:0]
-	enc.tokOffs = enc.tokOffs[:0]
-
-	// Pass 1: collect the distinct strings and key tuples.
-	for i := range toks {
-		t := &toks[i]
+	// Renumber the payload in one pass.
+	pay, offs := slices.Grow(enc.pay[:0], len(c.buf)), slices.Grow(enc.tokOffs[:0], c.n+1)
+	cur := capCursor{c: c}
+	var t capToken
+	for range c.n {
+		offs = append(offs, int64(len(pay)))
+		cur.next(&t)
+		pay = append(pay, t.op)
 		switch t.op {
 		case tokOpen:
-			if t.key != nil {
-				if _, ok := enc.keyID[t.key]; !ok {
-					enc.keyID[t.key] = 0
-					enc.keyPtrs = append(enc.keyPtrs, t.key)
-					for j := range t.key.paths {
-						enc.pathList = enc.addString(enc.pathID, enc.pathList, t.key.paths[j])
-						enc.valueList = enc.addString(enc.valueID, enc.valueList, t.key.canon[j])
-					}
-				}
+			pay = append(binary.AppendUvarint(pay, uint64(t.tag)), t.flags)
+			if t.flags&flagHasKey != 0 {
+				pay = binary.AppendUvarint(pay, uint64(k.remap[t.key]))
 			}
-			if t.data != "" {
-				enc.timeList = enc.addString(enc.timeID, enc.timeList, t.data)
+			if t.flags&flagHasTime != 0 {
+				pay = binary.AppendUvarint(pay, uint64(enc.times.remap[t.time]))
 			}
+		case tokText:
+			pay = append(binary.AppendUvarint(pay, uint64(len(t.text))), t.text...)
 		case tokAttr:
-			enc.valueList = enc.addString(enc.valueID, enc.valueList, t.data)
+			pay = binary.AppendUvarint(binary.AppendUvarint(pay, uint64(t.tag)), uint64(enc.values.remap[t.value]))
 		case tokTSOpen:
-			enc.timeList = enc.addString(enc.timeID, enc.timeList, t.data)
+			pay = binary.AppendUvarint(pay, uint64(enc.times.remap[t.time]))
 		}
 	}
-
-	// Ids in sorted order, so id comparison is string comparison.
-	sort.Strings(enc.pathList)
-	for i, s := range enc.pathList {
-		enc.pathID[s] = i
-	}
-	sort.Strings(enc.valueList)
-	for i, s := range enc.valueList {
-		enc.valueID[s] = i
-	}
-	sort.Strings(enc.timeList)
-	for i, s := range enc.timeList {
-		enc.timeID[s] = i
-	}
-	// Keys were collected as distinct pointers; distinct pointers may
-	// still carry equal values, which must share one id for id equality
-	// to mean key equality.
-	sort.Slice(enc.keyPtrs, func(i, j int) bool { return compareKeys(enc.keyPtrs[i], enc.keyPtrs[j]) < 0 })
-	for i, k := range enc.keyPtrs {
-		if i > 0 && compareKeys(enc.keyPtrs[i-1], k) == 0 {
-			enc.keyID[k] = len(enc.keyReps) - 1
-			continue
-		}
-		enc.keyID[k] = len(enc.keyReps)
-		enc.keyReps = append(enc.keyReps, k)
-	}
-
-	encodeSegDict(&enc.dict, enc.pathList, enc.valueList, enc.timeList, enc.keyReps, enc.pathID, enc.valueID)
-
-	// Pass 2: encode the payload, recording entry byte spans.
-	mi := 0
-	for i := range toks {
-		if mi < len(enc.offs) && marks[mi].end == i {
-			enc.offs[mi].size = int64(enc.pay.Len()) - enc.offs[mi].off
-			mi++
-		}
-		if mi < len(marks) && marks[mi].start == i {
-			enc.offs = append(enc.offs, entrySpan{off: int64(enc.pay.Len())})
-		}
-		enc.tokOffs = append(enc.tokOffs, int64(enc.pay.Len()))
-		enc.writeTok(&toks[i])
-	}
-	if mi < len(enc.offs) && marks[mi].end == len(toks) {
-		enc.offs[mi].size = int64(enc.pay.Len()) - enc.offs[mi].off
-		mi++
-	}
-	if mi != len(marks) {
-		return nil, fmt.Errorf("extmem: internal: %d of %d entry marks unresolved", len(marks)-mi, len(marks))
-	}
-
-	enc.tokOffs = append(enc.tokOffs, int64(enc.pay.Len()))
-	return &encodedSegment{
-		dict:    enc.dict.b.Bytes(),
-		pay:     enc.pay.Bytes(),
-		crc:     crc32.ChecksumIEEE(enc.pay.Bytes()),
-		offs:    enc.offs,
-		tokOffs: enc.tokOffs,
-	}, nil
+	enc.pay, enc.crc, enc.tokOffs = pay, crc32.ChecksumIEEE(pay), append(offs, int64(len(pay)))
 }
 
-// renderHead renders the complete header of an encoded segment — magic,
-// format, flags, fixed payload length and CRC, root label, the two section
-// lengths, the dictionary section and the postings section — and returns
-// it with the postings section's length. The header aliases the encoder's
-// buffer and is valid until the next renderHead.
-func (enc *segEncoder) renderHead(raw bool, rootName string, rootKey *tkey, res *encodedSegment, posts []*idxEntry) ([]byte, int64) {
+// renderHead renders the complete header of the segment just encoded —
+// magic, format, flags, fixed payload length and CRC, root label, the two
+// section lengths, the dictionary section and the postings section — and
+// returns it with the postings section's length. The header aliases the
+// encoder's buffer and is valid until the next renderHead.
+func (enc *segEncoder) renderHead(raw bool, rootName string, rootKey *tkey, posts []*idxEntry) ([]byte, int64) {
 	enc.posts.b.Reset()
 	encodePostings(&enc.posts, posts)
 	w := &enc.head
@@ -510,58 +552,14 @@ func (enc *segEncoder) renderHead(raw bool, rootName string, rootKey *tkey, res 
 	}
 	w.b.WriteByte(flags)
 	var fixed [12]byte
-	binary.LittleEndian.PutUint64(fixed[:8], uint64(len(res.pay)))
-	binary.LittleEndian.PutUint32(fixed[8:], res.crc)
+	binary.LittleEndian.PutUint64(fixed[:8], uint64(len(enc.pay)))
+	binary.LittleEndian.PutUint32(fixed[8:], enc.crc)
 	w.b.Write(fixed[:])
 	w.str(rootName)
 	w.key(rootKey)
-	w.varint(uint64(len(res.dict)))
+	w.varint(uint64(enc.dict.b.Len()))
 	w.varint(uint64(enc.posts.b.Len()))
-	w.b.Write(res.dict)
+	w.b.Write(enc.dict.b.Bytes())
 	w.b.Write(enc.posts.b.Bytes())
 	return w.b.Bytes(), int64(enc.posts.b.Len())
-}
-
-func (enc *segEncoder) writeTok(t *token) {
-	b := &enc.pay
-	switch t.op {
-	case tokOpen:
-		b.WriteByte(tokOpen)
-		putUvarint(b, uint64(t.tag))
-		var flags byte
-		if t.key != nil {
-			flags |= flagHasKey
-		}
-		if t.data != "" {
-			flags |= flagHasTime
-		}
-		b.WriteByte(flags)
-		if t.key != nil {
-			putUvarint(b, uint64(enc.keyID[t.key]))
-		}
-		if t.data != "" {
-			putUvarint(b, uint64(enc.timeID[t.data]))
-		}
-	case tokText:
-		b.WriteByte(tokText)
-		putUvarint(b, uint64(len(t.data)))
-		b.WriteString(t.data)
-	case tokAttr:
-		b.WriteByte(tokAttr)
-		putUvarint(b, uint64(t.tag))
-		putUvarint(b, uint64(enc.valueID[t.data]))
-	case tokClose:
-		b.WriteByte(tokClose)
-	case tokTSOpen:
-		b.WriteByte(tokTSOpen)
-		putUvarint(b, uint64(enc.timeID[t.data]))
-	case tokTSClose:
-		b.WriteByte(tokTSClose)
-	}
-}
-
-func putUvarint(b *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	b.Write(tmp[:n])
 }

@@ -239,10 +239,11 @@ func (rf *readFault) Read(p []byte) (int, error) {
 // segmentSetWriter collects merged subtrees into a sequence of segment
 // files, rolling to a fresh file whenever the current payload passes the
 // target size at a child boundary, and recording one directory entry per
-// child. The current file's tokens are buffered in out (the dictionary
-// needs the whole population before ids exist), then encoded and written
-// in one pass at closeCurrent; no file exists until then. out is stable
-// across rolls, so a merge can keep one output handle for the whole pass.
+// child. The current file's tokens are captured in out, encoded on arrival
+// against arrival-order ids, then renumbered to the dictionary's sorted ids
+// and written in one pass at closeCurrent; no file exists until then. out
+// is stable across rolls, so a merge can keep one output handle for the
+// whole pass.
 // out and enc are the archiver's (Archiver.segOut): one writer is in use
 // at a time, from newSegmentSetWriter to finish.
 //
@@ -279,12 +280,9 @@ type segmentSetWriter struct {
 // disk — before it is complete — so failed merges can remove every file
 // they created, not only the finished ones.
 func newSegmentSetWriter(ar *Archiver, root *rootRecord, raw bool, emit func(*segmentRecord), onCreate func(name string)) *segmentSetWriter {
-	if ar.segEnc == nil {
-		ar.segEnc = newSegEncoder()
-	}
 	sw := &segmentSetWriter{
 		ar: ar, root: root, raw: raw, target: int64(ar.cfg.SegmentTarget),
-		out: &ar.segOut, enc: ar.segEnc,
+		out: &ar.segOut, enc: &ar.segEnc,
 		emit: emit, onCreate: onCreate,
 	}
 	sw.out.reset()
@@ -309,10 +307,10 @@ func (sw *segmentSetWriter) open() {
 	sw.cur = &segmentRecord{}
 }
 
-// closeCurrent encodes the captured tokens (dictionary, postings,
-// payload) and writes them as a complete file. Until here nothing of this
-// segment exists on disk, so an encode or create failure leaves no file
-// to clean up. A failed segment fsync or close is durability-critical:
+// closeCurrent encodes the capture (dictionary, postings, payload) and
+// writes them as a complete file. Until here nothing of this segment
+// exists on disk, so a postings or create failure leaves no file to clean
+// up. A failed segment fsync or close is durability-critical:
 // the file may be referenced by the directory about to be committed while
 // its pages were silently dropped (fsyncgate), so it must poison the
 // writer rather than be retried. The written segment's dictionary and
@@ -323,30 +321,27 @@ func (sw *segmentSetWriter) closeCurrent() {
 	if rec == nil || sw.err != nil {
 		return
 	}
-	res, err := sw.enc.encode(sw.out.toks, sw.marks)
+	enc := sw.enc
+	enc.encode(sw.out)
+	for i, m := range sw.marks {
+		rec.entries[i].offset = enc.tokOffs[m.start]
+		rec.entries[i].size = enc.tokOffs[m.end] - enc.tokOffs[m.start]
+	}
+	posts, err := sw.capturePostings(rec, enc.tokOffs)
 	if err != nil {
 		sw.fail(err)
 		return
 	}
-	for i := range rec.entries {
-		rec.entries[i].offset = res.offs[i].off
-		rec.entries[i].size = res.offs[i].size
-	}
-	posts, err := sw.capturePostings(rec, res.tokOffs)
+	dict, err := decodeSegDict(enc.dict.b.Bytes())
 	if err != nil {
 		sw.fail(err)
 		return
 	}
-	dict, err := decodeSegDict(res.dict)
-	if err != nil {
-		sw.fail(err)
-		return
-	}
-	head, postLen := sw.enc.renderHead(sw.raw, sw.root.name, sw.root.key, res, posts)
+	head, postLen := enc.renderHead(sw.raw, sw.root.name, sw.root.key, posts)
 	rec.dataOff = int64(len(head))
-	rec.payload = int64(len(res.pay))
-	rec.crc = res.crc
-	rec.dictLen = int64(len(res.dict))
+	rec.payload = int64(len(enc.pay))
+	rec.crc = enc.crc
+	rec.dictLen = int64(enc.dict.b.Len())
 	rec.postLen = postLen
 	name := fmt.Sprintf("seg-%08d.tok", sw.ar.nextSeg)
 	sw.ar.nextSeg++
@@ -359,15 +354,12 @@ func (sw *segmentSetWriter) closeCurrent() {
 	if sw.onCreate != nil {
 		sw.onCreate(name)
 	}
-	if _, err := f.Write(head); err != nil {
-		f.Close()
-		sw.fail(fmt.Errorf("extmem: %w", err))
-		return
-	}
-	if _, err := f.Write(res.pay); err != nil {
-		f.Close()
-		sw.fail(fmt.Errorf("extmem: %w", err))
-		return
+	for _, b := range [][]byte{head, enc.pay} {
+		if _, err := f.Write(b); err != nil {
+			f.Close()
+			sw.fail(fmt.Errorf("extmem: %w", err))
+			return
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -383,6 +375,10 @@ func (sw *segmentSetWriter) closeCurrent() {
 	sw.emit(rec)
 }
 
+// entryMark is the token range [start, end) of one directory entry in a
+// captured segment.
+type entryMark struct{ start, end int }
+
 // beginChild notes the subtree about to be written, stamped timeStr; eff is
 // the set the caller holds for it, the node's effective timestamp, kept as
 // the entry's parsed time when the stamp is explicit. The entry is
@@ -394,7 +390,7 @@ func (sw *segmentSetWriter) beginChild(name string, key *tkey, timeStr string, e
 	if sw.cur == nil {
 		sw.open()
 	}
-	sw.markStart = len(sw.out.toks)
+	sw.markStart = sw.out.n
 	sw.pending = childEntry{name: name, key: key, timeStr: timeStr}
 	if timeStr != "" {
 		sw.pending.time = eff
@@ -409,7 +405,7 @@ func (sw *segmentSetWriter) endChild() {
 	if sw.err != nil || sw.cur == nil {
 		return
 	}
-	sw.marks = append(sw.marks, entryMark{start: sw.markStart, end: len(sw.out.toks)})
+	sw.marks = append(sw.marks, entryMark{start: sw.markStart, end: sw.out.n})
 	sw.cur.entries = append(sw.cur.entries, sw.pending)
 	if n := sw.out.est; n >= sw.target {
 		if sw.planned > 0 && sw.planned-(sw.written+n) < sw.minTail {
@@ -419,7 +415,7 @@ func (sw *segmentSetWriter) endChild() {
 	}
 }
 
-// finish closes any open file and lets go of the last segment's tokens.
+// finish closes any open file and lets go of the last segment's capture.
 func (sw *segmentSetWriter) finish() error {
 	sw.closeCurrent()
 	sw.out.reset()

@@ -206,7 +206,8 @@ func (m *segMerge) rawRoot(r, out *rootRecord, d *tokenReader) error {
 	isRoot := func(n string, k *tkey) bool { return compareLabels(n, k, out.name, out.key) == 0 }
 	err := m.mergeLevel(a, d, m.newRoot, nil, nil, isRoot)
 	if err == nil {
-		if out.timeStr, out.time = sw.out.toks[0].data, nil; out.timeStr != "" {
+		root := capCursor{c: sw.out} // the root's open token comes first
+		if out.timeStr, out.time = root.token().data, nil; out.timeStr != "" {
 			out.time, err = intervals.Parse(out.timeStr)
 		}
 	}

@@ -98,38 +98,41 @@ func (ar *Archiver) writeRun(path string, toks []token) error {
 		return fmt.Errorf("extmem: %w", err)
 	}
 	bw, done := pooledWriter(f)
-	// Not the segment writer's encoder: encode clears its tables per call,
-	// at a cost that grows with the largest segment they ever held.
-	enc := newSegEncoder()
+	// Not the segment writer's capture and encoder: a capture clears its
+	// tables per child, at a cost that grows with the largest segment they
+	// ever held.
+	var c captureWriter
+	var enc segEncoder
 	var head kdWriter
 	var n []byte
-	for start, end := 0, 0; start < len(toks) && err == nil; start = end {
-		for depth := 0; end == start || depth > 0; end++ {
-			if op := toks[end].op; op == tokOpen {
-				depth++
-			} else if op == tokClose {
-				depth--
-			}
+	depth := 0
+	for _, t := range toks {
+		if depth == 0 {
+			head.b.Reset()
+			head.varint(uint64(t.tag))
+			head.key(t.key)
+			c.reset()
 		}
-		child := toks[start:end]
-		var seg *encodedSegment
-		if seg, err = enc.encode(child, nil); err != nil {
-			break
+		c.writeToken(t)
+		if t.op == tokOpen {
+			depth++
+		} else if t.op == tokClose {
+			depth--
 		}
-		head.b.Reset()
-		head.varint(uint64(child[0].tag))
-		head.key(child[0].key)
-		head.varint(uint64(len(seg.dict)))
-		head.varint(uint64(len(seg.pay)))
+		if depth > 0 {
+			continue
+		}
+		enc.encode(&c)
+		head.varint(uint64(enc.dict.b.Len()))
+		head.varint(uint64(len(enc.pay)))
 		n = binary.AppendUvarint(n[:0], uint64(head.b.Len()))
 		bw.Write(n)
 		bw.Write(head.b.Bytes())
-		bw.Write(seg.dict)
-		bw.Write(seg.pay)
+		bw.Write(enc.dict.b.Bytes())
+		bw.Write(enc.pay)
 	}
-	if err == nil {
-		err = bw.Flush()
-	}
+	c.reset()
+	err = bw.Flush()
 	done()
 	if cerr := f.Close(); err == nil {
 		err = cerr

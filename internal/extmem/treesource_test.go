@@ -140,11 +140,19 @@ func encodeTokens(tb testing.TB, toks []token) []byte {
 	if len(toks) == 0 {
 		return nil
 	}
-	enc, err := newSegEncoder().encode(toks, nil)
-	if err != nil {
-		tb.Fatal(err)
+	var enc segEncoder
+	enc.encode(capture(toks))
+	return slices.Concat(enc.dict.b.Bytes(), enc.pay)
+}
+
+// capture hands toks to a fresh capture, as the merge hands the segment
+// writer its tokens.
+func capture(toks []token) *captureWriter {
+	c := &captureWriter{}
+	for _, t := range toks {
+		c.writeToken(t)
 	}
-	return slices.Concat(enc.dict, enc.pay)
+	return c
 }
 
 // sortDoc sorts doc in memory, as an add of it would.

@@ -458,22 +458,20 @@ func TestMalformedFrontierIsCorruption(t *testing.T) {
 func encodeStreams(tb testing.TB, streams ...[]token) (*segDict, [][]byte) {
 	tb.Helper()
 	var all []token
-	var marks []entryMark
+	var starts []int
 	for _, s := range streams {
-		marks = append(marks, entryMark{start: len(all), end: len(all) + len(s)})
+		starts = append(starts, len(all))
 		all = append(all, s...)
 	}
-	enc, err := newSegEncoder().encode(all, marks)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	dict, err := decodeSegDict(enc.dict)
+	var enc segEncoder
+	enc.encode(capture(all))
+	dict, err := decodeSegDict(enc.dict.b.Bytes())
 	if err != nil {
 		tb.Fatal(err)
 	}
 	out := make([][]byte, len(streams))
-	for i, span := range enc.offs {
-		out[i] = bytes.Clone(enc.pay[span.off : span.off+span.size])
+	for i, start := range starts {
+		out[i] = bytes.Clone(enc.pay[enc.tokOffs[start]:enc.tokOffs[start+len(streams[i])]])
 	}
 	return dict, out
 }

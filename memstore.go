@@ -16,9 +16,10 @@ import (
 // Query methods take a read lock, Add takes a write lock, so any number
 // of concurrent readers run alongside a stream of Adds.
 //
-// The store-owned indexes are invalidated by Add and rebuilt lazily by
-// the first indexed query, so bulk ingest pays nothing for them while
-// queries never see a stale index.
+// The store-owned indexes are invalidated by Add and each is rebuilt
+// lazily by the first query that reads it, so bulk ingest pays nothing
+// for them, a History never builds the timestamp trees nor a Version the
+// key lists, and queries never see a stale index.
 type MemStore struct {
 	mu     sync.RWMutex
 	cfg    config
@@ -54,18 +55,19 @@ func LoadStore(r io.Reader, spec *KeySpec, opts ...Option) (*MemStore, error) {
 	return &MemStore{cfg: cfg, a: a}, nil
 }
 
-// withIndexes runs fn with fresh indexes. The common case runs under the
-// read lock, sharing with other readers; when an Add has invalidated the
-// indexes, the rebuild and fn both run under the write lock, so one
-// rebuild always suffices no matter how Adds interleave.
-func (s *MemStore) withIndexes(fn func(tix *tstree.Index, hix *keyindex.Index) error) error {
+// withIndex runs fn with the fresh index *ix, which build makes from the
+// archive: s.tix or s.hix. The common case runs under the read lock,
+// sharing with other readers; when an Add has invalidated the index, the
+// rebuild and fn both run under the write lock, so one rebuild always
+// suffices no matter how Adds interleave.
+func withIndex[T any](s *MemStore, ix **T, build func(*core.Archive) *T, fn func(*T) error) error {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return ErrClosed
 	}
-	if s.tix != nil {
-		err := fn(s.tix, s.hix)
+	if *ix != nil {
+		err := fn(*ix)
 		s.mu.RUnlock()
 		return err
 	}
@@ -75,11 +77,10 @@ func (s *MemStore) withIndexes(fn func(tix *tstree.Index, hix *keyindex.Index) e
 	if s.closed {
 		return ErrClosed
 	}
-	if s.tix == nil {
-		s.tix = tstree.Build(s.a)
-		s.hix = keyindex.Build(s.a)
+	if *ix == nil {
+		*ix = build(s.a)
 	}
-	return fn(s.tix, s.hix)
+	return fn(*ix)
 }
 
 // Add archives doc as the next version and invalidates the indexes; the
@@ -149,7 +150,7 @@ func (s *MemStore) Version(n int) (*Document, error) {
 		return s.a.Version(n)
 	}
 	var doc *Document
-	err := s.withIndexes(func(tix *tstree.Index, _ *keyindex.Index) error {
+	err := withIndex(s, &s.tix, tstree.Build, func(tix *tstree.Index) error {
 		var err error
 		doc, err = tix.Version(n)
 		return err
@@ -174,7 +175,7 @@ func (s *MemStore) History(selector string) (*VersionSet, error) {
 		return s.a.History(selector)
 	}
 	var h *VersionSet
-	err := s.withIndexes(func(_ *tstree.Index, hix *keyindex.Index) error {
+	err := withIndex(s, &s.hix, keyindex.Build, func(hix *keyindex.Index) error {
 		var err error
 		h, err = hix.History(selector)
 		return err

@@ -233,6 +233,35 @@ func TestConcurrentReaders(t *testing.T) {
 	})
 }
 
+// TestMemStoreBuildsIndexPerQuery: an Add invalidates both indexes, and
+// each query rebuilds only the one it reads — a History the key lists, a
+// Version the timestamp trees.
+func TestMemStoreBuildsIndexPerQuery(t *testing.T) {
+	s := NewStore(mustSpec(t))
+	for n := 1; n <= 3; n++ {
+		addString(t, s, deptVersion(n))
+	}
+	if _, err := s.History("/db/dept[name=d2]"); err != nil {
+		t.Fatal(err)
+	}
+	if s.tix != nil || s.hix == nil {
+		t.Errorf("after Add, History: trees built %v, key lists built %v; want false, true", s.tix != nil, s.hix != nil)
+	}
+	addString(t, s, deptVersion(4))
+	if _, err := s.Version(2); err != nil {
+		t.Fatal(err)
+	}
+	if s.tix == nil || s.hix != nil {
+		t.Errorf("after Add, Version: trees built %v, key lists built %v; want true, false", s.tix != nil, s.hix != nil)
+	}
+	if _, err := s.History("/db/dept[name=d4]"); err != nil {
+		t.Fatal(err)
+	}
+	if s.tix == nil || s.hix == nil {
+		t.Error("a History after a Version dropped the trees or built no key lists")
+	}
+}
+
 // TestStructuredErrors checks that every failure mode is errors.Is /
 // errors.As dispatchable on both engines.
 func TestStructuredErrors(t *testing.T) {
