@@ -35,11 +35,11 @@ import (
 // files against deletion for as long as it scans them, and takes no lock
 // that is ever held across a filesystem call or a merge: beside an Add or
 // a Compact of any length it answers from the generation committed before
-// it, and from the new one as soon as that call has returned. mu only
-// keeps writers apart — AddBatch, AddReader's streamed form, Compact and
-// Close run one at a time — and OpenReplicaView takes it too, because it
-// reads the state files back from disk and must not catch them
-// mid-commit. What a reader can cost is disk: a view left open keeps its
+// it, and from the new one as soon as that call has returned. A
+// replication view is such a read too: the generation carries the bytes
+// of the state files its commit wrote. mu only keeps writers apart —
+// AddBatch, AddReader's streamed form, Compact and Close run one at a
+// time. What a reader can cost is disk: a view left open keeps its
 // generation's superseded segment files (StorageStats.PinnedGenerations).
 // Anyone who wants an in-RAM copy loads a Snapshot into a MemStore with
 // LoadStore.
@@ -372,17 +372,14 @@ func (s *ExtStore) BytesRead() int64 {
 	return s.ar.BytesRead()
 }
 
-// OpenReplicaView pins the current committed generation and returns a
-// replication view over it: the exact state-file bytes on disk plus
-// streaming access to the segment files the key directory references.
-// The pin keeps those files alive while a pull copies them, even as
-// concurrent Adds commit newer generations; the caller must Close the
-// view. It is the one reader that takes the writer mutex, and so may
-// wait out one commit: the three state files are read back from disk and
-// must never be caught mid-commit.
+// OpenReplicaView pins the published generation and returns a
+// replication view over it: the state-file bytes that generation's commit
+// wrote, plus streaming access to the segment files its key directory
+// references. The pin keeps those files alive while a pull copies them,
+// even as concurrent Adds commit newer generations; the caller must Close
+// the view. Like every read it takes no lock and never waits for a
+// writer: a commit that has not returned is not in the view.
 func (s *ExtStore) OpenReplicaView() (*extmem.ReplicaView, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	iofs "io/fs"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -39,19 +38,18 @@ type Archiver struct {
 	// see none of it; they read the published generation.
 	dict    *dictionary
 	nextSeg int
-	// savedDir and savedDict are what the last commit (or Open) left on
-	// disk: the directory in keydir.idx and the number of names in
-	// dict.txt, -1 while there is no dict.txt. A commit rewrites dict.txt
-	// only when the dictionary has grown past savedDict; Close commits
-	// only when either differs from the state in memory.
+	// savedDir, savedDict and saved are what the last commit (or Open) left
+	// on disk: the directory in keydir.idx, the number of names in dict.txt
+	// (-1 while there is no dict.txt) and the three files' bytes, which the
+	// next generation carries. A commit rewrites dict.txt only when the
+	// dictionary has grown past savedDict; Close commits only when either
+	// differs from the state in memory.
 	savedDir  *keyDirectory
 	savedDict int
+	saved     stateFiles
 	// last collects the diagnostics the next generation will carry.
 	last Diagnostics
 
-	// segDicts caches decoded segment dictionaries and postings per segment
-	// file; entries are evicted when the file is swept.
-	segDicts *dictCache
 	// segOut and segEnc are the segment writer's capture and encoder.
 	// Segment writers work one after the other, so each borrows these two
 	// and only the first segments of a store pay for growing them: grown
@@ -190,14 +188,20 @@ func CheckLegacyLayout(fs fsio.FS, dir string) error {
 	return nil
 }
 
-// Open creates or reopens an archiver rooted at dir. A corrupt or
-// truncated key directory is detected by checksum and rebuilt by scanning
-// the segment files; a directory in a legacy layout fails with
+// Open creates or reopens an archiver rooted at dir. It acts on the one
+// reading of the state files (loadState): a fresh directory gets a first
+// commit, a missing or stale meta.txt is rewritten from keydir.idx, and a
+// corrupt, truncated or missing key directory is rebuilt by scanning the
+// segment files meta.txt lists. A directory in a legacy layout fails with
 // ErrLegacyFormat before any file in it is created, renamed or removed.
 func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 	cfg.setDefaults()
-	if err := CheckLegacyLayout(cfg.FS, dir); err != nil {
+	st, err := loadState(cfg.FS, dir)
+	if err != nil {
 		return nil, err
+	}
+	if st.verdict == stateRefused {
+		return nil, st.err
 	}
 	if err := cfg.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("extmem: %w", err)
@@ -207,121 +211,47 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 		dict: newDictionary(), gens: map[int]*generation{},
 		savedDict: -1,
 	}
-	ar.segDicts = &dictCache{fs: ar.fs, dir: dir, counter: &ar.bytesRead}
 	ar.nextSeg = ar.maxSegID() + 1
-
-	metaData, metaErr := ar.fs.ReadFile(filepath.Join(dir, metaFile))
-	kdData, kdErr := ar.fs.ReadFile(filepath.Join(dir, keydirFile))
-	_, dictErr := ar.fs.Stat(filepath.Join(dir, dictFile))
-	if errors.Is(kdErr, iofs.ErrNotExist) && (errors.Is(metaErr, iofs.ErrNotExist) || errors.Is(dictErr, iofs.ErrNotExist)) {
-		// Fresh archive, or a first commit cut off before its commit point:
-		// the barrier makes dict.txt durable before any keydir.idx, so a
-		// directory with neither holds at most that commit's meta.txt and
-		// segments, which the new commit and the sweep replace.
-		d := &keyDirectory{rootTime: intervals.New()}
-		if err := ar.commitState(d); err != nil {
-			return nil, err
-		}
-		ar.finishOpen(d)
-		return ar, nil
+	d := st.d
+	if st.verdict == stateFresh {
+		d = &keyDirectory{rootTime: intervals.New()}
+	} else {
+		ar.dict, ar.savedDict, ar.saved = st.dict, len(st.dict.names), st.files
 	}
-	if metaErr != nil && kdErr != nil {
-		return nil, fmt.Errorf("extmem: corrupt archive directory: %v", metaErr)
+	switch st.verdict {
+	case stateFresh, stateRebuild:
+		err = ar.commitState(d)
+	case stateHealMeta:
+		err = CommitFiles(ar.fs, ar.dir, []StateFile{{metaFile, st.files.meta}})
 	}
-
-	// The key directory is authoritative: whenever it decodes, a damaged
-	// meta backup must never reroute a healthy archive into a rebuild.
-	var d *keyDirectory
-	if kdErr == nil {
-		dd, err := decodeKeyDirectory(kdData)
-		if errors.Is(err, ErrLegacyFormat) {
-			return nil, err
-		}
-		if err == nil {
-			d = dd
-		}
-	}
-
-	// The dictionary precedes the segments: payloads reference names by
-	// id.
-	df, err := ar.fs.Open(filepath.Join(dir, dictFile))
-	if err != nil {
-		return nil, fmt.Errorf("extmem: missing dictionary: %w", err)
-	}
-	ar.dict, err = loadDictionary(df)
-	df.Close()
 	if err != nil {
 		return nil, err
 	}
-	ar.savedDict = len(ar.dict.snapshot())
-	if d != nil && ar.savedDict < d.names {
-		return nil, shortDictf(ar.savedDict, d.names)
-	}
-
-	if d == nil {
-		// Corrupt, truncated or missing key directory: fall back to
-		// scanning the segment files meta.txt lists, using its root
-		// records for what the payloads cannot supply.
-		meta, err := parseMetaV2(bytes.NewReader(metaData))
-		if err != nil {
-			return nil, fmt.Errorf("extmem: key directory unreadable and %w", err)
-		}
-		d, err = ar.rebuildDirectory(meta)
-		if err != nil {
-			return nil, err
-		}
-		if err := ar.commitState(d); err != nil {
-			return nil, err
-		}
-	} else {
-		ar.savedDir = d
-		if metaErr != nil || !metaMatches(metaData, d) {
-			// Self-heal a stale or missing meta backup from the directory.
-			if err := CommitFiles(ar.fs, ar.dir, []StateFile{{metaFile, encodeMeta(d)}}); err != nil {
-				return nil, err
-			}
-		}
-	}
+	ar.savedDir = d
 	ar.finishOpen(d)
 	return ar, nil
-}
-
-// metaMatches reports whether the meta backup agrees with the directory.
-func metaMatches(metaData []byte, d *keyDirectory) bool {
-	meta, err := parseMetaV2(bytes.NewReader(metaData))
-	if err != nil {
-		return false
-	}
-	return meta.versions == d.versions && meta.rootTime.Equal(d.rootTime) && len(meta.roots) == len(d.roots)
 }
 
 // finishOpen garbage-collects files no committed state references (crash
 // leftovers: orphan segments, temp files) and publishes d as generation 0.
 func (ar *Archiver) finishOpen(d *keyDirectory) {
-	g := &generation{d: d, names: ar.dict.snapshot(), files: d.files()}
+	g := ar.newGeneration(d)
 	for _, p := range globSegments(ar.fs, ar.dir) {
 		if !g.files[filepath.Base(p)] {
 			ar.fs.Remove(p)
 		}
 	}
 	ar.sweepTmp()
-	ar.preloadDicts(d)
-	ar.publish(g)
-}
-
-// preloadDicts warms the dictionary cache for every committed
-// segment. The dictionaries and postings are immutable per-segment
-// metadata — the same class of state as the key directory loaded above —
-// so paying their decode once at open keeps it off every query's first
-// token.
-// Best-effort: a segment that fails to load here surfaces its error on
-// the query that actually touches it, exactly as without preloading.
-func (ar *Archiver) preloadDicts(d *keyDirectory) {
+	// The segments' dictionaries and postings are immutable metadata, the
+	// same class of state as the key directory, so loading them here keeps
+	// their decode off every query's first token. Best-effort: a segment
+	// that fails to load surfaces its error on the query that touches it.
 	for _, r := range d.roots {
 		for _, s := range r.segs {
-			ar.segDicts.get(s)
+			ar.sections(s)
 		}
 	}
+	ar.publish(g)
 }
 
 // sweepTmp removes the transient files a crashed operation can strand:
@@ -388,35 +318,37 @@ func (ar *Archiver) maxSegID() int {
 // commitState persists the archive state as one staged commit
 // (CommitFiles): dict.txt when the dictionary grew since it was last
 // written (it is append-only by id), meta.txt, and keydir.idx last. Open
-// trusts keydir.idx, re-derives a disagreeing meta.txt from it and sweeps
+// trusts keydir.idx, re-derives a meta.txt that differs from it and sweeps
 // orphan segments and ".tmp" files.
 func (ar *Archiver) commitState(d *keyDirectory) error {
 	if err := ar.writable(); err != nil {
 		return err
 	}
-	var files []StateFile
 	dictLen := len(ar.dict.snapshot())
+	saved := stateFiles{keydir: d.encode(dictLen), dict: ar.saved.dict, meta: encodeMeta(d)}
+	var files []StateFile
 	if dictLen != ar.savedDict {
 		var db bytes.Buffer
 		if err := ar.dict.save(&db); err != nil {
 			return err
 		}
-		files = append(files, StateFile{dictFile, db.Bytes()})
+		saved.dict = db.Bytes()
+		files = append(files, StateFile{dictFile, saved.dict})
 	}
-	files = append(files, StateFile{metaFile, encodeMeta(d)}, StateFile{keydirFile, d.encode(dictLen)})
+	files = append(files, StateFile{metaFile, saved.meta}, StateFile{keydirFile, saved.keydir})
 	if err := CommitFiles(ar.fs, ar.dir, files); err != nil {
 		return err
 	}
 	ar.commits.Add(1)
-	ar.savedDir, ar.savedDict = d, dictLen
+	ar.savedDir, ar.savedDict, ar.saved = d, dictLen, saved
 	return nil
 }
 
-// newGeneration wraps a directory the commit has just made durable as the
-// next generation to publish: the dictionary's names as of now and the
-// writer's diagnostics.
+// newGeneration wraps a directory the commit (or Open) has just made
+// durable as the next generation to publish: the dictionary's names as of
+// now, the state files' bytes and the writer's diagnostics.
 func (ar *Archiver) newGeneration(d *keyDirectory) *generation {
-	return &generation{d: d, names: ar.dict.snapshot(), files: d.files(), last: ar.last}
+	return &generation{d: d, names: ar.dict.snapshot(), files: d.files(), state: ar.saved, last: ar.last}
 }
 
 // Versions returns the number of archived versions.
@@ -704,7 +636,7 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 	if ar.cfg.CompactionBudget > 0 {
 		if _, cerr := ar.compact(int64(ar.cfg.CompactionBudget)); cerr != nil {
 			ar.last.CompactErr = ar.noteFatal(cerr)
-			ar.publish(&generation{d: g.d, names: g.names, files: g.files, last: ar.last})
+			ar.publish(&generation{d: g.d, names: g.names, files: g.files, state: g.state, last: ar.last})
 		}
 	}
 	return items, nil

@@ -151,3 +151,40 @@ func TestScratchWriteErrorDoesNotDegrade(t *testing.T) {
 		t.Fatalf("Versions() = %d after one successful Add", got)
 	}
 }
+
+// TestDegradedReplicaView: an add whose commit fails at its ack directory
+// fsync has renamed its keydir.idx into place, but the writer degrades and
+// never publishes it. A replica view is the published generation, as every
+// query is: it says one version, not the two on disk.
+func TestDegradedReplicaView(t *testing.T) {
+	ffs := fsio.NewFaultFS(nil)
+	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 7, Records: 10})
+	ar, err := Open(t.TempDir(), datagen.OMIMSpec(), Config{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := addVersion(ar, strings.NewReader(g.Next().IndentedXML())); err != nil {
+		t.Fatal(err)
+	}
+	ffs.SetFault("dir.sync", fsio.Fault{After: 1, Count: 1})
+	if err := addVersion(ar, strings.NewReader(g.Next().IndentedXML())); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("add with a failed ack fsync: %v, want ErrDegraded", err)
+	}
+	if n := ar.Versions(); n != 1 {
+		t.Fatalf("Versions() = %d after the failed add, want 1", n)
+	}
+	v, err := ar.OpenReplicaView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	kd, _, _ := v.Bundle()
+	man, err := DecodeManifest(kd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Manifest().Versions != 1 || man.Versions != 1 || man.Generation != v.Manifest().Generation {
+		t.Errorf("replica view: manifest says %d versions, its keydir.idx %d (generation %s, %s); want 1",
+			v.Manifest().Versions, man.Versions, v.Manifest().Generation, man.Generation)
+	}
+}

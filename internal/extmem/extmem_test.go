@@ -43,6 +43,16 @@ func addAll(t *testing.T, ar *Archiver, docs []*xmltree.Node) {
 
 // loadExternal reads the external archive back through the in-memory
 // loader for semantic comparison.
+// dropSections forgets the decoded sections every segment of d keeps, so
+// the next reader of each loads them from its file.
+func dropSections(d *keyDirectory) {
+	for _, r := range d.roots {
+		for _, s := range r.segs {
+			s.sec.Store(nil)
+		}
+	}
+}
+
 func loadExternal(t *testing.T, ar *Archiver, spec *keys.Spec) *core.Archive {
 	t.Helper()
 	var b strings.Builder

@@ -1,10 +1,7 @@
 package extmem
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	iofs "io/fs"
 	"path/filepath"
 	"strings"
 
@@ -64,7 +61,9 @@ func (r *CheckReport) add(file, kind string, ok bool, detail string) {
 // writing and without mutating any file. It reports per-file status
 // rather than failing on the first problem; the returned error is
 // reserved for not being able to inspect the directory at all — which
-// includes a directory in a legacy layout (ErrLegacyFormat).
+// includes a directory in a legacy layout (ErrLegacyFormat). The state
+// files are read and classified by the loader Open acts on (loadState),
+// and each finding on them says what Open does about it.
 func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 	if fs == nil {
 		fs = fsio.OS
@@ -73,121 +72,51 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 	if _, err := fs.Stat(dir); err != nil {
 		return nil, fmt.Errorf("extmem: fsck: %w", err)
 	}
-	if err := CheckLegacyLayout(fs, dir); err != nil {
+	st, err := loadState(fs, dir)
+	if err != nil {
 		return nil, err
 	}
-
-	// Key directory: authoritative when its whole-file checksum holds.
-	var d *keyDirectory
-	var decErr error
-	kdData, kdErr := fs.ReadFile(filepath.Join(dir, keydirFile))
-	if kdErr == nil {
-		if d, decErr = decodeKeyDirectory(kdData); errors.Is(decErr, ErrLegacyFormat) {
-			return nil, decErr
-		}
-	}
-
-	// Dictionary: segment payloads reference names by id, so a dead
-	// dictionary makes every deeper check impossible, and one shorter than
-	// the key directory records has lost names the segments may use.
-	var dict *dictionary
-	if df, err := fs.Open(filepath.Join(dir, dictFile)); err != nil {
-		r.add(dictFile, "dict", false, fmt.Sprintf("unreadable: %v", err))
-	} else {
-		dict, err = loadDictionary(df)
-		df.Close()
-		switch {
-		case err != nil:
-			dict = nil
-			r.add(dictFile, "dict", false, fmt.Sprintf("corrupt: %v", err))
-		case d != nil && len(dict.names) < d.names:
-			r.add(dictFile, "dict", false, shortDictf(len(dict.names), d.names).Error())
-		default:
-			r.add(dictFile, "dict", true, "loads")
-		}
-	}
-
-	switch {
-	case errors.Is(kdErr, iofs.ErrNotExist):
-		r.add(keydirFile, "keydir", false, "missing (rebuilt from meta.txt on open)")
-	case kdErr != nil:
-		r.add(keydirFile, "keydir", false, fmt.Sprintf("unreadable: %v", kdErr))
-	case decErr != nil:
-		r.add(keydirFile, "keydir", false, fmt.Sprintf("%v (rebuilt from meta.txt on open)", decErr))
-	default:
-		r.add(keydirFile, "keydir", true, "checksum valid")
-	}
-
-	// Meta backup: the recovery source when the key directory is dead,
-	// a consistency cross-check when it is not.
-	var meta *keyDirectory
-	metaData, metaErr := fs.ReadFile(filepath.Join(dir, metaFile))
-	switch {
-	case errors.Is(metaErr, iofs.ErrNotExist):
-		r.add(metaFile, "meta", false, "missing (rewritten from keydir.idx on open)")
-	case metaErr != nil:
-		r.add(metaFile, "meta", false, fmt.Sprintf("unreadable: %v", metaErr))
-	default:
-		var err error
-		if meta, err = parseMetaV2(bytes.NewReader(metaData)); err != nil {
-			meta = nil
-			r.add(metaFile, "meta", false, fmt.Sprintf("corrupt backup: %v", err))
-		} else if d != nil && !metaMatches(metaData, d) {
-			r.add(metaFile, "meta", false, "stale backup, disagrees with keydir.idx (self-healed on open)")
+	for _, f := range []struct {
+		file, kind string
+		err        error
+		ok         string
+	}{
+		{keydirFile, "keydir", st.kdErr, "checksum valid"},
+		{dictFile, "dict", st.dictErr, "loads"},
+		{metaFile, "meta", st.metaErr, "backs up keydir.idx"},
+	} {
+		if f.err != nil {
+			r.add(f.file, f.kind, false, fmt.Sprintf("%v (%s)", f.err, st.action()))
 		} else {
-			r.add(metaFile, "meta", true, "parses")
+			r.add(f.file, f.kind, true, f.ok)
 		}
 	}
 
-	// Segments. With a live key directory, verify every referenced file
-	// against its directory record; otherwise fall back to the meta
-	// backup's file list, checking each segment against its own header
-	// (the rebuild path's ingredients).
+	// Segments: every file of the directory Open would publish, decoded or
+	// rebuilt, verified against its directory record.
 	live := map[string]bool{}
-	switch {
-	case d != nil:
-		r.Versions = d.versions
-		for _, root := range d.roots {
+	if st.d != nil {
+		r.Versions = st.d.versions
+		live = st.d.files()
+		for _, root := range st.d.roots {
 			for _, seg := range root.segs {
-				live[seg.file] = true
 				// verifySegment also decodes the dictionary and walks
 				// every token, so a dangling dictionary id, a directory
 				// entry that points beside its subtree or a posting that
 				// disagrees with its record fails here like a bad checksum.
-				if err := verifySegment(fs, filepath.Join(dir, seg.file), d, root, seg, dict); err != nil {
+				if err := verifySegment(fs, filepath.Join(dir, seg.file), st.d, root, seg, st.dict); err != nil {
 					r.add(seg.file, "segment", false, err.Error())
 				} else {
 					r.add(seg.file, "segment", true, "checksums, dictionary ids, directory entries and postings valid")
 				}
 			}
 		}
-	case meta != nil:
-		r.Versions = meta.versions
-		for _, root := range meta.roots {
-			for _, seg := range root.segs {
-				live[seg.file] = true
-				if dict == nil {
-					r.add(seg.file, "segment", false, "unverifiable: dictionary unavailable")
-					continue
-				}
-				h, _, err := walkSegment(fs, filepath.Join(dir, seg.file), dict)
-				if errors.Is(err, ErrLegacyFormat) {
-					return nil, err
-				} else if err == nil {
-					err = h.postErr
-				}
-				if err != nil {
-					r.add(seg.file, "segment", false, err.Error())
-				} else {
-					r.add(seg.file, "segment", true, "self-checksum valid")
-				}
-			}
-		}
 	}
 
-	// Crash leftovers on disk: orphan segments no committed state
-	// references, transient scratch/rename files, and the degraded
-	// marker. All are removed by repair.
+	// Crash leftovers on disk: segments the directory Open publishes does
+	// not reference (every one, on a fresh start), transient scratch and
+	// rename files, and the degraded marker. Open removes the first two
+	// unless it refuses the directory; repair clears the marker.
 	ents, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("extmem: fsck: %w", err)
@@ -198,7 +127,7 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 		case fsio.Transient(n):
 			r.add(n, "transient", false, "crash leftover (swept on open)")
 		case strings.HasPrefix(n, "seg-") && strings.HasSuffix(n, ".tok"):
-			if (d != nil || meta != nil) && !live[n] {
+			if st.verdict != stateRefused && !live[n] {
 				r.add(n, "orphan", false, "segment not referenced by any committed state (swept on open)")
 			}
 		case n == degradedMarker:

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -12,6 +13,8 @@ import (
 	"xarch/internal/core"
 	"xarch/internal/datagen"
 	"xarch/internal/fsio"
+	"xarch/internal/keys"
+	"xarch/internal/xmltree"
 )
 
 func checkKinds(r *CheckReport) map[string]int {
@@ -393,5 +396,252 @@ func TestShortDictionaryRefused(t *testing.T) {
 	}
 	if r.Clean || checkKinds(r)["dict"] != 1 {
 		t.Errorf("fsck problems %v, want the dictionary", r.Problems())
+	}
+}
+
+// staleMetaArchive builds in dir a 31-version fragmented archive whose
+// Compact is killed at the key directory's rename. meta.txt has taken its
+// name and lists the coalesced segments; keydir.idx still lists the ones
+// they replace. It returns the archive's configuration.
+func staleMetaArchive(t *testing.T, dir string) Config {
+	t.Helper()
+	cfg := Config{Budget: 1 << 16, SegmentTarget: fragTarget}
+	ffs := fsio.NewFaultFS(nil)
+	fcfg := cfg
+	fcfg.FS = ffs
+	ar := fragmentedArchive(t, dir, fcfg, 30)
+	ffs.SetFault("keydir.rename", fsio.Fault{Crash: true})
+	if _, err := ar.Compact(); !errors.Is(err, fsio.ErrCrashed) {
+		t.Fatalf("Compact killed at keydir.rename: %v", err)
+	}
+	return cfg
+}
+
+// TestStaleMetaBackupIsRewritten: a meta.txt that agrees with keydir.idx on
+// the version count, the root timestamp and the number of roots can still
+// list other segments — here the ones an interrupted compaction wrote,
+// which the reopen deletes. The backup is current only when its bytes are
+// encodeMeta of the key directory, so the reopen rewrites it, fsck is clean
+// after, and a later rebuild from it finds every file it lists.
+func TestStaleMetaBackupIsRewritten(t *testing.T) {
+	dir := t.TempDir()
+	cfg := staleMetaArchive(t, dir)
+	ar, err := Open(dir, datagen.OMIMSpec(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions, want, d := ar.Versions(), archiveStreamBytes(t, ar), ar.current().d
+	if err := ar.Close(); err != nil {
+		t.Fatal(err)
+	}
+	meta := readFileString(t, filepath.Join(dir, metaFile))
+	if meta != string(encodeMeta(d)) {
+		t.Error("meta.txt after the reopen is not the backup of keydir.idx")
+	}
+	skel, err := parseMetaV2(strings.NewReader(meta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f := range skel.files() {
+		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+			t.Errorf("meta.txt lists %s: %v", f, err)
+		}
+	}
+	if r, err := CheckArchive(nil, dir); err != nil || !r.Clean {
+		t.Fatalf("fsck after the reopen: %v %+v", err, r.Problems())
+	}
+
+	p := filepath.Join(dir, keydirFile)
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ar, err = Open(dir, datagen.OMIMSpec(), cfg)
+	if err != nil {
+		t.Fatalf("rebuild from the backup: %v", err)
+	}
+	defer ar.Close()
+	if ar.Versions() != versions || !bytes.Equal(archiveStreamBytes(t, ar), want) {
+		t.Errorf("rebuilt archive holds %d versions, want %d, or its stream differs", ar.Versions(), versions)
+	}
+}
+
+// TestFsckSaysWhatOpenDoes: fsck reads the state files through the loader
+// Open acts on, so what it reports about them is what Open then does — its
+// error, the versions it opens, and the segment files it leaves: every one
+// on disk but those fsck calls orphans.
+func TestFsckSaysWhatOpenDoes(t *testing.T) {
+	omim := func(t *testing.T, dir string) Config {
+		cfg := Config{Budget: 1 << 16, SegmentTarget: 2048}
+		if err := buildOMIMArchive(t, dir, cfg, 3).Close(); err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	remove := func(names ...string) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			for _, n := range names {
+				if err := os.Remove(filepath.Join(dir, n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	rewrite := func(name string, change func([]byte) []byte) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			p := filepath.Join(dir, name)
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, change(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		build  func(*testing.T, string) Config
+		damage func(*testing.T, string)
+		action string // what fsck says Open does
+		// versions is what Open then holds; -1: Open refuses.
+		versions int
+	}{
+		{"keydir.idx flipped", omim, rewrite(keydirFile, func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b }), "Open rebuilds keydir.idx", 3},
+		{"keydir.idx missing", omim, remove(keydirFile), "Open rebuilds keydir.idx", 3},
+		{"meta.txt missing", omim, remove(metaFile), "Open rewrites meta.txt", 3},
+		{"meta.txt stale", staleMetaArchive, nil, "Open rewrites meta.txt", 31},
+		{"dict.txt cut short", omim, rewrite(dictFile, func(b []byte) []byte { return b[:len(b)/2] }), "Open refuses", -1},
+		{"keydir.idx and dict.txt missing", omim, remove(keydirFile, dictFile), "Open starts a fresh archive", 0},
+		{"keydir.idx and meta.txt missing", omim, remove(keydirFile, metaFile), "Open starts a fresh archive", 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := c.build(t, dir)
+			if c.damage != nil {
+				c.damage(t, dir)
+			}
+			r, err := CheckArchive(nil, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var said []string // fsck's findings on the state files
+			orphans := map[string]bool{}
+			for _, it := range r.Problems() {
+				switch it.Kind {
+				case "keydir", "dict", "meta":
+					said = append(said, it.Detail)
+				case "orphan":
+					orphans[it.File] = true
+				}
+			}
+			if len(said) == 0 {
+				t.Fatalf("fsck finds nothing wrong with the state files: %+v", r.Items)
+			}
+			for _, s := range said {
+				if !strings.Contains(s, c.action) {
+					t.Errorf("fsck says %q, want %q", s, c.action)
+				}
+			}
+
+			before := diskSegments(t, dir)
+			ar, err := Open(dir, datagen.OMIMSpec(), cfg)
+			after := diskSegments(t, dir)
+			if c.versions < 0 {
+				if err == nil {
+					ar.Close()
+					t.Fatalf("Open succeeded; fsck said %q", said)
+				}
+				for _, s := range said {
+					if !strings.Contains(s, err.Error()) {
+						t.Errorf("fsck says %q; Open fails with %v", s, err)
+					}
+				}
+				if !slices.Equal(before, after) {
+					t.Errorf("refusing Open left %v of %v", after, before)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Open: %v; fsck said %q", err, said)
+			}
+			defer ar.Close()
+			if ar.Versions() != c.versions || r.Versions != c.versions {
+				t.Errorf("Open holds %d versions, fsck says %d, want %d", ar.Versions(), r.Versions, c.versions)
+			}
+			var kept []string
+			for _, f := range before {
+				if !orphans[f] {
+					kept = append(kept, f)
+				}
+			}
+			if !slices.Equal(kept, after) {
+				t.Errorf("Open left the segment files %v; fsck said it would leave %v", after, kept)
+			}
+			if c.versions == 0 && (len(before) == 0 || len(orphans) != len(before)) {
+				t.Errorf("fsck names %d of the %d segment files a fresh start deletes", len(orphans), len(before))
+			}
+		})
+	}
+}
+
+// TestCleanReopenWritesNothing: reopening a healthy archive creates,
+// writes, renames, removes and fsyncs nothing — its meta.txt is already
+// encodeMeta of its key directory, byte for byte.
+func TestCleanReopenWritesNothing(t *testing.T) {
+	og := datagen.NewOMIM(datagen.OMIMConfig{Seed: 3, Records: 40, DeleteFrac: 0.05, InsertFrac: 0.1, ModifyFrac: 0.1})
+	xg := datagen.NewXMark(datagen.XMarkConfig{Seed: 5, Items: 30, People: 30, Categories: 6, OpenAucts: 10, ClosedAucts: 6})
+	x1 := xg.Document()
+	xmark := []*xmltree.Node{x1, xg.RandomChanges(x1, 0.2)}
+	omim := []*xmltree.Node{og.Next(), og.Next(), nil, og.Next()}
+	for _, c := range []struct {
+		name string
+		spec *keys.Spec
+		docs []*xmltree.Node
+		cfg  Config
+	}{
+		{"omim", datagen.OMIMSpec(), omim, Config{SegmentTarget: 4096}},
+		{"omim-compacted", datagen.OMIMSpec(), omim, Config{SegmentTarget: 4096, CompactionBudget: 16384}},
+		{"xmark", datagen.XMarkSpec(), xmark, Config{SegmentTarget: 2048}},
+		{"raw", keys.MustParseSpec("(/, (ROOT, {}))"), omim, Config{SegmentTarget: 1024}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ar, err := Open(dir, c.spec, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, doc := range c.docs {
+				if doc == nil {
+					err = addVersion(ar, nil)
+				} else {
+					err = addTree(doc)(ar)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ar.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ffs := fsio.NewFaultFS(nil)
+			cfg := c.cfg
+			cfg.FS = ffs
+			if ar, err = Open(dir, c.spec, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := ar.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range ffs.Ops() {
+				if !strings.HasSuffix(op.Point, ".mkdirall") {
+					t.Errorf("clean reopen: %s %s", op.Point, op.Path)
+				}
+			}
+		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"xarch/internal/fsio"
 	"xarch/internal/intervals"
@@ -80,6 +81,8 @@ type segmentRecord struct {
 
 	identOnce sync.Once
 	ident     []keyindex.Ident // idents(): derived on first query, index-aligned with entries
+
+	sec atomic.Pointer[segSections] // Archiver.sections: set by the writer, or loaded on first use
 }
 
 // firstLabel returns the label of the segment's first entry.

@@ -70,6 +70,11 @@ func DecodeManifest(keydir []byte) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	return manifestOf(d, keydir), nil
+}
+
+// manifestOf describes directory d, whose encoding is keydir.
+func manifestOf(d *keyDirectory, keydir []byte) *Manifest {
 	m := &Manifest{Generation: GenerationID(keydir), Versions: d.versions}
 	for _, r := range d.roots {
 		for _, s := range r.segs {
@@ -82,7 +87,7 @@ func DecodeManifest(keydir []byte) (*Manifest, error) {
 			})
 		}
 	}
-	return m, nil
+	return m
 }
 
 // ReplicaView is a pinned read view of the current committed generation
@@ -91,47 +96,20 @@ func DecodeManifest(keydir []byte) (*Manifest, error) {
 // until Close even if later Adds supersede them — a puller streaming
 // from the view never observes a half-installed generation.
 type ReplicaView struct {
-	ar     *Archiver
-	g      *generation
-	man    *Manifest
-	keydir []byte
-	dict   []byte
-	meta   []byte
-	names  map[string]bool
+	ar  *Archiver
+	g   *generation
+	man *Manifest
 
 	closeOnce sync.Once
 }
 
-// OpenReplicaView pins the current generation and captures its state
-// bytes from disk. The caller must serialize against writers (the store
-// layer's lock): the three files are read back-to-back and must all
-// belong to one committed generation.
+// OpenReplicaView pins the published generation: its manifest and the
+// state-file bytes its commit wrote (or Open read) come with it, so the
+// view opens no file and, like every reader, never waits for a writer.
+// The error is always nil.
 func (ar *Archiver) OpenReplicaView() (*ReplicaView, error) {
-	kd, err := ar.fs.ReadFile(filepath.Join(ar.dir, keydirFile))
-	if err != nil {
-		return nil, fmt.Errorf("extmem: replica view: %w", err)
-	}
-	dict, err := ar.fs.ReadFile(filepath.Join(ar.dir, dictFile))
-	if err != nil {
-		return nil, fmt.Errorf("extmem: replica view: %w", err)
-	}
-	meta, err := ar.fs.ReadFile(filepath.Join(ar.dir, metaFile))
-	if err != nil {
-		return nil, fmt.Errorf("extmem: replica view: %w", err)
-	}
-	man, err := DecodeManifest(kd)
-	if err != nil {
-		return nil, err
-	}
-	v := &ReplicaView{
-		ar: ar, g: ar.pin(), man: man,
-		keydir: kd, dict: dict, meta: meta,
-		names: map[string]bool{},
-	}
-	for _, s := range man.Segments {
-		v.names[s.Name] = true
-	}
-	return v, nil
+	g := ar.pin()
+	return &ReplicaView{ar: ar, g: g, man: manifestOf(g.d, g.state.keydir)}, nil
 }
 
 // Manifest returns the pinned generation's manifest.
@@ -140,12 +118,12 @@ func (v *ReplicaView) Manifest() *Manifest { return v.man }
 // Bundle returns the exact bytes of the generation's three state files
 // (keydir.idx, dict.txt, meta.txt).
 func (v *ReplicaView) Bundle() (keydir, dict, meta []byte) {
-	return v.keydir, v.dict, v.meta
+	return v.g.state.keydir, v.g.state.dict, v.g.state.meta
 }
 
 // HasSegment reports whether name is a segment of the pinned
 // generation.
-func (v *ReplicaView) HasSegment(name string) bool { return v.names[name] }
+func (v *ReplicaView) HasSegment(name string) bool { return v.g.files[name] }
 
 // OpenSegment opens one segment blob of the pinned generation for
 // streaming, returning its size. Only names the manifest lists are
@@ -155,7 +133,7 @@ func (v *ReplicaView) HasSegment(name string) bool { return v.names[name] }
 // (and even the generation sweep unlinking the file) does not disturb
 // an in-flight stream.
 func (v *ReplicaView) OpenSegment(name string) (io.ReadCloser, int64, error) {
-	if !v.names[name] {
+	if !v.g.files[name] {
 		return nil, 0, fmt.Errorf("extmem: segment %s not in generation %s", name, v.man.Generation)
 	}
 	path := filepath.Join(v.ar.dir, name)

@@ -53,9 +53,9 @@ func TestMergeReadFaultIsNotCorruption(t *testing.T) {
 		}
 		failed := 0
 		for after := 0; ; after++ {
-			// An empty dictionary cache each time, so the fault walks
+			// No segment's sections loaded each time, so the fault walks
 			// through every read and open of a cold merge.
-			ar.segDicts.m.Range(func(k, _ any) bool { ar.segDicts.m.Delete(k); return true })
+			dropSections(ar.current().d)
 			ffs.SetFault(point, fsio.Fault{After: after, Count: 1})
 			err := addTree(v2)(ar)
 			ffs.ClearFaults()

@@ -379,7 +379,7 @@ func (ar *Archiver) buildInv(d *keyDirectory) (map[string][]int, error) {
 			continue
 		}
 		for _, s := range r.segs {
-			posts, err := ar.segDicts.postings(s)
+			posts, err := ar.postings(s)
 			if err != nil {
 				return nil, err
 			}
@@ -396,7 +396,7 @@ func (ar *Archiver) rootPosting(r *rootRecord) (*idxEntry, error) {
 	if len(r.segs) == 0 {
 		return nil, corruptf("raw root %s has no segment", r.name)
 	}
-	posts, err := ar.segDicts.postings(r.segs[0])
+	posts, err := ar.postings(r.segs[0])
 	if err != nil {
 		return nil, err
 	}

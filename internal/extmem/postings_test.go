@@ -163,7 +163,8 @@ func TestAttrIndexPersistedAndLoaded(t *testing.T) {
 
 // TestAttrIndexCodecRoundTrip pins the codec: every segment's postings
 // section decodes to postings that re-encode byte-identically, and the
-// postings the writer cached encode to the bytes on disk.
+// postings the writer left on each segment's record encode to the bytes
+// on disk.
 func TestAttrIndexCodecRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ar := buildAttrArchive(t, dir, Config{Budget: 1 << 16, SegmentTarget: 512}, 3)
@@ -184,14 +185,14 @@ func TestAttrIndexCodecRoundTrip(t *testing.T) {
 			if !bytes.Equal(again.b.Bytes(), section) {
 				t.Fatalf("%s: decode+encode is not byte-identical", s.file)
 			}
-			cached, err := ar.segDicts.postings(s)
+			kept, err := ar.postings(s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var mem kdWriter
-			encodePostings(&mem, cached)
+			encodePostings(&mem, kept)
 			if !bytes.Equal(mem.b.Bytes(), section) {
-				t.Fatalf("%s: the cached postings do not encode to the bytes on disk", s.file)
+				t.Fatalf("%s: the postings the record keeps do not encode to the bytes on disk", s.file)
 			}
 		}
 	}
@@ -695,7 +696,7 @@ func TestInvertedMapRetriedAfterReadFault(t *testing.T) {
 	if err != nil || len(want) == 0 {
 		t.Fatalf("Select without the postings = %v, %v", want, err)
 	}
-	ar.segDicts.m.Range(func(k, _ any) bool { ar.segDicts.m.Delete(k); return true })
+	dropSections(ar.current().d)
 	ffs.SetFault("segment.open", fsio.Fault{Count: 1})
 	if _, err := q.Select(e); !errors.Is(err, fsio.ErrInjected) {
 		t.Fatalf("Select under an open fault = %v, want the fault", err)

@@ -227,15 +227,16 @@ func checkFacts(sr *segmentRecord, what string, p *idxEntry, eff *intervals.Set,
 // exactly the segment files the meta backup lists for each root — never
 // globbing the directory, so crash orphans lying on disk cannot be
 // woven into the rebuilt archive — and re-deriving entries (offsets,
-// sizes, timestamps) from the payload tokens. meta also supplies the
-// root records, which the payloads cannot (a root's timestamp lives
-// only in the directory). Every timestamp is parsed here, once.
-func (ar *Archiver) rebuildDirectory(meta *keyDirectory) (*keyDirectory, error) {
+// sizes, timestamps) from the payload tokens, names through dict. meta
+// also supplies the root records, which the payloads cannot (a root's
+// timestamp lives only in the directory). Every timestamp is parsed here,
+// once. It reads and writes nothing else.
+func rebuildDirectory(fs fsio.FS, dir string, meta *keyDirectory, dict *dictionary) (*keyDirectory, error) {
 	out := &keyDirectory{versions: meta.versions, rootTime: meta.rootTime}
 	for _, r := range meta.roots {
 		rec := &rootRecord{name: r.name, key: r.key, timeStr: r.timeStr, attrs: r.attrs, raw: r.raw}
 		for _, skel := range r.segs {
-			h, entries, err := walkSegment(ar.fs, filepath.Join(ar.dir, skel.file), ar.dict)
+			h, entries, err := walkSegment(fs, filepath.Join(dir, skel.file), dict)
 			if err != nil {
 				return nil, fmt.Errorf("extmem: rebuild %s: %w", skel.file, err)
 			}

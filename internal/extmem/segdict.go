@@ -8,10 +8,8 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
-	"xarch/internal/fsio"
 	"xarch/internal/intervals"
 )
 
@@ -162,64 +160,34 @@ func decodeSegDict(data []byte) (*segDict, error) {
 	return d, nil
 }
 
-// dictCache shares the decoded dictionaries and postings of segments
-// across every reader of a generation. Segments are immutable, so a
-// cached entry never goes stale; entries are evicted when the file itself
-// is swept.
-type dictCache struct {
-	fs      fsio.FS
-	dir     string
-	counter *atomic.Int64
-	m       sync.Map // segment file name -> *segSections
-}
-
 // segSections is what a segment says about its payload: the dictionary
 // its tokens reference and the postings of its records. The postings are
 // derived from the payload, so damage to their section is kept apart and
-// fails only their readers.
+// fails only their readers. A segment record keeps its sections (sec):
+// the segment writer sets them, and the first reader of a segment it did
+// not write loads them (Archiver.sections).
 type segSections struct {
 	dict    *segDict
 	posts   []*idxEntry
 	postErr error
 }
 
-// get returns the decoded dictionary of a segment, loading and caching
-// its sections on first use.
-func (c *dictCache) get(seg *segmentRecord) (*segDict, error) {
-	ss, err := c.load(seg)
-	if err != nil {
-		return nil, err
-	}
-	return ss.dict, nil
-}
-
-// postings returns the postings of a segment: one per directory entry, one
-// for a raw segment. A damaged postings section fails Select and History
-// here, never a reader of the payload.
-func (c *dictCache) postings(seg *segmentRecord) ([]*idxEntry, error) {
-	ss, err := c.load(seg)
-	if err != nil {
-		return nil, err
-	}
-	return ss.posts, ss.postErr
-}
-
-// load returns the decoded sections of a segment. The section bytes read
-// on a miss are counted into the bytes-read telemetry; a failed read is
-// not cached, so the next reader retries it.
+// sections returns the decoded sections of a segment, loading them on
+// first use. The section bytes read are counted into the bytes-read
+// telemetry; a failed read is not kept, so the next reader retries it.
 //
 // The directory record pins the sections' exact location (they end at
 // dataOff, the postings last), so a segment loads with one positioned read
 // of just the two sections instead of re-parsing the whole header.
-func (c *dictCache) load(seg *segmentRecord) (*segSections, error) {
-	if v, ok := c.m.Load(seg.file); ok {
-		return v.(*segSections), nil
+func (ar *Archiver) sections(seg *segmentRecord) (*segSections, error) {
+	if ss := seg.sec.Load(); ss != nil {
+		return ss, nil
 	}
 	n := seg.dictLen + seg.postLen
 	if seg.dictLen <= 0 || seg.postLen <= 0 || n > seg.dataOff {
 		return nil, corruptf("segment %s: dictionary or postings section out of range", seg.file)
 	}
-	f, err := c.fs.Open(filepath.Join(c.dir, seg.file))
+	f, err := ar.fs.Open(filepath.Join(ar.dir, seg.file))
 	if err != nil {
 		return nil, fmt.Errorf("extmem: %w", err)
 	}
@@ -242,20 +210,23 @@ func (c *dictCache) load(seg *segmentRecord) (*segSections, error) {
 	if ss.postErr != nil {
 		ss.posts, ss.postErr = nil, fmt.Errorf("segment %s: %w", seg.file, ss.postErr)
 	}
-	if c.counter != nil {
-		c.counter.Add(n)
+	ar.bytesRead.Add(n)
+	if !seg.sec.CompareAndSwap(nil, ss) {
+		return seg.sec.Load(), nil
 	}
-	v, _ := c.m.LoadOrStore(seg.file, ss)
-	return v.(*segSections), nil
+	return ss, nil
 }
 
-// put caches the sections of a segment just written.
-func (c *dictCache) put(name string, dict *segDict, posts []*idxEntry) {
-	c.m.Store(name, &segSections{dict: dict, posts: posts})
+// postings returns the postings of a segment: one per directory entry, one
+// for a raw segment. A damaged postings section fails Select and History
+// here, never a reader of the payload.
+func (ar *Archiver) postings(seg *segmentRecord) ([]*idxEntry, error) {
+	ss, err := ar.sections(seg)
+	if err != nil {
+		return nil, err
+	}
+	return ss.posts, ss.postErr
 }
-
-// evict drops the cached sections of a swept segment file.
-func (c *dictCache) evict(name string) { c.m.Delete(name) }
 
 // ---------------------------------------------------------------------------
 // Segment encoding (write side)

@@ -313,8 +313,8 @@ func (sw *segmentSetWriter) open() {
 // up. A failed segment fsync or close is durability-critical:
 // the file may be referenced by the directory about to be committed while
 // its pages were silently dropped (fsyncgate), so it must poison the
-// writer rather than be retried. The written segment's dictionary and
-// postings go into the archiver's cache, so no query reads them back.
+// writer rather than be retried. The record keeps the written segment's
+// dictionary and postings, so no query reads them back.
 func (sw *segmentSetWriter) closeCurrent() {
 	rec := sw.cur
 	sw.cur = nil
@@ -371,7 +371,7 @@ func (sw *segmentSetWriter) closeCurrent() {
 		return
 	}
 	sw.written += rec.payload
-	sw.ar.segDicts.put(name, dict, posts)
+	rec.sec.Store(&segSections{dict: dict, posts: posts})
 	sw.emit(rec)
 }
 
@@ -503,7 +503,7 @@ func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 		}
 		s.f, s.seg = f, seg
 	}
-	dict, err := s.ar.segDicts.get(seg)
+	ss, err := s.ar.sections(seg)
 	if err != nil {
 		s.closeFile()
 		return nil, nil, err
@@ -512,7 +512,7 @@ func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 		s.closeFile()
 		return nil, nil, err
 	}
-	return &s.sec, dict, nil
+	return &s.sec, ss.dict, nil
 }
 
 // Close releases the stream's open file, if any.

@@ -470,9 +470,11 @@ func (c *segCursor) at(seg *segmentRecord, e *childEntry) (*tokenReader, error) 
 			return nil, fmt.Errorf("extmem: %w", err)
 		}
 		c.f = f
-		if c.dict, err = c.ar.segDicts.get(seg); err != nil {
+		ss, err := c.ar.sections(seg)
+		if err != nil {
 			return nil, err
 		}
+		c.dict = ss.dict
 		c.seg = seg
 	}
 	if c.tr != nil && c.tr.pos == e.offset && !c.tr.done {

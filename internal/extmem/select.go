@@ -55,7 +55,7 @@ func (q *QueryView) posting(s *segmentRecord, i int) (*idxEntry, error) {
 	if q.ar.cfg.NoAttrIndex {
 		return nil, nil
 	}
-	posts, err := q.ar.segDicts.postings(s)
+	posts, err := q.ar.postings(s)
 	if err != nil {
 		return nil, err
 	}

@@ -396,9 +396,9 @@ func TestVersionReadFaultIsNotCorruption(t *testing.T) {
 		for _, call := range []string{"WriteVersion", "Version"} {
 			failed := 0
 			for after := 0; ; after++ {
-				// A view of its own and an empty dictionary cache each time, so
-				// the fault walks through every read and open of a cold call.
-				ar.segDicts.m.Range(func(k, _ any) bool { ar.segDicts.m.Delete(k); return true })
+				// A view of its own and no segment's sections loaded each time,
+				// so the fault walks through every read and open of a cold call.
+				dropSections(ar.current().d)
 				q, err := ar.OpenQuery()
 				if err != nil {
 					t.Fatal(err)

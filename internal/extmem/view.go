@@ -20,6 +20,7 @@ type generation struct {
 	d     *keyDirectory
 	names []string // the dictionary's name table as of this commit
 	files map[string]bool
+	state stateFiles  // the state files' bytes as this commit wrote them, or Open read them
 	refs  int         // open views pinning the segment files; guarded by genMu
 	last  Diagnostics // the writer's reports as of this commit
 
@@ -121,7 +122,6 @@ func (ar *Archiver) deadFiles(g *generation) []string {
 func (ar *Archiver) removeSegments(files []string) {
 	for _, f := range files {
 		ar.fs.Remove(filepath.Join(ar.dir, f))
-		ar.segDicts.evict(f)
 	}
 }
 

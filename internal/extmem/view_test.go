@@ -64,7 +64,7 @@ func TestViewsBesideWriter(t *testing.T) {
 	stop := readersBeside(t, ar, 4, func(r, i int, q *QueryView) {
 		for _, root := range q.d.roots {
 			for _, s := range root.segs {
-				if posts, err := ar.segDicts.postings(s); err != nil || len(posts) != max(len(s.entries), 1) {
+				if posts, err := ar.postings(s); err != nil || len(posts) != max(len(s.entries), 1) {
 					t.Errorf("reader %d: segment %s of the view of %d versions has %d postings (%v)", r, s.file, q.versions, len(posts), err)
 				}
 			}

@@ -67,6 +67,14 @@ func readsAnswerAs(t *testing.T, ext *ExtStore, mem Store, n int) {
 	if err := ext.CompactionErr(); err != nil {
 		t.Errorf("CompactionErr() = %v", err)
 	}
+	if v, err := ext.OpenReplicaView(); err != nil {
+		t.Errorf("OpenReplicaView(): %v", err)
+	} else {
+		if got := v.Manifest().Versions; got != n {
+			t.Errorf("OpenReplicaView() manifest holds %d versions, want %d", got, n)
+		}
+		v.Close()
+	}
 	ext.SortRuns()
 }
 

@@ -13,8 +13,10 @@
 // The public API is the Store interface, implemented by two engines that
 // behave identically to callers: NewStore returns the in-memory
 // nested-merge archiver (§4), OpenStore the external-memory archiver that
-// scales beyond RAM (§6). Stores own their query indexes (§7) and refresh
-// them on every Add, and all query methods are safe for concurrent use.
+// scales beyond RAM (§6). Stores own their query indexes (§7): an Add
+// invalidates them, and the first query that needs one builds it again, so
+// no query sees a stale index. All query methods are safe for concurrent
+// use.
 //
 // Quick start:
 //
