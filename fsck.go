@@ -31,7 +31,10 @@ func CheckStore(dir string, opts ...Option) (*CheckReport, error) {
 // from the meta backup, meta self-heal, sweep of orphan segments and
 // transient files) and clears a leftover degraded-writer marker once
 // the repaired directory verifies clean. It returns the post-repair
-// report; `xarch fsck -repair` is a thin wrapper.
+// report; `xarch fsck -repair` is a thin wrapper. A directory whose state
+// files opening would treat as a fresh start while segment files remain
+// is left untouched, with an error naming the files that start would
+// delete.
 func RepairStore(dir string, spec *KeySpec, opts ...Option) (*CheckReport, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {

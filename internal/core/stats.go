@@ -35,7 +35,7 @@ type Stats struct {
 // which is counted and not kept.
 func (a *Archive) Stats() Stats {
 	s := Stats{Versions: a.versions}
-	statsNode(a.root, &s)
+	CountNode(a.root, &s)
 	var cw CountWriter
 	_ = a.WriteXML(&cw, true) // a CountWriter never fails
 	s.XMLBytes = cw.N
@@ -48,7 +48,10 @@ type CountWriter struct{ N int }
 
 func (w *CountWriter) Write(p []byte) (int, error) { w.N += len(p); return len(p), nil }
 
-func statsNode(n *anode.Node, s *Stats) {
+// CountNode adds n and everything below it to s: its element, text or
+// attribute, its key and timestamp, and its content groups. The external
+// engine counts each frontier record through it.
+func CountNode(n *anode.Node, s *Stats) {
 	switch n.Kind {
 	case xmltree.Element:
 		s.Elements++
@@ -70,10 +73,10 @@ func statsNode(n *anode.Node, s *Stats) {
 		s.FrontierNodes++
 	}
 	for _, attr := range n.Attrs {
-		statsNode(attr, s)
+		CountNode(attr, s)
 	}
 	for _, c := range n.Children {
-		statsNode(c, s)
+		CountNode(c, s)
 	}
 	for _, g := range n.Groups {
 		s.Groups++
@@ -81,7 +84,7 @@ func statsNode(n *anode.Node, s *Stats) {
 			s.TimestampRuns += g.Time.RunCount()
 		}
 		for _, it := range g.Content {
-			statsNode(it, s)
+			CountNode(it, s)
 		}
 	}
 }

@@ -707,14 +707,3 @@ func (ar *Archiver) prepareSorted(src Source) (sortedVersion, []string, error) {
 func (ar *Archiver) tmpPath(name string) string {
 	return filepath.Join(ar.dir, "tmp-"+name)
 }
-
-// WriteArchiveXML streams the current generation's archive in the paper's
-// XML form (QueryView.WriteArchiveXML).
-func (ar *Archiver) WriteArchiveXML(w io.Writer) error {
-	q, err := ar.OpenQuery()
-	if err != nil {
-		return err
-	}
-	defer q.Close()
-	return q.WriteArchiveXML(w)
-}

@@ -53,19 +53,31 @@ func dropSections(d *keyDirectory) {
 	}
 }
 
-func loadExternal(t *testing.T, ar *Archiver, spec *keys.Spec) *core.Archive {
+// archiveXML returns the archive form of ar's current generation.
+func archiveXML(t testing.TB, ar *Archiver) string {
 	t.Helper()
+	q, err := ar.OpenQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
 	var b strings.Builder
-	if err := ar.WriteArchiveXML(&b); err != nil {
+	if err := q.WriteArchiveXML(&b); err != nil {
 		t.Fatalf("write archive xml: %v", err)
 	}
-	doc, err := xmltree.ParseString(b.String())
+	return b.String()
+}
+
+func loadExternal(t *testing.T, ar *Archiver, spec *keys.Spec) *core.Archive {
+	t.Helper()
+	xml := archiveXML(t, ar)
+	doc, err := xmltree.ParseString(xml)
 	if err != nil {
-		t.Fatalf("parse external archive: %v\n%s", err, clip(b.String()))
+		t.Fatalf("parse external archive: %v\n%s", err, clip(xml))
 	}
 	a, err := core.Load(doc, spec, core.Options{})
 	if err != nil {
-		t.Fatalf("load external archive: %v\n%s", err, clip(b.String()))
+		t.Fatalf("load external archive: %v\n%s", err, clip(xml))
 	}
 	return a
 }
@@ -504,11 +516,7 @@ func TestArchiveXMLWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 	addAll(t, ar, datagen.CompanyVersions())
-	var b strings.Builder
-	if err := ar.WriteArchiveXML(&b); err != nil {
-		t.Fatal(err)
-	}
-	xml := b.String()
+	xml := archiveXML(t, ar)
 	if !strings.HasPrefix(xml, "<T t=\"1-4\">\n  <root>\n") {
 		t.Errorf("archive XML prefix wrong: %s", clip(xml))
 	}

@@ -143,10 +143,23 @@ func CheckArchive(fs fsio.FS, dir string) (*CheckReport, error) {
 // backup, meta self-heal, sweep of orphan segments and transient
 // files), closing commits the result, and a leftover DEGRADED marker is
 // cleared once — and only once — the repaired directory verifies clean.
-// It returns the post-repair report.
+// It returns the post-repair report. A directory Open would start afresh
+// while segment files remain is left as it is: the error names the files
+// that start would delete, which only Open itself may do.
 func RepairArchive(fs fsio.FS, dir string, spec *keys.Spec, cfg Config) (*CheckReport, error) {
 	if fs == nil {
 		fs = fsio.OS
+	}
+	st, err := loadState(fs, dir)
+	if err != nil {
+		return nil, err
+	}
+	if segs := globSegments(fs, dir); st.verdict == stateFresh && len(segs) > 0 {
+		for i, p := range segs {
+			segs[i] = filepath.Base(p)
+		}
+		return nil, fmt.Errorf("extmem: fsck: repair refused, nothing changed: %s (%s: %v; %s: %v; %s: %v) and deletes the %d segment files %s",
+			st.action(), keydirFile, st.kdErr, dictFile, st.dictErr, metaFile, st.metaErr, len(segs), strings.Join(segs, ", "))
 	}
 	cfg.FS = fs
 	ar, err := Open(dir, spec, cfg)

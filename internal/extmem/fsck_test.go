@@ -3,6 +3,7 @@ package extmem
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,6 +13,7 @@ import (
 
 	"xarch/internal/core"
 	"xarch/internal/datagen"
+	"xarch/internal/faulttest"
 	"xarch/internal/fsio"
 	"xarch/internal/keys"
 	"xarch/internal/xmltree"
@@ -584,6 +586,47 @@ func TestFsckSaysWhatOpenDoes(t *testing.T) {
 			}
 			if c.versions == 0 && (len(before) == 0 || len(orphans) != len(before)) {
 				t.Errorf("fsck names %d of the %d segment files a fresh start deletes", len(orphans), len(before))
+			}
+		})
+	}
+}
+
+// TestFsckRepairRefusesFreshStart: with keydir.idx gone and dict.txt or
+// meta.txt with it, Open starts a fresh archive and deletes every segment
+// file (a first commit cut off before its commit point looks like this).
+// Repair does not take that step for the operator: it changes no byte of
+// the directory and names the segment files Open would delete.
+func TestFsckRepairRefusesFreshStart(t *testing.T) {
+	for _, lost := range [][]string{{keydirFile, dictFile}, {keydirFile, metaFile}} {
+		t.Run(strings.Join(lost, " and ")+" missing", func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Budget: 1 << 16, SegmentTarget: 2048}
+			if err := buildOMIMArchive(t, dir, cfg, 3).Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range lost {
+				if err := os.Remove(filepath.Join(dir, n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, segs := faulttest.Files(t, dir), diskSegments(t, dir)
+			if len(segs) < 3 {
+				t.Fatalf("fixture: %d segment files", len(segs))
+			}
+			_, err := RepairArchive(nil, dir, datagen.OMIMSpec(), cfg)
+			if err == nil {
+				t.Fatal("repair succeeded")
+			}
+			if !strings.Contains(err.Error(), "Open starts a fresh archive") {
+				t.Errorf("repair: %v; want what Open would do", err)
+			}
+			for _, s := range segs {
+				if !strings.Contains(err.Error(), s) {
+					t.Errorf("repair: %v; does not name %s", err, s)
+				}
+			}
+			if after := faulttest.Files(t, dir); !maps.EqualFunc(before, after, bytes.Equal) {
+				t.Errorf("refused repair changed the directory: %d files before, %d after", len(before), len(after))
 			}
 		})
 	}

@@ -239,27 +239,46 @@ func FuzzTokenStream(f *testing.F) {
 	f.Add(hugeTextToken, true)
 	f.Add(hugeTextToken, false)
 	// The version emitter takes the bytes for the subtrees under an element:
-	// a segment's entries under their root, or the edge document itself.
+	// a segment's entries under their root, or the edge document itself. A
+	// segment's bytes are projected as the archive form or a version 1..3.
+	root, edgeNames := ar.current().d.roots[0].name, names.snapshot()
 	drain := func(data []byte, fromArchive bool) error {
 		if fromArchive {
-			return drainVersion(data, h.dict, ar.current().names, ar.spec, []string{ar.current().d.roots[0].name}, 1+len(data)%4)
+			return drainVersion(data, h.dict, ar.current().names, ar.spec, []string{root}, len(data)%4)
 		}
-		return drainVersion(data, edgeDict, names.snapshot(), edge, nil, 1)
+		return drainVersion(data, edgeDict, edgeNames, edge, nil, 1)
 	}
-	if err := errors.Join(drain(file[h.dataOff:], true), drain(payloads[0], false)); err != nil {
+	// subtreeANode reads the bytes' first record: a segment's first entry,
+	// or the edge document's root.
+	record := func(data []byte, fromArchive bool) error {
+		dict, q, cur := edgeDict, &QueryView{names: edgeNames, spec: edge}, edge.Cursor()
+		if fromArchive {
+			dict, q, cur = h.dict, &QueryView{names: ar.current().names, spec: ar.spec}, ar.spec.Cursor().Child(root)
+		}
+		tr := newTokenReaderDict(bytes.NewReader(data), dict, 0)
+		defer tr.release()
+		t, err := tr.mustTake("record")
+		if err != nil || t.op != tokOpen {
+			return errors.Join(err, corruptf("no record"))
+		}
+		name, err := q.name(t.tag)
+		if err != nil {
+			return err
+		}
+		_, err = q.subtreeANode(tr, name, t.key, cur.Child(name))
+		return err
+	}
+	if err := errors.Join(drain(file[h.dataOff:], true), drain(payloads[0], false), record(file[h.dataOff:], true), record(payloads[0], false)); err != nil {
 		f.Fatalf("the version emitter refuses a writer's own bytes: %v", err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, fromArchive bool) {
-		dict := edgeDict
+		dict, names := edgeDict, edgeNames
 		if fromArchive {
-			dict = h.dict
+			dict, names = h.dict, ar.current().names
 		}
 		checkHostile(t, len(data), func() error { return drainTokens(t, data, dict) })
 		checkHostile(t, len(data), func() error { return drain(data, fromArchive) })
-		names := names.snapshot()
-		if fromArchive {
-			names = ar.current().names
-		}
+		checkHostile(t, len(data), func() error { return record(data, fromArchive) })
 		checkHostile(t, len(data), func() error { return walkRecords(data, dict, names) })
 	})
 }

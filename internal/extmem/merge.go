@@ -209,25 +209,17 @@ type fgroup struct {
 	tokens []token
 }
 
-// fbody is the materialized content of a frontier node: either shared
-// tokens, or timestamped groups.
+// fbody is the materialized content of a frontier node as the merge
+// compares it: either shared tokens, or timestamped groups.
 type fbody struct {
 	shared []token
 	groups []fgroup
 }
 
-// readFrontierBody reads tokens until the close balancing the (consumed)
-// frontier-node open. Frontier subtrees fit in memory (they are
-// record-sized); only the stream above the frontier is unbounded.
-func readFrontierBody(r *tokenReader) (*fbody, error) {
-	b := &fbody{}
-	if err := b.read(r); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// read is readFrontierBody into b, over what b held and in its room.
+// read reads tokens into b, over what b held and in its room, until the
+// close balancing the (consumed) frontier-node open. Frontier subtrees fit
+// in memory (they are record-sized); only the stream above the frontier
+// is unbounded.
 func (b *fbody) read(r *tokenReader) error {
 	b.shared = b.shared[:0]
 	groups := b.groups[:cap(b.groups)] // each with the token room of a group read before

@@ -218,11 +218,9 @@ func (q *QueryView) resolveLevel(tr *tokenReader, steps []core.SelectorStep, par
 		}
 		foundLabel = label
 		eff := parentEff
-		if t.data != "" {
-			ts, err := tokenEff(t)
-			if err != nil {
-				return nil, corruptf("bad timestamp %q", t.data)
-			}
+		if ts, err := tokenEff(t); err != nil {
+			return nil, err
+		} else if ts != nil {
 			eff = ts
 		}
 		res, err = q.resolveInto(tr, name, t.key, eff, steps, stepPath, up.Child(name), wantBody)

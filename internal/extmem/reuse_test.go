@@ -233,12 +233,8 @@ func TestReuseDecisions(t *testing.T) {
 						}
 					}
 				}
-				var b strings.Builder
-				if err := ar.WriteArchiveXML(&b); err != nil {
-					t.Fatal(err)
-				}
-				if b.String() != mem.XML() {
-					t.Errorf("archive stream differs from the in-memory archiver's\n got %s\nwant %s", clip(b.String()), clip(mem.XML()))
+				if got := archiveXML(t, ar); got != mem.XML() {
+					t.Errorf("archive stream differs from the in-memory archiver's\n got %s\nwant %s", clip(got), clip(mem.XML()))
 				}
 			})
 		}

@@ -48,7 +48,7 @@ func mergedTimeTok(at token, parentEff *intervals.Set, i int) (*intervals.Set, s
 	}
 	t, err := tokenEff(at)
 	if err != nil {
-		return nil, "", fmt.Errorf("extmem: bad archive timestamp %q: %w", at.data, err)
+		return nil, "", err
 	}
 	t = t.Clone()
 	t.Add(i)

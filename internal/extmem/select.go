@@ -1,6 +1,8 @@
 package extmem
 
 import (
+	"slices"
+
 	"xarch/internal/anode"
 	"xarch/internal/core"
 	"xarch/internal/intervals"
@@ -238,63 +240,120 @@ func (q *QueryView) openSubtree(parts []streamPart, name string) (*tokenReader, 
 }
 
 // subtreeANode materializes the subtree whose open token was just
-// consumed, at position cur of the key spec, so frontier subtrees take the
-// group-preserving body reader. Explicit child timestamps and key
+// consumed, at position cur of the key spec, so frontier subtrees keep
+// their content groups (frontierANode). Explicit child timestamps and key
 // annotations are carried onto the nodes, so qlang's path walk matches
 // exactly like the in-memory engine's. It is the one way a stored subtree
 // becomes an anode.Node.
 func (q *QueryView) subtreeANode(tr *tokenReader, name string, key *tkey, cur keys.Cursor) (*anode.Node, error) {
 	if cur.Frontier() {
-		body, err := readFrontierBody(tr)
-		if err != nil {
-			return nil, err
-		}
-		n, err := q.bodyToANode(name, body)
-		if err != nil {
-			return nil, err
-		}
-		n.Key = keyValue(key)
-		return n, nil
+		return q.frontierANode(tr, name, key)
 	}
 	n := &anode.Node{Kind: xmltree.Element, Name: name, Key: keyValue(key)}
-	for _, at := range drainAttrs(tr) {
-		an, err := q.name(at.tag)
+	for {
+		t, err := tr.mustTake(name)
 		if err != nil {
 			return nil, err
-		}
-		n.Attrs = append(n.Attrs, &anode.Node{Kind: xmltree.Attr, Name: an, Data: at.data})
-	}
-	for {
-		t, ok := tr.peek()
-		if !ok {
-			if tr.err != nil {
-				return nil, tr.err
-			}
-			return nil, corruptf("missing close below %s", name)
 		}
 		if t.op == tokClose {
-			tr.take()
 			return n, nil
 		}
-		if t.op != tokOpen {
+		if t.op != tokOpen && t.op != tokAttr {
 			return nil, corruptf("unexpected token %#x below %s", t.op, name)
 		}
-		tr.take()
-		cn, err := q.name(t.tag)
+		tn, err := q.name(t.tag)
 		if err != nil {
 			return nil, err
 		}
-		child, err := q.subtreeANode(tr, cn, t.key, cur.Child(cn))
+		if t.op == tokAttr { // the reader has refused one that follows a child
+			n.Attrs = append(n.Attrs, &anode.Node{Kind: xmltree.Attr, Name: tn, Data: t.data})
+			continue
+		}
+		child, err := q.subtreeANode(tr, tn, t.key, cur.Child(tn))
 		if err != nil {
 			return nil, err
 		}
-		if t.data != "" {
-			ts, terr := tokenEff(t)
-			if terr != nil {
-				return nil, corruptf("bad timestamp %q", t.data)
-			}
-			child.Time = ts
+		if child.Time, err = tokenEff(t); err != nil {
+			return nil, err
 		}
 		n.Children = append(n.Children, child)
+	}
+}
+
+// frontierANode reads the frontier record whose open token was just
+// consumed straight into a node, as the in-memory loader builds it: its
+// content, or its timestamped groups with the content outside every group
+// as an untimed group first. Groups nest in nothing, hold no group and
+// close before the record does; anything else is corruption.
+func (q *QueryView) frontierANode(tr *tokenReader, name string, key *tkey) (*anode.Node, error) {
+	n := &anode.Node{Kind: xmltree.Element, Name: name, Key: keyValue(key), Frontier: true}
+	var shared []*anode.Node
+	var group *anode.Group
+	var stack []*anode.Node // the open elements below the record
+	for {
+		t, err := tr.mustTake("frontier content")
+		if err != nil {
+			return nil, err
+		}
+		var item *anode.Node
+		switch t.op {
+		case tokTSOpen:
+			if len(stack) > 0 || group != nil {
+				return nil, corruptf("nested timestamp group")
+			}
+			ts, err := tokenEff(t)
+			if err != nil {
+				return nil, err
+			}
+			group = &anode.Group{Time: ts}
+			n.Groups = append(n.Groups, group)
+			continue
+		case tokTSClose:
+			if len(stack) > 0 || group == nil {
+				return nil, corruptf("unbalanced timestamp group")
+			}
+			group = nil
+			continue
+		case tokClose:
+			if len(stack) > 0 {
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			if group != nil {
+				return nil, corruptf("unterminated timestamp group")
+			}
+			if n.Groups == nil {
+				n.SetContentItems(shared)
+			} else if len(shared) > 0 {
+				n.Groups = slices.Insert(n.Groups, 0, &anode.Group{Content: shared}) // inherited time
+			}
+			return n, nil
+		case tokOpen, tokAttr:
+			tn, err := q.name(t.tag)
+			if err != nil {
+				return nil, err
+			}
+			item = &anode.Node{Kind: xmltree.Element, Name: tn}
+			if t.op == tokAttr {
+				item.Kind, item.Data = xmltree.Attr, t.data
+			}
+		case tokText:
+			item = &anode.Node{Kind: xmltree.Text, Data: t.data}
+		default:
+			return nil, corruptf("unexpected token %#x in frontier content", t.op)
+		}
+		switch top := len(stack) - 1; {
+		case top >= 0 && item.Kind == xmltree.Attr:
+			stack[top].Attrs = append(stack[top].Attrs, item)
+		case top >= 0:
+			stack[top].Children = append(stack[top].Children, item)
+		case group != nil:
+			group.Content = append(group.Content, item)
+		default:
+			shared = append(shared, item)
+		}
+		if t.op == tokOpen {
+			stack = append(stack, item)
+		}
 	}
 }

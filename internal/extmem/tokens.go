@@ -74,13 +74,18 @@ type token struct {
 }
 
 // tokenEff returns the parsed interval set of an open/tsOpen token's
-// timestamp, reusing the segment dictionary's shared pre-parsed set
-// when the token carries one. The returned set MUST NOT be mutated.
+// timestamp, nil when it has none, reusing the segment dictionary's shared
+// pre-parsed set when the token carries one. The returned set MUST NOT be
+// mutated. A timestamp that does not parse is corruption.
 func tokenEff(t token) (*intervals.Set, error) {
-	if t.time != nil {
+	if t.time != nil || t.data == "" {
 		return t.time, nil
 	}
-	return intervals.Parse(t.data)
+	ts, err := intervals.Parse(t.data)
+	if err != nil {
+		return nil, corruptf("bad timestamp %q", t.data)
+	}
+	return ts, nil
 }
 
 // tkey is a key annotation: key-path names and canonical values, sorted by

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"xarch/internal/annotate"
 	"xarch/internal/core"
 	"xarch/internal/intervals"
 	"xarch/internal/keys"
@@ -11,16 +12,24 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Version retrieval (§7.1, streaming)
+// Version retrieval (§7.1) and the archive form (§2), streaming
 
-// versionWalk is one projection of version v onto a sink: a single pass of
-// one token reader over the bytes alive at v, building nothing. Memory is
-// O(depth + one frontier record's tokens).
+// versionWalk is the one reader of the stored grammar above the frontier:
+// it projects version v onto a sink, or with v 0 the archive itself, in a
+// single pass of one token reader. A version builds nothing; memory is
+// O(depth + one frontier record).
+//
+// The archive form is the projection with every version live: each entry
+// is written, each explicit timestamp wraps its node in <T t>, and each
+// frontier record is read into a node by subtreeANode and written by
+// core.EmitNode, the in-memory engine's own layout of groups and
+// attribute items. With stats set it also counts the archive on the way.
 type versionWalk struct {
-	q    *QueryView
-	v    int
-	sink xmltree.Sink
-	tr   *tokenReader
+	q     *QueryView
+	v     int // 0: the archive form
+	sink  xmltree.Sink
+	stats *core.Stats // the archive form's counters, or nil
+	tr    *tokenReader
 
 	// The tokens of one frontier record that are alive at v (emitFrontier).
 	// hasText[i] is set when toks[i] opens an element with a text child;
@@ -56,21 +65,43 @@ func (q *QueryView) streamVersion(v int, sink xmltree.Sink) error {
 	return nil
 }
 
-// emitRoot emits a root alive at v from one stream: a raw root's whole
-// subtree, or the byte ranges of the level-2 entries alive at v. Entries
-// that sit next to each other in a segment share a range, and the stream
-// keeps a segment's file open from one range to the next, so a version
-// costs one open per segment, not one per entry.
+// writeArchive streams the indented archive form to w: the root
+// timestamp's <T>, the synthetic <root>, and every root under it; with
+// stats, the archive is counted on the same walk.
+func (q *QueryView) writeArchive(w io.Writer, stats *core.Stats) error {
+	bw, done := pooledWriter(w)
+	defer done()
+	sink := xmltree.NewWriter(bw, xmltree.WriteOptions{Indent: true})
+	wk := &versionWalk{q: q, sink: sink, stats: stats}
+	sink.Open(annotate.TimestampTag, false)
+	sink.Attr("t", q.d.rootTime.String())
+	sink.Open("root", false)
+	for _, r := range q.d.roots {
+		if err := wk.emitRoot(r, nil); err != nil {
+			return err
+		}
+	}
+	sink.Close()
+	sink.Close()
+	return bw.Flush()
+}
+
+// emitRoot emits a root from one stream: a raw root's whole subtree, or
+// the byte ranges of the level-2 entries alive at v (every entry in the
+// archive form). Entries that sit next to each other in a segment share a
+// range, and the stream keeps a segment's file open from one range to the
+// next, so a walk costs one open per segment, not one per entry.
 func (w *versionWalk) emitRoot(r *rootRecord, eff *intervals.Set) error {
 	up := w.q.spec.Cursor()
 	var parts []streamPart
+	wrapped := false
 	if r.raw {
 		parts = rootParts(r)
 	} else {
 		for _, s := range r.segs {
 			for i := range s.entries {
 				e := &s.entries[i]
-				if !entryEff(e, eff).Contains(w.v) {
+				if w.v > 0 && !entryEff(e, eff).Contains(w.v) {
 					continue // skipped without any I/O
 				}
 				if n := len(parts); n > 0 && parts[n-1].seg == s && parts[n-1].off+parts[n-1].n == e.offset {
@@ -80,10 +111,18 @@ func (w *versionWalk) emitRoot(r *rootRecord, eff *intervals.Set) error {
 				}
 			}
 		}
+		rt := token{key: r.key, data: r.timeStr, time: r.time}
+		if err := w.count(rt); err != nil {
+			return err
+		}
+		wrapped = w.openTime(rt)
 		up = up.Child(r.name)
 		w.sink.Open(r.name, false)
 		for _, a := range r.attrs {
 			w.sink.Attr(a.name, a.value)
+		}
+		if w.stats != nil {
+			w.stats.Attributes += len(r.attrs)
 		}
 	}
 	w.tr = w.q.ar.readParts(parts)
@@ -106,33 +145,95 @@ func (w *versionWalk) emitRoot(r *rootRecord, eff *intervals.Set) error {
 	if !r.raw {
 		w.sink.Close()
 	}
+	if wrapped {
+		w.sink.Close()
+	}
 	return nil
 }
 
+// openTime opens the <T t> wrapper of a node whose open token, or root
+// record, is t, when the walk writes the archive form and the node has a
+// timestamp of its own. It reports whether it opened one.
+func (w *versionWalk) openTime(t token) bool {
+	if w.v > 0 || t.data == "" {
+		return false
+	}
+	w.sink.Open(annotate.TimestampTag, false)
+	w.sink.Attr("t", t.data)
+	return true
+}
+
+// count takes the counters of a keyed-level node above the frontier whose
+// open token, or root record, is t, when the walk counts.
+func (w *versionWalk) count(t token) error {
+	s := w.stats
+	if s == nil {
+		return nil
+	}
+	s.Elements++
+	if t.key == nil {
+		return nil
+	}
+	s.KeyedNodes++
+	ts, err := tokenEff(t)
+	if ts == nil {
+		s.InheritedTimestamps++
+	} else {
+		s.ExplicitTimestamps++
+		s.TimestampRuns += ts.RunCount()
+	}
+	return err
+}
+
 // dead reports whether the timestamp of an open or group-open token
-// excludes v; a node without one lives as long as its parent.
+// excludes v; a node without one lives as long as its parent, and in the
+// archive form nothing is dead.
 func (w *versionWalk) dead(t token) (bool, error) {
-	if t.data == "" {
+	if w.v == 0 || t.data == "" {
 		return false, nil
 	}
 	ts, err := tokenEff(t)
-	if err != nil {
-		return false, corruptf("bad timestamp %q", t.data)
-	}
-	return !ts.Contains(w.v), nil
+	return err == nil && !ts.Contains(w.v), err
 }
 
-// emitNode projects the node whose open token t was just taken onto
-// version v; up is the key spec's position at the node's parent.
+// emitNode projects the node whose open token t was just taken; up is the
+// key spec's position at the node's parent.
 func (w *versionWalk) emitNode(t token, up keys.Cursor) error {
 	name, err := w.q.name(t.tag)
 	if err != nil {
 		return err
 	}
 	cur := up.Child(name)
-	if cur.Frontier() {
+	switch {
+	case w.v == 0:
+		return w.archiveNode(t, name, cur)
+	case cur.Frontier():
 		return w.emitFrontier(t)
 	}
+	return w.emitElement(name, cur)
+}
+
+// archiveNode writes the node emitNode took in the archive form: wrapped
+// in <T t> when it has a timestamp of its own, and a frontier record
+// through core (emitRecord).
+func (w *versionWalk) archiveNode(t token, name string, cur keys.Cursor) error {
+	wrapped := w.openTime(t)
+	var err error
+	if cur.Frontier() {
+		err = w.emitRecord(t, name, cur)
+	} else if err = w.count(t); err == nil {
+		err = w.emitElement(name, cur)
+	}
+	if err == nil && wrapped {
+		w.sink.Close()
+	}
+	return err
+}
+
+// emitElement projects a node above the frontier, named name at position
+// cur of the key spec, whose open token was just taken: its start tag,
+// attributes and children.
+func (w *versionWalk) emitElement(name string, cur keys.Cursor) error {
 	w.sink.Open(name, false)
 	for {
 		t, err := w.tr.mustTake(name)
@@ -146,6 +247,9 @@ func (w *versionWalk) emitNode(t token, up keys.Cursor) error {
 				return err
 			}
 			w.sink.Attr(an, t.data)
+			if w.stats != nil {
+				w.stats.Attributes++
+			}
 		case tokOpen:
 			dead, err := w.dead(t)
 			if err != nil {
@@ -166,6 +270,24 @@ func (w *versionWalk) emitNode(t token, up keys.Cursor) error {
 			return corruptf("unexpected token %#x above the frontier", t.op)
 		}
 	}
+}
+
+// emitRecord writes, in the archive form, the frontier record whose open
+// token t was just taken: subtreeANode reads it into a node, core counts
+// it as the in-memory engine's Stats does, and core.EmitNode writes it.
+func (w *versionWalk) emitRecord(t token, name string, cur keys.Cursor) error {
+	n, err := w.q.subtreeANode(w.tr, name, t.key, cur)
+	if err != nil {
+		return err
+	}
+	if w.stats != nil {
+		if n.Time, err = tokenEff(t); err != nil {
+			return err
+		}
+		core.CountNode(n, w.stats)
+	}
+	core.EmitNode(w.sink, n)
+	return nil
 }
 
 // emitFrontier projects the frontier record whose open token t was just
@@ -251,6 +373,29 @@ func (q *QueryView) Version(v int) (*xmltree.Node, error) {
 		return nil, err
 	}
 	return b.Root, nil
+}
+
+// WriteArchiveXML streams the archive's XML form to w: the outer <T>
+// carries the root timestamp; explicit node timestamps and content groups
+// become nested <T> elements. The output is byte-identical to the
+// in-memory engine's serialization of the same archive — the
+// line-oriented layout the space experiments measure — and parses back
+// with the in-memory loader.
+func (q *QueryView) WriteArchiveXML(w io.Writer) error {
+	return q.writeArchive(w, nil)
+}
+
+// Stats summarizes the archive's structure on the archive form's walk:
+// the serialized size is counted as it is written, the nodes as they are
+// read, never holding more than a frontier record in memory.
+func (q *QueryView) Stats() (core.Stats, error) {
+	s := core.Stats{Versions: q.versions, Elements: 1} // the synthetic root
+	var cw core.CountWriter
+	if err := q.writeArchive(&cw, &s); err != nil {
+		return core.Stats{}, err
+	}
+	s.XMLBytes = cw.N
+	return s, nil
 }
 
 // WriteVersion streams the XML of version v directly to w — the bytes are

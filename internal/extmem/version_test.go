@@ -426,27 +426,48 @@ func TestVersionReadFaultIsNotCorruption(t *testing.T) {
 	}
 }
 
-// TestMalformedFrontierIsCorruption feeds the version path and the merge's
-// frontier reader streams no writer produces; each must be refused as a
+// TestMalformedFrontierIsCorruption feeds the version path, the archive
+// form and both frontier record readers — the merge's fbody and
+// subtreeANode — streams no writer produces; each must be refused as a
 // corrupt archive, for the reason given, not with a bare error and not by
 // guessing what was meant.
 func TestMalformedFrontierIsCorruption(t *testing.T) {
-	names := newDictionary()
-	for _, h := range hostileStreams(names) {
+	names, spec := newDictionary(), keys.MustParseSpec(edgeSpec)
+	streams := hostileStreams(names)
+	q := &QueryView{names: names.snapshot(), spec: spec}
+	record := spec.Cursor().Child("db").Child("north").Child("item").Child("body")
+	readers := []struct {
+		name string
+		read func(*tokenReader) error
+	}{
+		{"fbody.read", func(tr *tokenReader) error { return new(fbody).read(tr) }},
+		{"subtreeANode", func(tr *tokenReader) error { _, err := q.subtreeANode(tr, "body", nil, record); return err }},
+	}
+	for _, h := range streams {
 		if h.body != nil {
 			dict, body := encodeStreams(t, h.body)
-			tr := newTokenReaderDict(bytes.NewReader(body[0]), dict, 0)
-			tr.take() // the record's open
-			_, err := readFrontierBody(tr)
-			tr.release()
-			if !errors.Is(err, core.ErrCorruptArchive) || !strings.Contains(err.Error(), h.want) {
-				t.Errorf("%s: readFrontierBody: %v, want corruption: %s", h.name, err, h.want)
+			for _, r := range readers {
+				tr := newTokenReaderDict(bytes.NewReader(body[0]), dict, 0)
+				tr.take() // the record's open
+				err := r.read(tr)
+				tr.release()
+				if !errors.Is(err, core.ErrCorruptArchive) || !strings.Contains(err.Error(), h.want) {
+					t.Errorf("%s: %s: %v, want corruption: %s", h.name, r.name, err, h.want)
+				}
 			}
 		}
 		dict, item := encodeStreams(t, h.item)
-		err := drainVersion(item[0], dict, names.snapshot(), keys.MustParseSpec(edgeSpec), []string{"db", "north"}, 1)
-		if !errors.Is(err, core.ErrCorruptArchive) || !strings.Contains(err.Error(), h.want) {
-			t.Errorf("%s: version path: %v, want corruption: %s", h.name, err, h.want)
+		for v := range 2 { // the archive form, then version 1
+			err := drainVersion(item[0], dict, q.names, spec, []string{"db", "north"}, v)
+			if v == 0 && h.versionOnly {
+				if err != nil {
+					t.Errorf("%s: archive form: %v; every group is well formed on its own", h.name, err)
+				}
+				continue
+			}
+			if !errors.Is(err, core.ErrCorruptArchive) || !strings.Contains(err.Error(), h.want) {
+				t.Errorf("%s: projection of version %d: %v, want corruption: %s", h.name, v, err, h.want)
+			}
 		}
 	}
 }
@@ -479,7 +500,10 @@ func encodeStreams(tb testing.TB, streams ...[]token) (*segDict, [][]byte) {
 type hostileStream struct {
 	name, want string
 	item       []token // an <item> of /db/north under edgeSpec
-	body       []token // its malformed record alone, from the record's open token; nil when the merge has no quarrel with it
+	body       []token // its malformed record alone, from the record's open token; nil when the record readers have no quarrel with it
+	// versionOnly: only a version's projection refuses it, where two
+	// groups that are well formed apart are alive together.
+	versionOnly bool
 }
 
 // hostileStreams are items whose record <body> — or, for the last, the item
@@ -507,6 +531,7 @@ func hostileStreams(names *dictionary) []hostileStream {
 	record("group inside an element", "nested timestamp group", true, open("b"), group("1"), endGroup, end, end)
 	record("two live groups", "attribute after content", false,
 		group("1"), text("content"), endGroup, group("1-2"), attr("a", "would be hoisted"), endGroup, end)
+	out[len(out)-1].versionOnly = true
 	trunc := []token{open("body"), group("1"), text("content")}
 	out = append(out, hostileStream{name: "ends in a group", want: "truncated", body: trunc,
 		item: slices.Concat([]token{open("item")}, trunc)})
@@ -517,7 +542,8 @@ func hostileStreams(names *dictionary) []hostileStream {
 
 // drainVersion drives the version emitter, into both sinks, over a token
 // stream that holds sibling subtrees of the element at path up: what a
-// segment's payload is to emitRoot.
+// segment's payload is to emitRoot. Version 0 is the archive form, counted
+// as Stats counts it.
 func drainVersion(data []byte, dict *segDict, names []string, spec *keys.Spec, up []string, v int) error {
 	cur := spec.Cursor()
 	for _, name := range up {
@@ -529,6 +555,9 @@ func drainVersion(data []byte, dict *segDict, names []string, spec *keys.Spec, u
 	for _, sink := range []xmltree.Sink{xmltree.NewWriter(bw, xmltree.WriteOptions{Indent: true}), &xmltree.Builder{}} {
 		tr := newTokenReaderDict(bytes.NewReader(data), dict, 0)
 		w := &versionWalk{q: &QueryView{names: names, spec: spec}, v: v, sink: sink, tr: tr}
+		if v == 0 {
+			w.stats = &core.Stats{}
+		}
 		sink.Open("up", false)
 		var err error
 		for err == nil {

@@ -59,12 +59,24 @@ func addVersions(t *testing.T, dir string, g *datagen.OMIM, n int) []byte {
 			t.Fatal(err, items)
 		}
 	}
-	var buf bytes.Buffer
-	if err := ar.WriteArchiveXML(&buf); err != nil {
-		t.Fatal(err)
-	}
+	stream := archiveStream(t, ar)
 	if err := ar.Close(); err != nil {
 		t.Fatal(err)
+	}
+	return stream
+}
+
+// archiveStream returns the archive form of ar's current generation.
+func archiveStream(t *testing.T, ar *extmem.Archiver) []byte {
+	t.Helper()
+	q, err := ar.OpenQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	var buf bytes.Buffer
+	if err := q.WriteArchiveXML(&buf); err != nil {
+		t.Fatalf("stream: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -105,18 +117,15 @@ func assertRecovered(t *testing.T, label, dir string, preV, postV int, wantPre, 
 	if err != nil {
 		t.Fatalf("%s: reopen after crash: %v", label, err)
 	}
-	var buf bytes.Buffer
-	if err := ar.WriteArchiveXML(&buf); err != nil {
-		t.Fatalf("%s: stream: %v", label, err)
-	}
+	stream := archiveStream(t, ar)
 	v := ar.Versions()
 	switch v {
 	case preV:
-		if !bytes.Equal(buf.Bytes(), wantPre) {
+		if !bytes.Equal(stream, wantPre) {
 			t.Errorf("%s: recovered to %d versions but the stream differs from the pre-sync generation", label, v)
 		}
 	case postV:
-		if !bytes.Equal(buf.Bytes(), wantPost) {
+		if !bytes.Equal(stream, wantPost) {
 			t.Errorf("%s: recovered to %d versions but the stream differs from the synced generation", label, v)
 		}
 	default:

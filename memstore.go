@@ -160,7 +160,11 @@ func (s *MemStore) Version(n int) (*Document, error) {
 
 // WriteVersion writes the indented XML of version n to w.
 func (s *MemStore) WriteVersion(n int, w io.Writer) error {
-	return writeVersion(s, n, w)
+	doc, err := s.Version(n)
+	if err != nil || doc == nil {
+		return err // nil for an empty version
+	}
+	return doc.Write(w, xmltree.WriteOptions{Indent: true})
 }
 
 // History returns the versions in which the selected element exists,

@@ -5,7 +5,6 @@ import (
 
 	"xarch/internal/core"
 	"xarch/internal/fsio"
-	"xarch/internal/xmltree"
 )
 
 // Store is the one interface over both archiver engines: the in-memory
@@ -232,19 +231,6 @@ func WithQueryIndex(on bool) Option {
 // default) uses the real filesystem directly. External engine only.
 func WithFS(fs fsio.FS) Option {
 	return func(c *config) { c.fs = fs }
-}
-
-// writeVersion implements Store.WriteVersion on top of Version; both
-// engines share it so version serialization cannot diverge.
-func writeVersion(s Store, n int, w io.Writer) error {
-	doc, err := s.Version(n)
-	if err != nil {
-		return err
-	}
-	if doc == nil {
-		return nil // empty version
-	}
-	return doc.Write(w, xmltree.WriteOptions{Indent: true})
 }
 
 // coreOptions lowers a config onto the in-memory engine's option struct.

@@ -271,6 +271,9 @@ func TestStructuredErrors(t *testing.T) {
 		if _, err := s.Version(99); !errors.Is(err, ErrNoSuchVersion) {
 			t.Errorf("Version(99) = %v, want ErrNoSuchVersion", err)
 		}
+		if _, err := s.Version(0); !errors.Is(err, ErrNoSuchVersion) {
+			t.Errorf("Version(0) = %v, want ErrNoSuchVersion", err)
+		}
 		if err := s.WriteVersion(0, io.Discard); !errors.Is(err, ErrNoSuchVersion) {
 			t.Errorf("WriteVersion(0) = %v, want ErrNoSuchVersion", err)
 		}
