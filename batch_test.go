@@ -81,11 +81,12 @@ func TestAddBatchGroupCommit(t *testing.T) {
 // TestAddBatchPerDocError pins failure isolation: a document that
 // violates the key spec consumes no version and fails only its own
 // AddResult; the rest of the batch commits contiguously. A nil document
-// archives an empty version, like Add of an empty database. With
-// validation off the external engine's own sort must still refuse the
-// two same-key siblings, where it used to archive them fused into one.
+// archives an empty version, like Add of an empty database. A parsed
+// document is sorted in one piece whatever the memory budget, so a store
+// with a 4-node budget refuses the two same-key siblings with the same
+// report.
 func TestAddBatchPerDocError(t *testing.T) {
-	check := func(t *testing.T, s Store, validated bool) {
+	check := func(t *testing.T, s Store) {
 		docs := []*Document{
 			mustParse(t, deptVersion(1)),
 			// Two depts with the same key violate (/db, (dept, {name})).
@@ -98,8 +99,8 @@ func TestAddBatchPerDocError(t *testing.T) {
 			t.Fatal(err)
 		}
 		var kv *KeyViolationError
-		if results[1].Err == nil || errors.As(results[1].Err, &kv) != validated {
-			t.Errorf("violating doc: err = %v, want an error, a KeyViolationError if validated", results[1].Err)
+		if !errors.As(results[1].Err, &kv) || len(kv.Violations) != 1 || kv.Violations[0].Msg != "duplicate key value among targets" {
+			t.Errorf("violating doc: err = %v, want a KeyViolationError naming the duplicate", results[1].Err)
 		}
 		want := []int{1, 0, 2, 3} // versions stay contiguous around the failure
 		for k, r := range results {
@@ -123,14 +124,14 @@ func TestAddBatchPerDocError(t *testing.T) {
 			t.Errorf("d1 history = %s, want [1 3] (absent from the empty version 2)", got)
 		}
 	}
-	bothEngines(t, func(t *testing.T, s Store) { check(t, s, true) })
-	t.Run("ext-unvalidated", func(t *testing.T) {
-		s, err := OpenStore(t.TempDir(), mustSpec(t), WithValidation(false))
+	bothEngines(t, check)
+	t.Run("ext-budget4", func(t *testing.T) {
+		s, err := OpenStore(t.TempDir(), mustSpec(t), WithMemoryBudget(4))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		check(t, s, false)
+		check(t, s)
 	})
 }
 

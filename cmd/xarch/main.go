@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	xarch add      [-engine mem|ext] -spec keys.txt -archive PATH [-compact] [-budget N] [-novalidate] [-segtarget N] [-compactbudget N] version.xml
+//	xarch add      [-engine mem|ext] -spec keys.txt -archive PATH [-compact] [-budget N] [-segtarget N] [-compactbudget N] version.xml
 //	xarch get      [-engine mem|ext] -spec keys.txt -archive PATH -version N
 //	xarch history  [-engine mem|ext] -spec keys.txt -archive PATH -selector /db/dept[name=finance] [-changes]
 //	xarch query    [-engine mem|ext] -spec keys.txt -archive PATH [-json] 'EXPR'
@@ -23,11 +23,11 @@
 // with -engine ext PATH is the directory of an external-memory archive
 // (§6). "add" creates a fresh archive when PATH does not exist, and
 // archives an empty version from an input without a byte (what "get"
-// prints for one); with
-// -novalidate the ext engine streams the version through the
-// bounded-memory pipeline without ever parsing it into a tree, so
-// documents larger than RAM can be archived. Selectors
-// name elements by key, e.g. /db/dept[name=finance]/emp[fn=John,ln=Doe].
+// prints for one); the ext engine streams the version through the
+// bounded-memory pipeline, checking it piece by piece, without ever
+// parsing it into a tree, so documents larger than RAM can be archived.
+// Selectors name elements by key, e.g.
+// /db/dept[name=finance]/emp[fn=John,ln=Doe].
 //
 // "query" evaluates a boolean expression over the archive's records and
 // prints each matching record's path with the versions at which the
@@ -150,7 +150,6 @@ type storeFlags struct {
 	archive       *string
 	budget        *int
 	compact       *bool
-	novalidate    *bool
 	compactBudget *int
 	segTarget     *int
 }
@@ -160,9 +159,8 @@ func addStoreFlags(fs *flag.FlagSet) *storeFlags {
 		engine:        fs.String("engine", "mem", "archiver engine: mem (in-memory) or ext (external-memory)"),
 		spec:          fs.String("spec", "", "key specification file"),
 		archive:       fs.String("archive", "", "archive XML file (mem) or archive directory (ext)"),
-		budget:        fs.Int("budget", 1<<20, "memory budget of a -novalidate add, in document nodes: a larger version is sorted in runs (ext engine)"),
+		budget:        fs.Int("budget", 1<<20, "memory budget of an add, in document nodes: a larger version is checked and sorted in pieces (ext engine)"),
 		compact:       fs.Bool("compact", false, "further compaction below frontier nodes (mem engine)"),
-		novalidate:    fs.Bool("novalidate", false, "skip the key-specification check on add; with -engine ext the version streams without being parsed into a tree"),
 		compactBudget: fs.Int("compactbudget", 0, "segment-compaction byte budget after each add; 0 disables (ext engine)"),
 		segTarget:     fs.Int("segtarget", 0, "segment payload target size in bytes; 0 uses the default (ext engine)"),
 	}
@@ -193,7 +191,6 @@ func openStore(sf *storeFlags, create bool) (xarch.Store, func() error, error) {
 	opts := []xarch.Option{
 		xarch.WithCompaction(*sf.compact),
 		xarch.WithMemoryBudget(*sf.budget),
-		xarch.WithValidation(!*sf.novalidate),
 		xarch.WithCompactionBudget(*sf.compactBudget),
 		xarch.WithSegmentTargetSize(*sf.segTarget),
 		// One-shot commands issue at most one query, so the store-owned

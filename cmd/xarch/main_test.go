@@ -68,7 +68,7 @@ func TestAddFromPipeArchivesItsDocument(t *testing.T) {
 	}()
 	archive := filepath.Join(dir, "arch")
 	src := fmt.Sprintf("/dev/fd/%d", pr.Fd())
-	if err := cmdAdd([]string{"-engine", "ext", "-novalidate", "-spec", keys, "-archive", archive, src}); err != nil {
+	if err := cmdAdd([]string{"-engine", "ext", "-spec", keys, "-archive", archive, src}); err != nil {
 		t.Fatal(err)
 	}
 	spec, err := loadSpec(keys)

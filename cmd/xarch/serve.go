@@ -38,7 +38,6 @@ func cmdServe(args []string) error {
 	maxBody := fs.Int64("maxbody", 8<<20, "max /v1/add body bytes")
 	timeout := fs.Duration("timeout", 60*time.Second, "max wait for a group commit before a request gives up")
 	readTimeout := fs.Duration("readtimeout", 10*time.Second, "how long a connection may take to deliver its request headers before it is dropped")
-	budget := fs.Int("budget", 1<<20, "memory budget of an unvalidated add, in document nodes: a larger version is sorted in runs")
 	segTarget := fs.Int("segtarget", 0, "segment payload target size in bytes; 0 uses the default")
 	compactBudget := fs.Int("compactbudget", 0, "segment-compaction byte budget after each commit; 0 disables")
 	replica := fs.Bool("replica", false, "serve -archive as a replication push target (blob API only; no store is opened, -spec is unused)")
@@ -67,7 +66,6 @@ func cmdServe(args []string) error {
 			return err
 		}
 		store, err := xarch.OpenStore(*archive, spec,
-			xarch.WithMemoryBudget(*budget),
 			xarch.WithSegmentTargetSize(*segTarget),
 			xarch.WithCompactionBudget(*compactBudget))
 		if err != nil {

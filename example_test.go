@@ -81,9 +81,9 @@ func ExampleOpenStore() {
 		`<db><dept><name>finance</name><emp><fn>Jane</fn><ln>Smith</ln><sal>90K</sal></emp></dept></db>`,
 	} {
 		// AddReader tokenizes the version into the store's document slab,
-		// validates it (the default), sorts it there and merges it; with
-		// WithValidation(false) a version over the memory budget is sorted
-		// in runs instead of held whole.
+		// checks it against the key specification, sorts it there and
+		// merges it; a version over the memory budget is checked and
+		// sorted in pieces, into runs, instead of held whole.
 		if err := store.AddReader(strings.NewReader(src)); err != nil {
 			log.Fatal(err)
 		}
@@ -99,8 +99,7 @@ func ExampleOpenStore() {
 }
 
 // ExampleNewStore_options tunes a store with functional options: MD5
-// fingerprints, the §4.2 further-compaction weave, and no validation
-// pass for trusted input.
+// fingerprints and the §4.2 further-compaction weave.
 func ExampleNewStore_options() {
 	spec, err := xarch.ParseKeySpec(companySpec)
 	if err != nil {
@@ -109,7 +108,6 @@ func ExampleNewStore_options() {
 	store := xarch.NewStore(spec,
 		xarch.WithFingerprint(xarch.MD5),
 		xarch.WithCompaction(true),
-		xarch.WithValidation(false),
 	)
 	defer store.Close()
 

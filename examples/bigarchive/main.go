@@ -37,14 +37,10 @@ func main() {
 	spec := datagen.SwissProtSpec()
 
 	// A 500-node budget cuts every release into many pieces, one run
-	// each — a stand-in for a document 1000x larger than memory.
+	// each — a stand-in for a document 1000x larger than memory. Each
+	// piece is checked against the key specification as it is sorted.
 	const budget = 500
-	// WithValidation(false) is what lets the budget apply: the releases
-	// come from a trusted generator, so AddReader reads each in pieces of
-	// whole records instead of whole (a validation report needs the whole
-	// release, and a tree is sorted in memory).
-	ar, err := xarch.OpenStore(dir, spec,
-		xarch.WithMemoryBudget(budget), xarch.WithValidation(false))
+	ar, err := xarch.OpenStore(dir, spec, xarch.WithMemoryBudget(budget))
 	if err != nil {
 		log.Fatal(err)
 	}

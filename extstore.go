@@ -84,20 +84,19 @@ func (s *ExtStore) Add(doc *Document) error {
 
 // AddBatch archives docs as consecutive versions with ONE durable commit
 // for the whole group: every document is loaded once into the writer's
-// document slab, validated there (with validation on) and sorted there —
-// no serialization or re-parse, no runs — and merged
-// against the uncommitted result of its predecessor, and only the final
-// key directory goes
-// through the staged commit (stage and fsync the state files, two
+// document slab, checked and sorted there — no serialization or
+// re-parse, no runs — and merged against the uncommitted result of its
+// predecessor, and only the final key directory goes through the staged
+// commit (stage and fsync the state files, two
 // renames around a directory fsync, one more to acknowledge). Group
 // commit amortizes that protocol — and the segment rewrites of overlapping key ranges — across submitters,
 // which is what the archive server's committer goroutine batches for.
 // Readers never observe a partially applied batch: until the single
 // commit lands, every query still answers from the previous generation.
 //
-// Per-document failures (key violations with validation on, pipeline
-// errors) land in the matching AddResult; the document consumes no
-// version number and the rest of the batch still commits. A non-nil
+// Per-document failures (key violations, pipeline errors) land in the
+// matching AddResult; the document consumes no version number and the
+// rest of the batch still commits. A non-nil
 // error return means nothing was committed — and, if the failure was a
 // durability-critical commit step, the store is now degraded
 // (errors.Is(err, ErrDegraded)).
@@ -109,7 +108,7 @@ func (s *ExtStore) AddBatch(docs []*Document) ([]AddResult, error) {
 	}
 	srcs := make([]extmem.Source, len(docs))
 	for k, doc := range docs {
-		srcs[k] = extmem.Source{Doc: doc, Validate: s.cfg.validation} // a nil doc is an empty version
+		srcs[k] = extmem.Source{Doc: doc} // a nil doc is an empty version
 	}
 	out := make([]AddResult, len(docs))
 	items, err := s.ar.AddVersionBatch(srcs)
@@ -130,23 +129,19 @@ func (s *ExtStore) CommitCount() int64 {
 	return s.ar.CommitCount()
 }
 
-// AddReader archives the XML document read from r as the next version.
-// The document is tokenized straight into the writer's reused document
-// slab — no tree is built — and sorted there. With validation on (the
-// default) it is read whole and checked against the key specification
-// exactly like the in-memory engine. Construct the store with
-// WithValidation(false) to archive a document larger than memory: it is
-// read in pieces of at most the memory budget, cut between children of
-// the root, each sorted into a run, and the archive merge reads the runs'
-// children in label order. Key violations then surface as the sort's or
-// the merge's errors rather than a full validation report.
+// AddReader archives the XML document read from r as the next version,
+// tokenized straight into the writer's reused document slab — no tree is
+// built — and checked and sorted there, in pieces if it is larger than
+// the memory budget (WithMemoryBudget). One piece is reported exactly like
+// the in-memory engine's; more are refused at the first piece with
+// violations, naming those, or at two children of the root with one key.
 func (s *ExtStore) AddReader(r io.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	items, err := s.ar.AddVersionBatch([]extmem.Source{{Reader: r, Validate: s.cfg.validation}})
+	items, err := s.ar.AddVersionBatch([]extmem.Source{{Reader: r}})
 	if err != nil {
 		return err
 	}
@@ -289,8 +284,8 @@ func (s *ExtStore) SameVersion(doc, other *Document) (bool, error) {
 }
 
 // SortRuns reports how many sorted runs the most recent add wrote (§6.2):
-// zero when the version was sorted in memory in one piece — a tree, a
-// validated document, or a streamed one within the memory budget — and
+// zero when the version was sorted in memory in one piece — a tree, or a
+// streamed document within the memory budget — and
 // otherwise one per piece of a streamed version.
 func (s *ExtStore) SortRuns() int {
 	return s.ar.Last().Sort.Runs

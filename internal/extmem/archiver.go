@@ -86,14 +86,9 @@ type Archiver struct {
 
 // Config collects the archiver's tuning knobs.
 type Config struct {
-	// Budget caps the document slab of a streamed version (a Source.Reader
-	// without Validate), in nodes — about one token each: such a version is
-	// read in pieces that end between two children of the root once they
-	// hold Budget nodes, and one that takes more than one piece is sorted in
-	// runs. A child of the root always comes whole, and so does a root that
-	// is at the frontier or whose key has key paths. That loses nothing:
-	// the segment writer buffers every child of the root whole anyway. Any
-	// other version is sorted in memory in one piece. Default 1<<20.
+	// Budget caps the document slab of a streamed version (a
+	// Source.Reader), in nodes — about one token each: where its pieces
+	// end is cut's to say. Default 1<<20.
 	Budget int
 	// SegmentTarget is the segment file payload size the merge aims for,
 	// in bytes. Smaller targets mean more segments: finer-grained merge
@@ -497,21 +492,13 @@ func (ar *Archiver) Segments() []SegmentInfo {
 }
 
 // Source is one version handed to AddVersionBatch: a parsed document, or
-// XML, or — the zero Source — an empty version. Either way the version is
-// sorted in the writer's slab (sortSlab): a Doc is loaded into it, a Reader
-// tokenized straight into it. A Reader without Validate is read in pieces
-// of at most Config.Budget nodes, cut only between children of the root,
-// and a version that takes more than one piece is sorted in runs
-// (sortRuns), so it is never held in memory whole.
+// XML, or — the zero Source — an empty version. Either way it is checked
+// and sorted in the writer's slab (sortSlab); a Reader is read in pieces
+// (cut), and one that takes more than one is sorted in runs (sortRuns), so
+// it is never held in memory whole.
 type Source struct {
 	Doc    *xmltree.Node
 	Reader io.Reader
-	// Validate checks the version against the key specification before it
-	// is sorted: a violation fails it with a *keys.ViolationsError that
-	// names every violation. The report needs the whole version, so a
-	// validated Reader is read in one piece, whatever the budget; without
-	// Validate only what the sort cannot place fails the version.
-	Validate bool
 }
 
 // BatchItem reports the outcome of one document of an AddVersionBatch
@@ -687,12 +674,8 @@ func (ar *Archiver) prepareSorted(src Source) (sortedVersion, []string, error) {
 	case src.Doc != nil:
 		ar.flat.Load(src.Doc)
 	case src.Reader != nil:
-		cut := ar.cut
-		if src.Validate {
-			cut = nil // the report names every violation: one piece
-		}
 		pieces := xmltree.NewFlatReader(src.Reader)
-		if more, err := pieces.Next(&ar.flat, cut); err != nil {
+		if more, err := pieces.Next(&ar.flat, ar.cut); err != nil {
 			return sortedVersion{}, nil, err
 		} else if more {
 			return ar.sortRuns(pieces)
@@ -700,7 +683,7 @@ func (ar *Archiver) prepareSorted(src Source) (sortedVersion, []string, error) {
 	default:
 		return sortedVersion{}, nil, nil
 	}
-	toks, err := ar.sortSlab(src.Validate)
+	toks, err := ar.sortSlab()
 	return sortedVersion{toks: toks}, nil, err
 }
 

@@ -499,10 +499,9 @@ func BenchmarkAddAfterOpen(b *testing.B) {
 	}
 }
 
-// addDoc archives doc, validated, as the next version, as the store adds a
-// tree.
+// addDoc archives doc as the next version, as the store adds a tree.
 func addDoc(ar *Archiver, doc *xmltree.Node) error {
-	items, err := ar.AddVersionBatch([]Source{{Doc: doc, Validate: true}})
+	items, err := ar.AddVersionBatch([]Source{{Doc: doc}})
 	if err != nil {
 		return err
 	}

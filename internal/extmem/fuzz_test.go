@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -355,13 +356,14 @@ func FuzzMeta(f *testing.F) {
 	})
 }
 
-// FuzzFlatVsTree holds the validated add's document slab to the tree and
-// to the sort in runs, for whatever XML it is handed: the slab the
-// tokenizer fills equals the tree the parser builds, flattened; the
-// validator's report over it equals the pattern-loop reference's over the
-// tree; and a valid document sorted in the slab in one piece is, token for
-// token, what the run merge hands the merge of it sorted in pieces at a
-// budget of 16 nodes.
+// FuzzFlatVsTree holds the add's document slab to the tree and to the sort
+// in runs, for whatever XML it is handed: the slab the tokenizer fills
+// equals the tree the parser builds, flattened; the check's report over it
+// equals the pattern-loop reference's over the tree; a document the
+// reference refuses is refused in one piece with that report, and in
+// pieces at a budget of 16 nodes with some of its violations; and a valid
+// document sorted in the slab in one piece is, token for token, what the
+// run merge hands the merge of it sorted in pieces.
 func FuzzFlatVsTree(f *testing.F) {
 	spec := keys.MustParseSpec(edgeSpec)
 	for _, text := range edgeTexts() {
@@ -371,6 +373,9 @@ func FuzzFlatVsTree(f *testing.F) {
 		f.Add([]byte(doc.XML()))
 	}
 	f.Add([]byte(`<db><north><item id="1"><note>a</note></item><item id="1"/></north><south>x</south></db>`))
+	// Twins of the root's children, split across two runs.
+	f.Add([]byte(`<db><north><item id="1"><note>a</note></item><item id="2"><note>b</note></item>` +
+		`<item id="3"><note>c</note></item><item id="4"/></north><north/></db>`))
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, text []byte) {
 		tree, err := xmltree.Parse(bytes.NewReader(text))
@@ -390,22 +395,47 @@ func FuzzFlatVsTree(f *testing.F) {
 		if want := keystest.CheckDocument(spec, tree); !reflect.DeepEqual(report, want) {
 			t.Fatalf("slab report differs from the reference\n got: %v\nwant: %v", report, want)
 		}
-		if len(report) > 0 {
-			return
-		}
-		whole, _, err := (&Archiver{spec: spec, dict: newDictionary()}).prepareSorted(Source{Reader: bytes.NewReader(text), Validate: true})
-		if err != nil {
-			t.Fatalf("a valid document does not sort: %v", err)
-		}
+		one := &Archiver{spec: spec, dict: newDictionary(), cfg: Config{Budget: math.MaxInt}}
+		whole, _, werr := one.prepareSorted(Source{Reader: bytes.NewReader(text)})
 		ext := &Archiver{dir: dir, fs: fsio.OS, spec: spec, dict: newDictionary(), cfg: Config{Budget: 16}}
 		runs, scratch, err := ext.prepareSorted(Source{Reader: bytes.NewReader(text)})
 		defer removePaths(fsio.OS, scratch)
-		if err != nil {
+		var got []token
+		if err == nil {
+			got, err = sortedTokens(runs)
+		}
+		if len(report) > 0 {
+			var ve *keys.ViolationsError
+			if !errors.As(werr, &ve) || !reflect.DeepEqual(ve.Violations, report) {
+				t.Fatalf("the sort in one piece: %v, want the report %v", werr, report)
+			}
+			if !errors.As(err, &ve) || !subMultiset(ve.Violations, report) {
+				t.Fatalf("the sort in runs: %v, want some of %v", err, report)
+			}
+			return
+		}
+		if werr != nil {
+			t.Fatalf("a valid document does not sort: %v", werr)
+		} else if err != nil {
 			t.Fatalf("the sort in runs refuses a valid document: %v", err)
 		}
-		got, err := sortedTokens(runs)
-		if err != nil || !bytes.Equal(encodeTokens(t, whole.toks), encodeTokens(t, got)) {
-			t.Fatalf("the sort in one piece and in runs disagree (%v)", err)
+		if !bytes.Equal(encodeTokens(t, whole.toks), encodeTokens(t, got)) {
+			t.Fatal("the sort in one piece and in runs disagree")
 		}
 	})
+}
+
+// subMultiset reports whether sub names a violation and every one it names
+// is among all's, each at most as often.
+func subMultiset(sub, all []*keys.ValidationError) bool {
+	left := map[keys.ValidationError]int{}
+	for _, v := range all {
+		left[*v]++
+	}
+	for _, v := range sub {
+		if left[*v]--; left[*v] < 0 {
+			return false
+		}
+	}
+	return len(sub) > 0
 }

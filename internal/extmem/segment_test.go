@@ -436,7 +436,7 @@ func TestViewSurvivesAdds(t *testing.T) {
 // through the directory's synthesized prefix, and an archive whose
 // first version is empty stays consistent.
 func TestRootAttributesAndEmptyFirstVersion(t *testing.T) {
-	spec := datagen.CompanySpec()
+	spec := keys.MustParseSpec(datagen.CompanySpec().String() + "(/db, (org, {}))\n")
 	dir := t.TempDir()
 	ar, err := Open(dir, spec, Config{Budget: 64, SegmentTarget: 128})
 	if err != nil {

@@ -3,11 +3,12 @@ package extmem
 // The external sort of §6.2, for a version streamed in that does not fit
 // the memory budget: the document is read in pieces, each the root element
 // and a run of whole children of the root, no larger than the budget
-// allows (a child that is larger still comes whole); each piece is sorted
-// in the slab like any other version (treesort.go) and its sorted children
-// go to a run file, one record per child in the segment encoding: a head —
-// its length, then the child's label (tag id and key) and the lengths of
-// the rest — the child's own dictionary section, and its payload. The
+// allows (a child that is larger still comes whole); each piece is checked
+// and sorted in the slab like any other version (treesort.go) and its
+// sorted children go to a run file, one record per child in the segment
+// encoding: a head — its length, then the child's label (tag id and key)
+// and the lengths of the rest — the child's own dictionary section, and
+// its payload. The
 // segment merge reads the runs directly, one child at a time (runMerge), so
 // every run byte is read once. Sequential: read, sort and write one piece,
 // then the next, then the merge.
@@ -21,6 +22,7 @@ import (
 	"strings"
 
 	"xarch/internal/fsio"
+	"xarch/internal/keys"
 	"xarch/internal/xmltree"
 )
 
@@ -30,18 +32,12 @@ type SortStats struct {
 }
 
 // cut reports whether a streamed version's piece in the slab is to end
-// before the next child of the root: once it holds the budget's worth of
-// nodes, unless its root must be read whole — a frontier root, whose
-// content the merge holds in memory anyway, or a root whose key has key
-// paths, which is complete only at the root's close. A root the
-// specification does not key is cut too: its first piece fails the sort.
+// before the next child of the root: once it holds Config.Budget nodes,
+// unless the key check needs the root whole (keys.Cursor.Piecewise). A
+// child of the root always comes whole, which loses nothing: the segment
+// writer buffers each one whole anyway.
 func (ar *Archiver) cut(d *xmltree.Flat) bool {
-	if len(d.Nodes) < ar.cfg.Budget {
-		return false
-	}
-	cur := ar.spec.Cursor().Child(d.Name(0))
-	k := cur.Key()
-	return k == nil || len(k.KeyPaths) == 0 && !cur.Frontier()
+	return len(d.Nodes) >= ar.cfg.Budget && ar.spec.Cursor().Child(d.Name(0)).Piecewise()
 }
 
 // sortRuns sorts the rest of a streamed version whose first piece is in the
@@ -52,7 +48,7 @@ func (ar *Archiver) sortRuns(pieces *xmltree.FlatReader) (sortedVersion, []strin
 	var head []token // the root's open token and attributes
 	var scratch []string
 	for more := true; ; {
-		toks, err := ar.sortSlab(false)
+		toks, err := ar.sortSlab()
 		if err != nil {
 			return sortedVersion{}, scratch, err
 		}
@@ -143,9 +139,10 @@ func (ar *Archiver) writeRun(path string, toks []token) error {
 // runMerge is §6.2's multi-way merge of the runs, at level 2: it hands the
 // segment merge the children of the root, smallest label first, and then
 // the root's close. A run never splits a child of the root, so one label at
-// the head of two runs is two children with one key. Per run it holds a
-// read buffer and the label of the child at the run's head; beyond that,
-// the one child being merged, decoded: its tokens and its dictionary.
+// the head of two runs is two children with one key: a key violation. Per
+// run it holds a read buffer and the label of the child at the run's head;
+// beyond that, the one child being merged, decoded: its tokens and its
+// dictionary.
 type runMerge struct {
 	ar    *Archiver
 	root  string
@@ -221,7 +218,9 @@ func (m *runMerge) next() ([]token, error) {
 		}
 		if r != nil {
 			if cmp := compareLabels(c.name, c.key, r.name, r.key); cmp == 0 {
-				return nil, fmt.Errorf("extmem: /%s: more than one child %s", m.root, keyLabel(c.name, c.key))
+				k := m.ar.spec.Cursor().Child(m.root).Child(c.name).Key()
+				return nil, &keys.ViolationsError{Violations: []*keys.ValidationError{
+					{Path: "/" + m.root, Key: k.String(), Msg: "duplicate key value among targets"}}}
 			} else if cmp > 0 {
 				continue
 			}

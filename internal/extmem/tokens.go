@@ -5,10 +5,10 @@
 //     (xmltree.Flat) — tag names numbered in a dictionary as they are met
 //     — and the key specification stores every keyed node's key value
 //     there, the slab's realization of Annotate Keys (§4.1).
-//  2. Sort (§6.2): the slab is sorted in memory (keyed levels sorted by
-//     key value). A streamed version larger than the memory budget is
-//     read in pieces, each the root and whole children of the root; each
-//     piece's sorted children go to a run file.
+//  2. Sort (§6.2): the slab is checked and sorted in memory (keyed levels
+//     sorted by key value). A streamed version larger than the memory
+//     budget is read in pieces, each the root and whole children of the
+//     root; each piece's sorted children go to a run file.
 //  3. Merge (§6.3): a single streaming pass merges the sorted archive and
 //     the sorted version — from the runs, one child of the root at a time
 //     — by the Nested Merge rules.
@@ -16,10 +16,6 @@
 // A tree is loaded into the same slab and takes the same sort
 // (treesort.go); only a streamed version forms runs (sort.go). Segments and
 // runs hold tokens in one grammar, their strings interned (segdict.go).
-//
-// A streamed version's memory is bounded by the budget at the granularity
-// of a child of the root, the unit the segment writer buffers anyway; any
-// other version is held whole.
 package extmem
 
 import (

@@ -22,13 +22,13 @@ import (
 // merge reads them where they are, or a run file takes them (sort.go). The
 // caller zeroes the buffer once it is done with them.
 //
-// Violations fail the version when validate is set; otherwise only what
-// the sort cannot place does, as the first violation or the sort's own
-// error.
-func (ar *Archiver) sortSlab(validate bool) ([]token, error) {
+// A document with violations fails with a *keys.ViolationsError that
+// names every one; what the sort itself refuses after a clean check is
+// two children that only the text the archiver drops told apart
+// (footnote 3).
+func (ar *Archiver) sortSlab() ([]token, error) {
 	d := &ar.flat
-	errs := ar.spec.Check(d)
-	if validate && len(errs) > 0 {
+	if errs := ar.spec.Check(d); len(errs) > 0 {
 		return nil, &keys.ViolationsError{Violations: errs}
 	} else if len(d.Nodes) == 0 {
 		return ar.toks[:0], nil
@@ -59,13 +59,10 @@ func (ar *Archiver) sortSlab(validate bool) ([]token, error) {
 	}
 	s.toks = ar.toks[:0]
 	cur := ar.spec.Cursor().Child(d.Name(0))
-	err := errNoKey
+	err := errUnchecked
 	if cur.Key() != nil && d.Nodes[0].Key >= 0 {
 		s.enter(0, 1)
 		err = s.keyed(0, cur, s.key(0, cur.Key()))
-	}
-	if err == errNoKey {
-		err = errs[0]
 	}
 	if err != nil {
 		clear(s.toks)
@@ -103,9 +100,9 @@ type flatKid struct {
 	key  []byte
 }
 
-// errNoKey stops the sort at an element Check could store no key for; the
-// violation it reported says why.
-var errNoKey = errors.New("extmem: element without a key above the frontier")
+// errUnchecked stops the sort at what a clean key check leaves none of:
+// text, or an element without a key, above the frontier.
+var errUnchecked = errors.New("extmem: internal error: the sort met what the key check refuses")
 
 // key returns element n's key annotation, cut from the room enter made.
 func (s *flatSorter) key(n int32, k *keys.Key) *tkey {
@@ -166,15 +163,12 @@ func (s *flatSorter) keyed(n int32, cur keys.Cursor, key *tkey) error {
 	for c := d.Nodes[n].First; c >= 0; c = d.Nodes[c].Next {
 		switch d.Nodes[c].Kind {
 		case xmltree.Text:
-			var text []byte
-			if text, c = d.TextRun(c); len(bytes.TrimSpace(text)) > 0 {
-				return fmt.Errorf("extmem: %s: text above the frontier", pathString(s.path))
-			}
+			return errUnchecked
 		case xmltree.Element:
 			cc := cur.Child(d.Name(c))
 			k := cc.Key()
 			if k == nil || d.Nodes[c].Key < 0 {
-				return errNoKey
+				return errUnchecked
 			}
 			s.kids = append(s.kids, flatKid{c, cc, d.Key(c, len(k.KeyPaths))})
 		}

@@ -2,8 +2,10 @@ package extmem
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -16,11 +18,10 @@ import (
 )
 
 // A version is sorted in the document slab in one piece — a tree (Add), or
-// XML a validated AddReader tokenizes — or, streamed without validation,
-// in pieces cut between children of the root, each sorted into a run and
-// the runs merged. Both shapes must be one sort in effect: the same sorted
-// token stream, and after the merge the same bytes in every file of the
-// archive directory.
+// XML that fits the budget — or, streamed, in pieces cut between children
+// of the root, each sorted into a run and the runs merged. Both shapes
+// must be one sort in effect: the same sorted token stream, and after the
+// merge the same bytes in every file of the archive directory.
 
 // edgeSpec exercises what the generators' specifications do not: a
 // wildcard context, a key path that ends at an attribute, a whole-value
@@ -43,7 +44,6 @@ func edgeDocs() []*xmltree.Node {
 		return elem("item", append([]*xmltree.Node{attr("id", id)}, children...)...)
 	}
 	v1 := elem("db",
-		text(" \n "), // whitespace-only text above the frontier
 		elem("north",
 			item("a\"b<c&d>e",
 				elem("note", text("whole "), text("value"), text(" key")), // coalesces inside a key value
@@ -61,7 +61,6 @@ func edgeDocs() []*xmltree.Node {
 			),
 			item("2"),
 		),
-		text("  "),
 		elem("south", item("2", elem("note", elem("nested", attr("k", "v"), text("x")), text(" y")))),
 	)
 	v2 := v1.Clone()
@@ -109,8 +108,8 @@ func sortedStream(t *testing.T, ar *Archiver, src Source) ([]byte, int) {
 	if err != nil {
 		t.Fatalf("prepareSorted: %v", err)
 	}
-	if (src.Doc != nil || src.Validate) && sorted.runs != nil {
-		t.Fatalf("sorted version of %+v left in runs", src)
+	if src.Doc != nil && sorted.runs != nil {
+		t.Fatal("a parsed document was sorted in runs")
 	}
 	toks, err := sortedTokens(sorted)
 	if err != nil {
@@ -203,7 +202,8 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 	item.Children = item.Children[:len(item.Children)-1]
 	// attrs: the root carries attributes, which every piece repeats and the
 	// sorted version holds once. (Versions may not change them: the root's
-	// attributes are key-covered.)
+	// attributes are keyed.)
+	attrSpec := keys.MustParseSpec(datagen.OMIMSpec().String() + "(/ROOT, (release, {}))\n(/ROOT, (db, {}))\n")
 	var attrs []*xmltree.Node
 	for _, doc := range []*xmltree.Node{omim.Next(), omim.Next()} {
 		doc.SetAttr("release", "7")
@@ -260,7 +260,7 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 		// two patterns: their keys must not be mixed.
 		{name: "similar-patterns", spec: keys.MustParseSpec("(/, (db, {}))\n(/db, (a_b, {id}))\n(/db, (a, {}))\n(/db/a, (b, {id}))"),
 			docs: []*xmltree.Node{xmltree.MustParseString(`<db><a><b><id>1</id></b><b><id>2</id></b></a><a_b><id>x</id></a_b><a_b><id>y</id></a_b></db>`)}, onePiece: true},
-		{name: "root-attrs", spec: datagen.OMIMSpec(), docs: attrs},
+		{name: "root-attrs", spec: attrSpec, docs: attrs},
 		{name: "root-content-key", spec: keys.MustParseSpec("(/, (lib, {name}))\n(/lib, (name, {}))\n(/lib, (book, {isbn}))\n(/lib/book, (title, {}))"),
 			docs: []*xmltree.Node{lib(1, 2, 3), lib(seq(0, 100)...), lib(seq(50, 150)...)}, onePiece: true},
 		{name: "frontier-root", spec: keys.MustParseSpec("(/, (db, {}))"), docs: []*xmltree.Node{frontier(100), frontier(120)}, onePiece: true},
@@ -279,7 +279,8 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 				cfg.SegmentTarget = tc.segTarget
 			}
 			treeDir, streamDir := t.TempDir(), t.TempDir()
-			tree, err := Open(treeDir, tc.spec, cfg)
+			// The tree side reads a text at the default budget: one piece.
+			tree, err := Open(treeDir, tc.spec, Config{SegmentTarget: cfg.SegmentTarget})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +298,7 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 				}
 				src := Source{Doc: doc}
 				if tc.texts != nil {
-					src = Source{Reader: strings.NewReader(tc.texts[v]), Validate: true}
+					src = Source{Reader: strings.NewReader(tc.texts[v])}
 				}
 				fromTree, n := sortedStream(t, tree, src)
 				fromStream, _ := sortedStream(t, stream, Source{Reader: strings.NewReader(compact)})
@@ -341,55 +342,62 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 }
 
 // TestTreeSourceNeedsNoScratchFiles pins what each sort leaves in the
-// directory: an add from a parsed document, validated XML, or streamed XML
-// that fits one piece creates no scratch file at all — the sorted version
-// stays in memory — while a streamed add that takes more pieces creates a
-// run per piece, and nothing else: the merge reads the runs.
+// directory: an add from a parsed document, whatever the budget, or from
+// XML that fits one piece creates no scratch file at all — the sorted
+// version stays in memory — while XML that takes more pieces creates a
+// run per piece, and nothing else: the merge reads the runs. XML refused
+// at its second piece has written the first piece's run, and removed it.
 func TestTreeSourceNeedsNoScratchFiles(t *testing.T) {
 	spec := keys.MustParseSpec(edgeSpec)
 	doc := xmltree.MustParseString(`<db><north><item id="1"><body>x</body></item><item id="2"/></north><south><item id="3"/></south></db>`)
-	created := func(src Source, budget int) (scratch []string) {
+	created := func(src Source, budget int) (scratch []string, err error) {
 		ffs := fsio.NewFaultFS(nil)
-		ar, err := Open(t.TempDir(), spec, Config{FS: ffs, Budget: budget})
+		dir := t.TempDir()
+		ar, err := Open(dir, spec, Config{FS: ffs, Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ffs.ResetTrace()
-		if items, err := ar.AddVersionBatch([]Source{src}); err != nil || items[0].Err != nil {
-			t.Fatalf("add: %v %v", err, items)
+		items, err := ar.AddVersionBatch([]Source{src})
+		if err != nil {
+			t.Fatalf("add: %v", err)
 		}
 		for _, op := range ffs.Ops() {
 			if base := filepath.Base(op.Path); strings.HasSuffix(op.Point, ".create") && strings.HasPrefix(base, "tmp-") {
 				scratch = append(scratch, base)
 			}
 		}
+		if tr := faulttest.Transient(t, dir); len(tr) != 0 {
+			t.Errorf("scratch files left behind: %v", tr)
+		}
 		slices.Sort(scratch)
-		return scratch
+		return scratch, items[0].Err
 	}
-	if got := created(Source{Doc: doc}, 1); len(got) != 0 {
-		t.Errorf("tree-sourced add created scratch files %v, want none", got)
+	none := func(what string, src Source, budget int) {
+		t.Helper()
+		if got, err := created(src, budget); err != nil || len(got) != 0 {
+			t.Errorf("%s created scratch files %v (%v), want none", what, got, err)
+		}
 	}
-	if got := created(Source{Reader: strings.NewReader(doc.XML()), Validate: true}, 1); len(got) != 0 {
-		t.Errorf("validated streamed add created scratch files %v, want none", got)
-	}
-	if got := created(Source{}, 1); len(got) != 0 {
-		t.Errorf("empty version created scratch files %v, want none", got)
-	}
-	if got := created(Source{Reader: strings.NewReader(doc.XML())}, 0); len(got) != 0 {
-		t.Errorf("streamed add that fits one piece created scratch files %v, want none", got)
-	}
+	none("tree-sourced add", Source{Doc: doc}, 1)
+	none("empty version", Source{}, 1)
+	none("streamed add that fits one piece", Source{Reader: strings.NewReader(doc.XML())}, 0)
 	want := []string{"tmp-run0000.tok", "tmp-run0001.tok"}
-	if got := created(Source{Reader: strings.NewReader(doc.XML())}, 1); !slices.Equal(got, want) {
-		t.Errorf("streamed add in two pieces created scratch files\n%v, want\n%v", got, want)
+	if got, err := created(Source{Reader: strings.NewReader(doc.XML())}, 1); err != nil || !slices.Equal(got, want) {
+		t.Errorf("streamed add in two pieces created scratch files\n%v (%v), want\n%v", got, err, want)
+	}
+	twins := strings.Replace(doc.XML(), `<item id="3"/>`, `<item id="3"/><item id="3"/>`, 1)
+	var ve *keys.ViolationsError
+	if got, err := created(Source{Reader: strings.NewReader(twins)}, 1); !errors.As(err, &ve) || !slices.Equal(got, want[:1]) {
+		t.Errorf("streamed add refused at its second piece created scratch files\n%v (%v), want\n%v", got, err, want[:1])
 	}
 }
 
 // TestDuplicateSiblingKeysRejected: two siblings with one key are a key
-// violation that nothing upstream has caught when validation is off. The
-// sort must refuse the version — failing that document alone — wherever
-// the twins fall: in one piece they sort adjacent; in different runs,
-// however far apart, they meet at the heads of two runs in the run merge,
-// which must not fuse them into one node.
+// violation, and the version is refused with one report — failing that
+// document alone — wherever the twins fall: in one piece the check finds
+// them; in different runs, however far apart, they meet at the heads of
+// two runs in the run merge, which must not fuse them into one node.
 func TestDuplicateSiblingKeysRejected(t *testing.T) {
 	spec := keys.MustParseSpec(`
 (/, (db, {}))
@@ -438,10 +446,10 @@ func TestDuplicateSiblingKeysRejected(t *testing.T) {
 			if items[0].Err != nil || items[0].Version != 1 || items[2].Err != nil || items[2].Version != 2 {
 				t.Errorf("valid documents of the batch: %+v", items)
 			}
-			if err := items[1].Err; err == nil {
-				t.Error("duplicate sibling keys were archived")
-			} else if !strings.Contains(err.Error(), "/db: more than one child item{id=1}") {
-				t.Errorf("error does not name path and key: %v", err)
+			want := []*keys.ValidationError{{Path: "/db", Key: "(/db, (item, {id}))", Msg: "duplicate key value among targets"}}
+			var ve *keys.ViolationsError
+			if err := items[1].Err; !errors.As(err, &ve) || !reflect.DeepEqual(ve.Violations, want) {
+				t.Errorf("duplicate sibling keys: %v, want the violation %v", err, want[0])
 			}
 			if tr := faulttest.Transient(t, ar.dir); len(tr) != 0 {
 				t.Errorf("scratch files left behind: %v", tr)

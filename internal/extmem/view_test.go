@@ -150,8 +150,8 @@ func readersBeside(t *testing.T, ar *Archiver, n int, read func(r, i int, q *Que
 // TestRecordTimesParsedAtCreation: every root and entry record carries its
 // explicit timestamp parsed from the moment it is created, as the set its
 // string names (and none when it inherits) — after adds of every kind (a
-// tree, validated XML, streamed XML, the empty version that terminates the
-// root), a compaction, a reopen, a rebuild from meta.txt and adds after
+// tree, streamed XML, the empty version that terminates the root), a
+// compaction, a reopen, a rebuild from meta.txt and adds after
 // each. Readers query beside the writer: under -race they show that no
 // published record is written once a view can see it.
 func TestRecordTimesParsedAtCreation(t *testing.T) {
@@ -214,7 +214,6 @@ func TestRecordTimesParsedAtCreation(t *testing.T) {
 		}
 		return Source{Doc: doc}
 	}
-	validated := func() Source { return Source{Reader: strings.NewReader(next()), Validate: true} }
 	streamed := func() Source { return Source{Reader: strings.NewReader(next())} }
 	changed, err := qlang.Parse("changed 2..")
 	if err != nil {
@@ -236,9 +235,8 @@ func TestRecordTimesParsedAtCreation(t *testing.T) {
 	})
 	for round := 0; round < 4; round++ {
 		add("tree add", tree())
-		add("validated add", validated())
 		add("streamed add", streamed())
-		add("batch", tree(), validated(), streamed())
+		add("batch", tree(), streamed())
 		if round == 1 {
 			add("empty version", Source{})
 		}

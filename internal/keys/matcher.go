@@ -65,6 +65,37 @@ func (c Cursor) Key() *Key {
 // Frontier reports whether the path walked so far is a frontier path.
 func (c Cursor) Frontier() bool { return c.st != nil && c.st.frontier }
 
+// Piecewise reports whether an element matched by c can be checked in
+// pieces, each the element, its attributes and a run of its children: an
+// unkeyed element, whose check stops there, or a keyed one that is not a
+// frontier node, has no key with key paths ending here, and whose
+// children's labels (their keys) are exactly the one-step, named targets
+// of the keys whose context ends here — the one check across pieces is
+// then that no two children share a label.
+func (c Cursor) Piecewise() bool {
+	if c.Key() == nil {
+		return true
+	} else if c.st.frontier {
+		return false
+	}
+	for _, k := range c.st.keys {
+		if len(k.KeyPaths) > 0 {
+			return false
+		}
+	}
+	for _, k := range c.st.contexts {
+		if len(k.Target) != 1 || k.Target[0] == Wildcard || c.Child(k.Target[0]).Key() != k {
+			return false
+		}
+	}
+	for _, st := range c.st.lit {
+		if st.key != nil && !slices.Contains(c.st.contexts, st.key) {
+			return false
+		}
+	}
+	return c.st.wild == nil || c.st.wild.key == nil // a wildcard's key is no named target
+}
+
 // at walks a whole concrete path.
 func (m *matcher) at(concrete Path) Cursor {
 	c := Cursor{m.root}

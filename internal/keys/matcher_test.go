@@ -79,3 +79,28 @@ func TestKeyPathOrder(t *testing.T) {
 		t.Errorf("key-path order = %s", got)
 	}
 }
+
+// TestPiecewise: which roots a streamed add may check a run of children at
+// a time — those whose checks but their children's label uniqueness stay
+// inside one child.
+func TestPiecewise(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		want bool
+	}{
+		{"(/, (db, {}))\n(/db, (dept, {name}))\n(/db/dept, (emp, {fn, ln}))", true},
+		{"(/, (db, {}))\n(/db, (north, {}))\n(/db/_, (item, {id}))", true}, // a wildcard below the children
+		{"(/, (db, {}))\n(/db, (dept, {name}))\n(/db, (org, {}))", true},   // org may be an attribute
+		{"(/, (other, {}))", true},                                   // db is unkeyed: its check stops there
+		{"(/, (db, {}))", false},                                     // a frontier root
+		{"(/, (db, {name}))\n(/db, (dept, {}))", false},              // the root's key has a key path
+		{"(/, (db, {}))\n(/db, (a, {n}))\n(/db, (a/b, {k}))", false}, // a target two steps deep
+		{"(/, (db, {}))\n(/db, (_, {n}))", false},                    // a wildcard target
+		{"(/, (db, {}))\n(/db, (a, {n}))\n(/db, (_, {m}))", false},   // a's label is the wildcard key's
+		{"(/, (db, {}))\n(/, (db/a, {n}))", false},                   // a's key has its context above the root
+	} {
+		if got := MustParseSpec(c.spec).Cursor().Child("db").Piecewise(); got != c.want {
+			t.Errorf("%q: Piecewise() = %v, want %v", c.spec, got, c.want)
+		}
+	}
+}

@@ -27,7 +27,6 @@ import (
 	"xarch"
 	"xarch/internal/faulttest"
 	"xarch/internal/fsio"
-	"xarch/internal/keys"
 	"xarch/internal/repl"
 	"xarch/internal/segstore"
 	"xarch/internal/xmltree"
@@ -61,8 +60,8 @@ const budget = 16
 var kinds = []kind{
 	{"default", nil},
 	{"noindex", []xarch.Option{xarch.WithQueryIndex(false)}},
-	// An xml add is read in pieces of budget nodes and merged from runs.
-	{"stream", []xarch.Option{xarch.WithValidation(false), xarch.WithMemoryBudget(budget), xarch.WithSegmentTargetSize(2048)}},
+	// An xml add is checked and sorted in pieces of budget nodes.
+	{"stream", []xarch.Option{xarch.WithMemoryBudget(budget), xarch.WithSegmentTargetSize(2048)}},
 	{"compacting", []xarch.Option{xarch.WithSegmentTargetSize(512), xarch.WithCompactionBudget(4096)}},
 	{"mem", []xarch.Option{xarch.WithIndexes(false)}},
 }
@@ -84,7 +83,8 @@ type Failure struct{ Check, Msg string }
 func (f *Failure) Error() string { return f.Check + ": " + f.Msg }
 
 // fixture is a Fixture with its documents by their names in a step — n,
-// and !n for document n's invalid twin — and whether validation takes them.
+// and !n for document n's invalid twin, its first root child repeated at
+// its end — and whether the key check takes them.
 type fixture struct {
 	Fixture
 	doc map[string]*xarch.Document
@@ -269,16 +269,20 @@ func (r *run) outage(ffs *fsio.FaultFS, crash Step) (string, error) {
 	return dir, ffs.PowerLoss(dir, mode)
 }
 
-// class is what an add's error says of a document: ok, refused by the
-// spec or the sort, or failed by the filesystem underneath.
+// class is what an add's error says of a document: ok, refused as a key
+// violation, failed by the filesystem underneath, or failed otherwise,
+// which no oracle expects.
 func class(err error) string {
+	var kv *xarch.KeyViolationError
 	switch {
 	case err == nil:
 		return "ok"
 	case errors.Is(err, xarch.ErrDegraded), errors.Is(err, fsio.ErrCrashed), errors.Is(err, syscall.EIO):
 		return "io"
+	case errors.As(err, &kv):
+		return "refused"
 	}
-	return "refused"
+	return "failed"
 }
 
 // play runs st on one store under the fault and crash armed before it,
@@ -298,10 +302,10 @@ func (r *run) play(in *inst, st, fault, crash Step) *Failure {
 	if ext, ok := in.s.(*xarch.ExtStore); ok {
 		restart = ext.Degraded() != nil
 		// The streamed store sorts in runs an xml add whose root and root
-		// children but the last fill a piece, unless the root is at the
-		// frontier: that is read in one piece.
+		// children but the last fill a piece, unless the key check needs
+		// the root whole: that is read in one piece.
 		if d := r.fx.doc[st[len(st)-1]]; in.name == "stream" && st[0] == "add" && st[1] == "xml" && err == nil && errs[0] == nil &&
-			!r.fx.Spec.IsFrontier(keys.Path{d.Name}) &&
+			r.fx.Spec.Cursor().Child(d.Name).Piecewise() &&
 			d.CountNodes()-d.Children[len(d.Children)-1].CountNodes() >= budget && ext.SortRuns() < 2 {
 			return r.fail(in, "runs", "%s was sorted in %d runs", st, ext.SortRuns())
 		}
@@ -321,7 +325,7 @@ func (r *run) play(in *inst, st, fault, crash Step) *Failure {
 		}
 	}
 	failed := err != nil || slices.Contains(got, "io")
-	if !hit && (failed || restart) && (fault == nil || class(err) == "refused") {
+	if !hit && (failed || restart) && (fault == nil || err != nil && class(err) != "io") {
 		return r.fail(in, "error", "%s: %v %v", st, err, errs)
 	}
 	for i := range got {

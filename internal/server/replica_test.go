@@ -3,17 +3,20 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
 	"xarch"
 	"xarch/internal/extmem"
+	"xarch/internal/fsio"
 	"xarch/internal/repl"
 	"xarch/internal/segstore"
 )
@@ -156,6 +159,53 @@ func TestReplicationSegmentNameRestriction(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Errorf("path traversal answered 200")
+	}
+}
+
+// TestReplicationSegmentFaultIsNotARace: a segment the current generation
+// lists that the primary's disk cannot open is the primary's fault,
+// answered 500 with its cause, not a name that vanished (404): a pull
+// fails without repl.ErrSourceChanged, so it is not restarted as if the
+// source had moved on.
+func TestReplicationSegmentFaultIsNotARace(t *testing.T) {
+	spec, err := xarch.ParseKeySpec(recSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, ffs := t.TempDir(), fsio.NewFaultFS(nil)
+	store, err := xarch.OpenStore(dir, spec, xarch.WithFS(ffs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+	if status, _ := postDoc(t, ts.URL, recDoc("a", 1)); status != http.StatusOK {
+		t.Fatal("seed add failed")
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.tok"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment to serve: %v", err)
+	}
+	ffs.SetFault("segment.open", fsio.Fault{Err: syscall.EIO})
+
+	src := segstore.NewHTTP(ts.URL, nil, fastPolicy())
+	dst, err := segstore.NewLocal(nil, filepath.Join(t.TempDir(), "replica"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repl.Sync(context.Background(), src, dst, repl.Options{Retry: fastPolicy()}); err == nil || errors.Is(err, repl.ErrSourceChanged) {
+		t.Errorf("pull beside a failing segment open: %v, want a failure that is not ErrSourceChanged", err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/segments/" + filepath.Base(segs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(body, []byte(syscall.EIO.Error())) {
+		t.Errorf("GET of a listed segment that fails to open: %d %s, want 500 naming the cause", resp.StatusCode, body)
 	}
 }
 

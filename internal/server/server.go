@@ -495,7 +495,9 @@ func (s *Server) handleReplKeydir(w http.ResponseWriter, r *http.Request) {
 // handleReplSegment streams one segment blob out of the cached pinned
 // view. Only names the pinned manifest lists are served — the live
 // store writes new segments under their final names, and those must
-// never leak to a puller mid-commit.
+// never leak to a puller mid-commit. A name the current generation does
+// not list is 404, which a puller takes for the source moving on; a
+// listed segment that cannot be opened is the primary's own fault, 500.
 func (s *Server) handleReplSegment(w http.ResponseWriter, r *http.Request) {
 	s.queries.Add(1)
 	rs, ok := s.store.(replicaSource)
@@ -510,7 +512,11 @@ func (s *Server) handleReplSegment(w http.ResponseWriter, r *http.Request) {
 	}
 	rc, size, err := s.openPinnedSegment(rs, name)
 	if err != nil {
-		jsonError(w, http.StatusNotFound, "no segment %s in the current generation: %v", name, err)
+		status := http.StatusInternalServerError
+		if errors.Is(err, errNotListed) {
+			status = http.StatusNotFound
+		}
+		jsonError(w, status, "segment %s: %v", name, err)
 		return
 	}
 	defer rc.Close()
@@ -520,6 +526,10 @@ func (s *Server) handleReplSegment(w http.ResponseWriter, r *http.Request) {
 		s.logf("stream %s: %v", name, err)
 	}
 }
+
+// errNotListed: the current generation does not list the name, even after
+// a refresh.
+var errNotListed = errors.New("not in the current generation")
 
 // openPinnedSegment opens name from the cached view, refreshing the
 // view once if it is missing or stale (a pull hitting segments before
@@ -540,6 +550,10 @@ func (s *Server) openPinnedSegment(rs replicaSource, name string) (io.ReadCloser
 		if old != nil {
 			defer old.Close()
 		}
+	}
+	if !s.replView.HasSegment(name) {
+		s.replMu.Unlock()
+		return nil, 0, errNotListed
 	}
 	rc, size, err := s.replView.OpenSegment(name)
 	s.replMu.Unlock()

@@ -1,6 +1,7 @@
 package xarch
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -13,11 +14,11 @@ import (
 // TestAddLimits takes the edges of a document's shape through the ways a
 // version enters a store — ExtStore.AddReader, which tokenizes it into the
 // writer's document slab; ExtStore.Add of the parsed tree, which flattens
-// it there; AddReader on stores opened WithValidation(false), at a 16-node
-// memory budget and at the default, which may sort it in runs; and
-// MemStore — and demands one outcome: the same version back, or the same
-// *KeyViolationError (from a store that does not validate, the sort's
-// error naming the path).
+// it there; AddReader at a 16-node memory budget, which checks and sorts
+// it in pieces; and MemStore — and demands one outcome: the same version
+// back, or the same *KeyViolationError. The documents in pieces here are
+// refused for what the first piece holds, or for twins that the run merge
+// meets, so their reports are the whole document's too.
 func TestAddLimits(t *testing.T) {
 	deep := func(levels int) string {
 		return "<db><dept><name>d</name><emp><fn>a</fn><ln>b</ln><sal>" +
@@ -36,9 +37,10 @@ func TestAddLimits(t *testing.T) {
 			"<dept><name>d</name><emp><fn>a</fn><ln>b</ln>" + sal + "</emp></dept></db>"
 	}
 	big := strings.Repeat("v", 70<<10)
+	twoRuns := inRuns("")
 	for _, c := range []struct {
 		name, doc string
-		runs      int // what the 16-node store sorts a valid doc in
+		runs      int // the runs the 16-node store sorts the doc in, checked when it is valid
 	}{
 		{"empty input", "", 0},
 		{"root only", "<db/>", 0},
@@ -49,13 +51,15 @@ func TestAddLimits(t *testing.T) {
 		{"1,000 attributes", "<db><dept><name>d</name><emp><fn>a</fn><ln>b</ln><sal" + attrs.String() + ">1K</sal></emp></dept></db>", 0},
 		{"duplicate keys at two levels", "<db><dept><name>d</name><emp><fn>a</fn><ln>b</ln></emp>" +
 			"<emp><fn>a</fn><ln>b</ln></emp></dept><dept><name>d</name></dept></db>", 0},
+		{"duplicate key split across runs", strings.Replace(twoRuns, "<name>d</name>", "<name>a</name>", 1), 2},
+		{"unkeyed root attribute in runs", strings.Replace(twoRuns, "<db>", `<db x="1">`, 1), 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			mem := NewStore(mustSpec(t))
 			defer mem.Close()
 			stores := []Store{mem}
-			// stores[2] takes the parsed tree; stores[3:] do not validate.
-			for _, opts := range [][]Option{nil, nil, {WithValidation(false), WithMemoryBudget(16)}, {WithValidation(false)}} {
+			// stores[2] takes the parsed tree; stores[3] reads in pieces.
+			for _, opts := range [][]Option{nil, nil, {WithMemoryBudget(16)}} {
 				ext, err := OpenStore(t.TempDir(), mustSpec(t), opts...)
 				if err != nil {
 					t.Fatal(err)
@@ -76,15 +80,10 @@ func TestAddLimits(t *testing.T) {
 			}
 			var want *KeyViolationError
 			if errors.As(errs[0], &want) {
-				for i, err := range errs[1:3] {
+				for i, err := range errs[1:] {
 					var got *KeyViolationError
 					if !errors.As(err, &got) || !reflect.DeepEqual(got.Violations, want.Violations) {
 						t.Errorf("store %d: %v, want %v", i+1, err, want)
-					}
-				}
-				for i, err := range errs[3:] {
-					if err == nil || !strings.Contains(err.Error(), "/db") || !strings.Contains(err.Error(), "more than one child") {
-						t.Errorf("store %d: %v, want the sort's error naming the path", i+3, err)
 					}
 				}
 				return
@@ -164,5 +163,84 @@ func TestWhitespaceTwinsRejectedBySort(t *testing.T) {
 	// twins are two entries.
 	if err := NewStore(spec).Add(doc); err != nil {
 		t.Errorf("MemStore.Add = %v", err)
+	}
+}
+
+// TestStreamedAddKeepsTheBudget: AddReader checks a version piece by piece
+// as it reads it, so a document many times the memory budget is sorted in
+// runs and reads back as the in-memory engine's. A root some check of
+// which reaches across its children — a key below it whose target is two
+// steps deep, or a wildcard — is read whole instead, and a violation there
+// is refused with MemStore's report.
+func TestStreamedAddKeepsTheBudget(t *testing.T) {
+	const budget = 256
+	spec, texts := omimTexts(t, 60, 4, 3)
+	ext, err := OpenStore(t.TempDir(), spec, WithMemoryBudget(budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ext.Close()
+	mem := NewStore(spec)
+	defer mem.Close()
+	for i, text := range texts {
+		doc, err := ParseXMLString(string(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := doc.CountNodes(); n < 8*budget {
+			t.Fatalf("version %d has %d nodes, want at least %d", i+1, n, 8*budget)
+		}
+		if err := ext.AddReader(bytes.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+		if runs := ext.SortRuns(); runs < 2 {
+			t.Errorf("version %d was sorted in %d runs", i+1, runs)
+		}
+		if err := mem.Add(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := 1; v <= len(texts); v++ {
+		var got, want bytes.Buffer
+		if err := ext.WriteVersion(v, &got); err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.WriteVersion(v, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("version %d differs from the in-memory engine's", v)
+		}
+	}
+
+	for _, c := range []struct{ name, spec, valid, invalid string }{
+		{"deep target", "(/, (db, {}))\n(/db, (a, {n}))\n(/db, (a/b, {k}))",
+			`<db><a><n>1</n><b><k>x</k></b></a><a><n>2</n><b><k>y</k></b></a></db>`,
+			`<db><a><n>1</n><b><k>x</k></b></a><a><n>2</n><b><k>x</k></b></a></db>`},
+		{"wildcard target", "(/, (db, {}))\n(/db, (_, {n}))",
+			`<db><a><n>1</n></a><b><n>2</n></b></db>`,
+			`<db><a><n>1</n></a><b><n>1</n></b></db>`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			spec, err := ParseKeySpec(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ext, err := OpenStore(t.TempDir(), spec, WithMemoryBudget(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ext.Close()
+			if err := ext.AddReader(strings.NewReader(c.valid)); err != nil || ext.SortRuns() != 0 {
+				t.Fatalf("valid document: %v, %d runs; want it read whole", err, ext.SortRuns())
+			}
+			var want, got *KeyViolationError
+			if !errors.As(NewStore(spec).AddReader(strings.NewReader(c.invalid)), &want) {
+				t.Fatal("MemStore takes the invalid document")
+			}
+			if err := ext.AddReader(strings.NewReader(c.invalid)); !errors.As(err, &got) || !reflect.DeepEqual(got.Violations, want.Violations) {
+				t.Errorf("invalid document: %v, want %v", err, want)
+			}
+		})
 	}
 }

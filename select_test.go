@@ -90,7 +90,7 @@ func buildSelectArchive(tb testing.TB, dir string, depts, emps, nv int, opts ...
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s, err := OpenStore(dir, spec, append([]Option{WithValidation(false)}, opts...)...)
+	s, err := OpenStore(dir, spec, opts...)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -25,9 +25,9 @@ type Store interface {
 	// retains doc.
 	Add(doc *Document) error
 	// AddReader archives the XML document read from r as the next
-	// version. On the external engine with WithValidation(false), the
-	// document streams through the §6 pipeline without ever being held
-	// in memory as a tree.
+	// version. On the external engine the document streams through the §6
+	// pipeline, checked piece by piece, without ever being held in memory
+	// as a tree.
 	AddReader(r io.Reader) error
 	// AddBatch archives docs as consecutive versions in one write
 	// transaction — the group-commit primitive behind the archive
@@ -116,7 +116,6 @@ type config struct {
 	fingerprint FingerprintFunc
 	compaction  bool
 	indexes     bool
-	validation  bool
 	budget      int     // external-sort memory budget, in slab nodes
 	segTarget   int     // external engine segment payload target, in bytes
 	compBudget  int     // external engine: opportunistic compaction budget per Add, in bytes
@@ -126,9 +125,8 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		indexes:    true,
-		validation: true,
-		budget:     1 << 20,
+		indexes: true,
+		budget:  1 << 20,
 	}
 }
 
@@ -162,23 +160,12 @@ func WithIndexes(on bool) Option {
 	return func(c *config) { c.indexes = on }
 }
 
-// WithValidation toggles the key-specification check on Add. On by
-// default; violations are reported as a *KeyViolationError. Turning it
-// off is for trusted generators and benchmarks — annotation still catches
-// most key violations.
-func WithValidation(on bool) Option {
-	return func(c *config) { c.validation = on }
-}
-
 // WithMemoryBudget caps the document slab of a streamed add — AddReader
-// on an external store opened WithValidation(false) — in nodes, about one
-// token each (§6): such a version is read in pieces cut between children
-// of the root once they hold the budget, and one that takes more than one
-// piece is sorted in runs that the merge reads. A child of the root always
-// comes whole, so an add's peak memory is at least its largest root child
-// — as it always was: the segment writer buffers each one whole. A parsed
-// document, or a validated one, is sorted in memory in one piece, whatever
-// the budget. The default is 1<<20.
+// on an external store — in nodes, about one token each (§6): a larger
+// version is read, checked and sorted in pieces cut between children of
+// the root, into runs that the merge reads. A child of the root always
+// comes whole, so an add's peak memory is at least its largest root
+// child; a parsed document is sorted in one piece. The default is 1<<20.
 func WithMemoryBudget(nodes int) Option {
 	return func(c *config) { c.budget = nodes }
 }
@@ -238,6 +225,5 @@ func (c config) coreOptions() core.Options {
 	return core.Options{
 		Fingerprint:       c.fingerprint,
 		FurtherCompaction: c.compaction,
-		SkipValidation:    !c.validation,
 	}
 }

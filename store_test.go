@@ -432,14 +432,13 @@ func TestEmptyVersions(t *testing.T) {
 // TestStoreOptions exercises the remaining construction options through
 // the public surface.
 func TestStoreOptions(t *testing.T) {
-	// WithValidation(false) accepts a document the validator rejects.
-	lax := NewStore(mustSpec(t), WithValidation(false), WithFingerprint(Weak8))
-	defer lax.Close()
 	// Weak8 forces fingerprint collisions; archives must still be correct.
+	weak := NewStore(mustSpec(t), WithFingerprint(Weak8))
+	defer weak.Close()
 	for n := 1; n <= 3; n++ {
-		addString(t, lax, deptVersion(n))
+		addString(t, weak, deptVersion(n))
 	}
-	h, err := lax.History("/db/dept[name=d1]")
+	h, err := weak.History("/db/dept[name=d1]")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,10 +32,12 @@
 //	v1, _ := store.Version(1)
 //	history, _ := store.History("/db/dept[name=finance]/emp[fn=John,ln=Doe]")
 //
-// Behaviour is tuned with functional options — WithFingerprint,
-// WithCompaction, WithIndexes, WithValidation, WithMemoryBudget — and
-// failures carry structured errors (ErrNoSuchVersion, KeyViolationError,
-// ...) for errors.Is / errors.As dispatch. See the examples directory for
+// Every added version is checked against the key specification, a
+// streamed one piece by piece within the memory budget. Behaviour is tuned
+// with functional options — WithFingerprint, WithCompaction, WithIndexes,
+// WithMemoryBudget — and failures carry structured errors
+// (ErrNoSuchVersion, KeyViolationError, ...) for errors.Is / errors.As
+// dispatch. See the examples directory for
 // complete programs and DESIGN.md for the system inventory.
 package xarch
 
