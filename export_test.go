@@ -10,3 +10,9 @@ var (
 	SelectLeaves  = selectLeaves
 	RandExpr      = randExpr
 )
+
+// WithSectionBudget caps the external engine's resident segment sections
+// at bytes, so that tests can make a store evict.
+func WithSectionBudget(bytes int) Option {
+	return func(c *config) { c.sectionBudget = bytes }
+}

@@ -65,6 +65,7 @@ func OpenStore(dir string, spec *KeySpec, opts ...Option) (*ExtStore, error) {
 		SegmentTarget:    cfg.segTarget,
 		CompactionBudget: cfg.compBudget,
 		NoAttrIndex:      cfg.noQueryIdx,
+		SectionBudget:    int64(cfg.sectionBudget),
 		FS:               cfg.fs,
 	})
 	if err != nil {

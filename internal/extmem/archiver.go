@@ -77,6 +77,8 @@ type Archiver struct {
 	genMu sync.Mutex
 	gens  map[int]*generation
 
+	resident residency // the segment sections loaded (segdict.go)
+
 	bytesRead atomic.Int64
 	// commits counts durable key-directory commits (commitState runs
 	// whose rename succeeded) — the group-commit tests' evidence that a
@@ -104,6 +106,9 @@ type Config struct {
 	// the two answer identically). It is read-side only: postings are
 	// always written, so it changes no byte on disk.
 	NoAttrIndex bool
+	// SectionBudget caps the charge of the segment dictionaries and
+	// postings held in memory (segdict.go). Default 64 MiB.
+	SectionBudget int64
 	// FS is the filesystem all archive I/O goes through. Nil means the
 	// real filesystem (fsio.OS); the crash-consistency harness injects a
 	// fsio.FaultFS here.
@@ -118,6 +123,9 @@ func (c *Config) setDefaults() {
 	}
 	if c.SegmentTarget <= 0 {
 		c.SegmentTarget = defaultSegmentTarget
+	}
+	if c.SectionBudget <= 0 {
+		c.SectionBudget = 64 << 20
 	}
 	if c.FS == nil {
 		c.FS = fsio.OS
@@ -206,6 +214,7 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 		dict: newDictionary(), gens: map[int]*generation{},
 		savedDict: -1,
 	}
+	ar.resident.budget = cfg.SectionBudget
 	ar.nextSeg = ar.maxSegID() + 1
 	d := st.d
 	if st.verdict == stateFresh {
@@ -237,15 +246,6 @@ func (ar *Archiver) finishOpen(d *keyDirectory) {
 		}
 	}
 	ar.sweepTmp()
-	// The segments' dictionaries and postings are immutable metadata, the
-	// same class of state as the key directory, so loading them here keeps
-	// their decode off every query's first token. Best-effort: a segment
-	// that fails to load surfaces its error on the query that touches it.
-	for _, r := range d.roots {
-		for _, s := range r.segs {
-			ar.sections(s)
-		}
-	}
 	ar.publish(g)
 }
 
@@ -393,6 +393,13 @@ type StorageStats struct {
 	// segment files on disk, and shows here as a count that does not fall.
 	Generation        int
 	PinnedGenerations int
+	// ResidentSectionBytes is the charge of the segment dictionaries and
+	// postings held in memory (Config.SectionBudget); SectionLoads counts
+	// the sections read from segment files since Open, and
+	// SectionEvictions those dropped to keep the budget.
+	ResidentSectionBytes int64
+	SectionLoads         int64
+	SectionEvictions     int64
 }
 
 // StorageStats reports the current segment and key-directory shape.
@@ -414,6 +421,10 @@ func (ar *Archiver) StorageStats() StorageStats {
 		}
 	}
 	ar.genMu.Unlock()
+	ar.resident.mu.Lock()
+	st.ResidentSectionBytes = ar.resident.used
+	ar.resident.mu.Unlock()
+	st.SectionLoads, st.SectionEvictions = ar.resident.loads.Load(), ar.resident.evictions.Load()
 	for _, r := range d.roots {
 		for _, s := range r.segs {
 			st.Segments++
@@ -565,6 +576,7 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 	}
 	for k, src := range srcs {
 		sorted, scratch, err := ar.prepareSorted(src)
+		ar.last.Sort = SortStats{Runs: len(scratch)}
 		if err != nil {
 			removePaths(ar.fs, scratch)
 			items[k].Err = err
@@ -589,10 +601,14 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 		}
 		staged = newDir
 		items[k].Version = vnum
-		ar.last.Sort, ar.last.Merge = SortStats{Runs: len(scratch)}, stats
+		ar.last.Merge = stats
 	}
 	if staged == base {
-		// Every document failed its own pipeline: nothing to commit.
+		// Every document failed its own pipeline: nothing to commit, but
+		// the runs the last one was read in are reported all the same.
+		if g := ar.current(); g.last.Sort != ar.last.Sort {
+			ar.publish(&generation{d: g.d, names: g.names, files: g.files, state: g.state, last: ar.last})
+		}
 		return items, nil
 	}
 	if err := ar.commitState(staged); err != nil {

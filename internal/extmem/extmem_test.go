@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,14 +45,10 @@ func addAll(t *testing.T, ar *Archiver, docs []*xmltree.Node) {
 
 // loadExternal reads the external archive back through the in-memory
 // loader for semantic comparison.
-// dropSections forgets the decoded sections every segment of d keeps, so
-// the next reader of each loads them from its file.
-func dropSections(d *keyDirectory) {
-	for _, r := range d.roots {
-		for _, s := range r.segs {
-			s.sec.Store(nil)
-		}
-	}
+// dropSections evicts the sections of every segment of ar's current
+// generation, so the next reader of each loads them from its file.
+func dropSections(ar *Archiver) {
+	ar.resident.forget(slices.Collect(maps.Keys(ar.current().files)))
 }
 
 // archiveXML returns the archive form of ar's current generation.
@@ -246,14 +244,15 @@ func TestRunsFormedUnderBudget(t *testing.T) {
 		t.Errorf("huge budget produced %d runs, want 0", ar2.Last().Sort.Runs)
 	}
 
-	// A batch member that fails leaves the stats of the last version that
-	// made it: its runs and its merge.
+	// The sort reports the last version read, refused or not: a batch
+	// member that fails reports its own runs, and the merge the last
+	// version that made it.
 	merge := ar.Last().Merge
 	items, err := ar.AddVersionBatch([]Source{{Reader: strings.NewReader(doc.XML())}, {Reader: strings.NewReader("<db/>")}})
 	if err != nil || items[0].Err != nil || items[1].Err == nil {
 		t.Fatalf("batch of a good and a bad version: %v %+v", err, items)
 	}
-	if ar.Last().Sort.Runs < 2 || ar.Last().Merge == merge {
+	if ar.Last().Sort.Runs != 0 || ar.Last().Merge == merge {
 		t.Errorf("after a failed batch member: %d runs, merge %+v", ar.Last().Sort.Runs, ar.Last().Merge)
 	}
 

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"xarch/internal/fsio"
 	"xarch/internal/intervals"
@@ -82,7 +81,10 @@ type segmentRecord struct {
 	identOnce sync.Once
 	ident     []keyindex.Ident // idents(): derived on first query, index-aligned with entries
 
-	sec atomic.Pointer[segSections] // Archiver.sections: set by the writer, or loaded on first use
+	// dict and posts are the segment's two sections: set by the writer, or
+	// loaded on first use (Archiver.dictOf, Archiver.postings).
+	dict  lazySection[segDict]
+	posts lazySection[[]*idxEntry]
 }
 
 // firstLabel returns the label of the segment's first entry.

@@ -55,7 +55,7 @@ func TestMergeReadFaultIsNotCorruption(t *testing.T) {
 		for after := 0; ; after++ {
 			// No segment's sections loaded each time, so the fault walks
 			// through every read and open of a cold merge.
-			dropSections(ar.current().d)
+			dropSections(ar)
 			ffs.SetFault(point, fsio.Fault{After: after, Count: 1})
 			err := addTree(v2)(ar)
 			ffs.ClearFaults()

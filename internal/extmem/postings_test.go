@@ -476,6 +476,11 @@ func TestAttrIndexDisabled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The first Select loads the sections it needs; the second reads
+		// only what it reads past them.
+		if _, err := q.Select(e); err != nil {
+			t.Fatal(err)
+		}
 		before := ar.BytesRead()
 		res, err := q.Select(e)
 		if err != nil {
@@ -696,7 +701,7 @@ func TestInvertedMapRetriedAfterReadFault(t *testing.T) {
 	if err != nil || len(want) == 0 {
 		t.Fatalf("Select without the postings = %v, %v", want, err)
 	}
-	dropSections(ar.current().d)
+	dropSections(ar)
 	ffs.SetFault("segment.open", fsio.Fault{Count: 1})
 	if _, err := q.Select(e); !errors.Is(err, fsio.ErrInjected) {
 		t.Fatalf("Select under an open fault = %v, want the fault", err)

@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"xarch/internal/intervals"
@@ -160,31 +162,41 @@ func decodeSegDict(data []byte) (*segDict, error) {
 	return d, nil
 }
 
-// segSections is what a segment says about its payload: the dictionary
-// its tokens reference and the postings of its records. The postings are
-// derived from the payload, so damage to their section is kept apart and
-// fails only their readers. A segment record keeps its sections (sec):
-// the segment writer sets them, and the first reader of a segment it did
-// not write loads them (Archiver.sections).
-type segSections struct {
-	dict    *segDict
-	posts   []*idxEntry
-	postErr error
+// A segment's dictionary and postings load apart, each on first use, with
+// one positioned read of its own range: the two end at dataOff, the
+// postings last. A payload reader — a version, a merge, a compaction, a
+// dirStream part — loads the dictionary alone, and only Select and History
+// the postings, so damage to those fails just these two. The bytes count
+// into bytesRead; a failed load is not kept, so the next reader retries.
+//
+// A resident section is charged its encoded bytes times the most they were
+// measured to decode to, with everything built on first use built too (a
+// dictionary's interval sets and key tuples, the postings' kid indexes):
+// live heap per section byte, on a 64-bit platform, 6.5 and 8.2 on OMIM,
+// 3.4 and 6.4 on XMark, 4.2 and 8.8 on Swiss-Prot. Config.SectionBudget
+// bounds the charge (residency).
+const dictCharge, postingsCharge = 7, 9
+
+// lazySection is one section of a segment, nil until it loads; ref is the
+// clock's reference bit.
+type lazySection[T any] struct {
+	p   atomic.Pointer[T]
+	ref atomic.Bool
 }
 
-// sections returns the decoded sections of a segment, loading them on
-// first use. The section bytes read are counted into the bytes-read
-// telemetry; a failed read is not kept, so the next reader retries it.
-//
-// The directory record pins the sections' exact location (they end at
-// dataOff, the postings last), so a segment loads with one positioned read
-// of just the two sections instead of re-parsing the whole header.
-func (ar *Archiver) sections(seg *segmentRecord) (*segSections, error) {
-	if ss := seg.sec.Load(); ss != nil {
-		return ss, nil
+func (ls *lazySection[T]) evict()        { ls.p.Store(nil) }
+func (ls *lazySection[T]) touched() bool { return ls.ref.Swap(false) }
+
+// loadSection returns the section ls of seg, its n bytes at off, reading and
+// decoding them on first use; the section is charged cost.
+func loadSection[T any](ar *Archiver, seg *segmentRecord, ls *lazySection[T], off, n, cost int64, decode func([]byte) (*T, error)) (*T, error) {
+	if v := ls.p.Load(); v != nil {
+		if !ls.ref.Load() {
+			ls.ref.Store(true)
+		}
+		return v, nil
 	}
-	n := seg.dictLen + seg.postLen
-	if seg.dictLen <= 0 || seg.postLen <= 0 || n > seg.dataOff {
+	if seg.dictLen <= 0 || seg.postLen <= 0 || seg.dictLen+seg.postLen > seg.dataOff {
 		return nil, corruptf("segment %s: dictionary or postings section out of range", seg.file)
 	}
 	f, err := ar.fs.Open(filepath.Join(ar.dir, seg.file))
@@ -193,39 +205,117 @@ func (ar *Archiver) sections(seg *segmentRecord) (*segSections, error) {
 	}
 	defer f.Close()
 	buf := make([]byte, n)
-	if _, err := f.ReadAt(buf, seg.dataOff-n); err == io.EOF {
+	if _, err := f.ReadAt(buf, off); err == io.EOF {
 		return nil, corruptf("segment %s: sections past the end of the file", seg.file)
 	} else if err != nil {
 		return nil, fmt.Errorf("extmem: segment sections: %w", err)
 	}
-	d, err := decodeSegDict(buf[:seg.dictLen])
+	ar.bytesRead.Add(n)
+	ar.resident.loads.Add(1)
+	v, err := decode(buf)
 	if err != nil {
 		return nil, err
 	}
-	ss := &segSections{dict: d}
-	ss.posts, ss.postErr = decodePostings(buf[seg.dictLen:])
-	if want := max(len(seg.entries), 1); ss.postErr == nil && len(ss.posts) != want {
-		ss.postErr = corruptf("%d postings for %d records", len(ss.posts), want)
+	return hold(ar, seg, ls, v, cost), nil
+}
+
+// hold makes v the section ls of seg and charges it cost, unless a
+// concurrent load got there first: that one is returned instead.
+func hold[T any](ar *Archiver, seg *segmentRecord, ls *lazySection[T], v *T, cost int64) *T {
+	if !ls.p.CompareAndSwap(nil, v) {
+		return cmp.Or(ls.p.Load(), v) // v: evicted since, it serves this reader uncached
 	}
-	if ss.postErr != nil {
-		ss.posts, ss.postErr = nil, fmt.Errorf("segment %s: %w", seg.file, ss.postErr)
-	}
-	ar.bytesRead.Add(n)
-	if !seg.sec.CompareAndSwap(nil, ss) {
-		return seg.sec.Load(), nil
-	}
-	return ss, nil
+	ls.ref.Store(true)
+	ar.resident.admit(resident{seg.file, ls, cost})
+	return v
+}
+
+// dictOf returns the dictionary of a segment.
+func (ar *Archiver) dictOf(seg *segmentRecord) (*segDict, error) {
+	return loadSection(ar, seg, &seg.dict, seg.dataOff-seg.postLen-seg.dictLen, seg.dictLen, dictCharge*seg.dictLen, decodeSegDict)
 }
 
 // postings returns the postings of a segment: one per directory entry, one
-// for a raw segment. A damaged postings section fails Select and History
-// here, never a reader of the payload.
+// for a raw segment.
 func (ar *Archiver) postings(seg *segmentRecord) ([]*idxEntry, error) {
-	ss, err := ar.sections(seg)
+	ps, err := loadSection(ar, seg, &seg.posts, seg.dataOff-seg.postLen, seg.postLen, postingsCharge*seg.postLen, func(b []byte) (*[]*idxEntry, error) {
+		posts, err := decodePostings(b)
+		if want := max(len(seg.entries), 1); err == nil && len(posts) != want {
+			err = corruptf("%d postings for %d records", len(posts), want)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("segment %s: %w", seg.file, err)
+		}
+		return &posts, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return ss.posts, ss.postErr
+	return *ps, nil
+}
+
+// residency holds the resident sections under Config.SectionBudget,
+// evicting by clock: the hand passes over the ring, clearing the reference
+// bit of a section used since it last passed and evicting one that was
+// not. Eviction drops only the record's pointer: a reader holding the
+// section keeps it alive through the GC.
+type residency struct {
+	mu               sync.Mutex
+	budget, used     int64
+	ring             []resident
+	hand             int
+	loads, evictions atomic.Int64
+}
+
+// resident is a section in the ring, with its charge and its segment file,
+// whose removal takes the section out of the ring.
+type resident struct {
+	file string
+	s    interface {
+		evict()
+		touched() bool
+	}
+	cost int64
+}
+
+// admit charges a section just made resident, and evicts until the budget
+// holds: a section larger than the whole budget serves only its readers.
+func (rs *residency) admit(r resident) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	rs.ring = append(rs.ring, r)
+	rs.used += r.cost
+	for pass := 0; rs.used > rs.budget; pass++ {
+		rs.hand %= len(rs.ring)
+		if pass < 2*len(rs.ring) && rs.ring[rs.hand].s.touched() {
+			rs.hand++
+			continue
+		}
+		rs.drop(rs.hand)
+		rs.evictions.Add(1)
+	}
+}
+
+// drop evicts ring entry i and takes back its charge. Callers hold mu.
+func (rs *residency) drop(i int) {
+	rs.ring[i].s.evict()
+	rs.used -= rs.ring[i].cost
+	last := len(rs.ring) - 1
+	rs.ring[i], rs.ring[last] = rs.ring[last], resident{}
+	rs.ring = rs.ring[:last]
+}
+
+// forget drops the sections of removed segment files.
+func (rs *residency) forget(files []string) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	for i := 0; i < len(rs.ring); {
+		if slices.Contains(files, rs.ring[i].file) {
+			rs.drop(i)
+		} else {
+			i++
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------

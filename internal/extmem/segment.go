@@ -313,8 +313,8 @@ func (sw *segmentSetWriter) open() {
 // up. A failed segment fsync or close is durability-critical:
 // the file may be referenced by the directory about to be committed while
 // its pages were silently dropped (fsyncgate), so it must poison the
-// writer rather than be retried. The record keeps the written segment's
-// dictionary and postings, so no query reads them back.
+// writer rather than be retried. The record holds the written segment's
+// dictionary and postings, charged like a load.
 func (sw *segmentSetWriter) closeCurrent() {
 	rec := sw.cur
 	sw.cur = nil
@@ -371,7 +371,8 @@ func (sw *segmentSetWriter) closeCurrent() {
 		return
 	}
 	sw.written += rec.payload
-	rec.sec.Store(&segSections{dict: dict, posts: posts})
+	hold(sw.ar, rec, &rec.dict, dict, dictCharge*rec.dictLen)
+	hold(sw.ar, rec, &rec.posts, &posts, postingsCharge*rec.postLen)
 	sw.emit(rec)
 }
 
@@ -503,7 +504,7 @@ func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 		}
 		s.f, s.seg = f, seg
 	}
-	ss, err := s.ar.sections(seg)
+	d, err := s.ar.dictOf(seg)
 	if err != nil {
 		s.closeFile()
 		return nil, nil, err
@@ -512,7 +513,7 @@ func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 		s.closeFile()
 		return nil, nil, err
 	}
-	return &s.sec, ss.dict, nil
+	return &s.sec, d, nil
 }
 
 // Close releases the stream's open file, if any.

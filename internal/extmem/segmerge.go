@@ -470,11 +470,11 @@ func (c *segCursor) at(seg *segmentRecord, e *childEntry) (*tokenReader, error) 
 			return nil, fmt.Errorf("extmem: %w", err)
 		}
 		c.f = f
-		ss, err := c.ar.sections(seg)
+		d, err := c.ar.dictOf(seg)
 		if err != nil {
 			return nil, err
 		}
-		c.dict = ss.dict
+		c.dict = d
 		c.seg = seg
 	}
 	if c.tr != nil && c.tr.pos == e.offset && !c.tr.done {

@@ -398,7 +398,7 @@ func TestVersionReadFaultIsNotCorruption(t *testing.T) {
 			for after := 0; ; after++ {
 				// A view of its own and no segment's sections loaded each time,
 				// so the fault walks through every read and open of a cold call.
-				dropSections(ar.current().d)
+				dropSections(ar)
 				q, err := ar.OpenQuery()
 				if err != nil {
 					t.Fatal(err)

@@ -119,7 +119,9 @@ func (ar *Archiver) deadFiles(g *generation) []string {
 	return dead
 }
 
+// removeSegments deletes segment files, and their sections leave memory.
 func (ar *Archiver) removeSegments(files []string) {
+	ar.resident.forget(files)
 	for _, f := range files {
 		ar.fs.Remove(filepath.Join(ar.dir, f))
 	}

@@ -35,31 +35,16 @@ func IsFrontier(s *keys.Spec, concrete keys.Path) bool {
 // report it must give, violation by violation and in order.
 func CheckDocument(s *keys.Spec, doc *xmltree.Node) []*keys.ValidationError {
 	var errs []*keys.ValidationError
+	// The document root's keys, whose one target candidate at the first
+	// step is the root element.
+	checkDuplicates(s, &xmltree.Node{Kind: xmltree.Element, Children: []*xmltree.Node{doc}}, keys.Path{}, &errs)
 	checkNode(s, doc, keys.Path{doc.Name}, &errs)
 	return errs
 }
 
-func checkNode(s *keys.Spec, n *xmltree.Node, p keys.Path, errs *[]*keys.ValidationError) {
-	if KeyFor(s, p) == nil {
-		*errs = append(*errs, &keys.ValidationError{Path: p.Absolute(), Msg: "unkeyed element above the frontier"})
-		return
-	}
-	for _, k := range s.AllKeys() {
-		if !k.NodePath().Matches(p) {
-			continue
-		}
-		for _, kp := range k.KeyPaths {
-			if len(kp) == 0 {
-				continue
-			}
-			if vals := kp.Resolve(n); len(vals) != 1 {
-				*errs = append(*errs, &keys.ValidationError{
-					Path: p.Absolute(), Key: k.String(),
-					Msg: fmt.Sprintf("key path %s resolves to %d nodes, want 1", kp, len(vals)),
-				})
-			}
-		}
-	}
+// checkDuplicates reports the key values repeated among the targets of
+// every key whose context is n, at p.
+func checkDuplicates(s *keys.Spec, n *xmltree.Node, p keys.Path, errs *[]*keys.ValidationError) {
 	for _, k := range s.AllKeys() {
 		if !k.Context.Matches(p) {
 			continue
@@ -83,6 +68,30 @@ func checkNode(s *keys.Spec, n *xmltree.Node, p keys.Path, errs *[]*keys.Validat
 			seen[tuple] = true
 		}
 	}
+}
+
+func checkNode(s *keys.Spec, n *xmltree.Node, p keys.Path, errs *[]*keys.ValidationError) {
+	if KeyFor(s, p) == nil {
+		*errs = append(*errs, &keys.ValidationError{Path: p.Absolute(), Msg: "unkeyed element above the frontier"})
+		return
+	}
+	for _, k := range s.AllKeys() {
+		if !k.NodePath().Matches(p) {
+			continue
+		}
+		for _, kp := range k.KeyPaths {
+			if len(kp) == 0 {
+				continue
+			}
+			if vals := kp.Resolve(n); len(vals) != 1 {
+				*errs = append(*errs, &keys.ValidationError{
+					Path: p.Absolute(), Key: k.String(),
+					Msg: fmt.Sprintf("key path %s resolves to %d nodes, want 1", kp, len(vals)),
+				})
+			}
+		}
+	}
+	checkDuplicates(s, n, p, errs)
 	if IsFrontier(s, p) {
 		return
 	}

@@ -104,6 +104,7 @@ func TestCheckDocumentAgainstNaive(t *testing.T) {
 	company := keys.MustParseSpec(keys.CompanySpec)
 	site := keys.MustParseSpec("(/, (site, {}))\n(/site, (item, {id}))\n(/site/item, (name, {}))")
 	entries := keys.MustParseSpec("(/, (db, {}))\n(/db, (entry, {\\e}))")
+	rooted := keys.MustParseSpec("(/, (db, {}))\n(/, (db/a, {n}))")
 	violations := 0
 	for i, c := range []struct {
 		spec *keys.Spec
@@ -120,6 +121,7 @@ func TestCheckDocumentAgainstNaive(t *testing.T) {
 		{company, `<other/>`},
 		{site, `<site><item id="i1" extra="y"><name>x</name></item><item id="i1"><name>y</name><name>z</name></item></site>`},
 		{entries, `<db><entry><a>1</a></entry><entry><a>1</a></entry><entry><a>2</a></entry></db>`},
+		{rooted, `<db><a><n>1</n></a><a><n>1</n><c/></a><a><n>1</n></a></db>`},
 	} {
 		doc := xmltree.MustParseString(c.doc)
 		violations += len(c.spec.CheckDocument(doc))
@@ -172,5 +174,36 @@ func TestCheckDocumentAgainstNaive(t *testing.T) {
 		doc := grow(0, i%2 == 1)
 		doc.Name = "r"
 		compare(fmt.Sprintf("random %d", i), s, doc)
+	}
+}
+
+// TestCheckRootContextDuplicates: a key whose context is the document root
+// and whose target lies below the root element is checked from above the
+// root, ahead of what the walk below finds, and agrees with the reference.
+func TestCheckRootContextDuplicates(t *testing.T) {
+	spec := keys.MustParseSpec("(/, (db, {}))\n(/, (db/a, {n}))\n(/db/a, (b, {}))")
+	for _, c := range []struct {
+		doc  string
+		want []string
+	}{
+		{`<db><a><n>1</n></a><a><n>2</n></a></db>`, nil},
+		{`<db><a><n>1</n></a><a><n>1</n></a></db>`, []string{"keys: duplicate key value among targets at /: (/, (db/a, {n}))"}},
+		{`<db><a><n>1</n><c/></a><a><n>1</n></a></db>`, []string{
+			"keys: duplicate key value among targets at /: (/, (db/a, {n}))",
+			"keys: unkeyed element above the frontier at /db/a/c",
+		}},
+	} {
+		doc := xmltree.MustParseString(c.doc)
+		errs := spec.CheckDocument(doc)
+		var got []string
+		for _, e := range errs {
+			got = append(got, e.Error())
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: %q, want %q", c.doc, got, c.want)
+		}
+		if ref := keystest.CheckDocument(spec, doc); !reflect.DeepEqual(ref, errs) {
+			t.Errorf("%s: %v, the reference %v", c.doc, errs, ref)
+		}
 	}
 }

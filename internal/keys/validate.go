@@ -91,8 +91,21 @@ func (s *Spec) Check(d *xmltree.Flat) []*ValidationError {
 	if len(d.Nodes) == 0 {
 		return nil
 	}
+	root := s.Cursor()
 	c := checker{d: d, path: Path{d.Name(0)}}
-	c.node(0, s.Cursor().Child(d.Name(0)))
+	c.node(0, root.Child(d.Name(0)))
+	// Keys whose context is the document root, reported ahead of the rest.
+	if root.st == nil {
+		return c.errs
+	}
+	c.path = c.path[:0]
+	var dups []*ValidationError
+	for _, k := range root.st.contexts {
+		for i := c.duplicates(-1, root, k); i > 0; i-- {
+			dups = append(dups, &ValidationError{Path: c.path.Absolute(), Key: k.String(), Msg: "duplicate key value among targets"})
+		}
+	}
+	c.errs = slices.Insert(c.errs, 0, dups...)
 	return c.errs
 }
 
@@ -192,10 +205,16 @@ func (c *checker) storeKey(n int32, k *Key) {
 }
 
 // duplicates counts the targets of key k under context n, matched as cur,
-// whose key value repeats another target's.
+// whose key value repeats another target's. n is -1 for the document root,
+// whose one child is the root element.
 func (c *checker) duplicates(n int32, cur Cursor, k *Key) int {
 	c.spans, c.tuples = c.spans[:0], c.tuples[:0]
-	c.targets(n, cur, k, k.Target, n)
+	switch {
+	case n >= 0:
+		c.targets(n, cur, k, k.Target, n)
+	case len(k.Target) > 1 && segMatch(k.Target[0], c.d.Name(0)):
+		c.targets(n, cur, k, k.Target[1:], 0)
+	}
 	if len(c.spans) < 2 {
 		return 0
 	}

@@ -68,6 +68,10 @@ var kinds = []kind{
 
 // Model plays scripts over the built-in datagen corpora and any others.
 type Model struct {
+	// ExtOptions are given to every external store and replica after the
+	// store kind's own.
+	ExtOptions []xarch.Option
+
 	corpora  []Corpus
 	fixtures map[string]*fixture
 }
@@ -148,11 +152,12 @@ type run struct {
 	base   string
 	step   int
 	oracle map[string][]string // answers by history
+	ext    []xarch.Option      // Model.ExtOptions
 }
 
 // Run plays sc once and returns the first broken invariant.
 func (m *Model) Run(t testing.TB, sc *Script) *Failure {
-	r := &run{t: t, fx: m.fixture(t, sc.Corpus, sc.Seed), oracle: map[string][]string{}}
+	r := &run{t: t, fx: m.fixture(t, sc.Corpus, sc.Seed), oracle: map[string][]string{}, ext: m.ExtOptions}
 	for _, st := range sc.Steps {
 		if slices.ContainsFunc(st.docs(), func(d string) bool { return r.fx.doc[d] == nil }) {
 			t.Fatalf("modeltest: %s: the fixture has %d documents", st, len(r.fx.Docs))
@@ -236,7 +241,7 @@ func (r *run) open(in *inst) error {
 	if in.s != nil {
 		return nil
 	}
-	s, err := xarch.OpenStore(in.dir, r.fx.Spec, append([]xarch.Option{xarch.WithFS(in.ffs)}, in.opts...)...)
+	s, err := xarch.OpenStore(in.dir, r.fx.Spec, slices.Concat([]xarch.Option{xarch.WithFS(in.ffs)}, in.opts, r.ext)...)
 	if err == nil {
 		in.s = s
 	}
@@ -474,7 +479,7 @@ func (r *run) pull(in *inst, fault, crash Step) *Failure {
 			return r.fail(in, "recover", "%v", err2)
 		}
 	}
-	rs, e := xarch.OpenStore(in.rdir, r.fx.Spec, in.opts...)
+	rs, e := xarch.OpenStore(in.rdir, r.fx.Spec, slices.Concat(in.opts, r.ext)...)
 	if e != nil {
 		return r.fail(in, "replica-open", "after a pull that returned %v: %v", err, e)
 	}

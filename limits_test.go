@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"xarch/internal/keys"
 	"xarch/internal/xmltree"
 )
 
@@ -40,7 +41,7 @@ func TestAddLimits(t *testing.T) {
 	twoRuns := inRuns("")
 	for _, c := range []struct {
 		name, doc string
-		runs      int // the runs the 16-node store sorts the doc in, checked when it is valid
+		runs      int // the runs the 16-node store writes for the doc, refused or not
 	}{
 		{"empty input", "", 0},
 		{"root only", "<db/>", 0},
@@ -52,7 +53,7 @@ func TestAddLimits(t *testing.T) {
 		{"duplicate keys at two levels", "<db><dept><name>d</name><emp><fn>a</fn><ln>b</ln></emp>" +
 			"<emp><fn>a</fn><ln>b</ln></emp></dept><dept><name>d</name></dept></db>", 0},
 		{"duplicate key split across runs", strings.Replace(twoRuns, "<name>d</name>", "<name>a</name>", 1), 2},
-		{"unkeyed root attribute in runs", strings.Replace(twoRuns, "<db>", `<db x="1">`, 1), 2},
+		{"unkeyed root attribute in runs", strings.Replace(twoRuns, "<db>", `<db x="1">`, 1), 0}, // refused at the first piece
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			mem := NewStore(mustSpec(t))
@@ -77,6 +78,10 @@ func TestAddLimits(t *testing.T) {
 				errs[2] = stores[2].Add(nil) // no tree to hand over: the empty version
 			} else {
 				errs[2] = stores[2].Add(tree)
+			}
+			runs := stores[3].(*ExtStore).SortRuns()
+			if runs != c.runs {
+				t.Errorf("the 16-node store wrote %d runs for the document, want %d", runs, c.runs)
 			}
 			var want *KeyViolationError
 			if errors.As(errs[0], &want) {
@@ -108,9 +113,6 @@ func TestAddLimits(t *testing.T) {
 						t.Fatalf("adds: %v", errs)
 					}
 				}
-			}
-			if runs := stores[3].(*ExtStore).SortRuns(); runs != c.runs {
-				t.Errorf("the 16-node store sorted the document in %d runs, want %d", runs, c.runs)
 			}
 			wantDoc, err := mem.Version(1)
 			if err != nil {
@@ -242,5 +244,46 @@ func TestStreamedAddKeepsTheBudget(t *testing.T) {
 				t.Errorf("invalid document: %v, want %v", err, want)
 			}
 		})
+	}
+}
+
+// TestRootContextKeyRefused: a key whose context is the document root and
+// whose target lies below the root element is checked like any other, so
+// twins under it are refused by every way into every store with one
+// *KeyViolationError, at the document root.
+func TestRootContextKeyRefused(t *testing.T) {
+	spec, err := ParseKeySpec("(/, (db, {}))\n(/, (db/a, {n}))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const twins = `<db><a><n>1</n></a><a><n>1</n></a></db>`
+	want := []*keys.ValidationError{{Path: "/", Key: "(/, (db/a, {n}))", Msg: "duplicate key value among targets"}}
+	doc, err := ParseXMLString(twins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adds := map[string]func(Store) error{
+		"tree":   func(s Store) error { return s.Add(doc) },
+		"reader": func(s Store) error { return s.AddReader(strings.NewReader(twins)) },
+	}
+	for _, opts := range [][]Option{nil, {WithMemoryBudget(4)}, {WithIndexes(false)}} {
+		for how, add := range adds {
+			for _, ext := range []bool{false, true} {
+				var s Store = NewStore(spec, opts...)
+				if ext {
+					if s, err = OpenStore(t.TempDir(), spec, opts...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var got *KeyViolationError
+				if err := add(s); !errors.As(err, &got) || !reflect.DeepEqual(got.Violations, want) {
+					t.Errorf("ext %v, %d options, %s: %v; want %v", ext, len(opts), how, err, want)
+				}
+				if n := s.Versions(); n != 0 {
+					t.Errorf("ext %v, %d options, %s: %d versions archived", ext, len(opts), how, n)
+				}
+				s.Close()
+			}
+		}
 	}
 }

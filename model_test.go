@@ -43,6 +43,11 @@ var model = modeltest.New(
 	}},
 )
 
+// Every external store of the model has a section budget of one byte, so
+// each segment section it loads or writes is evicted at once and every
+// later use reloads it.
+func init() { model.ExtOptions = []xarch.Option{xarch.WithSectionBudget(1)} }
+
 func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)

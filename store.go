@@ -121,6 +121,9 @@ type config struct {
 	compBudget  int     // external engine: opportunistic compaction budget per Add, in bytes
 	noQueryIdx  bool    // external engine: Select and History ignore the segments' postings
 	fs          fsio.FS // external engine filesystem (nil = the real one)
+	// sectionBudget caps the external engine's resident segment sections,
+	// in bytes (0 = extmem's default). No public option sets it; tests do.
+	sectionBudget int
 }
 
 func defaultConfig() config {
