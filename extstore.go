@@ -289,7 +289,7 @@ func (s *ExtStore) SameVersion(doc, other *Document) (bool, error) {
 // streamed document within the memory budget — and
 // otherwise one per piece of a streamed version.
 func (s *ExtStore) SortRuns() int {
-	return s.ar.Last().Sort.Runs
+	return s.ar.SortRuns()
 }
 
 // StorageStats reports the shape of the segmented on-disk layout: root

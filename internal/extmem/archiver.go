@@ -67,7 +67,7 @@ type Archiver struct {
 	// degraded is the poisoned-writer flag: set by the first commit
 	// fault (failed fsync/rename), checked by every write entry point.
 	// See degrade.go.
-	degraded degradedState
+	degraded atomic.Pointer[DegradedError]
 
 	// cur is the published generation (view.go): the one value every read
 	// starts from. genMu guards its replacement together with the table of
@@ -77,7 +77,8 @@ type Archiver struct {
 	genMu sync.Mutex
 	gens  map[int]*generation
 
-	resident residency // the segment sections loaded (segdict.go)
+	resident residency    // the segment sections loaded (segdict.go)
+	runs     atomic.Int64 // SortRuns: the runs the last document added was read in, kept or refused
 
 	bytesRead atomic.Int64
 	// commits counts durable key-directory commits (commitState runs
@@ -257,29 +258,13 @@ func (ar *Archiver) finishOpen(d *keyDirectory) {
 // by construction. It returns what it removed (for fsck reporting).
 func (ar *Archiver) sweepTmp() []string {
 	var removed []string
-	for _, name := range listTransient(ar.fs, ar.dir) {
-		if ar.fs.Remove(filepath.Join(ar.dir, name)) == nil {
-			removed = append(removed, name)
+	ents, _ := ar.fs.ReadDir(ar.dir)
+	for _, e := range ents {
+		if fsio.Transient(e.Name()) && ar.fs.Remove(filepath.Join(ar.dir, e.Name())) == nil {
+			removed = append(removed, e.Name())
 		}
 	}
 	return removed
-}
-
-// listTransient lists the transient crash-leftover files in dir:
-// scratch files ("tmp-*"), staged siblings ("*.tmp"), and
-// replication staging files ("*.part").
-func listTransient(fs fsio.FS, dir string) []string {
-	ents, err := fs.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var names []string
-	for _, e := range ents {
-		if fsio.Transient(e.Name()) {
-			names = append(names, e.Name())
-		}
-	}
-	return names
 }
 
 // globSegments lists the paths of the segment files in dir.
@@ -316,7 +301,7 @@ func (ar *Archiver) maxSegID() int {
 // trusts keydir.idx, re-derives a meta.txt that differs from it and sweeps
 // orphan segments and ".tmp" files.
 func (ar *Archiver) commitState(d *keyDirectory) error {
-	if err := ar.writable(); err != nil {
+	if err := ar.Degraded(); err != nil {
 		return err
 	}
 	dictLen := len(ar.dict.snapshot())
@@ -365,7 +350,7 @@ func (ar *Archiver) BytesRead() int64 { return ar.bytesRead.Load() }
 // degraded archiver refuses — its committed on-disk state is already
 // authoritative and must not be touched by a poisoned writer.
 func (ar *Archiver) Close() error {
-	if err := ar.writable(); err != nil {
+	if err := ar.Degraded(); err != nil {
 		return err
 	}
 	d := ar.current().d
@@ -421,10 +406,7 @@ func (ar *Archiver) StorageStats() StorageStats {
 		}
 	}
 	ar.genMu.Unlock()
-	ar.resident.mu.Lock()
-	st.ResidentSectionBytes = ar.resident.used
-	ar.resident.mu.Unlock()
-	st.SectionLoads, st.SectionEvictions = ar.resident.loads.Load(), ar.resident.evictions.Load()
+	st.ResidentSectionBytes, st.SectionLoads, st.SectionEvictions = ar.resident.used.Load(), ar.resident.loads.Load(), ar.resident.evictions.Load()
 	for _, r := range d.roots {
 		for _, s := range r.segs {
 			st.Segments++
@@ -540,7 +522,7 @@ type BatchItem struct {
 // (errors.Is(err, ErrDegraded)). Until the final commit succeeds no
 // reader observes any of the batch's versions.
 func (ar *Archiver) AddVersionBatch(srcs []Source) ([]BatchItem, error) {
-	if err := ar.writable(); err != nil {
+	if err := ar.Degraded(); err != nil {
 		return nil, err
 	}
 	if len(srcs) == 0 {
@@ -576,7 +558,7 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 	}
 	for k, src := range srcs {
 		sorted, scratch, err := ar.prepareSorted(src)
-		ar.last.Sort = SortStats{Runs: len(scratch)}
+		ar.runs.Store(int64(len(scratch)))
 		if err != nil {
 			removePaths(ar.fs, scratch)
 			items[k].Err = err
@@ -604,11 +586,7 @@ func (ar *Archiver) addBatch(srcs []Source) ([]BatchItem, error) {
 		ar.last.Merge = stats
 	}
 	if staged == base {
-		// Every document failed its own pipeline: nothing to commit, but
-		// the runs the last one was read in are reported all the same.
-		if g := ar.current(); g.last.Sort != ar.last.Sort {
-			ar.publish(&generation{d: g.d, names: g.names, files: g.files, state: g.state, last: ar.last})
-		}
+		// Every document failed its own pipeline: nothing to commit.
 		return items, nil
 	}
 	if err := ar.commitState(staged); err != nil {

@@ -52,11 +52,7 @@ func repackFiles(total, target, minTail int64) int {
 	if total <= 0 {
 		return 0
 	}
-	n := (total - minTail + target - 1) / target
-	if n < 1 {
-		n = 1
-	}
-	return int(n)
+	return int(max((total-minTail+target-1)/target, 1))
 }
 
 // undersized is the payload below which a segment counts as undersized
@@ -151,7 +147,7 @@ func (ar *Archiver) compactionPlan(d *keyDirectory) []CompactionRun {
 // the current directory generation. It blocks until done; the store
 // layer serializes it with Add.
 func (ar *Archiver) Compact() (CompactStats, error) {
-	if err := ar.writable(); err != nil {
+	if err := ar.Degraded(); err != nil {
 		return CompactStats{}, err
 	}
 	st, err := ar.compact(0)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync/atomic"
 )
 
 // Graceful degradation: a failed fsync or rename during a commit leaves
@@ -70,24 +69,15 @@ func isCommitFault(err error) bool {
 	return errors.As(err, &cf)
 }
 
-// degradedState is the atomic poisoned-writer flag on the Archiver.
-type degradedState struct {
-	p atomic.Pointer[DegradedError]
-}
-
 // Degraded returns the poisoning error, or nil while the writer is
-// healthy.
+// healthy. Write entry points call it first, so a poisoned archiver never
+// touches the disk again.
 func (ar *Archiver) Degraded() error {
-	if e := ar.degraded.p.Load(); e != nil {
+	if e := ar.degraded.Load(); e != nil {
 		return e
 	}
 	return nil
 }
-
-// writable returns the poisoning error if the writer has been degraded;
-// write entry points call it first so a poisoned archiver never touches
-// the disk again.
-func (ar *Archiver) writable() error { return ar.Degraded() }
 
 // noteFatal inspects an operation's error: a commit fault poisons the
 // writer (first one wins) and is returned as the structured
@@ -103,8 +93,8 @@ func (ar *Archiver) noteFatal(err error) error {
 		return err
 	}
 	de := &DegradedError{Op: cf.op, Cause: cf.err}
-	if ar.degraded.p.CompareAndSwap(nil, de) {
+	if ar.degraded.CompareAndSwap(nil, de) {
 		_ = ar.fs.WriteFile(filepath.Join(ar.dir, degradedMarker), []byte(de.Error()+"\n"), 0o644)
 	}
-	return ar.degraded.p.Load()
+	return ar.degraded.Load()
 }

@@ -227,10 +227,10 @@ func TestRunsFormedUnderBudget(t *testing.T) {
 	if err := addVersion(ar, strings.NewReader(doc.IndentedXML())); err != nil {
 		t.Fatal(err)
 	}
-	if ar.Last().Sort.Runs < 2 {
-		t.Errorf("tiny budget produced %d runs, expected several", ar.Last().Sort.Runs)
+	if ar.SortRuns() < 2 {
+		t.Errorf("tiny budget produced %d runs, expected several", ar.SortRuns())
 	}
-	t.Logf("budget=64: runs=%d", ar.Last().Sort.Runs)
+	t.Logf("budget=64: runs=%d", ar.SortRuns())
 
 	dir2 := t.TempDir()
 	ar2, err := Open(dir2, datagen.OMIMSpec(), Config{Budget: 1 << 20})
@@ -240,8 +240,8 @@ func TestRunsFormedUnderBudget(t *testing.T) {
 	if err := addVersion(ar2, strings.NewReader(doc.IndentedXML())); err != nil {
 		t.Fatal(err)
 	}
-	if ar2.Last().Sort.Runs != 0 {
-		t.Errorf("huge budget produced %d runs, want 0", ar2.Last().Sort.Runs)
+	if ar2.SortRuns() != 0 {
+		t.Errorf("huge budget produced %d runs, want 0", ar2.SortRuns())
 	}
 
 	// The sort reports the last version read, refused or not: a batch
@@ -252,8 +252,8 @@ func TestRunsFormedUnderBudget(t *testing.T) {
 	if err != nil || items[0].Err != nil || items[1].Err == nil {
 		t.Fatalf("batch of a good and a bad version: %v %+v", err, items)
 	}
-	if ar.Last().Sort.Runs != 0 || ar.Last().Merge == merge {
-		t.Errorf("after a failed batch member: %d runs, merge %+v", ar.Last().Sort.Runs, ar.Last().Merge)
+	if ar.SortRuns() != 0 || ar.Last().Merge == merge {
+		t.Errorf("after a failed batch member: %d runs, merge %+v", ar.SortRuns(), ar.Last().Merge)
 	}
 
 	// A root the specification does not know fails in its first piece,

@@ -82,9 +82,9 @@ type segmentRecord struct {
 	ident     []keyindex.Ident // idents(): derived on first query, index-aligned with entries
 
 	// dict and posts are the segment's two sections: set by the writer, or
-	// loaded on first use (Archiver.dictOf, Archiver.postings).
-	dict  lazySection[segDict]
-	posts lazySection[[]*idxEntry]
+	// loaded on first use (Archiver.openSegment, Archiver.postings).
+	dict  section[segDict]
+	posts section[[]*idxEntry]
 }
 
 // firstLabel returns the label of the segment's first entry.

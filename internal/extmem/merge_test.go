@@ -41,7 +41,17 @@ func northDoc(n, every int, mark string) *xmltree.Node {
 // as attributes that "differ between archive and version" — blaming the
 // user's document for an EIO.
 func TestMergeReadFaultIsNotCorruption(t *testing.T) {
-	v1, v2 := northDoc(6000, 0, ""), northDoc(6000, 500, "changed")
+	// A changed south entry, in a segment of its own past the north one's,
+	// makes the merge open two stored segments.
+	withSouth := func(db *xmltree.Node, body string) *xmltree.Node {
+		south := xmltree.Elem("south")
+		for i := 0; i < 50; i++ {
+			south.Append(xmltree.Elem("item", xmltree.AttrNode("id", fmt.Sprintf("s%02d", i)), xmltree.ElemText("body", body)))
+		}
+		db.Append(south)
+		return db
+	}
+	v1, v2 := withSouth(northDoc(6000, 0, ""), "before"), withSouth(northDoc(6000, 500, "changed"), "after")
 	for _, point := range []string{"segment.read", "segment.open"} {
 		ffs := fsio.NewFaultFS(nil)
 		ar, err := Open(t.TempDir(), keys.MustParseSpec(edgeSpec), Config{FS: ffs})
@@ -138,7 +148,7 @@ func TestMergeBytesPinned(t *testing.T) {
 					err = addVersion(ar, nil)
 				case c.stream:
 					err = addVersion(ar, strings.NewReader(doc.XML()))
-					runs = max(runs, ar.Last().Sort.Runs)
+					runs = max(runs, ar.SortRuns())
 				default:
 					err = addTree(doc)(ar)
 				}

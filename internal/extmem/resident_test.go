@@ -8,10 +8,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"xarch/internal/core"
 	"xarch/internal/datagen"
+	"xarch/internal/fsio"
 	"xarch/internal/qlang"
 	"xarch/internal/xmltree"
 )
@@ -79,6 +81,8 @@ func TestOpenLoadsNoSection(t *testing.T) {
 	if err := buildOMIMArchive(t, dir, cfg, 3).Close(); err != nil {
 		t.Fatal(err)
 	}
+	fs := &openCounter{FS: fsio.OS}
+	cfg.FS = fs
 	ar, err := Open(dir, datagen.OMIMSpec(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -87,8 +91,16 @@ func TestOpenLoadsNoSection(t *testing.T) {
 	if st := ar.StorageStats(); st.ResidentSectionBytes != 0 || st.SectionLoads != 0 || ar.BytesRead() != 0 {
 		t.Fatalf("after Open: %d resident section bytes, %d loads, %d bytes read; want none", st.ResidentSectionBytes, st.SectionLoads, ar.BytesRead())
 	}
+	fs.opens.Store(0)
 	readAll(t, ar, io.Discard, nil, nil)
 	st := ar.StorageStats()
+	// A dictionary loads through the file its reader holds open: the cold
+	// reads open no more files than the same reads warm.
+	cold := fs.opens.Swap(0)
+	readAll(t, ar, io.Discard, nil, nil)
+	if warm := fs.opens.Load(); cold != warm {
+		t.Errorf("the version reads opened %d files cold and %d warm", cold, warm)
+	}
 	for _, s := range ar.current().d.roots[0].segs {
 		if s.dict.p.Load() == nil || s.posts.p.Load() != nil {
 			t.Fatalf("after a version read, segment %s: dictionary %v, postings %v; want the dictionary alone", s.file, s.dict.p.Load() != nil, s.posts.p.Load() != nil)
@@ -101,6 +113,17 @@ func TestOpenLoadsNoSection(t *testing.T) {
 	if after := ar.StorageStats(); int(after.SectionLoads) != 2*st.Segments || after.SectionEvictions != 0 {
 		t.Errorf("after a Select: %d loads, %d evictions; want %d and none", after.SectionLoads, after.SectionEvictions, 2*st.Segments)
 	}
+}
+
+// openCounter counts the files opened through it.
+type openCounter struct {
+	fsio.FS
+	opens atomic.Int64
+}
+
+func (c *openCounter) Open(name string) (fsio.File, error) {
+	c.opens.Add(1)
+	return c.FS.Open(name)
 }
 
 // TestDamagedSectionSurfacesAtFirstTouch: Open reads no section, so a

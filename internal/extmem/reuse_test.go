@@ -303,7 +303,7 @@ func TestDirtySegmentResumesAtDirtyChild(t *testing.T) {
 	if got, want := ar.Last().Merge, (MergeStats{SegmentsRewritten: 1, SegmentsCreated: 1}); got != want {
 		t.Fatalf("merge stats %+v, want %+v: the test needs exactly one dirty segment", got, want)
 	}
-	if runs := ar.Last().Sort.Runs; runs < 2 {
+	if runs := ar.SortRuns(); runs < 2 {
 		t.Fatalf("the version sorted in %d runs", runs)
 	}
 	if fs.size < 4*tokenBufSize {

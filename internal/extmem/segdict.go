@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"xarch/internal/fsio"
 	"xarch/internal/intervals"
 )
 
@@ -177,33 +178,35 @@ func decodeSegDict(data []byte) (*segDict, error) {
 // bounds the charge (residency).
 const dictCharge, postingsCharge = 7, 9
 
-// lazySection is one section of a segment, nil until it loads; ref is the
-// clock's reference bit.
-type lazySection[T any] struct {
+// section is one section of a segment: nil until it loads, and again once
+// evicted. ref is the clock's reference bit.
+type section[T any] struct {
 	p   atomic.Pointer[T]
 	ref atomic.Bool
 }
 
-func (ls *lazySection[T]) evict()        { ls.p.Store(nil) }
-func (ls *lazySection[T]) touched() bool { return ls.ref.Swap(false) }
+func (s *section[T]) evict()        { s.p.Store(nil) }
+func (s *section[T]) touched() bool { return s.ref.Swap(false) }
 
-// loadSection returns the section ls of seg, its n bytes at off, reading and
-// decoding them on first use; the section is charged cost.
-func loadSection[T any](ar *Archiver, seg *segmentRecord, ls *lazySection[T], off, n, cost int64, decode func([]byte) (*T, error)) (*T, error) {
-	if v := ls.p.Load(); v != nil {
-		if !ls.ref.Load() {
-			ls.ref.Store(true)
+// load returns the section, its n bytes at off in seg's file, reading them
+// through f (nil: the file is opened) and decoding them on first use.
+func (s *section[T]) load(ar *Archiver, seg *segmentRecord, f fsio.File, off, n, charge int64, decode func([]byte) (*T, error)) (*T, error) {
+	if v := s.p.Load(); v != nil {
+		if !s.ref.Load() {
+			s.ref.Store(true)
 		}
 		return v, nil
 	}
 	if seg.dictLen <= 0 || seg.postLen <= 0 || seg.dictLen+seg.postLen > seg.dataOff {
 		return nil, corruptf("segment %s: dictionary or postings section out of range", seg.file)
 	}
-	f, err := ar.fs.Open(filepath.Join(ar.dir, seg.file))
-	if err != nil {
-		return nil, fmt.Errorf("extmem: %w", err)
+	if f == nil {
+		var err error
+		if f, err = ar.fs.Open(filepath.Join(ar.dir, seg.file)); err != nil {
+			return nil, fmt.Errorf("extmem: %w", err)
+		}
+		defer f.Close()
 	}
-	defer f.Close()
 	buf := make([]byte, n)
 	if _, err := f.ReadAt(buf, off); err == io.EOF {
 		return nil, corruptf("segment %s: sections past the end of the file", seg.file)
@@ -216,29 +219,39 @@ func loadSection[T any](ar *Archiver, seg *segmentRecord, ls *lazySection[T], of
 	if err != nil {
 		return nil, err
 	}
-	return hold(ar, seg, ls, v, cost), nil
+	return s.hold(&ar.resident, seg.file, v, charge*n), nil
 }
 
-// hold makes v the section ls of seg and charges it cost, unless a
-// concurrent load got there first: that one is returned instead.
-func hold[T any](ar *Archiver, seg *segmentRecord, ls *lazySection[T], v *T, cost int64) *T {
-	if !ls.p.CompareAndSwap(nil, v) {
-		return cmp.Or(ls.p.Load(), v) // v: evicted since, it serves this reader uncached
+// hold makes v the section, charged cost, unless a concurrent load got
+// there first: that one is returned instead.
+func (s *section[T]) hold(rs *residency, file string, v *T, cost int64) *T {
+	if !s.p.CompareAndSwap(nil, v) {
+		return cmp.Or(s.p.Load(), v) // v: evicted since, it serves this reader uncached
 	}
-	ls.ref.Store(true)
-	ar.resident.admit(resident{seg.file, ls, cost})
+	s.ref.Store(true)
+	rs.admit(resident{file, s, cost})
 	return v
 }
 
-// dictOf returns the dictionary of a segment.
-func (ar *Archiver) dictOf(seg *segmentRecord) (*segDict, error) {
-	return loadSection(ar, seg, &seg.dict, seg.dataOff-seg.postLen-seg.dictLen, seg.dictLen, dictCharge*seg.dictLen, decodeSegDict)
+// openSegment opens seg's file and returns it with the segment's
+// dictionary, which loads through it on first use.
+func (ar *Archiver) openSegment(seg *segmentRecord) (fsio.File, *segDict, error) {
+	f, err := ar.fs.Open(filepath.Join(ar.dir, seg.file))
+	if err != nil {
+		return nil, nil, fmt.Errorf("extmem: %w", err)
+	}
+	d, err := seg.dict.load(ar, seg, f, seg.dataOff-seg.postLen-seg.dictLen, seg.dictLen, dictCharge, decodeSegDict)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return f, d, nil
 }
 
 // postings returns the postings of a segment: one per directory entry, one
 // for a raw segment.
 func (ar *Archiver) postings(seg *segmentRecord) ([]*idxEntry, error) {
-	ps, err := loadSection(ar, seg, &seg.posts, seg.dataOff-seg.postLen, seg.postLen, postingsCharge*seg.postLen, func(b []byte) (*[]*idxEntry, error) {
+	ps, err := seg.posts.load(ar, seg, nil, seg.dataOff-seg.postLen, seg.postLen, postingsCharge, func(b []byte) (*[]*idxEntry, error) {
 		posts, err := decodePostings(b)
 		if want := max(len(seg.entries), 1); err == nil && len(posts) != want {
 			err = corruptf("%d postings for %d records", len(posts), want)
@@ -258,17 +271,17 @@ func (ar *Archiver) postings(seg *segmentRecord) ([]*idxEntry, error) {
 // evicting by clock: the hand passes over the ring, clearing the reference
 // bit of a section used since it last passed and evicting one that was
 // not. Eviction drops only the record's pointer: a reader holding the
-// section keeps it alive through the GC.
+// section keeps it alive through the GC. used changes under mu.
 type residency struct {
-	mu               sync.Mutex
-	budget, used     int64
-	ring             []resident
-	hand             int
-	loads, evictions atomic.Int64
+	mu                     sync.Mutex
+	budget                 int64
+	ring                   []resident
+	hand                   int
+	used, loads, evictions atomic.Int64
 }
 
-// resident is a section in the ring, with its charge and its segment file,
-// whose removal takes the section out of the ring.
+// resident is a section in the ring, with its charge and its segment's
+// file, whose removal takes the section out of the ring.
 type resident struct {
 	file string
 	s    interface {
@@ -284,8 +297,8 @@ func (rs *residency) admit(r resident) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	rs.ring = append(rs.ring, r)
-	rs.used += r.cost
-	for pass := 0; rs.used > rs.budget; pass++ {
+	rs.used.Add(r.cost)
+	for pass := 0; rs.used.Load() > rs.budget; pass++ {
 		rs.hand %= len(rs.ring)
 		if pass < 2*len(rs.ring) && rs.ring[rs.hand].s.touched() {
 			rs.hand++
@@ -299,7 +312,7 @@ func (rs *residency) admit(r resident) {
 // drop evicts ring entry i and takes back its charge. Callers hold mu.
 func (rs *residency) drop(i int) {
 	rs.ring[i].s.evict()
-	rs.used -= rs.ring[i].cost
+	rs.used.Add(-rs.ring[i].cost)
 	last := len(rs.ring) - 1
 	rs.ring[i], rs.ring[last] = rs.ring[last], resident{}
 	rs.ring = rs.ring[:last]

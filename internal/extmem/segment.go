@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"sync/atomic"
 
 	"xarch/internal/fsio"
 	"xarch/internal/intervals"
@@ -371,8 +370,8 @@ func (sw *segmentSetWriter) closeCurrent() {
 		return
 	}
 	sw.written += rec.payload
-	hold(sw.ar, rec, &rec.dict, dict, dictCharge*rec.dictLen)
-	hold(sw.ar, rec, &rec.posts, &posts, postingsCharge*rec.postLen)
+	rec.dict.hold(&sw.ar.resident, name, dict, dictCharge*rec.dictLen)
+	rec.posts.hold(&sw.ar.resident, name, &posts, postingsCharge*rec.postLen)
 	sw.emit(rec)
 }
 
@@ -434,60 +433,74 @@ type streamPart struct {
 	n   int64
 }
 
-// dirStream serves token-aligned byte ranges of an archiver's segment
-// payloads as one token stream, handed out part by part so the token
-// reader can switch each part's segment dictionary in. At most one segment
-// file is open at a time; the bytes read from disk are counted into the
-// archiver's telemetry.
-type dirStream struct {
-	ar    *Archiver
-	parts []streamPart
-	i     int
-	f     fsio.File      // the open file of seg, if any
-	seg   *segmentRecord // the segment the last part read
-	sec   partReader
+// segFile is a segment file held open while its reader stays in it, with
+// the segment's dictionary: one serves a dirStream, one a segCursor. As an
+// io.Reader it serves the payload range it was last aimed at, turning a
+// premature end of file into an explicit truncation error, and counts the
+// bytes it reads into the archiver's telemetry.
+type segFile struct {
+	ar   *Archiver
+	seg  *segmentRecord // the open segment, nil if none
+	f    fsio.File
+	dict *segDict
+	rem  int64 // the bytes of the range not read yet
 }
 
-// partReader serves one section of an open segment file's payload,
-// turning a premature end of file into an explicit truncation error.
-type partReader struct {
-	f   fsio.File
-	rem int64
-	c   *atomic.Int64
-}
-
-// aim points the reader at bytes [off, off+n) of seg's payload in its
-// open file f. Bytes read are added to c.
-func (pr *partReader) aim(f fsio.File, seg *segmentRecord, off, n int64, c *atomic.Int64) error {
-	if _, err := f.Seek(seg.dataOff+off, io.SeekStart); err != nil {
+// aim points the reader at bytes [off, off+n) of seg's payload, opening
+// seg unless it is the open segment.
+func (o *segFile) aim(seg *segmentRecord, off, n int64) error {
+	if seg != o.seg {
+		o.closeFile()
+		f, d, err := o.ar.openSegment(seg)
+		if err != nil {
+			return err
+		}
+		o.seg, o.f, o.dict = seg, f, d
+	}
+	if _, err := o.f.Seek(seg.dataOff+off, io.SeekStart); err != nil {
+		o.closeFile()
 		return fmt.Errorf("extmem: %w", err)
 	}
-	*pr = partReader{f: f, rem: n, c: c}
+	o.rem = n
 	return nil
 }
 
-func (pr *partReader) Read(p []byte) (int, error) {
-	if pr.rem <= 0 {
+func (o *segFile) Read(p []byte) (int, error) {
+	if o.rem <= 0 {
 		return 0, io.EOF
 	}
-	if int64(len(p)) > pr.rem {
-		p = p[:pr.rem]
+	if int64(len(p)) > o.rem {
+		p = p[:o.rem]
 	}
-	n, err := pr.f.Read(p)
-	pr.rem -= int64(n)
-	if pr.c != nil && n > 0 {
-		pr.c.Add(int64(n))
-	}
-	if err == io.EOF && pr.rem > 0 {
+	n, err := o.f.Read(p)
+	o.rem -= int64(n)
+	o.ar.bytesRead.Add(int64(n))
+	if err == io.EOF && o.rem > 0 {
 		err = io.ErrUnexpectedEOF
 	}
 	return n, err
 }
 
+func (o *segFile) closeFile() {
+	if o.f != nil {
+		o.f.Close()
+	}
+	o.seg, o.f, o.dict = nil, nil, nil
+}
+
+// dirStream serves token-aligned byte ranges of an archiver's segment
+// payloads as one token stream, handed out part by part so the token
+// reader can switch each part's segment dictionary in. At most one segment
+// file is open at a time: a part of the segment the part before it read
+// keeps its file.
+type dirStream struct {
+	segFile
+	parts []streamPart
+	i     int
+}
+
 // nextPart opens the next part, returning its reader and segment
-// dictionary. A part of the segment the part before it read keeps that
-// segment's open file. A nil reader with nil error means the stream is
-// exhausted.
+// dictionary. A nil reader with nil error means the stream is exhausted.
 func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 	if s.i >= len(s.parts) {
 		s.closeFile()
@@ -495,25 +508,10 @@ func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 	}
 	part := &s.parts[s.i]
 	s.i++
-	seg := part.seg
-	if s.f == nil || s.seg != seg {
-		s.closeFile()
-		f, err := s.ar.fs.Open(filepath.Join(s.ar.dir, seg.file))
-		if err != nil {
-			return nil, nil, fmt.Errorf("extmem: %w", err)
-		}
-		s.f, s.seg = f, seg
-	}
-	d, err := s.ar.dictOf(seg)
-	if err != nil {
-		s.closeFile()
+	if err := s.aim(part.seg, part.off, part.n); err != nil {
 		return nil, nil, err
 	}
-	if err := s.sec.aim(s.f, seg, part.off, part.n, &s.ar.bytesRead); err != nil {
-		s.closeFile()
-		return nil, nil, err
-	}
-	return &s.sec, d, nil
+	return &s.segFile, s.dict, nil
 }
 
 // Close releases the stream's open file, if any.
@@ -521,13 +519,6 @@ func (s *dirStream) Close() error {
 	s.closeFile()
 	s.i = len(s.parts)
 	return nil
-}
-
-func (s *dirStream) closeFile() {
-	if s.f != nil {
-		s.f.Close()
-		s.f = nil
-	}
 }
 
 // rootParts lays out a root's segments whole, as stream parts: a raw

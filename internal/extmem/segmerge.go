@@ -2,9 +2,7 @@ package extmem
 
 import (
 	"fmt"
-	"path/filepath"
 
-	"xarch/internal/fsio"
 	"xarch/internal/intervals"
 	"xarch/internal/keys"
 )
@@ -291,7 +289,7 @@ func (m *segMerge) mergeRoot(r *rootRecord, d *tokenReader) (*rootRecord, error)
 // merge takes over at that child.
 func (m *segMerge) mergeChildren(sw *segmentSetWriter, r, out *rootRecord, d *tokenReader, eff *intervals.Set) error {
 	path := []string{out.name}
-	stored := segCursor{ar: m.ar}
+	stored := segCursor{segFile: segFile{ar: m.ar}}
 	defer stored.close()
 	for si, seg := range r.segs {
 		var inRange func(string, *tkey) bool // nil: the last segment takes the rest
@@ -443,50 +441,33 @@ func sameSubtree(a, d *tokenReader) (bool, error) {
 // resolved, once; one token reader follows the payload from entry to entry
 // and is re-aimed only across a gap (entries the version does not mention).
 type segCursor struct {
-	ar   *Archiver
-	seg  *segmentRecord
-	f    fsio.File
-	dict *segDict
-	tr   *tokenReader // pos is the payload offset of its lookahead token
-	sec  partReader
+	segFile
+	tr *tokenReader // pos is the payload offset of its lookahead token
 }
 
 func (c *segCursor) close() {
 	if c.tr != nil {
 		c.tr.release()
+		c.tr = nil
 	}
-	if c.f != nil {
-		c.f.Close()
-	}
-	*c = segCursor{ar: c.ar}
+	c.closeFile()
 }
 
 // at returns a reader standing at the open token of seg's entry e.
 func (c *segCursor) at(seg *segmentRecord, e *childEntry) (*tokenReader, error) {
 	if seg != c.seg {
 		c.close()
-		f, err := c.ar.fs.Open(filepath.Join(c.ar.dir, seg.file))
-		if err != nil {
-			return nil, fmt.Errorf("extmem: %w", err)
-		}
-		c.f = f
-		d, err := c.ar.dictOf(seg)
-		if err != nil {
-			return nil, err
-		}
-		c.dict = d
-		c.seg = seg
 	}
 	if c.tr != nil && c.tr.pos == e.offset && !c.tr.done {
 		return c.tr, nil
 	}
-	if err := c.sec.aim(c.f, seg, e.offset, seg.payload-e.offset, &c.ar.bytesRead); err != nil {
+	if err := c.aim(seg, e.offset, seg.payload-e.offset); err != nil {
 		return nil, err
 	}
 	if c.tr == nil {
-		c.tr = newTokenReaderDict(&c.sec, c.dict, e.offset)
+		c.tr = newTokenReaderDict(&c.segFile, c.dict, e.offset)
 	} else {
-		c.tr.reset(&c.sec, c.dict, e.offset)
+		c.tr.reset(&c.segFile, c.dict, e.offset)
 	}
 	return c.tr, nil
 }

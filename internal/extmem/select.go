@@ -109,7 +109,7 @@ func (q *QueryView) selectRecords(e qlang.Expr) ([]qlang.Record, error) {
 		}
 		var perr error
 		rid := r.ident()
-		rec := qlang.Record{RootName: r.name, RootKey: rid.Key, RootLabel: rid.Label, Raw: s == nil, Life: rootEff, Versions: q.versions}
+		rec := qlang.Record{RootName: r.name, RootKey: rid.Key, RootLabel: rid.Label, Raw: s == nil, Life: rootEff, Versions: q.d.versions}
 		src := recordSource{q: q, r: r, s: s, i: i}
 		if s != nil {
 			id := &s.idents()[i]

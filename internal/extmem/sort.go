@@ -26,11 +26,6 @@ import (
 	"xarch/internal/xmltree"
 )
 
-// SortStats reports the work of one external sort (§6.2).
-type SortStats struct {
-	Runs int // run files written; 0 for a version sorted in memory in one piece
-}
-
 // cut reports whether a streamed version's piece in the slab is to end
 // before the next child of the root: once it holds Config.Budget nodes,
 // unless the key check needs the root whole (keys.Cursor.Piecewise). A

@@ -201,7 +201,7 @@ func (tr *tokenReader) reset(r io.Reader, dict *segDict, at int64) {
 func (ar *Archiver) readParts(parts []streamPart) *tokenReader {
 	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(strings.NewReader(""))
-	tr := &tokenReader{r: br, src: &dirStream{ar: ar, parts: parts}}
+	tr := &tokenReader{r: br, src: &dirStream{segFile: segFile{ar: ar}, parts: parts}}
 	tr.next()
 	return tr
 }

@@ -317,8 +317,8 @@ func TestTreeSourceMatchesStream(t *testing.T) {
 				if err := addVersion(stream, strings.NewReader(indented)); err != nil {
 					t.Fatalf("v%d: stream add: %v", v+1, err)
 				}
-				t.Logf("v%d runs=%d", v+1, stream.Last().Sort.Runs)
-				if runs := stream.Last().Sort.Runs; (runs == 0) != tc.onePiece {
+				t.Logf("v%d runs=%d", v+1, stream.SortRuns())
+				if runs := stream.SortRuns(); (runs == 0) != tc.onePiece {
 					t.Errorf("v%d: the streamed add sorted in %d runs", v+1, runs)
 				}
 				if tree.Last().Merge != stream.Last().Merge {
@@ -460,8 +460,8 @@ func TestDuplicateSiblingKeysRejected(t *testing.T) {
 				if err := addVersion(ar, strings.NewReader(renamed)); err != nil {
 					t.Fatal(err)
 				}
-				if ar.Last().Sort.Runs != tc.runs {
-					t.Errorf("the document with its second twin renamed sorts in %d runs, want %d", ar.Last().Sort.Runs, tc.runs)
+				if ar.SortRuns() != tc.runs {
+					t.Errorf("the document with its second twin renamed sorts in %d runs, want %d", ar.SortRuns(), tc.runs)
 				}
 			}
 		})

@@ -44,8 +44,8 @@ type versionWalk struct {
 // are skipped without reading a byte of them, dead subtrees below are
 // skipped undecoded, and live ones are emitted.
 func (q *QueryView) streamVersion(v int, sink xmltree.Sink) error {
-	if v < 1 || v > q.versions {
-		return fmt.Errorf("extmem: version %d out of range 1..%d: %w", v, q.versions, core.ErrNoSuchVersion)
+	if v < 1 || v > q.d.versions {
+		return fmt.Errorf("extmem: version %d out of range 1..%d: %w", v, q.d.versions, core.ErrNoSuchVersion)
 	}
 	w := &versionWalk{q: q, v: v, sink: sink}
 	emitted := false
@@ -389,7 +389,7 @@ func (q *QueryView) WriteArchiveXML(w io.Writer) error {
 // the serialized size is counted as it is written, the nodes as they are
 // read, never holding more than a frontier record in memory.
 func (q *QueryView) Stats() (core.Stats, error) {
-	s := core.Stats{Versions: q.versions, Elements: 1} // the synthetic root
+	s := core.Stats{Versions: q.d.versions, Elements: 1} // the synthetic root
 	var cw core.CountWriter
 	if err := q.writeArchive(&cw, &s); err != nil {
 		return core.Stats{}, err

@@ -33,8 +33,6 @@ type generation struct {
 
 // Diagnostics are the writer's reports on its most recent operations.
 type Diagnostics struct {
-	// Sort reports the external sort of the most recent add.
-	Sort SortStats
 	// Merge reports the segment work of the most recent add.
 	Merge MergeStats
 	// Compact reports the most recent compaction pass (explicit or the
@@ -54,6 +52,9 @@ func (ar *Archiver) current() *generation { return ar.cur.Load() }
 
 // Last returns the writer's diagnostics as of the published generation.
 func (ar *Archiver) Last() Diagnostics { return ar.current().last }
+
+// SortRuns reports how many sorted runs the most recent add wrote (§6.2).
+func (ar *Archiver) SortRuns() int { return int(ar.runs.Load()) }
 
 // publish makes g the current generation in one step, then deletes the
 // segment files of the superseded generation that no view pins and no live
@@ -147,12 +148,11 @@ func (ar *Archiver) removeSegments(files []string) {
 // none of them. A QueryView answers one query at a time; open one view per
 // concurrent query.
 type QueryView struct {
-	ar       *Archiver
-	g        *generation // the pin to release at Close; nil once closed
-	d        *keyDirectory
-	names    []string
-	spec     *keys.Spec
-	versions int
+	ar    *Archiver
+	g     *generation // the pin to release at Close; nil once closed
+	d     *keyDirectory
+	names []string
+	spec  *keys.Spec
 }
 
 // OpenQuery opens a consistent read view of the published generation. The
@@ -161,14 +161,7 @@ type QueryView struct {
 // committed before it.
 func (ar *Archiver) OpenQuery() (*QueryView, error) {
 	g := ar.pin()
-	return &QueryView{
-		ar:       ar,
-		g:        g,
-		d:        g.d,
-		names:    g.names,
-		spec:     ar.spec,
-		versions: g.d.versions,
-	}, nil
+	return &QueryView{ar: ar, g: g, d: g.d, names: g.names, spec: ar.spec}, nil
 }
 
 // Close releases the view: the pinned generation is unpinned (letting a
@@ -182,7 +175,7 @@ func (q *QueryView) Close() error {
 }
 
 // Versions returns the number of versions visible in this view.
-func (q *QueryView) Versions() int { return q.versions }
+func (q *QueryView) Versions() int { return q.d.versions }
 
 func (q *QueryView) name(id int) (string, error) {
 	if id < 0 || id >= len(q.names) {

@@ -65,16 +65,16 @@ func TestViewsBesideWriter(t *testing.T) {
 		for _, root := range q.d.roots {
 			for _, s := range root.segs {
 				if posts, err := ar.postings(s); err != nil || len(posts) != max(len(s.entries), 1) {
-					t.Errorf("reader %d: segment %s of the view of %d versions has %d postings (%v)", r, s.file, q.versions, len(posts), err)
+					t.Errorf("reader %d: segment %s of the view of %d versions has %d postings (%v)", r, s.file, q.d.versions, len(posts), err)
 				}
 			}
 		}
 		v := 1 + i%q.Versions()
 		var b strings.Builder
 		if err := q.WriteVersion(v, &b, xmltree.WriteOptions{Indent: true}); err != nil {
-			t.Errorf("reader %d: WriteVersion(%d) of %d: %v", r, v, q.versions, err)
+			t.Errorf("reader %d: WriteVersion(%d) of %d: %v", r, v, q.d.versions, err)
 		} else if b.String() != want[v] {
-			t.Errorf("reader %d: version %d of %d differs from the archive built alone", r, v, q.versions)
+			t.Errorf("reader %d: version %d of %d differs from the archive built alone", r, v, q.d.versions)
 		}
 	})
 	for i, d := range docs[1:] {
