@@ -52,7 +52,11 @@ func repackFiles(total, target, minTail int64) int {
 	if total <= 0 {
 		return 0
 	}
-	return int(max((total-minTail+target-1)/target, 1))
+	n := (total - minTail + target - 1) / target
+	if n < 1 {
+		n = 1
+	}
+	return int(n)
 }
 
 // undersized is the payload below which a segment counts as undersized
