@@ -68,9 +68,9 @@ func TestAddAllocations(t *testing.T) {
 // default size, alternating 10% random and key-modifying changes) is
 // reopened and given version 9, which rewrites its one segment through the
 // freshly opened store's segment writer. The writer encodes each token as
-// it arrives, into a byte buffer, and renumbers the buffer once when the
-// segment closes: 4.1 MB per add. Holding the segment as decoded tokens
-// and encoding them in two more passes allocated 8.1 MB.
+// it arrives, into a byte buffer that is the segment's payload: 4.6 MB per
+// add. Holding the segment as decoded tokens and encoding them in two more
+// passes allocated 8.1 MB.
 func TestAddAllocationsAfterOpen(t *testing.T) {
 	const maxBytes = 6_000_000
 	def := datagen.DefaultXMark()

@@ -202,54 +202,54 @@ func TestMergeBytesPinned(t *testing.T) {
 var (
 	pinnedOMIM = map[string]string{
 		"dict.txt":         "4a15e82d5352ddce2bd857b6ab90f3adfa9ece0ff6c9548cc7c0f2711ab842f2",
-		"keydir.idx":       "c4996bc8d234e83524446a79f2103a528bd311300427ae4d84ea67c8e8f3635d",
+		"keydir.idx":       "77161d7caf85b9f3570a4b6f1109c637cb5701b304a928eb5a06bf22998dd6ed",
 		"meta.txt":         "2e70b6da55ce68c535d86ef5e0b66a78e40a114da50d43befe2acbc7777d3aab",
-		"seg-00000002.tok": "973354aa412401ffb65402916862eafddab565a2c2fc9590014254236637e742",
-		"seg-00000003.tok": "b1534fd62c3b0df8c8cfe421ed98dc66fcc1017b55f57ed182c3ff18c899fc5f",
-		"seg-00000035.tok": "a7dabb640891fddda916b9ffd37e7ac102d3b3265a2908a9991ba650f4486438",
-		"seg-00000036.tok": "3de36d34a9dff6ebb94d3e945a645f482f2d55e2594561a133491ebe3e739aad",
-		"seg-00000037.tok": "d4b5857df328ca66876187573c8626cde11ed9dcd105f05174477e38b05a185c",
-		"seg-00000038.tok": "2ae8bc3d903e177b596362a385936311b4f00add1c394dc519937e4d3b6013b5",
-		"seg-00000039.tok": "aee8c7817339f0f79d394ccd65b940736faf7ff6ec482d94b2eda1a066e7bdf4",
-		"seg-00000040.tok": "f96e054d483d29e6150320625180ec24f24b06aa2233c642075bf5b68c6124d5",
-		"seg-00000041.tok": "6c0d59b7385e24a57659589bf303c2e2de95953bef6d8249dbc49235abd6f65e",
-		"seg-00000042.tok": "4aa52191eeaf4c3ec6f8f0c5bc73c33098d284587f9252e49bba6b85f34f1ad2",
-		"seg-00000043.tok": "b936a6c8e81a33b0ec4d01809df94c577c1a69c4343405f4038f7392d9c1f4e3",
-		"seg-00000044.tok": "53020397d92c51d27fa786c4a659704cf5f991a7690b1e584b0d17ff80be1ed8",
-		"seg-00000045.tok": "510525d0cf6b14413017a01d44335b7d2e27f699420160c994391d6ebd375cd9",
-		"seg-00000046.tok": "af207e0b615ebc654bb523c22aea0cf490e225dbcdbc17a75b126c34578d7f30",
+		"seg-00000002.tok": "281e652580b15cb3588a628fd9dd3c7795025386e02f948add299a5d4204433a",
+		"seg-00000003.tok": "273a6601c5898b34009cfe2b55e1473116c25f16a8aee257088f6bd848e96b67",
+		"seg-00000035.tok": "a6757d23c6f63fd89597e41f423f8b187ca25915c56480766efd85824196afba",
+		"seg-00000036.tok": "7d43f541cd5d5887b925a35617c0bfbd8ecb59672ad45e32fef646b03606e6b2",
+		"seg-00000037.tok": "fc342dc27f52da71b39fcbd3b7b0b1bb728560b2d854b129d0797299da27883c",
+		"seg-00000038.tok": "1ddfd2ebaf03e3fb2eb0a70cd6432af002c5fa061c0a96f628070423598c8958",
+		"seg-00000039.tok": "5e15d7499f0c58a9b206420bde540e751373a65c1c39c59010fe2ea739b5c672",
+		"seg-00000040.tok": "a4198d1d1a292187f5056201ed017808bac08d87b1ebd4af4fb4f898a0945130",
+		"seg-00000041.tok": "89cb6ae3400231d576d6d113644733f662f88a56132949350c118c07470f2f7c",
+		"seg-00000042.tok": "cf9e39419c20af939cd96839069046481eda3bb60639db7ae2614d2978cb637b",
+		"seg-00000043.tok": "67dcc43ccb159b009d21d8191657012ba0548406c73ed662c362d5200b164451",
+		"seg-00000044.tok": "e72632794a8ef92b94c7e1dcb90f238e22252a843611ae4f02bed2fa41e131c3",
+		"seg-00000045.tok": "0a58a84b2b051aaca470febb88ba123e1c5424e94d9b9f5abf0995da20d2c7e4",
+		"seg-00000046.tok": "14bd91c68c034af9717beec722ca4db3ba172449342db545f8ea1d1016978c81",
 	}
 	pinnedOMIMCompacted = map[string]string{
 		"dict.txt":         "4a15e82d5352ddce2bd857b6ab90f3adfa9ece0ff6c9548cc7c0f2711ab842f2",
-		"keydir.idx":       "ce5de0257797ad571c59b3fa9670577ff3a4245c6a0233e45164654770746d4c",
+		"keydir.idx":       "49259765680c9cd0113baea5993b70bfa0d771489a0d2f18b68190647603bb34",
 		"meta.txt":         "13f0fc5ca6bc83b8bc7c1449a4a1285816e1c368d8a45e5fc3d285bae2e9433b",
-		"seg-00000002.tok": "973354aa412401ffb65402916862eafddab565a2c2fc9590014254236637e742",
-		"seg-00000003.tok": "b1534fd62c3b0df8c8cfe421ed98dc66fcc1017b55f57ed182c3ff18c899fc5f",
-		"seg-00000039.tok": "d495e9f57707b9bca3caa279b12ed66951176446ab6b6fc92fa5950eea73986c",
-		"seg-00000040.tok": "d4b5857df328ca66876187573c8626cde11ed9dcd105f05174477e38b05a185c",
-		"seg-00000041.tok": "2ae8bc3d903e177b596362a385936311b4f00add1c394dc519937e4d3b6013b5",
-		"seg-00000042.tok": "aee8c7817339f0f79d394ccd65b940736faf7ff6ec482d94b2eda1a066e7bdf4",
-		"seg-00000043.tok": "f96e054d483d29e6150320625180ec24f24b06aa2233c642075bf5b68c6124d5",
-		"seg-00000044.tok": "6c0d59b7385e24a57659589bf303c2e2de95953bef6d8249dbc49235abd6f65e",
-		"seg-00000045.tok": "4aa52191eeaf4c3ec6f8f0c5bc73c33098d284587f9252e49bba6b85f34f1ad2",
-		"seg-00000046.tok": "b936a6c8e81a33b0ec4d01809df94c577c1a69c4343405f4038f7392d9c1f4e3",
-		"seg-00000047.tok": "53020397d92c51d27fa786c4a659704cf5f991a7690b1e584b0d17ff80be1ed8",
-		"seg-00000048.tok": "510525d0cf6b14413017a01d44335b7d2e27f699420160c994391d6ebd375cd9",
-		"seg-00000049.tok": "af207e0b615ebc654bb523c22aea0cf490e225dbcdbc17a75b126c34578d7f30",
+		"seg-00000002.tok": "281e652580b15cb3588a628fd9dd3c7795025386e02f948add299a5d4204433a",
+		"seg-00000003.tok": "273a6601c5898b34009cfe2b55e1473116c25f16a8aee257088f6bd848e96b67",
+		"seg-00000039.tok": "09e4e5b64a5155d9367d6807887b17a494551f626b484a8cd311c7bf5a4acaa0",
+		"seg-00000040.tok": "fc342dc27f52da71b39fcbd3b7b0b1bb728560b2d854b129d0797299da27883c",
+		"seg-00000041.tok": "1ddfd2ebaf03e3fb2eb0a70cd6432af002c5fa061c0a96f628070423598c8958",
+		"seg-00000042.tok": "5e15d7499f0c58a9b206420bde540e751373a65c1c39c59010fe2ea739b5c672",
+		"seg-00000043.tok": "a4198d1d1a292187f5056201ed017808bac08d87b1ebd4af4fb4f898a0945130",
+		"seg-00000044.tok": "89cb6ae3400231d576d6d113644733f662f88a56132949350c118c07470f2f7c",
+		"seg-00000045.tok": "cf9e39419c20af939cd96839069046481eda3bb60639db7ae2614d2978cb637b",
+		"seg-00000046.tok": "67dcc43ccb159b009d21d8191657012ba0548406c73ed662c362d5200b164451",
+		"seg-00000047.tok": "e72632794a8ef92b94c7e1dcb90f238e22252a843611ae4f02bed2fa41e131c3",
+		"seg-00000048.tok": "0a58a84b2b051aaca470febb88ba123e1c5424e94d9b9f5abf0995da20d2c7e4",
+		"seg-00000049.tok": "14bd91c68c034af9717beec722ca4db3ba172449342db545f8ea1d1016978c81",
 	}
 	pinnedXMark = map[string]string{
 		"dict.txt":         "d923d90af773b13e2ecbc749e2e0a6eb089325971566750949f37b586013fe60",
-		"keydir.idx":       "c8033f863594edbe6e7ac2c239e42dfb293068115e8c2420d8b841feee447606",
+		"keydir.idx":       "ce4d8b8cf45f7ba9a668f487ea5c4cd67696cba901799400d8370613558d7830",
 		"meta.txt":         "3edccfc8c19c9971245753c437263bfb8e760d29c7780f13722098a4130d70f2",
-		"seg-00000015.tok": "46cc4d5dc039057cbceab20fb7591eab22fe56204eb76b762f8cc07fd114a719",
-		"seg-00000016.tok": "0491e41134be660df61d1e8db89f83ab9bc4fadada8d457d4f42b83631f799c5",
-		"seg-00000017.tok": "6619a7a7a58d21674147a4995c3fdb4cfc9bb9ca2ab55ba9f54dc70f09b9a598",
-		"seg-00000018.tok": "41d61f9a28785f51adbe0b7c4e84ffd0d4ffd2ce550af48eb32c0bb0ab1721a2",
+		"seg-00000015.tok": "9bfbe217e09db8990ab9f6f93218083a5ed51d30c86c9fd7bbed129ba99f659b",
+		"seg-00000016.tok": "b083ee1d96a0814f5e56f005975b28125ccd0c358fb23108d13ae025c0dd734c",
+		"seg-00000017.tok": "47bcd2d9981b60ac83a13cf9edcc53b04f37c9e86af5c992e2b52624930b9f55",
+		"seg-00000018.tok": "c6f9606978085ac3d630023b1c22f9a629626ad80587baeb6db02c3050b20a4c",
 	}
 	pinnedRaw = map[string]string{
 		"dict.txt":         "4a15e82d5352ddce2bd857b6ab90f3adfa9ece0ff6c9548cc7c0f2711ab842f2",
-		"keydir.idx":       "8553a64a97b45e690589320dcda4333775010f54f08c5a7e0ea258776b149d01",
+		"keydir.idx":       "e889cbb607aa27327f5a1c8f548d82482faf331d54875a9451db3f4ceaccc857",
 		"meta.txt":         "28f1ab2a48c5e1873b7d37826392dddb73d4da95d04578d3889362bee2e6573d",
-		"seg-00000005.tok": "573cfb5ce20b3467e1a71c2a0c968fba888da674356206be1ca361c71bf4d4e1",
+		"seg-00000005.tok": "3cbcc2549df6b1d9aeea742dc2d0dc175de1fabca40d45dc3e582115fdfaa10f",
 	}
 )

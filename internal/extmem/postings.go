@@ -325,7 +325,7 @@ func captureEntryFacts(next func() token, ntok int, offs []int64, dict *dictiona
 func (sw *segmentSetWriter) capturePostings(rec *segmentRecord, tokOffs []int64) ([]*idxEntry, error) {
 	marks := sw.marks
 	if sw.raw {
-		marks = []entryMark{{start: 0, end: sw.out.n}}
+		marks = []entryMark{{start: 0, end: len(sw.out.offs)}}
 	}
 	posts := make([]*idxEntry, len(marks))
 	cur := capCursor{c: sw.out}
@@ -407,22 +407,19 @@ func (ar *Archiver) rootPosting(r *rootRecord) (*idxEntry, error) {
 // required attribute predicate — a sound superset of the matching
 // records, since a record lacking a required attribute evaluates that
 // conjunct to the empty set. The generation's inverted map is built by the
-// first query that needs it.
+// first query that needs it, with no lock held across its reads: queries
+// that race to build it keep the first map published.
 func (q *QueryView) candidates(preds []*qlang.AttrPred) ([]int, error) {
 	g := q.g
 	inv := g.inv.Load()
 	if inv == nil {
-		g.invMu.Lock()
-		if inv = g.inv.Load(); inv == nil {
-			m, err := q.ar.buildInv(g.d)
-			if err != nil {
-				g.invMu.Unlock()
-				return nil, err
-			}
-			inv = &m
-			g.inv.Store(inv)
+		m, err := q.ar.buildInv(g.d)
+		if err != nil {
+			return nil, err
 		}
-		g.invMu.Unlock()
+		if inv = &m; !g.inv.CompareAndSwap(nil, inv) {
+			inv = g.inv.Load()
+		}
 	}
 	var acc []int
 	for i, p := range preds {

@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"xarch/internal/core"
 	"xarch/internal/datagen"
@@ -709,5 +711,61 @@ func TestInvertedMapRetriedAfterReadFault(t *testing.T) {
 	ffs.ClearFaults()
 	if got, err := q.Select(e); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("Select after the fault = %v, %v; want %v", got, err, want)
+	}
+}
+
+// TestInvertedMapBuildHoldsNoLock: while one attribute Select's postings
+// read is parked, building the generation's inverted map, a second one on
+// the same generation builds its own and answers: no lock is held across
+// the read. Both answers equal the one without the map.
+func TestInvertedMapBuildHoldsNoLock(t *testing.T) {
+	ffs := fsio.NewFaultFS(nil)
+	ar := buildAttrArchive(t, t.TempDir(), Config{Budget: 1 << 16, SegmentTarget: 512, FS: ffs}, 3)
+	defer ar.Close()
+	e, err := qlang.Parse("@grade=g2 AND in 2..3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ar.OpenQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	ar.cfg.NoAttrIndex = true // the answer without the map
+	want, err := q.Select(e)
+	ar.cfg.NoAttrIndex = false
+	if err != nil || len(want) == 0 {
+		t.Fatalf("Select without the postings = %v, %v", want, err)
+	}
+	dropSections(ar)
+	release := make(chan struct{})
+	ffs.SetFault("segment.readat", fsio.Fault{Hold: release, Count: 1})
+	defer ffs.ClearFaults()
+	type answer struct {
+		recs []qlang.Result
+		err  error
+	}
+	first, second := make(chan answer, 1), make(chan answer, 1)
+	go func() { r, err := q.Select(e); first <- answer{r, err} }()
+	for ffs.Held() == 0 {
+		select {
+		case a := <-first:
+			t.Fatalf("the first Select returned (%v) without reading a segment", a.err)
+		default:
+			runtime.Gosched()
+		}
+	}
+	go func() { r, err := q.Select(e); second <- answer{r, err} }()
+	select {
+	case a := <-second:
+		if a.err != nil || !reflect.DeepEqual(a.recs, want) {
+			t.Errorf("Select beside the parked read = %v, %v; want %v", a.recs, a.err, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Errorf("a Select waited on another one's parked postings read")
+	}
+	close(release)
+	if a := <-first; a.err != nil || !reflect.DeepEqual(a.recs, want) {
+		t.Errorf("the parked Select = %v, %v; want %v", a.recs, a.err, want)
 	}
 }

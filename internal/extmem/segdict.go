@@ -8,7 +8,6 @@ import (
 	"io"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -18,13 +17,11 @@ import (
 
 // The segment format (format byte 3): the payload token stream does not
 // carry key annotations, timestamps, or attribute values as inline
-// strings. A per-segment dictionary section in the header interns them — key-path names, spilled string values (canonical key
-// values and attribute values), a timestamp table, and whole key
-// tuples — and the stream references them by varint id. Ids are
-// assigned in sorted order, so within one segment comparing ids is
-// comparing strings: the merge planner and queries compare
-// integers, and share one decoded string/interval/key object per
-// distinct value.
+// strings. A per-segment dictionary section in the header interns them —
+// key-path names, spilled values (canonical key values and attribute
+// values), timestamps and whole key tuples — and the stream references
+// them by varint id, numbered in the order the writer met them (sorted, in
+// segments written before). No reader compares ids, only what they name.
 
 // segDict is the decoded dictionary section of one segment. It is
 // immutable once decoded and shared by every reader of the segment. The
@@ -334,43 +331,46 @@ func (rs *residency) forget(files []string) {
 // ---------------------------------------------------------------------------
 // Segment encoding (write side)
 
-// captureWriter is the token sink of the segment writer. Each token is
-// encoded on arrival in the segment grammar, against ids numbered in
-// arrival order: sorted ids need the whole segment's population, so encode
-// renumbers the buffer once, when the segment closes. The buffer holds
-// bytes; only the tables, one entry per distinct value, hold strings and
-// keys. est tracks an approximate encoded size for the roll decision at
-// child boundaries.
+// captureWriter is the token sink of the segment writer, and its buffer is
+// the segment's payload: each token is encoded on arrival in the segment
+// grammar, against ids numbered in arrival order. Only the tables, one
+// entry per distinct value, hold strings and keys. est tracks an
+// approximate encoded size for the roll decision at child boundaries.
 type captureWriter struct {
-	buf []byte
-	n   int // tokens captured
-	est int64
+	buf  []byte
+	offs []int64 // where each token starts in buf
+	est  int64
 
-	paths, values, times interner[string]
-	keys                 interner[*tkey] // by pointer; encode merges equal tuples
-	keyAt                []int32         // per key, where its pairs start in keyPairs
-	keyPairs             []int32         // alternating path id, value id
+	paths, values, times interner
+	// keyTable is the key table as it is written: per key id, its pair
+	// count and its (path id, value id) pairs. keyAt is where each id's
+	// entry starts, and keys holds a tuple per id. tuples finds an id by a
+	// hash of its entry, probing on past a collision, so that equal tuples
+	// share one id whatever their pointers, and none allocates.
+	keyTable, keyAt []int32
+	keys            []*tkey
+	tuples          map[uint64]int32
 }
 
-// interner numbers distinct values in arrival order.
-type interner[T comparable] struct {
-	id   map[T]int32
-	list []T
+// interner numbers distinct strings in arrival order.
+type interner struct {
+	id   map[string]int32
+	list []string
 }
 
-func (t *interner[T]) intern(v T) int32 {
+func (t *interner) intern(v string) int32 {
 	if id, ok := t.id[v]; ok {
 		return id
 	}
 	if t.id == nil {
-		t.id = map[T]int32{}
+		t.id = map[string]int32{}
 	}
 	t.id[v] = int32(len(t.list))
 	t.list = append(t.list, v)
 	return int32(len(t.list) - 1)
 }
 
-func (t *interner[T]) reset() {
+func (t *interner) reset() {
 	clear(t.id)
 	clear(t.list)
 	t.list = t.list[:0]
@@ -379,25 +379,42 @@ func (t *interner[T]) reset() {
 // reset empties the capture and keeps its room. The tables are zeroed, not
 // only cut off: they outlive the version whose strings and keys they hold.
 func (c *captureWriter) reset() {
-	c.buf, c.n, c.est = c.buf[:0], 0, 0
+	c.buf, c.offs, c.est = c.buf[:0], c.offs[:0], 0
 	c.paths.reset()
 	c.values.reset()
 	c.times.reset()
-	c.keys.reset()
-	c.keyAt, c.keyPairs = c.keyAt[:0], c.keyPairs[:0]
+	clear(c.tuples)
+	clear(c.keys)
+	c.keyTable, c.keyAt, c.keys = c.keyTable[:0], c.keyAt[:0], c.keys[:0]
 }
 
-// key interns key tuple k, and the paths and values of a tuple not seen
-// before.
+// key interns key tuple k, its paths and values first.
 func (c *captureWriter) key(k *tkey) int32 {
-	id := c.keys.intern(k)
-	if int(id) == len(c.keyAt) {
-		c.keyAt = append(c.keyAt, int32(len(c.keyPairs)))
-		for i := range k.paths {
-			c.keyPairs = append(c.keyPairs, c.paths.intern(k.paths[i]), c.values.intern(k.canon[i]))
+	at := len(c.keyTable)
+	c.keyTable = append(c.keyTable, int32(len(k.paths)))
+	for i := range k.paths {
+		c.keyTable = append(c.keyTable, c.paths.intern(k.paths[i]), c.values.intern(k.canon[i]))
+	}
+	entry := c.keyTable[at:]
+	h := uint64(14695981039346656037) // FNV-1a
+	for _, id := range entry {
+		h = (h ^ uint64(id)) * 1099511628211
+	}
+	if c.tuples == nil {
+		c.tuples = map[uint64]int32{}
+	}
+	for ; ; h++ {
+		id, ok := c.tuples[h]
+		if !ok {
+			c.tuples[h] = int32(len(c.keys))
+			c.keys, c.keyAt = append(c.keys, k), append(c.keyAt, int32(at))
+			return int32(len(c.keys) - 1)
+		}
+		if slices.Equal(c.keyTable[c.keyAt[id]:][:len(entry)], entry) {
+			c.keyTable = c.keyTable[:at]
+			return id
 		}
 	}
-	return id
 }
 
 func (c *captureWriter) open(tagID int, key *tkey, time string) {
@@ -411,7 +428,7 @@ func (c *captureWriter) tsOpen(time string) { c.writeToken(token{op: tokTSOpen, 
 func (c *captureWriter) tsClose() { c.writeToken(token{op: tokTSClose}) }
 
 func (c *captureWriter) writeToken(t token) {
-	c.n++
+	c.offs = append(c.offs, int64(len(c.buf)))
 	b := append(c.buf, t.op)
 	switch t.op {
 	case tokOpen:
@@ -443,16 +460,8 @@ func (c *captureWriter) writeToken(t token) {
 	c.buf = b
 }
 
-// capToken is one captured token with its arrival-order ids; a text
-// token's bytes alias the capture's buffer.
-type capToken struct {
-	op, flags             byte
-	tag, key, time, value int
-	text                  []byte
-}
-
 // capCursor is the one decoder of a capture's buffer, reading its tokens
-// in order: for the renumbering and for the postings.
+// in order: for the postings and a raw root's time.
 type capCursor struct {
 	c  *captureWriter
 	at int
@@ -464,73 +473,40 @@ func (r *capCursor) uvarint() int {
 	return int(v)
 }
 
-func (r *capCursor) next(t *capToken) {
-	*t = capToken{op: r.c.buf[r.at]}
-	r.at++
-	switch t.op {
-	case tokOpen:
-		t.tag = r.uvarint()
-		t.flags = r.c.buf[r.at]
-		r.at++
-		if t.flags&flagHasKey != 0 {
-			t.key = r.uvarint()
-		}
-		if t.flags&flagHasTime != 0 {
-			t.time = r.uvarint()
-		}
-	case tokText:
-		n := r.uvarint()
-		t.text = r.c.buf[r.at : r.at+n]
-		r.at += n
-	case tokAttr:
-		t.tag, t.value = r.uvarint(), r.uvarint()
-	case tokTSOpen:
-		t.time = r.uvarint()
-	}
-}
-
 // token decodes the next token as the writer was handed it, its strings
 // and key from the capture's tables, but a text token without its text,
 // which no posting reads.
 func (r *capCursor) token() token {
-	var ct capToken
-	r.next(&ct)
-	t := token{op: ct.op, tag: ct.tag}
-	switch {
-	case ct.op == tokAttr:
-		t.data = r.c.values.list[ct.value]
-	case ct.op == tokTSOpen || ct.flags&flagHasTime != 0:
-		t.data = r.c.times.list[ct.time]
-	}
-	if ct.flags&flagHasKey != 0 {
-		t.key = r.c.keys.list[ct.key]
+	t := token{op: r.c.buf[r.at]}
+	r.at++
+	switch t.op {
+	case tokOpen:
+		t.tag = r.uvarint()
+		flags := r.c.buf[r.at]
+		r.at++
+		if flags&flagHasKey != 0 {
+			t.key = r.c.keys[r.uvarint()]
+		}
+		if flags&flagHasTime != 0 {
+			t.data = r.c.times.list[r.uvarint()]
+		}
+	case tokText:
+		n := r.uvarint()
+		r.at += n
+	case tokAttr:
+		t.tag = r.uvarint()
+		t.data = r.c.values.list[r.uvarint()]
+	case tokTSOpen:
+		t.data = r.c.times.list[r.uvarint()]
 	}
 	return t
 }
 
-// ranks are one capture table in sorted order: order lists arrival ids by
-// position, and remap maps an arrival id to its segment id.
-type ranks struct{ order, remap []int32 }
-
-// rank sorts list's arrival ids by cmp.
-func rank[T any](r *ranks, list []T, cmp func(a, b T) int) {
-	r.order = r.order[:0]
-	for id := range int32(len(list)) {
-		r.order = append(r.order, id)
-	}
-	slices.SortFunc(r.order, func(a, b int32) int { return cmp(list[a], list[b]) })
-	r.remap = slices.Grow(r.remap[:0], len(list))[:len(list)]
-	for pos, id := range r.order {
-		r.remap[id] = int32(pos)
-	}
-}
-
-// segEncoder turns a capture into a segment: dictionary section, payload
-// and header, in buffers reused across the segments of one write pass. The
-// zero value is ready.
+// segEncoder turns a capture into a segment: the capture's buffer is the
+// payload and its tables the dictionary section, rendered with the header
+// in buffers reused across the segments of one write pass. The zero value
+// is ready.
 type segEncoder struct {
-	paths, values, times, keys ranks
-
 	dict, posts, head kdWriter
 	pay               []byte
 	crc               uint32 // of pay
@@ -539,73 +515,23 @@ type segEncoder struct {
 	tokOffs []int64
 }
 
-// encode renders the segment captured in c into the encoder's dict, pay,
-// crc and tokOffs, valid until the next encode.
+// encode renders the dictionary section of the segment captured in c into
+// enc.dict, and points pay and tokOffs at c's buffer and offsets: valid
+// until the next encode or the capture changes.
 func (enc *segEncoder) encode(c *captureWriter) {
-	// Ids in sorted order, so id comparison is string comparison.
-	rank(&enc.paths, c.paths.list, strings.Compare)
-	rank(&enc.values, c.values.list, strings.Compare)
-	rank(&enc.times, c.times.list, strings.Compare)
-	// Distinct key pointers may carry equal tuples, which must share one
-	// id for id equality to mean key equality: order keeps one of each.
-	k := &enc.keys
-	rank(k, c.keys.list, compareKeys)
-	reps := k.order[:0]
-	for _, id := range k.order {
-		if len(reps) == 0 || compareKeys(c.keys.list[reps[len(reps)-1]], c.keys.list[id]) != 0 {
-			reps = append(reps, id)
-		}
-		k.remap[id] = int32(len(reps) - 1)
-	}
-	k.order = reps
-
 	w := &enc.dict
 	w.b.Reset()
-	table := func(r *ranks, list []string) {
-		w.varint(uint64(len(r.order)))
-		for _, id := range r.order {
-			w.str(list[id])
+	for _, list := range [...][]string{c.paths.list, c.values.list, c.times.list} {
+		w.varint(uint64(len(list)))
+		for _, s := range list {
+			w.str(s)
 		}
 	}
-	table(&enc.paths, c.paths.list)
-	table(&enc.values, c.values.list)
-	table(&enc.times, c.times.list)
-	w.varint(uint64(len(k.order)))
-	for _, id := range k.order {
-		pairs := c.keyPairs[c.keyAt[id]:][:2*len(c.keys.list[id].paths)]
-		w.varint(uint64(len(pairs) / 2))
-		for i := 0; i < len(pairs); i += 2 {
-			w.varint(uint64(enc.paths.remap[pairs[i]]))
-			w.varint(uint64(enc.values.remap[pairs[i+1]]))
-		}
+	w.varint(uint64(len(c.keys)))
+	for _, v := range c.keyTable {
+		w.varint(uint64(v))
 	}
-
-	// Renumber the payload in one pass.
-	pay, offs := slices.Grow(enc.pay[:0], len(c.buf)), slices.Grow(enc.tokOffs[:0], c.n+1)
-	cur := capCursor{c: c}
-	var t capToken
-	for range c.n {
-		offs = append(offs, int64(len(pay)))
-		cur.next(&t)
-		pay = append(pay, t.op)
-		switch t.op {
-		case tokOpen:
-			pay = append(binary.AppendUvarint(pay, uint64(t.tag)), t.flags)
-			if t.flags&flagHasKey != 0 {
-				pay = binary.AppendUvarint(pay, uint64(k.remap[t.key]))
-			}
-			if t.flags&flagHasTime != 0 {
-				pay = binary.AppendUvarint(pay, uint64(enc.times.remap[t.time]))
-			}
-		case tokText:
-			pay = append(binary.AppendUvarint(pay, uint64(len(t.text))), t.text...)
-		case tokAttr:
-			pay = binary.AppendUvarint(binary.AppendUvarint(pay, uint64(t.tag)), uint64(enc.values.remap[t.value]))
-		case tokTSOpen:
-			pay = binary.AppendUvarint(pay, uint64(enc.times.remap[t.time]))
-		}
-	}
-	enc.pay, enc.crc, enc.tokOffs = pay, crc32.ChecksumIEEE(pay), append(offs, int64(len(pay)))
+	enc.pay, enc.crc, enc.tokOffs = c.buf, crc32.ChecksumIEEE(c.buf), append(c.offs, int64(len(c.buf)))
 }
 
 // renderHead renders the complete header of the segment just encoded —

@@ -239,8 +239,8 @@ func (rf *readFault) Read(p []byte) (int, error) {
 // files, rolling to a fresh file whenever the current payload passes the
 // target size at a child boundary, and recording one directory entry per
 // child. The current file's tokens are captured in out, encoded on arrival
-// against arrival-order ids, then renumbered to the dictionary's sorted ids
-// and written in one pass at closeCurrent; no file exists until then. out
+// against arrival-order ids, and written as they were captured at
+// closeCurrent; no file exists until then. out
 // is stable across rolls, so a merge can keep one output handle for the
 // whole pass.
 // out and enc are the archiver's (Archiver.segOut): one writer is in use
@@ -390,7 +390,7 @@ func (sw *segmentSetWriter) beginChild(name string, key *tkey, timeStr string, e
 	if sw.cur == nil {
 		sw.open()
 	}
-	sw.markStart = sw.out.n
+	sw.markStart = len(sw.out.offs)
 	sw.pending = childEntry{name: name, key: key, timeStr: timeStr}
 	if timeStr != "" {
 		sw.pending.time = eff
@@ -405,7 +405,7 @@ func (sw *segmentSetWriter) endChild() {
 	if sw.err != nil || sw.cur == nil {
 		return
 	}
-	sw.marks = append(sw.marks, entryMark{start: sw.markStart, end: sw.out.n})
+	sw.marks = append(sw.marks, entryMark{start: sw.markStart, end: len(sw.out.offs)})
 	sw.cur.entries = append(sw.cur.entries, sw.pending)
 	if n := sw.out.est; n >= sw.target {
 		if sw.planned > 0 && sw.planned-(sw.written+n) < sw.minTail {

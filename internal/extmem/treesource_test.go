@@ -132,8 +132,8 @@ func sortedTokens(sorted sortedVersion) ([]token, error) {
 
 // encodeTokens renders tokens in the segment encoding, the dictionary
 // section and then the payload, and no tokens as nothing. Ids are assigned
-// in sorted order, so two token sequences are equal exactly when their
-// renderings are.
+// in arrival order, equal key tuples sharing one, so two token sequences
+// are equal exactly when their renderings are.
 func encodeTokens(tb testing.TB, toks []token) []byte {
 	tb.Helper()
 	if len(toks) == 0 {

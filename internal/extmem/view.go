@@ -3,7 +3,6 @@ package extmem
 import (
 	"fmt"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 
 	"xarch/internal/core"
@@ -27,8 +26,7 @@ type generation struct {
 	// inv is the inverted attribute map over the postings of d's segments
 	// (candidates), built by the first Select that needs it. Only a built
 	// map is kept: after a failed build the next Select tries again.
-	invMu sync.Mutex
-	inv   atomic.Pointer[map[string][]int]
+	inv atomic.Pointer[map[string][]int]
 }
 
 // Diagnostics are the writer's reports on its most recent operations.
